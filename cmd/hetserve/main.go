@@ -65,15 +65,13 @@
 // lookup cache (GOid mappings, checked assistant verdicts; invalidated by
 // the Insert replication path), and -batch-window coalesces the check
 // traffic of concurrent queries into one RPC per peer per flush window
-// (-batch-bytes and -batch-inflight bound batch and in-flight sizes). A
-// coordinator run with -clients N -repeat M drives N concurrent query
-// streams of M queries each under -concurrency admission control and
-// prints the measured throughput and latency distribution.
+// (-batch-bytes and -batch-inflight bound batch and in-flight sizes). To
+// drive load — concurrent clients, throughput and latency distributions —
+// use `hetbench run -runtimes live -clients N`, the one load generator.
 package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"log/slog"
@@ -82,12 +80,10 @@ import (
 	"os/signal"
 	"path/filepath"
 	"strings"
-	"sync/atomic"
 	"syscall"
 	"time"
 
 	"github.com/hetfed/hetfed/internal/adapt"
-	"github.com/hetfed/hetfed/internal/bench"
 	"github.com/hetfed/hetfed/internal/exec"
 	"github.com/hetfed/hetfed/internal/fabric"
 	"github.com/hetfed/hetfed/internal/fedfile"
@@ -147,8 +143,6 @@ func run(args []string) error {
 		batchBytes    = fs.Int("batch-bytes", 0, "flush a peer's check batch early at this many queued bytes (0 = default 64KiB)")
 		batchInflight = fs.Int("batch-inflight", 0, "cap on total check-batch bytes in flight (0 = default 1MiB)")
 		concurrency   = fs.Int("concurrency", 0, "max concurrently executing queries in -coordinator mode (0 = unbounded)")
-		clients       = fs.Int("clients", 1, "concurrent query streams in -coordinator mode")
-		repeat        = fs.Int("repeat", 1, "queries per stream in -coordinator mode")
 
 		deadline     = fs.Duration("deadline", 0, "end-to-end budget per query in -coordinator mode; the remaining budget travels to every site and an over-budget query returns its sound partial answer (0 = none)")
 		maxFrame     = fs.Int("max-frame", 0, "reject request frames larger than this many bytes in -site mode (0 = default 8MiB, negative = unlimited)")
@@ -216,9 +210,9 @@ func run(args []string) error {
 	case *coordinator:
 		return runCoordinator(fed, peers, *queryText, *algName, coordOpts{
 			Trace: *showTrace, Metrics: *showMetrics, Call: call,
-			Concurrency: *concurrency, Clients: *clients, Repeat: *repeat,
-			Deadline:  *deadline,
-			SlowQuery: *slowQuery, RecorderSize: *recorderLen, MetricsAddr: *metricsAddr,
+			Concurrency: *concurrency,
+			Deadline:    *deadline,
+			SlowQuery:   *slowQuery, RecorderSize: *recorderLen, MetricsAddr: *metricsAddr,
 			ClusterScrape: *clusterScrape, ScrapeInterval: *scrapeInterval,
 			ScrapeWindow: *scrapeWindow, SLO: *sloRules,
 			DataDir: *dataDir, Fsync: *fsync, SnapshotEvery: *snapEvery,
@@ -559,8 +553,7 @@ func runSite(fed *federationBundle, site object.SiteID, listen, metricsAddr stri
 	return rt.Close()
 }
 
-// coordOpts selects the coordinator's diagnostic output, call policy, and
-// load-generation shape.
+// coordOpts selects the coordinator's diagnostic output and call policy.
 type coordOpts struct {
 	// Trace prints the query's span tree as seen from the coordinator.
 	Trace bool
@@ -570,11 +563,6 @@ type coordOpts struct {
 	Call remote.CallConfig
 	// Concurrency bounds concurrently executing queries (0 = unbounded).
 	Concurrency int
-	// Clients and Repeat shape load generation: Clients concurrent streams
-	// of Repeat queries each. Clients*Repeat > 1 switches to the load
-	// report (throughput + latency distribution) instead of result rows.
-	Clients int
-	Repeat  int
 	// Deadline caps each query's end-to-end time (0 = none).
 	Deadline time.Duration
 	// SlowQuery and RecorderSize configure the coordinator's flight
@@ -785,9 +773,6 @@ func runCoordinator(fed *federationBundle, peers map[object.SiteID]string, query
 	// slots released, partial answers printed) instead of killing the process.
 	ctx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stopSignals()
-	if opts.Clients*opts.Repeat > 1 {
-		return runLoad(ctx, coord, queryText, alg, opts, reg)
-	}
 	ans, elapsed, err := coord.QueryContext(ctx, queryText, alg)
 	if err != nil {
 		return err
@@ -822,62 +807,6 @@ func runCoordinator(fed *federationBundle, peers map[object.SiteID]string, query
 	}
 	if opts.Metrics {
 		fmt.Printf("\ncoordinator metrics:\n%s", reg.Snapshot().Text())
-	}
-	return nil
-}
-
-// runLoad drives Clients concurrent streams of Repeat queries each through
-// the coordinator and prints the measured throughput and latency
-// distribution — the multi-tenant serving path exercised end to end. The
-// driving and the statistics are internal/bench's closed-loop generator and
-// exact-percentile summary, the same machinery hetbench measures with.
-func runLoad(ctx context.Context, coord *remote.Coordinator, queryText string, alg exec.Algorithm, opts coordOpts, reg *metrics.Registry) error {
-	clients, repeat := opts.Clients, opts.Repeat
-	if clients < 1 {
-		clients = 1
-	}
-	if repeat < 1 {
-		repeat = 1
-	}
-	var firstErr atomic.Value
-	fn := func(ctx context.Context, _ int) bench.Result {
-		ans, elapsed, err := coord.QueryContext(ctx, queryText, alg)
-		if err != nil {
-			if !remote.IsInterrupted(err) {
-				firstErr.CompareAndSwap(nil, err)
-			}
-			return bench.Result{Err: err, Shed: errors.Is(err, exec.ErrShed)}
-		}
-		return bench.Result{
-			Micros:      float64(elapsed.Nanoseconds()) / 1e3,
-			Degraded:    ans.Degraded,
-			Interrupted: ans.Interrupted(),
-		}
-	}
-	start := time.Now()
-	results := bench.RunClosed(ctx, clients, make([]int, clients*repeat), fn)
-	st := bench.Summarize(results, float64(time.Since(start).Nanoseconds())/1e3)
-
-	fmt.Printf("load: %d clients x %d queries (%v, concurrency %d)\n",
-		clients, repeat, alg, opts.Concurrency)
-	fmt.Printf("completed %d/%d in %.2f ms  →  %.1f queries/s\n",
-		st.Completed, st.Queries, st.WallMillis, st.QPS)
-	if st.Completed > 0 {
-		fmt.Printf("latency: mean %.2f ms  p50 %.2f  p95 %.2f  p99 %.2f  max %.2f\n",
-			st.MeanMicros/1e3, st.P50Micros/1e3, st.P95Micros/1e3,
-			st.P99Micros/1e3, st.MaxMicros/1e3)
-	}
-	if st.Degraded > 0 {
-		fmt.Printf("degraded answers: %d\n", st.Degraded)
-	}
-	if st.Shed > 0 {
-		fmt.Printf("shed at admission: %d\n", st.Shed)
-	}
-	if opts.Metrics {
-		fmt.Printf("\ncoordinator metrics:\n%s", reg.Snapshot().Text())
-	}
-	if err, ok := firstErr.Load().(error); ok {
-		return err
 	}
 	return nil
 }

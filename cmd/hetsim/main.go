@@ -12,13 +12,7 @@
 //	hetsim -figure network           # E8: network-rate sensitivity
 //	hetsim -figure planner           # E9: cost-based strategy selection
 //	hetsim -figure indexes           # E10: secondary-index ablation
-//	hetsim -figure concurrency       # E13: concurrent-client throughput
 //	hetsim -figure all -scale 0.2    # everything, scaled-down extents
-//
-// -figure concurrency (E13) measures wall-clock throughput and latency of
-// concurrent clients over one shared engine on the Real runtime; its
-// numbers depend on the host, so it is the one figure excluded from
-// -figure all, which stays bit-for-bit deterministic.
 //
 //	hetsim -trace -metrics           # instrumented demo query, no sweep
 //
@@ -58,7 +52,7 @@ func main() {
 func run(args []string) error {
 	fs := flag.NewFlagSet("hetsim", flag.ContinueOnError)
 	var (
-		figure  = fs.String("figure", "all", "experiment: 9, 10, 11, signatures, network, indexes, faults, planner, concurrency, or all")
+		figure  = fs.String("figure", "all", "experiment: 9, 10, 11, signatures, network, indexes, faults, planner, or all")
 		samples = fs.Int("samples", 25, "randomized Table 2 samples per swept point (paper: 500)")
 		seed    = fs.Int64("seed", 1, "base random seed")
 		scale   = fs.Float64("scale", 1.0, "multiplier on the Table 2 extent sizes")
@@ -127,27 +121,11 @@ func run(args []string) error {
 		}
 		fmt.Print(report)
 		return nil
-	case "concurrency":
-		// E13 measures wall-clock throughput at increasing client counts,
-		// so it is not part of -figure all (whose output stays bit-for-bit
-		// deterministic run to run).
-		report, err := sim.ConcurrencySweep(cfg, exec.BL, nil, 0, 0)
-		if err != nil {
-			return err
-		}
-		fmt.Print(report.Table())
-		if *csvPath != "" {
-			if err := os.WriteFile(*csvPath, []byte(report.CSV()), 0o644); err != nil {
-				return fmt.Errorf("write csv: %w", err)
-			}
-			fmt.Printf("\nwrote %s\n", *csvPath)
-		}
-		return nil
 	case "all":
 		order = []string{"9", "10", "11", "signatures", "network", "indexes", "faults"}
 	default:
 		if _, ok := runners[*figure]; !ok {
-			return fmt.Errorf("unknown figure %q (want 9, 10, 11, signatures, network, indexes, faults, planner, concurrency, all)", *figure)
+			return fmt.Errorf("unknown figure %q (want 9, 10, 11, signatures, network, indexes, faults, planner, all)", *figure)
 		}
 		order = []string{*figure}
 	}

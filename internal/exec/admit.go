@@ -8,10 +8,11 @@ import (
 	"github.com/hetfed/hetfed/internal/metrics"
 )
 
-// gate is the engine's admission control: a counting semaphore bounding how
-// many queries execute at once over the shared site state. Queries beyond
-// the bound queue FIFO-ish on the channel; a nil gate (bound <= 0) admits
-// everything immediately.
+// Gate is the federation's one admission control: a counting semaphore
+// bounding how many queries a global processing site executes at once over
+// the shared site state, whatever the transport. Queries beyond the bound
+// queue FIFO-ish on the channel; a nil Gate (bound <= 0) admits everything
+// immediately.
 //
 // The gate observes four instruments on the registry:
 //
@@ -20,21 +21,20 @@ import (
 //	queries_shed_total{site}     counter admissions turned away (deadline
 //	                                     expired or caller gone pre-slot)
 //	admission_wait_us{site,alg}  histogram wall-clock wait for a slot
-type gate struct {
+type Gate struct {
 	slots chan struct{}
 	reg   *metrics.Registry
 	site  string
 }
 
-// newGate builds a gate admitting at most max queries at once; max <= 0
-// returns nil, which enter treats as an unbounded pass-through (only the
-// inflight gauge is maintained in that case via the registry argument —
-// callers get a cheap always-admit path).
-func newGate(max int, reg *metrics.Registry, site string) *gate {
+// NewGate builds a gate admitting at most max queries at once; max <= 0
+// returns nil, which enter treats as an unbounded pass-through — callers
+// get a cheap always-admit path.
+func NewGate(max int, reg *metrics.Registry, site string) *Gate {
 	if max <= 0 {
 		return nil
 	}
-	return &gate{slots: make(chan struct{}, max), reg: reg, site: site}
+	return &Gate{slots: make(chan struct{}, max), reg: reg, site: site}
 }
 
 // enter blocks until the query is admitted, the context expires, or the
@@ -45,7 +45,7 @@ func newGate(max int, reg *metrics.Registry, site string) *gate {
 // expired deadline, ErrCanceled for a vanished caller). Safe on a nil gate,
 // which admits everything — an unbounded engine has nothing to shed; the
 // run itself unwinds at its first checkpoint.
-func (g *gate) enter(ctx context.Context, alg string) (func(), int64, error) {
+func (g *Gate) enter(ctx context.Context, alg string) (func(), int64, error) {
 	if g == nil {
 		return func() {}, 0, nil
 	}
@@ -63,27 +63,29 @@ func (g *gate) enter(ctx context.Context, alg string) (func(), int64, error) {
 		// how long shed queries held out.
 		g.reg.Counter("queries_queued_total", metrics.Labels{Site: g.site}).Inc()
 		start := time.Now()
+		var cause error
 		select {
 		case g.slots <- struct{}{}:
 		case <-ctx.Done():
-			waited = time.Since(start).Microseconds()
-			g.reg.Histogram("admission_wait_us", metrics.Labels{Site: g.site, Alg: alg}).
-				Observe(float64(waited))
-			return nil, waited, g.shed(ctx.Err())
+			cause = ctx.Err()
 		}
 		waited = time.Since(start).Microseconds()
 		g.reg.Histogram("admission_wait_us", metrics.Labels{Site: g.site, Alg: alg}).
 			Observe(float64(waited))
+		if cause != nil {
+			return nil, waited, g.shed(cause)
+		}
 	}
-	g.reg.Gauge("queries_inflight", metrics.Labels{Site: g.site}).Add(1)
+	inflight := g.reg.Gauge("queries_inflight", metrics.Labels{Site: g.site})
+	inflight.Add(1)
 	return func() {
-		g.reg.Gauge("queries_inflight", metrics.Labels{Site: g.site}).Add(-1)
+		inflight.Add(-1)
 		<-g.slots
 	}, waited, nil
 }
 
 // shed counts the turn-away and types the cause.
-func (g *gate) shed(cause error) error {
+func (g *Gate) shed(cause error) error {
 	g.reg.Counter("queries_shed_total", metrics.Labels{Site: g.site}).Inc()
 	if errors.Is(cause, context.DeadlineExceeded) {
 		return ErrShed

@@ -214,3 +214,27 @@ func TestShedAtAdmission(t *testing.T) {
 		t.Errorf("queries_shed_total = %d, want 2", got)
 	}
 }
+
+// TestInterruptedSitesChargeNoUnavailableCounter: a query whose deadline has
+// already expired skips every site — they are all listed in
+// Answer.Unavailable, since what they would have contributed is unknown —
+// but a caller running out of budget says nothing about the sites' health,
+// so site_unavailable_total must stay 0 (DESIGN §10).
+func TestInterruptedSitesChargeNoUnavailableCounter(t *testing.T) {
+	e, b, reg, _ := cancelEngine(t, 0, 0)
+	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
+	defer cancel()
+	for _, alg := range []Algorithm{CA, BL, PL} {
+		ans, _, err := e.RunContext(ctx, fabric.NewReal(fabric.DefaultRates()), alg, b)
+		if err != nil {
+			t.Fatalf("%v: %v", alg, err)
+		}
+		if ans.Outcome != federation.OutcomeDeadline || len(ans.Unavailable) == 0 {
+			t.Errorf("%v: outcome %q, unavailable %v; want deadline with the skipped sites listed",
+				alg, ans.Outcome, ans.Unavailable)
+		}
+	}
+	if n := reg.Snapshot().Sum("site_unavailable_total"); n != 0 {
+		t.Errorf("site_unavailable_total = %d after interrupted queries, want 0", n)
+	}
+}

@@ -181,7 +181,7 @@ func TestConcurrentInvalidation(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for j := 0; j < 10; j++ {
-			for _, site := range e.sites {
+			for _, site := range e.ops.sites {
 				site.Cache().InvalidateClass("GStudent")
 			}
 		}

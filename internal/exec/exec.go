@@ -13,20 +13,25 @@
 //     then evaluates its local predicates while the checks proceed in
 //     parallel at the other sites.
 //
-// All three run over package fabric, so one implementation serves both real
-// executions and the discrete-event timing simulation, and all three return
-// the same answers (certain results plus maybe results) — the localized
-// strategies trade extra coordination for inter-site parallelism, not for
-// answer quality.
+// All three return the same answers (certain results plus maybe results) —
+// the localized strategies trade extra coordination for inter-site
+// parallelism, not for answer quality.
+//
+// Each strategy exists exactly once, as the paper's Figure 8 step flow:
+// Runner holds the global site's half (CA_G1…G3, BL/PL_G1·G2) and the query
+// lifecycle around it, SiteFlow the component site's half (BL/PL_C1·C2 and
+// the C3 checks they trigger). Both are written against package fabric —
+// so one implementation serves real executions and the discrete-event
+// timing simulation — and against the site-operations seam (SiteOps,
+// SiteLink), which hides how a step reaches another site: in this address
+// space over the fabric (inproc.go), or over TCP (package remote).
 package exec
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -115,19 +120,12 @@ type Selector interface {
 	Observe(p *trace.Profile)
 }
 
-// Engine executes global queries against a federation.
+// Engine executes global queries against a federation held in this address
+// space: a Runner whose site operations are the in-process seam.
 type Engine struct {
-	global   *schema.Global
-	coord    *federation.Coordinator
-	sites    map[object.SiteID]*federation.Site
-	tracer   *trace.Tracer
-	reg      *metrics.Registry
-	sigs     *signature.Index
-	rec      *obs.Recorder
-	selector Selector
-	gate     *gate
-	deadline time.Duration
-	qseq     atomic.Uint64
+	run  Runner
+	ops  *inproc
+	qseq atomic.Uint64
 }
 
 // Config assembles an engine.
@@ -191,17 +189,11 @@ func New(cfg Config) (*Engine, error) {
 	if _, clash := cfg.Databases[cfg.Coordinator]; clash {
 		return nil, fmt.Errorf("exec: coordinator %s clashes with a component site", cfg.Coordinator)
 	}
-	e := &Engine{
-		global:   cfg.Global,
-		coord:    federation.NewCoordinator(cfg.Coordinator, cfg.Global, cfg.Tables),
-		sites:    make(map[object.SiteID]*federation.Site, len(cfg.Databases)),
-		tracer:   cfg.Tracer,
-		reg:      cfg.Metrics,
-		sigs:     cfg.Signatures,
-		rec:      cfg.Recorder,
-		selector: cfg.Selector,
-		gate:     newGate(cfg.MaxConcurrent, cfg.Metrics, string(cfg.Coordinator)),
-		deadline: cfg.Deadline,
+	ops := &inproc{
+		coord: cfg.Coordinator,
+		sites: make(map[object.SiteID]*federation.Site, len(cfg.Databases)),
+		sigs:  cfg.Signatures,
+		reg:   cfg.Metrics,
 	}
 	for id, db := range cfg.Databases {
 		if db.Site() != id {
@@ -214,25 +206,35 @@ func New(cfg Config) (*Engine, error) {
 		if cfg.Cache {
 			site.WithCache(federation.NewLookupCache(cfg.Metrics, id))
 		}
-		e.sites[id] = site
+		ops.sites[id] = site
 	}
-	return e, nil
+	return &Engine{ops: ops, run: Runner{
+		Coord:    federation.NewCoordinator(cfg.Coordinator, cfg.Global, cfg.Tables),
+		Ops:      ops,
+		State:    noLock{},
+		Tracer:   cfg.Tracer,
+		Metrics:  cfg.Metrics,
+		Recorder: cfg.Recorder,
+		Selector: cfg.Selector,
+		Gate:     NewGate(cfg.MaxConcurrent, cfg.Metrics, string(cfg.Coordinator)),
+		Deadline: cfg.Deadline,
+	}}, nil
 }
 
 // Sites returns every site identifier including the coordinator, sorted —
 // the site set a simulated runtime must register.
 func (e *Engine) Sites() []object.SiteID {
-	out := make([]object.SiteID, 0, len(e.sites)+1)
-	for id := range e.sites {
+	out := make([]object.SiteID, 0, len(e.ops.sites)+1)
+	for id := range e.ops.sites {
 		out = append(out, id)
 	}
-	out = append(out, e.coord.ID())
+	out = append(out, e.ops.coord)
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }
 
 // Coordinator returns the global processing site's identifier.
-func (e *Engine) Coordinator() object.SiteID { return e.coord.ID() }
+func (e *Engine) Coordinator() object.SiteID { return e.ops.coord }
 
 // Run executes the query under the given strategy on the given runtime and
 // returns the answer with the runtime's metrics. Each run gets a fresh
@@ -242,585 +244,8 @@ func (e *Engine) Run(rt fabric.Runtime, alg Algorithm, b *query.Bound) (*federat
 	return e.RunContext(context.Background(), rt, alg, b)
 }
 
-// RunContext is Run under a caller context: cancellation and deadline
-// propagate into the execution. The context gates admission (a query whose
-// budget expires while queued is shed with ErrShed / ErrCanceled and never
-// takes a slot) and, when the runtime supports it (fabric.ContextRuntime —
-// both Real and Sim do), is consulted by the strategies at every site-bound
-// step, so an interrupted query unwinds mid-phase instead of running to
-// completion. An admitted query that is interrupted does NOT return an
-// error: it returns its sound partial answer — whatever certified before
-// the cut stays certain, the rest stays maybe — with Answer.Outcome set to
-// OutcomeCanceled or OutcomeDeadline. When Config.Deadline is set and ctx
-// carries no deadline, the engine's default applies.
+// RunContext is Run under a caller context; see Runner.Run for how
+// cancellation, deadlines and admission behave.
 func (e *Engine) RunContext(ctx context.Context, rt fabric.Runtime, alg Algorithm, b *query.Bound) (*federation.Answer, fabric.Metrics, error) {
-	var (
-		ans *federation.Answer
-		err error
-	)
-	if alg == Adaptive {
-		if e.selector == nil {
-			return nil, fabric.Metrics{}, fmt.Errorf("exec: Adaptive requires a selector (Config.Selector)")
-		}
-		alg = e.selector.Select(b)
-		if e.reg != nil {
-			e.reg.Counter("adaptive_choice_total",
-				metrics.Labels{Site: string(e.coord.ID()), Alg: alg.String()}).Inc()
-		}
-	}
-	if (alg == SBL || alg == SPL) && e.sigs == nil {
-		return nil, fabric.Metrics{}, fmt.Errorf("exec: %v requires a signature index (Config.Signatures)", alg)
-	}
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if e.deadline > 0 {
-		if _, has := ctx.Deadline(); !has {
-			var cancel context.CancelFunc
-			ctx, cancel = context.WithTimeout(ctx, e.deadline)
-			defer cancel()
-		}
-	}
-	release, waitMicros, admitErr := e.gate.enter(ctx, alg.String())
-	if admitErr != nil {
-		return nil, fabric.Metrics{}, admitErr
-	}
-	defer release()
-	if cr, ok := rt.(fabric.ContextRuntime); ok {
-		rt = cr.BindContext(ctx)
-	}
-	q := &runCtx{qid: fmt.Sprintf("q%d", e.qseq.Add(1)), alg: alg.String()}
-	m, runErr := rt.Run(alg.String(), func(p fabric.Proc) {
-		root := e.begin(q, p, 0, e.coord.ID(), alg.String(), "")
-		q.root = root.ID()
-		switch alg {
-		case CA:
-			ans = e.runCA(q, p, b)
-		case BL:
-			ans = e.runBL(q, p, b, nil)
-		case PL:
-			ans = e.runPL(q, p, b, nil)
-		case SBL:
-			ans = e.runBL(q, p, b, e.sigs)
-		case SPL:
-			ans = e.runPL(q, p, b, e.sigs)
-		default:
-			err = fmt.Errorf("exec: unknown algorithm %v", alg)
-		}
-		if ans != nil {
-			ans.MarkDegraded(q.failures)
-			root.Add("certain", int64(len(ans.Certain))).Add("maybe", int64(len(ans.Maybe)))
-			if ans.Degraded {
-				root.Add("degraded", 1)
-				for _, f := range ans.Unavailable {
-					root.Detailf("unavailable %s", f)
-				}
-			}
-		}
-		root.EndV(p.Now())
-	})
-	if runErr != nil {
-		return nil, m, runErr
-	}
-	if err != nil {
-		return nil, m, err
-	}
-	if ans != nil {
-		ans.Outcome = outcomeOf(ctx.Err())
-	}
-	e.record(q, ans, m)
-	e.profile(q, ans, m, waitMicros, ctx.Err())
-	return ans, m, nil
-}
-
-// outcomeOf maps a context error onto the answer's Outcome field.
-func outcomeOf(err error) string {
-	switch {
-	case err == nil:
-		return federation.OutcomeOK
-	case errors.Is(err, context.DeadlineExceeded):
-		return federation.OutcomeDeadline
-	default:
-		return federation.OutcomeCanceled
-	}
-}
-
-// profile assembles the query's trace.Profile from its spans and hands it to
-// the flight recorder and the adaptive selector. The latency recorded is the
-// runtime's response time — wall clock under the real runtime, virtual time
-// under the DES — matching what query_latency_us observes.
-func (e *Engine) profile(q *runCtx, ans *federation.Answer, m fabric.Metrics, waitMicros int64, ctxErr error) {
-	if (e.rec == nil && e.selector == nil) || e.tracer == nil {
-		return
-	}
-	p := trace.BuildProfile(q.qid, q.alg, e.tracer.QuerySpans(q.qid))
-	if p == nil {
-		return
-	}
-	if m.ResponseMicros > 0 {
-		p.WallMicros = m.ResponseMicros
-	}
-	if ans != nil {
-		var unavailable []string
-		for _, f := range ans.Unavailable {
-			unavailable = append(unavailable, string(f.Site))
-		}
-		// A context error classifies the profile canceled/deadline — always
-		// retained by the flight recorder, like degraded and failed queries.
-		p.SetOutcome(len(ans.Certain), len(ans.Maybe), unavailable, ctxErr)
-	}
-	p.AddCounter("admission_wait_us", waitMicros)
-	for site, sc := range m.PerSite {
-		p.AddCounter("disk_bytes", sc.DiskBytes)
-		p.AddCounter("cpu_ops", sc.CPUOps)
-		p.AddIO(string(site), trace.SiteIO{DiskBytes: sc.DiskBytes, CPUOps: sc.CPUOps})
-	}
-	for pair, bytes := range m.NetPairs {
-		p.AddCounter("net_bytes", bytes)
-		// Outbound bytes charge the shipping site.
-		p.AddIO(string(pair.From), trace.SiteIO{NetBytes: bytes})
-	}
-	if e.rec != nil {
-		e.rec.Record(p)
-	}
-	if e.selector != nil {
-		e.selector.Observe(p)
-	}
-}
-
-// runCtx scopes one query execution: its ID, strategy name, and root span.
-type runCtx struct {
-	qid  string
-	alg  string
-	root trace.SpanID
-
-	// failures collects the sites the runtime's fault plan took down during
-	// this query; the answer degrades instead of failing.
-	mu       sync.Mutex
-	failures []federation.SiteFailure
-}
-
-// siteFailed records one unavailable site. One dead site is typically
-// observed several times per query (its O, P and C3 steps all fail), so
-// repeat observations are deduplicated by site — the first reason wins —
-// keeping Answer.Unavailable and site_unavailable_total one-per-site.
-func (q *runCtx) siteFailed(site object.SiteID, reason string) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	for _, f := range q.failures {
-		if f.Site == site {
-			return
-		}
-	}
-	q.failures = append(q.failures, federation.SiteFailure{Site: site, Reason: reason})
-}
-
-// interrupted is the strategies' cancellation checkpoint before a
-// site-bound step. A done context records the site as unavailable — the
-// step's contribution becomes unknown, so dependent results degrade to
-// maybe under exactly the site-failure semantics — and the step is skipped.
-// Deduplication in siteFailed keeps a site that is both faulted and
-// interrupt-skipped at one entry.
-func (q *runCtx) interrupted(p fabric.Proc, site object.SiteID) bool {
-	err := p.Context().Err()
-	if err == nil {
-		return false
-	}
-	q.siteFailed(site, ctxReason(err))
-	return true
-}
-
-// ctxReason renders a context error as a SiteFailure reason.
-func ctxReason(err error) string {
-	if errors.Is(err, context.DeadlineExceeded) {
-		return "deadline exceeded"
-	}
-	return "query canceled"
-}
-
-// dead returns the failed-site membership map for certification (nil when
-// every site served).
-func (q *runCtx) dead() map[object.SiteID]bool {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	if len(q.failures) == 0 {
-		return nil
-	}
-	m := make(map[object.SiteID]bool, len(q.failures))
-	for _, f := range q.failures {
-		m[f.Site] = true
-	}
-	return m
-}
-
-// siteDown consults the runtime's fault plan before a site-bound operation
-// sent over the from→site edge: it injects the site's configured delay,
-// checks the link (a partition or dropped link makes the site unreachable
-// for this caller even though the process is alive), counts the operation
-// against a drop-after budget, and reports whether the site is down for
-// it. With no fault plan every site serves.
-func siteDown(p fabric.Proc, from, site object.SiteID) (string, bool) {
-	fp := p.Faults()
-	if fp == nil {
-		return "", false
-	}
-	if d := fp.DelayMicros(site); d > 0 {
-		p.Sleep(d)
-	}
-	if !fp.BeginLinkOp(from, site) {
-		return fp.LinkReason(from, site), true
-	}
-	if fp.BeginOp(site) {
-		return "", false
-	}
-	return fp.Reason(site), true
-}
-
-// begin opens a query-scoped span at a site, stamped with the runtime's
-// clock. With no tracer configured it returns the no-op handle without
-// touching the runtime clock.
-func (e *Engine) begin(q *runCtx, p fabric.Proc, parent trace.SpanID, site object.SiteID, name, phases string) trace.Handle {
-	if e.tracer == nil {
-		return trace.Handle{}
-	}
-	return e.tracer.StartSpan(parent, site, name).
-		WithQuery(q.qid, q.alg).WithPhases(phases).WithVStart(p.Now())
-}
-
-// record feeds the registry from the finished run: runtime metrics broken
-// down per site and site pair, answer/certification breakdowns, and the
-// per-phase time histograms derived from the query's spans.
-func (e *Engine) record(q *runCtx, ans *federation.Answer, m fabric.Metrics) {
-	if e.reg == nil {
-		return
-	}
-	coord := string(e.coord.ID())
-	e.reg.Counter("queries_total", metrics.Labels{Site: coord, Alg: q.alg}).Inc()
-	e.reg.Histogram("query_latency_us", metrics.Labels{Site: coord, Alg: q.alg}).
-		ObserveWithExemplar(m.ResponseMicros, q.qid)
-	if ans != nil {
-		algOnly := metrics.Labels{Alg: q.alg}
-		e.reg.Counter("results_certain_total", algOnly).Add(int64(len(ans.Certain)))
-		e.reg.Counter("results_maybe_total", algOnly).Add(int64(len(ans.Maybe)))
-		e.reg.Counter("maybe_certified_total", algOnly).Add(int64(ans.Stats.Certified))
-		e.reg.Counter("maybe_eliminated_total", algOnly).Add(int64(ans.Stats.Eliminated))
-		if ans.Degraded {
-			e.reg.Counter("degraded_queries_total",
-				metrics.Labels{Site: coord, Alg: q.alg}).Inc()
-			for _, f := range ans.Unavailable {
-				e.reg.Counter("site_unavailable_total",
-					metrics.Labels{Site: coord, Peer: string(f.Site), Alg: q.alg}).Inc()
-			}
-		}
-		switch ans.Outcome {
-		case federation.OutcomeCanceled:
-			e.reg.Counter("queries_canceled_total", metrics.Labels{Site: coord, Alg: q.alg}).Inc()
-		case federation.OutcomeDeadline:
-			e.reg.Counter("deadline_exceeded_total", metrics.Labels{Site: coord, Alg: q.alg}).Inc()
-		}
-	}
-	for site, sc := range m.PerSite {
-		l := metrics.Labels{Site: string(site), Alg: q.alg}
-		e.reg.Counter("disk_bytes_total", l).Add(sc.DiskBytes)
-		e.reg.Counter("cpu_ops_total", l).Add(sc.CPUOps)
-	}
-	for pair, bytes := range m.NetPairs {
-		e.reg.Counter("net_bytes_total",
-			metrics.Labels{Site: string(pair.From), Peer: string(pair.To), Alg: q.alg}).Add(bytes)
-	}
-	if e.tracer == nil {
-		return
-	}
-	for _, s := range e.tracer.Spans() {
-		if s.Query != q.qid || s.Phases == "" || s.End.IsZero() {
-			continue
-		}
-		// A multi-phase span ("PO") observes its full duration under each
-		// phase it performs; the phases are not separable at the site.
-		d := s.VDurationMicros()
-		if d < 0 {
-			d = s.DurationMicros()
-		}
-		for _, ph := range s.Phases {
-			e.reg.Histogram("phase_time_us",
-				metrics.Labels{Site: string(s.Site), Alg: q.alg, Phase: string(ph)}).Observe(d)
-		}
-	}
-}
-
-// runCA is the centralized approach: O → I → P.
-func (e *Engine) runCA(q *runCtx, p fabric.Proc, b *query.Bound) *federation.Answer {
-	coord := e.coord.ID()
-	sites := b.InvolvedSites()
-	replies := make([]federation.RetrieveReply, len(sites))
-
-	// CA_G1 ∥ CA_C1: every involved site retrieves and ships its objects
-	// (phase O).
-	g1 := e.begin(q, p, q.root, coord, "CA_G1", "O").
-		Detailf("request objects from %d sites", len(sites))
-	fns := make([]func(fabric.Proc), len(sites))
-	for i, siteID := range sites {
-		i, siteID := i, siteID
-		fns[i] = func(p fabric.Proc) {
-			c1 := e.begin(q, p, g1.ID(), siteID, "CA_C1", "O")
-			if reason, down := siteDown(p, coord, siteID); down {
-				q.siteFailed(siteID, reason)
-				c1.Detailf("unavailable: %s", reason).EndV(p.Now())
-				return
-			}
-			// Checkpoint after the fault delay: a Delay-faulted site whose
-			// sleep the context cut short must not ship anything.
-			if q.interrupted(p, siteID) {
-				c1.Detailf("skipped: %s", ctxReason(p.Context().Err())).EndV(p.Now())
-				return
-			}
-			site := e.sites[siteID]
-			p.Transfer(coord, siteID, federation.QueryWireSize(b))
-			reply := site.Retrieve(p, b)
-			c1.Detailf("retrieve %d classes", len(reply.Classes)).
-				Add("classes", int64(len(reply.Classes))).
-				Add("bytes_shipped", int64(reply.WireSize()))
-			p.Transfer(siteID, coord, reply.WireSize())
-			replies[i] = reply
-			c1.EndV(p.Now())
-		}
-	}
-	p.Fork(fns...)
-	g1.EndV(p.Now())
-
-	// CA_G2: outerjoin integration over GOids (phase I).
-	g2 := e.begin(q, p, q.root, coord, "CA_G2", "I")
-	view := e.coord.Materialize(p, b, replies)
-	g2.Detailf("materialized %d objects", view.Len()).Add("objects", int64(view.Len()))
-	g2.EndV(p.Now())
-
-	// CA_G3: evaluate the predicates (phase P).
-	g3 := e.begin(q, p, q.root, coord, "CA_G3", "P")
-	ans := e.coord.EvaluateView(p, b, view)
-	// A dead site's attributes never reached the view, so its predicates
-	// already read unknown; entities stored only at dead queried root sites
-	// come back as synthesized all-unknown maybe rows.
-	if dead := q.dead(); dead != nil {
-		ans.AddMaybe(e.coord.DegradedRootRows(p, b, dead, view.Has)...)
-	}
-	g3.Detailf("%d certain, %d maybe", len(ans.Certain), len(ans.Maybe))
-	g3.EndV(p.Now())
-	return ans
-}
-
-// dispatchChecks ships check requests to their target sites, has the
-// targets check the assistant objects, and routes the verdicts to the
-// coordinator. It returns one task function per target site; each runs as
-// a child span of parent (the origin site's local step).
-func (e *Engine) dispatchChecks(q *runCtx, parent trace.SpanID, origin object.SiteID,
-	checks map[object.SiteID][]federation.CheckItem, sink func(federation.CheckReply)) []func(fabric.Proc) {
-	targets := make([]object.SiteID, 0, len(checks))
-	for t := range checks {
-		targets = append(targets, t)
-	}
-	sort.Slice(targets, func(i, j int) bool { return targets[i] < targets[j] })
-
-	coord := e.coord.ID()
-	fns := make([]func(fabric.Proc), 0, len(targets))
-	for _, target := range targets {
-		target := target
-		items := checks[target]
-		e.reg.Counter("checks_dispatched_total",
-			metrics.Labels{Site: string(origin), Alg: q.alg}).Add(int64(len(items)))
-		fns = append(fns, func(p fabric.Proc) {
-			c3 := e.begin(q, p, parent, target, "C3", "O")
-			// A dead check target fails no query: its verdicts simply never
-			// arrive, the unsolved predicates stay unknown, and the
-			// dependent results stay maybe.
-			if reason, down := siteDown(p, origin, target); down {
-				q.siteFailed(target, reason)
-				c3.Detailf("unavailable: %s", reason).EndV(p.Now())
-				return
-			}
-			// An interrupted query stops dispatching checks; the unsolved
-			// predicates stay unknown, same as a dead target.
-			if q.interrupted(p, target) {
-				c3.Detailf("skipped: %s", ctxReason(p.Context().Err())).EndV(p.Now())
-				return
-			}
-			req := federation.CheckRequest{From: origin, Items: items}
-			p.Transfer(origin, target, req.WireSize())
-			reply := e.sites[target].CheckAssistants(p, items)
-			c3.Detailf("checked %d assistants from %s", len(items), origin).
-				Add("items", int64(len(items)))
-			p.Transfer(target, coord, reply.WireSize())
-			sink(reply)
-			c3.EndV(p.Now())
-		})
-	}
-	return fns
-}
-
-// runBL is the basic localized approach: P → O → I. A non-nil sigs runs
-// the signature-assisted variant.
-func (e *Engine) runBL(q *runCtx, p fabric.Proc, b *query.Bound, sigs *signature.Index) *federation.Answer {
-	coord := e.coord.ID()
-	rootSites := b.RootSites()
-	results := make([]federation.LocalResult, len(rootSites))
-
-	var mu sync.Mutex
-	var replies []federation.CheckReply
-	deadRoots := make(map[object.SiteID]bool)
-	addReply := func(r federation.CheckReply) {
-		mu.Lock()
-		defer mu.Unlock()
-		replies = append(replies, r)
-	}
-	// Only root sites that never answered their local query feed the
-	// certification's dead map: a live site's silence about an entity is
-	// still elimination evidence, and a dead check target merely leaves
-	// verdicts missing.
-	markDeadRoot := func(site object.SiteID) {
-		mu.Lock()
-		defer mu.Unlock()
-		deadRoots[site] = true
-	}
-
-	// BL_G1 ∥ per-site BL_C1/BL_C2, with BL_C3 at the check targets.
-	g1 := e.begin(q, p, q.root, coord, "BL_G1", "").
-		Detailf("local queries to %d sites", len(rootSites))
-	fns := make([]func(fabric.Proc), len(rootSites))
-	for i, siteID := range rootSites {
-		i, siteID := i, siteID
-		fns[i] = func(p fabric.Proc) {
-			// Phase P (local predicates) then phase O (assistant lookup) at
-			// the site — the paper's P → O ordering in one local step.
-			c12 := e.begin(q, p, g1.ID(), siteID, "BL_C1+C2", "PO")
-			if reason, down := siteDown(p, coord, siteID); down {
-				q.siteFailed(siteID, reason)
-				markDeadRoot(siteID)
-				c12.Detailf("unavailable: %s", reason).EndV(p.Now())
-				return
-			}
-			if q.interrupted(p, siteID) {
-				markDeadRoot(siteID)
-				c12.Detailf("skipped: %s", ctxReason(p.Context().Err())).EndV(p.Now())
-				return
-			}
-			site := e.sites[siteID]
-			p.Transfer(coord, siteID, federation.QueryWireSize(b))
-			res, checks := site.EvalLocalBasic(p, b, sigs)
-			c12.Detailf("%d local rows, %d check targets", len(res.Rows), len(checks)).
-				Add("rows", int64(len(res.Rows))).
-				Add("check_targets", int64(len(checks)))
-			results[i] = res
-			c12.EndV(p.Now())
-
-			// The local results travel to the coordinator while the check
-			// requests are processed at the other sites.
-			sub := []func(fabric.Proc){func(p fabric.Proc) {
-				p.Transfer(siteID, coord, res.WireSize())
-			}}
-			sub = append(sub, e.dispatchChecks(q, c12.ID(), siteID, checks, addReply)...)
-			p.Fork(sub...)
-		}
-	}
-	p.Fork(fns...)
-	g1.EndV(p.Now())
-
-	// BL_G2: certification (phase I).
-	g2 := e.begin(q, p, q.root, coord, "BL_G2", "I")
-	if len(deadRoots) == 0 {
-		deadRoots = nil
-	}
-	ans := e.coord.CertifyDegraded(p, b, results, replies, deadRoots)
-	g2.Detailf("%d certain, %d maybe", len(ans.Certain), len(ans.Maybe)).
-		Add("certified", int64(ans.Stats.Certified)).
-		Add("eliminated", int64(ans.Stats.Eliminated))
-	g2.EndV(p.Now())
-	return ans
-}
-
-// runPL is the parallel localized approach: O → P → I. The difference from
-// BL is the order of the component-site steps: assistant lookups and check
-// dispatch happen before local predicate evaluation, so checking at other
-// sites (PL_C3) runs in parallel with the local evaluation (PL_C2).
-// A non-nil sigs runs the signature-assisted variant.
-func (e *Engine) runPL(q *runCtx, p fabric.Proc, b *query.Bound, sigs *signature.Index) *federation.Answer {
-	coord := e.coord.ID()
-	rootSites := b.RootSites()
-	results := make([]federation.LocalResult, len(rootSites))
-
-	var mu sync.Mutex
-	var replies []federation.CheckReply
-	deadRoots := make(map[object.SiteID]bool)
-	addReply := func(r federation.CheckReply) {
-		mu.Lock()
-		defer mu.Unlock()
-		replies = append(replies, r)
-	}
-	markDeadRoot := func(site object.SiteID) {
-		mu.Lock()
-		defer mu.Unlock()
-		deadRoots[site] = true
-	}
-
-	g1 := e.begin(q, p, q.root, coord, "PL_G1", "").
-		Detailf("local queries to %d sites", len(rootSites))
-	fns := make([]func(fabric.Proc), len(rootSites))
-	for i, siteID := range rootSites {
-		i, siteID := i, siteID
-		fns[i] = func(p fabric.Proc) {
-			site := e.sites[siteID]
-			if reason, down := siteDown(p, coord, siteID); down {
-				q.siteFailed(siteID, reason)
-				markDeadRoot(siteID)
-				return
-			}
-			if q.interrupted(p, siteID) {
-				markDeadRoot(siteID)
-				return
-			}
-			p.Transfer(coord, siteID, federation.QueryWireSize(b))
-
-			// PL_C1 (phase O): locate unsolved items for every object and
-			// dispatch the checks immediately.
-			c1 := e.begin(q, p, g1.ID(), siteID, "PL_C1", "O")
-			nav, checks := site.NavigateAll(p, b, sigs)
-			c1.Detailf("%d check targets", len(checks)).
-				Add("check_targets", int64(len(checks)))
-			c1.EndV(p.Now())
-			checkH := make([]fabric.Handle, 0, len(checks))
-			for j, fn := range e.dispatchChecks(q, c1.ID(), siteID, checks, addReply) {
-				checkH = append(checkH, p.Go(fmt.Sprintf("%s-check-%d", siteID, j), fn))
-			}
-
-			// Mid-phase checkpoint: a query interrupted between dispatch (O)
-			// and local evaluation (P) skips the evaluation but still joins
-			// its in-flight checks, keeping the spawn/wait discipline intact.
-			if q.interrupted(p, siteID) {
-				markDeadRoot(siteID)
-				p.Wait(checkH...)
-				return
-			}
-
-			// PL_C2 (phase P) runs while the checks are in flight.
-			c2 := e.begin(q, p, g1.ID(), siteID, "PL_C2", "P")
-			res := site.EvalNavigated(p, b, nav)
-			c2.Detailf("%d local rows", len(res.Rows)).Add("rows", int64(len(res.Rows)))
-			results[i] = res
-			p.Transfer(siteID, coord, res.WireSize())
-			c2.EndV(p.Now())
-			p.Wait(checkH...)
-		}
-	}
-	p.Fork(fns...)
-	g1.EndV(p.Now())
-
-	// PL_G2: certification (phase I).
-	g2 := e.begin(q, p, q.root, coord, "PL_G2", "I")
-	if len(deadRoots) == 0 {
-		deadRoots = nil
-	}
-	ans := e.coord.CertifyDegraded(p, b, results, replies, deadRoots)
-	g2.Detailf("%d certain, %d maybe", len(ans.Certain), len(ans.Maybe)).
-		Add("certified", int64(ans.Stats.Certified)).
-		Add("eliminated", int64(ans.Stats.Eliminated))
-	g2.EndV(p.Now())
-	return ans
+	return e.run.Run(ctx, rt, fmt.Sprintf("q%d", e.qseq.Add(1)), alg, b)
 }

@@ -8,6 +8,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"github.com/hetfed/hetfed/internal/exec"
 )
 
 // allow is the admission half of breaker.Allow for assertions that do not
@@ -134,13 +136,13 @@ func TestClientBreakerFastFail(t *testing.T) {
 
 	// 127.0.0.1:1 refuses connections; two failures open the breaker.
 	for i := 0; i < 2; i++ {
-		if _, _, err := cl.call("dead", "127.0.0.1:1", Request{Kind: kindPing}); !IsSiteUnavailable(err) {
+		if _, _, err := cl.call("dead", "127.0.0.1:1", Request{Kind: kindPing}); !errors.Is(err, exec.ErrSiteUnavailable) {
 			t.Fatalf("call %d: %v", i, err)
 		}
 	}
 	start := time.Now()
 	_, _, err := cl.call("dead", "127.0.0.1:1", Request{Kind: kindPing})
-	if !IsSiteUnavailable(err) {
+	if !errors.Is(err, exec.ErrSiteUnavailable) {
 		t.Fatalf("fast-fail error: %v", err)
 	}
 	if !errors.Is(err, ErrCircuitOpen) {
@@ -241,7 +243,7 @@ func TestClientAbandonedProbeDoesNotWedgeBreaker(t *testing.T) {
 	defer cl.close()
 
 	// Open the breaker with a failure against a dead port.
-	if _, _, err := cl.call("DB1", "127.0.0.1:1", Request{Kind: kindPing}); !IsSiteUnavailable(err) {
+	if _, _, err := cl.call("DB1", "127.0.0.1:1", Request{Kind: kindPing}); !errors.Is(err, exec.ErrSiteUnavailable) {
 		t.Fatalf("seed failure: %v", err)
 	}
 	time.Sleep(20 * time.Millisecond) // cooldown elapses: half-open
@@ -249,7 +251,7 @@ func TestClientAbandonedProbeDoesNotWedgeBreaker(t *testing.T) {
 	// The admitted probe is abandoned by its context before doing anything.
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, _, err := cl.callCtx(ctx, "DB1", addr, Request{Kind: kindPing}); !IsInterrupted(err) {
+	if _, _, err := cl.callCtx(ctx, "DB1", addr, Request{Kind: kindPing}); !exec.IsInterrupted(err) {
 		t.Fatalf("dead-context probe error = %v, want interrupted", err)
 	}
 

@@ -9,6 +9,7 @@ import (
 	"sync"
 	"time"
 
+	"github.com/hetfed/hetfed/internal/exec"
 	"github.com/hetfed/hetfed/internal/fabric"
 	"github.com/hetfed/hetfed/internal/metrics"
 	"github.com/hetfed/hetfed/internal/object"
@@ -129,6 +130,10 @@ func (e *SiteError) Error() string {
 
 // Unwrap exposes the transport cause.
 func (e *SiteError) Unwrap() error { return e.Err }
+
+// Is classifies every SiteError as exec.ErrSiteUnavailable — what the
+// strategies' shared fan-out classifier tests for.
+func (e *SiteError) Is(target error) bool { return target == exec.ErrSiteUnavailable }
 
 // client issues site calls for one federation process (a coordinator, or a
 // server dispatching assistant checks) under one CallConfig: pooled
@@ -411,17 +416,4 @@ func sleepCtx(ctx context.Context, d time.Duration) bool {
 	case <-ctx.Done():
 		return false
 	}
-}
-
-// IsInterrupted reports whether err carries a context cancellation or
-// deadline expiry — from either side of the wire.
-func IsInterrupted(err error) bool {
-	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
-}
-
-// IsSiteUnavailable reports whether err marks a transport-level site
-// failure (as opposed to an error the site answered deterministically).
-func IsSiteUnavailable(err error) bool {
-	var se *SiteError
-	return errors.As(err, &se)
 }

@@ -96,7 +96,7 @@ type Coordinator struct {
 	cl   *client
 
 	gateOnce sync.Once
-	gate     chan struct{}
+	gate     *exec.Gate
 
 	// resyncMu guards the pending-delta queues and rebuild marks: bind
 	// deltas a replica missed (failed broadcast) are re-sent on the next
@@ -316,92 +316,11 @@ func (c *Coordinator) DivergenceStates() map[string]string {
 	return c.tracker().SuspectReasons()
 }
 
-// suspectFailures folds replica divergence into an answer's degradation
-// report: every answering site that flagged suspect classes among the
-// query's, plus the coordinator's own suspect marks. These failures are
-// advisory (the sites DID answer) — they mark the answer degraded but are
-// never treated as dead sites for certification.
-func (c *Coordinator) suspectFailures(b *query.Bound, resps []siteResponse) []federation.SiteFailure {
-	var out []federation.SiteFailure
-	for _, r := range resps {
-		if len(r.Resp.Suspect) > 0 {
-			out = append(out, federation.DivergenceFailure(r.Site, r.Resp.Suspect))
-		}
-	}
-	if sus := c.tracker().SuspectOf(b.Classes()); len(sus) > 0 {
-		out = append(out, federation.DivergenceFailure(c.ID, sus))
-	}
-	return out
-}
-
-// admit blocks until the query is admitted under MaxConcurrent, the context
-// expires, or the caller goes away; it returns the release function plus
-// the microseconds this admission waited (0 when admitted immediately).
-// Admission happens after parse/bind (cheap, local) and before any network
-// work. A query whose context dies pre-slot is shed (queries_shed_total)
-// with the matching typed error — overload never queues doomed work.
-func (c *Coordinator) admit(ctx context.Context, alg string) (func(), int64, error) {
-	c.gateOnce.Do(func() {
-		if c.MaxConcurrent > 0 {
-			c.gate = make(chan struct{}, c.MaxConcurrent)
-		}
-	})
-	if c.gate == nil {
-		return func() {}, 0, nil
-	}
-	self := string(c.ID)
-	shed := func(cause error) error {
-		c.Metrics.Counter("queries_shed_total", metrics.Labels{Site: self}).Inc()
-		if errors.Is(cause, context.DeadlineExceeded) {
-			return exec.ErrShed
-		}
-		return exec.ErrCanceled
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, 0, shed(err)
-	}
-	var waited int64
-	select {
-	case c.gate <- struct{}{}:
-	default:
-		c.Metrics.Counter("queries_queued_total", metrics.Labels{Site: self}).Inc()
-		start := time.Now()
-		select {
-		case c.gate <- struct{}{}:
-		case <-ctx.Done():
-			waited = time.Since(start).Microseconds()
-			c.Metrics.Histogram("admission_wait_us", metrics.Labels{Site: self, Alg: alg}).
-				Observe(float64(waited))
-			return nil, waited, shed(ctx.Err())
-		}
-		waited = time.Since(start).Microseconds()
-		c.Metrics.Histogram("admission_wait_us", metrics.Labels{Site: self, Alg: alg}).
-			Observe(float64(waited))
-	}
-	c.Metrics.Gauge("queries_inflight", metrics.Labels{Site: self}).Add(1)
-	return func() {
-		c.Metrics.Gauge("queries_inflight", metrics.Labels{Site: self}).Add(-1)
-		<-c.gate
-	}, waited, nil
-}
-
-// qctx scopes one networked query execution.
-type qctx struct {
-	qid  string
-	alg  string
-	root trace.SpanID
-}
-
 // qidTag distinguishes this process's query IDs. Query IDs scope spans at
 // the *servers*, which outlive coordinator processes: if every coordinator
 // run minted "rq1", a site's /debug/trace/last would conflate the last
 // queries of different runs into one tree.
 var qidTag = rand.Uint32() & 0xffffff
-
-// span opens a query-scoped span at the coordinator site.
-func (c *Coordinator) span(q *qctx, parent trace.SpanID, name, phases string) trace.Handle {
-	return c.Tracer.StartSpan(parent, c.ID, name).WithQuery(q.qid, q.alg).WithPhases(phases)
-}
 
 // pingTimeout bounds one ping exchange: a liveness probe needs a tight
 // deadline, not the query-sized call timeout.
@@ -445,15 +364,14 @@ func (c *Coordinator) Query(text string, alg exec.Algorithm) (*federation.Answer
 	return c.QueryContext(context.Background(), text, alg)
 }
 
-// QueryContext is Query under a caller context: the deadline travels to
-// every site as a remaining-budget stamp on each request, cancellation
-// unwinds the fan-out (in-flight exchanges are cut, queued batch items
-// withdrawn, the admission slot released), and a query whose context dies
-// while queued for admission is shed with a typed error. An admitted query
-// that is interrupted mid-flight does NOT fail: it returns its sound
-// partial answer with Answer.Outcome set (canceled/deadline) and the
-// skipped sites listed as unavailable. When Deadline is set and ctx has no
-// deadline, the coordinator's default applies.
+// QueryContext is Query under a caller context. The strategies and the
+// query lifecycle are exec.Runner's, shared with the in-process engine — see
+// Runner.Run for admission, shedding and the sound partial answer an
+// interrupted query returns. This method binds the text, hands the runner
+// the TCP implementation of the site operations, and logs. Over TCP the
+// deadline travels to every site as a remaining-budget stamp on each
+// request, and cancellation cuts in-flight exchanges and withdraws queued
+// batch items.
 func (c *Coordinator) QueryContext(ctx context.Context, text string, alg exec.Algorithm) (*federation.Answer, time.Duration, error) {
 	q, err := query.Parse(text)
 	if err != nil {
@@ -463,165 +381,60 @@ func (c *Coordinator) QueryContext(ctx context.Context, text string, alg exec.Al
 	if err != nil {
 		return nil, 0, err
 	}
-	if alg == exec.Adaptive {
-		if c.Selector == nil {
-			return nil, 0, fmt.Errorf("remote: adaptive requires a selector (Coordinator.Selector)")
-		}
-		alg = c.Selector.Select(b)
-		c.Metrics.Counter("adaptive_choice_total",
-			metrics.Labels{Site: string(c.ID), Alg: alg.String()}).Inc()
+	c.gateOnce.Do(func() { c.gate = exec.NewGate(c.MaxConcurrent, c.Metrics, string(c.ID)) })
+	run := exec.Runner{
+		Coord: federation.NewCoordinator(c.ID, c.Global, c.Tables),
+		Ops:   siteCalls{c: c, cl: c.client(), text: text},
+		// c.mu is held only around Materialize/Evaluate/Certify, never
+		// across the fan-out.
+		State:    c.mu.RLocker(),
+		Tracer:   c.Tracer,
+		Metrics:  c.Metrics,
+		Recorder: c.Recorder,
+		Selector: c.Selector,
+		Gate:     c.gate,
+		Deadline: c.Deadline,
+		Suspect:  c.tracker().SuspectOf,
 	}
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if c.Deadline > 0 {
-		if _, has := ctx.Deadline(); !has {
-			var cancel context.CancelFunc
-			ctx, cancel = context.WithTimeout(ctx, c.Deadline)
-			defer cancel()
-		}
-	}
-	release, waitMicros, admitErr := c.admit(ctx, alg.String())
-	if admitErr != nil {
-		return nil, 0, admitErr
-	}
-	defer release()
+	qid := fmt.Sprintf("rq%d-%06x", c.qseq.Add(1), qidTag)
+	ans, m, err := run.Run(ctx, fabric.NewReal(fabric.DefaultRates()), qid, alg, b)
+	d := time.Duration(m.ResponseMicros * float64(time.Microsecond))
+	c.logQuery(qid, alg, ans, d, err)
+	return ans, d, err
+}
 
-	start := time.Now()
-	qc := &qctx{qid: fmt.Sprintf("rq%d-%06x", c.qseq.Add(1), qidTag), alg: alg.String()}
-	root := c.span(qc, 0, alg.String(), "")
-	qc.root = root.ID()
-	var ans *federation.Answer
-	switch alg {
-	case exec.CA:
-		ans, err = c.runCA(ctx, qc, text, b)
-	case exec.BL:
-		ans, err = c.runLocalized(ctx, qc, text, b, ModeBL)
-	case exec.PL:
-		ans, err = c.runLocalized(ctx, qc, text, b, ModePL)
-	case exec.SBL:
-		ans, err = c.runLocalized(ctx, qc, text, b, ModeSBL)
-	case exec.SPL:
-		ans, err = c.runLocalized(ctx, qc, text, b, ModeSPL)
-	default:
-		root.End()
-		return nil, 0, fmt.Errorf("remote: unsupported algorithm %v", alg)
+// logQuery writes the query's structured log entry. Queries turned away at
+// the admission gate are not logged: under overload that would be a line
+// per shed request.
+func (c *Coordinator) logQuery(qid string, alg exec.Algorithm, ans *federation.Answer, d time.Duration, err error) {
+	if c.Log == nil || errors.Is(err, exec.ErrShed) || errors.Is(err, exec.ErrCanceled) {
+		return
+	}
+	attrs := []slog.Attr{
+		slog.String("query", qid),
+		slog.String("alg", alg.String()),
+		slog.Float64("us", float64(d.Nanoseconds())/1e3),
 	}
 	if ans != nil {
-		switch ctxErr := ctx.Err(); {
-		case ctxErr == nil:
-		case errors.Is(ctxErr, context.DeadlineExceeded):
-			ans.Outcome = federation.OutcomeDeadline
-		default:
-			ans.Outcome = federation.OutcomeCanceled
-		}
-		root.Add("certain", int64(len(ans.Certain))).Add("maybe", int64(len(ans.Maybe)))
+		attrs = append(attrs,
+			slog.Int("certain", len(ans.Certain)),
+			slog.Int("maybe", len(ans.Maybe)),
+			slog.Int("certified", ans.Stats.Certified),
+			slog.Int("eliminated", ans.Stats.Eliminated))
 		if ans.Degraded {
-			root.Add("degraded", 1)
-			for _, f := range ans.Unavailable {
-				root.Detailf("unavailable %s", f)
+			downs := make([]string, len(ans.Unavailable))
+			for i, f := range ans.Unavailable {
+				downs[i] = f.String()
 			}
-		}
-		if ans.Interrupted() {
-			root.Detailf("interrupted: %s", ans.Outcome)
+			attrs = append(attrs, slog.Any("unavailable", downs))
 		}
 	}
-	root.End()
-	d := time.Since(start)
-	c.observeQuery(qc, ans, d, err)
-	profErr := err
-	if profErr == nil {
-		profErr = ctx.Err()
-	}
-	c.profile(qc, ans, d, waitMicros, profErr)
 	if err != nil {
-		return nil, 0, err
-	}
-	return ans, d, nil
-}
-
-// profile assembles the query's trace.Profile — coordinator spans plus
-// every span the answering sites shipped back — and hands it to the flight
-// recorder. Failed queries record an error profile; the recorder always
-// retains those.
-func (c *Coordinator) profile(q *qctx, ans *federation.Answer, d time.Duration, waitMicros int64, err error) {
-	if (c.Recorder == nil && c.Selector == nil) || c.Tracer == nil {
+		attrs = append(attrs, slog.String("err", err.Error()))
+		c.Log.LogAttrs(context.Background(), slog.LevelError, "query failed", attrs...)
 		return
 	}
-	p := trace.BuildProfile(q.qid, q.alg, c.Tracer.QuerySpans(q.qid))
-	if p == nil {
-		return
-	}
-	p.WallMicros = float64(d.Microseconds())
-	var certain, maybe int
-	var unavailable []string
-	if ans != nil {
-		certain, maybe = len(ans.Certain), len(ans.Maybe)
-		for _, f := range ans.Unavailable {
-			unavailable = append(unavailable, string(f.Site))
-		}
-	}
-	p.SetOutcome(certain, maybe, unavailable, err)
-	p.AddCounter("admission_wait_us", waitMicros)
-	if c.Recorder != nil {
-		c.Recorder.Record(p)
-	}
-	if c.Selector != nil {
-		c.Selector.Observe(p)
-	}
-}
-
-// observeQuery feeds the query's metrics and structured log entry.
-func (c *Coordinator) observeQuery(q *qctx, ans *federation.Answer, d time.Duration, err error) {
-	us := float64(d.Nanoseconds()) / 1e3
-	self := string(c.ID)
-	c.Metrics.Counter("queries_total", metrics.Labels{Site: self, Alg: q.alg}).Inc()
-	c.Metrics.Histogram("query_latency_us", metrics.Labels{Site: self, Alg: q.alg}).
-		ObserveWithExemplar(us, q.qid)
-	if ans != nil {
-		algOnly := metrics.Labels{Alg: q.alg}
-		c.Metrics.Counter("results_certain_total", algOnly).Add(int64(len(ans.Certain)))
-		c.Metrics.Counter("results_maybe_total", algOnly).Add(int64(len(ans.Maybe)))
-		c.Metrics.Counter("maybe_certified_total", algOnly).Add(int64(ans.Stats.Certified))
-		c.Metrics.Counter("maybe_eliminated_total", algOnly).Add(int64(ans.Stats.Eliminated))
-		if ans.Degraded {
-			c.Metrics.Counter("degraded_queries_total",
-				metrics.Labels{Site: self, Alg: q.alg}).Inc()
-		}
-		switch ans.Outcome {
-		case federation.OutcomeCanceled:
-			c.Metrics.Counter("queries_canceled_total", metrics.Labels{Site: self, Alg: q.alg}).Inc()
-		case federation.OutcomeDeadline:
-			c.Metrics.Counter("deadline_exceeded_total", metrics.Labels{Site: self, Alg: q.alg}).Inc()
-		}
-	}
-	if c.Log != nil {
-		attrs := []slog.Attr{
-			slog.String("query", q.qid),
-			slog.String("alg", q.alg),
-			slog.Float64("us", us),
-		}
-		if ans != nil {
-			attrs = append(attrs,
-				slog.Int("certain", len(ans.Certain)),
-				slog.Int("maybe", len(ans.Maybe)),
-				slog.Int("certified", ans.Stats.Certified),
-				slog.Int("eliminated", ans.Stats.Eliminated))
-			if ans.Degraded {
-				downs := make([]string, len(ans.Unavailable))
-				for i, f := range ans.Unavailable {
-					downs[i] = f.String()
-				}
-				attrs = append(attrs, slog.Any("unavailable", downs))
-			}
-		}
-		if err != nil {
-			attrs = append(attrs, slog.String("err", err.Error()))
-			c.Log.LogAttrs(context.Background(), slog.LevelError, "query failed", attrs...)
-			return
-		}
-		c.Log.LogAttrs(context.Background(), slog.LevelInfo, "query done", attrs...)
-	}
+	c.Log.LogAttrs(context.Background(), slog.LevelInfo, "query done", attrs...)
 }
 
 // Insert stores a new object at a component site and maintains the
@@ -839,180 +652,56 @@ func (c *Coordinator) ResyncStates() map[object.SiteID]string {
 	return out
 }
 
-// siteResponse is one site's outcome in a fan-out: its response, or the
-// transport failure that kept it from answering.
-type siteResponse struct {
-	Site object.SiteID
-	Resp Response
+// siteCalls is the TCP implementation of exec.SiteOps for one query: each
+// site-bound step is one pooled client RPC carrying the query text. A site
+// absent from the address map entirely (killed and unwired) is unavailable
+// exactly like one that stopped answering; transport failures (dead sites,
+// open breakers) are SiteErrors, which degrade; an error a site answered
+// (bad query) is deterministic and propagates.
+type siteCalls struct {
+	c    *Coordinator
+	cl   *client
+	text string
 }
 
-// fanOut calls every listed site in parallel and collects per-site
-// outcomes: the responses of the sites that answered (site order) and the
-// failures of the sites that did not. Each call runs under its own child
-// span of the query root, whose ID the server adopts as its parent; wire
-// bytes are accounted per site pair in both directions as seen from the
-// coordinator.
-//
-// Transport failures (dead sites, open breakers) become SiteFailures — the
-// query degrades; an error a site answered (bad query) is deterministic and
-// fails the fan-out. A site absent from the address map entirely (killed
-// and unwired) degrades exactly like one that stopped answering: its
-// contribution stays unknown, never an error.
-func (c *Coordinator) fanOut(ctx context.Context, q *qctx, phases string, sites []object.SiteID, req Request) ([]siteResponse, []federation.SiteFailure, error) {
-	cl := c.client()
-	resps := make([]Response, len(sites))
-	errs := make([]error, len(sites))
-	addrs := make([]string, len(sites))
-	for i, site := range sites {
-		if addr, ok := c.Sites[site]; ok {
-			addrs[i] = addr
-		} else {
-			errs[i] = &SiteError{Site: site, Err: errPeerNotWired}
-		}
+// call performs one exchange under its own child span of parent, whose ID
+// the server adopts as the parent of its serve span; the site's spans (and
+// any peer check spans it forwarded) are stitched into the coordinator's
+// query tree, and wire bytes are accounted per site pair in both directions
+// as seen from the coordinator.
+func (s siteCalls) call(p fabric.Proc, q *exec.Query, parent trace.SpanID, site object.SiteID, req Request) (Response, error) {
+	c := s.c
+	addr, ok := c.Sites[site]
+	if !ok {
+		return Response{}, &SiteError{Site: site, Err: errPeerNotWired}
 	}
-	var wg sync.WaitGroup
-	for i, site := range sites {
-		if errs[i] != nil {
-			continue
-		}
-		wg.Add(1)
-		go func(i int, site object.SiteID, addr string) {
-			defer wg.Done()
-			sp := c.span(q, q.root, "rpc:"+req.Kind, phases)
-			req := req
-			req.Trace = TraceContext{QueryID: q.qid, Alg: q.alg, Span: uint64(sp.ID()), From: c.ID}
-			var w wireStats
-			resps[i], w, errs[i] = cl.callCtx(ctx, site, addr, req)
-			sp.Add("sent_bytes", w.Sent).Add("recv_bytes", w.Received).
-				Detailf("site %s", site)
-			if errs[i] != nil {
-				sp.Detailf("failed: %v", errs[i])
-			} else {
-				// Stitch the site's spans (and any peer check spans it
-				// forwarded) into the coordinator's query tree.
-				c.Tracer.Import(resps[i].Spans)
-			}
-			sp.End()
-			c.Metrics.Counter("net_bytes_total",
-				metrics.Labels{Site: string(c.ID), Peer: string(site), Alg: q.alg}).Add(w.Sent)
-			c.Metrics.Counter("net_bytes_total",
-				metrics.Labels{Site: string(site), Peer: string(c.ID), Alg: q.alg}).Add(w.Received)
-		}(i, site, addrs[i])
-	}
-	wg.Wait()
-
-	var (
-		ok    []siteResponse
-		dead  []federation.SiteFailure
-		fatal error
-	)
-	for i, err := range errs {
-		switch {
-		case err == nil:
-			ok = append(ok, siteResponse{Site: sites[i], Resp: resps[i]})
-		case IsInterrupted(err):
-			// The budget died (here or at the site) or the caller left: what
-			// this site would have contributed stays unknown — degrade, but
-			// leave the site's health record (breaker, unavailable counter)
-			// untouched.
-			dead = append(dead, federation.SiteFailure{Site: sites[i], Reason: err.Error()})
-		case IsSiteUnavailable(err):
-			c.Metrics.Counter("site_unavailable_total",
-				metrics.Labels{Site: string(c.ID), Peer: string(sites[i]), Alg: q.alg}).Inc()
-			dead = append(dead, federation.SiteFailure{Site: sites[i], Reason: err.Error()})
-		case fatal == nil:
-			fatal = err
-		}
-	}
-	if fatal != nil {
-		return nil, nil, fatal
-	}
-	return ok, dead, nil
-}
-
-// deadMap folds site failures into a membership map for certification.
-func deadMap(failures []federation.SiteFailure) map[object.SiteID]bool {
-	if len(failures) == 0 {
-		return nil
-	}
-	m := make(map[object.SiteID]bool, len(failures))
-	for _, f := range failures {
-		m[f.Site] = true
-	}
-	return m
-}
-
-func (c *Coordinator) runCA(ctx context.Context, q *qctx, text string, b *query.Bound) (*federation.Answer, error) {
-	resps, failures, err := c.fanOut(ctx, q, "O", b.InvolvedSites(), Request{Kind: kindRetrieve, Query: text})
+	alg := q.Alg.String()
+	sp := c.Tracer.StartSpan(parent, c.ID, "rpc:"+req.Kind).WithQuery(q.ID, alg)
+	req.Query = s.text
+	req.Trace = TraceContext{QueryID: q.ID, Alg: alg, Span: uint64(sp.ID()), From: c.ID}
+	resp, w, err := s.cl.callCtx(p.Context(), site, addr, req)
+	sp.Add("sent_bytes", w.Sent).Add("recv_bytes", w.Received).Detailf("site %s", site)
 	if err != nil {
-		return nil, err
+		sp.Detailf("failed: %v", err)
+	} else {
+		c.Tracer.Import(resp.Spans)
 	}
-	replies := make([]federation.RetrieveReply, 0, len(resps))
-	for _, r := range resps {
-		replies = append(replies, r.Resp.Retrieve)
-	}
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	coord := federation.NewCoordinator(c.ID, c.Global, c.Tables)
-	var ans *federation.Answer
-	_, err = runReal(ctx, "ca-coordinator", func(p fabric.Proc) {
-		g2 := c.span(q, q.root, "CA_G2", "I")
-		view := coord.Materialize(p, b, replies)
-		g2.Detailf("materialized %d objects", view.Len()).End()
-		g3 := c.span(q, q.root, "CA_G3", "P")
-		ans = coord.EvaluateView(p, b, view)
-		// A dead site's attributes are simply absent from the view, so
-		// affected predicates already evaluated to unknown; entities whose
-		// every queried root copy was at a dead site never materialized and
-		// come back as all-unknown maybe rows.
-		if dead := deadMap(failures); dead != nil {
-			ans.AddMaybe(coord.DegradedRootRows(p, b, dead, view.Has)...)
-		}
-		g3.End()
-	})
-	if ans != nil {
-		// Suspect replicas degrade the answer too, but never enter the
-		// dead map above: their sites answered, their mappings are merely
-		// unconfirmed.
-		ans.MarkDegraded(failures)
-		ans.MarkDegraded(c.suspectFailures(b, resps))
-	}
-	return ans, err
+	sp.End()
+	c.Metrics.Counter("net_bytes_total",
+		metrics.Labels{Site: string(c.ID), Peer: string(site), Alg: alg}).Add(w.Sent)
+	c.Metrics.Counter("net_bytes_total",
+		metrics.Labels{Site: string(site), Peer: string(c.ID), Alg: alg}).Add(w.Received)
+	return resp, err
 }
 
-func (c *Coordinator) runLocalized(ctx context.Context, q *qctx, text string, b *query.Bound, mode string) (*federation.Answer, error) {
-	resps, failures, err := c.fanOut(ctx, q, reqPhases(Request{Kind: kindLocal, Mode: mode}), b.RootSites(),
-		Request{Kind: kindLocal, Query: text, Mode: mode})
-	if err != nil {
-		return nil, err
-	}
-	var (
-		results []federation.LocalResult
-		replies []federation.CheckReply
-		// allFailures also collects peer failures the live sites hit while
-		// dispatching checks. Only the coordinator-observed failures feed
-		// the certification's dead map: a root site that answered its local
-		// query eliminated by silence legitimately, even if some peer could
-		// not reach it; a peer failure merely left check verdicts missing.
-		allFailures = append([]federation.SiteFailure(nil), failures...)
-	)
-	for _, r := range resps {
-		results = append(results, r.Resp.Local.Result)
-		replies = append(replies, r.Resp.Local.CheckReplies...)
-		allFailures = append(allFailures, r.Resp.Local.Unavailable...)
-	}
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	coord := federation.NewCoordinator(c.ID, c.Global, c.Tables)
-	var ans *federation.Answer
-	_, err = runReal(ctx, "certify", func(p fabric.Proc) {
-		g2 := c.span(q, q.root, "certify", "I")
-		ans = coord.CertifyDegraded(p, b, results, replies, deadMap(failures))
-		g2.End()
-	})
-	if ans != nil {
-		ans.MarkDegraded(allFailures)
-		ans.MarkDegraded(c.suspectFailures(b, resps))
-	}
-	return ans, err
+// Retrieve implements exec.SiteOps.
+func (s siteCalls) Retrieve(p fabric.Proc, q *exec.Query, parent trace.SpanID, site object.SiteID) (federation.RetrieveReply, []string, error) {
+	resp, err := s.call(p, q, parent, site, Request{Kind: kindRetrieve})
+	return resp.Retrieve, resp.Suspect, err
+}
+
+// Local implements exec.SiteOps: the server runs exec.SiteFlow.
+func (s siteCalls) Local(p fabric.Proc, q *exec.Query, parent trace.SpanID, site object.SiteID) (LocalReply, []string, error) {
+	resp, err := s.call(p, q, parent, site, Request{Kind: kindLocal, Mode: q.Alg.String()})
+	return resp.Local, resp.Suspect, err
 }

@@ -2,6 +2,7 @@ package remote
 
 import (
 	"encoding/json"
+	"fmt"
 	"testing"
 	"time"
 
@@ -137,9 +138,9 @@ func TestClusterSiteRecorders(t *testing.T) {
 		t.Fatal(err)
 	}
 	for site, srv := range servers {
-		if srv.cfg.Recorder.Recorded() == 0 {
-			t.Errorf("site %s recorded no profiles for a CA query", site)
-		}
+		eventually(t, fmt.Sprintf("site %s to record a profile for a CA query", site), func() bool {
+			return srv.cfg.Recorder.Recorded() > 0
+		})
 		p := srv.cfg.Recorder.Last()
 		if p == nil || p.ID == "" {
 			t.Errorf("site %s profile = %+v", site, p)

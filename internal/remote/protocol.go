@@ -1,29 +1,34 @@
-// Package remote deploys the federation over real TCP connections: every
-// component database runs a Server exposing the site operations (retrieve,
-// local query, assistant check), sites dispatch check requests directly to
-// their peers, and a Coordinator client executes the CA/BL/PL strategies
-// against the cluster. Messages are gob-encoded over persistent pooled
-// connections (a connection serves any number of requests in sequence);
-// calls retry with jittered backoff and per-site circuit breakers fail fast
-// when a site stays down — see CallConfig.
+// Package remote deploys the federation over real TCP connections: it is the
+// TCP transport behind package exec's site-operations seam, plus the write
+// path (insert, bind-delta replication, anti-entropy repair). Every component
+// database runs a Server exposing the site operations (retrieve, local query,
+// assistant check); a Coordinator hands exec.Runner — the one implementation
+// of CA/BL/PL and of the query lifecycle — pooled client RPCs as its site
+// operations, and a Server runs exec.SiteFlow with check RPCs to its peers as
+// its link. Messages are gob-encoded over persistent pooled connections (a
+// connection serves any number of requests in sequence); calls retry with
+// jittered backoff and per-site circuit breakers fail fast when a site stays
+// down — see CallConfig.
 //
-// Site failure degrades answers instead of failing queries: the coordinator
-// collects per-site outcomes, certifies what the live sites contributed,
-// and marks the answer Degraded with the unavailable sites recorded — the
-// paper's maybe semantics extended to the coarsest missingness mechanism,
-// an unreachable site.
+// Site failure degrades answers instead of failing queries: a transport
+// failure is a SiteError, which the strategies' fan-out classifier treats as
+// "site unavailable" — the answer is certified from what the live sites
+// contributed and marked Degraded with the unavailable sites recorded — the
+// paper's maybe semantics extended to the coarsest missingness mechanism, an
+// unreachable site.
 //
-// The wire deployment differs from the simulated topology in one respect:
-// assistant-check verdicts return to the site that requested the check and
-// travel to the global processing site with its local result, instead of
-// flowing to the global site directly. This keeps servers stateless; the
-// certification outcome is identical.
+// The wire deployment differs from the simulated topology in one respect,
+// confined to checkLink: assistant-check verdicts return to the site that
+// requested the check and travel to the global processing site with its
+// local result, instead of flowing to the global site directly. This keeps
+// servers stateless; the certification outcome is identical.
 package remote
 
 import (
 	"io"
 
 	"github.com/hetfed/hetfed/internal/antientropy"
+	"github.com/hetfed/hetfed/internal/exec"
 	"github.com/hetfed/hetfed/internal/federation"
 	"github.com/hetfed/hetfed/internal/object"
 	"github.com/hetfed/hetfed/internal/trace"
@@ -158,17 +163,10 @@ type BindDelta struct {
 	LOid  object.LOid
 }
 
-// LocalReply is the reply to a local request: the site's local result plus
-// the check verdicts it gathered from its peers.
-type LocalReply struct {
-	Result       federation.LocalResult
-	CheckReplies []federation.CheckReply
-	// Unavailable lists peer sites whose assistant checks could not be
-	// collected (dead or unreachable peers). Their verdicts are simply
-	// missing, so the affected predicates stay unknown; the coordinator
-	// folds these failures into the answer's degradation report.
-	Unavailable []federation.SiteFailure
-}
+// LocalReply is the reply to a local request: what exec.SiteFlow gathered at
+// the site — its local result plus the check verdicts (and check failures)
+// it collected from its peers.
+type LocalReply = exec.LocalReply
 
 // Response is one site-server response.
 type Response struct {

@@ -1,6 +1,7 @@
 package remote
 
 import (
+	"errors"
 	"net"
 	"strings"
 	"testing"
@@ -181,13 +182,11 @@ func TestUnknownKindCountsError(t *testing.T) {
 		!strings.Contains(err.Error(), "unknown request kind") {
 		t.Fatalf("bad kind: %v", err)
 	}
-	snap := srv.cfg.Metrics.Snapshot()
-	if n := snap.CounterValue("request_errors_total", metrics.Labels{Site: "DB1"}); n != 1 {
-		t.Errorf("request_errors_total = %d, want 1", n)
-	}
-	// The failed request was still counted and timed.
-	if n := snap.CounterValue("requests_total", metrics.Labels{Site: "DB1"}); n != 1 {
-		t.Errorf("requests_total = %d, want 1", n)
+	// The failed request is counted as an error, and still counted and timed.
+	for _, name := range []string{"request_errors_total", "requests_total"} {
+		eventually(t, name+" = 1", func() bool {
+			return srv.cfg.Metrics.Snapshot().CounterValue(name, metrics.Labels{Site: "DB1"}) == 1
+		})
 	}
 }
 
@@ -239,7 +238,7 @@ func TestCallTimeoutOnDeadPeer(t *testing.T) {
 	if elapsed > 5*time.Second {
 		t.Errorf("call took %v, deadline did not bite", elapsed)
 	}
-	if !IsSiteUnavailable(err) {
+	if !errors.Is(err, exec.ErrSiteUnavailable) {
 		t.Errorf("error is not a site failure: %v", err)
 	}
 	if !strings.Contains(err.Error(), "receive") {

@@ -12,11 +12,14 @@ import (
 	"github.com/hetfed/hetfed/internal/exec"
 	"github.com/hetfed/hetfed/internal/fabric"
 	"github.com/hetfed/hetfed/internal/federation"
+	"github.com/hetfed/hetfed/internal/gmap"
 	"github.com/hetfed/hetfed/internal/isomer"
 	"github.com/hetfed/hetfed/internal/metrics"
 	"github.com/hetfed/hetfed/internal/object"
+	"github.com/hetfed/hetfed/internal/schema"
 	"github.com/hetfed/hetfed/internal/school"
 	"github.com/hetfed/hetfed/internal/signature"
+	"github.com/hetfed/hetfed/internal/store"
 	"github.com/hetfed/hetfed/internal/trace"
 )
 
@@ -25,15 +28,23 @@ import (
 func startRobustCluster(t *testing.T, mod func(site object.SiteID, cfg *ServerConfig)) (*Coordinator, map[object.SiteID]*Server, func()) {
 	t.Helper()
 	fx := school.New()
-	sigs := signature.Build(fx.Databases)
+	return startFedCluster(t, fx.Global, fx.Databases, fx.Mapping, mod)
+}
 
-	servers := make(map[object.SiteID]*Server, len(fx.Databases))
-	addrs := make(map[object.SiteID]string, len(fx.Databases))
-	for site, db := range fx.Databases {
+// startFedCluster serves any federation over loopback TCP: one traced,
+// metered server per database (signatures built, mod applied to each
+// config) and a coordinator wired to all of them.
+func startFedCluster(t *testing.T, global *schema.Global, dbs map[object.SiteID]*store.Database, tables *gmap.Tables,
+	mod func(site object.SiteID, cfg *ServerConfig)) (*Coordinator, map[object.SiteID]*Server, func()) {
+	t.Helper()
+	sigs := signature.Build(dbs)
+	servers := make(map[object.SiteID]*Server, len(dbs))
+	addrs := make(map[object.SiteID]string, len(dbs))
+	for site, db := range dbs {
 		cfg := ServerConfig{
 			DB:         db,
-			Global:     fx.Global,
-			Tables:     fx.Mapping,
+			Global:     global,
+			Tables:     tables,
 			Signatures: sigs,
 			Tracer:     &trace.Tracer{},
 			Metrics:    metrics.New(),
@@ -56,8 +67,8 @@ func startRobustCluster(t *testing.T, mod func(site object.SiteID, cfg *ServerCo
 	}
 	coord := &Coordinator{
 		ID:      "G",
-		Global:  fx.Global,
-		Tables:  fx.Mapping,
+		Global:  global,
+		Tables:  tables,
 		Sites:   addrs,
 		Tracer:  &trace.Tracer{},
 		Metrics: metrics.New(),

@@ -10,11 +10,11 @@ import (
 	"math/rand/v2"
 	"net"
 	"os"
-	"sort"
 	"sync"
 	"time"
 
 	"github.com/hetfed/hetfed/internal/antientropy"
+	"github.com/hetfed/hetfed/internal/exec"
 	"github.com/hetfed/hetfed/internal/fabric"
 	"github.com/hetfed/hetfed/internal/federation"
 	"github.com/hetfed/hetfed/internal/gmap"
@@ -147,6 +147,7 @@ const (
 type Server struct {
 	cfg      ServerConfig
 	site     *federation.Site
+	flow     exec.SiteFlow
 	client   *client
 	batcher  *batcher
 	tracker  *antientropy.Tracker
@@ -210,6 +211,13 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 		aeCancel: aeCancel,
 		log:      log.With("site", string(cfg.DB.Site())),
 		conns:    make(map[net.Conn]struct{}),
+	}
+	s.flow = exec.SiteFlow{
+		Site:    site,
+		State:   s.stateMu.RLocker(),
+		Sigs:    cfg.Signatures,
+		Metrics: cfg.Metrics,
+		Link:    checkLink{s},
 	}
 	if cfg.Batch.Window > 0 {
 		s.batcher = newBatcher(s, cfg.Batch)
@@ -597,11 +605,8 @@ func (s *Server) dispatch(ctx context.Context, req Request, sp trace.Handle) Res
 		defer s.stateMu.RUnlock()
 		return s.handleRetrieve(ctx, req, sp)
 	case kindLocal:
-		// handleLocal manages the state lock itself: it must not be held
-		// across the check RPCs to peers. Holding it there deadlocks the
-		// federation — site A's local handler waits on a check at site B,
-		// B's check waits on B's read lock behind a queued insert writer,
-		// and B's own local handler waits on a check at A in the same way.
+		// The site flow takes the state lock itself, never across the check
+		// RPCs to peers (exec.SiteFlow.State says why).
 		return s.handleLocal(ctx, req, sp)
 	case kindCheck:
 		s.stateMu.RLock()
@@ -740,21 +745,32 @@ func (s *Server) bind(text string) (*query.Bound, error) {
 	return query.Bind(q, s.cfg.Global)
 }
 
-// runReal executes a federation operation on the real fabric under the
-// request's context: fault-injected delays inside the operation are cut
-// short when the budget dies, and strategy checkpoints see the context
-// through Proc.Context. The returned metrics carry the operation's counted
-// events (disk bytes, CPU ops) so serve spans can ship the measured work
-// back to the coordinator for calibration.
-func runReal(ctx context.Context, name string, fn func(fabric.Proc)) (fabric.Metrics, error) {
-	return fabric.NewReal(fabric.DefaultRates()).WithContext(ctx).Run(name, fn)
-}
-
-// addWork stamps an operation's counted events onto a span. The profile
-// builder aggregates these counters per site, giving the adaptive
-// calibrator its cost-model denominators for remotely served queries.
-func addWork(sp trace.Handle, m fabric.Metrics) {
+// runReal serves one request's federation work — an operation, or the whole
+// site flow — as the one real-fabric run of that request, under the
+// request's context: fault-injected delays inside are cut short when the
+// budget dies, and the flow's checkpoints see the context through
+// Proc.Context. The run's counted events (disk bytes, CPU ops) are stamped
+// on the serve span, which ships them back to the coordinator: the profile
+// builder aggregates them per site, giving the adaptive calibrator its
+// cost-model denominators for remotely served queries. It returns the error
+// text to answer, "" on success; a budget that died on the way answers the
+// errDeadline marker — the reply would arrive too late to integrate, and the
+// marker beats shipping dead bytes.
+func runReal(ctx context.Context, sp trace.Handle, name string, fn func(fabric.Proc) error) string {
+	var err error
+	m, runErr := fabric.NewReal(fabric.DefaultRates()).WithContext(ctx).Run(name, func(p fabric.Proc) {
+		err = fn(p)
+	})
 	sp.Add("disk_bytes", m.DiskBytes).Add("cpu_ops", m.CPUOps)
+	switch {
+	case runErr != nil:
+		return runErr.Error()
+	case ctx.Err() != nil || exec.IsInterrupted(err):
+		return errDeadline
+	case err != nil:
+		return err.Error()
+	}
+	return ""
 }
 
 func (s *Server) handleRetrieve(ctx context.Context, req Request, sp trace.Handle) Response {
@@ -763,32 +779,22 @@ func (s *Server) handleRetrieve(ctx context.Context, req Request, sp trace.Handl
 		return Response{Err: err.Error()}
 	}
 	var reply federation.RetrieveReply
-	m, err := runReal(ctx, "retrieve", func(p fabric.Proc) {
+	if e := runReal(ctx, sp, "retrieve", func(p fabric.Proc) error {
 		reply = s.site.Retrieve(p, b)
-	})
-	if err != nil {
-		return Response{Err: err.Error()}
-	}
-	addWork(sp, m)
-	if ctx.Err() != nil {
-		// The budget died mid-retrieve; the reply would arrive too late to
-		// integrate, so answer the marker instead of shipping dead bytes.
-		return Response{Err: errDeadline}
+		return nil
+	}); e != "" {
+		return Response{Err: e}
 	}
 	return Response{Retrieve: reply, Suspect: s.tracker.SuspectOf(b.Classes())}
 }
 
 func (s *Server) handleCheck(ctx context.Context, req Request, sp trace.Handle) Response {
 	var reply federation.CheckReply
-	m, err := runReal(ctx, "check", func(p fabric.Proc) {
+	if e := runReal(ctx, sp, "check", func(p fabric.Proc) error {
 		reply = s.site.CheckAssistants(p, req.Items)
-	})
-	if err != nil {
-		return Response{Err: err.Error()}
-	}
-	addWork(sp, m)
-	if ctx.Err() != nil {
-		return Response{Err: errDeadline}
+		return nil
+	}); e != "" {
+		return Response{Err: e}
 	}
 	return Response{Check: reply}
 }
@@ -800,289 +806,89 @@ func (s *Server) handleCheck(ctx context.Context, req Request, sp trace.Handle) 
 // whose own query died is simply discarded by the waiting peer.
 func (s *Server) handleCheckBatch(ctx context.Context, req Request, sp trace.Handle) Response {
 	replies := make([]federation.CheckReply, len(req.Batch))
-	m, err := runReal(ctx, "checkbatch", func(p fabric.Proc) {
+	if e := runReal(ctx, sp, "checkbatch", func(p fabric.Proc) error {
 		for i, items := range req.Batch {
-			if p.Context().Err() != nil {
-				return
+			if err := p.Context().Err(); err != nil {
+				return err
 			}
 			replies[i] = s.site.CheckAssistants(p, items)
 		}
-	})
-	if err != nil {
-		return Response{Err: err.Error()}
-	}
-	addWork(sp, m)
-	if ctx.Err() != nil {
-		return Response{Err: errDeadline}
+		return nil
+	}); e != "" {
+		return Response{Err: e}
 	}
 	return Response{CheckBatch: replies}
 }
 
-// handleLocal runs the site flow of a localized strategy. Under the basic
-// modes the local predicates are evaluated before any check is dispatched;
-// under the parallel modes the checks travel to the peers while the local
-// predicates are still being evaluated.
-//
-// Locking invariant: stateMu is held only around the local evaluation
-// phases, which are bounded CPU work, and is always released before
-// waiting on the check RPCs. The peers' check handlers take their own
-// read locks, so holding ours across the wait would let two sites'
-// local handlers block on each other whenever insert writers are queued.
+// handleLocal runs the site's half of a localized strategy: exec.SiteFlow,
+// the same flow the in-process engine runs. The flow manages the state lock
+// itself (see SiteFlow.State) and reaches the peers through checkLink.
 func (s *Server) handleLocal(ctx context.Context, req Request, sp trace.Handle) Response {
 	b, err := s.bind(req.Query)
 	if err != nil {
 		return Response{Err: err.Error()}
 	}
-	var sigs *signature.Index
-	switch req.Mode {
-	case ModeBL, ModePL:
-	case ModeSBL, ModeSPL:
-		if s.cfg.Signatures == nil {
-			return Response{Err: "signature mode requested but no signature index configured"}
-		}
-		sigs = s.cfg.Signatures
-	default:
+	alg, err := exec.ParseAlgorithm(req.Mode)
+	if err != nil {
 		return Response{Err: fmt.Sprintf("unknown local mode %q", req.Mode)}
 	}
-
+	q := &exec.Query{ID: req.Trace.QueryID, Alg: alg, Bound: b}
 	var reply LocalReply
-	switch req.Mode {
-	case ModeBL, ModeSBL:
-		var checks map[object.SiteID][]federation.CheckItem
-		s.stateMu.RLock()
-		m, evalErr := runReal(ctx, "local-bl", func(p fabric.Proc) {
-			reply.Result, checks = s.site.EvalLocalBasic(p, b, sigs)
-		})
-		s.stateMu.RUnlock()
-		if evalErr != nil {
-			return Response{Err: evalErr.Error()}
-		}
-		addWork(sp, m)
-		if ctx.Err() != nil {
-			// Budget died between phase P and check dispatch: answering the
-			// marker beats shipping a result the caller can no longer use.
-			return Response{Err: errDeadline}
-		}
-		replies, dead, err := s.dispatchChecks(ctx, req, sp, checks)
-		if err != nil {
-			return Response{Err: err.Error()}
-		}
-		reply.CheckReplies = replies
-		reply.Unavailable = dead
-	case ModePL, ModeSPL:
-		var (
-			nav    *federation.Navigation
-			checks map[object.SiteID][]federation.CheckItem
-		)
-		s.stateMu.RLock()
-		mo, err := runReal(ctx, "local-pl-o", func(p fabric.Proc) {
-			nav, checks = s.site.NavigateAll(p, b, sigs)
-		})
-		if err != nil {
-			s.stateMu.RUnlock()
-			return Response{Err: err.Error()}
-		}
-		if ctx.Err() != nil {
-			s.stateMu.RUnlock()
-			return Response{Err: errDeadline}
-		}
-		addWork(sp, mo)
-		// Phase O's checks proceed at the peers while phase P runs here.
-		// The dispatcher goroutine runs unlocked; phase P keeps the read
-		// lock so both local phases see one consistent state snapshot.
-		type checkOutcome struct {
-			replies []federation.CheckReply
-			dead    []federation.SiteFailure
-			err     error
-		}
-		done := make(chan checkOutcome, 1)
-		go func() {
-			replies, dead, err := s.dispatchChecks(ctx, req, sp, checks)
-			done <- checkOutcome{replies: replies, dead: dead, err: err}
-		}()
-		mp, perr := runReal(ctx, "local-pl-p", func(p fabric.Proc) {
-			reply.Result = s.site.EvalNavigated(p, b, nav)
-		})
-		s.stateMu.RUnlock()
-		if perr != nil {
-			<-done // do not leak the dispatcher
-			return Response{Err: perr.Error()}
-		}
-		addWork(sp, mp)
-		outcome := <-done
-		if outcome.err != nil {
-			return Response{Err: outcome.err.Error()}
-		}
-		reply.CheckReplies = outcome.replies
-		reply.Unavailable = outcome.dead
+	if e := runReal(ctx, sp, "local", func(p fabric.Proc) (err error) {
+		reply, err = s.flow.Run(p, q, sp.ID())
+		return err
+	}); e != "" {
+		return Response{Err: e}
 	}
 	return Response{Local: reply, Suspect: s.tracker.SuspectOf(b.Classes())}
 }
 
-// errPeerNotWired marks a check target with no entry in the peer address
-// map. Wrapped in a SiteError it classifies as "site unavailable", so the
-// dependent predicates degrade to maybe instead of failing the query.
+// errPeerNotWired marks a site with no entry in the address map. Wrapped in
+// a SiteError it classifies as "site unavailable", so the dependent
+// predicates degrade to maybe instead of failing the query.
 var errPeerNotWired = errors.New("no address in peer wiring")
 
-// dispatchChecks sends the check items to their target peers in parallel
-// and collects the verdicts. The peers' check spans are parented on this
-// server's serve span, so the whole chain (coordinator → site → peer)
-// renders as one query tree.
-//
-// A dead or unreachable peer does not fail the local request: its checks
-// are reported as unavailable and the corresponding predicates stay
-// unknown, so the coordinator degrades the dependent results to maybe.
-// That includes a peer absent from the wiring entirely — a site that was
-// killed and removed from the peer map degrades exactly like one that
-// stopped answering mid-flight.
-func (s *Server) dispatchChecks(ctx context.Context, req Request, sp trace.Handle,
-	checks map[object.SiteID][]federation.CheckItem) ([]federation.CheckReply, []federation.SiteFailure, error) {
-	targets := make([]object.SiteID, 0, len(checks))
-	for t := range checks {
-		targets = append(targets, t)
-	}
-	sort.Slice(targets, func(i, j int) bool { return targets[i] < targets[j] })
+// checkLink is the TCP implementation of exec.SiteLink: one check RPC per
+// target, or — with batching on — one entry in the target's cross-query
+// batch. Either way the verdicts return here, to the requesting site, and
+// travel to the global site with its local reply: the one topology
+// difference from the paper's model, confined to this transport. The peer's
+// check span is parented on this server's serve span, so the whole chain
+// (coordinator → site → peer) renders as one query tree.
+type checkLink struct{ s *Server }
 
+// Check implements exec.SiteLink.
+func (l checkLink) Check(p fabric.Proc, q *exec.Query, parent trace.SpanID, from, target object.SiteID, items []federation.CheckItem) (federation.CheckReply, error) {
+	s, ctx, alg := l.s, p.Context(), q.Alg.String()
+	tc := TraceContext{QueryID: q.ID, Alg: alg, Span: uint64(parent), From: from}
 	if s.batcher != nil {
-		return s.dispatchChecksBatched(ctx, req, sp, checks, targets)
-	}
-
-	self := string(s.Site())
-	alg := reqAlg(req)
-	replies := make([]federation.CheckReply, len(targets))
-	errs := make([]error, len(targets))
-	addrs := make([]string, len(targets))
-	for i, target := range targets {
-		if addr, ok := s.peerAddr(target); ok {
-			addrs[i] = addr
-		} else {
-			errs[i] = &SiteError{Site: target, Err: errPeerNotWired}
-		}
-	}
-	var wg sync.WaitGroup
-	for i, target := range targets {
-		if errs[i] != nil {
-			continue
-		}
-		items := checks[target]
-		s.cfg.Metrics.Counter("checks_dispatched_total",
-			metrics.Labels{Site: self, Alg: alg}).Add(int64(len(items)))
-		wg.Add(1)
-		go func(i int, target object.SiteID, addr string, items []federation.CheckItem) {
-			defer wg.Done()
-			resp, w, err := s.client.callCtx(ctx, target, addr, Request{
-				Kind:  kindCheck,
-				Items: items,
-				Trace: TraceContext{
-					QueryID: req.Trace.QueryID,
-					Alg:     alg,
-					Span:    uint64(sp.ID()),
-					From:    s.Site(),
-				},
-			})
-			s.cfg.Metrics.Counter("net_bytes_total",
-				metrics.Labels{Site: self, Peer: string(target), Alg: alg}).Add(w.Sent)
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			// Fold the peer's check spans into this site's tracer; they ship
-			// onward to the coordinator with this site's own response.
-			s.cfg.Tracer.Import(resp.Spans)
-			replies[i] = resp.Check
-		}(i, target, addrs[i], items)
-	}
-	wg.Wait()
-
-	var (
-		out   []federation.CheckReply
-		dead  []federation.SiteFailure
-		fatal error
-	)
-	for i, err := range errs {
-		switch {
-		case err == nil:
-			out = append(out, replies[i])
-		case IsInterrupted(err):
-			// The query's budget died (or its caller left) mid-dispatch: the
-			// verdicts are simply missing, same shape as a dead peer, but the
-			// peer's health record stays clean.
-			sp.Detailf("peer %s check interrupted: %v", targets[i], err)
-			dead = append(dead, federation.SiteFailure{Site: targets[i], Reason: err.Error()})
-		case IsSiteUnavailable(err):
-			s.cfg.Metrics.Counter("site_unavailable_total",
-				metrics.Labels{Site: self, Peer: string(targets[i]), Alg: alg}).Inc()
-			sp.Detailf("peer %s unavailable: %v", targets[i], err)
-			dead = append(dead, federation.SiteFailure{Site: targets[i], Reason: err.Error()})
-		case fatal == nil:
-			// The peer answered with an error: deterministic, fail loudly.
-			fatal = err
-		}
-	}
-	if fatal != nil {
-		return nil, nil, fatal
-	}
-	return out, dead, nil
-}
-
-// dispatchChecksBatched routes the check items through the cross-query
-// batcher instead of per-query RPCs: each target's items join that peer's
-// open batch (flushed on the window or the byte threshold), and the reply
-// groups stream back per peer as their batches land. Error semantics match
-// the direct path: an unreachable peer degrades, a peer-answered error is
-// fatal.
-func (s *Server) dispatchChecksBatched(ctx context.Context, req Request, sp trace.Handle,
-	checks map[object.SiteID][]federation.CheckItem, targets []object.SiteID) ([]federation.CheckReply, []federation.SiteFailure, error) {
-	self := string(s.Site())
-	alg := reqAlg(req)
-	tc := TraceContext{QueryID: req.Trace.QueryID, Alg: alg, Span: uint64(sp.ID()), From: s.Site()}
-	var deadline time.Time
-	if dl, ok := ctx.Deadline(); ok {
-		deadline = dl
-	}
-	entries := make([]*pendingChecks, len(targets))
-	for i, target := range targets {
-		items := checks[target]
-		s.cfg.Metrics.Counter("checks_dispatched_total",
-			metrics.Labels{Site: self, Alg: alg}).Add(int64(len(items)))
-		entries[i] = s.batcher.enqueue(target, items, tc, deadline)
-	}
-
-	var (
-		out   []federation.CheckReply
-		dead  []federation.SiteFailure
-		fatal error
-	)
-	for i, e := range entries {
-		var oc batchOutcome
+		deadline, _ := ctx.Deadline()
+		e := s.batcher.enqueue(target, items, tc, deadline)
 		select {
-		case oc = <-e.done:
+		case oc := <-e.done:
+			return oc.reply, oc.err
 		case <-ctx.Done():
 			// The query died while its checks sat in (or flew with) a batch.
 			// A still-queued entry is pulled out so the eventual batch does
 			// not carry dead items; an already-flushed entry is abandoned —
 			// its done channel is buffered, so the batch completes for its
 			// surviving co-travelers without a blocked receiver.
-			s.batcher.remove(targets[i], e)
-			oc = batchOutcome{err: fmt.Errorf("check dispatch to %s: %w", targets[i], ctx.Err())}
-		}
-		switch {
-		case oc.err == nil:
-			out = append(out, oc.reply)
-		case IsInterrupted(oc.err):
-			sp.Detailf("peer %s check interrupted: %v", targets[i], oc.err)
-			dead = append(dead, federation.SiteFailure{Site: targets[i], Reason: oc.err.Error()})
-		case IsSiteUnavailable(oc.err):
-			s.cfg.Metrics.Counter("site_unavailable_total",
-				metrics.Labels{Site: self, Peer: string(targets[i]), Alg: alg}).Inc()
-			sp.Detailf("peer %s unavailable: %v", targets[i], oc.err)
-			dead = append(dead, federation.SiteFailure{Site: targets[i], Reason: oc.err.Error()})
-		case fatal == nil:
-			fatal = oc.err
+			s.batcher.remove(target, e)
+			return federation.CheckReply{}, fmt.Errorf("check dispatch to %s: %w", target, ctx.Err())
 		}
 	}
-	if fatal != nil {
-		return nil, nil, fatal
+	addr, ok := s.peerAddr(target)
+	if !ok {
+		return federation.CheckReply{}, &SiteError{Site: target, Err: errPeerNotWired}
 	}
-	return out, dead, nil
+	resp, w, err := s.client.callCtx(ctx, target, addr, Request{Kind: kindCheck, Items: items, Trace: tc})
+	s.cfg.Metrics.Counter("net_bytes_total",
+		metrics.Labels{Site: string(from), Peer: string(target), Alg: alg}).Add(w.Sent)
+	if err != nil {
+		return federation.CheckReply{}, err
+	}
+	// Fold the peer's check spans into this site's tracer; they ship onward
+	// to the coordinator with this site's own response.
+	s.cfg.Tracer.Import(resp.Spans)
+	return resp.Check, nil
 }

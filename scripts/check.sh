@@ -1,7 +1,8 @@
 #!/bin/sh
-# check.sh — the repository's verification gate: formatting, vet, build,
-# unit tests, the full test suite under the race detector, and a one-shot
-# compile-and-run smoke of the observability-overhead benchmarks.
+# check.sh — the repository's verification gate: formatting, vet, the
+# one-orchestration structural guard, build, unit tests, the full test suite
+# under the race detector, and a one-shot compile-and-run smoke of the
+# observability-overhead benchmarks.
 #
 # Usage: scripts/check.sh [package-pattern]   (default ./...)
 set -eu
@@ -26,6 +27,31 @@ else
     echo "== staticcheck (skipped: not installed)"
 fi
 
+# Each strategy step and each query-lifecycle metric exists exactly once:
+# internal/exec orchestrates for every transport (DESIGN.md §2 row 12), so
+# outside internal/federation (which defines the steps) and benchmark/ (which
+# replays them step by step) every federation orchestration method has one
+# non-test call site, and the admission gauge and the query-latency histogram
+# are emitted from one. A second call site is a second copy of a strategy.
+echo "== one orchestration (structural guard)"
+sources() {
+    grep -rnE "$1" --include='*.go' --exclude='*_test.go' \
+        --exclude-dir=benchmark --exclude-dir=federation --exclude-dir=.bench_build .
+}
+guard_failed=0
+for pat in \
+    '\.Materialize\(' '\.EvaluateView\(' '\.EvalLocalBasic\(' \
+    '\.NavigateAll\(' '\.EvalNavigated\(' '\.CertifyDegraded\(' \
+    'Gauge\("queries_inflight"' 'Histogram\("query_latency_us"'; do
+    sites="$(sources "$pat" || true)"
+    if [ "$(printf '%s\n' "$sites" | grep -c .)" -ne 1 ]; then
+        echo "want exactly one call site matching $pat, have:" >&2
+        echo "${sites:-  (none)}" >&2
+        guard_failed=1
+    fi
+done
+[ "$guard_failed" -eq 0 ] || exit 1
+
 echo "== go build $pkgs"
 go build "$pkgs"
 
@@ -36,6 +62,14 @@ go test -timeout 120s "$pkgs"
 
 echo "== go test -race $pkgs"
 go test -race -timeout 120s "$pkgs"
+
+# Invariant 1 across the three transports, and the two tests that read
+# server-side bookkeeping written after the response: repeated under the
+# race detector, fresh every time.
+echo "== cross-transport invariant + post-response bookkeeping (race, x10)"
+go test -race -count 10 -timeout 300s \
+    -run 'TestAlgorithmsAgreeAcrossTransports|TestUnknownKindCountsError|TestClusterSiteRecorders' \
+    ./internal/remote/
 
 echo "== bench smoke (1 iteration)"
 go test -run - -bench 'BenchmarkTraceOverhead|BenchmarkProfileOverhead' -benchtime 1x .
