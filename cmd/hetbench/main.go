@@ -3,18 +3,32 @@
 // config, drives each cell with a seeded load generator, and reports both
 // the client-observed latency distribution and the servers' own truth
 // (scraped /metrics deltas: bytes moved, cache hits, degraded/maybe
-// fractions). Reports are stable, diffable BENCH_<topic>.json files.
+// fractions). Reports are stable, diffable BENCH_<topic>.json files in one
+// envelope (schema, topic, version, seed, spec, cells).
 //
-// Run a matrix and write the report:
+// Run a registered topic — smoke, adaptive, strategies, durability, obs or
+// chaos — on its canonical spec (internal/bench/topics.go) and gate it
+// (exit 1 on failure): the sim topics against the committed
+// BENCH_<topic>.json at -tolerance, the others on their own invariants
+// (WAL write path ≤ 1.25× mem, scraped cluster ≤ 1.05× bare, no certain
+// row contradicting ground truth and convergence in ≤ 5 repair rounds):
 //
-//	hetbench run -topic strategies -out BENCH_strategies.json \
+//	hetbench run -topic smoke
+//	hetbench run -topic chaos -out BENCH_chaos_ci.json
+//
+// Nothing is written unless -out says where; regenerating a committed
+// report is -out BENCH_<topic>.json (a sim topic then skips its gate — it
+// is replacing the baseline, not being judged by it):
+//
+//	hetbench run -topic adaptive -out BENCH_adaptive.json
+//
+// Run an ad-hoc matrix under a topic name of your own, optionally gated
+// against any earlier report of the same load shape:
+//
+//	hetbench run -topic mine -out BENCH_mine.json \
 //	    -runtimes live -strategies CA,BL,PL -workloads school,table2 \
 //	    -clients 1,4 -faults none,kill:DB3 -queries 40 -seed 42
-//
-// Gate a fresh run against a committed baseline (exit 1 on regression):
-//
-//	hetbench run -topic smoke -runtimes sim -strategies CA,BL,PL \
-//	    -queries 8 -seed 42 -check BENCH_smoke.json -tolerance 10%
+//	hetbench run -topic mine -runtimes live ... -check BENCH_mine.json
 //
 // Compare two existing reports:
 //
@@ -25,11 +39,6 @@
 //
 //	hetbench slo -qps 2000 -p99 50ms -max-maybe-frac 0.2 \
 //	    -runtimes live -strategies BL -workloads school -clients 8 -queries 200
-//
-// Measure what the cluster observability plane costs the cluster it
-// watches (live TCP, gated on relative overhead):
-//
-//	hetbench obs -queries 1200 -clients 4 -max-overhead 1.05
 //
 // Fault specs: none, kill:SITE, drop:SITE:N, delay:SITE:MICROS. Serving
 // specs: plain, cached, batch:WINDOW, cached+batch:WINDOW. On the sim
@@ -43,6 +52,7 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
+	"path/filepath"
 	"strconv"
 	"strings"
 	"syscall"
@@ -61,7 +71,7 @@ func main() {
 
 func run(args []string) error {
 	if len(args) == 0 {
-		return fmt.Errorf("usage: hetbench run|check|slo|durability|chaos|obs [flags] (-h for help)")
+		return fmt.Errorf("usage: hetbench run|check|slo [flags] (-h for help)")
 	}
 	switch args[0] {
 	case "run":
@@ -70,186 +80,12 @@ func run(args []string) error {
 		return checkCmd(args[1:])
 	case "slo":
 		return sloCmd(args[1:])
-	case "durability":
-		return durabilityCmd(args[1:])
-	case "chaos":
-		return chaosCmd(args[1:])
-	case "obs":
-		return obsCmd(args[1:])
 	case "-version", "--version", "version":
 		fmt.Println("hetbench", version.String())
 		return nil
 	default:
-		return fmt.Errorf("unknown subcommand %q (want run, check, slo, durability, chaos or obs)", args[0])
+		return fmt.Errorf("unknown subcommand %q (want run, check or slo)", args[0])
 	}
-}
-
-// obsCmd measures the observability plane's cost: the identical live
-// school workload with and without the cluster scraper + SLO engine
-// polling the serving processes, written as BENCH_obs.json. The run gates
-// itself — -max-overhead bounds the scraped mode's wall clock over the
-// bare baseline's — so the command is CI-safe without a baseline diff.
-func obsCmd(args []string) error {
-	fs := flag.NewFlagSet("hetbench obs", flag.ContinueOnError)
-	var (
-		queries  = fs.Int("queries", 400, "queries driven per cell (both modes)")
-		clients  = fs.Int("clients", 4, "closed-loop client count")
-		rounds   = fs.Int("rounds", 0, "rounds per mode, best kept (0 = default 5)")
-		seed     = fs.Int64("seed", 42, "seed for the generated query stream")
-		interval = fs.Duration("interval", 100*time.Millisecond, "scrape cadence in the scraped mode")
-		maxOver  = fs.Float64("max-overhead", 0, "fail if the scraped mode's wall clock exceeds this multiple of the baseline (0 = report only)")
-		out      = fs.String("out", "BENCH_obs.json", "output path (\"-\" for stdout only)")
-		quiet    = fs.Bool("q", false, "suppress per-cell progress lines")
-	)
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	progress := func(line string) { fmt.Fprintln(os.Stderr, line) }
-	if *quiet {
-		progress = nil
-	}
-	report, err := bench.RunObs(ctx, bench.ObsSpec{
-		Queries:        *queries,
-		Clients:        *clients,
-		Rounds:         *rounds,
-		Seed:           *seed,
-		ScrapeInterval: *interval,
-		MaxOverhead:    *maxOver,
-	}, progress)
-	if err != nil {
-		return err
-	}
-	if *out == "-" {
-		data, err := report.JSON()
-		if err != nil {
-			return err
-		}
-		os.Stdout.Write(data)
-		return nil
-	}
-	if err := report.WriteFile(*out); err != nil {
-		return err
-	}
-	fmt.Printf("wrote %s (%d cells)\n", *out, len(report.Cells))
-	return nil
-}
-
-// durabilityCmd measures the storage engines against each other — identical
-// school-style insert streams through mem, wal and wal-fsync plus a timed
-// cold-start recovery of each durable directory — and writes
-// BENCH_durability.json. The run gates itself: recovery must reproduce
-// every inserted object, and -max-overhead bounds the buffered WAL's write
-// overhead over the in-memory baseline. Wall-clock fields in the report are
-// machine-dependent; the gates are the run's own invariants, so the command
-// is CI-safe without a baseline diff.
-func durabilityCmd(args []string) error {
-	fs := flag.NewFlagSet("hetbench durability", flag.ContinueOnError)
-	var (
-		objects   = fs.Int("objects", 20000, "objects inserted per engine cell")
-		snapEvery = fs.Int("snapshot-every", 0, "WAL snapshot cadence in appends (0 = engine default, negative = never)")
-		seed      = fs.Int64("seed", 42, "seed for the generated insert stream")
-		rounds    = fs.Int("rounds", 0, "rounds per engine, best kept (0 = default 3)")
-		maxOver   = fs.Float64("max-overhead", 0, "fail if the buffered WAL's write overhead exceeds this multiple of mem (0 = report only)")
-		out       = fs.String("out", "BENCH_durability.json", "output path (\"-\" for stdout only)")
-		dir       = fs.String("dir", "", "scratch directory for the WAL cells (default: a fresh temp dir, removed after)")
-		quiet     = fs.Bool("q", false, "suppress per-cell progress lines")
-	)
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	scratch := *dir
-	if scratch == "" {
-		tmp, err := os.MkdirTemp("", "hetbench-durability-")
-		if err != nil {
-			return err
-		}
-		defer os.RemoveAll(tmp)
-		scratch = tmp
-	}
-	progress := func(line string) { fmt.Fprintln(os.Stderr, line) }
-	if *quiet {
-		progress = nil
-	}
-	report, err := bench.RunDurability(bench.DurabilitySpec{
-		Objects:       *objects,
-		SnapshotEvery: *snapEvery,
-		Seed:          *seed,
-		Rounds:        *rounds,
-		MaxOverhead:   *maxOver,
-	}, scratch, progress)
-	if err != nil {
-		return err
-	}
-	if *out == "-" {
-		data, err := report.JSON()
-		if err != nil {
-			return err
-		}
-		os.Stdout.Write(data)
-		return nil
-	}
-	if err := report.WriteFile(*out); err != nil {
-		return err
-	}
-	fmt.Printf("wrote %s (%d cells)\n", *out, len(report.Cells))
-	return nil
-}
-
-// chaosCmd runs the partition/kill/restart chaos schedule against a
-// WAL-durable live cluster and writes BENCH_chaos.json. The run gates
-// itself — no certain row under faults may contradict the fault-free
-// ground truth, and the replicas must converge within -max-rounds
-// anti-entropy rounds after everything heals — so the command is CI-safe
-// without a baseline diff.
-func chaosCmd(args []string) error {
-	fs := flag.NewFlagSet("hetbench chaos", flag.ContinueOnError)
-	var (
-		steps     = fs.Int("steps", 60, "length of the seeded chaos schedule")
-		seed      = fs.Int64("seed", 42, "seed for the chaos schedule")
-		maxRounds = fs.Int("max-rounds", 5, "fail if convergence needs more repair rounds than this")
-		out       = fs.String("out", "BENCH_chaos.json", "output path (\"-\" for stdout only)")
-		dir       = fs.String("dir", "", "scratch directory for the site WALs (default: a fresh temp dir, removed after)")
-		quiet     = fs.Bool("q", false, "suppress progress lines")
-	)
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	scratch := *dir
-	if scratch == "" {
-		tmp, err := os.MkdirTemp("", "hetbench-chaos-")
-		if err != nil {
-			return err
-		}
-		defer os.RemoveAll(tmp)
-		scratch = tmp
-	}
-	progress := func(line string) { fmt.Fprintln(os.Stderr, line) }
-	if *quiet {
-		progress = nil
-	}
-	report, err := bench.RunChaos(bench.ChaosSpec{
-		Steps:                *steps,
-		Seed:                 *seed,
-		MaxConvergenceRounds: *maxRounds,
-	}, scratch, progress)
-	if err != nil {
-		return err
-	}
-	if *out == "-" {
-		data, err := report.JSON()
-		if err != nil {
-			return err
-		}
-		os.Stdout.Write(data)
-		return nil
-	}
-	if err := report.WriteFile(*out); err != nil {
-		return err
-	}
-	fmt.Printf("wrote %s (%d steps, converged in %d rounds)\n", *out, report.Spec.Steps, report.ConvergenceRounds)
-	return nil
 }
 
 // matrixFlags registers the sweep-dimension flags shared by run and slo.
@@ -298,62 +134,115 @@ func matrixFlags(fs *flag.FlagSet) (get func() (bench.MatrixSpec, error)) {
 	}
 }
 
+// runCmd runs one topic: a registered one on its canonical spec, or — when
+// matrix flags are given — an ad-hoc matrix under the given name. One path
+// loads the baseline, runs, writes where -out says and applies the gate.
 func runCmd(args []string) error {
 	fs := flag.NewFlagSet("hetbench run", flag.ContinueOnError)
 	get := matrixFlags(fs)
+	matrixFlagNames := make(map[string]bool)
+	fs.VisitAll(func(f *flag.Flag) { matrixFlagNames[f.Name] = true })
 	var (
-		topic     = fs.String("topic", "bench", "report topic (names the BENCH_<topic>.json)")
-		out       = fs.String("out", "", "output path (default BENCH_<topic>.json; \"-\" for stdout only)")
-		checkPath = fs.String("check", "", "baseline report to gate against; regressions exit non-zero")
-		tolerance = fs.String("tolerance", "10%", "relative regression tolerance for -check (e.g. 10% or 0.1)")
+		topic     = fs.String("topic", "bench", "registered topic to run on its canonical spec, or the name of an ad-hoc matrix")
+		out       = fs.String("out", "", "report path (\"-\" for stdout; default: write nothing)")
+		checkPath = fs.String("check", "", "baseline report to gate against (default for the sim topics: the committed BENCH_<topic>.json); regressions exit non-zero")
+		tolerance = fs.String("tolerance", "10%", "relative regression tolerance for the baseline gate (e.g. 10% or 0.1)")
 		quiet     = fs.Bool("q", false, "suppress per-cell progress lines")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	spec, err := get()
-	if err != nil {
-		return err
-	}
-	report, err := runMatrix(spec, *topic, *quiet)
-	if err != nil {
-		return err
-	}
-	path := *out
-	if path == "" {
-		path = "BENCH_" + *topic + ".json"
-	}
-	if path == "-" {
-		data, err := report.JSON()
-		if err != nil {
-			return err
-		}
-		os.Stdout.Write(data)
-	} else {
-		if err := report.WriteFile(path); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %s (%d cells)\n", path, len(report.Cells))
-	}
-	if *checkPath == "" {
-		return nil
-	}
 	tol, err := bench.ParseTolerance(*tolerance)
 	if err != nil {
 		return err
 	}
-	baseline, err := bench.ReadReport(*checkPath)
-	if err != nil {
+	var adhoc []string
+	fs.Visit(func(f *flag.Flag) {
+		if matrixFlagNames[f.Name] {
+			adhoc = append(adhoc, "-"+f.Name)
+		}
+	})
+	t, err := bench.LookupTopic(*topic)
+	switch {
+	case err != nil && len(adhoc) == 0:
+		return fmt.Errorf("%w; an ad-hoc matrix needs at least one matrix flag", err)
+	case err == nil && len(adhoc) > 0:
+		return fmt.Errorf("topic %s runs its canonical spec; %s describe an ad-hoc matrix — give it a topic name of its own",
+			t.Name, strings.Join(adhoc, " "))
+	case err != nil:
+		spec, err := get()
+		if err != nil {
+			return err
+		}
+		t = bench.Topic{Name: *topic, Spec: spec}
+	}
+
+	// The baseline is loaded before anything is written, and never written
+	// over: -out naming a sim topic's committed report regenerates it,
+	// ungated; naming an explicit -check file is a contradiction.
+	baselinePath, committed := *checkPath, "BENCH_"+t.Name+".json"
+	if baselinePath == "" && t.Baseline && !sameFile(*out, committed) {
+		baselinePath = committed
+	} else if baselinePath != "" && sameFile(*out, baselinePath) {
+		return fmt.Errorf("-out %s would overwrite the -check baseline", *out)
+	}
+	var baseline *bench.Report
+	if baselinePath != "" {
+		if baseline, err = bench.ReadReport(baselinePath); err != nil {
+			return err
+		}
+	}
+
+	report, runErr := runTopic(t, *quiet)
+	if report != nil {
+		// A self-gating run that failed its gate still wrote what it measured.
+		if err := emit(report, *out); err != nil {
+			return err
+		}
+	}
+	if runErr != nil || baseline == nil {
+		return runErr
+	}
+	return gate(baseline, report, tol, baselinePath)
+}
+
+// emit writes the report where -out says: nowhere, stdout, or a file.
+func emit(report *bench.Report, out string) error {
+	switch out {
+	case "":
+		return nil
+	case "-":
+		data, err := report.JSON()
+		if err != nil {
+			return err
+		}
+		_, err = os.Stdout.Write(data)
 		return err
 	}
+	if err := report.WriteFile(out); err != nil {
+		return err
+	}
+	fmt.Printf("wrote %s\n", out)
+	return nil
+}
+
+// gate applies the baseline diff and reports its verdict.
+func gate(baseline, report *bench.Report, tol float64, baselinePath string) error {
 	if violations := bench.Check(baseline, report, tol); len(violations) > 0 {
 		for _, v := range violations {
 			fmt.Fprintln(os.Stderr, "regression:", v)
 		}
-		return fmt.Errorf("%d regression(s) vs %s at tolerance %s", len(violations), *checkPath, *tolerance)
+		return fmt.Errorf("%d regression(s) vs %s at tolerance %g%%", len(violations), baselinePath, tol*100)
 	}
-	fmt.Printf("no regressions vs %s (tolerance %s)\n", *checkPath, *tolerance)
+	fmt.Printf("no regressions in %d cells vs %s (tolerance %g%%)\n", len(baseline.Results()), baselinePath, tol*100)
 	return nil
+}
+
+// sameFile reports whether two paths name one file, existing or not.
+func sameFile(a, b string) bool {
+	absA, errA := filepath.Abs(a)
+	absB, errB := filepath.Abs(b)
+	return a != "" && b != "" && errA == nil && errB == nil && absA == absB
 }
 
 func checkCmd(args []string) error {
@@ -381,14 +270,7 @@ func checkCmd(args []string) error {
 	if err != nil {
 		return err
 	}
-	if violations := bench.Check(baseline, candidate, tol); len(violations) > 0 {
-		for _, v := range violations {
-			fmt.Fprintln(os.Stderr, "regression:", v)
-		}
-		return fmt.Errorf("%d regression(s) at tolerance %s", len(violations), *tolerance)
-	}
-	fmt.Printf("no regressions (tolerance %s)\n", *tolerance)
-	return nil
+	return gate(baseline, candidate, tol, *oldPath)
 }
 
 func sloCmd(args []string) error {
@@ -424,12 +306,13 @@ func sloCmd(args []string) error {
 		if err != nil {
 			return err
 		}
-		if report, err = runMatrix(spec, "slo", *quiet); err != nil {
+		if report, err = runTopic(bench.Topic{Name: "slo", Spec: spec}, *quiet); err != nil {
 			return err
 		}
 	}
 	failed := 0
-	for _, cell := range report.Cells {
+	cells := report.Results()
+	for _, cell := range cells {
 		v := bench.EvaluateSLO(cell, slo)
 		status := "PASS"
 		if !v.Pass {
@@ -442,22 +325,22 @@ func sloCmd(args []string) error {
 		}
 	}
 	if failed > 0 {
-		return fmt.Errorf("SLO missed in %d of %d cells", failed, len(report.Cells))
+		return fmt.Errorf("SLO missed in %d of %d cells", failed, len(cells))
 	}
-	fmt.Printf("SLO met in all %d cells\n", len(report.Cells))
+	fmt.Printf("SLO met in all %d cells\n", len(cells))
 	return nil
 }
 
-// runMatrix executes the matrix under signal cancellation with progress on
+// runTopic executes the topic under signal cancellation with progress on
 // stderr.
-func runMatrix(spec bench.MatrixSpec, topic string, quiet bool) (*bench.Report, error) {
+func runTopic(t bench.Topic, quiet bool) (*bench.Report, error) {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	progress := func(line string) { fmt.Fprintln(os.Stderr, line) }
 	if quiet {
 		progress = nil
 	}
-	return bench.Run(ctx, spec, topic, progress)
+	return t.Run(ctx, progress)
 }
 
 func splitList(s string) []string {

@@ -1,391 +1,42 @@
 package antientropy_test
 
 import (
-	"context"
 	"fmt"
-	"math/rand"
-	"path/filepath"
 	"runtime"
-	"sort"
 	"testing"
 	"time"
 
-	"github.com/hetfed/hetfed/internal/antientropy"
-	"github.com/hetfed/hetfed/internal/exec"
-	"github.com/hetfed/hetfed/internal/fabric"
-	"github.com/hetfed/hetfed/internal/federation"
-	"github.com/hetfed/hetfed/internal/isomer"
-	"github.com/hetfed/hetfed/internal/metrics"
-	"github.com/hetfed/hetfed/internal/object"
-	"github.com/hetfed/hetfed/internal/remote"
-	"github.com/hetfed/hetfed/internal/school"
-	"github.com/hetfed/hetfed/internal/signature"
-	"github.com/hetfed/hetfed/internal/store/wal"
-	"github.com/hetfed/hetfed/internal/trace"
+	"github.com/hetfed/hetfed/internal/bench"
 )
 
-// The chaos suite: a WAL-durable school cluster over real TCP, driven by a
-// seeded random schedule of partitions, heals, site kills, restarts,
-// inserts, queries and repair rounds, asserting the two safety properties
-// the anti-entropy subsystem owes the paper's semantics:
-//
-//	(a) no certain answer ever contradicts the ground truth — under any
-//	    fault pattern, the certain rows are a subset of the fault-free
-//	    certain answer (degradation moves rows to maybe, never invents
-//	    certainty);
-//	(b) once the network heals and every site is back, the replicas
-//	    converge within a bounded number of repair rounds
-//	    (maxConvergenceRounds) and the full answer returns.
-//
-// The schedule is deterministic (fixed seed) so a failure reproduces.
-
-// maxConvergenceRounds bounds full-mesh convergence after the last heal.
-// One round moves a binding one hop (site→coordinator or site→site), and
-// the repair topology is a complete graph over four replicas, so two
-// rounds suffice in principle; the bound leaves slack for bindings parked
-// on a replica that was restarted mid-round.
-const maxConvergenceRounds = 5
-
-// chaosSite is one durable site: the server plus the WAL engine owning its
-// on-disk state. A killed site keeps its directory; restart recovers it.
-type chaosSite struct {
-	srv *remote.Server
-	eng *wal.Engine
-}
-
-func (s *chaosSite) close() {
-	s.srv.Close()
-	s.eng.Close()
-}
-
-// chaosCluster is the whole federation under test.
-type chaosCluster struct {
-	t     *testing.T
-	root  string
-	plan  *fabric.FaultPlan
-	sites map[object.SiteID]*chaosSite // live sites only
-	addrs map[object.SiteID]string     // live sites only
-	coord *remote.Coordinator
-}
-
-// startSite boots (or restarts) one durable site from its directory.
-func (c *chaosCluster) startSite(site object.SiteID) {
-	c.t.Helper()
-	fx := school.New()
-	eng, db, tables, err := wal.Open(fx.Databases[site].Schema(), wal.Options{
-		Dir:  filepath.Join(c.root, string(site)),
-		Site: string(site),
-	})
-	if err != nil {
-		c.t.Fatalf("wal.Open(%s): %v", site, err)
-	}
-	if err := eng.Import(fx.Databases[site], fx.Mapping); err != nil {
-		eng.Close()
-		c.t.Fatalf("Import(%s): %v", site, err)
-	}
-	srv, err := remote.NewServer(remote.ServerConfig{
-		DB:         db,
-		Global:     fx.Global,
-		Tables:     tables,
-		Engine:     eng,
-		Signatures: signature.Build(fx.Databases),
-		Tracer:     &trace.Tracer{},
-		Metrics:    metrics.New(),
-		Faults:     c.plan,
-		Call: remote.CallConfig{
-			Attempts:         1,
-			DialTimeout:      time.Second,
-			CallTimeout:      5 * time.Second,
-			BreakerThreshold: 0,
-		},
-	})
-	if err != nil {
-		eng.Close()
-		c.t.Fatalf("NewServer(%s): %v", site, err)
-	}
-	if err := srv.Listen("127.0.0.1:0"); err != nil {
-		eng.Close()
-		c.t.Fatalf("Listen(%s): %v", site, err)
-	}
-	c.sites[site] = &chaosSite{srv: srv, eng: eng}
-	c.addrs[site] = srv.Addr()
-	c.rewire()
-}
-
-// killSite shuts one site down, keeping its data directory for a restart.
-func (c *chaosCluster) killSite(site object.SiteID) {
-	c.sites[site].close()
-	delete(c.sites, site)
-	delete(c.addrs, site)
-	c.rewire()
-}
-
-// rewire pushes the current live-address map to every server and the
-// coordinator. The schedule is single-threaded, so swapping the
-// coordinator's map between operations is safe.
-func (c *chaosCluster) rewire() {
-	addrs := make(map[object.SiteID]string, len(c.addrs))
-	for site, addr := range c.addrs {
-		addrs[site] = addr
-	}
-	for _, s := range c.sites {
-		s.srv.SetPeers(addrs)
-	}
-	if c.coord != nil {
-		c.coord.Sites = addrs
-	}
-}
-
-// liveSiteIDs returns the live sites, sorted (deterministic rng draws).
-func (c *chaosCluster) liveSiteIDs() []object.SiteID {
-	out := make([]object.SiteID, 0, len(c.sites))
-	for site := range c.sites {
-		out = append(out, site)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-// snapshots returns every live replica's digest snapshot, coordinator
-// included.
-func (c *chaosCluster) snapshots() []map[string]antientropy.Digest {
-	out := []map[string]antientropy.Digest{c.coord.Tracker().Snapshot()}
-	for _, site := range c.liveSiteIDs() {
-		out = append(out, c.sites[site].srv.DigestSnapshot())
-	}
-	return out
-}
-
-// converged reports whether every live replica's digests agree.
-func (c *chaosCluster) converged() bool {
-	snaps := c.snapshots()
-	for i := 1; i < len(snaps); i++ {
-		if len(antientropy.DiffClasses(snaps[0], snaps[i])) != 0 {
-			return false
-		}
-	}
-	return true
-}
-
-// repairRound runs one anti-entropy round on every live replica.
-func (c *chaosCluster) repairRound(ctx context.Context) {
-	for _, site := range c.liveSiteIDs() {
-		c.sites[site].srv.RunAntiEntropyRound(ctx)
-	}
-	c.coord.RunAntiEntropyRound(ctx)
-}
-
-// rowSet renders result rows as a set of canonical strings.
-func rowSet(rows []federation.ResultRow) map[string]bool {
-	out := make(map[string]bool, len(rows))
-	for _, r := range rows {
-		out[r.String()] = true
-	}
-	return out
-}
-
-func rowStrings(rows []federation.ResultRow) []string {
-	out := make([]string, len(rows))
-	for i, r := range rows {
-		out[i] = r.String()
-	}
-	return out
-}
-
-// TestChaosPartitionKillRestart is the chaos acceptance scenario (see the
-// file comment for the properties it pins).
+// TestChaosPartitionKillRestart is the chaos acceptance suite: a seed sweep
+// through bench.RunChaos, the one chaos rig and schedule in the tree (its
+// doc comment states the two safety properties it asserts — certain rows
+// under faults ⊆ fault-free certain rows, and bounded convergence back to
+// the full, suspect-free answer). Each seed is a subtest named by it, so a
+// failure prints the seed that replays the schedule; what this file adds is
+// that a finished run leaks no goroutine.
 func TestChaosPartitionKillRestart(t *testing.T) {
-	baseline := runtime.NumGoroutine()
-	rng := rand.New(rand.NewSource(7))
-	ctx := context.Background()
-
-	c := &chaosCluster{
-		t:     t,
-		root:  t.TempDir(),
-		plan:  fabric.NewFaultPlan(),
-		sites: make(map[object.SiteID]*chaosSite),
-		addrs: make(map[object.SiteID]string),
-	}
-	for _, site := range school.Sites {
-		c.startSite(site)
-	}
-	t.Cleanup(func() {
-		for _, s := range c.sites {
-			s.close()
-		}
-	})
-
-	fx := school.New()
-	deltaLog, gtables, err := wal.OpenLog(wal.Options{Dir: filepath.Join(c.root, "G"), Site: "G"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer deltaLog.Close()
-	if err := deltaLog.Import(nil, fx.Mapping); err != nil {
-		t.Fatal(err)
-	}
-	matcher := isomer.NewMatcher(fx.Global)
-	if err := matcher.Adopt(fx.Databases, gtables); err != nil {
-		t.Fatal(err)
-	}
-	c.coord = &remote.Coordinator{
-		ID:       "G",
-		Global:   fx.Global,
-		Tables:   matcher.Tables(),
-		Matcher:  matcher,
-		Sites:    nil, // rewire fills it
-		DeltaLog: deltaLog,
-		Metrics:  metrics.New(),
-		Call: remote.CallConfig{
-			Attempts:         1,
-			DialTimeout:      time.Second,
-			CallTimeout:      5 * time.Second,
-			BreakerThreshold: 0,
-			Faults:           c.plan,
-		},
-	}
-	defer c.coord.Close()
-	c.rewire()
-
-	// Ground truth: the fault-free answer to Q1.
-	truth, _, err := c.coord.Query(school.Q1, exec.CA)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if truth.Degraded || len(truth.Certain) == 0 {
-		t.Fatalf("fault-free baseline is already degraded: %+v", truth)
-	}
-	truthCertain := rowSet(truth.Certain)
-
-	algs := []exec.Algorithm{exec.CA, exec.BL, exec.PL}
-	splits := [][2][]object.SiteID{
-		{{"G", "DB1"}, {"DB2", "DB3"}},
-		{{"G", "DB1", "DB2"}, {"DB3"}},
-		{{"G"}, {"DB1", "DB2", "DB3"}},
-		{{"G", "DB3"}, {"DB1", "DB2"}},
-	}
-	var (
-		partitioned bool
-		dead        []object.SiteID
-		inserted    int
-	)
-
-	const steps = 40
-	for step := 0; step < steps; step++ {
-		switch op := rng.Intn(10); {
-		case op < 3: // query: certain rows must never contradict ground truth
-			alg := algs[rng.Intn(len(algs))]
-			ans, _, err := c.coord.Query(school.Q1, alg)
+	for seed := int64(1); seed <= 8; seed++ {
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+			baseline := runtime.NumGoroutine()
+			spec := bench.ChaosSpec{Steps: 40, Seed: seed, MaxConvergenceRounds: 5}
+			report, err := bench.RunChaos(spec, t.TempDir(), func(line string) { t.Log(line) })
 			if err != nil {
-				// A fan-out config error cannot happen (addresses are
-				// rewired); transport-level trouble degrades instead of
-				// erroring, so any error here is a bug.
-				t.Fatalf("step %d: query(%v) failed hard: %v", step, alg, err)
+				t.Fatalf("RunChaos(%+v): %v", spec, err)
 			}
-			for row := range rowSet(ans.Certain) {
-				if !truthCertain[row] {
-					t.Fatalf("step %d: %v returned certain row %q not in ground truth", step, alg, row)
+			if cells, _ := report.Cells.([]bench.ChaosCell); len(cells) != 1 || cells[0].Queries+cells[0].Inserts == 0 {
+				t.Errorf("schedule ran no queries or inserts: %+v", report.Cells)
+			}
+
+			// RunChaos has shut its cluster down; verify nothing leaked.
+			deadline := time.Now().Add(5 * time.Second)
+			for runtime.NumGoroutine() > baseline+3 {
+				if time.Now().After(deadline) {
+					t.Fatalf("goroutines did not settle: %d running, baseline %d", runtime.NumGoroutine(), baseline)
 				}
+				time.Sleep(10 * time.Millisecond)
 			}
-		case op < 5: // insert a new entity (never visible to Q1)
-			site := c.liveSiteIDs()[rng.Intn(len(c.sites))]
-			if site == "DB3" {
-				// DB3's Teacher constituent has a different shape; keep the
-				// chaos inserts uniform at DB1/DB2.
-				site = "DB1"
-			}
-			inserted++
-			o := object.New(object.LOid(fmt.Sprintf("tc%02d'", inserted)), "Teacher",
-				map[string]object.Value{"name": object.Str(fmt.Sprintf("Chaos%02d", inserted))})
-			// Partitioned or dead replicas make Insert report stale
-			// replicas (or fail outright when the storing site is cut);
-			// both are tolerated — repair owns convergence.
-			_, _ = c.coord.Insert(site, o)
-		case op < 7: // flip the partition state
-			if partitioned {
-				c.plan.HealPartitions()
-				partitioned = false
-			} else {
-				split := splits[rng.Intn(len(splits))]
-				c.plan.Partition(fabric.Partition{A: split[0], B: split[1]})
-				partitioned = true
-			}
-		case op < 8: // kill a site, or restart one that is down
-			if len(dead) > 0 {
-				site := dead[0]
-				dead = dead[1:]
-				c.startSite(site)
-			} else if len(c.sites) > 2 {
-				site := c.liveSiteIDs()[rng.Intn(len(c.sites))]
-				c.killSite(site)
-				dead = append(dead, site)
-			}
-		case op < 9: // a repair round under whatever faults are active
-			c.repairRound(ctx)
-		default: // ping: drains pending resync toward reachable peers
-			_ = c.coord.Ping()
-		}
-	}
-
-	// Final phase: heal everything, restart the dead, and demand
-	// convergence within the documented bound.
-	c.plan.HealPartitions()
-	for _, site := range dead {
-		c.startSite(site)
-	}
-	_ = c.coord.Ping()
-
-	// At least one post-heal round always runs: a clean quorum round is
-	// what clears suspect marks left over from partition-era exchanges,
-	// even when the digests already agree.
-	c.repairRound(ctx)
-	rounds := 1
-	for ; rounds < maxConvergenceRounds && !c.converged(); rounds++ {
-		c.repairRound(ctx)
-	}
-	if !c.converged() {
-		t.Fatalf("replicas did not converge within %d repair rounds", maxConvergenceRounds)
-	}
-	t.Logf("converged after %d repair rounds (%d chaos inserts)", rounds, inserted)
-
-	// With converged replicas and a healed network, the full paper answer
-	// is back and nothing is suspect.
-	final, _, err := c.coord.Query(school.Q1, exec.CA)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if final.Degraded {
-		t.Errorf("final answer still degraded: %v", final.Unavailable)
-	}
-	if got, want := fmt.Sprint(rowStrings(final.Certain)), fmt.Sprint(rowStrings(truth.Certain)); got != want {
-		t.Errorf("final certain rows = %v, want %v", got, want)
-	}
-	if got, want := len(final.Maybe), len(truth.Maybe); got != want {
-		t.Errorf("final maybe count = %d, want %d", got, want)
-	}
-	for site, s := range c.sites {
-		if sus := s.srv.Tracker().Suspects(); len(sus) != 0 {
-			t.Errorf("site %s still suspects %v after convergence", site, sus)
-		}
-	}
-	if states := c.coord.DivergenceStates(); len(states) != 0 {
-		t.Errorf("coordinator still suspects %v after convergence", states)
-	}
-
-	// Tear down and verify nothing leaked.
-	for _, site := range c.liveSiteIDs() {
-		c.killSite(site)
-	}
-	c.coord.Close()
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		if n := runtime.NumGoroutine(); n <= baseline+3 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Errorf("goroutines did not settle: %d running, baseline %d", runtime.NumGoroutine(), baseline)
-			break
-		}
-		time.Sleep(10 * time.Millisecond)
+		})
 	}
 }

@@ -30,13 +30,14 @@ import (
 	"fmt"
 	"hash/fnv"
 	"os"
-	"sort"
 	"time"
+
+	"github.com/hetfed/hetfed/internal/version"
 )
 
 // SchemaVersion identifies the BENCH_*.json layout. Bump on breaking
 // changes; Check refuses to compare across schema versions.
-const SchemaVersion = 1
+const SchemaVersion = 2
 
 // ServingSpec is one cache/batch serving configuration of the sweep.
 type ServingSpec struct {
@@ -169,30 +170,31 @@ type CellResult struct {
 	Server ServerStats `json:"server"`
 }
 
-// Report is one benchmark run: the matrix, its provenance, and every cell's
-// results, ordered by cell key so the JSON form is diffable.
+// Report is the one envelope every benchmark topic writes: provenance in
+// the header, and the topic's typed payload in Spec and Cells — MatrixSpec
+// and []CellResult (ordered by cell key) for the matrix topics,
+// DurabilitySpec/[]DurabilityCell, ObsSpec/[]ObsCell and
+// ChaosSpec/[]ChaosCell for the self-gating ones. The JSON form is stable
+// and diffable.
 type Report struct {
-	Schema  int          `json:"schema"`
-	Topic   string       `json:"topic"`
-	Version string       `json:"version"`
-	Seed    int64        `json:"seed"`
-	Matrix  MatrixSpec   `json:"matrix"`
-	Cells   []CellResult `json:"cells"`
+	Schema  int    `json:"schema"`
+	Topic   string `json:"topic"`
+	Version string `json:"version"`
+	Seed    int64  `json:"seed"`
+	Spec    any    `json:"spec"`
+	Cells   any    `json:"cells"`
 }
 
-// sortCells orders results by cell key for stable, diffable output.
-func sortCells(cells []CellResult) {
-	sort.Slice(cells, func(i, j int) bool {
-		return cells[i].Cell.Key() < cells[j].Cell.Key()
-	})
+// newReport stamps the envelope for a run about to be measured.
+func newReport(topic string, seed int64, spec any) *Report {
+	return &Report{Schema: SchemaVersion, Topic: topic, Version: version.String(), Seed: seed, Spec: spec}
 }
 
-// JSON renders the report in its canonical indented, cell-key-ordered form.
+// JSON renders the report in its canonical indented form.
 func (r *Report) JSON() ([]byte, error) {
-	sortCells(r.Cells)
 	data, err := json.MarshalIndent(r, "", "  ")
 	if err != nil {
-		return nil, fmt.Errorf("bench: encode report: %w", err)
+		return nil, fmt.Errorf("bench: encode %s report: %w", r.Topic, err)
 	}
 	return append(data, '\n'), nil
 }
@@ -209,9 +211,16 @@ func (r *Report) WriteFile(path string) error {
 	return nil
 }
 
+// Results returns a matrix report's cells — what Check and EvaluateSLO
+// judge. The self-gating topics' cells have their own shapes and yield nil.
+func (r *Report) Results() []CellResult {
+	cells, _ := r.Cells.([]CellResult)
+	return cells
+}
+
 // Get returns the result for a cell key.
 func (r *Report) Get(key string) (CellResult, bool) {
-	for _, c := range r.Cells {
+	for _, c := range r.Results() {
 		if c.Cell.Key() == key {
 			return c, true
 		}
@@ -219,22 +228,56 @@ func (r *Report) Get(key string) (CellResult, bool) {
 	return CellResult{}, false
 }
 
-// ReadReport loads a report written by WriteFile and validates its schema
-// version.
+// ReadReport loads a report written by WriteFile, validates its schema
+// version, and types its payload by topic: a registered topic's spec kind
+// decides, anything else is an ad-hoc matrix.
 func ReadReport(path string) (*Report, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, fmt.Errorf("bench: read %s: %w", path, err)
 	}
-	var r Report
-	if err := json.Unmarshal(data, &r); err != nil {
+	var raw struct {
+		Report
+		Spec  json.RawMessage `json:"spec"`
+		Cells json.RawMessage `json:"cells"`
+	}
+	if err := json.Unmarshal(data, &raw); err != nil {
 		return nil, fmt.Errorf("bench: parse %s: %w", path, err)
 	}
+	r := &raw.Report
 	if r.Schema != SchemaVersion {
 		return nil, fmt.Errorf("bench: %s has schema %d, this build reads %d",
 			path, r.Schema, SchemaVersion)
 	}
-	return &r, nil
+	topic, _ := LookupTopic(r.Topic)
+	switch topic.Spec.(type) {
+	case DurabilitySpec:
+		err = decodePayload[DurabilitySpec, DurabilityCell](r, raw.Spec, raw.Cells)
+	case ObsSpec:
+		err = decodePayload[ObsSpec, ObsCell](r, raw.Spec, raw.Cells)
+	case ChaosSpec:
+		err = decodePayload[ChaosSpec, ChaosCell](r, raw.Spec, raw.Cells)
+	default:
+		err = decodePayload[MatrixSpec, CellResult](r, raw.Spec, raw.Cells)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("bench: parse %s: %w", path, err)
+	}
+	return r, nil
+}
+
+// decodePayload decodes the envelope's spec and cells into the topic's types.
+func decodePayload[S, C any](r *Report, spec, cells json.RawMessage) error {
+	var s S
+	var c []C
+	if err := json.Unmarshal(spec, &s); err != nil {
+		return fmt.Errorf("spec: %w", err)
+	}
+	if err := json.Unmarshal(cells, &c); err != nil {
+		return fmt.Errorf("cells: %w", err)
+	}
+	r.Spec, r.Cells = s, c
+	return nil
 }
 
 // cellSeed derives a cell's seed from the matrix seed and the cell's

@@ -3,7 +3,9 @@ package bench
 import (
 	"bytes"
 	"context"
+	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 	"time"
 )
@@ -63,10 +65,10 @@ func TestSimCellContent(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	if len(r.Cells) != 4 {
-		t.Fatalf("got %d cells, want 4", len(r.Cells))
+	if len(r.Results()) != 4 {
+		t.Fatalf("got %d cells, want 4", len(r.Results()))
 	}
-	for _, c := range r.Cells {
+	for _, c := range r.Results() {
 		key := c.Cell.Key()
 		if c.Client.Completed != 6 {
 			t.Errorf("%s: completed %d, want 6", key, c.Client.Completed)
@@ -120,34 +122,72 @@ func TestSimCellContent(t *testing.T) {
 	}
 }
 
-// TestReportRoundTrip: WriteFile → ReadReport is lossless and the schema
-// gate refuses foreign versions.
+// TestReportRoundTrip: WriteFile → ReadReport is lossless for every payload
+// the one envelope carries — each registered topic's kind and an ad-hoc
+// matrix — and the schema gate refuses foreign versions.
 func TestReportRoundTrip(t *testing.T) {
-	r, err := Run(context.Background(), MatrixSpec{
+	matrix, err := Run(context.Background(), MatrixSpec{
 		Runtimes: []string{"sim"}, Strategies: []string{"PL"},
 		Workloads: []string{"school"}, Queries: 2, Seed: 7,
 	}, "roundtrip", nil)
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
+	durability := newReport("durability", 7, DurabilitySpec{Objects: 5, Seed: 7, Rounds: 1})
+	durability.Cells = []DurabilityCell{{Engine: "wal", Objects: 5, WriteOverhead: 1.1, RecoveredObjects: 5}}
+	obs := newReport("obs", 7, ObsSpec{Queries: 4, Clients: 1, Seed: 7, ScrapeInterval: 20 * time.Millisecond})
+	obs.Cells = []ObsCell{{Mode: "baseline", Overhead: 1}, {Mode: "scraped", Overhead: 1.02, Scrapes: 3}}
+	chaos := newReport("chaos", 7, ChaosSpec{Steps: 40, Seed: 7, MaxConvergenceRounds: 5})
+	chaos.Cells = []ChaosCell{{Queries: 9, Inserts: 4, ConvergenceRounds: 1, WallMillis: 12.5}}
+
 	path := filepath.Join(t.TempDir(), "BENCH_roundtrip.json")
-	if err := r.WriteFile(path); err != nil {
-		t.Fatalf("WriteFile: %v", err)
+	for _, r := range []*Report{matrix, durability, obs, chaos} {
+		if err := r.WriteFile(path); err != nil {
+			t.Fatalf("%s: WriteFile: %v", r.Topic, err)
+		}
+		back, err := ReadReport(path)
+		if err != nil {
+			t.Fatalf("%s: ReadReport: %v", r.Topic, err)
+		}
+		if !reflect.DeepEqual(back, r) {
+			t.Errorf("%s: round trip mangled the report:\n got %+v\nwant %+v", r.Topic, back, r)
+		}
 	}
-	back, err := ReadReport(path)
-	if err != nil {
-		t.Fatalf("ReadReport: %v", err)
-	}
-	if len(back.Cells) != len(r.Cells) || back.Topic != "roundtrip" || back.Seed != 7 {
-		t.Errorf("round trip mangled the report: %+v", back)
-	}
-	bad := *back
+
+	bad := *matrix
 	bad.Schema = SchemaVersion + 1
 	if err := bad.WriteFile(path); err != nil {
 		t.Fatalf("WriteFile: %v", err)
 	}
 	if _, err := ReadReport(path); err == nil {
 		t.Error("foreign schema version should refuse to load")
+	}
+}
+
+// TestCommittedReportsCanonical: every committed BENCH_<topic>.json is in
+// this build's envelope byte for byte — ReadReport types it and JSON renders
+// it back unchanged — and was measured under the topic table's spec, so
+// `hetbench run -topic T -out BENCH_T.json` reruns what the file records and
+// diffs only in what was measured.
+func TestCommittedReportsCanonical(t *testing.T) {
+	for _, topic := range Topics() {
+		path := filepath.Join("..", "..", "BENCH_"+topic.Name+".json")
+		want, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, err := ReadReport(path)
+		if err != nil {
+			t.Errorf("%v", err)
+			continue
+		}
+		if !reflect.DeepEqual(r.Spec, topic.Spec) {
+			t.Errorf("%s ran %+v, the topic table says %+v", path, r.Spec, topic.Spec)
+		}
+		if got, err := r.JSON(); err != nil || !bytes.Equal(got, want) {
+			t.Errorf("%s is not canonical (err %v): rewrite it with hetbench run -topic %s -out, or convert it key for key",
+				path, err, topic.Name)
+		}
 	}
 }
 
@@ -273,9 +313,9 @@ func TestDeadlineSimIgnored(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	for i := range base.Cells {
-		if base.Cells[i].Client.Completed != tight.Cells[i].Client.Completed {
-			t.Errorf("%s: deadline leaked into the sim runtime", base.Cells[i].Cell.Key())
+	for i := range base.Results() {
+		if base.Results()[i].Client.Completed != tight.Results()[i].Client.Completed {
+			t.Errorf("%s: deadline leaked into the sim runtime", base.Results()[i].Cell.Key())
 		}
 	}
 }

@@ -2,10 +2,8 @@ package bench
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"math/rand"
-	"os"
 	"path/filepath"
 	"sort"
 	"time"
@@ -21,7 +19,6 @@ import (
 	"github.com/hetfed/hetfed/internal/signature"
 	"github.com/hetfed/hetfed/internal/store/wal"
 	"github.com/hetfed/hetfed/internal/trace"
-	"github.com/hetfed/hetfed/internal/version"
 )
 
 // ChaosSpec shapes a chaos run: a WAL-durable school cluster over real TCP
@@ -29,27 +26,24 @@ import (
 // restarts, inserts and queries, with anti-entropy repair converging the
 // replicas afterwards.
 type ChaosSpec struct {
-	// Steps is the schedule length (default 60).
+	// Steps is the schedule length.
 	Steps int `json:"steps"`
 	// Seed roots the schedule; the same seed replays the same chaos.
 	Seed int64 `json:"seed"`
 	// MaxConvergenceRounds gates the post-heal repair: the run fails if
-	// the replicas have not converged within this many full-mesh rounds
-	// (default 5; the repair topology is a complete graph over four
-	// replicas, so two rounds suffice in principle).
+	// the replicas have not converged within this many full-mesh rounds.
+	// One round moves a binding one hop and the repair topology is a
+	// complete graph over four replicas, so two rounds suffice in
+	// principle; the canonical 5 leaves slack for bindings parked on a
+	// replica that was restarted mid-round.
 	MaxConvergenceRounds int `json:"max_convergence_rounds"`
 }
 
-// ChaosReport is a chaos run's diffable record. The wall clock is
-// machine-dependent; the gates are the run's own invariants — zero
-// certain-answer violations and bounded convergence — so the report is
-// CI-safe without a cross-run baseline.
-type ChaosReport struct {
-	Schema  int       `json:"schema"`
-	Topic   string    `json:"topic"`
-	Version string    `json:"version"`
-	Spec    ChaosSpec `json:"spec"`
-
+// ChaosCell is a chaos run's one cell: the schedule's composition and the
+// invariants' measurements. The wall clock is machine-dependent; the gates
+// are the run's own invariants — zero certain-answer violations and bounded
+// convergence — so the report is CI-safe without a cross-run baseline.
+type ChaosCell struct {
 	// Schedule composition.
 	Queries    int `json:"queries"`
 	Inserts    int `json:"inserts"`
@@ -71,27 +65,6 @@ type ChaosReport struct {
 	RepairBytes      int64 `json:"repair_bytes"`
 
 	WallMillis float64 `json:"wall_ms"`
-}
-
-// JSON renders the report in its canonical indented form.
-func (r *ChaosReport) JSON() ([]byte, error) {
-	data, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		return nil, fmt.Errorf("bench: encode chaos report: %w", err)
-	}
-	return append(data, '\n'), nil
-}
-
-// WriteFile writes the report to path in canonical form.
-func (r *ChaosReport) WriteFile(path string) error {
-	data, err := r.JSON()
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		return fmt.Errorf("bench: write %s: %w", path, err)
-	}
-	return nil
 }
 
 // chaosNode is one durable site of the chaos cluster.
@@ -214,24 +187,26 @@ func (rig *chaosRig) repairRound(ctx context.Context) {
 	rig.coord.RunAntiEntropyRound(ctx)
 }
 
-// RunChaos executes the chaos schedule and gates itself on the run's own
-// invariants: no certain row under faults may contradict the fault-free
-// ground truth, and once everything heals the replicas must converge
-// within spec.MaxConvergenceRounds full-mesh repair rounds. progress, when
-// non-nil, receives one line per phase.
-func RunChaos(spec ChaosSpec, dir string, progress func(string)) (*ChaosReport, error) {
-	if spec.Steps < 1 {
-		spec.Steps = 60
-	}
-	if spec.MaxConvergenceRounds < 1 {
-		spec.MaxConvergenceRounds = 5
-	}
-	report := &ChaosReport{
-		Schema:  SchemaVersion,
-		Topic:   "chaos",
-		Version: version.String(),
-		Spec:    spec,
-	}
+// RunChaos executes the chaos schedule and gates itself on the two safety
+// properties the anti-entropy subsystem owes the paper's semantics:
+//
+//	(a) no certain answer ever contradicts the ground truth — under any
+//	    fault pattern the certain rows are a subset of the fault-free
+//	    certain answer (degradation moves rows to maybe, never invents
+//	    certainty);
+//	(b) once the network heals and every site is back, the replicas
+//	    converge within spec.MaxConvergenceRounds full-mesh repair rounds,
+//	    the full answer returns row for row, and no replica is left
+//	    suspecting a class.
+//
+// It is the one chaos rig and schedule in the tree: hetbench's chaos topic
+// and the antientropy chaos suite both run it. The schedule is
+// deterministic in spec.Seed, so a failure reproduces. Everything it starts
+// is shut down before it returns. progress, when non-nil, receives one line
+// per phase.
+func RunChaos(spec ChaosSpec, dir string, progress func(string)) (*Report, error) {
+	report := newReport("chaos", spec.Seed, spec)
+	var cell ChaosCell
 	say := func(format string, args ...any) {
 		if progress != nil {
 			progress(fmt.Sprintf(format, args...))
@@ -288,8 +263,9 @@ func RunChaos(spec ChaosSpec, dir string, progress func(string)) (*ChaosReport, 
 	if err != nil {
 		return nil, fmt.Errorf("bench: ground-truth query: %w", err)
 	}
-	if truth.Degraded {
-		return nil, fmt.Errorf("bench: fault-free baseline degraded: %v", truth.Unavailable)
+	if truth.Degraded || len(truth.Certain) == 0 {
+		return nil, fmt.Errorf("bench: fault-free baseline degraded or empty: %d certain, unavailable %v",
+			len(truth.Certain), truth.Unavailable)
 	}
 	truthCertain := make(map[string]bool, len(truth.Certain))
 	for _, row := range truth.Certain {
@@ -316,10 +292,10 @@ func RunChaos(spec ChaosSpec, dir string, progress func(string)) (*ChaosReport, 
 			if err != nil {
 				return nil, fmt.Errorf("bench: step %d: query(%v) failed hard: %w", step, alg, err)
 			}
-			report.Queries++
+			cell.Queries++
 			for _, row := range ans.Certain {
 				if !truthCertain[row.String()] {
-					report.CertainViolations++
+					cell.CertainViolations++
 					say("step %d: VIOLATION: %v certain row %q not in ground truth", step, alg, row)
 				}
 			}
@@ -328,20 +304,20 @@ func RunChaos(spec ChaosSpec, dir string, progress func(string)) (*ChaosReport, 
 			if site == "DB3" {
 				site = "DB1" // keep chaos inserts on the uniform Teacher shape
 			}
-			report.Inserts++
-			o := object.New(object.LOid(fmt.Sprintf("tc%03d'", report.Inserts)), "Teacher",
-				map[string]object.Value{"name": object.Str(fmt.Sprintf("Chaos%03d", report.Inserts))})
+			cell.Inserts++
+			o := object.New(object.LOid(fmt.Sprintf("tc%03d'", cell.Inserts)), "Teacher",
+				map[string]object.Value{"name": object.Str(fmt.Sprintf("Chaos%03d", cell.Inserts))})
 			_, _ = rig.coord.Insert(site, o) // partial failure is repair's job
 		case op < 7:
 			if partitioned {
 				rig.plan.HealPartitions()
 				partitioned = false
-				report.Heals++
+				cell.Heals++
 			} else {
 				split := splits[rng.Intn(len(splits))]
 				rig.plan.Partition(fabric.Partition{A: split[0], B: split[1]})
 				partitioned = true
-				report.Partitions++
+				cell.Partitions++
 			}
 		case op < 8:
 			if len(dead) > 0 {
@@ -350,22 +326,22 @@ func RunChaos(spec ChaosSpec, dir string, progress func(string)) (*ChaosReport, 
 				if err := rig.startSite(site); err != nil {
 					return nil, err
 				}
-				report.Restarts++
+				cell.Restarts++
 			} else if len(rig.nodes) > 2 {
 				site := rig.liveSites()[rng.Intn(len(rig.nodes))]
 				rig.killSite(site)
 				dead = append(dead, site)
-				report.Kills++
+				cell.Kills++
 			}
 		case op < 9:
 			rig.repairRound(ctx)
-			report.Repairs++
+			cell.Repairs++
 		default:
 			_ = rig.coord.Ping()
 		}
 	}
 	say("schedule done: %d queries, %d inserts, %d partitions, %d kills",
-		report.Queries, report.Inserts, report.Partitions, report.Kills)
+		cell.Queries, cell.Inserts, cell.Partitions, cell.Kills)
 
 	// Heal, restart, converge.
 	rig.plan.HealPartitions()
@@ -373,7 +349,7 @@ func RunChaos(spec ChaosSpec, dir string, progress func(string)) (*ChaosReport, 
 		if err := rig.startSite(site); err != nil {
 			return nil, err
 		}
-		report.Restarts++
+		cell.Restarts++
 	}
 	_ = rig.coord.Ping()
 	// At least one post-heal round always runs: a clean quorum round is
@@ -391,7 +367,7 @@ func RunChaos(spec ChaosSpec, dir string, progress func(string)) (*ChaosReport, 
 				spec.MaxConvergenceRounds)
 		}
 	}
-	report.ConvergenceRounds = rounds
+	cell.ConvergenceRounds = rounds
 	say("converged after %d repair rounds", rounds)
 
 	final, _, err := rig.coord.Query(school.Q1, exec.CA)
@@ -401,23 +377,32 @@ func RunChaos(spec ChaosSpec, dir string, progress func(string)) (*ChaosReport, 
 	if final.Degraded {
 		return nil, fmt.Errorf("bench: final answer degraded after convergence: %v", final.Unavailable)
 	}
-	if len(final.Certain) != len(truth.Certain) || len(final.Maybe) != len(truth.Maybe) {
-		return nil, fmt.Errorf("bench: final answer (%d certain, %d maybe) differs from ground truth (%d, %d)",
-			len(final.Certain), len(final.Maybe), len(truth.Certain), len(truth.Maybe))
+	if got, want := fmt.Sprint(final.Certain), fmt.Sprint(truth.Certain); got != want || len(final.Maybe) != len(truth.Maybe) {
+		return nil, fmt.Errorf("bench: final answer (certain %s, %d maybe) differs from ground truth (certain %s, %d maybe)",
+			got, len(final.Maybe), want, len(truth.Maybe))
 	}
-	if report.CertainViolations > 0 {
-		return report, fmt.Errorf("bench: %d certain rows contradicted ground truth under faults",
-			report.CertainViolations)
+	for _, site := range rig.liveSites() {
+		if sus := rig.nodes[site].srv.Tracker().Suspects(); len(sus) != 0 {
+			return nil, fmt.Errorf("bench: site %s still suspects %v after convergence", site, sus)
+		}
+	}
+	if states := rig.coord.DivergenceStates(); len(states) != 0 {
+		return nil, fmt.Errorf("bench: coordinator still suspects %v after convergence", states)
 	}
 
 	stats := rig.coord.Tracker().Stats()
-	report.RepairedBindings = int64(stats.RepairedBindings)
-	report.RepairBytes = int64(stats.RepairedBytes)
+	cell.RepairedBindings = int64(stats.RepairedBindings)
+	cell.RepairBytes = int64(stats.RepairedBytes)
 	for _, site := range rig.liveSites() {
 		s := rig.nodes[site].srv.Tracker().Stats()
-		report.RepairedBindings += int64(s.RepairedBindings)
-		report.RepairBytes += int64(s.RepairedBytes)
+		cell.RepairedBindings += int64(s.RepairedBindings)
+		cell.RepairBytes += int64(s.RepairedBytes)
 	}
-	report.WallMillis = float64(time.Since(start).Microseconds()) / 1e3
+	cell.WallMillis = float64(time.Since(start).Microseconds()) / 1e3
+	report.Cells = []ChaosCell{cell}
+	if cell.CertainViolations > 0 {
+		return report, fmt.Errorf("bench: %d certain rows contradicted ground truth under faults",
+			cell.CertainViolations)
+	}
 	return report, nil
 }

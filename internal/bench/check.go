@@ -20,11 +20,37 @@ type Violation struct {
 }
 
 func (v Violation) String() string {
-	return fmt.Sprintf("%s: %s regressed %.2f → %.2f", v.Cell, v.Metric, v.Old, v.New)
+	return fmt.Sprintf("%s: %s %.2f → %.2f", v.Cell, v.Metric, v.Old, v.New)
+}
+
+// specViolations flags two matrix reports that did not drive the same load:
+// comparing a 3-query run against a 6-query baseline cell by cell would
+// pass or fail on the shape, not on the code. The sweep dimensions may
+// differ (a grown matrix is fine); the load shape every cell shares may not.
+// These violations carry "spec" for their cell.
+func specViolations(baseline, current *Report) []Violation {
+	old, oldOK := baseline.Spec.(MatrixSpec)
+	cur, curOK := current.Spec.(MatrixSpec)
+	if !oldOK || !curOK {
+		return nil
+	}
+	var out []Violation
+	same := func(metric string, oldV, newV float64) {
+		if oldV != newV {
+			out = append(out, Violation{Cell: "spec", Metric: metric, Old: oldV, New: newV})
+		}
+	}
+	same("queries", float64(old.Queries), float64(cur.Queries))
+	same("variants", float64(old.Variants), float64(cur.Variants))
+	same("zipf", old.Zipf, cur.Zipf)
+	same("scale", old.Scale, cur.Scale)
+	same("seed", float64(old.Seed), float64(cur.Seed))
+	return out
 }
 
 // Check compares a new report against a baseline under a relative tolerance
-// (0.10 = 10%). For every baseline cell it flags:
+// (0.10 = 10%). It first flags a differing load shape (see specViolations),
+// then for every baseline matrix cell:
 //
 //   - latency regressions: p50/p95/p99 above baseline by more than the
 //     tolerance,
@@ -37,8 +63,8 @@ func (v Violation) String() string {
 // Cells only the new report has are fine (the matrix grew). An empty return
 // means the new report is no worse than the baseline.
 func Check(baseline, current *Report, tolerance float64) []Violation {
-	var out []Violation
-	for _, old := range baseline.Cells {
+	out := specViolations(baseline, current)
+	for _, old := range baseline.Results() {
 		key := old.Cell.Key()
 		cur, ok := current.Get(key)
 		if !ok {

@@ -35,10 +35,10 @@ func TestCheckCatchesRegressions(t *testing.T) {
 	base := baselineReport(t)
 
 	worse := baselineReport(t)
-	worse.Cells[0].Client.P99Micros *= 1.5
-	worse.Cells[1].Client.QPS *= 0.5
-	worse.Cells[2].Server.MaybeFrac += 0.5
-	worse.Cells[3].Client.Errors = 2
+	worse.Results()[0].Client.P99Micros *= 1.5
+	worse.Results()[1].Client.QPS *= 0.5
+	worse.Results()[2].Server.MaybeFrac += 0.5
+	worse.Results()[3].Client.Errors = 2
 	v := Check(base, worse, 0.10)
 	if len(v) != 4 {
 		t.Fatalf("got %d violations, want 4: %v", len(v), v)
@@ -58,9 +58,9 @@ func TestCheckCatchesRegressions(t *testing.T) {
 
 	// Drift inside the tolerance is not a regression.
 	drift := baselineReport(t)
-	for i := range drift.Cells {
-		drift.Cells[i].Client.P99Micros *= 1.05
-		drift.Cells[i].Client.QPS *= 0.95
+	for i := range drift.Results() {
+		drift.Results()[i].Client.P99Micros *= 1.05
+		drift.Results()[i].Client.QPS *= 0.95
 	}
 	if v := Check(base, drift, 0.10); len(v) != 0 {
 		t.Fatalf("5%% drift flagged under 10%% tolerance: %v", v)
@@ -68,7 +68,7 @@ func TestCheckCatchesRegressions(t *testing.T) {
 
 	// A vanished cell is a coverage regression.
 	shrunk := baselineReport(t)
-	shrunk.Cells = shrunk.Cells[1:]
+	shrunk.Cells = shrunk.Results()[1:]
 	v = Check(base, shrunk, 0.10)
 	if len(v) != 1 || v[0].Metric != "missing" {
 		t.Fatalf("missing cell not flagged: %v", v)
@@ -76,6 +76,16 @@ func TestCheckCatchesRegressions(t *testing.T) {
 	// A grown matrix is fine.
 	if v := Check(shrunk, base, 0.10); len(v) != 0 {
 		t.Fatalf("extra cells flagged: %v", v)
+	}
+
+	// A different load shape is not comparable, however the cells look.
+	reshaped := baselineReport(t)
+	spec := reshaped.Spec.(MatrixSpec)
+	spec.Queries, spec.Seed = 3, 43
+	reshaped.Spec = spec
+	v = Check(base, reshaped, 0.10)
+	if len(v) != 2 || v[0].Cell != "spec" || v[0].Metric != "queries" || v[1].Metric != "seed" {
+		t.Fatalf("reshaped run: got %v, want spec violations for queries and seed", v)
 	}
 }
 

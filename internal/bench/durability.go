@@ -1,10 +1,8 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
 	"math/rand"
-	"os"
 	"path/filepath"
 	"runtime"
 	"time"
@@ -14,7 +12,6 @@ import (
 	"github.com/hetfed/hetfed/internal/school"
 	"github.com/hetfed/hetfed/internal/store"
 	"github.com/hetfed/hetfed/internal/store/wal"
-	"github.com/hetfed/hetfed/internal/version"
 )
 
 // DurabilitySpec shapes a durability run: a school-style insert workload
@@ -23,16 +20,13 @@ import (
 type DurabilitySpec struct {
 	// Objects is the number of objects inserted per cell.
 	Objects int `json:"objects"`
-	// SnapshotEvery is the WAL engines' snapshot cadence (0 = engine
-	// default, negative = never — the recovery then replays the whole log).
-	SnapshotEvery int `json:"snapshot_every,omitempty"`
 	// Seed roots the generated objects, so every engine inserts the
 	// identical sequence.
 	Seed int64 `json:"seed"`
 	// Rounds is how many times each engine's insert phase runs; the report
 	// keeps each engine's best round. Wall clocks this small (hundreds of
 	// milliseconds) are dominated by transient machine load in a single
-	// shot, so the gate compares minima, not one-shot samples. 0 means 3.
+	// shot, so the gate compares minima, not one-shot samples.
 	Rounds int `json:"rounds,omitempty"`
 	// MaxOverhead, when positive, gates the buffered WAL engine's
 	// steady-state write overhead: Run fails if wal's insert wall-clock
@@ -70,38 +64,6 @@ type DurabilityCell struct {
 	SkippedRecords    int64   `json:"skipped_records,omitempty"`
 }
 
-// DurabilityReport is a durability run's diffable record. Wall-clock fields
-// are machine-dependent; regression gating uses the run's own invariants
-// (recovery completeness, relative write overhead), not cross-run diffs.
-type DurabilityReport struct {
-	Schema  int              `json:"schema"`
-	Topic   string           `json:"topic"`
-	Version string           `json:"version"`
-	Spec    DurabilitySpec   `json:"spec"`
-	Cells   []DurabilityCell `json:"cells"`
-}
-
-// JSON renders the report in its canonical indented form.
-func (r *DurabilityReport) JSON() ([]byte, error) {
-	data, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		return nil, fmt.Errorf("bench: encode durability report: %w", err)
-	}
-	return append(data, '\n'), nil
-}
-
-// WriteFile writes the report to path in canonical form.
-func (r *DurabilityReport) WriteFile(path string) error {
-	data, err := r.JSON()
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		return fmt.Errorf("bench: write %s: %w", path, err)
-	}
-	return nil
-}
-
 // durabilityObjects draws the insert sequence: school-shaped students with
 // seeded attribute values, identical for every engine under the same seed.
 func durabilityObjects(spec DurabilitySpec) []*object.Object {
@@ -132,19 +94,8 @@ func durabilityObjects(spec DurabilitySpec) []*object.Object {
 // state, and the buffered WAL's write overhead must stay within
 // MaxOverhead — and fails loudly when one breaks, so the run doubles as a
 // regression gate. progress, when non-nil, receives one line per cell.
-func RunDurability(spec DurabilitySpec, dir string, progress func(string)) (*DurabilityReport, error) {
-	if spec.Objects < 1 {
-		spec.Objects = 1
-	}
-	if spec.Rounds < 1 {
-		spec.Rounds = 3
-	}
-	report := &DurabilityReport{
-		Schema:  SchemaVersion,
-		Topic:   "durability",
-		Version: version.String(),
-		Spec:    spec,
-	}
+func RunDurability(spec DurabilitySpec, dir string, progress func(string)) (*Report, error) {
+	report := newReport("durability", spec.Seed, spec)
 	objs := durabilityObjects(spec)
 	schema := school.Schemas()["DB1"]
 	labels := metrics.Labels{Site: "DB1"}
@@ -188,11 +139,10 @@ func RunDurability(spec DurabilitySpec, dir string, progress func(string)) (*Dur
 				cellDir := filepath.Join(dir, engine, fmt.Sprintf("r%d", round))
 				reg := metrics.New()
 				opts := wal.Options{
-					Dir:           cellDir,
-					Fsync:         engine == "wal-fsync",
-					SnapshotEvery: spec.SnapshotEvery,
-					Site:          "DB1",
-					Metrics:       reg,
+					Dir:     cellDir,
+					Fsync:   engine == "wal-fsync",
+					Site:    "DB1",
+					Metrics: reg,
 				}
 				eng, db, _, err := wal.Open(schema, opts)
 				if err != nil {
@@ -247,13 +197,14 @@ func RunDurability(spec DurabilitySpec, dir string, progress func(string)) (*Dur
 	}
 
 	memWall := bestInsert["mem"]
+	out := make([]DurabilityCell, 0, len(engines))
 	for _, engine := range engines {
 		cell := cells[engine]
 		cell.InsertWallMillis = millis(bestInsert[engine])
 		cell.WriteOverhead = overhead(bestInsert[engine], memWall)
 		cell.InsertsPerSec = persec(spec.Objects, cell.InsertWallMillis)
 		cell.MeanInsertMicros = round2(cell.InsertWallMillis * 1e3 / float64(spec.Objects))
-		report.Cells = append(report.Cells, *cell)
+		out = append(out, *cell)
 		if progress != nil {
 			progress(fmt.Sprintf("%-10s insert %9.2f ms (%8.0f/s, %.1fx mem)  recover %8.2f ms (%d objects)",
 				cell.Engine, cell.InsertWallMillis, cell.InsertsPerSec,
@@ -261,11 +212,13 @@ func RunDurability(spec DurabilitySpec, dir string, progress func(string)) (*Dur
 		}
 	}
 
+	report.Cells = out
+
 	// Invariant: durability must not make the write path pathologically
 	// slow. Only the buffered engine is gated — the fsync engine's cost is
 	// the device's flush latency.
 	if spec.MaxOverhead > 0 {
-		for _, cell := range report.Cells {
+		for _, cell := range out {
 			if cell.Engine == "wal" && cell.WriteOverhead > spec.MaxOverhead {
 				return report, fmt.Errorf("bench: wal write overhead %.2fx exceeds the %.2fx gate",
 					cell.WriteOverhead, spec.MaxOverhead)

@@ -2,7 +2,6 @@ package bench
 
 import (
 	"context"
-	"math/rand"
 	"sync"
 	"time"
 
@@ -103,10 +102,4 @@ launch:
 	}
 	wg.Wait()
 	return results
-}
-
-// arrivalSchedule builds the open-loop launch offsets for a cell: a seeded
-// Poisson process at rate qps, or an all-at-once burst when qps <= 0.
-func arrivalSchedule(rng *rand.Rand, n int, qps float64) []time.Duration {
-	return workload.Arrivals(rng, n, qps)
 }

@@ -17,6 +17,7 @@ import (
 	"github.com/hetfed/hetfed/internal/remote"
 	"github.com/hetfed/hetfed/internal/signature"
 	"github.com/hetfed/hetfed/internal/trace"
+	"github.com/hetfed/hetfed/internal/workload"
 )
 
 // liveCluster is one cell's serving deployment: every component site as a
@@ -114,7 +115,7 @@ func startLiveCluster(spec MatrixSpec, cell Cell, bundle *Bundle) (*liveCluster,
 	// tracer supplies measured profiles, the calibrating selector consumes
 	// them, and the live breaker states steer choices away from check-heavy
 	// plans while a peer is suspect.
-	if alg, err := algByName(cell.Strategy); err == nil && alg == exec.Adaptive {
+	if alg, err := exec.ParseAlgorithm(cell.Strategy); err == nil && alg == exec.Adaptive {
 		tr := &trace.Tracer{}
 		tr.SetLimit(4096)
 		lc.coord.Tracer = tr
@@ -144,7 +145,7 @@ func (lc *liveCluster) scrapeAll(ctx context.Context) ([]metrics.Snapshot, error
 // from /metrics deltas scraped around the run (pre-scrape to post-scrape),
 // so warmup work (the reachability ping) never pollutes the window.
 func runLiveCell(ctx context.Context, spec MatrixSpec, cell Cell, bundle *Bundle) (CellResult, error) {
-	alg, err := algByName(cell.Strategy)
+	alg, err := exec.ParseAlgorithm(cell.Strategy)
 	if err != nil {
 		return CellResult{}, err
 	}
@@ -157,15 +158,37 @@ func runLiveCell(ctx context.Context, spec MatrixSpec, cell Cell, bundle *Bundle
 	// design, so a failed ping only means degraded answers, not a bad cell.
 	_ = lc.coord.Ping()
 
-	rng := rand.New(rand.NewSource(cell.Seed))
-	variants := DrawVariants(zipfFor(rng, spec, bundle), spec.Queries)
-
 	preSites, err := lc.scrapeAll(ctx)
 	if err != nil {
 		return CellResult{}, fmt.Errorf("pre-scrape: %w", err)
 	}
 	preCoord := lc.coordReg.Snapshot()
 
+	client := lc.drive(ctx, spec, cell, bundle, alg)
+
+	postSites, err := lc.scrapeAll(ctx)
+	if err != nil {
+		return CellResult{}, fmt.Errorf("post-scrape: %w", err)
+	}
+	siteDeltas := make([]metrics.Snapshot, len(postSites))
+	for i := range postSites {
+		siteDeltas[i] = postSites[i].Delta(preSites[i])
+	}
+	coordDelta := lc.coordReg.Delta(preCoord)
+
+	return CellResult{
+		Cell:   cell,
+		Client: client,
+		Server: extractServerStats(coordDelta, siteDeltas),
+	}, nil
+}
+
+// drive runs the cell's seeded query stream against the cluster — closed
+// loop, or open loop when the spec sets a rate — and summarizes what the
+// load generator observed on its own clock.
+func (lc *liveCluster) drive(ctx context.Context, spec MatrixSpec, cell Cell, bundle *Bundle, alg exec.Algorithm) ClientStats {
+	rng := rand.New(rand.NewSource(cell.Seed))
+	variants := DrawVariants(zipfFor(rng, spec, bundle), spec.Queries)
 	fn := func(ctx context.Context, variant int) Result {
 		ans, elapsed, err := lc.coord.QueryContext(ctx, bundle.Queries[variant], alg)
 		if err != nil {
@@ -180,26 +203,10 @@ func runLiveCell(ctx context.Context, spec MatrixSpec, cell Cell, bundle *Bundle
 	start := time.Now()
 	var results []Result
 	if spec.RateQPS > 0 {
-		offsets := arrivalSchedule(rng, spec.Queries, spec.RateQPS*float64(cell.Clients))
+		offsets := workload.Arrivals(rng, spec.Queries, spec.RateQPS*float64(cell.Clients))
 		results = RunOpen(ctx, offsets, variants, fn)
 	} else {
 		results = RunClosed(ctx, cell.Clients, variants, fn)
 	}
-	wallMicros := float64(time.Since(start).Nanoseconds()) / 1e3
-
-	postSites, err := lc.scrapeAll(ctx)
-	if err != nil {
-		return CellResult{}, fmt.Errorf("post-scrape: %w", err)
-	}
-	siteDeltas := make([]metrics.Snapshot, len(postSites))
-	for i := range postSites {
-		siteDeltas[i] = postSites[i].Delta(preSites[i])
-	}
-	coordDelta := lc.coordReg.Delta(preCoord)
-
-	return CellResult{
-		Cell:   cell,
-		Client: Summarize(results, wallMicros),
-		Server: extractServerStats(coordDelta, siteDeltas),
-	}, nil
+	return Summarize(results, float64(time.Since(start).Nanoseconds())/1e3)
 }

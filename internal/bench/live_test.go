@@ -26,10 +26,10 @@ func TestLiveCellSmoke(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	if len(r.Cells) != 1 {
-		t.Fatalf("got %d cells", len(r.Cells))
+	if len(r.Results()) != 1 {
+		t.Fatalf("got %d cells", len(r.Results()))
 	}
-	c := r.Cells[0]
+	c := r.Results()[0]
 	if c.Client.Completed != 6 || c.Client.Errors != 0 {
 		t.Fatalf("completed %d errors %d, want 6/0", c.Client.Completed, c.Client.Errors)
 	}
@@ -66,7 +66,7 @@ func TestLiveCellDegraded(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	c := r.Cells[0]
+	c := r.Results()[0]
 	if c.Client.Degraded != c.Client.Completed || c.Client.Completed == 0 {
 		t.Errorf("degraded %d of %d completed, want all", c.Client.Degraded, c.Client.Completed)
 	}

@@ -2,17 +2,13 @@ package bench
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
-	"math/rand"
-	"os"
 	"time"
 
 	"github.com/hetfed/hetfed/internal/exec"
 	"github.com/hetfed/hetfed/internal/metrics"
 	"github.com/hetfed/hetfed/internal/obs/agg"
 	"github.com/hetfed/hetfed/internal/obs/slo"
-	"github.com/hetfed/hetfed/internal/version"
 )
 
 // ObsSpec shapes an observability-overhead run: the same live school
@@ -32,14 +28,14 @@ type ObsSpec struct {
 	// gate judges the best same-round wall-clock ratio: pairing cancels
 	// machine drift between rounds, and taking the minimum makes the gate
 	// robust to one-sided load spikes — a real regression in the plane
-	// slows every round, a transient spike only one. 0 means 5.
+	// slows every round, a transient spike only one.
 	Rounds int `json:"rounds,omitempty"`
 	// Seed roots the load generator, so both modes drive the identical
 	// query sequence.
 	Seed int64 `json:"seed"`
-	// ScrapeInterval is the scraped mode's polling cadence (0 = 100ms —
-	// deliberately 20× more aggressive than the production 2s default, so
-	// the measured overhead upper-bounds the real deployment's).
+	// ScrapeInterval is the scraped mode's polling cadence (the obs topic's
+	// 100ms is deliberately 20× more aggressive than the production 2s
+	// default, so the measured overhead upper-bounds the real deployment's).
 	ScrapeInterval time.Duration `json:"scrape_interval,omitempty"`
 	// MaxOverhead, when positive, gates the run: it fails if the scraped
 	// mode's wall clock exceeds MaxOverhead × the baseline's.
@@ -65,38 +61,6 @@ type ObsCell struct {
 	SitesTotal     int   `json:"sites_total,omitempty"`
 }
 
-// ObsReport is an observability-overhead run's diffable record. Wall-clock
-// fields are machine-dependent; regression gating uses the run's own
-// invariant (the relative overhead), not cross-run diffs.
-type ObsReport struct {
-	Schema  int       `json:"schema"`
-	Topic   string    `json:"topic"`
-	Version string    `json:"version"`
-	Spec    ObsSpec   `json:"spec"`
-	Cells   []ObsCell `json:"cells"`
-}
-
-// JSON renders the report in its canonical indented form.
-func (r *ObsReport) JSON() ([]byte, error) {
-	data, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		return nil, fmt.Errorf("bench: encode obs report: %w", err)
-	}
-	return append(data, '\n'), nil
-}
-
-// WriteFile writes the report to path in canonical form.
-func (r *ObsReport) WriteFile(path string) error {
-	data, err := r.JSON()
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		return fmt.Errorf("bench: write %s: %w", path, err)
-	}
-	return nil
-}
-
 // obsModes are the two cells of every observability run.
 var obsModes = []string{"baseline", "scraped"}
 
@@ -109,25 +73,8 @@ var obsModes = []string{"baseline", "scraped"}
 // must have completed — and the relative overhead is gated by
 // spec.MaxOverhead, so the run doubles as a regression gate. progress,
 // when non-nil, receives one line per cell.
-func RunObs(ctx context.Context, spec ObsSpec, progress func(string)) (*ObsReport, error) {
-	if spec.Queries < 1 {
-		spec.Queries = 1
-	}
-	if spec.Clients < 1 {
-		spec.Clients = 1
-	}
-	if spec.Rounds < 1 {
-		spec.Rounds = 5
-	}
-	if spec.ScrapeInterval <= 0 {
-		spec.ScrapeInterval = 100 * time.Millisecond
-	}
-	report := &ObsReport{
-		Schema:  SchemaVersion,
-		Topic:   "obs",
-		Version: version.String(),
-		Spec:    spec,
-	}
+func RunObs(ctx context.Context, spec ObsSpec, progress func(string)) (*Report, error) {
+	report := newReport("obs", spec.Seed, spec)
 
 	// One-variant school bundle: both modes drive the same Q1 stream, so
 	// the delta between the cells is the observability plane alone.
@@ -139,12 +86,7 @@ func RunObs(ctx context.Context, spec ObsSpec, progress func(string)) (*ObsRepor
 	cell := Cell{Runtime: "live", Strategy: "BL", Workload: "school",
 		Clients: spec.Clients, Fault: "none", Serving: "plain", Seed: spec.Seed}
 
-	cells := make(map[string]*ObsCell, len(obsModes))
-	bestWall := make(map[string]float64, len(obsModes))
-	for _, mode := range obsModes {
-		cells[mode] = &ObsCell{Mode: mode}
-	}
-
+	best := make(map[string]ObsCell, len(obsModes))
 	bestRatio := 0.0
 	for round := 0; round < spec.Rounds; round++ {
 		order := obsModes
@@ -156,19 +98,13 @@ func RunObs(ctx context.Context, spec ObsSpec, progress func(string)) (*ObsRepor
 			if err := ctx.Err(); err != nil {
 				return nil, err
 			}
-			stats, scraped, err := runObsCell(ctx, spec, matrix, cell, bundle, mode == "scraped")
+			c, err := runObsCell(ctx, spec, matrix, cell, bundle, mode)
 			if err != nil {
 				return nil, fmt.Errorf("bench: obs %s round %d: %w", mode, round, err)
 			}
-			roundWall[mode] = stats.WallMillis
-			if prev, seen := bestWall[mode]; !seen || stats.WallMillis < prev {
-				bestWall[mode] = stats.WallMillis
-				c := cells[mode]
-				c.Client = stats
-				c.Scrapes = scraped.scrapes
-				c.ScrapeFailures = scraped.failures
-				c.SitesLive = scraped.live
-				c.SitesTotal = scraped.total
+			roundWall[mode] = c.Client.WallMillis
+			if prev, seen := best[mode]; !seen || c.Client.WallMillis < prev.Client.WallMillis {
+				best[mode] = c
 			}
 		}
 		if roundWall["baseline"] > 0 {
@@ -179,14 +115,15 @@ func RunObs(ctx context.Context, spec ObsSpec, progress func(string)) (*ObsRepor
 		}
 	}
 
+	out := make([]ObsCell, 0, len(obsModes))
 	for _, mode := range obsModes {
-		c := cells[mode]
+		c := best[mode]
 		if mode == "baseline" {
 			c.Overhead = 1.0
 		} else {
 			c.Overhead = round2(bestRatio)
 		}
-		report.Cells = append(report.Cells, *c)
+		out = append(out, c)
 		if progress != nil {
 			progress(fmt.Sprintf("%-9s wall %9.2f ms (%7.0f qps, p99 %8.2f us, %.2fx baseline)  scrapes %d (%d failed)",
 				c.Mode, c.Client.WallMillis, c.Client.QPS, c.Client.P99Micros,
@@ -194,9 +131,11 @@ func RunObs(ctx context.Context, spec ObsSpec, progress func(string)) (*ObsRepor
 		}
 	}
 
+	report.Cells = out
+
 	// Invariant: being watched must not meaningfully slow the watched.
 	if spec.MaxOverhead > 0 {
-		for _, c := range report.Cells {
+		for _, c := range out {
 			if c.Mode == "scraped" && c.Overhead > spec.MaxOverhead {
 				return report, fmt.Errorf("bench: scrape overhead %.2fx exceeds the %.2fx gate",
 					c.Overhead, spec.MaxOverhead)
@@ -206,26 +145,20 @@ func RunObs(ctx context.Context, spec ObsSpec, progress func(string)) (*ObsRepor
 	return report, nil
 }
 
-// obsScrapeStats is the scraper-side truth of one scraped-mode round.
-type obsScrapeStats struct {
-	scrapes  int64
-	failures int64
-	live     int
-	total    int
-}
-
 // runObsCell runs one mode once: a fresh live cluster, optionally with the
-// observability plane polling it, driven by the closed-loop generator.
+// observability plane polling it, driven by the closed-loop generator. The
+// returned cell carries everything but its Overhead.
 func runObsCell(ctx context.Context, spec ObsSpec, matrix MatrixSpec, cell Cell,
-	bundle *Bundle, watch bool) (ClientStats, obsScrapeStats, error) {
+	bundle *Bundle, mode string) (ObsCell, error) {
+	out := ObsCell{Mode: mode}
+	watch := mode == "scraped"
 	lc, err := startLiveCluster(matrix, cell, bundle)
 	if err != nil {
-		return ClientStats{}, obsScrapeStats{}, err
+		return out, err
 	}
 	defer lc.close()
 	_ = lc.coord.Ping()
 
-	var scraped obsScrapeStats
 	var scraper *agg.Scraper
 	aggReg := metrics.New()
 	if watch {
@@ -246,38 +179,23 @@ func runObsCell(ctx context.Context, spec ObsSpec, matrix MatrixSpec, cell Cell,
 			Metrics:  aggReg,
 		})
 		if err != nil {
-			return ClientStats{}, obsScrapeStats{}, err
+			return out, err
 		}
 		rules, err := slo.ParseRules("availability >= 0.99; query_latency p99 < 10s over 1m")
 		if err != nil {
-			return ClientStats{}, obsScrapeStats{}, err
+			return out, err
 		}
 		engine, err := slo.New(slo.Config{Site: coordinatorID, Source: scraper,
 			Rules: rules, Metrics: aggReg})
 		if err != nil {
-			return ClientStats{}, obsScrapeStats{}, err
+			return out, err
 		}
 		scraper.SetOnScrape(engine.Evaluate)
 		scraper.Start()
 		defer scraper.Stop()
 	}
 
-	rng := rand.New(rand.NewSource(cell.Seed))
-	variants := DrawVariants(zipfFor(rng, matrix, bundle), spec.Queries)
-	fn := func(ctx context.Context, variant int) Result {
-		ans, elapsed, err := lc.coord.QueryContext(ctx, bundle.Queries[variant], exec.BL)
-		if err != nil {
-			return Result{Err: err}
-		}
-		return Result{
-			Micros:      float64(elapsed.Nanoseconds()) / 1e3,
-			Degraded:    ans.Degraded,
-			Interrupted: ans.Interrupted(),
-		}
-	}
-	start := time.Now()
-	results := RunClosed(ctx, spec.Clients, variants, fn)
-	wallMicros := float64(time.Since(start).Nanoseconds()) / 1e3
+	out.Client = lc.drive(ctx, matrix, cell, bundle, exec.BL)
 
 	if watch {
 		// One final synchronous pass so short rounds still have complete
@@ -285,17 +203,16 @@ func runObsCell(ctx context.Context, spec ObsSpec, matrix MatrixSpec, cell Cell,
 		scraper.ScrapeOnce(ctx)
 		scraper.Stop()
 		roll := scraper.Rollup()
-		scraped.live, scraped.total = roll.Fed.SitesLive, roll.Fed.SitesTotal
+		out.SitesLive, out.SitesTotal = roll.Fed.SitesLive, roll.Fed.SitesTotal
 		snap := aggReg.Snapshot()
-		scraped.scrapes = snap.Sum("scrape_total")
-		scraped.failures = snap.Sum("scrape_failures_total")
-		if scraped.live != scraped.total {
-			return ClientStats{}, scraped, fmt.Errorf("scraped cell ended with %d/%d sites live",
-				scraped.live, scraped.total)
+		out.Scrapes = snap.Sum("scrape_total")
+		out.ScrapeFailures = snap.Sum("scrape_failures_total")
+		if out.SitesLive != out.SitesTotal {
+			return out, fmt.Errorf("scraped cell ended with %d/%d sites live", out.SitesLive, out.SitesTotal)
 		}
-		if scraped.scrapes == 0 {
-			return ClientStats{}, scraped, fmt.Errorf("scraper completed no passes")
+		if out.Scrapes == 0 {
+			return out, fmt.Errorf("scraper completed no passes")
 		}
 	}
-	return Summarize(results, wallMicros), scraped, nil
+	return out, nil
 }

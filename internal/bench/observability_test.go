@@ -23,11 +23,12 @@ func TestRunObsSmoke(t *testing.T) {
 	if err != nil {
 		t.Fatalf("RunObs: %v", err)
 	}
-	if len(r.Cells) != 2 {
-		t.Fatalf("got %d cells, want 2", len(r.Cells))
+	cells, _ := r.Cells.([]ObsCell)
+	if len(cells) != 2 {
+		t.Fatalf("got cells %+v, want 2 obs cells", r.Cells)
 	}
 	byMode := map[string]ObsCell{}
-	for _, c := range r.Cells {
+	for _, c := range cells {
 		byMode[c.Mode] = c
 	}
 	base, scraped := byMode["baseline"], byMode["scraped"]
@@ -75,7 +76,10 @@ func TestRunObsGate(t *testing.T) {
 	if !strings.Contains(err.Error(), "gate") {
 		t.Errorf("err = %v, want overhead gate failure", err)
 	}
-	if r == nil || len(r.Cells) != 2 {
-		t.Errorf("gated run did not return the measured report: %+v", r)
+	if r == nil {
+		t.Fatal("gated run did not return the measured report")
+	}
+	if cells, _ := r.Cells.([]ObsCell); len(cells) != 2 {
+		t.Errorf("gated run's report has cells %+v, want 2 obs cells", r.Cells)
 	}
 }

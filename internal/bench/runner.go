@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"sort"
 	"strconv"
 	"strings"
 
@@ -16,7 +17,6 @@ import (
 	"github.com/hetfed/hetfed/internal/planner"
 	"github.com/hetfed/hetfed/internal/signature"
 	"github.com/hetfed/hetfed/internal/trace"
-	"github.com/hetfed/hetfed/internal/version"
 	"github.com/hetfed/hetfed/internal/workload"
 )
 
@@ -32,13 +32,8 @@ func Run(ctx context.Context, spec MatrixSpec, topic string, progress func(strin
 	if err := validate(&spec); err != nil {
 		return nil, err
 	}
-	report := &Report{
-		Schema:  SchemaVersion,
-		Topic:   topic,
-		Version: version.String(),
-		Seed:    spec.Seed,
-		Matrix:  spec,
-	}
+	report := newReport(topic, spec.Seed, spec)
+	var cells []CellResult
 	// One bundle per workload name, shared by every cell that queries it:
 	// comparisons across strategies and faults are over identical data.
 	bundles := make(map[string]*Bundle, len(spec.Workloads))
@@ -57,14 +52,16 @@ func Run(ctx context.Context, spec MatrixSpec, topic string, progress func(strin
 		if err != nil {
 			return nil, fmt.Errorf("bench: cell %s: %w", cell.Key(), err)
 		}
-		report.Cells = append(report.Cells, res)
+		cells = append(cells, res)
 		if progress != nil {
 			progress(fmt.Sprintf("%-44s p50 %8.0fµs  p99 %8.0fµs  %7.1f q/s  maybe %.2f  degraded %.2f",
 				cell.Key(), res.Client.P50Micros, res.Client.P99Micros,
 				res.Client.QPS, res.Server.MaybeFrac, res.Server.DegradedFrac))
 		}
 	}
-	sortCells(report.Cells)
+	// Cell-key order keeps the JSON form diffable.
+	sort.Slice(cells, func(i, j int) bool { return cells[i].Cell.Key() < cells[j].Cell.Key() })
+	report.Cells = cells
 	return report, nil
 }
 
@@ -83,7 +80,7 @@ func validate(spec *MatrixSpec) error {
 		return errors.New("bench: no strategies")
 	}
 	for _, s := range spec.Strategies {
-		if _, err := algByName(s); err != nil {
+		if _, err := exec.ParseAlgorithm(s); err != nil {
 			return err
 		}
 	}
@@ -169,7 +166,7 @@ func runCell(ctx context.Context, spec MatrixSpec, cell Cell, bundle *Bundle) (C
 // byte-identical results. The per-query deadline is ignored here: a wall
 // deadline against virtual time would couple results to host speed.
 func runSimCell(ctx context.Context, spec MatrixSpec, cell Cell, bundle *Bundle) (CellResult, error) {
-	alg, err := algByName(cell.Strategy)
+	alg, err := exec.ParseAlgorithm(cell.Strategy)
 	if err != nil {
 		return CellResult{}, err
 	}
@@ -247,12 +244,6 @@ func zipfFor(rng *rand.Rand, spec MatrixSpec, bundle *Bundle) *workload.Zipf {
 		return nil
 	}
 	return workload.NewZipf(rng, len(bundle.Queries), spec.Zipf)
-}
-
-// algByName resolves a strategy name (case-insensitive) to its algorithm —
-// the shared exec parser, so the matrix accepts "adaptive" cells too.
-func algByName(name string) (exec.Algorithm, error) {
-	return exec.ParseAlgorithm(name)
 }
 
 // parseFault compiles a fault spec into a plan factory. Each call of the

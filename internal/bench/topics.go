@@ -1,0 +1,144 @@
+package bench
+
+import (
+	"context"
+	"fmt"
+	"os"
+	"strings"
+	"time"
+)
+
+// Topic is one named benchmark: the canonical spec behind a committed
+// BENCH_<Name>.json, the runner that spec selects, and how a run is gated.
+type Topic struct {
+	Name string
+	// Spec is the canonical spec, and its type selects the runner and the
+	// report's payload: MatrixSpec (Run), DurabilitySpec (RunDurability),
+	// ObsSpec (RunObs) or ChaosSpec (RunChaos).
+	Spec any
+	// Baseline marks a topic gated by Check against the committed
+	// BENCH_<Name>.json — the deterministic sim matrices, whose virtual-time
+	// cells are byte-stable across machines. The other topics measure wall
+	// clocks, so their runners gate on the run's own invariants instead: the
+	// bound lives in the spec (MaxOverhead, MaxConvergenceRounds).
+	Baseline bool
+}
+
+// simMatrix is the load shape the sim topics share: the Zipf-skewed school
+// workload, closed loop, one client.
+func simMatrix(strategies, faults []string, queries int) MatrixSpec {
+	return MatrixSpec{
+		Runtimes:   []string{"sim"},
+		Strategies: strategies,
+		Workloads:  []string{"school"},
+		Clients:    []int{1},
+		Faults:     faults,
+		Serving:    []ServingSpec{{Name: "plain"}},
+		Queries:    queries,
+		Zipf:       0.8,
+		Variants:   3,
+		Scale:      0.02,
+		Seed:       42,
+	}
+}
+
+// topics is the registry, in the order usage messages list it.
+var topics = []Topic{
+	// The regression smoke: static CA and BL beside the adaptive selector,
+	// so the calibration loop is gated with the fixed strategies.
+	{Name: "smoke", Baseline: true,
+		Spec: simMatrix([]string{"CA", "BL", "adaptive"}, []string{"none"}, 6)},
+	// Static vs adaptive A/B, healthy and with one site killed
+	// (EXPERIMENTS.md E16).
+	{Name: "adaptive", Baseline: true,
+		Spec: simMatrix([]string{"CA", "BL", "PL", "adaptive"}, []string{"none", "kill:DB3"}, 40)},
+	// The live reference matrix: every strategy over real TCP. A record,
+	// not a gate — wall clocks on shared hardware are too noisy to diff.
+	{Name: "strategies", Spec: MatrixSpec{
+		Runtimes:   []string{"live"},
+		Strategies: []string{"CA", "BL", "PL", "SBL", "SPL"},
+		Workloads:  []string{"school", "table2"},
+		Clients:    []int{1, 4},
+		Faults:     []string{"none", "kill:DB3"},
+		Serving:    []ServingSpec{{Name: "plain"}},
+		Queries:    30,
+		Zipf:       0.9,
+		Variants:   3,
+		Scale:      0.02,
+		Seed:       42,
+	}},
+	// Buffered WAL write path within 1.25x the in-memory engine's, best of
+	// three interleaved rounds; recovery reproduces every insert.
+	{Name: "durability", Spec: DurabilitySpec{Objects: 20000, Seed: 42, Rounds: 3, MaxOverhead: 1.25}},
+	// Scraped cluster within 1.05x bare, best paired round of five, at a
+	// 100ms cadence — 20x the production default.
+	{Name: "obs", Spec: ObsSpec{Queries: 1200, Clients: 4, Rounds: 5, Seed: 42,
+		ScrapeInterval: 100 * time.Millisecond, MaxOverhead: 1.05}},
+	// No certain row contradicts ground truth under faults; convergence
+	// within 5 repair rounds of the final heal.
+	{Name: "chaos", Spec: ChaosSpec{Steps: 60, Seed: 42, MaxConvergenceRounds: 5}},
+}
+
+// Topics returns the registered topics.
+func Topics() []Topic { return topics }
+
+// LookupTopic resolves a registered topic; the error names the registry.
+func LookupTopic(name string) (Topic, error) {
+	names := make([]string, len(topics))
+	for i, t := range topics {
+		if t.Name == name {
+			return t, nil
+		}
+		names[i] = t.Name
+	}
+	return Topic{}, fmt.Errorf("bench: unknown topic %q (registered: %s)", name, strings.Join(names, ", "))
+}
+
+// Validate rejects a spec its runner could not run as written, and a
+// self-gating spec that carries no gate.
+func (t Topic) Validate() error {
+	switch s := t.Spec.(type) {
+	case MatrixSpec:
+		return validate(&s)
+	case DurabilitySpec:
+		if s.Objects < 1 || s.Rounds < 1 || s.MaxOverhead <= 0 {
+			return fmt.Errorf("bench: topic %s: want objects, rounds and max_overhead > 0: %+v", t.Name, s)
+		}
+	case ObsSpec:
+		if s.Queries < 1 || s.Clients < 1 || s.Rounds < 1 || s.ScrapeInterval <= 0 || s.MaxOverhead <= 0 {
+			return fmt.Errorf("bench: topic %s: want queries, clients, rounds, scrape_interval and max_overhead > 0: %+v", t.Name, s)
+		}
+	case ChaosSpec:
+		if s.Steps < 1 || s.MaxConvergenceRounds < 1 {
+			return fmt.Errorf("bench: topic %s: want steps and max_convergence_rounds > 0: %+v", t.Name, s)
+		}
+	default:
+		return fmt.Errorf("bench: topic %s: no runner for spec type %T", t.Name, t.Spec)
+	}
+	return nil
+}
+
+// Run executes the topic's spec on the runner its type selects, in a
+// scratch directory (for the durable topics' WALs) that is removed
+// afterwards. A self-gating runner that fails its gate returns the measured
+// report alongside the error, so the caller can still write it.
+func (t Topic) Run(ctx context.Context, progress func(string)) (*Report, error) {
+	if err := t.Validate(); err != nil {
+		return nil, err
+	}
+	dir, err := os.MkdirTemp("", "hetbench-"+t.Name+"-")
+	if err != nil {
+		return nil, err
+	}
+	defer os.RemoveAll(dir)
+	switch s := t.Spec.(type) {
+	case DurabilitySpec:
+		return RunDurability(s, dir, progress)
+	case ObsSpec:
+		return RunObs(ctx, s, progress)
+	case ChaosSpec:
+		return RunChaos(s, dir, progress)
+	default: // Validate admitted it, so a matrix
+		return Run(ctx, s.(MatrixSpec), t.Name, progress)
+	}
+}

@@ -156,6 +156,38 @@ func TestImportDedupes(t *testing.T) {
 	}
 }
 
+// TestImportClosedReplacesOpen: a peer answering a check ships its
+// still-open serve:local span; the closed copy arriving with the peer's own
+// reply must replace it, in place, and a late open copy must not reopen it.
+func TestImportClosedReplacesOpen(t *testing.T) {
+	site := &Tracer{}
+	h := site.StartSpan(0, "DB2", "serve:local").WithQuery("rq1-a", "BL")
+	open := site.QuerySpans("rq1-a")
+	h.Add("rows", 3)
+	h.End()
+	closed := site.QuerySpans("rq1-a")
+
+	coord := &Tracer{}
+	coord.StartSpan(0, "G", "BL_G1").WithQuery("rq1-a", "BL").End()
+	coord.Import(open)
+	coord.Import(closed)
+	coord.Import(open)
+	got := coord.QuerySpans("rq1-a")
+	if len(got) != 2 {
+		t.Fatalf("%d spans after open+closed import, want 2", len(got))
+	}
+	s := got[1]
+	if s.ID != closed[0].ID || s.End.IsZero() {
+		t.Errorf("imported span %d still open (End=%v), want closed span %d", s.ID, s.End, closed[0].ID)
+	}
+	if s.Counters["rows"] != 3 {
+		t.Errorf("closed copy's counters lost: %v", s.Counters)
+	}
+	if s.Seq != 2 {
+		t.Errorf("replacement moved the span: seq %d, want 2", s.Seq)
+	}
+}
+
 func TestChromeTrace(t *testing.T) {
 	var nilP *Profile
 	if _, err := nilP.ChromeTrace(); err == nil {

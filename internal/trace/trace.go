@@ -235,10 +235,12 @@ func (t *Tracer) QuerySpans(qid string) []Span {
 // Import appends spans recorded by another tracer — typically a remote
 // site's spans shipped back in an RPC response — keeping their IDs, parents
 // and timings so they stitch into this tracer's trees (span IDs are
-// process-unique by construction, see spanIDs). Spans whose ID is already
-// present are skipped: the same remote span can arrive through two paths
+// process-unique by construction, see spanIDs). A span whose ID is already
+// present is skipped: the same remote span can arrive through two paths
 // (a peer's check reply and the peer's own local reply) or twice on a
-// retried call.
+// retried call. The exception is an ended copy of a span held open: a peer
+// answering a check ships its still-running serve:local span, and the
+// closed copy that follows must replace it or the span keeps duration 0.
 func (t *Tracer) Import(spans []Span) {
 	if t == nil || len(spans) == 0 {
 		return
@@ -246,14 +248,13 @@ func (t *Tracer) Import(spans []Span) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	for _, s := range spans {
-		if _, dup := t.index[s.ID]; dup || s.ID == 0 {
+		if s.ID == 0 {
 			continue
 		}
-		if t.limit > 0 && len(t.spans) >= t.limit {
-			t.dropOldestLocked()
+		at, dup := t.index[s.ID]
+		if dup && (s.End.IsZero() || !t.spans[at].End.IsZero()) {
+			continue
 		}
-		t.seq++
-		s.Seq = t.seq
 		if s.Counters != nil {
 			c := make(map[string]int64, len(s.Counters))
 			for k, v := range s.Counters {
@@ -261,6 +262,16 @@ func (t *Tracer) Import(spans []Span) {
 			}
 			s.Counters = c
 		}
+		if dup {
+			s.Seq = t.spans[at].Seq
+			t.spans[at] = s
+			continue
+		}
+		if t.limit > 0 && len(t.spans) >= t.limit {
+			t.dropOldestLocked()
+		}
+		t.seq++
+		s.Seq = t.seq
 		t.spans = append(t.spans, s)
 		if t.index == nil {
 			t.index = make(map[SpanID]int)

@@ -1,8 +1,8 @@
 #!/bin/sh
 # check.sh — the repository's verification gate: formatting, vet, the
-# one-orchestration structural guard, build, unit tests, the full test suite
-# under the race detector, and a one-shot compile-and-run smoke of the
-# observability-overhead benchmarks.
+# one-orchestration and one-report-envelope structural guards, build, unit
+# tests, the full test suite under the race detector, and a one-shot
+# compile-and-run smoke of the observability-overhead benchmarks.
 #
 # Usage: scripts/check.sh [package-pattern]   (default ./...)
 set -eu
@@ -33,23 +33,36 @@ fi
 # replays them step by step) every federation orchestration method has one
 # non-test call site, and the admission gauge and the query-latency histogram
 # are emitted from one. A second call site is a second copy of a strategy.
-echo "== one orchestration (structural guard)"
+echo "== one orchestration, one report envelope (structural guards)"
 sources() {
     grep -rnE "$1" --include='*.go' --exclude='*_test.go' \
         --exclude-dir=benchmark --exclude-dir=federation --exclude-dir=.bench_build .
 }
 guard_failed=0
+want_one() { # $1 = the pattern, $2 = the lines matching it
+    if [ "$(printf '%s\n' "$2" | grep -c .)" -ne 1 ]; then
+        echo "want exactly one site matching $1, have:" >&2
+        echo "${2:-  (none)}" >&2
+        guard_failed=1
+    fi
+}
 for pat in \
     '\.Materialize\(' '\.EvaluateView\(' '\.EvalLocalBasic\(' \
     '\.NavigateAll\(' '\.EvalNavigated\(' '\.CertifyDegraded\(' \
     'Gauge\("queries_inflight"' 'Histogram\("query_latency_us"'; do
-    sites="$(sources "$pat" || true)"
-    if [ "$(printf '%s\n' "$sites" | grep -c .)" -ne 1 ]; then
-        echo "want exactly one call site matching $pat, have:" >&2
-        echo "${sites:-  (none)}" >&2
-        guard_failed=1
-    fi
+    want_one "$pat" "$(sources "$pat" || true)"
 done
+# A benchmark report exists exactly once: one envelope type owns the JSON
+# form, and the topics' canonical parameters live in internal/bench/topics.go,
+# not in per-topic scripts.
+for pat in 'func \([^)]*\) WriteFile\(' 'json\.MarshalIndent\('; do
+    want_one "$pat" "$(grep -nE "$pat" internal/bench/*.go | grep -v '_test\.go:' || true)"
+done
+if ls scripts/bench_*.sh >/dev/null 2>&1; then
+    echo "scripts/bench_*.sh is back; topics belong in internal/bench/topics.go:" >&2
+    ls scripts/bench_*.sh >&2
+    guard_failed=1
+fi
 [ "$guard_failed" -eq 0 ] || exit 1
 
 echo "== go build $pkgs"
@@ -79,36 +92,13 @@ go test -run - -bench 'BenchmarkTraceOverhead|BenchmarkProfileOverhead' -benchti
 echo "== recovery torture (kill -9, fresh run)"
 go test -count 1 -timeout 120s -run 'TestKillNineMidInsert' ./internal/store/wal/
 
-# BENCH_SMOKE=1 additionally runs the hetbench regression smoke: a tiny
-# deterministic sim matrix gated against the committed BENCH_smoke.json.
-if [ "${BENCH_SMOKE:-0}" = "1" ]; then
-    echo "== hetbench smoke (vs committed BENCH_smoke.json)"
-    scripts/bench_smoke.sh
-fi
-
-# BENCH_DURABILITY=1 additionally runs the storage-engine durability
-# smoke: it gates on its own invariants (recovery completeness and the
-# buffered WAL's write overhead vs the in-memory engine).
-if [ "${BENCH_DURABILITY:-0}" = "1" ]; then
-    echo "== hetbench durability (self-gating)"
-    scripts/bench_durability.sh
-fi
-
-# BENCH_OBS=1 additionally runs the observability-overhead smoke: the
-# live cluster measured bare and under the scraper + SLO plane, gated on
-# the relative wall-clock overhead.
-if [ "${BENCH_OBS:-0}" = "1" ]; then
-    echo "== hetbench obs (self-gating)"
-    scripts/bench_obs.sh
-fi
-
-# BENCH_CHAOS=1 additionally runs the partition-tolerance chaos smoke: a
-# seeded partition/kill/restart schedule over a durable live cluster,
-# gated on zero certain-answer contradictions and bounded anti-entropy
-# convergence.
-if [ "${BENCH_CHAOS:-0}" = "1" ]; then
-    echo "== hetbench chaos (self-gating)"
-    scripts/bench_chaos.sh
-fi
+# BENCH_TOPICS="smoke chaos ..." additionally runs those hetbench topics on
+# their canonical specs (internal/bench/topics.go), each gated its own way:
+# the sim topics against the committed BENCH_<topic>.json, the others on
+# their own invariants.
+for topic in ${BENCH_TOPICS:-}; do
+    echo "== hetbench run -topic $topic"
+    go run ./cmd/hetbench run -topic "$topic"
+done
 
 echo "ok"
