@@ -43,7 +43,7 @@ const bucketShift = 58
 // bindings folded in, plus the XOR fold of each bucket's binding hashes.
 // The zero value is the digest of an empty table, so a class absent on one
 // replica compares equal to the same class empty on another. Digests are
-// comparable with Equal and travel gob-encoded on the wire.
+// comparable with Equal and travel as fixed-width words on the wire.
 type Digest struct {
 	Count uint64
 	Sum   [Buckets]uint64

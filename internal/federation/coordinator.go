@@ -109,6 +109,7 @@ func (co *Coordinator) Materialize(p fabric.Proc, b *query.Bound, replies []Retr
 				m := v.objects[key]
 				if m == nil {
 					m = object.New(key, cls.GlobalClass, nil)
+					m.Grow(o.Len())
 					v.objects[key] = m
 				}
 				co.mergeInto(m, gc, reply.Site, o, &c)
@@ -132,8 +133,8 @@ func (co *Coordinator) Materialize(p fabric.Proc, b *query.Bound, replies []Retr
 // translating local references to global ones.
 func (co *Coordinator) mergeInto(m *object.Object, gc *schema.GlobalClass,
 	site object.SiteID, o *object.Object, c *cost.Counter) {
-	for _, name := range o.AttrNames() {
-		val := o.Attrs[name]
+	for i := 0; i < o.Len(); i++ {
+		name, val := o.At(i)
 		c.CPU(1) // merge step
 		if !m.Attr(name).IsNull() {
 			continue // first non-null value wins

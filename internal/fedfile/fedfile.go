@@ -298,9 +298,10 @@ func Export(schemas map[object.SiteID]*schema.Schema, global *schema.Global,
 			var exportErr error
 			dbs[site].Extent(cn).Scan(func(o *object.Object) bool {
 				od := ObjectDoc{ID: string(o.LOid), Class: o.Class,
-					Attrs: make(map[string]json.RawMessage, len(o.Attrs))}
-				for _, name := range o.AttrNames() {
-					raw, err := encodeValue(o.Attrs[name])
+					Attrs: make(map[string]json.RawMessage, o.Len())}
+				for i := 0; i < o.Len(); i++ {
+					name, v := o.At(i)
+					raw, err := encodeValue(v)
 					if err != nil {
 						exportErr = err
 						return false

@@ -13,7 +13,7 @@ package object
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -298,82 +298,155 @@ func (v Value) String() string {
 
 // Object is a stored object: an identifier plus named attribute values.
 // Attributes that are missing for the object's class, or null in the source
-// database, are simply absent from Attrs (Attr returns Null for them).
+// database, are simply absent (Attr returns Null for them).
+//
+// The attributes are a slice of (name, value) entries sorted by name, not a
+// hash map: objects hold a handful of attributes, a federation moves
+// thousands of them per query, and a map's fixed cost per object (hundreds
+// of bytes, a hash per access) dominated the centralized approach. Every
+// traversal — At, AttrNames, String, the record encoding — is therefore in
+// name order for free.
+//
+// An Object is not safe for concurrent mutation. Stored objects are shared
+// by pointer between a store and its concurrent readers; Project and Clone
+// copy the entries, so their results are private, but Set on a shared object
+// races with its readers exactly as a map write would.
 type Object struct {
 	LOid  LOid
 	Class string
-	Attrs map[string]Value
+	attrs []attr // sorted by name, names unique, no null values
 }
 
-// New returns an object with a copy of the supplied attribute map. Null
+// attr is one attribute entry of an Object.
+type attr struct {
+	name string
+	val  Value
+}
+
+// missing reports whether v represents missing data: null or the zero Value.
+func missing(v Value) bool { return v.kind == 0 || v.kind == KindNull }
+
+// New returns an object holding a copy of the supplied attributes. Null
 // values are normalized away: a null attribute and an absent attribute are
 // indistinguishable, both representing missing data.
 func New(id LOid, class string, attrs map[string]Value) *Object {
-	cp := make(map[string]Value, len(attrs))
-	for k, v := range attrs {
-		if v.Kind() == 0 || v.IsNull() {
-			continue
-		}
-		cp[k] = v
+	o := &Object{LOid: id, Class: class}
+	if len(attrs) == 0 {
+		return o
 	}
-	return &Object{LOid: id, Class: class, Attrs: cp}
+	o.attrs = make([]attr, 0, len(attrs))
+	for k, v := range attrs {
+		if !missing(v) {
+			o.attrs = append(o.attrs, attr{k, v})
+		}
+	}
+	slices.SortFunc(o.attrs, func(a, b attr) int { return strings.Compare(a.name, b.name) })
+	return o
+}
+
+// find returns the position of the named attribute, or the position it
+// would be inserted at and false.
+func (o *Object) find(name string) (int, bool) {
+	lo, hi := 0, len(o.attrs)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if o.attrs[mid].name < name {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo, lo < len(o.attrs) && o.attrs[lo].name == name
 }
 
 // Attr returns the value of the named attribute, or Null when the attribute
 // is missing (missing attribute of the class, or a null value).
+//
+// It scans rather than bisects: at the handful of attributes an object holds,
+// equality tests (length first) beat both a hash and ordered comparisons (9
+// ns against 13 for the map this replaced and 19 for find, at six
+// attributes), and the loop is small enough to inline into the evaluator.
 func (o *Object) Attr(name string) Value {
-	if v, ok := o.Attrs[name]; ok {
-		return v
+	for i := range o.attrs {
+		if o.attrs[i].name == name {
+			return o.attrs[i].val
+		}
 	}
 	return Null()
 }
 
-// Set stores an attribute value, or deletes the attribute when v is null.
-func (o *Object) Set(name string, v Value) {
-	if o.Attrs == nil {
-		o.Attrs = make(map[string]Value)
-	}
-	if v.Kind() == 0 || v.IsNull() {
-		delete(o.Attrs, name)
-		return
-	}
-	o.Attrs[name] = v
+// Len returns the number of (non-null) attributes the object holds.
+func (o *Object) Len() int { return len(o.attrs) }
+
+// At returns the i-th attribute in name order, 0 <= i < Len().
+func (o *Object) At(i int) (name string, v Value) {
+	return o.attrs[i].name, o.attrs[i].val
 }
 
-// Clone returns a deep-enough copy: the attribute map is copied (values are
-// immutable, so they are shared).
-func (o *Object) Clone() *Object {
-	cp := make(map[string]Value, len(o.Attrs))
-	for k, v := range o.Attrs {
-		cp[k] = v
+// Grow reserves room for n more attributes, so a run of Set calls that
+// builds an object of known size allocates once.
+func (o *Object) Grow(n int) {
+	if n > cap(o.attrs)-len(o.attrs) {
+		o.attrs = append(make([]attr, 0, len(o.attrs)+n), o.attrs...)
 	}
-	return &Object{LOid: o.LOid, Class: o.Class, Attrs: cp}
+}
+
+// Set stores an attribute value, or deletes the attribute when v is null.
+func (o *Object) Set(name string, v Value) {
+	i, ok := o.find(name)
+	switch {
+	case missing(v):
+		if ok {
+			o.attrs = append(o.attrs[:i], o.attrs[i+1:]...)
+		}
+	case ok:
+		o.attrs[i].val = v
+	default:
+		o.attrs = append(o.attrs, attr{})
+		copy(o.attrs[i+1:], o.attrs[i:])
+		o.attrs[i] = attr{name, v}
+	}
+}
+
+// Clone returns a deep-enough copy: the attribute entries are copied (values
+// are immutable, so they are shared).
+func (o *Object) Clone() *Object {
+	return &Object{LOid: o.LOid, Class: o.Class, attrs: append([]attr(nil), o.attrs...)}
 }
 
 // Project returns a copy of the object restricted to the named attributes.
 func (o *Object) Project(attrs []string) *Object {
-	cp := make(map[string]Value, len(attrs))
-	for _, a := range attrs {
-		if v, ok := o.Attrs[a]; ok {
-			cp[a] = v
+	p := &Object{LOid: o.LOid, Class: o.Class}
+	if n := min(len(attrs), len(o.attrs)); n > 0 {
+		p.attrs = make([]attr, 0, n)
+	}
+	// Walking the object's own entries keeps the copy in name order
+	// whatever order (or repetition) the projection list has.
+	for _, e := range o.attrs {
+		for _, a := range attrs {
+			if a == e.name {
+				p.attrs = append(p.attrs, e)
+				break
+			}
 		}
 	}
-	return &Object{LOid: o.LOid, Class: o.Class, Attrs: cp}
+	return p
 }
 
 // WireSize returns the bytes needed to ship the object projected on the
-// given attributes (pass nil for all attributes), including its LOid.
+// given attributes (pass nil for all attributes), including its LOid. This
+// is the paper's Table 1 cost model, not the size of any encoding.
 func (o *Object) WireSize(attrs []string) int {
 	n := LOidWireSize
 	if attrs == nil {
-		for _, v := range o.Attrs {
-			n += v.WireSize()
+		for _, e := range o.attrs {
+			n += e.val.WireSize()
 		}
 		return n
 	}
 	for _, a := range attrs {
-		if v, ok := o.Attrs[a]; ok {
-			n += v.WireSize()
+		if i, ok := o.find(a); ok {
+			n += o.attrs[i].val.WireSize()
 		}
 	}
 	return n
@@ -381,11 +454,10 @@ func (o *Object) WireSize(attrs []string) int {
 
 // AttrNames returns the object's attribute names in sorted order.
 func (o *Object) AttrNames() []string {
-	names := make([]string, 0, len(o.Attrs))
-	for k := range o.Attrs {
-		names = append(names, k)
+	names := make([]string, len(o.attrs))
+	for i, e := range o.attrs {
+		names[i] = e.name
 	}
-	sort.Strings(names)
 	return names
 }
 
@@ -393,26 +465,19 @@ func (o *Object) AttrNames() []string {
 func (o *Object) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%s[%s]{", o.Class, o.LOid)
-	for i, name := range o.AttrNames() {
+	for i, e := range o.attrs {
 		if i > 0 {
 			b.WriteString(", ")
 		}
-		fmt.Fprintf(&b, "%s: %s", name, o.Attrs[name])
+		fmt.Fprintf(&b, "%s: %s", e.name, e.val)
 	}
 	b.WriteByte('}')
 	return b.String()
 }
 
-// MarshalBinary implements encoding.BinaryMarshaler so values (and the
-// objects and messages containing them) can travel over gob-encoded
-// connections in the TCP deployment.
-func (v Value) MarshalBinary() ([]byte, error) {
-	return v.AppendBinary(nil)
-}
-
 // AppendBinary appends the value's binary encoding to dst and returns the
-// extended slice: MarshalBinary without the per-value allocation, for hot
-// encode paths (the storage engine logs every inserted attribute).
+// extended slice. The encoding is not self-delimiting (a string runs to the
+// end of the input); AppendValue frames it for use inside a larger message.
 func (v Value) AppendBinary(dst []byte) ([]byte, error) {
 	dst = append(dst, byte(v.kind))
 	switch v.kind {
@@ -442,8 +507,17 @@ func (v Value) AppendBinary(dst []byte) ([]byte, error) {
 	return dst, nil
 }
 
-// UnmarshalBinary implements encoding.BinaryUnmarshaler.
+// UnmarshalBinary decodes an AppendBinary encoding that fills data exactly.
 func (v *Value) UnmarshalBinary(data []byte) error {
+	return v.unmarshal(data, 0)
+}
+
+// maxListDepth bounds list nesting in a decoded value. The data model nests
+// lists at most once (a multi-valued attribute); the bound keeps a hostile
+// encoding from driving the decoder's recursion as deep as its input is long.
+const maxListDepth = 8
+
+func (v *Value) unmarshal(data []byte, depth int) error {
 	if len(data) == 0 {
 		return fmt.Errorf("object: empty value encoding")
 	}
@@ -469,6 +543,9 @@ func (v *Value) UnmarshalBinary(data []byte) error {
 	case KindString, KindRef, KindGRef:
 		*v = Value{kind: kind, s: string(payload)}
 	case KindList:
+		if depth >= maxListDepth {
+			return fmt.Errorf("object: list nested deeper than %d", maxListDepth)
+		}
 		var elems []Value
 		for len(payload) > 0 {
 			n, rest, err := readInt64(payload)
@@ -479,7 +556,7 @@ func (v *Value) UnmarshalBinary(data []byte) error {
 				return fmt.Errorf("object: corrupt list encoding")
 			}
 			var e Value
-			if err := e.UnmarshalBinary(rest[:n]); err != nil {
+			if err := e.unmarshal(rest[:n], depth+1); err != nil {
 				return err
 			}
 			elems = append(elems, e)

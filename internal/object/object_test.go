@@ -185,11 +185,8 @@ func TestNewNormalizesNulls(t *testing.T) {
 		"age":  Null(),
 		"sex":  {},
 	})
-	if _, ok := o.Attrs["age"]; ok {
-		t.Error("null attribute survived New")
-	}
-	if _, ok := o.Attrs["sex"]; ok {
-		t.Error("zero Value attribute survived New")
+	if o.Len() != 1 {
+		t.Errorf("null or zero Value attribute survived New: %v", o)
 	}
 	if !o.Attr("age").IsNull() {
 		t.Error("Attr on missing attribute should be null")
@@ -220,7 +217,7 @@ func TestObjectSetAndClone(t *testing.T) {
 		t.Error("Clone shares attribute map")
 	}
 	o.Set("age", Null())
-	if _, ok := o.Attrs["age"]; ok {
+	if o.Len() != 0 {
 		t.Error("Set(Null) should delete")
 	}
 	var empty Object
@@ -235,8 +232,8 @@ func TestObjectProject(t *testing.T) {
 		"name": Str("John"), "age": Int(31), "advisor": Ref("t1"),
 	})
 	p := o.Project([]string{"name", "advisor", "nonexistent"})
-	if len(p.Attrs) != 2 {
-		t.Fatalf("Project kept %d attrs, want 2", len(p.Attrs))
+	if p.Len() != 2 {
+		t.Fatalf("Project kept %d attrs, want 2", p.Len())
 	}
 	if p.LOid != "s1" || p.Class != "Student" {
 		t.Error("Project lost identity")
@@ -350,7 +347,7 @@ func TestValueBinaryRoundTrip(t *testing.T) {
 		{},
 	}
 	for _, v := range values {
-		data, err := v.MarshalBinary()
+		data, err := v.AppendBinary(nil)
 		if err != nil {
 			t.Fatalf("marshal %v: %v", v, err)
 		}

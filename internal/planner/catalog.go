@@ -124,7 +124,8 @@ func scanExtent(ext *store.Extent) ExtentStats {
 	ext.Scan(func(o *object.Object) bool {
 		stats.Objects++
 		stats.Bytes += o.WireSize(nil)
-		for name, v := range o.Attrs {
+		for i := 0; i < o.Len(); i++ {
+			name, v := o.At(i)
 			s := stats.Attrs[name]
 			s.NonNull++
 			switch v.Kind() {

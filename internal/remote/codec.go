@@ -1,0 +1,722 @@
+package remote
+
+import (
+	"encoding/binary"
+	"errors"
+	"fmt"
+	"math"
+	"slices"
+	"time"
+
+	"github.com/hetfed/hetfed/internal/antientropy"
+	"github.com/hetfed/hetfed/internal/federation"
+	"github.com/hetfed/hetfed/internal/object"
+	"github.com/hetfed/hetfed/internal/query"
+	"github.com/hetfed/hetfed/internal/trace"
+	"github.com/hetfed/hetfed/internal/tvl"
+)
+
+// The wire codec: a hand-rolled binary encoding of Request and Response and
+// everything they carry. A frame's payload (frame.go) is exactly one message.
+//
+// Primitives:
+//
+//	uvarint, varint   encoding/binary's variable-length integers (varint is
+//	                  zigzag); every Go int travels as a varint
+//	u8, u64           one byte; eight bytes little-endian
+//	bool              u8, 0 or 1
+//	str               len:uvarint bytes[len]
+//	name              a str the decoder interns per frame: site, class,
+//	                  attribute, algorithm and span names repeat thousands
+//	                  of times in one reply and are allocated once
+//	value             len:uvarint bytes[len], bytes = object.Value.AppendBinary
+//	object            object.AppendObject — the record the WAL logs
+//	time              u8 0 for the zero time (an open span's End), else
+//	                  u8 1 then UnixNano:u64
+//	[]T               count:uvarint then count elements; the decoder checks
+//	                  count against the bytes that remain before allocating,
+//	                  and an empty list decodes to nil (gob did the same, so
+//	                  no caller tells empty from nil)
+//	opt T             u8 0 for nil, else u8 1 then T
+//
+// Messages, fields in wire order:
+//
+//	Request        Kind:str Trace DeadlineMicros:varint Query:str Mode:str
+//	               Items:[]CheckItem Batch:[][]CheckItem Store:opt object
+//	               Bind:opt BindDelta Digests Repair:opt RepairRequest
+//	Response       Err:str Retrieve Local Check:CheckReply
+//	               CheckBatch:[]CheckReply Spans:[]Span Digests
+//	               Repair:opt RepairReply Suspect:[]name
+//
+//	Trace          QueryID:str Alg:str Span:uvarint From:str
+//	CheckItem      Assistant:str ItemGOid:str ItemClass:name Suffix:Predicate
+//	               SourceIdx:varint
+//	Predicate      Path:[]name Op:u8 Literal:value
+//	BindDelta      Class:name GOid:str Site:name LOid:str
+//	Digests        []{Class:name Count:uvarint Sum:[64]u64}, sorted by class
+//	RepairRequest  Class:name Buckets:[]varint Bindings:[]Binding
+//	RepairReply    Bindings:[]Binding Applied:varint Conflicts:varint
+//	Binding        GOid:str Site:name LOid:str
+//	Retrieve       Site:name Classes:[]{GlobalClass:name Attrs:[]name
+//	               Objects:[]object}
+//	Local          Result:{Site:name Rows:[]LocalRow SigVerdicts:[]Verdict}
+//	               CheckReplies:[]CheckReply Unavailable:[]{Site:name Reason:str}
+//	LocalRow       LOid:str GOid:str Targets:[]value Verdicts:[]u8
+//	               Unsolved:[]UnsolvedItem
+//	UnsolvedItem   ItemGOid:str ItemClass:name SelfItem:bool Suffix:Predicate
+//	               SourceIdx:varint Multi:bool
+//	CheckReply     Site:name Verdicts:[]Verdict
+//	Verdict        ItemGOid:str SourceIdx:varint SuffixLen:varint Verdict:u8
+//	Span           ID:uvarint Parent:uvarint Query:name Algorithm:name
+//	               Site:name Name:name Phases:name Detail:str Seq:varint
+//	               Start:time End:time VStart:u64 VEnd:u64 (float bits)
+//	               Counters:[]{name varint}, sorted by name
+//
+// Every field is always present, so a ping is ~20 bytes and a message has
+// one encoding: maps are written in key order.
+
+// frameBuf is a pooled buffer (frame.go) holding one frame on its way out
+// or one payload on its way in. Its methods append a message's fields to b;
+// the first failure sticks in err, and only an invalid object.Value can
+// cause one. In the steady state a pooled buffer is already large enough and
+// encoding allocates nothing.
+type frameBuf struct {
+	b   []byte
+	err error
+}
+
+func (w *frameBuf) u8(v byte)        { w.b = append(w.b, v) }
+func (w *frameBuf) uvarint(v uint64) { w.b = binary.AppendUvarint(w.b, v) }
+func (w *frameBuf) i64(v int64)      { w.b = binary.AppendVarint(w.b, v) }
+func (w *frameBuf) int(v int)        { w.i64(int64(v)) }
+func (w *frameBuf) u64(v uint64)     { w.b = binary.LittleEndian.AppendUint64(w.b, v) }
+
+func (w *frameBuf) bool(v bool) {
+	if v {
+		w.u8(1)
+	} else {
+		w.u8(0)
+	}
+}
+
+// opt writes an opt flag and reports whether the value follows.
+func (w *frameBuf) opt(present bool) bool {
+	w.bool(present)
+	return present
+}
+
+func (w *frameBuf) str(s string) {
+	w.uvarint(uint64(len(s)))
+	w.b = append(w.b, s...)
+}
+
+// keep installs an append-style encoder's result, or records its failure
+// (such encoders return nil on error, so w.b must not be overwritten).
+func (w *frameBuf) keep(b []byte, err error) {
+	if err != nil {
+		if w.err == nil {
+			w.err = err
+		}
+		return
+	}
+	w.b = b
+}
+
+func (w *frameBuf) value(v object.Value)    { w.keep(object.AppendValue(w.b, v)) }
+func (w *frameBuf) object(o *object.Object) { w.keep(object.AppendObject(w.b, o)) }
+
+func (w *frameBuf) time(t time.Time) {
+	if t.IsZero() {
+		w.u8(0)
+		return
+	}
+	w.u8(1)
+	w.u64(uint64(t.UnixNano()))
+}
+
+func (w *frameBuf) strs(ss []string) {
+	w.uvarint(uint64(len(ss)))
+	for _, s := range ss {
+		w.str(s)
+	}
+}
+
+// list writes a counted list, handing each element to elem by pointer so
+// the wide structs (a span, a check item) are not copied on the way.
+func list[T any](w *frameBuf, s []T, elem func(*frameBuf, *T)) {
+	w.uvarint(uint64(len(s)))
+	for i := range s {
+		elem(w, &s[i])
+	}
+}
+
+// errMalformed is the root of every decode failure.
+var errMalformed = errors.New("remote: malformed message")
+
+// reader consumes a message from b. The first failure sticks in err and
+// empties b, after which every read yields zero values, so decoders run
+// straight through and check once at the end.
+type reader struct {
+	b     []byte
+	err   error
+	names object.Interner
+}
+
+func (r *reader) fail(what string) {
+	if r.err == nil {
+		r.err = fmt.Errorf("%w: %s", errMalformed, what)
+	}
+	r.b = nil
+}
+
+func (r *reader) u8() byte {
+	if len(r.b) < 1 {
+		r.fail("truncated")
+		return 0
+	}
+	v := r.b[0]
+	r.b = r.b[1:]
+	return v
+}
+
+func (r *reader) bool() bool {
+	v := r.u8()
+	if v > 1 {
+		r.fail("bool out of range")
+	}
+	return v == 1
+}
+
+func (r *reader) uvarint() uint64 {
+	v, n := binary.Uvarint(r.b)
+	if n <= 0 {
+		r.fail("bad uvarint")
+		return 0
+	}
+	r.b = r.b[n:]
+	return v
+}
+
+func (r *reader) i64() int64 {
+	v, n := binary.Varint(r.b)
+	if n <= 0 {
+		r.fail("bad varint")
+		return 0
+	}
+	r.b = r.b[n:]
+	return v
+}
+
+func (r *reader) int() int {
+	v := r.i64()
+	if int64(int(v)) != v {
+		r.fail("varint overflows int")
+		return 0
+	}
+	return int(v)
+}
+
+func (r *reader) u64() uint64 {
+	if len(r.b) < 8 {
+		r.fail("truncated")
+		return 0
+	}
+	v := binary.LittleEndian.Uint64(r.b)
+	r.b = r.b[8:]
+	return v
+}
+
+// bytes splits one length-prefixed field off the input; the result aliases
+// it.
+func (r *reader) bytes() []byte {
+	n := r.uvarint()
+	if n > uint64(len(r.b)) {
+		r.fail("field longer than message")
+		return nil
+	}
+	f := r.b[:n]
+	r.b = r.b[n:]
+	return f
+}
+
+func (r *reader) str() string  { return string(r.bytes()) }
+func (r *reader) name() string { return r.names.Intern(r.bytes()) }
+
+// count reads a list length and refuses one the remaining input could not
+// hold at min bytes per element, so a few hostile bytes cannot size a make.
+func (r *reader) count(min int) int {
+	n := r.uvarint()
+	if n > uint64(len(r.b)/min) {
+		r.fail("count exceeds message")
+		return 0
+	}
+	return int(n)
+}
+
+func (r *reader) value() object.Value {
+	if r.err != nil {
+		return object.Value{} // fail fast and free: lists keep iterating after a failure
+	}
+	v, rest, err := object.DecodeValue(r.b)
+	if err != nil {
+		r.fail(err.Error())
+		return object.Value{}
+	}
+	r.b = rest
+	return v
+}
+
+func (r *reader) object() *object.Object {
+	if r.err != nil {
+		return nil
+	}
+	o, rest, err := object.DecodeObject(r.b, &r.names)
+	if err != nil {
+		r.fail(err.Error())
+		return nil
+	}
+	r.b = rest
+	return o
+}
+
+func (r *reader) time() time.Time {
+	switch r.u8() {
+	case 0:
+		return time.Time{}
+	case 1:
+		return time.Unix(0, int64(r.u64()))
+	default:
+		r.fail("time flag out of range")
+		return time.Time{}
+	}
+}
+
+func (r *reader) nameList() []string {
+	n := r.count(1)
+	if n == 0 {
+		return nil
+	}
+	out := make([]string, n)
+	for i := range out {
+		out[i] = r.name()
+	}
+	return out
+}
+
+// listOf reads a counted list of elements at least min bytes each.
+func listOf[T any](r *reader, min int, elem func(*reader, *T)) []T {
+	n := r.count(min)
+	if n == 0 {
+		return nil
+	}
+	out := make([]T, n)
+	for i := range out {
+		if elem(r, &out[i]); r.err != nil {
+			return nil
+		}
+	}
+	return out
+}
+
+// sortedKeys returns m's keys in order: maps are written sorted, so a
+// message has one encoding.
+func sortedKeys[V any](m map[string]V) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	return keys
+}
+
+// Minimum encoded sizes, the divisors count uses. Each is the element's
+// fixed fields at their shortest; what matters is that none is zero.
+const (
+	minPredicate    = 1 + 1 + 2
+	minCheckItem    = 3 + minPredicate + 1
+	minBinding      = 3
+	minDigest       = 1 + 1 + 8*antientropy.Buckets
+	minObject       = 3
+	minClassObjects = 3
+	minVerdict      = 4
+	minCheckReply   = 2
+	minUnsolved     = 3 + minPredicate + 2
+	minLocalRow     = 5
+	minSiteFailure  = 2
+	minSpan         = 9 + 2 + 16 + 1
+	minCounter      = 2
+)
+
+func (w *frameBuf) trace(t *TraceContext) {
+	w.str(t.QueryID)
+	w.str(t.Alg)
+	w.uvarint(t.Span)
+	w.str(string(t.From))
+}
+
+func (r *reader) trace(t *TraceContext) {
+	t.QueryID = r.str()
+	t.Alg = r.str()
+	t.Span = r.uvarint()
+	t.From = object.SiteID(r.str())
+}
+
+func (w *frameBuf) predicate(p *query.Predicate) {
+	w.strs(p.Path)
+	w.u8(byte(p.Op))
+	w.value(p.Literal)
+}
+
+func (r *reader) predicate(p *query.Predicate) {
+	p.Path = r.nameList()
+	p.Op = query.Op(r.u8())
+	p.Literal = r.value()
+}
+
+func (w *frameBuf) checkItem(it *federation.CheckItem) {
+	w.str(string(it.Assistant))
+	w.str(string(it.ItemGOid))
+	w.str(it.ItemClass)
+	w.predicate(&it.Suffix)
+	w.int(it.SourceIdx)
+}
+
+func (r *reader) checkItem(it *federation.CheckItem) {
+	it.Assistant = object.LOid(r.str())
+	it.ItemGOid = object.GOid(r.str())
+	it.ItemClass = r.name()
+	r.predicate(&it.Suffix)
+	it.SourceIdx = r.int()
+}
+
+func (w *frameBuf) checkItems(items *[]federation.CheckItem) { list(w, *items, (*frameBuf).checkItem) }
+func (r *reader) checkItems(items *[]federation.CheckItem) {
+	*items = listOf(r, minCheckItem, (*reader).checkItem)
+}
+
+func (w *frameBuf) binding(b *antientropy.Binding) {
+	w.str(string(b.GOid))
+	w.str(string(b.Site))
+	w.str(string(b.LOid))
+}
+
+func (r *reader) binding(b *antientropy.Binding) {
+	b.GOid = object.GOid(r.str())
+	b.Site = object.SiteID(r.name())
+	b.LOid = object.LOid(r.str())
+}
+
+func (w *frameBuf) digests(m map[string]antientropy.Digest) {
+	w.uvarint(uint64(len(m)))
+	for _, class := range sortedKeys(m) {
+		d := m[class]
+		w.str(class)
+		w.uvarint(d.Count)
+		for _, sum := range d.Sum {
+			w.u64(sum)
+		}
+	}
+}
+
+func (r *reader) digests() map[string]antientropy.Digest {
+	n := r.count(minDigest)
+	if n == 0 {
+		return nil
+	}
+	m := make(map[string]antientropy.Digest, n)
+	for i := 0; i < n; i++ {
+		class := r.name()
+		var d antientropy.Digest
+		d.Count = r.uvarint()
+		for j := range d.Sum {
+			d.Sum[j] = r.u64()
+		}
+		m[class] = d
+	}
+	return m
+}
+
+func (w *frameBuf) verdict(v *federation.CheckVerdict) {
+	w.str(string(v.ItemGOid))
+	w.int(v.SourceIdx)
+	w.int(v.SuffixLen)
+	w.u8(byte(v.Verdict))
+}
+
+func (r *reader) verdict(v *federation.CheckVerdict) {
+	v.ItemGOid = object.GOid(r.str())
+	v.SourceIdx = r.int()
+	v.SuffixLen = r.int()
+	v.Verdict = tvl.Truth(r.u8())
+}
+
+func (w *frameBuf) checkReply(cr *federation.CheckReply) {
+	w.str(string(cr.Site))
+	list(w, cr.Verdicts, (*frameBuf).verdict)
+}
+
+func (r *reader) checkReply(cr *federation.CheckReply) {
+	cr.Site = object.SiteID(r.name())
+	cr.Verdicts = listOf(r, minVerdict, (*reader).verdict)
+}
+
+func (w *frameBuf) classObjects(co *federation.ClassObjects) {
+	w.str(co.GlobalClass)
+	w.strs(co.Attrs)
+	w.uvarint(uint64(len(co.Objects)))
+	for _, o := range co.Objects {
+		w.object(o)
+	}
+}
+
+func (r *reader) classObjects(co *federation.ClassObjects) {
+	co.GlobalClass = r.name()
+	co.Attrs = r.nameList()
+	if n := r.count(minObject); n > 0 {
+		co.Objects = make([]*object.Object, n)
+		for i := range co.Objects {
+			co.Objects[i] = r.object()
+		}
+	}
+}
+
+func (w *frameBuf) unsolved(u *federation.UnsolvedItem) {
+	w.str(string(u.ItemGOid))
+	w.str(u.ItemClass)
+	w.bool(u.SelfItem)
+	w.predicate(&u.Suffix)
+	w.int(u.SourceIdx)
+	w.bool(u.Multi)
+}
+
+func (r *reader) unsolved(u *federation.UnsolvedItem) {
+	u.ItemGOid = object.GOid(r.str())
+	u.ItemClass = r.name()
+	u.SelfItem = r.bool()
+	r.predicate(&u.Suffix)
+	u.SourceIdx = r.int()
+	u.Multi = r.bool()
+}
+
+func (w *frameBuf) localRow(row *federation.LocalRow) {
+	w.str(string(row.LOid))
+	w.str(string(row.GOid))
+	w.uvarint(uint64(len(row.Targets)))
+	for _, v := range row.Targets {
+		w.value(v)
+	}
+	w.uvarint(uint64(len(row.Verdicts)))
+	for _, v := range row.Verdicts {
+		w.u8(byte(v))
+	}
+	list(w, row.Unsolved, (*frameBuf).unsolved)
+}
+
+func (r *reader) localRow(row *federation.LocalRow) {
+	row.LOid = object.LOid(r.str())
+	row.GOid = object.GOid(r.str())
+	if n := r.count(2); n > 0 {
+		row.Targets = make([]object.Value, n)
+		for i := range row.Targets {
+			row.Targets[i] = r.value()
+		}
+	}
+	if n := r.count(1); n > 0 {
+		row.Verdicts = make([]tvl.Truth, n)
+		for i := range row.Verdicts {
+			row.Verdicts[i] = tvl.Truth(r.u8())
+		}
+	}
+	row.Unsolved = listOf(r, minUnsolved, (*reader).unsolved)
+}
+
+func (w *frameBuf) siteFailure(f *federation.SiteFailure) {
+	w.str(string(f.Site))
+	w.str(f.Reason)
+}
+
+func (r *reader) siteFailure(f *federation.SiteFailure) {
+	f.Site = object.SiteID(r.name())
+	f.Reason = r.str()
+}
+
+func (w *frameBuf) span(s *trace.Span) {
+	w.uvarint(uint64(s.ID))
+	w.uvarint(uint64(s.Parent))
+	w.str(s.Query)
+	w.str(s.Algorithm)
+	w.str(string(s.Site))
+	w.str(s.Name)
+	w.str(s.Phases)
+	w.str(s.Detail)
+	w.int(s.Seq)
+	w.time(s.Start)
+	w.time(s.End)
+	w.u64(math.Float64bits(s.VStart))
+	w.u64(math.Float64bits(s.VEnd))
+	w.uvarint(uint64(len(s.Counters)))
+	for _, name := range sortedKeys(s.Counters) {
+		w.str(name)
+		w.i64(s.Counters[name])
+	}
+}
+
+func (r *reader) span(s *trace.Span) {
+	s.ID = trace.SpanID(r.uvarint())
+	s.Parent = trace.SpanID(r.uvarint())
+	s.Query = r.name()
+	s.Algorithm = r.name()
+	s.Site = object.SiteID(r.name())
+	s.Name = r.name()
+	s.Phases = r.name()
+	s.Detail = r.str()
+	s.Seq = r.int()
+	s.Start = r.time()
+	s.End = r.time()
+	s.VStart = math.Float64frombits(r.u64())
+	s.VEnd = math.Float64frombits(r.u64())
+	if n := r.count(minCounter); n > 0 {
+		s.Counters = make(map[string]int64, n)
+		for i := 0; i < n; i++ {
+			s.Counters[r.name()] = r.i64()
+		}
+	}
+}
+
+// request appends req's encoding.
+func (w *frameBuf) request(req *Request) {
+	w.str(req.Kind)
+	w.trace(&req.Trace)
+	w.i64(req.DeadlineMicros)
+	w.str(req.Query)
+	w.str(req.Mode)
+	w.checkItems(&req.Items)
+	list(w, req.Batch, (*frameBuf).checkItems)
+	if w.opt(req.Store != nil) {
+		w.object(req.Store)
+	}
+	if w.opt(req.Bind != nil) {
+		w.str(req.Bind.Class)
+		w.str(string(req.Bind.GOid))
+		w.str(string(req.Bind.Site))
+		w.str(string(req.Bind.LOid))
+	}
+	w.digests(req.Digests)
+	if w.opt(req.Repair != nil) {
+		w.str(req.Repair.Class)
+		w.uvarint(uint64(len(req.Repair.Buckets)))
+		for _, b := range req.Repair.Buckets {
+			w.int(b)
+		}
+		list(w, req.Repair.Bindings, (*frameBuf).binding)
+	}
+}
+
+// decodeRequest decodes one request filling b exactly. The result shares
+// no memory with b.
+func decodeRequest(b []byte) (Request, error) {
+	r := reader{b: b}
+	var req Request
+	req.Kind = r.str()
+	r.trace(&req.Trace)
+	req.DeadlineMicros = r.i64()
+	req.Query = r.str()
+	req.Mode = r.str()
+	r.checkItems(&req.Items)
+	req.Batch = listOf(&r, 1, (*reader).checkItems)
+	if r.bool() {
+		req.Store = r.object()
+	}
+	if r.bool() {
+		req.Bind = &BindDelta{
+			Class: r.name(),
+			GOid:  object.GOid(r.str()),
+			Site:  object.SiteID(r.name()),
+			LOid:  object.LOid(r.str()),
+		}
+	}
+	req.Digests = r.digests()
+	if r.bool() {
+		rp := &RepairRequest{Class: r.name()}
+		if n := r.count(1); n > 0 {
+			rp.Buckets = make([]int, n)
+			for i := range rp.Buckets {
+				rp.Buckets[i] = r.int()
+			}
+		}
+		rp.Bindings = listOf(&r, minBinding, (*reader).binding)
+		req.Repair = rp
+	}
+	if err := r.finish(); err != nil {
+		return Request{}, err
+	}
+	return req, nil
+}
+
+// response appends resp's encoding.
+func (w *frameBuf) response(resp *Response) {
+	w.str(resp.Err)
+
+	w.str(string(resp.Retrieve.Site))
+	list(w, resp.Retrieve.Classes, (*frameBuf).classObjects)
+
+	res := &resp.Local.Result
+	w.str(string(res.Site))
+	list(w, res.Rows, (*frameBuf).localRow)
+	list(w, res.SigVerdicts, (*frameBuf).verdict)
+	list(w, resp.Local.CheckReplies, (*frameBuf).checkReply)
+	list(w, resp.Local.Unavailable, (*frameBuf).siteFailure)
+
+	w.checkReply(&resp.Check)
+	list(w, resp.CheckBatch, (*frameBuf).checkReply)
+	list(w, resp.Spans, (*frameBuf).span)
+	w.digests(resp.Digests)
+	if w.opt(resp.Repair != nil) {
+		list(w, resp.Repair.Bindings, (*frameBuf).binding)
+		w.int(resp.Repair.Applied)
+		w.int(resp.Repair.Conflicts)
+	}
+	w.strs(resp.Suspect)
+}
+
+// decodeResponse decodes one response filling b exactly. The result shares
+// no memory with b.
+func decodeResponse(b []byte) (Response, error) {
+	r := reader{b: b}
+	var resp Response
+	resp.Err = r.str()
+
+	resp.Retrieve.Site = object.SiteID(r.name())
+	resp.Retrieve.Classes = listOf(&r, minClassObjects, (*reader).classObjects)
+
+	res := &resp.Local.Result
+	res.Site = object.SiteID(r.name())
+	res.Rows = listOf(&r, minLocalRow, (*reader).localRow)
+	res.SigVerdicts = listOf(&r, minVerdict, (*reader).verdict)
+	resp.Local.CheckReplies = listOf(&r, minCheckReply, (*reader).checkReply)
+	resp.Local.Unavailable = listOf(&r, minSiteFailure, (*reader).siteFailure)
+
+	r.checkReply(&resp.Check)
+	resp.CheckBatch = listOf(&r, minCheckReply, (*reader).checkReply)
+	resp.Spans = listOf(&r, minSpan, (*reader).span)
+	resp.Digests = r.digests()
+	if r.bool() {
+		rp := &RepairReply{Bindings: listOf(&r, minBinding, (*reader).binding)}
+		rp.Applied = r.int()
+		rp.Conflicts = r.int()
+		resp.Repair = rp
+	}
+	resp.Suspect = r.nameList()
+	if err := r.finish(); err != nil {
+		return Response{}, err
+	}
+	return resp, nil
+}
+
+// finish reports the sticky error, or bytes left over after the message.
+func (r *reader) finish() error {
+	if r.err == nil && len(r.b) > 0 {
+		r.fail("trailing bytes")
+	}
+	return r.err
+}

@@ -1,0 +1,577 @@
+package remote
+
+import (
+	"bytes"
+	"flag"
+	"fmt"
+	"io"
+	"math/rand"
+	"os"
+	"path/filepath"
+	"reflect"
+	"runtime"
+	"sort"
+	"strings"
+	"testing"
+	"time"
+
+	"github.com/hetfed/hetfed/internal/antientropy"
+	"github.com/hetfed/hetfed/internal/fabric"
+	"github.com/hetfed/hetfed/internal/federation"
+	"github.com/hetfed/hetfed/internal/object"
+	"github.com/hetfed/hetfed/internal/query"
+	"github.com/hetfed/hetfed/internal/trace"
+	"github.com/hetfed/hetfed/internal/tvl"
+	"github.com/hetfed/hetfed/internal/workload"
+)
+
+var updateCorpus = flag.Bool("update-corpus", false, "rewrite testdata/fuzz seed files from the sample messages")
+
+var (
+	sampleTrace = TraceContext{QueryID: "rq7-1f", Alg: "BL", Span: 0xDEADBEEFCAFE, From: "G"}
+	samplePred  = query.Predicate{Path: query.Path{"advisor", "department", "name"}, Op: query.OpEq, Literal: object.Str("CS")}
+	sampleItems = []federation.CheckItem{
+		{Assistant: "t1'", ItemGOid: "gt1", ItemClass: "Teacher", Suffix: samplePred, SourceIdx: 2},
+		{Assistant: "t2'", ItemGOid: "gt2", ItemClass: "Teacher", SourceIdx: -1,
+			Suffix: query.Predicate{Path: query.Path{"tags"}, Op: query.OpNe, Literal: object.List(object.Int(1), object.Str("x"))}},
+	}
+	sampleDigests = func() map[string]antientropy.Digest {
+		var a, b antientropy.Digest
+		a.Add("gs1", "DB1", "s1")
+		a.Add("gs1", "DB2", "s1'")
+		b.Add("gt1", "DB3", "t1")
+		return map[string]antientropy.Digest{"Student": a, "Teacher": b}
+	}()
+	sampleBindings = []antientropy.Binding{{GOid: "gs1", Site: "DB1", LOid: "s1"}, {GOid: "gs1", Site: "DB2", LOid: "s1'"}}
+	sampleStudent  = object.New("s9", "Student", map[string]object.Value{
+		"name": object.Str("Hedy"), "age": object.Int(24), "advisor": object.Ref("t2"),
+		"courses": object.List(object.Ref("c1"), object.Ref("c2")), "gpa": object.Float(3.7), "ta": object.Bool(true),
+	})
+	sampleVerdicts = []federation.CheckVerdict{
+		{ItemGOid: "gt1", SourceIdx: 1, SuffixLen: 1, Verdict: tvl.False},
+		{ItemGOid: "gt2", SourceIdx: 2, SuffixLen: 3, Verdict: tvl.Unknown},
+	}
+	// Wall times as the tracer stamps them, less the monotonic reading no
+	// encoding carries.
+	sampleStart = time.Unix(1_790_000_000, 123_456_789)
+	sampleSpans = []trace.Span{
+		{ID: 11, Parent: 3, Query: "rq7-1f", Algorithm: "BL", Site: "DB1", Name: "serve:local", Phases: "PO",
+			Detail: "3 local rows", Seq: 4, Start: sampleStart, End: sampleStart.Add(1500 * time.Microsecond),
+			VStart: 12.5, VEnd: 1512.5, Counters: map[string]int64{"rows": 3, "disk_bytes": 4096, "cpu_ops": -1}},
+		// An open span: End is the zero time and must come back as one.
+		{ID: 12, Parent: 11, Query: "rq7-1f", Algorithm: "BL", Site: "DB2", Name: "serve:check", Phases: "O",
+			Seq: 5, Start: sampleStart.Add(time.Millisecond), VStart: -1, VEnd: -1},
+	}
+)
+
+// sampleRequests holds one populated message of every request kind.
+func sampleRequests() map[string]Request {
+	return map[string]Request{
+		"ping":     {Kind: kindPing, Trace: TraceContext{From: "G"}},
+		"retrieve": {Kind: kindRetrieve, Trace: sampleTrace, DeadlineMicros: 250_001, Query: `select name from Student where address.city = "Taipei"`},
+		"local":    {Kind: kindLocal, Trace: sampleTrace, DeadlineMicros: 1, Query: "select name from Student", Mode: ModeSPL},
+		"check":    {Kind: kindCheck, Trace: sampleTrace, Items: sampleItems},
+		// The empty middle group must keep its place: replies are group-aligned.
+		"checkbatch":   {Kind: kindCheckBatch, Trace: sampleTrace, Batch: [][]federation.CheckItem{sampleItems[:1], nil, sampleItems}},
+		"store":        {Kind: kindStore, Trace: TraceContext{From: "G"}, Store: sampleStudent},
+		"bind":         {Kind: kindBind, Bind: &BindDelta{Class: "Student", GOid: "gs9", Site: "DB1", LOid: "s9"}},
+		"digest":       {Kind: kindDigest, Trace: TraceContext{From: "DB2"}, Digests: sampleDigests},
+		"repair":       {Kind: kindRepair, Repair: &RepairRequest{Class: "Student", Buckets: []int{0, 17, 63}, Bindings: sampleBindings}},
+		"repair-empty": {Kind: kindRepair, Repair: &RepairRequest{Class: "Student"}},
+		"unknown-kind": {Kind: "nonsense", DeadlineMicros: -5},
+	}
+}
+
+// sampleResponses holds one populated message of every response shape.
+func sampleResponses() map[string]Response {
+	return map[string]Response{
+		"empty": {},
+		"error": {Err: errDeadline},
+		"retrieve": {
+			Retrieve: federation.RetrieveReply{Site: "DB1", Classes: []federation.ClassObjects{
+				{GlobalClass: "Student", Attrs: []string{"advisor", "name"}, Objects: []*object.Object{
+					sampleStudent.Project([]string{"advisor", "name"}),
+					object.New("s10", "Student", nil),
+				}},
+				{GlobalClass: "Teacher", Attrs: []string{"speciality"}},
+			}},
+			Suspect: []string{"Student", "Teacher"},
+		},
+		"local": {
+			Local: LocalReply{
+				Result: federation.LocalResult{
+					Site: "DB1",
+					Rows: []federation.LocalRow{
+						{LOid: "s1", GOid: "gs1",
+							Targets:  []object.Value{object.Str("John"), object.Null(), object.GRef("gt1"), {}, object.List(object.GRef("gc1"))},
+							Verdicts: []tvl.Truth{tvl.True, tvl.Unknown},
+							Unsolved: []federation.UnsolvedItem{
+								{ItemGOid: "gt1", ItemClass: "Teacher", Suffix: samplePred, SourceIdx: 1, Multi: true},
+								{ItemGOid: "gs1", ItemClass: "Student", SelfItem: true, Suffix: samplePred},
+							}},
+						{LOid: "s2", GOid: "gs2"},
+					},
+					SigVerdicts: sampleVerdicts[:1],
+				},
+				CheckReplies: []federation.CheckReply{{Site: "DB2", Verdicts: sampleVerdicts}, {Site: "DB3"}},
+				Unavailable:  []federation.SiteFailure{{Site: "DB3", Reason: "dial tcp: connection refused"}},
+			},
+		},
+		"check": {Check: federation.CheckReply{Site: "DB2", Verdicts: sampleVerdicts}},
+		// Group-aligned with the request: the empty reply keeps its place.
+		"checkbatch":   {CheckBatch: []federation.CheckReply{{Site: "DB2", Verdicts: sampleVerdicts[:1]}, {Site: "DB2"}, {Site: "DB2", Verdicts: sampleVerdicts}}},
+		"spans":        {Check: federation.CheckReply{Site: "DB2"}, Spans: sampleSpans},
+		"digest":       {Digests: sampleDigests},
+		"repair":       {Repair: &RepairReply{Bindings: sampleBindings, Applied: 2, Conflicts: 1}},
+		"repair-empty": {Repair: &RepairReply{}},
+	}
+}
+
+func encodeRequest(t testing.TB, req Request) []byte {
+	t.Helper()
+	var w frameBuf
+	w.request(&req)
+	if w.err != nil {
+		t.Fatalf("encode request: %v", w.err)
+	}
+	return w.b
+}
+
+func encodeResponse(t testing.TB, resp Response) []byte {
+	t.Helper()
+	var w frameBuf
+	w.response(&resp)
+	if w.err != nil {
+		t.Fatalf("encode response: %v", w.err)
+	}
+	return w.b
+}
+
+// TestCodecRoundTrip: decode(encode(m)) == m for every request kind and
+// response shape, field for field — values inside rows, open and closed
+// spans, batch groups, nil pointers.
+func TestCodecRoundTrip(t *testing.T) {
+	for name, want := range sampleRequests() {
+		got, err := decodeRequest(encodeRequest(t, want))
+		if err != nil {
+			t.Errorf("request %s: %v", name, err)
+		} else if !reflect.DeepEqual(got, want) {
+			t.Errorf("request %s:\n got %+v\nwant %+v", name, got, want)
+		}
+	}
+	for name, want := range sampleResponses() {
+		got, err := decodeResponse(encodeResponse(t, want))
+		if err != nil {
+			t.Errorf("response %s: %v", name, err)
+		} else if !reflect.DeepEqual(got, want) {
+			t.Errorf("response %s:\n got %+v\nwant %+v", name, got, want)
+		}
+	}
+}
+
+// TestCodecKeepsWhatCallersDependOn spells out the behaviours the round
+// trip implies but callers lean on by name.
+func TestCodecKeepsWhatCallersDependOn(t *testing.T) {
+	resp, err := decodeResponse(encodeResponse(t, sampleResponses()["spans"]))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if open := resp.Spans[1]; !open.End.IsZero() || open.DurationMicros() != 0 {
+		t.Errorf("open span came back closed: End = %v", open.End)
+	}
+	if closed := resp.Spans[0]; closed.DurationMicros() != 1500 || !closed.Start.Equal(sampleStart) {
+		t.Errorf("closed span: start %v, %v us", closed.Start, closed.DurationMicros())
+	}
+
+	// Empty lists decode to nil, as they did under gob; a non-nil empty
+	// pointer stays non-nil, a nil one nil.
+	req, err := decodeRequest(encodeRequest(t, Request{Kind: kindCheck, Items: []federation.CheckItem{},
+		Digests: map[string]antientropy.Digest{}, Repair: &RepairRequest{Buckets: []int{}}}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if req.Items != nil || req.Digests != nil || req.Store != nil || req.Bind != nil {
+		t.Errorf("empty or absent fields did not decode to nil: %+v", req)
+	}
+	if req.Repair == nil || req.Repair.Buckets != nil {
+		t.Errorf("Repair = %+v, want non-nil with nil buckets", req.Repair)
+	}
+
+	// The zero Value and null are different values and both survive.
+	row := sampleResponses()["local"].Local.Result.Rows[0]
+	got, err := decodeResponse(encodeResponse(t, sampleResponses()["local"]))
+	if err != nil {
+		t.Fatal(err)
+	}
+	targets := got.Local.Result.Rows[0].Targets
+	if !targets[1].IsNull() || targets[3].Kind() != 0 || len(targets) != len(row.Targets) {
+		t.Errorf("null / zero Value corrupted: %#v", targets)
+	}
+}
+
+// TestDecodedStoreObjectOwnsItsMemory: the payload buffer goes back to the
+// pool the moment decoding returns, while the stored object lives on in the
+// database.
+func TestDecodedStoreObjectOwnsItsMemory(t *testing.T) {
+	b := encodeRequest(t, sampleRequests()["store"])
+	req, err := decodeRequest(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range b {
+		b[i] = 0xFF
+	}
+	if !reflect.DeepEqual(req.Store, sampleStudent) || req.Kind != kindStore || req.Trace.From != "G" {
+		t.Errorf("request changed with its payload buffer: %+v", req)
+	}
+}
+
+func TestDecodeRejectsMalformed(t *testing.T) {
+	good := encodeRequest(t, sampleRequests()["check"])
+	for n := 0; n < len(good); n++ {
+		if _, err := decodeRequest(good[:n]); err == nil {
+			t.Fatalf("request truncated to %d of %d bytes decoded", n, len(good))
+		}
+	}
+	if _, err := decodeRequest(append(good[:len(good):len(good)], 0)); err == nil {
+		t.Error("trailing byte accepted")
+	}
+	resp := encodeResponse(t, sampleResponses()["local"])
+	for n := 0; n < len(resp); n++ {
+		if _, err := decodeResponse(resp[:n]); err == nil {
+			t.Fatalf("response truncated to %d of %d bytes decoded", n, len(resp))
+		}
+	}
+}
+
+// allocatedBy runs fn and reports the bytes it allocated — or 0 under the
+// race detector, whose instrumentation allocates on its own account.
+func allocatedBy(fn func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	fn()
+	runtime.ReadMemStats(&after)
+	if raceEnabled {
+		return 0
+	}
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// decodeAllocFactor bounds what decoding may allocate per input byte: the
+// widest element per encoded byte is a []string entry (16 bytes from a
+// one-byte empty string) or a batch group (24 from its one-byte count).
+const decodeAllocFactor = 32
+
+// TestDecodeDoesNotTrustCounts: a count prefix claiming a billion elements
+// in a dozen bytes is refused before anything is sized by it.
+func TestDecodeDoesNotTrustCounts(t *testing.T) {
+	huge := []byte{0xFF, 0xFF, 0xFF, 0xFF, 0x0F} // uvarint 2^32-1
+	var w frameBuf
+	w.str(kindCheck)
+	w.trace(&TraceContext{})
+	w.i64(0)
+	w.str("")
+	w.str("")
+	hostileReq := append(w.b, huge...) // Items count
+	if got := allocatedBy(func() {
+		if _, err := decodeRequest(hostileReq); err == nil {
+			t.Error("hostile item count accepted")
+		}
+	}); got > 4096 {
+		t.Errorf("refusing a hostile count allocated %d bytes", got)
+	}
+
+	var rw frameBuf
+	rw.str("")
+	rw.str("DB1")
+	hostileResp := append(rw.b, huge...) // Retrieve.Classes count
+	if got := allocatedBy(func() {
+		if _, err := decodeResponse(hostileResp); err == nil {
+			t.Error("hostile class count accepted")
+		}
+	}); got > 4096 {
+		t.Errorf("refusing a hostile count allocated %d bytes", got)
+	}
+
+	// A count the input could hold, over elements that are garbage: the
+	// list fails at its first element and the rest of it costs nothing.
+	const n = 30000
+	rw.uvarint(1) // one class
+	rw.str("C")   // GlobalClass
+	rw.uvarint(0) // no Attrs
+	rw.uvarint(n) // Objects
+	garbage := append(rw.b, bytes.Repeat([]byte{0xFF}, n*minObject)...)
+	if got, limit := allocatedBy(func() {
+		if _, err := decodeResponse(garbage); err == nil {
+			t.Error("garbage objects accepted")
+		}
+	}), uint64(decodeAllocFactor*len(garbage)); got > limit {
+		t.Errorf("failing on %d garbage objects allocated %d bytes (limit %d)", n, got, limit)
+	}
+}
+
+func corpusEntry(b []byte) []byte {
+	return []byte(fmt.Sprintf("go test fuzz v1\n[]byte(%q)\n", b))
+}
+
+// TestFuzzCorpusIsCurrent pins the committed seed corpora — and with them
+// the wire format — to the encoder: a codec change fails here until the
+// seeds are regenerated on purpose (and protocolVersion reconsidered):
+//
+//	go test ./internal/remote -run TestFuzzCorpusIsCurrent -update-corpus
+func TestFuzzCorpusIsCurrent(t *testing.T) {
+	seeds := map[string][]byte{}
+	for name, req := range sampleRequests() {
+		seeds[filepath.Join("FuzzDecodeRequest", "seed-"+name)] = encodeRequest(t, req)
+	}
+	for name, resp := range sampleResponses() {
+		seeds[filepath.Join("FuzzDecodeResponse", "seed-"+name)] = encodeResponse(t, resp)
+	}
+	for rel, b := range seeds {
+		file, want := filepath.Join("testdata", "fuzz", rel), corpusEntry(b)
+		if *updateCorpus {
+			if err := os.MkdirAll(filepath.Dir(file), 0o755); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(file, want, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			continue
+		}
+		got, err := os.ReadFile(file)
+		if err != nil {
+			t.Fatalf("%v (run with -update-corpus)", err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("%s: seed no longer matches the encoder's output", file)
+		}
+	}
+}
+
+// fuzzDecode is the property both message fuzz targets check: decoding never
+// panics, never allocates more than a constant multiple of the input, and an
+// input that decodes re-encodes to bytes that decode to the same message —
+// checked as a fixed point of the bytes, which holds for NaN literals too.
+func fuzzDecode[M any](t *testing.T, data []byte, decode func([]byte) (M, error), encode func(testing.TB, M) []byte) {
+	var (
+		m   M
+		err error
+	)
+	got := allocatedBy(func() { m, err = decode(data) })
+	if limit := uint64(decodeAllocFactor*len(data) + 8192); got > limit {
+		t.Fatalf("decoding %d bytes allocated %d (limit %d)", len(data), got, limit)
+	}
+	if err != nil {
+		return
+	}
+	again := encode(t, m)
+	m2, err := decode(again)
+	if err != nil {
+		t.Fatalf("re-encoded bytes do not decode: %v", err)
+	}
+	if third := encode(t, m2); !bytes.Equal(again, third) {
+		t.Fatalf("encoding is not a fixed point:\n%x\n%x", again, third)
+	}
+}
+
+func FuzzDecodeRequest(f *testing.F) {
+	for _, req := range sampleRequests() {
+		f.Add(encodeRequest(f, req))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) { fuzzDecode(t, data, decodeRequest, encodeRequest) })
+}
+
+func FuzzDecodeResponse(f *testing.F) {
+	for _, resp := range sampleResponses() {
+		f.Add(encodeResponse(f, resp))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) { fuzzDecode(t, data, decodeResponse, encodeResponse) })
+}
+
+// table2Site builds the benchmark's table2_scan federation (benchmark/fed.go
+// table2Params: three sites, chain C1->C2->C3 with 2/1/1 predicates, 550
+// objects per class per site, two pad attributes) and returns its DB1 site
+// with the generated query bound.
+func table2Site(tb testing.TB) (*federation.Site, *query.Bound) {
+	tb.Helper()
+	class := func(nPreds int, held [][]int) workload.ClassParams {
+		return workload.ClassParams{NPreds: nPreds, NObjects: []int{550, 550, 550},
+			NullRatio: []float64{0.1, 0.1, 0.1}, HeldPreds: held}
+	}
+	w, err := workload.Generate(workload.Params{
+		NDB: 3,
+		Classes: []workload.ClassParams{
+			class(2, [][]int{{0, 1}, {0}, {1}}),
+			class(1, [][]int{{0}, {}, {0}}),
+			class(1, [][]int{{}, {0}, {0}}),
+		},
+		ReplicaProb: 0.1,
+		PadAttrs:    2,
+	}, rand.New(rand.NewSource(1)))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return federation.NewSite(w.Databases["DB1"], w.Global, w.Tables), w.Bound
+}
+
+// onFabric runs one federation step the way a server does.
+func onFabric(tb testing.TB, fn func(p fabric.Proc)) {
+	tb.Helper()
+	if _, err := fabric.NewReal(fabric.DefaultRates()).Run("codec-bench", fn); err != nil {
+		tb.Fatal(err)
+	}
+}
+
+// benchMessages are the four shapes that carry the live traffic: the empty
+// RPC, a site's local reply, a 300-item check request and the table2
+// retrieve reply the centralized approach ships.
+func benchMessages(tb testing.TB) (reqs map[string]Request, resps map[string]Response, retrieved int) {
+	site, bound := table2Site(tb)
+	var (
+		retrieve federation.RetrieveReply
+		local    federation.LocalResult
+		checks   map[object.SiteID][]federation.CheckItem
+	)
+	onFabric(tb, func(p fabric.Proc) {
+		retrieve = site.Retrieve(p, bound)
+		local, checks = site.EvalLocalBasic(p, bound, nil)
+	})
+	var items []federation.CheckItem
+	targets := make([]object.SiteID, 0, len(checks))
+	for target := range checks {
+		targets = append(targets, target)
+	}
+	sort.Slice(targets, func(i, j int) bool { return targets[i] < targets[j] })
+	for len(items) < 300 {
+		for _, target := range targets {
+			items = append(items, checks[target]...)
+		}
+	}
+	for _, c := range retrieve.Classes {
+		retrieved += len(c.Objects)
+	}
+	if retrieved < 1000 || len(local.Rows) == 0 {
+		tb.Fatalf("table2 site too small to mean anything: %d objects retrieved, %d local rows", retrieved, len(local.Rows))
+	}
+	reqs = map[string]Request{
+		"ping":      {Kind: kindPing, Trace: TraceContext{From: "G"}},
+		"check_300": {Kind: kindCheck, Trace: sampleTrace, Items: items[:300]},
+	}
+	resps = map[string]Response{
+		"local_reply":     {Local: LocalReply{Result: local}},
+		"retrieve_table2": {Retrieve: retrieve},
+	}
+	return reqs, resps, retrieved
+}
+
+var (
+	sinkRequest  Request
+	sinkResponse Response
+)
+
+// BenchmarkWireCodec measures encode (a sealed frame into a pooled buffer,
+// written to a discarding connection) and decode of the four messages.
+func BenchmarkWireCodec(b *testing.B) {
+	reqs, resps, _ := benchMessages(b)
+	run := func(name string, size int, encode func(), decode func() error) {
+		b.Run(name+"/encode", func(b *testing.B) {
+			b.ReportAllocs()
+			b.SetBytes(int64(size))
+			for i := 0; i < b.N; i++ {
+				encode()
+			}
+		})
+		b.Run(name+"/decode", func(b *testing.B) {
+			b.ReportAllocs()
+			b.SetBytes(int64(size))
+			for i := 0; i < b.N; i++ {
+				if err := decode(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+	for _, name := range []string{"ping", "check_300"} {
+		req := reqs[name]
+		payload := encodeRequest(b, req)
+		run(name, len(payload),
+			func() { sendRequest(b, &req) },
+			func() (err error) { sinkRequest, err = decodeRequest(payload); return err })
+	}
+	for _, name := range []string{"local_reply", "retrieve_table2"} {
+		resp := resps[name]
+		payload := encodeResponse(b, resp)
+		run(name, len(payload),
+			func() { sendResponse(b, &resp) },
+			func() (err error) { sinkResponse, err = decodeResponse(payload); return err })
+	}
+}
+
+func sendRequest(tb testing.TB, req *Request) {
+	out := newFrame()
+	out.request(req)
+	_, err := out.send(io.Discard)
+	out.release()
+	if err != nil {
+		tb.Fatal(err)
+	}
+}
+
+func sendResponse(tb testing.TB, resp *Response) {
+	out := newFrame()
+	out.response(resp)
+	_, err := out.send(io.Discard)
+	out.release()
+	if err != nil {
+		tb.Fatal(err)
+	}
+}
+
+// TestCodecAllocationCeilings gates the two properties the codec exists
+// for: encoding into a warm pooled buffer allocates nothing, and decoding
+// the table2 retrieve reply — the message the centralized approach lives on
+// — costs at most five allocations per object (the object, its entries, its
+// LOid, and its reference values; names are interned).
+func TestCodecAllocationCeilings(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts mean nothing under the race detector")
+	}
+	reqs, resps, retrieved := benchMessages(t)
+	for name, req := range reqs {
+		sendRequest(t, &req) // warm the pool
+		if n := testing.AllocsPerRun(20, func() { sendRequest(t, &req) }); n != 0 {
+			t.Errorf("encode %s: %v allocs/op, want 0", name, n)
+		}
+	}
+	for name, resp := range resps {
+		sendResponse(t, &resp)
+		if n := testing.AllocsPerRun(20, func() { sendResponse(t, &resp) }); n != 0 {
+			t.Errorf("encode %s: %v allocs/op, want 0", name, n)
+		}
+	}
+	payload := encodeResponse(t, resps["retrieve_table2"])
+	n := testing.AllocsPerRun(5, func() {
+		if _, err := decodeResponse(payload); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if perObject := n / float64(retrieved); perObject > 5 {
+		t.Errorf("decode retrieve_table2: %.0f allocs for %d objects = %.2f per object, want <= 5", n, retrieved, perObject)
+	} else {
+		t.Logf("decode retrieve_table2: %.2f allocs per object (%d objects, %d bytes)", perObject, retrieved, len(payload))
+	}
+}
+
+// TestPayloadLengthRefusesToWrap: a payload the u32 length field cannot hold
+// is an error at the sender, never a wrapped length on the wire.
+func TestPayloadLengthRefusesToWrap(t *testing.T) {
+	if n, err := payloadLength(1<<32 - 1); err != nil || n != 1<<32-1 {
+		t.Errorf("payloadLength(2^32-1) = %d, %v", n, err)
+	}
+	if strings.Contains(runtime.GOARCH, "64") {
+		big := 1 << 32
+		if _, err := payloadLength(big); err == nil {
+			t.Error("a 2^32-byte payload was given a length")
+		}
+	}
+}

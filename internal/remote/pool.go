@@ -1,23 +1,19 @@
 package remote
 
 import (
+	"bufio"
 	"context"
-	"encoding/gob"
 	"fmt"
 	"net"
 	"sync"
 	"time"
 )
 
-// pconn is one pooled connection to a site server. The gob encoder and
-// decoder live as long as the connection (gob streams carry type
-// information once per stream), and the byte counters meter every exchange.
+// pconn is one pooled connection to a site server, with the one buffered
+// reader every response frame on it is read through.
 type pconn struct {
 	conn net.Conn
-	cw   *countWriter
-	cr   *countReader
-	enc  *gob.Encoder
-	dec  *gob.Decoder
+	br   *bufio.Reader
 }
 
 func (pc *pconn) close() { _ = pc.conn.Close() }
@@ -27,7 +23,7 @@ func (pc *pconn) close() { _ = pc.conn.Close() }
 // non-nil error means the connection is no longer usable.
 //
 // A cancelable ctx arms an AfterFunc that slams the connection deadline
-// into the past the moment the context dies, so a blocking gob read or
+// into the past the moment the context dies, so a blocking read or
 // write unwinds immediately instead of running out its timeout — this is
 // how client disconnect propagates into an in-flight exchange. The caller
 // distinguishes "ctx killed it" from a genuine transport failure by
@@ -40,22 +36,33 @@ func (pc *pconn) exchange(ctx context.Context, req Request, timeout time.Duratio
 		})
 		defer stop()
 	}
-	sent0, recv0 := pc.cw.n, pc.cr.n
-	stats := func() wireStats { return wireStats{Sent: pc.cw.n - sent0, Received: pc.cr.n - recv0} }
-	if err := pc.enc.Encode(req); err != nil {
-		return Response{}, stats(), fmt.Errorf("send: %w", err)
+	var stats wireStats
+	out := newFrame()
+	out.request(&req)
+	n, err := out.send(pc.conn)
+	out.release()
+	stats.Sent = int64(n)
+	if err != nil {
+		return Response{}, stats, fmt.Errorf("send: %w", err)
 	}
-	var resp Response
-	if err := pc.dec.Decode(&resp); err != nil {
-		return Response{}, stats(), fmt.Errorf("receive: %w", err)
+	// No limit on the way back: the caller trusts the sites it queries, and
+	// the buffer grows only as bytes actually arrive.
+	in, err := readFrame(pc.br, 0)
+	if err != nil {
+		return Response{}, stats, fmt.Errorf("receive: %w", err)
 	}
-	return resp, stats(), nil
+	stats.Received = int64(frameHeaderSize + len(in.b))
+	resp, err := decodeResponse(in.b)
+	in.release()
+	if err != nil {
+		return Response{}, stats, fmt.Errorf("receive: %w", err)
+	}
+	return resp, stats, nil
 }
 
 // pool keeps up to max idle connections to one address, replacing the
 // dial-per-request pattern: a hot coordinator reuses warm connections and
-// pays the dial (and gob type negotiation) once per connection instead of
-// once per call.
+// pays the dial once per connection instead of once per call.
 type pool struct {
 	addr        string
 	dialTimeout time.Duration
@@ -93,9 +100,7 @@ func (p *pool) dial() (*pconn, error) {
 	if err != nil {
 		return nil, fmt.Errorf("dial %s: %w", p.addr, err)
 	}
-	cw := &countWriter{w: conn}
-	cr := &countReader{r: conn}
-	return &pconn{conn: conn, cw: cw, cr: cr, enc: gob.NewEncoder(cw), dec: gob.NewDecoder(cr)}, nil
+	return &pconn{conn: conn, br: bufio.NewReader(conn)}, nil
 }
 
 // put returns a healthy connection to the pool, closing it when the pool is

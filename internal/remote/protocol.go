@@ -5,10 +5,11 @@
 // assistant check); a Coordinator hands exec.Runner — the one implementation
 // of CA/BL/PL and of the query lifecycle — pooled client RPCs as its site
 // operations, and a Server runs exec.SiteFlow with check RPCs to its peers as
-// its link. Messages are gob-encoded over persistent pooled connections (a
-// connection serves any number of requests in sequence); calls retry with
-// jittered backoff and per-site circuit breakers fail fast when a site stays
-// down — see CallConfig.
+// its link. Messages travel as length-prefixed binary frames (frame.go) in a
+// hand-rolled encoding (codec.go, which tabulates the wire format) over
+// persistent pooled connections (a connection serves any number of requests
+// in sequence); calls retry with jittered backoff and per-site circuit
+// breakers fail fast when a site stays down — see CallConfig.
 //
 // Site failure degrades answers instead of failing queries: a transport
 // failure is a SiteError, which the strategies' fan-out classifier treats as
@@ -25,8 +26,6 @@
 package remote
 
 import (
-	"io"
-
 	"github.com/hetfed/hetfed/internal/antientropy"
 	"github.com/hetfed/hetfed/internal/exec"
 	"github.com/hetfed/hetfed/internal/federation"
@@ -195,31 +194,9 @@ type Response struct {
 	Suspect []string
 }
 
-// wireStats counts one exchange's bytes on the wire as seen by the caller.
+// wireStats counts one exchange's bytes on the wire as seen by the caller:
+// whole frames, header and payload.
 type wireStats struct {
 	Sent     int64
 	Received int64
-}
-
-// countWriter and countReader meter the gob streams.
-type countWriter struct {
-	w io.Writer
-	n int64
-}
-
-func (c *countWriter) Write(p []byte) (int, error) {
-	n, err := c.w.Write(p)
-	c.n += int64(n)
-	return n, err
-}
-
-type countReader struct {
-	r io.Reader
-	n int64
-}
-
-func (c *countReader) Read(p []byte) (int, error) {
-	n, err := c.r.Read(p)
-	c.n += int64(n)
-	return n, err
 }

@@ -63,7 +63,7 @@ func startObservedCluster(t *testing.T) (*Coordinator, map[object.SiteID]*Server
 }
 
 // TestSpanPropagationAcrossWire runs a BL query over TCP and checks the
-// span context survives the gob hop twice: coordinator → site (serve spans
+// span context survives the wire hop twice: coordinator → site (serve spans
 // parent on the coordinator's rpc spans) and site → peer (check spans
 // parent on the dispatching site's serve span).
 func TestSpanPropagationAcrossWire(t *testing.T) {

@@ -1,8 +1,6 @@
 package remote
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
 	"strings"
 	"sync"
@@ -10,12 +8,10 @@ import (
 	"time"
 
 	"github.com/hetfed/hetfed/internal/exec"
-	"github.com/hetfed/hetfed/internal/federation"
 	"github.com/hetfed/hetfed/internal/isomer"
 	"github.com/hetfed/hetfed/internal/object"
 	"github.com/hetfed/hetfed/internal/school"
 	"github.com/hetfed/hetfed/internal/signature"
-	"github.com/hetfed/hetfed/internal/tvl"
 )
 
 // startCluster brings up the school federation as three TCP servers on
@@ -179,46 +175,6 @@ func TestServerRejectsBadRequests(t *testing.T) {
 func TestNewServerConfigValidation(t *testing.T) {
 	if _, err := NewServer(ServerConfig{}); err == nil {
 		t.Error("empty config accepted")
-	}
-}
-
-// TestGobRoundTripMessages pins the wire encodability of every protocol
-// payload, including object values inside rows.
-func TestGobRoundTripMessages(t *testing.T) {
-	resp := Response{
-		Local: LocalReply{
-			Result: federation.LocalResult{
-				Site: "DB1",
-				Rows: []federation.LocalRow{{
-					LOid:     "s1",
-					GOid:     "gs1",
-					Targets:  []object.Value{object.Str("John"), object.Null(), object.GRef("gt1")},
-					Verdicts: []tvl.Truth{tvl.True, tvl.Unknown},
-				}},
-			},
-			CheckReplies: []federation.CheckReply{{
-				Site: "DB2",
-				Verdicts: []federation.CheckVerdict{
-					{ItemGOid: "gt1", SourceIdx: 1, SuffixLen: 1, Verdict: tvl.False},
-				},
-			}},
-		},
-	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(resp); err != nil {
-		t.Fatalf("encode: %v", err)
-	}
-	var got Response
-	if err := gob.NewDecoder(&buf).Decode(&got); err != nil {
-		t.Fatalf("decode: %v", err)
-	}
-	row := got.Local.Result.Rows[0]
-	if !row.Targets[0].Equal(object.Str("John")) || !row.Targets[1].IsNull() ||
-		row.Targets[2].RefGOid() != "gt1" {
-		t.Errorf("targets corrupted: %v", row.Targets)
-	}
-	if got.Local.CheckReplies[0].Verdicts[0].Verdict != tvl.False {
-		t.Error("verdict corrupted")
 	}
 }
 

@@ -1,8 +1,12 @@
 package remote
 
 import (
+	"bufio"
+	"bytes"
 	"context"
 	"errors"
+	"fmt"
+	"io"
 	"net"
 	"runtime"
 	"strings"
@@ -232,30 +236,171 @@ func TestClusterShedsUnderOverload(t *testing.T) {
 	}
 }
 
-// TestServerRejectsOversizedFrame sends a request far beyond the server's
-// frame cap: the connection is rejected (the call fails) and the rejection
-// is counted, while a normal-sized request on a fresh connection still
-// works.
-func TestServerRejectsOversizedFrame(t *testing.T) {
+// frameOf returns the request's frame exactly as a client would write it.
+func frameOf(t *testing.T, req Request) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	out := newFrame()
+	out.request(&req)
+	_, err := out.send(&buf)
+	out.release()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// rawRoundTrip writes bytes on conn and reads one response frame back; a
+// server that closes the connection instead yields an error.
+func rawRoundTrip(conn net.Conn, data []byte) (Response, error) {
+	_ = conn.SetDeadline(time.Now().Add(5 * time.Second))
+	if _, err := conn.Write(data); err != nil {
+		return Response{}, err
+	}
+	in, err := readFrame(bufio.NewReader(conn), 0)
+	if err != nil {
+		return Response{}, err
+	}
+	defer in.release()
+	return decodeResponse(in.b)
+}
+
+// rawExchange is rawRoundTrip on a fresh connection.
+func rawExchange(t *testing.T, addr string, data []byte) (Response, error) {
+	t.Helper()
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	return rawRoundTrip(conn, data)
+}
+
+// TestServerFrameLimitIsExact: a request frame of exactly MaxFrameBytes is
+// served; one byte more is rejected from its five header bytes alone — the
+// test never sends the payload, so a server that waited for it would hang
+// here — and counted; and the limit polices frames, not the site.
+func TestServerFrameLimitIsExact(t *testing.T) {
+	const limit = 16 << 10
 	coord, servers, cleanup := startRobustCluster(t, func(site object.SiteID, cfg *ServerConfig) {
-		cfg.MaxFrameBytes = 16 << 10
+		cfg.MaxFrameBytes = limit
 	})
 	defer cleanup()
-
 	addr := coord.Sites["DB1"]
+	rejected := func() int64 {
+		return servers["DB1"].cfg.Metrics.Snapshot().CounterValue("frames_rejected_total", metrics.Labels{Site: "DB1"})
+	}
+
+	// Pad a ping's (ignored) query text until the frame is the limit to the byte.
+	pad := 1000
+	pad += limit - len(frameOf(t, Request{Kind: kindPing, Query: strings.Repeat("x", pad)}))
+	exact := frameOf(t, Request{Kind: kindPing, Query: strings.Repeat("x", pad)})
+	if len(exact) != limit {
+		t.Fatalf("padded frame is %d bytes, want %d", len(exact), limit)
+	}
+	if resp, err := rawExchange(t, addr, exact); err != nil || resp.Err != "" {
+		t.Fatalf("frame of exactly MaxFrameBytes: resp %+v, err %v", resp, err)
+	}
+	if got := rejected(); got != 0 {
+		t.Fatalf("frames_rejected_total = %d after a frame at the limit, want 0", got)
+	}
+
+	over := frameOf(t, Request{Kind: kindPing, Query: strings.Repeat("x", pad+1)})
+	if len(over) != limit+1 {
+		t.Fatalf("padded frame is %d bytes, want %d", len(over), limit+1)
+	}
+	if _, err := rawExchange(t, addr, over[:frameHeaderSize]); !errors.Is(err, io.EOF) {
+		t.Fatalf("header of a MaxFrameBytes+1 frame: err = %v, want the connection closed", err)
+	}
+	if got := rejected(); got != 1 {
+		t.Errorf("frames_rejected_total = %d, want 1", got)
+	}
+
+	// Far beyond the limit, through the real client: the call fails.
 	if _, err := testCall(t, addr, Request{
 		Kind:  kindRetrieve,
 		Query: "select name from Student where address.city = \"" + strings.Repeat("x", 1<<20) + "\"",
 	}); err == nil {
 		t.Fatal("1MiB frame accepted despite a 16KiB cap")
 	}
-	snap := servers["DB1"].cfg.Metrics.Snapshot()
-	if got := snap.CounterValue("frames_rejected_total", metrics.Labels{Site: "DB1"}); got != 1 {
-		t.Errorf("frames_rejected_total = %d, want 1", got)
+	if got := rejected(); got != 2 {
+		t.Errorf("frames_rejected_total = %d, want 2", got)
 	}
-	// The limit polices frames, not the site: normal traffic still serves.
 	if _, err := testCall(t, addr, Request{Kind: kindPing}); err != nil {
-		t.Errorf("ping after rejected frame: %v", err)
+		t.Errorf("ping after rejected frames: %v", err)
+	}
+}
+
+// TestServerCountsBrokenFrames: a client closing between frames is a
+// hang-up and counts nothing; a frame cut short inside its header or its
+// payload, an unknown protocol version and a payload that does not decode
+// are request errors, and each ends the connection.
+func TestServerCountsBrokenFrames(t *testing.T) {
+	coord, servers, cleanup := startRobustCluster(t, nil)
+	defer cleanup()
+	srv, addr := servers["DB2"], coord.Sites["DB2"]
+	errorsCounted := func() int64 {
+		return srv.cfg.Metrics.Snapshot().CounterValue("request_errors_total", metrics.Labels{Site: "DB2"})
+	}
+	ping := frameOf(t, Request{Kind: kindPing})
+	wrongVersion := append([]byte(nil), ping...)
+	wrongVersion[4] = protocolVersion + 1
+	garbage := append([]byte(nil), ping...)
+	for i := frameHeaderSize; i < len(garbage); i++ {
+		garbage[i] = 0xFF
+	}
+
+	// The hang-ups first: were they miscounted, every total below would be
+	// off by one.
+	for _, data := range [][]byte{nil, ping} {
+		conn, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if data != nil {
+			if _, err := rawRoundTrip(conn, data); err != nil {
+				t.Fatalf("ping: %v", err)
+			}
+		}
+		conn.Close()
+	}
+	eventually(t, "hung-up connections released", func() bool {
+		srv.mu.Lock()
+		defer srv.mu.Unlock()
+		return len(srv.conns) == 0
+	})
+	if got := errorsCounted(); got != 0 {
+		t.Fatalf("request_errors_total = %d after clean hang-ups, want 0", got)
+	}
+
+	for i, c := range []struct {
+		name string
+		data []byte
+	}{
+		{"EOF inside the header", ping[:3]},
+		{"EOF inside the payload", ping[:len(ping)-2]},
+		{"unknown protocol version", wrongVersion},
+		{"undecodable payload", garbage},
+	} {
+		conn, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := conn.Write(c.data); err != nil {
+			t.Fatalf("%s: write: %v", c.name, err)
+		}
+		// Half-close: the server sees EOF where the bytes stop, and the
+		// read below sees the server close its side without answering.
+		_ = conn.(*net.TCPConn).CloseWrite()
+		_ = conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+		if n, err := conn.Read(make([]byte, 1)); n != 0 || !errors.Is(err, io.EOF) {
+			t.Errorf("%s: server answered (%d bytes, err %v), want the connection closed", c.name, n, err)
+		}
+		conn.Close()
+		want := int64(i + 1)
+		eventually(t, fmt.Sprintf("request_errors_total = %d after %s", want, c.name), func() bool {
+			return errorsCounted() == want
+		})
 	}
 }
 

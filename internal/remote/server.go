@@ -1,8 +1,8 @@
 package remote
 
 import (
+	"bufio"
 	"context"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"io"
@@ -62,8 +62,9 @@ type ServerConfig struct {
 	// Batch coalesces outbound check RPCs across concurrent local queries;
 	// a zero Window disables batching.
 	Batch BatchConfig
-	// MaxFrameBytes caps one gob-decoded request on an accepted connection;
-	// a connection sending a larger frame is rejected and closed
+	// MaxFrameBytes caps one request frame, header included, on an accepted
+	// connection. The cap is exact: a frame of MaxFrameBytes is served, one
+	// byte more is rejected from its header alone and the connection closed
 	// (frames_rejected_total counts it). 0 means DefaultMaxFrameBytes;
 	// negative disables the limit.
 	MaxFrameBytes int
@@ -142,7 +143,7 @@ const (
 )
 
 // Server serves one component database over TCP. Connections are
-// persistent: each one carries a sequence of gob-encoded requests until the
+// persistent: each one carries a sequence of request frames until the
 // client closes it (or Close tears it down).
 type Server struct {
 	cfg      ServerConfig
@@ -427,12 +428,11 @@ func (s *Server) writeTimeout() time.Duration {
 }
 
 // handle serves one persistent connection: a sequence of request/response
-// exchanges over a single pair of gob streams (gob ships type information
-// once per stream, so the encoder and decoder must live as long as the
-// connection). The loop ends when the client closes the connection (a clean
-// EOF, not an error — pooled clients park idle connections), on a malformed
-// or oversized request, or when the connection idles past IdleTimeout (the
-// idle reaper: a read deadline re-armed before every request).
+// frames. The loop ends when the client closes the connection between frames
+// (a clean EOF, not an error — pooled clients park idle connections), on an
+// oversized, truncated, wrong-version or undecodable request, or when the
+// connection idles past IdleTimeout (the idle reaper: a read deadline
+// re-armed before every request).
 func (s *Server) handle(conn net.Conn) {
 	if !s.track(conn) {
 		_ = conn.Close()
@@ -443,32 +443,33 @@ func (s *Server) handle(conn net.Conn) {
 		_ = conn.Close()
 	}()
 	self := string(s.Site())
-	fl := &frameLimitReader{r: conn, limit: s.maxFrame()}
-	cr := &countReader{r: fl}
-	cw := &countWriter{w: conn}
-	dec := gob.NewDecoder(cr)
-	enc := gob.NewEncoder(cw)
-	idle := s.idleTimeout()
+	br := bufio.NewReader(conn)
+	limit, idle := s.maxFrame(), s.idleTimeout()
 	for {
 		if idle > 0 {
 			_ = conn.SetReadDeadline(time.Now().Add(idle))
 		}
-		fl.reset()
 		var req Request
-		if err := dec.Decode(&req); err != nil {
+		in, err := readFrame(br, limit)
+		if err == nil {
+			req, err = decodeRequest(in.b)
+			in.release()
+		}
+		if err != nil {
 			switch {
-			case errors.Is(err, io.EOF), errors.Is(err, io.ErrUnexpectedEOF),
-				errors.Is(err, net.ErrClosed), s.isClosed():
-				// Client hung up, or we are shutting down.
-			case fl.tripped:
+			case errors.Is(err, io.EOF), errors.Is(err, net.ErrClosed), s.isClosed():
+				// Client hung up between frames, or we are shutting down.
+			case errors.Is(err, ErrFrameTooLarge):
 				s.cfg.Metrics.Counter("frames_rejected_total", metrics.Labels{Site: self}).Inc()
 				s.log.LogAttrs(context.Background(), slog.LevelWarn, "frame rejected",
-					slog.Int64("limit", fl.limit))
+					slog.String("err", err.Error()))
 			case errors.Is(err, os.ErrDeadlineExceeded):
 				// No request within the idle window: reap the connection.
 				s.cfg.Metrics.Counter("conns_reaped_total", metrics.Labels{Site: self}).Inc()
 			default:
-				// Mid-stream garbage, not a client hanging up.
+				// A frame cut short, an unknown protocol version or a
+				// payload that does not decode: a broken peer, not a client
+				// hanging up. The stream cannot be trusted past it.
 				s.cfg.Metrics.Counter("request_errors_total", metrics.Labels{Site: self}).Inc()
 			}
 			return
@@ -500,12 +501,15 @@ func (s *Server) handle(conn net.Conn) {
 			resp.Spans = s.cfg.Tracer.QuerySpans(req.Trace.QueryID)
 		}
 		_ = conn.SetWriteDeadline(time.Now().Add(s.writeTimeout()))
-		sent0 := cw.n
-		if err := enc.Encode(resp); err != nil {
+		out := newFrame()
+		out.response(&resp)
+		n, err := out.send(conn)
+		out.release()
+		if err != nil {
 			sp.Detailf("send failed: %v", err)
 			return // connection is torn; the client will retry elsewhere
 		}
-		respBytes := cw.n - sent0
+		respBytes := int64(n)
 		sp.Add("resp_bytes", respBytes)
 		s.observe(req, resp, time.Since(start), respBytes)
 		s.profile(req, resp, time.Since(start))

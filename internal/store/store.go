@@ -134,7 +134,8 @@ func (db *Database) Insert(o *object.Object) error {
 	if _, dup := db.byLOid[o.LOid]; dup {
 		return fmt.Errorf("insert %s into %s@%s: duplicate LOid", o.LOid, o.Class, db.site)
 	}
-	for name, v := range o.Attrs {
+	for i := 0; i < o.Len(); i++ {
+		name, v := o.At(i)
 		a, ok := e.class.Attr(name)
 		if !ok {
 			return fmt.Errorf("insert %s: class %s@%s has no attribute %q", o.LOid, o.Class, db.site, name)
@@ -210,7 +211,8 @@ func (db *Database) CheckRefs() error {
 		e := db.extents[name]
 		var err error
 		e.Scan(func(o *object.Object) bool {
-			for attr, v := range o.Attrs {
+			for i := 0; i < o.Len(); i++ {
+				attr, v := o.At(i)
 				a, _ := e.class.Attr(attr)
 				err = checkRefValue(db, o, a, attr, v)
 				if err != nil {

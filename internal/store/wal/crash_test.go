@@ -38,11 +38,11 @@ func TestCrashHelper(t *testing.T) {
 	}
 	out := bufio.NewWriter(os.Stdout)
 	for i := db.Extent("Student").Len(); ; i++ {
-		o := &object.Object{Class: "Student", LOid: object.LOid(fmt.Sprintf("s%05d", i)), Attrs: map[string]object.Value{
+		o := object.New(object.LOid(fmt.Sprintf("s%05d", i)), "Student", map[string]object.Value{
 			"s-no": object.Int(int64(i)),
 			"name": object.Str(fmt.Sprintf("student-%d", i)),
 			"age":  object.Int(int64(18 + i%30)),
-		}}
+		})
 		if err := db.Insert(o); err != nil {
 			fmt.Printf("insert failed: %v\n", err)
 			os.Exit(1)

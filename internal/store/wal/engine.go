@@ -313,7 +313,7 @@ func (e *Engine) apply(rec record) (bool, error) {
 func (e *Engine) LogInsert(o *object.Object) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	payload, err := encodeInsert(e.buf[:0], o)
+	payload, err := object.AppendObject(e.buf[:0], o)
 	if err != nil {
 		return err
 	}
@@ -490,7 +490,7 @@ func (e *Engine) snapshotLocked() error {
 				}
 				var scanErr error
 				ext.Scan(func(o *object.Object) bool {
-					payload, err := encodeInsert(e.snapBuf[:0], o)
+					payload, err := object.AppendObject(e.snapBuf[:0], o)
 					if err == nil {
 						e.snapBuf = payload[:0]
 						err = emit(recInsert, payload)

@@ -16,8 +16,8 @@
 //	body = [u64 sequence number][u8 kind][payload]
 //
 // All fixed-width integers are little-endian; payload fields are
-// uvarint-length-prefixed strings and values (object attribute values use
-// object.Value's binary encoding). Record kinds are insert (one object),
+// uvarint-length-prefixed strings. Record kinds are insert (one object, in
+// the record encoding of object.AppendObject, which the wire shares),
 // index (secondary index creation), bind (one GOid mapping-table entry),
 // and header (snapshot files only: carries baseSeq, the log sequence the
 // snapshot state includes up to).
@@ -47,7 +47,7 @@ import (
 
 // Record kinds.
 const (
-	recInsert = byte(1) // payload: class, loid, nattrs, (name, value)...
+	recInsert = byte(1) // payload: one object record (object.AppendObject)
 	recIndex  = byte(2) // payload: class, attr
 	recBind   = byte(3) // payload: class, goid, site, loid
 	recHeader = byte(4) // payload: baseSeq (first frame of a snapshot file)
@@ -106,70 +106,6 @@ func readString(b []byte) (string, []byte, error) {
 	return string(b[w : w+int(n)]), b[w+int(n):], nil
 }
 
-// encodeInsert encodes an insert payload into dst: class, loid, attribute
-// count, then (name, value-bytes) pairs in deterministic order.
-func encodeInsert(dst []byte, o *object.Object) ([]byte, error) {
-	dst = appendString(dst, o.Class)
-	dst = appendString(dst, string(o.LOid))
-	names := o.AttrNames()
-	dst = binary.AppendUvarint(dst, uint64(len(names)))
-	for _, name := range names {
-		dst = appendString(dst, name)
-		// The value is encoded in place and its uvarint length prefix
-		// spliced in front afterwards — the prefix width isn't known until
-		// the value is encoded, and a scratch buffer per value would put an
-		// allocation on every logged insert.
-		at := len(dst)
-		var err error
-		dst, err = o.Attrs[name].AppendBinary(dst)
-		if err != nil {
-			return nil, fmt.Errorf("wal: encode %s.%s: %w", o.LOid, name, err)
-		}
-		var pre [binary.MaxVarintLen64]byte
-		n := len(dst) - at
-		w := binary.PutUvarint(pre[:], uint64(n))
-		dst = append(dst, pre[:w]...)
-		copy(dst[at+w:], dst[at:at+n])
-		copy(dst[at:], pre[:w])
-	}
-	return dst, nil
-}
-
-func decodeInsert(b []byte) (*object.Object, error) {
-	class, b, err := readString(b)
-	if err != nil {
-		return nil, err
-	}
-	loid, b, err := readString(b)
-	if err != nil {
-		return nil, err
-	}
-	n, w := binary.Uvarint(b)
-	if w <= 0 {
-		return nil, fmt.Errorf("wal: corrupt attribute count")
-	}
-	b = b[w:]
-	o := &object.Object{Class: class, LOid: object.LOid(loid), Attrs: make(map[string]object.Value, n)}
-	for i := uint64(0); i < n; i++ {
-		var name string
-		name, b, err = readString(b)
-		if err != nil {
-			return nil, err
-		}
-		vlen, w := binary.Uvarint(b)
-		if w <= 0 || vlen > uint64(len(b)-w) {
-			return nil, fmt.Errorf("wal: corrupt value field for %s.%s", loid, name)
-		}
-		var v object.Value
-		if err := v.UnmarshalBinary(b[w : w+int(vlen)]); err != nil {
-			return nil, fmt.Errorf("wal: decode %s.%s: %w", loid, name, err)
-		}
-		b = b[w+int(vlen):]
-		o.Attrs[name] = v
-	}
-	return o, nil
-}
-
 func encodeIndex(dst []byte, class, attr string) []byte {
 	dst = appendString(dst, class)
 	return appendString(dst, attr)
@@ -189,7 +125,7 @@ func decodeRecord(seq uint64, kind byte, payload []byte) (record, error) {
 	var err error
 	switch kind {
 	case recInsert:
-		rec.obj, err = decodeInsert(payload)
+		rec.obj, _, err = object.DecodeObject(payload, nil)
 		if rec.obj != nil {
 			rec.class = rec.obj.Class
 		}

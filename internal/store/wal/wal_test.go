@@ -1,6 +1,7 @@
 package wal
 
 import (
+	"encoding/hex"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -67,12 +68,12 @@ func seedSome(t *testing.T, dir string, n int, opts Options) (*Engine, *store.Da
 	}
 	start := db.Extent("Student").Len()
 	for i := start; i < start+n; i++ {
-		o := &object.Object{Class: "Student", LOid: object.LOid(fmt.Sprintf("s%04d", i)), Attrs: map[string]object.Value{
+		o := object.New(object.LOid(fmt.Sprintf("s%04d", i)), "Student", map[string]object.Value{
 			"s-no": object.Int(int64(i)),
 			"name": object.Str(fmt.Sprintf("student-%d", i)),
 			"age":  object.Int(int64(18 + i%30)),
 			"sex":  object.Str([]string{"F", "M"}[i%2]),
-		}}
+		})
 		if err := db.Insert(o); err != nil {
 			t.Fatalf("Insert %d: %v", i, err)
 		}
@@ -98,6 +99,52 @@ func reopen(t *testing.T, dir string, opts Options) (*Engine, *store.Database, *
 		t.Fatalf("reopen: %v", err)
 	}
 	return eng, db, tables
+}
+
+// goldenInsertFrame is the log frame (seq 7) of the object below, written by
+// the encoder as it stood before the object record moved into package
+// object and objects became sorted slices. Logs on disk outlive the code
+// that wrote them: these bytes may never change.
+const goldenInsertFrame = "" +
+	"550100004dcba3870700000000000000010753747564656e740373312708066163746976650905010000000000000007" +
+	"61647669736f72030674310361676509021f000000000000000362696fc9010478787878787878787878787878787878" +
+	"787878787878787878787878787878787878787878787878787878787878787878787878787878787878787878787878" +
+	"787878787878787878787878787878787878787878787878787878787878787878787878787878787878787878787878" +
+	"787878787878787878787878787878787878787878787878787878787878787878787878787878787878787878787878" +
+	"7878787878787878787878787878787878787878787878787878787878787878787878787878787807636f7572736573" +
+	"17080300000000000000066331030000000000000006633206676c6f62616c0407677431036770610903000000000000" +
+	"0c40046e616d6505044a6f686e"
+
+func TestInsertFrameGoldenBytes(t *testing.T) {
+	o := object.New("s1'", "Student", map[string]object.Value{
+		"name":    object.Str("John"),
+		"age":     object.Int(31),
+		"gpa":     object.Float(3.5),
+		"active":  object.Bool(true),
+		"advisor": object.Ref("t1"),
+		"global":  object.GRef("gt1"),
+		"courses": object.List(object.Ref("c1"), object.Ref("c2")),
+		"bio":     object.Str(strings.Repeat("x", 200)),
+	})
+	payload, err := object.AppendObject(nil, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := hex.EncodeToString(appendFrame(nil, 7, recInsert, payload)); got != goldenInsertFrame {
+		t.Errorf("insert frame changed on disk:\n got %s\nwant %s", got, goldenInsertFrame)
+	}
+	// And a frame written back then still reads back as the same object.
+	frame, err := hex.DecodeString(goldenInsertFrame)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec, err := decodeRecord(7, frame[frameHeaderSize+8], frame[frameHeaderSize+9:])
+	if err != nil {
+		t.Fatalf("decode golden frame: %v", err)
+	}
+	if rec.obj.String() != o.String() || rec.class != "Student" {
+		t.Errorf("golden frame decodes to %v, want %v", rec.obj, o)
+	}
 }
 
 func TestRoundTrip(t *testing.T) {

@@ -1,8 +1,9 @@
 #!/bin/sh
 # check.sh — the repository's verification gate: formatting, vet, the
-# one-orchestration and one-report-envelope structural guards, build, unit
-# tests, the full test suite under the race detector, and a one-shot
-# compile-and-run smoke of the observability-overhead benchmarks.
+# one-orchestration, one-report-envelope and one-codec structural guards,
+# build, unit tests, the full test suite under the race detector, a one-shot
+# compile-and-run smoke of the overhead and allocation benchmarks, and a
+# short fuzz budget for every decoder that reads bytes off a socket or disk.
 #
 # Usage: scripts/check.sh [package-pattern]   (default ./...)
 set -eu
@@ -63,6 +64,13 @@ if ls scripts/bench_*.sh >/dev/null 2>&1; then
     ls scripts/bench_*.sh >&2
     guard_failed=1
 fi
+# One wire codec: gob and the approximate per-decode limit reader it needed
+# are gone (internal/remote/codec.go and frame.go replace them); neither
+# comes back, in tests or otherwise.
+if grep -rnE '"encoding/gob"|frameLimitReader' --include='*.go' --exclude-dir=.bench_build .; then
+    echo "encoding/gob or frameLimitReader is back; the wire codec is internal/remote/codec.go" >&2
+    guard_failed=1
+fi
 [ "$guard_failed" -eq 0 ] || exit 1
 
 echo "== go build $pkgs"
@@ -86,6 +94,17 @@ go test -race -count 10 -timeout 300s \
 
 echo "== bench smoke (1 iteration)"
 go test -run - -bench 'BenchmarkTraceOverhead|BenchmarkProfileOverhead' -benchtime 1x .
+go test -run - -bench 'BenchmarkWireCodec' -benchtime 1x ./internal/remote/
+go test -run - -bench 'BenchmarkObject' -benchtime 1x ./internal/object/
+
+# Every decoder fed from a socket or a disk gets a short fuzz budget on top
+# of its committed seed corpus (testdata/fuzz/): no panic, no allocation
+# beyond a constant multiple of the input, re-encoding is a fixed point.
+echo "== fuzz (10s per target)"
+for target in ./internal/remote:FuzzDecodeRequest ./internal/remote:FuzzDecodeResponse \
+    ./internal/object:FuzzDecodeObject; do
+    go test -run '^$' -fuzz "^${target#*:}\$" -fuzztime 10s "${target%%:*}"
+done
 
 # The recovery torture runs inside the package tests above, but a fresh
 # -count=1 pass here keeps the crash-recovery gate immune to test caching.
