@@ -54,8 +54,12 @@ type Cached struct {
 }
 
 // NewCached returns an empty-buffer cache over src.
-func NewCached(src Source) *Cached {
-	return &Cached{src: src, seen: make(map[object.LOid]bool)}
+func NewCached(src Source) *Cached { return NewCachedSize(src, 0) }
+
+// NewCachedSize is NewCached with room for n buffered objects up front, for
+// an operation that knows it will touch at least an extent's worth.
+func NewCachedSize(src Source, n int) *Cached {
+	return &Cached{src: src, seen: make(map[object.LOid]bool, n)}
 }
 
 // Warm marks an object as already buffered (e.g. just scanned from the
@@ -111,19 +115,16 @@ func Compare(op query.Op, a, b object.Value) tvl.Truth {
 }
 
 // Unsolved is an unsolved predicate on a particular stored object: the item
-// that lacks the data and the predicate that remains to be evaluated on it
-// (or on its assistant objects at other sites).
+// that lacks the data and the point — item class, suffix predicate, source
+// predicate index — at which the bound predicate was left unsolved. The
+// point belongs to the bound query and is shared, never copied.
 type Unsolved struct {
 	// ItemLOid is the object lacking the data; it may be the range object
 	// itself or an object reached through complex attributes.
 	ItemLOid object.LOid
-	// ItemClass is the item's *global* class name.
-	ItemClass string
-	// Suffix is the unsolved predicate, rooted at ItemClass.
-	Suffix query.Predicate
-	// SourceIdx is the index of the originating predicate in the bound
-	// query's predicate list.
-	SourceIdx int
+	// Point carries ItemClass (the item's *global* class), Suffix (the
+	// unsolved predicate rooted at it) and SourceIdx.
+	*query.Point
 	// Multi marks unsolved points reached through a multi-valued
 	// attribute: the predicate holds if ANY element satisfies it, so a
 	// single violating assistant does not falsify the predicate.
@@ -133,58 +134,55 @@ type Unsolved struct {
 // Outcome is the result of navigating a predicate path. For scalar paths
 // without missing data, Value holds the reached value awaiting the
 // comparison; when Done is set the verdict is already determined — either
-// the path hit missing data (Unknown plus the unsolved points) or it passed
-// through a multi-valued attribute (the elements were evaluated under ANY
-// semantics).
+// the path hit missing data (Unknown, with the unsolved points handed to the
+// caller's collector) or it passed through a multi-valued attribute (the
+// elements were evaluated under ANY semantics).
 type Outcome struct {
-	Done     bool
-	Verdict  tvl.Truth
-	Value    object.Value
-	Unsolved []Unsolved
+	Done    bool
+	Verdict tvl.Truth
+	Value   object.Value
 }
 
 // Navigate walks a predicate's path from the range object, charging one CPU
 // operation per step and a disk read per dereferenced object, but — on
-// plain scalar paths — not the final comparison. The parallel localized
-// strategy uses Navigate in its phase O; EvalPredicate composes it with the
-// comparison.
-func Navigate(src Source, bp query.BoundPredicate, root *object.Object, sourceIdx int, sink cost.Sink) Outcome {
-	return navigate(src, bp, root, 0, sourceIdx, sink, false)
+// plain scalar paths — not the final comparison. The unsolved points found
+// are appended to *uns. The parallel localized strategy uses Navigate in its
+// phase O; EvalPredicate composes it with the comparison.
+func Navigate(src Source, bp *query.BoundPredicate, root *object.Object, sink cost.Sink, uns *[]Unsolved) Outcome {
+	return navigate(src, bp, root, 0, sink, false, uns)
 }
 
 // EvalPredicate evaluates one bound predicate on a range object. When the
-// verdict is Unknown the returned unsolved points locate the missing data;
-// a path through a multi-valued attribute may produce several (one per
-// element lacking data), marked Multi.
-func EvalPredicate(src Source, bp query.BoundPredicate, root *object.Object, sourceIdx int, sink cost.Sink) (tvl.Truth, []Unsolved) {
-	out := navigate(src, bp, root, 0, sourceIdx, sink, true)
-	return out.Verdict, out.Unsolved
+// verdict is Unknown the unsolved points locating the missing data are
+// appended to *uns; a path through a multi-valued attribute may produce
+// several (one per element lacking data), marked Multi. A caller with no use
+// for the points (checking an assistant, evaluating the integrated view)
+// passes nil, and nothing is collected or allocated.
+func EvalPredicate(src Source, bp *query.BoundPredicate, root *object.Object, sink cost.Sink, uns *[]Unsolved) tvl.Truth {
+	return navigate(src, bp, root, 0, sink, true, uns).Verdict
 }
 
-func unsolvedAt(bp query.BoundPredicate, cur *object.Object, i, sourceIdx int, multi bool) Unsolved {
-	return Unsolved{
-		ItemLOid:  cur.LOid,
-		ItemClass: bp.Classes[i],
-		Suffix:    query.Predicate{Path: bp.Path.Suffix(i), Op: bp.Op, Literal: bp.Literal},
-		SourceIdx: sourceIdx,
-		Multi:     multi,
+// unknownAt is the outcome of missing data at step i of the path on cur.
+func unknownAt(bp *query.BoundPredicate, cur *object.Object, i int, uns *[]Unsolved) Outcome {
+	if uns != nil {
+		*uns = append(*uns, Unsolved{ItemLOid: cur.LOid, Point: bp.Point(i)})
 	}
+	return Outcome{Done: true, Verdict: tvl.Unknown}
 }
 
-// navigate walks the path from step i. compare forces full evaluation;
+// navigate walks the path from step start. compare forces full evaluation;
 // multi-valued attributes force it regardless (ANY semantics needs the
-// element verdicts).
-func navigate(src Source, bp query.BoundPredicate, cur *object.Object, start, sourceIdx int, sink cost.Sink, compare bool) Outcome {
+// element verdicts). uns collects the unsolved points; nil drops them.
+func navigate(src Source, bp *query.BoundPredicate, cur *object.Object, start int, sink cost.Sink, compare bool, uns *[]Unsolved) Outcome {
 	for i := start; i < len(bp.Path); i++ {
 		v := cur.Attr(bp.Path[i])
 		sink.CPU(1)
 		if v.IsNull() {
-			return Outcome{Done: true, Verdict: tvl.Unknown,
-				Unsolved: []Unsolved{unsolvedAt(bp, cur, i, sourceIdx, false)}}
+			return unknownAt(bp, cur, i, uns)
 		}
 		last := i == len(bp.Path)-1
 		if v.Kind() == object.KindList {
-			return evalList(src, bp, cur, v, i, sourceIdx, sink)
+			return evalList(src, bp, cur, v, i, sink, uns)
 		}
 		if last {
 			if !compare {
@@ -197,8 +195,7 @@ func navigate(src Source, bp query.BoundPredicate, cur *object.Object, start, so
 		if !ok {
 			// Dangling reference: treat as missing data rather than
 			// failing the whole query.
-			return Outcome{Done: true, Verdict: tvl.Unknown,
-				Unsolved: []Unsolved{unsolvedAt(bp, cur, i, sourceIdx, false)}}
+			return unknownAt(bp, cur, i, uns)
 		}
 		cur = next
 	}
@@ -208,44 +205,45 @@ func navigate(src Source, bp query.BoundPredicate, cur *object.Object, start, so
 // evalList evaluates a predicate across a multi-valued attribute's elements
 // under ANY semantics: true if some element satisfies, false if every
 // element violates, unknown otherwise (with one unsolved point per element
-// lacking data).
-func evalList(src Source, bp query.BoundPredicate, cur *object.Object, v object.Value,
-	i, sourceIdx int, sink cost.Sink) Outcome {
+// lacking data). Like navigate, it leaves the collector as it found it
+// unless it returns Unknown.
+func evalList(src Source, bp *query.BoundPredicate, cur *object.Object, v object.Value,
+	i int, sink cost.Sink, uns *[]Unsolved) Outcome {
 	verdict := tvl.False
-	var unsolved []Unsolved
 	last := i == len(bp.Path)-1
+	// Only an Unknown outcome keeps the points its elements contributed;
+	// mark is where they start in the collector.
+	mark := 0
+	if uns != nil {
+		mark = len(*uns)
+	}
 	for _, elem := range v.Elems() {
 		var ev tvl.Truth
-		var eu []Unsolved
 		if last {
 			sink.CPU(1)
 			ev = Compare(bp.Op, elem, bp.Literal)
+		} else if next, ok := src.Fetch(elem.RefLOid(), sink); ok {
+			ev = navigate(src, bp, next, i+1, sink, true, uns).Verdict
 		} else {
-			next, ok := src.Fetch(elem.RefLOid(), sink)
-			if !ok {
-				ev = tvl.Unknown
-				eu = []Unsolved{unsolvedAt(bp, cur, i, sourceIdx, true)}
-			} else {
-				out := navigate(src, bp, next, i+1, sourceIdx, sink, true)
-				ev = out.Verdict
-				eu = out.Unsolved
-			}
+			ev = unknownAt(bp, cur, i, uns).Verdict
 		}
 		if ev == tvl.True {
-			return Outcome{Done: true, Verdict: tvl.True}
+			verdict = tvl.True
+			break
 		}
 		if ev == tvl.Unknown {
 			verdict = tvl.Unknown
-			for j := range eu {
-				eu[j].Multi = true
-			}
-			unsolved = append(unsolved, eu...)
 		}
 	}
-	if verdict != tvl.Unknown {
-		unsolved = nil
+	if uns != nil {
+		if verdict != tvl.Unknown {
+			*uns = (*uns)[:mark]
+		}
+		for j := mark; j < len(*uns); j++ {
+			(*uns)[j].Multi = true
+		}
 	}
-	return Outcome{Done: true, Verdict: verdict, Unsolved: unsolved}
+	return Outcome{Done: true, Verdict: verdict}
 }
 
 // EvalTarget navigates a target path on a range object, returning the
@@ -289,9 +287,7 @@ func (r *Result) Verdict() tvl.Truth {
 func EvalObject(src Source, b *query.Bound, predIdx []int, root *object.Object, sink cost.Sink) Result {
 	r := Result{Verdicts: make([]tvl.Truth, len(b.Preds))}
 	for _, i := range predIdx {
-		verdict, uns := EvalPredicate(src, b.Preds[i], root, i, sink)
-		r.Verdicts[i] = verdict
-		r.Unsolved = append(r.Unsolved, uns...)
+		r.Verdicts[i] = EvalPredicate(src, &b.Preds[i], root, sink, &r.Unsolved)
 	}
 	return r
 }
@@ -310,8 +306,8 @@ func AllPredIdx(n int) []int {
 // classes) and removed predicates (some step is a missing attribute there).
 // This is the runtime counterpart of query.Localize.
 func SplitPredIdx(b *query.Bound, site object.SiteID) (local, removed []int) {
-	for i, bp := range b.Preds {
-		if missingAt(b, bp.BoundPath, site) {
+	for i := range b.Preds {
+		if missingAt(b, &b.Preds[i].BoundPath, site) {
 			removed = append(removed, i)
 		} else {
 			local = append(local, i)
@@ -320,7 +316,7 @@ func SplitPredIdx(b *query.Bound, site object.SiteID) (local, removed []int) {
 	return local, removed
 }
 
-func missingAt(b *query.Bound, bp query.BoundPath, site object.SiteID) bool {
+func missingAt(b *query.Bound, bp *query.BoundPath, site object.SiteID) bool {
 	for i, step := range bp.Path {
 		if !b.Global.Class(bp.Classes[i]).Holds(site, step) {
 			return true

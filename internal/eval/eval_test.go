@@ -41,6 +41,12 @@ func TestCompare(t *testing.T) {
 	}
 }
 
+// evalPred is EvalPredicate with a collector of its own.
+func evalPred(src Source, bp query.BoundPredicate, root *object.Object, sink cost.Sink) (tvl.Truth, []Unsolved) {
+	var uns []Unsolved
+	return EvalPredicate(src, &bp, root, sink, &uns), uns
+}
+
 func q1Bound(t *testing.T) (*school.Fixture, *query.Bound) {
 	t.Helper()
 	fx := school.New()
@@ -56,7 +62,7 @@ func TestEvalPredicateDB1(t *testing.T) {
 	// Predicate 0: address.city = "Taipei" — address is a missing
 	// attribute of Student@DB1, so every student is unsolved at itself.
 	s1 := db1.Extent("Student").Get("s1")
-	verdict, unss := EvalPredicate(DiskSource{DB: db1}, b.Preds[0], s1, 0, cost.Discard)
+	verdict, unss := evalPred(DiskSource{DB: db1}, b.Preds[0], s1, cost.Discard)
 	if verdict != tvl.Unknown || len(unss) != 1 {
 		t.Fatalf("pred0 on s1 = %v, %v", verdict, unss)
 	}
@@ -68,7 +74,7 @@ func TestEvalPredicateDB1(t *testing.T) {
 
 	// Predicate 1: advisor.speciality = "database" — speciality missing on
 	// Teacher@DB1; the advisor is the unsolved item.
-	verdict, unss = EvalPredicate(DiskSource{DB: db1}, b.Preds[1], s1, 1, cost.Discard)
+	verdict, unss = evalPred(DiskSource{DB: db1}, b.Preds[1], s1, cost.Discard)
 	if verdict != tvl.Unknown || len(unss) != 1 {
 		t.Fatalf("pred1 on s1 = %v, %v", verdict, unss)
 	}
@@ -80,14 +86,14 @@ func TestEvalPredicateDB1(t *testing.T) {
 
 	// Predicate 2: advisor.department.name = "CS" — fully held at DB1;
 	// true for s1 (t1 → d1 → CS).
-	verdict, unss = EvalPredicate(DiskSource{DB: db1}, b.Preds[2], s1, 2, cost.Discard)
+	verdict, unss = evalPred(DiskSource{DB: db1}, b.Preds[2], s1, cost.Discard)
 	if verdict != tvl.True || len(unss) != 0 {
 		t.Errorf("pred2 on s1 = %v, %v", verdict, unss)
 	}
 
 	// s3's advisor t2 has a null department: unknown with item t2.
 	s3 := db1.Extent("Student").Get("s3")
-	verdict, unss = EvalPredicate(DiskSource{DB: db1}, b.Preds[2], s3, 2, cost.Discard)
+	verdict, unss = evalPred(DiskSource{DB: db1}, b.Preds[2], s3, cost.Discard)
 	if verdict != tvl.Unknown || len(unss) != 1 {
 		t.Fatalf("pred2 on s3 = %v, %v", verdict, unss)
 	}
@@ -105,13 +111,13 @@ func TestEvalPredicateDB2(t *testing.T) {
 	// s1' (Hedy): address.city = Taipei → true; speciality database → true;
 	// department missing → unknown at t1'.
 	s1p := db2.Extent("Student").Get("s1'")
-	if v, _ := EvalPredicate(DiskSource{DB: db2}, b.Preds[0], s1p, 0, cost.Discard); v != tvl.True {
+	if v, _ := evalPred(DiskSource{DB: db2}, b.Preds[0], s1p, cost.Discard); v != tvl.True {
 		t.Errorf("pred0 on s1' = %v", v)
 	}
-	if v, _ := EvalPredicate(DiskSource{DB: db2}, b.Preds[1], s1p, 1, cost.Discard); v != tvl.True {
+	if v, _ := evalPred(DiskSource{DB: db2}, b.Preds[1], s1p, cost.Discard); v != tvl.True {
 		t.Errorf("pred1 on s1' = %v", v)
 	}
-	v, unss := EvalPredicate(DiskSource{DB: db2}, b.Preds[2], s1p, 2, cost.Discard)
+	v, unss := evalPred(DiskSource{DB: db2}, b.Preds[2], s1p, cost.Discard)
 	if v != tvl.Unknown || len(unss) != 1 || unss[0].ItemLOid != "t1'" || unss[0].ItemClass != "Teacher" {
 		t.Errorf("pred2 on s1' = %v, %+v", v, unss)
 	}
@@ -121,7 +127,7 @@ func TestEvalPredicateDB2(t *testing.T) {
 
 	// s2' (John): address.city = HsinChu → false.
 	s2p := db2.Extent("Student").Get("s2'")
-	if v, _ := EvalPredicate(DiskSource{DB: db2}, b.Preds[0], s2p, 0, cost.Discard); v != tvl.False {
+	if v, _ := evalPred(DiskSource{DB: db2}, b.Preds[0], s2p, cost.Discard); v != tvl.False {
 		t.Errorf("pred0 on s2' = %v", v)
 	}
 }
@@ -134,7 +140,7 @@ func TestEvalPredicateCosts(t *testing.T) {
 	var c cost.Counter
 	// advisor.department.name: 3 steps + 1 comparison → 4 CPU ops,
 	// 2 derefs (t1, d1).
-	EvalPredicate(DiskSource{DB: db1}, b.Preds[2], s1, 2, &c)
+	evalPred(DiskSource{DB: db1}, b.Preds[2], s1, &c)
 	if c.CPUOps() != 4 {
 		t.Errorf("CPUOps = %d, want 4", c.CPUOps())
 	}
@@ -230,7 +236,7 @@ func TestDanglingRefTreatedAsMissing(t *testing.T) {
 	// Bypass Insert validation by mutating a stored object directly.
 	s1 := db1.Extent("Student").Get("s1")
 	s1.Set("advisor", object.Ref("ghost"))
-	v, unss := EvalPredicate(DiskSource{DB: db1}, b.Preds[2], s1, 2, cost.Discard)
+	v, unss := evalPred(DiskSource{DB: db1}, b.Preds[2], s1, cost.Discard)
 	if v != tvl.Unknown || len(unss) != 1 || unss[0].ItemLOid != "s1" {
 		t.Errorf("dangling ref: %v, %+v", v, unss)
 	}
@@ -265,9 +271,9 @@ func TestCachedChargesOnce(t *testing.T) {
 
 	src := NewCached(DiskSource{DB: db1})
 	var c1 cost.Counter
-	EvalPredicate(src, b.Preds[2], s1, 2, &c1) // reads t1, d1 from disk
+	evalPred(src, b.Preds[2], s1, &c1) // reads t1, d1 from disk
 	var c2 cost.Counter
-	EvalPredicate(src, b.Preds[2], s1, 2, &c2) // buffer hits only
+	evalPred(src, b.Preds[2], s1, &c2) // buffer hits only
 	if c2.DiskBytes() != 0 {
 		t.Errorf("second evaluation read %d disk bytes", c2.DiskBytes())
 	}
@@ -333,7 +339,7 @@ func listFixture(t *testing.T) (Source, *object.Object, *query.Bound) {
 
 func TestListAnyTrueShortCircuits(t *testing.T) {
 	src, k1, b := listFixture(t)
-	v, uns := EvalPredicate(src, b.Preds[0], k1, 0, cost.Discard)
+	v, uns := evalPred(src, b.Preds[0], k1, cost.Discard)
 	if v != tvl.True || len(uns) != 0 {
 		t.Errorf("parts.weight = 5 -> %v, %v", v, uns)
 	}
@@ -347,7 +353,7 @@ func TestListUnknownCollectsMultiUnsolved(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v, uns := EvalPredicate(src, bp, k1, 0, cost.Discard)
+	v, uns := evalPred(src, bp, k1, cost.Discard)
 	if v != tvl.Unknown {
 		t.Fatalf("verdict = %v", v)
 	}
@@ -367,7 +373,7 @@ func TestListAllFalse(t *testing.T) {
 	}
 	// pb's weight is null -> unknown, so the whole list predicate stays
 	// unknown even though pa and pc definitively fail.
-	if v, _ := EvalPredicate(src, bp, k1, 0, cost.Discard); v != tvl.Unknown {
+	if v, _ := evalPred(src, bp, k1, cost.Discard); v != tvl.Unknown {
 		t.Errorf("verdict = %v", v)
 	}
 	// Against the primitive list with no nulls, all-false is definitive.
@@ -377,7 +383,7 @@ func TestListAllFalse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v, uns := EvalPredicate(src, bp2, k1, 0, cost.Discard); v != tvl.False || len(uns) != 0 {
+	if v, uns := evalPred(src, bp2, k1, cost.Discard); v != tvl.False || len(uns) != 0 {
 		t.Errorf("labels = green -> %v, %v", v, uns)
 	}
 }
@@ -390,14 +396,14 @@ func TestListPrimitiveAnyTrue(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v, _ := EvalPredicate(src, bp, k1, 0, cost.Discard); v != tvl.True {
+	if v, _ := evalPred(src, bp, k1, cost.Discard); v != tvl.True {
 		t.Errorf("labels = blue -> %v", v)
 	}
 }
 
 func TestNavigateDoneForListPaths(t *testing.T) {
 	src, k1, b := listFixture(t)
-	out := Navigate(src, b.Preds[0], k1, 0, cost.Discard)
+	out := Navigate(src, &b.Preds[0], k1, cost.Discard, nil)
 	if !out.Done || out.Verdict != tvl.True {
 		t.Errorf("Navigate over list = %+v", out)
 	}
@@ -408,7 +414,7 @@ func TestNavigateDoneForListPaths(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out = Navigate(src, bp, k1, 0, cost.Discard)
+	out = Navigate(src, &bp, k1, cost.Discard, nil)
 	if out.Done || !out.Value.Equal(object.Str("kit")) {
 		t.Errorf("Navigate over scalar = %+v", out)
 	}

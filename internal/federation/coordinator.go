@@ -180,7 +180,7 @@ func (co *Coordinator) EvaluateView(p fabric.Proc, b *query.Bound, v *View) *Ans
 	for _, root := range v.roots {
 		verdicts := make([]tvl.Truth, len(b.Preds))
 		for i := range b.Preds {
-			pv, _ := eval.EvalPredicate(v, b.Preds[i], root, i, &c)
+			pv := eval.EvalPredicate(v, &b.Preds[i], root, &c, nil)
 			verdicts[i] = pv
 			// Conjunctive queries short-circuit on the first false
 			// predicate; disjunctive ones need every verdict.

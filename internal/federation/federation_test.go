@@ -141,7 +141,7 @@ func TestCheckAssistants(t *testing.T) {
 	var reply CheckReply
 	run(t, func(p fabric.Proc) {
 		reply = sites["DB2"].CheckAssistants(p, []CheckItem{
-			{Assistant: "t2'", ItemGOid: "gt1", ItemClass: "Teacher", Suffix: speciality, SourceIdx: 1},
+			{Assistant: "t2'", ItemGOid: "gt1", Point: &query.Point{ItemClass: "Teacher", Suffix: speciality, SourceIdx: 1}},
 		})
 	})
 	if len(reply.Verdicts) != 1 || reply.Verdicts[0].Verdict != tvl.False {
@@ -150,9 +150,9 @@ func TestCheckAssistants(t *testing.T) {
 
 	run(t, func(p fabric.Proc) {
 		reply = sites["DB3"].CheckAssistants(p, []CheckItem{
-			{Assistant: "t2''", ItemGOid: "gt4", ItemClass: "Teacher", Suffix: deptName, SourceIdx: 2},
-			{Assistant: "t1''", ItemGOid: "gt2", ItemClass: "Teacher", Suffix: deptName, SourceIdx: 2},
-			{Assistant: "ghost", ItemGOid: "gX", ItemClass: "Teacher", Suffix: deptName, SourceIdx: 2},
+			{Assistant: "t2''", ItemGOid: "gt4", Point: &query.Point{ItemClass: "Teacher", Suffix: deptName, SourceIdx: 2}},
+			{Assistant: "t1''", ItemGOid: "gt2", Point: &query.Point{ItemClass: "Teacher", Suffix: deptName, SourceIdx: 2}},
+			{Assistant: "ghost", ItemGOid: "gX", Point: &query.Point{ItemClass: "Teacher", Suffix: deptName, SourceIdx: 2}},
 		})
 	})
 	// The unfetchable "ghost" assistant produces no verdict at all (absent
@@ -243,9 +243,9 @@ func TestCertifyDirect(t *testing.T) {
 			// gs3 has an unsolved item refuted by a check: eliminated.
 			{LOid: "s3", GOid: "gs3", Targets: targets,
 				Verdicts: verdicts(tvl.True, tvl.True, tvl.Unknown),
-				Unsolved: []UnsolvedItem{{ItemGOid: "gt2", ItemClass: "Teacher",
+				Unsolved: []UnsolvedItem{{ItemGOid: "gt2", Point: &query.Point{ItemClass: "Teacher",
 					Suffix: query.Predicate{Path: query.Path{"department", "name"},
-						Op: query.OpEq, Literal: object.Str("CS")}, SourceIdx: 2}},
+						Op: query.OpEq, Literal: object.Str("CS")}, SourceIdx: 2}}},
 			},
 		},
 	}, {
@@ -254,9 +254,9 @@ func TestCertifyDirect(t *testing.T) {
 			// gs4 unsolved on predicate 2, item certified by a check.
 			{LOid: "s1'", GOid: "gs4", Targets: targets,
 				Verdicts: verdicts(tvl.True, tvl.True, tvl.Unknown),
-				Unsolved: []UnsolvedItem{{ItemGOid: "gt4", ItemClass: "Teacher",
+				Unsolved: []UnsolvedItem{{ItemGOid: "gt4", Point: &query.Point{ItemClass: "Teacher",
 					Suffix: query.Predicate{Path: query.Path{"department", "name"},
-						Op: query.OpEq, Literal: object.Str("CS")}, SourceIdx: 2}},
+						Op: query.OpEq, Literal: object.Str("CS")}, SourceIdx: 2}}},
 			},
 		},
 	}}
@@ -435,15 +435,15 @@ func TestCertifyDisjunctive(t *testing.T) {
 			// item gt3 — a check certifies it: entity certain via group 2.
 			{LOid: "s2", GOid: "gs2", Targets: []object.Value{object.Str("Tony")},
 				Verdicts: []tvl.Truth{tvl.Unknown, tvl.Unknown, tvl.Unknown},
-				Unsolved: []UnsolvedItem{{ItemGOid: "gt3", ItemClass: "Teacher",
-					Suffix: deptPred, SourceIdx: 2}},
+				Unsolved: []UnsolvedItem{{ItemGOid: "gt3", Point: &query.Point{ItemClass: "Teacher",
+					Suffix: deptPred, SourceIdx: 2}}},
 			},
 			// gs3: group 1 has a false predicate, group 2 unknown with a
 			// refuting check — everything false: eliminated.
 			{LOid: "s3", GOid: "gs3", Targets: []object.Value{object.Str("Mary")},
 				Verdicts: []tvl.Truth{tvl.False, tvl.True, tvl.Unknown},
-				Unsolved: []UnsolvedItem{{ItemGOid: "gt2", ItemClass: "Teacher",
-					Suffix: deptPred, SourceIdx: 2}},
+				Unsolved: []UnsolvedItem{{ItemGOid: "gt2", Point: &query.Point{ItemClass: "Teacher",
+					Suffix: deptPred, SourceIdx: 2}}},
 			},
 		},
 	}}
@@ -482,8 +482,8 @@ func TestCertifyMultiItemsOrCombination(t *testing.T) {
 			Unsolved: items,
 		}}}
 	}
-	itemA := UnsolvedItem{ItemGOid: "gtA", ItemClass: "Teacher", Suffix: spec, SourceIdx: 1, Multi: true}
-	itemB := UnsolvedItem{ItemGOid: "gtB", ItemClass: "Teacher", Suffix: spec, SourceIdx: 1, Multi: true}
+	itemA := UnsolvedItem{ItemGOid: "gtA", Point: &query.Point{ItemClass: "Teacher", Suffix: spec, SourceIdx: 1}, Multi: true}
+	itemB := UnsolvedItem{ItemGOid: "gtB", Point: &query.Point{ItemClass: "Teacher", Suffix: spec, SourceIdx: 1}, Multi: true}
 
 	cases := []struct {
 		name     string
@@ -526,7 +526,7 @@ func TestCertifyScalarItemStillEliminates(t *testing.T) {
 	results := []LocalResult{{Site: "DB2", Rows: []LocalRow{{
 		LOid: "s1'", GOid: "gsY", Targets: []object.Value{object.Str("Y"), object.Null()},
 		Verdicts: []tvl.Truth{tvl.True, tvl.Unknown, tvl.True},
-		Unsolved: []UnsolvedItem{{ItemGOid: "gtC", ItemClass: "Teacher", Suffix: spec, SourceIdx: 1}},
+		Unsolved: []UnsolvedItem{{ItemGOid: "gtC", Point: &query.Point{ItemClass: "Teacher", Suffix: spec, SourceIdx: 1}}},
 	}}}}
 	replies := []CheckReply{{Site: "DB3", Verdicts: []CheckVerdict{
 		{ItemGOid: "gtC", SourceIdx: 1, SuffixLen: 1, Verdict: tvl.False},

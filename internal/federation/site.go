@@ -119,40 +119,33 @@ func (s *Site) Retrieve(p fabric.Proc, b *query.Bound) RetrieveReply {
 
 // collector accumulates deduplicated check items grouped by target site,
 // plus the check verdicts synthesized locally from signature probes.
+//
+// Checks are deduplicated where they arise, at the unsolved item: an item's
+// check items are a function of its GOid and point alone, and the isomeric
+// objects of different entities are different objects, so a repeated item —
+// a branch object several root objects refer to — would queue exactly the
+// check items its first occurrence did.
 type collector struct {
 	bySite map[object.SiteID][]CheckItem
-	seen   map[checkKey]bool
-	synth  []CheckVerdict
+	// items maps each unsolved item collected so far to the CPU operations
+	// its signature probes were charged; a repeat is charged the same again,
+	// as the model has every occurrence probe afresh.
+	items map[itemKey]int
+	synth []CheckVerdict
 }
 
-type checkKey struct {
-	site      object.SiteID
-	assistant object.LOid
-	item      object.GOid
-	sourceIdx int
-	suffixLen int
+// itemKey identifies an unsolved item: the points of one bound query are
+// distinct by (predicate, depth), so the pointer stands for both.
+type itemKey struct {
+	item  object.GOid
+	point *query.Point
 }
 
 func newCollector() *collector {
 	return &collector{
 		bySite: make(map[object.SiteID][]CheckItem),
-		seen:   make(map[checkKey]bool),
+		items:  make(map[itemKey]int),
 	}
-}
-
-func (cl *collector) add(site object.SiteID, item CheckItem) {
-	k := checkKey{
-		site:      site,
-		assistant: item.Assistant,
-		item:      item.ItemGOid,
-		sourceIdx: item.SourceIdx,
-		suffixLen: len(item.Suffix.Path),
-	}
-	if cl.seen[k] {
-		return
-	}
-	cl.seen[k] = true
-	cl.bySite[site] = append(cl.bySite[site], item)
 }
 
 // rootExtent returns the extent of the range class's constituent at this
@@ -181,11 +174,14 @@ func (s *Site) EvalLocalBasic(p fabric.Proc, b *query.Bound, sigs *signature.Ind
 	var c cost.Counter
 
 	// BL_C1 (phase P): evaluate the local predicates, short-circuiting on
-	// the first false predicate.
+	// the first false predicate. Most objects die here, so the verdicts and
+	// unsolved points of the object at hand live in scratch space and only a
+	// survivor's are kept: its verdicts in a slab, its points as a range of
+	// found.
 	type survivor struct {
 		obj      *object.Object
 		verdicts []tvl.Truth
-		unsolved []eval.Unsolved
+		lo, hi   int // its unsolved points, found[lo:hi]
 	}
 	conjunctive := b.Conjunctive()
 	iterate := ext.Scan
@@ -202,32 +198,37 @@ func (s *Site) EvalLocalBasic(p fabric.Proc, b *query.Bound, sigs *signature.Ind
 			}
 		}
 	}
-	var survivors []survivor
+	var (
+		survivors []survivor
+		found     []eval.Unsolved
+		slabs     rowSlabs
+	)
+	scratch := make([]tvl.Truth, len(b.Preds))
 	iterate(func(o *object.Object) bool {
 		c.DiskRead(o.WireSize(nil))
 		src.Warm(o.LOid)
-		verdicts := make([]tvl.Truth, len(b.Preds))
-		var unsolved []eval.Unsolved
+		clear(scratch)
+		lo := len(found)
 		alive := true
 		for _, i := range localIdx {
-			v, uns := eval.EvalPredicate(src, b.Preds[i], o, i, &c)
-			verdicts[i] = v
+			scratch[i] = eval.EvalPredicate(src, &b.Preds[i], o, &c, &found)
 			// Conjunctive queries short-circuit on the first false local
 			// predicate; disjunctive ones need every local verdict before
 			// folding.
-			if conjunctive && v == tvl.False {
+			if conjunctive && scratch[i] == tvl.False {
 				alive = false
 				break
 			}
-			unsolved = append(unsolved, uns...)
 		}
 		if !conjunctive {
 			// Removed predicates are unknown; the verdict slice already
 			// holds zero (= no information) for them.
-			alive = b.Fold(verdicts) != tvl.False
+			alive = b.Fold(scratch) != tvl.False
 		}
 		if alive {
-			survivors = append(survivors, survivor{obj: o, verdicts: verdicts, unsolved: unsolved})
+			survivors = append(survivors, survivor{obj: o, verdicts: slabs.keep(scratch), lo: lo, hi: len(found)})
+		} else {
+			found = found[:lo]
 		}
 		return true
 	})
@@ -235,20 +236,54 @@ func (s *Site) EvalLocalBasic(p fabric.Proc, b *query.Bound, sigs *signature.Ind
 
 	// BL_C2 (phase O): for the surviving results, locate the unsolved
 	// items of the removed predicates and look up their assistant objects.
+	var (
+		unsolved []eval.Unsolved
+		items    []UnsolvedItem
+	)
+	if len(survivors) > 0 {
+		res.Rows = make([]LocalRow, 0, len(survivors))
+	}
 	for _, sv := range survivors {
-		unsolved := sv.unsolved
+		unsolved = append(unsolved[:0], found[sv.lo:sv.hi]...)
 		for _, i := range removedIdx {
-			v, uns := eval.EvalPredicate(src, b.Preds[i], sv.obj, i, &c)
-			sv.verdicts[i] = v
-			unsolved = append(unsolved, uns...)
+			sv.verdicts[i] = eval.EvalPredicate(src, &b.Preds[i], sv.obj, &c, &unsolved)
 		}
-		row := s.buildRow(src, b, sv.obj, sv.verdicts, unsolved, &c)
-		s.collectChecks(b, sv.obj, row.Unsolved, checks, sigs, &c)
+		lo := len(items)
+		items = s.appendUnsolvedItems(items, sv.obj, unsolved, &c)
+		row := s.buildRow(src, b, sv.obj, sv.verdicts, items[lo:len(items):len(items)], &slabs, &c)
+		s.collectChecks(row.Unsolved, checks, sigs, &c)
 		res.Rows = append(res.Rows, row)
 	}
 	res.SigVerdicts = checks.synth
 	s.charge(p, &c)
 	return res, checks.bySite
+}
+
+// slab hands out short slices cut from shared chunks, so that a result row's
+// verdicts and targets cost no allocation of their own.
+type slab[T any] struct{ free []T }
+
+// take returns a zeroed slice of n elements that nothing else refers to.
+func (sl *slab[T]) take(n int) []T {
+	if len(sl.free) < n {
+		sl.free = make([]T, 64*n)
+	}
+	out := sl.free[:n:n]
+	sl.free = sl.free[n:]
+	return out
+}
+
+// rowSlabs are the slabs one local result's rows are cut from.
+type rowSlabs struct {
+	verdicts slab[tvl.Truth]
+	targets  slab[object.Value]
+}
+
+// keep returns a private copy of the scratch verdicts.
+func (rs *rowSlabs) keep(scratch []tvl.Truth) []tvl.Truth {
+	out := rs.verdicts.take(len(scratch))
+	copy(out, scratch)
+	return out
 }
 
 // indexProbe selects candidate root objects through a secondary index when
@@ -294,14 +329,15 @@ func (s *Site) indexProbe(b *query.Bound, ext *store.Extent, localIdx []int) ([]
 // localized approach.
 type navigated struct {
 	obj      *object.Object
-	outcomes []eval.Outcome  // navigation outcome per predicate
-	unsolved []eval.Unsolved // unsolved points found during navigation
+	outcomes []eval.Outcome // navigation outcome per predicate, cut from one slab
+	lo, hi   int            // its unsolved items, Navigation.items[lo:hi]
 }
 
 // Navigation is the opaque phase-O state NavigateAll hands to
 // EvalNavigated.
 type Navigation struct {
 	navs       []navigated
+	items      []UnsolvedItem // every object's unsolved items, GOids resolved
 	localIdx   []int
 	removedIdx []int
 	src        *eval.Cached // the local query's buffer, shared by both phases
@@ -315,28 +351,38 @@ type Navigation struct {
 // items are dispatched immediately so remote checking overlaps the local
 // predicate evaluation of EvalNavigated.
 // sigs, when non-nil, enables the signature-assisted variant.
+//
+// The state is sized from the extent, not grown object by object: the
+// outcomes of all objects share one slab, and an object without missing data
+// allocates nothing.
 func (s *Site) NavigateAll(p fabric.Proc, b *query.Bound, sigs *signature.Index) (*Navigation, map[object.SiteID][]CheckItem) {
 	localIdx, removedIdx := eval.SplitPredIdx(b, s.ID())
+	ext := s.rootExtent(b)
+	n, np := ext.Len(), len(b.Preds)
 	nav := &Navigation{
+		navs:       make([]navigated, 0, n),
 		localIdx:   localIdx,
 		removedIdx: removedIdx,
-		src:        eval.NewCached(eval.DiskSource{DB: s.db}),
+		src:        eval.NewCachedSize(eval.DiskSource{DB: s.db}, n),
 	}
 	checks := newCollector()
 	var c cost.Counter
+	var unsolved []eval.Unsolved
+	outcomeSlab := make([]eval.Outcome, n*np)
 
-	s.rootExtent(b).Scan(func(o *object.Object) bool {
+	ext.Scan(func(o *object.Object) bool {
 		c.DiskRead(o.WireSize(nil))
 		nav.src.Warm(o.LOid)
-		nv := navigated{obj: o, outcomes: make([]eval.Outcome, len(b.Preds))}
-		for i := range b.Preds {
-			out := eval.Navigate(nav.src, b.Preds[i], o, i, &c)
-			nv.outcomes[i] = out
-			nv.unsolved = append(nv.unsolved, out.Unsolved...)
+		outcomes := outcomeSlab[:np:np]
+		outcomeSlab = outcomeSlab[np:]
+		unsolved = unsolved[:0]
+		for i := range outcomes {
+			outcomes[i] = eval.Navigate(nav.src, &b.Preds[i], o, &c, &unsolved)
 		}
-		items := s.toUnsolvedItems(b, o, nv.unsolved, &c)
-		s.collectChecks(b, o, items, checks, sigs, &c)
-		nav.navs = append(nav.navs, nv)
+		lo := len(nav.items)
+		nav.items = s.appendUnsolvedItems(nav.items, o, unsolved, &c)
+		s.collectChecks(nav.items[lo:], checks, sigs, &c)
+		nav.navs = append(nav.navs, navigated{obj: o, outcomes: outcomes, lo: lo, hi: len(nav.items)})
 		return true
 	})
 	nav.synth = checks.synth
@@ -350,12 +396,14 @@ func (s *Site) NavigateAll(p fabric.Proc, b *query.Bound, sigs *signature.Index)
 func (s *Site) EvalNavigated(p fabric.Proc, b *query.Bound, nav *Navigation) LocalResult {
 	res := LocalResult{Site: s.ID()}
 	var c cost.Counter
+	var slabs rowSlabs
 	conjunctive := b.Conjunctive()
+	verdicts := make([]tvl.Truth, len(b.Preds))
 	for _, nv := range nav.navs {
-		verdicts := make([]tvl.Truth, len(b.Preds))
+		clear(verdicts)
 		alive := true
 		for _, i := range nav.localIdx {
-			if out := nv.outcomes[i]; out.Done {
+			if out := &nv.outcomes[i]; out.Done {
 				// The navigation already determined the verdict (missing
 				// data, or a multi-valued attribute evaluated under ANY
 				// semantics).
@@ -378,8 +426,12 @@ func (s *Site) EvalNavigated(p fabric.Proc, b *query.Bound, nav *Navigation) Loc
 		for _, i := range nav.removedIdx {
 			verdicts[i] = tvl.Unknown
 		}
-		row := s.buildRow(nav.src, b, nv.obj, verdicts, nv.unsolved, &c)
-		res.Rows = append(res.Rows, row)
+		// The model's phase P resolves the GOids of the row's unsolved items
+		// like the basic flow's does; phase O already holds them, so the
+		// look-ups are charged and not repeated.
+		items := nav.items[nv.lo:nv.hi:nv.hi]
+		c.CPU(len(items))
+		res.Rows = append(res.Rows, s.buildRow(nav.src, b, nv.obj, slabs.keep(verdicts), items, &slabs, &c))
 	}
 	res.SigVerdicts = nav.synth
 	s.charge(p, &c)
@@ -389,14 +441,16 @@ func (s *Site) EvalNavigated(p fabric.Proc, b *query.Bound, nav *Navigation) Loc
 // buildRow assembles a local result row: target values (complex values
 // translated to global references) and the unsolved items.
 func (s *Site) buildRow(src eval.Source, b *query.Bound, o *object.Object, verdicts []tvl.Truth,
-	unsolved []eval.Unsolved, c *cost.Counter) LocalRow {
+	unsolved []UnsolvedItem, slabs *rowSlabs, c *cost.Counter) LocalRow {
 	row := LocalRow{
 		LOid:     o.LOid,
 		GOid:     s.goidOf(b.Query.Range, o.LOid, c),
 		Verdicts: verdicts,
-		Unsolved: s.toUnsolvedItems(b, o, unsolved, c),
 	}
-	row.Targets = make([]object.Value, len(b.Targets))
+	if len(unsolved) > 0 {
+		row.Unsolved = unsolved
+	}
+	row.Targets = slabs.targets.take(len(b.Targets))
 	for i, tp := range b.Targets {
 		v := eval.EvalTarget(src, tp, o, c)
 		switch v.Kind() {
@@ -416,22 +470,19 @@ func (s *Site) buildRow(src eval.Source, b *query.Bound, o *object.Object, verdi
 	return row
 }
 
-// toUnsolvedItems attaches global identities to unsolved points.
-func (s *Site) toUnsolvedItems(b *query.Bound, root *object.Object,
+// appendUnsolvedItems attaches global identities to a root object's unsolved
+// points — one mapping-table look-up each — and appends them to items. The
+// items of many objects share one backing array; callers cut a row's items
+// out of it with a capped slice expression.
+func (s *Site) appendUnsolvedItems(items []UnsolvedItem, root *object.Object,
 	unsolved []eval.Unsolved, c *cost.Counter) []UnsolvedItem {
-	if len(unsolved) == 0 {
-		return nil
-	}
-	items := make([]UnsolvedItem, len(unsolved))
-	for i, u := range unsolved {
-		items[i] = UnsolvedItem{
-			ItemGOid:  s.goidOf(u.ItemClass, u.ItemLOid, c),
-			ItemClass: u.ItemClass,
-			SelfItem:  u.ItemLOid == root.LOid,
-			Suffix:    u.Suffix,
-			SourceIdx: u.SourceIdx,
-			Multi:     u.Multi,
-		}
+	for _, u := range unsolved {
+		items = append(items, UnsolvedItem{
+			ItemGOid: s.goidOf(u.ItemClass, u.ItemLOid, c),
+			Point:    u.Point,
+			SelfItem: u.ItemLOid == root.LOid,
+			Multi:    u.Multi,
+		})
 	}
 	return items
 }
@@ -442,13 +493,19 @@ func (s *Site) toUnsolvedItems(b *query.Bound, root *object.Object,
 // their own sites' local queries. Assistants whose site cannot evaluate the
 // suffix predicate (a step is a missing attribute there too) are skipped,
 // as no data could be obtained from them.
-func (s *Site) collectChecks(b *query.Bound, root *object.Object,
-	items []UnsolvedItem, checks *collector, sigs *signature.Index, c *cost.Counter) {
-	for _, it := range items {
+func (s *Site) collectChecks(items []UnsolvedItem, checks *collector, sigs *signature.Index, c *cost.Counter) {
+	for i := range items {
+		it := &items[i]
 		if it.SelfItem {
 			continue
 		}
 		c.CPU(1) // mapping-table lookup for the item's isomeric objects
+		k := itemKey{item: it.ItemGOid, point: it.Point}
+		if probes, seen := checks.items[k]; seen {
+			c.CPU(probes)
+			continue
+		}
+		beforeProbes := c.CPUOps()
 		locs := s.cache.Locations(s.tables.Table(it.ItemClass), it.ItemClass, it.ItemGOid)
 		for _, loc := range locs {
 			if loc.Site == s.ID() {
@@ -457,18 +514,13 @@ func (s *Site) collectChecks(b *query.Bound, root *object.Object,
 			if !s.holdsSuffix(it.ItemClass, it.Suffix.Path, loc.Site) {
 				continue
 			}
-			item := CheckItem{
-				Assistant: loc.LOid,
-				ItemGOid:  it.ItemGOid,
-				ItemClass: it.ItemClass,
-				Suffix:    it.Suffix,
-				SourceIdx: it.SourceIdx,
-			}
-			if sigs != nil && s.probeSignature(sigs, loc, item, checks, c) {
+			if sigs != nil && s.probeSignature(sigs, loc, it, checks, c) {
 				continue // verdict synthesized locally; no check dispatched
 			}
-			checks.add(loc.Site, item)
+			checks.bySite[loc.Site] = append(checks.bySite[loc.Site],
+				CheckItem{Assistant: loc.LOid, ItemGOid: it.ItemGOid, Point: it.Point})
 		}
+		checks.items[k] = int(c.CPUOps() - beforeProbes)
 	}
 }
 
@@ -477,8 +529,8 @@ func (s *Site) collectChecks(b *query.Bound, root *object.Object,
 // value present and different from the literal, a false verdict is recorded
 // locally and true is returned (the network check is unnecessary).
 func (s *Site) probeSignature(sigs *signature.Index, loc gmap.Location,
-	item CheckItem, checks *collector, c *cost.Counter) bool {
-	if len(item.Suffix.Path) != 1 || item.Suffix.Op != query.OpEq {
+	it *UnsolvedItem, checks *collector, c *cost.Counter) bool {
+	if len(it.Suffix.Path) != 1 || it.Suffix.Op != query.OpEq {
 		return false
 	}
 	sig, ok := sigs.Lookup(loc.Site, loc.LOid)
@@ -486,24 +538,13 @@ func (s *Site) probeSignature(sigs *signature.Index, loc gmap.Location,
 		return false
 	}
 	c.CPU(1) // signature probe
-	if !sig.RulesOutEquality(item.Suffix.Path[0], item.Suffix.Literal) {
+	if !sig.RulesOutEquality(it.Suffix.Path[0], it.Suffix.Literal) {
 		return false
 	}
-	k := checkKey{
-		site:      loc.Site,
-		assistant: item.Assistant,
-		item:      item.ItemGOid,
-		sourceIdx: item.SourceIdx,
-		suffixLen: len(item.Suffix.Path),
-	}
-	if checks.seen[k] {
-		return true
-	}
-	checks.seen[k] = true
 	checks.synth = append(checks.synth, CheckVerdict{
-		ItemGOid:  item.ItemGOid,
-		SourceIdx: item.SourceIdx,
-		SuffixLen: len(item.Suffix.Path),
+		ItemGOid:  it.ItemGOid,
+		SourceIdx: it.SourceIdx,
+		SuffixLen: len(it.Suffix.Path),
 		Verdict:   tvl.False,
 	})
 	return true
@@ -540,30 +581,29 @@ func (s *Site) holdsSuffix(class string, path query.Path, site object.SiteID) bo
 // data) is still reported.
 func (s *Site) CheckAssistants(p fabric.Proc, items []CheckItem) CheckReply {
 	var c cost.Counter
-	src := eval.NewCached(eval.DiskSource{DB: s.db})
+	src := eval.NewCachedSize(eval.DiskSource{DB: s.db}, len(items))
 	reply := CheckReply{Site: s.ID()}
-	for _, it := range items {
-		suffix := it.Suffix.String()
-		if v, ok := s.cache.Verdict(it.ItemClass, it.Assistant, suffix); ok {
+	if len(items) > 0 {
+		reply.Verdicts = make([]CheckVerdict, 0, len(items))
+	}
+	var suffixes boundSuffixes
+	for i := range items {
+		it := &items[i]
+		if it.Point == nil {
+			continue // no site of this program sends one; there is nothing to evaluate
+		}
+		bs := suffixes.of(s, it.Point)
+		verdict, hit := s.cache.Verdict(it.ItemClass, it.Assistant, bs.cacheKey)
+		if hit {
 			c.CPU(1) // cache probe; the fetch and evaluation are skipped
-			reply.Verdicts = append(reply.Verdicts, CheckVerdict{
-				ItemGOid:  it.ItemGOid,
-				SourceIdx: it.SourceIdx,
-				SuffixLen: len(it.Suffix.Path),
-				Verdict:   v,
-			})
-			continue
+		} else {
+			o, ok := src.Fetch(it.Assistant, &c)
+			if !ok || !bs.ok {
+				continue
+			}
+			verdict = eval.EvalPredicate(src, &bs.pred, o, &c, nil)
+			s.cache.PutVerdict(it.ItemClass, it.Assistant, bs.cacheKey, verdict)
 		}
-		o, ok := src.Fetch(it.Assistant, &c)
-		if !ok {
-			continue
-		}
-		bp, err := query.BindPredicateAt(s.global, it.ItemClass, it.Suffix)
-		if err != nil {
-			continue
-		}
-		verdict, _ := eval.EvalPredicate(src, bp, o, it.SourceIdx, &c)
-		s.cache.PutVerdict(it.ItemClass, it.Assistant, suffix, verdict)
 		reply.Verdicts = append(reply.Verdicts, CheckVerdict{
 			ItemGOid:  it.ItemGOid,
 			SourceIdx: it.SourceIdx,
@@ -573,4 +613,53 @@ func (s *Site) CheckAssistants(p fabric.Proc, items []CheckItem) CheckReply {
 	}
 	s.charge(p, &c)
 	return reply
+}
+
+// boundSuffix is one point's suffix predicate bound at this site, with the
+// key its verdicts are cached under.
+type boundSuffix struct {
+	point    *query.Point
+	pred     query.BoundPredicate
+	ok       bool   // the suffix binds against this site's global schema
+	cacheKey string // Predicate.String(); empty when no cache is installed
+}
+
+// boundSuffixes binds each distinct point of one check request once. The
+// items of a request share a handful of points — by pointer, whether they
+// come from a bound query in this process or from a frame's point table —
+// so a scan finds them; a request with more than that (no site of this
+// program builds one, but a socket can deliver one) gets an index.
+type boundSuffixes struct {
+	list  []boundSuffix
+	index map[*query.Point]int
+}
+
+func (bs *boundSuffixes) of(s *Site, pt *query.Point) *boundSuffix {
+	if bs.index != nil {
+		if i, ok := bs.index[pt]; ok {
+			return &bs.list[i]
+		}
+	} else {
+		for i := range bs.list {
+			if bs.list[i].point == pt {
+				return &bs.list[i]
+			}
+		}
+	}
+	pred, err := query.BindPredicateAt(s.global, pt.ItemClass, pt.Suffix)
+	b := boundSuffix{point: pt, pred: pred, ok: err == nil}
+	if s.cache != nil {
+		b.cacheKey = pt.Suffix.String()
+	}
+	bs.list = append(bs.list, b)
+	const scanLimit = 16
+	if bs.index != nil {
+		bs.index[pt] = len(bs.list) - 1
+	} else if len(bs.list) > scanLimit {
+		bs.index = make(map[*query.Point]int, 2*scanLimit)
+		for i := range bs.list {
+			bs.index[bs.list[i].point] = i
+		}
+	}
+	return &bs.list[len(bs.list)-1]
 }

@@ -201,16 +201,16 @@ type UnsolvedItem struct {
 	// ItemGOid identifies the unsolved item globally; check verdicts are
 	// matched against it during certification.
 	ItemGOid object.GOid
-	// ItemClass is the item's global class.
-	ItemClass string
+	// Point is the shared description of the unsolved predicate: ItemClass
+	// (the item's global class), Suffix (the predicate rooted at it) and
+	// SourceIdx (the originating global predicate). Items produced by a site
+	// point into the bound query; items decoded from a frame into the
+	// frame's point table.
+	*query.Point
 	// SelfItem marks that the item is the row's root object itself; its
 	// assistants are covered by the other sites' local queries, so no
 	// explicit check requests are sent for it.
 	SelfItem bool
-	// Suffix is the unsolved predicate rooted at ItemClass.
-	Suffix query.Predicate
-	// SourceIdx is the index of the originating global predicate.
-	SourceIdx int
 	// Multi marks items reached through multi-valued attributes (ANY
 	// semantics: one violating assistant does not falsify the predicate).
 	Multi bool
@@ -277,12 +277,10 @@ type CheckItem struct {
 	// ItemGOid is the global identity of the unsolved item being certified
 	// (the assistant is one of its isomeric objects).
 	ItemGOid object.GOid
-	// ItemClass is the item's global class.
-	ItemClass string
-	// Suffix is the unsolved predicate rooted at ItemClass.
-	Suffix query.Predicate
-	// SourceIdx is the index of the originating global predicate.
-	SourceIdx int
+	// Point is the unsolved item's point: ItemClass, Suffix and SourceIdx,
+	// shared with every other item of the same predicate and depth. An item
+	// off the wire may carry none; it yields no verdict.
+	*query.Point
 }
 
 // checkItemWireSize models one check item's transfer size: assistant LOid,

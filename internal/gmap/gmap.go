@@ -4,11 +4,19 @@
 //
 // In the paper's system the mapping tables are replicated at every site;
 // Tables.Clone produces the replication snapshot a site works against.
+//
+// An entity's locations are one slice, sorted by site, that is never edited
+// once it is in a table: Bind installs a new slice in its place. Locations
+// hands that slice out as it is — no copy, no sort — so callers must treat
+// it as read-only, may keep it for as long as they like (a lookup cache
+// does), and a Clone shares it with the table it was cloned from.
 package gmap
 
 import (
 	"fmt"
+	"slices"
 	"sort"
+	"strings"
 	"sync"
 
 	"github.com/hetfed/hetfed/internal/object"
@@ -23,7 +31,7 @@ type Location struct {
 // Table is the GOid mapping table of one global class.
 type Table struct {
 	class   string
-	byGOid  map[object.GOid]map[object.SiteID]object.LOid
+	byGOid  map[object.GOid][]Location // sorted by site, replaced on Bind, never edited
 	byLocal map[Location]object.GOid
 }
 
@@ -31,7 +39,7 @@ type Table struct {
 func NewTable(class string) *Table {
 	return &Table{
 		class:   class,
-		byGOid:  make(map[object.GOid]map[object.SiteID]object.LOid),
+		byGOid:  make(map[object.GOid][]Location),
 		byLocal: make(map[Location]object.GOid),
 	}
 }
@@ -47,17 +55,26 @@ func (t *Table) Bind(goid object.GOid, site object.SiteID, loid object.LOid) err
 	if prev, dup := t.byLocal[loc]; dup {
 		return fmt.Errorf("gmap %s: %s@%s already bound to %s", t.class, loid, site, prev)
 	}
-	sites := t.byGOid[goid]
-	if sites == nil {
-		sites = make(map[object.SiteID]object.LOid)
-		t.byGOid[goid] = sites
+	locs := t.byGOid[goid]
+	at, dup := siteIndex(locs, site)
+	if dup {
+		return fmt.Errorf("gmap %s: %s already has %s at site %s", t.class, goid, locs[at].LOid, site)
 	}
-	if prev, dup := sites[site]; dup {
-		return fmt.Errorf("gmap %s: %s already has %s at site %s", t.class, goid, prev, site)
-	}
-	sites[site] = loid
+	grown := make([]Location, len(locs)+1)
+	copy(grown, locs[:at])
+	grown[at] = loc
+	copy(grown[at+1:], locs[at:])
+	t.byGOid[goid] = grown
 	t.byLocal[loc] = goid
 	return nil
+}
+
+// siteIndex returns the position of site's entry in a site-sorted locations
+// slice, or the position it would be inserted at and false.
+func siteIndex(locs []Location, site object.SiteID) (int, bool) {
+	return slices.BinarySearchFunc(locs, site, func(l Location, s object.SiteID) int {
+		return strings.Compare(string(l.Site), string(s))
+	})
 }
 
 // MustBind is Bind that panics on error; intended for fixtures.
@@ -85,21 +102,17 @@ func (t *Table) GOidOf(site object.SiteID, loid object.LOid) (object.GOid, bool)
 // LOidAt returns the LOid of the entity's isomeric object at the given
 // site, if the entity is stored there.
 func (t *Table) LOidAt(goid object.GOid, site object.SiteID) (object.LOid, bool) {
-	l, ok := t.byGOid[goid][site]
-	return l, ok
+	locs := t.byGOid[goid]
+	if i, ok := siteIndex(locs, site); ok {
+		return locs[i].LOid, true
+	}
+	return "", false
 }
 
 // Locations returns every stored isomeric object of the entity, sorted by
-// site for determinism.
-func (t *Table) Locations(goid object.GOid) []Location {
-	sites := t.byGOid[goid]
-	out := make([]Location, 0, len(sites))
-	for s, l := range sites {
-		out = append(out, Location{Site: s, LOid: l})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Site < out[j].Site })
-	return out
-}
+// site. The slice is the table's own and read-only (see the package
+// comment).
+func (t *Table) Locations(goid object.GOid) []Location { return t.byGOid[goid] }
 
 // IsomericsOf returns the isomeric objects of the given stored object at
 // other sites (the candidates for assistant objects), sorted by site.
@@ -109,7 +122,7 @@ func (t *Table) IsomericsOf(site object.SiteID, loid object.LOid) []Location {
 		return nil
 	}
 	all := t.Locations(goid)
-	out := all[:0]
+	out := make([]Location, 0, len(all))
 	for _, loc := range all {
 		if loc.Site != site {
 			out = append(out, loc)
@@ -135,16 +148,20 @@ func (t *Table) Len() int { return len(t.byGOid) }
 // the table's row count for cost accounting.
 func (t *Table) Bindings() int { return len(t.byLocal) }
 
-// Clone returns a deep copy, used to replicate the table to a site.
+// Clone returns an independent copy, used to replicate the table to a site.
+// The locations slices are shared, which their immutability allows: a Bind
+// on either table replaces that table's slice and leaves the other's alone.
 func (t *Table) Clone() *Table {
-	cp := NewTable(t.class)
-	for g, sites := range t.byGOid {
-		m := make(map[object.SiteID]object.LOid, len(sites))
-		for s, l := range sites {
-			m[s] = l
-			cp.byLocal[Location{Site: s, LOid: l}] = g
+	cp := &Table{
+		class:   t.class,
+		byGOid:  make(map[object.GOid][]Location, len(t.byGOid)),
+		byLocal: make(map[Location]object.GOid, len(t.byLocal)),
+	}
+	for g, locs := range t.byGOid {
+		cp.byGOid[g] = locs
+		for _, loc := range locs {
+			cp.byLocal[loc] = g
 		}
-		cp.byGOid[g] = m
 	}
 	return cp
 }

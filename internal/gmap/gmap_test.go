@@ -1,6 +1,7 @@
 package gmap
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -141,4 +142,93 @@ func TestTablesGroup(t *testing.T) {
 	if _, ok := ts.Table("Student").GOidOf("DB1", "s2"); ok {
 		t.Error("Tables.Clone shares state")
 	}
+}
+
+// TestLocationsAreNeverEdited: a locations slice handed out stays what it
+// was — a later Bind of the same entity installs a new slice, in the table
+// that bound and not in its clone, and IsomericsOf filters into a slice of
+// its own.
+func TestLocationsAreNeverEdited(t *testing.T) {
+	tab := figure5Student()
+	held := tab.Locations("gs1")
+	before := append([]Location(nil), held...)
+	cp := tab.Clone()
+
+	if got := tab.IsomericsOf("DB1", "s1"); len(got) != 1 {
+		t.Fatalf("IsomericsOf = %v", got)
+	}
+	tab.MustBind("gs1", "DB0", "s0") // sorts before both held entries
+	tab.MustBind("gs1", "DB3", "s3")
+	if !reflect.DeepEqual(held, before) {
+		t.Errorf("a held locations slice changed under Bind: %v, was %v", held, before)
+	}
+	if got := cp.Locations("gs1"); !reflect.DeepEqual(got, before) {
+		t.Errorf("Bind on the original reached its clone: %v", got)
+	}
+	want := []Location{{"DB0", "s0"}, {"DB1", "s1"}, {"DB2", "s2'"}, {"DB3", "s3"}}
+	if got := tab.Locations("gs1"); !reflect.DeepEqual(got, want) {
+		t.Errorf("Locations after Bind = %v, want %v", got, want)
+	}
+	if l, ok := tab.LOidAt("gs1", "DB3"); !ok || l != "s3" {
+		t.Errorf("LOidAt(gs1, DB3) = %q, %v", l, ok)
+	}
+	if _, ok := cp.LOidAt("gs1", "DB3"); ok {
+		t.Error("the clone sees a binding made after it was taken")
+	}
+}
+
+// BenchmarkGmap times the three table operations a query and an insert
+// repeat: resolving a stored object's GOid, listing an entity's locations,
+// and binding (1000 entities at two sites each into a table started afresh
+// whenever it is full).
+func BenchmarkGmap(b *testing.B) {
+	const entities = 1000
+	type binding struct {
+		goid object.GOid
+		loc  Location
+	}
+	bindings := make([]binding, 0, 2*entities)
+	for i := 0; i < entities; i++ {
+		g := object.GOid(fmt.Sprintf("g%04d", i))
+		for _, site := range []object.SiteID{"DB2", "DB1"} {
+			bindings = append(bindings, binding{g, Location{site, object.LOid(fmt.Sprintf("o%04d@%s", i, site))}})
+		}
+	}
+	build := func() *Table {
+		t := NewTable("C")
+		for _, bd := range bindings {
+			t.MustBind(bd.goid, bd.loc.Site, bd.loc.LOid)
+		}
+		return t
+	}
+	tab := build()
+	var (
+		sinkLocs []Location
+		sinkGOid object.GOid
+	)
+	b.Run("Locations", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			sinkLocs = tab.Locations(bindings[i%len(bindings)].goid)
+		}
+	})
+	b.Run("GOidOf", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			loc := bindings[i%len(bindings)].loc
+			sinkGOid, _ = tab.GOidOf(loc.Site, loc.LOid)
+		}
+	})
+	b.Run("Bind", func(b *testing.B) {
+		b.ReportAllocs()
+		var t *Table
+		for i := 0; i < b.N; i++ {
+			bd := bindings[i%len(bindings)]
+			if i%len(bindings) == 0 {
+				t = NewTable("C")
+			}
+			t.MustBind(bd.goid, bd.loc.Site, bd.loc.LOid)
+		}
+	})
+	_, _ = sinkLocs, sinkGOid
 }

@@ -8,6 +8,11 @@
 // unique within its component database. The same real-world entity may be
 // stored in several component databases under incompatible LOids; such
 // objects are called isomeric and share a global object identifier (GOid).
+//
+// Values are immutable. A stored Object is shared by pointer between its
+// store and any number of concurrent readers, so everything a read needs —
+// including the modeled size WireSize(nil) reports — is settled by the call
+// that built or changed the object, never filled in lazily by a reader.
 package object
 
 import (
@@ -311,16 +316,32 @@ func (v Value) String() string {
 // by pointer between a store and its concurrent readers; Project and Clone
 // copy the entries, so their results are private, but Set on a shared object
 // races with its readers exactly as a map write would.
+//
+// The modeled size of the whole object — what every scan and fetch charges
+// as a disk read — is kept beside the entries by whatever builds or changes
+// them: New, Set, Project, Clone, DecodeObject.
 type Object struct {
 	LOid  LOid
 	Class string
 	attrs []attr // sorted by name, names unique, no null values
+	wire  int    // the entries' Value.WireSize, summed
 }
 
 // attr is one attribute entry of an Object.
 type attr struct {
 	name string
 	val  Value
+}
+
+// wireOf is v.WireSize() for keeping an object's size up to date: a plain
+// primitive, which most attributes are, is answered inline, without the call
+// and the copy of the value that three constructions of every object shipped
+// (projected, decoded, merged into the view) would otherwise each pay.
+func wireOf(v *Value) int {
+	if v.kind >= KindInt && v.kind <= KindBool {
+		return AttrWireSize
+	}
+	return v.WireSize()
 }
 
 // missing reports whether v represents missing data: null or the zero Value.
@@ -338,6 +359,7 @@ func New(id LOid, class string, attrs map[string]Value) *Object {
 	for k, v := range attrs {
 		if !missing(v) {
 			o.attrs = append(o.attrs, attr{k, v})
+			o.wire += wireOf(&v)
 		}
 	}
 	slices.SortFunc(o.attrs, func(a, b attr) int { return strings.Compare(a.name, b.name) })
@@ -397,11 +419,14 @@ func (o *Object) Set(name string, v Value) {
 	switch {
 	case missing(v):
 		if ok {
+			o.wire -= wireOf(&o.attrs[i].val)
 			o.attrs = append(o.attrs[:i], o.attrs[i+1:]...)
 		}
 	case ok:
+		o.wire += wireOf(&v) - wireOf(&o.attrs[i].val)
 		o.attrs[i].val = v
 	default:
+		o.wire += wireOf(&v)
 		o.attrs = append(o.attrs, attr{})
 		copy(o.attrs[i+1:], o.attrs[i:])
 		o.attrs[i] = attr{name, v}
@@ -411,7 +436,7 @@ func (o *Object) Set(name string, v Value) {
 // Clone returns a deep-enough copy: the attribute entries are copied (values
 // are immutable, so they are shared).
 func (o *Object) Clone() *Object {
-	return &Object{LOid: o.LOid, Class: o.Class, attrs: append([]attr(nil), o.attrs...)}
+	return &Object{LOid: o.LOid, Class: o.Class, attrs: append([]attr(nil), o.attrs...), wire: o.wire}
 }
 
 // Project returns a copy of the object restricted to the named attributes.
@@ -426,6 +451,7 @@ func (o *Object) Project(attrs []string) *Object {
 		for _, a := range attrs {
 			if a == e.name {
 				p.attrs = append(p.attrs, e)
+				p.wire += wireOf(&e.val)
 				break
 			}
 		}
@@ -435,15 +461,13 @@ func (o *Object) Project(attrs []string) *Object {
 
 // WireSize returns the bytes needed to ship the object projected on the
 // given attributes (pass nil for all attributes), including its LOid. This
-// is the paper's Table 1 cost model, not the size of any encoding.
+// is the paper's Table 1 cost model, not the size of any encoding. The whole
+// object's size is kept, not summed.
 func (o *Object) WireSize(attrs []string) int {
-	n := LOidWireSize
 	if attrs == nil {
-		for _, e := range o.attrs {
-			n += e.val.WireSize()
-		}
-		return n
+		return LOidWireSize + o.wire
 	}
+	n := LOidWireSize
 	for _, a := range attrs {
 		if i, ok := o.find(a); ok {
 			n += o.attrs[i].val.WireSize()

@@ -257,6 +257,55 @@ func TestObjectWireSize(t *testing.T) {
 	}
 }
 
+// TestWholeObjectWireSizeIsKept: WireSize(nil) reads a figure that every
+// way of building or changing an object maintains — it must equal the sum
+// over the entries after any of them, the zero Object included.
+func TestWholeObjectWireSizeIsKept(t *testing.T) {
+	summed := func(o *Object) int {
+		n := LOidWireSize
+		for i := 0; i < o.Len(); i++ {
+			_, v := o.At(i)
+			n += v.WireSize()
+		}
+		return n
+	}
+	check := func(what string, o *Object) {
+		t.Helper()
+		if got, want := o.WireSize(nil), summed(o); got != want {
+			t.Errorf("%s: WireSize(nil) = %d, the entries sum to %d", what, got, want)
+		}
+	}
+	check("zero object", &Object{LOid: "z"})
+	o := New("s1", "Student", map[string]Value{
+		"name": Str("John"), "advisor": Ref("t1"), "gone": Null(),
+		"courses": List(Ref("c1"), Ref("c2"), Int(3)),
+	})
+	check("New", o)
+	o.Set("age", Int(31)) // insert
+	check("Set insert", o)
+	o.Set("advisor", Str("none")) // replace a reference by an attribute-sized value
+	check("Set replace", o)
+	o.Set("courses", Null()) // delete
+	check("Set delete", o)
+	o.Set("missing", Null()) // delete what is not there
+	check("Set delete absent", o)
+	check("Clone", o.Clone())
+	check("Project", o.Project([]string{"name", "age", "nope", "name"}))
+	check("Project none", o.Project(nil))
+	rec, err := AppendObject(nil, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	decoded, _, err := DecodeObject(rec, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("DecodeObject", decoded)
+	if decoded.WireSize(nil) != o.WireSize(nil) {
+		t.Errorf("decoded WireSize = %d, encoded object's %d", decoded.WireSize(nil), o.WireSize(nil))
+	}
+}
+
 func TestObjectAttrNamesSorted(t *testing.T) {
 	o := New("x", "C", map[string]Value{"b": Int(1), "a": Int(2), "c": Int(3)})
 	got := o.AttrNames()

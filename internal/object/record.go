@@ -148,6 +148,7 @@ func DecodeObject(b []byte, in *Interner) (*Object, []byte, error) {
 		prev = name
 		if !missing(v) {
 			o.attrs = append(o.attrs, attr{in.Intern(name), v})
+			o.wire += wireOf(&v)
 		}
 	}
 	return o, b, nil

@@ -24,11 +24,56 @@ type BoundPredicate struct {
 	BoundPath
 	Op      Op
 	Literal object.Value
+	// points[k] describes the predicate left unsolved at depth k. Bind fills
+	// it for a query's predicates; BindPredicateAt leaves it nil.
+	points []Point
 }
 
 // Predicate reconstructs the plain AST predicate.
 func (bp BoundPredicate) Predicate() Predicate {
 	return Predicate{Path: bp.Path, Op: bp.Op, Literal: bp.Literal}
+}
+
+// Point is one place a query predicate can be left unsolved: the data went
+// missing at some depth of its path, on an object of class ItemClass, and
+// what remains to be evaluated there (or on the object's assistants at other
+// sites) is Suffix. A query has at most one point per path step of each
+// predicate. Bind builds them all, once; navigation, check items, the wire
+// and certification then refer to a point by pointer instead of carrying
+// their own copy of the predicate. A Point is immutable: a *Bound, and with
+// it its points, is shared by every site goroutine evaluating the query.
+type Point struct {
+	// ItemClass is the global class of the object lacking the data.
+	ItemClass string
+	// Suffix is the unsolved predicate, rooted at ItemClass. Its path is a
+	// sub-slice of the bound predicate's path.
+	Suffix Predicate
+	// SourceIdx is the index of the originating predicate in the bound
+	// query's predicate list.
+	SourceIdx int
+}
+
+// Point returns the predicate's unsolved point at the given depth of its
+// path, 0 <= depth < len(Path). A predicate bound outside a query
+// (BindPredicateAt) carries none and gets a fresh one, with source index 0,
+// on every call.
+func (bp *BoundPredicate) Point(depth int) *Point {
+	if bp.points != nil {
+		return &bp.points[depth]
+	}
+	pt := bp.pointAt(depth, 0)
+	return &pt
+}
+
+func (bp *BoundPredicate) pointAt(depth, sourceIdx int) Point {
+	// The suffix path is capped, so appending to it cannot reach into the
+	// bound path.
+	path := bp.Path[depth:len(bp.Path):len(bp.Path)]
+	return Point{
+		ItemClass: bp.Classes[depth],
+		Suffix:    Predicate{Path: path, Op: bp.Op, Literal: bp.Literal},
+		SourceIdx: sourceIdx,
+	}
 }
 
 // Bound is a query validated against the global schema. It carries the
@@ -69,7 +114,12 @@ func Bind(q *Query, g *schema.Global) (*Bound, error) {
 		if err := checkLiteral(bp.Attr, pr.Op, pr.Literal); err != nil {
 			return nil, fmt.Errorf("bind predicate %s: %w", pr, err)
 		}
-		b.Preds = append(b.Preds, BoundPredicate{BoundPath: bp, Op: pr.Op, Literal: pr.Literal})
+		pred := BoundPredicate{BoundPath: bp, Op: pr.Op, Literal: pr.Literal}
+		pred.points = make([]Point, len(pred.Path))
+		for depth := range pred.points {
+			pred.points[depth] = pred.pointAt(depth, len(b.Preds))
+		}
+		b.Preds = append(b.Preds, pred)
 	}
 	return b, nil
 }

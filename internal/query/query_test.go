@@ -414,3 +414,53 @@ func TestFold(t *testing.T) {
 		t.Error("conjunctive query reported disjunctive")
 	}
 }
+
+// TestBindBuildsPoints: Bind computes, once, the point of every predicate at
+// every depth — item class, suffix (a sub-slice of the bound path, capped),
+// source index — and hands the same one out on every call; a predicate bound
+// on its own has none and gets fresh ones.
+func TestBindBuildsPoints(t *testing.T) {
+	fx := school.New()
+	b := MustBind(MustParse(school.Q1), fx.Global)
+	// Q1's third predicate: advisor.department.name = "CS".
+	bp := &b.Preds[2]
+	for depth, want := range []struct {
+		class string
+		path  Path
+	}{
+		{"Student", Path{"advisor", "department", "name"}},
+		{"Teacher", Path{"department", "name"}},
+		{"Department", Path{"name"}},
+	} {
+		pt := bp.Point(depth)
+		if pt.ItemClass != want.class || !pt.Suffix.Path.Equal(want.path) || pt.SourceIdx != 2 ||
+			pt.Suffix.Op != bp.Op || !pt.Suffix.Literal.Equal(bp.Literal) {
+			t.Errorf("Point(%d) = %+v, want %s %v of predicate 2", depth, pt, want.class, want.path)
+		}
+		if pt != bp.Point(depth) {
+			t.Errorf("Point(%d) is not shared between calls", depth)
+		}
+		if &pt.Suffix.Path[0] != &bp.Path[depth] {
+			t.Errorf("Point(%d): suffix path is a copy, want a sub-slice of the bound path", depth)
+		}
+		if cap(pt.Suffix.Path) != len(pt.Suffix.Path) {
+			t.Errorf("Point(%d): suffix path has spare capacity %d over the bound path", depth, cap(pt.Suffix.Path)-len(pt.Suffix.Path))
+		}
+	}
+	// A copy of the bound predicate shares the points.
+	if cp := b.Preds[2]; cp.Point(1) != bp.Point(1) {
+		t.Error("a copied BoundPredicate got points of its own")
+	}
+
+	alone, err := BindPredicateAt(fx.Global, "Teacher", bp.Point(1).Suffix)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pt := alone.Point(1)
+	if pt.ItemClass != "Department" || !pt.Suffix.Path.Equal(Path{"name"}) || pt.SourceIdx != 0 {
+		t.Errorf("point of a predicate bound on its own = %+v", pt)
+	}
+	if pt == alone.Point(1) {
+		t.Error("a predicate bound on its own returned one point twice; it keeps none")
+	}
+}

@@ -38,6 +38,16 @@ import (
 //	                  and an empty list decodes to nil (gob did the same, so
 //	                  no caller tells empty from nil)
 //	opt T             u8 0 for nil, else u8 1 then T
+//	point             ref:uvarint into the frame's point table, which both
+//	                  sides build as they go: 0 is the nil point, 1..n is
+//	                  the n-th point this frame has defined so far, and n+1
+//	                  defines the next one, whose body follows in place:
+//	                  ItemClass:name Suffix:Predicate SourceIdx:varint. A
+//	                  frame so carries each distinct point once, however
+//	                  many items of however many lists refer to it; the
+//	                  decoded items share one *query.Point per entry. Any
+//	                  other ref is malformed. The table has no count to
+//	                  trust: every entry is paid for in bytes read.
 //
 // Messages, fields in wire order:
 //
@@ -49,8 +59,7 @@ import (
 //	               Repair:opt RepairReply Suspect:[]name
 //
 //	Trace          QueryID:str Alg:str Span:uvarint From:str
-//	CheckItem      Assistant:str ItemGOid:str ItemClass:name Suffix:Predicate
-//	               SourceIdx:varint
+//	CheckItem      Assistant:str ItemGOid:str Point:point
 //	Predicate      Path:[]name Op:u8 Literal:value
 //	BindDelta      Class:name GOid:str Site:name LOid:str
 //	Digests        []{Class:name Count:uvarint Sum:[64]u64}, sorted by class
@@ -63,8 +72,7 @@ import (
 //	               CheckReplies:[]CheckReply Unavailable:[]{Site:name Reason:str}
 //	LocalRow       LOid:str GOid:str Targets:[]value Verdicts:[]u8
 //	               Unsolved:[]UnsolvedItem
-//	UnsolvedItem   ItemGOid:str ItemClass:name SelfItem:bool Suffix:Predicate
-//	               SourceIdx:varint Multi:bool
+//	UnsolvedItem   ItemGOid:str Point:point SelfItem:bool Multi:bool
 //	CheckReply     Site:name Verdicts:[]Verdict
 //	Verdict        ItemGOid:str SourceIdx:varint SuffixLen:varint Verdict:u8
 //	Span           ID:uvarint Parent:uvarint Query:name Algorithm:name
@@ -83,6 +91,9 @@ import (
 type frameBuf struct {
 	b   []byte
 	err error
+	// points is the outgoing frame's point table: the points written so
+	// far, in order of first use.
+	points []*query.Point
 }
 
 func (w *frameBuf) u8(v byte)        { w.b = append(w.b, v) }
@@ -157,9 +168,10 @@ var errMalformed = errors.New("remote: malformed message")
 // empties b, after which every read yields zero values, so decoders run
 // straight through and check once at the end.
 type reader struct {
-	b     []byte
-	err   error
-	names object.Interner
+	b      []byte
+	err    error
+	names  object.Interner
+	points []*query.Point // the frame's point table, as defined so far
 }
 
 func (r *reader) fail(what string) {
@@ -332,15 +344,14 @@ func sortedKeys[V any](m map[string]V) []string {
 // Minimum encoded sizes, the divisors count uses. Each is the element's
 // fixed fields at their shortest; what matters is that none is zero.
 const (
-	minPredicate    = 1 + 1 + 2
-	minCheckItem    = 3 + minPredicate + 1
+	minCheckItem    = 3
 	minBinding      = 3
 	minDigest       = 1 + 1 + 8*antientropy.Buckets
 	minObject       = 3
 	minClassObjects = 3
 	minVerdict      = 4
 	minCheckReply   = 2
-	minUnsolved     = 3 + minPredicate + 2
+	minUnsolved     = 4
 	minLocalRow     = 5
 	minSiteFailure  = 2
 	minSpan         = 9 + 2 + 16 + 1
@@ -373,20 +384,59 @@ func (r *reader) predicate(p *query.Predicate) {
 	p.Literal = r.value()
 }
 
+// point writes a reference into the frame's point table, defining the point
+// first if this is the frame's first use of it. Points are told apart by
+// pointer: the items a site produces for one query share the bound query's.
+func (w *frameBuf) point(pt *query.Point) {
+	if pt == nil {
+		w.uvarint(0)
+		return
+	}
+	for i, have := range w.points {
+		if have == pt {
+			w.uvarint(uint64(i) + 1)
+			return
+		}
+	}
+	w.points = append(w.points, pt)
+	w.uvarint(uint64(len(w.points)))
+	w.str(pt.ItemClass)
+	w.predicate(&pt.Suffix)
+	w.int(pt.SourceIdx)
+}
+
+func (r *reader) point() *query.Point {
+	ref := r.uvarint()
+	defined := uint64(len(r.points))
+	switch {
+	case ref == 0:
+		return nil
+	case ref <= defined:
+		return r.points[ref-1]
+	case ref > defined+1:
+		r.fail("point reference outside the frame's table")
+		return nil
+	}
+	pt := &query.Point{ItemClass: r.name()}
+	r.predicate(&pt.Suffix)
+	pt.SourceIdx = r.int()
+	if r.err != nil {
+		return nil
+	}
+	r.points = append(r.points, pt)
+	return pt
+}
+
 func (w *frameBuf) checkItem(it *federation.CheckItem) {
 	w.str(string(it.Assistant))
 	w.str(string(it.ItemGOid))
-	w.str(it.ItemClass)
-	w.predicate(&it.Suffix)
-	w.int(it.SourceIdx)
+	w.point(it.Point)
 }
 
 func (r *reader) checkItem(it *federation.CheckItem) {
 	it.Assistant = object.LOid(r.str())
 	it.ItemGOid = object.GOid(r.str())
-	it.ItemClass = r.name()
-	r.predicate(&it.Suffix)
-	it.SourceIdx = r.int()
+	it.Point = r.point()
 }
 
 func (w *frameBuf) checkItems(items *[]federation.CheckItem) { list(w, *items, (*frameBuf).checkItem) }
@@ -482,19 +532,15 @@ func (r *reader) classObjects(co *federation.ClassObjects) {
 
 func (w *frameBuf) unsolved(u *federation.UnsolvedItem) {
 	w.str(string(u.ItemGOid))
-	w.str(u.ItemClass)
+	w.point(u.Point)
 	w.bool(u.SelfItem)
-	w.predicate(&u.Suffix)
-	w.int(u.SourceIdx)
 	w.bool(u.Multi)
 }
 
 func (r *reader) unsolved(u *federation.UnsolvedItem) {
 	u.ItemGOid = object.GOid(r.str())
-	u.ItemClass = r.name()
+	u.Point = r.point()
 	u.SelfItem = r.bool()
-	r.predicate(&u.Suffix)
-	u.SourceIdx = r.int()
 	u.Multi = r.bool()
 }
 

@@ -1,7 +1,9 @@
 package remote
 
 import (
+	"bufio"
 	"bytes"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -29,11 +31,31 @@ var updateCorpus = flag.Bool("update-corpus", false, "rewrite testdata/fuzz seed
 
 var (
 	sampleTrace = TraceContext{QueryID: "rq7-1f", Alg: "BL", Span: 0xDEADBEEFCAFE, From: "G"}
-	samplePred  = query.Predicate{Path: query.Path{"advisor", "department", "name"}, Op: query.OpEq, Literal: object.Str("CS")}
+	// The points of two predicates, each left unsolved at two depths, as one
+	// bound query shares them among its items, and an odd one out.
+	samplePath1  = query.Path{"advisor", "speciality"}
+	samplePath2  = query.Path{"advisor", "department", "name"}
+	samplePoints = [2][2]*query.Point{
+		{{ItemClass: "Student", SourceIdx: 1, Suffix: query.Predicate{Path: samplePath1, Op: query.OpEq, Literal: object.Str("database")}},
+			{ItemClass: "Teacher", SourceIdx: 1, Suffix: query.Predicate{Path: samplePath1[1:], Op: query.OpEq, Literal: object.Str("database")}}},
+		{{ItemClass: "Student", SourceIdx: 2, Suffix: query.Predicate{Path: samplePath2, Op: query.OpEq, Literal: object.Str("CS")}},
+			{ItemClass: "Teacher", SourceIdx: 2, Suffix: query.Predicate{Path: samplePath2[1:], Op: query.OpEq, Literal: object.Str("CS")}}},
+	}
+	sampleOddPoint = &query.Point{ItemClass: "Teacher", SourceIdx: -1,
+		Suffix: query.Predicate{Path: query.Path{"tags"}, Op: query.OpNe, Literal: object.List(object.Int(1), object.Str("x"))}}
+	// Interleaved: every point is defined once, where the list first uses
+	// it, and referred back to after other points came between; one item
+	// has no point at all.
 	sampleItems = []federation.CheckItem{
-		{Assistant: "t1'", ItemGOid: "gt1", ItemClass: "Teacher", Suffix: samplePred, SourceIdx: 2},
-		{Assistant: "t2'", ItemGOid: "gt2", ItemClass: "Teacher", SourceIdx: -1,
-			Suffix: query.Predicate{Path: query.Path{"tags"}, Op: query.OpNe, Literal: object.List(object.Int(1), object.Str("x"))}},
+		{Assistant: "t1'", ItemGOid: "gt1", Point: samplePoints[1][1]},
+		{Assistant: "t2'", ItemGOid: "gt2", Point: samplePoints[0][1]},
+		{Assistant: "t3'", ItemGOid: "gt3", Point: samplePoints[1][1]},
+		{Assistant: "s4'", ItemGOid: "gs4", Point: samplePoints[0][0]},
+		{Assistant: "t2'", ItemGOid: "gt2", Point: sampleOddPoint},
+		{Assistant: "s5'", ItemGOid: "gs5", Point: samplePoints[1][0]},
+		{Assistant: "t6'", ItemGOid: "gt6"},
+		{Assistant: "s6'", ItemGOid: "gs6", Point: samplePoints[0][0]},
+		{Assistant: "t7'", ItemGOid: "gt7", Point: samplePoints[0][1]},
 	}
 	sampleDigests = func() map[string]antientropy.Digest {
 		var a, b antientropy.Digest
@@ -72,6 +94,8 @@ func sampleRequests() map[string]Request {
 		"local":    {Kind: kindLocal, Trace: sampleTrace, DeadlineMicros: 1, Query: "select name from Student", Mode: ModeSPL},
 		"check":    {Kind: kindCheck, Trace: sampleTrace, Items: sampleItems},
 		// The empty middle group must keep its place: replies are group-aligned.
+		// The last group's first item refers back to the point the first group
+		// defined: the table is the frame's, not the list's.
 		"checkbatch":   {Kind: kindCheckBatch, Trace: sampleTrace, Batch: [][]federation.CheckItem{sampleItems[:1], nil, sampleItems}},
 		"store":        {Kind: kindStore, Trace: TraceContext{From: "G"}, Store: sampleStudent},
 		"bind":         {Kind: kindBind, Bind: &BindDelta{Class: "Student", GOid: "gs9", Site: "DB1", LOid: "s9"}},
@@ -106,10 +130,19 @@ func sampleResponses() map[string]Response {
 							Targets:  []object.Value{object.Str("John"), object.Null(), object.GRef("gt1"), {}, object.List(object.GRef("gc1"))},
 							Verdicts: []tvl.Truth{tvl.True, tvl.Unknown},
 							Unsolved: []federation.UnsolvedItem{
-								{ItemGOid: "gt1", ItemClass: "Teacher", Suffix: samplePred, SourceIdx: 1, Multi: true},
-								{ItemGOid: "gs1", ItemClass: "Student", SelfItem: true, Suffix: samplePred},
+								{ItemGOid: "gt1", Point: samplePoints[0][1], Multi: true},
+								{ItemGOid: "gs1", Point: samplePoints[1][0], SelfItem: true},
 							}},
 						{LOid: "s2", GOid: "gs2"},
+						// A later row of the same frame: back-references only,
+						// in another order, and an item without a point.
+						{LOid: "s3", GOid: "gs3", Verdicts: []tvl.Truth{tvl.Unknown, tvl.Unknown},
+							Unsolved: []federation.UnsolvedItem{
+								{ItemGOid: "gs3", Point: samplePoints[1][0], SelfItem: true},
+								{ItemGOid: "gt9"},
+								{ItemGOid: "gt1", Point: samplePoints[0][1]},
+								{ItemGOid: "gt4", Point: samplePoints[1][1], Multi: true},
+							}},
 					},
 					SigVerdicts: sampleVerdicts[:1],
 				},
@@ -242,6 +275,79 @@ func TestDecodeRejectsMalformed(t *testing.T) {
 			t.Fatalf("response truncated to %d of %d bytes decoded", n, len(resp))
 		}
 	}
+
+	// Point references: 0 is nil, 1..n an entry the frame has defined, n+1
+	// the next definition. Anything else points outside the table.
+	for _, c := range []struct {
+		name string
+		refs []uint64 // one check item per ref; a definition's body follows ref n+1
+		ok   bool
+	}{
+		{"nil, define, refer back", []uint64{0, 1, 1, 2, 1, 2, 0}, true},
+		{"reference into an empty table", []uint64{2}, false},
+		{"reference one past the next definition", []uint64{1, 3}, false},
+		{"reference far outside", []uint64{1, 2, 1 << 40}, false},
+	} {
+		if _, err := decodeRequest(checkRequestWithRefs(c.refs)); (err == nil) != c.ok {
+			t.Errorf("%s: err = %v, want ok = %v", c.name, err, c.ok)
+		}
+	}
+}
+
+// checkRequestWithRefs hand-encodes a check request whose i-th item carries
+// point reference refs[i], followed by a point body wherever the reference
+// is the next definition.
+func checkRequestWithRefs(refs []uint64) []byte {
+	var w frameBuf
+	w.str(kindCheck)
+	w.trace(&TraceContext{})
+	w.i64(0)
+	w.str("")
+	w.str("")
+	w.uvarint(uint64(len(refs)))
+	defined := uint64(0)
+	for _, ref := range refs {
+		w.str("a")
+		w.str("g")
+		w.uvarint(ref)
+		if ref == defined+1 {
+			defined++
+			w.str("Teacher")
+			w.predicate(&samplePoints[0][1].Suffix)
+			w.int(1)
+		}
+	}
+	w.uvarint(0) // Batch
+	w.u8(0)      // Store
+	w.u8(0)      // Bind
+	w.uvarint(0) // Digests
+	w.u8(0)      // Repair
+	return w.b
+}
+
+// TestVersionOneFrameRefusedAtHeader: protocol version 1 spelled every
+// check item's predicate out; a peer still speaking it is turned away from
+// the five header bytes, before any of its payload is read as version 2.
+func TestVersionOneFrameRefusedAtHeader(t *testing.T) {
+	out := newFrame()
+	defer out.release()
+	req := sampleRequests()["check"]
+	out.request(&req)
+	var sent bytes.Buffer
+	if _, err := out.send(&sent); err != nil {
+		t.Fatal(err)
+	}
+	frame := sent.Bytes()
+	if frame[4] != 2 || protocolVersion != 2 {
+		t.Fatalf("frames carry version %d (constant %d), want 2", frame[4], protocolVersion)
+	}
+	frame[4] = 1
+	// Only the header is there to read: a reader that wanted payload bytes
+	// before deciding would report a short frame instead.
+	_, err := readFrame(bufio.NewReader(bytes.NewReader(frame[:frameHeaderSize])), 0)
+	if !errors.Is(err, errProtocolVersion) {
+		t.Errorf("version-1 header: err = %v, want %v", err, errProtocolVersion)
+	}
 }
 
 // allocatedBy runs fn and reports the bytes it allocated — or 0 under the
@@ -291,6 +397,30 @@ func TestDecodeDoesNotTrustCounts(t *testing.T) {
 		}
 	}); got > 4096 {
 		t.Errorf("refusing a hostile count allocated %d bytes", got)
+	}
+
+	// A point reference is an index into a table only definitions grow, and
+	// a definition is paid for in bytes: a huge reference sizes nothing.
+	hostileRef := checkRequestWithRefs([]uint64{1, 1<<32 - 1})
+	if got := allocatedBy(func() {
+		if _, err := decodeRequest(hostileRef); err == nil {
+			t.Error("hostile point reference accepted")
+		}
+	}); got > 4096 {
+		t.Errorf("refusing a hostile point reference allocated %d bytes", got)
+	}
+	// The densest legitimate input: every item defines a point of its own.
+	refs := make([]uint64, 20000)
+	for i := range refs {
+		refs[i] = uint64(i) + 1
+	}
+	allDefine := checkRequestWithRefs(refs)
+	if got, limit := allocatedBy(func() {
+		if _, err := decodeRequest(allDefine); err != nil {
+			t.Errorf("one point per item: %v", err)
+		}
+	}), uint64(decodeAllocFactor*len(allDefine)); got > limit {
+		t.Errorf("decoding %d items with a point each allocated %d bytes (limit %d)", len(refs), got, limit)
 	}
 
 	// A count the input could hold, over elements that are garbage: the

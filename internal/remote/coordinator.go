@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"log/slog"
 	"math/rand/v2"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -23,6 +24,7 @@ import (
 	"github.com/hetfed/hetfed/internal/query"
 	"github.com/hetfed/hetfed/internal/schema"
 	"github.com/hetfed/hetfed/internal/trace"
+	"github.com/hetfed/hetfed/internal/tvl"
 )
 
 // Coordinator executes global queries against a cluster of site servers:
@@ -700,8 +702,98 @@ func (s siteCalls) Retrieve(p fabric.Proc, q *exec.Query, parent trace.SpanID, s
 	return resp.Retrieve, resp.Suspect, err
 }
 
-// Local implements exec.SiteOps: the server runs exec.SiteFlow.
+// Local implements exec.SiteOps: the server runs exec.SiteFlow. The reply is
+// checked against the query before it leaves the transport: certification
+// indexes per-predicate evidence with the numbers in it.
 func (s siteCalls) Local(p fabric.Proc, q *exec.Query, parent trace.SpanID, site object.SiteID) (LocalReply, []string, error) {
 	resp, err := s.call(p, q, parent, site, Request{Kind: kindLocal, Mode: q.Alg.String()})
+	if err == nil {
+		if err = checkLocalReply(q.Bound, &resp.Local); err != nil {
+			return LocalReply{}, nil, fmt.Errorf("remote: site %s sent a malformed local reply: %w", site, err)
+		}
+	}
 	return resp.Local, resp.Suspect, err
+}
+
+// checkLocalReply refuses a decoded local reply that does not fit the query
+// it answers: a row must carry one valid verdict per predicate and no more
+// targets than the query has, every unsolved item must name one of the
+// query's own points — the coordinator binds the same text, so it holds the
+// point a site means — and every check verdict a predicate and a suffix
+// length inside that predicate's path. The codec vouches for the bytes, not
+// for the numbers in them.
+func checkLocalReply(b *query.Bound, reply *LocalReply) error {
+	// The frame's points already compared; a reply's items share a handful.
+	var compared [16]*query.Point
+	known := compared[:0]
+	checkPoint := func(pt *query.Point) error {
+		if pt == nil {
+			return errors.New("unsolved item without a point")
+		}
+		if slices.Contains(known, pt) {
+			return nil
+		}
+		if pt.SourceIdx < 0 || pt.SourceIdx >= len(b.Preds) {
+			return fmt.Errorf("unsolved item: SourceIdx %d, query has %d predicates", pt.SourceIdx, len(b.Preds))
+		}
+		pred := &b.Preds[pt.SourceIdx]
+		depth := len(pred.Path) - len(pt.Suffix.Path)
+		if depth < 0 || depth >= len(pred.Path) {
+			return fmt.Errorf("unsolved item: suffix %q of predicate %d has %d steps, its path %d",
+				pt.Suffix, pt.SourceIdx, len(pt.Suffix.Path), len(pred.Path))
+		}
+		if own := pred.Point(depth); pt.ItemClass != own.ItemClass || !pt.Suffix.Equal(own.Suffix) {
+			return fmt.Errorf("unsolved item: point %s(%s) is not predicate %d at depth %d, %s(%s)",
+				pt.ItemClass, pt.Suffix, pt.SourceIdx, depth, own.ItemClass, own.Suffix)
+		}
+		if len(known) < cap(known) {
+			known = append(known, pt)
+		}
+		return nil
+	}
+	validTruth := func(v tvl.Truth) bool { return v >= tvl.False && v <= tvl.True }
+	checkVerdicts := func(vs []federation.CheckVerdict) error {
+		for i := range vs {
+			cv := &vs[i]
+			switch {
+			case cv.SourceIdx < 0 || cv.SourceIdx >= len(b.Preds):
+				return fmt.Errorf("check verdict: SourceIdx %d, query has %d predicates", cv.SourceIdx, len(b.Preds))
+			case cv.SuffixLen < 1 || cv.SuffixLen > len(b.Preds[cv.SourceIdx].Path):
+				return fmt.Errorf("check verdict: SuffixLen %d, predicate %d has %d steps",
+					cv.SuffixLen, cv.SourceIdx, len(b.Preds[cv.SourceIdx].Path))
+			case !validTruth(cv.Verdict):
+				return fmt.Errorf("check verdict: truth value %d", cv.Verdict)
+			}
+		}
+		return nil
+	}
+
+	for i := range reply.Result.Rows {
+		row := &reply.Result.Rows[i]
+		if len(row.Verdicts) != len(b.Preds) {
+			return fmt.Errorf("row %s: %d verdicts, query has %d predicates", row.GOid, len(row.Verdicts), len(b.Preds))
+		}
+		for _, v := range row.Verdicts {
+			if !validTruth(v) {
+				return fmt.Errorf("row %s: verdict with truth value %d", row.GOid, v)
+			}
+		}
+		if len(row.Targets) > len(b.Targets) {
+			return fmt.Errorf("row %s: %d targets, query has %d", row.GOid, len(row.Targets), len(b.Targets))
+		}
+		for j := range row.Unsolved {
+			if err := checkPoint(row.Unsolved[j].Point); err != nil {
+				return fmt.Errorf("row %s: %w", row.GOid, err)
+			}
+		}
+	}
+	if err := checkVerdicts(reply.Result.SigVerdicts); err != nil {
+		return err
+	}
+	for i := range reply.CheckReplies {
+		if err := checkVerdicts(reply.CheckReplies[i].Verdicts); err != nil {
+			return err
+		}
+	}
+	return nil
 }

@@ -24,7 +24,7 @@ const (
 	// protocolVersion is the version byte of every frame. A peer speaking
 	// another version is refused at the header, before its payload is
 	// interpreted as something it is not.
-	protocolVersion = 1
+	protocolVersion = 2
 
 	// frameHeaderSize is the fixed prefix of every frame.
 	frameHeaderSize = 5
@@ -62,7 +62,13 @@ func newFrame() *frameBuf {
 	return w
 }
 
-func (w *frameBuf) release() { frameBufs.Put(w) }
+// release returns the buffer to the pool. The point table goes back empty:
+// a pooled buffer must not keep a finished query's bound predicates alive.
+func (w *frameBuf) release() {
+	clear(w.points)
+	w.points = w.points[:0]
+	frameBufs.Put(w)
+}
 
 // payloadLength converts a payload size to the header's length field,
 // refusing one the field cannot hold rather than wrapping it.

@@ -10,6 +10,7 @@ import (
 	"net"
 	"runtime"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -20,11 +21,13 @@ import (
 	"github.com/hetfed/hetfed/internal/isomer"
 	"github.com/hetfed/hetfed/internal/metrics"
 	"github.com/hetfed/hetfed/internal/object"
+	"github.com/hetfed/hetfed/internal/query"
 	"github.com/hetfed/hetfed/internal/schema"
 	"github.com/hetfed/hetfed/internal/school"
 	"github.com/hetfed/hetfed/internal/signature"
 	"github.com/hetfed/hetfed/internal/store"
 	"github.com/hetfed/hetfed/internal/trace"
+	"github.com/hetfed/hetfed/internal/tvl"
 )
 
 // startRobustCluster is startObservedCluster with a per-site ServerConfig
@@ -504,5 +507,137 @@ func TestResyncReplaysMissedDeltas(t *testing.T) {
 	}
 	if got := coord.Metrics.Snapshot().CounterValue("replica_resync_total", metrics.Labels{Site: "G", Peer: "DB3"}); got != 1 {
 		t.Errorf("replica_resync_total after second ping = %d, want still 1", got)
+	}
+}
+
+// stubSite answers every request arriving on a raw listener with resp: a
+// site that speaks the wire format and says something the query cannot mean.
+func stubSite(t *testing.T, resp Response) string {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var (
+		wg    sync.WaitGroup
+		mu    sync.Mutex
+		conns []net.Conn
+	)
+	serve := func(conn net.Conn) {
+		defer wg.Done()
+		br := bufio.NewReader(conn)
+		for {
+			in, err := readFrame(br, 0)
+			if err != nil {
+				return
+			}
+			in.release()
+			out := newFrame()
+			out.response(&resp)
+			_, err = out.send(conn)
+			out.release()
+			if err != nil {
+				return
+			}
+		}
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			mu.Lock()
+			conns = append(conns, conn)
+			mu.Unlock()
+			wg.Add(1)
+			go serve(conn)
+		}
+	}()
+	t.Cleanup(func() {
+		ln.Close()
+		mu.Lock()
+		for _, conn := range conns {
+			conn.Close()
+		}
+		mu.Unlock()
+		wg.Wait()
+	})
+	return ln.Addr().String()
+}
+
+// TestCoordinatorRefusesMalformedLocalReply: certification indexes its
+// per-predicate evidence with a row's verdict positions and an unsolved
+// item's SourceIdx, numbers that arrived on a socket. A site answering one
+// verdict too many, or an unsolved item of predicate 7 to a three-predicate
+// query, must fail its own leg with an error that names it — not panic the
+// global site's task into "fabric: task BL panicked: runtime error: index out
+// of range [7] with length 3", which names no site and no cause (what these
+// two cases got before the reply was checked).
+func TestCoordinatorRefusesMalformedLocalReply(t *testing.T) {
+	speciality := query.Predicate{Path: query.Path{"speciality"}, Op: query.OpEq, Literal: object.Str("database")}
+	row := func(verdicts int, unsolved ...federation.UnsolvedItem) Response {
+		r := federation.LocalRow{LOid: "s1'", GOid: "gs1", Targets: []object.Value{object.Str("John"), object.Null()},
+			Unsolved: unsolved}
+		// True, not unknown: certification indexes its evidence only with
+		// verdicts that decide something.
+		for i := 0; i < verdicts; i++ {
+			r.Verdicts = append(r.Verdicts, tvl.True)
+		}
+		return Response{Local: LocalReply{Result: federation.LocalResult{Site: "DB2", Rows: []federation.LocalRow{r}}}}
+	}
+	item := func(pt *query.Point) federation.UnsolvedItem {
+		return federation.UnsolvedItem{ItemGOid: "gt1", Point: pt}
+	}
+	verdictOf := func(cv federation.CheckVerdict) Response {
+		resp := row(3)
+		resp.Local.CheckReplies = []federation.CheckReply{{Site: "DB3", Verdicts: []federation.CheckVerdict{cv}}}
+		return resp
+	}
+	// A satisfied check of the item is what made PR 14's coordinator write
+	// evidence[7].
+	predicateSeven := row(3, item(&query.Point{ItemClass: "Teacher", Suffix: speciality, SourceIdx: 7}))
+	predicateSeven.Local.CheckReplies = []federation.CheckReply{{Site: "DB3", Verdicts: []federation.CheckVerdict{
+		{ItemGOid: "gt1", SourceIdx: 7, SuffixLen: 1, Verdict: tvl.True}}}}
+	truthOutOfRange := row(3)
+	truthOutOfRange.Local.Result.Rows[0].Verdicts[1] = 9
+
+	for _, c := range []struct {
+		name string
+		resp Response
+		want string // a fragment of the error naming the field; "" = the reply is fine
+	}{
+		{"well-formed", row(3, item(&query.Point{ItemClass: "Teacher", Suffix: speciality, SourceIdx: 1})), ""},
+		{"one verdict too many", row(4), "4 verdicts"},
+		{"a truth value that is none", truthOutOfRange, "truth value 9"},
+		{"three targets to a two-target query", func() Response {
+			resp := row(3)
+			resp.Local.Result.Rows[0].Targets = make([]object.Value, 3)
+			return resp
+		}(), "3 targets"},
+		{"unsolved item of predicate 7", predicateSeven, "SourceIdx 7"},
+		{"unsolved item without a point", row(3, item(nil)), "without a point"},
+		{"suffix longer than its predicate's path", row(3, item(&query.Point{ItemClass: "Teacher", SourceIdx: 0,
+			Suffix: query.Predicate{Path: query.Path{"a", "b", "c"}, Op: query.OpEq, Literal: object.Str("Taipei")}})), "3 steps"},
+		{"a point that is not the query's", row(3, item(&query.Point{ItemClass: "Teacher", SourceIdx: 1,
+			Suffix: query.Predicate{Path: query.Path{"name"}, Op: query.OpEq, Literal: object.Str("database")}})), "is not predicate 1"},
+		{"check verdict of predicate -1", verdictOf(federation.CheckVerdict{ItemGOid: "gt1", SourceIdx: -1, SuffixLen: 1, Verdict: tvl.True}), "SourceIdx -1"},
+		{"check verdict with a suffix longer than the path", verdictOf(federation.CheckVerdict{ItemGOid: "gt1", SourceIdx: 1, SuffixLen: 3, Verdict: tvl.True}), "SuffixLen 3"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			coord, cleanup := startCluster(t)
+			defer cleanup()
+			defer coord.Close()
+			coord.Sites["DB2"] = stubSite(t, c.resp)
+			_, _, err := coord.Query(school.Q1, exec.BL)
+			switch {
+			case c.want == "" && err != nil:
+				t.Errorf("well-formed reply refused: %v", err)
+			case c.want != "" && (err == nil || !strings.Contains(err.Error(), "site DB2") || !strings.Contains(err.Error(), c.want)):
+				t.Errorf("err = %v, want one naming site DB2 and %q", err, c.want)
+			}
+		})
 	}
 }

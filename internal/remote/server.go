@@ -163,6 +163,13 @@ type Server struct {
 	// processing.
 	stateMu sync.RWMutex
 
+	// bound keeps the queries this server has bound, by text: a coordinator
+	// sends the same text to every site for every execution, and the global
+	// schema a text binds against is fixed for the server's life. A
+	// *query.Bound is immutable, so concurrent requests share one.
+	boundMu sync.Mutex
+	bound   map[string]*query.Bound
+
 	mu     sync.Mutex
 	closed bool
 	conns  map[net.Conn]struct{}
@@ -740,13 +747,38 @@ func (s *Server) handleRepair(req Request) Response {
 	return Response{Repair: reply}
 }
 
-// bind parses and binds a query text against the site's global schema.
+// maxBoundQueries caps the bound-query table. An application's queries are a
+// few texts run over and over; a client that sends ever-new texts gains
+// nothing from the table and, when it fills, costs the others one rebind.
+const maxBoundQueries = 256
+
+// bind parses and binds a query text against the site's global schema, once
+// per distinct text: later requests carrying the same text get the same
+// *query.Bound. The table is dropped whole when it is full.
 func (s *Server) bind(text string) (*query.Bound, error) {
+	s.boundMu.Lock()
+	b := s.bound[text]
+	s.boundMu.Unlock()
+	if b != nil {
+		return b, nil
+	}
 	q, err := query.Parse(text)
 	if err != nil {
 		return nil, err
 	}
-	return query.Bind(q, s.cfg.Global)
+	if b, err = query.Bind(q, s.cfg.Global); err != nil {
+		return nil, err
+	}
+	s.boundMu.Lock()
+	if len(s.bound) >= maxBoundQueries {
+		s.bound = nil
+	}
+	if s.bound == nil {
+		s.bound = make(map[string]*query.Bound)
+	}
+	s.bound[text] = b
+	s.boundMu.Unlock()
+	return b, nil
 }
 
 // runReal serves one request's federation work — an operation, or the whole

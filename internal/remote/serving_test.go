@@ -1,6 +1,7 @@
 package remote
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -10,6 +11,7 @@ import (
 	"github.com/hetfed/hetfed/internal/isomer"
 	"github.com/hetfed/hetfed/internal/metrics"
 	"github.com/hetfed/hetfed/internal/object"
+	"github.com/hetfed/hetfed/internal/query"
 	"github.com/hetfed/hetfed/internal/school"
 	"github.com/hetfed/hetfed/internal/signature"
 )
@@ -147,10 +149,9 @@ func TestBatcherCoalesces(t *testing.T) {
 	// Real check items against DB3: gs4's assistant t4' holds the missing
 	// speciality — the verdict set must come back per enqueued group.
 	item := federation.CheckItem{
-		ItemClass: "GStudent",
 		ItemGOid:  "gs4",
 		Assistant: "t4'",
-		SourceIdx: 1,
+		Point:     &query.Point{ItemClass: "GStudent", SourceIdx: 1},
 	}
 	e1 := src.batcher.enqueue("DB3", []federation.CheckItem{item}, TraceContext{From: "DB1"}, time.Time{})
 	e2 := src.batcher.enqueue("DB3", []federation.CheckItem{item}, TraceContext{From: "DB1"}, time.Time{})
@@ -261,5 +262,49 @@ func TestClusterCacheCoherence(t *testing.T) {
 	}
 	if inv := reg.Snapshot().CounterValue("cache_invalidations_total", metrics.Labels{Site: "DB2"}); inv == 0 {
 		t.Error("cache_invalidations_total{DB2} = 0 after insert, want > 0")
+	}
+}
+
+// TestServerBindsEachTextOnce: a query text is parsed and bound on its first
+// request and shared, as one immutable *query.Bound, by every later one; a
+// flood of distinct texts never holds more than the table's constant size.
+func TestServerBindsEachTextOnce(t *testing.T) {
+	fx := school.New()
+	srv, err := NewServer(ServerConfig{DB: fx.Databases["DB1"], Global: fx.Global, Tables: fx.Mapping})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+
+	first, err := srv.bind(school.Q1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for i := 0; i < 8; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if b, err := srv.bind(school.Q1); err != nil || b != first {
+				t.Errorf("rebinding the same text: %p, %v; want the first bound query %p", b, err, first)
+			}
+		}()
+	}
+	wg.Wait()
+	if _, err := srv.bind("select"); err == nil {
+		t.Error("a text that does not parse was bound")
+	}
+
+	for i := 0; i < 3*maxBoundQueries; i++ {
+		text := fmt.Sprintf(`select name from Student where name = "n%d"`, i)
+		if _, err := srv.bind(text); err != nil {
+			t.Fatal(err)
+		}
+		if n := len(srv.bound); n > maxBoundQueries {
+			t.Fatalf("%d bound queries held after %d texts, cap %d", n, i+1, maxBoundQueries)
+		}
+	}
+	if again, err := srv.bind(school.Q1); err != nil || again == nil {
+		t.Errorf("binding after the table was dropped: %v", err)
 	}
 }

@@ -91,11 +91,16 @@ echo "== cross-transport invariant + post-response bookkeeping (race, x10)"
 go test -race -count 10 -timeout 300s \
     -run 'TestAlgorithmsAgreeAcrossTransports|TestUnknownKindCountsError|TestClusterSiteRecorders' \
     ./internal/remote/
+# The kill/restart drill over real TCP polls a 50 ms scraper; it used to
+# time out one run in five on a loaded machine.
+go test -race -count 10 -timeout 300s -run 'TestClusterObservabilityE2E' ./internal/obs/agg/
 
 echo "== bench smoke (1 iteration)"
 go test -run - -bench 'BenchmarkTraceOverhead|BenchmarkProfileOverhead' -benchtime 1x .
 go test -run - -bench 'BenchmarkWireCodec' -benchtime 1x ./internal/remote/
 go test -run - -bench 'BenchmarkObject' -benchtime 1x ./internal/object/
+go test -run - -bench 'BenchmarkSite' -benchtime 1x ./internal/federation/
+go test -run - -bench 'BenchmarkGmap' -benchtime 1x ./internal/gmap/
 
 # Every decoder fed from a socket or a disk gets a short fuzz budget on top
 # of its committed seed corpus (testdata/fuzz/): no panic, no allocation
