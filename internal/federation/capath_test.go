@@ -1,0 +1,282 @@
+package federation
+
+import (
+	"crypto/sha256"
+	"fmt"
+	"sort"
+	"strings"
+	"sync"
+	"testing"
+
+	"github.com/hetfed/hetfed/internal/fabric"
+	"github.com/hetfed/hetfed/internal/object"
+)
+
+// caPathGolden is what the centralized approach's three steps produced when
+// every retrieved object was a projected copy and every decoded or merged
+// object an allocation of its own (PR 15's commit), per fixture: per site the
+// objects shipped, the reply's modeled size and the scan's charges; the view's
+// size; Materialize's and EvaluateView's charges; the answer's split; and a
+// hash over every view object and answer row.
+var caPathGolden = []string{
+	"school retrieve=DB1:8/528/720/8,DB2:7/560/816/7,DB3:5/336/336/5 view=14 roots=5 materialize=0/67 evaluate=0/54 certain=1 maybe=1 hash=ea5149e418e3",
+	"teams retrieve=S1:5/304/336/5,S2:1/112/80/1 view=5 roots=2 materialize=0/16 evaluate=0/12 certain=2 maybe=0 hash=d88c95bca415",
+	"draw1 retrieve=DB1:559/39376/84432/559,DB2:531/35728/78352/531,DB3:519/27776/69600/519 view=771 roots=193 materialize=0/5151 evaluate=0/1850 certain=3 maybe=7 hash=137196de3458",
+	"draw2 retrieve=DB1:369/17680/44912/369,DB2:357/23744/50112/357,DB3:376/27232/55232/376 view=547 roots=188 materialize=0/3372 evaluate=0/1678 certain=6 maybe=27 hash=2e1bec1e811a",
+	"draw3 retrieve=DB1:366/25760/53472/366,DB2:396/24928/54848/396,DB3:378/17520/46160/378 view=555 roots=186 materialize=0/3437 evaluate=0/3043 certain=31 maybe=91 hash=047c7173f694",
+	"draw4 retrieve=DB1:382/20368/49168/382,DB2:379/27280/55888/379,DB3:361/19440/46672/361 view=562 roots=197 materialize=0/3389 evaluate=0/1244 certain=11 maybe=26 hash=98edbc15ebe3",
+}
+
+// TestCAPathMatchesParent: the copy-free centralized path — stored objects
+// shipped beside a mask, replies decoded into slabs, a pre-sized outerjoin —
+// yields the view, the answer and the cost-counter totals of the copying
+// implementation it replaced, whether the replies reach Materialize as the
+// sites built them or through the record encoding. All sites retrieve and
+// encode at once, so the race detector watches the stored objects they share
+// with each other and with the bound query.
+func TestCAPathMatchesParent(t *testing.T) {
+	fxs := sitePathFixtures(t)
+	if len(fxs) != len(caPathGolden) {
+		t.Fatalf("%d fixtures, %d golden lines", len(fxs), len(caPathGolden))
+	}
+	for i, fx := range fxs {
+		for _, overWire := range []bool{false, true} {
+			if got := fx.name + " " + caPathSummary(t, fx, overWire); got != caPathGolden[i] {
+				t.Errorf("CA path changed (over the wire: %v):\n got %s\nwant %s", overWire, got, caPathGolden[i])
+			}
+		}
+	}
+}
+
+// onReal runs one federation step the way a server does and returns what it
+// charged.
+func onReal(t testing.TB, fn func(fabric.Proc)) fabric.Metrics {
+	t.Helper()
+	m, err := fabric.NewReal(fabric.DefaultRates()).Run("capath", fn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
+// recordRoundTrip ships a reply the way the wire codec does — every object's
+// record written through its class's mask, read back into slabs shared by
+// the whole reply — without the frame around it.
+func recordRoundTrip(t testing.TB, reply RetrieveReply) RetrieveReply {
+	t.Helper()
+	out := RetrieveReply{Site: reply.Site, Classes: make([]ClassObjects, len(reply.Classes))}
+	var (
+		slab  object.Slab
+		names object.Interner
+	)
+	for i, cls := range reply.Classes {
+		var buf []byte
+		for _, o := range cls.Objects {
+			var err error
+			if buf, err = object.AppendProjected(buf, o, cls.Attrs); err != nil {
+				t.Fatal(err)
+			}
+		}
+		out.Classes[i] = ClassObjects{GlobalClass: cls.GlobalClass, Attrs: cls.Attrs, Objects: make([]*object.Object, len(cls.Objects))}
+		for j := range cls.Objects {
+			var err error
+			if out.Classes[i].Objects[j], buf, err = slab.Decode(buf, &names); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if len(buf) != 0 {
+			t.Fatalf("%d bytes left over after %s's objects", len(buf), cls.GlobalClass)
+		}
+	}
+	return out
+}
+
+func caPathSummary(t *testing.T, fx sitePathFixture, overWire bool) string {
+	sites := fx.sites()
+	ids := fx.bound.InvolvedSites()
+	replies := make([]RetrieveReply, len(ids))
+	scans := make([]fabric.Metrics, len(ids))
+	var wg sync.WaitGroup
+	for i, id := range ids {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			scans[i] = onReal(t, func(p fabric.Proc) { replies[i] = sites[id].Retrieve(p, fx.bound) })
+			if overWire {
+				replies[i] = recordRoundTrip(t, replies[i])
+			}
+		}()
+	}
+	wg.Wait()
+
+	var line strings.Builder
+	line.WriteString("retrieve=")
+	for i, id := range ids {
+		n := 0
+		for _, cls := range replies[i].Classes {
+			n += len(cls.Objects)
+		}
+		if i > 0 {
+			line.WriteByte(',')
+		}
+		fmt.Fprintf(&line, "%s:%d/%d/%d/%d", id, n, replies[i].WireSize(), scans[i].DiskBytes, scans[i].CPUOps)
+	}
+
+	co := NewCoordinator("G", fx.global, fx.tables)
+	var (
+		view *View
+		ans  *Answer
+	)
+	mat := onReal(t, func(p fabric.Proc) { view = co.Materialize(p, fx.bound, replies) })
+	ev := onReal(t, func(p fabric.Proc) { ans = co.EvaluateView(p, fx.bound, view) })
+
+	detail := sha256.New()
+	keys := make([]string, 0, len(view.objects))
+	for k := range view.objects {
+		keys = append(keys, string(k))
+	}
+	sort.Strings(keys)
+	for _, k := range keys {
+		fmt.Fprintf(detail, "object %s\n", view.objects[object.LOid(k)])
+	}
+	for _, root := range view.Roots() {
+		fmt.Fprintf(detail, "root %s\n", root.LOid)
+	}
+	for _, rows := range [][]ResultRow{ans.Certain, ans.Maybe} {
+		for _, row := range rows {
+			fmt.Fprintf(detail, "row %s unknown=%v\n", row, row.Unknown)
+		}
+		fmt.Fprintln(detail, "--")
+	}
+	fmt.Fprintf(&line, " view=%d roots=%d materialize=%d/%d evaluate=%d/%d certain=%d maybe=%d hash=%x",
+		view.Len(), len(view.Roots()), mat.DiskBytes, mat.CPUOps, ev.DiskBytes, ev.CPUOps,
+		len(ans.Certain), len(ans.Maybe), detail.Sum(nil)[:6])
+	return line.String()
+}
+
+// TestCAPathAllocationCeilings pins what the copy-free centralized path is
+// for, on the benchmark's pinned Table 2 sample. Retrieve lists stored
+// objects: its allocations are per class, none per object. A decoded reply's
+// Objects, entries and LOids come from slabs: what remains per object is its
+// reference strings (PR 15's commit: 3.6 per object). Materialize
+// sizes its map and its slab up front (PR 15's commit: 1.4 per object).
+func TestCAPathAllocationCeilings(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts mean nothing under the race detector")
+	}
+	retrieve := func(fx sitePathFixture) (allocs float64, objects int) {
+		site := fx.sites()["DB1"]
+		var reply RetrieveReply
+		allocs = allocsOnFabric(t, func(p fabric.Proc) { reply = site.Retrieve(p, fx.bound) })
+		for _, cls := range reply.Classes {
+			objects += len(cls.Objects)
+		}
+		return allocs, objects
+	}
+	small, nSmall := retrieve(table2Fixture(t, 200, false))
+	large, nLarge := retrieve(table2Fixture(t, 400, false))
+	// Measured: 16 for either size — the fabric's run and sink, the reply's
+	// class list and one pointer slice per class (PR 15's commit: 1 704 and
+	// 3 455).
+	if nLarge < 2*nSmall-10 || large != small || large > 20 {
+		t.Errorf("Retrieve: %.0f allocs for %d objects, %.0f for %d; want none per object and at most 20",
+			small, nSmall, large, nLarge)
+	}
+
+	fx := table2Fixture(t, 550, false)
+	sites := fx.sites()
+	var replies []RetrieveReply
+	objects := 0
+	for _, id := range fx.bound.InvolvedSites() {
+		onReal(t, func(p fabric.Proc) { replies = append(replies, sites[id].Retrieve(p, fx.bound)) })
+		for _, cls := range replies[len(replies)-1].Classes {
+			objects += len(cls.Objects)
+		}
+	}
+	if objects < 4000 {
+		t.Fatalf("the table2 sample retrieves %d objects: too few to tell per-object from per-reply", objects)
+	}
+
+	// Decoding, measured at the record level (the frame's fields around the
+	// records are a few dozen bytes): encode once, decode repeatedly.
+	type encoded struct {
+		records []byte
+		n       int
+	}
+	var classes []encoded
+	for _, reply := range replies {
+		for _, cls := range reply.Classes {
+			var buf []byte
+			for _, o := range cls.Objects {
+				var err error
+				if buf, err = object.AppendProjected(buf, o, cls.Attrs); err != nil {
+					t.Fatal(err)
+				}
+			}
+			classes = append(classes, encoded{buf, len(cls.Objects)})
+		}
+	}
+	decode := testing.AllocsPerRun(5, func() {
+		var (
+			slab  object.Slab
+			names object.Interner
+		)
+		for _, cls := range classes {
+			buf := cls.records
+			for i := 0; i < cls.n; i++ {
+				var err error
+				if _, buf, err = slab.Decode(buf, &names); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	})
+	// Measured: 0.63 — a reference string for the objects that hold one, and
+	// a chunk every 64 objects, 256 entries or 2 KiB of LOids.
+	if per := decode / float64(objects); per > 1.6 {
+		t.Errorf("decoding the replies: %.0f allocs for %d objects = %.2f per object, ceiling 1.6", decode, objects, per)
+	} else {
+		t.Logf("decoding the replies: %.2f allocs per object (%d objects)", per, objects)
+	}
+
+	co := NewCoordinator("G", fx.global, fx.tables)
+	var view *View
+	materialize := allocsOnFabric(t, func(p fabric.Proc) { view = co.Materialize(p, fx.bound, replies) })
+	// Measured: 0.007 — the fabric's run, the sorted replies, the map and its
+	// buckets, the slab's two chunks, the roots as they grow: 49 allocations
+	// for 6 870 objects.
+	if per := materialize / float64(objects); per > 0.1 {
+		t.Errorf("Materialize: %.0f allocs for %d objects = %.3f per object, ceiling 0.1", materialize, objects, per)
+	} else {
+		t.Logf("Materialize: %.0f allocs, %.3f per object (%d objects, %d in the view)", materialize, per, objects, view.Len())
+	}
+}
+
+// BenchmarkCoordinator times the global site's two steps of the centralized
+// approach on the benchmark's pinned Table 2 sample, over replies as the
+// sites build them.
+func BenchmarkCoordinator(b *testing.B) {
+	fx := table2Fixture(b, 550, false)
+	sites := fx.sites()
+	var replies []RetrieveReply
+	for _, id := range fx.bound.InvolvedSites() {
+		onReal(b, func(p fabric.Proc) { replies = append(replies, sites[id].Retrieve(p, fx.bound)) })
+	}
+	co := NewCoordinator("G", fx.global, fx.tables)
+	var view *View
+	onReal(b, func(p fabric.Proc) { view = co.Materialize(p, fx.bound, replies) })
+	for _, bench := range []struct {
+		name string
+		fn   func(fabric.Proc)
+	}{
+		{"Materialize", func(p fabric.Proc) { co.Materialize(p, fx.bound, replies) }},
+		{"EvaluateView", func(p fabric.Proc) { co.EvaluateView(p, fx.bound, view) }},
+	} {
+		b.Run(bench.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				onReal(b, bench.fn)
+			}
+		})
+	}
+}

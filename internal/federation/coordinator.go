@@ -1,7 +1,9 @@
 package federation
 
 import (
+	"slices"
 	"sort"
+	"strings"
 
 	"github.com/hetfed/hetfed/internal/cost"
 	"github.com/hetfed/hetfed/internal/eval"
@@ -88,12 +90,27 @@ func (v *View) Len() int { return len(v.objects) }
 // site order; isomeric objects are assumed consistent, so the first
 // non-null value wins), and LOid-valued complex attributes are transformed
 // to GOids.
+//
+// The replies are read, never written: their objects may be a store's own
+// (see ClassObjects). The view is sized before it is filled — its map from
+// the replies' object count, its objects and their entries from one slab
+// with room for every constituent to become an entity of its own — so the
+// join allocates per reply, not per object.
 func (co *Coordinator) Materialize(p fabric.Proc, b *query.Bound, replies []RetrieveReply) *View {
 	var c cost.Counter
-	v := &View{objects: make(map[object.LOid]*object.Object)}
 
 	sorted := append([]RetrieveReply(nil), replies...)
 	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Site < sorted[j].Site })
+
+	objects, entries := 0, 0
+	for _, reply := range sorted {
+		for _, cls := range reply.Classes {
+			objects += len(cls.Objects)
+			entries += len(cls.Objects) * len(cls.Attrs)
+		}
+	}
+	v := &View{objects: make(map[object.LOid]*object.Object, objects)}
+	slab := object.NewSlab(objects, entries)
 
 	for _, reply := range sorted {
 		for _, cls := range reply.Classes {
@@ -103,38 +120,39 @@ func (co *Coordinator) Materialize(p fabric.Proc, b *query.Bound, replies []Retr
 				c.CPU(1) // GOid lookup: the outerjoin's join-attribute probe
 				goid, ok := table.GOidOf(reply.Site, o.LOid)
 				if !ok {
-					goid = object.GOid("!" + string(reply.Site) + ":" + string(o.LOid))
+					goid = table.Unbound(reply.Site, o.LOid)
 				}
 				key := object.LOid(goid)
 				m := v.objects[key]
 				if m == nil {
-					m = object.New(key, cls.GlobalClass, nil)
-					m.Grow(o.Len())
+					m = slab.New(key, cls.GlobalClass, len(cls.Attrs))
 					v.objects[key] = m
+					if cls.GlobalClass == b.Query.Range {
+						v.roots = append(v.roots, m)
+					}
 				}
-				co.mergeInto(m, gc, reply.Site, o, &c)
+				co.mergeInto(m, gc, reply.Site, o.Projected(cls.Attrs), &c)
 			}
 		}
 	}
 
-	// Collect the materialized range-class objects, sorted by GOid.
-	for _, o := range v.objects {
-		if o.Class == b.Query.Range {
-			v.roots = append(v.roots, o)
-		}
-	}
-	sort.Slice(v.roots, func(i, j int) bool { return v.roots[i].LOid < v.roots[j].LOid })
+	// The materialized range-class objects, sorted by GOid.
+	slices.SortFunc(v.roots, func(a, b *object.Object) int { return strings.Compare(string(a.LOid), string(b.LOid)) })
 
 	co.charge(p, &c)
 	return v
 }
 
-// mergeInto merges one constituent object into a materialized object,
-// translating local references to global ones.
+// mergeInto merges one constituent object, read through its reply's
+// projection, into a materialized object, translating local references to
+// global ones.
 func (co *Coordinator) mergeInto(m *object.Object, gc *schema.GlobalClass,
-	site object.SiteID, o *object.Object, c *cost.Counter) {
-	for i := 0; i < o.Len(); i++ {
-		name, val := o.At(i)
+	site object.SiteID, o object.Projection, c *cost.Counter) {
+	for {
+		name, val, ok := o.Next()
+		if !ok {
+			return
+		}
 		c.CPU(1) // merge step
 		if !m.Attr(name).IsNull() {
 			continue // first non-null value wins
@@ -177,8 +195,12 @@ func (co *Coordinator) EvaluateView(p fabric.Proc, b *query.Bound, v *View) *Ans
 	ans := &Answer{}
 
 	conjunctive := b.Conjunctive()
+	// No row keeps its verdicts, so one scratch slice serves every root; the
+	// rows' targets are cut from a slab.
+	verdicts := make([]tvl.Truth, len(b.Preds))
+	var slabs rowSlabs
 	for _, root := range v.roots {
-		verdicts := make([]tvl.Truth, len(b.Preds))
+		clear(verdicts)
 		for i := range b.Preds {
 			pv := eval.EvalPredicate(v, &b.Preds[i], root, &c, nil)
 			verdicts[i] = pv
@@ -197,7 +219,7 @@ func (co *Coordinator) EvaluateView(p fabric.Proc, b *query.Bound, v *View) *Ans
 		if verdict == tvl.Unknown {
 			row.Unknown = unknownIdx(verdicts)
 		}
-		row.Targets = make([]object.Value, len(b.Targets))
+		row.Targets = slabs.targets.take(len(b.Targets))
 		for i, tp := range b.Targets {
 			tv := eval.EvalTarget(v, tp, root, &c)
 			switch tv.Kind() {

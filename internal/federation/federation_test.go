@@ -345,8 +345,13 @@ func TestParallelChecksSuperset(t *testing.T) {
 	}
 }
 
+// TestRetrieveProjectsInvolvedAttrs: a retrieve reply is the stored objects
+// beside the projection — nothing is copied, and nothing outside the
+// projection gets any further: not into the records the reply is shipped as,
+// not into the modeled size, not into the view. age and sex are not involved
+// in Q1.
 func TestRetrieveProjectsInvolvedAttrs(t *testing.T) {
-	_, b, sites, _ := setup(t)
+	fx, b, sites, co := setup(t)
 	var reply RetrieveReply
 	run(t, func(p fabric.Proc) {
 		reply = sites["DB1"].Retrieve(p, b)
@@ -355,19 +360,45 @@ func TestRetrieveProjectsInvolvedAttrs(t *testing.T) {
 	if len(reply.Classes) != 3 {
 		t.Fatalf("classes = %+v", reply.Classes)
 	}
-	for _, co := range reply.Classes {
-		if co.GlobalClass == "Student" {
-			if len(co.Objects) != 3 {
-				t.Errorf("students = %d", len(co.Objects))
-			}
-			for _, o := range co.Objects {
-				// age and sex are not involved in Q1; they must be
-				// projected away.
-				if !o.Attr("age").IsNull() || !o.Attr("sex").IsNull() {
-					t.Errorf("unprojected attributes on %v", o)
-				}
+	outside := func(o *object.Object) bool { return !o.Attr("age").IsNull() || !o.Attr("sex").IsNull() }
+	var students ClassObjects
+	for _, cls := range reply.Classes {
+		if cls.GlobalClass == "Student" {
+			students = cls
+		}
+	}
+	if want := []string{"address", "advisor", "name"}; !reflect.DeepEqual(students.Attrs, want) {
+		t.Errorf("Student is read through %v, want %v", students.Attrs, want)
+	}
+	if len(students.Objects) != 3 {
+		t.Fatalf("students = %d", len(students.Objects))
+	}
+	modeled := 0
+	for _, o := range students.Objects {
+		if stored, _ := fx.Databases["DB1"].Deref(o.LOid); o != stored || !outside(o) {
+			t.Errorf("the reply lists %v, not the stored object with its age", o)
+		}
+		modeled += object.LOidWireSize + o.Attr("advisor").WireSize() + o.Attr("name").WireSize()
+	}
+	if got := (RetrieveReply{Classes: []ClassObjects{students}}).WireSize(); got != requestOverhead+modeled {
+		t.Errorf("the students' modeled size is %d, their LOids, advisors and names come to %d", got, requestOverhead+modeled)
+	}
+	for _, cls := range recordRoundTrip(t, reply).Classes {
+		for _, o := range cls.Objects {
+			if outside(o) {
+				t.Errorf("shipped with attributes outside the projection: %v", o)
 			}
 		}
+	}
+	var view *View
+	run(t, func(p fabric.Proc) { view = co.Materialize(p, b, []RetrieveReply{reply}) })
+	for _, root := range view.Roots() {
+		if outside(root) || root.Attr("name").IsNull() {
+			t.Errorf("merged with attributes outside the projection, or without those inside: %v", root)
+		}
+	}
+	if len(view.Roots()) != 3 {
+		t.Errorf("the view holds %d students, want 3", len(view.Roots()))
 	}
 }
 

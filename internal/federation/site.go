@@ -1,9 +1,6 @@
 package federation
 
 import (
-	"fmt"
-	"sort"
-
 	"github.com/hetfed/hetfed/internal/cost"
 	"github.com/hetfed/hetfed/internal/eval"
 	"github.com/hetfed/hetfed/internal/fabric"
@@ -76,42 +73,36 @@ func (s *Site) charge(p fabric.Proc, c *cost.Counter) {
 // singleton GOid so they still carry a global identity.
 func (s *Site) goidOf(class string, loid object.LOid, c *cost.Counter) object.GOid {
 	c.CPU(1)
-	if g, ok := s.cache.GOidOf(s.tables.Table(class), class, s.ID(), loid); ok {
+	table := s.tables.Table(class)
+	if g, ok := s.cache.GOidOf(table, class, s.ID(), loid); ok {
 		return g
 	}
-	return object.GOid(fmt.Sprintf("!%s:%s:%s", class, s.ID(), loid))
+	return table.Unbound(s.ID(), loid)
 }
 
 // Retrieve implements step CA_C1: read all objects of the local root and
 // branch classes of the query and return them projected on their LOids and
-// the attributes involved in the query.
+// the attributes involved in the query. Nothing is copied: the reply lists
+// the stored objects themselves beside the projection they are to be read
+// through (see ClassObjects).
 func (s *Site) Retrieve(p fabric.Proc, b *query.Bound) RetrieveReply {
 	var c cost.Counter
-	involved := b.InvolvedAttrs()
-	reply := RetrieveReply{Site: s.ID()}
-
-	// Deterministic class order.
-	classes := make([]string, 0, len(involved))
-	for class := range involved {
-		classes = append(classes, class)
-	}
-	sort.Strings(classes)
-
-	for _, class := range classes {
-		gc := s.global.Class(class)
-		localName, ok := gc.Constituents[s.ID()]
+	involved := b.Involved()
+	reply := RetrieveReply{Site: s.ID(), Classes: make([]ClassObjects, 0, len(involved))}
+	for _, in := range involved {
+		localName, ok := s.global.Class(in.Class).Constituents[s.ID()]
 		if !ok {
 			continue
 		}
 		ext := s.db.Extent(localName)
-		co := ClassObjects{GlobalClass: class, Attrs: involved[class]}
+		objects := make([]*object.Object, 0, ext.Len())
 		ext.Scan(func(o *object.Object) bool {
 			c.DiskRead(o.WireSize(nil)) // the disk reads the full object
 			c.CPU(1)                    // scan step
-			co.Objects = append(co.Objects, o.Project(involved[class]))
+			objects = append(objects, o)
 			return true
 		})
-		reply.Classes = append(reply.Classes, co)
+		reply.Classes = append(reply.Classes, ClassObjects{GlobalClass: in.Class, Attrs: in.Attrs, Objects: objects})
 	}
 	s.charge(p, &c)
 	return reply

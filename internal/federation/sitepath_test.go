@@ -346,7 +346,7 @@ func TestSitePathAllocationCeilings(t *testing.T) {
 	}
 }
 
-// BenchmarkSite times the site-side steps of BL and PL on the benchmark's
+// BenchmarkSite times the site-side steps of CA, BL and PL on the benchmark's
 // pinned Table 2 sample (DB1's steps; the checks DB1 asks of DB3).
 func BenchmarkSite(b *testing.B) {
 	fx := table2Fixture(b, 550, false)
@@ -366,6 +366,7 @@ func BenchmarkSite(b *testing.B) {
 		name string
 		fn   func(fabric.Proc)
 	}{
+		{"Retrieve", func(p fabric.Proc) { db1.Retrieve(p, fx.bound) }},
 		{"NavigateAll", func(p fabric.Proc) { db1.NavigateAll(p, fx.bound, nil) }},
 		{"EvalNavigated", func(p fabric.Proc) { db1.EvalNavigated(p, fx.bound, nav) }},
 		{"EvalLocalBasic", func(p fabric.Proc) { db1.EvalLocalBasic(p, fx.bound, nil) }},

@@ -324,13 +324,26 @@ func (cr CheckReply) WireSize() int {
 	return requestOverhead + (object.GOidWireSize+verdictWireSize)*len(cr.Verdicts)
 }
 
-// ClassObjects is one global class's projected constituent objects shipped
-// by a site to the global processing site (the centralized approach).
+// ClassObjects is one global class's constituent objects shipped by a site
+// to the global processing site (the centralized approach), projected on
+// Attrs. The projection is not carried out: Objects may hold more than Attrs
+// names, and every reader — the wire encoder, WireSize, Materialize — reads
+// an object through Attrs (object.Object.Projected), so what lies outside the
+// mask is never shipped, charged or merged.
+//
+// A reply built by Site.Retrieve points at the store's own objects, and is
+// read after the lock that guarded the scan is gone (a served reply is
+// encoded once the request has been dispatched). That is sound because a
+// store never edits an object after inserting it; accordingly nothing
+// reachable from a reply may be Set. The slice of pointers is the reply's
+// own. A reply decoded off the wire holds objects cut from slabs, already
+// restricted to Attrs, so the mask passes all of them.
 type ClassObjects struct {
 	GlobalClass string
-	// Attrs is the projection the objects were restricted to.
+	// Attrs is the projection: the attributes the objects are read through,
+	// sorted by name.
 	Attrs []string
-	// Objects are the projected constituent objects.
+	// Objects are the constituent objects, read-only.
 	Objects []*object.Object
 }
 
@@ -347,7 +360,7 @@ func (rr RetrieveReply) WireSize() int {
 	n := requestOverhead
 	for _, c := range rr.Classes {
 		for _, o := range c.Objects {
-			n += o.WireSize(nil) // objects are already projected
+			n += o.WireSize(c.Attrs)
 		}
 	}
 	return n

@@ -99,6 +99,16 @@ func (t *Table) GOidOf(site object.SiteID, loid object.LOid) (object.GOid, bool)
 	return g, ok
 }
 
+// Unbound returns the identity a stored object of the table's class goes by
+// while no binding names it — between a store request and its bind
+// broadcast, or for good if no matcher ever adopts it: a synthetic singleton
+// GOid, "!" followed by class, site and LOid, that no bound entity uses. Every
+// strategy names such an object through here, so the centralized and the
+// localized answers to one query agree on it.
+func (t *Table) Unbound(site object.SiteID, loid object.LOid) object.GOid {
+	return object.GOid("!" + t.class + ":" + string(site) + ":" + string(loid))
+}
+
 // LOidAt returns the LOid of the entity's isomeric object at the given
 // site, if the entity is stored there.
 func (t *Table) LOidAt(goid object.GOid, site object.SiteID) (object.LOid, bool) {

@@ -13,6 +13,26 @@
 // store and any number of concurrent readers, so everything a read needs —
 // including the modeled size WireSize(nil) reports — is settled by the call
 // that built or changed the object, never filled in lazily by a reader.
+//
+// Three choices keep the centralized approach, which moves every relevant
+// object of a federation through this package three times per query, from
+// paying for each object three times over:
+//
+//   - There is no Project. A reader that wants an object restricted to some
+//     attributes reads it through a mask — Projected, WireSize(mask),
+//     AppendProjected — a two-pointer walk over the object's name-sorted
+//     entries and the sorted mask. A restricted copy was only ever built to be
+//     encoded or merged and then dropped.
+//   - A batch of objects that live and die together — a decoded reply, a
+//     materialized view — is cut from a Slab: Objects, attribute entries and
+//     LOid text come from shared chunks, a handful of allocations per
+//     thousand objects. One parser, Slab.Decode, reads every record;
+//     DecodeObject is that parser over the nil slab, which allocates each
+//     object on its own.
+//   - A Value is 40 bytes, an attribute entry 56: the scalar payloads share
+//     one word and the rare list sits behind a pointer, so every slab, result
+//     row and navigation outcome is a third smaller than with a field per
+//     kind.
 package object
 
 import (
@@ -91,33 +111,37 @@ func (k Kind) String() string {
 
 // Value is an immutable attribute value. The zero Value is invalid; use the
 // constructors (Null, Int, Float, Str, Bool, Ref, GRef, List).
+//
+// It is 40 bytes: an integer, a boolean and a float's bits share the word n,
+// and a list — the rare kind — sits behind a pointer, so the scalar values
+// that fill every entry slab, result row and navigation outcome do not carry
+// a slice header they never use.
 type Value struct {
 	kind Kind
-	i    int64
-	f    float64
-	s    string
-	list []Value
+	n    uint64   // KindInt: the integer; KindBool: 0 or 1; KindFloat: math.Float64bits
+	s    string   // KindString, KindRef, KindGRef
+	list *[]Value // KindList with elements; nil for the empty list
 }
 
 // Null returns the null value, representing missing data.
 func Null() Value { return Value{kind: KindNull} }
 
 // Int returns an integer value.
-func Int(v int64) Value { return Value{kind: KindInt, i: v} }
+func Int(v int64) Value { return Value{kind: KindInt, n: uint64(v)} }
 
 // Float returns a floating-point value.
-func Float(v float64) Value { return Value{kind: KindFloat, f: v} }
+func Float(v float64) Value { return Value{kind: KindFloat, n: math.Float64bits(v)} }
 
 // Str returns a string value.
 func Str(v string) Value { return Value{kind: KindString, s: v} }
 
 // Bool returns a boolean value.
 func Bool(v bool) Value {
-	var i int64
+	var n uint64
 	if v {
-		i = 1
+		n = 1
 	}
-	return Value{kind: KindBool, i: i}
+	return Value{kind: KindBool, n: n}
 }
 
 // Ref returns a reference to a local object, i.e. the value of a complex
@@ -130,9 +154,15 @@ func GRef(id GOid) Value { return Value{kind: KindGRef, s: string(id)} }
 
 // List returns a multi-valued attribute value. The elements are copied.
 func List(elems ...Value) Value {
-	cp := make([]Value, len(elems))
-	copy(cp, elems)
-	return Value{kind: KindList, list: cp}
+	return listOf(append([]Value(nil), elems...))
+}
+
+// listOf wraps elems, which the caller gives up, as a list value.
+func listOf(elems []Value) Value {
+	if len(elems) == 0 {
+		return Value{kind: KindList}
+	}
+	return Value{kind: KindList, list: &elems}
 }
 
 // Kind reports the kind of the value. The zero Value reports 0.
@@ -145,16 +175,16 @@ func (v Value) IsNull() bool { return v.kind == KindNull }
 func (v Value) IsRef() bool { return v.kind == KindRef || v.kind == KindGRef }
 
 // Int64 returns the integer payload. It is valid only for KindInt.
-func (v Value) Int64() int64 { return v.i }
+func (v Value) Int64() int64 { return int64(v.n) }
 
 // Float64 returns the float payload. It is valid only for KindFloat.
-func (v Value) Float64() float64 { return v.f }
+func (v Value) Float64() float64 { return math.Float64frombits(v.n) }
 
 // Text returns the string payload. It is valid only for KindString.
 func (v Value) Text() string { return v.s }
 
 // BoolVal returns the boolean payload. It is valid only for KindBool.
-func (v Value) BoolVal() bool { return v.i != 0 }
+func (v Value) BoolVal() bool { return v.n != 0 }
 
 // RefLOid returns the referenced LOid. It is valid only for KindRef.
 func (v Value) RefLOid() LOid { return LOid(v.s) }
@@ -164,7 +194,12 @@ func (v Value) RefGOid() GOid { return GOid(v.s) }
 
 // Elems returns the elements of a list value. The returned slice must not be
 // modified. It is valid only for KindList.
-func (v Value) Elems() []Value { return v.list }
+func (v Value) Elems() []Value {
+	if v.list == nil {
+		return nil
+	}
+	return *v.list
+}
 
 // Equal reports whether two values are identical (same kind and payload).
 // Null equals null under this relation; three-valued comparison semantics
@@ -181,17 +216,20 @@ func (v Value) Equal(w Value) bool {
 	case KindNull:
 		return true
 	case KindInt, KindBool:
-		return v.i == w.i
+		return v.n == w.n
 	case KindFloat:
-		return v.f == w.f
+		// A comparison of floats, not of their bits: -0 equals 0 and NaN
+		// equals nothing, itself included.
+		return v.Float64() == w.Float64()
 	case KindString, KindRef, KindGRef:
 		return v.s == w.s
 	case KindList:
-		if len(v.list) != len(w.list) {
+		a, b := v.Elems(), w.Elems()
+		if len(a) != len(b) {
 			return false
 		}
-		for i := range v.list {
-			if !v.list[i].Equal(w.list[i]) {
+		for i := range a {
+			if !a[i].Equal(b[i]) {
 				return false
 			}
 		}
@@ -208,9 +246,9 @@ func bothNumeric(v, w Value) bool {
 
 func (v Value) asFloat() float64 {
 	if v.kind == KindInt {
-		return float64(v.i)
+		return float64(int64(v.n))
 	}
-	return v.f
+	return v.Float64()
 }
 
 // Compare orders two values. It returns a negative, zero, or positive integer
@@ -238,10 +276,10 @@ func (v Value) Compare(w Value) (cmp int, ok bool) {
 	case KindString:
 		return strings.Compare(v.s, w.s), true
 	case KindBool:
-		switch {
-		case v.i < w.i:
+		switch a, b := int64(v.n), int64(w.n); {
+		case a < b:
 			return -1, true
-		case v.i > w.i:
+		case a > b:
 			return 1, true
 		default:
 			return 0, true
@@ -262,7 +300,7 @@ func (v Value) WireSize() int {
 		return GOidWireSize
 	case KindList:
 		n := 0
-		for _, e := range v.list {
+		for _, e := range v.Elems() {
 			n += e.WireSize()
 		}
 		return n
@@ -279,20 +317,20 @@ func (v Value) String() string {
 	case KindNull:
 		return "-"
 	case KindInt:
-		return strconv.FormatInt(v.i, 10)
+		return strconv.FormatInt(int64(v.n), 10)
 	case KindFloat:
-		return strconv.FormatFloat(v.f, 'g', -1, 64)
+		return strconv.FormatFloat(v.Float64(), 'g', -1, 64)
 	case KindString:
 		return v.s
 	case KindBool:
-		return strconv.FormatBool(v.i != 0)
+		return strconv.FormatBool(v.n != 0)
 	case KindRef:
 		return "@" + v.s
 	case KindGRef:
 		return "@@" + v.s
 	case KindList:
-		parts := make([]string, len(v.list))
-		for i, e := range v.list {
+		parts := make([]string, len(v.Elems()))
+		for i, e := range v.Elems() {
 			parts[i] = e.String()
 		}
 		return "{" + strings.Join(parts, ", ") + "}"
@@ -313,13 +351,15 @@ func (v Value) String() string {
 // name order for free.
 //
 // An Object is not safe for concurrent mutation. Stored objects are shared
-// by pointer between a store and its concurrent readers; Project and Clone
-// copy the entries, so their results are private, but Set on a shared object
-// races with its readers exactly as a map write would.
+// by pointer between a store, its concurrent readers and the retrieve replies
+// that ship them, none of which copies: a store never edits an object after
+// inserting it, and readers restrict what they see with Projected instead of
+// building a restricted copy. Set is for the builder of an object nobody else
+// holds yet; on a shared one it races with the readers as a map write would.
 //
 // The modeled size of the whole object — what every scan and fetch charges
 // as a disk read — is kept beside the entries by whatever builds or changes
-// them: New, Set, Project, Clone, DecodeObject.
+// them: New, Set, Clone, Slab.Decode.
 type Object struct {
 	LOid  LOid
 	Class string
@@ -405,14 +445,6 @@ func (o *Object) At(i int) (name string, v Value) {
 	return o.attrs[i].name, o.attrs[i].val
 }
 
-// Grow reserves room for n more attributes, so a run of Set calls that
-// builds an object of known size allocates once.
-func (o *Object) Grow(n int) {
-	if n > cap(o.attrs)-len(o.attrs) {
-		o.attrs = append(make([]attr, 0, len(o.attrs)+n), o.attrs...)
-	}
-}
-
 // Set stores an attribute value, or deletes the attribute when v is null.
 func (o *Object) Set(name string, v Value) {
 	i, ok := o.find(name)
@@ -439,39 +471,62 @@ func (o *Object) Clone() *Object {
 	return &Object{LOid: o.LOid, Class: o.Class, attrs: append([]attr(nil), o.attrs...), wire: o.wire}
 }
 
-// Project returns a copy of the object restricted to the named attributes.
-func (o *Object) Project(attrs []string) *Object {
-	p := &Object{LOid: o.LOid, Class: o.Class}
-	if n := min(len(attrs), len(o.attrs)); n > 0 {
-		p.attrs = make([]attr, 0, n)
-	}
-	// Walking the object's own entries keeps the copy in name order
-	// whatever order (or repetition) the projection list has.
-	for _, e := range o.attrs {
-		for _, a := range attrs {
-			if a == e.name {
-				p.attrs = append(p.attrs, e)
-				p.wire += wireOf(&e.val)
-				break
-			}
+// Projection is a cursor over the attributes of an object that a mask names:
+// the projection of the object on the mask, read in place instead of copied
+// out. Object.Projected starts one.
+type Projection struct {
+	attrs []attr
+	mask  []string
+}
+
+// Projected returns a cursor over the object's attributes whose names are in
+// mask, in name order. The mask must be sorted and free of repeats, as
+// query.Bound.Involved lists a class's attributes; the walk advances through
+// the two sorted lists together, so it costs their lengths, not their
+// product. A nil or empty mask selects nothing.
+func (o *Object) Projected(mask []string) Projection {
+	return Projection{attrs: o.attrs, mask: mask}
+}
+
+// next returns the next selected entry, or nil when the walk is over.
+func (p *Projection) next() *attr {
+	for len(p.attrs) > 0 && len(p.mask) > 0 {
+		e := &p.attrs[0]
+		c := strings.Compare(e.name, p.mask[0])
+		if c <= 0 {
+			p.attrs = p.attrs[1:]
+		}
+		if c >= 0 {
+			p.mask = p.mask[1:]
+		}
+		if c == 0 {
+			return e
 		}
 	}
-	return p
+	return nil
+}
+
+// Next returns the next selected attribute; ok is false when none is left.
+func (p *Projection) Next() (name string, v Value, ok bool) {
+	if e := p.next(); e != nil {
+		return e.name, e.val, true
+	}
+	return "", Value{}, false
 }
 
 // WireSize returns the bytes needed to ship the object projected on the
-// given attributes (pass nil for all attributes), including its LOid. This
-// is the paper's Table 1 cost model, not the size of any encoding. The whole
-// object's size is kept, not summed.
+// given attributes (sorted and free of repeats, as for Projected; pass nil
+// for all attributes), including its LOid. This is the paper's Table 1 cost
+// model, not the size of any encoding. The whole object's size is kept, not
+// summed.
 func (o *Object) WireSize(attrs []string) int {
 	if attrs == nil {
 		return LOidWireSize + o.wire
 	}
 	n := LOidWireSize
-	for _, a := range attrs {
-		if i, ok := o.find(a); ok {
-			n += o.attrs[i].val.WireSize()
-		}
+	p := o.Projected(attrs)
+	for e := p.next(); e != nil; e = p.next() {
+		n += wireOf(&e.val)
 	}
 	return n
 }
@@ -506,14 +561,12 @@ func (v Value) AppendBinary(dst []byte) ([]byte, error) {
 	dst = append(dst, byte(v.kind))
 	switch v.kind {
 	case 0, KindNull:
-	case KindInt, KindBool:
-		dst = appendInt64(dst, v.i)
-	case KindFloat:
-		dst = appendInt64(dst, int64(math.Float64bits(v.f)))
+	case KindInt, KindBool, KindFloat:
+		dst = appendInt64(dst, int64(v.n))
 	case KindString, KindRef, KindGRef:
 		dst = append(dst, v.s...)
 	case KindList:
-		for _, e := range v.list {
+		for _, e := range v.Elems() {
 			// The element length prefix is fixed-width, so it can be
 			// reserved up front and backfilled once the element is encoded.
 			at := len(dst)
@@ -552,18 +605,12 @@ func (v *Value) unmarshal(data []byte, depth int) error {
 		*v = Value{}
 	case KindNull:
 		*v = Null()
-	case KindInt, KindBool:
+	case KindInt, KindBool, KindFloat:
 		i, _, err := readInt64(payload)
 		if err != nil {
 			return err
 		}
-		*v = Value{kind: kind, i: i}
-	case KindFloat:
-		i, _, err := readInt64(payload)
-		if err != nil {
-			return err
-		}
-		*v = Float(math.Float64frombits(uint64(i)))
+		*v = Value{kind: kind, n: uint64(i)}
 	case KindString, KindRef, KindGRef:
 		*v = Value{kind: kind, s: string(payload)}
 	case KindList:
@@ -586,7 +633,7 @@ func (v *Value) unmarshal(data []byte, depth int) error {
 			elems = append(elems, e)
 			payload = rest[n:]
 		}
-		*v = Value{kind: KindList, list: elems}
+		*v = listOf(elems)
 	default:
 		return fmt.Errorf("object: unmarshal of invalid kind %d", kind)
 	}

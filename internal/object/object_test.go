@@ -1,10 +1,12 @@
 package object
 
 import (
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestKindString(t *testing.T) {
@@ -88,6 +90,17 @@ func TestValueEqual(t *testing.T) {
 		{List(Int(1)), List(Int(1)), true},
 		{List(Int(1)), List(Int(2)), false},
 		{List(Int(1)), List(Int(1), Int(2)), false},
+		// Floats compare as floats, not as the bits they are kept in.
+		{Float(0), Float(math.Copysign(0, -1)), true},
+		{Int(0), Float(math.Copysign(0, -1)), true},
+		{Float(math.NaN()), Float(math.NaN()), false},
+		{Float(math.Inf(1)), Float(math.Inf(1)), true},
+		{Int(-1), Int(-1), true},
+		{List(), List(), true},
+		{List(), List(Int(1)), false},
+		{List(List(Int(1), Str("x")), Ref("a")), List(List(Int(1), Str("x")), Ref("a")), true},
+		{List(List(Int(1))), List(List(Int(2))), false},
+		{List(List()), List(), false},
 	}
 	for _, c := range cases {
 		if got := c.a.Equal(c.b); got != c.want {
@@ -118,6 +131,11 @@ func TestValueCompare(t *testing.T) {
 		{Str("a"), Int(1), 0, false},
 		{Ref("a"), Ref("b"), 0, false},
 		{List(Int(1)), List(Int(1)), 0, false},
+		{Float(math.Copysign(0, -1)), Float(0), 0, true},
+		{Float(math.Copysign(0, -1)), Int(0), 0, true},
+		{Int(-3), Int(2), -1, true},
+		{Float(math.Inf(-1)), Int(math.MinInt64), -1, true},
+		{List(List(Int(1))), List(List(Int(1))), 0, false},
 	}
 	for _, c := range cases {
 		cmp, ok := c.a.Compare(c.b)
@@ -231,15 +249,26 @@ func TestObjectProject(t *testing.T) {
 	o := New("s1", "Student", map[string]Value{
 		"name": Str("John"), "age": Int(31), "advisor": Ref("t1"),
 	})
-	p := o.Project([]string{"name", "advisor", "nonexistent"})
-	if p.Len() != 2 {
-		t.Fatalf("Project kept %d attrs, want 2", p.Len())
+	// The projection is read in place, in name order, through a sorted mask.
+	var got []string
+	for p := o.Projected([]string{"advisor", "name", "nonexistent"}); ; {
+		name, v, ok := p.Next()
+		if !ok {
+			break
+		}
+		if !v.Equal(o.Attr(name)) {
+			t.Errorf("Projected yields %s = %v, the object holds %v", name, v, o.Attr(name))
+		}
+		got = append(got, name)
 	}
-	if p.LOid != "s1" || p.Class != "Student" {
-		t.Error("Project lost identity")
+	if want := []string{"advisor", "name"}; !reflect.DeepEqual(got, want) {
+		t.Errorf("Projected yields %v, want %v", got, want)
 	}
-	if !p.Attr("age").IsNull() {
-		t.Error("Project kept age")
+	for _, none := range [][]string{nil, {}, {"a", "b"}, {"zzz"}} {
+		p := o.Projected(none)
+		if name, _, ok := p.Next(); ok {
+			t.Errorf("Projected(%v) yields %s", none, name)
+		}
 	}
 }
 
@@ -290,8 +319,12 @@ func TestWholeObjectWireSizeIsKept(t *testing.T) {
 	o.Set("missing", Null()) // delete what is not there
 	check("Set delete absent", o)
 	check("Clone", o.Clone())
-	check("Project", o.Project([]string{"name", "age", "nope", "name"}))
-	check("Project none", o.Project(nil))
+	var slab Slab
+	built := slab.New("s2", "Student", 2)
+	built.Set("name", Str("Jo"))
+	built.Set("advisor", Ref("t2"))
+	built.Set("courses", List(Ref("c1"))) // past the reserved room
+	check("Slab.New + Set", built)
 	rec, err := AppendObject(nil, o)
 	if err != nil {
 		t.Fatal(err)
@@ -301,6 +334,11 @@ func TestWholeObjectWireSizeIsKept(t *testing.T) {
 		t.Fatal(err)
 	}
 	check("DecodeObject", decoded)
+	cut, _, err := slab.Decode(rec, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("Slab.Decode", cut)
 	if decoded.WireSize(nil) != o.WireSize(nil) {
 		t.Errorf("decoded WireSize = %d, encoded object's %d", decoded.WireSize(nil), o.WireSize(nil))
 	}
@@ -393,6 +431,8 @@ func TestValueBinaryRoundTrip(t *testing.T) {
 		Bool(true), Bool(false),
 		Ref("t1'"), GRef("gt4"),
 		List(Int(1), Str("x"), List(Bool(true))),
+		List(), List(List(), List(List(Float(-2.5)))),
+		Float(math.Copysign(0, -1)), Float(math.Inf(-1)), Int(math.MinInt64),
 		{},
 	}
 	for _, v := range values {
@@ -407,6 +447,35 @@ func TestValueBinaryRoundTrip(t *testing.T) {
 		if got.Kind() != v.Kind() || (v.Kind() != 0 && !got.Equal(v)) {
 			t.Errorf("round trip %v -> %v", v, got)
 		}
+	}
+}
+
+// TestFloatBitsSurviveEncoding: Equal cannot see a NaN or the sign of a zero,
+// the encoding keeps both.
+func TestFloatBitsSurviveEncoding(t *testing.T) {
+	for _, f := range []float64{math.NaN(), math.Copysign(0, -1), 0, math.SmallestNonzeroFloat64} {
+		data, err := Float(f).AppendBinary(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got Value
+		if err := got.UnmarshalBinary(data); err != nil {
+			t.Fatal(err)
+		}
+		if got.Kind() != KindFloat || math.Float64bits(got.Float64()) != math.Float64bits(f) {
+			t.Errorf("Float(%v) came back as %v (%x)", f, got, math.Float64bits(got.Float64()))
+		}
+	}
+}
+
+// TestValueSize pins the layout the slabs are sized by: every attribute
+// entry, result-row target and navigation outcome carries one Value.
+func TestValueSize(t *testing.T) {
+	if n := unsafe.Sizeof(Value{}); n > 40 {
+		t.Errorf("Value is %d bytes, want <= 40", n)
+	}
+	if n := unsafe.Sizeof(attr{}); n > 56 {
+		t.Errorf("an attribute entry is %d bytes, want <= 56", n)
 	}
 }
 

@@ -16,7 +16,12 @@ import (
 //
 // Attributes are written in name order — the order an Object keeps them in —
 // and the decoder rejects any other, so an object has exactly one encoding
-// and DecodeObject can fill the entry slice in place.
+// and the decoder can fill the entry slice in place.
+//
+// A record need not be written from an object that holds exactly its
+// attributes: AppendProjected writes the record of a stored object restricted
+// to a mask, which is how a retrieve reply ships a projection nobody built.
+// One parser, Slab.Decode, reads every record back.
 
 var errCorrupt = errors.New("object: corrupt record")
 
@@ -62,17 +67,7 @@ func AppendValue(dst []byte, v Value) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	n := len(dst) - at - 1
-	if n < 0x80 {
-		dst[at] = byte(n)
-		return dst, nil
-	}
-	var pre [binary.MaxVarintLen64]byte
-	w := binary.PutUvarint(pre[:], uint64(n))
-	dst = append(dst, pre[1:w]...)
-	copy(dst[at+w:], dst[at+1:at+1+n])
-	copy(dst[at:], pre[:w])
-	return dst, nil
+	return setUvarint(dst, at, uint64(len(dst)-at-1)), nil
 }
 
 // DecodeValue decodes one AppendValue encoding from the front of b and
@@ -94,25 +89,81 @@ func AppendObject(dst []byte, o *Object) ([]byte, error) {
 	dst = appendString(dst, o.Class)
 	dst = appendString(dst, string(o.LOid))
 	dst = binary.AppendUvarint(dst, uint64(len(o.attrs)))
-	for _, e := range o.attrs {
-		dst = appendString(dst, e.name)
+	for i := range o.attrs {
 		var err error
-		if dst, err = AppendValue(dst, e.val); err != nil {
-			return nil, fmt.Errorf("object: encode %s.%s: %w", o.LOid, e.name, err)
+		if dst, err = appendAttr(dst, o, &o.attrs[i]); err != nil {
+			return nil, err
 		}
 	}
 	return dst, nil
 }
 
-// minAttrBytes is the least an encoded attribute occupies: an empty name,
-// a one-byte length, a kind byte.
-const minAttrBytes = 3
+// AppendProjected appends the record of o restricted to the attributes in
+// mask (sorted, free of repeats: see Object.Projected) — byte for byte the
+// record AppendObject writes for an object holding only those attributes,
+// without that object being built.
+func AppendProjected(dst []byte, o *Object, mask []string) ([]byte, error) {
+	// The count precedes the entries it counts. Like a value's length it
+	// nearly always fits the one byte reserved for it.
+	dst = appendString(dst, o.Class)
+	dst = appendString(dst, string(o.LOid))
+	at := len(dst)
+	dst = append(dst, 0)
+	n := uint64(0)
+	p := o.Projected(mask)
+	for e := p.next(); e != nil; e = p.next() {
+		var err error
+		if dst, err = appendAttr(dst, o, e); err != nil {
+			return nil, err
+		}
+		n++
+	}
+	return setUvarint(dst, at, n), nil
+}
 
-// DecodeObject decodes one record from the front of b and returns the bytes
-// after it. The object shares no memory with b. Class and attribute names go
-// through in (which may be nil). Null and zero-kind values are dropped as
-// New drops them; names out of order or repeated are corruption.
+// setUvarint writes v as the uvarint whose first byte was reserved at
+// dst[at]; a longer one shifts what follows to the right.
+func setUvarint(dst []byte, at int, v uint64) []byte {
+	if v < 0x80 {
+		dst[at] = byte(v)
+		return dst
+	}
+	var pre [binary.MaxVarintLen64]byte
+	w := binary.PutUvarint(pre[:], v)
+	tail := len(dst) - at - 1
+	dst = append(dst, pre[1:w]...)
+	copy(dst[at+w:], dst[at+1:at+1+tail])
+	copy(dst[at:], pre[:w])
+	return dst
+}
+
+func appendAttr(dst []byte, o *Object, e *attr) ([]byte, error) {
+	dst, err := AppendValue(appendString(dst, e.name), e.val)
+	if err != nil {
+		return nil, fmt.Errorf("object: encode %s.%s: %w", o.LOid, e.name, err)
+	}
+	return dst, nil
+}
+
+// Least encoded sizes: of an attribute an empty name, a one-byte length and
+// a kind byte; of a record two empty strings and a zero count.
+const (
+	minAttrBytes   = 3
+	minRecordBytes = 3
+)
+
+// DecodeObject decodes one record from the front of b into an object with
+// an allocation of its own: Slab.Decode for a batch of one.
 func DecodeObject(b []byte, in *Interner) (*Object, []byte, error) {
+	return (*Slab)(nil).Decode(b, in)
+}
+
+// Decode decodes one record from the front of b and returns the bytes after
+// it. The Object and its entries are cut from the slab; nothing the object
+// holds shares memory with b. Class and attribute names go through in (which
+// may be nil). Null and zero-kind values are dropped as New drops them; names
+// out of order or repeated are corruption.
+func (s *Slab) Decode(b []byte, in *Interner) (*Object, []byte, error) {
 	class, b, err := readBytes(b)
 	if err != nil {
 		return nil, nil, err
@@ -128,28 +179,36 @@ func DecodeObject(b []byte, in *Interner) (*Object, []byte, error) {
 		return nil, nil, fmt.Errorf("%w: attribute count", errCorrupt)
 	}
 	b = b[w:]
-	o := &Object{Class: in.Intern(class), LOid: LOid(loid)}
-	if n > 0 {
-		o.attrs = make([]attr, 0, n)
-	}
+	o := s.object(1 + len(b)/minRecordBytes)
+	o.Class, o.LOid = in.Intern(class), LOid(s.str(loid, len(loid)+len(b)))
+	o.attrs = s.entries(int(n), len(b)/minAttrBytes)
 	var prev []byte
 	for i := uint64(0); i < n; i++ {
-		var name []byte
+		var name, raw []byte
 		if name, b, err = readBytes(b); err != nil {
 			return nil, nil, err
 		}
-		var v Value
-		if v, b, err = DecodeValue(b); err != nil {
+		if raw, b, err = readBytes(b); err != nil {
+			return nil, nil, err
+		}
+		// The value is decoded where it will stay; an entry that turns out
+		// to hold missing data is given back.
+		o.attrs = o.attrs[:len(o.attrs)+1]
+		e := &o.attrs[len(o.attrs)-1]
+		if err := e.val.UnmarshalBinary(raw); err != nil {
 			return nil, nil, fmt.Errorf("object: decode %s.%s: %w", loid, name, err)
 		}
 		if i > 0 && string(prev) >= string(name) {
 			return nil, nil, fmt.Errorf("%w: %s: attribute %q out of order", errCorrupt, loid, name)
 		}
 		prev = name
-		if !missing(v) {
-			o.attrs = append(o.attrs, attr{in.Intern(name), v})
-			o.wire += wireOf(&v)
+		if missing(e.val) {
+			*e = attr{}
+			o.attrs = o.attrs[:len(o.attrs)-1]
+			continue
 		}
+		e.name = in.Intern(name)
+		o.wire += wireOf(&e.val)
 	}
 	return o, b, nil
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"flag"
 	"fmt"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -206,15 +207,149 @@ func TestObjectSetKeepsOrder(t *testing.T) {
 			t.Errorf("At(%d) = %s: %v", i, name, v)
 		}
 	}
-	// Project ignores the order and repetition of its list.
-	p := o.Project([]string{"z", "a", "z", "missing"})
-	if got, want := p.AttrNames(), []string{"a", "z"}; !reflect.DeepEqual(got, want) {
-		t.Errorf("Project names = %v, want %v", got, want)
+}
+
+// TestSlabObjectsAreIndependent: objects cut from one slab share chunks, not
+// entries — filling one to its reserved room allocates nothing, and filling
+// it past that room moves it out of the chunk instead of into its neighbour.
+func TestSlabObjectsAreIndependent(t *testing.T) {
+	slab := NewSlab(2, 4)
+	a, b := slab.New("a", "C", 2), slab.New("b", "C", 2)
+	if n := testing.AllocsPerRun(1, func() { a.Set("x", Int(1)); a.Set("y", Int(2)) }); n != 0 {
+		t.Errorf("Set within the reserved room allocates %v times", n)
 	}
-	// Grow changes capacity, not content, and the next Sets fit.
-	p.Grow(8)
-	if n := testing.AllocsPerRun(1, func() { p.Set("b", Int(1)); p.Set("c", Int(2)) }); n != 0 {
-		t.Errorf("Set after Grow allocates %v times", n)
+	b.Set("x", Str("b's"))
+	a.Set("z", Int(3)) // one more than a's room
+	if got, want := a.AttrNames(), []string{"x", "y", "z"}; !reflect.DeepEqual(got, want) {
+		t.Errorf("a = %v, want %v", got, want)
+	}
+	if !b.Attr("x").Equal(Str("b's")) || b.Len() != 1 {
+		t.Errorf("b was written through a: %v", b)
+	}
+	// An exhausted slab, the zero slab and the nil slab all keep working.
+	var zero Slab
+	for _, s := range []*Slab{slab, &zero, nil} {
+		o := s.New("o", "C", 1)
+		o.Set("k", Int(7))
+		if o.LOid != "o" || !o.Attr("k").Equal(Int(7)) {
+			t.Errorf("New on %p: %v", s, o)
+		}
+	}
+}
+
+// restrictedCopy rebuilds o restricted to mask the slow way, attribute by
+// attribute through New: the object a projection stands for.
+func restrictedCopy(o *Object, mask []string) *Object {
+	kept := make(map[string]Value, len(mask))
+	for _, name := range mask {
+		kept[name] = o.Attr(name)
+	}
+	return New(o.LOid, o.Class, kept)
+}
+
+// checkProjection holds the projected encoder, the projected size and the
+// projection cursor to their contract: what they say of o through mask is
+// what AppendObject, WireSize(nil) and At say of the restricted copy.
+func checkProjection(t testing.TB, o *Object, mask []string) {
+	t.Helper()
+	cp := restrictedCopy(o, mask)
+	got, err := AppendProjected(nil, o, mask)
+	if err != nil {
+		t.Fatalf("AppendProjected(%v, %v): %v", o, mask, err)
+	}
+	if want := encode(t, cp); !bytes.Equal(got, want) {
+		t.Errorf("%v through %v:\n got %x\nwant %x", o, mask, got, want)
+	}
+	if mask != nil && o.WireSize(mask) != cp.WireSize(nil) {
+		t.Errorf("%v through %v: modeled size %d, the copy's %d", o, mask, o.WireSize(mask), cp.WireSize(nil))
+	}
+	p := o.Projected(mask)
+	for i := 0; ; i++ {
+		name, v, ok := p.Next()
+		if !ok {
+			if i != cp.Len() {
+				t.Errorf("%v through %v: %d attributes, the copy has %d", o, mask, i, cp.Len())
+			}
+			break
+		}
+		if wn, wv := cp.At(i); name != wn || !reflect.DeepEqual(v, wv) {
+			t.Errorf("%v through %v: attribute %d is %s=%v, the copy's %s=%v", o, mask, i, name, v, wn, wv)
+		}
+	}
+}
+
+// TestProjectedRecordMatchesCopy: a record written through a mask is byte
+// for byte the record of the restricted copy nobody builds any more — for
+// every subset of a six-attribute object that holds every kind of value, for
+// masks that miss, overshoot or surround the object's names, for a record
+// whose count needs two bytes, and for seeded random objects and masks.
+func TestProjectedRecordMatchesCopy(t *testing.T) {
+	six := New("s1'", "Student", map[string]Value{
+		"active": Bool(true), "advisor": Ref("t1"), "age": Int(31),
+		"courses": List(Ref("c1"), Ref("c2")), "gpa": Float(3.5), "name": Str(strings.Repeat("x", 200)),
+	})
+	names := six.AttrNames()
+	for bits := 0; bits < 1<<len(names); bits++ {
+		mask := []string{}
+		for i, name := range names {
+			if bits&(1<<i) != 0 {
+				mask = append(mask, name)
+			}
+		}
+		checkProjection(t, six, mask)
+	}
+	for _, mask := range [][]string{
+		nil,                             // selects nothing
+		{"a", "b", "zz"},                // disjoint: before, between, after
+		{"", "active", "ago", "zzz"},    // around the names, the empty name included
+		append([]string{"a"}, names...), // superset
+	} {
+		checkProjection(t, six, mask)
+		checkProjection(t, New("x", "C", nil), mask)
+	}
+
+	// More than 127 selected attributes: the count outgrows its reserved byte.
+	wide := map[string]Value{}
+	var wideMask []string
+	for i := 0; i < 300; i++ {
+		name := fmt.Sprintf("a%03d", i)
+		wide[name] = Int(int64(i))
+		if i%2 == 0 {
+			wideMask = append(wideMask, name)
+		}
+	}
+	checkProjection(t, New("w", "Wide", wide), wideMask)
+
+	rng := rand.New(rand.NewSource(17))
+	pool := []string{"", "a", "aa", "ab", "b", "key", "next", "p0", "p1", "pad0", "pad1", "t0", "z"}
+	value := func() Value {
+		switch rng.Intn(7) {
+		case 0:
+			return Null()
+		case 1:
+			return Ref(LOid(fmt.Sprintf("e%06d@DB%d", rng.Intn(1000), rng.Intn(3))))
+		case 2:
+			return List(Ref("c1"), Int(int64(rng.Intn(9))), List(Str("in")))
+		case 3:
+			return Str(strings.Repeat("s", rng.Intn(300)))
+		case 4:
+			return Float(rng.NormFloat64())
+		default:
+			return Int(rng.Int63n(1000) - 500)
+		}
+	}
+	for i := 0; i < 500; i++ {
+		attrs := map[string]Value{}
+		var mask []string
+		for _, name := range pool {
+			if rng.Intn(2) == 0 {
+				attrs[name] = value()
+			}
+			if rng.Intn(3) == 0 {
+				mask = append(mask, name)
+			}
+		}
+		checkProjection(t, New(LOid(fmt.Sprintf("o%d", i)), "C", attrs), mask)
 	}
 }
 
@@ -259,13 +394,27 @@ func FuzzDecodeObject(f *testing.F) {
 		f.Add(encode(f, o))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		o, _, err := DecodeObject(data, &Interner{})
-		runtime.ReadMemStats(&after)
-		// An attribute entry is 80 bytes from at least 3 of input; a list
-		// element 64 from 9.
-		if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(32*len(data)+4096); got > limit {
+		var (
+			o   *Object
+			err error
+		)
+		decode := func() uint64 {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			o, _, err = DecodeObject(data, &Interner{})
+			runtime.ReadMemStats(&after)
+			return after.TotalAlloc - before.TotalAlloc
+		}
+		// An attribute entry is 56 bytes from at least 3 of input; a list
+		// element 40 from 9. The counter is the process's, and a fuzz worker's
+		// own goroutines allocate a few KiB now and then: a reading over the
+		// limit is taken again, and decoding — which repeats exactly — is
+		// charged the least.
+		got, limit := decode(), uint64(32*len(data)+4096)
+		for again := 0; got > limit && again < 3; again++ {
+			got = min(got, decode())
+		}
+		if got > limit {
 			t.Fatalf("decoding %d bytes allocated %d (limit %d)", len(data), got, limit)
 		}
 		if err != nil {
@@ -282,6 +431,18 @@ func FuzzDecodeObject(f *testing.F) {
 		if third := encode(t, o2); !bytes.Equal(again, third) {
 			t.Fatalf("encoding is not a fixed point:\n%x\n%x", again, third)
 		}
+		// Whatever decodes can be shipped through a mask: every other name it
+		// holds, behind one it does not.
+		mask := []string{}
+		for i, name := range o.AttrNames() {
+			if i == 0 && name != "" {
+				mask = append(mask, "")
+			}
+			if i%2 == 0 {
+				mask = append(mask, name)
+			}
+		}
+		checkProjection(t, o, mask)
 	})
 }
 
@@ -304,20 +465,21 @@ func BenchmarkObject(b *testing.B) {
 	})
 	b.Run("Set", func(b *testing.B) {
 		// Materialize's pattern: a fresh object filled in name order.
+		var slab Slab
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			m := New("g17", "C1", nil)
-			m.Grow(3)
+			m := slab.New("g17", "C1", 3)
 			m.Set("next", Ref("g933"))
 			m.Set("p0", Int(412))
 			m.Set("p1", Int(88))
 			sinkObject = m
 		}
 	})
-	b.Run("Project", func(b *testing.B) {
+	b.Run("AppendProjected", func(b *testing.B) {
+		var buf []byte
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			sinkObject = o.Project(proj)
+			buf, _ = AppendProjected(buf[:0], o, proj)
 		}
 	})
 	b.Run("New", func(b *testing.B) {
@@ -328,14 +490,14 @@ func BenchmarkObject(b *testing.B) {
 	})
 }
 
-// TestObjectAllocationCeilings: the flat object allocates per object, not
-// per attribute — Project and a grown New+Set run take two allocations (the
-// object and its entries).
+// TestObjectAllocationCeilings: reading an object — an attribute, its sizes,
+// its projected record into a buffer that has the room — allocates nothing.
 func TestObjectAllocationCeilings(t *testing.T) {
 	o := sampleObjects()["table2"]
 	proj := []string{"next", "p0", "p1"}
-	if n := testing.AllocsPerRun(100, func() { sinkObject = o.Project(proj) }); n > 2 {
-		t.Errorf("Project: %v allocs, want <= 2", n)
+	buf := make([]byte, 0, 256)
+	if n := testing.AllocsPerRun(100, func() { buf, _ = AppendProjected(buf[:0], o, proj) }); n != 0 {
+		t.Errorf("AppendProjected: %v allocs, want 0", n)
 	}
 	if n := testing.AllocsPerRun(100, func() { sinkValue = o.Attr("p1") }); n != 0 {
 		t.Errorf("Attr: %v allocs, want 0", n)

@@ -252,6 +252,17 @@ func TestClusterObservabilityE2E(t *testing.T) {
 			t.Fatalf("query %d: %v", i, err)
 		}
 	}
+	// ... and the scraper must have seen those values before the crash. The
+	// burst takes a few milliseconds and every wait below can be satisfied by
+	// the scrape round that ran as the scraper started, before the burst; the
+	// victim then dies with the scraper holding a snapshot without a single
+	// request series, nothing the restarted site reports reads lower than
+	// it, and no reset is ever counted (one full-suite run in three).
+	const victim = object.SiteID("DB3")
+	waitFor(t, "the scraper to see the victim's burst", 5*time.Second, func() bool {
+		served := sites[victim].reg.Snapshot().Sum("requests_total")
+		return served >= 30 && scr.LastRaw(string(victim)).Sum("requests_total") >= served
+	})
 	waitFor(t, "all sites live", 5*time.Second, func() bool {
 		live, total := scr.Liveness()
 		return total == len(siteIDs)+1 && live == total
@@ -277,7 +288,7 @@ func TestClusterObservabilityE2E(t *testing.T) {
 	// Phase 2: kill DB3 (server and obs surface). /cluster must mark it
 	// stale and the availability SLO must fire — the instant rule flips on
 	// the first evaluation that sees the site past its staleness bound.
-	const victim = object.SiteID("DB3")
+	preCrash := scr.LastRaw(string(victim))
 	sites[victim].close()
 	killedAt := time.Now()
 	waitFor(t, "DB3 stale and availability firing", 5*time.Second, func() bool {
@@ -322,6 +333,12 @@ func TestClusterObservabilityE2E(t *testing.T) {
 		return reborn.reg.Snapshot().Sum("requests_total") > 0
 	})
 	reborn.serveObs(t, victim, obsAddrs[victim])
+	defer func() {
+		if t.Failed() {
+			t.Logf("the restarted site's counters:\n%s\nthe scraper's last snapshot of it before the crash:\n%s\nand now:\n%s",
+				reborn.reg.Snapshot().Text(), preCrash.Text(), scr.LastRaw(string(victim)).Text())
+		}
+	}()
 
 	// No traffic while waiting: the restarted site's counters must stay
 	// below their pre-crash values until the scraper reconnects, or the

@@ -280,12 +280,13 @@ func (e *estimator) ca() Estimate {
 		netMicros   float64 // serialized shared-medium time
 		details     cost.Breakdown
 	)
-	involved := e.b.InvolvedAttrs()
+	involved := e.b.Involved()
 	for _, site := range e.b.InvolvedSites() {
 		rates := e.rates(site)
 		var disk, cpu, net float64
 		net += requestOverhead
-		for class, attrs := range involved {
+		for _, in := range involved {
+			class, attrs := in.Class, in.Attrs
 			ext := e.extent(class, site)
 			if ext.Objects == 0 {
 				continue
@@ -323,7 +324,8 @@ func (e *estimator) ca() Estimate {
 	// shipped object) and central evaluation.
 	var materializeCPU, evalCPU float64
 	for _, site := range e.b.InvolvedSites() {
-		for class, attrs := range involved {
+		for _, in := range involved {
+			class, attrs := in.Class, in.Attrs
 			ext := e.extent(class, site)
 			materializeCPU += float64(ext.Objects) * float64(1+len(attrs))
 		}

@@ -2,7 +2,9 @@ package query
 
 import (
 	"fmt"
+	"slices"
 	"sort"
+	"strings"
 
 	"github.com/hetfed/hetfed/internal/object"
 	"github.com/hetfed/hetfed/internal/schema"
@@ -79,11 +81,25 @@ func (bp *BoundPredicate) pointAt(depth, sourceIdx int) Point {
 // Bound is a query validated against the global schema. It carries the
 // resolved path metadata the execution strategies need: the classes each
 // predicate traverses and per-site attribute availability.
+//
+// A Bound is immutable once Bind returns and is shared by every site
+// goroutine and request evaluating the query; what they would otherwise
+// recompute per object or per request — the predicate groups, the involved
+// attributes — is derived here, once.
 type Bound struct {
 	Query   *Query
 	Global  *schema.Global
 	Targets []BoundPath
 	Preds   []BoundPredicate
+
+	groups   [][]int      // Query.GroupIdx()
+	involved []ClassAttrs // see Involved
+}
+
+// ClassAttrs names the attributes of one global class that a query touches.
+type ClassAttrs struct {
+	Class string
+	Attrs []string // sorted, free of repeats
 }
 
 // Bind validates a query against the global schema: the range class exists,
@@ -121,6 +137,8 @@ func Bind(q *Query, g *schema.Global) (*Bound, error) {
 		}
 		b.Preds = append(b.Preds, pred)
 	}
+	b.groups = q.GroupIdx()
+	b.involved = involvedAttrs(b)
 	return b, nil
 }
 
@@ -204,7 +222,7 @@ func checkLiteral(a schema.Attribute, op Op, lit object.Value) error {
 // Kleene disjunction over groups of the conjunction within each group.
 func (b *Bound) Fold(verdicts []tvl.Truth) tvl.Truth {
 	result := tvl.False
-	for _, group := range b.Query.GroupIdx() {
+	for _, group := range b.groups {
 		g := tvl.True
 		for _, i := range group {
 			v := verdicts[i]
@@ -226,7 +244,7 @@ func (b *Bound) Fold(verdicts []tvl.Truth) tvl.Truth {
 
 // Conjunctive reports whether the query is a single conjunction (the
 // paper's core class).
-func (b *Bound) Conjunctive() bool { return len(b.Query.GroupIdx()) == 1 }
+func (b *Bound) Conjunctive() bool { return len(b.groups) == 1 }
 
 // BranchClasses returns the global classes reached through complex steps of
 // any target or predicate path (the query's branch classes), sorted.
@@ -285,23 +303,28 @@ func (b *Bound) InvolvedSites() []object.SiteID {
 	return out
 }
 
-// InvolvedAttrs returns, per involved global class, the attribute names the
-// query touches (for projection before shipping), sorted. The range class
-// additionally includes complex attributes used mid-path so references can
-// be followed after integration.
-func (b *Bound) InvolvedAttrs() map[string][]string {
-	seen := map[string]map[string]bool{}
-	note := func(class, attr string) {
-		m := seen[class]
-		if m == nil {
-			m = map[string]bool{}
-			seen[class] = m
-		}
-		m[attr] = true
-	}
+// Involved returns, per involved global class in class-name order, the
+// attribute names the query touches, sorted: the projection the centralized
+// approach ships a class's objects through. The range class additionally
+// includes complex attributes used mid-path so references can be followed
+// after integration. The result is the bound query's own and is read-only.
+func (b *Bound) Involved() []ClassAttrs { return b.involved }
+
+func involvedAttrs(b *Bound) []ClassAttrs {
+	// A query touches a handful of classes and attributes: scanning the
+	// result for a name beats hashing it.
+	var out []ClassAttrs
 	walk := func(bp BoundPath) {
-		for i, step := range bp.Path {
-			note(bp.Classes[i], step)
+		for i, attr := range bp.Path {
+			class := bp.Classes[i]
+			at := slices.IndexFunc(out, func(c ClassAttrs) bool { return c.Class == class })
+			if at < 0 {
+				at = len(out)
+				out = append(out, ClassAttrs{Class: class})
+			}
+			if !slices.Contains(out[at].Attrs, attr) {
+				out[at].Attrs = append(out[at].Attrs, attr)
+			}
 		}
 	}
 	for _, t := range b.Targets {
@@ -310,14 +333,9 @@ func (b *Bound) InvolvedAttrs() map[string][]string {
 	for _, p := range b.Preds {
 		walk(p.BoundPath)
 	}
-	out := make(map[string][]string, len(seen))
-	for class, attrs := range seen {
-		list := make([]string, 0, len(attrs))
-		for a := range attrs {
-			list = append(list, a)
-		}
-		sort.Strings(list)
-		out[class] = list
+	for i := range out {
+		slices.Sort(out[i].Attrs)
 	}
+	slices.SortFunc(out, func(a, b ClassAttrs) int { return strings.Compare(a.Class, b.Class) })
 	return out
 }

@@ -226,15 +226,14 @@ func TestBranchAndInvolvedClasses(t *testing.T) {
 func TestInvolvedAttrs(t *testing.T) {
 	fx := school.New()
 	b := MustBind(MustParse(school.Q1), fx.Global)
-	got := b.InvolvedAttrs()
-	want := map[string][]string{
-		"Student":    {"address", "advisor", "name"},
-		"Teacher":    {"department", "name", "speciality"},
-		"Department": {"name"},
-		"Address":    {"city"},
+	want := []ClassAttrs{
+		{"Address", []string{"city"}},
+		{"Department", []string{"name"}},
+		{"Student", []string{"address", "advisor", "name"}},
+		{"Teacher", []string{"department", "name", "speciality"}},
 	}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("InvolvedAttrs = %v, want %v", got, want)
+	if got := b.Involved(); !reflect.DeepEqual(got, want) {
+		t.Errorf("Involved = %v, want %v", got, want)
 	}
 }
 

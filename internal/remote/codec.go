@@ -30,7 +30,12 @@ import (
 //	                  attribute, algorithm and span names repeat thousands
 //	                  of times in one reply and are allocated once
 //	value             len:uvarint bytes[len], bytes = object.Value.AppendBinary
-//	object            object.AppendObject — the record the WAL logs
+//	object            object.AppendObject — the record the WAL logs. In a
+//	                  retrieve reply the record is written through a mask
+//	                  (object.AppendProjected): the stored object restricted
+//	                  to the class's Attrs, the same bytes as the record of a
+//	                  restricted copy, which is never built. The decoder cuts
+//	                  a reply's objects and their entries from slabs.
 //	time              u8 0 for the zero time (an open span's End), else
 //	                  u8 1 then UnixNano:u64
 //	[]T               count:uvarint then count elements; the decoder checks
@@ -172,6 +177,7 @@ type reader struct {
 	err    error
 	names  object.Interner
 	points []*query.Point // the frame's point table, as defined so far
+	slab   object.Slab    // a retrieve reply's objects: they live and die together
 }
 
 func (r *reader) fail(what string) {
@@ -278,11 +284,13 @@ func (r *reader) value() object.Value {
 	return v
 }
 
-func (r *reader) object() *object.Object {
+// object reads one record; the Object and its entries are cut from slab (nil:
+// allocated on their own, for an object that will outlive the message).
+func (r *reader) object(slab *object.Slab) *object.Object {
 	if r.err != nil {
 		return nil
 	}
-	o, rest, err := object.DecodeObject(r.b, &r.names)
+	o, rest, err := slab.Decode(r.b, &r.names)
 	if err != nil {
 		r.fail(err.Error())
 		return nil
@@ -515,7 +523,7 @@ func (w *frameBuf) classObjects(co *federation.ClassObjects) {
 	w.strs(co.Attrs)
 	w.uvarint(uint64(len(co.Objects)))
 	for _, o := range co.Objects {
-		w.object(o)
+		w.keep(object.AppendProjected(w.b, o, co.Attrs))
 	}
 }
 
@@ -525,7 +533,7 @@ func (r *reader) classObjects(co *federation.ClassObjects) {
 	if n := r.count(minObject); n > 0 {
 		co.Objects = make([]*object.Object, n)
 		for i := range co.Objects {
-			co.Objects[i] = r.object()
+			co.Objects[i] = r.object(&r.slab)
 		}
 	}
 }
@@ -671,7 +679,7 @@ func decodeRequest(b []byte) (Request, error) {
 	r.checkItems(&req.Items)
 	req.Batch = listOf(&r, 1, (*reader).checkItems)
 	if r.bool() {
-		req.Store = r.object()
+		req.Store = r.object(nil)
 	}
 	if r.bool() {
 		req.Bind = &BindDelta{

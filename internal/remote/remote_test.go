@@ -2,6 +2,7 @@ package remote
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -152,6 +153,43 @@ func testCall(t *testing.T, addr string, req Request) (Response, error) {
 	defer cl.close()
 	resp, _, err := cl.call("peer", addr, req)
 	return resp, err
+}
+
+// TestRetrieveShipsOnlyInvolvedAttrs: the site's reply lists stored objects,
+// which hold every attribute; what crosses the wire is their projection on
+// the attributes Q1 involves, nothing more (age and sex do not travel) and
+// nothing less, and serving the request leaves the stored objects whole.
+func TestRetrieveShipsOnlyInvolvedAttrs(t *testing.T) {
+	coord, servers, cleanup := startRobustCluster(t, nil)
+	defer cleanup()
+	resp, err := testCall(t, coord.Sites["DB1"], Request{Kind: kindRetrieve, Query: school.Q1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	students := 0
+	for _, cls := range resp.Retrieve.Classes {
+		for _, o := range cls.Objects {
+			for i := 0; i < o.Len(); i++ {
+				if name, _ := o.At(i); !slices.Contains(cls.Attrs, name) {
+					t.Errorf("%v arrived with %s, outside its class's projection %v", o, name, cls.Attrs)
+				}
+			}
+			if cls.GlobalClass != "Student" {
+				continue
+			}
+			students++
+			stored, ok := servers["DB1"].cfg.DB.Deref(o.LOid)
+			if !ok || stored.Attr("age").IsNull() {
+				t.Fatalf("stored student %s lost its age (found: %v)", o.LOid, ok)
+			}
+			if !o.Attr("name").Equal(stored.Attr("name")) || !o.Attr("advisor").Equal(stored.Attr("advisor")) {
+				t.Errorf("%v arrived without the involved attributes of %v", o, stored)
+			}
+		}
+	}
+	if students != 3 {
+		t.Errorf("%d students arrived, want 3", students)
+	}
 }
 
 func TestServerRejectsBadRequests(t *testing.T) {

@@ -612,6 +612,10 @@ func (s *Server) dispatch(ctx context.Context, req Request, sp trace.Handle) Res
 	}
 	switch req.Kind {
 	case kindRetrieve:
+		// The reply lists stored objects and is encoded after this lock is
+		// released. That is sound because the store never edits an object
+		// after Insert, and the list itself is the reply's own
+		// (federation.ClassObjects).
 		s.stateMu.RLock()
 		defer s.stateMu.RUnlock()
 		return s.handleRetrieve(ctx, req, sp)

@@ -179,6 +179,34 @@ func TestAlgorithmsAgreeAcrossTransports(t *testing.T) {
 	}
 }
 
+// TestUnboundObjectHasOneIdentity: an object stored at a site that no mapping
+// table names — the state between a store request and its bind broadcast —
+// goes by one synthetic GOid under every strategy on every transport. The
+// centralized approach used to name it "!<site>:<loid>" and the localized
+// ones "!<class>:<site>:<loid>", so the same row of the same query came back
+// under two identities.
+func TestUnboundObjectHasOneIdentity(t *testing.T) {
+	fx := school.New()
+	fx.Databases["DB1"].MustInsert(object.New("s99", "Student", map[string]object.Value{
+		"s-no": object.Int(999_999), "name": object.Str("Nova"), "age": object.Int(40),
+	}))
+	c := fedCase{"school+unbound", fx.Global, fx.Databases, fx.Mapping, `select name from Student where age > 35`}
+	want := fx.Mapping.Table("Student").Unbound("DB1", "s99")
+	for transport, answers := range runEverywhere(t, c, "") {
+		for alg, ans := range answers {
+			var got []object.GOid
+			for _, row := range ans.Certain {
+				if row.Targets[0].Equal(object.Str("Nova")) {
+					got = append(got, row.GOid)
+				}
+			}
+			if len(got) != 1 || got[0] != want {
+				t.Errorf("%s/%v: the unbound student is certain as %v, want [%s]\n%s", transport, alg, got, want, summarize(ans))
+			}
+		}
+	}
+}
+
 // assertLocalizedWithinCA checks the localized answer against CA's: no false
 // certification (BL-certain ⊆ CA-certain) and the same surviving entities
 // (neither eliminates what the other keeps). BL may hold as maybe an entity

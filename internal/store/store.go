@@ -5,6 +5,13 @@
 // The store itself is cost-free; the federation layer charges simulated disk
 // and CPU time for the operations it performs, using the byte sizes the
 // store reports.
+//
+// The store is insert-only and never edits an object after Insert. Readers
+// lean on that: Scan, All, Get and Deref hand out the stored objects
+// themselves, and a retrieve reply (federation.ClassObjects) keeps pointing
+// at them after the lock that guarded the scan is released, while the reply
+// is encoded. An update or delete operation would have to replace the object,
+// not change it.
 package store
 
 import (
@@ -18,7 +25,7 @@ import (
 type Extent struct {
 	class   *schema.Class
 	objects map[object.LOid]*object.Object
-	order   []object.LOid
+	order   []*object.Object // insertion order; appended to, never edited
 	indexes map[string]*Index
 	bytes   int // incrementally maintained sum of WireSize(nil) over objects
 }
@@ -39,8 +46,8 @@ func (e *Extent) Get(id object.LOid) *object.Object { return e.objects[id] }
 // Scan calls fn for every object in insertion order; a false return stops
 // the scan early.
 func (e *Extent) Scan(fn func(*object.Object) bool) {
-	for _, id := range e.order {
-		if !fn(e.objects[id]) {
+	for _, o := range e.order {
+		if !fn(o) {
 			return
 		}
 	}
@@ -49,11 +56,7 @@ func (e *Extent) Scan(fn func(*object.Object) bool) {
 // All returns the objects in insertion order. The objects are shared, the
 // slice is fresh.
 func (e *Extent) All() []*object.Object {
-	out := make([]*object.Object, 0, len(e.order))
-	for _, id := range e.order {
-		out = append(out, e.objects[id])
-	}
-	return out
+	return append(make([]*object.Object, 0, len(e.order)), e.order...)
 }
 
 // Bytes returns the total stored size of the extent under the paper's cost
@@ -150,7 +153,7 @@ func (db *Database) Insert(o *object.Object) error {
 		}
 	}
 	e.objects[o.LOid] = o
-	e.order = append(e.order, o.LOid)
+	e.order = append(e.order, o)
 	e.bytes += o.WireSize(nil)
 	db.byLOid[o.LOid] = o
 	for attr, ix := range e.indexes {

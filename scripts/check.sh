@@ -1,9 +1,10 @@
 #!/bin/sh
 # check.sh — the repository's verification gate: formatting, vet, the
 # one-orchestration, one-report-envelope and one-codec structural guards,
-# build, unit tests, the full test suite under the race detector, a one-shot
-# compile-and-run smoke of the overhead and allocation benchmarks, and a
-# short fuzz budget for every decoder that reads bytes off a socket or disk.
+# build, unit tests, the full test suite under the race detector, the
+# benchmark module's vet and tests, a one-shot compile-and-run smoke of the
+# overhead and allocation benchmarks, and a short fuzz budget for every
+# decoder that reads bytes off a socket or disk.
 #
 # Usage: scripts/check.sh [package-pattern]   (default ./...)
 set -eu
@@ -95,11 +96,17 @@ go test -race -count 10 -timeout 300s \
 # time out one run in five on a loaded machine.
 go test -race -count 10 -timeout 300s -run 'TestClusterObservabilityE2E' ./internal/obs/agg/
 
+# benchmark/ is a module of its own (the repository's yardstick, run by
+# benchmark/run.sh), so ./... above does not see it: a change to the surface
+# it imports must fail here, not in the pipeline that runs it.
+echo "== benchmark module (vet + test)"
+(cd benchmark && go vet . && go test -timeout 120s .)
+
 echo "== bench smoke (1 iteration)"
 go test -run - -bench 'BenchmarkTraceOverhead|BenchmarkProfileOverhead' -benchtime 1x .
-go test -run - -bench 'BenchmarkWireCodec' -benchtime 1x ./internal/remote/
+go test -run - -bench 'BenchmarkWireCodec|BenchmarkLiveCA' -benchtime 1x ./internal/remote/
 go test -run - -bench 'BenchmarkObject' -benchtime 1x ./internal/object/
-go test -run - -bench 'BenchmarkSite' -benchtime 1x ./internal/federation/
+go test -run - -bench 'BenchmarkSite|BenchmarkCoordinator' -benchtime 1x ./internal/federation/
 go test -run - -bench 'BenchmarkGmap' -benchtime 1x ./internal/gmap/
 
 # Every decoder fed from a socket or a disk gets a short fuzz budget on top
