@@ -1,10 +1,10 @@
 // Command hetbench runs the scenario-matrix benchmark harness: it sweeps
-// execution strategy × workload × concurrency × fault plan × serving
-// config, drives each cell with a seeded load generator, and reports both
-// the client-observed latency distribution and the servers' own truth
-// (scraped /metrics deltas: bytes moved, cache hits, degraded/maybe
-// fractions). Reports are stable, diffable BENCH_<topic>.json files in one
-// envelope (schema, topic, version, seed, spec, cells).
+// execution strategy × workload × concurrency × fault plan, drives each
+// cell with a seeded load generator, and reports both the client-observed
+// latency distribution and the servers' own truth (scraped /metrics deltas:
+// bytes moved, degraded/maybe fractions). Reports are stable, diffable
+// BENCH_<topic>.json files in one envelope (schema, topic, version, seed,
+// spec, cells).
 //
 // Run a registered topic — smoke, adaptive, strategies, durability, obs or
 // chaos — on its canonical spec (internal/bench/topics.go) and gate it
@@ -40,8 +40,7 @@
 //	hetbench slo -qps 2000 -p99 50ms -max-maybe-frac 0.2 \
 //	    -runtimes live -strategies BL -workloads school -clients 8 -queries 200
 //
-// Fault specs: none, kill:SITE, drop:SITE:N, delay:SITE:MICROS. Serving
-// specs: plain, cached, batch:WINDOW, cached+batch:WINDOW. On the sim
+// Fault specs: none, kill:SITE, drop:SITE:N, delay:SITE:MICROS. On the sim
 // runtime identical seeds reproduce byte-identical cell results; the live
 // runtime spawns real TCP site servers per cell and tears them down after.
 package main
@@ -56,7 +55,6 @@ import (
 	"strconv"
 	"strings"
 	"syscall"
-	"time"
 
 	"github.com/hetfed/hetfed/internal/bench"
 	"github.com/hetfed/hetfed/internal/version"
@@ -96,7 +94,6 @@ func matrixFlags(fs *flag.FlagSet) (get func() (bench.MatrixSpec, error)) {
 		workloads  = fs.String("workloads", "school", "comma-separated workloads: school, table2, table2eq")
 		clients    = fs.String("clients", "1", "comma-separated concurrency levels")
 		faults     = fs.String("faults", "none", "comma-separated fault plans: none, kill:SITE, drop:SITE:N, delay:SITE:MICROS")
-		serving    = fs.String("serving", "plain", "comma-separated serving configs: plain, cached, batch:WINDOW, cached+batch:WINDOW")
 		queries    = fs.Int("queries", 20, "queries per cell")
 		rate       = fs.Float64("rate", 0, "open-loop arrival rate in qps per client (0 = closed loop); live runtime only")
 		zipf       = fs.Float64("zipf", 0.9, "Zipfian skew over query variants (0 = uniform)")
@@ -111,17 +108,12 @@ func matrixFlags(fs *flag.FlagSet) (get func() (bench.MatrixSpec, error)) {
 		if err != nil {
 			return bench.MatrixSpec{}, fmt.Errorf("bad -clients: %w", err)
 		}
-		srv, err := parseServing(*serving)
-		if err != nil {
-			return bench.MatrixSpec{}, err
-		}
 		return bench.MatrixSpec{
 			Runtimes:      splitList(*runtimes),
 			Strategies:    splitList(*strategies),
 			Workloads:     splitList(*workloads),
 			Clients:       cl,
 			Faults:        splitList(*faults),
-			Serving:       srv,
 			Queries:       *queries,
 			RateQPS:       *rate,
 			Zipf:          *zipf,
@@ -361,34 +353,6 @@ func parseInts(s string) ([]int, error) {
 			return nil, fmt.Errorf("bad count %q", part)
 		}
 		out = append(out, n)
-	}
-	return out, nil
-}
-
-// parseServing reads the serving sweep: each entry is "plain", "cached",
-// "batch:WINDOW" or "cached+batch:WINDOW"; the entry string names the cell.
-func parseServing(s string) ([]bench.ServingSpec, error) {
-	var out []bench.ServingSpec
-	for _, part := range splitList(s) {
-		spec := bench.ServingSpec{Name: part}
-		rest := part
-		if strings.HasPrefix(rest, "cached") {
-			spec.Cache = true
-			rest = strings.TrimPrefix(rest, "cached")
-			rest = strings.TrimPrefix(rest, "+")
-		}
-		if strings.HasPrefix(rest, "batch:") {
-			w, err := time.ParseDuration(strings.TrimPrefix(rest, "batch:"))
-			if err != nil || w < 0 {
-				return nil, fmt.Errorf("bad serving spec %q (batch window)", part)
-			}
-			spec.BatchWindow = w
-			rest = ""
-		}
-		if rest != "" && rest != "plain" {
-			return nil, fmt.Errorf("bad serving spec %q (want plain, cached, batch:WINDOW or cached+batch:WINDOW)", part)
-		}
-		out = append(out, spec)
 	}
 	return out, nil
 }

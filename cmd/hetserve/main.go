@@ -61,12 +61,7 @@
 // condition ("ok(round=N, repaired=NB)", or "suspect(...)" when a replica
 // disagrees with the quorum or sits on the minority side of a partition).
 //
-// Multi-tenant serving: a site started with -cache keeps a read-through
-// lookup cache (GOid mappings, checked assistant verdicts; invalidated by
-// the Insert replication path), and -batch-window coalesces the check
-// traffic of concurrent queries into one RPC per peer per flush window
-// (-batch-bytes and -batch-inflight bound batch and in-flight sizes). To
-// drive load — concurrent clients, throughput and latency distributions —
+// To drive load — concurrent clients, throughput and latency distributions —
 // use `hetbench run -runtimes live -clients N`, the one load generator.
 package main
 
@@ -115,120 +110,127 @@ func main() {
 	}
 }
 
-func run(args []string) error {
+// cmdline is the parsed command line. A flag that configures a library value
+// is bound (parse) straight into the field of that value — the server's or
+// coordinator's config, the call policy, the WAL's, recorder's and scraper's
+// options — so an option is declared once, by its flag, and documented by the
+// field it sets. The plain fields are what hetserve itself acts on.
+type cmdline struct {
+	site, listen            string
+	coordinator             bool
+	metricsAddr, peers, fed string
+	query, alg              string
+	trace, metrics, version bool
+	injectDelay             time.Duration
+	injectDown              bool
+	injectPartition         string
+	clusterScrape, sloRules string
+
+	call        remote.CallConfig        // both modes' outbound policy
+	antiEntropy remote.AntiEntropyConfig // both modes' repair loop
+	server      remote.ServerConfig      // -site
+	coord       remote.Coordinator       // -coordinator
+	wal         wal.Options              // Dir holds the -data-dir root
+	recorder    obs.RecorderConfig
+	scrape      agg.Config
+}
+
+func (c *cmdline) parse(args []string) error {
 	fs := flag.NewFlagSet("hetserve", flag.ContinueOnError)
-	defaults := remote.DefaultCallConfig()
-	var (
-		siteName    = fs.String("site", "", "serve this component site (DB1, DB2 or DB3)")
-		listen      = fs.String("listen", "127.0.0.1:0", "listen address for -site mode")
-		metricsAddr = fs.String("metrics-addr", "", "serve the observability surface (/metrics, /healthz, /debug/queries, /debug/trace/…, /debug/pprof/…) on this address")
-		coordinator = fs.Bool("coordinator", false, "act as the global processing site")
-		peersFlag   = fs.String("peers", "", "comma-separated SITE=ADDR pairs")
-		queryText   = fs.String("query", school.Q1, "query to run in -coordinator mode")
-		algName     = fs.String("alg", "BL", "strategy for -coordinator mode: CA, BL, PL, SBL, SPL, or adaptive (calibrating selector fed by measured profiles and breaker states)")
-		fedPath     = fs.String("fed", "", "serve/query this JSON federation instead of the built-in example")
-		showTrace   = fs.Bool("trace", false, "print the query's span tree in -coordinator mode")
-		showMetrics = fs.Bool("metrics", false, "print the coordinator's metrics snapshot in -coordinator mode")
+	fs.StringVar(&c.site, "site", "", "serve this component site (DB1, DB2 or DB3)")
+	fs.StringVar(&c.listen, "listen", "127.0.0.1:0", "listen address for -site mode")
+	fs.StringVar(&c.metricsAddr, "metrics-addr", "", "serve the observability surface (/metrics, /healthz, /debug/queries, /debug/trace/…, /debug/pprof/…) on this address")
+	fs.BoolVar(&c.coordinator, "coordinator", false, "act as the global processing site")
+	fs.StringVar(&c.peers, "peers", "", "comma-separated SITE=ADDR pairs")
+	fs.StringVar(&c.query, "query", school.Q1, "query to run in -coordinator mode")
+	fs.StringVar(&c.alg, "alg", "BL", "strategy for -coordinator mode: CA, BL, PL, SBL, SPL, or adaptive (calibrating selector fed by measured profiles and breaker states)")
+	fs.StringVar(&c.fed, "fed", "", "serve/query this JSON federation instead of the built-in example")
+	fs.BoolVar(&c.trace, "trace", false, "print the query's span tree in -coordinator mode")
+	fs.BoolVar(&c.metrics, "metrics", false, "print the coordinator's metrics snapshot in -coordinator mode")
+	fs.BoolVar(&c.version, "version", false, "print the build version and exit")
 
-		retries         = fs.Int("retries", defaults.Attempts-1, "transport retries per remote call (0 = single attempt)")
-		retryBackoff    = fs.Duration("retry-backoff", defaults.BackoffBase, "base sleep before the first retry (doubles per retry, jittered)")
-		callTimeout     = fs.Duration("call-timeout", defaults.CallTimeout, "deadline for one full request/response exchange")
-		dialTimeout     = fs.Duration("dial-timeout", defaults.DialTimeout, "deadline for connecting to a peer")
-		poolSize        = fs.Int("pool", defaults.PoolSize, "max idle pooled connections per peer")
-		breakerFails    = fs.Int("breaker-failures", defaults.BreakerThreshold, "consecutive call failures that open a peer's circuit breaker (0 = disabled)")
-		breakerCooldown = fs.Duration("breaker-cooldown", defaults.BreakerCooldown, "how long an open breaker waits before a half-open probe")
+	c.call = remote.DefaultCallConfig()
+	retries := fs.Int("retries", c.call.Attempts-1, "transport retries per remote call (0 = single attempt)")
+	fs.DurationVar(&c.call.BackoffBase, "retry-backoff", c.call.BackoffBase, "base sleep before the first retry (doubles per retry, jittered)")
+	fs.DurationVar(&c.call.CallTimeout, "call-timeout", c.call.CallTimeout, "deadline for one full request/response exchange")
+	fs.DurationVar(&c.call.DialTimeout, "dial-timeout", c.call.DialTimeout, "deadline for connecting to a peer")
+	fs.IntVar(&c.call.PoolSize, "pool", c.call.PoolSize, "max idle pooled connections per peer")
+	fs.IntVar(&c.call.BreakerThreshold, "breaker-failures", c.call.BreakerThreshold, "consecutive call failures that open a peer's circuit breaker (0 = disabled)")
+	fs.DurationVar(&c.call.BreakerCooldown, "breaker-cooldown", c.call.BreakerCooldown, "how long an open breaker waits before a half-open probe")
 
-		useCache      = fs.Bool("cache", false, "enable the site's read-through lookup cache (GOid mappings + assistant verdicts)")
-		batchWindow   = fs.Duration("batch-window", 0, "coalesce outbound check RPCs per peer across this flush window (0 = no batching)")
-		batchBytes    = fs.Int("batch-bytes", 0, "flush a peer's check batch early at this many queued bytes (0 = default 64KiB)")
-		batchInflight = fs.Int("batch-inflight", 0, "cap on total check-batch bytes in flight (0 = default 1MiB)")
-		concurrency   = fs.Int("concurrency", 0, "max concurrently executing queries in -coordinator mode (0 = unbounded)")
+	fs.IntVar(&c.coord.MaxConcurrent, "concurrency", 0, "max concurrently executing queries in -coordinator mode (0 = unbounded)")
+	fs.DurationVar(&c.coord.Deadline, "deadline", 0, "end-to-end budget per query in -coordinator mode; the remaining budget travels to every site and an over-budget query returns its sound partial answer (0 = none)")
+	fs.IntVar(&c.server.MaxFrameBytes, "max-frame", 0, "reject request frames larger than this many bytes in -site mode (0 = default 8MiB, negative = unlimited)")
+	fs.DurationVar(&c.server.IdleTimeout, "idle-timeout", 0, "reap site connections idle longer than this (0 = default 5m, negative = never)")
+	fs.DurationVar(&c.server.WriteTimeout, "write-timeout", 0, "per-response write deadline in -site mode (0 = default 30s, negative = none)")
+	fs.DurationVar(&c.injectDelay, "inject-delay", 0, "fault injection: stall every served operation at this site by this long")
+	fs.BoolVar(&c.injectDown, "inject-down", false, "fault injection: answer every non-ping request with site-unavailable")
+	fs.StringVar(&c.injectPartition, "inject-partition", "", "fault injection: cut this process's links to these comma-separated peer sites in both directions, as if a network partition separated them")
 
-		deadline     = fs.Duration("deadline", 0, "end-to-end budget per query in -coordinator mode; the remaining budget travels to every site and an over-budget query returns its sound partial answer (0 = none)")
-		maxFrame     = fs.Int("max-frame", 0, "reject request frames larger than this many bytes in -site mode (0 = default 8MiB, negative = unlimited)")
-		idleTimeout  = fs.Duration("idle-timeout", 0, "reap site connections idle longer than this (0 = default 5m, negative = never)")
-		writeTimeout = fs.Duration("write-timeout", 0, "per-response write deadline in -site mode (0 = default 30s, negative = none)")
-		injectDelay  = fs.Duration("inject-delay", 0, "fault injection: stall every served operation at this site by this long")
-		injectDown   = fs.Bool("inject-down", false, "fault injection: answer every non-ping request with site-unavailable")
-		injectPart   = fs.String("inject-partition", "", "fault injection: cut this process's links to these comma-separated peer sites in both directions, as if a network partition separated them")
+	fs.DurationVar(&c.antiEntropy.Interval, "anti-entropy", 0, "run a background anti-entropy round against the peers at this cadence, repairing mapping-table divergence (0 = disabled; digest/repair requests are served either way)")
+	fs.Float64Var(&c.antiEntropy.Jitter, "anti-entropy-jitter", 0, "spread each anti-entropy wait by ±interval·jitter so the cluster's loops decorrelate (0 = default 0.2, negative = none)")
 
-		antiEntropy       = fs.Duration("anti-entropy", 0, "run a background anti-entropy round against the peers at this cadence, repairing mapping-table divergence (0 = disabled; digest/repair requests are served either way)")
-		antiEntropyJitter = fs.Float64("anti-entropy-jitter", 0, "spread each anti-entropy wait by ±interval·jitter so the cluster's loops decorrelate (0 = default 0.2, negative = none)")
+	fs.DurationVar(&c.recorder.SlowThreshold, "slow-query", 0, "log queries at/over this latency and always retain their profiles in the flight recorder (0 = percentile-based tail retention only)")
+	fs.IntVar(&c.recorder.Size, "recorder-size", obs.DefaultRecorderSize, "flight-recorder ring capacity (profiles kept for /debug/queries)")
 
-		slowQuery   = fs.Duration("slow-query", 0, "log queries at/over this latency and always retain their profiles in the flight recorder (0 = percentile-based tail retention only)")
-		recorderLen = fs.Int("recorder-size", obs.DefaultRecorderSize, "flight-recorder ring capacity (profiles kept for /debug/queries)")
-		showVersion = fs.Bool("version", false, "print the build version and exit")
+	fs.StringVar(&c.clusterScrape, "cluster-scrape", "", "coordinator: poll these obs surfaces (SITE=HOST:PORT,...) into a federation rollup served at /cluster, /cluster/queries and /cluster/alerts on -metrics-addr; the coordinator observes itself in process as site G")
+	fs.DurationVar(&c.scrape.Interval, "scrape-interval", 2*time.Second, "polling interval for -cluster-scrape")
+	fs.DurationVar(&c.scrape.Window, "scrape-window", time.Minute, "trailing window for the /cluster rollup's rates")
+	fs.StringVar(&c.sloRules, "slo", "", "semicolon-separated SLO rules evaluated against the cluster rollup after every scrape (e.g. 'query_latency p99 < 50ms over 1m; availability >= 0.67'); requires -cluster-scrape")
 
-		clusterScrape  = fs.String("cluster-scrape", "", "coordinator: poll these obs surfaces (SITE=HOST:PORT,...) into a federation rollup served at /cluster, /cluster/queries and /cluster/alerts on -metrics-addr; the coordinator observes itself in process as site G")
-		scrapeInterval = fs.Duration("scrape-interval", 2*time.Second, "polling interval for -cluster-scrape")
-		scrapeWindow   = fs.Duration("scrape-window", time.Minute, "trailing window for the /cluster rollup's rates")
-		sloRules       = fs.String("slo", "", "semicolon-separated SLO rules evaluated against the cluster rollup after every scrape (e.g. 'query_latency p99 < 50ms over 1m; availability >= 0.67'); requires -cluster-scrape")
-
-		dataDir   = fs.String("data-dir", "", "durable storage root: state is recovered from <data-dir>/<site> on boot (WAL+snapshot) and every mutation is logged; empty = in-memory only")
-		fsync     = fs.Bool("fsync", false, "with -data-dir, fsync the WAL after every append (each acked write survives power loss; off = buffered, a crash loses only the unsynced tail)")
-		snapEvery = fs.Int("snapshot-every", 0, "with -data-dir, compact the WAL into a snapshot every N appends (0 = default, negative = never)")
-	)
+	fs.StringVar(&c.wal.Dir, "data-dir", "", "durable storage root: state is recovered from <data-dir>/<site> on boot (WAL+snapshot) and every mutation is logged; empty = in-memory only")
+	fs.BoolVar(&c.wal.Fsync, "fsync", false, "with -data-dir, fsync the WAL after every append (each acked write survives power loss; off = buffered, a crash loses only the unsynced tail)")
+	fs.IntVar(&c.wal.SnapshotEvery, "snapshot-every", 0, "with -data-dir, compact the WAL into a snapshot every N appends (0 = default, negative = never)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if *showVersion {
+	c.call.Attempts = *retries + 1
+	return nil
+}
+
+// validate refuses flag combinations that cannot mean what was asked. It runs
+// before any listener, WAL directory or scraper exists, so a refused command
+// line leaves nothing behind.
+func (c *cmdline) validate() error {
+	switch {
+	case c.coordinator && c.site != "":
+		return fmt.Errorf("-site and -coordinator are two processes; pass one")
+	case !c.coordinator && c.site == "":
+		return fmt.Errorf("pass -site NAME or -coordinator")
+	case c.clusterScrape != "" && c.metricsAddr == "":
+		return fmt.Errorf("-cluster-scrape serves /cluster on the observability surface; pass -metrics-addr too")
+	case c.sloRules != "" && c.clusterScrape == "":
+		return fmt.Errorf("-slo judges the cluster rollup; pass -cluster-scrape too")
+	case c.wal.Dir == "" && (c.wal.Fsync || c.wal.SnapshotEvery != 0):
+		return fmt.Errorf("-fsync and -snapshot-every tune the durable store; pass -data-dir too")
+	}
+	return nil
+}
+
+func run(args []string) error {
+	var c cmdline
+	if err := c.parse(args); err != nil {
+		return err
+	}
+	if c.version {
 		fmt.Println("hetserve", version.String())
 		return nil
 	}
-
-	call := remote.CallConfig{
-		DialTimeout:      *dialTimeout,
-		CallTimeout:      *callTimeout,
-		Attempts:         *retries + 1,
-		BackoffBase:      *retryBackoff,
-		BackoffMax:       defaults.BackoffMax,
-		PoolSize:         *poolSize,
-		BreakerThreshold: *breakerFails,
-		BreakerCooldown:  *breakerCooldown,
+	if err := c.validate(); err != nil {
+		return err
 	}
-	batch := remote.BatchConfig{
-		Window:           *batchWindow,
-		MaxBytes:         *batchBytes,
-		MaxInflightBytes: *batchInflight,
-	}
-
-	peers, err := parsePeers(*peersFlag)
+	peers, err := parsePeers(c.peers)
 	if err != nil {
 		return err
 	}
-	fed, err := loadFederation(*fedPath)
+	fed, err := loadFederation(c.fed)
 	if err != nil {
 		return err
 	}
-	cutPeers, err := parseSiteList(*injectPart)
-	if err != nil {
-		return fmt.Errorf("bad -inject-partition: %w", err)
+	if c.coordinator {
+		return runCoordinator(fed, peers, &c)
 	}
-	ae := remote.AntiEntropyConfig{Interval: *antiEntropy, Jitter: *antiEntropyJitter}
-
-	switch {
-	case *coordinator:
-		return runCoordinator(fed, peers, *queryText, *algName, coordOpts{
-			Trace: *showTrace, Metrics: *showMetrics, Call: call,
-			Concurrency: *concurrency,
-			Deadline:    *deadline,
-			SlowQuery:   *slowQuery, RecorderSize: *recorderLen, MetricsAddr: *metricsAddr,
-			ClusterScrape: *clusterScrape, ScrapeInterval: *scrapeInterval,
-			ScrapeWindow: *scrapeWindow, SLO: *sloRules,
-			DataDir: *dataDir, Fsync: *fsync, SnapshotEvery: *snapEvery,
-			AntiEntropy: ae, InjectPartition: cutPeers,
-		})
-	case *siteName != "":
-		return runSite(fed, object.SiteID(*siteName), *listen, *metricsAddr, peers,
-			siteOpts{Call: call, Batch: batch, Cache: *useCache,
-				MaxFrameBytes: *maxFrame, IdleTimeout: *idleTimeout, WriteTimeout: *writeTimeout,
-				InjectDelay: *injectDelay, InjectDown: *injectDown, InjectPartition: cutPeers,
-				SlowQuery: *slowQuery, RecorderSize: *recorderLen,
-				DataDir: *dataDir, Fsync: *fsync, SnapshotEvery: *snapEvery,
-				AntiEntropy: ae})
-	default:
-		return fmt.Errorf("pass -site NAME or -coordinator")
-	}
+	return runSite(fed, peers, &c)
 }
 
 // federationBundle is what both modes need, from either source.
@@ -369,75 +371,59 @@ func parseScrapeTargets(s string) ([]agg.Target, error) {
 	return out, nil
 }
 
-// siteOpts bundles a site's serving policy: networking, check batching,
-// the lookup cache, and the flight recorder's retention knobs.
-type siteOpts struct {
-	Call  remote.CallConfig
-	Batch remote.BatchConfig
-	Cache bool
-	// MaxFrameBytes, IdleTimeout and WriteTimeout are the server's
-	// self-protection bounds (see remote.ServerConfig).
-	MaxFrameBytes int
-	IdleTimeout   time.Duration
-	WriteTimeout  time.Duration
-	// InjectDelay, InjectDown and InjectPartition inject faults at this
-	// site: every served operation stalls by InjectDelay (cancellable by
-	// the request's budget), InjectDown answers every non-ping request
-	// site-unavailable, and InjectPartition cuts this site's links to the
-	// listed peers in both directions.
-	InjectDelay     time.Duration
-	InjectDown      bool
-	InjectPartition []object.SiteID
-	// AntiEntropy configures the background digest-exchange repair loop
-	// (zero Interval disables it; the repair wire kinds are served either
-	// way).
-	AntiEntropy remote.AntiEntropyConfig
-	// SlowQuery marks served requests at/over this latency slow: logged and
-	// always retained in the flight recorder (0 = percentile retention only).
-	SlowQuery time.Duration
-	// RecorderSize bounds the flight-recorder ring (0 = default).
-	RecorderSize int
-	// DataDir, Fsync and SnapshotEvery configure durable storage: with a
-	// DataDir the site recovers its state from <DataDir>/<site> before
-	// serving (seeding the federation fixture on first boot) and logs
-	// every mutation through a WAL+snapshot engine.
-	DataDir       string
-	Fsync         bool
-	SnapshotEvery int
+// instruments completes the options a process's instruments were given on the
+// command line with its identity: the flight recorder, and — with -data-dir —
+// the WAL options for the process's own subdirectory of the root.
+func (c *cmdline) instruments(site string, reg *metrics.Registry, tr *trace.Tracer, log *slog.Logger) (*obs.Recorder, wal.Options) {
+	rc := c.recorder
+	rc.Site, rc.Log, rc.Metrics = site, log, reg
+	wo := c.wal
+	if wo.Dir != "" {
+		wo.Dir = filepath.Join(wo.Dir, site)
+	}
+	wo.Site, wo.Metrics, wo.Tracer, wo.Log = site, reg, tr, log
+	return obs.NewRecorder(rc), wo
 }
 
-// startSite builds and starts one fully instrumented component-site server;
-// runSite adds the signal-wait around it.
-func startSite(fed *federationBundle, site object.SiteID, listen, metricsAddr string,
-	peers map[object.SiteID]string, opts siteOpts, log *slog.Logger) (*siteRuntime, error) {
+// cutLinks adds -inject-partition's cuts to a fault plan: this process's
+// links to the listed peers, both directions.
+func (c *cmdline) cutLinks(plan *fabric.FaultPlan, self object.SiteID) error {
+	cut, err := parseSiteList(c.injectPartition)
+	if err != nil {
+		return fmt.Errorf("bad -inject-partition: %w", err)
+	}
+	for _, peer := range cut {
+		plan.DropLink(self, peer)
+		plan.DropLink(peer, self)
+	}
+	return nil
+}
+
+// startSite builds and starts one fully instrumented component-site server
+// and logs what it serves; runSite adds the signal-wait around it.
+func startSite(fed *federationBundle, peers map[object.SiteID]string, c *cmdline, log *slog.Logger) (*siteRuntime, error) {
+	site := object.SiteID(c.site)
 	db, ok := fed.Databases[site]
 	if !ok {
 		return nil, fmt.Errorf("unknown site %q in this federation", site)
 	}
+	var faults *fabric.FaultPlan
+	if c.injectDelay > 0 || c.injectDown || c.injectPartition != "" {
+		faults = fabric.NewFaultPlan()
+		if c.injectDelay > 0 {
+			faults.Delay(site, float64(c.injectDelay.Microseconds()))
+		}
+		if c.injectDown {
+			faults.Kill(site)
+		}
+		if err := c.cutLinks(faults, site); err != nil {
+			return nil, err
+		}
+	}
 	tr := &trace.Tracer{}
 	tr.SetLimit(spanLimit)
 	reg := metrics.New()
-	rec := obs.NewRecorder(obs.RecorderConfig{
-		Site:          string(site),
-		Size:          opts.RecorderSize,
-		SlowThreshold: opts.SlowQuery,
-		Log:           log,
-		Metrics:       reg,
-	})
-	var faults *fabric.FaultPlan
-	if opts.InjectDelay > 0 || opts.InjectDown || len(opts.InjectPartition) > 0 {
-		faults = fabric.NewFaultPlan()
-		if opts.InjectDelay > 0 {
-			faults.Delay(site, float64(opts.InjectDelay.Microseconds()))
-		}
-		if opts.InjectDown {
-			faults.Kill(site)
-		}
-		for _, peer := range opts.InjectPartition {
-			faults.DropLink(site, peer)
-			faults.DropLink(peer, site)
-		}
-	}
+	rec, walOpts := c.instruments(c.site, reg, tr, log)
 	// Durable mode: recover this site's state from its WAL+snapshot
 	// directory, merge any fixture entries the recovered store doesn't have
 	// yet (first boot seeds everything), and serve the recovered database
@@ -445,18 +431,10 @@ func startSite(fed *federationBundle, site object.SiteID, listen, metricsAddr st
 	// engine.
 	tables := fed.Mapping
 	var eng *wal.Engine
-	if opts.DataDir != "" {
+	if walOpts.Dir != "" {
 		var rdb *store.Database
 		var err error
-		eng, rdb, tables, err = wal.Open(db.Schema(), wal.Options{
-			Dir:           filepath.Join(opts.DataDir, string(site)),
-			Fsync:         opts.Fsync,
-			SnapshotEvery: opts.SnapshotEvery,
-			Site:          string(site),
-			Metrics:       reg,
-			Tracer:        tr,
-			Log:           log,
-		})
+		eng, rdb, tables, err = wal.Open(db.Schema(), walOpts)
 		if err != nil {
 			return nil, err
 		}
@@ -465,30 +443,16 @@ func startSite(fed *federationBundle, site object.SiteID, listen, metricsAddr st
 			return nil, err
 		}
 		log.Info("durable store ready",
-			slog.String("dir", filepath.Join(opts.DataDir, string(site))),
+			slog.String("dir", walOpts.Dir),
 			slog.Uint64("seq", eng.Seq()),
-			slog.Bool("fsync", opts.Fsync))
+			slog.Bool("fsync", walOpts.Fsync))
 		db = rdb
 	}
-	cfg := remote.ServerConfig{
-		DB:            db,
-		Global:        fed.Global,
-		Tables:        tables,
-		Peers:         peers,
-		Signatures:    signature.Build(fed.Databases),
-		Tracer:        tr,
-		Metrics:       reg,
-		Recorder:      rec,
-		Log:           log,
-		Call:          opts.Call,
-		Batch:         opts.Batch,
-		Cache:         opts.Cache,
-		MaxFrameBytes: opts.MaxFrameBytes,
-		IdleTimeout:   opts.IdleTimeout,
-		WriteTimeout:  opts.WriteTimeout,
-		Faults:        faults,
-		AntiEntropy:   opts.AntiEntropy,
-	}
+	cfg := c.server
+	cfg.DB, cfg.Global, cfg.Tables, cfg.Peers = db, fed.Global, tables, peers
+	cfg.Signatures = signature.Build(fed.Databases)
+	cfg.Tracer, cfg.Metrics, cfg.Recorder, cfg.Log = tr, reg, rec, log
+	cfg.Call, cfg.AntiEntropy, cfg.Faults = c.call, c.antiEntropy, faults
 	if eng != nil {
 		cfg.Engine = eng
 	}
@@ -499,14 +463,21 @@ func startSite(fed *federationBundle, site object.SiteID, listen, metricsAddr st
 		}
 		return nil, err
 	}
-	if err := srv.Listen(listen); err != nil {
+	if err := srv.Listen(c.listen); err != nil {
 		if eng != nil {
 			eng.Close()
 		}
 		return nil, err
 	}
 	rt := &siteRuntime{Server: srv, Tracer: tr, Metrics: reg, Recorder: rec, Engine: eng}
-	if metricsAddr != "" {
+	// The extent this process serves: after a durable restart that is the
+	// recovered one, inserts included, not the fixture it was seeded from.
+	attrs := []any{
+		slog.String("site", c.site),
+		slog.String("addr", srv.Addr()),
+		slog.Int("objects", db.Len()),
+	}
+	if c.metricsAddr != "" {
 		// The divergence tracker reports on /healthz ("antientropy:state" →
 		// "ok(round=N, repaired=NB)" or "suspect(C1,C2) …") so the cluster
 		// rollup and hetops show each replica's repair state.
@@ -520,119 +491,70 @@ func startSite(fed *federationBundle, site object.SiteID, listen, metricsAddr st
 			// state per site.
 			health = append(health, obs.PrefixHealth("wal", eng.Health))
 		}
-		o, err := obs.Serve(metricsAddr, string(site), reg, tr, rec, health...)
+		o, err := obs.Serve(c.metricsAddr, c.site, reg, tr, rec, health...)
 		if err != nil {
-			srv.Close()
+			rt.Close()
 			return nil, err
 		}
 		rt.Obs = o
+		attrs = append(attrs, slog.String("metrics_addr", o.Addr()))
 	}
+	log.Info("site serving", attrs...)
 	return rt, nil
 }
 
-func runSite(fed *federationBundle, site object.SiteID, listen, metricsAddr string, peers map[object.SiteID]string, opts siteOpts) error {
+func runSite(fed *federationBundle, peers map[object.SiteID]string, c *cmdline) error {
 	log := slog.New(slog.NewTextHandler(os.Stderr, nil))
-	rt, err := startSite(fed, site, listen, metricsAddr, peers, opts, log)
+	rt, err := startSite(fed, peers, c, log)
 	if err != nil {
 		return err
 	}
-	attrs := []any{
-		slog.String("site", string(site)),
-		slog.String("addr", rt.Server.Addr()),
-		slog.Int("objects", fed.Databases[site].Len()),
-	}
-	if rt.Obs != nil {
-		attrs = append(attrs, slog.String("metrics_addr", rt.Obs.Addr()))
-	}
-	log.Info("site serving", attrs...)
-
 	stop := make(chan os.Signal, 1)
 	signal.Notify(stop, os.Interrupt, syscall.SIGTERM)
 	<-stop
-	log.Info("shutting down", slog.String("site", string(site)))
+	log.Info("shutting down", slog.String("site", c.site))
 	return rt.Close()
 }
 
-// coordOpts selects the coordinator's diagnostic output and call policy.
-type coordOpts struct {
-	// Trace prints the query's span tree as seen from the coordinator.
-	Trace bool
-	// Metrics prints the coordinator's metrics snapshot (text form).
-	Metrics bool
-	// Call is the retry/pool/breaker policy for coordinator RPCs.
-	Call remote.CallConfig
-	// Concurrency bounds concurrently executing queries (0 = unbounded).
-	Concurrency int
-	// Deadline caps each query's end-to-end time (0 = none).
-	Deadline time.Duration
-	// SlowQuery and RecorderSize configure the coordinator's flight
-	// recorder (see siteOpts).
-	SlowQuery    time.Duration
-	RecorderSize int
-	// MetricsAddr, when non-empty, serves the coordinator's observability
-	// surface (/metrics, /healthz, /debug/queries, /debug/trace/…) while the
-	// queries run.
-	MetricsAddr string
-	// ClusterScrape ("SITE=HOST:PORT,..."), when non-empty, runs the
-	// federation aggregator: every listed obs surface (plus the
-	// coordinator itself, in process) is polled each ScrapeInterval and
-	// folded into the /cluster rollup over a trailing ScrapeWindow. SLO,
-	// when also non-empty, evaluates burn-rate alert rules against the
-	// rollup after every scrape and serves them at /cluster/alerts.
-	ClusterScrape  string
-	ScrapeInterval time.Duration
-	ScrapeWindow   time.Duration
-	SLO            string
-	// DataDir, Fsync and SnapshotEvery make the coordinator durable: the
-	// global mapping table and its bind-delta log are recovered from
-	// <DataDir>/G on boot, every accepted bind is logged before it is
-	// applied, and an overflowed replica-resync queue is rebuilt by
-	// replaying the log instead of dropping deltas.
-	DataDir       string
-	Fsync         bool
-	SnapshotEvery int
-	// AntiEntropy configures the coordinator's background repair loop
-	// against the site replicas (zero Interval disables it).
-	AntiEntropy remote.AntiEntropyConfig
-	// InjectPartition cuts the coordinator's links to the listed sites in
-	// both directions — a partition drill from the global site's side.
-	InjectPartition []object.SiteID
-}
-
-func runCoordinator(fed *federationBundle, peers map[object.SiteID]string, queryText, algName string, opts coordOpts) error {
-	alg, err := exec.ParseAlgorithm(algName)
+func runCoordinator(fed *federationBundle, peers map[object.SiteID]string, c *cmdline) error {
+	alg, err := exec.ParseAlgorithm(c.alg)
 	if err != nil {
 		return err
+	}
+	var targets []agg.Target
+	if c.clusterScrape != "" {
+		if targets, err = parseScrapeTargets(c.clusterScrape); err != nil {
+			return err
+		}
+	}
+	var rules []slo.Rule
+	if c.sloRules != "" {
+		if rules, err = slo.ParseRules(c.sloRules); err != nil {
+			return err
+		}
+	}
+	call := c.call
+	if c.injectPartition != "" {
+		// A partition drill from the global site's side.
+		call.Faults = fabric.NewFaultPlan()
+		if err := c.cutLinks(call.Faults, "G"); err != nil {
+			return err
+		}
 	}
 	tr := &trace.Tracer{}
 	tr.SetLimit(spanLimit)
 	reg := metrics.New()
 	log := slog.New(slog.NewTextHandler(os.Stderr, nil)).With("site", "G")
-	rec := obs.NewRecorder(obs.RecorderConfig{
-		Site:          "G",
-		Size:          opts.RecorderSize,
-		SlowThreshold: opts.SlowQuery,
-		Log:           log,
-		Metrics:       reg,
-	})
+	rec, walOpts := c.instruments("G", reg, tr, log)
 	// Durable mode: recover the global mapping tables and bind-delta log
-	// from <DataDir>/G, merge fixture bindings the log doesn't have yet, and
+	// from <data-dir>/G, merge fixture bindings the log doesn't have yet, and
 	// hand the coordinator the recovered tables plus the log itself (every
 	// accepted bind is appended before it is applied; the resync path
 	// replays the log instead of dropping deltas on overflow).
 	tables := fed.Mapping
 	var deltaLog *wal.Engine
-	if opts.DataDir != "" {
-		var err error
-		deltaLog, tables, err = wal.OpenLog(wal.Options{
-			Dir:           filepath.Join(opts.DataDir, "G"),
-			Fsync:         opts.Fsync,
-			SnapshotEvery: opts.SnapshotEvery,
-			Site:          "G",
-			Metrics:       reg,
-			Tracer:        tr,
-			Log:           log,
-		})
+	if walOpts.Dir != "" {
+		deltaLog, tables, err = wal.OpenLog(walOpts)
 		if err != nil {
 			return err
 		}
@@ -641,33 +563,14 @@ func runCoordinator(fed *federationBundle, peers map[object.SiteID]string, query
 			return err
 		}
 		log.Info("durable delta log ready",
-			slog.String("dir", filepath.Join(opts.DataDir, "G")),
+			slog.String("dir", walOpts.Dir),
 			slog.Uint64("seq", deltaLog.Seq()),
-			slog.Bool("fsync", opts.Fsync))
+			slog.Bool("fsync", walOpts.Fsync))
 	}
-	call := opts.Call
-	if len(opts.InjectPartition) > 0 {
-		plan := fabric.NewFaultPlan()
-		for _, peer := range opts.InjectPartition {
-			plan.DropLink("G", peer)
-			plan.DropLink(peer, "G")
-		}
-		call.Faults = plan
-	}
-	coord := &remote.Coordinator{
-		ID:            "G",
-		Global:        fed.Global,
-		Tables:        tables,
-		Sites:         peers,
-		Tracer:        tr,
-		Metrics:       reg,
-		Recorder:      rec,
-		Log:           log,
-		Call:          call,
-		MaxConcurrent: opts.Concurrency,
-		Deadline:      opts.Deadline,
-		AntiEntropy:   opts.AntiEntropy,
-	}
+	coord := &c.coord
+	coord.ID, coord.Global, coord.Tables, coord.Sites = "G", fed.Global, tables, peers
+	coord.Tracer, coord.Metrics, coord.Recorder, coord.Log = tr, reg, rec, log
+	coord.Call, coord.AntiEntropy = call, c.antiEntropy
 	if deltaLog != nil {
 		coord.DeltaLog = deltaLog
 	}
@@ -697,43 +600,24 @@ func runCoordinator(fed *federationBundle, peers map[object.SiteID]string, query
 	if deltaLog != nil {
 		healthSrcs = append(healthSrcs, obs.PrefixHealth("wal", deltaLog.Health))
 	}
-	if opts.ClusterScrape != "" && opts.MetricsAddr == "" {
-		return fmt.Errorf("-cluster-scrape serves /cluster on the observability surface; pass -metrics-addr too")
-	}
-	if opts.SLO != "" && opts.ClusterScrape == "" {
-		return fmt.Errorf("-slo judges the cluster rollup; pass -cluster-scrape too")
-	}
 	switch {
-	case opts.MetricsAddr != "" && opts.ClusterScrape != "":
-		targets, err := parseScrapeTargets(opts.ClusterScrape)
-		if err != nil {
-			return err
-		}
+	case targets != nil:
 		// The coordinator observes itself in process: no HTTP round-trip,
 		// and its row carries the end-to-end query metrics.
-		targets = append([]agg.Target{{
+		scfg := c.scrape
+		scfg.Site, scfg.Metrics, scfg.Log = "G", reg, log
+		scfg.Targets = append([]agg.Target{{
 			Site:         "G",
 			Local:        reg.Snapshot,
 			LocalHealth:  mergeHealth(healthSrcs),
 			LocalQueries: func() []agg.QuerySummary { return profileSummaries(rec) },
 		}}, targets...)
-		scraper, err := agg.New(agg.Config{
-			Site:     "G",
-			Targets:  targets,
-			Interval: opts.ScrapeInterval,
-			Window:   opts.ScrapeWindow,
-			Metrics:  reg,
-			Log:      log,
-		})
+		scraper, err := agg.New(scfg)
 		if err != nil {
 			return err
 		}
 		var alerts http.Handler
-		if opts.SLO != "" {
-			rules, err := slo.ParseRules(opts.SLO)
-			if err != nil {
-				return err
-			}
+		if rules != nil {
 			engine, err := slo.New(slo.Config{
 				Site: "G", Source: scraper, Rules: rules, Metrics: reg, Log: log,
 			})
@@ -745,7 +629,7 @@ func runCoordinator(fed *federationBundle, peers map[object.SiteID]string, query
 		}
 		mux := obs.NewMux("G", reg, tr, time.Now(), rec, healthSrcs...)
 		scraper.Register(mux, alerts)
-		o, err := obs.ServeHandler(opts.MetricsAddr, "G", reg, mux)
+		o, err := obs.ServeHandler(c.metricsAddr, "G", reg, mux)
 		if err != nil {
 			return err
 		}
@@ -754,10 +638,10 @@ func runCoordinator(fed *federationBundle, peers map[object.SiteID]string, query
 		defer scraper.Stop()
 		log.Info("observability serving",
 			slog.String("addr", o.Addr()),
-			slog.Int("scrape_targets", len(targets)),
-			slog.Bool("slo", opts.SLO != ""))
-	case opts.MetricsAddr != "":
-		o, err := obs.Serve(opts.MetricsAddr, "G", reg, tr, rec, healthSrcs...)
+			slog.Int("scrape_targets", len(scfg.Targets)),
+			slog.Bool("slo", rules != nil))
+	case c.metricsAddr != "":
+		o, err := obs.Serve(c.metricsAddr, "G", reg, tr, rec, healthSrcs...)
 		if err != nil {
 			return err
 		}
@@ -773,7 +657,7 @@ func runCoordinator(fed *federationBundle, peers map[object.SiteID]string, query
 	// slots released, partial answers printed) instead of killing the process.
 	ctx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stopSignals()
-	ans, elapsed, err := coord.QueryContext(ctx, queryText, alg)
+	ans, elapsed, err := coord.QueryContext(ctx, c.query, alg)
 	if err != nil {
 		return err
 	}
@@ -783,7 +667,7 @@ func runCoordinator(fed *federationBundle, peers map[object.SiteID]string, query
 			algLabel = fmt.Sprintf("adaptive → %v", d.Alg)
 		}
 	}
-	fmt.Printf("query: %s\nstrategy: %s  (%.2f ms over TCP)\n", queryText, algLabel,
+	fmt.Printf("query: %s\nstrategy: %s  (%.2f ms over TCP)\n", c.query, algLabel,
 		float64(elapsed.Microseconds())/1e3)
 	if ans.Interrupted() {
 		fmt.Printf("INTERRUPTED (%s): sound partial answer\n", ans.Outcome)
@@ -802,10 +686,10 @@ func runCoordinator(fed *federationBundle, peers map[object.SiteID]string, query
 	for _, r := range ans.Maybe {
 		fmt.Printf("  %s\n", r)
 	}
-	if opts.Trace {
+	if c.trace {
 		fmt.Printf("\nspan tree (coordinator view):\n%s", tr.RenderTree())
 	}
-	if opts.Metrics {
+	if c.metrics {
 		fmt.Printf("\ncoordinator metrics:\n%s", reg.Snapshot().Text())
 	}
 	return nil

@@ -1,14 +1,18 @@
 package main
 
 import (
+	"bytes"
 	"io"
 	"log/slog"
 	"net/http"
 	"os"
+	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
 
+	"github.com/hetfed/hetfed/internal/isomer"
 	"github.com/hetfed/hetfed/internal/metrics"
 	"github.com/hetfed/hetfed/internal/object"
 	"github.com/hetfed/hetfed/internal/remote"
@@ -34,18 +38,80 @@ func TestParsePeers(t *testing.T) {
 	}
 }
 
+// TestRunFlagErrors: a command line that cannot mean what it asks is refused
+// before anything is opened — the data directory of a refused coordinator is
+// never created.
 func TestRunFlagErrors(t *testing.T) {
-	if err := run(nil); err == nil {
-		t.Error("no mode accepted")
+	dir := filepath.Join(t.TempDir(), "data")
+	for name, args := range map[string][]string{
+		"no mode":                       nil,
+		"unknown site":                  {"-site", "DB9"},
+		"unknown algorithm":             {"-coordinator", "-alg", "NOPE"},
+		"bad peers":                     {"-coordinator", "-peers", "garbage"},
+		"both modes":                    {"-site", "DB1", "-coordinator"},
+		"slo without cluster-scrape":    {"-coordinator", "-data-dir", dir, "-slo", "availability >= 0.5"},
+		"cluster-scrape without a page": {"-coordinator", "-data-dir", dir, "-cluster-scrape", "DB1=127.0.0.1:1"},
+		"bad slo rule":                  {"-coordinator", "-data-dir", dir, "-metrics-addr", "127.0.0.1:0", "-cluster-scrape", "DB1=127.0.0.1:1", "-slo", "nonsense"},
+		"fsync without data-dir":        {"-site", "DB1", "-fsync"},
+		"snapshots without data-dir":    {"-coordinator", "-snapshot-every", "10"},
+	} {
+		if err := run(args); err == nil {
+			t.Errorf("%s accepted: %v", name, args)
+		}
 	}
-	if err := run([]string{"-site", "DB9"}); err == nil {
-		t.Error("unknown site accepted")
+	if _, err := os.Stat(dir); !os.IsNotExist(err) {
+		t.Errorf("refused command lines left %s behind (stat: %v)", dir, err)
 	}
-	if err := run([]string{"-coordinator", "-alg", "NOPE"}); err == nil {
-		t.Error("unknown algorithm accepted")
+}
+
+// TestRestartedSiteLogsServedExtent: a durable site that took an insert and
+// was restarted serves — and says it serves — the recovered extent, not the
+// fixture it was first seeded from.
+func TestRestartedSiteLogsServedExtent(t *testing.T) {
+	fx := school.New()
+	bundle := &federationBundle{Global: fx.Global, Databases: fx.Databases, Mapping: fx.Mapping}
+	c := &cmdline{site: "DB2", listen: "127.0.0.1:0"}
+	c.wal.Dir = t.TempDir()
+	boot := func() (*siteRuntime, string) {
+		t.Helper()
+		var logged bytes.Buffer
+		rt, err := startSite(bundle, nil, c, slog.New(slog.NewTextHandler(&logged, nil)))
+		if err != nil {
+			t.Fatalf("startSite: %v", err)
+		}
+		_, line, _ := strings.Cut(logged.String(), `msg="site serving"`)
+		for _, attr := range strings.Fields(line) {
+			if objects, ok := strings.CutPrefix(attr, "objects="); ok {
+				return rt, objects
+			}
+		}
+		return rt, ""
 	}
-	if err := run([]string{"-peers", "garbage"}); err == nil {
-		t.Error("bad peers accepted")
+	fixture := fx.Databases["DB2"].Len()
+	rt, objects := boot()
+	if objects != strconv.Itoa(fixture) {
+		t.Errorf("first boot logged objects=%s, want the fixture's %d", objects, fixture)
+	}
+	matcher := isomer.NewMatcher(fx.Global)
+	if err := matcher.Adopt(fx.Databases, fx.Mapping.Clone()); err != nil {
+		t.Fatal(err)
+	}
+	coord := &remote.Coordinator{ID: "G", Global: fx.Global, Tables: matcher.Tables(), Matcher: matcher,
+		Sites: map[object.SiteID]string{"DB2": rt.Server.Addr()}}
+	_, err := coord.Insert("DB2", object.New("t9'", "Teacher", map[string]object.Value{
+		"name": object.Str("Haley"), "speciality": object.Str("database"),
+	}))
+	coord.Close()
+	if err != nil {
+		t.Fatalf("Insert: %v", err)
+	}
+	if err := rt.Close(); err != nil {
+		t.Fatal(err)
+	}
+	rt, objects = boot()
+	defer rt.Close()
+	if objects != strconv.Itoa(fixture+1) {
+		t.Errorf("after one insert and a restart the site logged objects=%s, want %d", objects, fixture+1)
 	}
 }
 
@@ -111,7 +177,7 @@ func TestCoordinatorAgainstCluster(t *testing.T) {
 
 	bundle := &federationBundle{Global: fx.Global, Databases: fx.Databases, Mapping: fx.Mapping}
 	out, err := captureStdout(t, func() error {
-		return runCoordinator(bundle, addrs, school.Q1, "BL", coordOpts{})
+		return runCoordinator(bundle, addrs, &cmdline{query: school.Q1, alg: "BL"})
 	})
 	if err != nil {
 		t.Fatalf("runCoordinator: %v", err)
@@ -125,8 +191,8 @@ func TestCoordinatorAgainstCluster(t *testing.T) {
 	// dead sites, so they all come back as synthesized all-unknown rows).
 	bad := map[object.SiteID]string{"DB1": "127.0.0.1:1", "DB2": "127.0.0.1:1", "DB3": "127.0.0.1:1"}
 	out, err = captureStdout(t, func() error {
-		return runCoordinator(bundle, bad, school.Q1, "BL",
-			coordOpts{Call: remote.CallConfig{Attempts: 1}})
+		return runCoordinator(bundle, bad,
+			&cmdline{query: school.Q1, alg: "BL", call: remote.CallConfig{Attempts: 1}})
 	})
 	if err != nil {
 		t.Fatalf("unreachable cluster failed instead of degrading: %v", err)
@@ -148,7 +214,8 @@ func TestObservabilitySurface(t *testing.T) {
 	addrs := make(map[object.SiteID]string)
 	rts := make(map[object.SiteID]*siteRuntime)
 	for _, site := range school.Sites {
-		rt, err := startSite(bundle, site, "127.0.0.1:0", "127.0.0.1:0", nil, siteOpts{}, logger)
+		rt, err := startSite(bundle, nil,
+			&cmdline{site: string(site), listen: "127.0.0.1:0", metricsAddr: "127.0.0.1:0"}, logger)
 		if err != nil {
 			t.Fatalf("startSite %s: %v", site, err)
 		}

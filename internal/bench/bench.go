@@ -1,7 +1,7 @@
 // Package bench is the repository's scenario-matrix experiment runner: the
 // measurement half of the paper's contribution, industrialized. A matrix
 // sweeps strategy (CA/BL/PL/SBL/SPL) × workload shape (the school example
-// and Table 2 draws) × concurrency × fault plan × serving config, drives
+// and Table 2 draws) × concurrency × fault plan, drives
 // each cell with a seeded load generator (closed-loop clients or an
 // open-loop Poisson schedule with Zipfian query-variant skew), and measures
 // each cell from two sides:
@@ -9,9 +9,9 @@
 //   - client-observed: p50/p95/p99/max latency, throughput, error/shed
 //     counts — what a caller experiences;
 //   - server truth: /metrics snapshot deltas scraped from the serving
-//     processes — bytes moved, cache hits, batch efficiency, and the
-//     answer-quality fractions (certain vs maybe vs degraded) that
-//     distinguish this system's SLOs from plain latency SLOs.
+//     processes — bytes moved and the answer-quality fractions (certain
+//     vs maybe vs degraded) that distinguish this system's SLOs from plain
+//     latency SLOs.
 //
 // Cells run on either runtime: "live" spawns real TCP site servers (plus
 // their observability endpoints, scraped over HTTP) and tears them down per
@@ -39,20 +39,9 @@ import (
 // changes; Check refuses to compare across schema versions.
 const SchemaVersion = 2
 
-// ServingSpec is one cache/batch serving configuration of the sweep.
-type ServingSpec struct {
-	// Name labels the configuration in cell keys ("plain", "cached", …).
-	Name string `json:"name"`
-	// Cache enables the sites' read-through lookup cache.
-	Cache bool `json:"cache,omitempty"`
-	// BatchWindow coalesces outbound check RPCs per peer across this flush
-	// window (live runtime only; 0 = no batching).
-	BatchWindow time.Duration `json:"batch_window,omitempty"`
-}
-
 // MatrixSpec defines a benchmark matrix: the sweep dimensions and the load
 // shape shared by every cell. The cell set is the cross product of
-// Runtimes × Strategies × Workloads × Clients × Faults × Serving.
+// Runtimes × Strategies × Workloads × Clients × Faults.
 type MatrixSpec struct {
 	// Runtimes are the execution substrates: "live" (real TCP servers,
 	// wall-clock latency, scraped /metrics) and/or "sim" (discrete-event
@@ -70,8 +59,6 @@ type MatrixSpec struct {
 	// Faults are fault-plan specs: "none", "kill:SITE",
 	// "drop:SITE:N" (dark after N operations), "delay:SITE:MICROS".
 	Faults []string `json:"faults"`
-	// Serving are the cache/batch variants; empty means one plain config.
-	Serving []ServingSpec `json:"serving,omitempty"`
 
 	// Queries is the number of queries driven per cell.
 	Queries int `json:"queries"`
@@ -104,15 +91,14 @@ type Cell struct {
 	Workload string `json:"workload"`
 	Clients  int    `json:"clients"`
 	Fault    string `json:"fault"`
-	Serving  string `json:"serving"`
 	// Seed is the cell's derived seed (stable under matrix reordering).
 	Seed int64 `json:"seed"`
 }
 
 // Key renders the cell's identity — the join key for regression checks.
 func (c Cell) Key() string {
-	return fmt.Sprintf("%s/%s/%s/c%d/%s/%s",
-		c.Runtime, c.Strategy, c.Workload, c.Clients, c.Fault, c.Serving)
+	return fmt.Sprintf("%s/%s/%s/c%d/%s",
+		c.Runtime, c.Strategy, c.Workload, c.Clients, c.Fault)
 }
 
 // ClientStats is the client-observed side of a cell: what the load
@@ -151,12 +137,6 @@ type ServerStats struct {
 	DiskBytes        int64   `json:"disk_bytes,omitempty"`
 	CPUOps           int64   `json:"cpu_ops,omitempty"`
 	ChecksDispatched int64   `json:"checks_dispatched,omitempty"`
-	CacheHits        int64   `json:"cache_hits,omitempty"`
-	CacheMisses      int64   `json:"cache_misses,omitempty"`
-	CacheHitRate     float64 `json:"cache_hit_rate,omitempty"`
-	CheckBatches     int64   `json:"check_batches,omitempty"`
-	BatchedGroups    int64   `json:"batched_groups,omitempty"`
-	BatchEfficiency  float64 `json:"batch_efficiency,omitempty"`
 	Shed             int64   `json:"shed,omitempty"`
 	DeadlineExceeded int64   `json:"deadline_exceeded,omitempty"`
 	Canceled         int64   `json:"canceled,omitempty"`

@@ -114,8 +114,8 @@ func TestSimCellContent(t *testing.T) {
 	}
 	// The dead-site cells must not report identical answer quality to the
 	// healthy ones for the same strategy: killing DB3 moves rows to maybe.
-	healthy, _ := r.Get("sim/BL/school/c1/none/plain")
-	dead, _ := r.Get("sim/BL/school/c1/kill:DB3/plain")
+	healthy, _ := r.Get("sim/BL/school/c1/none")
+	dead, _ := r.Get("sim/BL/school/c1/kill:DB3")
 	if dead.Server.MaybeFrac <= healthy.Server.MaybeFrac {
 		t.Errorf("maybe frac with dead site %v, healthy %v — fault had no quality effect",
 			dead.Server.MaybeFrac, healthy.Server.MaybeFrac)

@@ -109,7 +109,7 @@ func TestParseTolerance(t *testing.T) {
 // TestSLOVerdicts: pass/fail with the limiting metric named.
 func TestSLOVerdicts(t *testing.T) {
 	res := CellResult{
-		Cell:   Cell{Runtime: "sim", Strategy: "BL", Workload: "school", Clients: 4, Fault: "none", Serving: "plain"},
+		Cell:   Cell{Runtime: "sim", Strategy: "BL", Workload: "school", Clients: 4, Fault: "none"},
 		Client: ClientStats{QPS: 2500, P99Micros: 40000, Completed: 100},
 		Server: ServerStats{MaybeFrac: 0.15, DegradedFrac: 0},
 	}

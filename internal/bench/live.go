@@ -23,7 +23,7 @@ import (
 // liveCluster is one cell's serving deployment: every component site as a
 // real TCP server with its own metrics registry and observability endpoint,
 // plus an in-process coordinator. Built per cell and torn down after it, so
-// no state (caches, breakers, batch queues, counters) leaks between cells.
+// no state (breakers, counters) leaks between cells.
 type liveCluster struct {
 	coord    *remote.Coordinator
 	coordReg *metrics.Registry
@@ -55,7 +55,6 @@ func startLiveCluster(spec MatrixSpec, cell Cell, bundle *Bundle) (*liveCluster,
 	if err != nil {
 		return nil, err
 	}
-	serving := servingByName(spec, cell.Serving)
 	sigs := signature.Build(bundle.Databases)
 	plan := faults()
 
@@ -75,8 +74,6 @@ func startLiveCluster(spec MatrixSpec, cell Cell, bundle *Bundle) (*liveCluster,
 			Tables:     bundle.Tables,
 			Signatures: sigs,
 			Metrics:    reg,
-			Batch:      remote.BatchConfig{Window: serving.BatchWindow},
-			Cache:      serving.Cache,
 			Faults:     plan,
 		})
 		if err != nil {

@@ -75,43 +75,6 @@ func TestLiveCellDegraded(t *testing.T) {
 	}
 }
 
-// TestLiveServingDimensions: cache and batch serving configs reach the
-// servers — the cached cell's scrape shows lookup-cache traffic.
-func TestLiveServingDimensions(t *testing.T) {
-	spec := MatrixSpec{
-		Runtimes:   []string{"live"},
-		Strategies: []string{"BL"},
-		Workloads:  []string{"school"},
-		Clients:    []int{2},
-		Faults:     []string{"none"},
-		Serving: []ServingSpec{
-			{Name: "plain"},
-			{Name: "cached", Cache: true, BatchWindow: 2 * time.Millisecond},
-		},
-		Queries:  6,
-		Variants: 1,
-		Seed:     3,
-	}
-	r, err := Run(context.Background(), spec, "live-serving", nil)
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	plain, ok1 := r.Get("live/BL/school/c2/none/plain")
-	cached, ok2 := r.Get("live/BL/school/c2/none/cached")
-	if !ok1 || !ok2 {
-		t.Fatalf("cells missing from report")
-	}
-	if plain.Server.CacheHits+plain.Server.CacheMisses != 0 {
-		t.Errorf("plain cell has cache traffic: %+v", plain.Server)
-	}
-	if cached.Server.CacheHits+cached.Server.CacheMisses == 0 {
-		t.Errorf("cached cell shows no cache traffic")
-	}
-	if cached.Server.CacheHits > 0 && cached.Server.CacheHitRate <= 0 {
-		t.Errorf("hit rate not derived: %+v", cached.Server)
-	}
-}
-
 // TestGeneratorsCancelCleanly: cancelling mid-run unwinds both drivers
 // without leaking goroutines and reports the unissued work as errors.
 func TestGeneratorsCancelCleanly(t *testing.T) {

@@ -84,7 +84,7 @@ func RunObs(ctx context.Context, spec ObsSpec, progress func(string)) (*Report, 
 	}
 	matrix := MatrixSpec{Queries: spec.Queries, Variants: 1, Seed: spec.Seed}
 	cell := Cell{Runtime: "live", Strategy: "BL", Workload: "school",
-		Clients: spec.Clients, Fault: "none", Serving: "plain", Seed: spec.Seed}
+		Clients: spec.Clients, Fault: "none", Seed: spec.Seed}
 
 	best := make(map[string]ObsCell, len(obsModes))
 	bestRatio := 0.0

@@ -98,9 +98,6 @@ func validate(spec *MatrixSpec) error {
 			return err
 		}
 	}
-	if len(spec.Serving) == 0 {
-		spec.Serving = []ServingSpec{{Name: "plain"}}
-	}
 	if spec.Queries < 1 {
 		spec.Queries = 1
 	}
@@ -118,18 +115,15 @@ func expand(spec MatrixSpec) []Cell {
 			for _, wl := range spec.Workloads {
 				for _, cl := range spec.Clients {
 					for _, fault := range spec.Faults {
-						for _, srv := range spec.Serving {
-							c := Cell{
-								Runtime:  rt,
-								Strategy: strat,
-								Workload: wl,
-								Clients:  cl,
-								Fault:    fault,
-								Serving:  srv.Name,
-							}
-							c.Seed = cellSeed(spec.Seed, c.Key())
-							cells = append(cells, c)
+						c := Cell{
+							Runtime:  rt,
+							Strategy: strat,
+							Workload: wl,
+							Clients:  cl,
+							Fault:    fault,
 						}
+						c.Seed = cellSeed(spec.Seed, c.Key()+seedKeySuffix)
+						cells = append(cells, c)
 					}
 				}
 			}
@@ -138,15 +132,11 @@ func expand(spec MatrixSpec) []Cell {
 	return cells
 }
 
-// servingByName resolves a cell's serving config from the spec.
-func servingByName(spec MatrixSpec, name string) ServingSpec {
-	for _, s := range spec.Serving {
-		if s.Name == name {
-			return s
-		}
-	}
-	return ServingSpec{Name: name}
-}
+// seedKeySuffix is the sixth segment cell keys had while the matrix swept
+// serving configurations. Only "plain" is left and the key dropped it, but a
+// cell's seed is still derived from the six-segment string, so every
+// committed sim baseline reproduces to the digit.
+const seedKeySuffix = "/plain"
 
 func runCell(ctx context.Context, spec MatrixSpec, cell Cell, bundle *Bundle) (CellResult, error) {
 	switch cell.Runtime {
@@ -174,7 +164,6 @@ func runSimCell(ctx context.Context, spec MatrixSpec, cell Cell, bundle *Bundle)
 	if err != nil {
 		return CellResult{}, err
 	}
-	serving := servingByName(spec, cell.Serving)
 	reg := metrics.New()
 	cfg := exec.Config{
 		Global:        bundle.Global,
@@ -184,7 +173,6 @@ func runSimCell(ctx context.Context, spec MatrixSpec, cell Cell, bundle *Bundle)
 		Metrics:       reg,
 		Signatures:    signature.Build(bundle.Databases),
 		MaxConcurrent: spec.MaxConcurrent,
-		Cache:         serving.Cache,
 	}
 	// Adaptive cells close the feedback loop: a tracer feeds each query's
 	// measured profile into the calibrating selector. Queries run
@@ -323,8 +311,6 @@ func extractServerStats(coord metrics.Snapshot, sites []metrics.Snapshot) Server
 		DiskBytes:        sumAll("disk_bytes_total"),
 		CPUOps:           sumAll("cpu_ops_total"),
 		ChecksDispatched: sumAll("checks_dispatched_total"),
-		CacheHits:        sumAll("cache_hits_total"),
-		CacheMisses:      sumAll("cache_misses_total"),
 		Shed:             coord.Sum("queries_shed_total"),
 		DeadlineExceeded: coord.Sum("deadline_exceeded_total"),
 		Canceled:         coord.Sum("queries_canceled_total"),
@@ -335,9 +321,6 @@ func extractServerStats(coord metrics.Snapshot, sites []metrics.Snapshot) Server
 		st.NetBytes += sumWhere(s, "net_bytes_total", func(l metrics.Labels) bool {
 			return l.Peer != coordinatorID
 		})
-		n, groups := s.HistTotals("check_batch_groups")
-		st.CheckBatches += n
-		st.BatchedGroups += int64(groups)
 	}
 	if rows := st.CertainRows + st.MaybeRows; rows > 0 {
 		st.CertainFrac = frac(st.CertainRows, rows)
@@ -345,12 +328,6 @@ func extractServerStats(coord metrics.Snapshot, sites []metrics.Snapshot) Server
 	}
 	if st.Queries > 0 {
 		st.DegradedFrac = frac(st.DegradedQueries, st.Queries)
-	}
-	if lookups := st.CacheHits + st.CacheMisses; lookups > 0 {
-		st.CacheHitRate = frac(st.CacheHits, lookups)
-	}
-	if st.CheckBatches > 0 {
-		st.BatchEfficiency = float64(st.BatchedGroups) / float64(st.CheckBatches)
 	}
 	return st
 }

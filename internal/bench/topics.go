@@ -33,7 +33,6 @@ func simMatrix(strategies, faults []string, queries int) MatrixSpec {
 		Workloads:  []string{"school"},
 		Clients:    []int{1},
 		Faults:     faults,
-		Serving:    []ServingSpec{{Name: "plain"}},
 		Queries:    queries,
 		Zipf:       0.8,
 		Variants:   3,
@@ -60,7 +59,6 @@ var topics = []Topic{
 		Workloads:  []string{"school", "table2"},
 		Clients:    []int{1, 4},
 		Faults:     []string{"none", "kill:DB3"},
-		Serving:    []ServingSpec{{Name: "plain"}},
 		Queries:    30,
 		Zipf:       0.9,
 		Variants:   3,

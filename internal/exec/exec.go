@@ -171,11 +171,6 @@ type Config struct {
 	// over-deadline query returns a sound partial answer with
 	// Answer.Outcome = OutcomeDeadline rather than an error.
 	Deadline time.Duration
-	// Cache enables a per-site read-through lookup cache for GOid
-	// mapping-table resolutions and checked assistant verdicts. The engine
-	// operates over immutable fixtures, so the caches never need
-	// invalidation here; the TCP deployment invalidates on Insert.
-	Cache bool
 }
 
 // New builds an engine from a federation configuration.
@@ -202,9 +197,6 @@ func New(cfg Config) (*Engine, error) {
 		site := federation.NewSite(db, cfg.Global, cfg.Tables)
 		if cfg.UseIndexes {
 			site.EnableIndexes()
-		}
-		if cfg.Cache {
-			site.WithCache(federation.NewLookupCache(cfg.Metrics, id))
 		}
 		ops.sites[id] = site
 	}

@@ -21,7 +21,6 @@ type Site struct {
 	global     *schema.Global
 	tables     *gmap.Tables
 	useIndexes bool
-	cache      *LookupCache
 }
 
 // NewSite wraps a component database for federation duty. tables is the
@@ -36,17 +35,6 @@ func NewSite(db *store.Database, global *schema.Global, tables *gmap.Tables) *Si
 // whole extent (conjunctive queries with a direct indexed predicate only).
 // The rows produced are identical; only the disk cost drops.
 func (s *Site) EnableIndexes() { s.useIndexes = true }
-
-// WithCache installs a read-through lookup cache for the site's GOid
-// mapping resolutions and checked assistant verdicts. Call before serving;
-// the caller owns invalidation (see LookupCache.InvalidateClass).
-func (s *Site) WithCache(c *LookupCache) *Site {
-	s.cache = c
-	return s
-}
-
-// Cache returns the installed lookup cache, or nil.
-func (s *Site) Cache() *LookupCache { return s.cache }
 
 // ID returns the site identifier.
 func (s *Site) ID() object.SiteID { return s.db.Site() }
@@ -74,7 +62,7 @@ func (s *Site) charge(p fabric.Proc, c *cost.Counter) {
 func (s *Site) goidOf(class string, loid object.LOid, c *cost.Counter) object.GOid {
 	c.CPU(1)
 	table := s.tables.Table(class)
-	if g, ok := s.cache.GOidOf(table, class, s.ID(), loid); ok {
+	if g, ok := table.GOidOf(s.ID(), loid); ok {
 		return g
 	}
 	return table.Unbound(s.ID(), loid)
@@ -497,8 +485,7 @@ func (s *Site) collectChecks(items []UnsolvedItem, checks *collector, sigs *sign
 			continue
 		}
 		beforeProbes := c.CPUOps()
-		locs := s.cache.Locations(s.tables.Table(it.ItemClass), it.ItemClass, it.ItemGOid)
-		for _, loc := range locs {
+		for _, loc := range s.tables.Table(it.ItemClass).Locations(it.ItemGOid) {
 			if loc.Site == s.ID() {
 				continue
 			}
@@ -584,35 +571,26 @@ func (s *Site) CheckAssistants(p fabric.Proc, items []CheckItem) CheckReply {
 			continue // no site of this program sends one; there is nothing to evaluate
 		}
 		bs := suffixes.of(s, it.Point)
-		verdict, hit := s.cache.Verdict(it.ItemClass, it.Assistant, bs.cacheKey)
-		if hit {
-			c.CPU(1) // cache probe; the fetch and evaluation are skipped
-		} else {
-			o, ok := src.Fetch(it.Assistant, &c)
-			if !ok || !bs.ok {
-				continue
-			}
-			verdict = eval.EvalPredicate(src, &bs.pred, o, &c, nil)
-			s.cache.PutVerdict(it.ItemClass, it.Assistant, bs.cacheKey, verdict)
+		o, ok := src.Fetch(it.Assistant, &c)
+		if !ok || !bs.ok {
+			continue
 		}
 		reply.Verdicts = append(reply.Verdicts, CheckVerdict{
 			ItemGOid:  it.ItemGOid,
 			SourceIdx: it.SourceIdx,
 			SuffixLen: len(it.Suffix.Path),
-			Verdict:   verdict,
+			Verdict:   eval.EvalPredicate(src, &bs.pred, o, &c, nil),
 		})
 	}
 	s.charge(p, &c)
 	return reply
 }
 
-// boundSuffix is one point's suffix predicate bound at this site, with the
-// key its verdicts are cached under.
+// boundSuffix is one point's suffix predicate bound at this site.
 type boundSuffix struct {
-	point    *query.Point
-	pred     query.BoundPredicate
-	ok       bool   // the suffix binds against this site's global schema
-	cacheKey string // Predicate.String(); empty when no cache is installed
+	point *query.Point
+	pred  query.BoundPredicate
+	ok    bool // the suffix binds against this site's global schema
 }
 
 // boundSuffixes binds each distinct point of one check request once. The
@@ -638,11 +616,7 @@ func (bs *boundSuffixes) of(s *Site, pt *query.Point) *boundSuffix {
 		}
 	}
 	pred, err := query.BindPredicateAt(s.global, pt.ItemClass, pt.Suffix)
-	b := boundSuffix{point: pt, pred: pred, ok: err == nil}
-	if s.cache != nil {
-		b.cacheKey = pt.Suffix.String()
-	}
-	bs.list = append(bs.list, b)
+	bs.list = append(bs.list, boundSuffix{point: pt, pred: pred, ok: err == nil})
 	const scanLimit = 16
 	if bs.index != nil {
 		bs.index[pt] = len(bs.list) - 1

@@ -9,73 +9,9 @@
 // operations. That keeps the overhead budget of the instrumented execution
 // path honest (see BenchmarkTraceOverhead).
 //
-// Metric names used across the system:
-//
-//	queries_total{site,alg}            queries executed by a coordinator
-//	query_latency_us{site,alg}         end-to-end query latency histogram
-//	results_certain_total{alg}         certain answers produced
-//	results_maybe_total{alg}           maybe answers produced
-//	maybe_certified_total{alg}         maybe results certified into certain
-//	maybe_eliminated_total{alg}        maybe results eliminated by checks
-//	checks_dispatched_total{site,alg}  assistant checks sent on behalf of site
-//	phase_time_us{site,alg,phase}      per-phase span durations (O/I/P)
-//	disk_bytes_total{site,alg}         disk bytes charged to site
-//	cpu_ops_total{site,alg}            CPU comparisons charged to site
-//	net_bytes_total{site,peer,alg}     bytes shipped from site to peer
-//	requests_total{site,alg}           remote requests served by site
-//	request_errors_total{site}         remote requests rejected or failed
-//	request_latency_us{site,alg}       remote request service time
-//
-// Fault-tolerance metrics (see the remote package):
-//
-//	call_retries_total{site,peer}          transport retries of remote calls
-//	call_failures_total{site,peer}         calls that exhausted all attempts
-//	breaker_transitions_total{site,peer,phase}  breaker state changes (phase = new state)
-//	breaker_state{site,peer}               gauge: 0 closed, 1 half-open, 2 open
-//	breaker_fastfail_total{site,peer}      calls failed fast by an open breaker
-//	site_unavailable_total{site,peer,alg}  fan-out legs lost to a dead site
-//	degraded_queries_total{site,alg}       queries answered partially
-//	replica_stale_total{site,peer}         replicas an insert could not reach
-//	pool_stale_total{site,peer}            pooled conns found dead and redialed free
-//
-// Concurrent-serving metrics (admission, check batching, lookup cache):
-//
-//	queries_inflight{site}             gauge: queries currently admitted
-//	queries_queued_total{site}         admissions that had to wait for a slot
-//	admission_wait_us{site,alg}        wall-clock wait for an admission slot
-//	check_batches_total{site,peer}     coalesced checkbatch RPCs sent
-//	check_batch_groups{site}           histogram: query groups per batch
-//	check_batch_bytes{site}            histogram: request bytes per batch
-//	cache_hits_total{site,phase}       lookup-cache hits (phase: gmap|verdict)
-//	cache_misses_total{site,phase}     lookup-cache misses
-//	cache_invalidations_total{site}    class invalidations from the Insert path
-//	cache_evicted_total{site}          entries dropped by invalidations
-//
-// Profile / flight-recorder metrics (see the obs package):
-//
-//	profiles_recorded_total{site}      query profiles admitted to the recorder
-//	profiles_evicted_total{site}       profiles dropped by ring eviction
-//	slow_queries_total{site,alg}       profiles at/over the slow-query threshold
-//
-// Go runtime gauges, refreshed on each /metrics scrape (see the obs package):
-//
-//	go_goroutines{site}                live goroutines
-//	go_gomaxprocs{site}                GOMAXPROCS
-//	go_heap_alloc_bytes{site}          bytes of allocated heap objects
-//	go_gc_runs_total{site}             completed GC cycles (gauge: set, not added)
-//
-// Cluster-observability metrics (see the obs/agg and obs/slo packages;
-// site = the aggregating coordinator, peer = the scraped site):
-//
-//	scrape_total{site,peer}            scrape attempts against peer
-//	scrape_failures_total{site,peer}   scrapes that failed or timed out
-//	scrape_resets_total{site,peer}     scrapes that saw counters go backwards (peer restarted)
-//	scrape_duration_us{site}           wall time of one full scrape pass
-//	cluster_sites{site}                gauge: sites the aggregator tracks
-//	cluster_sites_live{site}           gauge: sites scraped within the staleness bound
-//	alerts_state{site,phase}           gauge per SLO rule (phase = rule name): 0 ok, 1 warn, 2 firing
-//	alerts_firing{site}                gauge: rules currently in the firing state
-//	alerts_transitions_total{site,phase}  alert state-machine transitions (phase = rule name)
+// The series the system emits are catalogued in one place, DESIGN.md §6
+// (name, labels, kind, emitter, meaning); scripts/check.sh fails when
+// non-test code emits a name that table lacks.
 //
 // Histograms additionally carry per-bucket exemplars (last trace ID + value)
 // when fed through ObserveWithExemplar, so a latency bucket on /metrics

@@ -16,8 +16,9 @@ import (
 	"github.com/hetfed/hetfed/internal/tvl"
 )
 
-// The wire codec: a hand-rolled binary encoding of Request and Response and
-// everything they carry. A frame's payload (frame.go) is exactly one message.
+// The wire codec, protocol version 3: a hand-rolled binary encoding of Request
+// and Response and everything they carry. A frame's payload (frame.go) is
+// exactly one message.
 //
 // Primitives:
 //
@@ -57,11 +58,10 @@ import (
 // Messages, fields in wire order:
 //
 //	Request        Kind:str Trace DeadlineMicros:varint Query:str Mode:str
-//	               Items:[]CheckItem Batch:[][]CheckItem Store:opt object
-//	               Bind:opt BindDelta Digests Repair:opt RepairRequest
-//	Response       Err:str Retrieve Local Check:CheckReply
-//	               CheckBatch:[]CheckReply Spans:[]Span Digests
-//	               Repair:opt RepairReply Suspect:[]name
+//	               Items:[]CheckItem Store:opt object Bind:opt BindDelta
+//	               Digests Repair:opt RepairRequest
+//	Response       Err:str Retrieve Local Check:CheckReply Spans:[]Span
+//	               Digests Repair:opt RepairReply Suspect:[]name
 //
 //	Trace          QueryID:str Alg:str Span:uvarint From:str
 //	CheckItem      Assistant:str ItemGOid:str Point:point
@@ -645,7 +645,6 @@ func (w *frameBuf) request(req *Request) {
 	w.str(req.Query)
 	w.str(req.Mode)
 	w.checkItems(&req.Items)
-	list(w, req.Batch, (*frameBuf).checkItems)
 	if w.opt(req.Store != nil) {
 		w.object(req.Store)
 	}
@@ -677,7 +676,6 @@ func decodeRequest(b []byte) (Request, error) {
 	req.Query = r.str()
 	req.Mode = r.str()
 	r.checkItems(&req.Items)
-	req.Batch = listOf(&r, 1, (*reader).checkItems)
 	if r.bool() {
 		req.Store = r.object(nil)
 	}
@@ -722,7 +720,6 @@ func (w *frameBuf) response(resp *Response) {
 	list(w, resp.Local.Unavailable, (*frameBuf).siteFailure)
 
 	w.checkReply(&resp.Check)
-	list(w, resp.CheckBatch, (*frameBuf).checkReply)
 	list(w, resp.Spans, (*frameBuf).span)
 	w.digests(resp.Digests)
 	if w.opt(resp.Repair != nil) {
@@ -751,7 +748,6 @@ func decodeResponse(b []byte) (Response, error) {
 	resp.Local.Unavailable = listOf(&r, minSiteFailure, (*reader).siteFailure)
 
 	r.checkReply(&resp.Check)
-	resp.CheckBatch = listOf(&r, minCheckReply, (*reader).checkReply)
 	resp.Spans = listOf(&r, minSpan, (*reader).span)
 	resp.Digests = r.digests()
 	if r.bool() {

@@ -97,14 +97,10 @@ func projectedCopy(o *object.Object, attrs ...string) *object.Object {
 // sampleRequests holds one populated message of every request kind.
 func sampleRequests() map[string]Request {
 	return map[string]Request{
-		"ping":     {Kind: kindPing, Trace: TraceContext{From: "G"}},
-		"retrieve": {Kind: kindRetrieve, Trace: sampleTrace, DeadlineMicros: 250_001, Query: `select name from Student where address.city = "Taipei"`},
-		"local":    {Kind: kindLocal, Trace: sampleTrace, DeadlineMicros: 1, Query: "select name from Student", Mode: ModeSPL},
-		"check":    {Kind: kindCheck, Trace: sampleTrace, Items: sampleItems},
-		// The empty middle group must keep its place: replies are group-aligned.
-		// The last group's first item refers back to the point the first group
-		// defined: the table is the frame's, not the list's.
-		"checkbatch":   {Kind: kindCheckBatch, Trace: sampleTrace, Batch: [][]federation.CheckItem{sampleItems[:1], nil, sampleItems}},
+		"ping":         {Kind: kindPing, Trace: TraceContext{From: "G"}},
+		"retrieve":     {Kind: kindRetrieve, Trace: sampleTrace, DeadlineMicros: 250_001, Query: `select name from Student where address.city = "Taipei"`},
+		"local":        {Kind: kindLocal, Trace: sampleTrace, DeadlineMicros: 1, Query: "select name from Student", Mode: ModeSPL},
+		"check":        {Kind: kindCheck, Trace: sampleTrace, Items: sampleItems},
 		"store":        {Kind: kindStore, Trace: TraceContext{From: "G"}, Store: sampleStudent},
 		"bind":         {Kind: kindBind, Bind: &BindDelta{Class: "Student", GOid: "gs9", Site: "DB1", LOid: "s9"}},
 		"digest":       {Kind: kindDigest, Trace: TraceContext{From: "DB2"}, Digests: sampleDigests},
@@ -158,9 +154,7 @@ func sampleResponses() map[string]Response {
 				Unavailable:  []federation.SiteFailure{{Site: "DB3", Reason: "dial tcp: connection refused"}},
 			},
 		},
-		"check": {Check: federation.CheckReply{Site: "DB2", Verdicts: sampleVerdicts}},
-		// Group-aligned with the request: the empty reply keeps its place.
-		"checkbatch":   {CheckBatch: []federation.CheckReply{{Site: "DB2", Verdicts: sampleVerdicts[:1]}, {Site: "DB2"}, {Site: "DB2", Verdicts: sampleVerdicts}}},
+		"check":        {Check: federation.CheckReply{Site: "DB2", Verdicts: sampleVerdicts}},
 		"spans":        {Check: federation.CheckReply{Site: "DB2"}, Spans: sampleSpans},
 		"digest":       {Digests: sampleDigests},
 		"repair":       {Repair: &RepairReply{Bindings: sampleBindings, Applied: 2, Conflicts: 1}},
@@ -209,7 +203,7 @@ func encodeResponse(t testing.TB, resp Response) []byte {
 
 // TestCodecRoundTrip: decode(encode(m)) == m for every request kind and
 // response shape, field for field — values inside rows, open and closed
-// spans, batch groups, nil pointers.
+// spans, nil pointers.
 func TestCodecRoundTrip(t *testing.T) {
 	for name, want := range sampleRequests() {
 		got, err := decodeRequest(encodeRequest(t, want))
@@ -344,7 +338,6 @@ func checkRequestWithRefs(refs []uint64) []byte {
 			w.int(1)
 		}
 	}
-	w.uvarint(0) // Batch
 	w.u8(0)      // Store
 	w.u8(0)      // Bind
 	w.uvarint(0) // Digests
@@ -354,8 +347,15 @@ func checkRequestWithRefs(refs []uint64) []byte {
 
 // TestVersionOneFrameRefusedAtHeader: protocol version 1 spelled every
 // check item's predicate out; a peer still speaking it is turned away from
-// the five header bytes, before any of its payload is read as version 2.
-func TestVersionOneFrameRefusedAtHeader(t *testing.T) {
+// the five header bytes, before any of its payload is read as version 3.
+func TestVersionOneFrameRefusedAtHeader(t *testing.T) { refusedAtHeader(t, 1) }
+
+// TestVersionTwoFrameRefusedAtHeader: version 2 carried a batch list in every
+// request and a batch-reply list in every response; read as version 3 its
+// fields would be off by one from there on.
+func TestVersionTwoFrameRefusedAtHeader(t *testing.T) { refusedAtHeader(t, 2) }
+
+func refusedAtHeader(t *testing.T, version byte) {
 	out := newFrame()
 	defer out.release()
 	req := sampleRequests()["check"]
@@ -365,15 +365,15 @@ func TestVersionOneFrameRefusedAtHeader(t *testing.T) {
 		t.Fatal(err)
 	}
 	frame := sent.Bytes()
-	if frame[4] != 2 || protocolVersion != 2 {
-		t.Fatalf("frames carry version %d (constant %d), want 2", frame[4], protocolVersion)
+	if frame[4] != 3 || protocolVersion != 3 {
+		t.Fatalf("frames carry version %d (constant %d), want 3", frame[4], protocolVersion)
 	}
-	frame[4] = 1
+	frame[4] = version
 	// Only the header is there to read: a reader that wanted payload bytes
 	// before deciding would report a short frame instead.
 	_, err := readFrame(bufio.NewReader(bytes.NewReader(frame[:frameHeaderSize])), 0)
 	if !errors.Is(err, errProtocolVersion) {
-		t.Errorf("version-1 header: err = %v, want %v", err, errProtocolVersion)
+		t.Errorf("version-%d header: err = %v, want %v", version, err, errProtocolVersion)
 	}
 }
 
@@ -392,7 +392,7 @@ func allocatedBy(fn func()) uint64 {
 
 // decodeAllocFactor bounds what decoding may allocate per input byte: the
 // widest element per encoded byte is a []string entry (16 bytes from a
-// one-byte empty string) or a batch group (24 from its one-byte count).
+// one-byte empty string).
 const decodeAllocFactor = 32
 
 // TestDecodeDoesNotTrustCounts: a count prefix claiming a billion elements

@@ -372,8 +372,7 @@ func (c *Coordinator) Query(text string, alg exec.Algorithm) (*federation.Answer
 // interrupted query returns. This method binds the text, hands the runner
 // the TCP implementation of the site operations, and logs. Over TCP the
 // deadline travels to every site as a remaining-budget stamp on each
-// request, and cancellation cuts in-flight exchanges and withdraws queued
-// batch items.
+// request, and cancellation cuts in-flight exchanges.
 func (c *Coordinator) QueryContext(ctx context.Context, text string, alg exec.Algorithm) (*federation.Answer, time.Duration, error) {
 	q, err := query.Parse(text)
 	if err != nil {

@@ -35,13 +35,12 @@ import (
 
 // Request kinds.
 const (
-	kindPing       = "ping"
-	kindRetrieve   = "retrieve"
-	kindLocal      = "local"
-	kindCheck      = "check"
-	kindCheckBatch = "checkbatch"
-	kindStore      = "store"
-	kindBind       = "bind"
+	kindPing     = "ping"
+	kindRetrieve = "retrieve"
+	kindLocal    = "local"
+	kindCheck    = "check"
+	kindStore    = "store"
+	kindBind     = "bind"
 	// kindDigest exchanges per-class mapping-table digests: the reply
 	// carries the server's digest snapshot, and the caller diffs it against
 	// its own to find divergent classes (anti-entropy round, phase one).
@@ -111,12 +110,6 @@ type Request struct {
 	Mode string
 	// Items are the assistant checks for check requests.
 	Items []federation.CheckItem
-	// Batch carries the item groups of a coalesced checkbatch request: the
-	// check pipelines of several concurrent queries bound for the same peer
-	// travel as one RPC, one group per originating local query. Replies come
-	// back group-aligned (Response.CheckBatch), so each waiting query gets
-	// exactly its own verdicts even though the wire trip was shared.
-	Batch [][]federation.CheckItem
 	// Store is the object to insert for store requests.
 	Store *object.Object
 	// Bind is the mapping-table delta for bind requests (replicated-table
@@ -173,9 +166,6 @@ type Response struct {
 	Retrieve federation.RetrieveReply
 	Local    LocalReply
 	Check    federation.CheckReply
-	// CheckBatch answers a checkbatch request, aligned 1:1 with the
-	// request's item groups.
-	CheckBatch []federation.CheckReply
 	// Spans ships the server's spans for the request's query back to the
 	// caller (only on traced requests), span IDs and parent links intact, so
 	// the coordinator's profile covers every participating site. A site

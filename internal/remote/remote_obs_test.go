@@ -2,6 +2,7 @@ package remote
 
 import (
 	"errors"
+	"fmt"
 	"net"
 	"strings"
 	"testing"
@@ -171,22 +172,25 @@ func TestRemoteProfileCarriesSiteIO(t *testing.T) {
 	}
 }
 
-// TestUnknownKindCountsError: a garbage request kind is answered with an
-// error and shows up in the server's error counter.
+// TestUnknownKindCountsError: a request kind the server does not serve —
+// garbage, or "checkbatch", which protocol version 2 had — is answered with
+// an error and shows up in the server's error counter.
 func TestUnknownKindCountsError(t *testing.T) {
 	_, servers, cleanup := startObservedCluster(t)
 	defer cleanup()
 	srv := servers["DB1"]
 
-	if _, err := testCall(t, srv.Addr(), Request{Kind: "nonsense"}); err == nil ||
-		!strings.Contains(err.Error(), "unknown request kind") {
-		t.Fatalf("bad kind: %v", err)
-	}
-	// The failed request is counted as an error, and still counted and timed.
-	for _, name := range []string{"request_errors_total", "requests_total"} {
-		eventually(t, name+" = 1", func() bool {
-			return srv.cfg.Metrics.Snapshot().CounterValue(name, metrics.Labels{Site: "DB1"}) == 1
-		})
+	for i, kind := range []string{"nonsense", "checkbatch"} {
+		if _, err := testCall(t, srv.Addr(), Request{Kind: kind}); err == nil ||
+			!strings.Contains(err.Error(), "unknown request kind") {
+			t.Fatalf("kind %q: %v", kind, err)
+		}
+		// The failed request is counted as an error, and still counted and timed.
+		for _, name := range []string{"request_errors_total", "requests_total"} {
+			eventually(t, fmt.Sprintf("%s = %d", name, i+1), func() bool {
+				return srv.cfg.Metrics.Snapshot().CounterValue(name, metrics.Labels{Site: "DB1"}) == int64(i+1)
+			})
+		}
 	}
 }
 

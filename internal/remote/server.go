@@ -59,9 +59,6 @@ type ServerConfig struct {
 	// (assistant-check dispatch): timeouts, retries, pooling, breakers.
 	// Zero fields take DefaultCallConfig values.
 	Call CallConfig
-	// Batch coalesces outbound check RPCs across concurrent local queries;
-	// a zero Window disables batching.
-	Batch BatchConfig
 	// MaxFrameBytes caps one request frame, header included, on an accepted
 	// connection. The cap is exact: a frame of MaxFrameBytes is served, one
 	// byte more is rejected from its header alone and the connection closed
@@ -84,10 +81,6 @@ type ServerConfig struct {
 	// Kill/DropAfter make the server answer errUnavailable, which clients
 	// treat as a transport-level site failure.
 	Faults *fabric.FaultPlan
-	// Cache enables the site's read-through lookup cache (GOid mapping
-	// resolutions and checked assistant verdicts), invalidated per class by
-	// the Insert replication path (store + BindDelta).
-	Cache bool
 	// Engine, when set, is the durable storage engine behind DB and
 	// Tables (typically the *wal.Engine that recovered them): bind deltas
 	// are logged through it before being applied, and Tables is served
@@ -150,7 +143,6 @@ type Server struct {
 	site     *federation.Site
 	flow     exec.SiteFlow
 	client   *client
-	batcher  *batcher
 	tracker  *antientropy.Tracker
 	aeCtx    context.Context
 	aeCancel context.CancelFunc
@@ -206,9 +198,6 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 		cfg.Call.Faults = cfg.Faults
 	}
 	site := federation.NewSite(cfg.DB, cfg.Global, cfg.Tables)
-	if cfg.Cache {
-		site.WithCache(federation.NewLookupCache(cfg.Metrics, cfg.DB.Site()))
-	}
 	aeCtx, aeCancel := context.WithCancel(context.Background())
 	s := &Server{
 		cfg:      cfg,
@@ -226,9 +215,6 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 		Sigs:    cfg.Signatures,
 		Metrics: cfg.Metrics,
 		Link:    checkLink{s},
-	}
-	if cfg.Batch.Window > 0 {
-		s.batcher = newBatcher(s, cfg.Batch)
 	}
 	return s, nil
 }
@@ -318,9 +304,6 @@ func (s *Server) Close() error {
 	for _, c := range conns {
 		_ = c.Close()
 	}
-	if s.batcher != nil {
-		s.batcher.close()
-	}
 	s.client.close()
 	s.wg.Wait()
 	return err
@@ -389,7 +372,7 @@ func reqAlg(req Request) string {
 // mode's order (P→O basic, O→P parallel).
 func reqPhases(req Request) string {
 	switch req.Kind {
-	case kindRetrieve, kindCheck, kindCheckBatch:
+	case kindRetrieve, kindCheck:
 		return "O"
 	case kindLocal:
 		switch req.Mode {
@@ -627,10 +610,6 @@ func (s *Server) dispatch(ctx context.Context, req Request, sp trace.Handle) Res
 		s.stateMu.RLock()
 		defer s.stateMu.RUnlock()
 		return s.handleCheck(ctx, req, sp)
-	case kindCheckBatch:
-		s.stateMu.RLock()
-		defer s.stateMu.RUnlock()
-		return s.handleCheckBatch(ctx, req, sp)
 	case kindStore:
 		s.stateMu.Lock()
 		defer s.stateMu.Unlock()
@@ -652,9 +631,7 @@ func (s *Server) dispatch(ctx context.Context, req Request, sp trace.Handle) Res
 	}
 }
 
-// handleStore inserts an object into the local component database and
-// drops the lookup cache's entries for the object's global class (the new
-// object may now serve as an assistant where a fetch previously failed).
+// handleStore inserts an object into the local component database.
 func (s *Server) handleStore(req Request) Response {
 	if req.Store == nil {
 		return Response{Err: "store request without object"}
@@ -662,16 +639,10 @@ func (s *Server) handleStore(req Request) Response {
 	if err := s.cfg.DB.Insert(req.Store); err != nil {
 		return Response{Err: err.Error()}
 	}
-	if gc := s.cfg.Global.GlobalFor(s.Site(), req.Store.Class); gc != nil {
-		s.site.Cache().InvalidateClass(gc.Name)
-	}
 	return Response{}
 }
 
-// handleBind applies a mapping-table delta to this site's replica and
-// invalidates the class's lookup-cache entries: the binding changes which
-// isomeric locations (and therefore which assistants) the class's entities
-// resolve to, so cached mappings and verdicts of that class are stale.
+// handleBind applies a mapping-table delta to this site's replica.
 func (s *Server) handleBind(req Request) Response {
 	if req.Bind == nil {
 		return Response{Err: "bind request without delta"}
@@ -684,7 +655,7 @@ func (s *Server) handleBind(req Request) Response {
 }
 
 // applyBindLocked applies one binding to the replica under stateMu: log
-// (durable engines), bind, observe (digest), invalidate cache. An exact
+// (durable engines), bind, observe (digest). An exact
 // duplicate is a re-delivery — durable-log rebuild, resync replay, or a
 // repair stream overlapping deltas already applied — and acks idempotently
 // (applied=false, no error). A conflicting binding errors without
@@ -715,7 +686,6 @@ func (s *Server) applyBindLocked(class string, goid object.GOid, site object.Sit
 	if s.cfg.Engine == nil {
 		s.tracker.Observe(class, goid, site, loid)
 	}
-	s.site.Cache().InvalidateClass(class)
 	return true, nil
 }
 
@@ -839,27 +809,6 @@ func (s *Server) handleCheck(ctx context.Context, req Request, sp trace.Handle) 
 	return Response{Check: reply}
 }
 
-// handleCheckBatch serves a coalesced check request: one RPC carrying the
-// item groups of several concurrent local queries, answered group-aligned
-// so the batching peer can route each group's verdicts back to its query.
-// The batch's wire budget is the widest of its queries' budgets, so a group
-// whose own query died is simply discarded by the waiting peer.
-func (s *Server) handleCheckBatch(ctx context.Context, req Request, sp trace.Handle) Response {
-	replies := make([]federation.CheckReply, len(req.Batch))
-	if e := runReal(ctx, sp, "checkbatch", func(p fabric.Proc) error {
-		for i, items := range req.Batch {
-			if err := p.Context().Err(); err != nil {
-				return err
-			}
-			replies[i] = s.site.CheckAssistants(p, items)
-		}
-		return nil
-	}); e != "" {
-		return Response{Err: e}
-	}
-	return Response{CheckBatch: replies}
-}
-
 // handleLocal runs the site's half of a localized strategy: exec.SiteFlow,
 // the same flow the in-process engine runs. The flow manages the state lock
 // itself (see SiteFlow.State) and reaches the peers through checkLink.
@@ -889,34 +838,17 @@ func (s *Server) handleLocal(ctx context.Context, req Request, sp trace.Handle) 
 var errPeerNotWired = errors.New("no address in peer wiring")
 
 // checkLink is the TCP implementation of exec.SiteLink: one check RPC per
-// target, or — with batching on — one entry in the target's cross-query
-// batch. Either way the verdicts return here, to the requesting site, and
-// travel to the global site with its local reply: the one topology
-// difference from the paper's model, confined to this transport. The peer's
-// check span is parented on this server's serve span, so the whole chain
-// (coordinator → site → peer) renders as one query tree.
+// target. The verdicts return here, to the requesting site, and travel to
+// the global site with its local reply: the one topology difference from the
+// paper's model, confined to this transport. The peer's check span is
+// parented on this server's serve span, so the whole chain (coordinator →
+// site → peer) renders as one query tree.
 type checkLink struct{ s *Server }
 
 // Check implements exec.SiteLink.
 func (l checkLink) Check(p fabric.Proc, q *exec.Query, parent trace.SpanID, from, target object.SiteID, items []federation.CheckItem) (federation.CheckReply, error) {
 	s, ctx, alg := l.s, p.Context(), q.Alg.String()
 	tc := TraceContext{QueryID: q.ID, Alg: alg, Span: uint64(parent), From: from}
-	if s.batcher != nil {
-		deadline, _ := ctx.Deadline()
-		e := s.batcher.enqueue(target, items, tc, deadline)
-		select {
-		case oc := <-e.done:
-			return oc.reply, oc.err
-		case <-ctx.Done():
-			// The query died while its checks sat in (or flew with) a batch.
-			// A still-queued entry is pulled out so the eventual batch does
-			// not carry dead items; an already-flushed entry is abandoned —
-			// its done channel is buffered, so the batch completes for its
-			// surviving co-travelers without a blocked receiver.
-			s.batcher.remove(target, e)
-			return federation.CheckReply{}, fmt.Errorf("check dispatch to %s: %w", target, ctx.Err())
-		}
-	}
 	addr, ok := s.peerAddr(target)
 	if !ok {
 		return federation.CheckReply{}, &SiteError{Site: target, Err: errPeerNotWired}

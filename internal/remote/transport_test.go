@@ -245,7 +245,7 @@ func assertLocalizedWithinCA(t *testing.T, name string, bl, ca *federation.Answe
 // TestChecksDispatchedCountedOnce: checks_dispatched_total counts every item
 // bound for a check target, once, whatever the transport and whatever
 // becomes of the target — dead in process, missing from the peer wiring
-// over TCP (direct or batched).
+// over TCP.
 func TestChecksDispatchedCountedOnce(t *testing.T) {
 	fx := school.New()
 	b := query.MustBind(query.MustParse(school.Q1), fx.Global)
@@ -263,9 +263,9 @@ func TestChecksDispatchedCountedOnce(t *testing.T) {
 			return reg.Snapshot().Sum("checks_dispatched_total")
 		}
 	}
-	tcp := func(batch BatchConfig, unwire object.SiteID) func(*testing.T, exec.Algorithm) int64 {
+	tcp := func(unwire object.SiteID) func(*testing.T, exec.Algorithm) int64 {
 		return func(t *testing.T, alg exec.Algorithm) int64 {
-			coord, servers, cleanup := startRobustCluster(t, func(_ object.SiteID, cfg *ServerConfig) { cfg.Batch = batch })
+			coord, servers, cleanup := startRobustCluster(t, nil)
 			defer cleanup()
 			if unwire != "" {
 				peers := map[object.SiteID]string{}
@@ -288,17 +288,14 @@ func TestChecksDispatchedCountedOnce(t *testing.T) {
 			return n
 		}
 	}
-	batched := BatchConfig{Window: 1e6} // 1ms flush window
 	rows := []struct {
 		name  string
 		count func(*testing.T, exec.Algorithm) int64
 	}{
 		{"in-process healthy", inproc(nil)},
 		{"in-process DB3 dead", inproc(fabric.NewFaultPlan().Kill("DB3"))},
-		{"tcp direct healthy", tcp(BatchConfig{}, "")},
-		{"tcp direct DB3 unwired", tcp(BatchConfig{}, "DB3")},
-		{"tcp batched healthy", tcp(batched, "")},
-		{"tcp batched DB3 unwired", tcp(batched, "DB3")},
+		{"tcp healthy", tcp("")},
+		{"tcp DB3 unwired", tcp("DB3")},
 	}
 	for _, alg := range []exec.Algorithm{exec.BL, exec.PL} {
 		want := rows[0].count(t, alg)

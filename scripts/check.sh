@@ -1,7 +1,8 @@
 #!/bin/sh
 # check.sh — the repository's verification gate: formatting, vet, the
-# one-orchestration, one-report-envelope and one-codec structural guards,
-# build, unit tests, the full test suite under the race detector, the
+# one-orchestration, one-report-envelope, one-codec, one-check-path and
+# one-metric-catalog structural guards, build, unit tests, the full test
+# suite under the race detector, the
 # benchmark module's vet and tests, a one-shot compile-and-run smoke of the
 # overhead and allocation benchmarks, and a short fuzz budget for every
 # decoder that reads bytes off a socket or disk.
@@ -72,6 +73,26 @@ if grep -rnE '"encoding/gob"|frameLimitReader' --include='*.go' --exclude-dir=.b
     echo "encoding/gob or frameLimitReader is back; the wire codec is internal/remote/codec.go" >&2
     guard_failed=1
 fi
+# One check path, one mapping look-up, one declaration per hetserve option:
+# the cross-query check batcher, the site lookup cache, hetbench's serving
+# dimension and hetserve's option-restating structs are gone (EXPERIMENTS.md
+# E22); none comes back, in tests or otherwise.
+if grep -rnE 'BatchConfig|kindCheckBatch|LookupCache|ServingSpec|siteOpts|coordOpts' \
+    --include='*.go' --exclude-dir=.bench_build .; then
+    echo "a deleted serving fork is back (see EXPERIMENTS.md E22)" >&2
+    guard_failed=1
+fi
+# One metric catalog: every series non-test code emits has a row in the table
+# of DESIGN.md section 6.
+catalog="$(sed -n '/^## 6\. /,/^## 7\. /p' DESIGN.md)"
+for name in $(grep -rhoE '[.](Counter|Histogram|Gauge)\("[a-z_]+"' --include='*.go' \
+    --exclude='*_test.go' --exclude-dir=benchmark --exclude-dir=.bench_build . |
+    sed -E 's/.*"([a-z_]+)"/\1/' | sort -u); do
+    if ! printf '%s\n' "$catalog" | grep -q "^| \`$name[\`{]"; then
+        echo "metric $name is emitted but has no row in DESIGN.md section 6" >&2
+        guard_failed=1
+    fi
+done
 [ "$guard_failed" -eq 0 ] || exit 1
 
 echo "== go build $pkgs"
