@@ -464,29 +464,28 @@ func BenchmarkSignatureBuild(b *testing.B) {
 // BenchmarkIndexAblation compares scan-based and index-assisted BL (E10).
 func BenchmarkIndexAblation(b *testing.B) {
 	w := benchWorkload(b, func(r *workload.Ranges) { r.Selectivity = 0.1 })
-	for _, db := range w.Databases {
-		for _, a := range db.Schema().Class("C1").Attrs {
-			if !a.IsComplex() && !a.MultiValued && a.Name[0] == 'p' {
-				if _, err := db.CreateIndex("C1", a.Name); err != nil {
-					b.Fatal(err)
+	engine, err := exec.New(exec.Config{
+		Global:      w.Global,
+		Coordinator: "G",
+		Databases:   w.Databases,
+		Tables:      w.Tables,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	// A site probes an index its extent has: "indexed" is the same engine
+	// after the indexes are built.
+	for _, name := range []string{"scan", "indexed"} {
+		if name == "indexed" {
+			for _, db := range w.Databases {
+				for _, a := range db.Schema().Class("C1").Attrs {
+					if !a.IsComplex() && !a.MultiValued && a.Name[0] == 'p' {
+						if _, err := db.CreateIndex("C1", a.Name); err != nil {
+							b.Fatal(err)
+						}
+					}
 				}
 			}
-		}
-	}
-	for _, useIdx := range []bool{false, true} {
-		name := "scan"
-		if useIdx {
-			name = "indexed"
-		}
-		engine, err := exec.New(exec.Config{
-			Global:      w.Global,
-			Coordinator: "G",
-			Databases:   w.Databases,
-			Tables:      w.Tables,
-			UseIndexes:  useIdx,
-		})
-		if err != nil {
-			b.Fatal(err)
 		}
 		b.Run(name, func(b *testing.B) {
 			runStrategy(b, engine, w, exec.BL)

@@ -11,8 +11,8 @@
 //	hetql -show                        # print the federation's contents
 //	hetql -export > my.json            # dump the federation as JSON
 //	hetql -fed my.json -alg auto       # query a JSON-defined federation
-//	hetql -fail-sites DB3              # degrade: kill DB3, partial answer
-//	hetql -site-delay DB2=5ms          # wedge DB2 by 5ms per operation
+//	hetql -fault kill:DB3              # degrade: kill DB3, partial answer
+//	hetql -fault delay:DB2:5ms         # wedge DB2 by 5ms per operation
 //	hetql -explain                     # EXPLAIN ANALYZE: predicted vs measured
 //	hetql -alg adaptive -repeat 5      # calibrating selector, fed by each run's profile
 //	hetql -deadline 50ms               # budgeted: over-deadline → partial answer
@@ -28,7 +28,6 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
-	"time"
 
 	"github.com/hetfed/hetfed/internal/adapt"
 	"github.com/hetfed/hetfed/internal/cost"
@@ -70,8 +69,7 @@ func run(args []string) error {
 		export      = fs.Bool("export", false, "dump the federation as a JSON document, then exit")
 		stats       = fs.Bool("stats", false, "print the planner's catalog statistics, then exit")
 		fedPath     = fs.String("fed", "", "load the federation from this JSON document instead of the built-in example")
-		failSites   = fs.String("fail-sites", "", "comma-separated sites to kill (fault injection; the query degrades)")
-		siteDelay   = fs.String("site-delay", "", "comma-separated SITE=DURATION pairs of extra per-operation latency")
+		faultSpec   = fs.String("fault", "", "fault injection, comma-separated: kill:SITE, drop:SITE:N (dark after N operations), delay:SITE:DURATION, cut:SITE (the global site's links to SITE); the query degrades")
 		explain     = fs.Bool("explain", false, "EXPLAIN ANALYZE: print the planner's predicted per-site/per-phase cost against the measured profile (runs the planner's choice unless -alg names a strategy)")
 		deadline    = fs.Duration("deadline", 0, "end-to-end wall-clock budget per query; an over-budget query returns its sound partial answer (0 = none)")
 		dataDir     = fs.String("data-dir", "", "query the durable state under this root (WAL+snapshot directories as written by hetserve) instead of the in-memory fixture; missing directories are seeded from the fixture")
@@ -86,7 +84,7 @@ func run(args []string) error {
 		return nil
 	}
 
-	faults, err := parseFaults(*failSites, *siteDelay)
+	faults, err := fabric.ParseFaults(*faultSpec, "G")
 	if err != nil {
 		return err
 	}
@@ -241,11 +239,8 @@ func run(args []string) error {
 	for _, alg := range algs {
 		for run := 0; run < *repeat; run++ {
 			tracer.Reset()
-			rt := fabric.NewSim(fabric.DefaultRates(), engine.Sites())
-			if faults != nil {
-				// A fresh plan per run: drop-after budgets are stateful.
-				rt = rt.WithFaults(faults())
-			}
+			// A fresh plan per run: drop-after budgets are stateful.
+			rt := fabric.NewSim(fabric.DefaultRates(), engine.Sites()).WithFaults(faults())
 			ans, m, err := engine.RunContext(ctx, rt, alg, b)
 			if err != nil {
 				return fmt.Errorf("%v: %w", alg, err)
@@ -310,46 +305,6 @@ func traceURL(base, id string) string {
 		base = "http://" + base
 	}
 	return strings.TrimSuffix(base, "/") + path
-}
-
-// parseFaults turns the -fail-sites and -site-delay flags into a fault-plan
-// factory (nil when no faults are requested). A factory, not a plan: plans
-// carry per-run state, so every strategy run gets a fresh one.
-func parseFaults(failSites, siteDelay string) (func() *fabric.FaultPlan, error) {
-	var kills []object.SiteID
-	for _, name := range strings.Split(failSites, ",") {
-		if name = strings.TrimSpace(name); name != "" {
-			kills = append(kills, object.SiteID(name))
-		}
-	}
-	delays := make(map[object.SiteID]time.Duration)
-	for _, pair := range strings.Split(siteDelay, ",") {
-		if pair = strings.TrimSpace(pair); pair == "" {
-			continue
-		}
-		name, val, ok := strings.Cut(pair, "=")
-		if !ok || name == "" {
-			return nil, fmt.Errorf("bad -site-delay entry %q (want SITE=DURATION)", pair)
-		}
-		d, err := time.ParseDuration(val)
-		if err != nil {
-			return nil, fmt.Errorf("bad -site-delay entry %q: %v", pair, err)
-		}
-		delays[object.SiteID(name)] = d
-	}
-	if len(kills) == 0 && len(delays) == 0 {
-		return nil, nil
-	}
-	return func() *fabric.FaultPlan {
-		fp := fabric.NewFaultPlan()
-		for _, site := range kills {
-			fp.Kill(site)
-		}
-		for site, d := range delays {
-			fp.Delay(site, float64(d.Microseconds()))
-		}
-		return fp
-	}, nil
 }
 
 // estimateFor finds the planner estimate matching a strategy; the

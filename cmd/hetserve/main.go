@@ -19,8 +19,9 @@
 //	    -alg BL -trace -metrics
 //
 // With -metrics-addr a process (site or coordinator) also serves the
-// observability surface: /metrics, /healthz (version, uptime, peer
-// circuit-breaker states — "degraded" when any breaker is open),
+// observability surface — a coordinator prints its answer and then keeps
+// serving until SIGINT/SIGTERM, as a site does: /metrics, /healthz (version,
+// uptime, peer circuit-breaker states — "degraded" when any breaker is open),
 // /debug/queries (the flight recorder's profile listing), /debug/trace/{id}
 // and /debug/trace/{id}.json (per-query Chrome trace-event export for
 // chrome://tracing or ui.perfetto.dev), and /debug/pprof. -slow-query
@@ -31,7 +32,7 @@
 // A coordinator started with -cluster-scrape SITE=HOST:PORT,... also runs
 // the federation aggregator: every listed observability surface (plus the
 // coordinator itself, in process) is polled each -scrape-interval and
-// folded into a rollup over a trailing -scrape-window; /cluster,
+// folded into a rollup over the trailing minute; /cluster,
 // /cluster/queries and /cluster/alerts then serve the federation rollup,
 // the merged slow-query log (deduped by trace ID), and the SLO alert
 // state for rules given with -slo ("query_latency p99 < 50ms over 1m;
@@ -50,13 +51,15 @@
 // answer instead of an error; ctrl-C cancels in-flight queries the same
 // way. Sites protect themselves with -max-frame (oversized request
 // frames), -idle-timeout (dead-client connection reaping) and
-// -write-timeout (wedged readers); -inject-delay, -inject-down and
-// -inject-partition (cut the links to listed peers, both directions)
-// inject site faults for resilience drills.
+// -write-timeout (wedged readers). -fault injects faults for resilience
+// drills, in the grammar hetql and hetbench share (fabric.ParseFaults):
+// "delay:3m" stalls every operation served here, "kill" answers every
+// non-ping request with site-unavailable, "cut:DB2" cuts this process's
+// links to DB2 in both directions; terms are comma-separated.
 //
 // Self-healing replication: -anti-entropy runs a background digest
-// exchange against the peers at the given cadence (jittered by
-// -anti-entropy-jitter), detecting and repairing mapping-table divergence;
+// exchange against the peers at the given cadence (jittered ±20 %),
+// detecting and repairing mapping-table divergence;
 // the repair state surfaces on /healthz as the "antientropy:state"
 // condition ("ok(round=N, repaired=NB)", or "suspect(...)" when a replica
 // disagrees with the quorum or sits on the minority side of a partition).
@@ -121,9 +124,7 @@ type cmdline struct {
 	metricsAddr, peers, fed string
 	query, alg              string
 	trace, metrics, version bool
-	injectDelay             time.Duration
-	injectDown              bool
-	injectPartition         string
+	fault                   string
 	clusterScrape, sloRules string
 
 	call        remote.CallConfig        // both modes' outbound policy
@@ -158,24 +159,19 @@ func (c *cmdline) parse(args []string) error {
 	fs.IntVar(&c.call.BreakerThreshold, "breaker-failures", c.call.BreakerThreshold, "consecutive call failures that open a peer's circuit breaker (0 = disabled)")
 	fs.DurationVar(&c.call.BreakerCooldown, "breaker-cooldown", c.call.BreakerCooldown, "how long an open breaker waits before a half-open probe")
 
-	fs.IntVar(&c.coord.MaxConcurrent, "concurrency", 0, "max concurrently executing queries in -coordinator mode (0 = unbounded)")
 	fs.DurationVar(&c.coord.Deadline, "deadline", 0, "end-to-end budget per query in -coordinator mode; the remaining budget travels to every site and an over-budget query returns its sound partial answer (0 = none)")
 	fs.IntVar(&c.server.MaxFrameBytes, "max-frame", 0, "reject request frames larger than this many bytes in -site mode (0 = default 8MiB, negative = unlimited)")
 	fs.DurationVar(&c.server.IdleTimeout, "idle-timeout", 0, "reap site connections idle longer than this (0 = default 5m, negative = never)")
-	fs.DurationVar(&c.server.WriteTimeout, "write-timeout", 0, "per-response write deadline in -site mode (0 = default 30s, negative = none)")
-	fs.DurationVar(&c.injectDelay, "inject-delay", 0, "fault injection: stall every served operation at this site by this long")
-	fs.BoolVar(&c.injectDown, "inject-down", false, "fault injection: answer every non-ping request with site-unavailable")
-	fs.StringVar(&c.injectPartition, "inject-partition", "", "fault injection: cut this process's links to these comma-separated peer sites in both directions, as if a network partition separated them")
+	fs.DurationVar(&c.server.WriteTimeout, "write-timeout", 0, "per-response write deadline in -site mode (0 or negative = default 30s)")
+	fs.StringVar(&c.fault, "fault", "", "fault injection, comma-separated: delay:DURATION (stall every operation served at this site), kill (answer every non-ping request with site-unavailable), drop:SITE:N (dark after N operations), cut:SITE (cut this process's links to SITE in both directions, as if a network partition separated them); a coordinator acts on cut only")
 
 	fs.DurationVar(&c.antiEntropy.Interval, "anti-entropy", 0, "run a background anti-entropy round against the peers at this cadence, repairing mapping-table divergence (0 = disabled; digest/repair requests are served either way)")
-	fs.Float64Var(&c.antiEntropy.Jitter, "anti-entropy-jitter", 0, "spread each anti-entropy wait by ±interval·jitter so the cluster's loops decorrelate (0 = default 0.2, negative = none)")
 
 	fs.DurationVar(&c.recorder.SlowThreshold, "slow-query", 0, "log queries at/over this latency and always retain their profiles in the flight recorder (0 = percentile-based tail retention only)")
 	fs.IntVar(&c.recorder.Size, "recorder-size", obs.DefaultRecorderSize, "flight-recorder ring capacity (profiles kept for /debug/queries)")
 
 	fs.StringVar(&c.clusterScrape, "cluster-scrape", "", "coordinator: poll these obs surfaces (SITE=HOST:PORT,...) into a federation rollup served at /cluster, /cluster/queries and /cluster/alerts on -metrics-addr; the coordinator observes itself in process as site G")
 	fs.DurationVar(&c.scrape.Interval, "scrape-interval", 2*time.Second, "polling interval for -cluster-scrape")
-	fs.DurationVar(&c.scrape.Window, "scrape-window", time.Minute, "trailing window for the /cluster rollup's rates")
 	fs.StringVar(&c.sloRules, "slo", "", "semicolon-separated SLO rules evaluated against the cluster rollup after every scrape (e.g. 'query_latency p99 < 50ms over 1m; availability >= 0.67'); requires -cluster-scrape")
 
 	fs.StringVar(&c.wal.Dir, "data-dir", "", "durable storage root: state is recovered from <data-dir>/<site> on boot (WAL+snapshot) and every mutation is logged; empty = in-memory only")
@@ -250,19 +246,6 @@ func loadFederation(path string) (*federationBundle, error) {
 		return nil, err
 	}
 	return &federationBundle{Global: fed.Global, Databases: fed.Databases, Mapping: fed.Tables}, nil
-}
-
-// parseSiteList reads a comma-separated list of site names.
-func parseSiteList(s string) ([]object.SiteID, error) {
-	var out []object.SiteID
-	for _, name := range strings.Split(s, ",") {
-		if name = strings.TrimSpace(name); name != "" {
-			out = append(out, object.SiteID(name))
-		} else if s != "" {
-			return nil, fmt.Errorf("empty site name in %q", s)
-		}
-	}
-	return out, nil
 }
 
 func parsePeers(s string) (map[object.SiteID]string, error) {
@@ -385,20 +368,6 @@ func (c *cmdline) instruments(site string, reg *metrics.Registry, tr *trace.Trac
 	return obs.NewRecorder(rc), wo
 }
 
-// cutLinks adds -inject-partition's cuts to a fault plan: this process's
-// links to the listed peers, both directions.
-func (c *cmdline) cutLinks(plan *fabric.FaultPlan, self object.SiteID) error {
-	cut, err := parseSiteList(c.injectPartition)
-	if err != nil {
-		return fmt.Errorf("bad -inject-partition: %w", err)
-	}
-	for _, peer := range cut {
-		plan.DropLink(self, peer)
-		plan.DropLink(peer, self)
-	}
-	return nil
-}
-
 // startSite builds and starts one fully instrumented component-site server
 // and logs what it serves; runSite adds the signal-wait around it.
 func startSite(fed *federationBundle, peers map[object.SiteID]string, c *cmdline, log *slog.Logger) (*siteRuntime, error) {
@@ -407,18 +376,9 @@ func startSite(fed *federationBundle, peers map[object.SiteID]string, c *cmdline
 	if !ok {
 		return nil, fmt.Errorf("unknown site %q in this federation", site)
 	}
-	var faults *fabric.FaultPlan
-	if c.injectDelay > 0 || c.injectDown || c.injectPartition != "" {
-		faults = fabric.NewFaultPlan()
-		if c.injectDelay > 0 {
-			faults.Delay(site, float64(c.injectDelay.Microseconds()))
-		}
-		if c.injectDown {
-			faults.Kill(site)
-		}
-		if err := c.cutLinks(faults, site); err != nil {
-			return nil, err
-		}
+	faults, err := fabric.ParseFaults(c.fault, site)
+	if err != nil {
+		return nil, fmt.Errorf("-fault: %w", err)
 	}
 	tr := &trace.Tracer{}
 	tr.SetLimit(spanLimit)
@@ -452,7 +412,7 @@ func startSite(fed *federationBundle, peers map[object.SiteID]string, c *cmdline
 	cfg.DB, cfg.Global, cfg.Tables, cfg.Peers = db, fed.Global, tables, peers
 	cfg.Signatures = signature.Build(fed.Databases)
 	cfg.Tracer, cfg.Metrics, cfg.Recorder, cfg.Log = tr, reg, rec, log
-	cfg.Call, cfg.AntiEntropy, cfg.Faults = c.call, c.antiEntropy, faults
+	cfg.Call, cfg.AntiEntropy, cfg.Faults = c.call, c.antiEntropy, faults()
 	if eng != nil {
 		cfg.Engine = eng
 	}
@@ -482,7 +442,7 @@ func startSite(fed *federationBundle, peers map[object.SiteID]string, c *cmdline
 		// "ok(round=N, repaired=NB)" or "suspect(C1,C2) …") so the cluster
 		// rollup and hetops show each replica's repair state.
 		health := []obs.Health{
-			breakerHealth(srv.PeerBreakers),
+			breakerHealth(srv.BreakerStates),
 			obs.PrefixHealth("antientropy", srv.Tracker().Health),
 		}
 		if eng != nil {
@@ -533,14 +493,14 @@ func runCoordinator(fed *federationBundle, peers map[object.SiteID]string, c *cm
 			return err
 		}
 	}
-	call := c.call
-	if c.injectPartition != "" {
-		// A partition drill from the global site's side.
-		call.Faults = fabric.NewFaultPlan()
-		if err := c.cutLinks(call.Faults, "G"); err != nil {
-			return err
-		}
+	// A partition drill from the global site's side: the plan sits on the
+	// coordinator's outbound calls.
+	faults, err := fabric.ParseFaults(c.fault, "G")
+	if err != nil {
+		return fmt.Errorf("-fault: %w", err)
 	}
+	call := c.call
+	call.Faults = faults()
 	tr := &trace.Tracer{}
 	tr.SetLimit(spanLimit)
 	reg := metrics.New()
@@ -691,6 +651,12 @@ func runCoordinator(fed *federationBundle, peers map[object.SiteID]string, c *cm
 	}
 	if c.metrics {
 		fmt.Printf("\ncoordinator metrics:\n%s", reg.Snapshot().Text())
+	}
+	if c.metricsAddr != "" {
+		// The observability surface outlives the one query, as a site's
+		// does: /cluster, /healthz and the query's trace stay up to be read.
+		log.Info("answer printed; serving observability until interrupted")
+		<-ctx.Done()
 	}
 	return nil
 }

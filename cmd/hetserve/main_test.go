@@ -1,14 +1,17 @@
 package main
 
 import (
+	"bufio"
 	"bytes"
 	"io"
 	"log/slog"
+	"net"
 	"net/http"
 	"os"
 	"path/filepath"
 	"strconv"
 	"strings"
+	"syscall"
 	"testing"
 	"time"
 
@@ -54,6 +57,8 @@ func TestRunFlagErrors(t *testing.T) {
 		"bad slo rule":                  {"-coordinator", "-data-dir", dir, "-metrics-addr", "127.0.0.1:0", "-cluster-scrape", "DB1=127.0.0.1:1", "-slo", "nonsense"},
 		"fsync without data-dir":        {"-site", "DB1", "-fsync"},
 		"snapshots without data-dir":    {"-coordinator", "-snapshot-every", "10"},
+		"bad fault at a site":           {"-site", "DB1", "-data-dir", dir, "-fault", "zap:DB2"},
+		"bad fault at the coordinator":  {"-coordinator", "-data-dir", dir, "-fault", "delay:DB2"},
 	} {
 		if err := run(args); err == nil {
 			t.Errorf("%s accepted: %v", name, args)
@@ -200,6 +205,82 @@ func TestCoordinatorAgainstCluster(t *testing.T) {
 	if !strings.Contains(out, "DEGRADED") || !strings.Contains(out, "certain results (0)") {
 		t.Errorf("unreachable-cluster output not degraded:\n%s", out)
 	}
+}
+
+// TestCoordinatorServesAfterAnswer: with -metrics-addr a coordinator prints
+// its answer and then keeps its observability surface up until it is
+// signalled, as a site does — /cluster can be read after the one query.
+// (Without -metrics-addr it exits: TestCoordinatorAgainstCluster returns.)
+func TestCoordinatorServesAfterAnswer(t *testing.T) {
+	fx := school.New()
+	bundle := &federationBundle{Global: fx.Global, Databases: fx.Databases, Mapping: fx.Mapping}
+	addrs := make(map[object.SiteID]string)
+	for _, site := range school.Sites {
+		rt, err := startSite(bundle, nil, &cmdline{site: string(site), listen: "127.0.0.1:0"}, slog.New(slog.DiscardHandler))
+		if err != nil {
+			t.Fatalf("startSite %s: %v", site, err)
+		}
+		defer rt.Close()
+		addrs[site] = rt.Server.Addr()
+	}
+	// Reserve a port for the surface: the test must know it before the
+	// coordinator logs it.
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	obsAddr := ln.Addr().String()
+	ln.Close()
+
+	old := os.Stdout
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	os.Stdout = w
+	defer func() { os.Stdout = old }()
+	answered := make(chan struct{})
+	go func() {
+		sc, printed := bufio.NewScanner(r), false
+		for sc.Scan() {
+			if !printed && strings.HasPrefix(sc.Text(), "maybe results") {
+				printed = true
+				close(answered)
+			}
+		}
+	}()
+	c := &cmdline{query: school.Q1, alg: "BL", metricsAddr: obsAddr, clusterScrape: "DB1=127.0.0.1:1"}
+	c.scrape.Interval = 20 * time.Millisecond
+	done := make(chan error, 1)
+	go func() { done <- runCoordinator(bundle, addrs, c) }()
+
+	select {
+	case <-answered:
+	case err := <-done:
+		t.Fatalf("coordinator returned before printing an answer: %v", err)
+	case <-time.After(10 * time.Second):
+		t.Fatal("no answer within 10s")
+	}
+	if code, body := httpGet(t, obsAddr, "/cluster"); code != http.StatusOK || !strings.Contains(body, "\nG ") {
+		t.Errorf("/cluster after the answer: status %d, body %q", code, body)
+	}
+	select {
+	case err := <-done:
+		t.Fatalf("coordinator with -metrics-addr exited after its query: %v", err)
+	case <-time.After(50 * time.Millisecond):
+	}
+	if err := syscall.Kill(os.Getpid(), syscall.SIGINT); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Errorf("interrupted coordinator: %v", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("coordinator kept serving after SIGINT")
+	}
+	w.Close()
 }
 
 // TestObservabilitySurface is the end-to-end observability check: three

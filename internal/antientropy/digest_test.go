@@ -6,7 +6,6 @@ import (
 
 	"github.com/hetfed/hetfed/internal/gmap"
 	"github.com/hetfed/hetfed/internal/object"
-	"github.com/hetfed/hetfed/internal/store"
 )
 
 func bindN(t *gmap.Table, d *Digest, n int) {
@@ -136,16 +135,5 @@ func TestTrackerSuspects(t *testing.T) {
 	h = tr.Health()
 	if h["state"] != "ok(round=1, repaired=128B)" {
 		t.Fatalf("health = %q", h["state"])
-	}
-}
-
-func TestHookEngineObserves(t *testing.T) {
-	tr := NewTracker()
-	eng := HookEngine(store.Mem{}, tr)
-	if err := eng.LogBind("Student", "g:1", "DB1", "o1"); err != nil {
-		t.Fatal(err)
-	}
-	if d := tr.Digest("Student"); d.Count != 1 {
-		t.Fatalf("hook did not fold the logged bind: count=%d", d.Count)
 	}
 }

@@ -33,9 +33,10 @@ func NewTracker() *Tracker {
 }
 
 // Observe folds one applied binding into its class digest in O(1). Call
-// it exactly once per binding actually applied to the replica — the
-// server's bind path and the storage-engine hook (HookEngine) are the two
-// canonical call sites; a deployment uses one or the other, never both.
+// it exactly once per binding actually applied to the replica, or the
+// binding folds in twice and XOR-cancels — remote's replica.apply, which
+// every mutation of a mapping-table replica passes through, is the one
+// caller.
 func (t *Tracker) Observe(class string, goid object.GOid, site object.SiteID, loid object.LOid) {
 	t.mu.Lock()
 	defer t.mu.Unlock()

@@ -56,8 +56,9 @@ type MatrixSpec struct {
 	// Clients are the concurrency levels: closed-loop worker counts, or —
 	// when RateQPS is set — multipliers on the open-loop arrival rate.
 	Clients []int `json:"clients"`
-	// Faults are fault-plan specs: "none", "kill:SITE",
-	// "drop:SITE:N" (dark after N operations), "delay:SITE:MICROS".
+	// Faults are fault-plan specs in fabric.ParseFaults' grammar: "none",
+	// "kill:SITE", "drop:SITE:N" (dark after N operations),
+	// "delay:SITE:MICROS".
 	Faults []string `json:"faults"`
 
 	// Queries is the number of queries driven per cell.

@@ -275,31 +275,6 @@ func TestSummarize(t *testing.T) {
 	}
 }
 
-// TestParseFault covers the spec grammar's edges.
-func TestParseFault(t *testing.T) {
-	for _, good := range []string{"none", "", "kill:DB2", "drop:DB1:5", "delay:DB3:1500"} {
-		if _, err := parseFault(good); err != nil {
-			t.Errorf("parseFault(%q): %v", good, err)
-		}
-	}
-	for _, bad := range []string{"kill", "kill:", "drop:DB1:x", "drop:DB1:-1", "delay:DB1", "zap:DB1"} {
-		if _, err := parseFault(bad); err == nil {
-			t.Errorf("parseFault(%q) accepted", bad)
-		}
-	}
-	// The factory yields independent plans: consuming one plan's drop
-	// budget must not bleed into the next (per-query semantics).
-	factory, _ := parseFault("drop:DB1:1")
-	p1 := factory()
-	p1.BeginOp("DB1")
-	if p1.BeginOp("DB1") {
-		t.Error("drop budget not consumed")
-	}
-	if p2 := factory(); !p2.BeginOp("DB1") {
-		t.Error("fresh plan inherited a consumed budget")
-	}
-}
-
 // TestDeadlineSimIgnored: a spec deadline must not perturb sim determinism
 // (wall deadlines don't exist in virtual time).
 func TestDeadlineSimIgnored(t *testing.T) {

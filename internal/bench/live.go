@@ -10,6 +10,7 @@ import (
 
 	"github.com/hetfed/hetfed/internal/adapt"
 	"github.com/hetfed/hetfed/internal/exec"
+	"github.com/hetfed/hetfed/internal/fabric"
 	"github.com/hetfed/hetfed/internal/metrics"
 	"github.com/hetfed/hetfed/internal/object"
 	"github.com/hetfed/hetfed/internal/obs"
@@ -51,7 +52,7 @@ func (lc *liveCluster) close() {
 // later scraped — the measurement exercises the real observability surface,
 // not an in-process shortcut.
 func startLiveCluster(spec MatrixSpec, cell Cell, bundle *Bundle) (*liveCluster, error) {
-	faults, err := parseFault(cell.Fault)
+	faults, err := fabric.ParseFaults(cell.Fault, "")
 	if err != nil {
 		return nil, err
 	}

@@ -6,14 +6,11 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
-	"strconv"
-	"strings"
 
 	"github.com/hetfed/hetfed/internal/adapt"
 	"github.com/hetfed/hetfed/internal/exec"
 	"github.com/hetfed/hetfed/internal/fabric"
 	"github.com/hetfed/hetfed/internal/metrics"
-	"github.com/hetfed/hetfed/internal/object"
 	"github.com/hetfed/hetfed/internal/planner"
 	"github.com/hetfed/hetfed/internal/signature"
 	"github.com/hetfed/hetfed/internal/trace"
@@ -94,8 +91,8 @@ func validate(spec *MatrixSpec) error {
 		spec.Faults = []string{"none"}
 	}
 	for _, f := range spec.Faults {
-		if _, err := parseFault(f); err != nil {
-			return err
+		if _, err := fabric.ParseFaults(f, ""); err != nil {
+			return fmt.Errorf("bench: %w", err)
 		}
 	}
 	if spec.Queries < 1 {
@@ -160,7 +157,7 @@ func runSimCell(ctx context.Context, spec MatrixSpec, cell Cell, bundle *Bundle)
 	if err != nil {
 		return CellResult{}, err
 	}
-	faults, err := parseFault(cell.Fault)
+	faults, err := fabric.ParseFaults(cell.Fault, "")
 	if err != nil {
 		return CellResult{}, err
 	}
@@ -232,56 +229,6 @@ func zipfFor(rng *rand.Rand, spec MatrixSpec, bundle *Bundle) *workload.Zipf {
 		return nil
 	}
 	return workload.NewZipf(rng, len(bundle.Queries), spec.Zipf)
-}
-
-// parseFault compiles a fault spec into a plan factory. Each call of the
-// factory yields a fresh plan, so drop-after budgets restart per consumer
-// (per query on the sim runtime, per cell on the live runtime, where the
-// plan is installed once into each server). Specs:
-//
-//	none              no faults
-//	kill:SITE         SITE is dead for the whole run
-//	drop:SITE:N       SITE serves N operations, then goes dark
-//	delay:SITE:MICROS every operation at SITE stalls this many micros
-func parseFault(spec string) (func() *fabric.FaultPlan, error) {
-	if spec == "" || spec == "none" {
-		return func() *fabric.FaultPlan { return nil }, nil
-	}
-	parts := strings.Split(spec, ":")
-	bad := func() error {
-		return fmt.Errorf("bench: bad fault %q (want none, kill:SITE, drop:SITE:N or delay:SITE:MICROS)", spec)
-	}
-	if len(parts) < 2 || parts[1] == "" {
-		return nil, bad()
-	}
-	site := object.SiteID(parts[1])
-	switch parts[0] {
-	case "kill":
-		if len(parts) != 2 {
-			return nil, bad()
-		}
-		return func() *fabric.FaultPlan { return fabric.NewFaultPlan().Kill(site) }, nil
-	case "drop":
-		if len(parts) != 3 {
-			return nil, bad()
-		}
-		n, err := strconv.Atoi(parts[2])
-		if err != nil || n < 0 {
-			return nil, bad()
-		}
-		return func() *fabric.FaultPlan { return fabric.NewFaultPlan().DropAfter(site, n) }, nil
-	case "delay":
-		if len(parts) != 3 {
-			return nil, bad()
-		}
-		us, err := strconv.ParseFloat(parts[2], 64)
-		if err != nil || us < 0 {
-			return nil, bad()
-		}
-		return func() *fabric.FaultPlan { return fabric.NewFaultPlan().Delay(site, us) }, nil
-	default:
-		return nil, bad()
-	}
 }
 
 // extractServerStats reduces metric snapshot deltas to the report's server

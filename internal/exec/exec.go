@@ -157,10 +157,6 @@ type Config struct {
 	// per query and is fed every finished query's profile (requires Tracer,
 	// like Recorder — the feedback loop runs on measured spans).
 	Selector Selector
-	// UseIndexes lets the localized strategies probe the databases'
-	// secondary indexes (store.Database.CreateIndex) to select candidate
-	// objects for conjunctive queries.
-	UseIndexes bool
 	// MaxConcurrent bounds the number of queries executing at once; Run
 	// calls beyond the bound wait for a slot (admission control). Zero or
 	// negative means unbounded.
@@ -194,11 +190,7 @@ func New(cfg Config) (*Engine, error) {
 		if db.Site() != id {
 			return nil, fmt.Errorf("exec: database registered under %s reports site %s", id, db.Site())
 		}
-		site := federation.NewSite(db, cfg.Global, cfg.Tables)
-		if cfg.UseIndexes {
-			site.EnableIndexes()
-		}
-		ops.sites[id] = site
+		ops.sites[id] = federation.NewSite(db, cfg.Global, cfg.Tables)
 	}
 	return &Engine{ops: ops, run: Runner{
 		Coord:    federation.NewCoordinator(cfg.Coordinator, cfg.Global, cfg.Tables),

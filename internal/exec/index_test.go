@@ -10,8 +10,9 @@ import (
 	"github.com/hetfed/hetfed/internal/workload"
 )
 
-// indexWorkload generates a workload and builds secondary indexes on every
-// held predicate attribute of the root class.
+// indexWorkload generates a workload, without indexes: a site probes an
+// index its extent has, so a test runs scan-based first and calls
+// buildIndexes before the index-assisted run.
 func indexWorkload(t *testing.T, seed int64, mutate func(*workload.Ranges)) *workload.Workload {
 	t.Helper()
 	r := smallRanges()
@@ -23,6 +24,13 @@ func indexWorkload(t *testing.T, seed int64, mutate func(*workload.Ranges)) *wor
 	if err != nil {
 		t.Fatal(err)
 	}
+	return w
+}
+
+// buildIndexes builds secondary indexes on every held predicate attribute of
+// the root class.
+func buildIndexes(t *testing.T, w *workload.Workload) {
+	t.Helper()
 	for _, db := range w.Databases {
 		cls := db.Schema().Class("C1")
 		for _, a := range cls.Attrs {
@@ -33,10 +41,9 @@ func indexWorkload(t *testing.T, seed int64, mutate func(*workload.Ranges)) *wor
 			}
 		}
 	}
-	return w
 }
 
-func runIndexed(t *testing.T, w *workload.Workload, alg Algorithm, useIndexes bool) (*federation.Answer, fabric.Metrics) {
+func runIndexed(t *testing.T, w *workload.Workload, alg Algorithm) (*federation.Answer, fabric.Metrics) {
 	t.Helper()
 	e, err := New(Config{
 		Global:      w.Global,
@@ -44,7 +51,6 @@ func runIndexed(t *testing.T, w *workload.Workload, alg Algorithm, useIndexes bo
 		Databases:   w.Databases,
 		Tables:      w.Tables,
 		Signatures:  signature.Build(w.Databases),
-		UseIndexes:  useIndexes,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -62,12 +68,17 @@ func runIndexed(t *testing.T, w *workload.Workload, alg Algorithm, useIndexes bo
 func TestIndexedEvaluationPreservesAnswers(t *testing.T) {
 	for seed := int64(800); seed < 815; seed++ {
 		w := indexWorkload(t, seed, nil)
+		plain := make(map[Algorithm]string)
 		for _, alg := range Algorithms() {
-			plain, _ := runIndexed(t, w, alg, false)
-			indexed, _ := runIndexed(t, w, alg, true)
-			if answerSummary(plain) != answerSummary(indexed) {
+			ans, _ := runIndexed(t, w, alg)
+			plain[alg] = answerSummary(ans)
+		}
+		buildIndexes(t, w)
+		for _, alg := range Algorithms() {
+			indexed, _ := runIndexed(t, w, alg)
+			if plain[alg] != answerSummary(indexed) {
 				t.Errorf("seed %d %v: indexed answer differs:\n plain:   %s\n indexed: %s",
-					seed, alg, answerSummary(plain), answerSummary(indexed))
+					seed, alg, plain[alg], answerSummary(indexed))
 			}
 		}
 	}
@@ -83,8 +94,9 @@ func TestIndexedEvaluationCutsDisk(t *testing.T) {
 		r.NObjects = [2]int{400, 500}
 		r.NullRatio = [2]float64{0, 0.05}
 	})
-	_, plain := runIndexed(t, w, BL, false)
-	_, indexed := runIndexed(t, w, BL, true)
+	_, plain := runIndexed(t, w, BL)
+	buildIndexes(t, w)
+	_, indexed := runIndexed(t, w, BL)
 	if indexed.DiskBytes >= plain.DiskBytes {
 		t.Errorf("indexed disk %d >= plain disk %d", indexed.DiskBytes, plain.DiskBytes)
 	}
@@ -99,8 +111,9 @@ func TestIndexedEvaluationCutsDisk(t *testing.T) {
 // and still answer correctly.
 func TestIndexedDisjunctiveFallsBack(t *testing.T) {
 	w := indexWorkload(t, 901, func(r *workload.Ranges) { r.Disjunctive = true })
-	plain, mPlain := runIndexed(t, w, BL, false)
-	indexed, mIndexed := runIndexed(t, w, BL, true)
+	plain, mPlain := runIndexed(t, w, BL)
+	buildIndexes(t, w)
+	indexed, mIndexed := runIndexed(t, w, BL)
 	if answerSummary(plain) != answerSummary(indexed) {
 		t.Error("disjunctive indexed answer differs")
 	}
@@ -126,7 +139,6 @@ func TestIndexedSchoolQ1(t *testing.T) {
 		Coordinator: "G",
 		Databases:   fx.Databases,
 		Tables:      fx.Mapping,
-		UseIndexes:  true,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -3,8 +3,10 @@ package fabric
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
+	"time"
 
 	"github.com/hetfed/hetfed/internal/object"
 )
@@ -185,4 +187,78 @@ func (f *FaultPlan) String() string {
 	}
 	sort.Strings(parts)
 	return strings.Join(parts, " ")
+}
+
+// ParseFaults compiles a fault spec — the one grammar hetbench's cells,
+// hetql -fault and hetserve -fault share — into a plan factory. Each call of
+// the factory yields a fresh plan, so drop-after budgets restart per consumer
+// (per query on the sim runtime, once per server on the live one); it yields
+// nil when the spec names no fault. A spec is comma-separated terms:
+//
+//	none                no faults
+//	kill:SITE           SITE is dead for the whole run
+//	drop:SITE:N         SITE serves N operations, then goes dark
+//	delay:SITE:AMOUNT   every operation at SITE stalls by AMOUNT, a duration
+//	                    (5ms) or a bare number of microseconds (1500)
+//	cut:SITE            the links between self and SITE are cut, both ways
+//
+// self names the process the plan is installed in: kill and delay may then
+// leave SITE out ("kill", "delay:5ms") to mean self. With self empty — a plan
+// installed in every site at once — those forms and cut are refused.
+func ParseFaults(spec string, self object.SiteID) (func() *FaultPlan, error) {
+	var terms []func(*FaultPlan)
+	for _, term := range strings.Split(spec, ",") {
+		if term = strings.TrimSpace(term); term == "" || term == "none" {
+			continue
+		}
+		apply, err := parseFaultTerm(term, self)
+		if err != nil {
+			return nil, err
+		}
+		terms = append(terms, apply)
+	}
+	return func() *FaultPlan {
+		if len(terms) == 0 {
+			return nil
+		}
+		fp := NewFaultPlan()
+		for _, apply := range terms {
+			apply(fp)
+		}
+		return fp
+	}, nil
+}
+
+func parseFaultTerm(term string, self object.SiteID) (func(*FaultPlan), error) {
+	bad := fmt.Errorf("bad fault %q (want none, kill:SITE, drop:SITE:N, delay:SITE:AMOUNT or cut:SITE)", term)
+	parts := strings.Split(term, ":")
+	if self != "" && (term == "kill" || parts[0] == "delay" && len(parts) == 2) {
+		// kill, delay:AMOUNT: the site left out is this process's.
+		parts = append([]string{parts[0], string(self)}, parts[1:]...)
+	}
+	if len(parts) < 2 || parts[1] == "" {
+		return nil, bad
+	}
+	site, args := object.SiteID(parts[1]), parts[2:]
+	switch {
+	case parts[0] == "kill" && len(args) == 0:
+		return func(fp *FaultPlan) { fp.Kill(site) }, nil
+	case parts[0] == "cut" && len(args) == 0 && self != "":
+		return func(fp *FaultPlan) { fp.DropLink(self, site).DropLink(site, self) }, nil
+	case parts[0] == "drop" && len(args) == 1:
+		if n, err := strconv.Atoi(args[0]); err == nil && n >= 0 {
+			return func(fp *FaultPlan) { fp.DropAfter(site, n) }, nil
+		}
+	case parts[0] == "delay" && len(args) == 1:
+		us, err := strconv.ParseFloat(args[0], 64)
+		if err != nil {
+			var d time.Duration
+			d, err = time.ParseDuration(args[0])
+			us = float64(d) / float64(time.Microsecond)
+		}
+		if err == nil && us >= 0 {
+			return func(fp *FaultPlan) { fp.Delay(site, us) }, nil
+		}
+	}
+	return nil, bad
 }

@@ -126,3 +126,54 @@ func TestFaultPlanStringWithLinks(t *testing.T) {
 		}
 	}
 }
+
+// TestParseFaults covers the one fault-spec grammar's edges: the terms, the
+// two amounts a delay takes, the forms that need a local site, and the
+// factory's fresh plans.
+func TestParseFaults(t *testing.T) {
+	for _, good := range []string{"none", "", "kill:DB2", "drop:DB1:5", "delay:DB3:1500", "delay:DB3:5ms", "kill:DB1,delay:DB2:1ms"} {
+		if _, err := ParseFaults(good, ""); err != nil {
+			t.Errorf("ParseFaults(%q): %v", good, err)
+		}
+	}
+	for _, bad := range []string{"kill", "kill:", "drop:DB1:x", "drop:DB1:-1", "delay:DB1", "delay:5ms", "delay:DB1:-5ms", "zap:DB1", "cut:DB2", "kill:DB1:3", "kill:DB1,zap"} {
+		if _, err := ParseFaults(bad, ""); err == nil {
+			t.Errorf("ParseFaults(%q) accepted without a local site", bad)
+		}
+	}
+	if f, _ := ParseFaults("none", "DB1"); f() != nil {
+		t.Error("a spec without faults yields a plan")
+	}
+
+	// In a process that is a site, kill and delay may leave the site out,
+	// and cut names the far end of this process's links.
+	factory, err := ParseFaults("delay:5ms, cut:DB2, kill", "DB1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fp := factory()
+	if got := fp.DelayMicros("DB1"); got != 5000 {
+		t.Errorf("delay:5ms at DB1 = %v micros, want 5000", got)
+	}
+	if !fp.Unavailable("DB1") || fp.Unavailable("DB2") {
+		t.Error("kill did not kill the local site alone")
+	}
+	if !fp.LinkDown("DB1", "DB2") || !fp.LinkDown("DB2", "DB1") || fp.LinkDown("DB1", "DB3") {
+		t.Error("cut:DB2 did not cut exactly the DB1-DB2 links, both ways")
+	}
+	if factory, _ = ParseFaults("delay:DB3:1500", "DB1"); factory().DelayMicros("DB3") != 1500 {
+		t.Error("a bare delay amount is not micros")
+	}
+
+	// The factory yields independent plans: consuming one plan's drop
+	// budget must not bleed into the next (per-query semantics).
+	factory, _ = ParseFaults("drop:DB1:1", "")
+	p1 := factory()
+	p1.BeginOp("DB1")
+	if p1.BeginOp("DB1") {
+		t.Error("drop budget not consumed")
+	}
+	if p2 := factory(); !p2.BeginOp("DB1") {
+		t.Error("fresh plan inherited a consumed budget")
+	}
+}

@@ -17,10 +17,9 @@ import (
 // object store, the integrated global schema (every site knows it), and a
 // replica of the GOid mapping tables.
 type Site struct {
-	db         *store.Database
-	global     *schema.Global
-	tables     *gmap.Tables
-	useIndexes bool
+	db     *store.Database
+	global *schema.Global
+	tables *gmap.Tables
 }
 
 // NewSite wraps a component database for federation duty. tables is the
@@ -29,12 +28,6 @@ type Site struct {
 func NewSite(db *store.Database, global *schema.Global, tables *gmap.Tables) *Site {
 	return &Site{db: db, global: global, tables: tables}
 }
-
-// EnableIndexes lets the basic localized flow probe the database's
-// secondary indexes to select candidate objects instead of scanning the
-// whole extent (conjunctive queries with a direct indexed predicate only).
-// The rows produced are identical; only the disk cost drops.
-func (s *Site) EnableIndexes() { s.useIndexes = true }
 
 // ID returns the site identifier.
 func (s *Site) ID() object.SiteID { return s.db.Site() }
@@ -164,7 +157,10 @@ func (s *Site) EvalLocalBasic(p fabric.Proc, b *query.Bound, sigs *signature.Ind
 	}
 	conjunctive := b.Conjunctive()
 	iterate := ext.Scan
-	if s.useIndexes && conjunctive {
+	// A conjunctive query with a direct local predicate on an attribute the
+	// extent has a secondary index on (store.Database.CreateIndex) reads the
+	// index's candidates, not the whole extent: same rows, less disk.
+	if conjunctive {
 		if loids, probeBytes, ok := s.indexProbe(b, ext, localIdx); ok {
 			c.DiskRead(probeBytes)
 			c.CPU(1 + len(loids))
@@ -271,7 +267,7 @@ func (rs *rowSlabs) keep(scratch []tvl.Truth) []tvl.Truth {
 // (unknown under three-valued logic, so still potential maybe results).
 func (s *Site) indexProbe(b *query.Bound, ext *store.Extent, localIdx []int) ([]object.LOid, int, bool) {
 	for _, i := range localIdx {
-		bp := b.Preds[i]
+		bp := &b.Preds[i]
 		if len(bp.Path) != 1 {
 			continue
 		}

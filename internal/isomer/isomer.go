@@ -47,36 +47,44 @@ func NewMatcher(g *schema.Global) *Matcher {
 func (m *Matcher) Tables() *gmap.Tables { return m.tables }
 
 // Add matches a newly stored object against the existing entities of its
-// global class (by entity-key equality) and binds it, returning its GOid.
-// Objects with no usable key become singleton entities.
+// global class and binds it, returning its GOid: Assign, then the table
+// write. An authority that logs its bindings (the TCP coordinator) calls
+// Assign and binds through its own log-first path instead.
 func (m *Matcher) Add(site object.SiteID, localClass string, o *object.Object) (object.GOid, error) {
-	gc := m.global.GlobalFor(site, localClass)
-	if gc == nil {
-		return "", fmt.Errorf("isomer: class %s@%s is not integrated", localClass, site)
+	class, goid, err := m.Assign(site, localClass, o)
+	if err != nil {
+		return "", err
 	}
-	table := m.tables.Table(gc.Name)
-	key, ok := entityKey(gc, o)
-	var goid object.GOid
-	switch {
-	case !ok:
-		goid = m.next(gc.Name)
-	default:
-		classKeys := m.byKey[gc.Name]
-		if classKeys == nil {
-			classKeys = make(map[string]object.GOid)
-			m.byKey[gc.Name] = classKeys
-		}
-		if prev, seen := classKeys[key]; seen {
-			goid = prev
-		} else {
-			goid = m.next(gc.Name)
-			classKeys[key] = goid
-		}
-	}
-	if err := table.Bind(goid, site, o.LOid); err != nil {
+	if err := m.tables.Table(class).Bind(goid, site, o.LOid); err != nil {
 		return "", fmt.Errorf("isomer: %w", err)
 	}
 	return goid, nil
+}
+
+// Assign picks the GOid a newly stored object belongs under — the entity
+// whose key equals the object's, or a freshly minted one; objects with no
+// usable key become singleton entities — and returns it with the object's
+// global class. It writes no table: the caller binds.
+func (m *Matcher) Assign(site object.SiteID, localClass string, o *object.Object) (class string, goid object.GOid, err error) {
+	gc := m.global.GlobalFor(site, localClass)
+	if gc == nil {
+		return "", "", fmt.Errorf("isomer: class %s@%s is not integrated", localClass, site)
+	}
+	key, ok := entityKey(gc, o)
+	if !ok {
+		return gc.Name, m.next(gc.Name), nil
+	}
+	classKeys := m.byKey[gc.Name]
+	if classKeys == nil {
+		classKeys = make(map[string]object.GOid)
+		m.byKey[gc.Name] = classKeys
+	}
+	goid, seen := classKeys[key]
+	if !seen {
+		goid = m.next(gc.Name)
+		classKeys[key] = goid
+	}
+	return gc.Name, goid, nil
 }
 
 func (m *Matcher) next(class string) object.GOid {

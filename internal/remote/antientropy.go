@@ -3,7 +3,7 @@ package remote
 import (
 	"context"
 	"fmt"
-	"sort"
+	"math/rand/v2"
 	"time"
 
 	"github.com/hetfed/hetfed/internal/antientropy"
@@ -11,8 +11,9 @@ import (
 	"github.com/hetfed/hetfed/internal/object"
 )
 
-// Anti-entropy rounds: the symmetric replica-repair protocol both site
-// servers and the coordinator run. One round, for one process:
+// Anti-entropy rounds: the symmetric replica-repair protocol every replica
+// (replica.go) runs, at a site server and at the coordinator alike. One
+// round, for one process:
 //
 //  1. For every peer (sorted, so schedules are deterministic): send the
 //     local per-class digest snapshot (kindDigest) and diff it against the
@@ -21,53 +22,62 @@ import (
 //     bindings in those buckets, and run one kindRepair exchange — the
 //     peer applies what it is missing and replies with its own bindings in
 //     the same buckets, which are applied locally. Both replicas hold the
-//     union afterwards; application is idempotent, so duplicated or
-//     re-ordered repair traffic is harmless.
+//     union afterwards; application is idempotent (replica.apply), so
+//     duplicated or re-ordered repair traffic is harmless.
 //  3. Quorum accounting: a class that could not be converged with a peer
-//     (repair unreachable, or conflicts remained) disagrees with that
-//     peer. A class disagreeing with a majority of the reached peers — or
-//     any class, when fewer than half the peers were reachable at all (a
-//     minority partition cannot confirm its replica with quorum) — is
-//     marked suspect; answers touching it degrade until a later round
-//     clears it. With no peers reached the previous marks are kept: no
-//     information is not good news.
+//     (repair unreachable, conflicts remained, or a binding could not be
+//     logged) disagrees with that peer. A class disagreeing with a majority
+//     of the reached peers — or any class, when fewer than half the peers
+//     were reachable at all (a minority partition cannot confirm its replica
+//     with quorum) — is marked suspect; answers touching it degrade until a
+//     later round clears it. With no peers reached the previous marks are
+//     kept: no information is not good news.
 //
 // The protocol replaces nothing the coordinator's needs-rebuild replay
 // does for fresh restarts — it catches what replay cannot: divergence
 // where *either* end was partitioned, killed, or restarted from stale
 // durable state, with no coordinator in the loop.
 
-// aeReplica is the local-replica surface a round needs; the server and the
-// coordinator provide it over their own locking disciplines.
-type aeReplica struct {
-	self    object.SiteID
-	client  *client
-	tracker *antientropy.Tracker
-	reg     *metrics.Registry
-	timeout time.Duration
-	// bindings returns the local bindings of class hashing into buckets,
-	// under the replica's read lock.
-	bindings func(class string, buckets []int) []antientropy.Binding
-	// apply applies a peer's bindings under the replica's write lock,
-	// returning how many were newly applied and how many conflicted.
-	apply func(class string, bs []antientropy.Binding) (applied, conflicts int)
-	// lockPeer, when set, serializes this round's traffic to one peer
-	// against the replica's other maintenance streams to the same peer
-	// (the coordinator's resync replay); it returns the unlock.
-	lockPeer func(site object.SiteID) func()
+// AntiEntropyConfig tunes a process's background anti-entropy loop.
+type AntiEntropyConfig struct {
+	// Interval is the cadence between rounds; 0 disables the loop.
+	Interval time.Duration
 }
 
-// runAntiEntropyRound executes one round against the given peers and
-// returns the number of classes that were divergent with at least one
-// reached peer (0 means the replicas agreed everywhere they could be
-// compared).
-func runAntiEntropyRound(ctx context.Context, r aeReplica, peers map[object.SiteID]string) int {
-	sites := make([]object.SiteID, 0, len(peers))
-	for site := range peers {
-		sites = append(sites, site)
-	}
-	sort.Slice(sites, func(i, j int) bool { return sites[i] < sites[j] })
+const (
+	// repairJitter spreads each wait by ±interval·repairJitter so the
+	// cluster's loops decorrelate instead of synchronizing into exchange
+	// storms.
+	repairJitter = 0.2
+	// repairTimeout bounds one digest or repair exchange.
+	repairTimeout = 2 * time.Second
+)
 
+// repairLoop runs round every interval, jittered, until ctx ends.
+func repairLoop(ctx context.Context, interval time.Duration, round func(context.Context) int) {
+	wait := func() time.Duration {
+		return time.Duration(float64(interval) * (1 + (rand.Float64()*2-1)*repairJitter))
+	}
+	t := time.NewTimer(wait())
+	defer t.Stop()
+	for {
+		select {
+		case <-ctx.Done():
+			return
+		case <-t.C:
+			round(ctx)
+			t.Reset(wait())
+		}
+	}
+}
+
+// round executes one round against the given peers over cl and returns the
+// number of classes that were divergent with at least one reached peer (0
+// means the replicas agreed everywhere they could be compared). lockPeer,
+// when set, serializes this round's traffic to one peer against the owner's
+// other maintenance streams to it (the coordinator's resync replay); it
+// returns the unlock.
+func (r *replica) round(ctx context.Context, cl *client, peers map[object.SiteID]string, lockPeer func(object.SiteID) func()) int {
 	var (
 		reached   int
 		repaired  int
@@ -77,7 +87,7 @@ func runAntiEntropyRound(ctx context.Context, r aeReplica, peers map[object.Site
 	)
 	exchange := func(site object.SiteID) {
 		req := Request{Kind: kindDigest, Digests: r.tracker.Snapshot(), Trace: TraceContext{From: r.self}}
-		resp, w, err := r.client.callTimeout(ctx, site, peers[site], req, r.timeout)
+		resp, w, err := cl.callTimeout(ctx, site, peers[site], req, repairTimeout)
 		bytes += w.Sent + w.Received
 		r.reg.Counter("antientropy_exchanges_total",
 			metrics.Labels{Site: string(r.self), Peer: string(site)}).Inc()
@@ -100,7 +110,7 @@ func runAntiEntropyRound(ctx context.Context, r aeReplica, peers map[object.Site
 					Bindings: mine,
 				},
 			}
-			rresp, rw, rerr := r.client.callTimeout(ctx, site, peers[site], rreq, r.timeout)
+			rresp, rw, rerr := cl.callTimeout(ctx, site, peers[site], rreq, repairTimeout)
 			bytes += rw.Sent + rw.Received
 			if rerr != nil || rresp.Repair == nil {
 				// Divergence seen but not converged (the peer vanished
@@ -109,27 +119,27 @@ func runAntiEntropyRound(ctx context.Context, r aeReplica, peers map[object.Site
 				disagree[class]++
 				continue
 			}
-			applied, conflicts := r.apply(class, rresp.Repair.Bindings)
+			applied, conflicts, failed := r.applyAll(class, site, rresp.Repair.Bindings)
 			repaired += applied + rresp.Repair.Applied
-			if conflicts+rresp.Repair.Conflicts > 0 {
-				// The replicas hold genuinely contradictory bindings;
+			if conflicts+failed+rresp.Repair.Conflicts > 0 {
+				// The replicas hold genuinely contradictory bindings —
 				// repair never overwrites, so they will not converge
-				// without intervention. Stay suspect.
+				// without intervention — or a binding could not be logged
+				// here and waits for a later round. Not converged either way.
 				disagree[class]++
 			}
 		}
 	}
-	for _, site := range sites {
+	for _, site := range sortedKeys(peers) {
 		if ctx.Err() != nil {
 			break
 		}
-		if r.lockPeer != nil {
-			unlock := r.lockPeer(site)
-			exchange(site)
-			unlock()
-		} else {
-			exchange(site)
+		unlock := func() {}
+		if lockPeer != nil {
+			unlock = lockPeer(site)
 		}
+		exchange(site)
+		unlock()
 	}
 
 	// Quorum marks. Classes to judge: everything in the local snapshot plus
@@ -181,46 +191,37 @@ func runAntiEntropyRound(ctx context.Context, r aeReplica, peers map[object.Site
 // operators may call it directly for an on-demand repair pass.
 func (s *Server) RunAntiEntropyRound(ctx context.Context) int {
 	s.mu.Lock()
-	peers := make(map[object.SiteID]string, len(s.cfg.Peers))
-	for site, addr := range s.cfg.Peers {
-		peers[site] = addr
-	}
+	peers := s.cfg.Peers // SetPeers installs a new map, it never edits one
 	s.mu.Unlock()
-	return runAntiEntropyRound(ctx, aeReplica{
-		self:    s.Site(),
-		client:  s.client,
-		tracker: s.tracker,
-		reg:     s.cfg.Metrics,
-		timeout: s.cfg.AntiEntropy.timeout(),
-		bindings: func(class string, buckets []int) []antientropy.Binding {
-			s.stateMu.RLock()
-			defer s.stateMu.RUnlock()
-			return antientropy.BucketBindings(s.cfg.Tables.Table(class), buckets)
-		},
-		apply: func(class string, bs []antientropy.Binding) (int, int) {
-			s.stateMu.Lock()
-			defer s.stateMu.Unlock()
-			var applied, conflicts int
-			for _, b := range bs {
-				ok, err := s.applyBindLocked(class, b.GOid, b.Site, b.LOid)
-				switch {
-				case err != nil:
-					conflicts++
-					s.tracker.NoteConflict()
-				case ok:
-					applied++
-				}
-			}
-			return applied, conflicts
-		},
-	}, peers)
+	return s.rep.round(ctx, s.client, peers, nil)
+}
+
+// handleRepair serves the symmetric half of one repair exchange: apply the
+// caller's bindings this replica is missing (conflicts are counted and
+// skipped, never overwritten — the class stays divergent for an operator; a
+// binding this site could not log stays unapplied and the digests differ
+// again at the next round), then answer with this replica's own bindings in
+// the divergent buckets so the caller converges too — collected before the
+// caller's are applied, so the caller is not echoed its own stream back.
+func (s *Server) handleRepair(req Request) Response {
+	r := req.Repair
+	if r == nil {
+		return Response{Err: "repair request without payload"}
+	}
+	reply := &RepairReply{Bindings: s.rep.bindings(r.Class, r.Buckets)}
+	reply.Applied, reply.Conflicts, _ = s.rep.applyAll(r.Class, req.Trace.From, r.Bindings)
+	if reply.Applied > 0 {
+		s.cfg.Metrics.Counter("antientropy_repair_bindings_total",
+			metrics.Labels{Site: string(s.Site()), Peer: string(req.Trace.From)}).Add(int64(reply.Applied))
+	}
+	return Response{Repair: reply}
 }
 
 // Tracker exposes the server's divergence tracker (health surfaces, tests).
-func (s *Server) Tracker() *antientropy.Tracker { return s.tracker }
+func (s *Server) Tracker() *antientropy.Tracker { return s.rep.tracker }
 
 // DigestSnapshot returns the server's current per-class digests — the
 // convergence check chaos schedules assert on.
 func (s *Server) DigestSnapshot() map[string]antientropy.Digest {
-	return s.tracker.Snapshot()
+	return s.rep.tracker.Snapshot()
 }

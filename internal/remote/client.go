@@ -5,14 +5,16 @@ import (
 	"errors"
 	"fmt"
 	"math/rand/v2"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
 	"github.com/hetfed/hetfed/internal/exec"
 	"github.com/hetfed/hetfed/internal/fabric"
+	"github.com/hetfed/hetfed/internal/federation"
 	"github.com/hetfed/hetfed/internal/metrics"
 	"github.com/hetfed/hetfed/internal/object"
+	"github.com/hetfed/hetfed/internal/trace"
 )
 
 // CallConfig is the client-side networking policy of a federation process:
@@ -223,7 +225,7 @@ func (cl *client) UnavailablePeers() []object.SiteID {
 			out = append(out, site)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 
@@ -416,4 +418,37 @@ func sleepCtx(ctx context.Context, d time.Duration) bool {
 	case <-ctx.Done():
 		return false
 	}
+}
+
+// errPeerNotWired marks a site with no entry in the address map. Wrapped in
+// a SiteError it classifies as "site unavailable", so the dependent
+// predicates degrade to maybe instead of failing the query.
+var errPeerNotWired = errors.New("no address in peer wiring")
+
+// checkLink is the TCP implementation of exec.SiteLink: one check RPC per
+// target. The verdicts return here, to the requesting site, and travel to
+// the global site with its local reply: the one topology difference from the
+// paper's model, confined to this transport. The peer's check span is
+// parented on this server's serve span, so the whole chain (coordinator →
+// site → peer) renders as one query tree.
+type checkLink struct{ s *Server }
+
+// Check implements exec.SiteLink.
+func (l checkLink) Check(p fabric.Proc, q *exec.Query, parent trace.SpanID, from, target object.SiteID, items []federation.CheckItem) (federation.CheckReply, error) {
+	s, ctx, alg := l.s, p.Context(), q.Alg.String()
+	tc := TraceContext{QueryID: q.ID, Alg: alg, Span: uint64(parent), From: from}
+	addr, ok := s.peerAddr(target)
+	if !ok {
+		return federation.CheckReply{}, &SiteError{Site: target, Err: errPeerNotWired}
+	}
+	resp, w, err := s.client.callCtx(ctx, target, addr, Request{Kind: kindCheck, Items: items, Trace: tc})
+	s.cfg.Metrics.Counter("net_bytes_total",
+		metrics.Labels{Site: string(from), Peer: string(target), Alg: alg}).Add(w.Sent)
+	if err != nil {
+		return federation.CheckReply{}, err
+	}
+	// Fold the peer's check spans into this site's tracer; they ship onward
+	// to the coordinator with this site's own response.
+	s.cfg.Tracer.Import(resp.Spans)
+	return resp.Check, nil
 }

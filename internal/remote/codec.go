@@ -339,9 +339,10 @@ func listOf[T any](r *reader, min int, elem func(*reader, *T)) []T {
 }
 
 // sortedKeys returns m's keys in order: maps are written sorted, so a
-// message has one encoding.
-func sortedKeys[V any](m map[string]V) []string {
-	keys := make([]string, 0, len(m))
+// message has one encoding, and sites are visited sorted, so fan-outs, error
+// lists and repair schedules are deterministic.
+func sortedKeys[K ~string, V any](m map[K]V) []K {
+	keys := make([]K, 0, len(m))
 	for k := range m {
 		keys = append(keys, k)
 	}

@@ -7,7 +7,6 @@ import (
 	"log/slog"
 	"math/rand/v2"
 	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -80,9 +79,8 @@ type Coordinator struct {
 	// the dropped deltas. Typically a *wal.Engine opened with OpenLog.
 	DeltaLog DeltaLog
 	// AntiEntropy configures the coordinator's replica-repair loop: the
-	// cadence of StartAntiEntropy's background rounds and the per-exchange
-	// timeout of RunAntiEntropyRound. The zero value disables the loop;
-	// rounds can still be run on demand.
+	// cadence of StartAntiEntropy's background rounds. The zero value
+	// disables the loop; rounds can still be run on demand.
 	AntiEntropy AntiEntropyConfig
 
 	// mu guards Tables (and the Matcher behind it) between concurrent
@@ -108,12 +106,12 @@ type Coordinator struct {
 	resync      map[object.SiteID][]pendingDelta
 	rebuildFrom map[object.SiteID]uint64
 
-	// trMu guards the lazily-built divergence tracker (the tracker itself
-	// is internally synchronized). Lazy for the same reason as the client:
-	// the zero-value-plus-fields construction pattern, with Tables often
-	// populated after the struct literal.
-	trMu sync.Mutex
-	tr   *antientropy.Tracker
+	// repMu guards the lazily-built mapping-table replica (replica.go).
+	// Lazy for the same reason as the client: the zero-value-plus-fields
+	// construction pattern, with Tables often populated after the struct
+	// literal.
+	repMu sync.Mutex
+	rep   *replica
 
 	// peerOpMu guards peerOps, the per-peer serialization locks. Resync
 	// replay (Ping) and anti-entropy repair both stream bindings to a
@@ -179,25 +177,27 @@ func (c *Coordinator) BreakerStates() map[object.SiteID]string {
 	return c.client().BreakerStates()
 }
 
-// tracker lazily builds the coordinator's divergence tracker, seeded from
-// the current mapping tables. It takes c.mu.RLock on first use, so callers
-// must NOT hold c.mu — fetch the tracker before locking.
-func (c *Coordinator) tracker() *antientropy.Tracker {
-	c.trMu.Lock()
-	defer c.trMu.Unlock()
-	if c.tr == nil {
-		c.tr = antientropy.NewTracker()
-		c.mu.RLock()
-		c.tr.Seed(c.Tables)
-		c.mu.RUnlock()
+// replica lazily builds the coordinator's replica over Tables, its digest
+// seeded from what they hold and — with a DeltaLog — every binding appended
+// to the log before it is applied. It takes c.mu.RLock on first use, so
+// callers must NOT hold c.mu — fetch the replica before locking.
+func (c *Coordinator) replica() *replica {
+	c.repMu.Lock()
+	defer c.repMu.Unlock()
+	if c.rep == nil {
+		var persist bindLog
+		if c.DeltaLog != nil {
+			persist = c.DeltaLog.AppendBind
+		}
+		c.rep = newReplica(c.ID, c.Tables, &c.mu, persist, c.Metrics, c.Log)
 	}
-	return c.tr
+	return c.rep
 }
 
 // Tracker exposes the coordinator's divergence tracker (health surfaces,
 // tests). Its Health() map, prefixed "antientropy", is the /healthz
 // condition hetops reads the repair column from.
-func (c *Coordinator) Tracker() *antientropy.Tracker { return c.tracker() }
+func (c *Coordinator) Tracker() *antientropy.Tracker { return c.replica().tracker }
 
 // peerLock serializes maintenance streams (resync replay, anti-entropy
 // repair) against one peer; different peers proceed in parallel. Returns
@@ -226,61 +226,7 @@ func (c *Coordinator) peerLock(peer object.SiteID) func() {
 // the Matcher's entity-key index, so a pulled entity matches by GOid but
 // not yet by key until re-seeded (documented limitation).
 func (c *Coordinator) RunAntiEntropyRound(ctx context.Context) int {
-	tr := c.tracker()
-	peers := make(map[object.SiteID]string, len(c.Sites))
-	for site, addr := range c.Sites {
-		peers[site] = addr
-	}
-	return runAntiEntropyRound(ctx, aeReplica{
-		self:     c.ID,
-		client:   c.client(),
-		tracker:  tr,
-		reg:      c.Metrics,
-		timeout:  c.AntiEntropy.timeout(),
-		lockPeer: c.peerLock,
-		bindings: func(class string, buckets []int) []antientropy.Binding {
-			c.mu.RLock()
-			defer c.mu.RUnlock()
-			return antientropy.BucketBindings(c.Tables.Table(class), buckets)
-		},
-		apply: func(class string, bs []antientropy.Binding) (int, int) {
-			c.mu.Lock()
-			defer c.mu.Unlock()
-			t := c.Tables.Table(class)
-			var applied, conflicts int
-			for _, b := range bs {
-				if t.Bound(b.GOid, b.Site, b.LOid) {
-					continue
-				}
-				if g, ok := t.GOidOf(b.Site, b.LOid); ok && g != b.GOid {
-					conflicts++
-					tr.NoteConflict()
-					continue
-				}
-				if l, ok := t.LOidAt(b.GOid, b.Site); ok && l != b.LOid {
-					conflicts++
-					tr.NoteConflict()
-					continue
-				}
-				if c.DeltaLog != nil {
-					if _, err := c.DeltaLog.AppendBind(class, b.GOid, b.Site, b.LOid); err != nil {
-						// An unloggable binding is not applied: the in-memory
-						// table must never get ahead of the durable log, or a
-						// rebuild replay would silently lose the binding.
-						continue
-					}
-				}
-				if err := t.Bind(b.GOid, b.Site, b.LOid); err != nil {
-					conflicts++
-					tr.NoteConflict()
-					continue
-				}
-				tr.Observe(class, b.GOid, b.Site, b.LOid)
-				applied++
-			}
-			return applied, conflicts
-		},
-	}, peers)
+	return c.replica().round(ctx, c.client(), c.Sites, c.peerLock)
 }
 
 // StartAntiEntropy launches the background repair loop on the configured
@@ -294,17 +240,7 @@ func (c *Coordinator) StartAntiEntropy() (stop func()) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		t := time.NewTimer(c.AntiEntropy.jittered())
-		defer t.Stop()
-		for {
-			select {
-			case <-ctx.Done():
-				return
-			case <-t.C:
-				c.RunAntiEntropyRound(ctx)
-				t.Reset(c.AntiEntropy.jittered())
-			}
-		}
+		repairLoop(ctx, c.AntiEntropy.Interval, c.RunAntiEntropyRound)
 	}()
 	return func() {
 		cancel()
@@ -315,7 +251,7 @@ func (c *Coordinator) StartAntiEntropy() (stop func()) {
 // DivergenceStates reports the coordinator's suspect classes for the
 // health surface: class → suspicion reason. Converged classes are absent.
 func (c *Coordinator) DivergenceStates() map[string]string {
-	return c.tracker().SuspectReasons()
+	return c.replica().tracker.SuspectReasons()
 }
 
 // qidTag distinguishes this process's query IDs. Query IDs scope spans at
@@ -332,28 +268,31 @@ const pingTimeout = 2 * time.Second
 // reports ALL unreachable sites in one error (site order), so an operator
 // sees the whole outage instead of one site per invocation.
 func (c *Coordinator) Ping() error {
-	sites := make([]object.SiteID, 0, len(c.Sites))
-	for site := range c.Sites {
-		sites = append(sites, site)
-	}
-	sort.Slice(sites, func(i, j int) bool { return sites[i] < sites[j] })
-
 	cl := c.client()
+	return c.eachSite(func(site object.SiteID, addr string) error {
+		req := Request{Kind: kindPing, Trace: TraceContext{From: c.ID}}
+		if _, _, err := cl.callTimeout(context.Background(), site, addr, req, pingTimeout); err != nil {
+			return fmt.Errorf("remote: site %s unreachable: %w", site, err)
+		}
+		// The site answered: if its replica missed bind deltas while it
+		// was down, bring it back in sync now.
+		c.replayResync(site)
+		return nil
+	})
+}
+
+// eachSite runs fn for every site in parallel and joins the errors in site
+// order. Every site is attempted whatever the others return.
+func (c *Coordinator) eachSite(fn func(site object.SiteID, addr string) error) error {
+	sites := sortedKeys(c.Sites)
 	errs := make([]error, len(sites))
 	var wg sync.WaitGroup
 	for i, site := range sites {
 		wg.Add(1)
-		go func(i int, site object.SiteID) {
+		go func() {
 			defer wg.Done()
-			req := Request{Kind: kindPing, Trace: TraceContext{From: c.ID}}
-			if _, _, err := cl.callTimeout(context.Background(), site, c.Sites[site], req, pingTimeout); err != nil {
-				errs[i] = fmt.Errorf("remote: site %s unreachable: %w", site, err)
-				return
-			}
-			// The site answered: if its replica missed bind deltas while it
-			// was down, bring it back in sync now.
-			c.replayResync(site)
-		}(i, site)
+			errs[i] = fn(site, c.Sites[site])
+		}()
 	}
 	wg.Wait()
 	return errors.Join(errs...)
@@ -395,7 +334,7 @@ func (c *Coordinator) QueryContext(ctx context.Context, text string, alg exec.Al
 		Selector: c.Selector,
 		Gate:     c.gate,
 		Deadline: c.Deadline,
-		Suspect:  c.tracker().SuspectOf,
+		Suspect:  c.replica().tracker.SuspectOf,
 	}
 	qid := fmt.Sprintf("rq%d-%06x", c.qseq.Add(1), qidTag)
 	ans, m, err := run.Run(ctx, fabric.NewReal(fabric.DefaultRates()), qid, alg, b)
@@ -442,8 +381,12 @@ func (c *Coordinator) logQuery(qid string, alg exec.Algorithm, ans *federation.A
 // replicated GOid mapping tables: the coordinator (mapping authority)
 // matches the object against existing entities, binds it, and broadcasts
 // the binding delta to every site replica. Distributed atomicity is out of
-// scope (a failed broadcast leaves replicas stale; the paper defers
-// replicated-data management to the underlying mechanism).
+// scope, as the paper defers replicated-data management to the underlying
+// mechanism: a failed broadcast leaves replicas stale (resync and
+// anti-entropy close that gap), and a binding the authority could not log
+// leaves the object stored in step 1 at its site unbound — it answers
+// queries under its synthetic singleton GOid (gmap.Table.Unbound) and no
+// compensating delete is sent.
 func (c *Coordinator) Insert(site object.SiteID, o *object.Object) (object.GOid, error) {
 	if c.Matcher == nil {
 		return "", fmt.Errorf("remote: coordinator has no mapping authority (Matcher)")
@@ -452,31 +395,25 @@ func (c *Coordinator) Insert(site object.SiteID, o *object.Object) (object.GOid,
 	if !ok {
 		return "", fmt.Errorf("remote: no address for site %s", site)
 	}
-	gc := c.Global.GlobalFor(site, o.Class)
-	if gc == nil {
+	if c.Global.GlobalFor(site, o.Class) == nil {
 		return "", fmt.Errorf("remote: class %s@%s is not integrated", o.Class, site)
 	}
 
 	// 1. Store at the owning site.
 	cl := c.client()
-	tr := c.tracker() // before c.mu: the lazy seed takes c.mu.RLock
+	rep := c.replica() // before c.mu: the lazy seed takes c.mu.RLock
 	if _, _, err := cl.call(site, addr, Request{Kind: kindStore, Store: o, Trace: TraceContext{From: c.ID}}); err != nil {
 		return "", err
 	}
-	// 2. Assign the GOid (entity match by key) and persist the binding.
-	// The log append happens under the same lock as the table mutation so
-	// a concurrent append's snapshot never reads a half-updated table.
-	var seq uint64
+	// 2. Assign the GOid (entity match by key) and apply the binding to the
+	// authority's replica: logged, then bound, then observed, under the one
+	// lock, so a concurrent append's snapshot never reads a half-updated
+	// table and a failed append leaves table and digest as they were.
 	c.mu.Lock()
-	goid, err := c.Matcher.Add(site, o.Class, o)
-	if err == nil && c.DeltaLog != nil {
-		seq, err = c.DeltaLog.AppendBind(gc.Name, goid, site, o.LOid)
-		if err != nil {
-			err = fmt.Errorf("remote: delta log: %w", err)
-		}
-	}
+	class, goid, err := c.Matcher.Assign(site, o.Class, o)
+	var seq uint64
 	if err == nil {
-		tr.Observe(gc.Name, goid, site, o.LOid)
+		_, seq, err = rep.apply(class, antientropy.Binding{GOid: goid, Site: site, LOid: o.LOid})
 	}
 	c.mu.Unlock()
 	if err != nil {
@@ -486,44 +423,35 @@ func (c *Coordinator) Insert(site object.SiteID, o *object.Object) (object.GOid,
 	// after a failure — stopping at the first stale replica would leave the
 	// remaining healthy replicas stale too. The aggregate error names every
 	// replica that missed the delta.
-	delta := &BindDelta{Class: gc.Name, GOid: goid, Site: site, LOid: o.LOid}
-	peers := make([]object.SiteID, 0, len(c.Sites))
-	for peer := range c.Sites {
-		peers = append(peers, peer)
-	}
-	sort.Slice(peers, func(i, j int) bool { return peers[i] < peers[j] })
-	errs := make([]error, len(peers))
-	var wg sync.WaitGroup
-	for i, peer := range peers {
-		wg.Add(1)
-		go func(i int, peer object.SiteID) {
-			defer wg.Done()
-			if _, _, err := cl.call(peer, c.Sites[peer], Request{Kind: kindBind, Bind: delta, Trace: TraceContext{From: c.ID}}); err != nil {
-				c.Metrics.Counter("replica_stale_total",
-					metrics.Labels{Site: string(c.ID), Peer: string(peer)}).Inc()
-				c.queueResync(peer, delta, seq)
-				errs[i] = fmt.Errorf("remote: replica at %s is stale: %w", peer, err)
-			}
-		}(i, peer)
-	}
-	wg.Wait()
-	return goid, errors.Join(errs...)
+	delta := &BindDelta{Class: class, GOid: goid, Site: site, LOid: o.LOid}
+	return goid, c.eachSite(func(peer object.SiteID, addr string) error {
+		_, _, err := cl.call(peer, addr, Request{Kind: kindBind, Bind: delta, Trace: TraceContext{From: c.ID}})
+		if err != nil {
+			c.Metrics.Counter("replica_stale_total",
+				metrics.Labels{Site: string(c.ID), Peer: string(peer)}).Inc()
+			c.queueResync(peer, delta, seq)
+			err = fmt.Errorf("remote: replica at %s is stale: %w", peer, err)
+		}
+		return err
+	})
 }
 
 // queueResync remembers a bind delta a replica missed (its broadcast
-// failed) so the next successful Ping can replay it. Each peer's queue is
-// bounded at maxPendingDeltas; on overflow the peer is marked
-// needs-rebuild (surfaced on /healthz via ResyncStates). With a DeltaLog
-// the queue is released — the durable log holds everything from the
-// oldest queued sequence on, and the next Ping replays that gap; without
-// one the oldest deltas are dropped and counted, and the mark is sticky.
+// failed) so the next successful Ping can replay it.
 func (c *Coordinator) queueResync(peer object.SiteID, delta *BindDelta, seq uint64) {
 	c.resyncMu.Lock()
 	defer c.resyncMu.Unlock()
+	c.setResyncLocked(peer, append(c.resync[peer], pendingDelta{delta: delta, seq: seq}))
+}
+
+// setResyncLocked installs q as the peer's pending-delta queue under the
+// maxPendingDeltas overflow rule; the needs-rebuild mark surfaces on
+// /healthz via ResyncStates. With a DeltaLog the queue is released: the log
+// holds everything from the oldest queued sequence on. Caller holds resyncMu.
+func (c *Coordinator) setResyncLocked(peer object.SiteID, q []pendingDelta) {
 	if c.resync == nil {
 		c.resync = make(map[object.SiteID][]pendingDelta)
 	}
-	q := append(c.resync[peer], pendingDelta{delta: delta, seq: seq})
 	if drop := len(q) - maxPendingDeltas; drop > 0 {
 		if c.DeltaLog != nil {
 			c.markRebuildLocked(peer, q[0].seq)
@@ -612,21 +540,7 @@ func (c *Coordinator) replayResync(peer object.SiteID) {
 	for i, pd := range pending {
 		if _, _, err := cl.call(peer, addr, Request{Kind: kindBind, Bind: pd.delta, Trace: TraceContext{From: c.ID}}); err != nil {
 			c.resyncMu.Lock()
-			if c.resync == nil {
-				c.resync = make(map[object.SiteID][]pendingDelta)
-			}
-			q := append(append([]pendingDelta(nil), pending[i:]...), c.resync[peer]...)
-			if drop := len(q) - maxPendingDeltas; drop > 0 {
-				if c.DeltaLog != nil {
-					c.markRebuildLocked(peer, q[0].seq)
-					q = nil
-				} else {
-					c.markRebuildLocked(peer, 0)
-					q = append([]pendingDelta(nil), q[drop:]...)
-					c.Metrics.Counter("replica_resync_dropped_total", labels).Add(int64(drop))
-				}
-			}
-			c.resync[peer] = q
+			c.setResyncLocked(peer, append(append([]pendingDelta(nil), pending[i:]...), c.resync[peer]...))
 			c.resyncMu.Unlock()
 			return
 		}

@@ -7,13 +7,11 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
-	"math/rand/v2"
 	"net"
 	"os"
 	"sync"
 	"time"
 
-	"github.com/hetfed/hetfed/internal/antientropy"
 	"github.com/hetfed/hetfed/internal/exec"
 	"github.com/hetfed/hetfed/internal/fabric"
 	"github.com/hetfed/hetfed/internal/federation"
@@ -96,39 +94,6 @@ type ServerConfig struct {
 	AntiEntropy AntiEntropyConfig
 }
 
-// AntiEntropyConfig tunes a process's background anti-entropy loop.
-type AntiEntropyConfig struct {
-	// Interval is the cadence between rounds; 0 disables the loop.
-	Interval time.Duration
-	// Jitter spreads each wait by ±Interval·Jitter so the cluster's loops
-	// decorrelate instead of synchronizing into exchange storms. Defaults
-	// to 0.2; negative disables jitter.
-	Jitter float64
-	// Timeout bounds one digest or repair exchange. Defaults to 2s.
-	Timeout time.Duration
-}
-
-// jittered returns the next wait before a round.
-func (c AntiEntropyConfig) jittered() time.Duration {
-	j := c.Jitter
-	if j == 0 {
-		j = 0.2
-	}
-	if j < 0 {
-		return c.Interval
-	}
-	f := 1 + (rand.Float64()*2-1)*j
-	return time.Duration(float64(c.Interval) * f)
-}
-
-// timeout resolves the per-exchange bound.
-func (c AntiEntropyConfig) timeout() time.Duration {
-	if c.Timeout > 0 {
-		return c.Timeout
-	}
-	return 2 * time.Second
-}
-
 // Server timeout defaults (see ServerConfig.IdleTimeout / WriteTimeout).
 const (
 	DefaultIdleTimeout  = 5 * time.Minute
@@ -139,16 +104,17 @@ const (
 // persistent: each one carries a sequence of request frames until the
 // client closes it (or Close tears it down).
 type Server struct {
-	cfg      ServerConfig
-	site     *federation.Site
-	flow     exec.SiteFlow
-	client   *client
-	tracker  *antientropy.Tracker
-	aeCtx    context.Context
-	aeCancel context.CancelFunc
-	log      *slog.Logger
-	ln       net.Listener
-	wg       sync.WaitGroup
+	cfg    ServerConfig
+	site   *federation.Site
+	flow   exec.SiteFlow
+	client *client
+	rep    *replica // the mapping-table replica every bind and repair goes through
+	// ctx ends at Close: it stops the repair loop and the accept back-off.
+	ctx    context.Context
+	cancel context.CancelFunc
+	log    *slog.Logger
+	ln     net.Listener
+	wg     sync.WaitGroup
 
 	// stateMu guards the component database and the mapping-table replica
 	// against writes (store/bind requests) concurrent with query
@@ -183,32 +149,30 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 	if log == nil {
 		log = slog.New(slog.DiscardHandler)
 	}
-	// The digest tracker mirrors every mutation of the replica. With a
-	// durable engine the engine's LogBind is the single choke point, so the
-	// hook observes there; without one the bind paths observe directly
-	// (one path or the other, never both — see antientropy.HookEngine).
-	tracker := antientropy.NewTracker()
-	tracker.Seed(cfg.Tables)
-	if cfg.Engine != nil {
-		cfg.Engine = antientropy.HookEngine(cfg.Engine, tracker)
-	}
 	// The server's outbound calls (check dispatch, anti-entropy) live on
 	// the same injected network as its inbound side.
 	if cfg.Call.Faults == nil {
 		cfg.Call.Faults = cfg.Faults
 	}
 	site := federation.NewSite(cfg.DB, cfg.Global, cfg.Tables)
-	aeCtx, aeCancel := context.WithCancel(context.Background())
+	ctx, cancel := context.WithCancel(context.Background())
 	s := &Server{
-		cfg:      cfg,
-		site:     site,
-		client:   newClient(cfg.DB.Site(), cfg.Call, cfg.Metrics),
-		tracker:  tracker,
-		aeCtx:    aeCtx,
-		aeCancel: aeCancel,
-		log:      log.With("site", string(cfg.DB.Site())),
-		conns:    make(map[net.Conn]struct{}),
+		cfg:    cfg,
+		site:   site,
+		client: newClient(cfg.DB.Site(), cfg.Call, cfg.Metrics),
+		ctx:    ctx,
+		cancel: cancel,
+		log:    log.With("site", string(cfg.DB.Site())),
+		conns:  make(map[net.Conn]struct{}),
 	}
+	// With a durable engine a binding is logged before it is applied.
+	var persist bindLog
+	if eng := cfg.Engine; eng != nil {
+		persist = func(class string, goid object.GOid, site object.SiteID, loid object.LOid) (uint64, error) {
+			return 0, eng.LogBind(class, goid, site, loid)
+		}
+	}
+	s.rep = newReplica(s.Site(), cfg.Tables, &s.stateMu, persist, cfg.Metrics, s.log)
 	s.flow = exec.SiteFlow{
 		Site:    site,
 		State:   s.stateMu.RLocker(),
@@ -231,25 +195,12 @@ func (s *Server) Listen(addr string) error {
 	go s.acceptLoop()
 	if s.cfg.AntiEntropy.Interval > 0 {
 		s.wg.Add(1)
-		go s.antiEntropyLoop()
+		go func() {
+			defer s.wg.Done()
+			repairLoop(s.ctx, s.cfg.AntiEntropy.Interval, s.RunAntiEntropyRound)
+		}()
 	}
 	return nil
-}
-
-// antiEntropyLoop runs digest-exchange rounds on a jittered cadence until
-// Close.
-func (s *Server) antiEntropyLoop() {
-	defer s.wg.Done()
-	for {
-		t := time.NewTimer(s.cfg.AntiEntropy.jittered())
-		select {
-		case <-s.aeCtx.Done():
-			t.Stop()
-			return
-		case <-t.C:
-		}
-		s.RunAntiEntropyRound(s.aeCtx)
-	}
 }
 
 // SetPeers installs the peer address map once every server in the cluster
@@ -289,7 +240,7 @@ func (s *Server) Site() object.SiteID { return s.cfg.DB.Site() }
 // waits for the handlers to drain. It also releases the server's own
 // outbound connection pools.
 func (s *Server) Close() error {
-	s.aeCancel()
+	s.cancel()
 	s.mu.Lock()
 	s.closed = true
 	conns := make([]net.Conn, 0, len(s.conns))
@@ -309,9 +260,9 @@ func (s *Server) Close() error {
 	return err
 }
 
-// PeerBreakers reports the state of this server's outbound circuit breakers
+// BreakerStates reports the state of this server's outbound circuit breakers
 // (one per peer it dispatched checks to), for the health surface.
-func (s *Server) PeerBreakers() map[object.SiteID]string {
+func (s *Server) BreakerStates() map[object.SiteID]string {
 	return s.client.BreakerStates()
 }
 
@@ -339,16 +290,26 @@ func (s *Server) isClosed() bool {
 	return s.closed
 }
 
+// acceptLoop accepts connections until Close. A failing Accept that is not
+// the shutdown (EMFILE, say) is retried after a back-off of 5 ms doubling to
+// 1 s, reset by the next success — as net/http.Server.Serve does — so a
+// persistent error does not spin a core.
 func (s *Server) acceptLoop() {
 	defer s.wg.Done()
+	var backoff time.Duration
 	for {
 		conn, err := s.ln.Accept()
 		if err != nil {
 			if s.isClosed() {
 				return
 			}
+			backoff = min(max(2*backoff, 5*time.Millisecond), time.Second)
+			s.log.LogAttrs(context.Background(), slog.LevelWarn, "accept failed",
+				slog.String("err", err.Error()), slog.Duration("retry_in", backoff))
+			sleepCtx(s.ctx, backoff)
 			continue
 		}
+		backoff = 0
 		s.wg.Add(1)
 		go func() {
 			defer s.wg.Done()
@@ -621,104 +582,13 @@ func (s *Server) dispatch(ctx context.Context, req Request, sp trace.Handle) Res
 	case kindDigest:
 		// The tracker serializes itself; a snapshot mid-bind is merely one
 		// binding stale, which the next round reconciles.
-		return Response{Digests: s.tracker.Snapshot()}
+		return Response{Digests: s.rep.tracker.Snapshot()}
 	case kindRepair:
-		s.stateMu.Lock()
-		defer s.stateMu.Unlock()
+		// The replica takes the state lock itself: to read, then to apply.
 		return s.handleRepair(req)
 	default:
 		return Response{Err: fmt.Sprintf("unknown request kind %q", req.Kind)}
 	}
-}
-
-// handleStore inserts an object into the local component database.
-func (s *Server) handleStore(req Request) Response {
-	if req.Store == nil {
-		return Response{Err: "store request without object"}
-	}
-	if err := s.cfg.DB.Insert(req.Store); err != nil {
-		return Response{Err: err.Error()}
-	}
-	return Response{}
-}
-
-// handleBind applies a mapping-table delta to this site's replica.
-func (s *Server) handleBind(req Request) Response {
-	if req.Bind == nil {
-		return Response{Err: "bind request without delta"}
-	}
-	d := req.Bind
-	if _, err := s.applyBindLocked(d.Class, d.GOid, d.Site, d.LOid); err != nil {
-		return Response{Err: err.Error()}
-	}
-	return Response{}
-}
-
-// applyBindLocked applies one binding to the replica under stateMu: log
-// (durable engines), bind, observe (digest). An exact
-// duplicate is a re-delivery — durable-log rebuild, resync replay, or a
-// repair stream overlapping deltas already applied — and acks idempotently
-// (applied=false, no error). A conflicting binding errors without
-// mutating anything.
-func (s *Server) applyBindLocked(class string, goid object.GOid, site object.SiteID, loid object.LOid) (applied bool, err error) {
-	t := s.cfg.Tables.Table(class)
-	if t.Bound(goid, site, loid) {
-		return false, nil
-	}
-	// Detect conflicts before logging: a binding Bind would refuse must
-	// reach neither the WAL nor the digest, or the durable record and the
-	// replica (and every digest exchange thereafter) disagree forever.
-	if prev, ok := t.GOidOf(site, loid); ok && prev != goid {
-		return false, fmt.Errorf("gmap %s: %s@%s already bound to %s", class, loid, site, prev)
-	}
-	if prev, ok := t.LOidAt(goid, site); ok && prev != loid {
-		return false, fmt.Errorf("gmap %s: %s already has %s at site %s", class, goid, prev, site)
-	}
-	if s.cfg.Engine != nil {
-		// The engine hook observes the digest on LogBind success.
-		if err := s.cfg.Engine.LogBind(class, goid, site, loid); err != nil {
-			return false, err
-		}
-	}
-	if err := t.Bind(goid, site, loid); err != nil {
-		return false, err
-	}
-	if s.cfg.Engine == nil {
-		s.tracker.Observe(class, goid, site, loid)
-	}
-	return true, nil
-}
-
-// handleRepair serves the symmetric half of one repair exchange: apply the
-// caller's bindings this replica is missing (conflicts are counted and
-// skipped, never overwritten — the class stays divergent for an operator),
-// then answer with this replica's own bindings in the divergent buckets so
-// the caller converges too. The reply's bindings are collected before the
-// caller's are applied, so the caller is not echoed its own stream back.
-func (s *Server) handleRepair(req Request) Response {
-	r := req.Repair
-	if r == nil {
-		return Response{Err: "repair request without payload"}
-	}
-	mine := antientropy.BucketBindings(s.cfg.Tables.Table(r.Class), r.Buckets)
-	reply := &RepairReply{Bindings: mine}
-	for _, b := range r.Bindings {
-		applied, err := s.applyBindLocked(r.Class, b.GOid, b.Site, b.LOid)
-		switch {
-		case err != nil:
-			reply.Conflicts++
-			s.tracker.NoteConflict()
-			s.cfg.Metrics.Counter("antientropy_conflicts_total",
-				metrics.Labels{Site: string(s.Site())}).Inc()
-		case applied:
-			reply.Applied++
-		}
-	}
-	if reply.Applied > 0 {
-		s.cfg.Metrics.Counter("antientropy_repair_bindings_total",
-			metrics.Labels{Site: string(s.Site()), Peer: string(req.Trace.From)}).Add(int64(reply.Applied))
-	}
-	return Response{Repair: reply}
 }
 
 // maxBoundQueries caps the bound-query table. An application's queries are a
@@ -795,7 +665,7 @@ func (s *Server) handleRetrieve(ctx context.Context, req Request, sp trace.Handl
 	}); e != "" {
 		return Response{Err: e}
 	}
-	return Response{Retrieve: reply, Suspect: s.tracker.SuspectOf(b.Classes())}
+	return Response{Retrieve: reply, Suspect: s.rep.tracker.SuspectOf(b.Classes())}
 }
 
 func (s *Server) handleCheck(ctx context.Context, req Request, sp trace.Handle) Response {
@@ -829,38 +699,5 @@ func (s *Server) handleLocal(ctx context.Context, req Request, sp trace.Handle) 
 	}); e != "" {
 		return Response{Err: e}
 	}
-	return Response{Local: reply, Suspect: s.tracker.SuspectOf(b.Classes())}
-}
-
-// errPeerNotWired marks a site with no entry in the address map. Wrapped in
-// a SiteError it classifies as "site unavailable", so the dependent
-// predicates degrade to maybe instead of failing the query.
-var errPeerNotWired = errors.New("no address in peer wiring")
-
-// checkLink is the TCP implementation of exec.SiteLink: one check RPC per
-// target. The verdicts return here, to the requesting site, and travel to
-// the global site with its local reply: the one topology difference from the
-// paper's model, confined to this transport. The peer's check span is
-// parented on this server's serve span, so the whole chain (coordinator →
-// site → peer) renders as one query tree.
-type checkLink struct{ s *Server }
-
-// Check implements exec.SiteLink.
-func (l checkLink) Check(p fabric.Proc, q *exec.Query, parent trace.SpanID, from, target object.SiteID, items []federation.CheckItem) (federation.CheckReply, error) {
-	s, ctx, alg := l.s, p.Context(), q.Alg.String()
-	tc := TraceContext{QueryID: q.ID, Alg: alg, Span: uint64(parent), From: from}
-	addr, ok := s.peerAddr(target)
-	if !ok {
-		return federation.CheckReply{}, &SiteError{Site: target, Err: errPeerNotWired}
-	}
-	resp, w, err := s.client.callCtx(ctx, target, addr, Request{Kind: kindCheck, Items: items, Trace: tc})
-	s.cfg.Metrics.Counter("net_bytes_total",
-		metrics.Labels{Site: string(from), Peer: string(target), Alg: alg}).Add(w.Sent)
-	if err != nil {
-		return federation.CheckReply{}, err
-	}
-	// Fold the peer's check spans into this site's tracer; they ship onward
-	// to the coordinator with this site's own response.
-	s.cfg.Tracer.Import(resp.Spans)
-	return resp.Check, nil
+	return Response{Local: reply, Suspect: s.rep.tracker.SuspectOf(b.Classes())}
 }

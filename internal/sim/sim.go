@@ -565,10 +565,12 @@ func IndexAblation(cfg Config, selectivities []float64) (*Experiment, error) {
 		Title:  "Secondary indexes for local evaluation (BL, N_o = 1000–2000)",
 		XLabel: "predicate selectivity",
 	}
+	// The extent probes an index it has, so BL+idx is BL run again after
+	// the indexes are built.
 	type variant struct {
-		label      string
-		alg        exec.Algorithm
-		useIndexes bool
+		label string
+		alg   exec.Algorithm
+		index bool
 	}
 	variants := []variant{
 		{"CA", exec.CA, false},
@@ -595,25 +597,20 @@ func IndexAblation(cfg Config, selectivities []float64) (*Experiment, error) {
 			if err != nil {
 				return nil, fmt.Errorf("sim: index sample %d: %w", s, err)
 			}
-			for _, db := range w.Databases {
-				for _, a := range db.Schema().Class("C1").Attrs {
-					if !a.IsComplex() && !a.MultiValued && a.Name[0] == 'p' {
-						if _, err := db.CreateIndex("C1", a.Name); err != nil {
-							return nil, err
-						}
-					}
-				}
+			engine, err := exec.New(exec.Config{
+				Global:      w.Global,
+				Coordinator: CoordinatorSite,
+				Databases:   w.Databases,
+				Tables:      w.Tables,
+			})
+			if err != nil {
+				return nil, err
 			}
 			for _, v := range variants {
-				engine, err := exec.New(exec.Config{
-					Global:      w.Global,
-					Coordinator: CoordinatorSite,
-					Databases:   w.Databases,
-					Tables:      w.Tables,
-					UseIndexes:  v.useIndexes,
-				})
-				if err != nil {
-					return nil, err
+				if v.index {
+					if err := indexPredicateAttrs(w); err != nil {
+						return nil, err
+					}
 				}
 				rt := fabric.NewSim(cfg.Rates, engine.Sites())
 				_, m, err := engine.Run(rt, v.alg, w.Bound)
@@ -632,4 +629,19 @@ func IndexAblation(cfg Config, selectivities []float64) (*Experiment, error) {
 		ex.Points = append(ex.Points, pt)
 	}
 	return ex, nil
+}
+
+// indexPredicateAttrs builds a secondary index on every single-valued
+// primitive predicate attribute of the workload's root class, at every site.
+func indexPredicateAttrs(w *workload.Workload) error {
+	for _, db := range w.Databases {
+		for _, a := range db.Schema().Class("C1").Attrs {
+			if !a.IsComplex() && !a.MultiValued && a.Name[0] == 'p' {
+				if _, err := db.CreateIndex("C1", a.Name); err != nil {
+					return err
+				}
+			}
+		}
+	}
+	return nil
 }

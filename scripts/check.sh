@@ -1,7 +1,7 @@
 #!/bin/sh
 # check.sh — the repository's verification gate: formatting, vet, the
-# one-orchestration, one-report-envelope, one-codec, one-check-path and
-# one-metric-catalog structural guards, build, unit tests, the full test
+# one-orchestration, one-report-envelope, one-codec, one-check-path,
+# one-replica and one-metric-catalog structural guards, build, unit tests, the full test
 # suite under the race detector, the
 # benchmark module's vet and tests, a one-shot compile-and-run smoke of the
 # overhead and allocation benchmarks, and a short fuzz budget for every
@@ -82,6 +82,22 @@ if grep -rnE 'BatchConfig|kindCheckBatch|LookupCache|ServingSpec|siteOpts|coordO
     echo "a deleted serving fork is back (see EXPERIMENTS.md E22)" >&2
     guard_failed=1
 fi
+# One mapping-table replica (internal/remote/replica.go, DESIGN.md section
+# 14): replica.apply is the one place a binding is logged, bound and folded
+# into the digest, so outside the packages that define those operations each
+# has one non-test site; the digest hook, the closure struct and the
+# per-owner copies of the rule it replaced stay gone, as do the index option
+# and the breaker accessor's second name.
+if grep -rnE 'HookEngine|aeReplica|applyBindLocked|UseIndexes|EnableIndexes|PeerBreakers' \
+    --include='*.go' --exclude-dir=.bench_build .; then
+    echo "a deleted copy of the replica rule (or the index option) is back" >&2
+    guard_failed=1
+fi
+for pat in '[tT]racker(\(\))?\.Observe\(' '\.LogBind\(' '\.AppendBind\>'; do
+    want_one "$pat" "$(grep -rnE "$pat" --include='*.go' --exclude='*_test.go' \
+        --exclude-dir=benchmark --exclude-dir=.bench_build \
+        --exclude-dir=antientropy --exclude-dir=store . | grep -vE '^[^:]+:[0-9]+:[[:space:]]*//' || true)"
+done
 # One metric catalog: every series non-test code emits has a row in the table
 # of DESIGN.md section 6.
 catalog="$(sed -n '/^## 6\. /,/^## 7\. /p' DESIGN.md)"
@@ -94,6 +110,11 @@ for name in $(grep -rhoE '[.](Counter|Histogram|Gauge)\("[a-z_]+"' --include='*.
     fi
 done
 [ "$guard_failed" -eq 0 ] || exit 1
+
+# The figure ROADMAP's LOC numbers use, so the next issue quotes it instead
+# of recounting.
+echo "== non-test Go lines: $(find . -name '*.go' -not -name '*_test.go' \
+    -not -path './benchmark/*' -not -path './.bench_build/*' | xargs wc -l | tail -n 1 | awk '{print $1}')"
 
 echo "== go build $pkgs"
 go build "$pkgs"
