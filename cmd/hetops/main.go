@@ -3,7 +3,7 @@
 // /cluster/queries — served when hetserve runs with -cluster-scrape) and
 // renders per-site QPS/p50/p99/degraded%, each replica's anti-entropy
 // repair state (the REPAIR column, from the "antientropy:state" /healthz
-// condition — suspect mapping classes show up red), breaker/resync/WAL
+// condition — suspect mapping classes show up red), breaker/WAL
 // conditions, firing SLO alerts, and the slowest queries federation-wide
 // with their trace IDs. Plain ANSI, stdlib only.
 //

@@ -509,9 +509,10 @@ func runCoordinator(fed *federationBundle, peers map[object.SiteID]string, c *cm
 	// Durable mode: recover the global mapping tables and bind-delta log
 	// from <data-dir>/G, merge fixture bindings the log doesn't have yet, and
 	// hand the coordinator the recovered tables plus the log itself (every
-	// accepted bind is appended before it is applied; the resync path
-	// replays the log instead of dropping deltas on overflow).
+	// accepted bind is appended before it is applied, so a restart holds
+	// everything the sites may have been told).
 	tables := fed.Mapping
+	coord := &c.coord
 	var deltaLog *wal.Engine
 	if walOpts.Dir != "" {
 		deltaLog, tables, err = wal.OpenLog(walOpts)
@@ -519,6 +520,7 @@ func runCoordinator(fed *federationBundle, peers map[object.SiteID]string, c *cm
 			return err
 		}
 		defer deltaLog.Close()
+		coord.DeltaLog = deltaLog
 		if err := deltaLog.Import(nil, fed.Mapping); err != nil {
 			return err
 		}
@@ -527,13 +529,9 @@ func runCoordinator(fed *federationBundle, peers map[object.SiteID]string, c *cm
 			slog.Uint64("seq", deltaLog.Seq()),
 			slog.Bool("fsync", walOpts.Fsync))
 	}
-	coord := &c.coord
 	coord.ID, coord.Global, coord.Tables, coord.Sites = "G", fed.Global, tables, peers
 	coord.Tracer, coord.Metrics, coord.Recorder, coord.Log = tr, reg, rec, log
 	coord.Call, coord.AntiEntropy = call, c.antiEntropy
-	if deltaLog != nil {
-		coord.DeltaLog = deltaLog
-	}
 	defer coord.Close()
 	// The repair loop stops before Close (LIFO defer order).
 	defer coord.StartAntiEntropy()()
@@ -548,13 +546,12 @@ func runCoordinator(fed *federationBundle, peers map[object.SiteID]string, c *cm
 			adapt.NewCalibrator(adapt.Config{Coordinator: "G"}), coord.BreakerStates)
 		coord.Selector = selector
 	}
-	// /healthz merges the peer breaker states with the replica-resync
-	// backlog ("resync:DB2" → "pending(3)"/"needs-rebuild") and, in durable
-	// mode, the WAL engine's state, so a coordinator holding undelivered
-	// bind deltas or a stopped log reports degraded.
+	// /healthz merges the peer breaker states with the replica's divergence
+	// state ("antientropy:state" → "suspect(Teacher) …") and, in durable
+	// mode, the WAL engine's state, so a coordinator whose replica diverged
+	// from a quorum or whose log stopped reports degraded.
 	healthSrcs := []obs.Health{
 		breakerHealth(coord.BreakerStates),
-		obs.PrefixHealth("resync", breakerHealth(coord.ResyncStates)),
 		obs.PrefixHealth("antientropy", coord.Tracker().Health),
 	}
 	if deltaLog != nil {

@@ -86,7 +86,7 @@ func (t *Table) MustBind(goid object.GOid, site object.SiteID, loid object.LOid)
 
 // Bound reports whether the exact binding (goid, site, loid) is already
 // present. It is the idempotence check that replayed bind deltas (durable-
-// log recovery, replica resync) rely on: an exact duplicate is a harmless
+// log recovery, replica repair) rely on: an exact duplicate is a harmless
 // re-delivery, while Bind's duplicate errors flag genuine conflicts.
 func (t *Table) Bound(goid object.GOid, site object.SiteID, loid object.LOid) bool {
 	g, ok := t.byLocal[Location{Site: site, LOid: loid}]

@@ -2,7 +2,7 @@
 // that polls every site's /metrics and /healthz on an interval, folds the
 // per-site snapshots into cluster rollups (windowed QPS/latency/degraded
 // rates over merged histograms, per-site liveness and staleness, breaker /
-// resync / WAL conditions), and serves them from the coordinator as
+// anti-entropy / WAL conditions), and serves them from the coordinator as
 // /cluster and /cluster/queries (see handlers.go). The obs/slo package
 // evaluates burn-rate alert rules against the same windowed deltas.
 //

@@ -6,7 +6,7 @@
 //
 //	/healthz                liveness: 200 with a JSON status body; reports
 //	                        version, uptime and per-source conditions
-//	                        (breakers, resync backlog, WAL), and flips
+//	                        (breakers, anti-entropy, WAL), and flips
 //	                        status to "degraded" when any entry is not
 //	                        Healthy
 //
@@ -50,9 +50,9 @@ import (
 // Health contributes per-peer conditions to /healthz: entry name → state.
 // The canonical source is circuit-breaker states (peer site name →
 // "closed"/"half-open"/"open"); other sources report under a namespacing
-// prefix (see PrefixHealth), e.g. the coordinator's replica-resync backlog
-// as "resync:DB2" → "needs-rebuild", or a durable site's storage engine as
-// "wal:engine" → "ok(seq=412)". Any entry whose state is not Healthy turns
+// prefix (see PrefixHealth), e.g. a replica's divergence state as
+// "antientropy:state" → "suspect(Teacher) round=7 repaired=412B", or a
+// durable site's storage engine as "wal:engine" → "ok(seq=412)". Any entry whose state is not Healthy turns
 // the reported status from "ok" to "degraded"; the endpoint still answers
 // 200, because the process itself is alive — it is the federation around
 // it that is partially down.
@@ -62,7 +62,7 @@ type Health func() map[string]string
 // /healthz folds its sources into one status. Healthy states are "closed"
 // (a circuit breaker at rest), "ok", and "ok(...)" (a source annotating a
 // healthy state with detail, like the WAL's "ok(seq=412)"). Everything
-// else — "open", "half-open", "pending(3)", "needs-rebuild" — degrades.
+// else — "open", "half-open", "suspect(Teacher) …", "stopped" — degrades.
 // Precedence is strict: one unhealthy entry from any source outweighs any
 // number of healthy ones.
 func Healthy(state string) bool {

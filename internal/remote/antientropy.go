@@ -33,10 +33,10 @@ import (
 //     later round clears it. With no peers reached the previous marks are
 //     kept: no information is not good news.
 //
-// The protocol replaces nothing the coordinator's needs-rebuild replay
-// does for fresh restarts — it catches what replay cannot: divergence
-// where *either* end was partitioned, killed, or restarted from stale
-// durable state, with no coordinator in the loop.
+// It is the only way a replica that diverged converges again, whichever end
+// was partitioned, killed or restarted from stale durable state: a peer the
+// coordinator's bind broadcast missed is marked stale and has steps 1–2 run
+// against it alone by the next Ping that reaches it (syncPeer).
 
 // AntiEntropyConfig tunes a process's background anti-entropy loop.
 type AntiEntropyConfig struct {
@@ -71,75 +71,126 @@ func repairLoop(ctx context.Context, interval time.Duration, round func(context.
 	}
 }
 
-// round executes one round against the given peers over cl and returns the
-// number of classes that were divergent with at least one reached peer (0
-// means the replicas agreed everywhere they could be compared). lockPeer,
-// when set, serializes this round's traffic to one peer against the owner's
-// other maintenance streams to it (the coordinator's resync replay); it
-// returns the unlock.
-func (r *replica) round(ctx context.Context, cl *client, peers map[object.SiteID]string, lockPeer func(object.SiteID) func()) int {
-	var (
-		reached   int
-		repaired  int
-		bytes     int64
-		divergent = make(map[string]bool)
-		disagree  = make(map[string]int) // class → peers it could not converge with
-	)
-	exchange := func(site object.SiteID) {
-		req := Request{Kind: kindDigest, Digests: r.tracker.Snapshot(), Trace: TraceContext{From: r.self}}
-		resp, w, err := cl.callTimeout(ctx, site, peers[site], req, repairTimeout)
-		bytes += w.Sent + w.Received
-		r.reg.Counter("antientropy_exchanges_total",
-			metrics.Labels{Site: string(r.self), Peer: string(site)}).Inc()
-		if err != nil {
-			return
+// tally accumulates what a round's digest exchanges found (or a Ping's one).
+type tally struct {
+	reached   int // peers that answered the digest
+	repaired  int // bindings newly applied, at either end
+	bytes     int64
+	divergent map[string]bool
+	disagree  map[string]int // class → peers it could not be converged with
+}
+
+func newTally() *tally {
+	return &tally{divergent: make(map[string]bool), disagree: make(map[string]int)}
+}
+
+// exchange runs steps 1 and 2 with one peer and reports whether it reached the
+// peer and left no class unconverged. It is the one sender of kindDigest and
+// kindRepair. What it pushes is read off the tables at send time and lands
+// through the idempotent apply at either end, which counts only newly applied
+// bindings, so exchanges with one peer may overlap each other and Insert's
+// broadcast.
+func (r *replica) exchange(ctx context.Context, cl *client, site object.SiteID, addr string, t *tally) (converged bool) {
+	req := Request{Kind: kindDigest, Digests: r.tracker.Snapshot(), Trace: TraceContext{From: r.self}}
+	resp, w, err := cl.callTimeout(ctx, site, addr, req, repairTimeout)
+	t.bytes += w.Sent + w.Received
+	r.reg.Counter("antientropy_exchanges_total",
+		metrics.Labels{Site: string(r.self), Peer: string(site)}).Inc()
+	if err != nil {
+		return false
+	}
+	t.reached++
+	converged = true
+	// Diff against a fresh snapshot: repairs against earlier peers in the
+	// same round have already moved the local digest.
+	for _, class := range antientropy.DiffClasses(r.tracker.Snapshot(), resp.Digests) {
+		t.divergent[class] = true
+		buckets := antientropy.DiffBuckets(r.tracker.Digest(class), resp.Digests[class])
+		rreq := Request{
+			Kind:  kindRepair,
+			Trace: TraceContext{From: r.self},
+			Repair: &RepairRequest{
+				Class:    class,
+				Buckets:  buckets,
+				Bindings: r.bindings(class, buckets),
+			},
 		}
-		reached++
-		// Diff against a fresh snapshot: repairs against earlier peers in
-		// this same round have already moved the local digest.
-		for _, class := range antientropy.DiffClasses(r.tracker.Snapshot(), resp.Digests) {
-			divergent[class] = true
-			buckets := antientropy.DiffBuckets(r.tracker.Digest(class), resp.Digests[class])
-			mine := r.bindings(class, buckets)
-			rreq := Request{
-				Kind:  kindRepair,
-				Trace: TraceContext{From: r.self},
-				Repair: &RepairRequest{
-					Class:    class,
-					Buckets:  buckets,
-					Bindings: mine,
-				},
-			}
-			rresp, rw, rerr := cl.callTimeout(ctx, site, peers[site], rreq, repairTimeout)
-			bytes += rw.Sent + rw.Received
-			if rerr != nil || rresp.Repair == nil {
-				// Divergence seen but not converged (the peer vanished
-				// between the digest and the repair): it still counts
-				// against the quorum.
-				disagree[class]++
-				continue
-			}
-			applied, conflicts, failed := r.applyAll(class, site, rresp.Repair.Bindings)
-			repaired += applied + rresp.Repair.Applied
-			if conflicts+failed+rresp.Repair.Conflicts > 0 {
-				// The replicas hold genuinely contradictory bindings —
-				// repair never overwrites, so they will not converge
-				// without intervention — or a binding could not be logged
-				// here and waits for a later round. Not converged either way.
-				disagree[class]++
-			}
+		rresp, rw, rerr := cl.callTimeout(ctx, site, addr, rreq, repairTimeout)
+		t.bytes += rw.Sent + rw.Received
+		if rerr != nil || rresp.Repair == nil {
+			// Divergence seen but not converged (the peer vanished between
+			// the digest and the repair): it still counts against the quorum.
+			t.disagree[class]++
+			converged = false
+			continue
+		}
+		applied, conflicts, failed := r.applyAll(class, site, rresp.Repair.Bindings)
+		t.repaired += applied + rresp.Repair.Applied
+		if conflicts+failed+rresp.Repair.Conflicts > 0 {
+			// The replicas hold genuinely contradictory bindings — repair
+			// never overwrites, so they will not converge without
+			// intervention — or a binding could not be logged here and waits
+			// for a later round. Not converged either way.
+			t.disagree[class]++
+			converged = false
 		}
 	}
+	return converged
+}
+
+// markStale records that peer missed a binding this replica holds.
+func (r *replica) markStale(peer object.SiteID) {
+	r.staleMu.Lock()
+	defer r.staleMu.Unlock()
+	r.stale[peer] = true
+}
+
+// isStale reports whether peer carries a stale mark.
+func (r *replica) isStale(peer object.SiteID) bool {
+	r.staleMu.Lock()
+	defer r.staleMu.Unlock()
+	return r.stale[peer]
+}
+
+// syncPeer is the one way a stale replica converges: the peer's digest
+// exchange. A stale mark is cleared only by an exchange that converged — it is
+// taken off BEFORE the exchange and put back if that did not converge, so a
+// mark a concurrent Insert sets while the exchange runs (for a binding the
+// exchange may not have carried) is never lost.
+func (r *replica) syncPeer(ctx context.Context, cl *client, site object.SiteID, addr string, t *tally) {
+	r.staleMu.Lock()
+	was := r.stale[site]
+	delete(r.stale, site)
+	r.staleMu.Unlock()
+	if !r.exchange(ctx, cl, site, addr, t) && was {
+		r.markStale(site)
+	}
+}
+
+// account lands finished exchanges' work in the tracker's stats and the
+// antientropy_* series: a round's, or a stale peer's (a round of one, unjudged).
+func (r *replica) account(t *tally) {
+	r.tracker.EndRound(t.repaired, t.bytes)
+	r.reg.Counter("antientropy_rounds_total", metrics.Labels{Site: string(r.self)}).Inc()
+	r.reg.Counter("antientropy_repair_bytes_total", metrics.Labels{Site: string(r.self)}).Add(t.bytes)
+	if t.repaired > 0 {
+		r.reg.Counter("antientropy_repair_bindings_total",
+			metrics.Labels{Site: string(r.self)}).Add(int64(t.repaired))
+	}
+	r.reg.Gauge("antientropy_suspect_classes",
+		metrics.Labels{Site: string(r.self)}).Set(int64(len(r.tracker.Suspects())))
+}
+
+// round executes one round against the given peers over cl and returns the
+// number of classes that were divergent with at least one reached peer (0
+// means the replicas agreed everywhere they could be compared).
+func (r *replica) round(ctx context.Context, cl *client, peers map[object.SiteID]string) int {
+	t := newTally()
 	for _, site := range sortedKeys(peers) {
 		if ctx.Err() != nil {
 			break
 		}
-		unlock := func() {}
-		if lockPeer != nil {
-			unlock = lockPeer(site)
-		}
-		exchange(site)
-		unlock()
+		r.syncPeer(ctx, cl, site, peers[site], t)
 	}
 
 	// Quorum marks. Classes to judge: everything in the local snapshot plus
@@ -149,40 +200,31 @@ func (r *replica) round(ctx context.Context, cl *client, peers map[object.SiteID
 	for class := range r.tracker.Snapshot() {
 		classes[class] = true
 	}
-	for class := range divergent {
+	for class := range t.divergent {
 		classes[class] = true
 	}
 	switch {
 	case len(peers) == 0:
 		// A cluster of one has nothing to agree with.
-	case reached == 0:
+	case t.reached == 0:
 		// Total isolation: no new information, keep previous marks.
-	case reached*2 < len(peers):
+	case t.reached*2 < len(peers):
 		// Minority partition: this replica cannot confirm any class with a
 		// quorum of peers, so every class it serves is suspect.
 		for class := range classes {
-			r.tracker.MarkSuspect(class, fmt.Sprintf("reached %d of %d peers", reached, len(peers)))
+			r.tracker.MarkSuspect(class, fmt.Sprintf("reached %d of %d peers", t.reached, len(peers)))
 		}
 	default:
 		for class := range classes {
-			if disagree[class]*2 > reached {
-				r.tracker.MarkSuspect(class, fmt.Sprintf("diverged with %d of %d reached peers", disagree[class], reached))
+			if t.disagree[class]*2 > t.reached {
+				r.tracker.MarkSuspect(class, fmt.Sprintf("diverged with %d of %d reached peers", t.disagree[class], t.reached))
 			} else {
 				r.tracker.ClearSuspect(class)
 			}
 		}
 	}
-
-	r.tracker.EndRound(repaired, bytes)
-	r.reg.Counter("antientropy_rounds_total", metrics.Labels{Site: string(r.self)}).Inc()
-	r.reg.Counter("antientropy_repair_bytes_total", metrics.Labels{Site: string(r.self)}).Add(bytes)
-	if repaired > 0 {
-		r.reg.Counter("antientropy_repair_bindings_total",
-			metrics.Labels{Site: string(r.self)}).Add(int64(repaired))
-	}
-	r.reg.Gauge("antientropy_suspect_classes",
-		metrics.Labels{Site: string(r.self)}).Set(int64(len(r.tracker.Suspects())))
-	return len(divergent)
+	r.account(t)
+	return len(t.divergent)
 }
 
 // RunAntiEntropyRound runs one digest-exchange round against this server's
@@ -193,7 +235,7 @@ func (s *Server) RunAntiEntropyRound(ctx context.Context) int {
 	s.mu.Lock()
 	peers := s.cfg.Peers // SetPeers installs a new map, it never edits one
 	s.mu.Unlock()
-	return s.rep.round(ctx, s.client, peers, nil)
+	return s.rep.round(ctx, s.client, peers)
 }
 
 // handleRepair serves the symmetric half of one repair exchange: apply the

@@ -194,63 +194,3 @@ func TestMinorityPartitionMarksAllClassesSuspect(t *testing.T) {
 		t.Errorf("suspect marks survived the heal: %v", states)
 	}
 }
-
-// TestPeerMaintenanceSerialized (the resync-vs-repair interleaving
-// guarantee): resync replay and anti-entropy repair against the SAME peer
-// take the peer's maintenance lock, so the two binding streams never
-// interleave; both proceed once the lock frees.
-func TestPeerMaintenanceSerialized(t *testing.T) {
-	coord, servers, cleanup := startObservedCluster(t)
-	defer cleanup()
-
-	// A pending delta for DB1 plus a divergent binding on DB1, so both
-	// maintenance paths have real work against the same peer.
-	d := &BindDelta{Class: "Teacher", GOid: "gt904", Site: "DB9", LOid: "t904'"}
-	coord.queueResync("DB1", d, 0)
-	bindAt(t, servers["DB2"], &BindDelta{Class: "Teacher", GOid: "gt905", Site: "DB9", LOid: "t905'"})
-
-	// Hold DB1's maintenance lock: neither stream may start against DB1.
-	unlock := coord.peerLock("DB1")
-	resyncDone := make(chan struct{})
-	repairDone := make(chan struct{})
-	go func() {
-		coord.replayResync("DB1")
-		close(resyncDone)
-	}()
-	go func() {
-		// DB1 sorts first, so the round blocks on its lock before touching
-		// any other peer.
-		coord.RunAntiEntropyRound(context.Background())
-		close(repairDone)
-	}()
-	select {
-	case <-resyncDone:
-		t.Fatal("resync replay ran while the peer's maintenance lock was held")
-	case <-repairDone:
-		t.Fatal("repair round ran while the peer's maintenance lock was held")
-	case <-time.After(50 * time.Millisecond):
-	}
-	unlock()
-	for _, ch := range []chan struct{}{resyncDone, repairDone} {
-		select {
-		case <-ch:
-		case <-time.After(5 * time.Second):
-			t.Fatal("maintenance stream did not finish after unlock")
-		}
-	}
-
-	// Both streams landed. The coordinator pulled gt905 from DB2 during
-	// the first round — after its DB1 exchange — so one more round pushes
-	// it on to DB1 (the documented convergence bound: a binding crosses
-	// one hop per round).
-	coord.RunAntiEntropyRound(context.Background())
-	tab := servers["DB1"].cfg.Tables.Table("Teacher")
-	for _, want := range []*BindDelta{d, {Class: "Teacher", GOid: "gt905", Site: "DB9", LOid: "t905'"}} {
-		if loid, ok := tab.LOidAt(want.GOid, want.Site); !ok || loid != want.LOid {
-			t.Errorf("DB1 replica: %s@%s = (%q, %v), want (%s, true)", want.GOid, want.Site, loid, ok, want.LOid)
-		}
-	}
-	if st := coord.ResyncStates()["DB1"]; st != "" {
-		t.Errorf("ResyncStates[DB1] = %q after replay, want empty", st)
-	}
-}

@@ -72,11 +72,10 @@ type Coordinator struct {
 	// deadline of its own. An over-deadline query returns its sound partial
 	// answer with Answer.Outcome = OutcomeDeadline.
 	Deadline time.Duration
-	// DeltaLog, when set, makes Insert's bind deltas durable: every
-	// assigned binding is appended to the log before broadcast, and a
-	// replica whose pending-delta queue overflows is rebuilt by replaying
-	// the gap from the log on the next successful Ping instead of losing
-	// the dropped deltas. Typically a *wal.Engine opened with OpenLog.
+	// DeltaLog, when set, makes the coordinator's replica durable: a binding
+	// Insert assigns or repair pulls is logged before it is applied, so a
+	// restart over the recovered tables holds everything that was broadcast.
+	// Typically a *wal.Engine opened with OpenLog.
 	DeltaLog DeltaLog
 	// AntiEntropy configures the coordinator's replica-repair loop: the
 	// cadence of StartAntiEntropy's background rounds. The zero value
@@ -98,53 +97,13 @@ type Coordinator struct {
 	gateOnce sync.Once
 	gate     *exec.Gate
 
-	// resyncMu guards the pending-delta queues and rebuild marks: bind
-	// deltas a replica missed (failed broadcast) are re-sent on the next
-	// successful Ping; a peer whose queue overflowed is marked for a
-	// log rebuild instead.
-	resyncMu    sync.Mutex
-	resync      map[object.SiteID][]pendingDelta
-	rebuildFrom map[object.SiteID]uint64
-
 	// repMu guards the lazily-built mapping-table replica (replica.go).
 	// Lazy for the same reason as the client: the zero-value-plus-fields
 	// construction pattern, with Tables often populated after the struct
 	// literal.
 	repMu sync.Mutex
 	rep   *replica
-
-	// peerOpMu guards peerOps, the per-peer serialization locks. Resync
-	// replay (Ping) and anti-entropy repair both stream bindings to a
-	// peer; interleaving them against the SAME peer could re-deliver a
-	// delta around a repair that already converged it and double-charge
-	// repair accounting, so each peer's maintenance traffic runs one
-	// stream at a time. Different peers proceed in parallel.
-	peerOpMu sync.Mutex
-	peerOps  map[object.SiteID]*sync.Mutex
 }
-
-// DeltaLog is the durable bind-delta log behind the coordinator's replica
-// resync: AppendBind persists one binding and returns its log sequence
-// number; ReplayBinds streams every persisted binding with sequence >= from
-// in log order. *wal.Engine implements it.
-type DeltaLog interface {
-	AppendBind(class string, goid object.GOid, site object.SiteID, loid object.LOid) (uint64, error)
-	ReplayBinds(from uint64, fn func(class string, goid object.GOid, site object.SiteID, loid object.LOid) error) error
-}
-
-// pendingDelta is one queued resync entry: the delta plus its DeltaLog
-// sequence (0 when no log is configured).
-type pendingDelta struct {
-	delta *BindDelta
-	seq   uint64
-}
-
-// maxPendingDeltas bounds each peer's pending-delta resync queue; beyond
-// it the peer is marked needs-rebuild. With a DeltaLog the whole gap is
-// replayed from the log on the next Ping; without one the oldest deltas
-// are dropped (replica_resync_dropped_total) and the mark stays until an
-// operator re-seeds the replica.
-const maxPendingDeltas = 256
 
 // client lazily builds the coordinator's pooled site-call client so the
 // zero-value-plus-fields construction pattern keeps working. After Close
@@ -185,11 +144,7 @@ func (c *Coordinator) replica() *replica {
 	c.repMu.Lock()
 	defer c.repMu.Unlock()
 	if c.rep == nil {
-		var persist bindLog
-		if c.DeltaLog != nil {
-			persist = c.DeltaLog.AppendBind
-		}
-		c.rep = newReplica(c.ID, c.Tables, &c.mu, persist, c.Metrics, c.Log)
+		c.rep = newReplica(c.ID, c.Tables, &c.mu, c.DeltaLog, c.Metrics, c.Log)
 	}
 	return c.rep
 }
@@ -199,34 +154,17 @@ func (c *Coordinator) replica() *replica {
 // condition hetops reads the repair column from.
 func (c *Coordinator) Tracker() *antientropy.Tracker { return c.replica().tracker }
 
-// peerLock serializes maintenance streams (resync replay, anti-entropy
-// repair) against one peer; different peers proceed in parallel. Returns
-// the unlock.
-func (c *Coordinator) peerLock(peer object.SiteID) func() {
-	c.peerOpMu.Lock()
-	if c.peerOps == nil {
-		c.peerOps = make(map[object.SiteID]*sync.Mutex)
-	}
-	m := c.peerOps[peer]
-	if m == nil {
-		m = new(sync.Mutex)
-		c.peerOps[peer] = m
-	}
-	c.peerOpMu.Unlock()
-	m.Lock()
-	return m.Unlock
-}
-
 // RunAntiEntropyRound runs one digest-exchange round against every site and
 // returns the number of divergent classes found. The coordinator is the
 // mapping authority, so its replica usually leads — but after a restart
 // from a stale log, repair pulls the bindings the sites kept and the
 // coordinator lost. Pulled bindings are appended to the DeltaLog (when
-// configured) so future rebuild replays stay complete; they do NOT update
-// the Matcher's entity-key index, so a pulled entity matches by GOid but
-// not yet by key until re-seeded (documented limitation).
+// configured) like any other; they do NOT update the Matcher's entity-key
+// index, so a pulled entity matches by GOid but not yet by key until
+// re-seeded (documented limitation). A stale-marked site converges here as
+// on Ping.
 func (c *Coordinator) RunAntiEntropyRound(ctx context.Context) int {
-	return c.replica().round(ctx, c.client(), c.Sites, c.peerLock)
+	return c.replica().round(ctx, c.client(), c.Sites)
 }
 
 // StartAntiEntropy launches the background repair loop on the configured
@@ -266,17 +204,21 @@ const pingTimeout = 2 * time.Second
 
 // Ping probes every site server in parallel under a bounded deadline and
 // reports ALL unreachable sites in one error (site order), so an operator
-// sees the whole outage instead of one site per invocation.
+// sees the whole outage instead of one site per invocation. A site that
+// answers and is marked stale (it missed an Insert's bind broadcast) has its
+// digest exchange run now; an unmarked site costs the one ping.
 func (c *Coordinator) Ping() error {
-	cl := c.client()
+	cl, rep := c.client(), c.replica()
 	return c.eachSite(func(site object.SiteID, addr string) error {
 		req := Request{Kind: kindPing, Trace: TraceContext{From: c.ID}}
 		if _, _, err := cl.callTimeout(context.Background(), site, addr, req, pingTimeout); err != nil {
 			return fmt.Errorf("remote: site %s unreachable: %w", site, err)
 		}
-		// The site answered: if its replica missed bind deltas while it
-		// was down, bring it back in sync now.
-		c.replayResync(site)
+		if rep.isStale(site) {
+			t := newTally()
+			rep.syncPeer(context.Background(), cl, site, addr, t)
+			rep.account(t)
+		}
 		return nil
 	})
 }
@@ -382,8 +324,9 @@ func (c *Coordinator) logQuery(qid string, alg exec.Algorithm, ans *federation.A
 // matches the object against existing entities, binds it, and broadcasts
 // the binding delta to every site replica. Distributed atomicity is out of
 // scope, as the paper defers replicated-data management to the underlying
-// mechanism: a failed broadcast leaves replicas stale (resync and
-// anti-entropy close that gap), and a binding the authority could not log
+// mechanism: a failed broadcast leaves that replica stale and marked so (its
+// digest exchange closes the gap, on the next Ping that reaches the site or
+// the repair loop's next round), and a binding the authority could not log
 // leaves the object stored in step 1 at its site unbound — it answers
 // queries under its synthetic singleton GOid (gmap.Table.Unbound) and no
 // compensating delete is sent.
@@ -411,9 +354,8 @@ func (c *Coordinator) Insert(site object.SiteID, o *object.Object) (object.GOid,
 	// table and a failed append leaves table and digest as they were.
 	c.mu.Lock()
 	class, goid, err := c.Matcher.Assign(site, o.Class, o)
-	var seq uint64
 	if err == nil {
-		_, seq, err = rep.apply(class, antientropy.Binding{GOid: goid, Site: site, LOid: o.LOid})
+		_, err = rep.apply(class, antientropy.Binding{GOid: goid, Site: site, LOid: o.LOid})
 	}
 	c.mu.Unlock()
 	if err != nil {
@@ -429,142 +371,11 @@ func (c *Coordinator) Insert(site object.SiteID, o *object.Object) (object.GOid,
 		if err != nil {
 			c.Metrics.Counter("replica_stale_total",
 				metrics.Labels{Site: string(c.ID), Peer: string(peer)}).Inc()
-			c.queueResync(peer, delta, seq)
+			rep.markStale(peer)
 			err = fmt.Errorf("remote: replica at %s is stale: %w", peer, err)
 		}
 		return err
 	})
-}
-
-// queueResync remembers a bind delta a replica missed (its broadcast
-// failed) so the next successful Ping can replay it.
-func (c *Coordinator) queueResync(peer object.SiteID, delta *BindDelta, seq uint64) {
-	c.resyncMu.Lock()
-	defer c.resyncMu.Unlock()
-	c.setResyncLocked(peer, append(c.resync[peer], pendingDelta{delta: delta, seq: seq}))
-}
-
-// setResyncLocked installs q as the peer's pending-delta queue under the
-// maxPendingDeltas overflow rule; the needs-rebuild mark surfaces on
-// /healthz via ResyncStates. With a DeltaLog the queue is released: the log
-// holds everything from the oldest queued sequence on. Caller holds resyncMu.
-func (c *Coordinator) setResyncLocked(peer object.SiteID, q []pendingDelta) {
-	if c.resync == nil {
-		c.resync = make(map[object.SiteID][]pendingDelta)
-	}
-	if drop := len(q) - maxPendingDeltas; drop > 0 {
-		if c.DeltaLog != nil {
-			c.markRebuildLocked(peer, q[0].seq)
-			q = nil
-		} else {
-			c.markRebuildLocked(peer, 0)
-			q = append([]pendingDelta(nil), q[drop:]...)
-			c.Metrics.Counter("replica_resync_dropped_total",
-				metrics.Labels{Site: string(c.ID), Peer: string(peer)}).Add(int64(drop))
-		}
-	}
-	c.resync[peer] = q
-}
-
-// markRebuildLocked flags a peer as needing a rebuild from the given log
-// sequence (keeping the earliest when marked repeatedly). Caller holds
-// resyncMu.
-func (c *Coordinator) markRebuildLocked(peer object.SiteID, seq uint64) {
-	if c.rebuildFrom == nil {
-		c.rebuildFrom = make(map[object.SiteID]uint64)
-	}
-	if cur, ok := c.rebuildFrom[peer]; !ok || seq < cur {
-		c.rebuildFrom[peer] = seq
-	}
-	c.Metrics.Gauge("replica_needs_rebuild",
-		metrics.Labels{Site: string(c.ID), Peer: string(peer)}).Set(1)
-}
-
-// replayResync brings a reachable peer's replica back in sync. A peer
-// marked needs-rebuild is replayed from the durable log first (the whole
-// gap since the oldest lost delta); then the in-memory pending queue is
-// re-sent in order. Replicas apply exact-duplicate binds idempotently, so
-// overlap between log replay and queued deltas is harmless. A delta that
-// fails again puts itself and everything after it back at the front of the
-// queue (preserving order against deltas queued meanwhile) for the next
-// Ping to retry; a failed rebuild keeps the rebuild mark.
-//
-// The whole replay holds the peer's maintenance lock, so it never
-// interleaves with an anti-entropy repair stream to the same peer.
-func (c *Coordinator) replayResync(peer object.SiteID) {
-	defer c.peerLock(peer)()
-	c.resyncMu.Lock()
-	pending := c.resync[peer]
-	delete(c.resync, peer)
-	rebuildSeq, rebuild := c.rebuildFrom[peer]
-	if rebuild && c.DeltaLog != nil {
-		delete(c.rebuildFrom, peer)
-	}
-	c.resyncMu.Unlock()
-	if len(pending) == 0 && !rebuild {
-		return
-	}
-	addr, ok := c.Sites[peer]
-	if !ok {
-		return
-	}
-	cl := c.client()
-	labels := metrics.Labels{Site: string(c.ID), Peer: string(peer)}
-
-	if rebuild && c.DeltaLog != nil {
-		err := c.DeltaLog.ReplayBinds(rebuildSeq, func(class string, goid object.GOid, site object.SiteID, loid object.LOid) error {
-			d := &BindDelta{Class: class, GOid: goid, Site: site, LOid: loid}
-			if _, _, err := cl.call(peer, addr, Request{Kind: kindBind, Bind: d, Trace: TraceContext{From: c.ID}}); err != nil {
-				return err
-			}
-			c.Metrics.Counter("replica_resync_total", labels).Inc()
-			return nil
-		})
-		if err != nil {
-			// Put everything back for the next Ping: the rebuild mark and
-			// any deltas queued meanwhile.
-			c.resyncMu.Lock()
-			c.markRebuildLocked(peer, rebuildSeq)
-			c.resync[peer] = append(pending, c.resync[peer]...)
-			c.resyncMu.Unlock()
-			return
-		}
-		c.Metrics.Counter("replica_rebuild_total", labels).Inc()
-		c.Metrics.Gauge("replica_needs_rebuild", labels).Set(0)
-		// The log covered every sequence from rebuildSeq through its tail,
-		// which includes all queued deltas (their sequences were assigned
-		// before they could be queued); nothing left to re-send.
-		pending = nil
-	}
-
-	for i, pd := range pending {
-		if _, _, err := cl.call(peer, addr, Request{Kind: kindBind, Bind: pd.delta, Trace: TraceContext{From: c.ID}}); err != nil {
-			c.resyncMu.Lock()
-			c.setResyncLocked(peer, append(append([]pendingDelta(nil), pending[i:]...), c.resync[peer]...))
-			c.resyncMu.Unlock()
-			return
-		}
-		c.Metrics.Counter("replica_resync_total", labels).Inc()
-	}
-}
-
-// ResyncStates reports each out-of-sync replica's condition for the health
-// surface: "needs-rebuild" for peers whose pending-delta queue overflowed,
-// "pending(N)" for peers with N deltas awaiting replay. In-sync peers are
-// absent.
-func (c *Coordinator) ResyncStates() map[object.SiteID]string {
-	c.resyncMu.Lock()
-	defer c.resyncMu.Unlock()
-	out := make(map[object.SiteID]string)
-	for peer, q := range c.resync {
-		if len(q) > 0 {
-			out[peer] = fmt.Sprintf("pending(%d)", len(q))
-		}
-	}
-	for peer := range c.rebuildFrom {
-		out[peer] = "needs-rebuild"
-	}
-	return out
 }
 
 // siteCalls is the TCP implementation of exec.SiteOps for one query: each

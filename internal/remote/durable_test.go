@@ -68,10 +68,10 @@ func startDurableSite(t *testing.T, root string, site object.SiteID) *durableSit
 // TestDurableSiteRestart is the durability acceptance scenario over real
 // TCP: a cluster of WAL-backed sites answers the paper's Q1; one site goes
 // down (queries degrade, an insert's bind delta goes undelivered); the site
-// restarts from its data directory on a fresh port and the next ping
-// resyncs it — after which Q1 returns the full paper answer again and both
-// the pre-shutdown insert and the missed delta are present in the restarted
-// replica.
+// restarts from its data directory on a fresh port and the next ping runs
+// its digest exchange — after which Q1 returns the full paper answer again
+// and both the pre-shutdown insert and the missed delta are present in the
+// restarted replica.
 func TestDurableSiteRestart(t *testing.T) {
 	root := t.TempDir()
 	fx := school.New()
@@ -148,7 +148,7 @@ func TestDurableSiteRestart(t *testing.T) {
 	}
 
 	// DB3 goes down: queries degrade, and an insert elsewhere leaves DB3's
-	// replica stale (the delta is queued against the durable log).
+	// replica stale and marked so.
 	sites["DB3"].Close()
 	assertQ1("DB3 down", true)
 	missedGOid, err := coord.Insert("DB2", object.New("t8'", "Teacher", map[string]object.Value{
@@ -157,12 +157,12 @@ func TestDurableSiteRestart(t *testing.T) {
 	if err == nil {
 		t.Fatal("insert with a dead replica reported no staleness")
 	}
-	if st := coord.ResyncStates()["DB3"]; st == "" {
-		t.Fatal("no resync state for the dead replica")
+	if !coord.replica().isStale("DB3") {
+		t.Fatal("the dead replica is not marked stale")
 	}
 
 	// Restart DB3 from its data directory on a fresh port. The recovered
-	// state must include the pre-shutdown insert, and the ping's resync
+	// state must include the pre-shutdown insert, and the ping's exchange
 	// must deliver the delta DB3 missed while down.
 	restarted := startDurableSite(t, root, "DB3")
 	sites["DB3"] = restarted
@@ -183,10 +183,8 @@ func TestDurableSiteRestart(t *testing.T) {
 		t.Fatalf("ping of the restarted cluster: %v", err)
 	}
 	if loid, ok := restarted.Server.cfg.Tables.Table("Teacher").LOidAt(missedGOid, "DB2"); !ok || loid != "t8'" {
-		t.Fatalf("missed delta not resynced: %s@DB2 = (%q, %v), want (t8', true)", missedGOid, loid, ok)
+		t.Fatalf("missed delta not delivered: %s@DB2 = (%q, %v), want (t8', true)", missedGOid, loid, ok)
 	}
-	if states := coord.ResyncStates(); len(states) != 0 {
-		t.Errorf("ResyncStates after restart = %v, want empty", states)
-	}
+	assertPeerConverged(t, coord, restarted.Server)
 	assertQ1("DB3 restarted", false)
 }

@@ -1,16 +1,6 @@
 package remote
 
-import (
-	"fmt"
-	"testing"
-
-	"github.com/hetfed/hetfed/internal/metrics"
-	"github.com/hetfed/hetfed/internal/object"
-	"github.com/hetfed/hetfed/internal/school"
-	"github.com/hetfed/hetfed/internal/signature"
-	"github.com/hetfed/hetfed/internal/store/wal"
-	"github.com/hetfed/hetfed/internal/trace"
-)
+import "testing"
 
 // TestCoordinatorCloseIdempotent covers the Close lifecycle: closing a
 // coordinator that never made a call must not allocate a client, repeated
@@ -45,109 +35,4 @@ func TestCoordinatorCloseIdempotent(t *testing.T) {
 		t.Fatal("Ping after Close did not rebuild the client")
 	}
 	coord.Close()
-}
-
-// TestResyncOverflowWithoutLogDropsAndMarks pins the lossy fallback: with no
-// DeltaLog an overflowing pending-delta queue drops its oldest entries,
-// counts them, and marks the peer needs-rebuild — a sticky mark, since
-// nothing durable can close the gap.
-func TestResyncOverflowWithoutLogDropsAndMarks(t *testing.T) {
-	coord := &Coordinator{ID: "G", Metrics: metrics.New()}
-	const extra = 5
-	for i := 0; i < maxPendingDeltas+extra; i++ {
-		d := &BindDelta{Class: "Teacher", GOid: object.GOid(fmt.Sprintf("gt%03d", i)), Site: "DB2", LOid: object.LOid(fmt.Sprintf("t%03d'", i))}
-		coord.queueResync("DB3", d, 0)
-	}
-	if got := len(coord.resync["DB3"]); got != maxPendingDeltas {
-		t.Errorf("queue length = %d, want %d", got, maxPendingDeltas)
-	}
-	if st := coord.ResyncStates()["DB3"]; st != "needs-rebuild" {
-		t.Errorf("ResyncStates[DB3] = %q, want needs-rebuild", st)
-	}
-	snap := coord.Metrics.Snapshot()
-	if got := snap.CounterValue("replica_resync_dropped_total", metrics.Labels{Site: "G", Peer: "DB3"}); got != extra {
-		t.Errorf("replica_resync_dropped_total = %d, want %d", got, extra)
-	}
-	// The oldest entries were the ones dropped: the queue now starts at
-	// delta #extra.
-	if got := coord.resync["DB3"][0].delta.GOid; got != object.GOid(fmt.Sprintf("gt%03d", extra)) {
-		t.Errorf("queue head = %s, want gt%03d", got, extra)
-	}
-}
-
-// TestResyncOverflowRebuildsFromLog is the durable path end to end: every
-// bind is appended to a WAL-backed delta log, the peer's queue overflows
-// (the in-memory deltas are released — the log holds them), and the next
-// replay rebuilds the peer's replica from the log, delivering the deltas
-// the queue could no longer hold.
-func TestResyncOverflowRebuildsFromLog(t *testing.T) {
-	deltaLog, _, err := wal.OpenLog(wal.Options{Dir: t.TempDir(), Site: "G"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer deltaLog.Close()
-
-	coord := &Coordinator{ID: "G", Metrics: metrics.New(), DeltaLog: deltaLog}
-	const total = maxPendingDeltas + 4
-	for i := 0; i < total; i++ {
-		goid := object.GOid(fmt.Sprintf("gt%03d", 100+i))
-		loid := object.LOid(fmt.Sprintf("t%03d'", 100+i))
-		seq, err := deltaLog.AppendBind("Teacher", goid, "DB2", loid)
-		if err != nil {
-			t.Fatal(err)
-		}
-		coord.queueResync("DB3", &BindDelta{Class: "Teacher", GOid: goid, Site: "DB2", LOid: loid}, seq)
-	}
-	// The overflow released the queue into the log's care: only the deltas
-	// queued after the overflow are held in memory.
-	if got := len(coord.resync["DB3"]); got != total-(maxPendingDeltas+1) {
-		t.Errorf("post-overflow queue length = %d, want %d", got, total-(maxPendingDeltas+1))
-	}
-	if st := coord.ResyncStates()["DB3"]; st != "needs-rebuild" {
-		t.Fatalf("ResyncStates[DB3] = %q, want needs-rebuild", st)
-	}
-
-	// Bring up the peer and replay. The rebuild must cover the whole gap —
-	// including every delta the overflow dropped from memory.
-	fx := school.New()
-	srv, err := NewServer(ServerConfig{
-		DB:         fx.Databases["DB3"],
-		Global:     fx.Global,
-		Tables:     fx.Mapping,
-		Signatures: signature.Build(fx.Databases),
-		Tracer:     &trace.Tracer{},
-		Metrics:    metrics.New(),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := srv.Listen("127.0.0.1:0"); err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	coord.Sites = map[object.SiteID]string{"DB3": srv.Addr()}
-
-	coord.replayResync("DB3")
-
-	replica := srv.cfg.Tables.Table("Teacher")
-	for i := 0; i < total; i++ {
-		goid := object.GOid(fmt.Sprintf("gt%03d", 100+i))
-		if loid, ok := replica.LOidAt(goid, "DB2"); !ok || loid != object.LOid(fmt.Sprintf("t%03d'", 100+i)) {
-			t.Fatalf("replica after rebuild: %s@DB2 = (%q, %v), want (t%03d', true)", goid, loid, ok, 100+i)
-		}
-	}
-	if states := coord.ResyncStates(); len(states) != 0 {
-		t.Errorf("ResyncStates after rebuild = %v, want empty", states)
-	}
-	snap := coord.Metrics.Snapshot()
-	labels := metrics.Labels{Site: "G", Peer: "DB3"}
-	if got := snap.CounterValue("replica_rebuild_total", labels); got != 1 {
-		t.Errorf("replica_rebuild_total = %d, want 1", got)
-	}
-	if got := snap.CounterValue("replica_resync_total", labels); got != total {
-		t.Errorf("replica_resync_total = %d, want %d", got, total)
-	}
-	if got := snap.CounterValue("replica_needs_rebuild", labels); got != 0 {
-		t.Errorf("replica_needs_rebuild gauge = %d, want 0", got)
-	}
 }

@@ -13,9 +13,11 @@ import (
 	"github.com/hetfed/hetfed/internal/object"
 )
 
-// bindLog makes one binding durable before a replica applies it and returns
-// the log sequence it was written under (0 where the log has none).
-type bindLog func(class string, goid object.GOid, site object.SiteID, loid object.LOid) (uint64, error)
+// DeltaLog is the log behind a replica's tables: it makes a binding durable
+// before the replica applies it. A site's store.StorageEngine is one.
+type DeltaLog interface {
+	LogBind(class string, goid object.GOid, site object.SiteID, loid object.LOid) error
+}
 
 // replica is one process's copy of the GOid mapping tables — the one piece
 // of state the paper replicates at every site — with the digest that mirrors
@@ -31,20 +33,27 @@ type replica struct {
 	// query processing reads the tables under.
 	mu      *sync.RWMutex
 	tracker *antientropy.Tracker
-	// persist, when set, is the durable log behind the tables (Engine.LogBind
-	// at a durable site, DeltaLog.AppendBind at the coordinator).
-	persist bindLog
+	// persist, when non-nil, is the durable log behind the tables (the
+	// storage engine at a durable site, Coordinator.DeltaLog).
+	persist DeltaLog
 	reg     *metrics.Registry
 	log     *slog.Logger
+
+	// staleMu guards stale: the peers that missed a bind broadcast of this
+	// replica's owner (so only the coordinator's has any). The mark is all that
+	// is kept; what the peer lacks its next digest exchange reads off the tables.
+	staleMu sync.Mutex
+	stale   map[object.SiteID]bool
 }
 
 // newReplica wraps tables, seeding the digest from what they hold. It takes
 // mu.RLock for the seed, so the caller must not hold mu.
-func newReplica(self object.SiteID, tables *gmap.Tables, mu *sync.RWMutex, persist bindLog, reg *metrics.Registry, log *slog.Logger) *replica {
+func newReplica(self object.SiteID, tables *gmap.Tables, mu *sync.RWMutex, persist DeltaLog, reg *metrics.Registry, log *slog.Logger) *replica {
 	if log == nil {
 		log = slog.New(slog.DiscardHandler)
 	}
-	r := &replica{self: self, tables: tables, mu: mu, tracker: antientropy.NewTracker(), persist: persist, reg: reg, log: log}
+	r := &replica{self: self, tables: tables, mu: mu, tracker: antientropy.NewTracker(), persist: persist, reg: reg, log: log,
+		stale: make(map[object.SiteID]bool)}
 	mu.RLock()
 	r.tracker.Seed(tables)
 	mu.RUnlock()
@@ -58,36 +67,35 @@ func newReplica(self object.SiteID, tables *gmap.Tables, mu *sync.RWMutex, persi
 var errBindConflict = errors.New("binding conflict")
 
 // apply is the one rule that keeps a replica honest. The caller holds mu for
-// writing. An exact duplicate is a re-delivery — log rebuild, resync replay,
-// a repair stream overlapping deltas already applied — and acks idempotently
-// (applied=false, no error). A conflict is refused before anything is logged:
-// a binding the table would refuse must reach neither the log nor the digest,
-// or the durable record and the replica (and every digest exchange thereafter)
-// disagree forever. Then log, bind, observe, in that order: the table never
-// gets ahead of the durable log — a rebuild replay would silently lose the
-// binding — and the digest never ahead of the table. seq is the log sequence
-// the binding was written under.
-func (r *replica) apply(class string, b antientropy.Binding) (applied bool, seq uint64, err error) {
+// writing. An exact duplicate is a re-delivery — a repair stream overlapping
+// deltas already applied, a broadcast overlapping a repair — and acks
+// idempotently (applied=false, no error). A conflict is refused before
+// anything is logged: a binding the table would refuse must reach neither the
+// log nor the digest, or the durable record and the replica (and every digest
+// exchange thereafter) disagree forever. Then log, bind, observe, in that
+// order: the table never gets ahead of the durable log — a restart would
+// silently lose the binding — and the digest never ahead of the table.
+func (r *replica) apply(class string, b antientropy.Binding) (applied bool, err error) {
 	t := r.tables.Table(class)
 	if t.Bound(b.GOid, b.Site, b.LOid) {
-		return false, 0, nil
+		return false, nil
 	}
 	if prev, ok := t.GOidOf(b.Site, b.LOid); ok && prev != b.GOid {
-		return false, 0, fmt.Errorf("%w: gmap %s: %s@%s already bound to %s", errBindConflict, class, b.LOid, b.Site, prev)
+		return false, fmt.Errorf("%w: gmap %s: %s@%s already bound to %s", errBindConflict, class, b.LOid, b.Site, prev)
 	}
 	if prev, ok := t.LOidAt(b.GOid, b.Site); ok && prev != b.LOid {
-		return false, 0, fmt.Errorf("%w: gmap %s: %s already has %s at site %s", errBindConflict, class, b.GOid, prev, b.Site)
+		return false, fmt.Errorf("%w: gmap %s: %s already has %s at site %s", errBindConflict, class, b.GOid, prev, b.Site)
 	}
 	if r.persist != nil {
-		if seq, err = r.persist(class, b.GOid, b.Site, b.LOid); err != nil {
-			return false, 0, fmt.Errorf("remote: bind log: %w", err)
+		if err := r.persist.LogBind(class, b.GOid, b.Site, b.LOid); err != nil {
+			return false, fmt.Errorf("remote: bind log: %w", err)
 		}
 	}
 	if err := t.Bind(b.GOid, b.Site, b.LOid); err != nil {
-		return false, seq, fmt.Errorf("%w: %v", errBindConflict, err)
+		return false, fmt.Errorf("%w: %v", errBindConflict, err)
 	}
 	r.tracker.Observe(class, b.GOid, b.Site, b.LOid)
-	return true, seq, nil
+	return true, nil
 }
 
 // applyAll applies a peer's repair bindings under the write lock. It returns
@@ -97,7 +105,7 @@ func (r *replica) applyAll(class string, peer object.SiteID, bs []antientropy.Bi
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	for _, b := range bs {
-		ok, _, err := r.apply(class, b)
+		ok, err := r.apply(class, b)
 		switch {
 		case errors.Is(err, errBindConflict):
 			conflicts++
@@ -141,7 +149,7 @@ func (s *Server) handleBind(req Request) Response {
 		return Response{Err: "bind request without delta"}
 	}
 	d := req.Bind
-	if _, _, err := s.rep.apply(d.Class, antientropy.Binding{GOid: d.GOid, Site: d.Site, LOid: d.LOid}); err != nil {
+	if _, err := s.rep.apply(d.Class, antientropy.Binding{GOid: d.GOid, Site: d.Site, LOid: d.LOid}); err != nil {
 		return Response{Err: err.Error()}
 	}
 	return Response{}

@@ -46,11 +46,11 @@ type switchDeltaLog struct {
 	down *atomic.Int32
 }
 
-func (l switchDeltaLog) AppendBind(class string, goid object.GOid, site object.SiteID, loid object.LOid) (uint64, error) {
+func (l switchDeltaLog) LogBind(class string, goid object.GOid, site object.SiteID, loid object.LOid) error {
 	if l.down.Load() != 0 {
-		return 0, errLogDown
+		return errLogDown
 	}
-	return l.DeltaLog.AppendBind(class, goid, site, loid)
+	return l.DeltaLog.LogBind(class, goid, site, loid)
 }
 
 // replicaSubject is one replica under TestReplicaApply: the replica, a
@@ -73,19 +73,31 @@ func entityGOid(entity int) object.GOid {
 	return object.GOid(fmt.Sprintf("g%s:%d", replicaClass, entity))
 }
 
-func replayed(t *testing.T, eng *wal.Engine) func() []antientropy.Binding {
-	return func() []antientropy.Binding {
-		out := []antientropy.Binding{}
-		err := eng.ReplayBinds(0, func(class string, goid object.GOid, site object.SiteID, loid object.LOid) error {
-			if class == replicaClass {
-				out = append(out, antientropy.Binding{GOid: goid, Site: site, LOid: loid})
-			}
-			return nil
-		})
-		if err != nil {
-			t.Fatalf("ReplayBinds: %v", err)
+// tableBindings lists a replica's bindings of the test's class, in table order.
+func tableBindings(tables *gmap.Tables) []antientropy.Binding {
+	out := []antientropy.Binding{}
+	tab := tables.Table(replicaClass)
+	for _, goid := range tab.GOids() {
+		for _, loc := range tab.Locations(goid) {
+			out = append(out, antientropy.Binding{GOid: goid, Site: loc.Site, LOid: loc.LOid})
 		}
-		return out
+	}
+	return out
+}
+
+// reopened reads what eng's log holds the way a restart would: the bindings
+// a second engine recovers from the same directory.
+func reopened(t *testing.T, eng *wal.Engine, dir string) func() []antientropy.Binding {
+	return func() []antientropy.Binding {
+		if err := eng.Sync(); err != nil {
+			t.Fatalf("Sync: %v", err)
+		}
+		again, tables, err := wal.OpenLog(wal.Options{Dir: dir})
+		if err != nil {
+			t.Fatalf("reopen the log: %v", err)
+		}
+		defer again.Close()
+		return tableBindings(tables)
 	}
 }
 
@@ -98,13 +110,14 @@ func serverSubject(t *testing.T, durable bool) (*Server, *replicaSubject) {
 	sub := &replicaSubject{down: new(atomic.Int32)}
 	cfg := ServerConfig{DB: fx.Databases["DB1"], Global: fx.Global, Tables: gmap.NewTables(), Metrics: metrics.New()}
 	if durable {
-		eng, db, tables, err := wal.Open(cfg.DB.Schema(), wal.Options{Dir: t.TempDir(), Site: "DB1"})
+		dir := t.TempDir()
+		eng, db, tables, err := wal.Open(cfg.DB.Schema(), wal.Options{Dir: dir, Site: "DB1"})
 		if err != nil {
 			t.Fatal(err)
 		}
 		t.Cleanup(func() { eng.Close() })
 		cfg.DB, cfg.Tables, cfg.Engine = db, tables, switchEngine{eng, sub.down}
-		sub.logged = replayed(t, eng)
+		sub.logged = reopened(t, eng, dir)
 	}
 	srv, err := NewServer(cfg)
 	if err != nil {
@@ -178,7 +191,8 @@ var replicaEntryPoints = map[string]func(t *testing.T, durable bool) *replicaSub
 			Sites: map[object.SiteID]string{replicaSite: stubSite(t, Response{})}}
 		t.Cleanup(coord.Close)
 		if durable {
-			eng, tables, err := wal.OpenLog(wal.Options{Dir: t.TempDir(), Site: "G"})
+			dir := t.TempDir()
+			eng, tables, err := wal.OpenLog(wal.Options{Dir: dir, Site: "G"})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -187,7 +201,7 @@ var replicaEntryPoints = map[string]func(t *testing.T, durable bool) *replicaSub
 				t.Fatal(err)
 			}
 			coord.DeltaLog = switchDeltaLog{eng, sub.down}
-			sub.logged = replayed(t, eng)
+			sub.logged = reopened(t, eng, dir)
 		}
 		coord.Tables = matcher.Tables()
 		sub.rep = coord.replica()
@@ -206,7 +220,7 @@ var replicaEntryPoints = map[string]func(t *testing.T, durable bool) *replicaSub
 
 // TestReplicaApply holds the one rule (replica.apply) over every way a
 // binding reaches a replica and every log behind one: after each case the
-// table, the log's replayed bindings and the digest describe the same set —
+// table, the bindings a reopened log recovers and the digest describe the same set —
 // a conflict reaches neither log nor digest, a binding the log refused
 // reaches neither table nor digest — and only a conflict is counted as one.
 func TestReplicaApply(t *testing.T) {
@@ -247,13 +261,7 @@ func TestReplicaApply(t *testing.T) {
 					}
 
 					sub.rep.mu.RLock()
-					tab := sub.rep.tables.Table(replicaClass)
-					got := []antientropy.Binding{}
-					for _, goid := range tab.GOids() {
-						for _, loc := range tab.Locations(goid) {
-							got = append(got, antientropy.Binding{GOid: goid, Site: loc.Site, LOid: loc.LOid})
-						}
-					}
+					got := tableBindings(sub.rep.tables)
 					recomputed := antientropy.NewTracker()
 					recomputed.Seed(sub.rep.tables)
 					sub.rep.mu.RUnlock()
@@ -262,7 +270,7 @@ func TestReplicaApply(t *testing.T) {
 					}
 					if sub.logged != nil {
 						if logged := sub.logged(); !slices.Equal(logged, got) {
-							t.Errorf("log replays %v, table holds %v", logged, got)
+							t.Errorf("the log recovers %v, table holds %v", logged, got)
 						}
 					}
 					if d := sub.rep.tracker.Digest(replicaClass); d != recomputed.Digest(replicaClass) {

@@ -439,8 +439,8 @@ func TestServerReapsIdleConnections(t *testing.T) {
 }
 
 // TestResyncReplaysMissedDeltas: a bind broadcast that misses a dead
-// replica is queued, and the next successful Ping replays it — the revived
-// replica's mapping table catches up without a rebuild.
+// replica marks it stale, and the next successful Ping runs its digest
+// exchange — the revived replica's mapping table catches up.
 func TestResyncReplaysMissedDeltas(t *testing.T) {
 	coord, servers, cleanup := startRobustCluster(t, nil)
 	defer cleanup()
@@ -486,7 +486,7 @@ func TestResyncReplaysMissedDeltas(t *testing.T) {
 	coord.Sites["DB3"] = revived.Addr()
 
 	// The server owns a private clone of the tables it was built with; that
-	// clone is the replica the resync must catch up.
+	// clone is the replica the exchange must catch up.
 	replica := revived.cfg.Tables
 	if _, ok := replica.Table("Teacher").LOidAt("gt3", "DB2"); ok {
 		t.Fatal("fresh replica already has the delta — test setup broken")
@@ -495,19 +495,12 @@ func TestResyncReplaysMissedDeltas(t *testing.T) {
 		t.Fatalf("ping of the revived cluster: %v", err)
 	}
 	if loid, ok := replica.Table("Teacher").LOidAt("gt3", "DB2"); !ok || loid != "t9'" {
-		t.Errorf("revived replica after resync: gt3@DB2 = (%q, %v), want (t9', true)", loid, ok)
+		t.Errorf("revived replica after the ping: gt3@DB2 = (%q, %v), want (t9', true)", loid, ok)
 	}
-	snap := coord.Metrics.Snapshot()
-	if got := snap.CounterValue("replica_resync_total", metrics.Labels{Site: "G", Peer: "DB3"}); got != 1 {
-		t.Errorf("replica_resync_total = %d, want 1", got)
-	}
-	// A second ping has nothing left to replay.
-	if err := coord.Ping(); err != nil {
-		t.Fatalf("second ping: %v", err)
-	}
-	if got := coord.Metrics.Snapshot().CounterValue("replica_resync_total", metrics.Labels{Site: "G", Peer: "DB3"}); got != 1 {
-		t.Errorf("replica_resync_total after second ping = %d, want still 1", got)
-	}
+	assertPeerConverged(t, coord, revived)
+	// A second ping has nothing left to deliver.
+	servers["DB3"] = revived
+	assertQuietPing(t, coord, servers)
 }
 
 // stubSite answers every request arriving on a raw listener with resp: a

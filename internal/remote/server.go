@@ -166,13 +166,7 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 		conns:  make(map[net.Conn]struct{}),
 	}
 	// With a durable engine a binding is logged before it is applied.
-	var persist bindLog
-	if eng := cfg.Engine; eng != nil {
-		persist = func(class string, goid object.GOid, site object.SiteID, loid object.LOid) (uint64, error) {
-			return 0, eng.LogBind(class, goid, site, loid)
-		}
-	}
-	s.rep = newReplica(s.Site(), cfg.Tables, &s.stateMu, persist, cfg.Metrics, s.log)
+	s.rep = newReplica(s.Site(), cfg.Tables, &s.stateMu, cfg.Engine, cfg.Metrics, s.log)
 	s.flow = exec.SiteFlow{
 		Site:    site,
 		State:   s.stateMu.RLocker(),
@@ -537,7 +531,8 @@ func (s *Server) dispatch(ctx context.Context, req Request, sp trace.Handle) Res
 	}
 	if req.Kind == kindPing {
 		// Liveness probes bypass fault injection and budgets: Ping asks
-		// whether the transport works, and the resync path depends on it.
+		// whether the transport works, and a stale replica's exchange waits on
+		// its answer.
 		return Response{}
 	}
 	// Server-side fault injection, mirroring the engine's siteDown: Delay

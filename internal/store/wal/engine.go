@@ -58,7 +58,7 @@ type Options struct {
 
 // Engine is the persistent storage engine: it implements
 // store.StorageEngine over a WAL+snapshot directory and doubles as the
-// coordinator's durable bind-delta log (AppendBind/ReplayBinds).
+// coordinator's durable bind log (OpenLog).
 type Engine struct {
 	opts   Options
 	labels metrics.Labels
@@ -73,9 +73,7 @@ type Engine struct {
 	mu          sync.Mutex
 	f           *os.File // wal.log, positioned at its end
 	w           *bufio.Writer
-	off         int64  // current wal.log length (all buffered frames included)
 	seq         uint64 // last assigned sequence number
-	baseSeq     uint64 // sequence covered by snapshot.snap (0 = none)
 	sinceSnap   int    // appends since the last snapshot
 	snapRecords int64  // records in the last snapshot (defers the next one)
 	buf         []byte // reusable payload-encoding scratch
@@ -178,6 +176,7 @@ func (e *Engine) recover() error {
 	// Snapshot first: its header sets baseSeq, its records rebuild the
 	// compacted state. A snapshot is written in one atomic rename, so any
 	// torn frame here is real corruption, not a crash artifact.
+	var baseSeq uint64 // sequence covered by snapshot.snap (0 = none)
 	snapPath := filepath.Join(e.opts.Dir, snapFile)
 	if sf, err := os.Open(snapPath); err == nil {
 		st, err := sf.Stat()
@@ -193,7 +192,7 @@ func (e *Engine) recover() error {
 				if rec.kind != recHeader {
 					return fmt.Errorf("wal: snapshot %s does not start with a header record", snapPath)
 				}
-				e.baseSeq = rec.base
+				baseSeq = rec.base
 				return nil
 			}
 			return apply(rec)
@@ -208,7 +207,7 @@ func (e *Engine) recover() error {
 	} else if !os.IsNotExist(err) {
 		return fmt.Errorf("wal: %w", err)
 	}
-	e.seq = e.baseSeq
+	e.seq = baseSeq
 
 	// Then the log: replay frames past the snapshot, truncate a torn tail.
 	f, err := os.OpenFile(filepath.Join(e.opts.Dir, walFile), os.O_RDWR|os.O_CREATE, 0o644)
@@ -221,7 +220,7 @@ func (e *Engine) recover() error {
 		return fmt.Errorf("wal: %w", err)
 	}
 	res, err := scanFrames(bufio.NewReader(f), st.Size(), func(rec record) error {
-		if rec.seq <= e.baseSeq {
+		if rec.seq <= baseSeq {
 			// Crash window between snapshot rename and log truncation:
 			// the snapshot already covers this frame.
 			skipped++
@@ -255,15 +254,14 @@ func (e *Engine) recover() error {
 	}
 	e.f = f
 	e.w = bufio.NewWriterSize(f, writerBufLen)
-	e.off = res.good
 
 	micros := time.Since(start).Microseconds()
 	e.opts.Metrics.Counter("recovery_replayed_total", e.labels).Add(replayed)
 	e.opts.Metrics.Counter("recovery_skipped_total", e.labels).Add(skipped)
 	e.opts.Metrics.Gauge("recovery_last_micros", e.labels).Set(micros)
-	span.Add("replayed", replayed).Add("skipped", skipped).Detailf("dir=%s baseSeq=%d seq=%d", e.opts.Dir, e.baseSeq, e.seq)
+	span.Add("replayed", replayed).Add("skipped", skipped).Detailf("dir=%s baseSeq=%d seq=%d", e.opts.Dir, baseSeq, e.seq)
 	e.log.Info("wal: recovered", "site", e.opts.Site, "dir", e.opts.Dir,
-		"replayed", replayed, "skipped", skipped, "base_seq", e.baseSeq, "seq", e.seq, "micros", micros)
+		"replayed", replayed, "skipped", skipped, "base_seq", baseSeq, "seq", e.seq, "micros", micros)
 	return nil
 }
 
@@ -271,7 +269,7 @@ func (e *Engine) recover() error {
 // engine attached yet, so nothing is re-logged. Exact-duplicate inserts
 // and binds are skipped (false, nil): write-ahead discipline means a crash
 // can leave a logged-but-unapplied record that an earlier snapshot or a
-// resync replay later duplicates. Any other error is real corruption or
+// re-delivered binding later duplicates. Any other error is real corruption or
 // schema drift and aborts recovery.
 func (e *Engine) apply(rec record) (bool, error) {
 	switch rec.kind {
@@ -318,8 +316,7 @@ func (e *Engine) LogInsert(o *object.Object) error {
 		return err
 	}
 	e.buf = payload[:0]
-	_, err = e.appendLocked(recInsert, payload)
-	return err
+	return e.appendLocked(recInsert, payload)
 }
 
 // LogCreateIndex implements store.StorageEngine.
@@ -328,20 +325,12 @@ func (e *Engine) LogCreateIndex(class, attr string) error {
 	defer e.mu.Unlock()
 	payload := encodeIndex(e.buf[:0], class, attr)
 	e.buf = payload[:0]
-	_, err := e.appendLocked(recIndex, payload)
-	return err
+	return e.appendLocked(recIndex, payload)
 }
 
-// LogBind implements store.StorageEngine.
+// LogBind implements store.StorageEngine, and remote.DeltaLog for the
+// coordinator's pure bind log.
 func (e *Engine) LogBind(class string, goid object.GOid, site object.SiteID, loid object.LOid) error {
-	_, err := e.AppendBind(class, goid, site, loid)
-	return err
-}
-
-// AppendBind logs one bind delta and returns its log sequence number —
-// the durable cursor the coordinator's replica-resync rebuild replays
-// from (remote.DeltaLog).
-func (e *Engine) AppendBind(class string, goid object.GOid, site object.SiteID, loid object.LOid) (uint64, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	payload := encodeBind(e.buf[:0], class, goid, site, loid)
@@ -354,9 +343,9 @@ func (e *Engine) AppendBind(class string, goid object.GOid, site object.SiteID, 
 // in-memory state covers exactly sequences 1..e.seq — which is why a due
 // snapshot is cut BEFORE assigning this record's sequence: the snapshot's
 // baseSeq then never covers an unapplied record.
-func (e *Engine) appendLocked(kind byte, payload []byte) (uint64, error) {
+func (e *Engine) appendLocked(kind byte, payload []byte) error {
 	if e.closed {
-		return 0, fmt.Errorf("wal: engine is closed")
+		return fmt.Errorf("wal: engine is closed")
 	}
 	// A due snapshot also waits until the log has grown to the size of the
 	// last snapshot: cutting one re-encodes the whole state, so a fixed
@@ -366,26 +355,25 @@ func (e *Engine) appendLocked(kind byte, payload []byte) (uint64, error) {
 	if e.opts.SnapshotEvery > 0 && e.sinceSnap >= e.opts.SnapshotEvery &&
 		int64(e.sinceSnap) >= e.snapRecords && (e.db != nil || e.tables != nil) {
 		if err := e.snapshotLocked(); err != nil {
-			return 0, err
+			return err
 		}
 	}
 	e.seq++
 	frame := appendFrame(e.frame[:0], e.seq, kind, payload)
-	n, err := e.w.Write(frame)
-	e.off += int64(n)
+	_, err := e.w.Write(frame)
 	e.frame = frame[:0]
 	if err != nil {
-		return 0, fmt.Errorf("wal: append: %w", err)
+		return fmt.Errorf("wal: append: %w", err)
 	}
 	if e.opts.Fsync {
 		if err := e.syncLocked(); err != nil {
-			return 0, err
+			return err
 		}
 	}
 	e.sinceSnap++
 	e.cAppends.Add(1)
 	e.cBytes.Add(int64(len(frame)))
-	return e.seq, nil
+	return nil
 }
 
 func (e *Engine) syncLocked() error {
@@ -550,8 +538,6 @@ func (e *Engine) snapshotLocked() error {
 		return fmt.Errorf("wal: snapshot: %w", err)
 	}
 	e.w.Reset(e.f)
-	e.off = 0
-	e.baseSeq = e.seq
 	e.sinceSnap = 0
 	e.snapRecords = records
 
@@ -563,95 +549,6 @@ func (e *Engine) snapshotLocked() error {
 	e.log.Info("wal: snapshot", "site", e.opts.Site, "records", records, "bytes", bytes,
 		"base_seq", e.seq, "micros", micros)
 	return nil
-}
-
-// ReplayBinds streams every durable bind with sequence >= from to fn, in
-// log order (snapshot state first when from predates the snapshot).
-// Implements remote.DeltaLog: the coordinator rebuilds an overflowed
-// replica by replaying the gap from here instead of losing it.
-//
-// The binds are collected under the engine lock first and delivered to fn
-// unlocked: fn is typically a network send per bind (replica rebuild), and
-// holding the lock across the stream would stall every concurrent append —
-// and deadlock outright if a delivery ever re-entered the engine (a
-// snapshot compaction triggered by an append mid-replay). The collected
-// set is a consistent cut at call time; binds appended afterwards are the
-// caller's to deliver by other means (they are, by construction, in the
-// coordinator's pending queue or a later replay).
-func (e *Engine) ReplayBinds(from uint64, fn func(class string, goid object.GOid, site object.SiteID, loid object.LOid) error) error {
-	binds, err := e.collectBinds(from)
-	if err != nil {
-		return err
-	}
-	for _, rec := range binds {
-		if err := fn(rec.class, rec.goid, rec.site, rec.loid); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// collectBinds gathers the bind records with sequence >= from, in log
-// order, under the engine lock.
-func (e *Engine) collectBinds(from uint64) ([]record, error) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.closed {
-		return nil, fmt.Errorf("wal: engine is closed")
-	}
-	if err := e.w.Flush(); err != nil {
-		return nil, fmt.Errorf("wal: flush: %w", err)
-	}
-	var binds []record
-	emit := func(rec record) error {
-		if rec.kind != recBind {
-			return nil
-		}
-		binds = append(binds, rec)
-		return nil
-	}
-	if from <= e.baseSeq {
-		// The gap predates the snapshot: individual frames are gone, so
-		// replay the full compacted state (binds only). Snapshot state
-		// records carry seq 0, which is fine — receivers apply binds
-		// idempotently.
-		snapPath := filepath.Join(e.opts.Dir, snapFile)
-		sf, err := os.Open(snapPath)
-		if err != nil && !os.IsNotExist(err) {
-			return nil, fmt.Errorf("wal: %w", err)
-		}
-		if err == nil {
-			st, err := sf.Stat()
-			if err == nil {
-				first := true
-				_, err = scanFrames(bufio.NewReader(sf), st.Size(), func(rec record) error {
-					if first {
-						first = false
-						return nil
-					}
-					return emit(rec)
-				})
-			}
-			sf.Close()
-			if err != nil {
-				return nil, err
-			}
-		}
-	}
-	rf, err := os.Open(filepath.Join(e.opts.Dir, walFile))
-	if err != nil {
-		return nil, fmt.Errorf("wal: %w", err)
-	}
-	defer rf.Close()
-	if _, err := scanFrames(bufio.NewReader(rf), e.off, func(rec record) error {
-		if rec.seq <= e.baseSeq || rec.seq < from {
-			return nil
-		}
-		return emit(rec)
-	}); err != nil {
-		return nil, err
-	}
-	return binds, nil
 }
 
 // Import merges an in-memory fixture into the durable store: every

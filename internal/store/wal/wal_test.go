@@ -7,7 +7,6 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-	"time"
 
 	"github.com/hetfed/hetfed/internal/gmap"
 	"github.com/hetfed/hetfed/internal/object"
@@ -295,62 +294,33 @@ func TestSnapshotRotation(t *testing.T) {
 	if eng2.Seq() < seq {
 		t.Fatalf("sequence went backwards: %d < %d", eng2.Seq(), seq)
 	}
-}
 
-// TestReplayBinds checks the delta-log contract: replay from a mid-log
-// cursor yields exactly the binds at or past it, and a cursor behind the
-// snapshot replays the full compacted state.
-func TestReplayBinds(t *testing.T) {
-	dir := t.TempDir()
-	eng, tables, err := OpenLog(Options{Dir: dir, Site: "G"})
+	// The coordinator's pure bind log (no database behind it) compacts and
+	// recovers the same way: binds from before and after the snapshot are
+	// all there on reopen.
+	logDir := t.TempDir()
+	log, ltables, err := OpenLog(Options{Dir: logDir, Site: "G", SnapshotEvery: 4})
 	if err != nil {
 		t.Fatalf("OpenLog: %v", err)
 	}
-	defer eng.Close()
-	var seqs []uint64
 	for i := 0; i < 10; i++ {
-		loid := object.LOid(fmt.Sprintf("s%d", i))
-		goid := object.GOid(fmt.Sprintf("g%d", i))
-		seq, err := eng.AppendBind("Student", goid, "DB2", loid)
-		if err != nil {
-			t.Fatalf("AppendBind: %v", err)
+		goid, loid := object.GOid(fmt.Sprintf("g%d", i)), object.LOid(fmt.Sprintf("s%d", i))
+		if err := log.LogBind("Student", goid, "DB2", loid); err != nil {
+			t.Fatalf("LogBind: %v", err)
 		}
-		tables.Table("Student").MustBind(goid, "DB2", loid)
-		seqs = append(seqs, seq)
+		ltables.Table("Student").MustBind(goid, "DB2", loid)
 	}
-	var got []string
-	err = eng.ReplayBinds(seqs[6], func(class string, goid object.GOid, site object.SiteID, loid object.LOid) error {
-		got = append(got, string(goid))
-		return nil
-	})
+	log.Close()
+	if _, err := os.Stat(filepath.Join(logDir, snapFile)); err != nil {
+		t.Fatalf("bind log wrote no snapshot: %v", err)
+	}
+	log2, ltables2, err := OpenLog(Options{Dir: logDir, Site: "G"})
 	if err != nil {
-		t.Fatalf("ReplayBinds: %v", err)
+		t.Fatalf("reopen bind log: %v", err)
 	}
-	if want := []string{"g6", "g7", "g8", "g9"}; fmt.Sprint(got) != fmt.Sprint(want) {
-		t.Fatalf("ReplayBinds from %d = %v, want %v", seqs[6], got, want)
-	}
-
-	// Reopen recovers the bind state too.
-	eng.Close()
-	eng2, tables2, err := OpenLog(Options{Dir: dir, Site: "G"})
-	if err != nil {
-		t.Fatalf("reopen log: %v", err)
-	}
-	defer eng2.Close()
-	if got, want := dump(nil, tables2), dump(nil, tables); got != want {
+	defer log2.Close()
+	if got, want := dump(nil, ltables2), dump(nil, ltables); got != want {
 		t.Fatalf("recovered bind log differs:\nwant:\n%s\ngot:\n%s", want, got)
-	}
-
-	// from=0 replays everything even once a snapshot compacts the log.
-	n := 0
-	if err := eng2.ReplayBinds(0, func(string, object.GOid, object.SiteID, object.LOid) error {
-		n++
-		return nil
-	}); err != nil {
-		t.Fatalf("ReplayBinds(0): %v", err)
-	}
-	if n != 10 {
-		t.Fatalf("ReplayBinds(0) yielded %d binds, want 10", n)
 	}
 }
 
@@ -376,153 +346,5 @@ func TestImportSeedsFixture(t *testing.T) {
 	}
 	if db2.Len() != fx.Databases["DB2"].Len() {
 		t.Fatalf("recovered %d objects, fixture has %d", db2.Len(), fx.Databases["DB2"].Len())
-	}
-}
-
-// TestReplayBindsConcurrentAppends pins the collect-then-deliver contract:
-// delivery happens outside the engine lock, so appends proceed while a
-// replay is mid-stream (the coordinator's rebuild replay does one network
-// call per bind — holding the lock across it would stall every insert).
-// The replay yields the consistent cut at call time; the concurrent
-// appends show up in the next replay.
-func TestReplayBindsConcurrentAppends(t *testing.T) {
-	eng, tables, err := OpenLog(Options{Dir: t.TempDir(), Site: "G"})
-	if err != nil {
-		t.Fatalf("OpenLog: %v", err)
-	}
-	defer eng.Close()
-	for i := 0; i < 8; i++ {
-		goid := object.GOid(fmt.Sprintf("g%02d", i))
-		loid := object.LOid(fmt.Sprintf("s%02d", i))
-		if _, err := eng.AppendBind("Student", goid, "DB2", loid); err != nil {
-			t.Fatalf("AppendBind: %v", err)
-		}
-		tables.Table("Student").MustBind(goid, "DB2", loid)
-	}
-
-	gate := make(chan struct{})     // holds the first delivery open
-	parked := make(chan struct{})   // closed once the replay is mid-delivery
-	appended := make(chan struct{}) // closed once the concurrent append lands
-	var replayed []string
-	done := make(chan error, 1)
-	go func() {
-		first := true
-		done <- eng.ReplayBinds(0, func(class string, goid object.GOid, site object.SiteID, loid object.LOid) error {
-			if first {
-				first = false
-				close(parked)
-				<-gate // replay parked mid-stream, lock must be free
-			}
-			replayed = append(replayed, string(goid))
-			return nil
-		})
-	}()
-	go func() {
-		// Wait for the replay to park mid-delivery: its cut is collected,
-		// so this append must land after it — and must complete while the
-		// replay is open (if delivery held the engine lock, this would
-		// deadlock the test).
-		<-parked
-		if _, err := eng.AppendBind("Student", "g99", "DB2", "s99"); err != nil {
-			t.Errorf("concurrent AppendBind: %v", err)
-		}
-		close(appended)
-	}()
-	select {
-	case <-appended:
-	case <-time.After(5 * time.Second):
-		t.Fatal("append blocked behind a mid-stream replay delivery")
-	}
-	close(gate)
-	if err := <-done; err != nil {
-		t.Fatalf("ReplayBinds: %v", err)
-	}
-	if len(replayed) != 8 {
-		t.Fatalf("replay yielded %d binds, want the 8-bind cut at call time (got %v)", len(replayed), replayed)
-	}
-	// The concurrently-appended bind is durable and visible to the next cut.
-	n := 0
-	if err := eng.ReplayBinds(0, func(string, object.GOid, object.SiteID, object.LOid) error {
-		n++
-		return nil
-	}); err != nil {
-		t.Fatalf("second ReplayBinds: %v", err)
-	}
-	if n != 9 {
-		t.Fatalf("second replay yielded %d binds, want 9", n)
-	}
-}
-
-// TestReplayBindsMidStreamCompaction: a snapshot compaction triggered by
-// appends while a replay is delivering must neither deadlock nor corrupt
-// the replay's cut — the records were collected before the compaction
-// rewrote the files.
-func TestReplayBindsMidStreamCompaction(t *testing.T) {
-	eng, tables, err := OpenLog(Options{Dir: t.TempDir(), Site: "G", SnapshotEvery: 4})
-	if err != nil {
-		t.Fatalf("OpenLog: %v", err)
-	}
-	defer eng.Close()
-	bind := func(i int) {
-		goid := object.GOid(fmt.Sprintf("g%03d", i))
-		loid := object.LOid(fmt.Sprintf("s%03d", i))
-		if _, err := eng.AppendBind("Student", goid, "DB2", loid); err != nil {
-			t.Fatalf("AppendBind(%d): %v", i, err)
-		}
-		tables.Table("Student").MustBind(goid, "DB2", loid)
-	}
-	for i := 0; i < 6; i++ {
-		bind(i)
-	}
-
-	gate := make(chan struct{})
-	parked := make(chan struct{})
-	var replayed []string
-	done := make(chan error, 1)
-	go func() {
-		first := true
-		done <- eng.ReplayBinds(0, func(class string, goid object.GOid, site object.SiteID, loid object.LOid) error {
-			if first {
-				first = false
-				close(parked)
-				<-gate
-			}
-			replayed = append(replayed, string(goid))
-			return nil
-		})
-	}()
-	// Enough appends to cross SnapshotEvery and compact the log while the
-	// replay sits parked mid-delivery. Waiting for the park guarantees the
-	// replay's cut was collected before any of these land.
-	compacted := make(chan struct{})
-	go func() {
-		<-parked
-		for i := 6; i < 20; i++ {
-			bind(i)
-		}
-		close(compacted)
-	}()
-	select {
-	case <-compacted:
-	case <-time.After(5 * time.Second):
-		t.Fatal("appends (and the snapshot they trigger) blocked behind a mid-stream replay")
-	}
-	close(gate)
-	if err := <-done; err != nil {
-		t.Fatalf("ReplayBinds across compaction: %v", err)
-	}
-	if len(replayed) != 6 {
-		t.Fatalf("replay yielded %d binds, want the 6-bind cut at call time (got %v)", len(replayed), replayed)
-	}
-	// The post-compaction log still replays the complete state.
-	n := 0
-	if err := eng.ReplayBinds(0, func(string, object.GOid, object.SiteID, object.LOid) error {
-		n++
-		return nil
-	}); err != nil {
-		t.Fatalf("post-compaction ReplayBinds: %v", err)
-	}
-	if n != 20 {
-		t.Fatalf("post-compaction replay yielded %d binds, want 20", n)
 	}
 }

@@ -1,8 +1,8 @@
 #!/bin/sh
 # check.sh — the repository's verification gate: formatting, vet, the
 # one-orchestration, one-report-envelope, one-codec, one-check-path,
-# one-replica and one-metric-catalog structural guards, build, unit tests, the full test
-# suite under the race detector, the
+# one-replica, one-repair-path and one-metric-catalog structural guards,
+# build, unit tests, the full test suite under the race detector, the
 # benchmark module's vet and tests, a one-shot compile-and-run smoke of the
 # overhead and allocation benchmarks, and a short fuzz budget for every
 # decoder that reads bytes off a socket or disk.
@@ -93,10 +93,24 @@ if grep -rnE 'HookEngine|aeReplica|applyBindLocked|UseIndexes|EnableIndexes|Peer
     echo "a deleted copy of the replica rule (or the index option) is back" >&2
     guard_failed=1
 fi
-for pat in '[tT]racker(\(\))?\.Observe\(' '\.LogBind\(' '\.AppendBind\>'; do
+for pat in '[tT]racker(\(\))?\.Observe\(' '\.LogBind\('; do
     want_one "$pat" "$(grep -rnE "$pat" --include='*.go' --exclude='*_test.go' \
         --exclude-dir=benchmark --exclude-dir=.bench_build \
         --exclude-dir=antientropy --exclude-dir=store . | grep -vE '^[^:]+:[0-9]+:[[:space:]]*//' || true)"
+done
+# One repair path (DESIGN.md section 14, EXPERIMENTS.md E23): a replica that
+# missed bindings converges through its digest exchange and nothing else. The
+# pending-delta queue, the log-replay rebuild, the per-peer maintenance locks
+# and the log's replay API stay gone, in tests or otherwise; outside tests a
+# digest and a repair are each sent from one place (replica.exchange) and a
+# bind delta from one (Insert's broadcast).
+if grep -rnE 'queueResync|replayResync|pendingDelta|rebuildFrom|peerLock|ResyncStates|ReplayBinds|AppendBind|replica_resync|replica_rebuild|replica_needs_rebuild' \
+    --include='*.go' --exclude-dir=benchmark --exclude-dir=.bench_build .; then
+    echo "a deleted replica-recovery procedure is back (see EXPERIMENTS.md E23)" >&2
+    guard_failed=1
+fi
+for pat in 'Kind:[[:space:]]*kindDigest\>' 'Kind:[[:space:]]*kindRepair\>' 'Kind:[[:space:]]*kindBind\>'; do
+    want_one "$pat" "$(sources "$pat" || true)"
 done
 # One metric catalog: every series non-test code emits has a row in the table
 # of DESIGN.md section 6.
