@@ -1,23 +1,13 @@
-// Benchmarks regenerating the paper's evaluation, one per table/figure:
-//
-//	BenchmarkFigure9   — total/response time vs. objects per constituent class
-//	BenchmarkFigure10  — vs. number of component databases
-//	BenchmarkFigure11  — vs. local-predicate selectivity
-//	BenchmarkTable1T2  — the workload generator itself (Tables 1 and 2)
-//	BenchmarkSignatureAblation — E7, the Section 5 signature extension
-//	BenchmarkNetworkRates      — E8, sensitivity to T_net
-//
-// Each iteration executes one full strategy run over a generated Table 2
-// federation inside the discrete-event simulator. The simulated response
-// and total execution times are attached as custom metrics (resp_ms,
-// total_ms), so `go test -bench` output directly reports the paper's two
-// y-axes alongside wall-clock cost. Micro-benchmarks for the substrates
-// (parser, predicate evaluation, DES kernel, isomerism identification,
-// outerjoin materialization) follow.
+// The observability overhead budgets (E11, E14) and micro-benchmarks for the
+// substrates: parser, local evaluation, outerjoin materialization, isomerism
+// identification, the DES kernel, signature construction. Each strategy
+// iteration executes one full run over a generated Table 2 federation inside
+// the discrete-event simulator, with the simulated response and total
+// execution times attached as custom metrics (resp_ms, total_ms). The
+// paper's figures themselves are `hetbench run -topic figures`.
 package hetfed_test
 
 import (
-	"fmt"
 	"math/rand"
 	"sort"
 	"testing"
@@ -37,33 +27,31 @@ import (
 	"github.com/hetfed/hetfed/internal/workload"
 )
 
-// benchWorkload generates one deterministic Table 2 sample.
-func benchWorkload(b *testing.B, mutate func(*workload.Ranges)) *workload.Workload {
-	b.Helper()
+// benchWorkload generates one deterministic Table 2 sample with N_o in
+// [lo, hi]: 900–1100 keeps a benchmark iteration tractable, 400–500 fits two
+// timed runs in one test.
+func benchWorkload(tb testing.TB, lo, hi int) *workload.Workload {
+	tb.Helper()
 	ranges := workload.DefaultRanges()
-	ranges.NObjects = [2]int{900, 1100} // keep per-iteration cost tractable
-	if mutate != nil {
-		mutate(&ranges)
-	}
+	ranges.NObjects = [2]int{lo, hi}
 	rng := rand.New(rand.NewSource(1))
 	w, err := workload.Generate(ranges.Draw(rng), rng)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	return w
 }
 
-func benchEngine(b *testing.B, w *workload.Workload, sigs *signature.Index) *exec.Engine {
-	b.Helper()
+func benchEngine(tb testing.TB, w *workload.Workload) *exec.Engine {
+	tb.Helper()
 	engine, err := exec.New(exec.Config{
 		Global:      w.Global,
 		Coordinator: "G",
 		Databases:   w.Databases,
 		Tables:      w.Tables,
-		Signatures:  sigs,
 	})
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	return engine
 }
@@ -86,112 +74,6 @@ func runStrategy(b *testing.B, engine *exec.Engine, w *workload.Workload, alg ex
 	b.ReportMetric(last.ResponseMicros/1e3, "resp_ms")
 	b.ReportMetric(last.TotalBusyMicros/1e3, "total_ms")
 	b.ReportMetric(float64(last.NetBytes)/1e3, "net_kB")
-}
-
-// BenchmarkFigure9 regenerates Figure 9's points: every strategy at small
-// and large extents.
-func BenchmarkFigure9(b *testing.B) {
-	for _, objects := range []int{500, 2000} {
-		objects := objects
-		w := benchWorkload(b, func(r *workload.Ranges) {
-			r.NObjects = [2]int{objects - objects/10, objects + objects/10}
-		})
-		for _, alg := range exec.Algorithms() {
-			engine := benchEngine(b, w, nil)
-			b.Run(fmt.Sprintf("%v/objects=%d", alg, objects), func(b *testing.B) {
-				runStrategy(b, engine, w, alg)
-			})
-		}
-	}
-}
-
-// BenchmarkFigure10 regenerates Figure 10's points: every strategy at few
-// and many component databases.
-func BenchmarkFigure10(b *testing.B) {
-	for _, ndb := range []int{2, 6} {
-		ndb := ndb
-		w := benchWorkload(b, func(r *workload.Ranges) { r.NDB = ndb })
-		for _, alg := range exec.Algorithms() {
-			engine := benchEngine(b, w, nil)
-			b.Run(fmt.Sprintf("%v/dbs=%d", alg, ndb), func(b *testing.B) {
-				runStrategy(b, engine, w, alg)
-			})
-		}
-	}
-}
-
-// BenchmarkFigure11 regenerates Figure 11's points: every strategy at low
-// and high local-predicate selectivity.
-func BenchmarkFigure11(b *testing.B) {
-	for _, sel := range []float64{0.2, 0.8} {
-		sel := sel
-		w := benchWorkload(b, func(r *workload.Ranges) {
-			r.Selectivity = sel
-			r.NObjects = [2]int{1000, 1100} // the paper's Figure 11 setting, scaled
-		})
-		for _, alg := range exec.Algorithms() {
-			engine := benchEngine(b, w, nil)
-			b.Run(fmt.Sprintf("%v/sel=%.1f", alg, sel), func(b *testing.B) {
-				runStrategy(b, engine, w, alg)
-			})
-		}
-	}
-}
-
-// BenchmarkTable1T2 measures the workload generator (the machinery behind
-// Tables 1 and 2): one full federation per iteration.
-func BenchmarkTable1T2(b *testing.B) {
-	ranges := workload.DefaultRanges()
-	ranges.NObjects = [2]int{900, 1100}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		rng := rand.New(rand.NewSource(int64(i)))
-		if _, err := workload.Generate(ranges.Draw(rng), rng); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkSignatureAblation compares the localized strategies with and
-// without the signature index on an equality-predicate workload (E7).
-func BenchmarkSignatureAblation(b *testing.B) {
-	w := benchWorkload(b, func(r *workload.Ranges) { r.EqualityPreds = true })
-	sigs := signature.Build(w.Databases)
-	for _, alg := range []exec.Algorithm{exec.BL, exec.SBL, exec.PL, exec.SPL} {
-		engine := benchEngine(b, w, sigs)
-		b.Run(alg.String(), func(b *testing.B) {
-			runStrategy(b, engine, w, alg)
-		})
-	}
-}
-
-// BenchmarkNetworkRates measures strategy sensitivity to the network rate
-// (E8): the same workload under a fast and a slow medium.
-func BenchmarkNetworkRates(b *testing.B) {
-	w := benchWorkload(b, nil)
-	for _, netRate := range []float64{2, 32} {
-		netRate := netRate
-		for _, alg := range exec.Algorithms() {
-			engine := benchEngine(b, w, nil)
-			b.Run(fmt.Sprintf("%v/tnet=%g", alg, netRate), func(b *testing.B) {
-				rates := fabric.DefaultRates()
-				rates.NetPerByte = netRate
-				var last fabric.Metrics
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					rt := fabric.NewSim(rates, engine.Sites())
-					_, m, err := engine.Run(rt, alg, w.Bound)
-					if err != nil {
-						b.Fatal(err)
-					}
-					last = m
-				}
-				b.StopTimer()
-				b.ReportMetric(last.ResponseMicros/1e3, "resp_ms")
-				b.ReportMetric(last.TotalBusyMicros/1e3, "total_ms")
-			})
-		}
-	}
 }
 
 // instrumentedEngine builds an engine with the full observability layer
@@ -221,9 +103,9 @@ func instrumentedEngine(tb testing.TB, w *workload.Workload) *exec.Engine {
 // dominate the per-span mutex and per-metric atomic work. See
 // EXPERIMENTS.md (E11) and TestTraceOverheadBudget.
 func BenchmarkTraceOverhead(b *testing.B) {
-	w := benchWorkload(b, nil)
+	w := benchWorkload(b, 900, 1100)
 	b.Run("off", func(b *testing.B) {
-		runStrategy(b, benchEngine(b, w, nil), w, exec.BL)
+		runStrategy(b, benchEngine(b, w), w, exec.BL)
 	})
 	b.Run("on", func(b *testing.B) {
 		runStrategy(b, instrumentedEngine(b, w), w, exec.BL)
@@ -238,8 +120,8 @@ func TestTraceOverheadBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing-sensitive; skipped with -short")
 	}
-	w := benchWorkloadT(t)
-	ratio := overheadRatio(t, w, benchEngineT(t, w), instrumentedEngine(t, w))
+	w := benchWorkload(t, 400, 500)
+	ratio := overheadRatio(t, w, benchEngine(t, w), instrumentedEngine(t, w))
 	if ratio > 2.0 {
 		t.Errorf("observability overhead ratio %.2f exceeds the 2.0 budget", ratio)
 	}
@@ -313,9 +195,9 @@ func profiledEngine(tb testing.TB, w *workload.Workload) *exec.Engine {
 // profiled rung must stay within E11's observability budget — BuildProfile
 // is one pass over the query's spans, and Record is a ring append.
 func BenchmarkProfileOverhead(b *testing.B) {
-	w := benchWorkload(b, nil)
+	w := benchWorkload(b, 900, 1100)
 	b.Run("off", func(b *testing.B) {
-		runStrategy(b, benchEngine(b, w, nil), w, exec.BL)
+		runStrategy(b, benchEngine(b, w), w, exec.BL)
 	})
 	b.Run("traced", func(b *testing.B) {
 		runStrategy(b, instrumentedEngine(b, w), w, exec.BL)
@@ -332,39 +214,11 @@ func TestProfileOverheadBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing-sensitive; skipped with -short")
 	}
-	w := benchWorkloadT(t)
-	ratio := overheadRatio(t, w, benchEngineT(t, w), profiledEngine(t, w))
+	w := benchWorkload(t, 400, 500)
+	ratio := overheadRatio(t, w, benchEngine(t, w), profiledEngine(t, w))
 	if ratio > 2.0 {
 		t.Errorf("profile overhead ratio %.2f exceeds the 2.0 budget", ratio)
 	}
-}
-
-// benchWorkloadT and benchEngineT are the *testing.T twins of the benchmark
-// helpers.
-func benchWorkloadT(t *testing.T) *workload.Workload {
-	t.Helper()
-	ranges := workload.DefaultRanges()
-	ranges.NObjects = [2]int{400, 500} // small: two timed runs in one test
-	rng := rand.New(rand.NewSource(1))
-	w, err := workload.Generate(ranges.Draw(rng), rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return w
-}
-
-func benchEngineT(t *testing.T, w *workload.Workload) *exec.Engine {
-	t.Helper()
-	engine, err := exec.New(exec.Config{
-		Global:      w.Global,
-		Coordinator: "G",
-		Databases:   w.Databases,
-		Tables:      w.Tables,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return engine
 }
 
 // BenchmarkParse measures the SQL/X parser on the paper's Q1.
@@ -380,7 +234,7 @@ func BenchmarkParse(b *testing.B) {
 // BenchmarkLocalEval measures one site's full local-query evaluation (scan,
 // three-valued predicates, unsolved-item extraction) on a generated extent.
 func BenchmarkLocalEval(b *testing.B) {
-	w := benchWorkload(b, nil)
+	w := benchWorkload(b, 900, 1100)
 	site := federation.NewSite(w.Databases["DB1"], w.Global, w.Tables)
 	rt := fabric.NewReal(fabric.DefaultRates())
 	b.ResetTimer()
@@ -396,7 +250,7 @@ func BenchmarkLocalEval(b *testing.B) {
 // BenchmarkMaterialize measures the centralized approach's outerjoin
 // integration over GOids.
 func BenchmarkMaterialize(b *testing.B) {
-	w := benchWorkload(b, nil)
+	w := benchWorkload(b, 900, 1100)
 	coord := federation.NewCoordinator("G", w.Global, w.Tables)
 	var replies []federation.RetrieveReply
 	rt := fabric.NewReal(fabric.DefaultRates())
@@ -420,7 +274,7 @@ func BenchmarkMaterialize(b *testing.B) {
 
 // BenchmarkIsomerIdentify measures key-based isomerism identification.
 func BenchmarkIsomerIdentify(b *testing.B) {
-	w := benchWorkload(b, nil)
+	w := benchWorkload(b, 900, 1100)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := isomer.Identify(w.Global, w.Databases); err != nil {
@@ -454,41 +308,9 @@ func BenchmarkDESKernel(b *testing.B) {
 
 // BenchmarkSignatureBuild measures signature-index construction.
 func BenchmarkSignatureBuild(b *testing.B) {
-	w := benchWorkload(b, nil)
+	w := benchWorkload(b, 900, 1100)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		signature.Build(w.Databases)
-	}
-}
-
-// BenchmarkIndexAblation compares scan-based and index-assisted BL (E10).
-func BenchmarkIndexAblation(b *testing.B) {
-	w := benchWorkload(b, func(r *workload.Ranges) { r.Selectivity = 0.1 })
-	engine, err := exec.New(exec.Config{
-		Global:      w.Global,
-		Coordinator: "G",
-		Databases:   w.Databases,
-		Tables:      w.Tables,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	// A site probes an index its extent has: "indexed" is the same engine
-	// after the indexes are built.
-	for _, name := range []string{"scan", "indexed"} {
-		if name == "indexed" {
-			for _, db := range w.Databases {
-				for _, a := range db.Schema().Class("C1").Attrs {
-					if !a.IsComplex() && !a.MultiValued && a.Name[0] == 'p' {
-						if _, err := db.CreateIndex("C1", a.Name); err != nil {
-							b.Fatal(err)
-						}
-					}
-				}
-			}
-		}
-		b.Run(name, func(b *testing.B) {
-			runStrategy(b, engine, w, exec.BL)
-		})
 	}
 }

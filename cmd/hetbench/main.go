@@ -1,20 +1,22 @@
-// Command hetbench runs the scenario-matrix benchmark harness: it sweeps
-// execution strategy × workload × concurrency × fault plan, drives each
-// cell with a seeded load generator, and reports both the client-observed
-// latency distribution and the servers' own truth (scraped /metrics deltas:
-// bytes moved, degraded/maybe fractions). Reports are stable, diffable
-// BENCH_<topic>.json files in one envelope (schema, topic, version, seed,
-// spec, cells).
+// Command hetbench is the repository's one benchmark and experiment harness.
+// Its matrix sweeps execution strategy × workload × concurrency × fault
+// plan, drives each cell with a seeded load generator, and reports both the
+// client-observed latency distribution and the servers' own truth (scraped
+// /metrics deltas: bytes moved, degraded/maybe fractions). Reports are
+// stable, diffable BENCH_<topic>.json files in one envelope (schema, topic,
+// version, seed, spec, cells).
 //
-// Run a registered topic — smoke, adaptive, strategies, durability, obs or
-// chaos — on its canonical spec (internal/bench/topics.go) and gate it
-// (exit 1 on failure): the sim topics against the committed
-// BENCH_<topic>.json at -tolerance, the others on their own invariants
-// (WAL write path ≤ 1.25× mem, scraped cluster ≤ 1.05× bare, no certain
-// row contradicting ground truth and convergence in ≤ 5 repair rounds):
+// Run a registered topic — smoke, adaptive, strategies, durability, obs,
+// chaos or figures (the paper's Figures 9–11 study) — on its canonical spec
+// (internal/bench/topics.go) and gate it (exit 1 on failure): the sim topics
+// against the committed BENCH_<topic>.json at -tolerance, the others on
+// their own invariants (WAL write path ≤ 1.25× mem, scraped cluster ≤ 1.05×
+// bare, no certain row contradicting ground truth and convergence in ≤ 5
+// repair rounds, the shapes the paper claims for its figures):
 //
 //	hetbench run -topic smoke
 //	hetbench run -topic chaos -out BENCH_chaos_ci.json
+//	hetbench run -topic figures      # prints each figure's two tables
 //
 // Nothing is written unless -out says where; regenerating a committed
 // report is -out BENCH_<topic>.json (a sim topic then skips its gate — it
@@ -30,7 +32,7 @@
 //	    -clients 1,4 -faults none,kill:DB3 -queries 40 -seed 42
 //	hetbench run -topic mine -runtimes live ... -check BENCH_mine.json
 //
-// Compare two existing reports:
+// Compare two existing matrix reports (a self-gating topic's is refused):
 //
 //	hetbench check -old BENCH_smoke.json -new /tmp/BENCH_new.json -tolerance 10%
 //
@@ -180,7 +182,7 @@ func runCmd(args []string) error {
 	}
 	var baseline *bench.Report
 	if baselinePath != "" {
-		if baseline, err = bench.ReadReport(baselinePath); err != nil {
+		if baseline, err = readMatrixReport(baselinePath); err != nil {
 			return err
 		}
 	}
@@ -198,8 +200,12 @@ func runCmd(args []string) error {
 	return gate(baseline, report, tol, baselinePath)
 }
 
-// emit writes the report where -out says: nowhere, stdout, or a file.
+// emit writes the report where -out says: nowhere, stdout, or a file. A
+// figures report's tables go to stdout unless the JSON does.
 func emit(report *bench.Report, out string) error {
+	if cells, ok := report.Cells.([]bench.FigureCell); ok && out != "-" {
+		fmt.Print(bench.FigureTables(cells))
+	}
 	switch out {
 	case "":
 		return nil
@@ -230,6 +236,19 @@ func gate(baseline, report *bench.Report, tol float64, baselinePath string) erro
 	return nil
 }
 
+// readMatrixReport loads a report check and slo can judge: a self-gating
+// topic's has no matrix cells, and would pass either over zero of them.
+func readMatrixReport(path string) (*bench.Report, error) {
+	r, err := bench.ReadReport(path)
+	if err != nil {
+		return nil, err
+	}
+	if _, ok := r.Cells.([]bench.CellResult); !ok {
+		return nil, fmt.Errorf("%s: topic %s has no matrix cells; it gates on its own invariants (hetbench run -topic %[2]s)", path, r.Topic)
+	}
+	return r, nil
+}
+
 // sameFile reports whether two paths name one file, existing or not.
 func sameFile(a, b string) bool {
 	absA, errA := filepath.Abs(a)
@@ -254,11 +273,11 @@ func checkCmd(args []string) error {
 	if err != nil {
 		return err
 	}
-	baseline, err := bench.ReadReport(*oldPath)
+	baseline, err := readMatrixReport(*oldPath)
 	if err != nil {
 		return err
 	}
-	candidate, err := bench.ReadReport(*newPath)
+	candidate, err := readMatrixReport(*newPath)
 	if err != nil {
 		return err
 	}
@@ -290,7 +309,7 @@ func sloCmd(args []string) error {
 	var report *bench.Report
 	if *in != "" {
 		var err error
-		if report, err = bench.ReadReport(*in); err != nil {
+		if report, err = readMatrixReport(*in); err != nil {
 			return err
 		}
 	} else {

@@ -1,7 +1,9 @@
 package main
 
 import (
+	"io"
 	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -148,4 +150,114 @@ func TestRunNeverWritesTheBaseline(t *testing.T) {
 		t.Error("a 3-query run passed the 6-query baseline's gate")
 	}
 	unchanged("shrunk run")
+}
+
+// TestCheckAndSLORefuseSelfGatingReports: over every committed report, check
+// and slo -in judge a matrix topic's and refuse a self-gating topic's by
+// name — they used to find zero matrix cells in it and pass ("no
+// regressions in 0 cells", "SLO met in all 0 cells").
+func TestCheckAndSLORefuseSelfGatingReports(t *testing.T) {
+	root, err := filepath.Abs(filepath.Join("..", ".."))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, topic := range bench.Topics() {
+		path := filepath.Join(root, "BENCH_"+topic.Name+".json")
+		_, matrix := topic.Spec.(bench.MatrixSpec)
+		for _, args := range [][]string{
+			{"check", "-old", path, "-new", path},
+			{"slo", "-in", path, "-max-degraded-frac", "1", "-allow-errors"},
+		} {
+			_, err := captureStdout(t, func() error { return run(args) }) // slo prints every cell
+			switch {
+			case matrix && err != nil:
+				t.Errorf("%s %s: %v", args[0], topic.Name, err)
+			case !matrix && err == nil:
+				t.Errorf("%s passed %s's report, which has no matrix cells", args[0], topic.Name)
+			case !matrix && !(strings.Contains(err.Error(), "topic "+topic.Name) && strings.Contains(err.Error(), "own invariants")):
+				t.Errorf("%s %s: refusal %q does not name the topic and how it is gated", args[0], topic.Name, err)
+			}
+		}
+	}
+}
+
+// captureStdout returns what fn printed.
+func captureStdout(t *testing.T, fn func() error) (string, error) {
+	t.Helper()
+	old := os.Stdout
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	os.Stdout = w
+	done := make(chan string, 1)
+	go func() {
+		data, _ := io.ReadAll(r)
+		done <- string(data)
+	}()
+	runErr := fn()
+	w.Close()
+	os.Stdout = old
+	return <-done, runErr
+}
+
+// TestFiguresTopic: the figures topic at test size, through the two steps
+// `hetbench run -topic figures` takes — the report lands where -out says
+// and each sweep's tables on stdout; a spec that could not run is refused
+// before anything is drawn, with no report to write.
+func TestFiguresTopic(t *testing.T) {
+	inTempDir(t)
+	figures := func(samples int, scale float64, sweeps ...string) bench.Topic {
+		return bench.Topic{Name: "figures", Spec: bench.FigureSpec{Samples: samples, Scale: scale, Seed: 1, Sweeps: sweeps}}
+	}
+	for sweep, wants := range map[string][]string{
+		"figure9":    {"objects per constituent class", "(a) total execution time (ms)", "(b) response time (ms)", "CA", "BL", "PL"},
+		"faults":     {"dead component databases", "\n2 "},
+		"signatures": {"SBL", "SPL"},
+		"planner":    {"picked the fastest strategy: "},
+	} {
+		t.Run(sweep, func(t *testing.T) {
+			out, err := captureStdout(t, func() error {
+				report, err := runTopic(figures(3, 0.04, sweep), true)
+				if err != nil {
+					return err
+				}
+				return emit(report, "BENCH_figures.json")
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, want := range append(wants, "wrote BENCH_figures.json") {
+				if !strings.Contains(out, want) {
+					t.Errorf("stdout missing %q:\n%s", want, out)
+				}
+			}
+			r, err := bench.ReadReport("BENCH_figures.json")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if cells, _ := r.Cells.([]bench.FigureCell); r.Topic != "figures" || len(cells) == 0 || cells[0].Figure != sweep {
+				t.Errorf("report = topic %s, cells %+v; want %s's cells", r.Topic, r.Cells, sweep)
+			}
+			if err := os.Remove("BENCH_figures.json"); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	for name, topic := range map[string]bench.Topic{
+		"unknown_sweep": figures(3, 0.04, "99"),
+		"no_samples":    figures(0, 0.04, "figure9"),
+		"no_scale":      figures(3, 0, "figure9"),
+	} {
+		t.Run(name, func(t *testing.T) {
+			if report, err := runTopic(topic, true); err == nil || report != nil {
+				t.Errorf("ran anyway: report %v, err %v", report, err)
+			} else if name == "unknown_sweep" && !strings.Contains(err.Error(), "figure9, figure10") {
+				t.Errorf("refusal %q does not list the registered sweeps", err)
+			}
+		})
+	}
+	if err := run([]string{"run", "-topic", "figures", "-scale", "0.1"}); err == nil || !strings.Contains(err.Error(), "-scale") {
+		t.Errorf("figures with a matrix flag: err = %v, want a refusal naming -scale", err)
+	}
 }

@@ -12,7 +12,8 @@
 // internal/, organized by the workflow a downstream user follows — model a
 // federation, integrate its schemas, identify isomeric objects, then
 // execute global queries, for real or inside the discrete-event simulator.
-// The worked example (examples/quickstart) uses exactly this surface.
+// The worked example (examples/quickstart) uses exactly this surface; the
+// paper's Figures 9–11 study is cmd/hetbench's `figures` topic, not API.
 package hetfed
 
 import (
@@ -31,7 +32,6 @@ import (
 	"github.com/hetfed/hetfed/internal/schema"
 	"github.com/hetfed/hetfed/internal/school"
 	"github.com/hetfed/hetfed/internal/signature"
-	"github.com/hetfed/hetfed/internal/sim"
 	"github.com/hetfed/hetfed/internal/store"
 	"github.com/hetfed/hetfed/internal/trace"
 	"github.com/hetfed/hetfed/internal/tvl"
@@ -334,8 +334,7 @@ var (
 )
 
 //
-// Workloads and experiments — the paper's Table 2 generator and the
-// Figure 9/10/11 harness.
+// Workloads — the paper's Table 2 generator.
 //
 
 type (
@@ -343,31 +342,15 @@ type (
 	WorkloadRanges = workload.Ranges
 	// Workload is one generated federation plus its query.
 	Workload = workload.Workload
-	// ExperimentConfig drives a simulation experiment.
-	ExperimentConfig = sim.Config
-	// Experiment is a reproduced figure: per-algorithm series.
-	Experiment = sim.Experiment
 )
 
-// Workload and experiment helpers.
+// Workload helpers.
 var (
 	// DefaultWorkloadRanges returns the paper's Table 2 default setting.
 	DefaultWorkloadRanges = workload.DefaultRanges
 	// GenerateWorkload builds one randomized federation from drawn
 	// parameters.
 	GenerateWorkload = workload.Generate
-	// DefaultExperimentConfig returns the Table 1/2 experiment setting.
-	DefaultExperimentConfig = sim.DefaultConfig
-	// Figure9, Figure10 and Figure11 regenerate the paper's evaluation
-	// figures; SignatureAblation and NetworkSweep are this repository's
-	// extensions.
-	Figure9           = sim.Figure9
-	Figure10          = sim.Figure10
-	Figure11          = sim.Figure11
-	SignatureAblation = sim.SignatureAblation
-	NetworkSweep      = sim.NetworkSweep
-	// PlannerAccuracy scores cost-based strategy selection (E9).
-	PlannerAccuracy = sim.PlannerAccuracy
 )
 
 //

@@ -154,9 +154,9 @@ type CellResult struct {
 // Report is the one envelope every benchmark topic writes: provenance in
 // the header, and the topic's typed payload in Spec and Cells — MatrixSpec
 // and []CellResult (ordered by cell key) for the matrix topics,
-// DurabilitySpec/[]DurabilityCell, ObsSpec/[]ObsCell and
-// ChaosSpec/[]ChaosCell for the self-gating ones. The JSON form is stable
-// and diffable.
+// DurabilitySpec/[]DurabilityCell, ObsSpec/[]ObsCell, ChaosSpec/[]ChaosCell
+// and FigureSpec/[]FigureCell for the self-gating ones. The JSON form is
+// stable and diffable.
 type Report struct {
 	Schema  int    `json:"schema"`
 	Topic   string `json:"topic"`
@@ -238,6 +238,8 @@ func ReadReport(path string) (*Report, error) {
 		err = decodePayload[ObsSpec, ObsCell](r, raw.Spec, raw.Cells)
 	case ChaosSpec:
 		err = decodePayload[ChaosSpec, ChaosCell](r, raw.Spec, raw.Cells)
+	case FigureSpec:
+		err = decodePayload[FigureSpec, FigureCell](r, raw.Spec, raw.Cells)
 	default:
 		err = decodePayload[MatrixSpec, CellResult](r, raw.Spec, raw.Cells)
 	}

@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 )
@@ -139,9 +140,13 @@ func TestReportRoundTrip(t *testing.T) {
 	obs.Cells = []ObsCell{{Mode: "baseline", Overhead: 1}, {Mode: "scraped", Overhead: 1.02, Scrapes: 3}}
 	chaos := newReport("chaos", 7, ChaosSpec{Steps: 40, Seed: 7, MaxConvergenceRounds: 5})
 	chaos.Cells = []ChaosCell{{Queries: 9, Inserts: 4, ConvergenceRounds: 1, WallMillis: 12.5}}
+	figures := newReport("figures", 7, FigureSpec{Samples: 2, Scale: 0.1, Seed: 7, Sweeps: []string{"planner"}})
+	figures.Cells = []FigureCell{{Figure: "planner", X: 3, Strategy: "BL", TotalMillis: 9.25, DegradedShare: 0.5},
+		{Figure: "planner", X: 3, Strategy: "planner", ResponseMillis: 4.5, Planner: &PlannerScore{
+			Draws: 2, Correct: 1, MaxRegret: 0.25, Chosen: map[string]int{"BL": 2}, Fastest: map[string]int{"BL": 1, "PL": 1}}}}
 
 	path := filepath.Join(t.TempDir(), "BENCH_roundtrip.json")
-	for _, r := range []*Report{matrix, durability, obs, chaos} {
+	for _, r := range []*Report{matrix, durability, obs, chaos, figures} {
 		if err := r.WriteFile(path); err != nil {
 			t.Fatalf("%s: WriteFile: %v", r.Topic, err)
 		}
@@ -216,6 +221,23 @@ func TestValidate(t *testing.T) {
 		tc.mutate(&spec)
 		if _, err := Run(context.Background(), spec, "bad", nil); err == nil {
 			t.Errorf("%s: bad spec ran anyway", tc.name)
+		}
+	}
+	// A figures spec that would average zero draws (NaN tables), scale the
+	// extents to nothing or run a sweep nobody registered used to run and
+	// exit 0; the refusal of an unknown sweep lists the registry.
+	for name, spec := range map[string]FigureSpec{
+		"samples":        {Samples: 0, Scale: 0.3, Seed: 1, Sweeps: []string{"figure9"}},
+		"scale":          {Samples: 3, Scale: 0, Seed: 1, Sweeps: []string{"figure9"}},
+		"negative-scale": {Samples: 3, Scale: -1, Seed: 1, Sweeps: []string{"figure9"}},
+		"sweep":          {Samples: 3, Scale: 0.3, Seed: 1, Sweeps: []string{"figure9", "figure12"}},
+		"no-sweep":       {Samples: 3, Scale: 0.3, Seed: 1},
+	} {
+		report, err := Topic{Name: "figures", Spec: spec}.Run(context.Background(), nil)
+		if err == nil || report != nil {
+			t.Errorf("figures %s: bad spec ran anyway (report %v, err %v)", name, report, err)
+		} else if name == "sweep" && !strings.Contains(err.Error(), "figure9, figure10, figure11, signatures, network, indexes, faults, planner") {
+			t.Errorf("figures %s: refusal %q does not list the registered sweeps", name, err)
 		}
 	}
 }

@@ -18,7 +18,7 @@ import (
 )
 
 // coordinatorID is the global processing site in every benchmark topology
-// (matches the school example and the sim package's convention).
+// (the school example's; the workload generator names sites DB1, DB2, …).
 const coordinatorID = "G"
 
 // Run executes the matrix and assembles the report. Cells run sequentially

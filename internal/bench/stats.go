@@ -77,3 +77,15 @@ func pctl(sorted []float64, p float64) float64 {
 	}
 	return sorted[i]
 }
+
+// meanStd returns a non-empty sample's mean and sample standard deviation.
+func meanStd(xs []float64) (m, sd float64) {
+	for _, x := range xs {
+		m += x
+	}
+	m /= float64(len(xs))
+	for _, x := range xs {
+		sd += (x - m) * (x - m)
+	}
+	return m, math.Sqrt(sd / max(1, float64(len(xs)-1)))
+}

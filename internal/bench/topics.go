@@ -14,13 +14,14 @@ type Topic struct {
 	Name string
 	// Spec is the canonical spec, and its type selects the runner and the
 	// report's payload: MatrixSpec (Run), DurabilitySpec (RunDurability),
-	// ObsSpec (RunObs) or ChaosSpec (RunChaos).
+	// ObsSpec (RunObs), ChaosSpec (RunChaos) or FigureSpec (RunFigures).
 	Spec any
 	// Baseline marks a topic gated by Check against the committed
 	// BENCH_<Name>.json — the deterministic sim matrices, whose virtual-time
-	// cells are byte-stable across machines. The other topics measure wall
-	// clocks, so their runners gate on the run's own invariants instead: the
-	// bound lives in the spec (MaxOverhead, MaxConvergenceRounds).
+	// cells are byte-stable across machines. The other topics' runners gate
+	// on the run's own invariants instead: a bound in the spec where a wall
+	// clock is measured (MaxOverhead, MaxConvergenceRounds), the paper's
+	// shapes for figures.
 	Baseline bool
 }
 
@@ -75,6 +76,10 @@ var topics = []Topic{
 	// No certain row contradicts ground truth under faults; convergence
 	// within 5 repair rounds of the final heal.
 	{Name: "chaos", Spec: ChaosSpec{Steps: 60, Seed: 42, MaxConvergenceRounds: 5}},
+	// The paper's Section 4 study and the sweeps around it as EXPERIMENTS.md
+	// records them (E4–E10, E12, E24; two minutes), gated on the paper's shapes.
+	{Name: "figures", Spec: FigureSpec{Samples: 20, Scale: 0.3, Seed: 1, Sweeps: []string{
+		"figure9", "figure10", "figure11", "signatures", "network", "indexes", "faults", "planner"}}},
 }
 
 // Topics returns the registered topics.
@@ -110,6 +115,15 @@ func (t Topic) Validate() error {
 		if s.Steps < 1 || s.MaxConvergenceRounds < 1 {
 			return fmt.Errorf("bench: topic %s: want steps and max_convergence_rounds > 0: %+v", t.Name, s)
 		}
+	case FigureSpec:
+		if s.Samples < 1 || s.Scale <= 0 || len(s.Sweeps) == 0 {
+			return fmt.Errorf("bench: topic %s: want samples ≥ 1, scale > 0 and a sweep: %+v", t.Name, s)
+		}
+		for _, name := range s.Sweeps {
+			if _, err := lookupSweep(name); err != nil {
+				return err
+			}
+		}
 	default:
 		return fmt.Errorf("bench: topic %s: no runner for spec type %T", t.Name, t.Spec)
 	}
@@ -136,6 +150,8 @@ func (t Topic) Run(ctx context.Context, progress func(string)) (*Report, error) 
 		return RunObs(ctx, s, progress)
 	case ChaosSpec:
 		return RunChaos(s, dir, progress)
+	case FigureSpec:
+		return RunFigures(ctx, s, progress)
 	default: // Validate admitted it, so a matrix
 		return Run(ctx, s.(MatrixSpec), t.Name, progress)
 	}

@@ -99,10 +99,7 @@ func table2Bundle(name string, variants int, scale float64, seed int64, equality
 	}
 	ranges := workload.DefaultRanges()
 	ranges.EqualityPreds = equality
-	ranges.NObjects[0] = scaled(ranges.NObjects[0], scale)
-	ranges.NObjects[1] = scaled(ranges.NObjects[1], scale)
-	rng := rand.New(rand.NewSource(seed))
-	w, err := workload.Generate(ranges.Draw(rng), rng)
+	w, err := drawTable2(ranges, scale, rand.New(rand.NewSource(seed)))
 	if err != nil {
 		return nil, fmt.Errorf("bench: generate %s: %w", name, err)
 	}
@@ -122,6 +119,15 @@ func table2Bundle(name string, variants int, scale float64, seed int64, equality
 		b.Bounds = append(b.Bounds, bound)
 	}
 	return b, nil
+}
+
+// drawTable2 draws one federation from the Table 2 ranges with the extents
+// at scale: the one place a benchmark generates a workload or scales an
+// extent. Parameters and data come off one stream, so a seed fixes both.
+func drawTable2(ranges workload.Ranges, scale float64, rng *rand.Rand) (*workload.Workload, error) {
+	ranges.NObjects[0] = scaled(ranges.NObjects[0], scale)
+	ranges.NObjects[1] = scaled(ranges.NObjects[1], scale)
+	return workload.Generate(ranges.Draw(rng), rng)
 }
 
 // scaled shrinks a Table 2 extent bound, clamped so even tiny smoke scales

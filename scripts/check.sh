@@ -1,11 +1,12 @@
 #!/bin/sh
 # check.sh — the repository's verification gate: formatting, vet, the
 # one-orchestration, one-report-envelope, one-codec, one-check-path,
-# one-replica, one-repair-path and one-metric-catalog structural guards,
-# build, unit tests, the full test suite under the race detector, the
-# benchmark module's vet and tests, a one-shot compile-and-run smoke of the
-# overhead and allocation benchmarks, and a short fuzz budget for every
-# decoder that reads bytes off a socket or disk.
+# one-replica, one-repair-path, one-experiment-harness and one-metric-catalog
+# structural guards, build, unit tests, the full test suite under the race
+# detector, the benchmark module's vet and tests, a one-shot compile-and-run
+# smoke of the overhead and allocation benchmarks, and a short fuzz budget for
+# every decoder that reads bytes off a socket or disk and every grammar a
+# command line feeds.
 #
 # Usage: scripts/check.sh [package-pattern]   (default ./...)
 set -eu
@@ -112,6 +113,22 @@ fi
 for pat in 'Kind:[[:space:]]*kindDigest\>' 'Kind:[[:space:]]*kindRepair\>' 'Kind:[[:space:]]*kindBind\>'; do
     want_one "$pat" "$(sources "$pat" || true)"
 done
+# One experiment harness: the paper's Figures 9-11 study is hetbench's figures
+# topic (internal/bench/figures.go). The second harness, its CLI and its CSV
+# stay gone, and outside tests a benchmark draws a Table 2 federation in one
+# place (drawTable2, which is also where extents are scaled).
+for gone in internal/sim cmd/hetsim experiments.csv; do
+    if [ -e "$gone" ]; then
+        echo "$gone is back; the experiment harness is hetbench run -topic figures" >&2
+        guard_failed=1
+    fi
+done
+if grep -rnE 'sim\.(Figure|Experiment|PlannerAccuracy)' --include='*.go' --exclude-dir=.bench_build .; then
+    echo "a caller of the deleted sim package is back" >&2
+    guard_failed=1
+fi
+want_one 'workload\.Generate\(' "$(grep -rn 'workload\.Generate(' --include='*.go' --exclude='*_test.go' \
+    --exclude-dir=benchmark --exclude-dir=examples --exclude-dir=.bench_build . || true)"
 # One metric catalog: every series non-test code emits has a row in the table
 # of DESIGN.md section 6.
 catalog="$(sed -n '/^## 6\. /,/^## 7\. /p' DESIGN.md)"
@@ -167,10 +184,13 @@ go test -run - -bench 'BenchmarkGmap' -benchtime 1x ./internal/gmap/
 
 # Every decoder fed from a socket or a disk gets a short fuzz budget on top
 # of its committed seed corpus (testdata/fuzz/): no panic, no allocation
-# beyond a constant multiple of the input, re-encoding is a fixed point.
+# beyond a constant multiple of the input, re-encoding is a fixed point. So
+# do the two grammars fed from a command line: no panic, an accepted fault
+# spec builds a plan, an accepted query's rendering parses back to itself.
 echo "== fuzz (10s per target)"
 for target in ./internal/remote:FuzzDecodeRequest ./internal/remote:FuzzDecodeResponse \
-    ./internal/object:FuzzDecodeObject; do
+    ./internal/object:FuzzDecodeObject ./internal/fabric:FuzzParseFaults \
+    ./internal/query:FuzzParseQuery; do
     go test -run '^$' -fuzz "^${target#*:}\$" -fuzztime 10s "${target%%:*}"
 done
 
