@@ -79,8 +79,7 @@ func (r *Real) Run(name string, fn func(Proc)) (Metrics, error) {
 
 	var wg sync.WaitGroup
 	root := &realProc{run: run, wg: &wg}
-	wg.Add(1)
-	go root.exec(name, fn)
+	root.exec(name, fn)
 	wg.Wait()
 	elapsed := time.Since(run.start)
 
@@ -134,8 +133,9 @@ type realHandle struct{ done chan struct{} }
 
 func (*realHandle) isHandle() {}
 
+// exec runs one task on the calling goroutine; a panic in it becomes the
+// run's error instead of unwinding the caller.
 func (p *realProc) exec(name string, fn func(Proc)) {
-	defer p.wg.Done()
 	defer func() {
 		if rec := recover(); rec != nil {
 			p.run.fail(fmt.Errorf("fabric: task %s panicked: %v", name, rec))
@@ -150,6 +150,7 @@ func (p *realProc) Go(name string, fn func(Proc)) Handle {
 	child := &realProc{run: p.run, wg: p.wg}
 	p.wg.Add(1)
 	go func() {
+		defer p.wg.Done()
 		defer close(h.done)
 		child.exec(name, fn)
 	}()
@@ -167,8 +168,27 @@ func (p *realProc) Wait(hs ...Handle) {
 	}
 }
 
-// Fork implements Proc.
-func (p *realProc) Fork(fns ...func(Proc)) { forkImpl(p, fns) }
+// Fork implements Proc: every leg but the last gets a goroutine, the last
+// runs here — the forking task would only sleep until the legs are done. A
+// Fork of one starts nothing.
+func (p *realProc) Fork(fns ...func(Proc)) {
+	if len(fns) == 0 {
+		return
+	}
+	last := len(fns) - 1
+	var legs sync.WaitGroup
+	for _, fn := range fns[:last] {
+		legs.Add(1)
+		p.wg.Add(1)
+		go func() {
+			defer p.wg.Done()
+			defer legs.Done()
+			p.exec("fork", fn)
+		}()
+	}
+	p.exec("fork", fns[last])
+	legs.Wait()
+}
 
 // Sink implements Proc.
 func (p *realProc) Sink(site object.SiteID) cost.Sink { return p.run.sink(site) }
