@@ -136,12 +136,9 @@ func (r *Runner) Run(ctx context.Context, rt fabric.Runtime, qid string, alg Alg
 		return nil, fabric.Metrics{}, err
 	}
 	defer release()
-	if cr, ok := rt.(fabric.ContextRuntime); ok {
-		rt = cr.BindContext(ctx)
-	}
 	q := &Query{ID: qid, Alg: alg, Bound: b, Tracer: r.Tracer}
 	var ans *federation.Answer
-	m, runErr := rt.Run(alg.String(), func(p fabric.Proc) {
+	task := func(p fabric.Proc) {
 		root := q.begin(p, 0, self, alg.String(), "")
 		switch alg {
 		case CA:
@@ -165,7 +162,16 @@ func (r *Runner) Run(ctx context.Context, rt fabric.Runtime, qid string, alg Alg
 			}
 		}
 		end(root, p)
-	})
+	}
+	var (
+		m      fabric.Metrics
+		runErr error
+	)
+	if cr, ok := rt.(fabric.ContextRuntime); ok {
+		m, runErr = cr.RunContext(ctx, alg.String(), task)
+	} else {
+		m, runErr = rt.Run(alg.String(), task)
+	}
 	if err = cmp.Or(err, runErr); err != nil {
 		ans = nil
 	}

@@ -16,7 +16,6 @@ package fabric
 
 import (
 	"context"
-	"fmt"
 
 	"github.com/hetfed/hetfed/internal/cost"
 	"github.com/hetfed/hetfed/internal/object"
@@ -136,23 +135,15 @@ type Runtime interface {
 	Run(name string, fn func(Proc)) (Metrics, error)
 }
 
-// ContextRuntime is a Runtime that can bind a context consulted by its
-// Procs (both Real and Sim implement it). Callers that hold a context
-// type-assert against it; a runtime without context support simply runs to
-// completion, which stays correct — cancellation is an optimization of how
-// fast a doomed query unwinds, never of what it answers.
+// ContextRuntime is a Runtime that can run under a context its Procs consult
+// (both Real and Sim implement it). Callers that hold a context type-assert
+// against it; a runtime without context support simply runs to completion,
+// which stays correct — cancellation is an optimization of how fast a doomed
+// query unwinds, never of what it answers.
 type ContextRuntime interface {
 	Runtime
-	// BindContext returns a runtime whose Procs return ctx from Context.
-	// The receiver is not mutated: a shared runtime serving concurrent runs
-	// hands each caller its own context-bound view.
-	BindContext(ctx context.Context) Runtime
-}
-
-func forkImpl(p Proc, fns []func(Proc)) {
-	hs := make([]Handle, len(fns))
-	for i, fn := range fns {
-		hs[i] = p.Go(fmt.Sprintf("fork-%d", i), fn)
-	}
-	p.Wait(hs...)
+	// RunContext is Run with ctx returned from every Proc's Context. The
+	// context belongs to the run, not the runtime: a shared runtime serves
+	// concurrent runs under different contexts.
+	RunContext(ctx context.Context, name string, fn func(Proc)) (Metrics, error)
 }

@@ -130,9 +130,9 @@ func TestGoAndWait(t *testing.T) {
 
 func TestRealPanicPropagates(t *testing.T) {
 	_, err := NewReal(DefaultRates()).Run("boom", func(p Proc) {
-		p.Fork(func(Proc) { panic("child exploded") })
+		p.Go("child", func(Proc) { panic("child exploded") })
 	})
-	if err == nil || !strings.Contains(err.Error(), "child exploded") {
+	if err == nil || !strings.Contains(err.Error(), "task child panicked: child exploded") {
 		t.Errorf("err = %v", err)
 	}
 }

@@ -10,18 +10,22 @@ import (
 	"github.com/hetfed/hetfed/internal/object"
 )
 
-// Real is the goroutine-backed runtime: spawned tasks are goroutines, cost
-// events are counted atomically, and the response time is wall-clock. Use
-// it for functional execution (examples, correctness tests, the TCP
-// deployment); use Sim for the paper's timing experiments.
+// Real is the goroutine-backed runtime: cost events are counted atomically
+// and the response time is wall-clock. Use it for functional execution
+// (examples, correctness tests, the TCP deployment); use Sim for the paper's
+// timing experiments.
 //
-// A single Real may be shared by concurrent Run calls: all per-run state
-// (cost sinks, network counters, the start time) lives in a run-scoped
-// struct, so overlapping queries account their work independently.
+// Work runs on the goroutine that already holds it: the root task runs on
+// Run's caller, and a Fork runs its last leg on the forking task. Only Go
+// and a Fork's other legs start goroutines.
+//
+// A Real holds nothing of a run — one serves a whole process. All per-run
+// state (cost sinks, network counters, the start time, the context) lives in
+// a run-scoped struct, so overlapping queries account their work
+// independently.
 type Real struct {
 	rates  Rates
 	faults *FaultPlan
-	ctx    context.Context
 }
 
 var (
@@ -42,62 +46,47 @@ func (r *Real) WithFaults(fp *FaultPlan) *Real {
 	return r
 }
 
-// WithContext returns a copy of the runtime bound to ctx, consulted by
-// Proc.Context and honored by Sleep (a cancelled context cuts injected
-// delays short). The receiver is left untouched so a Real shared by
-// concurrent Runs can bind a different context per query.
-func (r *Real) WithContext(ctx context.Context) *Real {
-	r2 := *r
-	r2.ctx = ctx
-	return &r2
-}
-
-// BindContext implements ContextRuntime.
-func (r *Real) BindContext(ctx context.Context) Runtime { return r.WithContext(ctx) }
-
-// realRun holds the state of one Run invocation. Concurrent Runs over a
-// shared Real each get their own realRun, so their sinks, byte counters
-// and clocks never interleave.
+// realRun holds the state of one Run invocation and is the Proc of every
+// task in it: a real task has no state of its own. The maps are made by the
+// first event charged to them.
 type realRun struct {
 	rt    *Real
+	ctx   context.Context
+	start time.Time
+	tasks sync.WaitGroup // every goroutine the run started
+
 	mu    sync.Mutex
 	sinks map[object.SiteID]*cost.Counter
 	net   int64
 	pairs map[Pair]int64
-	start time.Time
 	err   error
 }
 
+var _ Proc = (*realRun)(nil)
+
 // Run implements Runtime.
 func (r *Real) Run(name string, fn func(Proc)) (Metrics, error) {
-	run := &realRun{
-		rt:    r,
-		sinks: make(map[object.SiteID]*cost.Counter),
-		pairs: make(map[Pair]int64),
-		start: time.Now(),
-	}
+	return r.RunContext(context.Background(), name, fn)
+}
 
-	var wg sync.WaitGroup
-	root := &realProc{run: run, wg: &wg}
-	root.exec(name, fn)
-	wg.Wait()
-	elapsed := time.Since(run.start)
-
-	run.mu.Lock()
-	defer run.mu.Unlock()
+// RunContext implements ContextRuntime: the tasks' Context returns ctx, and
+// Sleep honors it.
+func (r *Real) RunContext(ctx context.Context, name string, fn func(Proc)) (Metrics, error) {
+	run := &realRun{rt: r, ctx: ctx, start: time.Now()}
+	run.exec(name, fn)
+	run.tasks.Wait()
 	m := Metrics{
-		ResponseMicros: float64(elapsed.Nanoseconds()) / 1e3,
-		PerSite:        make(map[object.SiteID]SiteCost, len(run.sinks)),
-		NetPairs:       make(map[Pair]int64, len(run.pairs)),
+		ResponseMicros: float64(time.Since(run.start).Nanoseconds()) / 1e3,
+		NetBytes:       run.net,
+		NetPairs:       run.pairs, // every writer has been joined
+	}
+	if len(run.sinks) > 0 {
+		m.PerSite = make(map[object.SiteID]SiteCost, len(run.sinks))
 	}
 	for site, c := range run.sinks {
 		m.DiskBytes += c.DiskBytes()
 		m.CPUOps += c.CPUOps()
 		m.PerSite[site] = SiteCost{DiskBytes: c.DiskBytes(), CPUOps: c.CPUOps()}
-	}
-	m.NetBytes = run.net
-	for pair, bytes := range run.pairs {
-		m.NetPairs[pair] = bytes
 	}
 	m.TotalBusyMicros = r.rates.Work(m.DiskBytes, m.CPUOps, m.NetBytes)
 	return m, run.err
@@ -108,57 +97,48 @@ func (run *realRun) sink(site object.SiteID) *cost.Counter {
 	defer run.mu.Unlock()
 	c := run.sinks[site]
 	if c == nil {
+		if run.sinks == nil {
+			run.sinks = make(map[object.SiteID]*cost.Counter)
+		}
 		c = &cost.Counter{}
 		run.sinks[site] = c
 	}
 	return c
 }
 
-func (run *realRun) fail(err error) {
-	run.mu.Lock()
-	defer run.mu.Unlock()
-	if run.err == nil {
-		run.err = err
-	}
+// exec runs one task on the calling goroutine; a panic in it becomes the
+// run's error instead of unwinding the caller.
+func (run *realRun) exec(name string, fn func(Proc)) {
+	defer func() {
+		if rec := recover(); rec != nil {
+			run.mu.Lock()
+			defer run.mu.Unlock()
+			if run.err == nil {
+				run.err = fmt.Errorf("fabric: task %s panicked: %v", name, rec)
+			}
+		}
+	}()
+	fn(run)
 }
-
-type realProc struct {
-	run *realRun
-	wg  *sync.WaitGroup
-}
-
-var _ Proc = (*realProc)(nil)
 
 type realHandle struct{ done chan struct{} }
 
 func (*realHandle) isHandle() {}
 
-// exec runs one task on the calling goroutine; a panic in it becomes the
-// run's error instead of unwinding the caller.
-func (p *realProc) exec(name string, fn func(Proc)) {
-	defer func() {
-		if rec := recover(); rec != nil {
-			p.run.fail(fmt.Errorf("fabric: task %s panicked: %v", name, rec))
-		}
-	}()
-	fn(p)
-}
-
 // Go implements Proc.
-func (p *realProc) Go(name string, fn func(Proc)) Handle {
+func (run *realRun) Go(name string, fn func(Proc)) Handle {
 	h := &realHandle{done: make(chan struct{})}
-	child := &realProc{run: p.run, wg: p.wg}
-	p.wg.Add(1)
+	run.tasks.Add(1)
 	go func() {
-		defer p.wg.Done()
+		defer run.tasks.Done()
 		defer close(h.done)
-		child.exec(name, fn)
+		run.exec(name, fn)
 	}()
 	return h
 }
 
 // Wait implements Proc.
-func (p *realProc) Wait(hs ...Handle) {
+func (run *realRun) Wait(hs ...Handle) {
 	for _, h := range hs {
 		rh, ok := h.(*realHandle)
 		if !ok {
@@ -171,7 +151,7 @@ func (p *realProc) Wait(hs ...Handle) {
 // Fork implements Proc: every leg but the last gets a goroutine, the last
 // runs here — the forking task would only sleep until the legs are done. A
 // Fork of one starts nothing.
-func (p *realProc) Fork(fns ...func(Proc)) {
+func (run *realRun) Fork(fns ...func(Proc)) {
 	if len(fns) == 0 {
 		return
 	}
@@ -179,49 +159,49 @@ func (p *realProc) Fork(fns ...func(Proc)) {
 	var legs sync.WaitGroup
 	for _, fn := range fns[:last] {
 		legs.Add(1)
-		p.wg.Add(1)
+		run.tasks.Add(1)
 		go func() {
-			defer p.wg.Done()
+			defer run.tasks.Done()
 			defer legs.Done()
-			p.exec("fork", fn)
+			run.exec("fork", fn)
 		}()
 	}
-	p.exec("fork", fns[last])
+	run.exec("fork", fns[last])
 	legs.Wait()
 }
 
 // Sink implements Proc.
-func (p *realProc) Sink(site object.SiteID) cost.Sink { return p.run.sink(site) }
+func (run *realRun) Sink(site object.SiteID) cost.Sink { return run.sink(site) }
 
 // Transfer implements Proc. A duplicating link fault charges the transfer
 // twice (the retransmit the receiver absorbs); link delay is injected by
 // the remote client on this runtime, not here, so it shows up in measured
 // wall-clock latency rather than as a second accounting entry.
-func (p *realProc) Transfer(from, to object.SiteID, bytes int) {
-	copies := p.run.rt.faults.TransferCopies(from, to)
-	p.run.mu.Lock()
-	for i := 0; i < copies; i++ {
-		p.run.net += int64(bytes)
-		p.run.pairs[Pair{From: from, To: to}] += int64(bytes)
+func (run *realRun) Transfer(from, to object.SiteID, bytes int) {
+	charged := int64(run.rt.faults.TransferCopies(from, to)) * int64(bytes)
+	run.mu.Lock()
+	defer run.mu.Unlock()
+	if run.pairs == nil {
+		run.pairs = make(map[Pair]int64)
 	}
-	p.run.mu.Unlock()
+	run.net += charged
+	run.pairs[Pair{From: from, To: to}] += charged
 }
 
 // Now implements Proc: wall-clock microseconds since Run started.
-func (p *realProc) Now() float64 {
-	return float64(time.Since(p.run.start).Nanoseconds()) / 1e3
+func (run *realRun) Now() float64 {
+	return float64(time.Since(run.start).Nanoseconds()) / 1e3
 }
 
-// Sleep implements Proc: a wall-clock sleep, cut short when the runtime's
+// Sleep implements Proc: a wall-clock sleep, cut short when the run's
 // context is done — a wedged (Delay-faulted) site step must not outlive the
 // query's deadline or cancellation.
-func (p *realProc) Sleep(micros float64) {
+func (run *realRun) Sleep(micros float64) {
 	if micros <= 0 {
 		return
 	}
 	d := time.Duration(micros * float64(time.Microsecond))
-	ctx := p.run.rt.ctx
-	if ctx == nil || ctx.Done() == nil {
+	if run.ctx.Done() == nil {
 		time.Sleep(d)
 		return
 	}
@@ -229,17 +209,12 @@ func (p *realProc) Sleep(micros float64) {
 	defer t.Stop()
 	select {
 	case <-t.C:
-	case <-ctx.Done():
+	case <-run.ctx.Done():
 	}
 }
 
 // Faults implements Proc.
-func (p *realProc) Faults() *FaultPlan { return p.run.rt.faults }
+func (run *realRun) Faults() *FaultPlan { return run.rt.faults }
 
 // Context implements Proc.
-func (p *realProc) Context() context.Context {
-	if p.run.rt.ctx != nil {
-		return p.run.rt.ctx
-	}
-	return context.Background()
-}
+func (run *realRun) Context() context.Context { return run.ctx }

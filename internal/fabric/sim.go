@@ -68,18 +68,13 @@ func (s *Sim) WithFaults(fp *FaultPlan) *Sim {
 	return s
 }
 
-// WithContext binds a context consulted by Proc.Context. The simulator runs
-// in virtual time, so cancellation is checked (Sleep skips its delay and
-// strategy code unwinds at its next checkpoint) rather than interrupting a
-// running event. Call before Run.
-func (s *Sim) WithContext(ctx context.Context) *Sim {
+// RunContext implements ContextRuntime. The simulator runs in virtual time,
+// so cancellation is checked (Sleep skips its delay and strategy code unwinds
+// at its next checkpoint) rather than interrupting a running event.
+func (s *Sim) RunContext(ctx context.Context, name string, fn func(Proc)) (Metrics, error) {
 	s.ctx = ctx
-	return s
+	return s.Run(name, fn)
 }
-
-// BindContext implements ContextRuntime. A Sim is single-use and never
-// shared, so binding in place is safe.
-func (s *Sim) BindContext(ctx context.Context) Runtime { return s.WithContext(ctx) }
 
 // Run implements Runtime.
 func (s *Sim) Run(name string, fn func(Proc)) (Metrics, error) {
@@ -142,8 +137,14 @@ func (sp *simProc) Wait(hs ...Handle) {
 	sp.p.Join(procs...)
 }
 
-// Fork implements Proc.
-func (sp *simProc) Fork(fns ...func(Proc)) { forkImpl(sp, fns) }
+// Fork implements Proc. The legs are named: the event log lists them.
+func (sp *simProc) Fork(fns ...func(Proc)) {
+	hs := make([]Handle, len(fns))
+	for i, fn := range fns {
+		hs[i] = sp.Go(fmt.Sprintf("fork-%d", i), fn)
+	}
+	sp.Wait(hs...)
+}
 
 // Sink implements Proc.
 func (sp *simProc) Sink(site object.SiteID) cost.Sink {

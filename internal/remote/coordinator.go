@@ -94,8 +94,11 @@ type Coordinator struct {
 	clMu sync.Mutex
 	cl   *client
 
-	gateOnce sync.Once
-	gate     *exec.Gate
+	// runOnce guards what every query of this coordinator shares beside the
+	// client: the admission gate and the real fabric the queries run on.
+	runOnce sync.Once
+	gate    *exec.Gate
+	rt      *fabric.Real
 
 	// repMu guards the lazily-built mapping-table replica (replica.go).
 	// Lazy for the same reason as the client: the zero-value-plus-fields
@@ -115,6 +118,16 @@ func (c *Coordinator) client() *client {
 		c.cl = newClient(c.ID, c.Call, c.Metrics)
 	}
 	return c.cl
+}
+
+// runtime lazily builds the admission gate and the real fabric, once for the
+// coordinator's life: MaxConcurrent and Metrics are read at the first query.
+func (c *Coordinator) runtime() (*exec.Gate, *fabric.Real) {
+	c.runOnce.Do(func() {
+		c.gate = exec.NewGate(c.MaxConcurrent, c.Metrics, string(c.ID))
+		c.rt = fabric.NewReal(fabric.DefaultRates())
+	})
+	return c.gate, c.rt
 }
 
 // Close releases the coordinator's pooled connections. It is idempotent
@@ -263,7 +276,7 @@ func (c *Coordinator) QueryContext(ctx context.Context, text string, alg exec.Al
 	if err != nil {
 		return nil, 0, err
 	}
-	c.gateOnce.Do(func() { c.gate = exec.NewGate(c.MaxConcurrent, c.Metrics, string(c.ID)) })
+	gate, rt := c.runtime()
 	run := exec.Runner{
 		Coord: federation.NewCoordinator(c.ID, c.Global, c.Tables),
 		Ops:   siteCalls{c: c, cl: c.client(), text: text},
@@ -274,12 +287,12 @@ func (c *Coordinator) QueryContext(ctx context.Context, text string, alg exec.Al
 		Metrics:  c.Metrics,
 		Recorder: c.Recorder,
 		Selector: c.Selector,
-		Gate:     c.gate,
+		Gate:     gate,
 		Deadline: c.Deadline,
 		Suspect:  c.replica().tracker.SuspectOf,
 	}
 	qid := fmt.Sprintf("rq%d-%06x", c.qseq.Add(1), qidTag)
-	ans, m, err := run.Run(ctx, fabric.NewReal(fabric.DefaultRates()), qid, alg, b)
+	ans, m, err := run.Run(ctx, rt, qid, alg, b)
 	d := time.Duration(m.ResponseMicros * float64(time.Microsecond))
 	c.logQuery(qid, alg, ans, d, err)
 	return ans, d, err

@@ -107,6 +107,7 @@ type Server struct {
 	cfg    ServerConfig
 	site   *federation.Site
 	flow   exec.SiteFlow
+	rt     *fabric.Real // every served request is one run on it
 	client *client
 	rep    *replica // the mapping-table replica every bind and repair goes through
 	// ctx ends at Close: it stops the repair loop and the accept back-off.
@@ -159,6 +160,7 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 	s := &Server{
 		cfg:    cfg,
 		site:   site,
+		rt:     fabric.NewReal(fabric.DefaultRates()),
 		client: newClient(cfg.DB.Site(), cfg.Call, cfg.Metrics),
 		ctx:    ctx,
 		cancel: cancel,
@@ -621,8 +623,8 @@ func (s *Server) bind(text string) (*query.Bound, error) {
 }
 
 // runReal serves one request's federation work — an operation, or the whole
-// site flow — as the one real-fabric run of that request, under the
-// request's context: fault-injected delays inside are cut short when the
+// site flow — as one run on the server's real fabric, on the connection's
+// goroutine and under the request's context: fault-injected delays inside are cut short when the
 // budget dies, and the flow's checkpoints see the context through
 // Proc.Context. The run's counted events (disk bytes, CPU ops) are stamped
 // on the serve span, which ships them back to the coordinator: the profile
@@ -631,9 +633,9 @@ func (s *Server) bind(text string) (*query.Bound, error) {
 // text to answer, "" on success; a budget that died on the way answers the
 // errDeadline marker — the reply would arrive too late to integrate, and the
 // marker beats shipping dead bytes.
-func runReal(ctx context.Context, sp trace.Handle, name string, fn func(fabric.Proc) error) string {
+func (s *Server) runReal(ctx context.Context, sp trace.Handle, name string, fn func(fabric.Proc) error) string {
 	var err error
-	m, runErr := fabric.NewReal(fabric.DefaultRates()).WithContext(ctx).Run(name, func(p fabric.Proc) {
+	m, runErr := s.rt.RunContext(ctx, name, func(p fabric.Proc) {
 		err = fn(p)
 	})
 	sp.Add("disk_bytes", m.DiskBytes).Add("cpu_ops", m.CPUOps)
@@ -654,7 +656,7 @@ func (s *Server) handleRetrieve(ctx context.Context, req Request, sp trace.Handl
 		return Response{Err: err.Error()}
 	}
 	var reply federation.RetrieveReply
-	if e := runReal(ctx, sp, "retrieve", func(p fabric.Proc) error {
+	if e := s.runReal(ctx, sp, "retrieve", func(p fabric.Proc) error {
 		reply = s.site.Retrieve(p, b)
 		return nil
 	}); e != "" {
@@ -665,7 +667,7 @@ func (s *Server) handleRetrieve(ctx context.Context, req Request, sp trace.Handl
 
 func (s *Server) handleCheck(ctx context.Context, req Request, sp trace.Handle) Response {
 	var reply federation.CheckReply
-	if e := runReal(ctx, sp, "check", func(p fabric.Proc) error {
+	if e := s.runReal(ctx, sp, "check", func(p fabric.Proc) error {
 		reply = s.site.CheckAssistants(p, req.Items)
 		return nil
 	}); e != "" {
@@ -688,7 +690,7 @@ func (s *Server) handleLocal(ctx context.Context, req Request, sp trace.Handle) 
 	}
 	q := &exec.Query{ID: req.Trace.QueryID, Alg: alg, Bound: b}
 	var reply LocalReply
-	if e := runReal(ctx, sp, "local", func(p fabric.Proc) (err error) {
+	if e := s.runReal(ctx, sp, "local", func(p fabric.Proc) (err error) {
 		reply, err = s.flow.Run(p, q, sp.ID())
 		return err
 	}); e != "" {
