@@ -100,6 +100,10 @@ type Coordinator struct {
 	gate    *exec.Gate
 	rt      *fabric.Real
 
+	// plans keeps the queries this coordinator has bound, by the text its
+	// callers send; Global is fixed once the first query ran.
+	plans planTable
+
 	// repMu guards the lazily-built mapping-table replica (replica.go).
 	// Lazy for the same reason as the client: the zero-value-plus-fields
 	// construction pattern, with Tables often populated after the struct
@@ -268,11 +272,7 @@ func (c *Coordinator) Query(text string, alg exec.Algorithm) (*federation.Answer
 // deadline travels to every site as a remaining-budget stamp on each
 // request, and cancellation cuts in-flight exchanges.
 func (c *Coordinator) QueryContext(ctx context.Context, text string, alg exec.Algorithm) (*federation.Answer, time.Duration, error) {
-	q, err := query.Parse(text)
-	if err != nil {
-		return nil, 0, err
-	}
-	b, err := query.Bind(q, c.Global)
+	b, err := c.plans.bind(text, c.Global)
 	if err != nil {
 		return nil, 0, err
 	}

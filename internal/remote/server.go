@@ -19,7 +19,6 @@ import (
 	"github.com/hetfed/hetfed/internal/metrics"
 	"github.com/hetfed/hetfed/internal/object"
 	"github.com/hetfed/hetfed/internal/obs"
-	"github.com/hetfed/hetfed/internal/query"
 	"github.com/hetfed/hetfed/internal/schema"
 	"github.com/hetfed/hetfed/internal/signature"
 	"github.com/hetfed/hetfed/internal/store"
@@ -122,12 +121,9 @@ type Server struct {
 	// processing.
 	stateMu sync.RWMutex
 
-	// bound keeps the queries this server has bound, by text: a coordinator
-	// sends the same text to every site for every execution, and the global
-	// schema a text binds against is fixed for the server's life. A
-	// *query.Bound is immutable, so concurrent requests share one.
-	boundMu sync.Mutex
-	bound   map[string]*query.Bound
+	// plans keeps the queries this server has bound: a coordinator sends the
+	// same text to every site for every execution.
+	plans planTable
 
 	mu     sync.Mutex
 	closed bool
@@ -588,40 +584,6 @@ func (s *Server) dispatch(ctx context.Context, req Request, sp trace.Handle) Res
 	}
 }
 
-// maxBoundQueries caps the bound-query table. An application's queries are a
-// few texts run over and over; a client that sends ever-new texts gains
-// nothing from the table and, when it fills, costs the others one rebind.
-const maxBoundQueries = 256
-
-// bind parses and binds a query text against the site's global schema, once
-// per distinct text: later requests carrying the same text get the same
-// *query.Bound. The table is dropped whole when it is full.
-func (s *Server) bind(text string) (*query.Bound, error) {
-	s.boundMu.Lock()
-	b := s.bound[text]
-	s.boundMu.Unlock()
-	if b != nil {
-		return b, nil
-	}
-	q, err := query.Parse(text)
-	if err != nil {
-		return nil, err
-	}
-	if b, err = query.Bind(q, s.cfg.Global); err != nil {
-		return nil, err
-	}
-	s.boundMu.Lock()
-	if len(s.bound) >= maxBoundQueries {
-		s.bound = nil
-	}
-	if s.bound == nil {
-		s.bound = make(map[string]*query.Bound)
-	}
-	s.bound[text] = b
-	s.boundMu.Unlock()
-	return b, nil
-}
-
 // runReal serves one request's federation work — an operation, or the whole
 // site flow — as one run on the server's real fabric, on the connection's
 // goroutine and under the request's context: fault-injected delays inside are cut short when the
@@ -651,7 +613,7 @@ func (s *Server) runReal(ctx context.Context, sp trace.Handle, name string, fn f
 }
 
 func (s *Server) handleRetrieve(ctx context.Context, req Request, sp trace.Handle) Response {
-	b, err := s.bind(req.Query)
+	b, err := s.plans.bind(req.Query, s.cfg.Global)
 	if err != nil {
 		return Response{Err: err.Error()}
 	}
@@ -680,7 +642,7 @@ func (s *Server) handleCheck(ctx context.Context, req Request, sp trace.Handle) 
 // the same flow the in-process engine runs. The flow manages the state lock
 // itself (see SiteFlow.State) and reaches the peers through checkLink.
 func (s *Server) handleLocal(ctx context.Context, req Request, sp trace.Handle) Response {
-	b, err := s.bind(req.Query)
+	b, err := s.plans.bind(req.Query, s.cfg.Global)
 	if err != nil {
 		return Response{Err: err.Error()}
 	}

@@ -1,7 +1,6 @@
 package remote
 
 import (
-	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -15,7 +14,7 @@ import (
 
 // startClusterWith is startCluster with a shared metrics registry and a
 // per-server config hook, returning the servers for direct inspection.
-func startClusterWith(t *testing.T, reg *metrics.Registry, mutate func(*ServerConfig)) (*Coordinator, map[object.SiteID]*Server, func()) {
+func startClusterWith(t testing.TB, reg *metrics.Registry, mutate func(*ServerConfig)) (*Coordinator, map[object.SiteID]*Server, func()) {
 	t.Helper()
 	fx := school.New()
 	sigs := signature.Build(fx.Databases)
@@ -158,48 +157,4 @@ func TestClusterConcurrentStrategies(t *testing.T) {
 		}(alg)
 	}
 	wg.Wait()
-}
-
-// TestServerBindsEachTextOnce: a query text is parsed and bound on its first
-// request and shared, as one immutable *query.Bound, by every later one; a
-// flood of distinct texts never holds more than the table's constant size.
-func TestServerBindsEachTextOnce(t *testing.T) {
-	fx := school.New()
-	srv, err := NewServer(ServerConfig{DB: fx.Databases["DB1"], Global: fx.Global, Tables: fx.Mapping})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-
-	first, err := srv.bind(school.Q1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var wg sync.WaitGroup
-	for i := 0; i < 8; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if b, err := srv.bind(school.Q1); err != nil || b != first {
-				t.Errorf("rebinding the same text: %p, %v; want the first bound query %p", b, err, first)
-			}
-		}()
-	}
-	wg.Wait()
-	if _, err := srv.bind("select"); err == nil {
-		t.Error("a text that does not parse was bound")
-	}
-
-	for i := 0; i < 3*maxBoundQueries; i++ {
-		text := fmt.Sprintf(`select name from Student where name = "n%d"`, i)
-		if _, err := srv.bind(text); err != nil {
-			t.Fatal(err)
-		}
-		if n := len(srv.bound); n > maxBoundQueries {
-			t.Fatalf("%d bound queries held after %d texts, cap %d", n, i+1, maxBoundQueries)
-		}
-	}
-	if again, err := srv.bind(school.Q1); err != nil || again == nil {
-		t.Errorf("binding after the table was dropped: %v", err)
-	}
 }
