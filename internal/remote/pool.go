@@ -27,16 +27,21 @@ func (pc *pconn) close() { _ = pc.conn.Close() }
 // write unwinds immediately instead of running out its timeout — this is
 // how client disconnect propagates into an in-flight exchange. The caller
 // distinguishes "ctx killed it" from a genuine transport failure by
-// checking ctx.Err first.
-func (pc *pconn) exchange(ctx context.Context, req Request, timeout time.Duration) (Response, wireStats, error) {
+// checking ctx.Err first. An exchange that completes while the hook fires
+// fails with the context's error all the same: the hook's goroutine may set
+// its deadline after this return, on whoever took the connection next.
+func (pc *pconn) exchange(ctx context.Context, req Request, timeout time.Duration) (resp Response, stats wireStats, err error) {
 	_ = pc.conn.SetDeadline(time.Now().Add(timeout))
 	if ctx != nil && ctx.Done() != nil {
 		stop := context.AfterFunc(ctx, func() {
 			_ = pc.conn.SetDeadline(time.Unix(1, 0))
 		})
-		defer stop()
+		defer func() {
+			if !stop() && err == nil {
+				resp, err = Response{}, ctx.Err()
+			}
+		}()
 	}
-	var stats wireStats
 	out := newFrame()
 	out.request(&req)
 	n, err := out.send(pc.conn)
@@ -52,7 +57,7 @@ func (pc *pconn) exchange(ctx context.Context, req Request, timeout time.Duratio
 		return Response{}, stats, fmt.Errorf("receive: %w", err)
 	}
 	stats.Received = int64(frameHeaderSize + len(in.b))
-	resp, err := decodeResponse(in.b)
+	resp, err = decodeResponse(in.b)
 	in.release()
 	if err != nil {
 		return Response{}, stats, fmt.Errorf("receive: %w", err)
