@@ -14,6 +14,7 @@ package query
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 
 	"github.com/hetfed/hetfed/internal/object"
@@ -82,14 +83,33 @@ type Predicate struct {
 	Literal object.Value
 }
 
-// String renders the predicate in source form.
+// String renders the predicate in source form: Parse reads it back as the
+// same predicate. A query's text is the key of every bound-plan table and
+// what a coordinator sends to the sites.
 func (pr Predicate) String() string {
-	lit := pr.Literal.String()
-	if pr.Literal.Kind() == object.KindString {
-		lit = fmt.Sprintf("%q", lit)
-	}
-	return fmt.Sprintf("%s %s %s", pr.Path, pr.Op, lit)
+	return fmt.Sprintf("%s %s %s", pr.Path, pr.Op, literalSource(pr.Literal))
 }
+
+// literalSource renders a literal in the lexer's syntax, not Go's. A float
+// is digits, a dot, digits: never an exponent, and never without the dot,
+// which would read back as an integer. A string escapes the quote and the
+// backslash and nothing else, because the lexer's escape is "the next byte,
+// literally" — %q's \n would read back as n.
+func literalSource(v object.Value) string {
+	switch v.Kind() {
+	case object.KindFloat:
+		s := strconv.FormatFloat(v.Float64(), 'f', -1, 64)
+		if !strings.Contains(s, ".") {
+			s += ".0"
+		}
+		return s
+	case object.KindString:
+		return `"` + stringEscaper.Replace(v.String()) + `"`
+	}
+	return v.String()
+}
+
+var stringEscaper = strings.NewReplacer(`\`, `\\`, `"`, `\"`)
 
 // Equal reports whether two predicates are identical.
 func (pr Predicate) Equal(o Predicate) bool {
