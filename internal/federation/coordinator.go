@@ -198,7 +198,7 @@ func (co *Coordinator) EvaluateView(p fabric.Proc, b *query.Bound, v *View) *Ans
 	// No row keeps its verdicts, so one scratch slice serves every root; the
 	// rows' targets are cut from a slab.
 	verdicts := make([]tvl.Truth, len(b.Preds))
-	var slabs rowSlabs
+	slabs := rowSlabs{rows: len(v.roots)}
 	for _, root := range v.roots {
 		clear(verdicts)
 		for i := range b.Preds {
@@ -219,7 +219,7 @@ func (co *Coordinator) EvaluateView(p fabric.Proc, b *query.Bound, v *View) *Ans
 		if verdict == tvl.Unknown {
 			row.Unknown = unknownIdx(verdicts)
 		}
-		row.Targets = slabs.targets.take(len(b.Targets))
+		row.Targets = slabs.targets.take(len(b.Targets), slabs.rows)
 		for i, tp := range b.Targets {
 			tv := eval.EvalTarget(v, tp, root, &c)
 			switch tv.Kind() {

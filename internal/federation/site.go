@@ -176,7 +176,7 @@ func (s *Site) EvalLocalBasic(p fabric.Proc, b *query.Bound, sigs *signature.Ind
 	var (
 		survivors []survivor
 		found     []eval.Unsolved
-		slabs     rowSlabs
+		slabs     = rowSlabs{rows: ext.Len()}
 	)
 	scratch := make([]tvl.Truth, len(b.Preds))
 	iterate(func(o *object.Object) bool {
@@ -218,6 +218,7 @@ func (s *Site) EvalLocalBasic(p fabric.Proc, b *query.Bound, sigs *signature.Ind
 	if len(survivors) > 0 {
 		res.Rows = make([]LocalRow, 0, len(survivors))
 	}
+	slabs.rows = len(survivors)
 	for _, sv := range survivors {
 		unsolved = append(unsolved[:0], found[sv.lo:sv.hi]...)
 		for _, i := range removedIdx {
@@ -238,25 +239,29 @@ func (s *Site) EvalLocalBasic(p fabric.Proc, b *query.Bound, sigs *signature.Ind
 // verdicts and targets cost no allocation of their own.
 type slab[T any] struct{ free []T }
 
-// take returns a zeroed slice of n elements that nothing else refers to.
-func (sl *slab[T]) take(n int) []T {
+// take returns a zeroed slice of n elements that nothing else refers to. A
+// new chunk serves rows more takes, at most 64: the caller passes the row
+// count it knows, so that a two-row result does not pay for 64.
+func (sl *slab[T]) take(n, rows int) []T {
 	if len(sl.free) < n {
-		sl.free = make([]T, 64*n)
+		sl.free = make([]T, n*max(1, min(64, rows)))
 	}
 	out := sl.free[:n:n]
 	sl.free = sl.free[n:]
 	return out
 }
 
-// rowSlabs are the slabs one local result's rows are cut from.
+// rowSlabs are the slabs one local result's rows are cut from; rows bounds
+// how many rows that can be, as far as the caller knows.
 type rowSlabs struct {
+	rows     int
 	verdicts slab[tvl.Truth]
 	targets  slab[object.Value]
 }
 
 // keep returns a private copy of the scratch verdicts.
 func (rs *rowSlabs) keep(scratch []tvl.Truth) []tvl.Truth {
-	out := rs.verdicts.take(len(scratch))
+	out := rs.verdicts.take(len(scratch), rs.rows)
 	copy(out, scratch)
 	return out
 }
@@ -371,7 +376,7 @@ func (s *Site) NavigateAll(p fabric.Proc, b *query.Bound, sigs *signature.Index)
 func (s *Site) EvalNavigated(p fabric.Proc, b *query.Bound, nav *Navigation) LocalResult {
 	res := LocalResult{Site: s.ID()}
 	var c cost.Counter
-	var slabs rowSlabs
+	slabs := rowSlabs{rows: len(nav.navs)}
 	conjunctive := b.Conjunctive()
 	verdicts := make([]tvl.Truth, len(b.Preds))
 	for _, nv := range nav.navs {
@@ -425,7 +430,7 @@ func (s *Site) buildRow(src eval.Source, b *query.Bound, o *object.Object, verdi
 	if len(unsolved) > 0 {
 		row.Unsolved = unsolved
 	}
-	row.Targets = slabs.targets.take(len(b.Targets))
+	row.Targets = slabs.targets.take(len(b.Targets), slabs.rows)
 	for i, tp := range b.Targets {
 		v := eval.EvalTarget(src, tp, o, c)
 		switch v.Kind() {

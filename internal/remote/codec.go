@@ -465,14 +465,24 @@ func (r *reader) binding(b *antientropy.Binding) {
 	b.LOid = object.LOid(r.str())
 }
 
+// digests writes the map, empty in every message but a digest exchange's.
+// The entries are written by a function of their own: a Digest is 520 bytes,
+// and a frame that holds one forces a stack growth on a young goroutine —
+// which every request and response encode would enter.
 func (w *frameBuf) digests(m map[string]antientropy.Digest) {
 	w.uvarint(uint64(len(m)))
+	if len(m) > 0 {
+		w.digestEntries(m)
+	}
+}
+
+func (w *frameBuf) digestEntries(m map[string]antientropy.Digest) {
 	for _, class := range sortedKeys(m) {
 		d := m[class]
 		w.str(class)
 		w.uvarint(d.Count)
-		for _, sum := range d.Sum {
-			w.u64(sum)
+		for i := range d.Sum {
+			w.u64(d.Sum[i])
 		}
 	}
 }
