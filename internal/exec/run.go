@@ -163,10 +163,8 @@ func (r *Runner) Run(ctx context.Context, rt fabric.Runtime, qid string, alg Alg
 		}
 		end(root, p)
 	}
-	var (
-		m      fabric.Metrics
-		runErr error
-	)
+	var m fabric.Metrics
+	var runErr error
 	if cr, ok := rt.(fabric.ContextRuntime); ok {
 		m, runErr = cr.RunContext(ctx, alg.String(), task)
 	} else {

@@ -13,10 +13,8 @@ import (
 // Real is the goroutine-backed runtime: cost events are counted atomically
 // and the response time is wall-clock. Use it for functional execution
 // (examples, correctness tests, the TCP deployment); use Sim for the paper's
-// timing experiments.
-//
-// Work runs on the goroutine that already holds it: the root task runs on
-// Run's caller, and a Fork runs its last leg on the forking task. Only Go
+// timing experiments. Work runs on the goroutine that already holds it: the
+// root task on Run's caller, a Fork's last leg on the forking task; only Go
 // and a Fork's other legs start goroutines.
 //
 // A Real holds nothing of a run — one serves a whole process. All per-run
@@ -53,7 +51,7 @@ type realRun struct {
 	rt    *Real
 	ctx   context.Context
 	start time.Time
-	tasks sync.WaitGroup // every goroutine the run started
+	tasks sync.WaitGroup // the Go tasks: Run joins those nobody waited for
 
 	mu    sync.Mutex
 	sinks map[object.SiteID]*cost.Counter
@@ -92,7 +90,8 @@ func (r *Real) RunContext(ctx context.Context, name string, fn func(Proc)) (Metr
 	return m, run.err
 }
 
-func (run *realRun) sink(site object.SiteID) *cost.Counter {
+// Sink implements Proc.
+func (run *realRun) Sink(site object.SiteID) cost.Sink {
 	run.mu.Lock()
 	defer run.mu.Unlock()
 	c := run.sinks[site]
@@ -159,9 +158,7 @@ func (run *realRun) Fork(fns ...func(Proc)) {
 	var legs sync.WaitGroup
 	for _, fn := range fns[:last] {
 		legs.Add(1)
-		run.tasks.Add(1)
 		go func() {
-			defer run.tasks.Done()
 			defer legs.Done()
 			run.exec("fork", fn)
 		}()
@@ -169,9 +166,6 @@ func (run *realRun) Fork(fns ...func(Proc)) {
 	run.exec("fork", fns[last])
 	legs.Wait()
 }
-
-// Sink implements Proc.
-func (run *realRun) Sink(site object.SiteID) cost.Sink { return run.sink(site) }
 
 // Transfer implements Proc. A duplicating link fault charges the transfer
 // twice (the retransmit the receiver absorbs); link delay is injected by

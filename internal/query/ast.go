@@ -91,10 +91,9 @@ func (pr Predicate) String() string {
 }
 
 // literalSource renders a literal in the lexer's syntax, not Go's. A float
-// is digits, a dot, digits: never an exponent, and never without the dot,
-// which would read back as an integer. A string escapes the quote and the
-// backslash and nothing else, because the lexer's escape is "the next byte,
-// literally" — %q's \n would read back as n.
+// is digits, a dot, digits: no exponent, and never without the dot, which
+// would read back as an integer. A string escapes the quote and the backslash
+// only: the lexer's escape is "the next byte, literally", so \n reads back n.
 func literalSource(v object.Value) string {
 	switch v.Kind() {
 	case object.KindFloat:

@@ -94,14 +94,12 @@ type Coordinator struct {
 	clMu sync.Mutex
 	cl   *client
 
-	// runOnce guards what every query of this coordinator shares beside the
-	// client: the admission gate and the real fabric the queries run on.
+	// runOnce guards the admission gate and the real fabric every query of
+	// this coordinator runs on.
 	runOnce sync.Once
 	gate    *exec.Gate
 	rt      *fabric.Real
-
-	// plans keeps the queries this coordinator has bound, by the text its
-	// callers send; Global is fixed once the first query ran.
+	// plans keeps the queries bound so far; Global is fixed from the first.
 	plans planTable
 
 	// repMu guards the lazily-built mapping-table replica (replica.go).

@@ -13,20 +13,18 @@ import (
 const maxBoundQueries = 256
 
 // planTable keeps the queries one process has bound, by text: a coordinator's
-// callers repeat their texts, the coordinator sends the same text to every
-// site for every execution, and the global schema a text binds against is
-// fixed for the owner's life. A *query.Bound is never written after Bind
-// returns it — points and paths included — so concurrent queries share one.
-// The zero value is an empty table.
+// callers repeat their texts, it sends the same text to every site for every
+// execution, and the global schema a text binds against is fixed for the
+// owner's life. A *query.Bound is never written after Bind returns it, points
+// included, so concurrent queries share one. The zero value is an empty table.
 type planTable struct {
 	mu    sync.Mutex
 	bound map[string]*query.Bound
 }
 
-// bind parses and binds a query text against the global schema, once per
-// distinct text: later calls with the same text get the same *query.Bound.
-// A text that fails is not remembered. The table is dropped whole when it
-// is full.
+// bind parses and binds a text against the global schema, once per distinct
+// text: later calls get the same *query.Bound. A text that fails is not
+// remembered. The table is dropped whole when it is full.
 func (t *planTable) bind(text string, global *schema.Global) (*query.Bound, error) {
 	t.mu.Lock()
 	b := t.bound[text]

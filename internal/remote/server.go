@@ -586,8 +586,8 @@ func (s *Server) dispatch(ctx context.Context, req Request, sp trace.Handle) Res
 
 // runReal serves one request's federation work — an operation, or the whole
 // site flow — as one run on the server's real fabric, on the connection's
-// goroutine and under the request's context: fault-injected delays inside are cut short when the
-// budget dies, and the flow's checkpoints see the context through
+// goroutine, under the request's context: injected delays are cut short when
+// the budget dies, and the flow's checkpoints see the context through
 // Proc.Context. The run's counted events (disk bytes, CPU ops) are stamped
 // on the serve span, which ships them back to the coordinator: the profile
 // builder aggregates them per site, giving the adaptive calibrator its

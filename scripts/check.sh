@@ -1,12 +1,12 @@
 #!/bin/sh
 # check.sh — the repository's verification gate: formatting, vet, the
 # one-orchestration, one-report-envelope, one-codec, one-check-path,
-# one-replica, one-repair-path, one-experiment-harness and one-metric-catalog
-# structural guards, build, unit tests, the full test suite under the race
-# detector, the benchmark module's vet and tests, a one-shot compile-and-run
-# smoke of the overhead and allocation benchmarks, and a short fuzz budget for
-# every decoder that reads bytes off a socket or disk and every grammar a
-# command line feeds.
+# one-replica, one-repair-path, one-experiment-harness, work-runs-where-it-is
+# and one-metric-catalog structural guards, build, unit tests, the full test
+# suite under the race detector, the benchmark module's vet and tests, a
+# one-shot compile-and-run smoke of the overhead and allocation benchmarks,
+# and a short fuzz budget for every decoder that reads bytes off a socket or
+# disk and every grammar a command line feeds.
 #
 # Usage: scripts/check.sh [package-pattern]   (default ./...)
 set -eu
@@ -129,6 +129,26 @@ if grep -rnE 'sim\.(Figure|Experiment|PlannerAccuracy)' --include='*.go' --exclu
 fi
 want_one 'workload\.Generate\(' "$(grep -rn 'workload\.Generate(' --include='*.go' --exclude='*_test.go' \
     --exclude-dir=benchmark --exclude-dir=examples --exclude-dir=.bench_build . || true)"
+# Work runs where it is (DESIGN.md sections 8 and 9, EXPERIMENTS.md E25): a
+# server and a coordinator each build one fabric.Real for their life, never
+# inside the per-request or per-query function; internal/remote parses a query
+# text in one place, the bound-plan table both of them use; and the real
+# runtime starts no goroutine for a root task and names no fork legs (the task
+# names are Sim's: its event log lists them).
+for f in internal/remote/server.go internal/remote/coordinator.go; do
+    want_one "fabric.NewReal( in $f" "$(grep -n 'fabric\.NewReal(' "$f" || true)"
+done
+if sed -n '/^func .*runReal(/,/^}/p; /^func .*QueryContext(/,/^}/p' \
+    internal/remote/server.go internal/remote/coordinator.go | grep -n 'fabric\.NewReal('; then
+    echo "a fabric.Real is built per served request or per query again" >&2
+    guard_failed=1
+fi
+want_one 'query.Parse( under internal/remote' \
+    "$(grep -n 'query\.Parse(' internal/remote/*.go | grep -v '_test\.go:' || true)"
+if grep -nE 'go root\.exec|forkImpl\(' internal/fabric/real.go; then
+    echo "the real runtime spawns its root task or goes through forkImpl again" >&2
+    guard_failed=1
+fi
 # One metric catalog: every series non-test code emits has a row in the table
 # of DESIGN.md section 6.
 catalog="$(sed -n '/^## 6\. /,/^## 7\. /p' DESIGN.md)"
