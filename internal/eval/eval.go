@@ -50,7 +50,7 @@ func (d DiskSource) Fetch(id object.LOid, sink cost.Sink) (*object.Object, bool)
 // have per-query buffers, not cross-query caches).
 type Cached struct {
 	src  Source
-	seen map[object.LOid]bool
+	seen map[object.LOid]*object.Object // the buffer: what a hit returns
 }
 
 // NewCached returns an empty-buffer cache over src.
@@ -59,25 +59,22 @@ func NewCached(src Source) *Cached { return NewCachedSize(src, 0) }
 // NewCachedSize is NewCached with room for n buffered objects up front, for
 // an operation that knows it will touch at least an extent's worth.
 func NewCachedSize(src Source, n int) *Cached {
-	return &Cached{src: src, seen: make(map[object.LOid]bool, n)}
+	return &Cached{src: src, seen: make(map[object.LOid]*object.Object, n)}
 }
 
-// Warm marks an object as already buffered (e.g. just scanned from the
+// Warm buffers an object the caller already holds (e.g. just scanned from the
 // extent) without charging anything.
-func (c *Cached) Warm(id object.LOid) { c.seen[id] = true }
+func (c *Cached) Warm(o *object.Object) { c.seen[o.LOid] = o }
 
 // Fetch implements Source.
 func (c *Cached) Fetch(id object.LOid, sink cost.Sink) (*object.Object, bool) {
-	if c.seen[id] {
-		o, ok := c.src.Fetch(id, cost.Discard)
-		if ok {
-			sink.CPU(1) // buffer hit
-		}
-		return o, ok
+	if o, ok := c.seen[id]; ok {
+		sink.CPU(1) // buffer hit
+		return o, true
 	}
 	o, ok := c.src.Fetch(id, sink)
 	if ok {
-		c.seen[id] = true
+		c.seen[id] = o
 	}
 	return o, ok
 }

@@ -45,31 +45,55 @@ func (co *Coordinator) charge(p fabric.Proc, c *cost.Counter) {
 }
 
 // View is the materialized global view built by the centralized approach:
-// integrated objects keyed by their GOid (stored in the LOid slot, so the
+// integrated objects named by their GOid (stored in the LOid slot, so the
 // shared path-navigation evaluator works unchanged), with complex attribute
-// values rewritten to global references.
+// values rewritten to global references. It holds them per involved class in
+// a slice indexed by the entity's number in the class's mapping table, so the
+// outerjoin that fills it hashes no GOid; those numbers are this replica's, and
+// a view is built and read under the read lock of the tables it came from.
 type View struct {
-	objects map[object.LOid]*object.Object
+	classes []viewClass
 	roots   []*object.Object
+	n       int
+}
+
+// viewClass is one involved global class's part of a view.
+type viewClass struct {
+	name     string
+	table    *gmap.Table
+	byNumber []*object.Object // by entity number; nil where no reply held the entity
+	// unbound holds the objects no binding names, by gmap.Table.Unbound.
+	unbound map[object.GOid]*object.Object
+	// The objects the replies list and their mask's width: they size the slab.
+	constituents, width int
 }
 
 var _ eval.Source = (*View)(nil)
 
 // Fetch implements eval.Source over the materialized objects: the view is
-// in memory at the global site, so an access costs one CPU operation.
+// in memory at the global site, so an access costs one CPU operation. A
+// reference does not say which class it points into, so the involved classes'
+// tables are asked in turn for the entity's number.
 func (v *View) Fetch(id object.LOid, sink cost.Sink) (*object.Object, bool) {
-	o, ok := v.objects[id]
-	if ok {
-		sink.CPU(1)
+	g := object.GOid(id)
+	for i := range v.classes {
+		vc := &v.classes[i]
+		var o *object.Object
+		if n, ok := vc.table.Number(g); !ok {
+			o = vc.unbound[g]
+		} else if n < len(vc.byNumber) {
+			o = vc.byNumber[n]
+		}
+		if o != nil {
+			sink.CPU(1)
+			return o, true
+		}
 	}
-	return o, ok
+	return nil, false
 }
 
 // Deref resolves a materialized object without charging (diagnostics).
-func (v *View) Deref(id object.LOid) (*object.Object, bool) {
-	o, ok := v.objects[id]
-	return o, ok
-}
+func (v *View) Deref(id object.LOid) (*object.Object, bool) { return v.Fetch(id, cost.Discard) }
 
 // Roots returns the materialized range-class objects sorted by GOid.
 func (v *View) Roots() []*object.Object { return v.roots }
@@ -77,61 +101,91 @@ func (v *View) Roots() []*object.Object { return v.roots }
 // Has reports whether the entity was materialized into the view (used as
 // the presence test when synthesizing degraded rows under site failure).
 func (v *View) Has(g object.GOid) bool {
-	_, ok := v.objects[object.LOid(g)]
+	_, ok := v.Deref(object.LOid(g))
 	return ok
 }
 
 // Len returns the number of materialized objects.
-func (v *View) Len() int { return len(v.objects) }
+func (v *View) Len() int { return v.n }
 
 // Materialize implements step CA_G2: integrate the constituent objects of
 // each involved global class by outerjoin over their GOids. Missing
-// attribute values are filled from isomeric objects (replies are merged in
-// site order; isomeric objects are assumed consistent, so the first
+// attribute values are filled from isomeric objects (a class's lists are
+// merged in site order; isomeric objects are assumed consistent, so the first
 // non-null value wins), and LOid-valued complex attributes are transformed
 // to GOids.
 //
 // The replies are read, never written: their objects may be a store's own
-// (see ClassObjects). The view is sized before it is filled — its map from
-// the replies' object count, its objects and their entries from one slab
-// with room for every constituent to become an entity of its own — so the
-// join allocates per reply, not per object.
+// (see ClassObjects). The join is the mapping table's numbering: per (class,
+// site) list the site's LOid indexes are resolved once, and one probe per
+// object gives the view's slot to merge into. The view is sized before it is
+// filled: a slot per entity the table knows, objects and entries from one slab
+// with room for as many entities as the replies can hold (an object no
+// binding names takes the slab's overflow).
 func (co *Coordinator) Materialize(p fabric.Proc, b *query.Bound, replies []RetrieveReply) *View {
 	var c cost.Counter
 
 	sorted := append([]RetrieveReply(nil), replies...)
 	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Site < sorted[j].Site })
 
-	objects, entries := 0, 0
+	v := &View{}
 	for _, reply := range sorted {
 		for _, cls := range reply.Classes {
-			objects += len(cls.Objects)
-			entries += len(cls.Objects) * len(cls.Attrs)
+			at := slices.IndexFunc(v.classes, func(vc viewClass) bool { return vc.name == cls.GlobalClass })
+			if at < 0 {
+				at = len(v.classes)
+				v.classes = append(v.classes, viewClass{name: cls.GlobalClass, table: co.tables.Table(cls.GlobalClass)})
+			}
+			v.classes[at].constituents += len(cls.Objects)
+			v.classes[at].width = len(cls.Attrs)
 		}
 	}
-	v := &View{objects: make(map[object.LOid]*object.Object, objects)}
+	objects, entries := 0, 0
+	for i := range v.classes {
+		vc := &v.classes[i]
+		vc.byNumber = make([]*object.Object, vc.table.Len())
+		vc.unbound = make(map[object.GOid]*object.Object)
+		n := min(vc.constituents, len(vc.byNumber))
+		objects, entries = objects+n, entries+n*vc.width
+	}
 	slab := object.NewSlab(objects, entries)
 
-	for _, reply := range sorted {
-		for _, cls := range reply.Classes {
-			gc := co.global.Class(cls.GlobalClass)
-			table := co.tables.Table(cls.GlobalClass)
-			for _, o := range cls.Objects {
-				c.CPU(1) // GOid lookup: the outerjoin's join-attribute probe
-				goid, ok := table.GOidOf(reply.Site, o.LOid)
-				if !ok {
-					goid = table.Unbound(reply.Site, o.LOid)
+	ids := identities{tables: co.tables}
+	for i := range v.classes {
+		vc := &v.classes[i]
+		gc := co.global.Class(vc.name)
+		for _, reply := range sorted {
+			for _, cls := range reply.Classes {
+				if cls.GlobalClass != vc.name {
+					continue
 				}
-				key := object.LOid(goid)
-				m := v.objects[key]
-				if m == nil {
-					m = slab.New(key, cls.GlobalClass, len(cls.Attrs))
-					v.objects[key] = m
-					if cls.GlobalClass == b.Query.Range {
-						v.roots = append(v.roots, m)
+				ids.site, ids.classes = reply.Site, ids.classes[:0]
+				index := ids.of(vc.name).index
+				for _, o := range cls.Objects {
+					c.CPU(1) // GOid lookup: the outerjoin's join-attribute probe
+					e, bound := index[o.LOid]
+					var m *object.Object
+					if bound {
+						m = vc.byNumber[e.Number]
+					} else {
+						e.GOid = vc.table.Unbound(reply.Site, o.LOid)
+						m = vc.unbound[e.GOid]
 					}
+					fresh := m == nil
+					if fresh {
+						m = slab.New(object.LOid(e.GOid), vc.name, len(cls.Attrs))
+						if bound {
+							vc.byNumber[e.Number] = m
+						} else {
+							vc.unbound[e.GOid] = m
+						}
+						v.n++
+						if vc.name == b.Query.Range {
+							v.roots = append(v.roots, m)
+						}
+					}
+					co.merge(m, fresh, o.Projected(cls.Attrs), gc, &ids, &c)
 				}
-				co.mergeInto(m, gc, reply.Site, o.Projected(cls.Attrs), &c)
 			}
 		}
 	}
@@ -143,18 +197,19 @@ func (co *Coordinator) Materialize(p fabric.Proc, b *query.Bound, replies []Retr
 	return v
 }
 
-// mergeInto merges one constituent object, read through its reply's
-// projection, into a materialized object, translating local references to
-// global ones.
-func (co *Coordinator) mergeInto(m *object.Object, gc *schema.GlobalClass,
-	site object.SiteID, o object.Projection, c *cost.Counter) {
+// merge merges one constituent object, read through its list's projection,
+// into a materialized object, translating local references to global ones
+// through its site's identities. The constituent that starts an entity (fresh)
+// hands its entries over in order; a later isomer fills what is still missing.
+func (co *Coordinator) merge(m *object.Object, fresh bool, o object.Projection,
+	gc *schema.GlobalClass, ids *identities, c *cost.Counter) {
 	for {
 		name, val, ok := o.Next()
 		if !ok {
 			return
 		}
 		c.CPU(1) // merge step
-		if !m.Attr(name).IsNull() {
+		if !fresh && !m.Attr(name).IsNull() {
 			continue // first non-null value wins
 		}
 		switch val.Kind() {
@@ -164,26 +219,30 @@ func (co *Coordinator) mergeInto(m *object.Object, gc *schema.GlobalClass,
 				continue
 			}
 			c.CPU(1) // reference translation lookup
-			g, ok := co.tables.Table(a.Domain).GOidOf(site, val.RefLOid())
+			e, ok := ids.of(a.Domain).index[val.RefLOid()]
 			if !ok {
 				continue
 			}
-			val = object.Ref(object.LOid(g))
+			val = object.Ref(object.LOid(e.GOid))
 		case object.KindList:
 			// Multi-valued complex attributes: translate every element.
-			a, ok := gc.Attr(name)
-			if ok && a.IsComplex() {
+			if a, ok := gc.Attr(name); ok && a.IsComplex() {
+				domain := ids.of(a.Domain).index
 				elems := make([]object.Value, 0, len(val.Elems()))
-				for _, e := range val.Elems() {
+				for _, el := range val.Elems() {
 					c.CPU(1)
-					if g, ok := co.tables.Table(a.Domain).GOidOf(site, e.RefLOid()); ok {
-						elems = append(elems, object.Ref(object.LOid(g)))
+					if e, ok := domain[el.RefLOid()]; ok {
+						elems = append(elems, object.Ref(object.LOid(e.GOid)))
 					}
 				}
 				val = object.List(elems...)
 			}
 		}
-		m.Set(name, val)
+		if fresh {
+			m.Append(name, val)
+		} else {
+			m.Set(name, val)
+		}
 	}
 }
 
@@ -318,7 +377,7 @@ func (co *Coordinator) CertifyDegraded(p fabric.Proc, b *query.Bound, results []
 	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Site < sorted[j].Site })
 	type entity struct {
 		rows  []LocalRow
-		sites map[object.SiteID]bool
+		sites []object.SiteID // the sites that returned a row: a handful, in site order
 	}
 	entities := make(map[object.GOid]*entity)
 	var order []object.GOid
@@ -328,12 +387,12 @@ func (co *Coordinator) CertifyDegraded(p fabric.Proc, b *query.Bound, results []
 			c.CPU(1)
 			e := entities[row.GOid]
 			if e == nil {
-				e = &entity{sites: make(map[object.SiteID]bool)}
+				e = &entity{}
 				entities[row.GOid] = e
 				order = append(order, row.GOid)
 			}
 			e.rows = append(e.rows, row)
-			e.sites[res.Site] = true
+			e.sites = append(e.sites, res.Site)
 		}
 	}
 	sort.Slice(order, func(i, j int) bool { return order[i] < order[j] })
@@ -353,7 +412,7 @@ func (co *Coordinator) CertifyDegraded(p fabric.Proc, b *query.Bound, results []
 		eliminated := false
 		for _, loc := range rootTable.Locations(goid) {
 			c.CPU(1)
-			if rootSites[loc.Site] && !dead[loc.Site] && !e.sites[loc.Site] {
+			if rootSites[loc.Site] && !dead[loc.Site] && !slices.Contains(e.sites, loc.Site) {
 				eliminated = true
 				break
 			}
@@ -397,15 +456,20 @@ func (co *Coordinator) CertifyDegraded(p fabric.Proc, b *query.Bound, results []
 		// all items violating disproves it. A scalar path has exactly one
 		// item per predicate, for which the rule degenerates to the
 		// paper's: satisfied solves, violated eliminates.
+		// A row holds a handful of items: a predicate's are found by scanning
+		// on from its first.
 		for _, row := range e.rows {
-			byPred := make(map[int][]UnsolvedItem)
-			for _, u := range row.Unsolved {
-				byPred[u.SourceIdx] = append(byPred[u.SourceIdx], u)
-			}
-			for idx, items := range byPred {
+			for i := range row.Unsolved {
+				idx := row.Unsolved[i].SourceIdx
+				if slices.ContainsFunc(row.Unsolved[:i], func(u UnsolvedItem) bool { return u.SourceIdx == idx }) {
+					continue // the predicate's first item covered this one
+				}
 				anyTrue := false
 				allFalse := true
-				for _, u := range items {
+				for _, u := range row.Unsolved[i:] {
+					if u.SourceIdx != idx {
+						continue
+					}
 					c.CPU(1)
 					cv, ok := checkEvidence[vkey{item: u.ItemGOid, idx: u.SourceIdx, suffixLen: len(u.Suffix.Path)}]
 					if !ok {

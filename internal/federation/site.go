@@ -49,16 +49,43 @@ func (s *Site) charge(p fabric.Proc, c *cost.Counter) {
 	c.Reset()
 }
 
+// identities resolves the GOids of one site's objects for one processing step.
+// A step names a handful of classes over and over (a row's, an item's, a
+// reference's), so each class's table and the site's LOid index of it are
+// looked up once and found again by scanning a short list.
+type identities struct {
+	site    object.SiteID
+	tables  *gmap.Tables
+	classes []classIdentity
+}
+
+type classIdentity struct {
+	class string
+	table *gmap.Table
+	index gmap.Index // this site's objects of the class
+}
+
+func (ids *identities) of(class string) *classIdentity {
+	for i := range ids.classes {
+		if ids.classes[i].class == class {
+			return &ids.classes[i]
+		}
+	}
+	t := ids.tables.Table(class)
+	ids.classes = append(ids.classes, classIdentity{class, t, t.At(ids.site)})
+	return &ids.classes[len(ids.classes)-1]
+}
+
 // goidOf resolves a stored object's GOid from the mapping-table replica,
 // charging one lookup. Objects missing from the tables get a synthetic
 // singleton GOid so they still carry a global identity.
-func (s *Site) goidOf(class string, loid object.LOid, c *cost.Counter) object.GOid {
+func (ids *identities) goidOf(class string, loid object.LOid, c *cost.Counter) object.GOid {
 	c.CPU(1)
-	table := s.tables.Table(class)
-	if g, ok := table.GOidOf(s.ID(), loid); ok {
-		return g
+	ci := ids.of(class)
+	if e, ok := ci.index[loid]; ok {
+		return e.GOid
 	}
-	return table.Unbound(s.ID(), loid)
+	return ci.table.Unbound(ids.site, loid)
 }
 
 // Retrieve implements step CA_C1: read all objects of the local root and
@@ -143,6 +170,7 @@ func (s *Site) EvalLocalBasic(p fabric.Proc, b *query.Bound, sigs *signature.Ind
 	checks := newCollector()
 	ext := s.rootExtent(b)
 	src := eval.NewCached(eval.DiskSource{DB: s.db})
+	ids := &identities{site: s.ID(), tables: s.tables}
 	var c cost.Counter
 
 	// BL_C1 (phase P): evaluate the local predicates, short-circuiting on
@@ -181,7 +209,7 @@ func (s *Site) EvalLocalBasic(p fabric.Proc, b *query.Bound, sigs *signature.Ind
 	scratch := make([]tvl.Truth, len(b.Preds))
 	iterate(func(o *object.Object) bool {
 		c.DiskRead(o.WireSize(nil))
-		src.Warm(o.LOid)
+		src.Warm(o)
 		clear(scratch)
 		lo := len(found)
 		alive := true
@@ -225,9 +253,9 @@ func (s *Site) EvalLocalBasic(p fabric.Proc, b *query.Bound, sigs *signature.Ind
 			sv.verdicts[i] = eval.EvalPredicate(src, &b.Preds[i], sv.obj, &c, &unsolved)
 		}
 		lo := len(items)
-		items = s.appendUnsolvedItems(items, sv.obj, unsolved, &c)
-		row := s.buildRow(src, b, sv.obj, sv.verdicts, items[lo:len(items):len(items)], &slabs, &c)
-		s.collectChecks(row.Unsolved, checks, sigs, &c)
+		items = ids.appendUnsolvedItems(items, sv.obj, unsolved, &c)
+		row := ids.buildRow(src, b, sv.obj, sv.verdicts, items[lo:len(items):len(items)], &slabs, &c)
+		s.collectChecks(row.Unsolved, checks, ids, sigs, &c)
 		res.Rows = append(res.Rows, row)
 	}
 	res.SigVerdicts = checks.synth
@@ -346,13 +374,14 @@ func (s *Site) NavigateAll(p fabric.Proc, b *query.Bound, sigs *signature.Index)
 		src:        eval.NewCachedSize(eval.DiskSource{DB: s.db}, n),
 	}
 	checks := newCollector()
+	ids := &identities{site: s.ID(), tables: s.tables}
 	var c cost.Counter
 	var unsolved []eval.Unsolved
 	outcomeSlab := make([]eval.Outcome, n*np)
 
 	ext.Scan(func(o *object.Object) bool {
 		c.DiskRead(o.WireSize(nil))
-		nav.src.Warm(o.LOid)
+		nav.src.Warm(o)
 		outcomes := outcomeSlab[:np:np]
 		outcomeSlab = outcomeSlab[np:]
 		unsolved = unsolved[:0]
@@ -360,8 +389,8 @@ func (s *Site) NavigateAll(p fabric.Proc, b *query.Bound, sigs *signature.Index)
 			outcomes[i] = eval.Navigate(nav.src, &b.Preds[i], o, &c, &unsolved)
 		}
 		lo := len(nav.items)
-		nav.items = s.appendUnsolvedItems(nav.items, o, unsolved, &c)
-		s.collectChecks(nav.items[lo:], checks, sigs, &c)
+		nav.items = ids.appendUnsolvedItems(nav.items, o, unsolved, &c)
+		s.collectChecks(nav.items[lo:], checks, ids, sigs, &c)
 		nav.navs = append(nav.navs, navigated{obj: o, outcomes: outcomes, lo: lo, hi: len(nav.items)})
 		return true
 	})
@@ -375,6 +404,7 @@ func (s *Site) NavigateAll(p fabric.Proc, b *query.Bound, sigs *signature.Index)
 // unknown. It returns the surviving local rows.
 func (s *Site) EvalNavigated(p fabric.Proc, b *query.Bound, nav *Navigation) LocalResult {
 	res := LocalResult{Site: s.ID()}
+	ids := &identities{site: s.ID(), tables: s.tables}
 	var c cost.Counter
 	slabs := rowSlabs{rows: len(nav.navs)}
 	conjunctive := b.Conjunctive()
@@ -411,7 +441,7 @@ func (s *Site) EvalNavigated(p fabric.Proc, b *query.Bound, nav *Navigation) Loc
 		// look-ups are charged and not repeated.
 		items := nav.items[nv.lo:nv.hi:nv.hi]
 		c.CPU(len(items))
-		res.Rows = append(res.Rows, s.buildRow(nav.src, b, nv.obj, slabs.keep(verdicts), items, &slabs, &c))
+		res.Rows = append(res.Rows, ids.buildRow(nav.src, b, nv.obj, slabs.keep(verdicts), items, &slabs, &c))
 	}
 	res.SigVerdicts = nav.synth
 	s.charge(p, &c)
@@ -420,11 +450,11 @@ func (s *Site) EvalNavigated(p fabric.Proc, b *query.Bound, nav *Navigation) Loc
 
 // buildRow assembles a local result row: target values (complex values
 // translated to global references) and the unsolved items.
-func (s *Site) buildRow(src eval.Source, b *query.Bound, o *object.Object, verdicts []tvl.Truth,
+func (ids *identities) buildRow(src eval.Source, b *query.Bound, o *object.Object, verdicts []tvl.Truth,
 	unsolved []UnsolvedItem, slabs *rowSlabs, c *cost.Counter) LocalRow {
 	row := LocalRow{
 		LOid:     o.LOid,
-		GOid:     s.goidOf(b.Query.Range, o.LOid, c),
+		GOid:     ids.goidOf(b.Query.Range, o.LOid, c),
 		Verdicts: verdicts,
 	}
 	if len(unsolved) > 0 {
@@ -435,12 +465,12 @@ func (s *Site) buildRow(src eval.Source, b *query.Bound, o *object.Object, verdi
 		v := eval.EvalTarget(src, tp, o, c)
 		switch v.Kind() {
 		case object.KindRef:
-			v = object.GRef(s.goidOf(tp.Attr.Domain, v.RefLOid(), c))
+			v = object.GRef(ids.goidOf(tp.Attr.Domain, v.RefLOid(), c))
 		case object.KindList:
 			if tp.Attr.IsComplex() {
 				elems := make([]object.Value, 0, len(v.Elems()))
 				for _, e := range v.Elems() {
-					elems = append(elems, object.GRef(s.goidOf(tp.Attr.Domain, e.RefLOid(), c)))
+					elems = append(elems, object.GRef(ids.goidOf(tp.Attr.Domain, e.RefLOid(), c)))
 				}
 				v = object.List(elems...)
 			}
@@ -454,11 +484,11 @@ func (s *Site) buildRow(src eval.Source, b *query.Bound, o *object.Object, verdi
 // points — one mapping-table look-up each — and appends them to items. The
 // items of many objects share one backing array; callers cut a row's items
 // out of it with a capped slice expression.
-func (s *Site) appendUnsolvedItems(items []UnsolvedItem, root *object.Object,
+func (ids *identities) appendUnsolvedItems(items []UnsolvedItem, root *object.Object,
 	unsolved []eval.Unsolved, c *cost.Counter) []UnsolvedItem {
 	for _, u := range unsolved {
 		items = append(items, UnsolvedItem{
-			ItemGOid: s.goidOf(u.ItemClass, u.ItemLOid, c),
+			ItemGOid: ids.goidOf(u.ItemClass, u.ItemLOid, c),
 			Point:    u.Point,
 			SelfItem: u.ItemLOid == root.LOid,
 			Multi:    u.Multi,
@@ -473,7 +503,7 @@ func (s *Site) appendUnsolvedItems(items []UnsolvedItem, root *object.Object,
 // their own sites' local queries. Assistants whose site cannot evaluate the
 // suffix predicate (a step is a missing attribute there too) are skipped,
 // as no data could be obtained from them.
-func (s *Site) collectChecks(items []UnsolvedItem, checks *collector, sigs *signature.Index, c *cost.Counter) {
+func (s *Site) collectChecks(items []UnsolvedItem, checks *collector, ids *identities, sigs *signature.Index, c *cost.Counter) {
 	for i := range items {
 		it := &items[i]
 		if it.SelfItem {
@@ -486,7 +516,7 @@ func (s *Site) collectChecks(items []UnsolvedItem, checks *collector, sigs *sign
 			continue
 		}
 		beforeProbes := c.CPUOps()
-		for _, loc := range s.tables.Table(it.ItemClass).Locations(it.ItemGOid) {
+		for _, loc := range ids.of(it.ItemClass).table.Locations(it.ItemGOid) {
 			if loc.Site == s.ID() {
 				continue
 			}

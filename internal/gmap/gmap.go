@@ -10,10 +10,18 @@
 // hands that slice out as it is — no copy, no sort — so callers must treat
 // it as read-only, may keep it for as long as they like (a lookup cache
 // does), and a Clone shares it with the table it was cloned from.
+//
+// A table numbers its entities: a GOid's first Bind gives it the next number,
+// so numbers are 0 … Len()-1, dense and stable for the table's life. A number
+// is a position in this replica's memory and nothing more — replicas meet the
+// same bindings in different orders — so it is never encoded, compared across
+// replicas or digested; a Clone keeps its origin's numbers and then numbers on
+// its own. The outerjoin indexes its view by them (federation.Materialize).
 package gmap
 
 import (
 	"fmt"
+	"maps"
 	"slices"
 	"sort"
 	"strings"
@@ -28,20 +36,44 @@ type Location struct {
 	LOid object.LOid
 }
 
+// Entity is a table's handle on one entity: its GOid and its number there.
+type Entity struct {
+	GOid   object.GOid
+	Number int
+}
+
+// Index is one site's half of a table, the entity of each object the site
+// stores by LOid: the table's own map, read-only, read under the table's lock.
+// A step that resolves many objects of one site takes it once (Table.At). A
+// site with no binding yet has a nil Index, so take one per step.
+type Index map[object.LOid]Entity
+
+// entity is what a table holds per GOid.
+type entity struct {
+	locs   []Location // sorted by site, replaced on Bind, never edited
+	number int
+}
+
 // Table is the GOid mapping table of one global class.
 type Table struct {
-	class   string
-	byGOid  map[object.GOid][]Location // sorted by site, replaced on Bind, never edited
-	byLocal map[Location]object.GOid
+	class    string
+	byGOid   map[object.GOid]entity
+	sites    map[object.SiteID]Index
+	bindings int
 }
 
 // NewTable returns an empty mapping table for the named global class.
 func NewTable(class string) *Table {
-	return &Table{
-		class:   class,
-		byGOid:  make(map[object.GOid][]Location),
-		byLocal: make(map[Location]object.GOid),
-	}
+	return &Table{class: class, byGOid: make(map[object.GOid]entity), sites: make(map[object.SiteID]Index)}
+}
+
+// At returns the LOid index of the given site.
+func (t *Table) At(site object.SiteID) Index { return t.sites[site] }
+
+// Number returns the entity's number in this table.
+func (t *Table) Number(goid object.GOid) (int, bool) {
+	e, ok := t.byGOid[goid]
+	return e.number, ok
 }
 
 // Class returns the global class this table maps.
@@ -51,21 +83,30 @@ func (t *Table) Class() string { return t.class }
 // identified by goid. A site contributes at most one object per entity, and
 // a local object belongs to exactly one entity.
 func (t *Table) Bind(goid object.GOid, site object.SiteID, loid object.LOid) error {
-	loc := Location{Site: site, LOid: loid}
-	if prev, dup := t.byLocal[loc]; dup {
-		return fmt.Errorf("gmap %s: %s@%s already bound to %s", t.class, loid, site, prev)
+	ix := t.sites[site]
+	if prev, dup := ix[loid]; dup {
+		return fmt.Errorf("gmap %s: %s@%s already bound to %s", t.class, loid, site, prev.GOid)
 	}
-	locs := t.byGOid[goid]
-	at, dup := siteIndex(locs, site)
+	e, known := t.byGOid[goid]
+	at, dup := siteIndex(e.locs, site)
 	if dup {
-		return fmt.Errorf("gmap %s: %s already has %s at site %s", t.class, goid, locs[at].LOid, site)
+		return fmt.Errorf("gmap %s: %s already has %s at site %s", t.class, goid, e.locs[at].LOid, site)
 	}
-	grown := make([]Location, len(locs)+1)
-	copy(grown, locs[:at])
-	grown[at] = loc
-	copy(grown[at+1:], locs[at:])
-	t.byGOid[goid] = grown
-	t.byLocal[loc] = goid
+	if !known {
+		e.number = len(t.byGOid)
+	}
+	grown := make([]Location, len(e.locs)+1)
+	copy(grown, e.locs[:at])
+	grown[at] = Location{Site: site, LOid: loid}
+	copy(grown[at+1:], e.locs[at:])
+	e.locs = grown
+	t.byGOid[goid] = e
+	if ix == nil {
+		ix = make(Index)
+		t.sites[site] = ix
+	}
+	ix[loid] = Entity{GOid: goid, Number: e.number}
+	t.bindings++
 	return nil
 }
 
@@ -89,14 +130,14 @@ func (t *Table) MustBind(goid object.GOid, site object.SiteID, loid object.LOid)
 // log recovery, replica repair) rely on: an exact duplicate is a harmless
 // re-delivery, while Bind's duplicate errors flag genuine conflicts.
 func (t *Table) Bound(goid object.GOid, site object.SiteID, loid object.LOid) bool {
-	g, ok := t.byLocal[Location{Site: site, LOid: loid}]
-	return ok && g == goid
+	e, ok := t.sites[site][loid]
+	return ok && e.GOid == goid
 }
 
 // GOidOf returns the global identifier of a stored object.
 func (t *Table) GOidOf(site object.SiteID, loid object.LOid) (object.GOid, bool) {
-	g, ok := t.byLocal[Location{Site: site, LOid: loid}]
-	return g, ok
+	e, ok := t.sites[site][loid]
+	return e.GOid, ok
 }
 
 // Unbound returns the identity a stored object of the table's class goes by
@@ -112,7 +153,7 @@ func (t *Table) Unbound(site object.SiteID, loid object.LOid) object.GOid {
 // LOidAt returns the LOid of the entity's isomeric object at the given
 // site, if the entity is stored there.
 func (t *Table) LOidAt(goid object.GOid, site object.SiteID) (object.LOid, bool) {
-	locs := t.byGOid[goid]
+	locs := t.byGOid[goid].locs
 	if i, ok := siteIndex(locs, site); ok {
 		return locs[i].LOid, true
 	}
@@ -122,7 +163,7 @@ func (t *Table) LOidAt(goid object.GOid, site object.SiteID) (object.LOid, bool)
 // Locations returns every stored isomeric object of the entity, sorted by
 // site. The slice is the table's own and read-only (see the package
 // comment).
-func (t *Table) Locations(goid object.GOid) []Location { return t.byGOid[goid] }
+func (t *Table) Locations(goid object.GOid) []Location { return t.byGOid[goid].locs }
 
 // IsomericsOf returns the isomeric objects of the given stored object at
 // other sites (the candidates for assistant objects), sorted by site.
@@ -156,22 +197,17 @@ func (t *Table) Len() int { return len(t.byGOid) }
 
 // Bindings returns the number of (site, LOid) bindings in the table; this is
 // the table's row count for cost accounting.
-func (t *Table) Bindings() int { return len(t.byLocal) }
+func (t *Table) Bindings() int { return t.bindings }
 
 // Clone returns an independent copy, used to replicate the table to a site.
 // The locations slices are shared, which their immutability allows: a Bind
 // on either table replaces that table's slice and leaves the other's alone.
+// The clone keeps every entity's number.
 func (t *Table) Clone() *Table {
-	cp := &Table{
-		class:   t.class,
-		byGOid:  make(map[object.GOid][]Location, len(t.byGOid)),
-		byLocal: make(map[Location]object.GOid, len(t.byLocal)),
-	}
-	for g, locs := range t.byGOid {
-		cp.byGOid[g] = locs
-		for _, loc := range locs {
-			cp.byLocal[loc] = g
-		}
+	cp := &Table{class: t.class, byGOid: maps.Clone(t.byGOid), bindings: t.bindings,
+		sites: make(map[object.SiteID]Index, len(t.sites))}
+	for site, ix := range t.sites {
+		cp.sites[site] = maps.Clone(ix)
 	}
 	return cp
 }

@@ -359,7 +359,7 @@ func (v Value) String() string {
 //
 // The modeled size of the whole object — what every scan and fetch charges
 // as a disk read — is kept beside the entries by whatever builds or changes
-// them: New, Set, Clone, Slab.Decode.
+// them: New, Set, Append, Clone, Slab.Decode.
 type Object struct {
 	LOid  LOid
 	Class string
@@ -463,6 +463,13 @@ func (o *Object) Set(name string, v Value) {
 		copy(o.attrs[i+1:], o.attrs[i:])
 		o.attrs[i] = attr{name, v}
 	}
+}
+
+// Append is Set for a builder that meets its attributes in name order: v is
+// not null and name sorts after every name the object holds.
+func (o *Object) Append(name string, v Value) {
+	o.wire += wireOf(&v)
+	o.attrs = append(o.attrs, attr{name, v})
 }
 
 // Clone returns a deep-enough copy: the attribute entries are copied (values

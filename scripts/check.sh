@@ -1,8 +1,8 @@
 #!/bin/sh
 # check.sh — the repository's verification gate: formatting, vet, the
 # one-orchestration, one-report-envelope, one-codec, one-check-path,
-# one-replica, one-repair-path, one-experiment-harness, work-runs-where-it-is
-# and one-metric-catalog structural guards, build, unit tests, the full test
+# one-replica, one-repair-path, one-experiment-harness, work-runs-where-it-is,
+# one-identity-index and one-metric-catalog structural guards, build, unit tests, the full test
 # suite under the race detector, the benchmark module's vet and tests, a
 # one-shot compile-and-run smoke of the overhead and allocation benchmarks,
 # and a short fuzz budget for every decoder that reads bytes off a socket or
@@ -149,6 +149,23 @@ if grep -nE 'go root\.exec|forkImpl\(' internal/fabric/real.go; then
     echo "the real runtime spawns its root task or goes through forkImpl again" >&2
     guard_failed=1
 fi
+# One identity index (DESIGN.md section 2 rows 5 and 11, EXPERIMENTS.md E26): a
+# mapping table keeps one LOid index per site and numbers its entities, and
+# everything that resolves identities per object takes the site's index once
+# before its loop. The struct-keyed map and a per-object GOidOf in the
+# federation's paths stay gone (internal/remote/replica.go's conflict check is
+# the remaining non-test caller), and the outerjoin's merge is defined once.
+if grep -rnE 'byLocal|map\[(gmap\.)?Location\]' --include='*.go' --exclude='*_test.go' \
+    --exclude-dir=benchmark --exclude-dir=.bench_build .; then
+    echo "a (site, LOid)-keyed map is back; identity is gmap.Table.At(site)" >&2
+    guard_failed=1
+fi
+if grep -nE '\.GOidOf\(' internal/federation/*.go | grep -v '_test\.go:'; then
+    echo "internal/federation resolves an identity per object again; take Table.At(site) before the loop" >&2
+    guard_failed=1
+fi
+want_one 'func (co *Coordinator) merge' \
+    "$(grep -rn 'func (co \*Coordinator) merge' --include='*.go' --exclude-dir=.bench_build . || true)"
 # One metric catalog: every series non-test code emits has a row in the table
 # of DESIGN.md section 6.
 catalog="$(sed -n '/^## 6\. /,/^## 7\. /p' DESIGN.md)"
