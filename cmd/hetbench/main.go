@@ -36,11 +36,13 @@
 //
 //	hetbench check -old BENCH_smoke.json -new /tmp/BENCH_new.json -tolerance 10%
 //
-// Answer an SLO question (exit 1 when any cell misses it, naming the
-// limiting metric):
+// Answer an SLO question, stated in the rule grammar hetserve -slo alerts
+// on (internal/obs/slo; exit 1 when any cell misses it, naming the limiting
+// rule), by running a matrix or over a stored report:
 //
-//	hetbench slo -qps 2000 -p99 50ms -max-maybe-frac 0.2 \
+//	hetbench slo -rules 'throughput >= 2000; query_latency p99 < 50ms; maybe_rows <= 20%' \
 //	    -runtimes live -strategies BL -workloads school -clients 8 -queries 200
+//	hetbench slo -rules 'degraded_queries <= 0%' -in BENCH_strategies.json
 //
 // Fault specs: none, kill:SITE, drop:SITE:N, delay:SITE:MICROS. On the sim
 // runtime identical seeds reproduce byte-identical cell results; the live
@@ -59,6 +61,7 @@ import (
 	"syscall"
 
 	"github.com/hetfed/hetfed/internal/bench"
+	"github.com/hetfed/hetfed/internal/obs/slo"
 	"github.com/hetfed/hetfed/internal/version"
 )
 
@@ -289,26 +292,23 @@ func sloCmd(args []string) error {
 	get := matrixFlags(fs)
 	var (
 		in          = fs.String("in", "", "evaluate an existing report instead of running the matrix")
-		minQPS      = fs.Float64("qps", 0, "throughput floor per cell (0 = unset)")
-		p99         = fs.Duration("p99", 0, "client p99 latency cap (0 = unset)")
-		maxMaybe    = fs.Float64("max-maybe-frac", -1, "cap on the maybe share of returned rows (-1 = unset)")
-		maxDegraded = fs.Float64("max-degraded-frac", -1, "cap on the degraded share of queries (-1 = unset)")
+		ruleList    = fs.String("rules", "", "objectives every cell must meet, in hetserve -slo's grammar: 'throughput >= 2000; query_latency p99 < 50ms; maybe_rows <= 20%'")
 		allowErrors = fs.Bool("allow-errors", false, "tolerate client errors/sheds (default: any error fails)")
 		quiet       = fs.Bool("q", false, "suppress per-cell progress lines")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	slo := bench.SLO{
-		MinQPS:          *minQPS,
-		P99:             *p99,
-		MaxMaybeFrac:    *maxMaybe,
-		MaxDegradedFrac: *maxDegraded,
-		NoErrors:        !*allowErrors,
+	rules, err := slo.ParseRules(*ruleList)
+	if err != nil {
+		return err
+	}
+	// A rule no report can judge is refused before any cell spends time.
+	if _, err := bench.Judge(bench.CellResult{}, rules, true); err != nil {
+		return err
 	}
 	var report *bench.Report
 	if *in != "" {
-		var err error
 		if report, err = readMatrixReport(*in); err != nil {
 			return err
 		}
@@ -324,7 +324,10 @@ func sloCmd(args []string) error {
 	failed := 0
 	cells := report.Results()
 	for _, cell := range cells {
-		v := bench.EvaluateSLO(cell, slo)
+		v, err := bench.Judge(cell, rules, *allowErrors)
+		if err != nil {
+			return err
+		}
 		status := "PASS"
 		if !v.Pass {
 			status = "FAIL"

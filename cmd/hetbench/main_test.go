@@ -28,18 +28,26 @@ func inTempDir(t *testing.T) {
 	})
 }
 
+// registered resolves the topic table's names, as the header comment and the
+// README list them.
+func registered(t *testing.T) []bench.Topic {
+	t.Helper()
+	var topics []bench.Topic
+	for _, name := range []string{"smoke", "adaptive", "strategies", "durability", "obs", "chaos", "figures"} {
+		topic, err := bench.LookupTopic(name)
+		if err != nil || topic.Name != name {
+			t.Fatalf("LookupTopic(%q) = %+v, %v", name, topic, err)
+		}
+		topics = append(topics, topic)
+	}
+	return topics
+}
+
 // TestTopicsResolve: every registered topic resolves by name and carries a
 // spec its runner accepts (that it is also the spec behind the committed
 // BENCH_T.json is internal/bench's TestCommittedReportsCanonical).
 func TestTopicsResolve(t *testing.T) {
-	if len(bench.Topics()) == 0 {
-		t.Fatal("no topics registered")
-	}
-	for _, topic := range bench.Topics() {
-		got, err := bench.LookupTopic(topic.Name)
-		if err != nil || got.Name != topic.Name {
-			t.Errorf("LookupTopic(%q) = %+v, %v", topic.Name, got, err)
-		}
+	for _, topic := range registered(t) {
 		if err := topic.Validate(); err != nil {
 			t.Errorf("topic %s: %v", topic.Name, err)
 		}
@@ -55,7 +63,7 @@ func TestTopicSelection(t *testing.T) {
 	if err == nil {
 		t.Fatal("unknown topic ran")
 	}
-	for _, topic := range bench.Topics() {
+	for _, topic := range registered(t) {
 		if !strings.Contains(err.Error(), topic.Name) {
 			t.Errorf("error %q does not name registered topic %s", err, topic.Name)
 		}
@@ -161,12 +169,12 @@ func TestCheckAndSLORefuseSelfGatingReports(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, topic := range bench.Topics() {
+	for _, topic := range registered(t) {
 		path := filepath.Join(root, "BENCH_"+topic.Name+".json")
 		_, matrix := topic.Spec.(bench.MatrixSpec)
 		for _, args := range [][]string{
 			{"check", "-old", path, "-new", path},
-			{"slo", "-in", path, "-max-degraded-frac", "1", "-allow-errors"},
+			{"slo", "-in", path, "-rules", "degraded_queries <= 100%", "-allow-errors"},
 		} {
 			_, err := captureStdout(t, func() error { return run(args) }) // slo prints every cell
 			switch {
@@ -178,6 +186,73 @@ func TestCheckAndSLORefuseSelfGatingReports(t *testing.T) {
 				t.Errorf("%s %s: refusal %q does not name the topic and how it is gated", args[0], topic.Name, err)
 			}
 		}
+	}
+}
+
+// TestSLORules: hetbench slo holds a stored report's cells to objectives in
+// hetserve -slo's grammar — pass and fail, the limiting rule named, client
+// errors failing a cell unless allowed, and a rule a report cannot answer
+// refused by name before anything is judged.
+func TestSLORules(t *testing.T) {
+	inTempDir(t)
+	write := func(path string, client bench.ClientStats, server bench.ServerStats) {
+		t.Helper()
+		r := &bench.Report{Schema: bench.SchemaVersion, Topic: "mine", Spec: bench.MatrixSpec{},
+			Cells: []bench.CellResult{{
+				Cell:   bench.Cell{Runtime: "sim", Strategy: "BL", Workload: "school", Clients: 4, Fault: "none"},
+				Client: client, Server: server,
+			}}}
+		if err := r.WriteFile(path); err != nil {
+			t.Fatal(err)
+		}
+	}
+	write("good.json", bench.ClientStats{QPS: 2500, P99Micros: 40000, Completed: 100}, bench.ServerStats{MaybeFrac: 0.15})
+	write("errors.json", bench.ClientStats{QPS: 2500, Errors: 2, Shed: 1}, bench.ServerStats{})
+	const objective = "throughput >= 2000; query_latency p99 < 50ms; maybe_rows <= 20%"
+	const cell = "sim/BL/school/c4/none"
+	for _, tc := range []struct {
+		name    string
+		args    []string
+		wantErr string // "" = every cell passes
+		wants   []string
+	}{
+		{"pass", []string{"-in", "good.json", "-rules", objective}, "",
+			// Four checks: the three rules and the error count, which has the
+			// least headroom of a passing cell (none).
+			[]string{"PASS " + cell + "  (limiting: errors)", "2500.00/s", "40.00ms", "15.00%", "SLO met in all 1 cells"}},
+		{"pass, tightest rule", []string{"-in", "good.json", "-rules", objective, "-allow-errors"}, "",
+			[]string{"PASS " + cell + "  (limiting: query_latency p99 < 50ms)"}},
+		{"fail", []string{"-in", "good.json", "-rules", "floor: throughput >= 3000; query_latency p99 < 50ms; maybe_rows <= 20%"},
+			"SLO missed in 1 of 1 cells",
+			[]string{"FAIL " + cell + "  (limiting: floor)", "VIOLATED"}},
+		// Two violations: the deeper one is limiting (the maybe share at 3 ×
+		// its cap is deeper than throughput a sixth below its floor).
+		{"fail, deepest violation", []string{"-in", "good.json", "-rules", "throughput >= 3000; maybe_rows <= 5%"},
+			"SLO missed", []string{"(limiting: maybe_rows <= 5%)"}},
+		{"errors fail a cell", []string{"-in", "errors.json", "-rules", "throughput >= 2000"},
+			"SLO missed", []string{"(limiting: errors)", "errors", "3  VIOLATED"}},
+		{"unless allowed", []string{"-in", "errors.json", "-rules", "throughput >= 2000", "-allow-errors"}, "",
+			[]string{"PASS " + cell}},
+		{"no objective", []string{"-in", "good.json"}, "no rules", nil},
+		{"a quantile the report does not keep", []string{"-in", "good.json", "-rules", "query_latency p75 < 1s"},
+			"query_latency p75", nil},
+		{"a series the report does not keep", []string{"-in", "good.json", "-rules", objective + "; request_errors < 1%"},
+			"request_errors", nil},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			out, err := captureStdout(t, func() error { return run(append([]string{"slo"}, tc.args...)) })
+			if (err == nil) != (tc.wantErr == "") || err != nil && !strings.Contains(err.Error(), tc.wantErr) {
+				t.Fatalf("err = %v, want %q\n%s", err, tc.wantErr, out)
+			}
+			for _, want := range tc.wants {
+				if !strings.Contains(out, want) {
+					t.Errorf("stdout missing %q:\n%s", want, out)
+				}
+			}
+			if tc.wants == nil && out != "" {
+				t.Errorf("a refused objective still judged cells:\n%s", out)
+			}
+		})
 	}
 }
 

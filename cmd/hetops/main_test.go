@@ -4,16 +4,23 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"flag"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"reflect"
+	"regexp"
 	"strings"
 	"testing"
 	"time"
 
+	"github.com/hetfed/hetfed/internal/obs"
 	"github.com/hetfed/hetfed/internal/obs/agg"
 	"github.com/hetfed/hetfed/internal/obs/slo"
 )
+
+var update = flag.Bool("update", false, "rewrite the golden files under testdata")
 
 // fixture is a representative combined snapshot: one live site, one stale,
 // a firing alert, a degraded slow query.
@@ -42,7 +49,7 @@ func fixture() snapshot {
 			State: "firing", Since: at, LastEval: at,
 			Value: 0.5, Short: 0.5, Threshold: 0.99, Unit: "ratio",
 		}},
-		Queries: []agg.QuerySummary{{
+		Queries: []obs.QuerySummary{{
 			ID: "rq3-00001f", Alg: "BL", Status: "degraded", WallMicros: 12345,
 			Certain: 5, Maybe: 2, Unavailable: []string{"DB1"},
 			Sources: []string{"G"},
@@ -86,6 +93,7 @@ func TestOnceJSONRoundTrip(t *testing.T) {
 	if err := run([]string{"-cluster", srv.URL, "-once", "-json"}, &out); err != nil {
 		t.Fatal(err)
 	}
+	golden(t, "once_json.golden", out.String(), srv.URL)
 	var got snapshot
 	if err := json.Unmarshal(out.Bytes(), &got); err != nil {
 		t.Fatalf("hetops -once -json output is not valid JSON: %v\n%s", err, out.String())
@@ -103,60 +111,65 @@ func TestOnceJSONRoundTrip(t *testing.T) {
 	}
 }
 
+// golden compares got with testdata/<name>, rewriting the file under
+// -update. The fake coordinator's address is the one thing that varies.
+func golden(t *testing.T, name, got, addr string) {
+	t.Helper()
+	got = strings.ReplaceAll(got, addr, "http://COORD")
+	path := filepath.Join("testdata", name)
+	if *update {
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != string(want) {
+		t.Errorf("%s differs (rerun with -update to accept):\n got:\n%s\nwant:\n%s", name, got, want)
+	}
+}
+
+// TestOnceTextRender pins the dashboard and, through it, the three text
+// bodies: -once stacks exactly what /cluster, /cluster/alerts and
+// /cluster/queries serve (the latter with the coordinator's base before each
+// trace link), uncoloured.
 func TestOnceTextRender(t *testing.T) {
-	srv := fakeCoordinator(t, fixture())
+	snap := fixture()
+	srv := fakeCoordinator(t, snap)
 	var out bytes.Buffer
 	if err := run([]string{"-cluster", srv.URL, "-once"}, &out); err != nil {
 		t.Fatal(err)
 	}
-	text := out.String()
-	for _, want := range []string{
-		"HETFED CLUSTER", "1/2 sites live",
-		"G", "live", "DB1", "STALE 12s", "unreachable",
-		"REPAIR", "ok r4",
-		"FIRING", "availability >= 0.99",
-		"rq3-00001f", "/debug/trace/rq3-00001f.json",
+	golden(t, "once.golden", out.String(), srv.URL)
+	for name, body := range map[string]string{
+		"/cluster":         snap.Cluster.Text(),
+		"/cluster/alerts":  slo.AlertsText(snap.Alerts),
+		"/cluster/queries": obs.QueriesText(snap.Queries, srv.URL),
 	} {
-		if !strings.Contains(text, want) {
-			t.Errorf("render missing %q:\n%s", want, text)
+		if !strings.Contains(out.String(), body) {
+			t.Errorf("-once does not carry %s's text body:\n%s", name, body)
 		}
 	}
-	if strings.Contains(text, "\x1b[") {
-		t.Errorf("-once output contains ANSI escapes:\n%s", text)
+	if strings.Contains(out.String(), "\x1b[") {
+		t.Errorf("-once output contains ANSI escapes:\n%s", out.String())
 	}
-}
 
-// TestRepairStateColumn pins the REPAIR column's compaction of the
-// "antientropy:state" healthz condition, and that conditionsLine hands the
-// entry off to the column instead of repeating it.
-func TestRepairStateColumn(t *testing.T) {
-	cases := []struct {
-		conds   map[string]string
-		want    string
-		suspect bool
-	}{
-		{nil, "-", false},
-		{map[string]string{"antientropy:state": "ok(round=7, repaired=42B)"}, "ok r7", false},
-		{map[string]string{"antientropy:state": "suspect(Teacher,Student) round=3 repaired=0B"},
-			"SUSPECT(Teacher,Student)", true},
-		{map[string]string{"antientropy:state": "weird"}, "weird", true},
-	}
-	for _, tc := range cases {
-		got, suspect := repairState(tc.conds)
-		if got != tc.want || suspect != tc.suspect {
-			t.Errorf("repairState(%v) = (%q, %v), want (%q, %v)",
-				tc.conds, got, suspect, tc.want, tc.suspect)
+	// Live mode paints the words an operator must not miss and nothing else:
+	// stripped of the escapes, it is the -once text.
+	var live bytes.Buffer
+	render(&live, snap, srv.URL, true)
+	for _, want := range []string{
+		"\x1b[31mstale(12s)\x1b[0m", "\x1b[31munreachable\x1b[0m", "\x1b[31mFIRING\x1b[0m",
+		"\x1b[32mlive\x1b[0m", "\x1b[1mALERTS\x1b[0m", "\x1b[33mdegraded ",
+	} {
+		if !strings.Contains(live.String(), want) {
+			t.Errorf("live render lacks %q:\n%s", want, live.String())
 		}
 	}
-	line := conditionsLine(map[string]string{
-		"antientropy:state": "suspect(Teacher) round=1 repaired=0B",
-		"DB2":               "open",
-	})
-	if strings.Contains(line, "antientropy") {
-		t.Errorf("conditions line repeats the repair column: %q", line)
-	}
-	if !strings.Contains(line, "DB2=open") {
-		t.Errorf("conditions line lost the breaker condition: %q", line)
+	if plain := regexp.MustCompile(`\x1b\[\d+m`).ReplaceAllString(live.String(), ""); plain != out.String() {
+		t.Errorf("colours changed the text:\n%s", plain)
 	}
 }
 

@@ -317,26 +317,6 @@ func mergeHealth(srcs []obs.Health) func() map[string]string {
 	}
 }
 
-// profileSummaries maps the flight recorder's listing into the
-// aggregator's slow-query rows (same fields the remote sites serve on
-// /debug/queries).
-func profileSummaries(rec *obs.Recorder) []agg.QuerySummary {
-	profiles := rec.Profiles()
-	out := make([]agg.QuerySummary, 0, len(profiles))
-	for _, p := range profiles {
-		out = append(out, agg.QuerySummary{
-			ID:          p.ID,
-			Alg:         p.Alg,
-			Status:      p.Status,
-			WallMicros:  p.WallMicros,
-			Certain:     p.Certain,
-			Maybe:       p.Maybe,
-			Unavailable: p.Unavailable,
-		})
-	}
-	return out
-}
-
 // parseScrapeTargets parses the -cluster-scrape flag: SITE=HOST:PORT (or
 // SITE=http://...) pairs naming each site's observability surface.
 func parseScrapeTargets(s string) ([]agg.Target, error) {
@@ -567,7 +547,7 @@ func runCoordinator(fed *federationBundle, peers map[object.SiteID]string, c *cm
 			Site:         "G",
 			Local:        reg.Snapshot,
 			LocalHealth:  mergeHealth(healthSrcs),
-			LocalQueries: func() []agg.QuerySummary { return profileSummaries(rec) },
+			LocalQueries: rec.Profiles,
 		}}, targets...)
 		scraper, err := agg.New(scfg)
 		if err != nil {
@@ -586,7 +566,7 @@ func runCoordinator(fed *federationBundle, peers map[object.SiteID]string, c *cm
 		}
 		mux := obs.NewMux("G", reg, tr, time.Now(), rec, healthSrcs...)
 		scraper.Register(mux, alerts)
-		o, err := obs.ServeHandler(c.metricsAddr, "G", reg, mux)
+		o, err := obs.ServeHandler(c.metricsAddr, "G", mux)
 		if err != nil {
 			return err
 		}

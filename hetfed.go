@@ -366,8 +366,6 @@ type (
 	SpanID = trace.SpanID
 	// SpanHandle mutates a live span (phases, counters, end).
 	SpanHandle = trace.Handle
-	// TraceEvent is one flat step-flow event derived from the spans.
-	TraceEvent = trace.Event
 	// MetricsRegistry holds counters, gauges and histograms keyed by
 	// (site, peer, algorithm, phase). Wire one into EngineConfig.Metrics,
 	// SiteServerConfig.Metrics or RemoteCoordinator.Metrics.
@@ -386,7 +384,7 @@ var (
 	// NewMetricsRegistry returns an empty metrics registry.
 	NewMetricsRegistry = metrics.New
 	// ServeObservability binds the HTTP observability surface (/metrics,
-	// /healthz, /debug/trace/last, /debug/vars) for one site.
+	// /healthz, /debug/queries, /debug/trace/…) for one site.
 	ServeObservability = obs.Serve
 )
 

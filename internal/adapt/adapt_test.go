@@ -146,11 +146,11 @@ func TestConvergenceFlipsStrategy(t *testing.T) {
 
 		// One on-model observation first, so the flip exercises EWMA movement
 		// rather than the first-observation shortcut.
-		sel.Observe(siteProfile(tc.slowSite, 1, cal.Base()))
+		sel.Observe(siteProfile(tc.slowSite, 1, fabric.DefaultRates()))
 		const maxObs = 5
 		flipped := -1
 		for i := 1; i <= maxObs; i++ {
-			sel.Observe(siteProfile(tc.slowSite, 8, cal.Base()))
+			sel.Observe(siteProfile(tc.slowSite, 8, fabric.DefaultRates()))
 			if sel.Select(b) == tc.want {
 				flipped = i
 				break

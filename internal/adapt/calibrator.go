@@ -10,7 +10,7 @@
 // each site's effective rates from what the site actually did: the profile
 // records the measured microseconds a site spent (Profile.Phases) and the
 // event counts it performed (Profile.IO), and their ratio over the modeled
-// time Base.Work would predict is the site's observed slowdown factor.
+// time the Table 1 rates would predict is the site's observed slowdown factor.
 package adapt
 
 import (
@@ -22,7 +22,7 @@ import (
 	"github.com/hetfed/hetfed/internal/trace"
 )
 
-// Defaults for Config's zero values.
+// The calibrator's constants. Only Alpha has two values in use (Config).
 const (
 	// DefaultAlpha weights a new observation against the running scale.
 	DefaultAlpha = 0.3
@@ -36,46 +36,16 @@ const (
 	DefaultFailThreshold = 0.5
 )
 
-// Config parameterizes a Calibrator. The zero value is usable: Table 1 base
-// rates and the package defaults.
+// Config parameterizes a Calibrator. The zero value is usable.
 type Config struct {
-	// Base is the uncalibrated rate set (the planner's Table 1 constants).
-	// Zero means fabric.DefaultRates().
-	Base fabric.Rates
-	// Alpha is the EWMA weight of a new observation, in (0,1]. Zero means
-	// DefaultAlpha.
-	Alpha float64
-	// MinScale and MaxScale clamp a single observation's measured/modeled
-	// ratio. Zero means the package defaults.
-	MinScale float64
-	MaxScale float64
 	// Coordinator is skipped during rate calibration: the coordinating
 	// site's spans cover the whole fan-out (its CA "O" span spans every
 	// component site's work, its rpc spans include round trips), so its
 	// measured-over-modeled ratio does not describe its local speed.
 	Coordinator object.SiteID
-	// FailThreshold is the failure score above which a site counts as
-	// degraded. Zero means DefaultFailThreshold.
-	FailThreshold float64
-}
-
-func (c Config) withDefaults() Config {
-	if c.Base == (fabric.Rates{}) {
-		c.Base = fabric.DefaultRates()
-	}
-	if c.Alpha <= 0 || c.Alpha > 1 {
-		c.Alpha = DefaultAlpha
-	}
-	if c.MinScale <= 0 {
-		c.MinScale = DefaultMinScale
-	}
-	if c.MaxScale <= 0 {
-		c.MaxScale = DefaultMaxScale
-	}
-	if c.FailThreshold <= 0 {
-		c.FailThreshold = DefaultFailThreshold
-	}
-	return c
+	// Alpha is the EWMA weight of a new observation, in (0,1]. Zero means
+	// DefaultAlpha.
+	Alpha float64
 }
 
 // Calibrator learns per-site effective rates from finished queries'
@@ -83,27 +53,28 @@ func (c Config) withDefaults() Config {
 // predict strategy costs under the observed rates instead of the global
 // constants. Safe for concurrent use.
 type Calibrator struct {
-	cfg Config
+	cfg  Config
+	base fabric.Rates // the uncalibrated rates the scales multiply: Table 1's
 
 	mu     sync.Mutex
 	scales map[object.SiteID]float64 // EWMA of measured/modeled time ratio
 	fails  map[object.SiteID]float64 // EWMA of "was unavailable this query"
-	seen   int                       // profiles ingested
 }
 
 var _ planner.RateModel = (*Calibrator)(nil)
 
 // NewCalibrator returns a calibrator with the given configuration.
 func NewCalibrator(cfg Config) *Calibrator {
+	if cfg.Alpha <= 0 || cfg.Alpha > 1 {
+		cfg.Alpha = DefaultAlpha
+	}
 	return &Calibrator{
-		cfg:    cfg.withDefaults(),
+		cfg:    cfg,
+		base:   fabric.DefaultRates(),
 		scales: make(map[object.SiteID]float64),
 		fails:  make(map[object.SiteID]float64),
 	}
 }
-
-// Base returns the uncalibrated rate set the scales multiply.
-func (c *Calibrator) Base() fabric.Rates { return c.cfg.Base }
 
 // Observe ingests one finished query's profile: for every component site
 // with measured event counts it updates the site's rate scale, and for
@@ -115,7 +86,6 @@ func (c *Calibrator) Observe(p *trace.Profile) {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.seen++
 
 	for site, io := range p.IO {
 		sid := object.SiteID(site)
@@ -125,7 +95,7 @@ func (c *Calibrator) Observe(p *trace.Profile) {
 		// Modeled local time for what the site measurably did. Net bytes are
 		// excluded: transfer time is a property of the shared medium, and the
 		// phase spans do not attribute it separably.
-		modeled := c.cfg.Base.Work(io.DiskBytes, io.CPUOps, 0)
+		modeled := c.base.Work(io.DiskBytes, io.CPUOps, 0)
 		// Measured local time: the site's largest phase attribution. Max, not
 		// sum — a "PO" span contributes its full duration to both phases, so
 		// summing would double-count inseparable work.
@@ -139,11 +109,11 @@ func (c *Calibrator) Observe(p *trace.Profile) {
 			continue
 		}
 		ratio := measured / modeled
-		if ratio < c.cfg.MinScale {
-			ratio = c.cfg.MinScale
+		if ratio < DefaultMinScale {
+			ratio = DefaultMinScale
 		}
-		if ratio > c.cfg.MaxScale {
-			ratio = c.cfg.MaxScale
+		if ratio > DefaultMaxScale {
+			ratio = DefaultMaxScale
 		}
 		if prev, ok := c.scales[sid]; ok {
 			c.scales[sid] = (1-c.cfg.Alpha)*prev + c.cfg.Alpha*ratio
@@ -190,9 +160,9 @@ func (c *Calibrator) SiteRates(site object.SiteID) fabric.Rates {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if s, ok := c.scales[site]; ok {
-		return c.cfg.Base.Scale(s)
+		return c.base.Scale(s)
 	}
-	return c.cfg.Base
+	return c.base
 }
 
 // Scales returns a copy of the per-site observed slowdown factors.
@@ -214,16 +184,9 @@ func (c *Calibrator) Degraded() map[object.SiteID]string {
 	defer c.mu.Unlock()
 	out := make(map[object.SiteID]string)
 	for k, v := range c.fails {
-		if v > c.cfg.FailThreshold {
+		if v > DefaultFailThreshold {
 			out[k] = "open"
 		}
 	}
 	return out
-}
-
-// Observations returns the number of profiles ingested.
-func (c *Calibrator) Observations() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.seen
 }

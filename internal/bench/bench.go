@@ -19,10 +19,10 @@
 // reproduce byte-identical cell results — the regression-gate currency.
 //
 // A run emits a schema-versioned, diffable BENCH_<topic>.json; Check
-// compares two reports under a tolerance for regression gating, and
-// Evaluate answers SLO questions ("can 5 sites sustain 2k qps at p99 <
-// 50ms with ≤ 20% maybe answers?") with a pass/fail and the limiting
-// metric.
+// compares two reports under a tolerance for regression gating, and Judge
+// answers SLO questions stated as slo rules ("can 5 sites sustain 2k qps at
+// p99 < 50ms with ≤ 20% maybe answers?") with a pass/fail and the limiting
+// rule.
 package bench
 
 import (
@@ -192,7 +192,7 @@ func (r *Report) WriteFile(path string) error {
 	return nil
 }
 
-// Results returns a matrix report's cells — what Check and EvaluateSLO
+// Results returns a matrix report's cells — what Check and Judge
 // judge. The self-gating topics' cells have their own shapes and yield nil.
 func (r *Report) Results() []CellResult {
 	cells, _ := r.Cells.([]CellResult)

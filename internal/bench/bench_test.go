@@ -9,6 +9,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"github.com/hetfed/hetfed/internal/metrics"
 )
 
 // smokeSpec is a tiny sim matrix exercising strategy and fault dimensions.
@@ -175,7 +177,7 @@ func TestReportRoundTrip(t *testing.T) {
 // `hetbench run -topic T -out BENCH_T.json` reruns what the file records and
 // diffs only in what was measured.
 func TestCommittedReportsCanonical(t *testing.T) {
-	for _, topic := range Topics() {
+	for _, topic := range topics {
 		path := filepath.Join("..", "..", "BENCH_"+topic.Name+".json")
 		want, err := os.ReadFile(path)
 		if err != nil {
@@ -192,6 +194,19 @@ func TestCommittedReportsCanonical(t *testing.T) {
 		if got, err := r.JSON(); err != nil || !bytes.Equal(got, want) {
 			t.Errorf("%s is not canonical (err %v): rewrite it with hetbench run -topic %s -out, or convert it key for key",
 				path, err, topic.Name)
+		}
+		// A matrix cell's shares are what slo.Measures makes of its sums.
+		for _, c := range r.Results() {
+			reg, at := metrics.New(), metrics.Labels{Site: coordinatorID}
+			reg.Counter("queries_total", at).Add(c.Server.Queries)
+			reg.Counter("degraded_queries_total", at).Add(c.Server.DegradedQueries)
+			reg.Counter("results_certain_total", at).Add(c.Server.CertainRows)
+			reg.Counter("results_maybe_total", at).Add(c.Server.MaybeRows)
+			got, have := extractServerStats(reg.Snapshot(), nil), c.Server
+			if got.MaybeFrac != have.MaybeFrac || got.CertainFrac != have.CertainFrac || got.DegradedFrac != have.DegradedFrac {
+				t.Errorf("%s cell %s: shares %g/%g/%g, its sums give %g/%g/%g", path, c.Cell.Key(),
+					have.MaybeFrac, have.CertainFrac, have.DegradedFrac, got.MaybeFrac, got.CertainFrac, got.DegradedFrac)
+			}
 		}
 	}
 }

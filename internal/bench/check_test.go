@@ -3,7 +3,6 @@ package bench
 import (
 	"context"
 	"testing"
-	"time"
 )
 
 // baselineReport builds a deterministic sim report to gate against.
@@ -103,50 +102,5 @@ func TestParseTolerance(t *testing.T) {
 		if _, err := ParseTolerance(bad); err == nil {
 			t.Errorf("ParseTolerance(%q) accepted", bad)
 		}
-	}
-}
-
-// TestSLOVerdicts: pass/fail with the limiting metric named.
-func TestSLOVerdicts(t *testing.T) {
-	res := CellResult{
-		Cell:   Cell{Runtime: "sim", Strategy: "BL", Workload: "school", Clients: 4, Fault: "none"},
-		Client: ClientStats{QPS: 2500, P99Micros: 40000, Completed: 100},
-		Server: ServerStats{MaybeFrac: 0.15, DegradedFrac: 0},
-	}
-	pass := EvaluateSLO(res, SLO{
-		MinQPS: 2000, P99: 50 * time.Millisecond,
-		MaxMaybeFrac: 0.20, MaxDegradedFrac: -1, NoErrors: true,
-	})
-	if !pass.Pass {
-		t.Fatalf("should pass: %+v", pass)
-	}
-	if pass.Limiting == "" {
-		t.Error("passing verdict should still name the tightest metric")
-	}
-	if len(pass.Checks) != 4 {
-		t.Errorf("got %d checks, want 4 (degraded bound unset)", len(pass.Checks))
-	}
-
-	fail := EvaluateSLO(res, SLO{MinQPS: 3000, P99: 50 * time.Millisecond, MaxMaybeFrac: 0.20, MaxDegradedFrac: -1})
-	if fail.Pass || fail.Limiting != "qps" {
-		t.Fatalf("want qps-limited failure, got %+v", fail)
-	}
-
-	// Two violations: the deeper one is limiting (maybe frac at 3× its
-	// bound is deeper than qps at 1.2× below its floor).
-	fail2 := EvaluateSLO(res, SLO{MinQPS: 3000, MaxMaybeFrac: 0.05, MaxDegradedFrac: -1})
-	if fail2.Pass || fail2.Limiting != "maybe_frac" {
-		t.Fatalf("want maybe_frac-limited failure, got limiting=%q", fail2.Limiting)
-	}
-
-	// Unset bounds evaluate nothing — trivially passing, no limiting metric.
-	empty := EvaluateSLO(res, SLO{MaxMaybeFrac: -1, MaxDegradedFrac: -1})
-	if !empty.Pass || len(empty.Checks) != 0 {
-		t.Fatalf("unset SLO should be empty-pass: %+v", empty)
-	}
-
-	bad := EvaluateSLO(CellResult{Client: ClientStats{Errors: 3}}, SLO{MaxMaybeFrac: -1, MaxDegradedFrac: -1, NoErrors: true})
-	if bad.Pass || bad.Limiting != "errors" {
-		t.Fatalf("errors should fail NoErrors: %+v", bad)
 	}
 }

@@ -129,7 +129,7 @@ func startLiveCluster(spec MatrixSpec, cell Cell, bundle *Bundle) (*liveCluster,
 func (lc *liveCluster) scrapeAll(ctx context.Context) ([]metrics.Snapshot, error) {
 	out := make([]metrics.Snapshot, len(lc.scrapes))
 	for i, url := range lc.scrapes {
-		s, err := metrics.Scrape(ctx, url)
+		s, err := obs.Scrape(ctx, url)
 		if err != nil {
 			return nil, err
 		}

@@ -11,6 +11,7 @@ import (
 	"github.com/hetfed/hetfed/internal/exec"
 	"github.com/hetfed/hetfed/internal/fabric"
 	"github.com/hetfed/hetfed/internal/metrics"
+	"github.com/hetfed/hetfed/internal/obs/slo"
 	"github.com/hetfed/hetfed/internal/planner"
 	"github.com/hetfed/hetfed/internal/signature"
 	"github.com/hetfed/hetfed/internal/trace"
@@ -269,20 +270,20 @@ func extractServerStats(coord metrics.Snapshot, sites []metrics.Snapshot) Server
 			return l.Peer != coordinatorID
 		})
 	}
-	if rows := st.CertainRows + st.MaybeRows; rows > 0 {
-		st.CertainFrac = frac(st.CertainRows, rows)
-		st.MaybeFrac = frac(st.MaybeRows, rows)
+	// The shares are slo.Measures' (the one definition of each), over the
+	// coordinator's delta; a cell's run is the window, so no span is needed.
+	if maybe, ok := slo.Measures["maybe_rows"].Value(coord, 0, 0); ok {
+		st.MaybeFrac, st.CertainFrac = round4(maybe), round4(1-maybe)
 	}
-	if st.Queries > 0 {
-		st.DegradedFrac = frac(st.DegradedQueries, st.Queries)
-	}
+	degraded, _ := slo.Measures["degraded_queries"].Value(coord, 0, 0)
+	st.DegradedFrac = round4(degraded)
 	return st
 }
 
-// frac rounds a ratio to 4 decimals so report floats stay diffable and free
-// of representation noise.
-func frac(num, den int64) float64 {
-	return float64(int64(float64(num)/float64(den)*1e4+0.5)) / 1e4
+// round4 rounds a share to 4 decimals so report floats stay diffable and
+// free of representation noise.
+func round4(share float64) float64 {
+	return float64(int64(share*1e4+0.5)) / 1e4
 }
 
 // sumWhere totals a counter across the label sets keep admits.

@@ -2,103 +2,98 @@ package bench
 
 import (
 	"fmt"
-	"time"
+
+	"github.com/hetfed/hetfed/internal/obs/slo"
 )
 
-// SLO is a service-level objective over one cell's measurements. Zero/
-// negative bounds are unset and not evaluated, except the fraction bounds
-// where a genuine 0 is meaningful — those use negative for "unset".
-type SLO struct {
-	// MinQPS is the throughput floor (0 = unset).
-	MinQPS float64
-	// P99 caps the client-observed 99th-percentile latency (0 = unset).
-	P99 time.Duration
-	// MaxMaybeFrac caps the maybe share of returned rows (< 0 = unset).
-	MaxMaybeFrac float64
-	// MaxDegradedFrac caps the degraded share of queries (< 0 = unset).
-	MaxDegradedFrac float64
-	// NoErrors additionally requires zero client-observed errors and sheds.
-	NoErrors bool
+// Judged is one objective measured on one cell.
+type Judged struct {
+	Name  string // the rule's name, or "errors"
+	Value string // the measurement, with its unit
+	OK    bool
+	// headroom is the relative distance to the threshold on the side the
+	// rule allows: positive = room left, negative = violation depth. It
+	// picks the limiting objective.
+	headroom float64
 }
 
-// SLOCheck is one evaluated bound.
-type SLOCheck struct {
-	Metric string  `json:"metric"`
-	Value  float64 `json:"value"`
-	Bound  float64 `json:"bound"`
-	OK     bool    `json:"ok"`
-	// margin is the relative distance to the bound: positive = headroom,
-	// negative = violation depth. Used to pick the limiting metric.
-	margin float64
-}
-
-func (c SLOCheck) String() string {
+func (j Judged) String() string {
 	verdict := "ok"
-	if !c.OK {
+	if !j.OK {
 		verdict = "VIOLATED"
 	}
-	return fmt.Sprintf("%-14s %10.2f  (bound %10.2f)  %s", c.Metric, c.Value, c.Bound, verdict)
+	return fmt.Sprintf("%-40s %12s  %s", j.Name, j.Value, verdict)
 }
 
-// SLOVerdict is the pass/fail answer for one cell: the limiting metric is
-// the violated bound that is deepest in violation, or — when everything
-// passes — the bound with the least headroom (what would give way first if
-// load or failure got worse).
-type SLOVerdict struct {
-	Cell     string     `json:"cell"`
-	Pass     bool       `json:"pass"`
-	Limiting string     `json:"limiting"`
-	Checks   []SLOCheck `json:"checks"`
+// Verdict is the pass/fail answer for one cell. The limiting objective is
+// the violated one deepest in violation, or — when everything passes — the
+// one with the least headroom (what would give way first if load or failure
+// got worse).
+type Verdict struct {
+	Cell     string
+	Pass     bool
+	Limiting string
+	Checks   []Judged
 }
 
-// EvaluateSLO checks one cell's results against the objective.
-func EvaluateSLO(res CellResult, slo SLO) SLOVerdict {
-	v := SLOVerdict{Cell: res.Cell.Key(), Pass: true}
-	// floor: value must be >= bound; cap: value must be <= bound.
-	floor := func(metric string, value, bound float64) {
-		if bound <= 0 {
-			return
+// Judge holds one cell of a report to objectives written in the slo rule
+// grammar (a rule's window is the cell's whole run). A report keeps what it
+// measured, not the series: a rule over anything else is an error that says
+// so. Unless allowErrors, client errors and sheds fail the cell too.
+func Judge(res CellResult, rules []slo.Rule, allowErrors bool) (Verdict, error) {
+	v := Verdict{Cell: res.Cell.Key(), Pass: true}
+	for _, r := range rules {
+		var value float64
+		switch {
+		case r.Metric == "throughput":
+			value = res.Client.QPS
+		case r.Metric == "maybe_rows":
+			value = res.Server.MaybeFrac
+		case r.Metric == "degraded_queries":
+			value = res.Server.DegradedFrac
+		case r.Metric == "query_latency" && r.Agg == "mean":
+			value = res.Client.MeanMicros
+		case r.Metric == "query_latency" && r.Q == 0.50:
+			value = res.Client.P50Micros
+		case r.Metric == "query_latency" && r.Q == 0.95:
+			value = res.Client.P95Micros
+		case r.Metric == "query_latency" && r.Q == 0.99:
+			value = res.Client.P99Micros
+		default:
+			return v, fmt.Errorf("bench: rule %q: a report keeps throughput, maybe_rows, degraded_queries and query_latency p50, p95, p99 and mean; it cannot judge %s %s",
+				r.Name, r.Metric, r.Agg)
 		}
-		v.Checks = append(v.Checks, SLOCheck{
-			Metric: metric, Value: value, Bound: bound,
-			OK: value >= bound, margin: (value - bound) / bound,
-		})
+		headroom := r.Threshold - value
+		if r.Op == ">" || r.Op == ">=" {
+			headroom = -headroom
+		}
+		if r.Threshold > 0 {
+			headroom /= r.Threshold
+		} else if headroom < 0 {
+			headroom = -1 // a zero threshold with a nonzero value: fully violated
+		}
+		v.Checks = append(v.Checks, Judged{Name: r.Name, Value: slo.FormatValue(value, r.Unit),
+			OK: r.Holds(value), headroom: headroom})
 	}
-	ceil := func(metric string, value, bound float64, set bool) {
-		if !set {
-			return
-		}
-		c := SLOCheck{Metric: metric, Value: value, Bound: bound, OK: value <= bound}
-		if bound > 0 {
-			c.margin = (bound - value) / bound
-		} else if value > 0 {
-			c.margin = -1 // a zero bound with a nonzero value: fully violated
+	if !allowErrors {
+		n := res.Client.Errors + res.Client.Shed
+		c := Judged{Name: "errors", Value: fmt.Sprint(n), OK: n == 0}
+		if n > 0 {
+			c.headroom = -1
 		}
 		v.Checks = append(v.Checks, c)
 	}
-	floor("qps", res.Client.QPS, slo.MinQPS)
-	ceil("p99_us", res.Client.P99Micros, float64(slo.P99.Microseconds()), slo.P99 > 0)
-	ceil("maybe_frac", res.Server.MaybeFrac, slo.MaxMaybeFrac, slo.MaxMaybeFrac >= 0)
-	ceil("degraded_frac", res.Server.DegradedFrac, slo.MaxDegradedFrac, slo.MaxDegradedFrac >= 0)
-	if slo.NoErrors {
-		ceil("errors", float64(res.Client.Errors+res.Client.Shed), 0, true)
-	}
-	// Pick the limiting metric: deepest violation when failing, least
-	// headroom when passing.
-	limiting, best := "", 0.0
 	for _, c := range v.Checks {
-		if !c.OK {
-			v.Pass = false
-		}
+		v.Pass = v.Pass && c.OK
 	}
+	best := 0.0
 	for _, c := range v.Checks {
 		if v.Pass != c.OK {
 			continue // when failing, only violated checks compete
 		}
-		if limiting == "" || c.margin < best {
-			limiting, best = c.Metric, c.margin
+		if v.Limiting == "" || c.headroom < best {
+			v.Limiting, best = c.Name, c.headroom
 		}
 	}
-	v.Limiting = limiting
-	return v
+	return v, nil
 }

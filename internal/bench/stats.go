@@ -20,8 +20,11 @@ type Result struct {
 // Summarize reduces a run's results to the client-observed statistics.
 // wallMicros is the run's span from first launch to last completion;
 // throughput is completed queries over that span. Percentiles are exact
-// (nearest-rank over the sorted completions), not histogram estimates —
-// the generator holds every sample, so there is no reason to approximate.
+// (nearest-rank over the sorted completions): a report answers "what did
+// these samples measure", and the generator holds every one of them. The
+// bucketed metrics.HistogramSnapshot.Quantile answers the other question —
+// the quantile of a series merged across sites and windows, where only
+// bucket counts exist — so the two are not one implementation.
 func Summarize(results []Result, wallMicros float64) ClientStats {
 	st := ClientStats{Queries: len(results), WallMillis: wallMicros / 1e3}
 	lat := make([]float64, 0, len(results))

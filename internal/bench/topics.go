@@ -82,9 +82,6 @@ var topics = []Topic{
 		"figure9", "figure10", "figure11", "signatures", "network", "indexes", "faults", "planner"}}},
 }
 
-// Topics returns the registered topics.
-func Topics() []Topic { return topics }
-
 // LookupTopic resolves a registered topic; the error names the registry.
 func LookupTopic(name string) (Topic, error) {
 	names := make([]string, len(topics))

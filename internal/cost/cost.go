@@ -179,13 +179,6 @@ func phaseOrder(p string) int {
 	}
 }
 
-// RenderCompare lays a predicted and a measured Breakdown side by side, one
-// row per (site, phase) appearing in either — the body of the EXPLAIN
-// ANALYZE table. Millisecond columns; a dash marks a side with no row.
-func RenderCompare(predicted, measured *Breakdown) string {
-	return RenderColumns([]string{"predicted", "measured"}, []*Breakdown{predicted, measured})
-}
-
 // RenderColumns lays any number of Breakdowns side by side under the given
 // column labels ("(ms)" is appended), one row per (site, phase) appearing
 // in any of them. The adaptive EXPLAIN uses three columns: the Table 1

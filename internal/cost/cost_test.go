@@ -69,8 +69,8 @@ func TestRenderColumns(t *testing.T) {
 	if !strings.Contains(db2, "DB2") || strings.Count(db2, "-") != 2 || !strings.Contains(db2, "0.250") {
 		t.Errorf("DB2 row = %q", db2)
 	}
-	// A nil breakdown renders dashes and a zero total (RenderCompare shape).
-	two := RenderCompare(&a, nil)
+	// A nil breakdown renders dashes and a zero total.
+	two := RenderColumns([]string{"predicted", "measured"}, []*Breakdown{&a, nil})
 	if !strings.Contains(two, "predicted(ms)") || !strings.Contains(two, "measured(ms)") {
 		t.Errorf("compare header missing:\n%s", two)
 	}

@@ -15,7 +15,6 @@ package des
 import (
 	"container/heap"
 	"fmt"
-	"sort"
 )
 
 // Simulator owns the virtual clock, the event queue and the resources.
@@ -288,14 +287,4 @@ func BusyByPrefix(rs []*Resource) map[string]float64 {
 		out[name] += r.busy
 	}
 	return out
-}
-
-// SortedNames returns resource names sorted, for deterministic reporting.
-func SortedNames(rs []*Resource) []string {
-	names := make([]string, len(rs))
-	for i, r := range rs {
-		names[i] = r.name
-	}
-	sort.Strings(names)
-	return names
 }

@@ -216,10 +216,6 @@ func TestBusyByPrefixAndNames(t *testing.T) {
 	if by["DB1"] != 12 || by["net"] != 3 {
 		t.Errorf("BusyByPrefix = %v", by)
 	}
-	names := SortedNames(sim.Resources())
-	if len(names) != 3 || names[0] != "DB1.cpu" {
-		t.Errorf("SortedNames = %v", names)
-	}
 	if sim.TotalBusy() != 15 {
 		t.Errorf("TotalBusy = %g", sim.TotalBusy())
 	}

@@ -289,15 +289,6 @@ func EvalObject(src Source, b *query.Bound, predIdx []int, root *object.Object, 
 	return r
 }
 
-// AllPredIdx returns [0..n) for evaluating every predicate.
-func AllPredIdx(n int) []int {
-	out := make([]int, n)
-	for i := range out {
-		out[i] = i
-	}
-	return out
-}
-
 // SplitPredIdx partitions the bound query's predicate indexes for one site
 // into local predicates (every path step held by the site's constituent
 // classes) and removed predicates (some step is a missing attribute there).
@@ -320,11 +311,4 @@ func missingAt(b *query.Bound, bp *query.BoundPath, site object.SiteID) bool {
 		}
 	}
 	return false
-}
-
-// BindAt binds a suffix predicate rooted at an arbitrary global class, as
-// needed by a site checking assistant objects against an unsolved
-// predicate.
-func BindAt(b *query.Bound, class string, pred query.Predicate) (query.BoundPredicate, error) {
-	return query.BindPredicateAt(b.Global, class, pred)
 }

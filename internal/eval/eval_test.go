@@ -182,7 +182,7 @@ func TestEvalObjectAndVerdict(t *testing.T) {
 	db1 := fx.Databases["DB1"]
 	s3 := db1.Extent("Student").Get("s3")
 
-	r := EvalObject(DiskSource{DB: db1}, b, AllPredIdx(len(b.Preds)), s3, cost.Discard)
+	r := EvalObject(DiskSource{DB: db1}, b, []int{0, 1, 2}, s3, cost.Discard)
 	if len(r.Unsolved) != 3 {
 		t.Errorf("unsolved = %+v", r.Unsolved)
 	}
@@ -242,25 +242,6 @@ func TestDanglingRefTreatedAsMissing(t *testing.T) {
 	}
 	if vt := EvalTarget(DiskSource{DB: db1}, b.Targets[1], s1, cost.Discard); !vt.IsNull() {
 		t.Errorf("dangling target = %v", vt)
-	}
-}
-
-func TestBindAt(t *testing.T) {
-	fx, b := q1Bound(t)
-	_ = fx
-	bp, err := BindAt(b, "Teacher", query.Predicate{
-		Path: query.Path{"department", "name"}, Op: query.OpEq, Literal: object.Str("CS"),
-	})
-	if err != nil {
-		t.Fatalf("BindAt: %v", err)
-	}
-	if !reflect.DeepEqual(bp.Classes, []string{"Teacher", "Department"}) {
-		t.Errorf("Classes = %v", bp.Classes)
-	}
-	if _, err := BindAt(b, "Teacher", query.Predicate{
-		Path: query.Path{"nope"}, Op: query.OpEq, Literal: object.Str("x"),
-	}); err == nil {
-		t.Error("bad suffix accepted")
 	}
 }
 

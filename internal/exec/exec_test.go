@@ -158,8 +158,8 @@ func TestTraceRecordsFigure8Flows(t *testing.T) {
 			t.Fatalf("%v: %v", alg, err)
 		}
 		seen := map[string]bool{}
-		for _, ev := range tr.Events() {
-			seen[ev.Step] = true
+		for _, s := range tr.Spans() {
+			seen[s.Name] = true
 		}
 		for _, step := range want {
 			if !seen[step] {

@@ -230,14 +230,9 @@ func (r *Runner) record(q *Query, ans *federation.Answer, m fabric.Metrics, span
 			metrics.Labels{Site: string(pair.From), Peer: string(pair.To), Alg: alg}).Add(bytes)
 	}
 	for _, s := range spans {
-		if s.Phases == "" || s.End.IsZero() {
+		d, ok := s.PhaseMicros()
+		if !ok {
 			continue
-		}
-		// A multi-phase span ("PO") observes its full duration under each
-		// phase it performs; the phases are not separable at the site.
-		d := s.VDurationMicros()
-		if d < 0 {
-			d = s.DurationMicros()
 		}
 		for _, ph := range s.Phases {
 			r.Metrics.Histogram("phase_time_us",

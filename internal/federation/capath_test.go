@@ -152,7 +152,7 @@ func caPathSummary(t *testing.T, fx sitePathFixture, overWire bool) string {
 	for _, o := range viewObjects(view) {
 		fmt.Fprintf(detail, "object %s\n", o)
 	}
-	for _, root := range view.Roots() {
+	for _, root := range view.roots {
 		fmt.Fprintf(detail, "root %s\n", root.LOid)
 	}
 	for _, rows := range [][]ResultRow{ans.Certain, ans.Maybe} {
@@ -162,7 +162,7 @@ func caPathSummary(t *testing.T, fx sitePathFixture, overWire bool) string {
 		fmt.Fprintln(detail, "--")
 	}
 	fmt.Fprintf(&line, " view=%d roots=%d materialize=%d/%d evaluate=%d/%d certain=%d maybe=%d hash=%x",
-		view.Len(), len(view.Roots()), mat.DiskBytes, mat.CPUOps, ev.DiskBytes, ev.CPUOps,
+		view.Len(), len(view.roots), mat.DiskBytes, mat.CPUOps, ev.DiskBytes, ev.CPUOps,
 		len(ans.Certain), len(ans.Maybe), detail.Sum(nil)[:6])
 	return line.String()
 }

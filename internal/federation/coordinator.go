@@ -95,9 +95,6 @@ func (v *View) Fetch(id object.LOid, sink cost.Sink) (*object.Object, bool) {
 // Deref resolves a materialized object without charging (diagnostics).
 func (v *View) Deref(id object.LOid) (*object.Object, bool) { return v.Fetch(id, cost.Discard) }
 
-// Roots returns the materialized range-class objects sorted by GOid.
-func (v *View) Roots() []*object.Object { return v.roots }
-
 // Has reports whether the entity was materialized into the view (used as
 // the presence test when synthesizing degraded rows under site failure).
 func (v *View) Has(g object.GOid) bool {

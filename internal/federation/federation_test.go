@@ -210,11 +210,11 @@ func TestMaterializeFigure6(t *testing.T) {
 	}
 
 	// Five materialized students, sorted roots.
-	if len(view.Roots()) != 5 {
-		t.Errorf("roots = %d", len(view.Roots()))
+	if len(view.roots) != 5 {
+		t.Errorf("roots = %d", len(view.roots))
 	}
 	var ids []string
-	for _, r := range view.Roots() {
+	for _, r := range view.roots {
 		ids = append(ids, string(r.LOid))
 	}
 	if !sort.StringsAreSorted(ids) {
@@ -392,13 +392,13 @@ func TestRetrieveProjectsInvolvedAttrs(t *testing.T) {
 	}
 	var view *View
 	run(t, func(p fabric.Proc) { view = co.Materialize(p, b, []RetrieveReply{reply}) })
-	for _, root := range view.Roots() {
+	for _, root := range view.roots {
 		if outside(root) || root.Attr("name").IsNull() {
 			t.Errorf("merged with attributes outside the projection, or without those inside: %v", root)
 		}
 	}
-	if len(view.Roots()) != 3 {
-		t.Errorf("the view holds %d students, want 3", len(view.Roots()))
+	if len(view.roots) != 3 {
+		t.Errorf("the view holds %d students, want 3", len(view.roots))
 	}
 }
 

@@ -122,7 +122,7 @@ func wantView(t *testing.T, when string, v *View, want []*object.Object, roots [
 		t.Errorf("%s: a fetch that found nothing was charged", when)
 	}
 	var gotRoots []object.GOid
-	for _, r := range v.Roots() {
+	for _, r := range v.roots {
 		gotRoots = append(gotRoots, object.GOid(r.LOid))
 	}
 	if !slices.Equal(gotRoots, roots) {

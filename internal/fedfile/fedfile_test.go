@@ -82,9 +82,10 @@ func TestParseSample(t *testing.T) {
 		t.Errorf("missing at B = %v", got)
 	}
 	// Isomerism: isbn 2 exists at both sites.
-	iso := fed.Tables.Table("Book").IsomericsOf("A", "b2")
-	if len(iso) != 1 || iso[0].Site != "B" || iso[0].LOid != "x2" {
-		t.Errorf("isomerics of b2 = %v", iso)
+	books := fed.Tables.Table("Book")
+	goid, _ := books.GOidOf("A", "b2")
+	if locs := books.Locations(goid); len(locs) != 2 || locs[1].Site != "B" || locs[1].LOid != "x2" {
+		t.Errorf("isomeric objects of b2 = %v", locs)
 	}
 	// Values decoded correctly.
 	b1, _ := fed.Databases["A"].Deref("b1")

@@ -165,23 +165,6 @@ func (t *Table) LOidAt(goid object.GOid, site object.SiteID) (object.LOid, bool)
 // comment).
 func (t *Table) Locations(goid object.GOid) []Location { return t.byGOid[goid].locs }
 
-// IsomericsOf returns the isomeric objects of the given stored object at
-// other sites (the candidates for assistant objects), sorted by site.
-func (t *Table) IsomericsOf(site object.SiteID, loid object.LOid) []Location {
-	goid, ok := t.GOidOf(site, loid)
-	if !ok {
-		return nil
-	}
-	all := t.Locations(goid)
-	out := make([]Location, 0, len(all))
-	for _, loc := range all {
-		if loc.Site != site {
-			out = append(out, loc)
-		}
-	}
-	return out
-}
-
 // GOids returns every mapped global identifier, sorted.
 func (t *Table) GOids() []object.GOid {
 	out := make([]object.GOid, 0, len(t.byGOid))

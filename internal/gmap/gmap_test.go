@@ -84,21 +84,6 @@ func TestLocationsSorted(t *testing.T) {
 	}
 }
 
-func TestIsomericsOf(t *testing.T) {
-	tab := figure5Student()
-	got := tab.IsomericsOf("DB1", "s1")
-	want := []Location{{"DB2", "s2'"}}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("IsomericsOf = %v", got)
-	}
-	if got := tab.IsomericsOf("DB1", "s2"); len(got) != 0 {
-		t.Errorf("singleton entity has isomerics: %v", got)
-	}
-	if got := tab.IsomericsOf("DB9", "x"); got != nil {
-		t.Errorf("unknown object has isomerics: %v", got)
-	}
-}
-
 func TestGOidsSorted(t *testing.T) {
 	tab := figure5Student()
 	got := tab.GOids()
@@ -146,17 +131,13 @@ func TestTablesGroup(t *testing.T) {
 
 // TestLocationsAreNeverEdited: a locations slice handed out stays what it
 // was — a later Bind of the same entity installs a new slice, in the table
-// that bound and not in its clone, and IsomericsOf filters into a slice of
-// its own.
+// that bound and not in its clone.
 func TestLocationsAreNeverEdited(t *testing.T) {
 	tab := figure5Student()
 	held := tab.Locations("gs1")
 	before := append([]Location(nil), held...)
 	cp := tab.Clone()
 
-	if got := tab.IsomericsOf("DB1", "s1"); len(got) != 1 {
-		t.Fatalf("IsomericsOf = %v", got)
-	}
 	tab.MustBind("gs1", "DB0", "s0") // sorts before both held entries
 	tab.MustBind("gs1", "DB3", "s3")
 	if !reflect.DeepEqual(held, before) {

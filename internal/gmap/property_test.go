@@ -95,24 +95,6 @@ func TestCloneEquivalenceProperty(t *testing.T) {
 	}
 }
 
-// TestIsomericsExcludeSelfProperty: an object is never its own assistant.
-func TestIsomericsExcludeSelfProperty(t *testing.T) {
-	f := func(seed int64) bool {
-		table, bound := randomTable(seed)
-		for _, b := range bound {
-			for _, iso := range table.IsomericsOf(b.Loc.Site, b.Loc.LOid) {
-				if iso.Site == b.Loc.Site {
-					return false
-				}
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
-		t.Error(err)
-	}
-}
-
 // naiveTable is the model the table is checked against: the accepted
 // bindings in the order they were accepted, and nothing else. Every answer is
 // worked out by scanning them.

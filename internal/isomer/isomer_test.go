@@ -117,11 +117,10 @@ func TestIdentifyNullKeyGetsSingleton(t *testing.T) {
 		t.Fatalf("Identify: %v", err)
 	}
 	st := tables.Table("Student")
-	if len(st.IsomericsOf("DB1", "sx")) != 0 {
-		t.Error("null-key object was matched")
-	}
-	if len(st.IsomericsOf("DB2", "sy'")) != 0 {
-		t.Error("null-key object was matched")
+	gx, _ := st.GOidOf("DB1", "sx")
+	gy, _ := st.GOidOf("DB2", "sy'")
+	if gx == gy || len(st.Locations(gx)) != 1 || len(st.Locations(gy)) != 1 {
+		t.Errorf("null-key objects were matched: %v, %v", st.Locations(gx), st.Locations(gy))
 	}
 }
 

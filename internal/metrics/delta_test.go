@@ -1,11 +1,6 @@
 package metrics
 
-import (
-	"context"
-	"net/http"
-	"net/http/httptest"
-	"testing"
-)
+import "testing"
 
 // TestRegistryDelta: the registry-level convenience never double-counts
 // across measurement windows and survives nil/missing-series edge cases.
@@ -86,65 +81,5 @@ func TestSnapshotSumAndHistTotals(t *testing.T) {
 	}
 	if s.MergedHist("absent") != nil {
 		t.Error("MergedHist(absent) should be nil")
-	}
-}
-
-// TestScrapeRoundTrip: a snapshot served as JSON (the obs /metrics form)
-// scrapes back into an equivalent snapshot.
-func TestScrapeRoundTrip(t *testing.T) {
-	r := New()
-	r.Counter("queries_total", Labels{Site: "G", Alg: "BL"}).Add(9)
-	r.Gauge("queries_inflight", Labels{Site: "G"}).Set(2)
-	r.Histogram("query_latency_us", Labels{Site: "G", Alg: "BL"}).ObserveWithExemplar(1234, "rq1")
-	want := r.Snapshot()
-
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
-		data, err := want.JSON()
-		if err != nil {
-			t.Errorf("JSON: %v", err)
-		}
-		w.Header().Set("Content-Type", "application/json")
-		w.Write(data)
-	}))
-	defer srv.Close()
-
-	got, err := Scrape(context.Background(), srv.URL+"/metrics")
-	if err != nil {
-		t.Fatalf("Scrape: %v", err)
-	}
-	if got.CounterValue("queries_total", Labels{Site: "G", Alg: "BL"}) != 9 {
-		t.Errorf("scraped counter = %d, want 9", got.CounterValue("queries_total", Labels{Site: "G", Alg: "BL"}))
-	}
-	smp, ok := got.Get("query_latency_us", Labels{Site: "G", Alg: "BL"})
-	if !ok || smp.Hist == nil || smp.Hist.Count != 1 {
-		t.Fatalf("scraped histogram = %+v", smp)
-	}
-	if ex := smp.Hist.ExemplarFor(1234); ex == nil || ex.TraceID != "rq1" {
-		t.Errorf("scraped exemplar = %+v, want rq1", ex)
-	}
-	// Deltas over scraped snapshots: the double-count guard works across
-	// the wire too.
-	d := got.Delta(want)
-	if d.Sum("queries_total") != 0 {
-		t.Errorf("scraped self-delta = %d, want 0", d.Sum("queries_total"))
-	}
-}
-
-func TestScrapeErrors(t *testing.T) {
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
-		http.Error(w, "nope", http.StatusServiceUnavailable)
-	}))
-	defer srv.Close()
-	if _, err := Scrape(context.Background(), srv.URL); err == nil {
-		t.Error("non-200 scrape should fail")
-	}
-	if _, err := Scrape(context.Background(), "http://127.0.0.1:1/metrics"); err == nil {
-		t.Error("unreachable scrape should fail")
-	}
-	if _, err := ParseSnapshot([]byte("{not json")); err == nil {
-		t.Error("bad JSON should fail")
-	}
-	if s, err := ParseSnapshot(nil); err != nil || len(s.Samples) != 0 {
-		t.Errorf("empty body: %v, %d samples", err, len(s.Samples))
 	}
 }

@@ -19,7 +19,6 @@
 package metrics
 
 import (
-	"encoding/json"
 	"fmt"
 	"math"
 	"sort"
@@ -309,19 +308,6 @@ func (h *HistogramSnapshot) Quantile(q float64) float64 {
 		return lo + (hi-lo)*(rank-float64(cum))/float64(c)
 	}
 	return h.Bounds[len(h.Bounds)-1]
-}
-
-// ExemplarFor returns the exemplar of the bucket that the value v falls
-// into, nil when none is attached.
-func (h *HistogramSnapshot) ExemplarFor(v float64) *Exemplar {
-	if h == nil || h.Exemplars == nil {
-		return nil
-	}
-	i := sort.SearchFloat64s(h.Bounds, v)
-	if i >= len(h.Exemplars) {
-		return nil
-	}
-	return h.Exemplars[i]
 }
 
 // Sample is one instrument's value at snapshot time.
@@ -620,9 +606,4 @@ func (s Snapshot) Text() string {
 		}
 	}
 	return b.String()
-}
-
-// JSON renders the snapshot as indented JSON.
-func (s Snapshot) JSON() ([]byte, error) {
-	return json.MarshalIndent(s, "", "  ")
 }

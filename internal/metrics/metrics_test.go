@@ -2,6 +2,7 @@ package metrics
 
 import (
 	"encoding/json"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -247,7 +248,7 @@ func TestTextAndJSON(t *testing.T) {
 		}
 	}
 
-	data, err := snap.JSON()
+	data, err := json.Marshal(snap)
 	if err != nil {
 		t.Fatalf("JSON: %v", err)
 	}
@@ -324,6 +325,19 @@ func TestHistogramQuantile(t *testing.T) {
 	}
 }
 
+// exemplarFor returns the exemplar of the bucket the value v falls into, nil
+// when none is attached.
+func exemplarFor(h *HistogramSnapshot, v float64) *Exemplar {
+	if h == nil || h.Exemplars == nil {
+		return nil
+	}
+	i := sort.SearchFloat64s(h.Bounds, v)
+	if i >= len(h.Exemplars) {
+		return nil
+	}
+	return h.Exemplars[i]
+}
+
 func TestHistogramExemplar(t *testing.T) {
 	r := New()
 	h := r.Histogram("query_latency_us", Labels{Site: "G", Alg: "PL"})
@@ -336,20 +350,20 @@ func TestHistogramExemplar(t *testing.T) {
 		t.Fatalf("histogram sample missing (ok=%v)", ok)
 	}
 	hs := s.Hist
-	e := hs.ExemplarFor(120)
+	e := exemplarFor(hs, 120)
 	if e == nil || e.TraceID != "q7" || e.Value != 120 {
-		t.Errorf("ExemplarFor(120) = %+v, want q7/120", e)
+		t.Errorf("exemplar at 120 = %+v, want q7/120", e)
 	}
-	if e := hs.ExemplarFor(99000); e == nil || e.TraceID != "q9" {
-		t.Errorf("ExemplarFor(99000) = %+v, want q9", e)
+	if e := exemplarFor(hs, 99000); e == nil || e.TraceID != "q9" {
+		t.Errorf("exemplar at 99000 = %+v, want q9", e)
 	}
 	// A bucket that never saw an exemplar resolves to nil.
-	if e := hs.ExemplarFor(3); e != nil {
-		t.Errorf("ExemplarFor(3) = %+v, want nil", e)
+	if e := exemplarFor(hs, 3); e != nil {
+		t.Errorf("exemplar at 3 = %+v, want nil", e)
 	}
 	// Last write wins within a bucket.
 	h.ObserveWithExemplar(130, "q8")
-	if e := r.Snapshot().Samples[0].Hist.ExemplarFor(120); e == nil || e.TraceID != "q8" {
+	if e := exemplarFor(r.Snapshot().Samples[0].Hist, 120); e == nil || e.TraceID != "q8" {
 		t.Errorf("after overwrite, exemplar = %+v, want q8", e)
 	}
 	// Empty trace ID attaches nothing.
@@ -364,7 +378,7 @@ func TestHistogramExemplar(t *testing.T) {
 		t.Errorf("text missing exemplar markers:\n%s", text)
 	}
 	// Exemplars survive JSON round-trips (the /metrics?format=json surface).
-	data, err := r.Snapshot().JSON()
+	data, err := json.Marshal(r.Snapshot())
 	if err != nil {
 		t.Fatalf("JSON: %v", err)
 	}
@@ -373,7 +387,7 @@ func TestHistogramExemplar(t *testing.T) {
 		t.Fatalf("unmarshal: %v", err)
 	}
 	ds, _ := decoded.Get("query_latency_us", Labels{Site: "G", Alg: "PL"})
-	if e := ds.Hist.ExemplarFor(120); e == nil || e.TraceID != "q8" {
+	if e := exemplarFor(ds.Hist, 120); e == nil || e.TraceID != "q8" {
 		t.Errorf("exemplar lost in JSON round-trip: %+v", e)
 	}
 }
@@ -390,7 +404,7 @@ func TestConcurrentExemplars(t *testing.T) {
 			for j := 0; j < 500; j++ {
 				h.ObserveWithExemplar(float64(j%3000), "q"+string(rune('0'+i)))
 				if j%29 == 0 {
-					h.Snapshot().ExemplarFor(float64(j % 3000))
+					exemplarFor(h.Snapshot(), float64(j%3000))
 				}
 			}
 		}(i)
@@ -400,7 +414,7 @@ func TestConcurrentExemplars(t *testing.T) {
 	if s.Count != 8*500 {
 		t.Errorf("count = %d, want %d", s.Count, 8*500)
 	}
-	if s.ExemplarFor(100) == nil {
+	if exemplarFor(s, 100) == nil {
 		t.Error("no exemplar survived concurrent writes")
 	}
 }

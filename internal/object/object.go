@@ -189,9 +189,6 @@ func (v Value) BoolVal() bool { return v.n != 0 }
 // RefLOid returns the referenced LOid. It is valid only for KindRef.
 func (v Value) RefLOid() LOid { return LOid(v.s) }
 
-// RefGOid returns the referenced GOid. It is valid only for KindGRef.
-func (v Value) RefGOid() GOid { return GOid(v.s) }
-
 // Elems returns the elements of a list value. The returned slice must not be
 // modified. It is valid only for KindList.
 func (v Value) Elems() []Value {

@@ -47,7 +47,7 @@ func TestConstructorsAndAccessors(t *testing.T) {
 	if v := Ref("t1"); v.Kind() != KindRef || v.RefLOid() != "t1" || !v.IsRef() {
 		t.Errorf("Ref = %v", v)
 	}
-	if v := GRef("gt1"); v.Kind() != KindGRef || v.RefGOid() != "gt1" || !v.IsRef() {
+	if v := GRef("gt1"); v.Kind() != KindGRef || !v.IsRef() {
 		t.Errorf("GRef = %v", v)
 	}
 	if v := Null(); !v.IsNull() || v.IsRef() {

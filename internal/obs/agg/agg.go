@@ -16,9 +16,7 @@ package agg
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
-	"io"
 	"log/slog"
 	"net/http"
 	"sync"
@@ -26,6 +24,7 @@ import (
 
 	"github.com/hetfed/hetfed/internal/metrics"
 	"github.com/hetfed/hetfed/internal/obs"
+	"github.com/hetfed/hetfed/internal/trace"
 )
 
 // Target names one scrape target. Remote targets are polled over HTTP
@@ -43,9 +42,9 @@ type Target struct {
 	// LocalHealth supplies /healthz-style conditions for a local target
 	// (may be nil: no conditions). Status derives via obs.Healthy.
 	LocalHealth func() map[string]string
-	// LocalQueries supplies the flight-recorder listing for a local target
-	// (may be nil). Remote targets are listed via /debug/queries.
-	LocalQueries func() []QuerySummary
+	// LocalQueries supplies the flight recorder's profiles for a local
+	// target (may be nil). Remote targets are listed via /debug/queries.
+	LocalQueries func() []*trace.Profile
 }
 
 // Config parameterizes a Scraper.
@@ -285,11 +284,11 @@ func (s *Scraper) scrapeTarget(ctx context.Context, st *siteState) {
 		}
 		haveH = true
 	} else {
-		snap, err = metrics.Scrape(ctx, st.target.URL+"/metrics")
+		snap, err = obs.Scrape(ctx, st.target.URL+"/metrics")
 		if err == nil {
 			// Health is best-effort: the scrape above already proved
 			// liveness, so a failed /healthz only means stale conditions.
-			health, haveH = s.fetchHealth(ctx, st.target.URL)
+			haveH = obs.FetchJSON(ctx, s.client, st.target.URL+"/healthz", &health) == nil
 		}
 	}
 
@@ -355,27 +354,6 @@ func (st *siteState) trimHistory(cutoff time.Time) {
 	}
 }
 
-func (s *Scraper) fetchHealth(ctx context.Context, base string) (healthReport, bool) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, base+"/healthz", nil)
-	if err != nil {
-		return healthReport{}, false
-	}
-	resp, err := s.client.Do(req)
-	if err != nil {
-		return healthReport{}, false
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
-	if err != nil || resp.StatusCode != http.StatusOK {
-		return healthReport{}, false
-	}
-	var h healthReport
-	if err := json.Unmarshal(body, &h); err != nil {
-		return healthReport{}, false
-	}
-	return h, true
-}
-
 // Liveness reports how many targets were scraped successfully within the
 // staleness bound, and the total target count. The availability SLO
 // consumes this.
@@ -393,18 +371,21 @@ func (s *Scraper) Liveness() (live, total int) {
 }
 
 // WindowDelta returns the federation-wide metrics delta over the trailing
-// window w: every live-or-stale site's cumulative history differenced over
-// w and merged across sites (counters and histogram buckets summed). ok is
-// false when no site has two samples yet — rates are then undefined and
-// SLO rules skip the evaluation rather than judging zeros.
-func (s *Scraper) WindowDelta(w time.Duration) (metrics.Snapshot, bool) {
+// window w and the span it covers: every live-or-stale site's cumulative
+// history differenced over w and merged across sites (counters and histogram
+// buckets summed; the span is the longest site's). ok is false when no site
+// has two samples yet — rates are then undefined and SLO rules skip the
+// evaluation rather than judging zeros.
+func (s *Scraper) WindowDelta(w time.Duration) (metrics.Snapshot, time.Duration, bool) {
 	now := s.nowFn()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	var merged metrics.Snapshot
-	ok := false
+	return s.windowDeltaLocked(now, w)
+}
+
+func (s *Scraper) windowDeltaLocked(now time.Time, w time.Duration) (merged metrics.Snapshot, span time.Duration, ok bool) {
 	for _, st := range s.sites {
-		d, _, have := windowDelta(st.history, now, w)
+		d, siteSpan, have := windowDelta(st.history, now, w)
 		if !have {
 			continue
 		}
@@ -413,8 +394,9 @@ func (s *Scraper) WindowDelta(w time.Duration) (metrics.Snapshot, bool) {
 		} else {
 			merged = merged.Merge(d)
 		}
+		span = max(span, siteSpan)
 	}
-	return merged, ok
+	return merged, span, ok
 }
 
 // windowDelta differences a site's cumulative history over the trailing

@@ -12,20 +12,17 @@ import (
 	"time"
 
 	"github.com/hetfed/hetfed/internal/metrics"
+	"github.com/hetfed/hetfed/internal/obs"
+	"github.com/hetfed/hetfed/internal/trace"
 )
 
 // fakeSite serves a registry's snapshot as a minimal obs surface.
-func fakeSite(t *testing.T, reg *metrics.Registry, health string, queries []QuerySummary) *httptest.Server {
+func fakeSite(t *testing.T, reg *metrics.Registry, health string, queries []*trace.Profile) *httptest.Server {
 	t.Helper()
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		switch r.URL.Path {
 		case "/metrics":
-			data, err := reg.Snapshot().JSON()
-			if err != nil {
-				http.Error(w, err.Error(), 500)
-				return
-			}
-			w.Write(data)
+			obs.WriteJSON(w, reg.Snapshot())
 		case "/healthz":
 			io.WriteString(w, health)
 		case "/debug/queries":
@@ -135,8 +132,7 @@ func TestScrapeCounterReset(t *testing.T) {
 			http.NotFound(w, r)
 			return
 		}
-		data, _ := current.Snapshot().JSON()
-		w.Write(data)
+		obs.WriteJSON(w, current.Snapshot())
 	})
 
 	self := metrics.New()
@@ -153,8 +149,8 @@ func TestScrapeCounterReset(t *testing.T) {
 	current.Counter("requests_total", metrics.Labels{Site: "DB1"}).Add(5)
 	advance(time.Second)
 
-	if d, ok := s.WindowDelta(time.Minute); !ok {
-		t.Fatal("no window delta")
+	if d, span, ok := s.WindowDelta(time.Minute); !ok || span != 2*time.Second {
+		t.Fatalf("window delta: ok=%v span=%v, want 2s of history", ok, span)
 	} else if n := d.Sum("requests_total"); n != 25 {
 		t.Errorf("windowed requests across restart = %d, want 25 (20 before + 5 after)", n)
 	}
@@ -206,11 +202,11 @@ func TestStalenessAndFailures(t *testing.T) {
 func TestSlowQueriesMergeDedup(t *testing.T) {
 	// The coordinator and DB1 both recorded rq1 (the coordinator saw the
 	// longer end-to-end wall); DB1 alone recorded rq2.
-	coordQ := []QuerySummary{
+	coordQ := []*trace.Profile{
 		{ID: "rq1-aaa", Alg: "BL", Status: "ok", WallMicros: 9000, Certain: 5},
 		{ID: "rq3-ccc", Alg: "CA", Status: "ok", WallMicros: 500},
 	}
-	siteQ := []QuerySummary{
+	siteQ := []*trace.Profile{
 		{ID: "rq1-aaa", Alg: "BL", Status: "ok", WallMicros: 4000, Certain: 5},
 		{ID: "rq2-bbb", Alg: "PL", Status: "degraded", WallMicros: 12000},
 	}
@@ -220,7 +216,7 @@ func TestSlowQueriesMergeDedup(t *testing.T) {
 		Site: "G", Interval: time.Second,
 		Targets: []Target{
 			{Site: "G", Local: metrics.New().Snapshot,
-				LocalQueries: func() []QuerySummary { return coordQ }},
+				LocalQueries: func() []*trace.Profile { return coordQ }},
 			{Site: "DB1", URL: srv.URL},
 		},
 	})
@@ -234,8 +230,11 @@ func TestSlowQueriesMergeDedup(t *testing.T) {
 	if qs[1].WallMicros != 9000 {
 		t.Errorf("deduped rq1 wall = %.0f, want the max 9000", qs[1].WallMicros)
 	}
-	if len(qs[1].Sources) != 2 {
-		t.Errorf("rq1 sources = %v, want both G and DB1", qs[1].Sources)
+	if got := strings.Join(qs[1].Sources, ","); got != "G,DB1" {
+		t.Errorf("rq1 sources = %q, want both G and DB1", got)
+	}
+	if got := strings.Join(qs[0].Sources, ","); got != "DB1" {
+		t.Errorf("rq2 sources = %q, want DB1 alone", got)
 	}
 	if got := s.SlowQueries(context.Background(), 1); len(got) != 1 || got[0].ID != "rq2-bbb" {
 		t.Errorf("limit 1 = %+v", got)
@@ -247,8 +246,8 @@ func TestClusterHandlers(t *testing.T) {
 	s, advance := newTestScraper(t, Config{
 		Site: "G", Interval: time.Second,
 		Targets: []Target{{Site: "G", Local: reg.Snapshot,
-			LocalQueries: func() []QuerySummary {
-				return []QuerySummary{{ID: "rq9-fff", Alg: "BL", WallMicros: 777}}
+			LocalQueries: func() []*trace.Profile {
+				return []*trace.Profile{{ID: "rq9-fff", Alg: "BL", WallMicros: 777}}
 			}}},
 	})
 	advance(0)
@@ -279,17 +278,21 @@ func TestClusterHandlers(t *testing.T) {
 	if roll.Fed.SitesTotal != 1 || roll.Sites[0].Site != "G" {
 		t.Errorf("rollup = %+v", roll)
 	}
-	if code, body := get("/cluster"); code != 200 || !strings.Contains(body, "cluster @") {
-		t.Errorf("/cluster text: %d %q", code, body)
+	// The text body is the document's own text form (cmd/hetops pins it).
+	if code, body := get("/cluster"); code != 200 || body != roll.Text() {
+		t.Errorf("/cluster text: %d %q, want %q", code, body, roll.Text())
 	}
 
 	code, body = get("/cluster/queries?format=json")
-	var qs []QuerySummary
+	var qs []obs.QuerySummary
 	if code != 200 {
 		t.Fatalf("/cluster/queries: %d %s", code, body)
 	}
 	if err := json.Unmarshal([]byte(body), &qs); err != nil || len(qs) != 1 || qs[0].ID != "rq9-fff" {
 		t.Errorf("/cluster/queries = %v (err %v)", qs, err)
+	}
+	if code, body := get("/cluster/queries"); code != 200 || body != obs.QueriesText(qs, "") {
+		t.Errorf("/cluster/queries text: %d %q, want %q", code, body, obs.QueriesText(qs, ""))
 	}
 	if code, _ := get("/cluster/queries?n=bogus"); code != 400 {
 		t.Errorf("bad n accepted: %d", code)
@@ -298,6 +301,34 @@ func TestClusterHandlers(t *testing.T) {
 	code, body = get("/cluster/alerts")
 	if code != 200 || !strings.HasPrefix(strings.TrimSpace(body), "[") {
 		t.Errorf("/cluster/alerts stub: %d %q", code, body)
+	}
+}
+
+// TestRepairStateColumn pins the repair column's compaction of the
+// "antientropy:state" healthz condition, and that the conditions column
+// hands the entry off to it instead of repeating it.
+func TestRepairStateColumn(t *testing.T) {
+	for state, want := range map[string]string{
+		"ok(round=7, repaired=42B)":                    "ok r7",
+		"suspect(Teacher,Student) round=3 repaired=0B": "SUSPECT(Teacher,Student)",
+		"weird": "weird",
+	} {
+		if got := repairState(map[string]string{repairKey: state}); got != want {
+			t.Errorf("repairState(%q) = %q, want %q", state, got, want)
+		}
+	}
+	if got := repairState(nil); got != "-" {
+		t.Errorf("repairState(nil) = %q, want -", got)
+	}
+	conds := map[string]string{
+		repairKey: "suspect(Teacher) round=1 repaired=0B",
+		"DB2":     "open", "DB3": "closed", "wal:engine": "ok(seq=9)",
+	}
+	if got := conditionsText(conds); got != "DB2=open (+2 ok)" {
+		t.Errorf("conditionsText = %q, want the breaker spelled out, the healthy counted, the repair state left to its column", got)
+	}
+	if got := conditionsText(map[string]string{repairKey: "ok(round=1)"}); got != "-" {
+		t.Errorf("conditionsText of the repair state alone = %q, want -", got)
 	}
 }
 
@@ -340,7 +371,7 @@ func TestStartStopIdempotent(t *testing.T) {
 	}
 	s.Stop()
 	s.Stop() // no-op
-	if _, ok := s.WindowDelta(time.Minute); ok {
+	if _, _, ok := s.WindowDelta(time.Minute); ok {
 		_ = fmt.Sprint(ok) // one sample only: rates undefined, but must not panic
 	}
 }

@@ -194,18 +194,9 @@ func TestClusterObservabilityE2E(t *testing.T) {
 	defer coord.Close()
 
 	targets := []agg.Target{{
-		Site:  "G",
-		Local: coordReg.Snapshot,
-		LocalQueries: func() []agg.QuerySummary {
-			var out []agg.QuerySummary
-			for _, p := range rec.Profiles() {
-				out = append(out, agg.QuerySummary{
-					ID: p.ID, Alg: p.Alg, Status: p.Status, WallMicros: p.WallMicros,
-					Certain: p.Certain, Maybe: p.Maybe, Unavailable: p.Unavailable,
-				})
-			}
-			return out
-		},
+		Site:         "G",
+		Local:        coordReg.Snapshot,
+		LocalQueries: rec.Profiles,
 	}}
 	for _, sid := range siteIDs {
 		targets = append(targets, agg.Target{Site: string(sid), URL: "http://" + obsAddrs[sid]})
@@ -233,7 +224,7 @@ func TestClusterObservabilityE2E(t *testing.T) {
 
 	mux := obs.NewMux("G", coordReg, coordTracer, time.Now(), rec)
 	scr.Register(mux, engine.Handler())
-	coordObs, err := obs.ServeHandler("127.0.0.1:0", "G", coordReg, mux)
+	coordObs, err := obs.ServeHandler("127.0.0.1:0", "G", mux)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -367,7 +358,7 @@ func TestClusterObservabilityE2E(t *testing.T) {
 	type snapshot struct {
 		Cluster agg.Rollup         `json:"cluster"`
 		Alerts  []slo.Alert        `json:"alerts"`
-		Queries []agg.QuerySummary `json:"queries"`
+		Queries []obs.QuerySummary `json:"queries"`
 	}
 	var snap snapshot
 	getJSON(t, base+"/cluster?format=json", &snap.Cluster)

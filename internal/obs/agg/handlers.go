@@ -1,10 +1,11 @@
 package agg
 
 import (
-	"encoding/json"
 	"fmt"
 	"net/http"
 	"strconv"
+
+	"github.com/hetfed/hetfed/internal/obs"
 )
 
 // defaultQueryLimit bounds /cluster/queries when the client doesn't pass
@@ -23,7 +24,7 @@ func (s *Scraper) Register(mux *http.ServeMux, alerts http.Handler) {
 	mux.HandleFunc("/cluster", func(w http.ResponseWriter, r *http.Request) {
 		roll := s.Rollup()
 		if r.URL.Query().Get("format") == "json" {
-			writeJSON(w, roll)
+			obs.WriteJSON(w, roll)
 			return
 		}
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
@@ -41,30 +42,16 @@ func (s *Scraper) Register(mux *http.ServeMux, alerts http.Handler) {
 		}
 		qs := s.SlowQueries(r.Context(), limit)
 		if r.URL.Query().Get("format") == "json" {
-			if qs == nil {
-				qs = []QuerySummary{}
-			}
-			writeJSON(w, qs)
+			obs.WriteJSON(w, qs)
 			return
 		}
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		fmt.Fprint(w, queriesText(qs))
+		fmt.Fprint(w, obs.QueriesText(qs, ""))
 	})
 	if alerts == nil {
 		alerts = http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			writeJSON(w, []struct{}{})
+			obs.WriteJSON(w, []struct{}{})
 		})
 	}
 	mux.Handle("/cluster/alerts", alerts)
-}
-
-func writeJSON(w http.ResponseWriter, v any) {
-	data, err := json.MarshalIndent(v, "", " ")
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.Write(data)
-	fmt.Fprintln(w)
 }

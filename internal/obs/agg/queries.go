@@ -2,30 +2,12 @@ package agg
 
 import (
 	"context"
-	"encoding/json"
-	"fmt"
-	"io"
-	"net/http"
 	"sort"
-	"strings"
 	"sync"
-)
 
-// QuerySummary is one row of the federation-wide slow-query log: the
-// fields of a trace.Profile that matter for triage (the JSON tags match,
-// so a site's /debug/queries listing decodes directly), plus Sources — the
-// scraped sites whose flight recorders hold the profile. The full span
-// tree stays one link away at /debug/trace/{id}.json on any source site.
-type QuerySummary struct {
-	ID          string   `json:"id"`
-	Alg         string   `json:"alg"`
-	Status      string   `json:"status"`
-	WallMicros  float64  `json:"wall_us"`
-	Certain     int      `json:"certain"`
-	Maybe       int      `json:"maybe"`
-	Unavailable []string `json:"unavailable,omitempty"`
-	Sources     []string `json:"sources,omitempty"`
-}
+	"github.com/hetfed/hetfed/internal/obs"
+	"github.com/hetfed/hetfed/internal/trace"
+)
 
 // SlowQueries merges every target's flight-recorder listing into one
 // federation log: profiles deduped by trace ID (a query recorded by the
@@ -33,7 +15,7 @@ type QuerySummary struct {
 // wall clock — the end-to-end view), sorted slowest first, truncated to
 // limit (0 = no limit). Unreachable sites are skipped; the log is
 // best-effort by design.
-func (s *Scraper) SlowQueries(ctx context.Context, limit int) []QuerySummary {
+func (s *Scraper) SlowQueries(ctx context.Context, limit int) []obs.QuerySummary {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -44,55 +26,48 @@ func (s *Scraper) SlowQueries(ctx context.Context, limit int) []QuerySummary {
 	}
 	s.mu.Unlock()
 
-	type listing struct {
-		site    string
-		queries []QuerySummary
-	}
-	results := make([]listing, len(targets))
+	results := make([][]*trace.Profile, len(targets))
 	var wg sync.WaitGroup
 	for i, t := range targets {
 		wg.Add(1)
 		go func(i int, t Target) {
 			defer wg.Done()
-			if t.Local != nil {
-				if t.LocalQueries != nil {
-					results[i] = listing{t.Site, t.LocalQueries()}
+			switch {
+			case t.Local == nil:
+				var listed []*trace.Profile
+				if obs.FetchJSON(ctx, s.client, t.URL+"/debug/queries?format=json", &listed) == nil {
+					results[i] = listed
 				}
-				return
+			case t.LocalQueries != nil:
+				results[i] = t.LocalQueries()
 			}
-			qs, err := fetchQueries(ctx, s.client.Do, t.URL)
-			if err != nil {
-				return
-			}
-			results[i] = listing{t.Site, qs}
 		}(i, t)
 	}
 	wg.Wait()
 
-	byID := make(map[string]*QuerySummary)
+	byID := make(map[string]*obs.QuerySummary)
 	var order []string
-	for _, l := range results {
-		for _, q := range l.queries {
-			if q.ID == "" {
+	for i, profiles := range results {
+		for _, p := range profiles {
+			if p == nil || p.ID == "" {
 				continue
 			}
+			q := obs.Summarize(p, targets[i].Site)
 			cur, seen := byID[q.ID]
 			if !seen {
-				q.Sources = []string{l.site}
-				cp := q
-				byID[q.ID] = &cp
+				byID[q.ID] = &q
 				order = append(order, q.ID)
 				continue
 			}
-			cur.Sources = append(cur.Sources, l.site)
+			q.Sources = append(cur.Sources, q.Sources...)
 			if q.WallMicros > cur.WallMicros {
-				src := cur.Sources
 				*cur = q
-				cur.Sources = src
+			} else {
+				cur.Sources = q.Sources
 			}
 		}
 	}
-	merged := make([]QuerySummary, 0, len(order))
+	merged := make([]obs.QuerySummary, 0, len(order))
 	for _, id := range order {
 		merged = append(merged, *byID[id])
 	}
@@ -103,45 +78,4 @@ func (s *Scraper) SlowQueries(ctx context.Context, limit int) []QuerySummary {
 		merged = merged[:limit]
 	}
 	return merged
-}
-
-func fetchQueries(ctx context.Context, do func(*http.Request) (*http.Response, error), base string) ([]QuerySummary, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, base+"/debug/queries?format=json", nil)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("agg: %s/debug/queries: status %s", base, resp.Status)
-	}
-	body, err := io.ReadAll(io.LimitReader(resp.Body, 16<<20))
-	if err != nil {
-		return nil, err
-	}
-	var qs []QuerySummary
-	if err := json.Unmarshal(body, &qs); err != nil {
-		return nil, fmt.Errorf("agg: %s/debug/queries: %w", base, err)
-	}
-	return qs, nil
-}
-
-// queriesText renders the merged log as the /cluster/queries text body.
-func queriesText(qs []QuerySummary) string {
-	var b strings.Builder
-	if len(qs) == 0 {
-		b.WriteString("(no queries recorded federation-wide)\n")
-		return b.String()
-	}
-	fmt.Fprintf(&b, "%-14s %-8s %-9s %10s %8s %6s  %-16s %s\n",
-		"query", "alg", "status", "wall(ms)", "certain", "maybe", "sources", "trace")
-	for _, q := range qs {
-		fmt.Fprintf(&b, "%-14s %-8s %-9s %10.3f %8d %6d  %-16s /debug/trace/%s.json\n",
-			q.ID, q.Alg, q.Status, q.WallMicros/1e3, q.Certain, q.Maybe,
-			strings.Join(q.Sources, ","), q.ID)
-	}
-	return b.String()
 }

@@ -7,6 +7,8 @@ import (
 	"time"
 
 	"github.com/hetfed/hetfed/internal/metrics"
+	"github.com/hetfed/hetfed/internal/obs"
+	"github.com/hetfed/hetfed/internal/obs/slo"
 )
 
 // WindowStats are a site's (or the federation's) rates over a trailing
@@ -61,27 +63,23 @@ type Rollup struct {
 	Sites     []SiteStatus `json:"sites"`
 }
 
-// statsFromDelta derives WindowStats from a windowed snapshot delta,
-// preferring the coordinator's query metrics and falling back to the
-// request family a component site records about itself.
+// statsFromDelta fills WindowStats from slo.Measures over a windowed
+// snapshot delta: the coordinator's query family, or — for a delta that has
+// none — the request family a component site records about itself.
 func statsFromDelta(d metrics.Snapshot, span time.Duration) WindowStats {
-	countName, histName, badName := "queries_total", "query_latency_us", "degraded_queries_total"
-	if !hasMetric(d, countName) && hasMetric(d, "requests_total") {
-		countName, histName, badName = "requests_total", "request_latency_us", "request_errors_total"
+	rate, latency, bad := "throughput", "query_latency", "degraded_queries"
+	if !hasMetric(d, "queries_total") && hasMetric(d, "requests_total") {
+		rate, latency, bad = "request_throughput", "request_latency", "request_errors"
 	}
-	ws := WindowStats{SpanS: span.Seconds()}
-	ws.Queries = d.Sum(countName)
-	if span > 0 {
-		ws.QPS = float64(ws.Queries) / span.Seconds()
+	m := slo.Measures
+	qps, _ := m[rate].Value(d, span, 0)
+	p50, _ := m[latency].Value(d, span, 0.50)
+	p99, _ := m[latency].Value(d, span, 0.99)
+	share, _ := m[bad].Value(d, span, 0)
+	return WindowStats{
+		SpanS: span.Seconds(), Queries: d.Sum(m[rate].Num), QPS: qps,
+		P50Ms: p50 / 1e3, P99Ms: p99 / 1e3, DegradedPct: 100 * share,
 	}
-	if h := d.MergedHist(histName); h != nil && h.Count > 0 {
-		ws.P50Ms = h.Quantile(0.50) / 1e3
-		ws.P99Ms = h.Quantile(0.99) / 1e3
-	}
-	if ws.Queries > 0 {
-		ws.DegradedPct = 100 * float64(d.Sum(badName)) / float64(ws.Queries)
-	}
-	return ws
 }
 
 func hasMetric(s metrics.Snapshot, name string) bool {
@@ -106,9 +104,6 @@ func (s *Scraper) Rollup() Rollup {
 		IntervalS: s.cfg.Interval.Seconds(),
 		WindowS:   s.cfg.Window.Seconds(),
 	}
-	var fedDelta metrics.Snapshot
-	var fedSpan time.Duration
-	haveFed := false
 	for _, st := range s.sites {
 		row := SiteStatus{
 			Site:        st.target.Site,
@@ -133,14 +128,6 @@ func (s *Scraper) Rollup() Rollup {
 		}
 		if d, span, ok := windowDelta(st.history, now, s.cfg.Window); ok {
 			row.Window = statsFromDelta(d, span)
-			if !haveFed {
-				fedDelta, fedSpan, haveFed = d, span, true
-			} else {
-				fedDelta = fedDelta.Merge(d)
-				if span > fedSpan {
-					fedSpan = span
-				}
-			}
 		}
 		out.Sites = append(out.Sites, row)
 		out.Fed.SitesTotal++
@@ -148,14 +135,14 @@ func (s *Scraper) Rollup() Rollup {
 			out.Fed.SitesLive++
 		}
 	}
-	if haveFed {
-		out.Fed.Window = statsFromDelta(fedDelta, fedSpan)
+	if d, span, ok := s.windowDeltaLocked(now, s.cfg.Window); ok {
+		out.Fed.Window = statsFromDelta(d, span)
 	}
 	return out
 }
 
-// Text renders the rollup as an aligned operator-readable table (the
-// default /cluster body).
+// Text renders the rollup as an aligned operator-readable table: the
+// default /cluster body and the dashboard's site section.
 func (r Rollup) Text() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "cluster @ %s  window=%.0fs interval=%.1fs\n",
@@ -163,8 +150,8 @@ func (r Rollup) Text() string {
 	fw := r.Fed.Window
 	fmt.Fprintf(&b, "fed: %d/%d live  qps=%.1f p50=%.2fms p99=%.2fms degraded=%.2f%% (%d queries / %.1fs)\n\n",
 		r.Fed.SitesLive, r.Fed.SitesTotal, fw.QPS, fw.P50Ms, fw.P99Ms, fw.DegradedPct, fw.Queries, fw.SpanS)
-	fmt.Fprintf(&b, "%-6s %-12s %-11s %8s %9s %9s %7s %8s  %s\n",
-		"site", "state", "status", "qps", "p50(ms)", "p99(ms)", "degr%", "up(s)", "conditions")
+	fmt.Fprintf(&b, "%-6s %-12s %-11s %8s %9s %9s %7s %8s %6s %-14s  %s\n",
+		"site", "state", "status", "qps", "p50(ms)", "p99(ms)", "degr%", "up(s)", "resets", "repair", "conditions")
 	for _, s := range r.Sites {
 		state := "live"
 		if !s.Live {
@@ -174,29 +161,60 @@ func (r Rollup) Text() string {
 				state = fmt.Sprintf("stale(%.0fs)", s.StaleS)
 			}
 		}
-		fmt.Fprintf(&b, "%-6s %-12s %-11s %8.1f %9.2f %9.2f %7.2f %8.0f  %s\n",
+		fmt.Fprintf(&b, "%-6s %-12s %-11s %8.1f %9.2f %9.2f %7.2f %8.0f %6d %-14s  %s\n",
 			s.Site, state, s.Status, s.Window.QPS, s.Window.P50Ms, s.Window.P99Ms,
-			s.Window.DegradedPct, s.UptimeS, conditionsText(s.Conditions))
+			s.Window.DegradedPct, s.UptimeS, s.Resets, repairState(s.Conditions),
+			conditionsText(s.Conditions))
 	}
 	return b.String()
 }
 
-// conditionsText compresses a conditions map for the table: healthy
-// entries collapse into a count, unhealthy ones are spelled out.
-func conditionsText(conds map[string]string) string {
-	if len(conds) == 0 {
+// repairKey is the /healthz condition a replica's anti-entropy state is
+// reported under; the table breaks it out into the repair column.
+const repairKey = "antientropy:state"
+
+// repairState compacts a site's anti-entropy condition for the repair
+// column: a clean replica renders as "ok r<round>", a diverged one keeps its
+// suspect class list ("SUSPECT(Teacher)"), and a site reporting no
+// anti-entropy state at all shows "-".
+func repairState(conds map[string]string) string {
+	v, ok := conds[repairKey]
+	if !ok {
 		return "-"
 	}
+	if rest, found := strings.CutPrefix(v, "ok(round="); found {
+		if i := strings.IndexAny(rest, ",)"); i >= 0 {
+			rest = rest[:i]
+		}
+		return "ok r" + rest
+	}
+	if rest, found := strings.CutPrefix(v, "suspect"); found {
+		if i := strings.Index(rest, ")"); i >= 0 {
+			rest = rest[:i+1]
+		}
+		return "SUSPECT" + rest
+	}
+	return v
+}
+
+// conditionsText compresses the remaining conditions for the table: healthy
+// entries collapse into a count, unhealthy ones are spelled out.
+func conditionsText(conds map[string]string) string {
 	var bad []string
 	okCount := 0
 	for k, v := range conds {
-		if v == "closed" || v == "ok" || strings.HasPrefix(v, "ok(") {
+		switch {
+		case k == repairKey:
+		case obs.Healthy(v):
 			okCount++
-		} else {
+		default:
 			bad = append(bad, k+"="+v)
 		}
 	}
-	if len(bad) == 0 {
+	switch {
+	case len(bad) == 0 && okCount == 0:
+		return "-"
+	case len(bad) == 0:
 		return fmt.Sprintf("%d ok", okCount)
 	}
 	sort.Strings(bad)

@@ -23,7 +23,6 @@
 //	/debug/trace/{id}.json  the profile as Chrome trace-event JSON
 //	                        (chrome://tracing, ui.perfetto.dev)
 //	/debug/pprof/           standard net/http/pprof profiling surface
-//	/debug/vars             standard expvar surface (includes the registry)
 //
 // The surface is read-only and unauthenticated; bind it to loopback or an
 // operations network, not the query port.
@@ -31,7 +30,6 @@ package obs
 
 import (
 	"encoding/json"
-	"expvar"
 	"fmt"
 	"net"
 	"net/http"
@@ -39,7 +37,6 @@ import (
 	"runtime"
 	"sort"
 	"strings"
-	"sync"
 	"time"
 
 	"github.com/hetfed/hetfed/internal/metrics"
@@ -90,36 +87,25 @@ func PrefixHealth(prefix string, src Health) Health {
 	}
 }
 
-// expvar registration is global per process; a test (or a process hosting
-// several sites) may start multiple servers for the same site name, so the
-// published Func reads the current registry through this map instead of
-// closing over a stale one.
-var (
-	expvarMu   sync.Mutex
-	expvarRegs = make(map[string]*metrics.Registry)
-)
-
-func publishExpvar(site string, reg *metrics.Registry) {
-	expvarMu.Lock()
-	defer expvarMu.Unlock()
-	name := "hetfed." + site
-	if _, seen := expvarRegs[name]; !seen && expvar.Get(name) == nil {
-		expvar.Publish(name, expvar.Func(func() any {
-			expvarMu.Lock()
-			r := expvarRegs[name]
-			expvarMu.Unlock()
-			return r.Snapshot()
-		}))
+// WriteJSON answers a request with v as one line of JSON — the form of every
+// JSON body on the surface, the cluster endpoints' included: they are read by
+// decoders (the scraper, hetops, chrome://tracing) and by grep on /healthz;
+// what an operator reads has a text form.
+func WriteJSON(w http.ResponseWriter, v any) {
+	data, err := json.Marshal(v)
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusInternalServerError)
+		return
 	}
-	expvarRegs[name] = reg
+	w.Header().Set("Content-Type", "application/json")
+	w.Write(append(data, '\n'))
 }
 
 // Server is a running observability endpoint.
 type Server struct {
-	site  string
-	ln    net.Listener
-	http  *http.Server
-	start time.Time
+	site string
+	ln   net.Listener
+	http *http.Server
 }
 
 // refreshRuntimeGauges samples the Go runtime into the registry. Called on
@@ -163,14 +149,7 @@ func NewMux(site string, reg *metrics.Registry, tr *trace.Tracer, start time.Tim
 			sort.Strings(body.Degraded)
 			body.Status = "degraded"
 		}
-		w.Header().Set("Content-Type", "application/json")
-		data, err := json.Marshal(body)
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-			return
-		}
-		w.Write(data)
-		fmt.Fprintln(w)
+		WriteJSON(w, body)
 	})
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
 		refreshRuntimeGauges(site, reg)
@@ -180,39 +159,20 @@ func NewMux(site string, reg *metrics.Registry, tr *trace.Tracer, start time.Tim
 			fmt.Fprint(w, snap.Text())
 			return
 		}
-		data, err := snap.JSON()
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-			return
-		}
-		w.Header().Set("Content-Type", "application/json")
-		w.Write(data)
-		fmt.Fprintln(w)
+		WriteJSON(w, snap)
 	})
 	mux.HandleFunc("/debug/queries", func(w http.ResponseWriter, r *http.Request) {
 		profiles := rec.Profiles()
 		if r.URL.Query().Get("format") == "json" {
-			w.Header().Set("Content-Type", "application/json")
-			data, err := json.MarshalIndent(profiles, "", " ")
-			if err != nil {
-				http.Error(w, err.Error(), http.StatusInternalServerError)
-				return
-			}
-			w.Write(data)
-			fmt.Fprintln(w)
+			WriteJSON(w, profiles)
 			return
+		}
+		rows := make([]QuerySummary, len(profiles))
+		for i, p := range profiles {
+			rows[i] = Summarize(p, site)
 		}
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		if len(profiles) == 0 {
-			fmt.Fprintln(w, "(no queries recorded)")
-			return
-		}
-		fmt.Fprintf(w, "%-14s %-6s %-9s %10s %8s %6s  %s\n",
-			"query", "alg", "status", "wall(ms)", "certain", "maybe", "trace")
-		for _, p := range profiles {
-			fmt.Fprintf(w, "%-14s %-6s %-9s %10.3f %8d %6d  /debug/trace/%s.json\n",
-				p.ID, p.Alg, p.Status, p.WallMicros/1e3, p.Certain, p.Maybe, p.ID)
-		}
+		fmt.Fprint(w, QueriesText(rows, ""))
 	})
 	mux.HandleFunc("/debug/trace/", func(w http.ResponseWriter, r *http.Request) {
 		id := strings.TrimPrefix(r.URL.Path, "/debug/trace/")
@@ -234,14 +194,7 @@ func NewMux(site string, reg *metrics.Registry, tr *trace.Tracer, start time.Tim
 			return
 		}
 		if asJSON {
-			data, err := p.ChromeTrace()
-			if err != nil {
-				http.Error(w, err.Error(), http.StatusInternalServerError)
-				return
-			}
-			w.Header().Set("Content-Type", "application/json")
-			w.Write(data)
-			fmt.Fprintln(w)
+			WriteJSON(w, p.ChromeTrace())
 			return
 		}
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
@@ -249,7 +202,6 @@ func NewMux(site string, reg *metrics.Registry, tr *trace.Tracer, start time.Tim
 			p.ID, p.Alg, p.Status, p.WallMicros/1e3, p.Certain, p.Maybe)
 		fmt.Fprint(w, p.RenderTree())
 	})
-	mux.Handle("/debug/vars", expvar.Handler())
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
@@ -263,20 +215,7 @@ func NewMux(site string, reg *metrics.Registry, tr *trace.Tracer, start time.Tim
 // flight recorder) may be nil. Optional Health sources feed the /healthz
 // breaker report.
 func Serve(addr, site string, reg *metrics.Registry, tr *trace.Tracer, rec *Recorder, health ...Health) (*Server, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, fmt.Errorf("obs: listen %s: %w", addr, err)
-	}
-	publishExpvar(site, reg)
-	start := time.Now()
-	s := &Server{
-		site:  site,
-		ln:    ln,
-		http:  &http.Server{Handler: NewMux(site, reg, tr, start, rec, health...)},
-		start: start,
-	}
-	go s.http.Serve(ln) //nolint:errcheck // returns ErrServerClosed on Close
-	return s, nil
+	return ServeHandler(addr, site, NewMux(site, reg, tr, time.Now(), rec, health...))
 }
 
 // ServeHandler is Serve for a caller-composed handler: build the base
@@ -284,18 +223,12 @@ func Serve(addr, site string, reg *metrics.Registry, tr *trace.Tracer, rec *Reco
 // /cluster, /cluster/alerts, /cluster/queries), then bind and serve. The
 // handler must be fully assembled before the call — http.ServeMux does not
 // allow registration after requests start.
-func ServeHandler(addr, site string, reg *metrics.Registry, h http.Handler) (*Server, error) {
+func ServeHandler(addr, site string, h http.Handler) (*Server, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("obs: listen %s: %w", addr, err)
 	}
-	publishExpvar(site, reg)
-	s := &Server{
-		site:  site,
-		ln:    ln,
-		http:  &http.Server{Handler: h},
-		start: time.Now(),
-	}
+	s := &Server{site: site, ln: ln, http: &http.Server{Handler: h}}
 	go s.http.Serve(ln) //nolint:errcheck // returns ErrServerClosed on Close
 	return s, nil
 }

@@ -29,10 +29,15 @@ import (
 // leaves Size zero.
 const DefaultRecorderSize = 128
 
-// slowMinSamples is how many latencies the recorder wants before trusting
-// its percentile estimate — below it only the absolute threshold marks
+// slowQuantile is the latency quantile at/above which a profile counts as
+// slow, estimated from the recorder's own latency histogram over everything
+// it has seen; slowMinSamples is how many latencies the recorder wants before
+// trusting that estimate — below it only the absolute threshold marks
 // profiles slow.
-const slowMinSamples = 32
+const (
+	slowQuantile   = 0.95
+	slowMinSamples = 32
+)
 
 // RecorderConfig assembles a flight recorder.
 type RecorderConfig struct {
@@ -40,10 +45,6 @@ type RecorderConfig struct {
 	Site string
 	// Size bounds the profile ring (0 = DefaultRecorderSize).
 	Size int
-	// SlowQuantile is the latency quantile at/above which a profile counts
-	// as slow (0 = 0.95). The estimate comes from the recorder's own
-	// latency histogram over everything it has seen.
-	SlowQuantile float64
 	// SlowThreshold, when positive, marks any profile at/over this absolute
 	// latency as slow and logs it through Log — the slow-query log.
 	SlowThreshold time.Duration
@@ -59,10 +60,9 @@ type RecorderConfig struct {
 type Recorder struct {
 	cfg RecorderConfig
 
-	mu       sync.Mutex
-	ring     []entry // record order, oldest first
-	latency  *metrics.Histogram
-	recorded int64
+	mu      sync.Mutex
+	ring    []entry // record order, oldest first
+	latency *metrics.Histogram
 }
 
 type entry struct {
@@ -76,9 +76,6 @@ type entry struct {
 func NewRecorder(cfg RecorderConfig) *Recorder {
 	if cfg.Size <= 0 {
 		cfg.Size = DefaultRecorderSize
-	}
-	if cfg.SlowQuantile <= 0 || cfg.SlowQuantile >= 1 {
-		cfg.SlowQuantile = 0.95
 	}
 	return &Recorder{cfg: cfg, latency: metrics.NewHistogram()}
 }
@@ -96,7 +93,6 @@ func (r *Recorder) Record(p *trace.Profile) {
 		r.evictLocked()
 	}
 	r.ring = append(r.ring, ent)
-	r.recorded++
 	r.mu.Unlock()
 
 	reg := r.cfg.Metrics
@@ -127,7 +123,7 @@ func (r *Recorder) isSlowLocked(p *trace.Profile) bool {
 	if snap.Count < slowMinSamples {
 		return false
 	}
-	return p.WallMicros >= snap.Quantile(r.cfg.SlowQuantile)
+	return p.WallMicros >= snap.Quantile(slowQuantile)
 }
 
 // evictLocked drops one profile to make room: the oldest non-retained one,
@@ -186,15 +182,4 @@ func (r *Recorder) Last() *trace.Profile {
 		return nil
 	}
 	return r.ring[len(r.ring)-1].p
-}
-
-// Recorded returns how many profiles were ever admitted (eviction does not
-// decrease it).
-func (r *Recorder) Recorded() int64 {
-	if r == nil {
-		return 0
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.recorded
 }

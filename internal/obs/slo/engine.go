@@ -1,7 +1,6 @@
 package slo
 
 import (
-	"encoding/json"
 	"fmt"
 	"log/slog"
 	"net/http"
@@ -10,6 +9,7 @@ import (
 	"time"
 
 	"github.com/hetfed/hetfed/internal/metrics"
+	"github.com/hetfed/hetfed/internal/obs"
 )
 
 // minShortWindow floors the burn-rate short window: below a few seconds a
@@ -40,7 +40,7 @@ type Alert struct {
 	Value     float64   `json:"value"`     // long-window measurement
 	Short     float64   `json:"short"`     // short-window measurement
 	Threshold float64   `json:"threshold"`
-	Unit      string    `json:"unit"`     // "us" | "ratio"
+	Unit      string    `json:"unit"`     // "us" | "ratio" | "rate"
 	WindowS   float64   `json:"window_s"` // 0 for instant rules
 	ShortS    float64   `json:"short_s"`
 	HaveData  bool      `json:"have_data"` // false: no traffic in the window, rule held vacuously
@@ -115,8 +115,8 @@ func (e *Engine) Evaluate() {
 		}
 		// No data (no traffic yet, or none in the window): the objective
 		// holds vacuously — a silent federation is not in violation.
-		longBad := haveLong && !rs.rule.holds(long)
-		shortBad := haveShort && !rs.rule.holds(short)
+		longBad := haveLong && !rs.rule.Holds(long)
+		shortBad := haveShort && !rs.rule.Holds(short)
 		next := StateOK
 		switch {
 		case longBad && shortBad:
@@ -158,34 +158,11 @@ func (e *Engine) measure(r Rule, w time.Duration) (float64, bool) {
 		}
 		return float64(live) / float64(total), true
 	}
-	d, ok := e.cfg.Source.WindowDelta(w)
+	d, span, ok := e.cfg.Source.WindowDelta(w)
 	if !ok {
 		return 0, false
 	}
-	switch r.Metric {
-	case "query_latency":
-		h := d.MergedHist("query_latency_us")
-		if h == nil || h.Count == 0 {
-			return 0, false
-		}
-		if r.Agg == "mean" {
-			return h.Mean(), true
-		}
-		return h.Quantile(r.Q), true
-	case "degraded_queries":
-		den := d.Sum("queries_total")
-		if den == 0 {
-			return 0, false
-		}
-		return float64(d.Sum("degraded_queries_total")) / float64(den), true
-	case "request_errors":
-		den := d.Sum("requests_total")
-		if den == 0 {
-			return 0, false
-		}
-		return float64(d.Sum("request_errors_total")) / float64(den), true
-	}
-	return 0, false
+	return Measures[r.Metric].Value(d, span, r.Q)
 }
 
 // transitionLocked moves one rule's state machine, emitting log events
@@ -238,39 +215,28 @@ func (e *Engine) Alerts() []Alert {
 // /cluster/alerts): text by default, ?format=json.
 func (e *Engine) Handler() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		alerts := e.Alerts()
 		if r.URL.Query().Get("format") == "json" {
-			data, err := json.MarshalIndent(alerts, "", " ")
-			if err != nil {
-				http.Error(w, err.Error(), http.StatusInternalServerError)
-				return
-			}
-			w.Header().Set("Content-Type", "application/json")
-			w.Write(data)
-			fmt.Fprintln(w)
+			obs.WriteJSON(w, e.Alerts())
 			return
 		}
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		fmt.Fprint(w, alertsText(alerts))
+		fmt.Fprint(w, AlertsText(e.Alerts()))
 	})
 }
 
-func alertsText(alerts []Alert) string {
+// AlertsText renders an alert list as the /cluster/alerts text body.
+func AlertsText(alerts []Alert) string {
+	if len(alerts) == 0 {
+		return "(no SLO rules configured)\n"
+	}
 	var b strings.Builder
 	fmt.Fprintf(&b, "%-8s %-32s %12s %12s %12s  %s\n",
 		"state", "rule", "value", "short", "threshold", "since")
 	for _, a := range alerts {
 		fmt.Fprintf(&b, "%-8s %-32s %12s %12s %12s  %s\n",
 			strings.ToUpper(a.State), a.Rule,
-			formatValue(a.Value, a.Unit), formatValue(a.Short, a.Unit),
-			formatValue(a.Threshold, a.Unit), a.Since.Format(time.RFC3339))
+			FormatValue(a.Value, a.Unit), FormatValue(a.Short, a.Unit),
+			FormatValue(a.Threshold, a.Unit), a.Since.Format(time.RFC3339))
 	}
 	return b.String()
-}
-
-func formatValue(v float64, unit string) string {
-	if unit == "us" {
-		return fmt.Sprintf("%.2fms", v/1e3)
-	}
-	return fmt.Sprintf("%.2f%%", v*100)
 }

@@ -1,9 +1,10 @@
-// Package slo evaluates declarative service-level objectives against the
-// cluster aggregator's windowed metrics and runs a burn-rate alert state
-// machine per rule.
+// Package slo defines the federation's derived measures — the one table of
+// functions from a windowed metrics delta to a number an operator judges —
+// evaluates declarative service-level objectives over them, and runs a
+// burn-rate alert state machine per rule.
 //
-// Rule grammar (one rule; hetserve's -slo flag takes a semicolon-
-// separated list):
+// Rule grammar (one rule; hetserve's -slo and hetbench slo's -rules flags
+// take a semicolon-separated list):
 //
 //	[name:] metric [agg] op value [over window]
 //
@@ -11,13 +12,14 @@
 //	degraded_queries ratio < 1% over 1m
 //	request_errors ratio < 0.5% over 30s
 //	slow: query_latency mean < 5ms over 2m
+//	maybe_rows <= 20% over 1m
+//	throughput >= 2000
 //	availability >= 0.99
 //
-// Metrics: query_latency (federation-merged query_latency_us histogram;
-// agg pNN or mean, default p99; value is a duration), degraded_queries
-// (degraded_queries_total over queries_total; value a percent or
-// fraction), request_errors (request_errors_total over requests_total),
-// and availability (sites live over sites tracked — instant, no window).
+// Metrics are the names of the Measures table: a latency (agg pNN or mean,
+// default p99; value a duration), a share (value a percent or fraction), a
+// throughput (value a count per second) or availability (sites live over
+// sites tracked — instant, no window).
 //
 // Burn-rate evaluation: each windowed rule is measured twice per pass,
 // over its stated long window and over a short window of long/12 (floored
@@ -31,6 +33,8 @@ package slo
 
 import (
 	"fmt"
+	"math"
+	"sort"
 	"strconv"
 	"strings"
 	"time"
@@ -38,12 +42,84 @@ import (
 	"github.com/hetfed/hetfed/internal/metrics"
 )
 
+// Measure is one derived measure: how a number an operator judges is read
+// off a windowed metrics.Snapshot delta and the span it covers. Rules, the
+// cluster rollup and the benchmark reports all divide through Value, so a
+// share or a rate has one definition.
+type Measure struct {
+	// Unit says which of the three forms the measure takes: "us" is read
+	// off the merged histogram Hist (a quantile, or the mean), "ratio" is
+	// the share the counter Num holds of the summed Of counters, and "rate"
+	// is Num per second of span.
+	Unit string
+	Hist string
+	Num  string
+	Of   []string
+}
+
+// Measures is the table of derived measures, keyed as the rule grammar
+// names them. availability has no series: it is judged on Source.Liveness.
+var Measures = map[string]Measure{
+	"query_latency":      {Unit: "us", Hist: "query_latency_us"},
+	"request_latency":    {Unit: "us", Hist: "request_latency_us"},
+	"degraded_queries":   {Unit: "ratio", Num: "degraded_queries_total", Of: []string{"queries_total"}},
+	"request_errors":     {Unit: "ratio", Num: "request_errors_total", Of: []string{"requests_total"}},
+	"maybe_rows":         {Unit: "ratio", Num: "results_maybe_total", Of: []string{"results_certain_total", "results_maybe_total"}},
+	"throughput":         {Unit: "rate", Num: "queries_total"},
+	"request_throughput": {Unit: "rate", Num: "requests_total"},
+	"availability":       {Unit: "ratio"},
+}
+
+// Value evaluates the measure over a delta d spanning span. q picks the
+// quantile of a latency (0 = the mean) and is ignored otherwise. ok=false
+// means there is nothing to judge: no observation, a zero denominator, or
+// no span to take a rate over.
+func (m Measure) Value(d metrics.Snapshot, span time.Duration, q float64) (v float64, ok bool) {
+	switch m.Unit {
+	case "us":
+		h := d.MergedHist(m.Hist)
+		if h == nil || h.Count == 0 {
+			return 0, false
+		}
+		if q == 0 {
+			return h.Mean(), true
+		}
+		return h.Quantile(q), true
+	case "rate":
+		if span <= 0 {
+			return 0, false
+		}
+		return float64(d.Sum(m.Num)) / span.Seconds(), true
+	}
+	var den int64
+	for _, name := range m.Of {
+		den += d.Sum(name)
+	}
+	if den == 0 {
+		return 0, false
+	}
+	return float64(d.Sum(m.Num)) / float64(den), true
+}
+
+// FormatValue renders a measured value with its unit, as alert listings and
+// the benchmark's verdicts print it.
+func FormatValue(v float64, unit string) string {
+	switch unit {
+	case "us":
+		return fmt.Sprintf("%.2fms", v/1e3)
+	case "rate":
+		return fmt.Sprintf("%.2f/s", v)
+	}
+	return fmt.Sprintf("%.2f%%", v*100)
+}
+
 // Source supplies the measurements rules are judged against. *agg.Scraper
 // implements it.
 type Source interface {
 	// WindowDelta returns the federation-merged metrics delta over the
-	// trailing window; ok=false when no data exists yet.
-	WindowDelta(w time.Duration) (metrics.Snapshot, bool)
+	// trailing window and the span it covers; ok=false when no data exists
+	// yet.
+	WindowDelta(w time.Duration) (d metrics.Snapshot, span time.Duration, ok bool)
 	// Liveness returns how many scrape targets are live, out of how many.
 	Liveness() (live, total int)
 }
@@ -72,12 +148,12 @@ func (s State) String() string {
 type Rule struct {
 	Name      string        // display name; defaults to the rule text
 	Raw       string        // the text it was parsed from
-	Metric    string        // query_latency | degraded_queries | request_errors | availability
-	Agg       string        // p50..p99.9 | mean | ratio
+	Metric    string        // a key of Measures
+	Agg       string        // p50..p99.9 | mean | ratio | rate
 	Q         float64       // quantile for pNN aggs
 	Op        string        // < <= > >=
-	Threshold float64       // µs for latency, fraction for ratios
-	Unit      string        // "us" | "ratio"
+	Threshold float64       // µs for latency, fraction for ratios, per second for rates
+	Unit      string        // the measure's: "us" | "ratio" | "rate"
 	Window    time.Duration // long window; 0 for instant rules
 	Instant   bool          // availability: judged on liveness, not a window
 }
@@ -119,38 +195,45 @@ func ParseRule(s string) (Rule, error) {
 	}
 	r.Metric = fields[0]
 	fields = fields[1:]
-	switch r.Metric {
-	case "query_latency":
-		r.Agg, r.Unit = "p99", "us"
-	case "degraded", "degraded_queries":
-		r.Metric, r.Agg, r.Unit = "degraded_queries", "ratio", "ratio"
-	case "errors", "request_errors":
-		r.Metric, r.Agg, r.Unit = "request_errors", "ratio", "ratio"
-	case "availability":
-		r.Agg, r.Unit, r.Instant, r.Window = "ratio", "ratio", true, 0
-	default:
-		return fail("unknown metric (want query_latency, degraded_queries, request_errors, or availability)")
+	switch r.Metric { // the two short spellings the grammar has always taken
+	case "degraded":
+		r.Metric = "degraded_queries"
+	case "errors":
+		r.Metric = "request_errors"
+	}
+	m, known := Measures[r.Metric]
+	if !known {
+		names := make([]string, 0, len(Measures))
+		for name := range Measures {
+			names = append(names, name)
+		}
+		sort.Strings(names)
+		return fail("unknown metric (want one of %s)", strings.Join(names, ", "))
+	}
+	r.Unit, r.Agg = m.Unit, m.Unit
+	switch {
+	case m.Unit == "us":
+		r.Agg, r.Q = "p99", 0.99
+	case m.Num == "": // availability: no series, judged now on liveness
+		r.Instant, r.Window = true, 0
 	}
 	if !isOp(fields[0]) { // optional agg token before the operator
 		agg := fields[0]
 		fields = fields[1:]
 		switch {
-		case agg == "mean" && r.Metric == "query_latency":
-			r.Agg = "mean"
-		case strings.HasPrefix(agg, "p") && r.Metric == "query_latency":
+		case agg == r.Agg:
+			// the default, stated explicitly
+		case m.Unit == "us" && agg == "mean":
+			r.Agg, r.Q = agg, 0
+		case m.Unit == "us" && strings.HasPrefix(agg, "p"):
 			pct, err := strconv.ParseFloat(agg[1:], 64)
-			if err != nil || pct <= 0 || pct >= 100 {
+			if err != nil || !(pct/100 > 0 && pct < 100) {
 				return fail("bad quantile %q (want p50..p99.9)", agg)
 			}
 			r.Agg, r.Q = agg, pct/100
-		case agg == "ratio" && r.Unit == "ratio":
-			// the default, stated explicitly
 		default:
 			return fail("aggregation %q does not apply to %s", agg, r.Metric)
 		}
-	}
-	if r.Agg == "p99" && r.Q == 0 {
-		r.Q = 0.99
 	}
 	if len(fields) < 2 || !isOp(fields[0]) {
 		return fail("want a comparison operator (<, <=, >, >=)")
@@ -158,18 +241,20 @@ func ParseRule(s string) (Rule, error) {
 	r.Op = fields[0]
 	val := fields[1]
 	fields = fields[2:]
-	switch r.Unit {
-	case "us":
+	if r.Unit == "us" {
 		d, err := time.ParseDuration(val)
-		if err != nil || d <= 0 {
+		if err != nil || d < time.Microsecond {
 			return fail("bad latency threshold %q (want a duration like 50ms)", val)
 		}
 		r.Threshold = float64(d.Microseconds())
-	case "ratio":
-		pct := strings.HasSuffix(val, "%")
-		f, err := strconv.ParseFloat(strings.TrimSuffix(val, "%"), 64)
-		if err != nil || f < 0 {
-			return fail("bad threshold %q (want a fraction like 0.01 or a percent like 1%%)", val)
+	} else {
+		pct := r.Unit == "ratio" && strings.HasSuffix(val, "%")
+		if pct {
+			val = strings.TrimSuffix(val, "%")
+		}
+		f, err := strconv.ParseFloat(val, 64)
+		if err != nil || !(f >= 0 && f <= math.MaxFloat64) {
+			return fail("bad threshold %q (want a number like 0.01, or for a share a percent like 1%%)", val)
 		}
 		if pct {
 			f /= 100
@@ -200,8 +285,8 @@ func isOp(s string) bool {
 	return s == "<" || s == "<=" || s == ">" || s == ">="
 }
 
-// holds reports whether a measured value satisfies the rule's objective.
-func (r Rule) holds(v float64) bool {
+// Holds reports whether a measured value satisfies the rule's objective.
+func (r Rule) Holds(v float64) bool {
 	switch r.Op {
 	case "<":
 		return v < r.Threshold

@@ -44,6 +44,15 @@ func TestParseRule(t *testing.T) {
 		{"availability >= 99%",
 			Rule{Metric: "availability", Agg: "ratio", Op: ">=",
 				Threshold: 0.99, Unit: "ratio", Instant: true}},
+		{"maybe_rows <= 20% over 30s",
+			Rule{Metric: "maybe_rows", Agg: "ratio", Op: "<=",
+				Threshold: 0.20, Unit: "ratio", Window: 30 * time.Second}},
+		{"floor: throughput >= 2000",
+			Rule{Name: "floor", Metric: "throughput", Agg: "rate", Op: ">=",
+				Threshold: 2000, Unit: "rate", Window: time.Minute}},
+		{"request_latency p95 < 3ms",
+			Rule{Metric: "request_latency", Agg: "p95", Q: 0.95, Op: "<",
+				Threshold: 3_000, Unit: "us", Window: time.Minute}},
 	}
 	for _, c := range cases {
 		got, err := ParseRule(c.in)
@@ -73,6 +82,11 @@ func TestParseRuleErrors(t *testing.T) {
 		"availability >= 0.99 over 1m",        // instant metric with window
 		"query_latency p99 < 50ms over x",     // bad window
 		"query_latency p99 < 50ms trailing q", // trailing junk
+		"query_latency pNaN < 50ms",           // a quantile that is not a number
+		"query_latency p99 < 1ns",             // below the microsecond a threshold is kept in
+		"throughput >= 20%",                   // a rate is not a share
+		"throughput >= NaN",                   // not a threshold
+		"maybe_rows p99 < 1%",                 // agg/metric mismatch
 	} {
 		if r, err := ParseRule(in); err == nil {
 			t.Errorf("ParseRule(%q) accepted: %+v", in, r)
@@ -101,11 +115,11 @@ type fakeSource struct {
 	empty bool
 }
 
-func (f *fakeSource) WindowDelta(time.Duration) (metrics.Snapshot, bool) {
+func (f *fakeSource) WindowDelta(w time.Duration) (metrics.Snapshot, time.Duration, bool) {
 	if f.empty {
-		return metrics.Snapshot{}, false
+		return metrics.Snapshot{}, 0, false
 	}
-	return f.reg.Snapshot(), true
+	return f.reg.Snapshot(), w, true
 }
 func (f *fakeSource) Liveness() (int, int) { return f.live, f.total }
 
@@ -207,17 +221,94 @@ func TestBurnRateWarnThenFire(t *testing.T) {
 	}
 }
 
+// TestMaybeShareAndThroughputRules: the two measures only a benchmark report
+// could judge before are alert rules like the rest — the paper's own quality
+// measure (maybe rows over returned rows) and queries per second of span —
+// through both burn windows and with their units in the alert listing.
+func TestMaybeShareAndThroughputRules(t *testing.T) {
+	longReg, shortReg := metrics.New(), metrics.New()
+	src := &windowedSource{long: longReg, short: shortReg}
+	rules, err := ParseRules("maybe: maybe_rows <= 20% over 1m; floor: throughput >= 10 over 1m")
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := New(Config{Source: src, Rules: rules})
+	if err != nil {
+		t.Fatal(err)
+	}
+	record := func(reg *metrics.Registry, queries, certain, maybe int64) {
+		reg.Counter("queries_total", metrics.Labels{Site: "G", Alg: "BL"}).Add(queries)
+		reg.Counter("results_certain_total", metrics.Labels{Alg: "BL"}).Add(certain)
+		reg.Counter("results_maybe_total", metrics.Labels{Alg: "BL"}).Add(maybe)
+	}
+	state := func() (maybe, floor Alert) {
+		t.Helper()
+		e.Evaluate()
+		alerts := e.Alerts()
+		return alerts[0], alerts[1]
+	}
+
+	// 1m of 1200 queries is 20/s; the 5s short window holds 100, also 20/s.
+	// One row in ten is maybe: both rules hold in both windows.
+	record(longReg, 1200, 900, 100)
+	record(shortReg, 100, 90, 10)
+	maybe, floor := state()
+	if maybe.State != "ok" || maybe.Value != 0.1 || maybe.Unit != "ratio" {
+		t.Errorf("healthy maybe share: %+v", maybe)
+	}
+	if floor.State != "ok" || floor.Value != 20 || floor.Short != 20 || floor.Unit != "rate" {
+		t.Errorf("healthy throughput: %+v", floor)
+	}
+
+	// A site goes missing: the short window's rows turn maybe and its rate
+	// halves below the floor — both rules warn on the short window alone.
+	src.short = metrics.New()
+	record(src.short, 40, 10, 30)
+	maybe, floor = state()
+	if maybe.State != "warn" || maybe.Short != 0.75 {
+		t.Errorf("short-window maybe share: %+v", maybe)
+	}
+	if floor.State != "warn" || floor.Short != 8 {
+		t.Errorf("short-window throughput: %+v", floor)
+	}
+
+	// Sustained: the long window follows and both fire.
+	src.long = metrics.New()
+	record(src.long, 480, 100, 300)
+	maybe, floor = state()
+	if maybe.State != "firing" || floor.State != "firing" || floor.Value != 8 {
+		t.Errorf("sustained: %+v / %+v", maybe, floor)
+	}
+	text := AlertsText(e.Alerts())
+	for _, want := range []string{"75.00%", "20.00%", "8.00/s", "10.00/s", "FIRING"} {
+		if !strings.Contains(text, want) {
+			t.Errorf("alert listing lacks %q:\n%s", want, text)
+		}
+	}
+
+	// No rows returned at all: the share has nothing to judge and holds
+	// vacuously; a throughput of zero is a measurement, and violates.
+	src.long, src.short = metrics.New(), metrics.New()
+	maybe, floor = state()
+	if maybe.State != "ok" || maybe.HaveData {
+		t.Errorf("empty window's maybe share: %+v", maybe)
+	}
+	if floor.State != "firing" || !floor.HaveData {
+		t.Errorf("empty window's throughput: %+v", floor)
+	}
+}
+
 // windowedSource serves different snapshots for the long and short burn
 // windows (anything ≤ 10s is "short").
 type windowedSource struct {
 	long, short *metrics.Registry
 }
 
-func (w *windowedSource) WindowDelta(d time.Duration) (metrics.Snapshot, bool) {
+func (w *windowedSource) WindowDelta(d time.Duration) (metrics.Snapshot, time.Duration, bool) {
 	if d <= 10*time.Second {
-		return w.short.Snapshot(), true
+		return w.short.Snapshot(), d, true
 	}
-	return w.long.Snapshot(), true
+	return w.long.Snapshot(), d, true
 }
 func (w *windowedSource) Liveness() (int, int) { return 1, 1 }
 

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand/v2"
-	"slices"
 	"sync"
 	"time"
 
@@ -33,12 +32,10 @@ type CallConfig struct {
 	// itself is deterministic and returned immediately.
 	Attempts int
 	// BackoffBase is the sleep before the first retry; each further retry
-	// doubles it up to BackoffMax. Every backoff is jittered ±50% so
+	// doubles it up to backoffMax. Every backoff is jittered ±50% so
 	// retries from concurrent calls spread out instead of stampeding a
 	// recovering site.
 	BackoffBase time.Duration
-	// BackoffMax caps the exponential backoff.
-	BackoffMax time.Duration
 	// PoolSize is the maximum number of idle pooled connections per site.
 	PoolSize int
 	// BreakerThreshold is the run of consecutive call failures that opens
@@ -56,6 +53,9 @@ type CallConfig struct {
 	Faults *fabric.FaultPlan
 }
 
+// backoffMax caps the exponential backoff between retries.
+const backoffMax = 2 * time.Second
+
 // DefaultCallConfig returns the production policy: modest retries with
 // jittered exponential backoff, a small warm-connection pool, and a breaker
 // that fails fast after a run of failures.
@@ -65,7 +65,6 @@ func DefaultCallConfig() CallConfig {
 		CallTimeout:      60 * time.Second,
 		Attempts:         3,
 		BackoffBase:      25 * time.Millisecond,
-		BackoffMax:       2 * time.Second,
 		PoolSize:         4,
 		BreakerThreshold: 5,
 		BreakerCooldown:  5 * time.Second,
@@ -87,9 +86,6 @@ func (c CallConfig) withDefaults() CallConfig {
 	if c.BackoffBase <= 0 {
 		c.BackoffBase = d.BackoffBase
 	}
-	if c.BackoffMax <= 0 {
-		c.BackoffMax = d.BackoffMax
-	}
 	if c.PoolSize <= 0 {
 		c.PoolSize = d.PoolSize
 	}
@@ -107,8 +103,8 @@ func (c CallConfig) withDefaults() CallConfig {
 // backoff returns the jittered sleep before retry attempt (1-based).
 func (c CallConfig) backoff(attempt int) time.Duration {
 	d := c.BackoffBase << (attempt - 1)
-	if d > c.BackoffMax || d <= 0 {
-		d = c.BackoffMax
+	if d > backoffMax || d <= 0 {
+		d = backoffMax
 	}
 	// ±50% jitter decorrelates concurrent retriers.
 	f := 0.5 + rand.Float64()
@@ -214,18 +210,6 @@ func (cl *client) BreakerStates() map[object.SiteID]string {
 	for site, b := range cl.breakers {
 		out[site] = b.State()
 	}
-	return out
-}
-
-// UnavailablePeers lists the peers whose breaker is currently open, sorted.
-func (cl *client) UnavailablePeers() []object.SiteID {
-	var out []object.SiteID
-	for site, state := range cl.BreakerStates() {
-		if state == BreakerOpen {
-			out = append(out, site)
-		}
-	}
-	slices.Sort(out)
 	return out
 }
 

@@ -98,7 +98,7 @@ func TestClusterProfileCoversAllSites(t *testing.T) {
 			t.Errorf("%v: no phase attribution", alg)
 		}
 
-		data, err := p.ChromeTrace()
+		data, err := json.Marshal(p.ChromeTrace())
 		if err != nil {
 			t.Fatalf("%v: ChromeTrace: %v", alg, err)
 		}
@@ -139,7 +139,7 @@ func TestClusterSiteRecorders(t *testing.T) {
 	}
 	for site, srv := range servers {
 		eventually(t, fmt.Sprintf("site %s to record a profile for a CA query", site), func() bool {
-			return srv.cfg.Recorder.Recorded() > 0
+			return srv.cfg.Recorder.Last() != nil
 		})
 		p := srv.cfg.Recorder.Last()
 		if p == nil || p.ID == "" {

@@ -14,7 +14,6 @@ package schema
 import (
 	"fmt"
 	"sort"
-	"strings"
 
 	"github.com/hetfed/hetfed/internal/object"
 )
@@ -179,49 +178,6 @@ func (s *Schema) Validate() error {
 	return nil
 }
 
-// ResolvePath walks a path expression (attribute names) starting at the
-// given class and returns the attribute reached by the final step. Every
-// step but the last must be a complex attribute.
-func (s *Schema) ResolvePath(class string, path []string) (Attribute, error) {
-	return resolvePath(class, path, func(name string) attrLooker {
-		if c := s.classes[name]; c != nil {
-			return c
-		}
-		return nil
-	})
-}
-
-type attrLooker interface {
-	Attr(name string) (Attribute, bool)
-}
-
-func resolvePath(class string, path []string, look func(string) attrLooker) (Attribute, error) {
-	if len(path) == 0 {
-		return Attribute{}, fmt.Errorf("empty path on class %s", class)
-	}
-	cur := class
-	for i, step := range path {
-		c := look(cur)
-		if c == nil {
-			return Attribute{}, fmt.Errorf("path %s: unknown class %q", strings.Join(path, "."), cur)
-		}
-		a, ok := c.Attr(step)
-		if !ok {
-			return Attribute{}, fmt.Errorf("path %s: class %s has no attribute %q",
-				strings.Join(path, "."), cur, step)
-		}
-		if i == len(path)-1 {
-			return a, nil
-		}
-		if !a.IsComplex() {
-			return Attribute{}, fmt.Errorf("path %s: attribute %s.%s is primitive but is not the last step",
-				strings.Join(path, "."), cur, step)
-		}
-		cur = a.Domain
-	}
-	panic("unreachable")
-}
-
 // Constituent identifies one constituent class of a global class.
 type Constituent struct {
 	Site  object.SiteID
@@ -325,47 +281,6 @@ func (g *Global) GlobalFor(site object.SiteID, localClass string) *GlobalClass {
 		return nil
 	}
 	return g.classes[name]
-}
-
-// ResolvePath walks a path expression through the global composition
-// hierarchy, returning the attribute reached by the final step.
-func (g *Global) ResolvePath(class string, path []string) (Attribute, error) {
-	return resolvePath(class, path, func(name string) attrLooker {
-		if c := g.classes[name]; c != nil {
-			return c
-		}
-		return nil
-	})
-}
-
-// PathClasses returns the classes visited by a path expression, starting
-// with the range class itself; for a path ending in a primitive attribute
-// the result has one entry per complex step plus the range class.
-func (g *Global) PathClasses(class string, path []string) ([]string, error) {
-	out := []string{class}
-	cur := class
-	for i, step := range path {
-		c := g.classes[cur]
-		if c == nil {
-			return nil, fmt.Errorf("unknown global class %q", cur)
-		}
-		a, ok := c.Attr(step)
-		if !ok {
-			return nil, fmt.Errorf("class %s has no attribute %q", cur, step)
-		}
-		if i == len(path)-1 {
-			if a.IsComplex() {
-				out = append(out, a.Domain)
-			}
-			break
-		}
-		if !a.IsComplex() {
-			return nil, fmt.Errorf("attribute %s.%s is primitive mid-path", cur, step)
-		}
-		cur = a.Domain
-		out = append(out, cur)
-	}
-	return out, nil
 }
 
 // Correspondence declares that the listed constituent classes all represent

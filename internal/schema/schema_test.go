@@ -145,29 +145,6 @@ func TestSchemaValidate(t *testing.T) {
 	}
 }
 
-func TestSchemaResolvePath(t *testing.T) {
-	s := db1Schema()
-	a, err := s.ResolvePath("Student", []string{"advisor", "department", "name"})
-	if err != nil {
-		t.Fatalf("ResolvePath: %v", err)
-	}
-	if a.IsComplex() || a.Prim != object.KindString {
-		t.Errorf("resolved attribute = %+v", a)
-	}
-	if _, err := s.ResolvePath("Student", []string{"name", "x"}); err == nil {
-		t.Error("primitive mid-path accepted")
-	}
-	if _, err := s.ResolvePath("Student", []string{"nope"}); err == nil {
-		t.Error("unknown attribute accepted")
-	}
-	if _, err := s.ResolvePath("Nope", []string{"a"}); err == nil {
-		t.Error("unknown class accepted")
-	}
-	if _, err := s.ResolvePath("Student", nil); err == nil {
-		t.Error("empty path accepted")
-	}
-}
-
 func TestIntegrateSchoolAttributeUnion(t *testing.T) {
 	g := schoolGlobal(t)
 
@@ -250,36 +227,6 @@ func TestGlobalForAndDomainRewrite(t *testing.T) {
 	a, _ := g.Class("Student").Attr("advisor")
 	if a.Domain != "Teacher" {
 		t.Errorf("advisor domain = %s", a.Domain)
-	}
-}
-
-func TestGlobalResolvePathAndPathClasses(t *testing.T) {
-	g := schoolGlobal(t)
-	a, err := g.ResolvePath("Student", []string{"advisor", "speciality"})
-	if err != nil {
-		t.Fatalf("ResolvePath: %v", err)
-	}
-	if a.Prim != object.KindString {
-		t.Errorf("attribute = %+v", a)
-	}
-	cls, err := g.PathClasses("Student", []string{"advisor", "department", "name"})
-	if err != nil {
-		t.Fatalf("PathClasses: %v", err)
-	}
-	want := []string{"Student", "Teacher", "Department"}
-	if !reflect.DeepEqual(cls, want) {
-		t.Errorf("PathClasses = %v, want %v", cls, want)
-	}
-	cls, err = g.PathClasses("Student", []string{"advisor"})
-	if err != nil {
-		t.Fatalf("PathClasses(advisor): %v", err)
-	}
-	want = []string{"Student", "Teacher"}
-	if !reflect.DeepEqual(cls, want) {
-		t.Errorf("PathClasses(advisor) = %v, want %v", cls, want)
-	}
-	if _, err := g.PathClasses("Student", []string{"name", "x"}); err == nil {
-		t.Error("primitive mid-path accepted")
 	}
 }
 

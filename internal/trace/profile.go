@@ -8,9 +8,7 @@ package trace
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
-	"fmt"
 	"sort"
 	"time"
 
@@ -57,9 +55,8 @@ type Profile struct {
 	Unavailable []string `json:"unavailable,omitempty"`
 	// Sites are the sites the query's spans touched, sorted.
 	Sites []object.SiteID `json:"sites"`
-	// Phases is the measured site × phase time attribution. A span tagged
-	// with several phases ("PO") contributes its full duration to each — the
-	// phases are not separable at the site (same rule as phase_time_us).
+	// Phases is the measured site × phase time attribution, one
+	// Span.PhaseMicros observation per phase letter — as phase_time_us.
 	Phases *cost.Breakdown `json:"phases"`
 	// Counters aggregates the spans' named counters (rows, items,
 	// bytes_shipped, sent/recv_bytes, …) plus recorder-added per-query
@@ -135,13 +132,7 @@ func BuildProfile(qid, alg string, spans []Span) *Profile {
 			DiskBytes: s.Counters["disk_bytes"],
 			CPUOps:    s.Counters["cpu_ops"],
 		})
-		// Phase attribution: one histogram-equivalent observation per phase
-		// letter, runtime clock preferred (the DES wall time is meaningless).
-		if s.Phases != "" && !s.End.IsZero() {
-			d := s.VDurationMicros()
-			if d < 0 {
-				d = s.DurationMicros()
-			}
+		if d, ok := s.PhaseMicros(); ok {
 			for _, ph := range s.Phases {
 				p.Phases.Add(string(s.Site), string(ph), d)
 			}
@@ -231,14 +222,17 @@ type chromeEvent struct {
 	Args map[string]any `json:"args,omitempty"`
 }
 
-// ChromeTrace exports the profile as Chrome trace-event JSON: one "process"
-// per site, spans as complete ("X") events, greedily packed onto
-// non-overlapping lanes per site. Load the output in chrome://tracing or
-// https://ui.perfetto.dev.
-func (p *Profile) ChromeTrace() ([]byte, error) {
-	if p == nil {
-		return nil, fmt.Errorf("trace: nil profile")
-	}
+// ChromeDoc is a profile in Chrome's trace-event form (the traceEvents
+// object understood by chrome://tracing and https://ui.perfetto.dev).
+type ChromeDoc struct {
+	TraceEvents     []chromeEvent `json:"traceEvents"`
+	DisplayTimeUnit string        `json:"displayTimeUnit"`
+}
+
+// ChromeTrace exports the profile as a Chrome trace-event document: one
+// "process" per site, spans as complete ("X") events, greedily packed onto
+// non-overlapping lanes per site.
+func (p *Profile) ChromeTrace() ChromeDoc {
 	pids := make(map[object.SiteID]int, len(p.Sites))
 	for i, site := range p.Sites {
 		pids[site] = i + 1
@@ -296,9 +290,5 @@ func (p *Profile) ChromeTrace() ([]byte, error) {
 			Ts: ts, Dur: dur, Pid: pids[s.Site], Tid: tid, Args: args,
 		})
 	}
-	doc := struct {
-		TraceEvents     []chromeEvent `json:"traceEvents"`
-		DisplayTimeUnit string        `json:"displayTimeUnit"`
-	}{events, "ms"}
-	return json.MarshalIndent(doc, "", " ")
+	return ChromeDoc{events, "ms"}
 }

@@ -189,14 +189,9 @@ func TestImportClosedReplacesOpen(t *testing.T) {
 }
 
 func TestChromeTrace(t *testing.T) {
-	var nilP *Profile
-	if _, err := nilP.ChromeTrace(); err == nil {
-		t.Error("nil profile exported without error")
-	}
-
 	_, spans := buildQuerySpans(t)
 	p := BuildProfile("q1", "PL", spans)
-	data, err := p.ChromeTrace()
+	data, err := json.Marshal(p.ChromeTrace())
 	if err != nil {
 		t.Fatalf("ChromeTrace: %v", err)
 	}

@@ -1,6 +1,7 @@
 // Package trace records what a query execution did and where: hierarchical,
 // query-scoped spans (which site ran which algorithm step of which phase,
-// for how long) plus the flat per-site step flow of the paper's Figure 8.
+// for how long), rendered as a tree or as the flat per-site step flow of the
+// paper's Figure 8.
 //
 // The span model maps onto the paper's three processing phases:
 //
@@ -14,10 +15,6 @@
 // runtime's own clock (virtual microseconds on the simulated runtime, run-
 // relative microseconds on the real runtime), so the same renderers serve
 // live clusters and simulation studies.
-//
-// The flat Step/Events/Render API is kept intact on top of the span store:
-// Step records an instant span, Events derives the classic event list, and
-// Render lays the steps out per site (Figure 8's executing flows).
 package trace
 
 import (
@@ -31,16 +28,6 @@ import (
 
 	"github.com/hetfed/hetfed/internal/object"
 )
-
-// Event is one recorded algorithm step (the flat Figure-8 view of a span).
-type Event struct {
-	// Seq is the global record order across all sites — the cross-site
-	// ordering of the execution.
-	Seq    int
-	Site   object.SiteID
-	Step   string
-	Detail string
-}
 
 // SpanID identifies a span within (at least) one tracer. ID 0 means "no
 // span" and is used as the parent of root spans.
@@ -78,7 +65,8 @@ type Span struct {
 	// Empty for control steps.
 	Phases string
 	Detail string
-	// Seq is the global record order (shared with the derived Events).
+	// Seq is the global record order across all sites — the cross-site
+	// ordering of the execution.
 	Seq int
 	// Start and End are wall-clock timestamps; End is zero while the span
 	// is open.
@@ -111,10 +99,20 @@ func (s Span) VDurationMicros() float64 {
 	return s.VEnd - s.VStart
 }
 
-// HasPhase reports whether the span performs the given phase (one of 'O',
-// 'I', 'P').
-func (s Span) HasPhase(phase byte) bool {
-	return strings.IndexByte(s.Phases, phase) >= 0
+// PhaseMicros is what a closed, phase-tagged span contributes to each phase
+// it performs: its duration on the runtime's clock when one was attached
+// (under the DES the wall time is meaningless), on the wall clock otherwise.
+// A multi-phase span ("PO") contributes it in full to each letter — the
+// phases are not separable at the site. ok is false for control steps and
+// open spans.
+func (s Span) PhaseMicros() (d float64, ok bool) {
+	if s.Phases == "" || s.End.IsZero() {
+		return 0, false
+	}
+	if d = s.VDurationMicros(); d < 0 {
+		d = s.DurationMicros()
+	}
+	return d, true
 }
 
 // Tracer collects spans. It is safe for concurrent use (sites execute in
@@ -185,14 +183,6 @@ func (t *Tracer) dropOldestLocked() {
 	for i, s := range t.spans {
 		t.index[s.ID] = i
 	}
-}
-
-// Step records one instant algorithm step at a site — the classic flat
-// Figure-8 entry, kept for existing call sites.
-func (t *Tracer) Step(site object.SiteID, step, detail string) {
-	h := t.StartSpan(0, site, step)
-	h.Detailf("%s", detail)
-	h.End()
 }
 
 // Spans returns a copy of the recorded spans in record order.
@@ -278,19 +268,6 @@ func (t *Tracer) Import(spans []Span) {
 		}
 		t.index[s.ID] = len(t.spans) - 1
 	}
-}
-
-// Events returns the flat event view of the recorded spans in record order.
-func (t *Tracer) Events() []Event {
-	spans := t.Spans()
-	if len(spans) == 0 {
-		return nil
-	}
-	events := make([]Event, len(spans))
-	for i, s := range spans {
-		events[i] = Event{Seq: s.Seq, Site: s.Site, Step: s.Name, Detail: s.Detail}
-	}
-	return events
 }
 
 // Reset clears the tracer.
@@ -383,10 +360,10 @@ func (h Handle) EndV(v float64) {
 // steps across sites (per-site numbering used to reuse the global sequence,
 // which left gappy, racy-looking numbers in each column).
 func (t *Tracer) Render() string {
-	events := t.Events()
+	spans := t.Spans()
 	siteSet := make(map[object.SiteID]bool)
-	for _, e := range events {
-		siteSet[e.Site] = true
+	for _, s := range spans {
+		siteSet[s.Site] = true
 	}
 	sites := make([]object.SiteID, 0, len(siteSet))
 	for s := range siteSet {
@@ -398,12 +375,12 @@ func (t *Tracer) Render() string {
 	for _, site := range sites {
 		fmt.Fprintf(&b, "%s:\n", site)
 		n := 0
-		for _, e := range events {
-			if e.Site != site {
+		for _, s := range spans {
+			if s.Site != site {
 				continue
 			}
 			n++
-			fmt.Fprintf(&b, "  %2d. %-10s %s  [g%d]\n", n, e.Step, e.Detail, e.Seq)
+			fmt.Fprintf(&b, "  %2d. %-10s %s  [g%d]\n", n, s.Name, s.Detail, s.Seq)
 		}
 	}
 	return b.String()

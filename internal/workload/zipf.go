@@ -56,18 +56,6 @@ func (z *Zipf) Next() int {
 	return i
 }
 
-// Prob returns the sampler's probability of rank k (diagnostics and
-// goodness-of-fit tests).
-func (z *Zipf) Prob(k int) float64 {
-	if k < 0 || k >= len(z.cum) {
-		return 0
-	}
-	if k == 0 {
-		return z.cum[0]
-	}
-	return z.cum[k] - z.cum[k-1]
-}
-
 // Arrivals returns n open-loop arrival offsets from time zero at a mean
 // rate of ratePerSec arrivals per second, with exponentially distributed
 // inter-arrival times (a Poisson process) — the open-loop load shape where

@@ -49,7 +49,7 @@ func TestZipfSkew(t *testing.T) {
 		}
 		chi2 := 0.0
 		for k := 0; k < n; k++ {
-			exp := z.Prob(k) * draws
+			exp := z.prob(k) * draws
 			if exp == 0 {
 				continue
 			}
@@ -69,7 +69,7 @@ func TestZipfSkew(t *testing.T) {
 					theta, counts[0], n/2, counts[n/2])
 			}
 			share := float64(counts[0]) / draws
-			if want := z.Prob(0); share < want*0.9 || share > want*1.1 {
+			if want := z.prob(0); share < want*0.9 || share > want*1.1 {
 				t.Errorf("theta=%.1f: rank-0 share %.3f, want within 10%% of %.3f",
 					theta, share, want)
 			}
@@ -78,7 +78,7 @@ func TestZipfSkew(t *testing.T) {
 	// Uniform check for theta = 0.
 	z := NewZipf(rand.New(rand.NewSource(1)), 4, 0)
 	for k := 0; k < 4; k++ {
-		if p := z.Prob(k); p < 0.249 || p > 0.251 {
+		if p := z.prob(k); p < 0.249 || p > 0.251 {
 			t.Errorf("theta=0: Prob(%d) = %.4f, want 0.25", k, p)
 		}
 	}
@@ -94,7 +94,7 @@ func TestZipfEdgeCases(t *testing.T) {
 			t.Fatalf("single-rank sampler drew %d", got)
 		}
 	}
-	if z.Prob(-1) != 0 || z.Prob(1) != 0 {
+	if z.prob(-1) != 0 || z.prob(1) != 0 {
 		t.Error("out-of-range Prob should be 0")
 	}
 }
@@ -127,4 +127,15 @@ func TestArrivals(t *testing.T) {
 			t.Errorf("rate 0: offset[%d] = %v, want 0", i, off)
 		}
 	}
+}
+
+// prob returns the sampler's probability of rank k (goodness-of-fit tests).
+func (z *Zipf) prob(k int) float64 {
+	if k < 0 || k >= len(z.cum) {
+		return 0
+	}
+	if k == 0 {
+		return z.cum[0]
+	}
+	return z.cum[k] - z.cum[k-1]
 }

@@ -2,9 +2,10 @@
 # check.sh — the repository's verification gate: formatting, vet, the
 # one-orchestration, one-report-envelope, one-codec, one-check-path,
 # one-replica, one-repair-path, one-experiment-harness, work-runs-where-it-is,
-# one-identity-index and one-metric-catalog structural guards, build, unit tests, the full test
-# suite under the race detector, the benchmark module's vet and tests, a
-# one-shot compile-and-run smoke of the overhead and allocation benchmarks,
+# one-identity-index, said-once and one-metric-catalog structural guards, build,
+# unit tests, the full test suite under the race detector, the benchmark
+# module's vet and tests, a one-shot compile-and-run smoke of the overhead and
+# allocation benchmarks,
 # and a short fuzz budget for every decoder that reads bytes off a socket or
 # disk and every grammar a command line feeds.
 #
@@ -84,7 +85,7 @@ if grep -rnE 'BatchConfig|kindCheckBatch|LookupCache|ServingSpec|siteOpts|coordO
     guard_failed=1
 fi
 # One mapping-table replica (internal/remote/replica.go, DESIGN.md section
-# 14): replica.apply is the one place a binding is logged, bound and folded
+# 13): replica.apply is the one place a binding is logged, bound and folded
 # into the digest, so outside the packages that define those operations each
 # has one non-test site; the digest hook, the closure struct and the
 # per-owner copies of the rule it replaced stay gone, as do the index option
@@ -99,7 +100,7 @@ for pat in '[tT]racker(\(\))?\.Observe\(' '\.LogBind\('; do
         --exclude-dir=benchmark --exclude-dir=.bench_build \
         --exclude-dir=antientropy --exclude-dir=store . | grep -vE '^[^:]+:[0-9]+:[[:space:]]*//' || true)"
 done
-# One repair path (DESIGN.md section 14, EXPERIMENTS.md E23): a replica that
+# One repair path (DESIGN.md section 13, EXPERIMENTS.md E23): a replica that
 # missed bindings converges through its digest exchange and nothing else. The
 # pending-delta queue, the log-replay rebuild, the per-peer maintenance locks
 # and the log's replay API stay gone, in tests or otherwise; outside tests a
@@ -166,6 +167,26 @@ if grep -nE '\.GOidOf\(' internal/federation/*.go | grep -v '_test\.go:'; then
 fi
 want_one 'func (co *Coordinator) merge' \
     "$(grep -rn 'func (co \*Coordinator) merge' --include='*.go' --exclude-dir=.bench_build . || true)"
+# Said once (DESIGN.md section 6, EXPERIMENTS.md E27): the observability stack
+# has one definition per derived measure, objective, health rule, renderer,
+# fetcher and exposition. The healthy-state rule is spelled in obs.Healthy and
+# nowhere else; the second objective language, the flat event model, the expvar
+# exposition and hetserve's second listing-row builder stay gone, in tests or
+# otherwise; and a body read off the observability surface is limited in one
+# place, obs.FetchJSON.
+want_one 'HasPrefix(…, "ok(")' "$(grep -rnE 'HasPrefix\([a-z.]+, "ok\("' --include='*.go' --exclude='*_test.go' \
+    --exclude-dir=benchmark --exclude-dir=.bench_build . || true)"
+if grep -rnE 'expvar|EvaluateSLO|bench\.SLO|trace\.Event\b|profileSummaries' \
+    --include='*.go' --exclude-dir=benchmark --exclude-dir=.bench_build .; then
+    echo "a second copy the observability stack deleted is back (see EXPERIMENTS.md E27)" >&2
+    guard_failed=1
+fi
+want_one 'io.LimitReader under internal/obs' \
+    "$(grep -rl 'io\.LimitReader' --include='*.go' --exclude='*_test.go' internal/obs || true)"
+if grep -rn 'io\.LimitReader' --include='*.go' --exclude='*_test.go' internal/metrics cmd/hetops; then
+    echo "internal/metrics or cmd/hetops reads an HTTP body itself; fetch through obs.FetchJSON" >&2
+    guard_failed=1
+fi
 # One metric catalog: every series non-test code emits has a row in the table
 # of DESIGN.md section 6.
 catalog="$(sed -n '/^## 6\. /,/^## 7\. /p' DESIGN.md)"
@@ -222,12 +243,13 @@ go test -run - -bench 'BenchmarkGmap' -benchtime 1x ./internal/gmap/
 # Every decoder fed from a socket or a disk gets a short fuzz budget on top
 # of its committed seed corpus (testdata/fuzz/): no panic, no allocation
 # beyond a constant multiple of the input, re-encoding is a fixed point. So
-# do the two grammars fed from a command line: no panic, an accepted fault
-# spec builds a plan, an accepted query's rendering parses back to itself.
+# do the three grammars fed from a command line: no panic, an accepted fault
+# spec builds a plan, an accepted query's or SLO rule's rendering parses back
+# to itself.
 echo "== fuzz (10s per target)"
 for target in ./internal/remote:FuzzDecodeRequest ./internal/remote:FuzzDecodeResponse \
     ./internal/object:FuzzDecodeObject ./internal/fabric:FuzzParseFaults \
-    ./internal/query:FuzzParseQuery; do
+    ./internal/query:FuzzParseQuery ./internal/obs/slo:FuzzParseRule; do
     go test -run '^$' -fuzz "^${target#*:}\$" -fuzztime 10s "${target%%:*}"
 done
 
