@@ -147,13 +147,15 @@ func TestPublicAPIWorkflow(t *testing.T) {
 		}
 	}
 
-	// The planner produces estimates for the paper's strategies.
-	cat := hetfed.BuildCatalog(global, dbs, tables)
-	if got := hetfed.ChooseStrategy(cat, b, hetfed.DefaultRates()); got == 0 {
-		t.Error("planner chose nothing")
-	}
-	if ests := hetfed.EstimateStrategies(cat, b, hetfed.DefaultRates()); len(ests) != 3 {
+	// The planner produces estimates for the paper's strategies and picks
+	// the cheapest.
+	sel := hetfed.NewSelector(hetfed.BuildCatalog(global, dbs, tables), "HQ", nil)
+	ests := sel.Estimate(b)
+	if len(ests) != 3 {
 		t.Errorf("estimates = %v", ests)
+	}
+	if got := sel.Select(b); got == 0 {
+		t.Error("planner chose nothing")
 	}
 
 	// JSON round trip preserves answers.

@@ -10,7 +10,7 @@
 //	hetql -query 'select name from Student where age > 25'
 //	hetql -show                        # print the federation's contents
 //	hetql -export > my.json            # dump the federation as JSON
-//	hetql -fed my.json -alg auto       # query a JSON-defined federation
+//	hetql -fed my.json -explain        # query a JSON-defined federation with the planner's choice
 //	hetql -fault kill:DB3              # degrade: kill DB3, partial answer
 //	hetql -fault delay:DB2:5ms         # wedge DB2 by 5ms per operation
 //	hetql -explain                     # EXPLAIN ANALYZE: predicted vs measured
@@ -29,11 +29,9 @@ import (
 	"sort"
 	"strings"
 
-	"github.com/hetfed/hetfed/internal/adapt"
 	"github.com/hetfed/hetfed/internal/cost"
 	"github.com/hetfed/hetfed/internal/exec"
 	"github.com/hetfed/hetfed/internal/fabric"
-	"github.com/hetfed/hetfed/internal/federation"
 	"github.com/hetfed/hetfed/internal/fedfile"
 	"github.com/hetfed/hetfed/internal/gmap"
 	"github.com/hetfed/hetfed/internal/metrics"
@@ -61,7 +59,7 @@ func run(args []string) error {
 	fs := flag.NewFlagSet("hetql", flag.ContinueOnError)
 	var (
 		queryText   = fs.String("query", school.Q1, "global query (SQL/X-like)")
-		algName     = fs.String("alg", "all", "strategy: CA, BL, PL, SBL, SPL, auto (planner), adaptive (calibrating selector), or all")
+		algName     = fs.String("alg", "all", "strategy: CA, BL, PL, SBL, SPL, adaptive (calibrating selector; its first choice is the Table 1 planner's), or all")
 		repeat      = fs.Int("repeat", 1, "run the query this many times per strategy (lets -alg adaptive calibrate)")
 		showTrace   = fs.Bool("trace", false, "print the executed step flow (Figure 8) and the span tree")
 		showMetrics = fs.Bool("metrics", false, "print each strategy's metrics (snapshot delta)")
@@ -166,24 +164,19 @@ func run(args []string) error {
 		return err
 	}
 
-	// -explain without an explicit single strategy runs the planner's choice,
-	// like -alg auto.
-	useAuto := strings.EqualFold(*algName, "auto") ||
-		(*explain && strings.EqualFold(*algName, "all"))
+	// -explain without an explicit single strategy runs the planner's choice.
+	planned := *explain && strings.EqualFold(*algName, "all")
 	adaptive := strings.EqualFold(*algName, exec.Adaptive.String())
 
-	// One catalog build serves planning, the EXPLAIN baseline, and the
-	// adaptive selector alike.
-	var (
-		ests     []planner.Estimate
-		selector *adapt.Selector
-	)
-	if useAuto || *explain || adaptive {
+	// One catalog build serves the EXPLAIN baseline and the adaptive selector
+	// alike. The baseline is a selector that never observes a query, so it
+	// prices every site at Table 1's rates.
+	var table1, selector *planner.Selector
+	if *explain || adaptive {
 		cat := planner.BuildCatalog(global, databases, tables)
-		ests = planner.Estimates(cat, b, fabric.DefaultRates())
+		table1 = planner.NewSelector(cat, "G", nil)
 		if adaptive {
-			selector = adapt.NewSelector(cat,
-				adapt.NewCalibrator(adapt.Config{Coordinator: "G"}), nil)
+			selector = planner.NewSelector(cat, "G", nil)
 		}
 	}
 
@@ -217,10 +210,10 @@ func run(args []string) error {
 
 	var algs []exec.Algorithm
 	switch {
-	case useAuto:
-		chosen := planner.ChooseFrom(ests).Alg
+	case planned:
+		chosen := table1.Select(b)
 		fmt.Printf("planner chose %v:\n", chosen)
-		for _, est := range ests {
+		for _, est := range table1.LastDecision().Estimates {
 			fmt.Printf("  %-3v predicted response %8.2f ms, total %8.2f ms\n",
 				est.Alg, est.ResponseMicros/1e3, est.TotalMicros/1e3)
 		}
@@ -256,8 +249,7 @@ func run(args []string) error {
 			if *repeat > 1 {
 				header = fmt.Sprintf("%s (run %d/%d)", header, run+1, *repeat)
 			}
-			fmt.Printf("\n=== %s ===\n", header)
-			printAnswer(ans, b)
+			fmt.Printf("\n=== %s ===\n%s", header, ans.Text(b))
 			fmt.Printf("simulated: response %.2f ms, total execution %.2f ms "+
 				"(disk %d B, cpu %d ops, net %d B)\n",
 				m.ResponseMicros/1e3, m.TotalBusyMicros/1e3, m.DiskBytes, m.CPUOps, m.NetBytes)
@@ -268,7 +260,7 @@ func run(args []string) error {
 						calibrated = d.Estimates
 					}
 				}
-				printExplain(ests, calibrated, executed, rec.Last())
+				printExplain(table1.Estimate(b), calibrated, executed, rec.Last())
 			}
 			if *showTrace {
 				fmt.Println("\nstep flow:")
@@ -346,15 +338,12 @@ func printExplain(table1, calibrated []planner.Estimate, alg exec.Algorithm, p *
 		fmt.Printf("%s: response %.3f ms, total %.3f ms\n",
 			predictedLabel, est.ResponseMicros/1e3, est.TotalMicros/1e3)
 		predicted = est.Details
-		predicted.Relabel(planner.CoordSite, "G")
 	}
 	labels, bds = append(labels, predictedLabel), append(bds, predicted)
 	if est := estimateFor(calibrated, alg); est != nil {
 		fmt.Printf("calibrated: response %.3f ms, total %.3f ms\n",
 			est.ResponseMicros/1e3, est.TotalMicros/1e3)
-		cb := est.Details
-		cb.Relabel(planner.CoordSite, "G")
-		labels, bds = append(labels, "calibrated"), append(bds, cb)
+		labels, bds = append(labels, "calibrated"), append(bds, est.Details)
 	}
 	var measured *cost.Breakdown
 	if p != nil {
@@ -386,33 +375,6 @@ func pickAlgorithms(name string) ([]exec.Algorithm, error) {
 		return nil, err
 	}
 	return []exec.Algorithm{alg}, nil
-}
-
-func printAnswer(ans *federation.Answer, b *query.Bound) {
-	if ans.Interrupted() {
-		fmt.Printf("INTERRUPTED (%s): sound partial answer\n", ans.Outcome)
-	}
-	if ans.Degraded {
-		fmt.Printf("DEGRADED: partial answer, %d site(s) unavailable:\n", len(ans.Unavailable))
-		for _, f := range ans.Unavailable {
-			fmt.Printf("  %s: %s\n", f.Site, f.Reason)
-		}
-	}
-	fmt.Printf("certain results (%d):\n", len(ans.Certain))
-	for _, r := range ans.Certain {
-		fmt.Printf("  %s\n", r)
-	}
-	fmt.Printf("maybe results (%d):\n", len(ans.Maybe))
-	for _, r := range ans.Maybe {
-		fmt.Printf("  %s\n", r)
-		if len(r.Unknown) > 0 {
-			var parts []string
-			for _, i := range r.Unknown {
-				parts = append(parts, b.Preds[i].Predicate().String())
-			}
-			fmt.Printf("    unknown: %s\n", strings.Join(parts, "; "))
-		}
-	}
 }
 
 func printCatalog(global *schema.Global, databases map[object.SiteID]*store.Database, tables *gmap.Tables) {

@@ -95,13 +95,41 @@ func TestTraceURL(t *testing.T) {
 	}
 }
 
-func TestRunAuto(t *testing.T) {
-	out, err := capture(t, func() error { return run([]string{"-alg", "auto"}) })
+// TestRunAdaptiveExplain: the adaptive selector's first choice is the Table 1
+// planner's, so on its first run the table1 and calibrated columns agree;
+// every run's EXPLAIN lays the three columns side by side, coordinator work
+// filed under G.
+func TestRunAdaptiveExplain(t *testing.T) {
+	out, err := capture(t, func() error { return run([]string{"-alg", "adaptive", "-explain", "-repeat", "2"}) })
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
-	if !strings.Contains(out, "planner chose") {
-		t.Errorf("output missing planner line:\n%s", out)
+	for _, want := range []string{"=== adaptive → PL (run 1/2) ===", "(run 2/2) ==="} {
+		if !strings.Contains(out, want) {
+			t.Errorf("output missing %q:\n%s", want, out)
+		}
+	}
+	if got := strings.Count(out, "site     phase     table1(ms) calibrated(ms)   measured(ms)\n"); got != 2 {
+		t.Errorf("%d three-column EXPLAIN tables, want 2:\n%s", got, out)
+	}
+	first, _, _ := strings.Cut(out, "(run 2/2)")
+	if !strings.Contains(first, "G        I              5.879          5.879") {
+		t.Errorf("first run: the coordinator's row is not the same under table1 and calibrated:\n%s", first)
+	}
+	if strings.Contains(out, "coord ") {
+		t.Errorf("coordinator work filed under a placeholder:\n%s", out)
+	}
+}
+
+func TestRunExplainRunsThePlannersChoice(t *testing.T) {
+	out, err := capture(t, func() error { return run([]string{"-explain"}) })
+	if err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	for _, want := range []string{"planner chose PL:", "=== PL ===", "site     phase  predicted(ms)   measured(ms)\n"} {
+		if !strings.Contains(out, want) {
+			t.Errorf("output missing %q:\n%s", want, out)
+		}
 	}
 }
 
@@ -136,8 +164,10 @@ func TestRunExportAndReload(t *testing.T) {
 }
 
 func TestRunErrors(t *testing.T) {
-	if _, err := capture(t, func() error { return run([]string{"-alg", "NOPE"}) }); err == nil {
-		t.Error("bad algorithm accepted")
+	for _, alg := range []string{"NOPE", "auto"} {
+		if _, err := capture(t, func() error { return run([]string{"-alg", alg}) }); err == nil {
+			t.Errorf("algorithm %q accepted", alg)
+		}
 	}
 	if _, err := capture(t, func() error { return run([]string{"-query", "not a query"}) }); err == nil {
 		t.Error("bad query accepted")

@@ -39,20 +39,21 @@
 // availability >= 0.67"). cmd/hetops renders the same three endpoints as
 // a live terminal dashboard.
 //
-// Fault-tolerance policy flags (both modes): -retries, -retry-backoff,
-// -call-timeout, -dial-timeout, -pool, -breaker-failures,
-// -breaker-cooldown. A coordinator queried against a partially-down
-// cluster returns a degraded partial answer instead of failing: results
-// that depended on the dead site are reported as maybe.
+// Outbound calls (both modes) follow remote.DefaultCallConfig — three tries
+// with jittered backoff, four pooled connections per peer, a breaker that
+// opens after five consecutive failures and probes again after 5s — with
+// -call-timeout and -dial-timeout adjustable. A coordinator queried against
+// a partially-down cluster returns a degraded partial answer instead of
+// failing: results that depended on the dead site are reported as maybe.
 //
 // Deadlines and overload: -deadline budgets each coordinator query end to
 // end — the remaining budget travels with every request, sites abort
 // over-budget work mid-phase, and the query returns its sound partial
 // answer instead of an error; ctrl-C cancels in-flight queries the same
-// way. Sites protect themselves with -max-frame (oversized request
-// frames), -idle-timeout (dead-client connection reaping) and
-// -write-timeout (wedged readers). -fault injects faults for resilience
-// drills, in the grammar hetql and hetbench share (fabric.ParseFaults):
+// way. Sites refuse request frames over 8 MiB, reap connections idle for 5
+// minutes, and drop wedged readers after -write-timeout. -fault injects
+// faults for resilience drills, in the grammar hetql and hetbench share
+// (fabric.ParseFaults):
 // "delay:3m" stalls every operation served here, "kill" answers every
 // non-ping request with site-unavailable, "cut:DB2" cuts this process's
 // links to DB2 in both directions; terms are comma-separated.
@@ -65,7 +66,9 @@
 // disagrees with the quorum or sits on the minority side of a partition).
 //
 // To drive load — concurrent clients, throughput and latency distributions —
-// use `hetbench run -runtimes live -clients N`, the one load generator.
+// use `hetbench run -runtimes live -clients N`, the one load generator. It
+// starts its own site servers and coordinator in process for every cell; it
+// does not drive a cluster started with hetserve.
 package main
 
 import (
@@ -81,7 +84,6 @@ import (
 	"syscall"
 	"time"
 
-	"github.com/hetfed/hetfed/internal/adapt"
 	"github.com/hetfed/hetfed/internal/exec"
 	"github.com/hetfed/hetfed/internal/fabric"
 	"github.com/hetfed/hetfed/internal/fedfile"
@@ -151,24 +153,16 @@ func (c *cmdline) parse(args []string) error {
 	fs.BoolVar(&c.version, "version", false, "print the build version and exit")
 
 	c.call = remote.DefaultCallConfig()
-	retries := fs.Int("retries", c.call.Attempts-1, "transport retries per remote call (0 = single attempt)")
-	fs.DurationVar(&c.call.BackoffBase, "retry-backoff", c.call.BackoffBase, "base sleep before the first retry (doubles per retry, jittered)")
 	fs.DurationVar(&c.call.CallTimeout, "call-timeout", c.call.CallTimeout, "deadline for one full request/response exchange")
 	fs.DurationVar(&c.call.DialTimeout, "dial-timeout", c.call.DialTimeout, "deadline for connecting to a peer")
-	fs.IntVar(&c.call.PoolSize, "pool", c.call.PoolSize, "max idle pooled connections per peer")
-	fs.IntVar(&c.call.BreakerThreshold, "breaker-failures", c.call.BreakerThreshold, "consecutive call failures that open a peer's circuit breaker (0 = disabled)")
-	fs.DurationVar(&c.call.BreakerCooldown, "breaker-cooldown", c.call.BreakerCooldown, "how long an open breaker waits before a half-open probe")
 
 	fs.DurationVar(&c.coord.Deadline, "deadline", 0, "end-to-end budget per query in -coordinator mode; the remaining budget travels to every site and an over-budget query returns its sound partial answer (0 = none)")
-	fs.IntVar(&c.server.MaxFrameBytes, "max-frame", 0, "reject request frames larger than this many bytes in -site mode (0 = default 8MiB, negative = unlimited)")
-	fs.DurationVar(&c.server.IdleTimeout, "idle-timeout", 0, "reap site connections idle longer than this (0 = default 5m, negative = never)")
 	fs.DurationVar(&c.server.WriteTimeout, "write-timeout", 0, "per-response write deadline in -site mode (0 or negative = default 30s)")
 	fs.StringVar(&c.fault, "fault", "", "fault injection, comma-separated: delay:DURATION (stall every operation served at this site), kill (answer every non-ping request with site-unavailable), drop:SITE:N (dark after N operations), cut:SITE (cut this process's links to SITE in both directions, as if a network partition separated them); a coordinator acts on cut only")
 
 	fs.DurationVar(&c.antiEntropy.Interval, "anti-entropy", 0, "run a background anti-entropy round against the peers at this cadence, repairing mapping-table divergence (0 = disabled; digest/repair requests are served either way)")
 
 	fs.DurationVar(&c.recorder.SlowThreshold, "slow-query", 0, "log queries at/over this latency and always retain their profiles in the flight recorder (0 = percentile-based tail retention only)")
-	fs.IntVar(&c.recorder.Size, "recorder-size", obs.DefaultRecorderSize, "flight-recorder ring capacity (profiles kept for /debug/queries)")
 
 	fs.StringVar(&c.clusterScrape, "cluster-scrape", "", "coordinator: poll these obs surfaces (SITE=HOST:PORT,...) into a federation rollup served at /cluster, /cluster/queries and /cluster/alerts on -metrics-addr; the coordinator observes itself in process as site G")
 	fs.DurationVar(&c.scrape.Interval, "scrape-interval", 2*time.Second, "polling interval for -cluster-scrape")
@@ -177,11 +171,7 @@ func (c *cmdline) parse(args []string) error {
 	fs.StringVar(&c.wal.Dir, "data-dir", "", "durable storage root: state is recovered from <data-dir>/<site> on boot (WAL+snapshot) and every mutation is logged; empty = in-memory only")
 	fs.BoolVar(&c.wal.Fsync, "fsync", false, "with -data-dir, fsync the WAL after every append (each acked write survives power loss; off = buffered, a crash loses only the unsynced tail)")
 	fs.IntVar(&c.wal.SnapshotEvery, "snapshot-every", 0, "with -data-dir, compact the WAL into a snapshot every N appends (0 = default, negative = never)")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	c.call.Attempts = *retries + 1
-	return nil
+	return fs.Parse(args)
 }
 
 // validate refuses flag combinations that cannot mean what was asked. It runs
@@ -519,11 +509,10 @@ func runCoordinator(fed *federationBundle, peers map[object.SiteID]string, c *cm
 	// coordinator holds the same federation document the sites serve from),
 	// calibrated by each query's measured profile and steered by the live
 	// peer breaker states.
-	var selector *adapt.Selector
+	var selector *planner.Selector
 	if alg == exec.Adaptive {
 		cat := planner.BuildCatalog(fed.Global, fed.Databases, tables)
-		selector = adapt.NewSelector(cat,
-			adapt.NewCalibrator(adapt.Config{Coordinator: "G"}), coord.BreakerStates)
+		selector = planner.NewSelector(cat, "G", coord.BreakerStates)
 		coord.Selector = selector
 	}
 	// /healthz merges the peer breaker states with the replica's divergence
@@ -604,25 +593,8 @@ func runCoordinator(fed *federationBundle, peers map[object.SiteID]string, c *cm
 			algLabel = fmt.Sprintf("adaptive → %v", d.Alg)
 		}
 	}
-	fmt.Printf("query: %s\nstrategy: %s  (%.2f ms over TCP)\n", c.query, algLabel,
-		float64(elapsed.Microseconds())/1e3)
-	if ans.Interrupted() {
-		fmt.Printf("INTERRUPTED (%s): sound partial answer\n", ans.Outcome)
-	}
-	if ans.Degraded {
-		fmt.Printf("DEGRADED: partial answer, %d site(s) unavailable:\n", len(ans.Unavailable))
-		for _, f := range ans.Unavailable {
-			fmt.Printf("  %s: %s\n", f.Site, f.Reason)
-		}
-	}
-	fmt.Printf("certain results (%d):\n", len(ans.Certain))
-	for _, r := range ans.Certain {
-		fmt.Printf("  %s\n", r)
-	}
-	fmt.Printf("maybe results (%d):\n", len(ans.Maybe))
-	for _, r := range ans.Maybe {
-		fmt.Printf("  %s\n", r)
-	}
+	fmt.Printf("query: %s\nstrategy: %s  (%.2f ms over TCP)\n%s", c.query, algLabel,
+		float64(elapsed.Microseconds())/1e3, ans.Text(nil))
 	if c.trace {
 		fmt.Printf("\nspan tree (coordinator view):\n%s", tr.RenderTree())
 	}

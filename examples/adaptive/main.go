@@ -62,11 +62,14 @@ func main() {
 			log.Fatal(err)
 		}
 
-		chosen := hetfed.ChooseStrategy(cat, b, hetfed.DefaultRates())
+		// A selector that has observed no query prices every site at the
+		// paper's Table 1 rates.
+		planner := hetfed.NewSelector(cat, "G", nil)
+		chosen := planner.Select(b)
 		fmt.Printf("%s: %s\n", qc.name, qc.src)
 		fmt.Printf("  planner chose %v\n", chosen)
 
-		ests := hetfed.EstimateStrategies(cat, b, hetfed.DefaultRates())
+		ests := planner.Estimate(b)
 		best := hetfed.Algorithm(0)
 		actual := map[hetfed.Algorithm]float64{}
 		for _, alg := range hetfed.Algorithms() {

@@ -25,7 +25,6 @@ import (
 	"github.com/hetfed/hetfed/internal/isomer"
 	"github.com/hetfed/hetfed/internal/metrics"
 	"github.com/hetfed/hetfed/internal/object"
-	"github.com/hetfed/hetfed/internal/obs"
 	"github.com/hetfed/hetfed/internal/planner"
 	"github.com/hetfed/hetfed/internal/query"
 	"github.com/hetfed/hetfed/internal/remote"
@@ -34,7 +33,6 @@ import (
 	"github.com/hetfed/hetfed/internal/signature"
 	"github.com/hetfed/hetfed/internal/store"
 	"github.com/hetfed/hetfed/internal/trace"
-	"github.com/hetfed/hetfed/internal/tvl"
 	"github.com/hetfed/hetfed/internal/workload"
 )
 
@@ -88,22 +86,6 @@ var (
 func NewObject(id LOid, class string, attrs map[string]Value) *Object {
 	return object.New(id, class, attrs)
 }
-
-//
-// Three-valued logic — the certain/maybe algebra.
-//
-
-type (
-	// Truth is a Kleene three-valued truth value.
-	Truth = tvl.Truth
-)
-
-// Truth values.
-const (
-	False   = tvl.False
-	Unknown = tvl.Unknown
-	True    = tvl.True
-)
 
 //
 // Schemas — component classes and global-schema integration.
@@ -306,11 +288,13 @@ type (
 var (
 	// BuildCatalog scans the federation and gathers statistics.
 	BuildCatalog = planner.BuildCatalog
-	// EstimateStrategies predicts CA/BL/PL costs for a bound query.
-	EstimateStrategies = planner.Estimates
-	// ChooseStrategy picks the strategy with the lowest predicted
-	// response time.
-	ChooseStrategy = planner.Choose
+	// NewSelector builds the strategy chooser over a catalog for queries
+	// the given site coordinates; the health hook (breaker states) may be
+	// nil. Its Estimate prices CA, BL and PL, its Select picks the cheapest.
+	// One that has observed no query prices every site at Table 1's rates;
+	// wired into EngineConfig.Selector it also resolves the adaptive
+	// strategy and re-rates each site from the queries it sees.
+	NewSelector = planner.NewSelector
 )
 
 //
@@ -325,8 +309,6 @@ type (
 
 // Federation document helpers.
 var (
-	// LoadFederation reads a federation from a JSON file.
-	LoadFederation = fedfile.Load
 	// ParseFederation builds a federation from JSON bytes.
 	ParseFederation = fedfile.Parse
 	// ExportFederation renders a federation as JSON.
@@ -354,39 +336,18 @@ var (
 )
 
 //
-// Observability — query-scoped spans, the per-site metrics registry, and
-// the live HTTP surface (/metrics, /healthz, /debug/trace/last).
+// Observability — the per-site metrics registry.
 //
 
 type (
-	// Span is one recorded query-scoped span: site, phase tags (O, I, P),
-	// wall and virtual durations, and attached counters.
-	Span = trace.Span
-	// SpanID identifies a span within one tracer; 0 means none.
-	SpanID = trace.SpanID
-	// SpanHandle mutates a live span (phases, counters, end).
-	SpanHandle = trace.Handle
 	// MetricsRegistry holds counters, gauges and histograms keyed by
 	// (site, peer, algorithm, phase). Wire one into EngineConfig.Metrics,
 	// SiteServerConfig.Metrics or RemoteCoordinator.Metrics.
 	MetricsRegistry = metrics.Registry
-	// MetricsLabels keys one instrument within a registry.
-	MetricsLabels = metrics.Labels
-	// MetricsSnapshot is a point-in-time registry copy supporting Delta,
-	// Merge, and text/JSON rendering.
-	MetricsSnapshot = metrics.Snapshot
-	// ObsServer is a running observability HTTP endpoint.
-	ObsServer = obs.Server
 )
 
-// Observability helpers.
-var (
-	// NewMetricsRegistry returns an empty metrics registry.
-	NewMetricsRegistry = metrics.New
-	// ServeObservability binds the HTTP observability surface (/metrics,
-	// /healthz, /debug/queries, /debug/trace/…) for one site.
-	ServeObservability = obs.Serve
-)
+// NewMetricsRegistry returns an empty metrics registry.
+var NewMetricsRegistry = metrics.New
 
 //
 // TCP deployment — the federation over real sockets.

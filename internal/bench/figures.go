@@ -51,10 +51,11 @@ type FigureCell struct {
 	Planner *PlannerScore `json:"planner,omitempty"`
 }
 
-// PlannerScore is how well planner.Choose, from catalog statistics alone,
-// picked the strategy the simulator then measured fastest: of Draws choices
-// the Correct ones, the chosen strategy's response time over the fastest's
-// minus one (0 = always optimal), and how often each was picked and won.
+// PlannerScore is how well a never-fed planner.Selector, from catalog
+// statistics alone, picked the strategy the simulator then measured fastest:
+// of Draws choices the Correct ones, the chosen strategy's response time
+// over the fastest's minus one (0 = always optimal), and how often each was
+// picked and won.
 type PlannerScore struct {
 	Draws     int            `json:"draws"`
 	Correct   int            `json:"correct"`
@@ -83,7 +84,7 @@ type sweep struct {
 	// strategies run in order on each draw. Besides the engine's names,
 	// "BL+idx" is BL once the draw's root-class predicate attributes are
 	// indexed (so it runs last), and "planner" is whichever of the ones
-	// before it planner.Choose picks.
+	// before it a never-fed planner.Selector picks.
 	strategies []string
 	// extentX marks x-values that are extent sizes: they scale with the
 	// extents, and the report carries the scaled value.
@@ -285,8 +286,10 @@ func runPoint(spec FigureSpec, sw sweep, x float64) (point, error) {
 		ran := make(point, len(sw.strategies))
 		for i, label := range sw.strategies {
 			if label == "planner" {
+				// A selector that has observed nothing is the Table 1
+				// planner; no sweep with a planner row moves the rates.
 				cat := planner.BuildCatalog(w.Global, w.Databases, w.Tables)
-				chosen := planner.Choose(cat, w.Bound, rates).String()
+				chosen := planner.NewSelector(cat, coordinatorID, nil).Select(w.Bound).String()
 				score.add(chosen, ran)
 				ran[label] = ran[chosen]
 			} else {

@@ -8,7 +8,6 @@ import (
 	"sort"
 	"time"
 
-	"github.com/hetfed/hetfed/internal/adapt"
 	"github.com/hetfed/hetfed/internal/exec"
 	"github.com/hetfed/hetfed/internal/fabric"
 	"github.com/hetfed/hetfed/internal/metrics"
@@ -118,9 +117,7 @@ func startLiveCluster(spec MatrixSpec, cell Cell, bundle *Bundle) (*liveCluster,
 		tr.SetLimit(4096)
 		lc.coord.Tracer = tr
 		cat := planner.BuildCatalog(bundle.Global, bundle.Databases, bundle.Tables)
-		lc.coord.Selector = adapt.NewSelector(cat,
-			adapt.NewCalibrator(adapt.Config{Coordinator: coordinatorID}),
-			lc.coord.BreakerStates)
+		lc.coord.Selector = planner.NewSelector(cat, coordinatorID, lc.coord.BreakerStates)
 	}
 	return lc, nil
 }

@@ -7,7 +7,6 @@ import (
 	"math/rand"
 	"sort"
 
-	"github.com/hetfed/hetfed/internal/adapt"
 	"github.com/hetfed/hetfed/internal/exec"
 	"github.com/hetfed/hetfed/internal/fabric"
 	"github.com/hetfed/hetfed/internal/metrics"
@@ -177,13 +176,11 @@ func runSimCell(ctx context.Context, spec MatrixSpec, cell Cell, bundle *Bundle)
 	// sequentially here, so the selection sequence is as deterministic as
 	// the DES itself.
 	var tracer trace.Tracer
-	var selector *adapt.Selector
-	if alg == exec.Adaptive {
+	adaptive := alg == exec.Adaptive
+	if adaptive {
 		cat := planner.BuildCatalog(bundle.Global, bundle.Databases, bundle.Tables)
-		selector = adapt.NewSelector(cat,
-			adapt.NewCalibrator(adapt.Config{Coordinator: coordinatorID}), nil)
 		cfg.Tracer = &tracer
-		cfg.Selector = selector
+		cfg.Selector = planner.NewSelector(cat, coordinatorID, nil)
 	}
 	engine, err := exec.New(cfg)
 	if err != nil {
@@ -198,7 +195,7 @@ func runSimCell(ctx context.Context, spec MatrixSpec, cell Cell, bundle *Bundle)
 		if err := ctx.Err(); err != nil {
 			return CellResult{}, err
 		}
-		if selector != nil {
+		if adaptive {
 			tracer.Reset()
 		}
 		// Each query gets a fresh fault plan: DropAfter budgets are

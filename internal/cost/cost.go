@@ -138,22 +138,6 @@ func (b *Breakdown) Rows() []PhaseCost {
 	return out
 }
 
-// Relabel renames every row of oldSite to newSite, merging into existing
-// newSite rows. The planner predicts coordinator work under the placeholder
-// site "coord"; the caller relabels it once the coordinator is known.
-func (b *Breakdown) Relabel(oldSite, newSite string) {
-	if b == nil || b.rows == nil || oldSite == newSite {
-		return
-	}
-	for k, r := range b.rows {
-		if k[0] != oldSite {
-			continue
-		}
-		delete(b.rows, k)
-		b.add(newSite, k[1], r.Micros, r.Spans)
-	}
-}
-
 // Total returns the summed micros across all rows.
 func (b *Breakdown) Total() float64 {
 	if b == nil {

@@ -110,8 +110,8 @@ func ParseAlgorithm(name string) (Algorithm, error) {
 }
 
 // Selector picks a concrete strategy per query and learns from finished
-// ones. The adapt package provides the calibrating implementation; the
-// interface lives here so the engine need not import it.
+// ones. planner.Selector is the implementation; the interface lives here so
+// the engine need not import it.
 type Selector interface {
 	// Select picks the strategy to execute a bound query with.
 	Select(b *query.Bound) Algorithm

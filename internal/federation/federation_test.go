@@ -380,8 +380,8 @@ func TestRetrieveProjectsInvolvedAttrs(t *testing.T) {
 		}
 		modeled += object.LOidWireSize + o.Attr("advisor").WireSize() + o.Attr("name").WireSize()
 	}
-	if got := (RetrieveReply{Classes: []ClassObjects{students}}).WireSize(); got != requestOverhead+modeled {
-		t.Errorf("the students' modeled size is %d, their LOids, advisors and names come to %d", got, requestOverhead+modeled)
+	if got := (RetrieveReply{Classes: []ClassObjects{students}}).WireSize(); got != RequestOverhead+modeled {
+		t.Errorf("the students' modeled size is %d, their LOids, advisors and names come to %d", got, RequestOverhead+modeled)
 	}
 	for _, cls := range recordRoundTrip(t, reply).Classes {
 		for _, o := range cls.Objects {

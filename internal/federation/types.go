@@ -20,22 +20,32 @@ import (
 	"github.com/hetfed/hetfed/internal/tvl"
 )
 
-// requestOverhead is the modeled byte size of a small control message (a
-// local query, a retrieve request).
-const requestOverhead = 64
-
-// predicateWireSize is the modeled byte size of one predicate shipped in a
-// message.
-const predicateWireSize = object.AttrWireSize
-
-// verdictWireSize is the modeled byte size of one three-valued verdict plus
-// its predicate index.
-const verdictWireSize = 8
+// The message-size model, in bytes: every WireSize below and the planner's
+// estimator price messages with these.
+const (
+	// RequestOverhead is a message's fixed envelope: a small control message
+	// (a local query, a retrieve request) and every reply start with it.
+	RequestOverhead = 64
+	// PredicateWireSize is one predicate shipped in a message.
+	PredicateWireSize = object.AttrWireSize
+	// VerdictWireSize is one three-valued verdict plus its predicate index.
+	VerdictWireSize = 8
+	// RowIDWireSize is a local result row's identity: its LOid and GOid.
+	RowIDWireSize = object.LOidWireSize + object.GOidWireSize
+	// UnsolvedWireSize is one unsolved item of a row: its GOid and predicate.
+	UnsolvedWireSize = object.GOidWireSize + PredicateWireSize
+	// CheckItemWireSize is one check item: assistant LOid, item GOid and the
+	// predicate.
+	CheckItemWireSize = object.LOidWireSize + object.GOidWireSize + PredicateWireSize
+	// CheckVerdictWireSize is one check verdict: the item's GOid and the
+	// verdict.
+	CheckVerdictWireSize = object.GOidWireSize + VerdictWireSize
+)
 
 // QueryWireSize models the transfer size of a query or local-query message:
 // a fixed envelope plus the predicates and the target list.
 func QueryWireSize(b *query.Bound) int {
-	return requestOverhead + predicateWireSize*len(b.Preds) + object.AttrWireSize*len(b.Targets)
+	return RequestOverhead + PredicateWireSize*len(b.Preds) + object.AttrWireSize*len(b.Targets)
 }
 
 // ResultRow is one entity in a query answer: its GOid and the merged target
@@ -123,6 +133,40 @@ const (
 // Interrupted reports whether the execution was cut short (cancelled or
 // over deadline) rather than run to completion.
 func (a *Answer) Interrupted() bool { return a.Outcome != OutcomeOK }
+
+// Text renders the answer as the command lines print it: the interrupted and
+// degraded notices, then the certain and the maybe rows. Given the bound
+// query it answers, each maybe row is followed by the predicates it left
+// unknown; with nil those lines are left out.
+func (a *Answer) Text(b *query.Bound) string {
+	var sb strings.Builder
+	if a.Interrupted() {
+		fmt.Fprintf(&sb, "INTERRUPTED (%s): sound partial answer\n", a.Outcome)
+	}
+	if a.Degraded {
+		fmt.Fprintf(&sb, "DEGRADED: partial answer, %d site(s) unavailable:\n", len(a.Unavailable))
+		for _, f := range a.Unavailable {
+			fmt.Fprintf(&sb, "  %s\n", f)
+		}
+	}
+	fmt.Fprintf(&sb, "certain results (%d):\n", len(a.Certain))
+	for _, r := range a.Certain {
+		fmt.Fprintf(&sb, "  %s\n", r)
+	}
+	fmt.Fprintf(&sb, "maybe results (%d):\n", len(a.Maybe))
+	for _, r := range a.Maybe {
+		fmt.Fprintf(&sb, "  %s\n", r)
+		if b == nil || len(r.Unknown) == 0 {
+			continue
+		}
+		parts := make([]string, len(r.Unknown))
+		for i, p := range r.Unknown {
+			parts[i] = b.Preds[p].Predicate().String()
+		}
+		fmt.Fprintf(&sb, "    unknown: %s\n", strings.Join(parts, "; "))
+	}
+	return sb.String()
+}
 
 // MarkDegraded records the given site failures on the answer, deduplicating
 // by site (first reason wins) and keeping the list sorted. A no-op for an
@@ -238,14 +282,11 @@ type LocalRow struct {
 // values, one verdict per predicate, and each unsolved item's identity and
 // predicate.
 func (r LocalRow) WireSize() int {
-	n := object.LOidWireSize + object.GOidWireSize
+	n := RowIDWireSize
 	for _, v := range r.Targets {
 		n += v.WireSize()
 	}
-	n += verdictWireSize * len(r.Verdicts)
-	for range r.Unsolved {
-		n += object.GOidWireSize + predicateWireSize
-	}
+	n += VerdictWireSize*len(r.Verdicts) + UnsolvedWireSize*len(r.Unsolved)
 	return n
 }
 
@@ -261,11 +302,11 @@ type LocalResult struct {
 
 // WireSize models the reply's transfer size.
 func (lr LocalResult) WireSize() int {
-	n := requestOverhead
+	n := RequestOverhead
 	for _, r := range lr.Rows {
 		n += r.WireSize()
 	}
-	n += (object.GOidWireSize + verdictWireSize) * len(lr.SigVerdicts)
+	n += CheckVerdictWireSize * len(lr.SigVerdicts)
 	return n
 }
 
@@ -283,10 +324,6 @@ type CheckItem struct {
 	*query.Point
 }
 
-// checkItemWireSize models one check item's transfer size: assistant LOid,
-// item GOid, and the predicate.
-const checkItemWireSize = object.LOidWireSize + object.GOidWireSize + predicateWireSize
-
 // CheckRequest is the batch of check items one site sends to another.
 type CheckRequest struct {
 	From  object.SiteID
@@ -295,7 +332,7 @@ type CheckRequest struct {
 
 // WireSize models the request's transfer size.
 func (cr CheckRequest) WireSize() int {
-	return requestOverhead + checkItemWireSize*len(cr.Items)
+	return RequestOverhead + CheckItemWireSize*len(cr.Items)
 }
 
 // CheckVerdict is the outcome of evaluating an unsolved predicate on one
@@ -321,7 +358,7 @@ type CheckReply struct {
 
 // WireSize models the reply's transfer size.
 func (cr CheckReply) WireSize() int {
-	return requestOverhead + (object.GOidWireSize+verdictWireSize)*len(cr.Verdicts)
+	return RequestOverhead + CheckVerdictWireSize*len(cr.Verdicts)
 }
 
 // ClassObjects is one global class's constituent objects shipped by a site
@@ -357,7 +394,7 @@ type RetrieveReply struct {
 // WireSize models the reply's transfer size: each object ships its LOid and
 // its projected attributes.
 func (rr RetrieveReply) WireSize() int {
-	n := requestOverhead
+	n := RequestOverhead
 	for _, c := range rr.Classes {
 		for _, o := range c.Objects {
 			n += o.WireSize(c.Attrs)

@@ -3,12 +3,21 @@
 // layer a federated system built on the paper's strategies needs, informed
 // directly by the paper's findings: BL wins in general, CA is insensitive
 // to selectivity, PL's overhead grows with the number of databases and the
-// isomerism ratio.
+// isomerism ratio. It owns the whole decision: catalog → estimate →
+// calibrate → choose.
 //
 // The catalog summarizes each constituent class (extent size, per-attribute
 // value ranges, null fractions) and each global class's isomerism; the
-// estimator mirrors the cost model of package fabric (Table 1 rates)
-// analytically, without touching the data.
+// estimator mirrors the cost model of package fabric analytically, without
+// touching the data. A Selector prices CA, BL and PL per query and picks the
+// cheapest. It starts from the paper's Table 1 rates — a selector that has
+// observed nothing is the static planner — and re-rates each site from
+// finished queries' measured profiles: the profile records the microseconds
+// a site spent (Profile.Phases) and the events it performed (Profile.IO), and
+// their ratio over the time Table 1 would predict is the site's observed
+// slowdown. Heterogeneous federations drift from any fixed constants; the
+// selector also steers away from check-heavy plans while a peer site is
+// degraded (breaker open, or repeatedly unavailable in the profiles).
 package planner
 
 import (

@@ -1,48 +1,14 @@
 package planner
 
 import (
-	"sort"
-
 	"github.com/hetfed/hetfed/internal/cost"
 	"github.com/hetfed/hetfed/internal/exec"
 	"github.com/hetfed/hetfed/internal/fabric"
+	"github.com/hetfed/hetfed/internal/federation"
 	"github.com/hetfed/hetfed/internal/object"
 	"github.com/hetfed/hetfed/internal/query"
 	"github.com/hetfed/hetfed/internal/schema"
 )
-
-// CoordSite is the placeholder site name under which an Estimate's Details
-// attribute coordinator-side work — the planner does not know which site will
-// coordinate. Relabel it (cost.Breakdown.Relabel) once the coordinator is
-// known.
-const CoordSite = "coord"
-
-// Wire-size constants mirroring package federation's message model.
-const (
-	requestOverhead = 64
-	rowFixedBytes   = object.LOidWireSize + object.GOidWireSize
-	verdictBytes    = 8
-	unsolvedBytes   = object.GOidWireSize + object.AttrWireSize
-	checkItemBytes  = object.LOidWireSize + object.GOidWireSize + object.AttrWireSize
-	checkReplyBytes = object.GOidWireSize + verdictBytes
-)
-
-// RateModel supplies the cost-model parameters the estimator charges each
-// site's work under. The static planner uses one Table 1 constant set for
-// every site (Uniform); the adaptive selector substitutes per-site rates
-// calibrated from measured profiles. Coordinator-side work is charged under
-// the CoordSite placeholder.
-type RateModel interface {
-	SiteRates(site object.SiteID) fabric.Rates
-}
-
-// Uniform is the RateModel that charges every site the same rates — the
-// paper's Table 1 world.
-func Uniform(r fabric.Rates) RateModel { return uniform{r} }
-
-type uniform struct{ r fabric.Rates }
-
-func (u uniform) SiteRates(object.SiteID) fabric.Rates { return u.r }
 
 // Estimate is the predicted cost of one strategy.
 type Estimate struct {
@@ -59,58 +25,23 @@ type Estimate struct {
 	CheckMicros float64
 	// Details attributes TotalMicros per site and phase (O object location,
 	// I integration, P predicate processing); coordinator-side work is filed
-	// under CoordSite. The attribution is the cost model's, so EXPLAIN
-	// ANALYZE can lay it against a measured Breakdown row for row.
+	// under the coordinator's own ID. The attribution is the cost model's, so
+	// EXPLAIN ANALYZE can lay it against a measured Breakdown row for row.
 	Details *cost.Breakdown
 }
 
-// Estimates predicts the costs of CA, BL and PL for a bound query under one
-// global rate set, ordered as exec.Algorithms().
-func Estimates(cat *Catalog, b *query.Bound, rates fabric.Rates) []Estimate {
-	return EstimatesWith(cat, b, Uniform(rates))
-}
-
-// EstimatesWith predicts the costs of CA, BL and PL under a per-site rate
-// model, ordered as exec.Algorithms().
-func EstimatesWith(cat *Catalog, b *query.Bound, model RateModel) []Estimate {
-	e := estimator{cat: cat, b: b, model: model}
-	return []Estimate{e.ca(), e.localized(exec.BL), e.localized(exec.PL)}
-}
-
-// Choose returns the strategy with the lowest predicted response time,
-// breaking ties by total execution time.
-func Choose(cat *Catalog, b *query.Bound, rates fabric.Rates) exec.Algorithm {
-	return ChooseFrom(Estimates(cat, b, rates)).Alg
-}
-
-// ChooseFrom returns the estimate with the lowest predicted response time,
-// breaking ties by total execution time. The input slice is not modified, so
-// callers can keep their Estimates in exec.Algorithms() order.
-func ChooseFrom(ests []Estimate) Estimate {
-	sorted := append([]Estimate(nil), ests...)
-	sort.SliceStable(sorted, func(i, j int) bool {
-		if sorted[i].ResponseMicros != sorted[j].ResponseMicros {
-			return sorted[i].ResponseMicros < sorted[j].ResponseMicros
-		}
-		return sorted[i].TotalMicros < sorted[j].TotalMicros
-	})
-	return sorted[0]
-}
-
+// estimator prices one bound query's strategies, charging each site's work
+// at the calibrator's rates for that site and filing coordinator work under
+// the calibrator's coordinator.
 type estimator struct {
-	cat   *Catalog
-	b     *query.Bound
-	model RateModel
+	cat *Catalog
+	b   *query.Bound
+	cal *calibrator
 }
 
-// rates returns the site's cost parameters under the model.
+// rates returns the site's cost parameters.
 func (e *estimator) rates(site object.SiteID) fabric.Rates {
-	return e.model.SiteRates(site)
-}
-
-// coordRates returns the coordinator placeholder's cost parameters.
-func (e *estimator) coordRates() fabric.Rates {
-	return e.model.SiteRates(object.SiteID(CoordSite))
+	return e.cal.siteRates(site)
 }
 
 func (e *estimator) extent(class string, site object.SiteID) ExtentStats {
@@ -284,7 +215,7 @@ func (e *estimator) ca() Estimate {
 	for _, site := range e.b.InvolvedSites() {
 		rates := e.rates(site)
 		var disk, cpu, net float64
-		net += requestOverhead
+		net += federation.RequestOverhead
 		for _, in := range involved {
 			class, attrs := in.Class, in.Attrs
 			ext := e.extent(class, site)
@@ -334,9 +265,10 @@ func (e *estimator) ca() Estimate {
 	for _, bp := range e.b.Preds {
 		evalCPU += rootEntities * (float64(len(bp.Path)) + 1)
 	}
-	coordMicros := (materializeCPU + evalCPU) * e.coordRates().CPUPerOp
-	details.AddEstimate(CoordSite, "I", materializeCPU*e.coordRates().CPUPerOp)
-	details.AddEstimate(CoordSite, "P", evalCPU*e.coordRates().CPUPerOp)
+	coord := e.rates(e.cal.coord)
+	coordMicros := (materializeCPU + evalCPU) * coord.CPUPerOp
+	details.AddEstimate(string(e.cal.coord), "I", materializeCPU*coord.CPUPerOp)
+	details.AddEstimate(string(e.cal.coord), "P", evalCPU*coord.CPUPerOp)
 
 	return Estimate{
 		Alg:            exec.CA,
@@ -428,17 +360,17 @@ func (e *estimator) localized(alg exec.Algorithm) Estimate {
 		checks := carriers * checkItems
 		cpu += carriers * (unsolvedPerRow + 1) // item GOids + assistant lookups
 
-		rowBytes := rowFixedBytes +
+		rowBytes := federation.RowIDWireSize +
 			len(e.b.Targets)*object.AttrWireSize +
-			len(e.b.Preds)*verdictBytes
-		resultNet := requestOverhead + survivors*(float64(rowBytes)+unsolvedPerRow*unsolvedBytes)
+			len(e.b.Preds)*federation.VerdictWireSize
+		resultNet := federation.RequestOverhead + survivors*(float64(rowBytes)+unsolvedPerRow*federation.UnsolvedWireSize)
 
 		// Check processing at the target sites (disk + eval) and verdict
 		// transfer to the coordinator. The estimator cannot name the target
 		// sites (the mapping tables decide per object), so check work is
 		// charged under the average rates of the OTHER root sites — the pool
 		// the assistants live in.
-		checkNet := checks * (checkItemBytes + checkReplyBytes)
+		checkNet := checks * (federation.CheckItemWireSize + federation.CheckVerdictWireSize)
 		avgAssistantBytes := root.AvgObjectBytes() // same order as the root class
 		peer := e.peerRates(site)
 		checkWork := checks * (avgAssistantBytes*peer.DiskPerByte + 3*peer.CPUPerOp)
@@ -479,8 +411,8 @@ func (e *estimator) localized(alg exec.Algorithm) Estimate {
 		coordCPU += checks
 	}
 
-	coord := e.coordRates()
-	details.AddEstimate(CoordSite, "I", coordCPU*coord.CPUPerOp+resultBytes*coord.NetPerByte)
+	coord := e.rates(e.cal.coord)
+	details.AddEstimate(string(e.cal.coord), "I", coordCPU*coord.CPUPerOp+resultBytes*coord.NetPerByte)
 	resp := maxf(maxSiteTime, maxCheckRTT) + netMicros + coordCPU*coord.CPUPerOp
 	return Estimate{
 		Alg:            alg,
@@ -493,7 +425,8 @@ func (e *estimator) localized(alg exec.Algorithm) Estimate {
 
 // peerRates averages the rates of the root sites other than the given one —
 // the estimator's stand-in for unnamed check-target sites. With no other
-// root site (or a uniform model) it degenerates to the site's own rates.
+// root site (or before any calibration) it degenerates to the site's own
+// rates.
 func (e *estimator) peerRates(site object.SiteID) fabric.Rates {
 	var sum fabric.Rates
 	n := 0

@@ -1,6 +1,7 @@
 package planner
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -51,7 +52,7 @@ func TestBuildCatalogSchool(t *testing.T) {
 
 func TestSelectivityEstimates(t *testing.T) {
 	fx, cat, _ := schoolCatalog(t)
-	e := estimator{cat: cat, model: Uniform(fabric.DefaultRates())}
+	e := estimator{cat: cat}
 
 	// age < 30 on DB1's students: range [24,31], (30-24)/(31-24) ≈ 0.857.
 	b := query.MustBind(query.MustParse(`select name from Student where age < 30`), fx.Global)
@@ -77,9 +78,8 @@ func TestSelectivityEstimates(t *testing.T) {
 }
 
 func TestUnknownProb(t *testing.T) {
-	fx, cat, b := schoolCatalog(t)
-	_ = fx
-	e := estimator{cat: cat, b: b, model: Uniform(fabric.DefaultRates())}
+	_, cat, b := schoolCatalog(t)
+	e := estimator{cat: cat, b: b}
 
 	// address.city at DB1: missing attribute → 1.
 	if u := e.unknownProb(b.Preds[0], "DB1"); u != 1 {
@@ -110,8 +110,8 @@ func TestItemClassOf(t *testing.T) {
 }
 
 func TestEstimatesOrderingOnSchool(t *testing.T) {
-	_, cat, b := schoolCatalog(t)
-	ests := Estimates(cat, b, fabric.DefaultRates())
+	sel, b := schoolSelector(t, nil)
+	ests := sel.Estimate(b)
 	if len(ests) != 3 || ests[0].Alg != exec.CA || ests[1].Alg != exec.BL || ests[2].Alg != exec.PL {
 		t.Fatalf("estimates = %+v", ests)
 	}
@@ -161,7 +161,7 @@ func TestChooseMatchesSimulation(t *testing.T) {
 		}
 
 		cat := BuildCatalog(w.Global, w.Databases, w.Tables)
-		chosen := Choose(cat, w.Bound, fabric.DefaultRates())
+		chosen := NewSelector(cat, "G", nil).Select(w.Bound)
 		total++
 		if chosen == best {
 			wins++
@@ -193,7 +193,7 @@ func TestEstimatesDisjunctiveQuery(t *testing.T) {
 	fx, cat, _ := schoolCatalog(t)
 	b := query.MustBind(query.MustParse(
 		`select name from Student where age < 25 or advisor.speciality = "database"`), fx.Global)
-	for _, est := range Estimates(cat, b, fabric.DefaultRates()) {
+	for _, est := range NewSelector(cat, "G", nil).Estimate(b) {
 		if est.TotalMicros <= 0 || est.ResponseMicros <= 0 {
 			t.Errorf("%v: estimate %+v", est.Alg, est)
 		}
@@ -204,13 +204,65 @@ func TestEstimatesDisjunctiveQuery(t *testing.T) {
 }
 
 // TestChooseDeterministic: the same catalog and query always pick the same
-// strategy.
+// strategy, whether one never-fed selector chooses repeatedly or a fresh
+// one chooses each time.
 func TestChooseDeterministic(t *testing.T) {
 	_, cat, b := schoolCatalog(t)
-	first := Choose(cat, b, fabric.DefaultRates())
+	sel := NewSelector(cat, "G", nil)
+	first := sel.Select(b)
 	for i := 0; i < 5; i++ {
-		if got := Choose(cat, b, fabric.DefaultRates()); got != first {
-			t.Fatalf("nondeterministic choice: %v vs %v", got, first)
+		if got, fresh := sel.Select(b), NewSelector(cat, "G", nil).Select(b); got != first || fresh != first {
+			t.Fatalf("nondeterministic choice: %v, %v vs %v", got, fresh, first)
 		}
+	}
+}
+
+// TestFreshSelectorIsTable1Planner: a selector that has observed nothing is
+// the static Table 1 planner. It charges every site, the coordinator
+// included, Table 1's rates, and it picks the lowest (response, total), the
+// earlier of CA/BL/PL on a tie — the rule the static planner's stable sort
+// applied before PR 25. Checked on the school fixture and on Table 2 draws
+// from the generator the figures topic's planner sweep (E9) draws from.
+func TestFreshSelectorIsTable1Planner(t *testing.T) {
+	check := func(name string, cat *Catalog, b *query.Bound) {
+		t.Helper()
+		sel := NewSelector(cat, "G", nil)
+		for _, site := range append(b.InvolvedSites(), "G") {
+			if got := sel.cal.siteRates(site); got != fabric.DefaultRates() {
+				t.Errorf("%s: %s priced at %+v, want Table 1's", name, site, got)
+			}
+		}
+		ests := sel.Estimate(b)
+		want := ests[0]
+		for _, est := range ests[1:] {
+			if est.ResponseMicros < want.ResponseMicros ||
+				(est.ResponseMicros == want.ResponseMicros && est.TotalMicros < want.TotalMicros) {
+				want = est
+			}
+		}
+		if got := sel.Select(b); got != want.Alg {
+			t.Errorf("%s: fresh selector chose %v, the Table 1 rule %v (estimates %+v)", name, got, want.Alg, ests)
+		}
+		for _, r := range ests[0].Details.Rows() {
+			if r.Site == "coord" {
+				t.Errorf("%s: coordinator work filed under a placeholder: %+v", name, r)
+			}
+		}
+		if ests[0].Details.Get("G", "I") <= 0 {
+			t.Errorf("%s: no coordinator integration row under G: %+v", name, ests[0].Details.Rows())
+		}
+	}
+	_, cat, b := schoolCatalog(t)
+	check("school", cat, b)
+
+	ranges := workload.DefaultRanges()
+	ranges.NObjects = [2]int{50, 60}
+	for s := int64(0); s < 24; s++ {
+		rng := rand.New(rand.NewSource(42 + s*1_000_003))
+		w, err := workload.Generate(ranges.Draw(rng), rng)
+		if err != nil {
+			t.Fatalf("draw %d: %v", s, err)
+		}
+		check(fmt.Sprintf("draw %d", s), BuildCatalog(w.Global, w.Databases, w.Tables), w.Bound)
 	}
 }

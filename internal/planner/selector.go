@@ -1,4 +1,4 @@
-package adapt
+package planner
 
 import (
 	"strings"
@@ -6,7 +6,6 @@ import (
 
 	"github.com/hetfed/hetfed/internal/exec"
 	"github.com/hetfed/hetfed/internal/object"
-	"github.com/hetfed/hetfed/internal/planner"
 	"github.com/hetfed/hetfed/internal/query"
 	"github.com/hetfed/hetfed/internal/trace"
 )
@@ -27,29 +26,26 @@ const (
 // then carry the degradation signal alone.
 type Health func() map[object.SiteID]string
 
-// Decision records one adaptive choice for introspection (EXPLAIN).
+// Decision records one choice for introspection (EXPLAIN).
 type Decision struct {
 	// Alg is the chosen strategy.
 	Alg exec.Algorithm
 	// Estimates are the calibrated predictions the choice ranked, in
 	// exec.Algorithms() order.
-	Estimates []planner.Estimate
-	// Penalized is each strategy's degradation-penalized response time, the
-	// value actually minimized.
-	Penalized map[exec.Algorithm]float64
+	Estimates []Estimate
 	// Health is the merged per-site state the penalty was computed from
 	// (live breakers and calibrator failure scores).
 	Health map[object.SiteID]string
-	// Scales is the calibrator's per-site slowdown snapshot at choice time.
-	Scales map[object.SiteID]float64
 }
 
-// Selector picks a concrete strategy per query from the calibrated cost
-// model and feeds finished profiles back into the calibrator. It implements
-// exec.Selector and is safe for concurrent use.
+// Selector is the one strategy chooser: it prices CA/BL/PL from the catalog
+// at per-site rates calibrated from finished queries' profiles, and picks
+// the cheapest. A selector that has observed nothing charges every site
+// Table 1's rates and has no degraded site, so its choice is the static
+// planner's. It implements exec.Selector and is safe for concurrent use.
 type Selector struct {
-	cat    *planner.Catalog
-	cal    *Calibrator
+	cat    *Catalog
+	cal    *calibrator
 	health Health
 
 	mu   sync.Mutex
@@ -58,24 +54,24 @@ type Selector struct {
 
 var _ exec.Selector = (*Selector)(nil)
 
-// NewSelector builds a selector choosing over the given catalog with the
-// given calibrator. health may be nil.
-func NewSelector(cat *planner.Catalog, cal *Calibrator, health Health) *Selector {
-	if cal == nil {
-		cal = NewCalibrator(Config{})
-	}
-	return &Selector{cat: cat, cal: cal, health: health}
+// NewSelector builds a selector choosing over the given catalog for queries
+// the site coord coordinates. health may be nil.
+func NewSelector(cat *Catalog, coord object.SiteID, health Health) *Selector {
+	return &Selector{cat: cat, cal: newCalibrator(coord), health: health}
 }
 
-// Calibrator returns the selector's calibrator.
-func (s *Selector) Calibrator() *Calibrator { return s.cal }
+// Estimate predicts the costs of CA, BL and PL for a bound query at the
+// calibrated per-site rates, ordered as exec.Algorithms().
+func (s *Selector) Estimate(b *query.Bound) []Estimate {
+	e := estimator{cat: s.cat, b: b, cal: s.cal}
+	return []Estimate{e.ca(), e.localized(exec.BL), e.localized(exec.PL)}
+}
 
-// Select implements exec.Selector: estimate CA/BL/PL under the calibrated
-// per-site rates, penalize check-heavy plans by degraded-site state, and
-// return the cheapest.
+// Select implements exec.Selector: estimate CA/BL/PL, penalize check-heavy
+// plans by degraded-site state, and return the cheapest.
 func (s *Selector) Select(b *query.Bound) exec.Algorithm {
-	ests := planner.EstimatesWith(s.cat, b, s.cal)
-	health := s.cal.Degraded()
+	ests := s.Estimate(b)
+	health := s.cal.degraded()
 	if s.health != nil {
 		for site, state := range s.health() {
 			if severity(state) > severity(health[site]) {
@@ -83,22 +79,16 @@ func (s *Selector) Select(b *query.Bound) exec.Algorithm {
 			}
 		}
 	}
-	best, penalized := Rank(ests, b.InvolvedSites(), health)
+	best, _ := Rank(ests, b.InvolvedSites(), health)
 
 	s.mu.Lock()
-	s.last = &Decision{
-		Alg:       best.Alg,
-		Estimates: ests,
-		Penalized: penalized,
-		Health:    health,
-		Scales:    s.cal.Scales(),
-	}
+	s.last = &Decision{Alg: best.Alg, Estimates: ests, Health: health}
 	s.mu.Unlock()
 	return best.Alg
 }
 
 // Observe implements exec.Selector.
-func (s *Selector) Observe(p *trace.Profile) { s.cal.Observe(p) }
+func (s *Selector) Observe(p *trace.Profile) { s.cal.observe(p) }
 
 // LastDecision returns the most recent choice, nil before the first Select.
 func (s *Selector) LastDecision() *Decision {
@@ -108,32 +98,31 @@ func (s *Selector) LastDecision() *Decision {
 }
 
 // Rank orders estimates by degradation-penalized response time and returns
-// the winner plus every strategy's penalized score. The penalty weight is
-// the worst state among the query's involved sites: a plan's CheckMicros —
-// the work it ships to peer sites for assistant checking — is added w times
-// to its response prediction, so when any involved peer is open or
-// half-open, check-light plans (BL over PL, CA over both) win sooner. Pure
-// function: no calibrator state, directly testable.
-func Rank(ests []planner.Estimate, sites []object.SiteID, health map[object.SiteID]string) (planner.Estimate, map[exec.Algorithm]float64) {
+// the winner plus every strategy's penalized score; ties go to the lower
+// total, then to the earlier estimate. The penalty weight is the worst state
+// among the query's involved sites: a plan's CheckMicros — the work it ships
+// to peer sites for assistant checking — is added w times to its response
+// prediction, so when any involved peer is open or half-open, check-light
+// plans (BL over PL, CA over both) win sooner. With no degraded site the
+// weight is 0 and the winner is the lowest (response, total).
+func Rank(ests []Estimate, sites []object.SiteID, health map[object.SiteID]string) (Estimate, map[exec.Algorithm]float64) {
 	w := 0.0
 	for _, site := range sites {
-		switch state := health[site]; {
-		case state == "open":
+		switch severity(health[site]) {
+		case 2:
 			w = penaltyOpen
-		case state == "half-open" || strings.HasPrefix(state, "suspect"):
+		case 1:
 			// A replica whose mappings diverged ("suspect(C1,...)", from the
 			// anti-entropy tracker) is reachable but unconfirmed — the same
 			// caution as a half-open breaker: prefer check-light plans.
-			if w < penaltyHalfOpen {
-				w = penaltyHalfOpen
-			}
+			w = max(w, penaltyHalfOpen)
 		}
 		if w == penaltyOpen {
 			break
 		}
 	}
 	penalized := make(map[exec.Algorithm]float64, len(ests))
-	var best planner.Estimate
+	var best Estimate
 	bestScore := 0.0
 	for i, est := range ests {
 		score := est.ResponseMicros + w*est.CheckMicros

@@ -1,4 +1,4 @@
-package adapt
+package planner
 
 import (
 	"testing"
@@ -7,18 +7,14 @@ import (
 	"github.com/hetfed/hetfed/internal/exec"
 	"github.com/hetfed/hetfed/internal/fabric"
 	"github.com/hetfed/hetfed/internal/object"
-	"github.com/hetfed/hetfed/internal/planner"
 	"github.com/hetfed/hetfed/internal/query"
-	"github.com/hetfed/hetfed/internal/school"
 	"github.com/hetfed/hetfed/internal/trace"
 )
 
-func schoolSelector(t *testing.T, cal *Calibrator, health Health) (*Selector, *query.Bound) {
+func schoolSelector(t *testing.T, health Health) (*Selector, *query.Bound) {
 	t.Helper()
-	fx := school.New()
-	cat := planner.BuildCatalog(fx.Global, fx.Databases, fx.Mapping)
-	b := query.MustBind(query.MustParse(school.Q1), fx.Global)
-	return NewSelector(cat, cal, health), b
+	_, cat, b := schoolCatalog(t)
+	return NewSelector(cat, "G", health), b
 }
 
 // siteProfile synthesizes a finished query's profile in which the given
@@ -38,45 +34,44 @@ func siteProfile(site string, ratio float64, base fabric.Rates) *trace.Profile {
 
 func TestCalibratorSiteRates(t *testing.T) {
 	base := fabric.DefaultRates()
-	cal := NewCalibrator(Config{Coordinator: "G"})
+	cal := newCalibrator("G")
 
 	// Unobserved site: base rates unchanged.
-	if got := cal.SiteRates("DB1"); got != base {
+	if got := cal.siteRates("DB1"); got != base {
 		t.Errorf("unobserved rates = %+v", got)
 	}
 
 	// First observation sets the scale directly: ratio 4 → 4× base.
-	cal.Observe(siteProfile("DB1", 4, base))
+	cal.observe(siteProfile("DB1", 4, base))
 	want := base.Scale(4)
-	if got := cal.SiteRates("DB1"); !closeRates(got, want) {
+	if got := cal.siteRates("DB1"); !closeRates(got, want) {
 		t.Errorf("calibrated rates = %+v, want %+v", got, want)
 	}
-	if s := cal.Scales()["DB1"]; s < 3.99 || s > 4.01 {
+	if s := cal.scales["DB1"]; s < 3.99 || s > 4.01 {
 		t.Errorf("scale = %g, want 4", s)
 	}
 
 	// The coordinator site is never calibrated: its spans cover the fan-out.
-	cal.Observe(siteProfile("G", 9, base))
-	if got := cal.SiteRates("G"); got != base {
+	cal.observe(siteProfile("G", 9, base))
+	if got := cal.siteRates("G"); got != base {
 		t.Errorf("coordinator rates calibrated: %+v", got)
 	}
 
-	// An absurd single observation is clamped to MaxScale.
-	cal2 := NewCalibrator(Config{})
-	cal2.Observe(siteProfile("DB2", 1e6, base))
-	if s := cal2.Scales()["DB2"]; s != DefaultMaxScale {
-		t.Errorf("clamped scale = %g, want %d", s, DefaultMaxScale)
+	// An absurd single observation is clamped to maxScale.
+	cal.observe(siteProfile("DB2", 1e6, base))
+	if s := cal.scales["DB2"]; s != maxScale {
+		t.Errorf("clamped scale = %g, want %d", s, maxScale)
 	}
 }
 
 func TestCalibratorEWMA(t *testing.T) {
 	base := fabric.DefaultRates()
-	cal := NewCalibrator(Config{Alpha: 0.5})
-	cal.Observe(siteProfile("DB1", 1, base))
-	cal.Observe(siteProfile("DB1", 5, base))
-	// 0.5·1 + 0.5·5 = 3.
-	if s := cal.Scales()["DB1"]; s < 2.99 || s > 3.01 {
-		t.Errorf("EWMA scale = %g, want 3", s)
+	cal := newCalibrator("G")
+	cal.observe(siteProfile("DB1", 1, base))
+	cal.observe(siteProfile("DB1", 5, base))
+	// 0.7·1 + 0.3·5 = 2.2.
+	if s := cal.scales["DB1"]; s < 2.19 || s > 2.21 {
+		t.Errorf("EWMA scale = %g, want 2.2", s)
 	}
 }
 
@@ -84,7 +79,7 @@ func TestCalibratorEWMA(t *testing.T) {
 // picks the fastest plan (PL), a half-open peer demotes PL below BL (BL
 // ships fewer checks), an open peer pushes past both to check-free CA.
 func TestRankPenalty(t *testing.T) {
-	ests := []planner.Estimate{
+	ests := []Estimate{
 		{Alg: exec.CA, ResponseMicros: 170, TotalMicros: 300, CheckMicros: 0},
 		{Alg: exec.BL, ResponseMicros: 120, TotalMicros: 250, CheckMicros: 30},
 		{Alg: exec.PL, ResponseMicros: 100, TotalMicros: 280, CheckMicros: 60},
@@ -137,8 +132,7 @@ func TestConvergenceFlipsStrategy(t *testing.T) {
 		{"DB2", exec.BL},
 	}
 	for _, tc := range cases {
-		cal := NewCalibrator(Config{Coordinator: "G"})
-		sel, b := schoolSelector(t, cal, nil)
+		sel, b := schoolSelector(t, nil)
 
 		if got := sel.Select(b); got != exec.PL {
 			t.Fatalf("static choice = %v, want PL", got)
@@ -158,10 +152,10 @@ func TestConvergenceFlipsStrategy(t *testing.T) {
 		}
 		if flipped < 0 {
 			t.Fatalf("slow %s: no flip to %v within %d observations (scales %v, last %+v)",
-				tc.slowSite, tc.want, maxObs, cal.Scales(), sel.LastDecision())
+				tc.slowSite, tc.want, maxObs, sel.cal.scales, sel.LastDecision())
 		}
 		t.Logf("slow %s: flipped to %v after %d slow observations (scale %.2f)",
-			tc.slowSite, tc.want, flipped, cal.Scales()[object.SiteID(tc.slowSite)])
+			tc.slowSite, tc.want, flipped, sel.cal.scales[object.SiteID(tc.slowSite)])
 
 		d := sel.LastDecision()
 		if d == nil || d.Alg != tc.want || len(d.Estimates) != 3 {
@@ -175,8 +169,7 @@ func TestConvergenceFlipsStrategy(t *testing.T) {
 // selection away from check-heavy plans. For school Q1 the check target DB3
 // going dark makes check-free CA win over PL/BL.
 func TestUnavailableSiteBiasesSelection(t *testing.T) {
-	cal := NewCalibrator(Config{Coordinator: "G"})
-	sel, b := schoolSelector(t, cal, nil)
+	sel, b := schoolSelector(t, nil)
 
 	if got := sel.Select(b); got != exec.PL {
 		t.Fatalf("static choice = %v, want PL", got)
@@ -214,15 +207,13 @@ func TestUnavailableSiteBiasesSelection(t *testing.T) {
 // penalize exactly like calibrator-derived degradation.
 func TestBreakerHealthBias(t *testing.T) {
 	state := map[object.SiteID]string{}
-	sel, b := schoolSelector(t, NewCalibrator(Config{Coordinator: "G"}), func() map[object.SiteID]string {
+	sel, b := schoolSelector(t, func() map[object.SiteID]string {
 		return state
 	})
 
 	if got := sel.Select(b); got != exec.PL {
 		t.Fatalf("static choice = %v, want PL", got)
 	}
-	state["DB3"] = "half-open"
-	half := sel.Select(b)
 	state["DB3"] = "open"
 	open := sel.Select(b)
 	if open != exec.CA {
@@ -231,7 +222,7 @@ func TestBreakerHealthBias(t *testing.T) {
 	// Under any degradation the chosen plan must not carry more check work
 	// than the healthy winner.
 	d := sel.LastDecision()
-	var healthyPL, chosen planner.Estimate
+	var healthyPL, chosen Estimate
 	for _, e := range d.Estimates {
 		if e.Alg == exec.PL {
 			healthyPL = e
@@ -244,7 +235,6 @@ func TestBreakerHealthBias(t *testing.T) {
 		t.Errorf("open-breaker choice %v has CheckMicros %.0f ≥ PL's %.0f",
 			open, chosen.CheckMicros, healthyPL.CheckMicros)
 	}
-	_ = half
 	state["DB3"] = "closed"
 	if got := sel.Select(b); got != exec.PL {
 		t.Errorf("closed breaker: chose %v, want PL", got)

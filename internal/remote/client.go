@@ -28,14 +28,9 @@ type CallConfig struct {
 	// wedged peer fails the call instead of hanging it forever.
 	CallTimeout time.Duration
 	// Attempts is the total number of tries per call (1 = no retries).
-	// Only transport failures are retried; an error answered by the site
-	// itself is deterministic and returned immediately.
+	// Only transport failures are retried, after a backoff; an error
+	// answered by the site itself is deterministic and returned immediately.
 	Attempts int
-	// BackoffBase is the sleep before the first retry; each further retry
-	// doubles it up to backoffMax. Every backoff is jittered ±50% so
-	// retries from concurrent calls spread out instead of stampeding a
-	// recovering site.
-	BackoffBase time.Duration
 	// PoolSize is the maximum number of idle pooled connections per site.
 	PoolSize int
 	// BreakerThreshold is the run of consecutive call failures that opens
@@ -53,8 +48,13 @@ type CallConfig struct {
 	Faults *fabric.FaultPlan
 }
 
-// backoffMax caps the exponential backoff between retries.
-const backoffMax = 2 * time.Second
+// The sleep before the first retry is backoffBase; each further retry
+// doubles it up to backoffMax. Every backoff is jittered ±50% so retries
+// from concurrent calls spread out instead of stampeding a recovering site.
+const (
+	backoffBase = 25 * time.Millisecond
+	backoffMax  = 2 * time.Second
+)
 
 // DefaultCallConfig returns the production policy: modest retries with
 // jittered exponential backoff, a small warm-connection pool, and a breaker
@@ -64,7 +64,6 @@ func DefaultCallConfig() CallConfig {
 		DialTimeout:      5 * time.Second,
 		CallTimeout:      60 * time.Second,
 		Attempts:         3,
-		BackoffBase:      25 * time.Millisecond,
 		PoolSize:         4,
 		BreakerThreshold: 5,
 		BreakerCooldown:  5 * time.Second,
@@ -83,9 +82,6 @@ func (c CallConfig) withDefaults() CallConfig {
 	if c.Attempts <= 0 {
 		c.Attempts = d.Attempts
 	}
-	if c.BackoffBase <= 0 {
-		c.BackoffBase = d.BackoffBase
-	}
 	if c.PoolSize <= 0 {
 		c.PoolSize = d.PoolSize
 	}
@@ -101,8 +97,8 @@ func (c CallConfig) withDefaults() CallConfig {
 }
 
 // backoff returns the jittered sleep before retry attempt (1-based).
-func (c CallConfig) backoff(attempt int) time.Duration {
-	d := c.BackoffBase << (attempt - 1)
+func backoff(attempt int) time.Duration {
+	d := backoffBase << (attempt - 1)
 	if d > backoffMax || d <= 0 {
 		d = backoffMax
 	}
@@ -302,7 +298,7 @@ func (cl *client) callTimeout(ctx context.Context, site object.SiteID, addr stri
 		if attempt > 1 {
 			cl.reg.Counter("call_retries_total",
 				metrics.Labels{Site: string(cl.self), Peer: string(site)}).Inc()
-			if !sleepCtx(ctx, cl.cfg.backoff(attempt-1)) {
+			if !sleepCtx(ctx, backoff(attempt-1)) {
 				abandon()
 				return Response{}, stats, fmt.Errorf("remote: call %s: %w", addr, ctx.Err())
 			}

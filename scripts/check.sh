@@ -2,7 +2,8 @@
 # check.sh — the repository's verification gate: formatting, vet, the
 # one-orchestration, one-report-envelope, one-codec, one-check-path,
 # one-replica, one-repair-path, one-experiment-harness, work-runs-where-it-is,
-# one-identity-index, said-once and one-metric-catalog structural guards, build,
+# one-identity-index, said-once, one-chooser and one-metric-catalog structural
+# guards, build,
 # unit tests, the full test suite under the race detector, the benchmark
 # module's vet and tests, a one-shot compile-and-run smoke of the overhead and
 # allocation benchmarks,
@@ -187,6 +188,25 @@ if grep -rn 'io\.LimitReader' --include='*.go' --exclude='*_test.go' internal/me
     echo "internal/metrics or cmd/hetops reads an HTTP body itself; fetch through obs.FetchJSON" >&2
     guard_failed=1
 fi
+# One strategy chooser (DESIGN.md section 11, EXPERIMENTS.md E28): catalog →
+# estimate → calibrate → choose is internal/planner, and a selector is built
+# one way. The adaptive package, the rate-model seam, the static planner's
+# entry points and the coordinator placeholder with its relabel stay gone, in
+# tests or otherwise; outside tests the calibrator is constructed in one place
+# (NewSelector); and the message-size model is federation's, defined once.
+if [ -e internal/adapt ]; then
+    echo "internal/adapt is back; the selector lives in internal/planner" >&2
+    guard_failed=1
+fi
+if grep -rnE 'RateModel|Uniform\(|EstimatesWith|ChooseFrom|planner\.Choose\b|CoordSite|\.Relabel\(' \
+    --include='*.go' --exclude-dir=.bench_build .; then
+    echo "a deleted second entry point to the strategy choice is back (see EXPERIMENTS.md E28)" >&2
+    guard_failed=1
+fi
+want_one 'newCalibrator(' "$(grep -rn 'newCalibrator(' --include='*.go' --exclude='*_test.go' internal |
+    grep -v 'func newCalibrator(' || true)"
+want_one 'requestOverhead = under internal/' \
+    "$(grep -rniE 'requestOverhead[[:space:]]*=' --include='*.go' internal || true)"
 # One metric catalog: every series non-test code emits has a row in the table
 # of DESIGN.md section 6.
 catalog="$(sed -n '/^## 6\. /,/^## 7\. /p' DESIGN.md)"
