@@ -8,6 +8,12 @@
 // The unsolved points are what the localized strategies feed into phase O:
 // the assistant objects of an unsolved point's item are checked against its
 // suffix predicate.
+//
+// A site navigates through Cached, the per-query buffer pool of the paper's
+// component DBMSs: an object's first touch is charged as a disk read, each
+// later touch as one CPU operation. Either is one probe of the store's LOid
+// index, which also yields the object's position; the pool is a bitset over
+// those positions, not a second map of LOids.
 package eval
 
 import (
@@ -19,24 +25,28 @@ import (
 
 // Source resolves object references during path navigation and charges the
 // cost of each access. A component database charges a disk read per fetch;
-// Cached wraps it with a buffer pool that charges disk only on first touch;
-// the coordinator's materialized view charges a CPU operation (it lives in
-// memory).
+// Cached is its per-query buffer pool, which charges disk only on first
+// touch; the coordinator's materialized view charges a CPU operation (it
+// lives in memory).
 type Source interface {
 	Fetch(id object.LOid, sink cost.Sink) (*object.Object, bool)
 }
 
-// DiskSource adapts a component database (or anything dereferencing LOids)
-// into a Source that charges one full-object disk read per fetch.
-type DiskSource struct {
-	DB interface {
-		Deref(object.LOid) (*object.Object, bool)
-	}
+// Store is the component database a DiskSource reads (store.Database).
+// Locate finds an object and its position in one probe; positions are dense,
+// below Len, and never reused or moved.
+type Store interface {
+	Locate(object.LOid) (*object.Object, int, bool)
+	Len() int
 }
+
+// DiskSource adapts a component database into a Source that charges one
+// full-object disk read per fetch.
+type DiskSource struct{ DB Store }
 
 // Fetch implements Source.
 func (d DiskSource) Fetch(id object.LOid, sink cost.Sink) (*object.Object, bool) {
-	o, ok := d.DB.Deref(id)
+	o, _, ok := d.DB.Locate(id)
 	if !ok {
 		return nil, false
 	}
@@ -44,39 +54,47 @@ func (d DiskSource) Fetch(id object.LOid, sink cost.Sink) (*object.Object, bool)
 	return o, true
 }
 
-// Cached wraps a Source with a buffer pool: the first fetch of an object
-// pays the underlying cost, further fetches cost one CPU operation (a
-// buffer hit). Create one per site operation (the paper's component DBMSs
-// have per-query buffers, not cross-query caches).
+// Cached is a component database's buffer pool, one per site operation (the
+// paper's DBMSs buffer per query, not across queries): an object's first
+// fetch is charged its disk read, a later one CPU(1), a failed one nothing.
+// Every fetch is one probe of the store. The buffer is a bitset over the
+// store's positions, sized from the store at the first touch — one allocation
+// — and grown only for an object inserted since, which a site's lock rules out.
 type Cached struct {
-	src  Source
-	seen map[object.LOid]*object.Object // the buffer: what a hit returns
+	db   Store
+	seen []uint64 // bit p set: the object at position p is buffered
 }
 
-// NewCached returns an empty-buffer cache over src.
-func NewCached(src Source) *Cached { return NewCachedSize(src, 0) }
+// NewCached returns an empty buffer pool over src's store.
+func NewCached(src DiskSource) *Cached { return &Cached{db: src.DB} }
 
-// NewCachedSize is NewCached with room for n buffered objects up front, for
-// an operation that knows it will touch at least an extent's worth.
-func NewCachedSize(src Source, n int) *Cached {
-	return &Cached{src: src, seen: make(map[object.LOid]*object.Object, n)}
-}
-
-// Warm buffers an object the caller already holds (e.g. just scanned from the
-// extent) without charging anything.
-func (c *Cached) Warm(o *object.Object) { c.seen[o.LOid] = o }
+// Warm buffers the object at a position the caller already holds (e.g. just
+// scanned from the extent) without charging anything.
+func (c *Cached) Warm(pos int) { c.mark(pos) }
 
 // Fetch implements Source.
 func (c *Cached) Fetch(id object.LOid, sink cost.Sink) (*object.Object, bool) {
-	if o, ok := c.seen[id]; ok {
+	o, pos, ok := c.db.Locate(id)
+	if !ok {
+		return nil, false
+	}
+	if c.mark(pos) {
 		sink.CPU(1) // buffer hit
-		return o, true
+	} else {
+		sink.DiskRead(o.WireSize(nil))
 	}
-	o, ok := c.src.Fetch(id, sink)
-	if ok {
-		c.seen[id] = o
+	return o, true
+}
+
+// mark buffers position pos and reports whether it already was.
+func (c *Cached) mark(pos int) bool {
+	w, bit := uint(pos)/64, uint64(1)<<(uint(pos)%64)
+	if w >= uint(len(c.seen)) {
+		c.seen = append(c.seen, make([]uint64, max(int(w)+1, (c.db.Len()+63)/64)-len(c.seen))...)
 	}
-	return o, ok
+	hit := c.seen[w]&bit != 0
+	c.seen[w] |= bit
+	return hit
 }
 
 // Compare applies a comparison operator under three-valued logic: any null

@@ -267,75 +267,6 @@ func TestCachedChargesOnce(t *testing.T) {
 	}
 }
 
-func TestCachedWarm(t *testing.T) {
-	fx, _ := q1Bound(t)
-	db1 := fx.Databases["DB1"]
-	src := NewCached(DiskSource{DB: db1})
-	t1, _ := db1.Deref("t1")
-	src.Warm(t1)
-	var c cost.Counter
-	if o, ok := src.Fetch("t1", &c); !ok || o != t1 {
-		t.Fatal("Fetch failed")
-	}
-	if c.DiskBytes() != 0 || c.CPUOps() != 1 {
-		t.Errorf("warmed object charged %d bytes, %d ops; want a buffer hit: 0 and 1", c.DiskBytes(), c.CPUOps())
-	}
-	if _, ok := src.Fetch("ghost", &c); ok {
-		t.Error("Fetch of missing object succeeded")
-	}
-}
-
-// countingSource counts the fetches that reach it.
-type countingSource struct {
-	Source
-	fetches int
-}
-
-func (cs *countingSource) Fetch(id object.LOid, sink cost.Sink) (*object.Object, bool) {
-	cs.fetches++
-	return cs.Source.Fetch(id, sink)
-}
-
-// TestCachedChargesPerTouch: the first fetch of an object pays the source's
-// cost, a repeat is one CPU operation answered from the buffer, and a fetch
-// that fails charges nothing and buffers nothing.
-func TestCachedChargesPerTouch(t *testing.T) {
-	fx, _ := q1Bound(t)
-	db1 := fx.Databases["DB1"]
-	under := &countingSource{Source: DiskSource{DB: db1}}
-	src := NewCached(under)
-	d1, _ := db1.Deref("d1")
-
-	var first, repeat, failed cost.Counter
-	if o, ok := src.Fetch("d1", &first); !ok || o != d1 {
-		t.Fatal("first Fetch failed")
-	}
-	if first.DiskBytes() != int64(d1.WireSize(nil)) || first.CPUOps() != 0 {
-		t.Errorf("first fetch charged %d bytes, %d ops; want the object's %d bytes and no CPU",
-			first.DiskBytes(), first.CPUOps(), d1.WireSize(nil))
-	}
-	if o, ok := src.Fetch("d1", &repeat); !ok || o != d1 {
-		t.Fatal("repeated Fetch failed")
-	}
-	if repeat.DiskBytes() != 0 || repeat.CPUOps() != 1 {
-		t.Errorf("repeated fetch charged %d bytes, %d ops; want 0 and 1", repeat.DiskBytes(), repeat.CPUOps())
-	}
-	if under.fetches != 1 {
-		t.Errorf("the source was asked %d times for one object; a buffer hit is one look-up", under.fetches)
-	}
-	for i := 1; i <= 2; i++ {
-		if _, ok := src.Fetch("ghost", &failed); ok {
-			t.Fatal("Fetch of missing object succeeded")
-		}
-		if under.fetches != 1+i {
-			t.Errorf("failed fetch %d: the source was asked %d times; a failure must not be buffered", i, under.fetches)
-		}
-	}
-	if failed.DiskBytes() != 0 || failed.CPUOps() != 0 {
-		t.Errorf("failed fetches charged %d bytes, %d ops", failed.DiskBytes(), failed.CPUOps())
-	}
-}
-
 // listFixture stores one root object with a multi-valued complex attribute
 // and list-valued primitives for exercising ANY semantics directly.
 func listFixture(t *testing.T) (Source, *object.Object, *query.Bound) {

@@ -184,17 +184,18 @@ func (s *Site) EvalLocalBasic(p fabric.Proc, b *query.Bound, sigs *signature.Ind
 		lo, hi   int // its unsolved points, found[lo:hi]
 	}
 	conjunctive := b.Conjunctive()
-	iterate := ext.Scan
+	iterate := ext.ScanPos
 	// A conjunctive query with a direct local predicate on an attribute the
 	// extent has a secondary index on (store.Database.CreateIndex) reads the
-	// index's candidates, not the whole extent: same rows, less disk.
+	// index's candidates, not the whole extent: same rows, less disk. The
+	// index lists this extent's objects only.
 	if conjunctive {
 		if loids, probeBytes, ok := s.indexProbe(b, ext, localIdx); ok {
 			c.DiskRead(probeBytes)
 			c.CPU(1 + len(loids))
-			iterate = func(fn func(*object.Object) bool) {
+			iterate = func(fn func(*object.Object, int) bool) {
 				for _, id := range loids {
-					if o := ext.Get(id); o != nil && !fn(o) {
+					if o, pos, ok := s.db.Locate(id); ok && !fn(o, pos) {
 						return
 					}
 				}
@@ -207,9 +208,9 @@ func (s *Site) EvalLocalBasic(p fabric.Proc, b *query.Bound, sigs *signature.Ind
 		slabs     = rowSlabs{rows: ext.Len()}
 	)
 	scratch := make([]tvl.Truth, len(b.Preds))
-	iterate(func(o *object.Object) bool {
+	iterate(func(o *object.Object, pos int) bool {
 		c.DiskRead(o.WireSize(nil))
-		src.Warm(o)
+		src.Warm(pos)
 		clear(scratch)
 		lo := len(found)
 		alive := true
@@ -348,7 +349,7 @@ type Navigation struct {
 	items      []UnsolvedItem // every object's unsolved items, GOids resolved
 	localIdx   []int
 	removedIdx []int
-	src        *eval.Cached // the local query's buffer, shared by both phases
+	src        *eval.Cached // the local query's buffer pool, shared by both phases
 	synth      []CheckVerdict
 }
 
@@ -371,7 +372,7 @@ func (s *Site) NavigateAll(p fabric.Proc, b *query.Bound, sigs *signature.Index)
 		navs:       make([]navigated, 0, n),
 		localIdx:   localIdx,
 		removedIdx: removedIdx,
-		src:        eval.NewCachedSize(eval.DiskSource{DB: s.db}, n),
+		src:        eval.NewCached(eval.DiskSource{DB: s.db}),
 	}
 	checks := newCollector()
 	ids := &identities{site: s.ID(), tables: s.tables}
@@ -379,9 +380,9 @@ func (s *Site) NavigateAll(p fabric.Proc, b *query.Bound, sigs *signature.Index)
 	var unsolved []eval.Unsolved
 	outcomeSlab := make([]eval.Outcome, n*np)
 
-	ext.Scan(func(o *object.Object) bool {
+	ext.ScanPos(func(o *object.Object, pos int) bool {
 		c.DiskRead(o.WireSize(nil))
-		nav.src.Warm(o)
+		nav.src.Warm(pos)
 		outcomes := outcomeSlab[:np:np]
 		outcomeSlab = outcomeSlab[np:]
 		unsolved = unsolved[:0]
@@ -590,7 +591,7 @@ func (s *Site) holdsSuffix(class string, path query.Path, site object.SiteID) bo
 // data) is still reported.
 func (s *Site) CheckAssistants(p fabric.Proc, items []CheckItem) CheckReply {
 	var c cost.Counter
-	src := eval.NewCachedSize(eval.DiskSource{DB: s.db}, len(items))
+	src := eval.NewCached(eval.DiskSource{DB: s.db})
 	reply := CheckReply{Site: s.ID()}
 	if len(items) > 0 {
 		reply.Verdicts = make([]CheckVerdict, 0, len(items))

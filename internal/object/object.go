@@ -604,15 +604,21 @@ func (v *Value) unmarshal(data []byte, depth int) error {
 	}
 	kind := Kind(data[0])
 	payload := data[1:]
+	// Only AppendBinary's own bytes decode: a value has one encoding, so a
+	// corrupt one cannot read as a value that prints alike and compares apart.
 	switch kind {
-	case 0:
-		*v = Value{}
-	case KindNull:
-		*v = Null()
+	case 0, KindNull:
+		if len(payload) != 0 {
+			return fmt.Errorf("object: %s value with a %d-byte payload", kind, len(payload))
+		}
+		*v = Value{kind: kind}
 	case KindInt, KindBool, KindFloat:
-		i, _, err := readInt64(payload)
+		i, rest, err := readInt64(payload)
 		if err != nil {
 			return err
+		}
+		if len(rest) != 0 || kind == KindBool && uint64(i) > 1 {
+			return fmt.Errorf("object: non-canonical %s encoding", kind)
 		}
 		*v = Value{kind: kind, n: uint64(i)}
 	case KindString, KindRef, KindGRef:

@@ -450,6 +450,32 @@ func TestValueBinaryRoundTrip(t *testing.T) {
 	}
 }
 
+// TestValueDecoderRejectsNonCanonical: a value has one encoding. A bool whose
+// payload is 5 would print true and test BoolVal true yet not Equal
+// Bool(true), so a corrupt record would make "= true" evaluate False; trailing
+// bytes after a fixed-width payload, or any payload behind a null or a zero
+// kind, are corruption too. None of them decodes.
+func TestValueDecoderRejectsNonCanonical(t *testing.T) {
+	payload := func(kind Kind, n uint64, extra ...byte) []byte {
+		return append(appendInt64([]byte{byte(kind)}, int64(n)), extra...)
+	}
+	for name, data := range map[string][]byte{
+		"bool 5":                    payload(KindBool, 5),
+		"bool 2^63":                 payload(KindBool, 1<<63),
+		"bool with a trailing byte": payload(KindBool, 1, 0),
+		"int with a trailing byte":  payload(KindInt, 42, 7),
+		"float with trailing bytes": payload(KindFloat, math.Float64bits(1.5), 0, 0, 0),
+		"null with a payload":       {byte(KindNull), 0},
+		"zero kind with a payload":  {0, 1, 2},
+		"list element bool 5":       append(payload(KindList, 9), payload(KindBool, 5)...),
+	} {
+		var v Value
+		if err := v.UnmarshalBinary(data); err == nil {
+			t.Errorf("%s: % x decoded as %v", name, data, v)
+		}
+	}
+}
+
 // TestFloatBitsSurviveEncoding: Equal cannot see a NaN or the sign of a zero,
 // the encoding keeps both.
 func TestFloatBitsSurviveEncoding(t *testing.T) {

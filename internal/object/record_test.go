@@ -389,11 +389,15 @@ func TestFuzzCorpusIsCurrent(t *testing.T) {
 // FuzzDecodeObject: DecodeObject never panics, never allocates more than a
 // constant multiple of its input, and whatever it accepts re-encodes to
 // bytes that decode to the same object (and re-encode to the same bytes).
+// Every value encoding accepted — the input read as one, and each of an
+// accepted record's values, the dropped nulls included — is AppendBinary's
+// own: it re-encodes to exactly the bytes it was read from.
 func FuzzDecodeObject(f *testing.F) {
 	for _, o := range sampleObjects() {
 		f.Add(encode(f, o))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
+		canonicalValue(t, data)
 		var (
 			o   *Object
 			err error
@@ -431,6 +435,17 @@ func FuzzDecodeObject(f *testing.F) {
 		if third := encode(t, o2); !bytes.Equal(again, third) {
 			t.Fatalf("encoding is not a fixed point:\n%x\n%x", again, third)
 		}
+		b := data
+		_, b, _ = readBytes(b) // class
+		_, b, _ = readBytes(b) // LOid
+		n, w := binary.Uvarint(b)
+		b = b[w:]
+		for i := uint64(0); i < n; i++ {
+			var raw []byte
+			_, b, _ = readBytes(b) // name
+			raw, b, _ = readBytes(b)
+			canonicalValue(t, raw)
+		}
 		// Whatever decodes can be shipped through a mask: every other name it
 		// holds, behind one it does not.
 		mask := []string{}
@@ -444,6 +459,18 @@ func FuzzDecodeObject(f *testing.F) {
 		}
 		checkProjection(t, o, mask)
 	})
+}
+
+// canonicalValue fails t if raw decodes as a value whose encoding is not raw.
+func canonicalValue(t *testing.T, raw []byte) {
+	t.Helper()
+	var v Value
+	if v.UnmarshalBinary(raw) != nil {
+		return
+	}
+	if enc, err := v.AppendBinary(nil); err != nil || !bytes.Equal(enc, raw) {
+		t.Fatalf("value % x decodes as %v, which encodes as % x (%v)", raw, v, enc, err)
+	}
 }
 
 var (

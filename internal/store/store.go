@@ -1,6 +1,6 @@
 // Package store implements the object storage of one component database:
-// one extent per class, indexed by LOid, with deterministic scan order and
-// reference dereferencing across the class composition hierarchy.
+// one extent per class, one LOid index over them all, deterministic scan
+// order and reference dereferencing across the class composition hierarchy.
 //
 // The store itself is cost-free; the federation layer charges simulated disk
 // and CPU time for the operations it performs, using the byte sizes the
@@ -12,6 +12,12 @@
 // at them after the lock that guarded the scan is released, while the reply
 // is encoded. An update or delete operation would have to replace the object,
 // not change it.
+//
+// One map indexes a database by LOid, and its value carries the object's
+// position: Insert numbers objects densely (0 … Len()−1) and never reuses or
+// moves a position, since nothing is removed. Positions are replica-local —
+// never persisted, shipped or logged — and let a per-query buffer
+// (eval.Cached) be a bitset over them, not a second LOid map.
 package store
 
 import (
@@ -24,14 +30,16 @@ import (
 // Extent holds the objects of one class in one component database.
 type Extent struct {
 	class   *schema.Class
-	objects map[object.LOid]*object.Object
-	order   []*object.Object // insertion order; appended to, never edited
+	db      *Database // its LOid index answers Get
+	order   []located // insertion order; appended to, never edited
 	indexes map[string]*Index
 	bytes   int // incrementally maintained sum of WireSize(nil) over objects
 }
 
-func newExtent(c *schema.Class) *Extent {
-	return &Extent{class: c, objects: make(map[object.LOid]*object.Object)}
+// located is a stored object and its database-wide position.
+type located struct {
+	obj *object.Object
+	pos int
 }
 
 // Class returns the extent's class descriptor.
@@ -40,14 +48,28 @@ func (e *Extent) Class() *schema.Class { return e.class }
 // Len returns the number of stored objects.
 func (e *Extent) Len() int { return len(e.order) }
 
-// Get returns the object with the given LOid, or nil.
-func (e *Extent) Get(id object.LOid) *object.Object { return e.objects[id] }
+// Get returns the object of this extent with the given LOid, or nil.
+func (e *Extent) Get(id object.LOid) *object.Object {
+	if l, ok := e.db.byLOid[id]; ok && l.obj.Class == e.class.Name {
+		return l.obj
+	}
+	return nil
+}
 
 // Scan calls fn for every object in insertion order; a false return stops
 // the scan early.
 func (e *Extent) Scan(fn func(*object.Object) bool) {
-	for _, o := range e.order {
-		if !fn(o) {
+	for _, l := range e.order {
+		if !fn(l.obj) {
+			return
+		}
+	}
+}
+
+// ScanPos is Scan handing out each object's database-wide position with it.
+func (e *Extent) ScanPos(fn func(o *object.Object, pos int) bool) {
+	for _, l := range e.order {
+		if !fn(l.obj, l.pos) {
 			return
 		}
 	}
@@ -56,7 +78,11 @@ func (e *Extent) Scan(fn func(*object.Object) bool) {
 // All returns the objects in insertion order. The objects are shared, the
 // slice is fresh.
 func (e *Extent) All() []*object.Object {
-	return append(make([]*object.Object, 0, len(e.order)), e.order...)
+	out := make([]*object.Object, len(e.order))
+	for i, l := range e.order {
+		out[i] = l.obj
+	}
+	return out
 }
 
 // Bytes returns the total stored size of the extent under the paper's cost
@@ -71,8 +97,8 @@ type Database struct {
 	site    object.SiteID
 	schema  *schema.Schema
 	extents map[string]*Extent
-	byLOid  map[object.LOid]*object.Object
-	engine  StorageEngine // nil means in-memory (equivalent to Mem)
+	byLOid  map[object.LOid]located // the one LOid index; positions are 0 … len−1
+	engine  StorageEngine           // nil means in-memory (equivalent to Mem)
 }
 
 // NewDatabase returns an empty database over the given schema. The schema
@@ -85,10 +111,10 @@ func NewDatabase(s *schema.Schema) (*Database, error) {
 		site:    s.Site,
 		schema:  s,
 		extents: make(map[string]*Extent, len(s.ClassNames())),
-		byLOid:  make(map[object.LOid]*object.Object),
+		byLOid:  make(map[object.LOid]located),
 	}
 	for _, name := range s.ClassNames() {
-		db.extents[name] = newExtent(s.Class(name))
+		db.extents[name] = &Extent{class: s.Class(name), db: db}
 	}
 	return db, nil
 }
@@ -152,10 +178,10 @@ func (db *Database) Insert(o *object.Object) error {
 			return fmt.Errorf("insert %s into %s@%s: %w", o.LOid, o.Class, db.site, err)
 		}
 	}
-	e.objects[o.LOid] = o
-	e.order = append(e.order, o)
+	l := located{obj: o, pos: len(db.byLOid)}
+	e.order = append(e.order, l)
 	e.bytes += o.WireSize(nil)
-	db.byLOid[o.LOid] = o
+	db.byLOid[o.LOid] = l
 	for attr, ix := range e.indexes {
 		ix.insert(o.Attr(attr), o.LOid)
 	}
@@ -200,11 +226,18 @@ func checkScalarKind(a schema.Attribute, v object.Value) error {
 
 // Deref resolves a local object reference anywhere in the database.
 func (db *Database) Deref(id object.LOid) (*object.Object, bool) {
-	o, ok := db.byLOid[id]
-	return o, ok
+	l, ok := db.byLOid[id]
+	return l.obj, ok
 }
 
-// Len returns the total number of objects stored across all extents.
+// Locate is Deref that also returns the object's position, in the same one
+// probe.
+func (db *Database) Locate(id object.LOid) (*object.Object, int, bool) {
+	l, ok := db.byLOid[id]
+	return l.obj, l.pos, ok
+}
+
+// Len returns the number of objects stored across all extents; positions are below it.
 func (db *Database) Len() int { return len(db.byLOid) }
 
 // CheckRefs verifies that every complex attribute value references an

@@ -120,6 +120,63 @@ func TestScanOrderAndEarlyStop(t *testing.T) {
 	}
 }
 
+// TestPositionsAreDenseAndStable: Insert numbers objects 0 … Len()−1 across
+// every extent in insertion order, a rejected insert takes no position, later
+// inserts move none, Locate and ScanPos agree, and an extent answers Get from
+// the database's one index for its own objects only.
+func TestPositionsAreDenseAndStable(t *testing.T) {
+	db := MustNewDatabase(testSchema())
+	want := map[object.LOid]int{}
+	insert := func(id object.LOid, class string) {
+		t.Helper()
+		db.MustInsert(object.New(id, class, nil))
+		want[id] = len(want)
+	}
+	check := func(step string) {
+		t.Helper()
+		for id, pos := range want {
+			if _, got, ok := db.Locate(id); !ok || got != pos {
+				t.Errorf("%s: Locate(%s) = %d, %v; want position %d", step, id, got, ok, pos)
+			}
+		}
+		seen := 0
+		for _, class := range db.Schema().ClassNames() {
+			db.Extent(class).ScanPos(func(o *object.Object, pos int) bool {
+				seen++
+				if pos != want[o.LOid] {
+					t.Errorf("%s: ScanPos hands %s position %d, want %d", step, o.LOid, pos, want[o.LOid])
+				}
+				return true
+			})
+		}
+		if seen != len(want) || db.Len() != len(want) {
+			t.Errorf("%s: ScanPos saw %d objects, Len = %d; want %d", step, seen, db.Len(), len(want))
+		}
+	}
+	insert("d1", "Department")
+	insert("t1", "Teacher")
+	insert("d2", "Department")
+	check("three inserts")
+	if err := db.Insert(object.New("d1", "Department", nil)); err == nil {
+		t.Fatal("duplicate LOid accepted")
+	}
+	if err := db.Insert(object.New("t9", "Teacher", map[string]object.Value{"zzz": object.Int(1)})); err == nil {
+		t.Fatal("unknown attribute accepted")
+	}
+	check("two rejected inserts")
+	insert("t2", "Teacher")
+	check("one more insert")
+	if _, _, ok := db.Locate("ghost"); ok {
+		t.Error("Locate of unknown LOid succeeded")
+	}
+	if db.Extent("Teacher").Get("d1") != nil || db.Extent("Department").Get("t2") != nil {
+		t.Error("an extent answered Get for another extent's object")
+	}
+	if o := db.Extent("Department").Get("d2"); o == nil || o.LOid != "d2" {
+		t.Errorf("Get(d2) = %v", o)
+	}
+}
+
 func TestExtentBytes(t *testing.T) {
 	db := MustNewDatabase(testSchema())
 	db.MustInsert(object.New("d1", "Department", map[string]object.Value{"name": object.Str("CS")}))

@@ -2,8 +2,8 @@
 # check.sh — the repository's verification gate: formatting, vet, the
 # one-orchestration, one-report-envelope, one-codec, one-check-path,
 # one-replica, one-repair-path, one-experiment-harness, work-runs-where-it-is,
-# one-identity-index, said-once, one-chooser and one-metric-catalog structural
-# guards, build,
+# one-identity-index, said-once, one-chooser, one-probe-per-fetch and
+# one-metric-catalog structural guards, build,
 # unit tests, the full test suite under the race detector, the benchmark
 # module's vet and tests, a one-shot compile-and-run smoke of the overhead and
 # allocation benchmarks,
@@ -207,6 +207,21 @@ want_one 'newCalibrator(' "$(grep -rn 'newCalibrator(' --include='*.go' --exclud
     grep -v 'func newCalibrator(' || true)"
 want_one 'requestOverhead = under internal/' \
     "$(grep -rniE 'requestOverhead[[:space:]]*=' --include='*.go' internal || true)"
+# One probe per fetch (DESIGN.md section 4 invariant 15, EXPERIMENTS.md E29): a
+# site's per-query buffer pool is a bitset over the store's positions. No
+# second LOid map stands beside the store's on the site path, the pool's
+# pre-sized constructor stays gone, and a database keeps one LOid-keyed map,
+# which its extents answer from.
+if grep -nE 'map\[object\.LOid\]' internal/eval/*.go internal/federation/site.go | grep -v '_test\.go:'; then
+    echo "a second LOid map is back on the site path; the buffer pool is eval.Cached's bitset" >&2
+    guard_failed=1
+fi
+if grep -rn 'NewCachedSize' --include='*.go' --exclude-dir=.bench_build .; then
+    echo "NewCachedSize is back; a pool sizes its bitset from the store" >&2
+    guard_failed=1
+fi
+want_one 'an LOid-keyed map field in internal/store/store.go' \
+    "$(grep -nE '^[[:space:]]+[a-zA-Z_]+[[:space:]]+map\[object\.LOid\]' internal/store/store.go || true)"
 # One metric catalog: every series non-test code emits has a row in the table
 # of DESIGN.md section 6.
 catalog="$(sed -n '/^## 6\. /,/^## 7\. /p' DESIGN.md)"
