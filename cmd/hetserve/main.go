@@ -73,6 +73,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"log/slog"
@@ -87,7 +88,6 @@ import (
 	"github.com/hetfed/hetfed/internal/exec"
 	"github.com/hetfed/hetfed/internal/fabric"
 	"github.com/hetfed/hetfed/internal/fedfile"
-	"github.com/hetfed/hetfed/internal/gmap"
 	"github.com/hetfed/hetfed/internal/metrics"
 	"github.com/hetfed/hetfed/internal/object"
 	"github.com/hetfed/hetfed/internal/obs"
@@ -95,10 +95,8 @@ import (
 	"github.com/hetfed/hetfed/internal/obs/slo"
 	"github.com/hetfed/hetfed/internal/planner"
 	"github.com/hetfed/hetfed/internal/remote"
-	"github.com/hetfed/hetfed/internal/schema"
 	"github.com/hetfed/hetfed/internal/school"
 	"github.com/hetfed/hetfed/internal/signature"
-	"github.com/hetfed/hetfed/internal/store"
 	"github.com/hetfed/hetfed/internal/store/wal"
 	"github.com/hetfed/hetfed/internal/trace"
 	"github.com/hetfed/hetfed/internal/version"
@@ -219,23 +217,13 @@ func run(args []string) error {
 	return runSite(fed, peers, &c)
 }
 
-// federationBundle is what both modes need, from either source.
-type federationBundle struct {
-	Global    *schema.Global
-	Databases map[object.SiteID]*store.Database
-	Mapping   *gmap.Tables
-}
-
-func loadFederation(path string) (*federationBundle, error) {
+// loadFederation loads the -fed document, or builds the school example.
+func loadFederation(path string) (*fedfile.Federation, error) {
 	if path == "" {
 		fx := school.New()
-		return &federationBundle{Global: fx.Global, Databases: fx.Databases, Mapping: fx.Mapping}, nil
+		return &fedfile.Federation{Schemas: fx.Schemas, Global: fx.Global, Databases: fx.Databases, Tables: fx.Mapping}, nil
 	}
-	fed, err := fedfile.Load(path)
-	if err != nil {
-		return nil, err
-	}
-	return &federationBundle{Global: fed.Global, Databases: fed.Databases, Mapping: fed.Tables}, nil
+	return fedfile.Load(path)
 }
 
 func parsePeers(s string) (map[object.SiteID]string, error) {
@@ -253,31 +241,25 @@ func parsePeers(s string) (map[object.SiteID]string, error) {
 	return peers, nil
 }
 
-// siteRuntime is one running instrumented site: the query server plus its
-// tracer, metrics registry and (optional) observability endpoint.
+// siteRuntime is one running instrumented site: the site itself plus its
+// tracer, metrics registry, flight recorder and (optional) observability
+// endpoint.
 type siteRuntime struct {
-	Server   *remote.Server
+	*remote.Site
 	Obs      *obs.Server // nil unless a metrics address was given
 	Tracer   *trace.Tracer
 	Metrics  *metrics.Registry
 	Recorder *obs.Recorder
-	Engine   *wal.Engine // nil unless the site is durable (-data-dir)
 }
 
-// Close stops the site's servers and flushes its durable engine.
+// Close stops the observability endpoint, then the site (its server, then
+// its durable engine).
 func (rt *siteRuntime) Close() error {
-	err := rt.Server.Close()
+	var err error
 	if rt.Obs != nil {
-		if cerr := rt.Obs.Close(); err == nil {
-			err = cerr
-		}
+		err = rt.Obs.Close()
 	}
-	if rt.Engine != nil {
-		if cerr := rt.Engine.Close(); err == nil {
-			err = cerr
-		}
-	}
-	return err
+	return errors.Join(err, rt.Site.Close())
 }
 
 // breakerHealth adapts a breaker-state snapshot (peer site → state) to the
@@ -324,23 +306,39 @@ func parseScrapeTargets(s string) ([]agg.Target, error) {
 	return out, nil
 }
 
-// instruments completes the options a process's instruments were given on the
-// command line with its identity: the flight recorder, and — with -data-dir —
-// the WAL options for the process's own subdirectory of the root.
-func (c *cmdline) instruments(site string, reg *metrics.Registry, tr *trace.Tracer, log *slog.Logger) (*obs.Recorder, wal.Options) {
+// instruments gives a process — a site, or the coordinator "G" — the
+// instruments the command line asks for: a span-capped tracer, a metrics
+// registry and the flight recorder, and — with -data-dir, nil without — the
+// WAL options for the process's own subdirectory of the root.
+func (c *cmdline) instruments(site string, log *slog.Logger) (*siteRuntime, *wal.Options) {
+	tr := &trace.Tracer{}
+	tr.SetLimit(spanLimit)
+	reg := metrics.New()
 	rc := c.recorder
 	rc.Site, rc.Log, rc.Metrics = site, log, reg
-	wo := c.wal
-	if wo.Dir != "" {
-		wo.Dir = filepath.Join(wo.Dir, site)
+	rt := &siteRuntime{Tracer: tr, Metrics: reg, Recorder: obs.NewRecorder(rc)}
+	if c.wal.Dir == "" {
+		return rt, nil
 	}
-	wo.Site, wo.Metrics, wo.Tracer, wo.Log = site, reg, tr, log
-	return obs.NewRecorder(rc), wo
+	wo := c.wal
+	wo.Dir, wo.Site, wo.Metrics, wo.Tracer, wo.Log = filepath.Join(wo.Dir, site), site, reg, tr, log
+	return rt, &wo
 }
 
-// startSite builds and starts one fully instrumented component-site server
-// and logs what it serves; runSite adds the signal-wait around it.
-func startSite(fed *federationBundle, peers map[object.SiteID]string, c *cmdline, log *slog.Logger) (*siteRuntime, error) {
+// instrument gives a site's config what the command line asks of every
+// site — its instruments, the log, the call policy and the repair loop — and
+// returns the runtime holding the instruments, with the site's WAL options.
+func (c *cmdline) instrument(site object.SiteID, cfg *remote.ServerConfig, log *slog.Logger) (*siteRuntime, *wal.Options) {
+	rt, walOpts := c.instruments(string(site), log)
+	cfg.Tracer, cfg.Metrics, cfg.Recorder, cfg.Log = rt.Tracer, rt.Metrics, rt.Recorder, log
+	cfg.Call, cfg.AntiEntropy = c.call, c.antiEntropy
+	return rt, walOpts
+}
+
+// startSite builds and starts one fully instrumented component site — with
+// -data-dir, recovered from (and on first boot seeded into) its WAL
+// directory — and serves its surface; runSite adds the signal-wait around it.
+func startSite(fed *fedfile.Federation, peers map[object.SiteID]string, c *cmdline, log *slog.Logger) (*siteRuntime, error) {
 	site := object.SiteID(c.site)
 	db, ok := fed.Databases[site]
 	if !ok {
@@ -350,90 +348,62 @@ func startSite(fed *federationBundle, peers map[object.SiteID]string, c *cmdline
 	if err != nil {
 		return nil, fmt.Errorf("-fault: %w", err)
 	}
-	tr := &trace.Tracer{}
-	tr.SetLimit(spanLimit)
-	reg := metrics.New()
-	rec, walOpts := c.instruments(c.site, reg, tr, log)
-	// Durable mode: recover this site's state from its WAL+snapshot
-	// directory, merge any fixture entries the recovered store doesn't have
-	// yet (first boot seeds everything), and serve the recovered database
-	// and mapping tables with every further mutation logged through the
-	// engine.
-	tables := fed.Mapping
-	var eng *wal.Engine
-	if walOpts.Dir != "" {
-		var rdb *store.Database
-		var err error
-		eng, rdb, tables, err = wal.Open(db.Schema(), walOpts)
-		if err != nil {
-			return nil, err
-		}
-		if err := eng.Import(db, fed.Mapping); err != nil {
-			eng.Close()
-			return nil, err
-		}
+	cfg := c.server
+	cfg.DB, cfg.Global, cfg.Tables, cfg.Peers = db, fed.Global, fed.Tables, peers
+	cfg.Signatures, cfg.Faults = signature.Build(fed.Databases), faults()
+	rt, walOpts := c.instrument(site, &cfg, log)
+	if rt.Site, err = remote.StartSite(cfg, c.listen, walOpts); err != nil {
+		return nil, err
+	}
+	if rt.Engine != nil {
 		log.Info("durable store ready",
 			slog.String("dir", walOpts.Dir),
-			slog.Uint64("seq", eng.Seq()),
+			slog.Uint64("seq", rt.Engine.Seq()),
 			slog.Bool("fsync", walOpts.Fsync))
-		db = rdb
 	}
-	cfg := c.server
-	cfg.DB, cfg.Global, cfg.Tables, cfg.Peers = db, fed.Global, tables, peers
-	cfg.Signatures = signature.Build(fed.Databases)
-	cfg.Tracer, cfg.Metrics, cfg.Recorder, cfg.Log = tr, reg, rec, log
-	cfg.Call, cfg.AntiEntropy, cfg.Faults = c.call, c.antiEntropy, faults()
-	if eng != nil {
-		cfg.Engine = eng
-	}
-	srv, err := remote.NewServer(cfg)
-	if err != nil {
-		if eng != nil {
-			eng.Close()
-		}
+	if err := rt.serve(c, log); err != nil {
+		rt.Close()
 		return nil, err
 	}
-	if err := srv.Listen(c.listen); err != nil {
-		if eng != nil {
-			eng.Close()
-		}
-		return nil, err
-	}
-	rt := &siteRuntime{Server: srv, Tracer: tr, Metrics: reg, Recorder: rec, Engine: eng}
-	// The extent this process serves: after a durable restart that is the
-	// recovered one, inserts included, not the fixture it was seeded from.
+	return rt, nil
+}
+
+// serve opens the site's observability surface when -metrics-addr asks for
+// one, and logs what the site serves: after a durable restart that is the
+// recovered extent, inserts included, not the fixture it was seeded from.
+func (rt *siteRuntime) serve(c *cmdline, log *slog.Logger) error {
+	site := string(rt.Server.Site())
 	attrs := []any{
-		slog.String("site", c.site),
-		slog.String("addr", srv.Addr()),
-		slog.Int("objects", db.Len()),
+		slog.String("site", site),
+		slog.String("addr", rt.Server.Addr()),
+		slog.Int("objects", rt.DB.Len()),
 	}
 	if c.metricsAddr != "" {
 		// The divergence tracker reports on /healthz ("antientropy:state" →
 		// "ok(round=N, repaired=NB)" or "suspect(C1,C2) …") so the cluster
 		// rollup and hetops show each replica's repair state.
 		health := []obs.Health{
-			breakerHealth(srv.BreakerStates),
-			obs.PrefixHealth("antientropy", srv.Tracker().Health),
+			breakerHealth(rt.Server.BreakerStates),
+			obs.PrefixHealth("antientropy", rt.Server.Tracker().Health),
 		}
-		if eng != nil {
+		if rt.Engine != nil {
 			// Durable sites surface their storage engine on /healthz
 			// ("wal:engine" → "ok(seq=N)") so the cluster rollup shows WAL
 			// state per site.
-			health = append(health, obs.PrefixHealth("wal", eng.Health))
+			health = append(health, obs.PrefixHealth("wal", rt.Engine.Health))
 		}
-		o, err := obs.Serve(c.metricsAddr, c.site, reg, tr, rec, health...)
+		o, err := obs.Serve(c.metricsAddr, site, rt.Metrics, rt.Tracer, rt.Recorder, health...)
 		if err != nil {
-			rt.Close()
-			return nil, err
+			return err
 		}
 		rt.Obs = o
 		attrs = append(attrs, slog.String("metrics_addr", o.Addr()))
 	}
 	log.Info("site serving", attrs...)
-	return rt, nil
+	return nil
 }
 
-func runSite(fed *federationBundle, peers map[object.SiteID]string, c *cmdline) error {
+func runSite(fed *fedfile.Federation, peers map[object.SiteID]string, c *cmdline) error {
 	log := slog.New(slog.NewTextHandler(os.Stderr, nil))
 	rt, err := startSite(fed, peers, c, log)
 	if err != nil {
@@ -446,7 +416,7 @@ func runSite(fed *federationBundle, peers map[object.SiteID]string, c *cmdline) 
 	return rt.Close()
 }
 
-func runCoordinator(fed *federationBundle, peers map[object.SiteID]string, c *cmdline) error {
+func runCoordinator(fed *fedfile.Federation, peers map[object.SiteID]string, c *cmdline) error {
 	alg, err := exec.ParseAlgorithm(c.alg)
 	if err != nil {
 		return err
@@ -471,27 +441,25 @@ func runCoordinator(fed *federationBundle, peers map[object.SiteID]string, c *cm
 	}
 	call := c.call
 	call.Faults = faults()
-	tr := &trace.Tracer{}
-	tr.SetLimit(spanLimit)
-	reg := metrics.New()
 	log := slog.New(slog.NewTextHandler(os.Stderr, nil)).With("site", "G")
-	rec, walOpts := c.instruments("G", reg, tr, log)
+	in, walOpts := c.instruments("G", log)
+	tr, reg, rec := in.Tracer, in.Metrics, in.Recorder
 	// Durable mode: recover the global mapping tables and bind-delta log
 	// from <data-dir>/G, merge fixture bindings the log doesn't have yet, and
 	// hand the coordinator the recovered tables plus the log itself (every
 	// accepted bind is appended before it is applied, so a restart holds
 	// everything the sites may have been told).
-	tables := fed.Mapping
+	tables := fed.Tables
 	coord := &c.coord
 	var deltaLog *wal.Engine
-	if walOpts.Dir != "" {
-		deltaLog, tables, err = wal.OpenLog(walOpts)
+	if walOpts != nil {
+		deltaLog, tables, err = wal.OpenLog(*walOpts)
 		if err != nil {
 			return err
 		}
 		defer deltaLog.Close()
 		coord.DeltaLog = deltaLog
-		if err := deltaLog.Import(nil, fed.Mapping); err != nil {
+		if err := deltaLog.Import(nil, fed.Tables); err != nil {
 			return err
 		}
 		log.Info("durable delta log ready",

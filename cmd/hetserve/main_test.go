@@ -15,12 +15,12 @@ import (
 	"testing"
 	"time"
 
+	"github.com/hetfed/hetfed/internal/fedfile"
 	"github.com/hetfed/hetfed/internal/isomer"
 	"github.com/hetfed/hetfed/internal/metrics"
 	"github.com/hetfed/hetfed/internal/object"
 	"github.com/hetfed/hetfed/internal/remote"
 	"github.com/hetfed/hetfed/internal/school"
-	"github.com/hetfed/hetfed/internal/signature"
 )
 
 func TestParsePeers(t *testing.T) {
@@ -74,7 +74,7 @@ func TestRunFlagErrors(t *testing.T) {
 // fixture it was first seeded from.
 func TestRestartedSiteLogsServedExtent(t *testing.T) {
 	fx := school.New()
-	bundle := &federationBundle{Global: fx.Global, Databases: fx.Databases, Mapping: fx.Mapping}
+	bundle := &fedfile.Federation{Global: fx.Global, Databases: fx.Databases, Tables: fx.Mapping}
 	c := &cmdline{site: "DB2", listen: "127.0.0.1:0"}
 	c.wal.Dir = t.TempDir()
 	boot := func() (*siteRuntime, string) {
@@ -158,29 +158,13 @@ func httpGet(t *testing.T, addr, path string) (int, string) {
 // TestCoordinatorAgainstCluster starts the school sites in-process (via the
 // remote package, as runSite would) and drives runCoordinator against them.
 func TestCoordinatorAgainstCluster(t *testing.T) {
-	fx := school.New()
-	sigs := signature.Build(fx.Databases)
-	addrs := make(map[object.SiteID]string)
-	var servers []*remote.Server
-	for _, site := range school.Sites {
-		srv, err := remote.NewServer(remote.ServerConfig{
-			DB: fx.Databases[site], Global: fx.Global, Tables: fx.Mapping, Signatures: sigs,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := srv.Listen("127.0.0.1:0"); err != nil {
-			t.Fatal(err)
-		}
-		defer srv.Close()
-		servers = append(servers, srv)
-		addrs[site] = srv.Addr()
+	bundle, _ := loadFederation("")
+	cluster, err := remote.StartCluster(remote.ClusterConfig{Federation: bundle})
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, srv := range servers {
-		srv.SetPeers(addrs)
-	}
-
-	bundle := &federationBundle{Global: fx.Global, Databases: fx.Databases, Mapping: fx.Mapping}
+	defer cluster.Close()
+	addrs := cluster.Addrs()
 	out, err := captureStdout(t, func() error {
 		return runCoordinator(bundle, addrs, &cmdline{query: school.Q1, alg: "BL"})
 	})
@@ -212,17 +196,13 @@ func TestCoordinatorAgainstCluster(t *testing.T) {
 // signalled, as a site does — /cluster can be read after the one query.
 // (Without -metrics-addr it exits: TestCoordinatorAgainstCluster returns.)
 func TestCoordinatorServesAfterAnswer(t *testing.T) {
-	fx := school.New()
-	bundle := &federationBundle{Global: fx.Global, Databases: fx.Databases, Mapping: fx.Mapping}
-	addrs := make(map[object.SiteID]string)
-	for _, site := range school.Sites {
-		rt, err := startSite(bundle, nil, &cmdline{site: string(site), listen: "127.0.0.1:0"}, slog.New(slog.DiscardHandler))
-		if err != nil {
-			t.Fatalf("startSite %s: %v", site, err)
-		}
-		defer rt.Close()
-		addrs[site] = rt.Server.Addr()
+	bundle, _ := loadFederation("")
+	cluster, err := remote.StartCluster(remote.ClusterConfig{Federation: bundle})
+	if err != nil {
+		t.Fatal(err)
 	}
+	defer cluster.Close()
+	addrs := cluster.Addrs()
 	// Reserve a port for the surface: the test must know it before the
 	// coordinator logs it.
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -288,24 +268,25 @@ func TestCoordinatorServesAfterAnswer(t *testing.T) {
 // the hetserve coordinator path, and then the span trees, per-site metrics
 // and HTTP surface are all inspected.
 func TestObservabilitySurface(t *testing.T) {
-	fx := school.New()
-	bundle := &federationBundle{Global: fx.Global, Databases: fx.Databases, Mapping: fx.Mapping}
+	bundle, _ := loadFederation("")
 	logger := slog.New(slog.DiscardHandler)
 
-	addrs := make(map[object.SiteID]string)
+	// The sites as runSite instruments them, wired to each other.
+	c := &cmdline{metricsAddr: "127.0.0.1:0"}
 	rts := make(map[object.SiteID]*siteRuntime)
-	for _, site := range school.Sites {
-		rt, err := startSite(bundle, nil,
-			&cmdline{site: string(site), listen: "127.0.0.1:0", metricsAddr: "127.0.0.1:0"}, logger)
-		if err != nil {
-			t.Fatalf("startSite %s: %v", site, err)
-		}
-		defer rt.Close()
-		rts[site] = rt
-		addrs[site] = rt.Server.Addr()
+	cluster, err := remote.StartCluster(remote.ClusterConfig{Federation: bundle,
+		Configure: func(site object.SiteID, cfg *remote.ServerConfig) { rts[site], _ = c.instrument(site, cfg, logger) }})
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, rt := range rts {
-		rt.Server.SetPeers(addrs)
+	defer cluster.Close()
+	addrs := cluster.Addrs()
+	for site, rt := range rts {
+		rt.Site = &remote.Site{Server: cluster.Server(site), DB: bundle.Databases[site]}
+		if err := rt.serve(c, logger); err != nil {
+			t.Fatal(err)
+		}
+		defer rt.Obs.Close()
 	}
 
 	// (c) /healthz answers 200 on every site before any query.

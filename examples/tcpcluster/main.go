@@ -13,45 +13,26 @@ import (
 	"log"
 
 	hetfed "github.com/hetfed/hetfed"
-	"github.com/hetfed/hetfed/internal/school"
 )
 
 func main() {
 	fx := hetfed.SchoolExample()
-	sigs := hetfed.BuildSignatures(fx.Databases)
 
-	// Start one server per component database on an ephemeral port.
-	servers := make([]*hetfed.SiteServer, 0, len(fx.Databases))
-	addrs := make(map[hetfed.SiteID]string, len(fx.Databases))
-	for _, site := range school.Sites {
-		srv, err := hetfed.NewSiteServer(hetfed.SiteServerConfig{
-			DB:         fx.Databases[site],
-			Global:     fx.Global,
-			Tables:     fx.Mapping,
-			Signatures: sigs,
-		})
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := srv.Listen("127.0.0.1:0"); err != nil {
-			log.Fatal(err)
-		}
-		defer srv.Close()
-		servers = append(servers, srv)
-		addrs[site] = srv.Addr()
-		fmt.Printf("site %s listening on %s\n", site, srv.Addr())
+	// Start one server per component database on an ephemeral port, wire
+	// them to each other and to the coordinator.
+	coord := &hetfed.RemoteCoordinator{}
+	cluster, err := hetfed.StartCluster(hetfed.ClusterConfig{
+		Federation:  &hetfed.FederationDoc{Global: fx.Global, Databases: fx.Databases, Tables: fx.Mapping},
+		Coordinator: coord,
+	})
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer cluster.Close()
+	for _, site := range cluster.Sites() {
+		fmt.Printf("site %s listening on %s\n", site, coord.Sites[site])
 	}
 
-	for _, srv := range servers {
-		srv.SetPeers(addrs)
-	}
-
-	coord := &hetfed.RemoteCoordinator{
-		ID:     "G",
-		Global: fx.Global,
-		Tables: fx.Mapping,
-		Sites:  addrs,
-	}
 	if err := coord.Ping(); err != nil {
 		log.Fatal(err)
 	}

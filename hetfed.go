@@ -341,8 +341,8 @@ var (
 
 type (
 	// MetricsRegistry holds counters, gauges and histograms keyed by
-	// (site, peer, algorithm, phase). Wire one into EngineConfig.Metrics,
-	// SiteServerConfig.Metrics or RemoteCoordinator.Metrics.
+	// (site, peer, algorithm, phase). Wire one into EngineConfig.Metrics
+	// or RemoteCoordinator.Metrics.
 	MetricsRegistry = metrics.Registry
 )
 
@@ -354,17 +354,20 @@ var NewMetricsRegistry = metrics.New
 //
 
 type (
-	// SiteServer serves one component database over TCP.
-	SiteServer = remote.Server
-	// SiteServerConfig assembles a site server.
-	SiteServerConfig = remote.ServerConfig
+	// Cluster is a federation served over loopback TCP, one site server per
+	// database, wired as peers and to a coordinator; Kill and Restart rewire.
+	Cluster = remote.Cluster
+	// ClusterConfig names the federation, an optional durable data root, a
+	// per-site config hook and the coordinator to wire.
+	ClusterConfig = remote.ClusterConfig
 	// RemoteCoordinator executes queries (and inserts) against a cluster
 	// of site servers.
 	RemoteCoordinator = remote.Coordinator
 )
 
-// NewSiteServer wraps a component database for network duty.
-var NewSiteServer = remote.NewServer
+// StartCluster serves a federation over loopback TCP and wires the
+// coordinator the config names to it; Close tears both down.
+var StartCluster = remote.StartCluster
 
 //
 // Example federation — the paper's Figures 1–5 school databases, used by

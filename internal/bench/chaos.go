@@ -5,18 +5,17 @@ import (
 	"fmt"
 	"math/rand"
 	"path/filepath"
-	"sort"
 	"time"
 
 	"github.com/hetfed/hetfed/internal/antientropy"
 	"github.com/hetfed/hetfed/internal/exec"
 	"github.com/hetfed/hetfed/internal/fabric"
+	"github.com/hetfed/hetfed/internal/fedfile"
 	"github.com/hetfed/hetfed/internal/isomer"
 	"github.com/hetfed/hetfed/internal/metrics"
 	"github.com/hetfed/hetfed/internal/object"
 	"github.com/hetfed/hetfed/internal/remote"
 	"github.com/hetfed/hetfed/internal/school"
-	"github.com/hetfed/hetfed/internal/signature"
 	"github.com/hetfed/hetfed/internal/store/wal"
 	"github.com/hetfed/hetfed/internal/trace"
 )
@@ -67,27 +66,6 @@ type ChaosCell struct {
 	WallMillis float64 `json:"wall_ms"`
 }
 
-// chaosNode is one durable site of the chaos cluster.
-type chaosNode struct {
-	srv *remote.Server
-	eng *wal.Engine
-}
-
-func (n *chaosNode) close() {
-	n.srv.Close()
-	n.eng.Close()
-}
-
-// chaosRig is the cluster under chaos: live sites, the shared fault plan,
-// and the coordinator.
-type chaosRig struct {
-	root  string
-	plan  *fabric.FaultPlan
-	nodes map[object.SiteID]*chaosNode
-	addrs map[object.SiteID]string
-	coord *remote.Coordinator
-}
-
 // chaosCall is the rig's call policy: one attempt and tight timeouts, so a
 // partitioned or dead peer degrades the operation promptly.
 func chaosCall(plan *fabric.FaultPlan) remote.CallConfig {
@@ -98,93 +76,6 @@ func chaosCall(plan *fabric.FaultPlan) remote.CallConfig {
 		BreakerThreshold: 0,
 		Faults:           plan,
 	}
-}
-
-func (rig *chaosRig) startSite(site object.SiteID) error {
-	fx := school.New()
-	eng, db, tables, err := wal.Open(fx.Databases[site].Schema(), wal.Options{
-		Dir:  filepath.Join(rig.root, string(site)),
-		Site: string(site),
-	})
-	if err != nil {
-		return fmt.Errorf("bench: wal.Open(%s): %w", site, err)
-	}
-	if err := eng.Import(fx.Databases[site], fx.Mapping); err != nil {
-		eng.Close()
-		return fmt.Errorf("bench: import %s: %w", site, err)
-	}
-	srv, err := remote.NewServer(remote.ServerConfig{
-		DB:         db,
-		Global:     fx.Global,
-		Tables:     tables,
-		Engine:     eng,
-		Signatures: signature.Build(fx.Databases),
-		Tracer:     &trace.Tracer{},
-		Metrics:    metrics.New(),
-		Faults:     rig.plan,
-		Call:       chaosCall(rig.plan),
-	})
-	if err != nil {
-		eng.Close()
-		return fmt.Errorf("bench: server %s: %w", site, err)
-	}
-	if err := srv.Listen("127.0.0.1:0"); err != nil {
-		eng.Close()
-		return fmt.Errorf("bench: listen %s: %w", site, err)
-	}
-	rig.nodes[site] = &chaosNode{srv: srv, eng: eng}
-	rig.addrs[site] = srv.Addr()
-	rig.rewire()
-	return nil
-}
-
-func (rig *chaosRig) killSite(site object.SiteID) {
-	rig.nodes[site].close()
-	delete(rig.nodes, site)
-	delete(rig.addrs, site)
-	rig.rewire()
-}
-
-func (rig *chaosRig) rewire() {
-	addrs := make(map[object.SiteID]string, len(rig.addrs))
-	for site, addr := range rig.addrs {
-		addrs[site] = addr
-	}
-	for _, n := range rig.nodes {
-		n.srv.SetPeers(addrs)
-	}
-	if rig.coord != nil {
-		rig.coord.Sites = addrs
-	}
-}
-
-func (rig *chaosRig) liveSites() []object.SiteID {
-	out := make([]object.SiteID, 0, len(rig.nodes))
-	for site := range rig.nodes {
-		out = append(out, site)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-func (rig *chaosRig) converged() bool {
-	snaps := []map[string]antientropy.Digest{rig.coord.Tracker().Snapshot()}
-	for _, site := range rig.liveSites() {
-		snaps = append(snaps, rig.nodes[site].srv.DigestSnapshot())
-	}
-	for i := 1; i < len(snaps); i++ {
-		if len(antientropy.DiffClasses(snaps[0], snaps[i])) != 0 {
-			return false
-		}
-	}
-	return true
-}
-
-func (rig *chaosRig) repairRound(ctx context.Context) {
-	for _, site := range rig.liveSites() {
-		rig.nodes[site].srv.RunAntiEntropyRound(ctx)
-	}
-	rig.coord.RunAntiEntropyRound(ctx)
 }
 
 // RunChaos executes the chaos schedule and gates itself on the two safety
@@ -216,25 +107,6 @@ func RunChaos(spec ChaosSpec, dir string, progress func(string)) (*Report, error
 	ctx := context.Background()
 	start := time.Now()
 
-	rig := &chaosRig{
-		root:  dir,
-		plan:  fabric.NewFaultPlan(),
-		nodes: make(map[object.SiteID]*chaosNode),
-		addrs: make(map[object.SiteID]string),
-	}
-	defer func() {
-		for _, n := range rig.nodes {
-			n.close()
-		}
-		if rig.coord != nil {
-			rig.coord.Close()
-		}
-	}()
-	for _, site := range school.Sites {
-		if err := rig.startSite(site); err != nil {
-			return nil, err
-		}
-	}
 	fx := school.New()
 	deltaLog, gtables, err := wal.OpenLog(wal.Options{Dir: filepath.Join(dir, "G"), Site: "G"})
 	if err != nil {
@@ -248,18 +120,46 @@ func RunChaos(spec ChaosSpec, dir string, progress func(string)) (*Report, error
 	if err := matcher.Adopt(fx.Databases, gtables); err != nil {
 		return nil, err
 	}
-	rig.coord = &remote.Coordinator{
-		ID:       "G",
-		Global:   fx.Global,
+	// The cluster under chaos: the durable school cluster and its
+	// coordinator, all on one fault plan.
+	plan := fabric.NewFaultPlan()
+	coord := &remote.Coordinator{
 		Tables:   matcher.Tables(),
 		Matcher:  matcher,
 		DeltaLog: deltaLog,
 		Metrics:  metrics.New(),
-		Call:     chaosCall(rig.plan),
+		Call:     chaosCall(plan),
 	}
-	rig.rewire()
+	cluster, err := remote.StartCluster(remote.ClusterConfig{
+		Federation: &fedfile.Federation{Global: fx.Global, Databases: fx.Databases, Tables: fx.Mapping},
+		DataDir:    dir,
+		Configure: func(_ object.SiteID, cfg *remote.ServerConfig) {
+			cfg.Tracer, cfg.Metrics = &trace.Tracer{}, metrics.New()
+			cfg.Faults, cfg.Call = plan, chaosCall(plan)
+		},
+		Coordinator: coord,
+	})
+	if err != nil {
+		return nil, err
+	}
+	defer cluster.Close()
+	repairRound := func() {
+		for _, site := range cluster.Sites() {
+			cluster.Server(site).RunAntiEntropyRound(ctx)
+		}
+		coord.RunAntiEntropyRound(ctx)
+	}
+	converged := func() bool {
+		want := coord.Tracker().Snapshot()
+		for _, site := range cluster.Sites() {
+			if len(antientropy.DiffClasses(want, cluster.Server(site).DigestSnapshot())) != 0 {
+				return false
+			}
+		}
+		return true
+	}
 
-	truth, _, err := rig.coord.Query(school.Q1, exec.CA)
+	truth, _, err := coord.Query(school.Q1, exec.CA)
 	if err != nil {
 		return nil, fmt.Errorf("bench: ground-truth query: %w", err)
 	}
@@ -288,7 +188,7 @@ func RunChaos(spec ChaosSpec, dir string, progress func(string)) (*Report, error
 		switch op := rng.Intn(10); {
 		case op < 3:
 			alg := algs[rng.Intn(len(algs))]
-			ans, _, err := rig.coord.Query(school.Q1, alg)
+			ans, _, err := coord.Query(school.Q1, alg)
 			if err != nil {
 				return nil, fmt.Errorf("bench: step %d: query(%v) failed hard: %w", step, alg, err)
 			}
@@ -300,22 +200,23 @@ func RunChaos(spec ChaosSpec, dir string, progress func(string)) (*Report, error
 				}
 			}
 		case op < 5:
-			site := rig.liveSites()[rng.Intn(len(rig.nodes))]
+			live := cluster.Sites()
+			site := live[rng.Intn(len(live))]
 			if site == "DB3" {
 				site = "DB1" // keep chaos inserts on the uniform Teacher shape
 			}
 			cell.Inserts++
 			o := object.New(object.LOid(fmt.Sprintf("tc%03d'", cell.Inserts)), "Teacher",
 				map[string]object.Value{"name": object.Str(fmt.Sprintf("Chaos%03d", cell.Inserts))})
-			_, _ = rig.coord.Insert(site, o) // partial failure is repair's job
+			_, _ = coord.Insert(site, o) // partial failure is repair's job
 		case op < 7:
 			if partitioned {
-				rig.plan.HealPartitions()
+				plan.HealPartitions()
 				partitioned = false
 				cell.Heals++
 			} else {
 				split := splits[rng.Intn(len(splits))]
-				rig.plan.Partition(fabric.Partition{A: split[0], B: split[1]})
+				plan.Partition(fabric.Partition{A: split[0], B: split[1]})
 				partitioned = true
 				cell.Partitions++
 			}
@@ -323,43 +224,43 @@ func RunChaos(spec ChaosSpec, dir string, progress func(string)) (*Report, error
 			if len(dead) > 0 {
 				site := dead[0]
 				dead = dead[1:]
-				if err := rig.startSite(site); err != nil {
+				if err := cluster.Restart(site); err != nil {
 					return nil, err
 				}
 				cell.Restarts++
-			} else if len(rig.nodes) > 2 {
-				site := rig.liveSites()[rng.Intn(len(rig.nodes))]
-				rig.killSite(site)
+			} else if live := cluster.Sites(); len(live) > 2 {
+				site := live[rng.Intn(len(live))]
+				_ = cluster.Kill(site)
 				dead = append(dead, site)
 				cell.Kills++
 			}
 		case op < 9:
-			rig.repairRound(ctx)
+			repairRound()
 			cell.Repairs++
 		default:
-			_ = rig.coord.Ping()
+			_ = coord.Ping()
 		}
 	}
 	say("schedule done: %d queries, %d inserts, %d partitions, %d kills",
 		cell.Queries, cell.Inserts, cell.Partitions, cell.Kills)
 
 	// Heal, restart, converge.
-	rig.plan.HealPartitions()
+	plan.HealPartitions()
 	for _, site := range dead {
-		if err := rig.startSite(site); err != nil {
+		if err := cluster.Restart(site); err != nil {
 			return nil, err
 		}
 		cell.Restarts++
 	}
-	_ = rig.coord.Ping()
+	_ = coord.Ping()
 	// At least one post-heal round always runs: a clean quorum round is
 	// what clears suspect marks left over from partition-era exchanges,
 	// even when the digests already agree.
 	rounds := 0
 	for {
-		rig.repairRound(ctx)
+		repairRound()
 		rounds++
-		if rig.converged() {
+		if converged() {
 			break
 		}
 		if rounds >= spec.MaxConvergenceRounds {
@@ -370,7 +271,7 @@ func RunChaos(spec ChaosSpec, dir string, progress func(string)) (*Report, error
 	cell.ConvergenceRounds = rounds
 	say("converged after %d repair rounds", rounds)
 
-	final, _, err := rig.coord.Query(school.Q1, exec.CA)
+	final, _, err := coord.Query(school.Q1, exec.CA)
 	if err != nil {
 		return nil, fmt.Errorf("bench: final query: %w", err)
 	}
@@ -381,20 +282,20 @@ func RunChaos(spec ChaosSpec, dir string, progress func(string)) (*Report, error
 		return nil, fmt.Errorf("bench: final answer (certain %s, %d maybe) differs from ground truth (certain %s, %d maybe)",
 			got, len(final.Maybe), want, len(truth.Maybe))
 	}
-	for _, site := range rig.liveSites() {
-		if sus := rig.nodes[site].srv.Tracker().Suspects(); len(sus) != 0 {
+	for _, site := range cluster.Sites() {
+		if sus := cluster.Server(site).Tracker().Suspects(); len(sus) != 0 {
 			return nil, fmt.Errorf("bench: site %s still suspects %v after convergence", site, sus)
 		}
 	}
-	if states := rig.coord.DivergenceStates(); len(states) != 0 {
+	if states := coord.DivergenceStates(); len(states) != 0 {
 		return nil, fmt.Errorf("bench: coordinator still suspects %v after convergence", states)
 	}
 
-	stats := rig.coord.Tracker().Stats()
+	stats := coord.Tracker().Stats()
 	cell.RepairedBindings = int64(stats.RepairedBindings)
 	cell.RepairBytes = int64(stats.RepairedBytes)
-	for _, site := range rig.liveSites() {
-		s := rig.nodes[site].srv.Tracker().Stats()
+	for _, site := range cluster.Sites() {
+		s := cluster.Server(site).Tracker().Stats()
 		cell.RepairedBindings += int64(s.RepairedBindings)
 		cell.RepairBytes += int64(s.RepairedBytes)
 	}

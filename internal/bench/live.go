@@ -5,17 +5,16 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"sort"
 	"time"
 
 	"github.com/hetfed/hetfed/internal/exec"
 	"github.com/hetfed/hetfed/internal/fabric"
+	"github.com/hetfed/hetfed/internal/fedfile"
 	"github.com/hetfed/hetfed/internal/metrics"
 	"github.com/hetfed/hetfed/internal/object"
 	"github.com/hetfed/hetfed/internal/obs"
 	"github.com/hetfed/hetfed/internal/planner"
 	"github.com/hetfed/hetfed/internal/remote"
-	"github.com/hetfed/hetfed/internal/signature"
 	"github.com/hetfed/hetfed/internal/trace"
 	"github.com/hetfed/hetfed/internal/workload"
 )
@@ -27,21 +26,16 @@ import (
 type liveCluster struct {
 	coord    *remote.Coordinator
 	coordReg *metrics.Registry
-	servers  []*remote.Server
+	cluster  *remote.Cluster
 	obsSrvs  []*obs.Server
-	scrapes  []string // per-site /metrics URLs, index-aligned with servers
+	scrapes  []string // per-site /metrics URLs, in site order
 }
 
 func (lc *liveCluster) close() {
-	if lc.coord != nil {
-		lc.coord.Close()
-	}
 	for _, o := range lc.obsSrvs {
 		o.Close()
 	}
-	for _, s := range lc.servers {
-		s.Close()
-	}
+	lc.cluster.Close()
 }
 
 // startLiveCluster deploys the bundle's federation for one cell. The cell's
@@ -55,55 +49,10 @@ func startLiveCluster(spec MatrixSpec, cell Cell, bundle *Bundle) (*liveCluster,
 	if err != nil {
 		return nil, err
 	}
-	sigs := signature.Build(bundle.Databases)
 	plan := faults()
-
-	lc := &liveCluster{}
-	sites := make([]object.SiteID, 0, len(bundle.Databases))
-	for site := range bundle.Databases {
-		sites = append(sites, site)
-	}
-	sort.Slice(sites, func(i, j int) bool { return sites[i] < sites[j] })
-
-	addrs := make(map[object.SiteID]string, len(sites))
-	for _, site := range sites {
-		reg := metrics.New()
-		srv, err := remote.NewServer(remote.ServerConfig{
-			DB:         bundle.Databases[site],
-			Global:     bundle.Global,
-			Tables:     bundle.Tables,
-			Signatures: sigs,
-			Metrics:    reg,
-			Faults:     plan,
-		})
-		if err != nil {
-			lc.close()
-			return nil, fmt.Errorf("server %s: %w", site, err)
-		}
-		if err := srv.Listen("127.0.0.1:0"); err != nil {
-			lc.close()
-			return nil, fmt.Errorf("listen %s: %w", site, err)
-		}
-		lc.servers = append(lc.servers, srv)
-		addrs[site] = srv.Addr()
-
-		o, err := obs.Serve("127.0.0.1:0", string(site), reg, nil, nil)
-		if err != nil {
-			lc.close()
-			return nil, fmt.Errorf("obs %s: %w", site, err)
-		}
-		lc.obsSrvs = append(lc.obsSrvs, o)
-		lc.scrapes = append(lc.scrapes, "http://"+o.Addr()+"/metrics")
-	}
-	for _, srv := range lc.servers {
-		srv.SetPeers(addrs)
-	}
-	lc.coordReg = metrics.New()
+	lc := &liveCluster{coordReg: metrics.New()}
 	lc.coord = &remote.Coordinator{
 		ID:            coordinatorID,
-		Global:        bundle.Global,
-		Tables:        bundle.Tables,
-		Sites:         addrs,
 		Metrics:       lc.coordReg,
 		MaxConcurrent: spec.MaxConcurrent,
 		Deadline:      spec.Deadline,
@@ -118,6 +67,27 @@ func startLiveCluster(spec MatrixSpec, cell Cell, bundle *Bundle) (*liveCluster,
 		lc.coord.Tracer = tr
 		cat := planner.BuildCatalog(bundle.Global, bundle.Databases, bundle.Tables)
 		lc.coord.Selector = planner.NewSelector(cat, coordinatorID, lc.coord.BreakerStates)
+	}
+	regs := make(map[object.SiteID]*metrics.Registry, len(bundle.Databases))
+	lc.cluster, err = remote.StartCluster(remote.ClusterConfig{
+		Federation: &fedfile.Federation{Global: bundle.Global, Databases: bundle.Databases, Tables: bundle.Tables},
+		Configure: func(site object.SiteID, cfg *remote.ServerConfig) {
+			regs[site] = metrics.New()
+			cfg.Metrics, cfg.Faults = regs[site], plan
+		},
+		Coordinator: lc.coord,
+	})
+	if err != nil {
+		return nil, err
+	}
+	for _, site := range lc.cluster.Sites() {
+		o, err := obs.Serve("127.0.0.1:0", string(site), regs[site], nil, nil)
+		if err != nil {
+			lc.close()
+			return nil, fmt.Errorf("obs %s: %w", site, err)
+		}
+		lc.obsSrvs = append(lc.obsSrvs, o)
+		lc.scrapes = append(lc.scrapes, "http://"+o.Addr()+"/metrics")
 	}
 	return lc, nil
 }

@@ -167,9 +167,9 @@ func runObsCell(ctx context.Context, spec ObsSpec, matrix MatrixSpec, cell Cell,
 		// SLO engine evaluating on each pass — exactly the -cluster-scrape
 		// deployment shape.
 		targets := []agg.Target{{Site: coordinatorID, Local: lc.coordReg.Snapshot}}
-		for i, srv := range lc.servers {
+		for i, site := range lc.cluster.Sites() {
 			base := lc.scrapes[i][:len(lc.scrapes[i])-len("/metrics")]
-			targets = append(targets, agg.Target{Site: string(srv.Site()), URL: base})
+			targets = append(targets, agg.Target{Site: string(site), URL: base})
 		}
 		scraper, err = agg.New(agg.Config{
 			Site:     coordinatorID,

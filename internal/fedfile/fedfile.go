@@ -5,16 +5,17 @@
 // the global schema; the GOid mapping tables are derived by key-based
 // isomerism identification on load.
 //
-// Value encoding: JSON numbers become ints when integral (floats
-// otherwise), strings and booleans map directly, {"$ref": "loid"} is a
-// local object reference, arrays are multi-valued attributes, and null (or
-// omission) is missing data.
+// Value encoding: a JSON number takes the kind its attribute declares — a
+// float attribute any number, an int attribute an integer numeral (anything
+// else is a float, which the store rejects there); strings and booleans map
+// directly, {"$ref": "loid"} is a local object reference, arrays are
+// multi-valued attributes, and null (or omission) is missing data.
 package fedfile
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
-	"math"
 	"os"
 	"sort"
 
@@ -142,7 +143,7 @@ func Parse(data []byte) (*Federation, error) {
 			return nil, fmt.Errorf("fedfile: %w", err)
 		}
 		for _, od := range siteDoc.Objects {
-			o, err := buildObject(od)
+			o, err := buildObject(od, s.Class(od.Class))
 			if err != nil {
 				return nil, fmt.Errorf("fedfile: site %s object %s: %w", name, od.ID, err)
 			}
@@ -212,10 +213,25 @@ func kindOf(t string) (object.Kind, error) {
 	}
 }
 
-func buildObject(doc ObjectDoc) (*object.Object, error) {
+// buildObject decodes an object's attributes, a number by the kind its
+// class declares; a class or attribute the schema lacks is left for the
+// store to reject. JSON null is missing data: the attribute is left out.
+func buildObject(doc ObjectDoc, class *schema.Class) (*object.Object, error) {
 	attrs := make(map[string]object.Value, len(doc.Attrs))
 	for name, raw := range doc.Attrs {
-		v, err := decodeValue(raw)
+		var kind object.Kind
+		if class != nil {
+			a, _ := class.Attr(name)
+			kind = a.Prim
+		}
+		dec := json.NewDecoder(bytes.NewReader(raw))
+		dec.UseNumber()
+		var any interface{}
+		err := dec.Decode(&any)
+		v := object.Value{}
+		if err == nil {
+			v, err = fromAny(any, kind)
+		}
 		if err != nil {
 			return nil, fmt.Errorf("attribute %s: %w", name, err)
 		}
@@ -226,27 +242,23 @@ func buildObject(doc ObjectDoc) (*object.Object, error) {
 	return object.New(object.LOid(doc.ID), doc.Class, attrs), nil
 }
 
-// decodeValue maps a JSON value to an object value. It returns the zero
-// Value for JSON null (missing data).
-func decodeValue(raw json.RawMessage) (object.Value, error) {
-	var any interface{}
-	if err := json.Unmarshal(raw, &any); err != nil {
-		return object.Value{}, err
-	}
-	return fromAny(any)
-}
-
-func fromAny(any interface{}) (object.Value, error) {
+func fromAny(any interface{}, kind object.Kind) (object.Value, error) {
 	switch v := any.(type) {
 	case nil:
 		return object.Value{}, nil
 	case bool:
 		return object.Bool(v), nil
-	case float64:
-		if v == math.Trunc(v) && math.Abs(v) < 1e15 {
-			return object.Int(int64(v)), nil
+	case json.Number:
+		if kind != object.KindFloat {
+			if i, err := v.Int64(); err == nil {
+				return object.Int(i), nil
+			}
 		}
-		return object.Float(v), nil
+		f, err := v.Float64()
+		if err != nil {
+			return object.Value{}, fmt.Errorf("number %s: %w", v, err)
+		}
+		return object.Float(f), nil
 	case string:
 		return object.Str(v), nil
 	case map[string]interface{}:
@@ -258,7 +270,7 @@ func fromAny(any interface{}) (object.Value, error) {
 	case []interface{}:
 		elems := make([]object.Value, 0, len(v))
 		for _, e := range v {
-			ev, err := fromAny(e)
+			ev, err := fromAny(e, kind)
 			if err != nil {
 				return object.Value{}, err
 			}

@@ -16,12 +16,12 @@ import (
 	"net/http"
 	"reflect"
 	"runtime"
-	"sort"
 	"strings"
 	"testing"
 	"time"
 
 	"github.com/hetfed/hetfed/internal/exec"
+	"github.com/hetfed/hetfed/internal/fedfile"
 	"github.com/hetfed/hetfed/internal/metrics"
 	"github.com/hetfed/hetfed/internal/object"
 	"github.com/hetfed/hetfed/internal/obs"
@@ -29,8 +29,6 @@ import (
 	"github.com/hetfed/hetfed/internal/obs/slo"
 	"github.com/hetfed/hetfed/internal/remote"
 	"github.com/hetfed/hetfed/internal/school"
-	"github.com/hetfed/hetfed/internal/signature"
-	"github.com/hetfed/hetfed/internal/store"
 	"github.com/hetfed/hetfed/internal/trace"
 )
 
@@ -44,59 +42,14 @@ const (
 	staleAfter = 10 * scrapeEvery
 )
 
-// observedSite is one component site plus its observability surface.
-type observedSite struct {
-	srv *remote.Server
-	obs *obs.Server
-	reg *metrics.Registry
-}
-
-func (s *observedSite) close() {
-	if s.obs != nil {
-		s.obs.Close()
-	}
-	s.srv.Close()
-}
-
-// startObservedSite boots a site server on listenAddr and its obs surface
-// on obsAddr ("127.0.0.1:0" first boot, the recorded addresses on
-// restart). When deferObs is true the obs surface is NOT started — the
-// restart path serves queries first so the site's counters are non-zero
-// (but smaller than before the crash) by the time the scraper reconnects,
-// which is what makes the reset detectable.
-func startObservedSite(t *testing.T, fx *school.Fixture, sigs *signature.Index,
-	sid object.SiteID, db *store.Database, listenAddr, obsAddr string, deferObs bool) *observedSite {
+// serveObs serves a site's registry as its obs surface on addr.
+func serveObs(t *testing.T, sid object.SiteID, reg *metrics.Registry, addr string) *obs.Server {
 	t.Helper()
-	reg := metrics.New()
-	tr := &trace.Tracer{}
-	srv, err := remote.NewServer(remote.ServerConfig{
-		DB:         db,
-		Global:     fx.Global,
-		Tables:     fx.Mapping,
-		Signatures: sigs,
-		Tracer:     tr,
-		Metrics:    reg,
-	})
-	if err != nil {
-		t.Fatalf("NewServer(%s): %v", sid, err)
-	}
-	if err := srv.Listen(listenAddr); err != nil {
-		t.Fatalf("Listen(%s, %s): %v", sid, listenAddr, err)
-	}
-	site := &observedSite{srv: srv, reg: reg}
-	if !deferObs {
-		site.serveObs(t, sid, obsAddr)
-	}
-	return site
-}
-
-func (s *observedSite) serveObs(t *testing.T, sid object.SiteID, addr string) {
-	t.Helper()
-	osrv, err := obs.Serve(addr, string(sid), s.reg, nil, nil)
+	o, err := obs.Serve(addr, string(sid), reg, nil, nil)
 	if err != nil {
 		t.Fatalf("obs.Serve(%s, %s): %v", sid, addr, err)
 	}
-	s.obs = osrv
+	return o
 }
 
 func waitFor(t *testing.T, desc string, timeout time.Duration, cond func() bool) {
@@ -151,47 +104,39 @@ func alertState(alerts []slo.Alert, metric string) string {
 func TestClusterObservabilityE2E(t *testing.T) {
 	baseline := runtime.NumGoroutine()
 
+	// The sites serve queries (remote.Server) and an obs surface each; a
+	// restarted site gets a fresh registry and database — the durable-site
+	// crash+restart shape. The coordinator queries the sites over TCP,
+	// records profiles, and hosts the aggregation plane (scraper + SLO
+	// engine + /cluster).
 	fx := school.New()
-	sigs := signature.Build(fx.Databases)
-	siteIDs := make([]object.SiteID, 0, len(fx.Databases))
-	for sid := range fx.Databases {
-		siteIDs = append(siteIDs, sid)
-	}
-	sort.Slice(siteIDs, func(i, j int) bool { return siteIDs[i] < siteIDs[j] })
-
-	sites := make(map[object.SiteID]*observedSite, len(siteIDs))
-	addrs := make(map[object.SiteID]string, len(siteIDs))
-	obsAddrs := make(map[object.SiteID]string, len(siteIDs))
-	for _, sid := range siteIDs {
-		s := startObservedSite(t, fx, sigs, sid, fx.Databases[sid], "127.0.0.1:0", "127.0.0.1:0", false)
-		sites[sid] = s
-		addrs[sid] = s.srv.Addr()
-		obsAddrs[sid] = s.obs.Addr()
-	}
-	defer func() {
-		for _, s := range sites {
-			s.close()
-		}
-	}()
-	for _, s := range sites {
-		s.srv.SetPeers(addrs)
-	}
-
-	// The coordinator: queries the sites over TCP, records profiles, and
-	// hosts the aggregation plane (scraper + SLO engine + /cluster).
+	regs := make(map[object.SiteID]*metrics.Registry)
 	coordReg := metrics.New()
 	coordTracer := &trace.Tracer{}
 	rec := obs.NewRecorder(obs.RecorderConfig{Site: "G", Metrics: coordReg})
-	coord := &remote.Coordinator{
-		ID:       "G",
-		Global:   fx.Global,
-		Tables:   fx.Mapping,
-		Sites:    addrs,
-		Tracer:   coordTracer,
-		Metrics:  coordReg,
-		Recorder: rec,
+	coord := &remote.Coordinator{Tracer: coordTracer, Metrics: coordReg, Recorder: rec}
+	cluster, err := remote.StartCluster(remote.ClusterConfig{
+		Federation: &fedfile.Federation{Global: fx.Global, Databases: fx.Databases, Tables: fx.Mapping},
+		Configure: func(site object.SiteID, cfg *remote.ServerConfig) {
+			regs[site] = metrics.New()
+			cfg.DB, cfg.Tracer, cfg.Metrics = school.New().Databases[site], &trace.Tracer{}, regs[site]
+		},
+		Coordinator: coord,
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	defer coord.Close()
+	defer cluster.Close()
+	siteIDs := school.Sites
+	obsSrvs := make(map[object.SiteID]*obs.Server, len(siteIDs))
+	for _, sid := range siteIDs {
+		obsSrvs[sid] = serveObs(t, sid, regs[sid], "127.0.0.1:0")
+	}
+	defer func() {
+		for _, o := range obsSrvs {
+			o.Close()
+		}
+	}()
 
 	targets := []agg.Target{{
 		Site:         "G",
@@ -199,7 +144,7 @@ func TestClusterObservabilityE2E(t *testing.T) {
 		LocalQueries: rec.Profiles,
 	}}
 	for _, sid := range siteIDs {
-		targets = append(targets, agg.Target{Site: string(sid), URL: "http://" + obsAddrs[sid]})
+		targets = append(targets, agg.Target{Site: string(sid), URL: "http://" + obsSrvs[sid].Addr()})
 	}
 	scr, err := agg.New(agg.Config{
 		Site:       "G",
@@ -251,7 +196,7 @@ func TestClusterObservabilityE2E(t *testing.T) {
 	// it, and no reset is ever counted (one full-suite run in three).
 	const victim = object.SiteID("DB3")
 	waitFor(t, "the scraper to see the victim's burst", 5*time.Second, func() bool {
-		served := sites[victim].reg.Snapshot().Sum("requests_total")
+		served := regs[victim].Snapshot().Sum("requests_total")
 		return served >= 30 && scr.LastRaw(string(victim)).Sum("requests_total") >= served
 	})
 	waitFor(t, "all sites live", 5*time.Second, func() bool {
@@ -280,7 +225,11 @@ func TestClusterObservabilityE2E(t *testing.T) {
 	// stale and the availability SLO must fire — the instant rule flips on
 	// the first evaluation that sees the site past its staleness bound.
 	preCrash := scr.LastRaw(string(victim))
-	sites[victim].close()
+	obsAddr := obsSrvs[victim].Addr()
+	obsSrvs[victim].Close()
+	if err := cluster.Kill(victim); err != nil {
+		t.Fatal(err)
+	}
 	killedAt := time.Now()
 	waitFor(t, "DB3 stale and availability firing", 5*time.Second, func() bool {
 		row := siteRow(scr.Rollup(), string(victim))
@@ -311,23 +260,22 @@ func TestClusterObservabilityE2E(t *testing.T) {
 	// the obs surface comes back, so the scraper's first post-restart
 	// scrape sees counters smaller than its last pre-crash raw snapshot
 	// and must count a reset instead of going negative.
-	fx2 := school.New()
-	reborn := startObservedSite(t, fx, sigs, victim, fx2.Databases[victim],
-		addrs[victim], obsAddrs[victim], true)
-	sites[victim] = reborn
-	reborn.srv.SetPeers(addrs)
+	if err := cluster.Restart(victim); err != nil {
+		t.Fatal(err)
+	}
+	reborn := regs[victim]
 
 	waitFor(t, "restarted DB3 serving queries", 5*time.Second, func() bool {
 		// Tolerate failures while the coordinator's pool and breaker
 		// re-discover the site; traffic doubles as the breaker probe.
 		_, _, _ = coord.Query(school.Q1, exec.BL)
-		return reborn.reg.Snapshot().Sum("requests_total") > 0
+		return reborn.Snapshot().Sum("requests_total") > 0
 	})
-	reborn.serveObs(t, victim, obsAddrs[victim])
+	obsSrvs[victim] = serveObs(t, victim, reborn, obsAddr)
 	defer func() {
 		if t.Failed() {
 			t.Logf("the restarted site's counters:\n%s\nthe scraper's last snapshot of it before the crash:\n%s\nand now:\n%s",
-				reborn.reg.Snapshot().Text(), preCrash.Text(), scr.LastRaw(string(victim)).Text())
+				reborn.Snapshot().Text(), preCrash.Text(), scr.LastRaw(string(victim)).Text())
 		}
 	}()
 
@@ -384,10 +332,10 @@ func TestClusterObservabilityE2E(t *testing.T) {
 	// must all unwind.
 	scr.Stop()
 	coordObs.Close()
-	coord.Close()
-	for _, s := range sites {
-		s.close()
+	for _, o := range obsSrvs {
+		o.Close()
 	}
+	cluster.Close()
 	settleGoroutines(t, baseline)
 }
 

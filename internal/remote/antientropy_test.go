@@ -35,8 +35,8 @@ func bindAt(t *testing.T, srv *Server, d *BindDelta) {
 // anti-entropy round from the site that holds it, leaving all digests
 // equal.
 func TestAntiEntropyConvergesDivergentReplicas(t *testing.T) {
-	_, servers, cleanup := startObservedCluster(t)
-	defer cleanup()
+	_, cluster := testCluster(t, nil, observedCoordinator(), observed)
+	servers := serversOf(cluster)
 
 	d := &BindDelta{Class: "Teacher", GOid: "gt900", Site: "DB9", LOid: "t900'"}
 	bindAt(t, servers["DB1"], d)
@@ -66,8 +66,8 @@ func TestAntiEntropyConvergesDivergentReplicas(t *testing.T) {
 // whose replica is behind the sites (say, restarted from a stale log)
 // pulls the bindings the sites kept.
 func TestCoordinatorPullsMissingBindings(t *testing.T) {
-	coord, servers, cleanup := startObservedCluster(t)
-	defer cleanup()
+	coord, cluster := testCluster(t, nil, observedCoordinator(), observed)
+	servers := serversOf(cluster)
 
 	d := &BindDelta{Class: "Teacher", GOid: "gt901", Site: "DB9", LOid: "t901'"}
 	for _, srv := range servers {
@@ -92,10 +92,10 @@ func TestCoordinatorPullsMissingBindings(t *testing.T) {
 // anti-entropy cadence repair a lost delta without anyone calling a round
 // explicitly.
 func TestAntiEntropyLoopConvergesInBackground(t *testing.T) {
-	_, servers, cleanup := startClusterWith(t, nil, func(cfg *ServerConfig) {
+	_, cluster := testCluster(t, nil, nil, func(_ object.SiteID, cfg *ServerConfig) {
 		cfg.AntiEntropy = AntiEntropyConfig{Interval: 20 * time.Millisecond}
 	})
-	defer cleanup()
+	servers := serversOf(cluster)
 
 	bindAt(t, servers["DB2"], &BindDelta{Class: "Teacher", GOid: "gt902", Site: "DB9", LOid: "t902'"})
 
@@ -118,8 +118,8 @@ func TestAntiEntropyLoopConvergesInBackground(t *testing.T) {
 // the class suspect, answers touching the class must degrade with a
 // divergence failure, and no certain row may be invented.
 func TestConflictMarksSuspectAndDegradesQueries(t *testing.T) {
-	coord, servers, cleanup := startObservedCluster(t)
-	defer cleanup()
+	coord, cluster := testCluster(t, nil, observedCoordinator(), observed)
+	servers := serversOf(cluster)
 
 	// DB1 holds gt903→t903'; DB2 and DB3 hold gt903→t999'. DB1 is the
 	// minority opinion.
@@ -164,8 +164,7 @@ func TestConflictMarksSuspectAndDegradesQueries(t *testing.T) {
 // every class must go suspect, and heal + a clean round must clear the
 // marks again.
 func TestMinorityPartitionMarksAllClassesSuspect(t *testing.T) {
-	coord, _, cleanup := startObservedCluster(t)
-	defer cleanup()
+	coord, _ := testCluster(t, nil, observedCoordinator(), observed)
 
 	plan := fabric.NewFaultPlan()
 	plan.DropLink("G", "DB2")

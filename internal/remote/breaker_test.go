@@ -106,8 +106,8 @@ func TestBreakerSuccessResetsFailureRun(t *testing.T) {
 // TestClientPoolsConnections: repeated calls to the same site must reuse one
 // pooled connection instead of dialing per request.
 func TestClientPoolsConnections(t *testing.T) {
-	_, servers, cleanup := startObservedCluster(t)
-	defer cleanup()
+	_, cluster := testCluster(t, nil, observedCoordinator(), observed)
+	servers := serversOf(cluster)
 	srv := servers["DB1"]
 
 	cl := newClient("TEST", CallConfig{}, nil)
@@ -230,8 +230,8 @@ func TestBreakerAbandonedProbeReleasesSlot(t *testing.T) {
 // returns without a verdict, and the next caller must still be able to
 // probe (and close the circuit) rather than fast-failing forever.
 func TestClientAbandonedProbeDoesNotWedgeBreaker(t *testing.T) {
-	_, servers, cleanup := startObservedCluster(t)
-	defer cleanup()
+	_, cluster := testCluster(t, nil, observedCoordinator(), observed)
+	servers := serversOf(cluster)
 	addr := servers["DB1"].Addr()
 
 	cl := newClient("TEST", CallConfig{

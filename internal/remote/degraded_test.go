@@ -57,8 +57,8 @@ func unavailableSites(ans *federation.Answer) []object.SiteID {
 // certain rows, and gs2, gs3, gs4 maybe (gs3 can no longer be eliminated,
 // gs4 can no longer be certified).
 func TestClusterDegradedAssistantSiteDown(t *testing.T) {
-	coord, servers, cleanup := startObservedCluster(t)
-	defer cleanup()
+	coord, cluster := testCluster(t, nil, observedCoordinator(), observed)
+	servers := serversOf(cluster)
 	coord.Call = fastFail
 	defer coord.Close()
 	if err := servers["DB3"].Close(); err != nil {
@@ -105,8 +105,8 @@ func TestClusterDegradedAssistantSiteDown(t *testing.T) {
 // come back as synthesized all-unknown maybe rows instead of silently
 // vanishing from the answer.
 func TestClusterDegradedRootSiteDown(t *testing.T) {
-	coord, servers, cleanup := startObservedCluster(t)
-	defer cleanup()
+	coord, cluster := testCluster(t, nil, observedCoordinator(), observed)
+	servers := serversOf(cluster)
 	coord.Call = fastFail
 	defer coord.Close()
 	if err := servers["DB2"].Close(); err != nil {
@@ -155,8 +155,8 @@ func TestClusterDegradedRootSiteDown(t *testing.T) {
 // coordinator's registry — the unavailability and the degradation are both
 // counted.
 func TestClusterDegradedMetrics(t *testing.T) {
-	coord, servers, cleanup := startObservedCluster(t)
-	defer cleanup()
+	coord, cluster := testCluster(t, nil, observedCoordinator(), observed)
+	servers := serversOf(cluster)
 	coord.Call = fastFail
 	defer coord.Close()
 	servers["DB3"].Close()
@@ -185,8 +185,8 @@ func TestClusterDegradedMetrics(t *testing.T) {
 // TestPingReportsAllDeadSites: the parallel ping names every unreachable
 // site in one aggregate error, not just the first.
 func TestPingReportsAllDeadSites(t *testing.T) {
-	coord, servers, cleanup := startObservedCluster(t)
-	defer cleanup()
+	coord, cluster := testCluster(t, nil, observedCoordinator(), observed)
+	servers := serversOf(cluster)
 	coord.Call = fastFail
 	defer coord.Close()
 	servers["DB1"].Close()
@@ -210,8 +210,8 @@ func TestPingReportsAllDeadSites(t *testing.T) {
 // TestInsertBroadcastsToAllReplicas: with one replica down, the insert
 // still updates every live replica, reports the stale one, and counts it.
 func TestInsertBroadcastsToAllReplicas(t *testing.T) {
-	coord, servers, cleanup := startObservedCluster(t)
-	defer cleanup()
+	coord, cluster := testCluster(t, nil, observedCoordinator(), observed)
+	servers := serversOf(cluster)
 	coord.Call = fastFail
 	defer coord.Close()
 

@@ -4,73 +4,34 @@ import (
 	"encoding/json"
 	"fmt"
 	"testing"
-	"time"
 
 	"github.com/hetfed/hetfed/internal/exec"
-	"github.com/hetfed/hetfed/internal/metrics"
 	"github.com/hetfed/hetfed/internal/object"
 	"github.com/hetfed/hetfed/internal/obs"
 	"github.com/hetfed/hetfed/internal/school"
-	"github.com/hetfed/hetfed/internal/signature"
 	"github.com/hetfed/hetfed/internal/trace"
 )
 
-// startRecordedCluster wires a 3-site cluster with a tracer and flight
-// recorder on every server and on the coordinator (ring size ringSize at the
-// coordinator), the full observability path of a production deployment.
-func startRecordedCluster(t *testing.T, ringSize int) (*Coordinator, map[object.SiteID]*Server, func()) {
-	t.Helper()
-	fx := school.New()
-	sigs := signature.Build(fx.Databases)
+// recorded is the full observability path of a production deployment: a
+// tracer, a metrics registry and a flight recorder of the site's own.
+func recorded(site object.SiteID, cfg *ServerConfig) {
+	observed(site, cfg)
+	cfg.Recorder = obs.NewRecorder(obs.RecorderConfig{Site: string(site)})
+}
 
-	servers := make(map[object.SiteID]*Server, len(fx.Databases))
-	addrs := make(map[object.SiteID]string, len(fx.Databases))
-	for site, db := range fx.Databases {
-		srv, err := NewServer(ServerConfig{
-			DB:         db,
-			Global:     fx.Global,
-			Tables:     fx.Mapping,
-			Signatures: sigs,
-			Tracer:     &trace.Tracer{},
-			Metrics:    metrics.New(),
-			Recorder:   obs.NewRecorder(obs.RecorderConfig{Site: string(site)}),
-		})
-		if err != nil {
-			t.Fatalf("NewServer(%s): %v", site, err)
-		}
-		if err := srv.Listen("127.0.0.1:0"); err != nil {
-			t.Fatalf("Listen(%s): %v", site, err)
-		}
-		servers[site] = srv
-		addrs[site] = srv.Addr()
-	}
-	for _, srv := range servers {
-		srv.SetPeers(addrs)
-	}
-	coord := &Coordinator{
-		ID:       "G",
-		Global:   fx.Global,
-		Tables:   fx.Mapping,
-		Sites:    addrs,
-		Tracer:   &trace.Tracer{},
-		Metrics:  metrics.New(),
-		Recorder: obs.NewRecorder(obs.RecorderConfig{Site: "G", Size: ringSize}),
-	}
-	cleanup := func() {
-		for _, srv := range servers {
-			srv.Close()
-		}
-	}
-	return coord, servers, cleanup
+// recordingCoordinator is an observed coordinator whose flight recorder
+// holds ring profiles.
+func recordingCoordinator(ring int) *Coordinator {
+	coord := observedCoordinator()
+	coord.Recorder = obs.NewRecorder(obs.RecorderConfig{Site: "G", Size: ring})
+	return coord
 }
 
 // TestClusterProfileCoversAllSites: a coordinator-side profile of a served
 // query must include the spans every participating site shipped back, and
 // its Chrome trace export must be valid JSON naming each of them.
 func TestClusterProfileCoversAllSites(t *testing.T) {
-	coord, _, cleanup := startRecordedCluster(t, 8)
-	defer cleanup()
-	defer coord.Close()
+	coord, _ := testCluster(t, nil, recordingCoordinator(8), recorded)
 
 	// CA touches every site from the coordinator; BL reaches DB3 only
 	// site-to-site (check traffic), so its spans arrive transitively.
@@ -130,14 +91,12 @@ func TestClusterProfileCoversAllSites(t *testing.T) {
 // TestClusterSiteRecorders: traced requests leave profiles in the serving
 // sites' own flight recorders, not only the coordinator's.
 func TestClusterSiteRecorders(t *testing.T) {
-	coord, servers, cleanup := startRecordedCluster(t, 8)
-	defer cleanup()
-	defer coord.Close()
+	coord, cluster := testCluster(t, nil, recordingCoordinator(8), recorded)
 
 	if _, _, err := coord.Query(school.Q1, exec.CA); err != nil {
 		t.Fatal(err)
 	}
-	for site, srv := range servers {
+	for site, srv := range serversOf(cluster) {
 		eventually(t, fmt.Sprintf("site %s to record a profile for a CA query", site), func() bool {
 			return srv.cfg.Recorder.Last() != nil
 		})
@@ -153,14 +112,11 @@ func TestClusterSiteRecorders(t *testing.T) {
 // flight recorder after more than a ring's worth of healthy queries.
 func TestClusterDegradedProfileRetained(t *testing.T) {
 	const ring = 4
-	coord, servers, cleanup := startRecordedCluster(t, ring)
-	defer cleanup()
+	coord, cluster := testCluster(t, nil, recordingCoordinator(ring), recorded)
 	coord.Call = fastFail
-	defer coord.Close()
 
 	// Kill DB3 and run one query: it degrades rather than failing.
-	addr3 := servers["DB3"].Addr()
-	if err := servers["DB3"].Close(); err != nil {
+	if err := cluster.Server("DB3").Close(); err != nil {
 		t.Fatalf("killing DB3: %v", err)
 	}
 	ans, _, err := coord.Query(school.Q1, exec.BL)
@@ -176,34 +132,9 @@ func TestClusterDegradedProfileRetained(t *testing.T) {
 	}
 
 	// Bring DB3 back on its old address so the follow-up traffic is healthy.
-	fx := school.New()
-	srv3, err := NewServer(ServerConfig{
-		DB:         fx.Databases["DB3"],
-		Global:     fx.Global,
-		Tables:     fx.Mapping,
-		Signatures: signature.Build(fx.Databases),
-		Tracer:     &trace.Tracer{},
-		Metrics:    metrics.New(),
-	})
-	if err != nil {
+	if err := cluster.Restart("DB3"); err != nil {
 		t.Fatal(err)
 	}
-	var lerr error
-	for i := 0; i < 50; i++ { // the freed port can linger briefly
-		if lerr = srv3.Listen(addr3); lerr == nil {
-			break
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
-	if lerr != nil {
-		t.Fatalf("relisten on %s: %v", addr3, lerr)
-	}
-	defer srv3.Close()
-	addrs := make(map[object.SiteID]string)
-	for site, srv := range servers {
-		addrs[site] = srv.Addr()
-	}
-	srv3.SetPeers(addrs)
 
 	// Flood with healthy queries, several ring-fulls past capacity.
 	healthy := 0

@@ -11,6 +11,7 @@ import (
 	"github.com/hetfed/hetfed/internal/exec"
 	"github.com/hetfed/hetfed/internal/fabric"
 	"github.com/hetfed/hetfed/internal/federation"
+	"github.com/hetfed/hetfed/internal/fedfile"
 	"github.com/hetfed/hetfed/internal/isomer"
 	"github.com/hetfed/hetfed/internal/metrics"
 	"github.com/hetfed/hetfed/internal/object"
@@ -75,20 +76,8 @@ func sameRows(a, b []federation.ResultRow) bool {
 func BenchmarkLiveCA(b *testing.B) {
 	w := table2Workload(b)
 	reg := metrics.New()
-	addrs := make(map[object.SiteID]string, len(w.Databases))
-	for site, db := range w.Databases {
-		srv, err := NewServer(ServerConfig{DB: db, Global: w.Global, Tables: w.Tables, Metrics: reg})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := srv.Listen("127.0.0.1:0"); err != nil {
-			b.Fatal(err)
-		}
-		defer srv.Close()
-		addrs[site] = srv.Addr()
-	}
-	coord := &Coordinator{ID: "G", Global: w.Global, Tables: w.Tables, Sites: addrs, Metrics: reg}
-	defer coord.Close()
+	coord, _ := testCluster(b, &fedfile.Federation{Global: w.Global, Databases: w.Databases, Tables: w.Tables},
+		&Coordinator{Metrics: reg}, func(_ object.SiteID, cfg *ServerConfig) { cfg.Signatures, cfg.Metrics = nil, reg })
 
 	eng, err := exec.New(exec.Config{Global: w.Global, Coordinator: "G", Databases: w.Databases, Tables: w.Tables})
 	if err != nil {
@@ -136,18 +125,6 @@ func TestCAQueriesBesideInserts(t *testing.T) {
 		queries = 20
 	)
 	w := table2WorkloadOf(t, 200)
-	addrs := make(map[object.SiteID]string, len(w.Databases))
-	for site, db := range w.Databases {
-		srv, err := NewServer(ServerConfig{DB: db, Global: w.Global, Tables: w.Tables})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := srv.Listen("127.0.0.1:0"); err != nil {
-			t.Fatal(err)
-		}
-		defer srv.Close()
-		addrs[site] = srv.Addr()
-	}
 	eng, err := exec.New(exec.Config{Global: w.Global, Coordinator: "G", Databases: w.Databases, Tables: w.Tables})
 	if err != nil {
 		t.Fatal(err)
@@ -186,8 +163,8 @@ func TestCAQueriesBesideInserts(t *testing.T) {
 	if err := matcher.Adopt(w.Databases, w.Tables.Clone()); err != nil {
 		t.Fatal(err)
 	}
-	coord := &Coordinator{ID: "G", Global: w.Global, Tables: matcher.Tables(), Matcher: matcher, Sites: addrs}
-	defer coord.Close()
+	coord, _ := testCluster(t, &fedfile.Federation{Global: w.Global, Databases: w.Databases, Tables: w.Tables},
+		&Coordinator{Tables: matcher.Tables(), Matcher: matcher}, func(_ object.SiteID, cfg *ServerConfig) { cfg.Signatures = nil })
 
 	// A row that is not the reference's can only be an inserted entity: the
 	// matcher names those g<class>:<n>, and an object stored but not yet

@@ -10,66 +10,18 @@ import (
 
 	"github.com/hetfed/hetfed/internal/exec"
 	"github.com/hetfed/hetfed/internal/metrics"
-	"github.com/hetfed/hetfed/internal/object"
 	"github.com/hetfed/hetfed/internal/obs"
 	"github.com/hetfed/hetfed/internal/school"
-	"github.com/hetfed/hetfed/internal/signature"
 	"github.com/hetfed/hetfed/internal/trace"
 )
-
-// startObservedCluster is startCluster with a tracer and metrics registry
-// wired into every server and the coordinator.
-func startObservedCluster(t *testing.T) (*Coordinator, map[object.SiteID]*Server, func()) {
-	t.Helper()
-	fx := school.New()
-	sigs := signature.Build(fx.Databases)
-
-	servers := make(map[object.SiteID]*Server, len(fx.Databases))
-	addrs := make(map[object.SiteID]string, len(fx.Databases))
-	for site, db := range fx.Databases {
-		srv, err := NewServer(ServerConfig{
-			DB:         db,
-			Global:     fx.Global,
-			Tables:     fx.Mapping,
-			Signatures: sigs,
-			Tracer:     &trace.Tracer{},
-			Metrics:    metrics.New(),
-		})
-		if err != nil {
-			t.Fatalf("NewServer(%s): %v", site, err)
-		}
-		if err := srv.Listen("127.0.0.1:0"); err != nil {
-			t.Fatalf("Listen(%s): %v", site, err)
-		}
-		servers[site] = srv
-		addrs[site] = srv.Addr()
-	}
-	for _, srv := range servers {
-		srv.SetPeers(addrs)
-	}
-	coord := &Coordinator{
-		ID:      "G",
-		Global:  fx.Global,
-		Tables:  fx.Mapping,
-		Sites:   addrs,
-		Tracer:  &trace.Tracer{},
-		Metrics: metrics.New(),
-	}
-	cleanup := func() {
-		for _, srv := range servers {
-			srv.Close()
-		}
-	}
-	return coord, servers, cleanup
-}
 
 // TestSpanPropagationAcrossWire runs a BL query over TCP and checks the
 // span context survives the wire hop twice: coordinator → site (serve spans
 // parent on the coordinator's rpc spans) and site → peer (check spans
 // parent on the dispatching site's serve span).
 func TestSpanPropagationAcrossWire(t *testing.T) {
-	coord, servers, cleanup := startObservedCluster(t)
-	defer cleanup()
+	coord, cluster := testCluster(t, nil, observedCoordinator(), observed)
+	servers := serversOf(cluster)
 
 	if _, _, err := coord.Query(school.Q1, exec.BL); err != nil {
 		t.Fatal(err)
@@ -143,8 +95,7 @@ func TestSpanPropagationAcrossWire(t *testing.T) {
 // attributes them to the site — so the coordinator's recorded profile carries
 // the per-site event counts the adaptive calibrator divides by.
 func TestRemoteProfileCarriesSiteIO(t *testing.T) {
-	coord, _, cleanup := startObservedCluster(t)
-	defer cleanup()
+	coord, _ := testCluster(t, nil, observedCoordinator(), observed)
 	rec := obs.NewRecorder(obs.RecorderConfig{Site: "G"})
 	coord.Recorder = rec
 
@@ -176,8 +127,8 @@ func TestRemoteProfileCarriesSiteIO(t *testing.T) {
 // garbage, or "checkbatch", which protocol version 2 had — is answered with
 // an error and shows up in the server's error counter.
 func TestUnknownKindCountsError(t *testing.T) {
-	_, servers, cleanup := startObservedCluster(t)
-	defer cleanup()
+	_, cluster := testCluster(t, nil, observedCoordinator(), observed)
+	servers := serversOf(cluster)
 	srv := servers["DB1"]
 
 	for i, kind := range []string{"nonsense", "checkbatch"} {

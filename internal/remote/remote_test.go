@@ -9,69 +9,19 @@ import (
 	"time"
 
 	"github.com/hetfed/hetfed/internal/exec"
-	"github.com/hetfed/hetfed/internal/isomer"
 	"github.com/hetfed/hetfed/internal/object"
 	"github.com/hetfed/hetfed/internal/school"
-	"github.com/hetfed/hetfed/internal/signature"
 )
 
-// startCluster brings up the school federation as three TCP servers on
-// loopback and returns a coordinator wired to them.
-func startCluster(t *testing.T) (*Coordinator, func()) {
-	t.Helper()
-	fx := school.New()
-	sigs := signature.Build(fx.Databases)
-
-	servers := make(map[object.SiteID]*Server, len(fx.Databases))
-	addrs := make(map[object.SiteID]string, len(fx.Databases))
-	for site, db := range fx.Databases {
-		srv, err := NewServer(ServerConfig{
-			DB:         db,
-			Global:     fx.Global,
-			Tables:     fx.Mapping,
-			Signatures: sigs,
-		})
-		if err != nil {
-			t.Fatalf("NewServer(%s): %v", site, err)
-		}
-		if err := srv.Listen("127.0.0.1:0"); err != nil {
-			t.Fatalf("Listen(%s): %v", site, err)
-		}
-		servers[site] = srv
-		addrs[site] = srv.Addr()
-	}
-	// Every server learns its peers' addresses.
-	for _, srv := range servers {
-		srv.SetPeers(addrs)
-	}
-
-	coord := &Coordinator{
-		ID:     "G",
-		Global: fx.Global,
-		Tables: fx.Mapping,
-		Sites:  addrs,
-	}
-	cleanup := func() {
-		for _, srv := range servers {
-			if err := srv.Close(); err != nil {
-				t.Errorf("Close: %v", err)
-			}
-		}
-	}
-	return coord, cleanup
-}
-
 func TestClusterPing(t *testing.T) {
-	coord, cleanup := startCluster(t)
-	defer cleanup()
+	coord, _ := testCluster(t, nil, nil, nil)
 	if err := coord.Ping(); err != nil {
 		t.Fatalf("Ping: %v", err)
 	}
 }
 
 func TestClusterAdHocQuery(t *testing.T) {
-	coord, cleanup := startCluster(t)
-	defer cleanup()
+	coord, _ := testCluster(t, nil, nil, nil)
 
 	ans, _, err := coord.Query(`select name from Student where age > 25`, exec.BL)
 	if err != nil {
@@ -88,8 +38,7 @@ func TestClusterAdHocQuery(t *testing.T) {
 }
 
 func TestClusterErrors(t *testing.T) {
-	coord, cleanup := startCluster(t)
-	defer cleanup()
+	coord, _ := testCluster(t, nil, nil, nil)
 
 	if _, _, err := coord.Query(`select nope from Student`, exec.BL); err == nil {
 		t.Error("bad query accepted")
@@ -160,8 +109,7 @@ func testCall(t *testing.T, addr string, req Request) (Response, error) {
 // the attributes Q1 involves, nothing more (age and sex do not travel) and
 // nothing less, and serving the request leaves the stored objects whole.
 func TestRetrieveShipsOnlyInvolvedAttrs(t *testing.T) {
-	coord, servers, cleanup := startRobustCluster(t, nil)
-	defer cleanup()
+	coord, cluster := testCluster(t, nil, observedCoordinator(), observed)
 	resp, err := testCall(t, coord.Sites["DB1"], Request{Kind: kindRetrieve, Query: school.Q1})
 	if err != nil {
 		t.Fatal(err)
@@ -178,7 +126,7 @@ func TestRetrieveShipsOnlyInvolvedAttrs(t *testing.T) {
 				continue
 			}
 			students++
-			stored, ok := servers["DB1"].cfg.DB.Deref(o.LOid)
+			stored, ok := cluster.Server("DB1").cfg.DB.Deref(o.LOid)
 			if !ok || stored.Attr("age").IsNull() {
 				t.Fatalf("stored student %s lost its age (found: %v)", o.LOid, ok)
 			}
@@ -193,8 +141,7 @@ func TestRetrieveShipsOnlyInvolvedAttrs(t *testing.T) {
 }
 
 func TestServerRejectsBadRequests(t *testing.T) {
-	coord, cleanup := startCluster(t)
-	defer cleanup()
+	coord, _ := testCluster(t, nil, nil, nil)
 	addr := coord.Sites["DB1"]
 
 	if _, err := testCall(t, addr, Request{Kind: "nonsense"}); err == nil ||
@@ -222,17 +169,10 @@ func TestNewServerConfigValidation(t *testing.T) {
 // Tony's advisor.speciality predicate through the new assistant object —
 // his maybe result keeps only the address predicate unknown.
 func TestClusterInsertMaintainsReplicas(t *testing.T) {
-	coord, cleanup := startCluster(t)
-	defer cleanup()
+	coord, _ := testCluster(t, nil, nil, nil)
 
 	// Make the coordinator the mapping authority over the school tables.
-	fx := school.New()
-	matcher := isomer.NewMatcher(coord.Global)
-	if err := matcher.Adopt(fx.Databases, coord.Tables.Clone()); err != nil {
-		t.Fatalf("Adopt: %v", err)
-	}
-	coord.Matcher = matcher
-	coord.Tables = matcher.Tables()
+	authority(t, coord)
 
 	// Before: Tony is maybe with both address and speciality unknown.
 	ans, _, err := coord.Query(school.Q1, exec.BL)
@@ -277,15 +217,8 @@ func TestClusterInsertMaintainsReplicas(t *testing.T) {
 // TestClusterInsertNewEntity: an object whose key matches nothing becomes a
 // fresh entity with a generated GOid that avoids existing names.
 func TestClusterInsertNewEntity(t *testing.T) {
-	coord, cleanup := startCluster(t)
-	defer cleanup()
-	fx := school.New()
-	matcher := isomer.NewMatcher(coord.Global)
-	if err := matcher.Adopt(fx.Databases, coord.Tables.Clone()); err != nil {
-		t.Fatal(err)
-	}
-	coord.Matcher = matcher
-	coord.Tables = matcher.Tables()
+	coord, _ := testCluster(t, nil, nil, nil)
+	authority(t, coord)
 
 	goid, err := coord.Insert("DB3", object.New("tX''", "Teacher", map[string]object.Value{
 		"name": object.Str("Newton"), "department": object.Ref("d3''"),
@@ -299,20 +232,14 @@ func TestClusterInsertNewEntity(t *testing.T) {
 }
 
 func TestClusterInsertErrors(t *testing.T) {
-	coord, cleanup := startCluster(t)
-	defer cleanup()
+	coord, _ := testCluster(t, nil, nil, nil)
 
 	o := object.New("x", "Teacher", map[string]object.Value{"name": object.Str("X")})
 	// No matcher configured.
 	if _, err := coord.Insert("DB1", o); err == nil {
 		t.Error("insert without matcher accepted")
 	}
-	fx := school.New()
-	matcher := isomer.NewMatcher(coord.Global)
-	if err := matcher.Adopt(fx.Databases, coord.Tables.Clone()); err != nil {
-		t.Fatal(err)
-	}
-	coord.Matcher = matcher
+	authority(t, coord)
 	// Unknown site.
 	if _, err := coord.Insert("DB9", o); err == nil {
 		t.Error("unknown site accepted")
@@ -332,15 +259,8 @@ func TestClusterInsertErrors(t *testing.T) {
 // queries while inserts mutate the databases and replicas — the server's
 // state lock must keep every request consistent (run with -race).
 func TestClusterConcurrentQueriesAndInserts(t *testing.T) {
-	coord, cleanup := startCluster(t)
-	defer cleanup()
-	fx := school.New()
-	matcher := isomer.NewMatcher(coord.Global)
-	if err := matcher.Adopt(fx.Databases, coord.Tables.Clone()); err != nil {
-		t.Fatal(err)
-	}
-	coord.Matcher = matcher
-	coord.Tables = matcher.Tables()
+	coord, _ := testCluster(t, nil, nil, nil)
+	authority(t, coord)
 
 	var wg sync.WaitGroup
 	errs := make(chan error, 64)

@@ -288,8 +288,7 @@ func TestReplicaApply(t *testing.T) {
 // of the durable log, nor the digest of the table — so the next repair round
 // against in-sync sites finds nothing to repair.
 func TestInsertHonoursWriteAheadOrder(t *testing.T) {
-	coord, _, cleanup := startObservedCluster(t)
-	defer cleanup()
+	coord, _ := testCluster(t, nil, observedCoordinator(), observed)
 	fx := school.New()
 	matcher := isomer.NewMatcher(coord.Global)
 	if err := matcher.Adopt(fx.Databases, coord.Tables.Clone()); err != nil {
@@ -329,13 +328,14 @@ func TestLogFailureIsNotAConflict(t *testing.T) {
 	for _, runner := range []object.SiteID{"DB1", "DB2"} {
 		t.Run("round run by "+string(runner), func(t *testing.T) {
 			down, reg := new(atomic.Int32), metrics.New()
-			_, servers, cleanup := startClusterWith(t, reg, func(cfg *ServerConfig) {
-				if cfg.DB.Site() == "DB1" {
+			_, cluster := testCluster(t, nil, &Coordinator{Metrics: reg}, func(site object.SiteID, cfg *ServerConfig) {
+				cfg.Metrics = reg
+				if site == "DB1" {
 					// An engine makes the server serve Tables in place.
 					cfg.Tables, cfg.Engine = cfg.Tables.Clone(), switchEngine{store.Mem{}, down}
 				}
 			})
-			defer cleanup()
+			servers := serversOf(cluster)
 			flaky, holder := servers["DB1"], servers["DB2"]
 			bindAt(t, holder, &BindDelta{Class: "Teacher", GOid: "gt910", Site: "DB9", LOid: "t910'"})
 

@@ -17,82 +17,18 @@ import (
 	"github.com/hetfed/hetfed/internal/exec"
 	"github.com/hetfed/hetfed/internal/fabric"
 	"github.com/hetfed/hetfed/internal/federation"
-	"github.com/hetfed/hetfed/internal/gmap"
-	"github.com/hetfed/hetfed/internal/isomer"
 	"github.com/hetfed/hetfed/internal/metrics"
 	"github.com/hetfed/hetfed/internal/object"
 	"github.com/hetfed/hetfed/internal/query"
-	"github.com/hetfed/hetfed/internal/schema"
 	"github.com/hetfed/hetfed/internal/school"
-	"github.com/hetfed/hetfed/internal/signature"
-	"github.com/hetfed/hetfed/internal/store"
-	"github.com/hetfed/hetfed/internal/trace"
 	"github.com/hetfed/hetfed/internal/tvl"
 )
 
-// startRobustCluster is startObservedCluster with a per-site ServerConfig
-// hook, for tests that need faults, frame limits or idle timeouts.
-func startRobustCluster(t *testing.T, mod func(site object.SiteID, cfg *ServerConfig)) (*Coordinator, map[object.SiteID]*Server, func()) {
-	t.Helper()
-	fx := school.New()
-	return startFedCluster(t, fx.Global, fx.Databases, fx.Mapping, mod)
-}
-
-// startFedCluster serves any federation over loopback TCP: one traced,
-// metered server per database (signatures built, mod applied to each
-// config) and a coordinator wired to all of them.
-func startFedCluster(t *testing.T, global *schema.Global, dbs map[object.SiteID]*store.Database, tables *gmap.Tables,
-	mod func(site object.SiteID, cfg *ServerConfig)) (*Coordinator, map[object.SiteID]*Server, func()) {
-	t.Helper()
-	sigs := signature.Build(dbs)
-	servers := make(map[object.SiteID]*Server, len(dbs))
-	addrs := make(map[object.SiteID]string, len(dbs))
-	for site, db := range dbs {
-		cfg := ServerConfig{
-			DB:         db,
-			Global:     global,
-			Tables:     tables,
-			Signatures: sigs,
-			Tracer:     &trace.Tracer{},
-			Metrics:    metrics.New(),
-		}
-		if mod != nil {
-			mod(site, &cfg)
-		}
-		srv, err := NewServer(cfg)
-		if err != nil {
-			t.Fatalf("NewServer(%s): %v", site, err)
-		}
-		if err := srv.Listen("127.0.0.1:0"); err != nil {
-			t.Fatalf("Listen(%s): %v", site, err)
-		}
-		servers[site] = srv
-		addrs[site] = srv.Addr()
-	}
-	for _, srv := range servers {
-		srv.SetPeers(addrs)
-	}
-	coord := &Coordinator{
-		ID:      "G",
-		Global:  global,
-		Tables:  tables,
-		Sites:   addrs,
-		Tracer:  &trace.Tracer{},
-		Metrics: metrics.New(),
-	}
-	cleanup := func() {
-		coord.Close()
-		for _, srv := range servers {
-			srv.Close()
-		}
-	}
-	return coord, servers, cleanup
-}
-
-// delayAll wedges every site by d per served operation (cancellable: the
-// stall observes the request's wire budget).
+// delayAll observes every site and wedges it by d per served operation
+// (cancellable: the stall observes the request's wire budget).
 func delayAll(d time.Duration) func(object.SiteID, *ServerConfig) {
 	return func(site object.SiteID, cfg *ServerConfig) {
+		observed(site, cfg)
 		cfg.Faults = fabric.NewFaultPlan().Delay(site, float64(d.Microseconds()))
 	}
 }
@@ -118,8 +54,7 @@ func settleGoroutines(t *testing.T, baseline int) {
 // the next query, and leave no goroutines behind.
 func TestClusterDeadlineCutsDelayedSites(t *testing.T) {
 	baseline := runtime.NumGoroutine()
-	coord, _, cleanup := startRobustCluster(t, delayAll(5*time.Second))
-	defer cleanup()
+	coord, cluster := testCluster(t, nil, observedCoordinator(), delayAll(5*time.Second))
 	coord.Deadline = 50 * time.Millisecond
 	coord.MaxConcurrent = 1 // serial queries double as the slot-release check
 
@@ -157,9 +92,9 @@ func TestClusterDeadlineCutsDelayedSites(t *testing.T) {
 	}
 	// Tear the cluster down first: accept loops and handlers parked on
 	// pooled idle connections go away, so whatever remains above the
-	// baseline is a genuine per-query leak. cleanup is idempotent — the
-	// deferred call becomes a no-op.
-	cleanup()
+	// baseline is a genuine per-query leak. Close is idempotent — the
+	// test's cleanup call becomes a no-op.
+	cluster.Close()
 	settleGoroutines(t, baseline)
 }
 
@@ -171,8 +106,7 @@ func TestClusterCancelReleasesSlot(t *testing.T) {
 	// A client disconnect is not forwarded to a site already serving a
 	// deadline-free request, so the injected stall bounds how long server
 	// handlers linger; keep it short so the leak check stays meaningful.
-	coord, _, cleanup := startRobustCluster(t, delayAll(500*time.Millisecond))
-	defer cleanup()
+	coord, cluster := testCluster(t, nil, observedCoordinator(), delayAll(500*time.Millisecond))
 	coord.MaxConcurrent = 1
 
 	ctx, cancel := context.WithCancel(context.Background())
@@ -203,7 +137,7 @@ func TestClusterCancelReleasesSlot(t *testing.T) {
 	if got := coord.Metrics.Snapshot().CounterValue("queries_shed_total", metrics.Labels{Site: "G"}); got != 0 {
 		t.Errorf("queries_shed_total = %d, want 0", got)
 	}
-	cleanup() // see TestClusterDeadlineCutsDelayedSites
+	cluster.Close() // see TestClusterDeadlineCutsDelayedSites
 	settleGoroutines(t, baseline)
 }
 
@@ -211,8 +145,7 @@ func TestClusterCancelReleasesSlot(t *testing.T) {
 // queries at the queue: each must be shed with the typed error before any
 // network work, and the shed count must match.
 func TestClusterShedsUnderOverload(t *testing.T) {
-	coord, _, cleanup := startRobustCluster(t, delayAll(500*time.Millisecond))
-	defer cleanup()
+	coord, _ := testCluster(t, nil, observedCoordinator(), delayAll(500*time.Millisecond))
 	coord.MaxConcurrent = 1
 
 	slowCtx, slowCancel := context.WithCancel(context.Background())
@@ -285,13 +218,13 @@ func rawExchange(t *testing.T, addr string, data []byte) (Response, error) {
 // here — and counted; and the limit polices frames, not the site.
 func TestServerFrameLimitIsExact(t *testing.T) {
 	const limit = 16 << 10
-	coord, servers, cleanup := startRobustCluster(t, func(site object.SiteID, cfg *ServerConfig) {
+	coord, cluster := testCluster(t, nil, observedCoordinator(), func(site object.SiteID, cfg *ServerConfig) {
+		observed(site, cfg)
 		cfg.MaxFrameBytes = limit
 	})
-	defer cleanup()
 	addr := coord.Sites["DB1"]
 	rejected := func() int64 {
-		return servers["DB1"].cfg.Metrics.Snapshot().CounterValue("frames_rejected_total", metrics.Labels{Site: "DB1"})
+		return cluster.Server("DB1").cfg.Metrics.Snapshot().CounterValue("frames_rejected_total", metrics.Labels{Site: "DB1"})
 	}
 
 	// Pad a ping's (ignored) query text until the frame is the limit to the byte.
@@ -339,8 +272,8 @@ func TestServerFrameLimitIsExact(t *testing.T) {
 // payload, an unknown protocol version and a payload that does not decode
 // are request errors, and each ends the connection.
 func TestServerCountsBrokenFrames(t *testing.T) {
-	coord, servers, cleanup := startRobustCluster(t, nil)
-	defer cleanup()
+	coord, cluster := testCluster(t, nil, observedCoordinator(), observed)
+	servers := serversOf(cluster)
 	srv, addr := servers["DB2"], coord.Sites["DB2"]
 	errorsCounted := func() int64 {
 		return srv.cfg.Metrics.Snapshot().CounterValue("request_errors_total", metrics.Labels{Site: "DB2"})
@@ -410,10 +343,10 @@ func TestServerCountsBrokenFrames(t *testing.T) {
 // TestServerReapsIdleConnections opens a raw connection, sends nothing, and
 // expects the server to close it once the idle window passes.
 func TestServerReapsIdleConnections(t *testing.T) {
-	coord, servers, cleanup := startRobustCluster(t, func(site object.SiteID, cfg *ServerConfig) {
+	coord, cluster := testCluster(t, nil, observedCoordinator(), func(site object.SiteID, cfg *ServerConfig) {
+		observed(site, cfg)
 		cfg.IdleTimeout = 50 * time.Millisecond
 	})
-	defer cleanup()
 
 	conn, err := net.Dial("tcp", coord.Sites["DB2"])
 	if err != nil {
@@ -427,7 +360,7 @@ func TestServerReapsIdleConnections(t *testing.T) {
 	}
 	deadline := time.Now().Add(2 * time.Second)
 	for {
-		snap := servers["DB2"].cfg.Metrics.Snapshot()
+		snap := cluster.Server("DB2").cfg.Metrics.Snapshot()
 		if snap.CounterValue("conns_reaped_total", metrics.Labels{Site: "DB2"}) >= 1 {
 			break
 		}
@@ -442,19 +375,11 @@ func TestServerReapsIdleConnections(t *testing.T) {
 // replica marks it stale, and the next successful Ping runs its digest
 // exchange — the revived replica's mapping table catches up.
 func TestResyncReplaysMissedDeltas(t *testing.T) {
-	coord, servers, cleanup := startRobustCluster(t, nil)
-	defer cleanup()
+	coord, cluster := testCluster(t, nil, observedCoordinator(), observed)
 	coord.Call = fastFail
+	authority(t, coord)
 
-	fx := school.New()
-	matcher := isomer.NewMatcher(coord.Global)
-	if err := matcher.Adopt(fx.Databases, coord.Tables.Clone()); err != nil {
-		t.Fatal(err)
-	}
-	coord.Matcher = matcher
-	coord.Tables = matcher.Tables()
-
-	servers["DB3"].Close()
+	cluster.Server("DB3").Close()
 	goid, err := coord.Insert("DB2", object.New("t9'", "Teacher", map[string]object.Value{
 		"name": object.Str("Haley"), "speciality": object.Str("database"),
 	}))
@@ -465,25 +390,11 @@ func TestResyncReplaysMissedDeltas(t *testing.T) {
 		t.Fatalf("insert GOid = %s, want gt3", goid)
 	}
 
-	// Revive DB3 with a fresh replica that never saw the delta, and point
-	// the coordinator at it.
-	freshFx := school.New()
-	revived, err := NewServer(ServerConfig{
-		DB:         freshFx.Databases["DB3"],
-		Global:     freshFx.Global,
-		Tables:     freshFx.Mapping,
-		Signatures: signature.Build(freshFx.Databases),
-		Tracer:     &trace.Tracer{},
-		Metrics:    metrics.New(),
-	})
-	if err != nil {
+	// Revive DB3 with a fresh replica that never saw the delta.
+	if err := cluster.Restart("DB3"); err != nil {
 		t.Fatal(err)
 	}
-	if err := revived.Listen("127.0.0.1:0"); err != nil {
-		t.Fatal(err)
-	}
-	defer revived.Close()
-	coord.Sites["DB3"] = revived.Addr()
+	revived := cluster.Server("DB3")
 
 	// The server owns a private clone of the tables it was built with; that
 	// clone is the replica the exchange must catch up.
@@ -499,8 +410,7 @@ func TestResyncReplaysMissedDeltas(t *testing.T) {
 	}
 	assertPeerConverged(t, coord, revived)
 	// A second ping has nothing left to deliver.
-	servers["DB3"] = revived
-	assertQuietPing(t, coord, servers)
+	assertQuietPing(t, coord, serversOf(cluster))
 }
 
 // stubSite answers every request arriving on a raw listener with resp: a
@@ -620,9 +530,7 @@ func TestCoordinatorRefusesMalformedLocalReply(t *testing.T) {
 		{"check verdict with a suffix longer than the path", verdictOf(federation.CheckVerdict{ItemGOid: "gt1", SourceIdx: 1, SuffixLen: 3, Verdict: tvl.True}), "SuffixLen 3"},
 	} {
 		t.Run(c.name, func(t *testing.T) {
-			coord, cleanup := startCluster(t)
-			defer cleanup()
-			defer coord.Close()
+			coord, _ := testCluster(t, nil, nil, nil)
 			coord.Sites["DB2"] = stubSite(t, c.resp)
 			_, _, err := coord.Query(school.Q1, exec.BL)
 			switch {

@@ -9,6 +9,7 @@ import (
 
 	"github.com/hetfed/hetfed/internal/exec"
 	"github.com/hetfed/hetfed/internal/metrics"
+	"github.com/hetfed/hetfed/internal/object"
 	"github.com/hetfed/hetfed/internal/obs"
 	"github.com/hetfed/hetfed/internal/school"
 	"github.com/hetfed/hetfed/internal/trace"
@@ -66,8 +67,7 @@ func TestPlanTableBindsEachTextOnce(t *testing.T) {
 // TestCoordinatorBindsEachTextOnce: QueryContext goes through the table, and
 // a text that does not bind fails every time it is sent.
 func TestCoordinatorBindsEachTextOnce(t *testing.T) {
-	coord, cleanup := startCluster(t)
-	defer cleanup()
+	coord, _ := testCluster(t, nil, nil, nil)
 	for i := 0; i < 3; i++ {
 		if _, _, err := coord.Query(school.Q1, exec.BL); err != nil {
 			t.Fatal(err)
@@ -86,8 +86,7 @@ func TestCoordinatorBindsEachTextOnce(t *testing.T) {
 // they stamp one at a time — on every serve span, and in the coordinator's
 // own totals — because sinks and byte counters belong to the run.
 func TestSharedRuntimeAccountsEachRunAlone(t *testing.T) {
-	coord, _, cleanup := startObservedCluster(t)
-	defer cleanup()
+	coord, _ := testCluster(t, nil, observedCoordinator(), observed)
 	type job struct {
 		text string
 		alg  exec.Algorithm
@@ -167,9 +166,9 @@ var schoolTexts = []string{
 // not evaluation. One op is one query.
 func BenchmarkLiveSchool(b *testing.B) {
 	reg := metrics.New()
-	coord, _, cleanup := startClusterWith(b, reg, func(cfg *ServerConfig) { cfg.Signatures = nil })
-	defer cleanup()
-	defer coord.Close()
+	coord, _ := testCluster(b, nil, &Coordinator{Metrics: reg}, func(_ object.SiteID, cfg *ServerConfig) {
+		cfg.Signatures, cfg.Metrics = nil, reg
+	})
 	algs := []exec.Algorithm{exec.CA, exec.BL, exec.PL}
 	query := func(i int) {
 		text := schoolTexts[i/len(algs)%len(schoolTexts)]

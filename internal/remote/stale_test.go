@@ -14,10 +14,7 @@ import (
 	"github.com/hetfed/hetfed/internal/metrics"
 	"github.com/hetfed/hetfed/internal/object"
 	"github.com/hetfed/hetfed/internal/obs"
-	"github.com/hetfed/hetfed/internal/school"
-	"github.com/hetfed/hetfed/internal/signature"
 	"github.com/hetfed/hetfed/internal/store/wal"
-	"github.com/hetfed/hetfed/internal/trace"
 )
 
 // served is the number of requests a site has counted so far. A request is
@@ -118,65 +115,23 @@ type staleCase struct {
 	restartCoordinator bool
 }
 
-// staleRig is the cluster TestStaleReplicaConverges drives: DB1 and DB2 in
-// memory, DB3 in memory or on a WAL as the case wants it, and a coordinator
-// that is the mapping authority.
+// staleRig is the cluster TestStaleReplicaConverges drives — on WALs when
+// the case restarts DB3 from its data directory — and a coordinator that is
+// the mapping authority.
 type staleRig struct {
 	t       *testing.T
 	root    string
 	plan    *fabric.FaultPlan
-	servers map[object.SiteID]*Server
-	engine  *wal.Engine // DB3's, when it is durable
+	cluster *Cluster
 	coord   *Coordinator
 	log     *wal.Engine // the coordinator's delta log, when it has one
 }
 
 func (rig *staleRig) close() {
-	rig.coord.Close()
-	for site := range rig.servers {
-		rig.stop(site)
-	}
+	rig.coord.Close() // a restarted coordinator is not the cluster's
+	rig.cluster.Close()
 	if rig.log != nil {
 		rig.log.Close()
-	}
-}
-
-// stop shuts a site down; a durable one flushes its log on the way.
-func (rig *staleRig) stop(site object.SiteID) {
-	rig.servers[site].Close()
-	if site == "DB3" && rig.engine != nil {
-		rig.engine.Close()
-	}
-}
-
-// start (re)starts a site on a new address — in memory over a fresh fixture,
-// or from its data directory — and tells every process where it is.
-func (rig *staleRig) start(site object.SiteID, durable bool) {
-	rig.t.Helper()
-	if durable {
-		s := startDurableSite(rig.t, rig.root, site)
-		rig.servers[site], rig.engine = s.Server, s.Engine
-	} else {
-		fx := school.New()
-		srv, err := NewServer(ServerConfig{DB: fx.Databases[site], Global: fx.Global, Tables: fx.Mapping,
-			Signatures: signature.Build(fx.Databases), Tracer: &trace.Tracer{}, Metrics: metrics.New(), Faults: rig.plan})
-		if err != nil {
-			rig.t.Fatal(err)
-		}
-		if err := srv.Listen("127.0.0.1:0"); err != nil {
-			rig.t.Fatal(err)
-		}
-		rig.servers[site] = srv
-	}
-	addrs := make(map[object.SiteID]string, len(rig.servers))
-	for site, srv := range rig.servers {
-		addrs[site] = srv.Addr()
-	}
-	for _, srv := range rig.servers {
-		srv.SetPeers(addrs)
-	}
-	if rig.coord != nil {
-		rig.coord.Sites = addrs
 	}
 }
 
@@ -184,11 +139,11 @@ func (rig *staleRig) start(site object.SiteID, durable bool) {
 // what the log under <root>/G recovers, seeded from the fixture on first use.
 func startStaleRig(t *testing.T, c staleCase) *staleRig {
 	t.Helper()
-	fx := school.New()
-	rig := &staleRig{t: t, root: t.TempDir(), plan: fabric.NewFaultPlan(), servers: map[object.SiteID]*Server{}}
-	rig.coord = &Coordinator{ID: "G", Global: fx.Global, Metrics: metrics.New(), Call: fastFail}
+	fed := schoolFed()
+	rig := &staleRig{t: t, root: t.TempDir(), plan: fabric.NewFaultPlan()}
+	rig.coord = &Coordinator{Metrics: metrics.New(), Call: fastFail}
 	rig.coord.Call.Faults = rig.plan
-	tables := fx.Mapping.Clone()
+	tables := fed.Tables.Clone()
 	if c.deltaLog {
 		log, recovered, err := wal.OpenLog(wal.Options{Dir: filepath.Join(rig.root, "G"), Site: "G"})
 		if err != nil {
@@ -199,14 +154,22 @@ func startStaleRig(t *testing.T, c staleCase) *staleRig {
 		}
 		rig.log, rig.coord.DeltaLog, tables = log, log, recovered
 	}
-	matcher := isomer.NewMatcher(fx.Global)
-	if err := matcher.Adopt(fx.Databases, tables); err != nil {
+	matcher := isomer.NewMatcher(fed.Global)
+	if err := matcher.Adopt(fed.Databases, tables); err != nil {
 		t.Fatal(err)
 	}
 	rig.coord.Matcher, rig.coord.Tables = matcher, matcher.Tables()
-	rig.start("DB1", false)
-	rig.start("DB2", false)
-	rig.start("DB3", c.peer == "restart")
+	cfg := ClusterConfig{Federation: fed, Coordinator: rig.coord, Configure: func(site object.SiteID, cfg *ServerConfig) {
+		observed(site, cfg)
+		cfg.Faults = rig.plan
+	}}
+	if c.peer == "restart" {
+		cfg.DataDir = rig.root
+	}
+	var err error
+	if rig.cluster, err = StartCluster(cfg); err != nil {
+		t.Fatal(err)
+	}
 	return rig
 }
 
@@ -217,7 +180,7 @@ func (rig *staleRig) miss(c staleCase) {
 	if c.peer == "cut" {
 		rig.plan.DropLink("G", "DB3")
 	} else {
-		rig.stop("DB3")
+		rig.cluster.Server("DB3").Close() // down, still wired
 	}
 	for i := 0; i < c.missed; i++ {
 		_, err := rig.coord.Insert("DB2", object.New(object.LOid(fmt.Sprintf("tx%03d'", i)), "Teacher",
@@ -235,7 +198,9 @@ func (rig *staleRig) miss(c staleCase) {
 	if c.peer == "cut" {
 		rig.plan.HealLink("G", "DB3")
 	} else {
-		rig.start("DB3", c.peer == "restart")
+		if err := rig.cluster.Restart("DB3"); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 
@@ -289,12 +254,12 @@ func TestStaleReplicaConverges(t *testing.T) {
 						DeltaLog: log, Metrics: metrics.New(), Call: fastFail}
 				}
 
-				peer := rig.servers["DB3"]
+				peer := rig.cluster.Server("DB3")
 				divergent := len(antientropy.DiffClasses(rig.coord.Tracker().Snapshot(), peer.DigestSnapshot()))
 				if divergent == 0 {
 					t.Fatal("DB3 did not fall behind; the case staged nothing")
 				}
-				before := settled(rig.servers)["DB3"]
+				before := settled(serversOf(rig.cluster))["DB3"]
 				converge(t, rig.coord)
 
 				assertPeerConverged(t, rig.coord, peer)
@@ -304,10 +269,10 @@ func TestStaleReplicaConverges(t *testing.T) {
 				if mode == "Ping" {
 					most++
 				}
-				if got := settled(rig.servers)["DB3"] - before; got > most {
+				if got := settled(serversOf(rig.cluster))["DB3"] - before; got > most {
 					t.Errorf("DB3 served %d requests to converge %d missed bindings, want at most %d", got, c.missed, most)
 				}
-				assertQuietPing(t, rig.coord, rig.servers)
+				assertQuietPing(t, rig.coord, serversOf(rig.cluster))
 			})
 		}
 	}
@@ -323,7 +288,7 @@ func TestStaleReplicaConverges(t *testing.T) {
 func TestStaleMarkSurvivesRacingPing(t *testing.T) {
 	rig := startStaleRig(t, staleCase{peer: "cut"})
 	defer rig.close()
-	coord, peer := rig.coord, rig.servers["DB3"]
+	coord, peer := rig.coord, rig.cluster.Server("DB3")
 	seq := 0
 	insertCut := func() {
 		rig.plan.DropLink("G", "DB3")
@@ -341,7 +306,7 @@ func TestStaleMarkSurvivesRacingPing(t *testing.T) {
 	// not delayed). The second Insert lands once the digest is answered: the
 	// repair is on the wire without its binding, and converges.
 	insertCut()
-	before := settled(rig.servers)["DB3"]
+	before := settled(serversOf(rig.cluster))["DB3"]
 	rig.plan.Delay("DB3", 100_000)
 	pinged := make(chan error, 1)
 	go func() { pinged <- coord.Ping() }()

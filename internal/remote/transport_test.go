@@ -10,6 +10,7 @@ import (
 	"github.com/hetfed/hetfed/internal/exec"
 	"github.com/hetfed/hetfed/internal/fabric"
 	"github.com/hetfed/hetfed/internal/federation"
+	"github.com/hetfed/hetfed/internal/fedfile"
 	"github.com/hetfed/hetfed/internal/gmap"
 	"github.com/hetfed/hetfed/internal/metrics"
 	"github.com/hetfed/hetfed/internal/object"
@@ -95,10 +96,12 @@ func runEverywhere(t *testing.T, c fedCase, kill object.SiteID) map[string]map[e
 	if err != nil {
 		t.Fatalf("%s: %v", c.name, err)
 	}
-	coord, _, cleanup := startFedCluster(t, c.global, c.dbs, c.tables, func(site object.SiteID, cfg *ServerConfig) {
+	fed := &fedfile.Federation{Global: c.global, Databases: c.dbs, Tables: c.tables}
+	coord, cluster := testCluster(t, fed, observedCoordinator(), func(site object.SiteID, cfg *ServerConfig) {
+		observed(site, cfg)
 		cfg.Faults = plan()
 	})
-	defer cleanup()
+	defer cluster.Close() // one cluster per case, not one per test
 
 	out := map[string]map[exec.Algorithm]*federation.Answer{"real": {}, "sim": {}, "tcp": {}}
 	for _, alg := range exec.AllAlgorithms() {
@@ -265,8 +268,8 @@ func TestChecksDispatchedCountedOnce(t *testing.T) {
 	}
 	tcp := func(unwire object.SiteID) func(*testing.T, exec.Algorithm) int64 {
 		return func(t *testing.T, alg exec.Algorithm) int64 {
-			coord, servers, cleanup := startRobustCluster(t, nil)
-			defer cleanup()
+			coord, cluster := testCluster(t, nil, observedCoordinator(), observed)
+			servers := serversOf(cluster)
 			if unwire != "" {
 				peers := map[object.SiteID]string{}
 				for site, addr := range coord.Sites {

@@ -2,8 +2,8 @@
 # check.sh — the repository's verification gate: formatting, vet, the
 # one-orchestration, one-report-envelope, one-codec, one-check-path,
 # one-replica, one-repair-path, one-experiment-harness, work-runs-where-it-is,
-# one-identity-index, said-once, one-chooser, one-probe-per-fetch and
-# one-metric-catalog structural guards, build,
+# one-identity-index, said-once, one-chooser, one-probe-per-fetch,
+# one-way-to-stand-up-a-site and one-metric-catalog structural guards, build,
 # unit tests, the full test suite under the race detector, the benchmark
 # module's vet and tests, a one-shot compile-and-run smoke of the overhead and
 # allocation benchmarks,
@@ -222,6 +222,22 @@ if grep -rn 'NewCachedSize' --include='*.go' --exclude-dir=.bench_build .; then
 fi
 want_one 'an LOid-keyed map field in internal/store/store.go' \
     "$(grep -nE '^[[:space:]]+[a-zA-Z_]+[[:space:]]+map\[object\.LOid\]' internal/store/store.go || true)"
+# One way to stand up a site (DESIGN.md section 10, EXPERIMENTS.md E30): outside
+# the benchmark module, a server is built in one place (remote.StartSite), peer
+# maps are wired only inside internal/remote (remote.Cluster), and a durable
+# site is recovered and seeded in StartSite alone. hetql's in-process path and
+# the durability topic's engine measurement open a WAL without serving it.
+want_one 'NewServer( outside tests' "$(grep -rn 'NewServer(' --include='*.go' --exclude='*_test.go' \
+    --exclude-dir=benchmark --exclude-dir=.bench_build . | grep -v 'func NewServer(' || true)"
+if grep -rn '\.SetPeers(' --include='*.go' --exclude='*_test.go' --exclude-dir=benchmark \
+    --exclude-dir=.bench_build --exclude-dir=remote .; then
+    echo "peer maps are wired outside internal/remote; start the cluster with remote.StartCluster" >&2
+    guard_failed=1
+fi
+want_one 'a non-test file opening a served WAL (wal.Open( then .Import()' \
+    "$(grep -rl 'wal\.Open(' --include='*.go' --exclude='*_test.go' --exclude-dir=benchmark \
+        --exclude-dir=.bench_build . | grep -vE '^\./(cmd/hetql/main|internal/bench/durability)\.go$' |
+        xargs -r grep -l '\.Import(' || true)"
 # One metric catalog: every series non-test code emits has a row in the table
 # of DESIGN.md section 6.
 catalog="$(sed -n '/^## 6\. /,/^## 7\. /p' DESIGN.md)"
@@ -280,13 +296,20 @@ go test -run - -bench 'BenchmarkGmap' -benchtime 1x ./internal/gmap/
 # beyond a constant multiple of the input, re-encoding is a fixed point. So
 # do the three grammars fed from a command line: no panic, an accepted fault
 # spec builds a plan, an accepted query's or SLO rule's rendering parses back
-# to itself.
+# to itself. So does the federation document hetserve -fed and hetql -fed
+# load: an accepted document survives Export → Parse.
 echo "== fuzz (10s per target)"
 for target in ./internal/remote:FuzzDecodeRequest ./internal/remote:FuzzDecodeResponse \
     ./internal/object:FuzzDecodeObject ./internal/fabric:FuzzParseFaults \
-    ./internal/query:FuzzParseQuery ./internal/obs/slo:FuzzParseRule; do
+    ./internal/query:FuzzParseQuery ./internal/obs/slo:FuzzParseRule \
+    ./internal/fedfile:FuzzParseFederation; do
     go test -run '^$' -fuzz "^${target#*:}\$" -fuzztime 10s "${target%%:*}"
 done
+
+# No other example runs anywhere; this one stands a TCP cluster up through the
+# public facade (hetfed.StartCluster), so it runs here.
+echo "== example smoke: go run ./examples/tcpcluster"
+go run ./examples/tcpcluster >/dev/null
 
 # The recovery torture runs inside the package tests above, but a fresh
 # -count=1 pass here keeps the crash-recovery gate immune to test caching.
