@@ -51,7 +51,7 @@
 // over-budget work mid-phase, and the query returns its sound partial
 // answer instead of an error; ctrl-C cancels in-flight queries the same
 // way. Sites refuse request frames over 8 MiB, reap connections idle for 5
-// minutes, and drop wedged readers after -write-timeout. -fault injects
+// minutes, and drop readers that stall a response for 30s. -fault injects
 // faults for resilience drills, in the grammar hetql and hetbench share
 // (fabric.ParseFaults):
 // "delay:3m" stalls every operation served here, "kill" answers every
@@ -129,7 +129,6 @@ type cmdline struct {
 
 	call        remote.CallConfig        // both modes' outbound policy
 	antiEntropy remote.AntiEntropyConfig // both modes' repair loop
-	server      remote.ServerConfig      // -site
 	coord       remote.Coordinator       // -coordinator
 	wal         wal.Options              // Dir holds the -data-dir root
 	recorder    obs.RecorderConfig
@@ -155,7 +154,6 @@ func (c *cmdline) parse(args []string) error {
 	fs.DurationVar(&c.call.DialTimeout, "dial-timeout", c.call.DialTimeout, "deadline for connecting to a peer")
 
 	fs.DurationVar(&c.coord.Deadline, "deadline", 0, "end-to-end budget per query in -coordinator mode; the remaining budget travels to every site and an over-budget query returns its sound partial answer (0 = none)")
-	fs.DurationVar(&c.server.WriteTimeout, "write-timeout", 0, "per-response write deadline in -site mode (0 or negative = default 30s)")
 	fs.StringVar(&c.fault, "fault", "", "fault injection, comma-separated: delay:DURATION (stall every operation served at this site), kill (answer every non-ping request with site-unavailable), drop:SITE:N (dark after N operations), cut:SITE (cut this process's links to SITE in both directions, as if a network partition separated them); a coordinator acts on cut only")
 
 	fs.DurationVar(&c.antiEntropy.Interval, "anti-entropy", 0, "run a background anti-entropy round against the peers at this cadence, repairing mapping-table divergence (0 = disabled; digest/repair requests are served either way)")
@@ -168,7 +166,6 @@ func (c *cmdline) parse(args []string) error {
 
 	fs.StringVar(&c.wal.Dir, "data-dir", "", "durable storage root: state is recovered from <data-dir>/<site> on boot (WAL+snapshot) and every mutation is logged; empty = in-memory only")
 	fs.BoolVar(&c.wal.Fsync, "fsync", false, "with -data-dir, fsync the WAL after every append (each acked write survives power loss; off = buffered, a crash loses only the unsynced tail)")
-	fs.IntVar(&c.wal.SnapshotEvery, "snapshot-every", 0, "with -data-dir, compact the WAL into a snapshot every N appends (0 = default, negative = never)")
 	return fs.Parse(args)
 }
 
@@ -185,8 +182,8 @@ func (c *cmdline) validate() error {
 		return fmt.Errorf("-cluster-scrape serves /cluster on the observability surface; pass -metrics-addr too")
 	case c.sloRules != "" && c.clusterScrape == "":
 		return fmt.Errorf("-slo judges the cluster rollup; pass -cluster-scrape too")
-	case c.wal.Dir == "" && (c.wal.Fsync || c.wal.SnapshotEvery != 0):
-		return fmt.Errorf("-fsync and -snapshot-every tune the durable store; pass -data-dir too")
+	case c.wal.Dir == "" && c.wal.Fsync:
+		return fmt.Errorf("-fsync tunes the durable store; pass -data-dir too")
 	}
 	return nil
 }
@@ -348,9 +345,8 @@ func startSite(fed *fedfile.Federation, peers map[object.SiteID]string, c *cmdli
 	if err != nil {
 		return nil, fmt.Errorf("-fault: %w", err)
 	}
-	cfg := c.server
-	cfg.DB, cfg.Global, cfg.Tables, cfg.Peers = db, fed.Global, fed.Tables, peers
-	cfg.Signatures, cfg.Faults = signature.Build(fed.Databases), faults()
+	cfg := remote.ServerConfig{DB: db, Global: fed.Global, Tables: fed.Tables, Peers: peers,
+		Signatures: signature.Build(fed.Databases), Faults: faults()}
 	rt, walOpts := c.instrument(site, &cfg, log)
 	if rt.Site, err = remote.StartSite(cfg, c.listen, walOpts); err != nil {
 		return nil, err
@@ -384,7 +380,7 @@ func (rt *siteRuntime) serve(c *cmdline, log *slog.Logger) error {
 		// rollup and hetops show each replica's repair state.
 		health := []obs.Health{
 			breakerHealth(rt.Server.BreakerStates),
-			obs.PrefixHealth("antientropy", rt.Server.Tracker().Health),
+			obs.PrefixHealth("antientropy", rt.Server.Replica().Health),
 		}
 		if rt.Engine != nil {
 			// Durable sites surface their storage engine on /healthz
@@ -489,7 +485,7 @@ func runCoordinator(fed *fedfile.Federation, peers map[object.SiteID]string, c *
 	// from a quorum or whose log stopped reports degraded.
 	healthSrcs := []obs.Health{
 		breakerHealth(coord.BreakerStates),
-		obs.PrefixHealth("antientropy", coord.Tracker().Health),
+		obs.PrefixHealth("antientropy", coord.Replica().Health),
 	}
 	if deltaLog != nil {
 		healthSrcs = append(healthSrcs, obs.PrefixHealth("wal", deltaLog.Health))

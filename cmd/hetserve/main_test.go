@@ -56,7 +56,6 @@ func TestRunFlagErrors(t *testing.T) {
 		"cluster-scrape without a page": {"-coordinator", "-data-dir", dir, "-cluster-scrape", "DB1=127.0.0.1:1"},
 		"bad slo rule":                  {"-coordinator", "-data-dir", dir, "-metrics-addr", "127.0.0.1:0", "-cluster-scrape", "DB1=127.0.0.1:1", "-slo", "nonsense"},
 		"fsync without data-dir":        {"-site", "DB1", "-fsync"},
-		"snapshots without data-dir":    {"-coordinator", "-snapshot-every", "10"},
 		"bad fault at a site":           {"-site", "DB1", "-data-dir", dir, "-fault", "zap:DB2"},
 		"bad fault at the coordinator":  {"-coordinator", "-data-dir", dir, "-fault", "delay:DB2"},
 	} {

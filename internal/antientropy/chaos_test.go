@@ -9,15 +9,15 @@ import (
 	"github.com/hetfed/hetfed/internal/bench"
 )
 
-// TestChaosPartitionKillRestart is the chaos acceptance suite: a seed sweep
-// through bench.RunChaos, the one chaos rig and schedule in the tree (its
-// doc comment states the two safety properties it asserts — certain rows
-// under faults ⊆ fault-free certain rows, and bounded convergence back to
-// the full, suspect-free answer). Each seed is a subtest named by it, so a
-// failure prints the seed that replays the schedule; what this file adds is
-// that a finished run leaks no goroutine.
+// TestChaosPartitionKillRestart is the live smoke of the protocol: one seed
+// of bench.RunChaos, the one chaos rig in the tree, over a WAL-durable TCP
+// cluster (its doc comment states the two properties it asserts — certain
+// rows under faults ⊆ fault-free certain rows, and bounded convergence back
+// to the full, suspect-free answer). The protocol itself is swept seed by
+// seed in TestReplicaNetwork; what this file adds is the transport, the
+// durable stores and the queries, and that a finished run leaks no goroutine.
 func TestChaosPartitionKillRestart(t *testing.T) {
-	for seed := int64(1); seed <= 8; seed++ {
+	for _, seed := range []int64{1} {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			baseline := runtime.NumGoroutine()
 			spec := bench.ChaosSpec{Steps: 40, Seed: seed, MaxConvergenceRounds: 5}

@@ -1,15 +1,18 @@
 // Package antientropy implements digest-based replica repair for the
 // replicated GOid mapping tables: every federation process (each site
-// server and the coordinator) maintains an incremental per-class digest of
-// its replica, exchanges digests with its peers on a jittered background
-// cadence, and streams only the divergent binding ranges to converge —
+// server and the coordinator) holds one Replica, which maintains an
+// incremental per-class digest of its tables, exchanges digests with its
+// peers, and streams only the divergent binding ranges to converge —
 // symmetric peer repair that works after either end of a link was
-// partitioned, killed, or restarted from stale durable state.
+// partitioned, killed, or restarted from stale durable state. The package
+// has no transport and no clock: the owner supplies the function that
+// carries a message to a peer (Send) and decides when rounds run, so the
+// tests drive whole networks of replicas on one goroutine from a seed.
 //
 // The digest is a fixed-depth hash tree: each class's bindings are hashed
 // into one of Buckets leaf buckets (by the top bits of the binding hash),
 // and each bucket folds its members with XOR — an order-independent,
-// incrementally maintainable summary updated in O(1) per BindDelta. Two
+// incrementally maintainable summary updated in O(1) per binding. Two
 // replicas disagree exactly on the buckets whose folds differ, so repair
 // ships only the bindings hashing into those buckets instead of the whole
 // table.

@@ -1,7 +1,11 @@
 package antientropy
 
 import (
+	"context"
+	"errors"
 	"fmt"
+	"strings"
+	"sync"
 	"testing"
 
 	"github.com/hetfed/hetfed/internal/gmap"
@@ -97,43 +101,58 @@ func TestDiffBucketsXORCancellation(t *testing.T) {
 	}
 }
 
+// TestTrackerSeedMatchesIncremental: the digests a replica keeps up binding
+// by binding are the digests its tables compute to from scratch.
 func TestTrackerSeedMatchesIncremental(t *testing.T) {
-	tables := gmap.NewTables()
-	inc := NewTracker()
-	tab := tables.Table("Student")
+	tables, state := gmap.NewTables(), new(sync.RWMutex)
+	r := NewReplica("DB1", tables, state, nil, nil, nil, nil)
+	state.Lock()
 	for i := 0; i < 40; i++ {
-		goid := object.GOid(fmt.Sprintf("g:%d", i))
-		site := object.SiteID(fmt.Sprintf("DB%d", i%3+1))
-		loid := object.LOid(fmt.Sprintf("o%d", i))
-		tab.MustBind(goid, site, loid)
-		inc.Observe("Student", goid, site, loid)
+		b := Binding{object.GOid(fmt.Sprintf("g:%d", i)), object.SiteID(fmt.Sprintf("DB%d", i%3+1)), object.LOid(fmt.Sprintf("o%d", i))}
+		if _, err := r.Apply("Student", b); err != nil {
+			t.Fatal(err)
+		}
 	}
-	seeded := NewTracker()
-	seeded.Seed(tables)
-	if diff := DiffClasses(inc.Snapshot(), seeded.Snapshot()); diff != nil {
-		t.Fatalf("seeded digest diverges from incrementally maintained one: %v", diff)
+	state.Unlock()
+	if diff := DiffClasses(r.Snapshot(), Digests(tables)); diff != nil {
+		t.Fatalf("incrementally maintained digests diverge from the tables' own: %v", diff)
 	}
 }
 
+// TestTrackerSuspects: a round that reaches a minority of its peers marks
+// every class suspect, which degrades answers touching them and the health
+// condition; a clean quorum round clears the marks.
 func TestTrackerSuspects(t *testing.T) {
-	tr := NewTracker()
-	if got := tr.SuspectOf([]string{"Student"}); got != nil {
-		t.Fatalf("fresh tracker has suspects: %v", got)
+	reached := map[object.SiteID]*Replica{}
+	send := func(_ context.Context, peer object.SiteID, m Msg) (Reply, int64, error) {
+		if p := reached[peer]; p != nil {
+			reply, err := p.Handle("DB1", m)
+			return reply, 128, err
+		}
+		return Reply{}, 0, errors.New("unreachable")
 	}
-	tr.MarkSuspect("Student", "quorum disagreement")
-	tr.MarkSuspect("Course", "quorum disagreement")
-	if got := tr.SuspectOf([]string{"Course", "Dept"}); len(got) != 1 || got[0] != "Course" {
-		t.Fatalf("SuspectOf = %v, want [Course]", got)
+	tables, state := gmap.NewTables(), new(sync.RWMutex)
+	tables.Table("Student").MustBind("g:1", "DB1", "o1")
+	tables.Table("Course").MustBind("g:2", "DB1", "o2")
+	r := NewReplica("DB1", tables, state, nil, send, nil, nil)
+	peer := func() *Replica { return NewReplica("DB2", tables.Clone(), new(sync.RWMutex), nil, nil, nil, nil) }
+	peers := []object.SiteID{"DB2", "DB3", "DB4"}
+	if got := r.SuspectOf([]string{"Student"}); got != nil {
+		t.Fatalf("fresh replica has suspects: %v", got)
 	}
-	h := tr.Health()
-	if h["state"] == "" || h["state"][:7] != "suspect" {
-		t.Fatalf("suspect tracker reports healthy: %q", h["state"])
+
+	reached["DB2"] = peer()
+	r.Round(context.Background(), peers)
+	if got := r.SuspectOf([]string{"Course", "Dept"}); len(got) != 1 || got[0] != "Course" {
+		t.Fatalf("SuspectOf after a minority round = %v, want [Course]", got)
 	}
-	tr.ClearSuspect("Student")
-	tr.ClearSuspect("Course")
-	tr.EndRound(3, 128)
-	h = tr.Health()
-	if h["state"] != "ok(round=1, repaired=128B)" {
-		t.Fatalf("health = %q", h["state"])
+	if h := r.Health()["state"]; !strings.HasPrefix(h, "suspect(Course,Student)") {
+		t.Fatalf("suspect replica reports %q", h)
+	}
+
+	reached["DB3"] = peer()
+	r.Round(context.Background(), peers)
+	if h := r.Health()["state"]; h != "ok(round=2, repaired=384B)" {
+		t.Fatalf("health after a clean quorum round = %q", h)
 	}
 }

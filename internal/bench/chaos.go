@@ -150,9 +150,9 @@ func RunChaos(spec ChaosSpec, dir string, progress func(string)) (*Report, error
 		coord.RunAntiEntropyRound(ctx)
 	}
 	converged := func() bool {
-		want := coord.Tracker().Snapshot()
+		want := coord.Replica().Snapshot()
 		for _, site := range cluster.Sites() {
-			if len(antientropy.DiffClasses(want, cluster.Server(site).DigestSnapshot())) != 0 {
+			if len(antientropy.DiffClasses(want, cluster.Server(site).Replica().Snapshot())) != 0 {
 				return false
 			}
 		}
@@ -283,19 +283,18 @@ func RunChaos(spec ChaosSpec, dir string, progress func(string)) (*Report, error
 			got, len(final.Maybe), want, len(truth.Maybe))
 	}
 	for _, site := range cluster.Sites() {
-		if sus := cluster.Server(site).Tracker().Suspects(); len(sus) != 0 {
+		if sus := cluster.Server(site).Replica().Suspects(); len(sus) != 0 {
 			return nil, fmt.Errorf("bench: site %s still suspects %v after convergence", site, sus)
 		}
 	}
-	if states := coord.DivergenceStates(); len(states) != 0 {
-		return nil, fmt.Errorf("bench: coordinator still suspects %v after convergence", states)
+	stats := coord.Replica().Stats()
+	if len(stats.Suspects) != 0 {
+		return nil, fmt.Errorf("bench: coordinator still suspects %v after convergence", stats.Suspects)
 	}
-
-	stats := coord.Tracker().Stats()
 	cell.RepairedBindings = int64(stats.RepairedBindings)
 	cell.RepairBytes = int64(stats.RepairedBytes)
 	for _, site := range cluster.Sites() {
-		s := cluster.Server(site).Tracker().Stats()
+		s := cluster.Server(site).Replica().Stats()
 		cell.RepairedBindings += int64(s.RepairedBindings)
 		cell.RepairBytes += int64(s.RepairedBytes)
 	}

@@ -31,25 +31,19 @@ type FaultPlan struct {
 
 	// Link-level faults (partition.go). Partitions block traffic between
 	// two site sets symmetrically; links are individual directed edges for
-	// asymmetric loss; dups/linkDelay model duplication and reorder.
-	parts     []*partitionState
-	links     map[Pair]bool
-	dups      map[Pair]int // duplicate every nth transfer
-	dupSeen   map[Pair]int
-	linkDelay map[Pair]float64
+	// asymmetric loss.
+	parts []*partitionState
+	links map[Pair]bool
 }
 
 // NewFaultPlan returns an empty plan (no faults).
 func NewFaultPlan() *FaultPlan {
 	return &FaultPlan{
-		killed:    make(map[object.SiteID]bool),
-		dropAt:    make(map[object.SiteID]int),
-		served:    make(map[object.SiteID]int),
-		delayUS:   make(map[object.SiteID]float64),
-		links:     make(map[Pair]bool),
-		dups:      make(map[Pair]int),
-		dupSeen:   make(map[Pair]int),
-		linkDelay: make(map[Pair]float64),
+		killed:  make(map[object.SiteID]bool),
+		dropAt:  make(map[object.SiteID]int),
+		served:  make(map[object.SiteID]int),
+		delayUS: make(map[object.SiteID]float64),
+		links:   make(map[Pair]bool),
 	}
 }
 
@@ -97,22 +91,6 @@ func (f *FaultPlan) BeginOp(site object.SiteID) bool {
 		f.served[site]++
 	}
 	return true
-}
-
-// Unavailable reports whether the site is dead right now (killed, or past
-// its drop budget) without consuming an operation. A nil plan reports
-// false.
-func (f *FaultPlan) Unavailable(site object.SiteID) bool {
-	if f == nil {
-		return false
-	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if f.killed[site] {
-		return true
-	}
-	limit, ok := f.dropAt[site]
-	return ok && f.served[site] >= limit
 }
 
 // DelayMicros returns the extra per-operation latency injected at the site
@@ -166,21 +144,12 @@ func (f *FaultPlan) String() string {
 		parts = append(parts, fmt.Sprintf("delay(%s,%gµs)", site, d))
 	}
 	for _, p := range f.parts {
-		if !p.blocked {
-			continue
-		}
 		parts = append(parts, fmt.Sprintf("partition(%s|%s)", joinSites(p.a), joinSites(p.b)))
 	}
 	for pair, down := range f.links {
 		if down {
 			parts = append(parts, fmt.Sprintf("droplink(%s→%s)", pair.From, pair.To))
 		}
-	}
-	for pair, n := range f.dups {
-		parts = append(parts, fmt.Sprintf("dup(%s→%s,%d)", pair.From, pair.To, n))
-	}
-	for pair, d := range f.linkDelay {
-		parts = append(parts, fmt.Sprintf("delaylink(%s→%s,%gµs)", pair.From, pair.To, d))
 	}
 	if len(parts) == 0 {
 		return "none"

@@ -8,42 +8,32 @@ import (
 	"github.com/hetfed/hetfed/internal/object"
 )
 
-// Network-level fault injection: partitions, asymmetric link loss, message
-// duplication, and link delay. Site faults (fault.go) model a process being
-// dead or slow; link faults model the network between live processes —
-// partitioned replicas keep serving local work and diverge silently, which
-// is the failure mode anti-entropy exists to repair.
+// Network-level fault injection: partitions and asymmetric link loss. Site
+// faults (fault.go) model a process being dead or slow; link faults model
+// the network between live processes — partitioned replicas keep serving
+// local work and diverge silently, which is the failure mode anti-entropy
+// exists to repair.
 //
-// Both runtimes consult the same plan. The real runtime checks
-// BeginLinkOp in the remote client before dialing and in the server before
-// dispatch (covering both directions of an asymmetric cut); the sim runtime
-// additionally applies TransferCopies and LinkDelayMicros inside Transfer,
-// so duplication and reorder are reproducible in virtual time.
+// Both runtimes consult the same plan: the in-process engine before each
+// site step, and over TCP the remote client before dialing and the server
+// before dispatch (covering both directions of an asymmetric cut).
 
 // Partition declares a network partition: traffic between the A side and
-// the B side fails in both directions until healed. HealAfterOps > 0 heals
-// the partition automatically after that many blocked operations (a
-// transient cut); 0 means the partition holds until Heal or HealPartitions.
-// Sites in neither set are unaffected; a site in both sets is
-// unreachable from everyone in either set, which is almost never what a
-// schedule means — keep the sets disjoint.
+// the B side fails in both directions until HealPartitions. Sites in neither
+// set are unaffected; a site in both sets is unreachable from everyone in
+// either set, which is almost never what a schedule means — keep the sets
+// disjoint.
 type Partition struct {
-	A            []object.SiteID
-	B            []object.SiteID
-	HealAfterOps int
+	A []object.SiteID
+	B []object.SiteID
 }
 
-// partitionState is one active partition's mutable state.
+// partitionState is one active partition's two sides.
 type partitionState struct {
-	a, b      map[object.SiteID]bool
-	healAfter int // blocked ops until self-heal; 0 = manual heal only
-	blocked   bool
+	a, b map[object.SiteID]bool
 }
 
 func (p *partitionState) cuts(from, to object.SiteID) bool {
-	if !p.blocked {
-		return false
-	}
 	return (p.a[from] && p.b[to]) || (p.b[from] && p.a[to])
 }
 
@@ -52,12 +42,7 @@ func (p *partitionState) cuts(from, to object.SiteID) bool {
 func (f *FaultPlan) Partition(p Partition) *FaultPlan {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	st := &partitionState{
-		a:         make(map[object.SiteID]bool, len(p.A)),
-		b:         make(map[object.SiteID]bool, len(p.B)),
-		healAfter: p.HealAfterOps,
-		blocked:   true,
-	}
+	st := &partitionState{a: make(map[object.SiteID]bool, len(p.A)), b: make(map[object.SiteID]bool, len(p.B))}
 	for _, s := range p.A {
 		st.a[s] = true
 	}
@@ -68,26 +53,12 @@ func (f *FaultPlan) Partition(p Partition) *FaultPlan {
 	return f
 }
 
-// HealPartitions heals every active partition, leaving individual link
-// faults (DropLink, DuplicateLink, DelayLink) in place.
+// HealPartitions heals every active partition, leaving links cut by DropLink
+// in place.
 func (f *FaultPlan) HealPartitions() *FaultPlan {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	f.parts = nil
-	return f
-}
-
-// Heal removes every network fault: partitions, dropped links, duplication
-// and link delays. Site faults (Kill, DropAfter, Delay) are untouched — a
-// healed network does not resurrect a dead process.
-func (f *FaultPlan) Heal() *FaultPlan {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.parts = nil
-	f.links = make(map[Pair]bool)
-	f.dups = make(map[Pair]int)
-	f.dupSeen = make(map[Pair]int)
-	f.linkDelay = make(map[Pair]float64)
 	return f
 }
 
@@ -109,37 +80,9 @@ func (f *FaultPlan) HealLink(from, to object.SiteID) *FaultPlan {
 	return f
 }
 
-// LinkDown reports whether traffic from→to is currently blocked, without
-// consuming an operation or advancing self-heal budgets. A nil plan
-// reports false, as does an empty from (callers without link identity,
-// e.g. an operator CLI, are never partitioned).
-func (f *FaultPlan) LinkDown(from, to object.SiteID) bool {
-	if f == nil || from == "" || to == "" {
-		return false
-	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.linkDownLocked(from, to)
-}
-
-func (f *FaultPlan) linkDownLocked(from, to object.SiteID) bool {
-	if f.links[Pair{From: from, To: to}] {
-		return true
-	}
-	for _, p := range f.parts {
-		if p.cuts(from, to) {
-			return true
-		}
-	}
-	return false
-}
-
-// BeginLinkOp records one attempted operation over the directed edge
-// from→to and reports whether it goes through. A blocked attempt charges
-// the cutting partition's heal-after budget; when the budget reaches zero
-// the partition heals (the transient-cut model: the schedule's next
-// operations find the network whole again). A nil plan, or a caller
-// without link identity, always goes through.
+// BeginLinkOp reports whether traffic from→to goes through. A nil plan, or
+// a caller without link identity (an operator CLI, say), always goes
+// through.
 func (f *FaultPlan) BeginLinkOp(from, to object.SiteID) bool {
 	if f == nil || from == "" || to == "" {
 		return true
@@ -149,20 +92,12 @@ func (f *FaultPlan) BeginLinkOp(from, to object.SiteID) bool {
 	if f.links[Pair{From: from, To: to}] {
 		return false
 	}
-	ok := true
 	for _, p := range f.parts {
-		if !p.cuts(from, to) {
-			continue
-		}
-		ok = false
-		if p.healAfter > 0 {
-			p.healAfter--
-			if p.healAfter == 0 {
-				p.blocked = false
-			}
+		if p.cuts(from, to) {
+			return false
 		}
 	}
-	return ok
+	return true
 }
 
 // LinkReason describes why the edge from→to is down, for degradation
@@ -182,62 +117,6 @@ func (f *FaultPlan) LinkReason(from, to object.SiteID) string {
 		}
 	}
 	return ""
-}
-
-// DuplicateLink duplicates every nth transfer on the directed edge
-// (n ≥ 2; n = 1 doubles everything). The sim runtime charges the extra
-// copy's bytes and latency, exercising idempotent apply paths.
-func (f *FaultPlan) DuplicateLink(from, to object.SiteID, every int) *FaultPlan {
-	if every < 1 {
-		every = 1
-	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.dups[Pair{From: from, To: to}] = every
-	return f
-}
-
-// TransferCopies reports how many copies of the next transfer on the edge
-// to charge (1 normally, 2 when the duplication fault fires for this
-// transfer) and consumes one transfer against the duplication cadence.
-func (f *FaultPlan) TransferCopies(from, to object.SiteID) int {
-	if f == nil {
-		return 1
-	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	pair := Pair{From: from, To: to}
-	every, ok := f.dups[pair]
-	if !ok {
-		return 1
-	}
-	f.dupSeen[pair]++
-	if f.dupSeen[pair]%every == 0 {
-		return 2
-	}
-	return 1
-}
-
-// DelayLink adds the given extra latency (µs) to every transfer on the
-// directed edge. On the sim runtime the sender sleeps before the transfer,
-// so deltas on a delayed link arrive after later deltas on fast links —
-// deterministic message reorder in virtual time.
-func (f *FaultPlan) DelayLink(from, to object.SiteID, micros float64) *FaultPlan {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.linkDelay[Pair{From: from, To: to}] = micros
-	return f
-}
-
-// LinkDelayMicros returns the extra latency injected on the edge (0
-// without a fault). A nil plan returns 0.
-func (f *FaultPlan) LinkDelayMicros(from, to object.SiteID) float64 {
-	if f == nil {
-		return 0
-	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.linkDelay[Pair{From: from, To: to}]
 }
 
 func joinSites(set map[object.SiteID]bool) string {

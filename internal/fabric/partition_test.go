@@ -20,9 +20,6 @@ func TestPartitionCutsBothDirections(t *testing.T) {
 	for _, pair := range [][2]object.SiteID{
 		{"G", "DB2"}, {"DB2", "G"}, {"DB1", "DB3"}, {"DB3", "DB1"},
 	} {
-		if !fp.LinkDown(pair[0], pair[1]) {
-			t.Fatalf("partition did not cut %s→%s", pair[0], pair[1])
-		}
 		if fp.BeginLinkOp(pair[0], pair[1]) {
 			t.Fatalf("BeginLinkOp let %s→%s through a partition", pair[0], pair[1])
 		}
@@ -34,29 +31,17 @@ func TestPartitionCutsBothDirections(t *testing.T) {
 	for _, pair := range [][2]object.SiteID{
 		{"G", "DB1"}, {"DB2", "DB3"}, {"G", "DB9"}, {"DB9", "DB2"},
 	} {
-		if fp.LinkDown(pair[0], pair[1]) || !fp.BeginLinkOp(pair[0], pair[1]) {
+		if !fp.BeginLinkOp(pair[0], pair[1]) || fp.LinkReason(pair[0], pair[1]) != "" {
 			t.Fatalf("partition wrongly cut %s→%s", pair[0], pair[1])
 		}
 	}
 	// Site-level views are unaffected: the processes are alive.
-	if fp.Unavailable("DB2") || !fp.BeginOp("DB2") {
+	if fp.Reason("DB2") != "" || !fp.BeginOp("DB2") {
 		t.Fatalf("partition killed a process")
 	}
 	fp.HealPartitions()
-	if fp.LinkDown("G", "DB2") {
+	if !fp.BeginLinkOp("G", "DB2") {
 		t.Fatalf("HealPartitions left the link down")
-	}
-}
-
-func TestPartitionHealAfterOps(t *testing.T) {
-	fp := NewFaultPlan().Partition(Partition{A: sites("G"), B: sites("DB1"), HealAfterOps: 3})
-	for i := 0; i < 3; i++ {
-		if fp.BeginLinkOp("G", "DB1") {
-			t.Fatalf("op %d went through before heal budget was spent", i)
-		}
-	}
-	if !fp.BeginLinkOp("G", "DB1") || !fp.BeginLinkOp("DB1", "G") {
-		t.Fatalf("partition did not self-heal after its op budget")
 	}
 }
 
@@ -77,39 +62,14 @@ func TestAsymmetricLinkLoss(t *testing.T) {
 	}
 }
 
-func TestDuplicateAndDelayLink(t *testing.T) {
-	fp := NewFaultPlan().DuplicateLink("G", "DB1", 2).DelayLink("G", "DB1", 500)
-	if got := fp.TransferCopies("G", "DB1"); got != 1 {
-		t.Fatalf("first transfer copies = %d, want 1", got)
-	}
-	if got := fp.TransferCopies("G", "DB1"); got != 2 {
-		t.Fatalf("second transfer copies = %d, want 2 (every 2nd duplicates)", got)
-	}
-	if got := fp.TransferCopies("DB1", "G"); got != 1 {
-		t.Fatalf("reverse direction duplicated: %d", got)
-	}
-	if d := fp.LinkDelayMicros("G", "DB1"); d != 500 {
-		t.Fatalf("LinkDelayMicros = %g", d)
-	}
-	if d := fp.LinkDelayMicros("DB1", "G"); d != 0 {
-		t.Fatalf("reverse direction delayed: %g", d)
-	}
-	fp.Heal()
-	if fp.TransferCopies("G", "DB1") != 1 || fp.LinkDelayMicros("G", "DB1") != 0 {
-		t.Fatalf("Heal left link faults behind")
-	}
-}
-
 func TestNilPlanLinkOps(t *testing.T) {
 	var fp *FaultPlan
-	if !fp.BeginLinkOp("G", "DB1") || fp.LinkDown("G", "DB1") ||
-		fp.TransferCopies("G", "DB1") != 1 || fp.LinkDelayMicros("G", "DB1") != 0 ||
-		fp.LinkReason("G", "DB1") != "" {
+	if !fp.BeginLinkOp("G", "DB1") || fp.LinkReason("G", "DB1") != "" {
 		t.Fatalf("nil plan injected link faults")
 	}
 	// Callers without link identity are never partitioned.
 	fp = NewFaultPlan().Partition(Partition{A: sites("G"), B: sites("DB1")})
-	if !fp.BeginLinkOp("", "DB1") || fp.LinkDown("", "DB1") {
+	if !fp.BeginLinkOp("", "DB1") || fp.LinkReason("", "DB1") != "" {
 		t.Fatalf("anonymous caller was partitioned")
 	}
 }
@@ -117,10 +77,9 @@ func TestNilPlanLinkOps(t *testing.T) {
 func TestFaultPlanStringWithLinks(t *testing.T) {
 	fp := NewFaultPlan().
 		Partition(Partition{A: sites("G"), B: sites("DB1", "DB2")}).
-		DropLink("DB1", "DB2").
-		DuplicateLink("G", "DB1", 3)
+		DropLink("DB1", "DB2")
 	s := fp.String()
-	for _, want := range []string{"partition(G|DB1,DB2)", "droplink(DB1→DB2)", "dup(G→DB1,3)"} {
+	for _, want := range []string{"partition(G|DB1,DB2)", "droplink(DB1→DB2)"} {
 		if !strings.Contains(s, want) {
 			t.Fatalf("String() = %q, missing %q", s, want)
 		}
@@ -155,10 +114,10 @@ func TestParseFaults(t *testing.T) {
 	if got := fp.DelayMicros("DB1"); got != 5000 {
 		t.Errorf("delay:5ms at DB1 = %v micros, want 5000", got)
 	}
-	if !fp.Unavailable("DB1") || fp.Unavailable("DB2") {
+	if fp.BeginOp("DB1") || !fp.BeginOp("DB2") {
 		t.Error("kill did not kill the local site alone")
 	}
-	if !fp.LinkDown("DB1", "DB2") || !fp.LinkDown("DB2", "DB1") || fp.LinkDown("DB1", "DB3") {
+	if fp.BeginLinkOp("DB1", "DB2") || fp.BeginLinkOp("DB2", "DB1") || !fp.BeginLinkOp("DB1", "DB3") {
 		t.Error("cut:DB2 did not cut exactly the DB1-DB2 links, both ways")
 	}
 	if factory, _ = ParseFaults("delay:DB3:1500", "DB1"); factory().DelayMicros("DB3") != 1500 {

@@ -167,19 +167,15 @@ func (run *realRun) Fork(fns ...func(Proc)) {
 	legs.Wait()
 }
 
-// Transfer implements Proc. A duplicating link fault charges the transfer
-// twice (the retransmit the receiver absorbs); link delay is injected by
-// the remote client on this runtime, not here, so it shows up in measured
-// wall-clock latency rather than as a second accounting entry.
+// Transfer implements Proc.
 func (run *realRun) Transfer(from, to object.SiteID, bytes int) {
-	charged := int64(run.rt.faults.TransferCopies(from, to)) * int64(bytes)
 	run.mu.Lock()
 	defer run.mu.Unlock()
 	if run.pairs == nil {
 		run.pairs = make(map[Pair]int64)
 	}
-	run.net += charged
-	run.pairs[Pair{From: from, To: to}] += charged
+	run.net += int64(bytes)
+	run.pairs[Pair{From: from, To: to}] += int64(bytes)
 }
 
 // Now implements Proc: wall-clock microseconds since Run started.

@@ -156,23 +156,14 @@ func (sp *simProc) Sink(site object.SiteID) cost.Sink {
 	return &simSink{rt: sp.rt, p: sp.p, site: site, cpu: cpu, disk: disk}
 }
 
-// Transfer implements Proc. Link faults apply here: a delayed link sleeps
-// the sender first (so its payloads land after later sends on fast links —
-// reorder in virtual time), and a duplicating link charges the transfer
-// twice, modeling the retransmit the receiver must absorb idempotently.
+// Transfer implements Proc.
 func (sp *simProc) Transfer(from, to object.SiteID, bytes int) {
 	if bytes < 0 {
 		panic(fmt.Sprintf("fabric: negative transfer %d", bytes))
 	}
-	if d := sp.rt.faults.LinkDelayMicros(from, to); d > 0 {
-		sp.Sleep(d)
-	}
-	copies := sp.rt.faults.TransferCopies(from, to)
-	for i := 0; i < copies; i++ {
-		sp.rt.netBytes += int64(bytes)
-		sp.rt.pairs[Pair{From: from, To: to}] += int64(bytes)
-		sp.p.Use(sp.rt.net, float64(bytes)*sp.rt.rates.NetPerByte)
-	}
+	sp.rt.netBytes += int64(bytes)
+	sp.rt.pairs[Pair{From: from, To: to}] += int64(bytes)
+	sp.p.Use(sp.rt.net, float64(bytes)*sp.rt.rates.NetPerByte)
 }
 
 // Now implements Proc: the current virtual time.

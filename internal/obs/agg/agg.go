@@ -65,10 +65,6 @@ type Config struct {
 	Metrics *metrics.Registry
 	// Log receives scrape-failure and staleness events (may be nil).
 	Log *slog.Logger
-	// OnScrape, when non-nil, runs after every completed scrape pass —
-	// the SLO engine evaluates its rules here, so alert state advances in
-	// lockstep with the data it judges.
-	OnScrape func()
 }
 
 // sample is one point of a site's cumulative (reset-adjusted) history.
@@ -109,6 +105,9 @@ type Scraper struct {
 
 	mu    sync.Mutex
 	sites []*siteState // config order
+	// onScrape, when non-nil, runs after every completed scrape pass (see
+	// SetOnScrape).
+	onScrape func()
 
 	loopCtx    context.Context
 	loopCancel context.CancelFunc
@@ -188,12 +187,13 @@ func (s *Scraper) Stop() {
 	<-done
 }
 
-// SetOnScrape installs (or replaces) the per-pass hook after construction
-// — the SLO engine consumes the scraper as its measurement Source, so it
-// can only exist after New, yet must evaluate on every pass.
+// SetOnScrape installs (or replaces) the hook that runs after every
+// completed scrape pass — the SLO engine evaluates its rules there, so alert
+// state advances in lockstep with the data it judges. It consumes the
+// scraper as its measurement Source, so it can only exist after New.
 func (s *Scraper) SetOnScrape(fn func()) {
 	s.mu.Lock()
-	s.cfg.OnScrape = fn
+	s.onScrape = fn
 	s.mu.Unlock()
 }
 
@@ -204,7 +204,7 @@ func (s *Scraper) loop() {
 	for {
 		s.ScrapeOnce(s.loopCtx)
 		s.mu.Lock()
-		hook := s.cfg.OnScrape
+		hook := s.onScrape
 		s.mu.Unlock()
 		if hook != nil {
 			hook()

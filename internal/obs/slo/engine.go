@@ -55,7 +55,7 @@ type ruleState struct {
 }
 
 // Engine evaluates rules against a Source. Call Evaluate after every
-// scrape pass (agg.Config.OnScrape) so alert state moves in lockstep with
+// scrape pass (agg.Scraper.SetOnScrape) so alert state moves in lockstep with
 // the data; Alerts and Handler read the latest state.
 type Engine struct {
 	cfg   Config

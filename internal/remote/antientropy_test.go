@@ -21,7 +21,7 @@ func digestsEqual(a, b map[string]antientropy.Digest) bool {
 // bindAt applies one mapping binding to a single server's replica over the
 // wire — the way divergence arises in production (a delta broadcast that
 // reached only some replicas).
-func bindAt(t *testing.T, srv *Server, d *BindDelta) {
+func bindAt(t *testing.T, srv *Server, d *antientropy.Delta) {
 	t.Helper()
 	cl := newClient("TEST", CallConfig{}, nil)
 	defer cl.close()
@@ -38,9 +38,9 @@ func TestAntiEntropyConvergesDivergentReplicas(t *testing.T) {
 	_, cluster := testCluster(t, nil, observedCoordinator(), observed)
 	servers := serversOf(cluster)
 
-	d := &BindDelta{Class: "Teacher", GOid: "gt900", Site: "DB9", LOid: "t900'"}
+	d := &antientropy.Delta{Class: "Teacher", GOid: "gt900", Site: "DB9", LOid: "t900'"}
 	bindAt(t, servers["DB1"], d)
-	if digestsEqual(servers["DB1"].DigestSnapshot(), servers["DB2"].DigestSnapshot()) {
+	if digestsEqual(servers["DB1"].Replica().Snapshot(), servers["DB2"].Replica().Snapshot()) {
 		t.Fatal("replicas agree before repair; the fixture did not diverge")
 	}
 
@@ -52,7 +52,7 @@ func TestAntiEntropyConvergesDivergentReplicas(t *testing.T) {
 		if loid, ok := tab.LOidAt("gt900", "DB9"); !ok || loid != "t900'" {
 			t.Errorf("replica %s after repair: gt900@DB9 = (%q, %v), want (t900', true)", site, loid, ok)
 		}
-		if !digestsEqual(servers["DB1"].DigestSnapshot(), servers[site].DigestSnapshot()) {
+		if !digestsEqual(servers["DB1"].Replica().Snapshot(), servers[site].Replica().Snapshot()) {
 			t.Errorf("digests of DB1 and %s still differ after repair", site)
 		}
 	}
@@ -69,7 +69,7 @@ func TestCoordinatorPullsMissingBindings(t *testing.T) {
 	coord, cluster := testCluster(t, nil, observedCoordinator(), observed)
 	servers := serversOf(cluster)
 
-	d := &BindDelta{Class: "Teacher", GOid: "gt901", Site: "DB9", LOid: "t901'"}
+	d := &antientropy.Delta{Class: "Teacher", GOid: "gt901", Site: "DB9", LOid: "t901'"}
 	for _, srv := range servers {
 		bindAt(t, srv, d)
 	}
@@ -97,12 +97,12 @@ func TestAntiEntropyLoopConvergesInBackground(t *testing.T) {
 	})
 	servers := serversOf(cluster)
 
-	bindAt(t, servers["DB2"], &BindDelta{Class: "Teacher", GOid: "gt902", Site: "DB9", LOid: "t902'"})
+	bindAt(t, servers["DB2"], &antientropy.Delta{Class: "Teacher", GOid: "gt902", Site: "DB9", LOid: "t902'"})
 
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		if digestsEqual(servers["DB1"].DigestSnapshot(), servers["DB2"].DigestSnapshot()) &&
-			digestsEqual(servers["DB2"].DigestSnapshot(), servers["DB3"].DigestSnapshot()) {
+		if digestsEqual(servers["DB1"].Replica().Snapshot(), servers["DB2"].Replica().Snapshot()) &&
+			digestsEqual(servers["DB2"].Replica().Snapshot(), servers["DB3"].Replica().Snapshot()) {
 			return
 		}
 		if time.Now().After(deadline) {
@@ -123,13 +123,13 @@ func TestConflictMarksSuspectAndDegradesQueries(t *testing.T) {
 
 	// DB1 holds gt903→t903'; DB2 and DB3 hold gt903→t999'. DB1 is the
 	// minority opinion.
-	bindAt(t, servers["DB1"], &BindDelta{Class: "Teacher", GOid: "gt903", Site: "DB9", LOid: "t903'"})
+	bindAt(t, servers["DB1"], &antientropy.Delta{Class: "Teacher", GOid: "gt903", Site: "DB9", LOid: "t903'"})
 	for _, site := range []object.SiteID{"DB2", "DB3"} {
-		bindAt(t, servers[site], &BindDelta{Class: "Teacher", GOid: "gt903", Site: "DB9", LOid: "t999'"})
+		bindAt(t, servers[site], &antientropy.Delta{Class: "Teacher", GOid: "gt903", Site: "DB9", LOid: "t999'"})
 	}
 
 	servers["DB1"].RunAntiEntropyRound(context.Background())
-	sus := servers["DB1"].Tracker().Suspects()
+	sus := servers["DB1"].Replica().Suspects()
 	if len(sus) != 1 || sus[0] != "Teacher" {
 		t.Fatalf("DB1 suspects after conflicted round = %v, want [Teacher]", sus)
 	}
@@ -174,7 +174,7 @@ func TestMinorityPartitionMarksAllClassesSuspect(t *testing.T) {
 	if n := coord.RunAntiEntropyRound(context.Background()); n != 0 {
 		t.Errorf("round across a partition repaired %d classes", n)
 	}
-	if states := coord.DivergenceStates(); len(states) == 0 {
+	if states := coord.Replica().Suspects(); len(states) == 0 {
 		t.Fatal("minority partition left no suspect marks")
 	}
 	// Suspect marks degrade queries even though the reachable site answers.
@@ -189,7 +189,7 @@ func TestMinorityPartitionMarksAllClassesSuspect(t *testing.T) {
 	plan.HealLink("G", "DB2")
 	plan.HealLink("G", "DB3")
 	coord.RunAntiEntropyRound(context.Background())
-	if states := coord.DivergenceStates(); len(states) != 0 {
+	if states := coord.Replica().Suspects(); len(states) != 0 {
 		t.Errorf("suspect marks survived the heal: %v", states)
 	}
 }

@@ -130,7 +130,7 @@ func TestClientBreakerFastFail(t *testing.T) {
 		Attempts:         1,
 		DialTimeout:      200 * time.Millisecond,
 		BreakerThreshold: 2,
-		BreakerCooldown:  time.Hour,
+		breakerCooldown:  time.Hour,
 	}, nil)
 	defer cl.close()
 
@@ -238,7 +238,7 @@ func TestClientAbandonedProbeDoesNotWedgeBreaker(t *testing.T) {
 		Attempts:         1,
 		DialTimeout:      200 * time.Millisecond,
 		BreakerThreshold: 1,
-		BreakerCooldown:  10 * time.Millisecond,
+		breakerCooldown:  10 * time.Millisecond,
 	}, nil)
 	defer cl.close()
 

@@ -1,6 +1,7 @@
 package remote
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -31,22 +32,29 @@ type CallConfig struct {
 	// Only transport failures are retried, after a backoff; an error
 	// answered by the site itself is deterministic and returned immediately.
 	Attempts int
-	// PoolSize is the maximum number of idle pooled connections per site.
-	PoolSize int
 	// BreakerThreshold is the run of consecutive call failures that opens
 	// a site's circuit breaker; 0 disables the breaker.
 	BreakerThreshold int
-	// BreakerCooldown is how long an open breaker waits before admitting a
-	// half-open probe.
-	BreakerCooldown time.Duration
 	// Faults, when set, injects network faults into real-TCP calls: a
 	// partitioned or dropped link fails the call before dialing (the
-	// partitioned peer is unreachable even though its process is alive),
-	// and a delayed link sleeps before the exchange. The same plan is
-	// normally shared with the peers' ServerConfig.Faults so both
-	// directions of an asymmetric cut are enforced.
+	// partitioned peer is unreachable even though its process is alive).
+	// The same plan is normally shared with the peers' ServerConfig.Faults
+	// so both directions of an asymmetric cut are enforced.
 	Faults *fabric.FaultPlan
+
+	// Tests override the pool size and the breaker cooldown (0: the
+	// constants).
+	poolSize        int
+	breakerCooldown time.Duration
 }
+
+const (
+	// poolSize is the maximum number of idle pooled connections per site.
+	poolSize = 4
+	// breakerCooldown is how long an open breaker waits before admitting a
+	// half-open probe.
+	breakerCooldown = 5 * time.Second
+)
 
 // The sleep before the first retry is backoffBase; each further retry
 // doubles it up to backoffMax. Every backoff is jittered ±50% so retries
@@ -64,9 +72,7 @@ func DefaultCallConfig() CallConfig {
 		DialTimeout:      5 * time.Second,
 		CallTimeout:      60 * time.Second,
 		Attempts:         3,
-		PoolSize:         4,
 		BreakerThreshold: 5,
-		BreakerCooldown:  5 * time.Second,
 	}
 }
 
@@ -82,12 +88,8 @@ func (c CallConfig) withDefaults() CallConfig {
 	if c.Attempts <= 0 {
 		c.Attempts = d.Attempts
 	}
-	if c.PoolSize <= 0 {
-		c.PoolSize = d.PoolSize
-	}
-	if c.BreakerCooldown <= 0 {
-		c.BreakerCooldown = d.BreakerCooldown
-	}
+	c.poolSize = cmp.Or(c.poolSize, poolSize)
+	c.breakerCooldown = cmp.Or(c.breakerCooldown, breakerCooldown)
 	// BreakerThreshold 0 is meaningful (breaker disabled); negative means
 	// "use the default".
 	if c.BreakerThreshold < 0 {
@@ -159,7 +161,7 @@ func (cl *client) pool(addr string) *pool {
 	defer cl.mu.Unlock()
 	p := cl.pools[addr]
 	if p == nil {
-		p = newPool(addr, cl.cfg.DialTimeout, cl.cfg.PoolSize)
+		p = newPool(addr, cl.cfg.DialTimeout, cl.cfg.poolSize)
 		cl.pools[addr] = p
 	}
 	return p
@@ -173,7 +175,7 @@ func (cl *client) breaker(site object.SiteID) *breaker {
 	defer cl.mu.Unlock()
 	b := cl.breakers[site]
 	if b == nil {
-		b = newBreaker(cl.cfg.BreakerThreshold, cl.cfg.BreakerCooldown, func(from, to string) {
+		b = newBreaker(cl.cfg.BreakerThreshold, cl.cfg.breakerCooldown, func(from, to string) {
 			cl.reg.Counter("breaker_transitions_total",
 				metrics.Labels{Site: string(cl.self), Peer: string(site), Phase: to}).Inc()
 			cl.reg.Gauge("breaker_state",
@@ -250,18 +252,10 @@ func (cl *client) callTimeout(ctx context.Context, site object.SiteID, addr stri
 	// Injected network faults come first: a cut link makes the peer
 	// unreachable for this caller regardless of breaker state, and the
 	// failure must not dial (nothing crosses a partition).
-	if fp := cl.cfg.Faults; fp != nil {
-		reason := fp.LinkReason(cl.self, site)
-		if !fp.BeginLinkOp(cl.self, site) {
-			cl.reg.Counter("partition_blocked_total",
-				metrics.Labels{Site: string(cl.self), Peer: string(site)}).Inc()
-			return Response{}, wireStats{}, &SiteError{Site: site, Err: fmt.Errorf("%s: %s", addr, reason)}
-		}
-		if d := fp.LinkDelayMicros(cl.self, site); d > 0 {
-			if !sleepCtx(ctx, time.Duration(d)*time.Microsecond) {
-				return Response{}, wireStats{}, fmt.Errorf("remote: call %s: %w", addr, ctx.Err())
-			}
-		}
+	if fp := cl.cfg.Faults; !fp.BeginLinkOp(cl.self, site) {
+		cl.reg.Counter("partition_blocked_total",
+			metrics.Labels{Site: string(cl.self), Peer: string(site)}).Inc()
+		return Response{}, wireStats{}, &SiteError{Site: site, Err: fmt.Errorf("%s: %s", addr, fp.LinkReason(cl.self, site))}
 	}
 
 	br := cl.breaker(site)

@@ -177,7 +177,7 @@ func (c *Cluster) Kill(site object.SiteID) error {
 	delete(c.sites, site)
 	c.rewire()
 	if c.cfg.Coordinator != nil {
-		c.cfg.Coordinator.replica().markStale(site)
+		c.cfg.Coordinator.Replica().MarkStale(site)
 	}
 	return s.Close()
 }

@@ -58,17 +58,17 @@ import (
 // Messages, fields in wire order:
 //
 //	Request        Kind:str Trace DeadlineMicros:varint Query:str Mode:str
-//	               Items:[]CheckItem Store:opt object Bind:opt BindDelta
-//	               Digests Repair:opt RepairRequest
+//	               Items:[]CheckItem Store:opt object Bind:opt Delta
+//	               Digests Repair:opt Repair
 //	Response       Err:str Retrieve Local Check:CheckReply Spans:[]Span
 //	               Digests Repair:opt RepairReply Suspect:[]name
 //
 //	Trace          QueryID:str Alg:str Span:uvarint From:str
 //	CheckItem      Assistant:str ItemGOid:str Point:point
 //	Predicate      Path:[]name Op:u8 Literal:value
-//	BindDelta      Class:name GOid:str Site:name LOid:str
+//	Delta          Class:name GOid:str Site:name LOid:str
 //	Digests        []{Class:name Count:uvarint Sum:[64]u64}, sorted by class
-//	RepairRequest  Class:name Buckets:[]varint Bindings:[]Binding
+//	Repair         Class:name Buckets:[]varint Bindings:[]Binding
 //	RepairReply    Bindings:[]Binding Applied:varint Conflicts:varint
 //	Binding        GOid:str Site:name LOid:str
 //	Retrieve       Site:name Classes:[]{GlobalClass:name Attrs:[]name
@@ -691,7 +691,7 @@ func decodeRequest(b []byte) (Request, error) {
 		req.Store = r.object(nil)
 	}
 	if r.bool() {
-		req.Bind = &BindDelta{
+		req.Bind = &antientropy.Delta{
 			Class: r.name(),
 			GOid:  object.GOid(r.str()),
 			Site:  object.SiteID(r.name()),
@@ -700,7 +700,7 @@ func decodeRequest(b []byte) (Request, error) {
 	}
 	req.Digests = r.digests()
 	if r.bool() {
-		rp := &RepairRequest{Class: r.name()}
+		rp := &antientropy.Repair{Class: r.name()}
 		if n := r.count(1); n > 0 {
 			rp.Buckets = make([]int, n)
 			for i := range rp.Buckets {
@@ -762,7 +762,7 @@ func decodeResponse(b []byte) (Response, error) {
 	resp.Spans = listOf(&r, minSpan, (*reader).span)
 	resp.Digests = r.digests()
 	if r.bool() {
-		rp := &RepairReply{Bindings: listOf(&r, minBinding, (*reader).binding)}
+		rp := &antientropy.RepairReply{Bindings: listOf(&r, minBinding, (*reader).binding)}
 		rp.Applied = r.int()
 		rp.Conflicts = r.int()
 		resp.Repair = rp

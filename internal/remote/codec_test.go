@@ -102,10 +102,10 @@ func sampleRequests() map[string]Request {
 		"local":        {Kind: kindLocal, Trace: sampleTrace, DeadlineMicros: 1, Query: "select name from Student", Mode: ModeSPL},
 		"check":        {Kind: kindCheck, Trace: sampleTrace, Items: sampleItems},
 		"store":        {Kind: kindStore, Trace: TraceContext{From: "G"}, Store: sampleStudent},
-		"bind":         {Kind: kindBind, Bind: &BindDelta{Class: "Student", GOid: "gs9", Site: "DB1", LOid: "s9"}},
+		"bind":         {Kind: kindBind, Bind: &antientropy.Delta{Class: "Student", GOid: "gs9", Site: "DB1", LOid: "s9"}},
 		"digest":       {Kind: kindDigest, Trace: TraceContext{From: "DB2"}, Digests: sampleDigests},
-		"repair":       {Kind: kindRepair, Repair: &RepairRequest{Class: "Student", Buckets: []int{0, 17, 63}, Bindings: sampleBindings}},
-		"repair-empty": {Kind: kindRepair, Repair: &RepairRequest{Class: "Student"}},
+		"repair":       {Kind: kindRepair, Repair: &antientropy.Repair{Class: "Student", Buckets: []int{0, 17, 63}, Bindings: sampleBindings}},
+		"repair-empty": {Kind: kindRepair, Repair: &antientropy.Repair{Class: "Student"}},
 		"unknown-kind": {Kind: "nonsense", DeadlineMicros: -5},
 	}
 }
@@ -157,8 +157,8 @@ func sampleResponses() map[string]Response {
 		"check":        {Check: federation.CheckReply{Site: "DB2", Verdicts: sampleVerdicts}},
 		"spans":        {Check: federation.CheckReply{Site: "DB2"}, Spans: sampleSpans},
 		"digest":       {Digests: sampleDigests},
-		"repair":       {Repair: &RepairReply{Bindings: sampleBindings, Applied: 2, Conflicts: 1}},
-		"repair-empty": {Repair: &RepairReply{}},
+		"repair":       {Repair: &antientropy.RepairReply{Bindings: sampleBindings, Applied: 2, Conflicts: 1}},
+		"repair-empty": {Repair: &antientropy.RepairReply{}},
 	}
 }
 
@@ -240,7 +240,7 @@ func TestCodecKeepsWhatCallersDependOn(t *testing.T) {
 	// Empty lists decode to nil, as they did under gob; a non-nil empty
 	// pointer stays non-nil, a nil one nil.
 	req, err := decodeRequest(encodeRequest(t, Request{Kind: kindCheck, Items: []federation.CheckItem{},
-		Digests: map[string]antientropy.Digest{}, Repair: &RepairRequest{Buckets: []int{}}}))
+		Digests: map[string]antientropy.Digest{}, Repair: &antientropy.Repair{Buckets: []int{}}}))
 	if err != nil {
 		t.Fatal(err)
 	}

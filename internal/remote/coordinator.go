@@ -76,7 +76,7 @@ type Coordinator struct {
 	// Insert assigns or repair pulls is logged before it is applied, so a
 	// restart over the recovered tables holds everything that was broadcast.
 	// Typically a *wal.Engine opened with OpenLog.
-	DeltaLog DeltaLog
+	DeltaLog antientropy.DeltaLog
 	// AntiEntropy configures the coordinator's replica-repair loop: the
 	// cadence of StartAntiEntropy's background rounds. The zero value
 	// disables the loop; rounds can still be run on demand.
@@ -102,12 +102,11 @@ type Coordinator struct {
 	// plans keeps the queries bound so far; Global is fixed from the first.
 	plans planTable
 
-	// repMu guards the lazily-built mapping-table replica (replica.go).
-	// Lazy for the same reason as the client: the zero-value-plus-fields
-	// construction pattern, with Tables often populated after the struct
-	// literal.
+	// repMu guards the lazily-built mapping-table replica. Lazy for the same
+	// reason as the client: the zero-value-plus-fields construction pattern,
+	// with Tables often populated after the struct literal.
 	repMu sync.Mutex
-	rep   *replica
+	rep   *antientropy.Replica
 }
 
 // client lazily builds the coordinator's pooled site-call client so the
@@ -151,23 +150,21 @@ func (c *Coordinator) BreakerStates() map[object.SiteID]string {
 	return c.client().BreakerStates()
 }
 
-// replica lazily builds the coordinator's replica over Tables, its digest
-// seeded from what they hold and — with a DeltaLog — every binding appended
-// to the log before it is applied. It takes c.mu.RLock on first use, so
-// callers must NOT hold c.mu — fetch the replica before locking.
-func (c *Coordinator) replica() *replica {
+// Replica returns the coordinator's mapping-table replica, built on first
+// use over Tables, its digests seeded from what they hold and — with a
+// DeltaLog — every binding appended to the log before it is applied. It takes
+// c.mu.RLock on first use, so callers must NOT hold c.mu. Its Health(),
+// prefixed "antientropy", is the /healthz condition hetops reads the repair
+// column from.
+func (c *Coordinator) Replica() *antientropy.Replica {
 	c.repMu.Lock()
 	defer c.repMu.Unlock()
 	if c.rep == nil {
-		c.rep = newReplica(c.ID, c.Tables, &c.mu, c.DeltaLog, c.Metrics, c.Log)
+		c.rep = antientropy.NewReplica(c.ID, c.Tables, &c.mu, c.DeltaLog, replicaSend(c.ID, c.client,
+			func(site object.SiteID) (string, bool) { addr, ok := c.Sites[site]; return addr, ok }), c.Metrics, c.Log)
 	}
 	return c.rep
 }
-
-// Tracker exposes the coordinator's divergence tracker (health surfaces,
-// tests). Its Health() map, prefixed "antientropy", is the /healthz
-// condition hetops reads the repair column from.
-func (c *Coordinator) Tracker() *antientropy.Tracker { return c.replica().tracker }
 
 // RunAntiEntropyRound runs one digest-exchange round against every site and
 // returns the number of divergent classes found. The coordinator is the
@@ -179,7 +176,7 @@ func (c *Coordinator) Tracker() *antientropy.Tracker { return c.replica().tracke
 // re-seeded (documented limitation). A stale-marked site converges here as
 // on Ping.
 func (c *Coordinator) RunAntiEntropyRound(ctx context.Context) int {
-	return c.replica().round(ctx, c.client(), c.Sites)
+	return c.Replica().Round(ctx, sortedKeys(c.Sites))
 }
 
 // StartAntiEntropy launches the background repair loop on the configured
@@ -201,12 +198,6 @@ func (c *Coordinator) StartAntiEntropy() (stop func()) {
 	}
 }
 
-// DivergenceStates reports the coordinator's suspect classes for the
-// health surface: class → suspicion reason. Converged classes are absent.
-func (c *Coordinator) DivergenceStates() map[string]string {
-	return c.replica().tracker.SuspectReasons()
-}
-
 // qidTag distinguishes this process's query IDs. Query IDs scope spans at
 // the *servers*, which outlive coordinator processes: if every coordinator
 // run minted "rq1", a site's /debug/trace/last would conflate the last
@@ -223,17 +214,13 @@ const pingTimeout = 2 * time.Second
 // answers and is marked stale (it missed an Insert's bind broadcast) has its
 // digest exchange run now; an unmarked site costs the one ping.
 func (c *Coordinator) Ping() error {
-	cl, rep := c.client(), c.replica()
+	cl, rep := c.client(), c.Replica()
 	return c.eachSite(func(site object.SiteID, addr string) error {
 		req := Request{Kind: kindPing, Trace: TraceContext{From: c.ID}}
 		if _, _, err := cl.callTimeout(context.Background(), site, addr, req, pingTimeout); err != nil {
 			return fmt.Errorf("remote: site %s unreachable: %w", site, err)
 		}
-		if rep.isStale(site) {
-			t := newTally()
-			rep.syncPeer(context.Background(), cl, site, addr, t)
-			rep.account(t)
-		}
+		rep.Sync(context.Background(), site)
 		return nil
 	})
 }
@@ -287,7 +274,7 @@ func (c *Coordinator) QueryContext(ctx context.Context, text string, alg exec.Al
 		Selector: c.Selector,
 		Gate:     gate,
 		Deadline: c.Deadline,
-		Suspect:  c.replica().tracker.SuspectOf,
+		Suspect:  c.Replica().SuspectOf,
 	}
 	qid := fmt.Sprintf("rq%d-%06x", c.qseq.Add(1), qidTag)
 	ans, m, err := run.Run(ctx, rt, qid, alg, b)
@@ -355,7 +342,7 @@ func (c *Coordinator) Insert(site object.SiteID, o *object.Object) (object.GOid,
 
 	// 1. Store at the owning site.
 	cl := c.client()
-	rep := c.replica() // before c.mu: the lazy seed takes c.mu.RLock
+	rep := c.Replica() // before c.mu: the lazy seed takes c.mu.RLock
 	if _, _, err := cl.call(site, addr, Request{Kind: kindStore, Store: o, Trace: TraceContext{From: c.ID}}); err != nil {
 		return "", err
 	}
@@ -366,7 +353,7 @@ func (c *Coordinator) Insert(site object.SiteID, o *object.Object) (object.GOid,
 	c.mu.Lock()
 	class, goid, err := c.Matcher.Assign(site, o.Class, o)
 	if err == nil {
-		_, err = rep.apply(class, antientropy.Binding{GOid: goid, Site: site, LOid: o.LOid})
+		_, err = rep.Apply(class, antientropy.Binding{GOid: goid, Site: site, LOid: o.LOid})
 	}
 	c.mu.Unlock()
 	if err != nil {
@@ -376,16 +363,9 @@ func (c *Coordinator) Insert(site object.SiteID, o *object.Object) (object.GOid,
 	// after a failure — stopping at the first stale replica would leave the
 	// remaining healthy replicas stale too. The aggregate error names every
 	// replica that missed the delta.
-	delta := &BindDelta{Class: class, GOid: goid, Site: site, LOid: o.LOid}
-	return goid, c.eachSite(func(peer object.SiteID, addr string) error {
-		_, _, err := cl.call(peer, addr, Request{Kind: kindBind, Bind: delta, Trace: TraceContext{From: c.ID}})
-		if err != nil {
-			c.Metrics.Counter("replica_stale_total",
-				metrics.Labels{Site: string(c.ID), Peer: string(peer)}).Inc()
-			rep.markStale(peer)
-			err = fmt.Errorf("remote: replica at %s is stale: %w", peer, err)
-		}
-		return err
+	delta := &antientropy.Delta{Class: class, GOid: goid, Site: site, LOid: o.LOid}
+	return goid, c.eachSite(func(peer object.SiteID, _ string) error {
+		return rep.Push(context.Background(), peer, delta)
 	})
 }
 

@@ -63,7 +63,7 @@ func TestDurableSiteRestart(t *testing.T) {
 	if err == nil {
 		t.Fatal("insert with a dead replica reported no staleness")
 	}
-	if !coord.replica().isStale("DB3") {
+	if !coord.Replica().Stale("DB3") {
 		t.Fatal("the dead replica is not marked stale")
 	}
 

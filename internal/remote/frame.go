@@ -29,10 +29,13 @@ const (
 	// frameHeaderSize is the fixed prefix of every frame.
 	frameHeaderSize = 5
 
-	// DefaultMaxFrameBytes caps one request frame — header and payload — on
-	// an accepted connection; 8 MiB comfortably covers the largest legitimate
-	// request in the workloads while stopping runaway frames.
-	DefaultMaxFrameBytes = 8 << 20
+	// maxFrameBytes caps one request frame — header and payload — on an
+	// accepted connection; 8 MiB comfortably covers the largest legitimate
+	// request in the workloads while stopping runaway frames. The cap is
+	// exact: a frame of maxFrameBytes is served, one byte more is rejected
+	// from its header alone and the connection closed (frames_rejected_total
+	// counts it).
+	maxFrameBytes = 8 << 20
 
 	// readChunk is the least a payload buffer grows by. A buffer grows as
 	// bytes arrive, never to a length a header merely claims, so a peer that

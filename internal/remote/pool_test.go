@@ -120,7 +120,7 @@ func TestCancelAroundReplyNeverPoisonsThePool(t *testing.T) {
 	}
 	defer srv.Close()
 	reg := metrics.New()
-	cl := newClient("G", CallConfig{PoolSize: 1}, reg)
+	cl := newClient("G", CallConfig{poolSize: 1}, reg)
 	defer cl.close()
 	req := Request{Kind: kindRetrieve, Query: school.Q1}
 

@@ -40,16 +40,11 @@ const (
 	kindLocal    = "local"
 	kindCheck    = "check"
 	kindStore    = "store"
-	kindBind     = "bind"
-	// kindDigest exchanges per-class mapping-table digests: the reply
-	// carries the server's digest snapshot, and the caller diffs it against
-	// its own to find divergent classes (anti-entropy round, phase one).
-	kindDigest = "digest"
-	// kindRepair converges one divergent class: the request ships the
-	// caller's bindings in the divergent buckets, the server applies the
-	// ones it is missing and replies with its own bindings in those
-	// buckets for the caller to apply — symmetric repair in one exchange.
-	kindRepair = "repair"
+	// The replica protocol's kinds (antientropy.Replica): a digest exchange,
+	// a repair exchange, and the authority's bind delta.
+	kindDigest = antientropy.KindDigest
+	kindRepair = antientropy.KindRepair
+	kindBind   = antientropy.KindBind
 )
 
 // Local query modes.
@@ -114,45 +109,12 @@ type Request struct {
 	Store *object.Object
 	// Bind is the mapping-table delta for bind requests (replicated-table
 	// maintenance).
-	Bind *BindDelta
+	Bind *antientropy.Delta
 	// Digests carries the caller's per-class digest snapshot on digest
 	// requests, so one exchange compares both replicas.
 	Digests map[string]antientropy.Digest
 	// Repair carries one class's divergent ranges for repair requests.
-	Repair *RepairRequest
-}
-
-// RepairRequest converges one class between two replicas: Buckets names
-// the divergent digest buckets, Bindings ships the caller's bindings in
-// those buckets. The server applies the bindings it is missing
-// (idempotently — a binding already present is skipped, a conflicting one
-// is refused and counted, never overwritten) and answers with its own
-// bindings in the same buckets.
-type RepairRequest struct {
-	Class    string
-	Buckets  []int
-	Bindings []antientropy.Binding
-}
-
-// RepairReply is the server's half of a repair exchange.
-type RepairReply struct {
-	// Bindings are the server's bindings in the requested buckets, for the
-	// caller to apply on its side.
-	Bindings []antientropy.Binding
-	// Applied counts the caller's bindings the server was missing and
-	// applied; Conflicts counts the ones it refused (same GOid or local
-	// object already bound differently).
-	Applied   int
-	Conflicts int
-}
-
-// BindDelta is one new mapping-table binding, broadcast by the mapping
-// authority (the coordinator) to every site's replica after an insert.
-type BindDelta struct {
-	Class string
-	GOid  object.GOid
-	Site  object.SiteID
-	LOid  object.LOid
+	Repair *antientropy.Repair
 }
 
 // LocalReply is the reply to a local request: what exec.SiteFlow gathered at
@@ -175,7 +137,7 @@ type Response struct {
 	// Digests answers a digest request with the server's snapshot.
 	Digests map[string]antientropy.Digest
 	// Repair answers a repair request.
-	Repair *RepairReply
+	Repair *antientropy.RepairReply
 	// Suspect lists the answering replica's suspect classes among those the
 	// request touched: its digest for them disagreed with a quorum of peers
 	// at the last anti-entropy round, so mappings may be stale. The

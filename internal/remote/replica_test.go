@@ -7,6 +7,7 @@ import (
 	"net"
 	"slices"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -42,7 +43,7 @@ func (e switchEngine) LogBind(class string, goid object.GOid, site object.SiteID
 // switchDeltaLog is a coordinator's delta log whose appends can be switched
 // off.
 type switchDeltaLog struct {
-	DeltaLog
+	antientropy.DeltaLog
 	down *atomic.Int32
 }
 
@@ -53,12 +54,15 @@ func (l switchDeltaLog) LogBind(class string, goid object.GOid, site object.Site
 	return l.DeltaLog.LogBind(class, goid, site, loid)
 }
 
-// replicaSubject is one replica under TestReplicaApply: the replica, a
-// reader of its durable log (nil for an in-memory one), the switch that
-// fails the log, and the entry point bindings are delivered through, which
-// reports how many conflicts the delivery was counted as.
+// replicaSubject is one replica under TestReplicaApply: the replica with its
+// tables and their owner's lock, a reader of its durable log (nil for an
+// in-memory one), the switch that fails the log, and the entry point bindings
+// are delivered through, which reports how many conflicts the delivery was
+// counted as.
 type replicaSubject struct {
-	rep     *replica
+	rep     *antientropy.Replica
+	tables  *gmap.Tables
+	state   *sync.RWMutex
 	logged  func() []antientropy.Binding
 	down    *atomic.Int32
 	deliver func(entity int, loid object.LOid) (conflicts int)
@@ -127,7 +131,7 @@ func serverSubject(t *testing.T, durable bool) (*Server, *replicaSubject) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { srv.Close() })
-	sub.rep = srv.rep
+	sub.rep, sub.tables, sub.state = srv.rep, srv.cfg.Tables, &srv.stateMu
 	return srv, sub
 }
 
@@ -139,9 +143,9 @@ var replicaEntryPoints = map[string]func(t *testing.T, durable bool) *replicaSub
 		cl := newClient("TEST", CallConfig{}, nil)
 		t.Cleanup(cl.close)
 		sub.deliver = func(entity int, loid object.LOid) int {
-			d := &BindDelta{Class: replicaClass, GOid: entityGOid(entity), Site: replicaSite, LOid: loid}
+			d := &antientropy.Delta{Class: replicaClass, GOid: entityGOid(entity), Site: replicaSite, LOid: loid}
 			_, _, err := cl.call(srv.Site(), srv.Addr(), Request{Kind: kindBind, Bind: d})
-			if err != nil && strings.Contains(err.Error(), errBindConflict.Error()) {
+			if err != nil && strings.Contains(err.Error(), antientropy.ErrConflict.Error()) {
 				return 1
 			}
 			return 0
@@ -155,7 +159,7 @@ var replicaEntryPoints = map[string]func(t *testing.T, durable bool) *replicaSub
 		t.Cleanup(cl.close)
 		sub.deliver = func(entity int, loid object.LOid) int {
 			resp, _, err := cl.call(srv.Site(), srv.Addr(), Request{Kind: kindRepair, Trace: TraceContext{From: "TEST"},
-				Repair: &RepairRequest{Class: replicaClass, Bindings: []antientropy.Binding{{GOid: entityGOid(entity), Site: replicaSite, LOid: loid}}}})
+				Repair: &antientropy.Repair{Class: replicaClass, Bindings: []antientropy.Binding{{GOid: entityGOid(entity), Site: replicaSite, LOid: loid}}}})
 			if err != nil || resp.Repair == nil {
 				t.Fatalf("repair exchange: %v (reply %v)", err, resp.Repair)
 			}
@@ -173,11 +177,11 @@ var replicaEntryPoints = map[string]func(t *testing.T, durable bool) *replicaSub
 			}
 			srv.SetPeers(map[object.SiteID]string{"PEER": stubSite(t, Response{
 				Digests: map[string]antientropy.Digest{replicaClass: everyBucket},
-				Repair:  &RepairReply{Bindings: []antientropy.Binding{{GOid: entityGOid(entity), Site: replicaSite, LOid: loid}}},
+				Repair:  &antientropy.RepairReply{Bindings: []antientropy.Binding{{GOid: entityGOid(entity), Site: replicaSite, LOid: loid}}},
 			})})
-			before := srv.Tracker().Stats().Conflicts
+			before := srv.Replica().Stats().Conflicts
 			srv.RunAntiEntropyRound(context.Background())
-			return int(srv.Tracker().Stats().Conflicts - before)
+			return int(srv.Replica().Stats().Conflicts - before)
 		}
 		return sub
 	},
@@ -204,12 +208,12 @@ var replicaEntryPoints = map[string]func(t *testing.T, durable bool) *replicaSub
 			sub.logged = reopened(t, eng, dir)
 		}
 		coord.Tables = matcher.Tables()
-		sub.rep = coord.replica()
+		sub.rep, sub.tables, sub.state = coord.Replica(), coord.Tables, &coord.mu
 		sub.deliver = func(entity int, loid object.LOid) int {
 			_, err := coord.Insert(replicaSite, object.New(loid, replicaClass, map[string]object.Value{
 				"name": object.Str(fmt.Sprintf("entity %d", entity)),
 			}))
-			if errors.Is(err, errBindConflict) {
+			if errors.Is(err, antientropy.ErrConflict) {
 				return 1
 			}
 			return 0
@@ -218,7 +222,7 @@ var replicaEntryPoints = map[string]func(t *testing.T, durable bool) *replicaSub
 	},
 }
 
-// TestReplicaApply holds the one rule (replica.apply) over every way a
+// TestReplicaApply holds the one rule (Replica.Apply) over every way a
 // binding reaches a replica and every log behind one: after each case the
 // table, the bindings a reopened log recovers and the digest describe the same set —
 // a conflict reaches neither log nor digest, a binding the log refused
@@ -260,11 +264,10 @@ func TestReplicaApply(t *testing.T) {
 						t.Errorf("counted %d conflicts, want conflict = %v", conflicts, c.conflict)
 					}
 
-					sub.rep.mu.RLock()
-					got := tableBindings(sub.rep.tables)
-					recomputed := antientropy.NewTracker()
-					recomputed.Seed(sub.rep.tables)
-					sub.rep.mu.RUnlock()
+					sub.state.RLock()
+					got := tableBindings(sub.tables)
+					recomputed := antientropy.Digests(sub.tables)[replicaClass]
+					sub.state.RUnlock()
 					if !slices.Equal(got, want) {
 						t.Errorf("table holds %v, want %v", got, want)
 					}
@@ -273,9 +276,9 @@ func TestReplicaApply(t *testing.T) {
 							t.Errorf("the log recovers %v, table holds %v", logged, got)
 						}
 					}
-					if d := sub.rep.tracker.Digest(replicaClass); d != recomputed.Digest(replicaClass) {
+					if d := sub.rep.Digest(replicaClass); d != recomputed {
 						t.Errorf("digest counts %d bindings, the table recomputes to %d (or their sums differ)",
-							d.Count, recomputed.Digest(replicaClass).Count)
+							d.Count, recomputed.Count)
 					}
 				})
 			}
@@ -306,13 +309,12 @@ func TestInsertHonoursWriteAheadOrder(t *testing.T) {
 	}
 	coord.mu.RLock()
 	goid, bound := coord.Tables.Table("Teacher").GOidOf("DB2", "t9'")
-	recomputed := antientropy.NewTracker()
-	recomputed.Seed(coord.Tables)
+	recomputed := antientropy.Digests(coord.Tables)["Teacher"]
 	coord.mu.RUnlock()
 	if bound {
 		t.Errorf("the table binds t9'@DB2 to %s, but the log never took the binding", goid)
 	}
-	if coord.Tracker().Digest("Teacher") != recomputed.Digest("Teacher") {
+	if coord.Replica().Digest("Teacher") != recomputed {
 		t.Error("the Teacher digest is not the digest of the Teacher table")
 	}
 	if n := coord.RunAntiEntropyRound(context.Background()); n != 0 {
@@ -337,7 +339,7 @@ func TestLogFailureIsNotAConflict(t *testing.T) {
 			})
 			servers := serversOf(cluster)
 			flaky, holder := servers["DB1"], servers["DB2"]
-			bindAt(t, holder, &BindDelta{Class: "Teacher", GOid: "gt910", Site: "DB9", LOid: "t910'"})
+			bindAt(t, holder, &antientropy.Delta{Class: "Teacher", GOid: "gt910", Site: "DB9", LOid: "t910'"})
 
 			down.Store(1)
 			if n := servers[runner].RunAntiEntropyRound(context.Background()); n == 0 {
@@ -347,19 +349,19 @@ func TestLogFailureIsNotAConflict(t *testing.T) {
 				t.Fatal("the repair never reached the failing log")
 			}
 			for _, srv := range []*Server{flaky, holder} {
-				if n := srv.Tracker().Stats().Conflicts; n != 0 {
+				if n := srv.Replica().Stats().Conflicts; n != 0 {
 					t.Errorf("%s counted %d conflicts for a failed log append", srv.Site(), n)
 				}
 			}
 			if got := reg.Snapshot().CounterValue("antientropy_conflicts_total", metrics.Labels{Site: "DB1"}); got != 0 {
 				t.Errorf("antientropy_conflicts_total = %d, want 0", got)
 			}
-			if digestsEqual(flaky.DigestSnapshot(), holder.DigestSnapshot()) {
+			if digestsEqual(flaky.Replica().Snapshot(), holder.Replica().Snapshot()) {
 				t.Fatal("replicas agree although the binding could not be logged")
 			}
 
 			servers[runner].RunAntiEntropyRound(context.Background())
-			if !digestsEqual(flaky.DigestSnapshot(), holder.DigestSnapshot()) {
+			if !digestsEqual(flaky.Replica().Snapshot(), holder.Replica().Snapshot()) {
 				t.Error("replicas still differ after a round with the log healthy again")
 			}
 		})

@@ -212,7 +212,7 @@ func rawExchange(t *testing.T, addr string, data []byte) (Response, error) {
 	return rawRoundTrip(conn, data)
 }
 
-// TestServerFrameLimitIsExact: a request frame of exactly MaxFrameBytes is
+// TestServerFrameLimitIsExact: a request frame of exactly the frame limit is
 // served; one byte more is rejected from its five header bytes alone — the
 // test never sends the payload, so a server that waited for it would hang
 // here — and counted; and the limit polices frames, not the site.
@@ -220,7 +220,7 @@ func TestServerFrameLimitIsExact(t *testing.T) {
 	const limit = 16 << 10
 	coord, cluster := testCluster(t, nil, observedCoordinator(), func(site object.SiteID, cfg *ServerConfig) {
 		observed(site, cfg)
-		cfg.MaxFrameBytes = limit
+		cfg.maxFrame = limit
 	})
 	addr := coord.Sites["DB1"]
 	rejected := func() int64 {
@@ -235,7 +235,7 @@ func TestServerFrameLimitIsExact(t *testing.T) {
 		t.Fatalf("padded frame is %d bytes, want %d", len(exact), limit)
 	}
 	if resp, err := rawExchange(t, addr, exact); err != nil || resp.Err != "" {
-		t.Fatalf("frame of exactly MaxFrameBytes: resp %+v, err %v", resp, err)
+		t.Fatalf("frame of exactly the limit: resp %+v, err %v", resp, err)
 	}
 	if got := rejected(); got != 0 {
 		t.Fatalf("frames_rejected_total = %d after a frame at the limit, want 0", got)
@@ -246,7 +246,7 @@ func TestServerFrameLimitIsExact(t *testing.T) {
 		t.Fatalf("padded frame is %d bytes, want %d", len(over), limit+1)
 	}
 	if _, err := rawExchange(t, addr, over[:frameHeaderSize]); !errors.Is(err, io.EOF) {
-		t.Fatalf("header of a MaxFrameBytes+1 frame: err = %v, want the connection closed", err)
+		t.Fatalf("header of a limit+1 frame: err = %v, want the connection closed", err)
 	}
 	if got := rejected(); got != 1 {
 		t.Errorf("frames_rejected_total = %d, want 1", got)
@@ -345,7 +345,7 @@ func TestServerCountsBrokenFrames(t *testing.T) {
 func TestServerReapsIdleConnections(t *testing.T) {
 	coord, cluster := testCluster(t, nil, observedCoordinator(), func(site object.SiteID, cfg *ServerConfig) {
 		observed(site, cfg)
-		cfg.IdleTimeout = 50 * time.Millisecond
+		cfg.idle = 50 * time.Millisecond
 	})
 
 	conn, err := net.Dial("tcp", coord.Sites["DB2"])

@@ -2,6 +2,7 @@ package remote
 
 import (
 	"bufio"
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -12,6 +13,7 @@ import (
 	"sync"
 	"time"
 
+	"github.com/hetfed/hetfed/internal/antientropy"
 	"github.com/hetfed/hetfed/internal/exec"
 	"github.com/hetfed/hetfed/internal/fabric"
 	"github.com/hetfed/hetfed/internal/federation"
@@ -56,22 +58,6 @@ type ServerConfig struct {
 	// (assistant-check dispatch): timeouts, retries, pooling, breakers.
 	// Zero fields take DefaultCallConfig values.
 	Call CallConfig
-	// MaxFrameBytes caps one request frame, header included, on an accepted
-	// connection. The cap is exact: a frame of MaxFrameBytes is served, one
-	// byte more is rejected from its header alone and the connection closed
-	// (frames_rejected_total counts it). 0 means DefaultMaxFrameBytes;
-	// negative disables the limit.
-	MaxFrameBytes int
-	// IdleTimeout reaps accepted connections with no request activity: a
-	// connection that stays silent longer is closed (conns_reaped_total).
-	// Clients hold idle pooled connections, so a reaped connection costs
-	// them one free stale-pool redial, nothing more. 0 means
-	// DefaultIdleTimeout; negative disables reaping.
-	IdleTimeout time.Duration
-	// WriteTimeout bounds writing one response; a client that stops reading
-	// cannot wedge a handler goroutine forever. 0 means
-	// DefaultWriteTimeout.
-	WriteTimeout time.Duration
 	// Faults, when non-nil, injects failures at this server, mirroring the
 	// engine's fault plan semantics over the wire: Delay stalls every
 	// non-ping request (cut short when the request's wire budget expires),
@@ -91,12 +77,22 @@ type ServerConfig struct {
 	// zero value disables the loop; the digest/repair request kinds are
 	// served either way, so a peer's loop can still repair this site.
 	AntiEntropy AntiEntropyConfig
+
+	// Tests override the connection limits (0: the constants).
+	maxFrame            int
+	idle, writeDeadline time.Duration
 }
 
-// Server timeout defaults (see ServerConfig.IdleTimeout / WriteTimeout).
+// Connection limits of a server.
 const (
-	DefaultIdleTimeout  = 5 * time.Minute
-	DefaultWriteTimeout = 30 * time.Second
+	// idleTimeout reaps accepted connections with no request activity: a
+	// connection that stays silent longer is closed (conns_reaped_total).
+	// Clients hold idle pooled connections, so a reaped connection costs
+	// them one free stale-pool redial, nothing more.
+	idleTimeout = 5 * time.Minute
+	// writeTimeout bounds writing one response; a client that stops reading
+	// cannot wedge a handler goroutine forever.
+	writeTimeout = 30 * time.Second
 )
 
 // Server serves one component database over TCP. Connections are
@@ -108,7 +104,7 @@ type Server struct {
 	flow   exec.SiteFlow
 	rt     *fabric.Real // every served request is one run on it
 	client *client
-	rep    *replica // the mapping-table replica every bind and repair goes through
+	rep    *antientropy.Replica // the mapping-table replica every bind and repair goes through
 	// ctx ends at Close: it stops the repair loop and the accept back-off.
 	ctx    context.Context
 	cancel context.CancelFunc
@@ -164,7 +160,8 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 		conns:  make(map[net.Conn]struct{}),
 	}
 	// With a durable engine a binding is logged before it is applied.
-	s.rep = newReplica(s.Site(), cfg.Tables, &s.stateMu, cfg.Engine, cfg.Metrics, s.log)
+	s.rep = antientropy.NewReplica(s.Site(), cfg.Tables, &s.stateMu, cfg.Engine,
+		replicaSend(s.Site(), func() *client { return s.client }, s.peerAddr), cfg.Metrics, s.log)
 	s.flow = exec.SiteFlow{
 		Site:    site,
 		State:   s.stateMu.RLocker(),
@@ -338,43 +335,11 @@ func reqPhases(req Request) string {
 	return ""
 }
 
-// maxFrame resolves the configured per-request frame limit (0 = unlimited).
-func (s *Server) maxFrame() int64 {
-	switch {
-	case s.cfg.MaxFrameBytes < 0:
-		return 0
-	case s.cfg.MaxFrameBytes == 0:
-		return DefaultMaxFrameBytes
-	default:
-		return int64(s.cfg.MaxFrameBytes)
-	}
-}
-
-// idleTimeout resolves the configured idle reap timeout (0 = disabled).
-func (s *Server) idleTimeout() time.Duration {
-	switch {
-	case s.cfg.IdleTimeout < 0:
-		return 0
-	case s.cfg.IdleTimeout == 0:
-		return DefaultIdleTimeout
-	default:
-		return s.cfg.IdleTimeout
-	}
-}
-
-// writeTimeout resolves the configured response write bound.
-func (s *Server) writeTimeout() time.Duration {
-	if s.cfg.WriteTimeout > 0 {
-		return s.cfg.WriteTimeout
-	}
-	return DefaultWriteTimeout
-}
-
 // handle serves one persistent connection: a sequence of request/response
 // frames. The loop ends when the client closes the connection between frames
 // (a clean EOF, not an error — pooled clients park idle connections), on an
 // oversized, truncated, wrong-version or undecodable request, or when the
-// connection idles past IdleTimeout (the idle reaper: a read deadline
+// connection idles past idleTimeout (the idle reaper: a read deadline
 // re-armed before every request).
 func (s *Server) handle(conn net.Conn) {
 	if !s.track(conn) {
@@ -387,11 +352,9 @@ func (s *Server) handle(conn net.Conn) {
 	}()
 	self := string(s.Site())
 	br := bufio.NewReader(conn)
-	limit, idle := s.maxFrame(), s.idleTimeout()
+	limit, idle := int64(cmp.Or(s.cfg.maxFrame, maxFrameBytes)), cmp.Or(s.cfg.idle, idleTimeout)
 	for {
-		if idle > 0 {
-			_ = conn.SetReadDeadline(time.Now().Add(idle))
-		}
+		_ = conn.SetReadDeadline(time.Now().Add(idle))
 		var req Request
 		in, err := readFrame(br, limit)
 		if err == nil {
@@ -443,7 +406,7 @@ func (s *Server) handle(conn net.Conn) {
 		if req.Trace.QueryID != "" && s.cfg.Tracer != nil {
 			resp.Spans = s.cfg.Tracer.QuerySpans(req.Trace.QueryID)
 		}
-		_ = conn.SetWriteDeadline(time.Now().Add(s.writeTimeout()))
+		_ = conn.SetWriteDeadline(time.Now().Add(cmp.Or(s.cfg.writeDeadline, writeTimeout)))
 		out := newFrame()
 		out.response(&resp)
 		n, err := out.send(conn)
@@ -565,20 +528,24 @@ func (s *Server) dispatch(ctx context.Context, req Request, sp trace.Handle) Res
 		defer s.stateMu.RUnlock()
 		return s.handleCheck(ctx, req, sp)
 	case kindStore:
+		// An Insert's first request at a site; its bind delta follows.
+		if req.Store == nil {
+			return Response{Err: "store request without object"}
+		}
 		s.stateMu.Lock()
 		defer s.stateMu.Unlock()
-		return s.handleStore(req)
-	case kindBind:
-		s.stateMu.Lock()
-		defer s.stateMu.Unlock()
-		return s.handleBind(req)
-	case kindDigest:
-		// The tracker serializes itself; a snapshot mid-bind is merely one
-		// binding stale, which the next round reconciles.
-		return Response{Digests: s.rep.tracker.Snapshot()}
-	case kindRepair:
-		// The replica takes the state lock itself: to read, then to apply.
-		return s.handleRepair(req)
+		if err := s.cfg.DB.Insert(req.Store); err != nil {
+			return Response{Err: err.Error()}
+		}
+		return Response{}
+	case kindBind, kindDigest, kindRepair:
+		// The replica takes the state lock itself.
+		reply, err := s.rep.Handle(req.Trace.From,
+			antientropy.Msg{Kind: req.Kind, Digests: req.Digests, Repair: req.Repair, Bind: req.Bind})
+		if err != nil {
+			return Response{Err: err.Error()}
+		}
+		return Response{Digests: reply.Digests, Repair: reply.Repair}
 	default:
 		return Response{Err: fmt.Sprintf("unknown request kind %q", req.Kind)}
 	}
@@ -624,7 +591,7 @@ func (s *Server) handleRetrieve(ctx context.Context, req Request, sp trace.Handl
 	}); e != "" {
 		return Response{Err: e}
 	}
-	return Response{Retrieve: reply, Suspect: s.rep.tracker.SuspectOf(b.Classes())}
+	return Response{Retrieve: reply, Suspect: s.rep.SuspectOf(b.Classes())}
 }
 
 func (s *Server) handleCheck(ctx context.Context, req Request, sp trace.Handle) Response {
@@ -658,5 +625,5 @@ func (s *Server) handleLocal(ctx context.Context, req Request, sp trace.Handle) 
 	}); e != "" {
 		return Response{Err: e}
 	}
-	return Response{Local: reply, Suspect: s.rep.tracker.SuspectOf(b.Classes())}
+	return Response{Local: reply, Suspect: s.rep.SuspectOf(b.Classes())}
 }

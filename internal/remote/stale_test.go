@@ -71,14 +71,14 @@ func assertPeerConverged(t *testing.T, coord *Coordinator, peer *Server) {
 	if lacking > 0 {
 		t.Errorf("%s lacks %d of the coordinator's bindings, the first %s", site, lacking, first)
 	}
-	if !digestsEqual(coord.Tracker().Snapshot(), peer.DigestSnapshot()) {
+	if !digestsEqual(coord.Replica().Snapshot(), peer.Replica().Snapshot()) {
 		t.Errorf("digests of G and %s differ", site)
 	}
-	if coord.replica().isStale(site) {
+	if coord.Replica().Stale(site) {
 		t.Errorf("%s converged but is still marked stale", site)
 	}
-	if state := coord.Tracker().Health()["state"]; !obs.Healthy(state) || len(coord.DivergenceStates()) != 0 {
-		t.Errorf("coordinator health after convergence: %q, suspects %v", state, coord.DivergenceStates())
+	if state := coord.Replica().Health()["state"]; !obs.Healthy(state) || len(coord.Replica().Suspects()) != 0 {
+		t.Errorf("coordinator health after convergence: %q, suspects %v", state, coord.Replica().Suspects())
 	}
 }
 
@@ -189,7 +189,7 @@ func (rig *staleRig) miss(c staleCase) {
 			t.Fatalf("insert %d with DB3 out of reach reported no stale replica", i)
 		}
 	}
-	if !rig.coord.replica().isStale("DB3") {
+	if !rig.coord.Replica().Stale("DB3") {
 		t.Fatal("DB3 missed a broadcast and is not marked stale")
 	}
 	if stale := rig.coord.Metrics.Snapshot().CounterValue("replica_stale_total", metrics.Labels{Site: "G", Peer: "DB3"}); stale != int64(c.missed) {
@@ -255,7 +255,7 @@ func TestStaleReplicaConverges(t *testing.T) {
 				}
 
 				peer := rig.cluster.Server("DB3")
-				divergent := len(antientropy.DiffClasses(rig.coord.Tracker().Snapshot(), peer.DigestSnapshot()))
+				divergent := len(antientropy.DiffClasses(rig.coord.Replica().Snapshot(), peer.Replica().Snapshot()))
 				if divergent == 0 {
 					t.Fatal("DB3 did not fall behind; the case staged nothing")
 				}
@@ -299,7 +299,7 @@ func TestStaleMarkSurvivesRacingPing(t *testing.T) {
 		rig.plan.HealLink("G", "DB3")
 	}
 	behindAndUnmarked := func() bool {
-		return !digestsEqual(coord.Tracker().Snapshot(), peer.DigestSnapshot()) && !coord.replica().isStale("DB3")
+		return !digestsEqual(coord.Replica().Snapshot(), peer.Replica().Snapshot()) && !coord.Replica().Stale("DB3")
 	}
 
 	// DB3 takes 100 ms over its digest and again over its repair (pings are
@@ -317,7 +317,7 @@ func TestStaleMarkSurvivesRacingPing(t *testing.T) {
 		t.Fatalf("ping: %v", err)
 	}
 	rig.plan.Delay("DB3", 0)
-	if digestsEqual(coord.Tracker().Snapshot(), peer.DigestSnapshot()) {
+	if digestsEqual(coord.Replica().Snapshot(), peer.Replica().Snapshot()) {
 		t.Fatal("the exchange carried the second binding; the interleaving was not staged")
 	}
 	if behindAndUnmarked() {

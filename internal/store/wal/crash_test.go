@@ -24,7 +24,7 @@ func TestCrashHelper(t *testing.T) {
 		t.Skip("helper process for TestKillNineMidInsert")
 	}
 	eng, db, tables, err := Open(school.Schemas()["DB1"], Options{
-		Dir: dir, Site: "DB1", Fsync: true, SnapshotEvery: 32,
+		Dir: dir, Site: "DB1", Fsync: true, snapshotEvery: 32,
 	})
 	if err != nil {
 		fmt.Printf("open failed: %v\n", err)
@@ -113,7 +113,7 @@ func TestKillNineMidInsert(t *testing.T) {
 		}
 		cmd.Wait()
 
-		eng, db, tables := reopen(t, dir, Options{Fsync: true, SnapshotEvery: 32})
+		eng, db, tables := reopen(t, dir, Options{Fsync: true, snapshotEvery: 32})
 		ext := db.Extent("Student")
 		if ext.Len() < lastAcked+1 {
 			t.Fatalf("round %d: recovered %d students, %d were acked", round, ext.Len(), lastAcked+1)

@@ -2,6 +2,7 @@ package wal
 
 import (
 	"bufio"
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"log/slog"
@@ -25,9 +26,11 @@ const (
 	writerBufLen = 64 << 10
 )
 
-// DefaultSnapshotEvery is the append count between snapshots when Options
-// leaves SnapshotEvery zero.
-const DefaultSnapshotEvery = 4096
+// snapshotEvery is the minimum number of appends between snapshots. A due
+// snapshot is further deferred until the log holds at least as many appends
+// as the last snapshot holds records, so total snapshot work stays
+// proportional to total appends however large the state grows.
+const snapshotEvery = 4096
 
 // Options configures a durable engine.
 type Options struct {
@@ -39,12 +42,6 @@ type Options struct {
 	// Sync/snapshot/Close: a process crash loses at most the buffered
 	// tail, which recovery truncates cleanly.
 	Fsync bool
-	// SnapshotEvery is the minimum number of appends between snapshots
-	// (DefaultSnapshotEvery if zero, negative disables snapshots). A due
-	// snapshot is further deferred until the log holds at least as many
-	// appends as the last snapshot holds records, so total snapshot work
-	// stays proportional to total appends however large the state grows.
-	SnapshotEvery int
 	// Site labels metrics, spans, and log lines.
 	Site string
 	// Metrics receives wal_*/snapshot_*/recovery_* series; nil is a
@@ -54,6 +51,10 @@ type Options struct {
 	Tracer *trace.Tracer
 	// Log receives recovery and snapshot INFO lines; nil discards.
 	Log *slog.Logger
+
+	// snapshotEvery overrides the snapshot cadence in tests (0: the
+	// constant).
+	snapshotEvery int
 }
 
 // Engine is the persistent storage engine: it implements
@@ -123,9 +124,7 @@ func OpenLog(opts Options) (*Engine, *gmap.Tables, error) {
 }
 
 func open(opts Options, db *store.Database, tables *gmap.Tables) (*Engine, error) {
-	if opts.SnapshotEvery == 0 {
-		opts.SnapshotEvery = DefaultSnapshotEvery
-	}
+	opts.snapshotEvery = cmp.Or(opts.snapshotEvery, snapshotEvery)
 	if err := os.MkdirAll(opts.Dir, 0o755); err != nil {
 		return nil, fmt.Errorf("wal: %w", err)
 	}
@@ -328,7 +327,7 @@ func (e *Engine) LogCreateIndex(class, attr string) error {
 	return e.appendLocked(recIndex, payload)
 }
 
-// LogBind implements store.StorageEngine, and remote.DeltaLog for the
+// LogBind implements store.StorageEngine, and antientropy.DeltaLog for the
 // coordinator's pure bind log.
 func (e *Engine) LogBind(class string, goid object.GOid, site object.SiteID, loid object.LOid) error {
 	e.mu.Lock()
@@ -352,7 +351,7 @@ func (e *Engine) appendLocked(kind byte, payload []byte) error {
 	// cadence would cost O(state²) over the life of a growing store, while
 	// this geometric deferral keeps total snapshot work proportional to
 	// total appends (and recovery replay bounded by ~2x the state size).
-	if e.opts.SnapshotEvery > 0 && e.sinceSnap >= e.opts.SnapshotEvery &&
+	if e.sinceSnap >= e.opts.snapshotEvery &&
 		int64(e.sinceSnap) >= e.snapRecords && (e.db != nil || e.tables != nil) {
 		if err := e.snapshotLocked(); err != nil {
 			return err

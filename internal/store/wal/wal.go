@@ -37,6 +37,7 @@
 package wal
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
@@ -130,21 +131,23 @@ func decodeRecord(seq uint64, kind byte, payload []byte) (record, error) {
 			rec.class = rec.obj.Class
 		}
 	case recIndex:
-		rec.class, payload, err = readString(payload)
+		var rest []byte
+		rec.class, rest, err = readString(payload)
 		if err == nil {
-			rec.attr, _, err = readString(payload)
+			rec.attr, _, err = readString(rest)
 		}
 	case recBind:
 		var g, s, l string
-		rec.class, payload, err = readString(payload)
+		var rest []byte
+		rec.class, rest, err = readString(payload)
 		if err == nil {
-			g, payload, err = readString(payload)
+			g, rest, err = readString(rest)
 		}
 		if err == nil {
-			s, payload, err = readString(payload)
+			s, rest, err = readString(rest)
 		}
 		if err == nil {
-			l, _, err = readString(payload)
+			l, _, err = readString(rest)
 		}
 		rec.goid, rec.site, rec.loid = object.GOid(g), object.SiteID(s), object.LOid(l)
 	case recHeader:
@@ -154,9 +157,31 @@ func decodeRecord(seq uint64, kind byte, payload []byte) (record, error) {
 		}
 		rec.base = n
 	default:
-		err = fmt.Errorf("wal: unknown record kind %d", kind)
+		return rec, fmt.Errorf("wal: unknown record kind %d", kind)
+	}
+	// A kind has one encoding, the one the engine writes: a payload that is
+	// not it (trailing bytes, an overlong varint, a null the record format
+	// drops) is corruption, not a record.
+	if err == nil {
+		if again, aerr := appendPayload(nil, rec); aerr != nil || !bytes.Equal(again, payload) {
+			err = fmt.Errorf("wal: record kind %d is not in its canonical encoding", kind)
+		}
 	}
 	return rec, err
+}
+
+// appendPayload encodes rec's payload.
+func appendPayload(dst []byte, rec record) ([]byte, error) {
+	switch rec.kind {
+	case recInsert:
+		return object.AppendObject(dst, rec.obj)
+	case recIndex:
+		return encodeIndex(dst, rec.class, rec.attr), nil
+	case recBind:
+		return encodeBind(dst, rec.class, rec.goid, rec.site, rec.loid), nil
+	default:
+		return binary.AppendUvarint(dst, rec.base), nil
+	}
 }
 
 // scanResult reports how a file scan ended.

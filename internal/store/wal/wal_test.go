@@ -264,7 +264,7 @@ func TestTornTailSweep(t *testing.T) {
 // stale log frames from the snapshot crash window are skipped by sequence.
 func TestSnapshotRotation(t *testing.T) {
 	dir := t.TempDir()
-	eng, db, tables := seedSome(t, dir, 40, Options{SnapshotEvery: 16})
+	eng, db, tables := seedSome(t, dir, 40, Options{snapshotEvery: 16})
 	want := dump(db, tables)
 	seq := eng.Seq()
 	if err := eng.Close(); err != nil {
@@ -286,7 +286,7 @@ func TestSnapshotRotation(t *testing.T) {
 	}
 	f.Close()
 
-	eng2, db2, tables2 := reopen(t, dir, Options{SnapshotEvery: 16})
+	eng2, db2, tables2 := reopen(t, dir, Options{snapshotEvery: 16})
 	defer eng2.Close()
 	if got := dump(db2, tables2); got != want {
 		t.Fatalf("recovered state differs after snapshot:\nwant:\n%s\ngot:\n%s", want, got)
@@ -299,7 +299,7 @@ func TestSnapshotRotation(t *testing.T) {
 	// recovers the same way: binds from before and after the snapshot are
 	// all there on reopen.
 	logDir := t.TempDir()
-	log, ltables, err := OpenLog(Options{Dir: logDir, Site: "G", SnapshotEvery: 4})
+	log, ltables, err := OpenLog(Options{Dir: logDir, Site: "G", snapshotEvery: 4})
 	if err != nil {
 		t.Fatalf("OpenLog: %v", err)
 	}

@@ -85,34 +85,39 @@ if grep -rnE 'BatchConfig|kindCheckBatch|LookupCache|ServingSpec|siteOpts|coordO
     echo "a deleted serving fork is back (see EXPERIMENTS.md E22)" >&2
     guard_failed=1
 fi
-# One mapping-table replica (internal/remote/replica.go, DESIGN.md section
-# 13): replica.apply is the one place a binding is logged, bound and folded
-# into the digest, so outside the packages that define those operations each
-# has one non-test site; the digest hook, the closure struct and the
-# per-owner copies of the rule it replaced stay gone, as do the index option
-# and the breaker accessor's second name.
-if grep -rnE 'HookEngine|aeReplica|applyBindLocked|UseIndexes|EnableIndexes|PeerBreakers' \
+# One mapping-table replica (antientropy.Replica, DESIGN.md section 13):
+# Replica.Apply is the one place a binding is logged, bound and folded into
+# the digest, so outside the package that defines the log each has one
+# non-test site; the digest hook, the closure struct, the tracker and the
+# per-owner copies of the rule and the protocol it replaced stay gone, as do
+# the index option and the breaker accessor's second name. internal/remote
+# carries the replica's messages and holds no replica logic of its own.
+if grep -rnE 'HookEngine|aeReplica|applyBindLocked|UseIndexes|EnableIndexes|PeerBreakers|Tracker\b' \
     --include='*.go' --exclude-dir=.bench_build .; then
     echo "a deleted copy of the replica rule (or the index option) is back" >&2
     guard_failed=1
 fi
-for pat in '[tT]racker(\(\))?\.Observe\(' '\.LogBind\('; do
-    want_one "$pat" "$(grep -rnE "$pat" --include='*.go' --exclude='*_test.go' \
-        --exclude-dir=benchmark --exclude-dir=.bench_build \
-        --exclude-dir=antientropy --exclude-dir=store . | grep -vE '^[^:]+:[0-9]+:[[:space:]]*//' || true)"
-done
+if grep -nE '^type (replica|tally) |^func \([a-z]+ \*(replica|Server|Coordinator)\) (exchange|round|syncPeer|handleRepair|handleBind)\(' \
+    internal/remote/*.go; then
+    echo "replica logic is back in internal/remote; it belongs to antientropy.Replica" >&2
+    guard_failed=1
+fi
+want_one 'Replica.observe(' "$(grep -nE '\.observe\(' internal/antientropy/*.go | grep -v '_test\.go:' || true)"
+want_one '.LogBind(' "$(grep -rnE '\.LogBind\(' --include='*.go' --exclude='*_test.go' \
+    --exclude-dir=benchmark --exclude-dir=.bench_build \
+    --exclude-dir=store . | grep -vE '^[^:]+:[0-9]+:[[:space:]]*//' || true)"
 # One repair path (DESIGN.md section 13, EXPERIMENTS.md E23): a replica that
 # missed bindings converges through its digest exchange and nothing else. The
 # pending-delta queue, the log-replay rebuild, the per-peer maintenance locks
 # and the log's replay API stay gone, in tests or otherwise; outside tests a
-# digest and a repair are each sent from one place (replica.exchange) and a
-# bind delta from one (Insert's broadcast).
+# digest and a repair are each sent from one place (Replica.exchange) and a
+# bind delta from one (Replica.Push).
 if grep -rnE 'queueResync|replayResync|pendingDelta|rebuildFrom|peerLock|ResyncStates|ReplayBinds|AppendBind|replica_resync|replica_rebuild|replica_needs_rebuild' \
     --include='*.go' --exclude-dir=benchmark --exclude-dir=.bench_build .; then
     echo "a deleted replica-recovery procedure is back (see EXPERIMENTS.md E23)" >&2
     guard_failed=1
 fi
-for pat in 'Kind:[[:space:]]*kindDigest\>' 'Kind:[[:space:]]*kindRepair\>' 'Kind:[[:space:]]*kindBind\>'; do
+for pat in 'Kind:[[:space:]]*KindDigest\>' 'Kind:[[:space:]]*KindRepair\>' 'Kind:[[:space:]]*KindBind\>'; do
     want_one "$pat" "$(sources "$pat" || true)"
 done
 # One experiment harness: the paper's Figures 9-11 study is hetbench's figures
@@ -155,8 +160,8 @@ fi
 # mapping table keeps one LOid index per site and numbers its entities, and
 # everything that resolves identities per object takes the site's index once
 # before its loop. The struct-keyed map and a per-object GOidOf in the
-# federation's paths stay gone (internal/remote/replica.go's conflict check is
-# the remaining non-test caller), and the outerjoin's merge is defined once.
+# federation's paths stay gone (Replica.Apply's conflict check is the
+# remaining non-test caller), and the outerjoin's merge is defined once.
 if grep -rnE 'byLocal|map\[(gmap\.)?Location\]' --include='*.go' --exclude='*_test.go' \
     --exclude-dir=benchmark --exclude-dir=.bench_build .; then
     echo "a (site, LOid)-keyed map is back; identity is gmap.Table.At(site)" >&2
@@ -278,6 +283,14 @@ go test -race -count 10 -timeout 300s \
 # time out one run in five on a loaded machine.
 go test -race -count 10 -timeout 300s -run 'TestClusterObservabilityE2E' ./internal/obs/agg/
 
+# The replica protocol (antientropy.Replica) on a deterministic network: 10 000
+# seeded schedules of inserts, drops, duplicates, partitions, heals, kills and
+# restarts, each held to the safety and liveness properties of
+# internal/antientropy/network_test.go. A failure prints the one go test
+# -seed N line that replays it and the schedule shrunk to what still fails.
+echo "== replica protocol sweep (10 000 seeds)"
+go test -count 1 -timeout 60s -run 'TestReplicaNetwork$' ./internal/antientropy/ -seeds 10000
+
 # benchmark/ is a module of its own (the repository's yardstick, run by
 # benchmark/run.sh), so ./... above does not see it: a change to the surface
 # it imports must fail here, not in the pipeline that runs it.
@@ -297,19 +310,22 @@ go test -run - -bench 'BenchmarkGmap' -benchtime 1x ./internal/gmap/
 # do the three grammars fed from a command line: no panic, an accepted fault
 # spec builds a plan, an accepted query's or SLO rule's rendering parses back
 # to itself. So does the federation document hetserve -fed and hetql -fed
-# load: an accepted document survives Export → Parse.
+# load: an accepted document survives Export → Parse. And so does a WAL file:
+# a scan stops at the last whole valid frame and what it accepted re-encodes
+# to the bytes it read.
 echo "== fuzz (10s per target)"
 for target in ./internal/remote:FuzzDecodeRequest ./internal/remote:FuzzDecodeResponse \
     ./internal/object:FuzzDecodeObject ./internal/fabric:FuzzParseFaults \
     ./internal/query:FuzzParseQuery ./internal/obs/slo:FuzzParseRule \
-    ./internal/fedfile:FuzzParseFederation; do
+    ./internal/fedfile:FuzzParseFederation ./internal/store/wal:FuzzScanFrames; do
     go test -run '^$' -fuzz "^${target#*:}\$" -fuzztime 10s "${target%%:*}"
 done
 
-# No other example runs anywhere; this one stands a TCP cluster up through the
-# public facade (hetfed.StartCluster), so it runs here.
-echo "== example smoke: go run ./examples/tcpcluster"
-go run ./examples/tcpcluster >/dev/null
+# Every example is a program a reader runs first; each must still run.
+for example in examples/*/; do
+    echo "== example smoke: go run ./$example"
+    go run "./$example" >/dev/null
+done
 
 # The recovery torture runs inside the package tests above, but a fresh
 # -count=1 pass here keeps the crash-recovery gate immune to test caching.
