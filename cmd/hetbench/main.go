@@ -9,7 +9,7 @@
 // Run a registered topic — smoke, adaptive, strategies, durability, obs,
 // chaos or figures (the paper's Figures 9–11 study) — on its canonical spec
 // (internal/bench/topics.go) and gate it (exit 1 on failure): the sim topics
-// against the committed BENCH_<topic>.json at -tolerance, the others on
+// against the committed BENCH_<topic>.json at a 10 % tolerance, the others on
 // their own invariants (WAL write path ≤ 1.25× mem, scraped cluster ≤ 1.05×
 // bare, no certain row contradicting ground truth and convergence in ≤ 5
 // repair rounds, the shapes the paper claims for its figures):
@@ -34,7 +34,7 @@
 //
 // Compare two existing matrix reports (a self-gating topic's is refused):
 //
-//	hetbench check -old BENCH_smoke.json -new /tmp/BENCH_new.json -tolerance 10%
+//	hetbench check -old BENCH_smoke.json -new /tmp/BENCH_new.json
 //
 // Answer an SLO question, stated in the rule grammar hetserve -slo alerts
 // on (internal/obs/slo; exit 1 when any cell misses it, naming the limiting
@@ -104,7 +104,6 @@ func matrixFlags(fs *flag.FlagSet) (get func() (bench.MatrixSpec, error)) {
 		zipf       = fs.Float64("zipf", 0.9, "Zipfian skew over query variants (0 = uniform)")
 		variants   = fs.Int("variants", 3, "number of query variants under the skew")
 		maxConc    = fs.Int("concurrency", 0, "coordinator admission bound (0 = unbounded)")
-		deadline   = fs.Duration("deadline", 0, "per-query end-to-end budget (live runtime; 0 = none)")
 		scale      = fs.Float64("scale", 0.02, "Table 2 extent scale for the table2 workloads (1 = paper scale)")
 		seed       = fs.Int64("seed", 42, "root seed: workload draws, arrivals, variant skew")
 	)
@@ -124,7 +123,6 @@ func matrixFlags(fs *flag.FlagSet) (get func() (bench.MatrixSpec, error)) {
 			Zipf:          *zipf,
 			Variants:      *variants,
 			MaxConcurrent: *maxConc,
-			Deadline:      *deadline,
 			Scale:         *scale,
 			Seed:          *seed,
 		}, nil
@@ -143,14 +141,9 @@ func runCmd(args []string) error {
 		topic     = fs.String("topic", "bench", "registered topic to run on its canonical spec, or the name of an ad-hoc matrix")
 		out       = fs.String("out", "", "report path (\"-\" for stdout; default: write nothing)")
 		checkPath = fs.String("check", "", "baseline report to gate against (default for the sim topics: the committed BENCH_<topic>.json); regressions exit non-zero")
-		tolerance = fs.String("tolerance", "10%", "relative regression tolerance for the baseline gate (e.g. 10% or 0.1)")
 		quiet     = fs.Bool("q", false, "suppress per-cell progress lines")
 	)
 	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	tol, err := bench.ParseTolerance(*tolerance)
-	if err != nil {
 		return err
 	}
 	var adhoc []string
@@ -200,7 +193,7 @@ func runCmd(args []string) error {
 	if runErr != nil || baseline == nil {
 		return runErr
 	}
-	return gate(baseline, report, tol, baselinePath)
+	return gate(baseline, report, baselinePath)
 }
 
 // emit writes the report where -out says: nowhere, stdout, or a file. A
@@ -228,14 +221,14 @@ func emit(report *bench.Report, out string) error {
 }
 
 // gate applies the baseline diff and reports its verdict.
-func gate(baseline, report *bench.Report, tol float64, baselinePath string) error {
-	if violations := bench.Check(baseline, report, tol); len(violations) > 0 {
+func gate(baseline, report *bench.Report, baselinePath string) error {
+	if violations := bench.Check(baseline, report); len(violations) > 0 {
 		for _, v := range violations {
 			fmt.Fprintln(os.Stderr, "regression:", v)
 		}
-		return fmt.Errorf("%d regression(s) vs %s at tolerance %g%%", len(violations), baselinePath, tol*100)
+		return fmt.Errorf("%d regression(s) vs %s at tolerance 10%%", len(violations), baselinePath)
 	}
-	fmt.Printf("no regressions in %d cells vs %s (tolerance %g%%)\n", len(baseline.Results()), baselinePath, tol*100)
+	fmt.Printf("no regressions in %d cells vs %s (tolerance 10%%)\n", len(baseline.Results()), baselinePath)
 	return nil
 }
 
@@ -262,19 +255,14 @@ func sameFile(a, b string) bool {
 func checkCmd(args []string) error {
 	fs := flag.NewFlagSet("hetbench check", flag.ContinueOnError)
 	var (
-		oldPath   = fs.String("old", "", "baseline report")
-		newPath   = fs.String("new", "", "candidate report")
-		tolerance = fs.String("tolerance", "10%", "relative regression tolerance (e.g. 10% or 0.1)")
+		oldPath = fs.String("old", "", "baseline report")
+		newPath = fs.String("new", "", "candidate report")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 	if *oldPath == "" || *newPath == "" {
 		return fmt.Errorf("check needs -old and -new")
-	}
-	tol, err := bench.ParseTolerance(*tolerance)
-	if err != nil {
-		return err
 	}
 	baseline, err := readMatrixReport(*oldPath)
 	if err != nil {
@@ -284,7 +272,7 @@ func checkCmd(args []string) error {
 	if err != nil {
 		return err
 	}
-	return gate(baseline, candidate, tol, *oldPath)
+	return gate(baseline, candidate, *oldPath)
 }
 
 func sloCmd(args []string) error {

@@ -192,7 +192,6 @@ func run(args []string) error {
 		Metrics:     reg,
 		Signatures:  signature.Build(databases),
 		Recorder:    rec,
-		Deadline:    *deadline,
 	}
 	if selector != nil {
 		cfg.Selector = selector
@@ -234,7 +233,13 @@ func run(args []string) error {
 			tracer.Reset()
 			// A fresh plan per run: drop-after budgets are stateful.
 			rt := fabric.NewSim(fabric.DefaultRates(), engine.Sites()).WithFaults(faults())
-			ans, m, err := engine.RunContext(ctx, rt, alg, b)
+			// -deadline budgets each run on its own.
+			rctx, cancel := ctx, context.CancelFunc(func() {})
+			if *deadline > 0 {
+				rctx, cancel = context.WithTimeout(ctx, *deadline)
+			}
+			ans, m, err := engine.RunContext(rctx, rt, alg, b)
+			cancel()
 			if err != nil {
 				return fmt.Errorf("%v: %w", alg, err)
 			}

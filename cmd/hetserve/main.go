@@ -115,7 +115,7 @@ func main() {
 
 // cmdline is the parsed command line. A flag that configures a library value
 // is bound (parse) straight into the field of that value — the server's or
-// coordinator's config, the call policy, the WAL's, recorder's and scraper's
+// coordinator's call policy, the WAL's, recorder's and scraper's
 // options — so an option is declared once, by its flag, and documented by the
 // field it sets. The plain fields are what hetserve itself acts on.
 type cmdline struct {
@@ -126,13 +126,12 @@ type cmdline struct {
 	trace, metrics, version bool
 	fault                   string
 	clusterScrape, sloRules string
+	deadline, antiEntropy   time.Duration
 
-	call        remote.CallConfig        // both modes' outbound policy
-	antiEntropy remote.AntiEntropyConfig // both modes' repair loop
-	coord       remote.Coordinator       // -coordinator
-	wal         wal.Options              // Dir holds the -data-dir root
-	recorder    obs.RecorderConfig
-	scrape      agg.Config
+	call     remote.CallConfig // both modes' outbound policy
+	wal      wal.Options       // Dir holds the -data-dir root
+	recorder obs.RecorderConfig
+	scrape   agg.Config
 }
 
 func (c *cmdline) parse(args []string) error {
@@ -153,10 +152,10 @@ func (c *cmdline) parse(args []string) error {
 	fs.DurationVar(&c.call.CallTimeout, "call-timeout", c.call.CallTimeout, "deadline for one full request/response exchange")
 	fs.DurationVar(&c.call.DialTimeout, "dial-timeout", c.call.DialTimeout, "deadline for connecting to a peer")
 
-	fs.DurationVar(&c.coord.Deadline, "deadline", 0, "end-to-end budget per query in -coordinator mode; the remaining budget travels to every site and an over-budget query returns its sound partial answer (0 = none)")
+	fs.DurationVar(&c.deadline, "deadline", 0, "end-to-end budget per query in -coordinator mode; the remaining budget travels to every site and an over-budget query returns its sound partial answer (0 = none)")
 	fs.StringVar(&c.fault, "fault", "", "fault injection, comma-separated: delay:DURATION (stall every operation served at this site), kill (answer every non-ping request with site-unavailable), drop:SITE:N (dark after N operations), cut:SITE (cut this process's links to SITE in both directions, as if a network partition separated them); a coordinator acts on cut only")
 
-	fs.DurationVar(&c.antiEntropy.Interval, "anti-entropy", 0, "run a background anti-entropy round against the peers at this cadence, repairing mapping-table divergence (0 = disabled; digest/repair requests are served either way)")
+	fs.DurationVar(&c.antiEntropy, "anti-entropy", 0, "run a background anti-entropy round against the peers at this cadence, repairing mapping-table divergence (0 = disabled; digest/repair requests are served either way)")
 
 	fs.DurationVar(&c.recorder.SlowThreshold, "slow-query", 0, "log queries at/over this latency and always retain their profiles in the flight recorder (0 = percentile-based tail retention only)")
 
@@ -446,7 +445,7 @@ func runCoordinator(fed *fedfile.Federation, peers map[object.SiteID]string, c *
 	// accepted bind is appended before it is applied, so a restart holds
 	// everything the sites may have been told).
 	tables := fed.Tables
-	coord := &c.coord
+	coord := &remote.Coordinator{}
 	var deltaLog *wal.Engine
 	if walOpts != nil {
 		deltaLog, tables, err = wal.OpenLog(*walOpts)
@@ -495,7 +494,7 @@ func runCoordinator(fed *fedfile.Federation, peers map[object.SiteID]string, c *
 		// The coordinator observes itself in process: no HTTP round-trip,
 		// and its row carries the end-to-end query metrics.
 		scfg := c.scrape
-		scfg.Site, scfg.Metrics, scfg.Log = "G", reg, log
+		scfg.Metrics, scfg.Log = reg, log
 		scfg.Targets = append([]agg.Target{{
 			Site:         "G",
 			Local:        reg.Snapshot,
@@ -508,9 +507,7 @@ func runCoordinator(fed *fedfile.Federation, peers map[object.SiteID]string, c *
 		}
 		var alerts http.Handler
 		if rules != nil {
-			engine, err := slo.New(slo.Config{
-				Site: "G", Source: scraper, Rules: rules, Metrics: reg, Log: log,
-			})
+			engine, err := slo.New(slo.Config{Source: scraper, Rules: rules, Metrics: reg, Log: log})
 			if err != nil {
 				return err
 			}
@@ -547,7 +544,13 @@ func runCoordinator(fed *fedfile.Federation, peers map[object.SiteID]string, c *
 	// slots released, partial answers printed) instead of killing the process.
 	ctx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stopSignals()
-	ans, elapsed, err := coord.QueryContext(ctx, c.query, alg)
+	qctx := ctx
+	if c.deadline > 0 {
+		var cancel context.CancelFunc
+		qctx, cancel = context.WithTimeout(ctx, c.deadline)
+		defer cancel()
+	}
+	ans, elapsed, err := coord.QueryContext(qctx, c.query, alg)
 	if err != nil {
 		return err
 	}

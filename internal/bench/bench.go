@@ -30,7 +30,6 @@ import (
 	"fmt"
 	"hash/fnv"
 	"os"
-	"time"
 
 	"github.com/hetfed/hetfed/internal/version"
 )
@@ -73,9 +72,6 @@ type MatrixSpec struct {
 	Variants int `json:"variants"`
 	// MaxConcurrent bounds coordinator admission (0 = unbounded).
 	MaxConcurrent int `json:"max_concurrent,omitempty"`
-	// Deadline is the per-query end-to-end budget (live runtime only;
-	// the sim runtime ignores it to stay wall-clock free). 0 = none.
-	Deadline time.Duration `json:"deadline,omitempty"`
 	// Scale multiplies the Table 2 extent sizes for the table2 workloads
 	// (1.0 = paper scale; keep small for smoke runs). 0 = 1.0.
 	Scale float64 `json:"scale,omitempty"`

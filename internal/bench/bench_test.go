@@ -311,23 +311,3 @@ func TestSummarize(t *testing.T) {
 		t.Errorf("empty summarize: %+v", empty)
 	}
 }
-
-// TestDeadlineSimIgnored: a spec deadline must not perturb sim determinism
-// (wall deadlines don't exist in virtual time).
-func TestDeadlineSimIgnored(t *testing.T) {
-	spec := smokeSpec()
-	base, err := Run(context.Background(), spec, "smoke", nil)
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	spec.Deadline = 1 * time.Nanosecond // would shred every query if applied
-	tight, err := Run(context.Background(), spec, "smoke", nil)
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	for i := range base.Results() {
-		if base.Results()[i].Client.Completed != tight.Results()[i].Client.Completed {
-			t.Errorf("%s: deadline leaked into the sim runtime", base.Results()[i].Cell.Key())
-		}
-	}
-}

@@ -1,10 +1,10 @@
 package bench
 
-import (
-	"fmt"
-	"strconv"
-	"strings"
-)
+import "fmt"
+
+// tolerance is the relative regression tolerance of every baseline gate:
+// 10 %, which every committed report's recipe and every gate uses.
+const tolerance = 0.10
 
 // latencySlackMicros absorbs sub-microsecond float wiggle when comparing
 // latencies; a live baseline compared on noisy hardware needs the relative
@@ -48,8 +48,8 @@ func specViolations(baseline, current *Report) []Violation {
 	return out
 }
 
-// Check compares a new report against a baseline under a relative tolerance
-// (0.10 = 10%). It first flags a differing load shape (see specViolations),
+// Check compares a new report against a baseline under the relative
+// tolerance (10 %). It first flags a differing load shape (see specViolations),
 // then for every baseline matrix cell:
 //
 //   - latency regressions: p50/p95/p99 above baseline by more than the
@@ -62,7 +62,7 @@ func specViolations(baseline, current *Report) []Violation {
 //
 // Cells only the new report has are fine (the matrix grew). An empty return
 // means the new report is no worse than the baseline.
-func Check(baseline, current *Report, tolerance float64) []Violation {
+func Check(baseline, current *Report) []Violation {
 	out := specViolations(baseline, current)
 	for _, old := range baseline.Results() {
 		key := old.Cell.Key()
@@ -96,18 +96,4 @@ func Check(baseline, current *Report, tolerance float64) []Violation {
 		}
 	}
 	return out
-}
-
-// ParseTolerance reads a tolerance flag: "10%" or "0.10".
-func ParseTolerance(s string) (float64, error) {
-	s = strings.TrimSpace(s)
-	pct := strings.HasSuffix(s, "%")
-	v, err := strconv.ParseFloat(strings.TrimSuffix(s, "%"), 64)
-	if err != nil || v < 0 {
-		return 0, fmt.Errorf("bench: bad tolerance %q (want e.g. 10%% or 0.10)", s)
-	}
-	if pct {
-		v /= 100
-	}
-	return v, nil
 }

@@ -19,11 +19,11 @@ func baselineReport(t *testing.T) *Report {
 // is a rerun with the same seed (byte-identical on the sim runtime).
 func TestCheckNoFalsePositives(t *testing.T) {
 	base := baselineReport(t)
-	if v := Check(base, base, 0.10); len(v) != 0 {
+	if v := Check(base, base); len(v) != 0 {
 		t.Fatalf("self-check found %d violations: %v", len(v), v)
 	}
 	rerun := baselineReport(t)
-	if v := Check(base, rerun, 0.10); len(v) != 0 {
+	if v := Check(base, rerun); len(v) != 0 {
 		t.Fatalf("identical rerun flagged: %v", v)
 	}
 }
@@ -38,7 +38,7 @@ func TestCheckCatchesRegressions(t *testing.T) {
 	worse.Results()[1].Client.QPS *= 0.5
 	worse.Results()[2].Server.MaybeFrac += 0.5
 	worse.Results()[3].Client.Errors = 2
-	v := Check(base, worse, 0.10)
+	v := Check(base, worse)
 	if len(v) != 4 {
 		t.Fatalf("got %d violations, want 4: %v", len(v), v)
 	}
@@ -61,19 +61,19 @@ func TestCheckCatchesRegressions(t *testing.T) {
 		drift.Results()[i].Client.P99Micros *= 1.05
 		drift.Results()[i].Client.QPS *= 0.95
 	}
-	if v := Check(base, drift, 0.10); len(v) != 0 {
-		t.Fatalf("5%% drift flagged under 10%% tolerance: %v", v)
+	if v := Check(base, drift); len(v) != 0 {
+		t.Fatalf("5%% drift flagged under the 10%% tolerance: %v", v)
 	}
 
 	// A vanished cell is a coverage regression.
 	shrunk := baselineReport(t)
 	shrunk.Cells = shrunk.Results()[1:]
-	v = Check(base, shrunk, 0.10)
+	v = Check(base, shrunk)
 	if len(v) != 1 || v[0].Metric != "missing" {
 		t.Fatalf("missing cell not flagged: %v", v)
 	}
 	// A grown matrix is fine.
-	if v := Check(shrunk, base, 0.10); len(v) != 0 {
+	if v := Check(shrunk, base); len(v) != 0 {
 		t.Fatalf("extra cells flagged: %v", v)
 	}
 
@@ -82,25 +82,8 @@ func TestCheckCatchesRegressions(t *testing.T) {
 	spec := reshaped.Spec.(MatrixSpec)
 	spec.Queries, spec.Seed = 3, 43
 	reshaped.Spec = spec
-	v = Check(base, reshaped, 0.10)
+	v = Check(base, reshaped)
 	if len(v) != 2 || v[0].Cell != "spec" || v[0].Metric != "queries" || v[1].Metric != "seed" {
 		t.Fatalf("reshaped run: got %v, want spec violations for queries and seed", v)
-	}
-}
-
-func TestParseTolerance(t *testing.T) {
-	for _, tc := range []struct {
-		in   string
-		want float64
-	}{{"10%", 0.10}, {"0.10", 0.10}, {" 25% ", 0.25}, {"0", 0}} {
-		got, err := ParseTolerance(tc.in)
-		if err != nil || got != tc.want {
-			t.Errorf("ParseTolerance(%q) = %v, %v; want %v", tc.in, got, err, tc.want)
-		}
-	}
-	for _, bad := range []string{"", "x%", "-5%"} {
-		if _, err := ParseTolerance(bad); err == nil {
-			t.Errorf("ParseTolerance(%q) accepted", bad)
-		}
 	}
 }

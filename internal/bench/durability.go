@@ -38,8 +38,8 @@ type DurabilitySpec struct {
 // DurabilityCell is one engine's measured run: the steady-state insert side
 // and, for the durable engines, the cold-start recovery side.
 type DurabilityCell struct {
-	// Engine is "mem" (baseline in-memory no-op engine), "wal" (buffered
-	// write-ahead log) or "wal-fsync" (fsync per append).
+	// Engine is "mem" (the baseline: no engine, in memory only), "wal"
+	// (buffered write-ahead log) or "wal-fsync" (fsync per append).
 	Engine string `json:"engine"`
 	// Objects is the number of objects inserted (identical across cells).
 	Objects int `json:"objects"`
@@ -127,7 +127,7 @@ func RunDurability(spec DurabilitySpec, dir string, progress func(string)) (*Rep
 			cell := cells[engine]
 			switch engine {
 			case "mem":
-				db := store.MustNewDatabase(schema).WithEngine(store.Mem{})
+				db := store.MustNewDatabase(schema)
 				wall, err := insert(db)
 				if err != nil {
 					return nil, fmt.Errorf("bench: %s insert: %w", engine, err)

@@ -22,7 +22,7 @@ import (
 // liveCluster is one cell's serving deployment: every component site as a
 // real TCP server with its own metrics registry and observability endpoint,
 // plus an in-process coordinator. Built per cell and torn down after it, so
-// no state (breakers, counters) leaks between cells.
+// no state (pooled connections, counters) leaks between cells.
 type liveCluster struct {
 	coord    *remote.Coordinator
 	coordReg *metrics.Registry
@@ -55,12 +55,11 @@ func startLiveCluster(spec MatrixSpec, cell Cell, bundle *Bundle) (*liveCluster,
 		ID:            coordinatorID,
 		Metrics:       lc.coordReg,
 		MaxConcurrent: spec.MaxConcurrent,
-		Deadline:      spec.Deadline,
 	}
 	// Adaptive cells wire the coordinator's feedback loop: a span-capped
-	// tracer supplies measured profiles, the calibrating selector consumes
-	// them, and the live breaker states steer choices away from check-heavy
-	// plans while a peer is suspect.
+	// tracer supplies measured profiles and the calibrating selector consumes
+	// them. Its health source is the coordinator's breaker states, which stay
+	// empty here: the zero CallConfig the cluster runs with has no breaker.
 	if alg, err := exec.ParseAlgorithm(cell.Strategy); err == nil && alg == exec.Adaptive {
 		tr := &trace.Tracer{}
 		tr.SetLimit(4096)

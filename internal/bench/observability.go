@@ -171,13 +171,7 @@ func runObsCell(ctx context.Context, spec ObsSpec, matrix MatrixSpec, cell Cell,
 			base := lc.scrapes[i][:len(lc.scrapes[i])-len("/metrics")]
 			targets = append(targets, agg.Target{Site: string(site), URL: base})
 		}
-		scraper, err = agg.New(agg.Config{
-			Site:     coordinatorID,
-			Targets:  targets,
-			Interval: spec.ScrapeInterval,
-			Window:   time.Minute,
-			Metrics:  aggReg,
-		})
+		scraper, err = agg.New(agg.Config{Targets: targets, Interval: spec.ScrapeInterval, Metrics: aggReg})
 		if err != nil {
 			return out, err
 		}
@@ -185,8 +179,7 @@ func runObsCell(ctx context.Context, spec ObsSpec, matrix MatrixSpec, cell Cell,
 		if err != nil {
 			return out, err
 		}
-		engine, err := slo.New(slo.Config{Site: coordinatorID, Source: scraper,
-			Rules: rules, Metrics: aggReg})
+		engine, err := slo.New(slo.Config{Source: scraper, Rules: rules, Metrics: aggReg})
 		if err != nil {
 			return out, err
 		}

@@ -19,7 +19,7 @@ import (
 
 // cancelEngine builds a fully instrumented engine (metrics + recorder) for
 // the interruption tests.
-func cancelEngine(t testing.TB, deadline time.Duration, maxConcurrent int) (*Engine, *query.Bound, *metrics.Registry, *obs.Recorder) {
+func cancelEngine(t testing.TB, maxConcurrent int) (*Engine, *query.Bound, *metrics.Registry, *obs.Recorder) {
 	t.Helper()
 	fx := school.New()
 	reg := metrics.New()
@@ -33,7 +33,6 @@ func cancelEngine(t testing.TB, deadline time.Duration, maxConcurrent int) (*Eng
 		Metrics:       reg,
 		Signatures:    signature.Build(fx.Databases),
 		Recorder:      rec,
-		Deadline:      deadline,
 		MaxConcurrent: maxConcurrent,
 	})
 	if err != nil {
@@ -68,14 +67,16 @@ func assertNoGoroutineLeak(t *testing.T, baseline int) {
 // and must not leak the per-site worker goroutines.
 func TestDeadlineInterruptsDelayedSites(t *testing.T) {
 	baseline := runtime.NumGoroutine()
-	e, b, reg, rec := cancelEngine(t, 50*time.Millisecond, 0)
+	e, b, reg, rec := cancelEngine(t, 0)
 	for _, alg := range []Algorithm{CA, BL, PL} {
 		rt := fabric.NewReal(fabric.DefaultRates()).WithFaults(
 			fabric.NewFaultPlan().
 				Delay("DB1", 5e6).Delay("DB2", 5e6).Delay("DB3", 5e6))
+		ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 		start := time.Now()
-		ans, _, err := e.Run(rt, alg, b)
+		ans, _, err := e.RunContext(ctx, rt, alg, b)
 		elapsed := time.Since(start)
+		cancel()
 		if err != nil {
 			t.Fatalf("%v: interrupted query failed instead of degrading: %v", alg, err)
 		}
@@ -109,7 +110,7 @@ func TestDeadlineInterruptsDelayedSites(t *testing.T) {
 // strategies must unwind at their next checkpoint with outcome canceled.
 func TestCancelMidQuery(t *testing.T) {
 	baseline := runtime.NumGoroutine()
-	e, b, reg, _ := cancelEngine(t, 0, 0)
+	e, b, reg, _ := cancelEngine(t, 0)
 	for _, alg := range []Algorithm{CA, BL, PL} {
 		rt := fabric.NewReal(fabric.DefaultRates()).WithFaults(
 			fabric.NewFaultPlan().
@@ -144,7 +145,7 @@ func TestCancelMidQuery(t *testing.T) {
 // context must still yield a sound partial answer (every site interrupted)
 // rather than an error, on the same code path the CLI's ctrl-C takes.
 func TestCancelSimRuntime(t *testing.T) {
-	e, b, _, _ := cancelEngine(t, 0, 0)
+	e, b, _, _ := cancelEngine(t, 0)
 	for _, alg := range []Algorithm{CA, BL, PL} {
 		ctx, cancel := context.WithCancel(context.Background())
 		cancel()
@@ -168,7 +169,7 @@ func TestCancelSimRuntime(t *testing.T) {
 // ErrCanceled for a cancelled wait) and count queries_shed_total — and the
 // slot must come back once the slow query finishes.
 func TestShedAtAdmission(t *testing.T) {
-	e, b, reg, _ := cancelEngine(t, 0, 1)
+	e, b, reg, _ := cancelEngine(t, 1)
 
 	slowStarted := make(chan struct{})
 	slowDone := make(chan error, 1)
@@ -221,7 +222,7 @@ func TestShedAtAdmission(t *testing.T) {
 // but a caller running out of budget says nothing about the sites' health,
 // so site_unavailable_total must stay 0 (DESIGN §10).
 func TestInterruptedSitesChargeNoUnavailableCounter(t *testing.T) {
-	e, b, reg, _ := cancelEngine(t, 0, 0)
+	e, b, reg, _ := cancelEngine(t, 0)
 	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
 	defer cancel()
 	for _, alg := range []Algorithm{CA, BL, PL} {

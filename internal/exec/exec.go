@@ -33,7 +33,6 @@ import (
 	"sort"
 	"strings"
 	"sync/atomic"
-	"time"
 
 	"github.com/hetfed/hetfed/internal/fabric"
 	"github.com/hetfed/hetfed/internal/federation"
@@ -161,12 +160,6 @@ type Config struct {
 	// calls beyond the bound wait for a slot (admission control). Zero or
 	// negative means unbounded.
 	MaxConcurrent int
-	// Deadline, when positive, caps every query's end-to-end execution time.
-	// RunContext applies it only when the caller's context carries no
-	// deadline of its own (the caller's tighter budget always wins). An
-	// over-deadline query returns a sound partial answer with
-	// Answer.Outcome = OutcomeDeadline rather than an error.
-	Deadline time.Duration
 }
 
 // New builds an engine from a federation configuration.
@@ -201,7 +194,6 @@ func New(cfg Config) (*Engine, error) {
 		Recorder: cfg.Recorder,
 		Selector: cfg.Selector,
 		Gate:     NewGate(cfg.MaxConcurrent, cfg.Metrics, string(cfg.Coordinator)),
-		Deadline: cfg.Deadline,
 	}}, nil
 }
 

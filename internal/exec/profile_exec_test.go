@@ -109,7 +109,7 @@ func TestRunRecordsProfile(t *testing.T) {
 func TestProfileDegradedRetained(t *testing.T) {
 	fx := school.New()
 	reg := metrics.New()
-	rec := obs.NewRecorder(obs.RecorderConfig{Site: "G", Size: 4, Metrics: reg})
+	rec := obs.NewRecorder(obs.RecorderConfig{Site: "G", Metrics: reg})
 	e, err := New(Config{
 		Global:      fx.Global,
 		Coordinator: "G",
@@ -140,7 +140,7 @@ func TestProfileDegradedRetained(t *testing.T) {
 
 	// Flood with healthy queries past the ring size; the degraded profile
 	// must still be resolvable.
-	for i := 0; i < 3*4; i++ {
+	for i := 0; i < obs.RecorderSize+8; i++ {
 		if _, _, err := e.Run(fabric.NewSim(fabric.DefaultRates(), e.Sites()), PL, b); err != nil {
 			t.Fatalf("healthy run %d: %v", i, err)
 		}

@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"time"
 
 	"github.com/hetfed/hetfed/internal/fabric"
 	"github.com/hetfed/hetfed/internal/federation"
@@ -95,8 +94,6 @@ type Runner struct {
 	Selector Selector
 	// Gate bounds concurrent queries; nil admits everything.
 	Gate *Gate
-	// Deadline, when positive, budgets queries whose context has none.
-	Deadline time.Duration
 	// Suspect, when set, reports which of the given classes this site's own
 	// mapping replica holds suspect.
 	Suspect func(classes []string) []string
@@ -123,13 +120,6 @@ func (r *Runner) Run(ctx context.Context, rt fabric.Runtime, qid string, alg Alg
 	}
 	if ctx == nil {
 		ctx = context.Background()
-	}
-	if r.Deadline > 0 {
-		if _, has := ctx.Deadline(); !has {
-			var cancel context.CancelFunc
-			ctx, cancel = context.WithTimeout(ctx, r.Deadline)
-			defer cancel()
-		}
 	}
 	release, waitMicros, err := r.Gate.enter(ctx, alg.String())
 	if err != nil {

@@ -32,9 +32,6 @@ func NewSite(db *store.Database, global *schema.Global, tables *gmap.Tables) *Si
 // ID returns the site identifier.
 func (s *Site) ID() object.SiteID { return s.db.Site() }
 
-// DB returns the underlying component database.
-func (s *Site) DB() *store.Database { return s.db }
-
 // charge flushes accumulated cost events to the runtime, attributed to this
 // site, then resets the counter. Costs are batched per processing step so
 // the discrete-event runtime schedules one resource occupation per step.

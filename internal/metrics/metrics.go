@@ -19,6 +19,7 @@
 package metrics
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"sort"
@@ -89,12 +90,21 @@ func (g Gauge) Add(n int64) {
 	}
 }
 
-// DefaultBuckets are the latency histogram bounds in microseconds, spanning
-// sub-millisecond local work up to multi-second distributed queries.
-var DefaultBuckets = []float64{
+// bounds are the latency histogram's bucket upper bounds in microseconds,
+// spanning sub-millisecond local work up to multi-second distributed
+// queries. Every histogram has this one layout, so a snapshot carries counts
+// and nothing that could disagree with them.
+var bounds = [...]float64{
 	50, 100, 250, 500, 1000, 2500, 5000, 10000, 25000,
 	50000, 100000, 250000, 500000, 1e6, 2.5e6, 5e6,
 }
+
+// numBuckets is the number of histogram buckets: one per bound plus the
+// overflow bucket.
+const numBuckets = len(bounds) + 1
+
+// bucket returns the index of the bucket holding v.
+func bucket(v float64) int { return sort.SearchFloat64s(bounds[:], v) }
 
 // Exemplar links one observed value to the trace (query) that produced it,
 // so a histogram bucket on /metrics resolves to a recorded profile in the
@@ -105,27 +115,18 @@ type Exemplar struct {
 }
 
 // Histogram is a fixed-bucket histogram of microsecond values. Observations
-// are lock-free; the bucket layout is immutable after creation.
+// are lock-free.
 type Histogram struct {
-	bounds    []float64
-	counts    []atomic.Int64 // len(bounds)+1; last is the overflow bucket
-	sum       atomic.Uint64  // float64 bits, CAS-accumulated
+	counts    [numBuckets]atomic.Int64 // the last is the overflow bucket
+	sum       atomic.Uint64            // float64 bits, CAS-accumulated
 	count     atomic.Int64
-	exemplars []atomic.Pointer[Exemplar] // len(bounds)+1, last-write-wins
+	exemplars [numBuckets]atomic.Pointer[Exemplar] // last write wins
 }
 
-func newHistogram(bounds []float64) *Histogram {
-	return &Histogram{
-		bounds:    bounds,
-		counts:    make([]atomic.Int64, len(bounds)+1),
-		exemplars: make([]atomic.Pointer[Exemplar], len(bounds)+1),
-	}
-}
-
-// NewHistogram returns a standalone histogram with DefaultBuckets, attached
-// to no registry — for callers that need the distribution estimator alone
-// (the flight recorder's latency tail).
-func NewHistogram() *Histogram { return newHistogram(DefaultBuckets) }
+// NewHistogram returns a standalone histogram, attached to no registry —
+// for callers that need the distribution estimator alone (the flight
+// recorder's latency tail).
+func NewHistogram() *Histogram { return new(Histogram) }
 
 // Snapshot captures the histogram's current state. Nil-safe: a nil
 // histogram yields an empty snapshot.
@@ -141,8 +142,7 @@ func (h *Histogram) Observe(v float64) {
 	if h == nil {
 		return
 	}
-	i := sort.SearchFloat64s(h.bounds, v)
-	h.counts[i].Add(1)
+	h.counts[bucket(v)].Add(1)
 	h.count.Add(1)
 	for {
 		old := h.sum.Load()
@@ -162,27 +162,19 @@ func (h *Histogram) ObserveWithExemplar(v float64, traceID string) {
 	}
 	h.Observe(v)
 	if traceID != "" {
-		i := sort.SearchFloat64s(h.bounds, v)
-		h.exemplars[i].Store(&Exemplar{TraceID: traceID, Value: v})
+		h.exemplars[bucket(v)].Store(&Exemplar{TraceID: traceID, Value: v})
 	}
 }
 
 // snapshot captures the histogram's current state.
 func (h *Histogram) snapshot() *HistogramSnapshot {
 	s := &HistogramSnapshot{
-		Bounds: h.bounds,
-		Counts: make([]int64, len(h.counts)),
-		Sum:    math.Float64frombits(h.sum.Load()),
-		Count:  h.count.Load(),
+		Sum:   math.Float64frombits(h.sum.Load()),
+		Count: h.count.Load(),
 	}
 	for i := range h.counts {
 		s.Counts[i] = h.counts[i].Load()
-		if e := h.exemplars[i].Load(); e != nil {
-			if s.Exemplars == nil {
-				s.Exemplars = make([]*Exemplar, len(h.counts))
-			}
-			s.Exemplars[i] = e
-		}
+		s.Exemplars[i] = h.exemplars[i].Load()
 	}
 	return s
 }
@@ -224,13 +216,12 @@ func (r *Registry) Gauge(name string, l Labels) Gauge {
 }
 
 // Histogram returns (creating on first use) the histogram for the given
-// name and labels, with DefaultBuckets. A nil registry returns nil, whose
-// Observe is a no-op.
+// name and labels. A nil registry returns nil, whose Observe is a no-op.
 func (r *Registry) Histogram(name string, l Labels) *Histogram {
 	if r == nil {
 		return nil
 	}
-	return getOrCreate(r, r.hists, key{name, l}, func() *Histogram { return newHistogram(DefaultBuckets) })
+	return getOrCreate(r, r.hists, key{name, l}, func() *Histogram { return new(Histogram) })
 }
 
 func getOrCreate[T any](r *Registry, m map[key]*T, k key, mk func() *T) *T {
@@ -252,16 +243,13 @@ func getOrCreate[T any](r *Registry, m map[key]*T, k key, mk func() *T) *T {
 
 // HistogramSnapshot is the state of one histogram at snapshot time.
 type HistogramSnapshot struct {
-	// Bounds are the bucket upper bounds (µs); Counts has one extra entry
-	// for the overflow bucket.
-	Bounds []float64 `json:"bounds"`
-	Counts []int64   `json:"counts"`
-	Sum    float64   `json:"sum"`
-	Count  int64     `json:"count"`
-	// Exemplars, when present, is bucket-aligned with Counts: the last
-	// observation's trace ID per bucket (nil entries for buckets without
-	// one). Absent entirely when no exemplar was ever attached.
-	Exemplars []*Exemplar `json:"exemplars,omitempty"`
+	// Counts holds one entry per bucket; the last is the overflow bucket.
+	Counts [numBuckets]int64 `json:"counts"`
+	Sum    float64           `json:"sum"`
+	Count  int64             `json:"count"`
+	// Exemplars is bucket-aligned with Counts: the last observation's trace
+	// ID per bucket, nil for buckets without one.
+	Exemplars [numBuckets]*Exemplar `json:"exemplars"`
 }
 
 // Mean is the average observed value, 0 for an empty histogram.
@@ -278,36 +266,27 @@ func (h *HistogramSnapshot) Mean() float64 {
 // bucket has no upper bound, so targets landing there return the largest
 // finite bound. Returns 0 for an empty histogram.
 func (h *HistogramSnapshot) Quantile(q float64) float64 {
-	if h == nil || h.Count == 0 || len(h.Bounds) == 0 {
+	if h == nil || h.Count == 0 {
 		return 0
 	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
+	q = min(max(q, 0), 1)
 	rank := q * float64(h.Count)
 	var cum int64
-	for i, c := range h.Counts {
+	for i, c := range h.Counts[:len(bounds)] {
 		if float64(cum+c) < rank {
 			cum += c
 			continue
 		}
-		if i >= len(h.Bounds) {
-			return h.Bounds[len(h.Bounds)-1]
-		}
 		lo := 0.0
 		if i > 0 {
-			lo = h.Bounds[i-1]
+			lo = bounds[i-1]
 		}
-		hi := h.Bounds[i]
 		if c == 0 {
-			return hi
+			return bounds[i]
 		}
-		return lo + (hi-lo)*(rank-float64(cum))/float64(c)
+		return lo + (bounds[i]-lo)*(rank-float64(cum))/float64(c)
 	}
-	return h.Bounds[len(h.Bounds)-1]
+	return bounds[len(bounds)-1]
 }
 
 // Sample is one instrument's value at snapshot time.
@@ -410,12 +389,7 @@ func (s Snapshot) MergedHist(name string) *HistogramSnapshot {
 			continue
 		}
 		if out == nil {
-			out = &HistogramSnapshot{
-				Bounds: smp.Hist.Bounds,
-				Counts: append([]int64(nil), smp.Hist.Counts...),
-				Sum:    smp.Hist.Sum,
-				Count:  smp.Hist.Count,
-			}
+			out = &HistogramSnapshot{Counts: smp.Hist.Counts, Sum: smp.Hist.Sum, Count: smp.Hist.Count}
 			continue
 		}
 		out = histSum(out, smp.Hist)
@@ -492,25 +466,17 @@ func (s Snapshot) DeltaWithResets(prev Snapshot) (Snapshot, int) {
 // entries than before — the source process restarted, so the current
 // snapshot is returned whole and reset reports true.
 func histDelta(cur, old *HistogramSnapshot) (_ *HistogramSnapshot, reset bool) {
-	if cur == nil || old == nil || len(cur.Counts) != len(old.Counts) {
+	if cur == nil || old == nil {
 		return cur, false
 	}
 	if cur.Count < old.Count {
 		return cur, true
 	}
+	d := &HistogramSnapshot{Sum: cur.Sum - old.Sum, Count: cur.Count - old.Count, Exemplars: cur.Exemplars}
 	for i := range cur.Counts {
 		if cur.Counts[i] < old.Counts[i] {
 			return cur, true
 		}
-	}
-	d := &HistogramSnapshot{
-		Bounds:    cur.Bounds,
-		Counts:    make([]int64, len(cur.Counts)),
-		Sum:       cur.Sum - old.Sum,
-		Count:     cur.Count - old.Count,
-		Exemplars: cur.Exemplars,
-	}
-	for i := range cur.Counts {
 		d.Counts[i] = cur.Counts[i] - old.Counts[i]
 	}
 	return d, false
@@ -551,28 +517,14 @@ func histSum(a, b *HistogramSnapshot) *HistogramSnapshot {
 	if a == nil {
 		return b
 	}
-	if b == nil || len(a.Counts) != len(b.Counts) {
+	if b == nil {
 		return a
 	}
-	d := &HistogramSnapshot{
-		Bounds: a.Bounds,
-		Counts: make([]int64, len(a.Counts)),
-		Sum:    a.Sum + b.Sum,
-		Count:  a.Count + b.Count,
-	}
-	for i := range a.Counts {
+	d := &HistogramSnapshot{Sum: a.Sum + b.Sum, Count: a.Count + b.Count}
+	for i := range d.Counts {
 		d.Counts[i] = a.Counts[i] + b.Counts[i]
-	}
-	// Per-bucket exemplars: keep a's (the receiver's view), fall back to b's.
-	if a.Exemplars != nil || b.Exemplars != nil {
-		d.Exemplars = make([]*Exemplar, len(d.Counts))
-		for i := range d.Exemplars {
-			if a.Exemplars != nil && a.Exemplars[i] != nil {
-				d.Exemplars[i] = a.Exemplars[i]
-			} else if b.Exemplars != nil {
-				d.Exemplars[i] = b.Exemplars[i]
-			}
-		}
+		// Per-bucket exemplars: keep a's (the receiver's view), fall back to b's.
+		d.Exemplars[i] = cmp.Or(a.Exemplars[i], b.Exemplars[i])
 	}
 	return d
 }
@@ -587,19 +539,22 @@ func (s Snapshot) Text() string {
 			fmt.Fprintf(&b, "%s%s %d\n", smp.Name, smp.Labels, smp.Value)
 		case "histogram":
 			h := smp.Hist
+			if h == nil {
+				h = &HistogramSnapshot{}
+			}
 			fmt.Fprintf(&b, "%s%s count=%d sum=%.1fµs mean=%.1fµs",
 				smp.Name, smp.Labels, h.Count, h.Sum, h.Mean())
 			for i, c := range h.Counts {
 				if c == 0 {
 					continue
 				}
-				if i < len(h.Bounds) {
-					fmt.Fprintf(&b, " le%.0f:%d", h.Bounds[i], c)
+				if i < len(bounds) {
+					fmt.Fprintf(&b, " le%.0f:%d", bounds[i], c)
 				} else {
 					fmt.Fprintf(&b, " inf:%d", c)
 				}
-				if h.Exemplars != nil && h.Exemplars[i] != nil {
-					fmt.Fprintf(&b, "#%s", h.Exemplars[i].TraceID)
+				if e := h.Exemplars[i]; e != nil {
+					fmt.Fprintf(&b, "#%s", e.TraceID)
 				}
 			}
 			b.WriteByte('\n')

@@ -2,7 +2,6 @@ package metrics
 
 import (
 	"encoding/json"
-	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -74,9 +73,6 @@ func TestHistogramBuckets(t *testing.T) {
 	hs := s.Hist
 	if hs.Count != 5 {
 		t.Errorf("count = %d, want 5", hs.Count)
-	}
-	if len(hs.Counts) != len(hs.Bounds)+1 {
-		t.Fatalf("counts len %d, bounds len %d", len(hs.Counts), len(hs.Bounds))
 	}
 	// 10 → le50; 60,60 → le100; 99999 → le100000; 1e9 → overflow.
 	if hs.Counts[0] != 1 || hs.Counts[1] != 2 {
@@ -289,8 +285,8 @@ func TestHistogramQuantile(t *testing.T) {
 	if got := s.Quantile(1); got != 250 {
 		t.Errorf("q=1 = %g, want 250", got)
 	}
-	if got := s.Quantile(0); got != DefaultBuckets[0] {
-		t.Errorf("q=0 = %g, want first bound %g", got, DefaultBuckets[0])
+	if got := s.Quantile(0); got != bounds[0] {
+		t.Errorf("q=0 = %g, want first bound %g", got, bounds[0])
 	}
 	// Out-of-range q clamps rather than panicking.
 	if got := s.Quantile(-1); got != s.Quantile(0) {
@@ -319,7 +315,7 @@ func TestHistogramQuantile(t *testing.T) {
 	// Overflow-bucket targets report the largest finite bound.
 	h3 := NewHistogram()
 	h3.Observe(1e9)
-	top := DefaultBuckets[len(DefaultBuckets)-1]
+	top := bounds[len(bounds)-1]
 	if got := h3.Snapshot().Quantile(0.99); got != top {
 		t.Errorf("overflow quantile = %g, want %g", got, top)
 	}
@@ -328,14 +324,10 @@ func TestHistogramQuantile(t *testing.T) {
 // exemplarFor returns the exemplar of the bucket the value v falls into, nil
 // when none is attached.
 func exemplarFor(h *HistogramSnapshot, v float64) *Exemplar {
-	if h == nil || h.Exemplars == nil {
+	if h == nil {
 		return nil
 	}
-	i := sort.SearchFloat64s(h.Bounds, v)
-	if i >= len(h.Exemplars) {
-		return nil
-	}
-	return h.Exemplars[i]
+	return h.Exemplars[bucket(v)]
 }
 
 func TestHistogramExemplar(t *testing.T) {
@@ -369,7 +361,7 @@ func TestHistogramExemplar(t *testing.T) {
 	// Empty trace ID attaches nothing.
 	h2 := NewHistogram()
 	h2.ObserveWithExemplar(10, "")
-	if h2.Snapshot().Exemplars != nil {
+	if h2.Snapshot().Exemplars != [numBuckets]*Exemplar{} {
 		t.Error("empty trace ID attached an exemplar")
 	}
 	// Text() marks exemplared buckets with #traceID.

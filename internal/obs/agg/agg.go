@@ -47,20 +47,20 @@ type Target struct {
 	LocalQueries func() []*trace.Profile
 }
 
+// The aggregator runs at the global processing site, whose name labels its
+// own scrape_*/cluster_* metrics; its rollups cover the trailing window.
+const (
+	site   = "G"
+	window = time.Minute
+)
+
 // Config parameterizes a Scraper.
 type Config struct {
-	// Site labels the aggregator's own scrape_*/cluster_* metrics
-	// (default "G").
-	Site string
 	// Targets are the sites to scrape. At least one is required.
 	Targets []Target
-	// Interval between scrape passes (default 2s).
+	// Interval between scrape passes (default 2s). A site is stale when its
+	// last successful scrape is more than three intervals old.
 	Interval time.Duration
-	// Window is the default rollup window (default 1m).
-	Window time.Duration
-	// StaleAfter marks a site stale when its last successful scrape is
-	// older than this (default 3×Interval).
-	StaleAfter time.Duration
 	// Metrics receives the scraper's own instrumentation (may be nil).
 	Metrics *metrics.Registry
 	// Log receives scrape-failure and staleness events (may be nil).
@@ -99,9 +99,10 @@ type siteState struct {
 // rollup. Start launches the polling loop; ScrapeOnce drives it manually
 // (tests, -once tooling). All accessors are safe for concurrent use.
 type Scraper struct {
-	cfg    Config
-	client *http.Client
-	nowFn  func() time.Time
+	cfg        Config
+	staleAfter time.Duration
+	client     *http.Client
+	nowFn      func() time.Time
 
 	mu    sync.Mutex
 	sites []*siteState // config order
@@ -134,22 +135,14 @@ func New(cfg Config) (*Scraper, error) {
 			return nil, fmt.Errorf("agg: target %s: neither URL nor Local", t.Site)
 		}
 	}
-	if cfg.Site == "" {
-		cfg.Site = "G"
-	}
 	if cfg.Interval <= 0 {
 		cfg.Interval = 2 * time.Second
 	}
-	if cfg.Window <= 0 {
-		cfg.Window = time.Minute
-	}
-	if cfg.StaleAfter <= 0 {
-		cfg.StaleAfter = 3 * cfg.Interval
-	}
 	s := &Scraper{
-		cfg:    cfg,
-		client: &http.Client{},
-		nowFn:  time.Now,
+		cfg:        cfg,
+		staleAfter: 3 * cfg.Interval,
+		client:     &http.Client{},
+		nowFn:      time.Now,
 	}
 	for _, t := range cfg.Targets {
 		s.sites = append(s.sites, &siteState{target: t})
@@ -247,7 +240,7 @@ func (s *Scraper) ScrapeOnce(ctx context.Context) {
 	wg.Wait()
 
 	if reg := s.cfg.Metrics; reg != nil {
-		self := metrics.Labels{Site: s.cfg.Site}
+		self := metrics.Labels{Site: site}
 		reg.Histogram("scrape_duration_us", self).
 			Observe(float64(s.nowFn().Sub(start).Microseconds()))
 		live, total := s.Liveness()
@@ -259,7 +252,7 @@ func (s *Scraper) ScrapeOnce(ctx context.Context) {
 // scrapeTarget fetches one target's metrics + health and folds the result
 // into its state.
 func (s *Scraper) scrapeTarget(ctx context.Context, st *siteState) {
-	labels := metrics.Labels{Site: s.cfg.Site, Peer: st.target.Site}
+	labels := metrics.Labels{Site: site, Peer: st.target.Site}
 	if reg := s.cfg.Metrics; reg != nil {
 		reg.Counter("scrape_total", labels).Add(1)
 	}
@@ -336,7 +329,7 @@ func (s *Scraper) scrapeTarget(ctx context.Context, st *siteState) {
 	st.haveRaw = true
 	st.lastRaw = snap
 	st.history = append(st.history, sample{t: now, snap: st.cum})
-	st.trimHistory(now.Add(-s.cfg.Window))
+	st.trimHistory(now.Add(-window))
 }
 
 // trimHistory drops points older than cutoff, but keeps the newest such
@@ -363,7 +356,7 @@ func (s *Scraper) Liveness() (live, total int) {
 	defer s.mu.Unlock()
 	for _, st := range s.sites {
 		total++
-		if !st.lastOK.IsZero() && now.Sub(st.lastOK) <= s.cfg.StaleAfter {
+		if !st.lastOK.IsZero() && now.Sub(st.lastOK) <= s.staleAfter {
 			live++
 		}
 	}

@@ -57,9 +57,7 @@ func TestRollupWindowStats(t *testing.T) {
 	srv := fakeSite(t, site, `{"status":"ok","uptime_seconds":42,"breakers":{"DB2":"closed"}}`, nil)
 
 	s, advance := newTestScraper(t, Config{
-		Site:     "G",
 		Interval: time.Second,
-		Window:   10 * time.Second,
 		Metrics:  metrics.New(),
 		Targets: []Target{
 			{Site: "G", Local: coord.Snapshot},
@@ -137,7 +135,7 @@ func TestScrapeCounterReset(t *testing.T) {
 
 	self := metrics.New()
 	s, advance := newTestScraper(t, Config{
-		Site: "G", Interval: time.Second, Window: time.Minute, Metrics: self,
+		Interval: time.Second, Metrics: self,
 		Targets: []Target{{Site: "DB1", URL: srv.URL}},
 	})
 	advance(0)
@@ -164,11 +162,44 @@ func TestScrapeCounterReset(t *testing.T) {
 	}
 }
 
+// TestScrapeSurvivesMalformedHistogram: one site's /metrics body must not
+// take the aggregator down. This histogram lists fewer exemplars than
+// counts; the second scrape differences and merges it.
+func TestScrapeSurvivesMalformedHistogram(t *testing.T) {
+	n := 1
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path != "/metrics" {
+			http.NotFound(w, r)
+			return
+		}
+		fmt.Fprintf(w, `{"samples":[{"name":"request_latency_us","labels":{"site":"DB1"},"kind":"histogram",
+			"histogram":{"counts":[%d,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0],"sum":%d,"count":%[1]d,
+			"exemplars":[{"trace_id":"q1","value":10}]}}]}`, n, 10*n)
+	}))
+	t.Cleanup(srv.Close)
+
+	s, advance := newTestScraper(t, Config{Interval: time.Second, Targets: []Target{{Site: "DB1", URL: srv.URL}}})
+	advance(0)
+	n = 3
+	advance(time.Second)
+
+	if live, _ := s.Liveness(); live != 1 {
+		t.Fatal("the site that sent the histogram is not live")
+	}
+	d, _, ok := s.WindowDelta(time.Minute)
+	if !ok {
+		t.Fatal("no window after two scrapes")
+	}
+	if count, sum := d.HistTotals("request_latency_us"); count != 2 || sum != 20 {
+		t.Errorf("windowed histogram = %d observations, sum %g; want 2, 20", count, sum)
+	}
+}
+
 func TestStalenessAndFailures(t *testing.T) {
 	srv := fakeSite(t, metrics.New(), `{"status":"ok"}`, nil)
 	self := metrics.New()
 	s, advance := newTestScraper(t, Config{
-		Site: "G", Interval: time.Second, StaleAfter: 3 * time.Second, Metrics: self,
+		Interval: time.Second, Metrics: self, // stale after 3s
 		Targets: []Target{{Site: "DB1", URL: srv.URL}},
 	})
 	advance(0)
@@ -179,7 +210,7 @@ func TestStalenessAndFailures(t *testing.T) {
 	srv.Close() // site dies
 	advance(time.Second)
 	advance(time.Second)
-	advance(2 * time.Second) // 4s since last success > StaleAfter
+	advance(2 * time.Second) // 4s since last success > 3 intervals
 
 	if live, _ := s.Liveness(); live != 0 {
 		t.Errorf("dead site still live")
@@ -213,7 +244,7 @@ func TestSlowQueriesMergeDedup(t *testing.T) {
 	srv := fakeSite(t, metrics.New(), `{"status":"ok"}`, siteQ)
 
 	s, _ := newTestScraper(t, Config{
-		Site: "G", Interval: time.Second,
+		Interval: time.Second,
 		Targets: []Target{
 			{Site: "G", Local: metrics.New().Snapshot,
 				LocalQueries: func() []*trace.Profile { return coordQ }},
@@ -244,7 +275,7 @@ func TestSlowQueriesMergeDedup(t *testing.T) {
 func TestClusterHandlers(t *testing.T) {
 	reg := metrics.New()
 	s, advance := newTestScraper(t, Config{
-		Site: "G", Interval: time.Second,
+		Interval: time.Second,
 		Targets: []Target{{Site: "G", Local: reg.Snapshot,
 			LocalQueries: func() []*trace.Profile {
 				return []*trace.Profile{{ID: "rq9-fff", Alg: "BL", WallMicros: 777}}

@@ -34,7 +34,7 @@ import (
 
 const (
 	scrapeEvery = 50 * time.Millisecond
-	// staleAfter is wider than the scraper's default three intervals: under
+	// staleAfter is wider than the scraper's three intervals: under
 	// the race detector on a loaded machine a round over four targets takes
 	// longer than that now and then, a live site reads as stale for an
 	// instant, and every condition below that wants all four live at once
@@ -146,22 +146,16 @@ func TestClusterObservabilityE2E(t *testing.T) {
 	for _, sid := range siteIDs {
 		targets = append(targets, agg.Target{Site: string(sid), URL: "http://" + obsSrvs[sid].Addr()})
 	}
-	scr, err := agg.New(agg.Config{
-		Site:       "G",
-		Targets:    targets,
-		Interval:   scrapeEvery,
-		StaleAfter: staleAfter,
-		Window:     2 * time.Second,
-		Metrics:    coordReg,
-	})
+	scr, err := agg.New(agg.Config{Targets: targets, Interval: scrapeEvery, Metrics: coordReg})
 	if err != nil {
 		t.Fatal(err)
 	}
+	scr.SetStaleAfter(staleAfter)
 	rules, err := slo.ParseRules("availability >= 0.99; query_latency p99 < 30s over 2s")
 	if err != nil {
 		t.Fatal(err)
 	}
-	engine, err := slo.New(slo.Config{Site: "G", Source: scr, Rules: rules, Metrics: coordReg})
+	engine, err := slo.New(slo.Config{Source: scr, Rules: rules, Metrics: coordReg})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,14 @@
 package agg
 
-import "github.com/hetfed/hetfed/internal/metrics"
+import (
+	"time"
+
+	"github.com/hetfed/hetfed/internal/metrics"
+)
+
+// SetStaleAfter widens the staleness bound past three intervals, for a test
+// whose scrape rounds can outlast that on a loaded machine. Call before Start.
+func (s *Scraper) SetStaleAfter(d time.Duration) { s.staleAfter = d }
 
 // LastRaw returns the snapshot the scraper last took of the named target, as
 // the target reported it: what the next scrape is compared with to tell a

@@ -99,10 +99,10 @@ func (s *Scraper) Rollup() Rollup {
 	defer s.mu.Unlock()
 
 	out := Rollup{
-		Site:      s.cfg.Site,
+		Site:      site,
 		Time:      now,
 		IntervalS: s.cfg.Interval.Seconds(),
-		WindowS:   s.cfg.Window.Seconds(),
+		WindowS:   window.Seconds(),
 	}
 	for _, st := range s.sites {
 		row := SiteStatus{
@@ -116,7 +116,7 @@ func (s *Scraper) Rollup() Rollup {
 		}
 		if !st.lastOK.IsZero() {
 			row.StaleS = now.Sub(st.lastOK).Seconds()
-			row.Live = now.Sub(st.lastOK) <= s.cfg.StaleAfter
+			row.Live = now.Sub(st.lastOK) <= s.staleAfter
 		}
 		if st.haveHealth {
 			row.Conditions = st.health.Breakers
@@ -126,7 +126,7 @@ func (s *Scraper) Rollup() Rollup {
 		if !row.Live {
 			row.Status = "unreachable"
 		}
-		if d, span, ok := windowDelta(st.history, now, s.cfg.Window); ok {
+		if d, span, ok := windowDelta(st.history, now, window); ok {
 			row.Window = statsFromDelta(d, span)
 		}
 		out.Sites = append(out.Sites, row)
@@ -135,7 +135,7 @@ func (s *Scraper) Rollup() Rollup {
 			out.Fed.SitesLive++
 		}
 	}
-	if d, span, ok := s.windowDeltaLocked(now, s.cfg.Window); ok {
+	if d, span, ok := s.windowDeltaLocked(now, window); ok {
 		out.Fed.Window = statsFromDelta(d, span)
 	}
 	return out

@@ -25,9 +25,8 @@ import (
 	"github.com/hetfed/hetfed/internal/trace"
 )
 
-// DefaultRecorderSize is the profile ring capacity when RecorderConfig
-// leaves Size zero.
-const DefaultRecorderSize = 128
+// RecorderSize is the profile ring's capacity.
+const RecorderSize = 128
 
 // slowQuantile is the latency quantile at/above which a profile counts as
 // slow, estimated from the recorder's own latency histogram over everything
@@ -43,8 +42,6 @@ const (
 type RecorderConfig struct {
 	// Site names the recording process in logs and metrics.
 	Site string
-	// Size bounds the profile ring (0 = DefaultRecorderSize).
-	Size int
 	// SlowThreshold, when positive, marks any profile at/over this absolute
 	// latency as slow and logs it through Log — the slow-query log.
 	SlowThreshold time.Duration
@@ -58,7 +55,8 @@ type RecorderConfig struct {
 // Recorder is a flight recorder of query profiles. Safe for concurrent use.
 // A nil *Recorder ignores every call, so instrumented paths need no guards.
 type Recorder struct {
-	cfg RecorderConfig
+	cfg  RecorderConfig
+	size int // RecorderSize; tests shrink it
 
 	mu      sync.Mutex
 	ring    []entry // record order, oldest first
@@ -74,10 +72,7 @@ type entry struct {
 
 // NewRecorder builds a flight recorder.
 func NewRecorder(cfg RecorderConfig) *Recorder {
-	if cfg.Size <= 0 {
-		cfg.Size = DefaultRecorderSize
-	}
-	return &Recorder{cfg: cfg, latency: metrics.NewHistogram()}
+	return &Recorder{cfg: cfg, size: RecorderSize, latency: metrics.NewHistogram()}
 }
 
 // Record admits one finished query profile. Nil-safe on both sides.
@@ -89,7 +84,7 @@ func (r *Recorder) Record(p *trace.Profile) {
 	slow := r.isSlowLocked(p)
 	r.latency.Observe(p.WallMicros)
 	ent := entry{p: p, retained: slow || p.Interesting()}
-	if len(r.ring) >= r.cfg.Size {
+	if len(r.ring) >= r.size {
 		r.evictLocked()
 	}
 	r.ring = append(r.ring, ent)

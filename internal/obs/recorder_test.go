@@ -31,7 +31,7 @@ func TestRecorderNilSafe(t *testing.T) {
 
 func TestRecorderRetention(t *testing.T) {
 	reg := metrics.New()
-	r := NewRecorder(RecorderConfig{Site: "G", Size: 4, Metrics: reg})
+	r := sizedRecorder(4, RecorderConfig{Site: "G", Metrics: reg})
 
 	degraded := &trace.Profile{ID: "bad1", Alg: "BL", Status: trace.StatusDegraded,
 		WallMicros: 600, Unavailable: []string{"DB2"}}
@@ -80,8 +80,7 @@ func TestRecorderSlowThreshold(t *testing.T) {
 	reg := metrics.New()
 	var logBuf bytes.Buffer
 	log := slog.New(slog.NewTextHandler(&logBuf, nil))
-	r := NewRecorder(RecorderConfig{Site: "G", Size: 3,
-		SlowThreshold: time.Millisecond, Log: log, Metrics: reg})
+	r := sizedRecorder(3, RecorderConfig{Site: "G", SlowThreshold: time.Millisecond, Log: log, Metrics: reg})
 
 	slow := &trace.Profile{ID: "slow1", Alg: "PL", Status: trace.StatusOK, WallMicros: 5000}
 	r.Record(slow)
@@ -107,7 +106,7 @@ func TestRecorderSlowThreshold(t *testing.T) {
 // TestRecorderSlowQuantile: without an absolute threshold, a profile in the
 // running latency tail is retained once enough samples back the estimate.
 func TestRecorderSlowQuantile(t *testing.T) {
-	r := NewRecorder(RecorderConfig{Site: "G", Size: 4})
+	r := sizedRecorder(4, RecorderConfig{Site: "G"})
 	// Seed the distribution well past slowMinSamples with fast queries.
 	for i := 0; i < 2*slowMinSamples; i++ {
 		r.Record(okProfile(fmt.Sprintf("seed%d", i)))
@@ -128,7 +127,7 @@ func TestRecorderSlowQuantile(t *testing.T) {
 // TestRecorderAllRetained: when every slot is retained, the oldest retained
 // profile finally falls — the ring stays bounded.
 func TestRecorderAllRetained(t *testing.T) {
-	r := NewRecorder(RecorderConfig{Site: "G", Size: 3})
+	r := sizedRecorder(3, RecorderConfig{Site: "G"})
 	for i := 0; i < 5; i++ {
 		r.Record(&trace.Profile{ID: fmt.Sprintf("bad%d", i), Alg: "BL",
 			Status: trace.StatusError, Error: "x", WallMicros: 100})
@@ -146,7 +145,7 @@ func TestRecorderAllRetained(t *testing.T) {
 
 func TestRecorderConcurrent(t *testing.T) {
 	reg := metrics.New()
-	r := NewRecorder(RecorderConfig{Site: "G", Size: 8, Metrics: reg})
+	r := sizedRecorder(8, RecorderConfig{Site: "G", Metrics: reg})
 	var wg sync.WaitGroup
 	for i := 0; i < 8; i++ {
 		wg.Add(1)
@@ -298,4 +297,11 @@ func TestQueriesEndpointNilRecorder(t *testing.T) {
 	if code != http.StatusNotFound {
 		t.Errorf("trace without recorder: %d", code)
 	}
+}
+
+// sizedRecorder is a recorder whose ring holds n profiles.
+func sizedRecorder(n int, cfg RecorderConfig) *Recorder {
+	r := NewRecorder(cfg)
+	r.size = n
+	return r
 }

@@ -16,10 +16,12 @@ import (
 // single slow query dominates the measurement and the warn state flaps.
 const minShortWindow = 5 * time.Second
 
+// site labels the alerts_* metrics: the engine runs beside the aggregator, at
+// the global processing site.
+const site = "G"
+
 // Config parameterizes an Engine.
 type Config struct {
-	// Site labels the alerts_* metrics (default "G").
-	Site string
 	// Source supplies measurements; required.
 	Source Source
 	// Rules to evaluate; required.
@@ -73,9 +75,6 @@ func New(cfg Config) (*Engine, error) {
 	}
 	if len(cfg.Rules) == 0 {
 		return nil, fmt.Errorf("slo: no rules")
-	}
-	if cfg.Site == "" {
-		cfg.Site = "G"
 	}
 	e := &Engine{cfg: cfg, nowFn: time.Now}
 	now := e.nowFn()
@@ -144,7 +143,7 @@ func (e *Engine) Evaluate() {
 		}
 	}
 	if reg := e.cfg.Metrics; reg != nil {
-		reg.Gauge("alerts_firing", metrics.Labels{Site: e.cfg.Site}).Set(int64(firing))
+		reg.Gauge("alerts_firing", metrics.Labels{Site: site}).Set(int64(firing))
 	}
 }
 
@@ -174,7 +173,7 @@ func (e *Engine) transitionLocked(rs *ruleState, next State, now time.Time) {
 	prev := rs.state
 	rs.state = next
 	rs.since = now
-	labels := metrics.Labels{Site: e.cfg.Site, Phase: rs.rule.Name}
+	labels := metrics.Labels{Site: site, Phase: rs.rule.Name}
 	if reg := e.cfg.Metrics; reg != nil {
 		reg.Counter("alerts_transitions_total", labels).Add(1)
 		reg.Gauge("alerts_state", labels).Set(int64(next))

@@ -130,7 +130,7 @@ func TestAvailabilityStateMachine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e, err := New(Config{Site: "G", Source: src, Rules: rules, Metrics: reg})
+	e, err := New(Config{Source: src, Rules: rules, Metrics: reg})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,12 +14,6 @@ import (
 // messages as kindDigest/kindRepair/kindBind requests and runs its rounds on
 // a jittered cadence.
 
-// AntiEntropyConfig tunes a process's background anti-entropy loop.
-type AntiEntropyConfig struct {
-	// Interval is the cadence between rounds; 0 disables the loop.
-	Interval time.Duration
-}
-
 const (
 	// repairJitter spreads each wait by ±interval·repairJitter so the
 	// cluster's loops decorrelate instead of synchronizing into exchange

@@ -93,7 +93,7 @@ func TestCoordinatorPullsMissingBindings(t *testing.T) {
 // explicitly.
 func TestAntiEntropyLoopConvergesInBackground(t *testing.T) {
 	_, cluster := testCluster(t, nil, nil, func(_ object.SiteID, cfg *ServerConfig) {
-		cfg.AntiEntropy = AntiEntropyConfig{Interval: 20 * time.Millisecond}
+		cfg.AntiEntropy = 20 * time.Millisecond
 	})
 	servers := serversOf(cluster)
 

@@ -156,6 +156,29 @@ func TestClientBreakerFastFail(t *testing.T) {
 	}
 }
 
+// TestZeroCallConfigHasNoBreaker: the zero CallConfig — what a ServerConfig
+// or Coordinator that leaves Call unset runs with — is DefaultCallConfig
+// without its breaker. Failing calls past the default threshold never open
+// one.
+func TestZeroCallConfigHasNoBreaker(t *testing.T) {
+	got, want := CallConfig{}.withDefaults(), DefaultCallConfig()
+	if got.DialTimeout != want.DialTimeout || got.CallTimeout != want.CallTimeout ||
+		got.Attempts != want.Attempts || got.BreakerThreshold != 0 {
+		t.Errorf("zero CallConfig = %+v, want DefaultCallConfig %+v with BreakerThreshold 0", got, want)
+	}
+	cl := newClient("TEST", CallConfig{}, nil)
+	defer cl.close()
+	for i := 0; i <= want.BreakerThreshold; i++ {
+		_, _, err := cl.call("dead", "127.0.0.1:1", Request{Kind: kindPing})
+		if !errors.Is(err, exec.ErrSiteUnavailable) || errors.Is(err, ErrCircuitOpen) {
+			t.Fatalf("call %d: %v, want a failed dial with no breaker", i, err)
+		}
+	}
+	if states := cl.BreakerStates(); len(states) != 0 {
+		t.Errorf("breaker states = %v, want none", states)
+	}
+}
+
 // TestBreakerConcurrentProbers: when the cooldown elapses, any number of
 // concurrent callers must resolve to exactly one admitted probe (the probe
 // slot) with everyone else fast-failing as open — the half-open state must

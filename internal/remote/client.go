@@ -19,9 +19,11 @@ import (
 
 // CallConfig is the client-side networking policy of a federation process:
 // how calls time out, retry, back off, pool connections, and trip circuit
-// breakers. The zero value means DefaultCallConfig. Timeouts are plain
-// fields (not package globals) so concurrent coordinators and tests can
-// run different policies without racing.
+// breakers. Zero timeouts and a zero Attempts take DefaultCallConfig's
+// values, but a zero BreakerThreshold turns the breaker off: the zero value
+// is DefaultCallConfig without a breaker. Timeouts are plain fields (not
+// package globals) so concurrent coordinators and tests can run different
+// policies without racing.
 type CallConfig struct {
 	// DialTimeout bounds connection establishment to a peer.
 	DialTimeout time.Duration

@@ -61,26 +61,22 @@ type Coordinator struct {
 	// Log, when non-nil, receives structured query logs.
 	Log *slog.Logger
 	// Call is the networking policy for site calls: timeouts, retries,
-	// pooling, circuit breakers. Zero fields take DefaultCallConfig values.
+	// pooling, circuit breakers. Zero timeouts and Attempts take
+	// DefaultCallConfig's values; a zero BreakerThreshold means no breaker.
 	Call CallConfig
 	// MaxConcurrent bounds the queries executing at once (admission
 	// control); calls beyond the bound wait for a slot. Zero or negative
 	// means unbounded. Read at the first Query; set before serving.
 	MaxConcurrent int
-	// Deadline, when positive, caps every query's end-to-end time.
-	// QueryContext applies it only when the caller's context carries no
-	// deadline of its own. An over-deadline query returns its sound partial
-	// answer with Answer.Outcome = OutcomeDeadline.
-	Deadline time.Duration
 	// DeltaLog, when set, makes the coordinator's replica durable: a binding
 	// Insert assigns or repair pulls is logged before it is applied, so a
 	// restart over the recovered tables holds everything that was broadcast.
 	// Typically a *wal.Engine opened with OpenLog.
 	DeltaLog antientropy.DeltaLog
-	// AntiEntropy configures the coordinator's replica-repair loop: the
-	// cadence of StartAntiEntropy's background rounds. The zero value
-	// disables the loop; rounds can still be run on demand.
-	AntiEntropy AntiEntropyConfig
+	// AntiEntropy is the cadence of StartAntiEntropy's background
+	// replica-repair rounds. Zero disables the loop; rounds can still be run
+	// on demand.
+	AntiEntropy time.Duration
 
 	// mu guards Tables (and the Matcher behind it) between concurrent
 	// Query and Insert calls.
@@ -180,17 +176,17 @@ func (c *Coordinator) RunAntiEntropyRound(ctx context.Context) int {
 }
 
 // StartAntiEntropy launches the background repair loop on the configured
-// cadence (AntiEntropy.Interval; zero or negative is a no-op) and returns
-// its stop function. Stop before Close.
+// cadence (AntiEntropy; zero or negative is a no-op) and returns its stop
+// function. Stop before Close.
 func (c *Coordinator) StartAntiEntropy() (stop func()) {
-	if c.AntiEntropy.Interval <= 0 {
+	if c.AntiEntropy <= 0 {
 		return func() {}
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		repairLoop(ctx, c.AntiEntropy.Interval, c.RunAntiEntropyRound)
+		repairLoop(ctx, c.AntiEntropy, c.RunAntiEntropyRound)
 	}()
 	return func() {
 		cancel()
@@ -252,10 +248,11 @@ func (c *Coordinator) Query(text string, alg exec.Algorithm) (*federation.Answer
 // QueryContext is Query under a caller context. The strategies and the
 // query lifecycle are exec.Runner's, shared with the in-process engine — see
 // Runner.Run for admission, shedding and the sound partial answer an
-// interrupted query returns. This method binds the text, hands the runner
-// the TCP implementation of the site operations, and logs. Over TCP the
-// deadline travels to every site as a remaining-budget stamp on each
-// request, and cancellation cuts in-flight exchanges.
+// interrupted query returns. The query's budget is ctx's: this method binds
+// the text, hands the runner the TCP implementation of the site operations,
+// and logs. Over TCP ctx's deadline travels to every site as a
+// remaining-budget stamp on each request, and cancellation cuts in-flight
+// exchanges.
 func (c *Coordinator) QueryContext(ctx context.Context, text string, alg exec.Algorithm) (*federation.Answer, time.Duration, error) {
 	b, err := c.plans.bind(text, c.Global)
 	if err != nil {
@@ -273,7 +270,6 @@ func (c *Coordinator) QueryContext(ctx context.Context, text string, alg exec.Al
 		Recorder: c.Recorder,
 		Selector: c.Selector,
 		Gate:     gate,
-		Deadline: c.Deadline,
 		Suspect:  c.Replica().SuspectOf,
 	}
 	qid := fmt.Sprintf("rq%d-%06x", c.qseq.Add(1), qidTag)

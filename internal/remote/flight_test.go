@@ -19,11 +19,10 @@ func recorded(site object.SiteID, cfg *ServerConfig) {
 	cfg.Recorder = obs.NewRecorder(obs.RecorderConfig{Site: string(site)})
 }
 
-// recordingCoordinator is an observed coordinator whose flight recorder
-// holds ring profiles.
-func recordingCoordinator(ring int) *Coordinator {
+// recordingCoordinator is an observed coordinator with a flight recorder.
+func recordingCoordinator() *Coordinator {
 	coord := observedCoordinator()
-	coord.Recorder = obs.NewRecorder(obs.RecorderConfig{Site: "G", Size: ring})
+	coord.Recorder = obs.NewRecorder(obs.RecorderConfig{Site: "G"})
 	return coord
 }
 
@@ -31,7 +30,7 @@ func recordingCoordinator(ring int) *Coordinator {
 // query must include the spans every participating site shipped back, and
 // its Chrome trace export must be valid JSON naming each of them.
 func TestClusterProfileCoversAllSites(t *testing.T) {
-	coord, _ := testCluster(t, nil, recordingCoordinator(8), recorded)
+	coord, _ := testCluster(t, nil, recordingCoordinator(), recorded)
 
 	// CA touches every site from the coordinator; BL reaches DB3 only
 	// site-to-site (check traffic), so its spans arrive transitively.
@@ -91,7 +90,7 @@ func TestClusterProfileCoversAllSites(t *testing.T) {
 // TestClusterSiteRecorders: traced requests leave profiles in the serving
 // sites' own flight recorders, not only the coordinator's.
 func TestClusterSiteRecorders(t *testing.T) {
-	coord, cluster := testCluster(t, nil, recordingCoordinator(8), recorded)
+	coord, cluster := testCluster(t, nil, recordingCoordinator(), recorded)
 
 	if _, _, err := coord.Query(school.Q1, exec.CA); err != nil {
 		t.Fatal(err)
@@ -111,8 +110,8 @@ func TestClusterSiteRecorders(t *testing.T) {
 // degrades mid-flight (a site dies) stays resolvable in the coordinator's
 // flight recorder after more than a ring's worth of healthy queries.
 func TestClusterDegradedProfileRetained(t *testing.T) {
-	const ring = 4
-	coord, cluster := testCluster(t, nil, recordingCoordinator(ring), recorded)
+	const ring = obs.RecorderSize
+	coord, cluster := testCluster(t, nil, recordingCoordinator(), recorded)
 	coord.Call = fastFail
 
 	// Kill DB3 and run one query: it degrades rather than failing.
@@ -136,9 +135,9 @@ func TestClusterDegradedProfileRetained(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Flood with healthy queries, several ring-fulls past capacity.
+	// Flood with healthy queries past the ring's capacity.
 	healthy := 0
-	for i := 0; i < 3*ring; i++ {
+	for i := 0; i < ring+8; i++ {
 		ans, _, err := coord.Query(school.Q1, exec.BL)
 		if err != nil {
 			t.Fatalf("healthy query %d: %v", i, err)

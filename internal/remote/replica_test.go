@@ -25,6 +25,7 @@ import (
 var errLogDown = errors.New("log device down")
 
 // switchEngine is a site's storage engine whose bind log can be switched off.
+// A nil StorageEngine logs nothing.
 type switchEngine struct {
 	store.StorageEngine
 	down *atomic.Int32 // LogBind calls left to fail; negative = all of them
@@ -36,6 +37,9 @@ func (e switchEngine) LogBind(class string, goid object.GOid, site object.SiteID
 			e.down.Add(-1)
 		}
 		return errLogDown
+	}
+	if e.StorageEngine == nil {
+		return nil
 	}
 	return e.StorageEngine.LogBind(class, goid, site, loid)
 }
@@ -334,7 +338,7 @@ func TestLogFailureIsNotAConflict(t *testing.T) {
 				cfg.Metrics = reg
 				if site == "DB1" {
 					// An engine makes the server serve Tables in place.
-					cfg.Tables, cfg.Engine = cfg.Tables.Clone(), switchEngine{store.Mem{}, down}
+					cfg.Tables, cfg.Engine = cfg.Tables.Clone(), switchEngine{nil, down}
 				}
 			})
 			servers := serversOf(cluster)

@@ -55,13 +55,14 @@ func settleGoroutines(t *testing.T, baseline int) {
 func TestClusterDeadlineCutsDelayedSites(t *testing.T) {
 	baseline := runtime.NumGoroutine()
 	coord, cluster := testCluster(t, nil, observedCoordinator(), delayAll(5*time.Second))
-	coord.Deadline = 50 * time.Millisecond
 	coord.MaxConcurrent = 1 // serial queries double as the slot-release check
 
 	for _, alg := range []exec.Algorithm{exec.CA, exec.BL, exec.PL} {
+		ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 		start := time.Now()
-		ans, _, err := coord.Query(school.Q1, alg)
+		ans, _, err := coord.QueryContext(ctx, school.Q1, alg)
 		elapsed := time.Since(start)
+		cancel()
 		if err != nil {
 			t.Fatalf("%v: over-deadline query failed instead of degrading: %v", alg, err)
 		}

@@ -56,7 +56,8 @@ type ServerConfig struct {
 	Log *slog.Logger
 	// Call is the networking policy for this server's outbound peer calls
 	// (assistant-check dispatch): timeouts, retries, pooling, breakers.
-	// Zero fields take DefaultCallConfig values.
+	// Zero timeouts and Attempts take DefaultCallConfig's values; a zero
+	// BreakerThreshold means no breaker.
 	Call CallConfig
 	// Faults, when non-nil, injects failures at this server, mirroring the
 	// engine's fault plan semantics over the wire: Delay stalls every
@@ -72,11 +73,11 @@ type ServerConfig struct {
 	// engine already attached (store.Database.WithEngine), so store
 	// requests log through Insert itself.
 	Engine store.StorageEngine
-	// AntiEntropy configures the background digest-exchange loop that
-	// detects and repairs mapping-table divergence against the peers. The
-	// zero value disables the loop; the digest/repair request kinds are
-	// served either way, so a peer's loop can still repair this site.
-	AntiEntropy AntiEntropyConfig
+	// AntiEntropy is the cadence of the background digest-exchange loop
+	// that detects and repairs mapping-table divergence against the peers.
+	// Zero disables the loop; the digest/repair request kinds are served
+	// either way, so a peer's loop can still repair this site.
+	AntiEntropy time.Duration
 
 	// Tests override the connection limits (0: the constants).
 	maxFrame            int
@@ -182,11 +183,11 @@ func (s *Server) Listen(addr string) error {
 	s.ln = ln
 	s.wg.Add(1)
 	go s.acceptLoop()
-	if s.cfg.AntiEntropy.Interval > 0 {
+	if s.cfg.AntiEntropy > 0 {
 		s.wg.Add(1)
 		go func() {
 			defer s.wg.Done()
-			repairLoop(s.ctx, s.cfg.AntiEntropy.Interval, s.RunAntiEntropyRound)
+			repairLoop(s.ctx, s.cfg.AntiEntropy, s.RunAntiEntropyRound)
 		}()
 	}
 	return nil

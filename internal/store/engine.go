@@ -10,8 +10,8 @@ import "github.com/hetfed/hetfed/internal/object"
 // to stable storage (write-ahead logging). If the engine returns an error
 // the mutation is not applied.
 //
-// The in-memory engine is Mem (a no-op); the persistent WAL+snapshot engine
-// lives in internal/store/wal. Implementations do not need to be
+// A database with no engine attached keeps its state in memory only; the
+// persistent WAL+snapshot engine lives in internal/store/wal. Implementations do not need to be
 // concurrency-safe against the state they snapshot: callers serialize
 // mutations against reads (the TCP server with its state lock, fixtures by
 // being single-threaded), and the wal engine snapshots under that same
@@ -33,23 +33,3 @@ type StorageEngine interface {
 	// Close flushes and releases the engine. Idempotent.
 	Close() error
 }
-
-// Mem is the in-memory storage engine: mutations live only in the process
-// and a restart loses them. It is the zero-cost default — a Database with
-// no engine attached behaves identically.
-type Mem struct{}
-
-// LogInsert implements StorageEngine as a no-op.
-func (Mem) LogInsert(*object.Object) error { return nil }
-
-// LogCreateIndex implements StorageEngine as a no-op.
-func (Mem) LogCreateIndex(string, string) error { return nil }
-
-// LogBind implements StorageEngine as a no-op.
-func (Mem) LogBind(string, object.GOid, object.SiteID, object.LOid) error { return nil }
-
-// Sync implements StorageEngine as a no-op.
-func (Mem) Sync() error { return nil }
-
-// Close implements StorageEngine as a no-op.
-func (Mem) Close() error { return nil }

@@ -98,7 +98,7 @@ type Database struct {
 	schema  *schema.Schema
 	extents map[string]*Extent
 	byLOid  map[object.LOid]located // the one LOid index; positions are 0 … len−1
-	engine  StorageEngine           // nil means in-memory (equivalent to Mem)
+	engine  StorageEngine           // nil: in memory only
 }
 
 // NewDatabase returns an empty database over the given schema. The schema
@@ -136,9 +136,6 @@ func (db *Database) WithEngine(e StorageEngine) *Database {
 	db.engine = e
 	return db
 }
-
-// Engine returns the attached storage engine, or nil.
-func (db *Database) Engine() StorageEngine { return db.engine }
 
 // Site returns the owning site.
 func (db *Database) Site() object.SiteID { return db.site }

@@ -10,6 +10,7 @@ import (
 
 	"github.com/hetfed/hetfed/internal/gmap"
 	"github.com/hetfed/hetfed/internal/object"
+	"github.com/hetfed/hetfed/internal/obs"
 	"github.com/hetfed/hetfed/internal/school"
 	"github.com/hetfed/hetfed/internal/store"
 )
@@ -163,6 +164,23 @@ func TestRoundTrip(t *testing.T) {
 	}
 	if err := db2.CheckRefs(); err != nil {
 		t.Fatalf("CheckRefs after recovery: %v", err)
+	}
+}
+
+// TestHealth: the wal:engine condition of a durable site's /healthz reads
+// ok with the engine's sequence while it is open and unhealthy once it is
+// closed.
+func TestHealth(t *testing.T) {
+	eng, _, _ := seedSome(t, t.TempDir(), 3, Options{})
+	got := eng.Health()["engine"]
+	if want := fmt.Sprintf("ok(seq=%d)", eng.Seq()); got != want || eng.Seq() == 0 {
+		t.Errorf("open engine reports %q, want %q with a nonzero seq", got, want)
+	}
+	if err := eng.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got := eng.Health()["engine"]; obs.Healthy(got) {
+		t.Errorf("closed engine reports %q, a healthy state", got)
 	}
 }
 

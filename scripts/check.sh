@@ -3,7 +3,8 @@
 # one-orchestration, one-report-envelope, one-codec, one-check-path,
 # one-replica, one-repair-path, one-experiment-harness, work-runs-where-it-is,
 # one-identity-index, said-once, one-chooser, one-probe-per-fetch,
-# one-way-to-stand-up-a-site and one-metric-catalog structural guards, build,
+# one-way-to-stand-up-a-site, one-value-in-use and one-metric-catalog
+# structural guards, build,
 # unit tests, the full test suite under the race detector, the benchmark
 # module's vet and tests, a one-shot compile-and-run smoke of the overhead and
 # allocation benchmarks,
@@ -254,6 +255,27 @@ for name in $(grep -rhoE '[.](Counter|Histogram|Gauge)\("[a-z_]+"' --include='*.
         guard_failed=1
     fi
 done
+# One value in use is the code's own (EXPERIMENTS.md E32): every histogram has
+# the one bucket layout, so a snapshot carries no bounds of its own; a query's
+# budget is its caller's context, so no engine, runner, coordinator or
+# benchmark matrix carries a deadline; and the settings that had one value in
+# use (the repair cadence's struct, the no-op engine, the gate's tolerance,
+# the recorder's ring size) stay constants, in tests or otherwise.
+if grep -rnE 'DefaultBuckets|AntiEntropyConfig|store\.Mem\b|^type Mem struct|ParseTolerance|DefaultRecorderSize' \
+    --include='*.go' --exclude-dir=.bench_build .; then
+    echo "a setting with one value in use is back (see EXPERIMENTS.md E32)" >&2
+    guard_failed=1
+fi
+for decl in 'HistogramSnapshot:internal/metrics/metrics.go:Bounds' 'Config:internal/exec/exec.go:Deadline' \
+    'Runner:internal/exec/run.go:Deadline' 'Coordinator:internal/remote/coordinator.go:Deadline' \
+    'MatrixSpec:internal/bench/bench.go:Deadline'; do
+    typ=${decl%%:*} rest=${decl#*:}
+    file=${rest%%:*} field=${rest#*:}
+    if sed -n "/^type $typ struct/,/^}/p" "$file" | grep -nE "^[[:space:]]+$field[[:space:]]"; then
+        echo "$typ in $file has a $field field again (see EXPERIMENTS.md E32)" >&2
+        guard_failed=1
+    fi
+done
 [ "$guard_failed" -eq 0 ] || exit 1
 
 # The figure ROADMAP's LOC numbers use, so the next issue quotes it instead
@@ -312,12 +334,15 @@ go test -run - -bench 'BenchmarkGmap' -benchtime 1x ./internal/gmap/
 # to itself. So does the federation document hetserve -fed and hetql -fed
 # load: an accepted document survives Export → Parse. And so does a WAL file:
 # a scan stops at the last whole valid frame and what it accepted re-encodes
-# to the bytes it read.
+# to the bytes it read. And so does a site's /metrics body, which the
+# cluster aggregator decodes, differences and merges: no panic, and an
+# accepted snapshot re-encodes to a fixed point.
 echo "== fuzz (10s per target)"
 for target in ./internal/remote:FuzzDecodeRequest ./internal/remote:FuzzDecodeResponse \
     ./internal/object:FuzzDecodeObject ./internal/fabric:FuzzParseFaults \
     ./internal/query:FuzzParseQuery ./internal/obs/slo:FuzzParseRule \
-    ./internal/fedfile:FuzzParseFederation ./internal/store/wal:FuzzScanFrames; do
+    ./internal/fedfile:FuzzParseFederation ./internal/store/wal:FuzzScanFrames \
+    ./internal/metrics:FuzzDecodeSnapshot; do
     go test -run '^$' -fuzz "^${target#*:}\$" -fuzztime 10s "${target%%:*}"
 done
 
