@@ -80,14 +80,12 @@ func runStrategy(b *testing.B, engine *exec.Engine, w *workload.Workload, alg ex
 // (span tracer + metrics registry) attached.
 func instrumentedEngine(tb testing.TB, w *workload.Workload) *exec.Engine {
 	tb.Helper()
-	tr := &trace.Tracer{}
-	tr.SetLimit(4096)
 	engine, err := exec.New(exec.Config{
 		Global:      w.Global,
 		Coordinator: "G",
 		Databases:   w.Databases,
 		Tables:      w.Tables,
-		Tracer:      tr,
+		Tracer:      &trace.Tracer{},
 		Metrics:     metrics.New(),
 	})
 	if err != nil {
@@ -147,7 +145,7 @@ func overheadRatio(t *testing.T, w *workload.Workload, base, loaded *exec.Engine
 		}
 		return time.Since(start)
 	}
-	batch(loaded, 3) // warm-up, the tracer's ring included; base warms up as it is calibrated
+	batch(loaded, 3) // warm-up; base warms up as it is calibrated
 	perRun := batch(base, 3) / 3
 	n := int(max(1, min(200, 20*time.Millisecond/max(perRun, time.Microsecond))))
 	const rounds = 15
@@ -172,15 +170,13 @@ func overheadRatio(t *testing.T, w *workload.Workload, base, loaded *exec.Engine
 // recorder assembling a trace.Profile per query.
 func profiledEngine(tb testing.TB, w *workload.Workload) *exec.Engine {
 	tb.Helper()
-	tr := &trace.Tracer{}
-	tr.SetLimit(4096)
 	reg := metrics.New()
 	engine, err := exec.New(exec.Config{
 		Global:      w.Global,
 		Coordinator: "G",
 		Databases:   w.Databases,
 		Tables:      w.Tables,
-		Tracer:      tr,
+		Tracer:      &trace.Tracer{},
 		Metrics:     reg,
 		Recorder:    obs.NewRecorder(obs.RecorderConfig{Site: "G", Metrics: reg}),
 	})

@@ -180,7 +180,6 @@ func run(args []string) error {
 		}
 	}
 
-	var tracer trace.Tracer
 	reg := metrics.New()
 	rec := obs.NewRecorder(obs.RecorderConfig{Site: "G", Metrics: reg})
 	cfg := exec.Config{
@@ -188,7 +187,7 @@ func run(args []string) error {
 		Coordinator: "G",
 		Databases:   databases,
 		Tables:      tables,
-		Tracer:      &tracer,
+		Tracer:      &trace.Tracer{},
 		Metrics:     reg,
 		Signatures:  signature.Build(databases),
 		Recorder:    rec,
@@ -230,7 +229,6 @@ func run(args []string) error {
 	prev := reg.Snapshot()
 	for _, alg := range algs {
 		for run := 0; run < *repeat; run++ {
-			tracer.Reset()
 			// A fresh plan per run: drop-after budgets are stateful.
 			rt := fabric.NewSim(fabric.DefaultRates(), engine.Sites()).WithFaults(faults())
 			// -deadline budgets each run on its own.
@@ -267,17 +265,14 @@ func run(args []string) error {
 				}
 				printExplain(table1.Estimate(b), calibrated, executed, rec.Last())
 			}
-			if *showTrace {
-				fmt.Println("\nstep flow:")
-				fmt.Print(tracer.Render())
-				fmt.Println("\nspan tree:")
-				fmt.Print(tracer.RenderTree())
-				// The footer makes a slow query one click from its Perfetto
-				// trace: the recorded profile's ID is the trace ID every
-				// obs surface serves under /debug/trace/{id}.json.
-				if p := rec.Last(); p != nil {
-					fmt.Printf("\ntrace: %s  →  %s\n", p.ID, traceURL(*obsBase, p.ID))
-				}
+			if p := rec.Last(); *showTrace && p != nil {
+				// Both views read the run's recorded profile. The footer makes
+				// a slow query one click from its Perfetto trace: the profile's
+				// ID is the trace ID every obs surface serves under
+				// /debug/trace/{id}.json.
+				fmt.Printf("\nstep flow:\n%s", p.Render())
+				fmt.Printf("\nspan tree:\n%s", p.RenderTree())
+				fmt.Printf("\ntrace: %s  →  %s\n", p.ID, traceURL(*obsBase, p.ID))
 			}
 			if *showMetrics {
 				cur := reg.Snapshot()

@@ -1,11 +1,15 @@
 package main
 
 import (
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"github.com/hetfed/hetfed/internal/object"
+	"github.com/hetfed/hetfed/internal/school"
 )
 
 // capture runs fn with os.Stdout redirected and returns what it printed.
@@ -130,6 +134,53 @@ func TestRunExplainRunsThePlannersChoice(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("output missing %q:\n%s", want, out)
 		}
+	}
+}
+
+// TestRunStats: -stats prints each global class's entity count, then each
+// site's extent of it with per-attribute statistics, a numeric attribute's
+// range included.
+func TestRunStats(t *testing.T) {
+	out, err := capture(t, func() error { return run([]string{"-stats"}) })
+	if err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	// Each unindented line opens a class's section.
+	sections := map[string]string{}
+	var class string
+	for _, line := range strings.SplitAfter(out, "\n") {
+		if name, _, ok := strings.Cut(line, ": "); ok && !strings.HasPrefix(line, " ") {
+			class = name
+		}
+		sections[class] += line
+	}
+	fx := school.New()
+	// The paper's Figures 1–5: five students, four teachers, three
+	// departments and two addresses, counted over their isomeric copies.
+	entities := map[string]int{"Student": 5, "Teacher": 4, "Department": 3, "Address": 2}
+	for _, class := range fx.Global.ClassNames() {
+		section := sections[class]
+		if want := fmt.Sprintf("%s: %d entities, ", class, entities[class]); !strings.HasPrefix(section, want) {
+			t.Errorf("%s: section does not open with %q:\n%s", class, want, out)
+		}
+		gc := fx.Global.Class(class)
+		for _, site := range gc.Sites() {
+			n := fx.Databases[site].Extent(gc.Constituents[site]).Len()
+			if want := fmt.Sprintf("\n  %s: %d objects, ", site, n); !strings.Contains(section, want) {
+				t.Errorf("%s: extent line %q missing:\n%s", class, want, section)
+			}
+		}
+	}
+	lo, hi := int64(1<<62), int64(0)
+	fx.Databases["DB1"].Extent("Student").Scan(func(o *object.Object) bool {
+		lo, hi = min(lo, o.Attr("age").Int64()), max(hi, o.Attr("age").Int64())
+		return true
+	})
+	_, db1, _ := strings.Cut(sections["Student"], "  DB1: ")
+	_, age, _ := strings.Cut(db1, "\n    age ")
+	age, _, _ = strings.Cut(age, "\n")
+	if want := fmt.Sprintf("range [%d, %d]", lo, hi); !strings.HasSuffix(age, want) {
+		t.Errorf("DB1's student ages span %s; the age line reads %q", want, age)
 	}
 }
 

@@ -102,10 +102,6 @@ import (
 	"github.com/hetfed/hetfed/internal/version"
 )
 
-// spanLimit bounds a long-running server's tracer so /debug/trace/last stays
-// cheap and memory stays flat.
-const spanLimit = 4096
-
 func main() {
 	if err := run(os.Args[1:]); err != nil {
 		fmt.Fprintln(os.Stderr, "hetserve:", err)
@@ -238,12 +234,12 @@ func parsePeers(s string) (map[object.SiteID]string, error) {
 }
 
 // siteRuntime is one running instrumented site: the site itself plus its
-// tracer, metrics registry, flight recorder and (optional) observability
-// endpoint.
+// metrics registry, flight recorder and (optional) observability endpoint.
+// Its tracer is the server's alone: it holds only requests in flight, and
+// every finished request's spans are in the recorder.
 type siteRuntime struct {
 	*remote.Site
 	Obs      *obs.Server // nil unless a metrics address was given
-	Tracer   *trace.Tracer
 	Metrics  *metrics.Registry
 	Recorder *obs.Recorder
 }
@@ -303,21 +299,19 @@ func parseScrapeTargets(s string) ([]agg.Target, error) {
 }
 
 // instruments gives a process — a site, or the coordinator "G" — the
-// instruments the command line asks for: a span-capped tracer, a metrics
-// registry and the flight recorder, and — with -data-dir, nil without — the
-// WAL options for the process's own subdirectory of the root.
+// instruments the command line asks for: a metrics registry and the flight
+// recorder, and — with -data-dir, nil without — the WAL options for the
+// process's own subdirectory of the root.
 func (c *cmdline) instruments(site string, log *slog.Logger) (*siteRuntime, *wal.Options) {
-	tr := &trace.Tracer{}
-	tr.SetLimit(spanLimit)
 	reg := metrics.New()
 	rc := c.recorder
 	rc.Site, rc.Log, rc.Metrics = site, log, reg
-	rt := &siteRuntime{Tracer: tr, Metrics: reg, Recorder: obs.NewRecorder(rc)}
+	rt := &siteRuntime{Metrics: reg, Recorder: obs.NewRecorder(rc)}
 	if c.wal.Dir == "" {
 		return rt, nil
 	}
 	wo := c.wal
-	wo.Dir, wo.Site, wo.Metrics, wo.Tracer, wo.Log = filepath.Join(wo.Dir, site), site, reg, tr, log
+	wo.Dir, wo.Site, wo.Metrics, wo.Log = filepath.Join(wo.Dir, site), site, reg, log
 	return rt, &wo
 }
 
@@ -326,7 +320,7 @@ func (c *cmdline) instruments(site string, log *slog.Logger) (*siteRuntime, *wal
 // returns the runtime holding the instruments, with the site's WAL options.
 func (c *cmdline) instrument(site object.SiteID, cfg *remote.ServerConfig, log *slog.Logger) (*siteRuntime, *wal.Options) {
 	rt, walOpts := c.instruments(string(site), log)
-	cfg.Tracer, cfg.Metrics, cfg.Recorder, cfg.Log = rt.Tracer, rt.Metrics, rt.Recorder, log
+	cfg.Tracer, cfg.Metrics, cfg.Recorder, cfg.Log = &trace.Tracer{}, rt.Metrics, rt.Recorder, log
 	cfg.Call, cfg.AntiEntropy = c.call, c.antiEntropy
 	return rt, walOpts
 }
@@ -387,7 +381,7 @@ func (rt *siteRuntime) serve(c *cmdline, log *slog.Logger) error {
 			// state per site.
 			health = append(health, obs.PrefixHealth("wal", rt.Engine.Health))
 		}
-		o, err := obs.Serve(c.metricsAddr, site, rt.Metrics, rt.Tracer, rt.Recorder, health...)
+		o, err := obs.Serve(c.metricsAddr, site, rt.Metrics, rt.Recorder, health...)
 		if err != nil {
 			return err
 		}
@@ -438,7 +432,7 @@ func runCoordinator(fed *fedfile.Federation, peers map[object.SiteID]string, c *
 	call.Faults = faults()
 	log := slog.New(slog.NewTextHandler(os.Stderr, nil)).With("site", "G")
 	in, walOpts := c.instruments("G", log)
-	tr, reg, rec := in.Tracer, in.Metrics, in.Recorder
+	reg, rec := in.Metrics, in.Recorder
 	// Durable mode: recover the global mapping tables and bind-delta log
 	// from <data-dir>/G, merge fixture bindings the log doesn't have yet, and
 	// hand the coordinator the recovered tables plus the log itself (every
@@ -463,7 +457,7 @@ func runCoordinator(fed *fedfile.Federation, peers map[object.SiteID]string, c *
 			slog.Bool("fsync", walOpts.Fsync))
 	}
 	coord.ID, coord.Global, coord.Tables, coord.Sites = "G", fed.Global, tables, peers
-	coord.Tracer, coord.Metrics, coord.Recorder, coord.Log = tr, reg, rec, log
+	coord.Tracer, coord.Metrics, coord.Recorder, coord.Log = &trace.Tracer{}, reg, rec, log
 	coord.Call, coord.AntiEntropy = call, c.antiEntropy
 	defer coord.Close()
 	// The repair loop stops before Close (LIFO defer order).
@@ -514,7 +508,7 @@ func runCoordinator(fed *fedfile.Federation, peers map[object.SiteID]string, c *
 			scraper.SetOnScrape(engine.Evaluate)
 			alerts = engine.Handler()
 		}
-		mux := obs.NewMux("G", reg, tr, time.Now(), rec, healthSrcs...)
+		mux := obs.NewMux("G", reg, time.Now(), rec, healthSrcs...)
 		scraper.Register(mux, alerts)
 		o, err := obs.ServeHandler(c.metricsAddr, "G", mux)
 		if err != nil {
@@ -528,7 +522,7 @@ func runCoordinator(fed *fedfile.Federation, peers map[object.SiteID]string, c *
 			slog.Int("scrape_targets", len(scfg.Targets)),
 			slog.Bool("slo", rules != nil))
 	case c.metricsAddr != "":
-		o, err := obs.Serve(c.metricsAddr, "G", reg, tr, rec, healthSrcs...)
+		o, err := obs.Serve(c.metricsAddr, "G", reg, rec, healthSrcs...)
 		if err != nil {
 			return err
 		}
@@ -563,7 +557,7 @@ func runCoordinator(fed *fedfile.Federation, peers map[object.SiteID]string, c *
 	fmt.Printf("query: %s\nstrategy: %s  (%.2f ms over TCP)\n%s", c.query, algLabel,
 		float64(elapsed.Microseconds())/1e3, ans.Text(nil))
 	if c.trace {
-		fmt.Printf("\nspan tree (coordinator view):\n%s", tr.RenderTree())
+		fmt.Printf("\nspan tree (coordinator view):\n%s", rec.Last().RenderTree())
 	}
 	if c.metrics {
 		fmt.Printf("\ncoordinator metrics:\n%s", reg.Snapshot().Text())

@@ -328,26 +328,33 @@ func TestObservabilitySurface(t *testing.T) {
 		}
 	}
 
-	// (a) Every site recorded query-scoped serve spans parented on the
-	// coordinator's (or a dispatching peer's) remote span, and the O and P
-	// phases show up site-side; I is the coordinator's certify span,
-	// asserted on stdout above.
+	// (a) Every site's serve spans reached a recorded profile (a site
+	// records one per local request, the peer checks it dispatched
+	// included), parented on the coordinator's (or a dispatching peer's)
+	// remote span, and the O and P phases show up site-side; I is the
+	// coordinator's certify span, asserted on stdout above.
+	// A site records its profile after the response is on the wire: poll
+	// for the two root sites' local requests.
+	for _, site := range []object.SiteID{"DB1", "DB2"} {
+		for deadline := time.Now().Add(5 * time.Second); len(rts[site].Recorder.Profiles()) == 0 && time.Now().Before(deadline); {
+			time.Sleep(2 * time.Millisecond)
+		}
+	}
 	sitesWithSpans := map[object.SiteID]bool{}
 	phases := map[byte]bool{}
 	for site, rt := range rts {
-		for _, sp := range rt.Tracer.Spans() {
-			if sp.Query == "" {
-				continue // ping: no trace context
-			}
-			if !strings.HasPrefix(sp.Name, "serve:") {
-				t.Errorf("site %s: unexpected span name %q", site, sp.Name)
-			}
-			if sp.Parent == 0 {
-				t.Errorf("site %s: span %s not parented on the caller's span", site, sp.Name)
-			}
-			sitesWithSpans[site] = true
-			for i := 0; i < len(sp.Phases); i++ {
-				phases[sp.Phases[i]] = true
+		for _, p := range rt.Recorder.Profiles() {
+			for _, sp := range p.Spans {
+				if !strings.HasPrefix(sp.Name, "serve:") {
+					t.Errorf("site %s: unexpected span name %q", site, sp.Name)
+				}
+				if sp.Parent == 0 || sp.Query != p.ID {
+					t.Errorf("site %s: span %s not parented on the caller's span of query %s", site, sp.Name, p.ID)
+				}
+				sitesWithSpans[sp.Site] = true
+				for i := 0; i < len(sp.Phases); i++ {
+					phases[sp.Phases[i]] = true
+				}
 			}
 		}
 	}

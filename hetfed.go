@@ -32,7 +32,6 @@ import (
 	"github.com/hetfed/hetfed/internal/school"
 	"github.com/hetfed/hetfed/internal/signature"
 	"github.com/hetfed/hetfed/internal/store"
-	"github.com/hetfed/hetfed/internal/trace"
 	"github.com/hetfed/hetfed/internal/workload"
 )
 
@@ -228,9 +227,6 @@ type (
 	Metrics = fabric.Metrics
 	// Rates are the Table 1 cost parameters.
 	Rates = fabric.Rates
-	// Tracer records each query as a tree of query-scoped spans, and can
-	// still render the flat step flow (the paper's Figure 8).
-	Tracer = trace.Tracer
 )
 
 // The execution strategies: centralized, basic localized, parallel

@@ -56,14 +56,12 @@ func startLiveCluster(spec MatrixSpec, cell Cell, bundle *Bundle) (*liveCluster,
 		Metrics:       lc.coordReg,
 		MaxConcurrent: spec.MaxConcurrent,
 	}
-	// Adaptive cells wire the coordinator's feedback loop: a span-capped
-	// tracer supplies measured profiles and the calibrating selector consumes
-	// them. Its health source is the coordinator's breaker states, which stay
-	// empty here: the zero CallConfig the cluster runs with has no breaker.
+	// Adaptive cells wire the coordinator's feedback loop: a tracer supplies
+	// measured profiles and the calibrating selector consumes them. Its
+	// health source is the coordinator's breaker states, which stay empty
+	// here: the zero CallConfig the cluster runs with has no breaker.
 	if alg, err := exec.ParseAlgorithm(cell.Strategy); err == nil && alg == exec.Adaptive {
-		tr := &trace.Tracer{}
-		tr.SetLimit(4096)
-		lc.coord.Tracer = tr
+		lc.coord.Tracer = &trace.Tracer{}
 		cat := planner.BuildCatalog(bundle.Global, bundle.Databases, bundle.Tables)
 		lc.coord.Selector = planner.NewSelector(cat, coordinatorID, lc.coord.BreakerStates)
 	}
@@ -80,7 +78,7 @@ func startLiveCluster(spec MatrixSpec, cell Cell, bundle *Bundle) (*liveCluster,
 		return nil, err
 	}
 	for _, site := range lc.cluster.Sites() {
-		o, err := obs.Serve("127.0.0.1:0", string(site), regs[site], nil, nil)
+		o, err := obs.Serve("127.0.0.1:0", string(site), regs[site], nil)
 		if err != nil {
 			lc.close()
 			return nil, fmt.Errorf("obs %s: %w", site, err)

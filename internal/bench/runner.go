@@ -150,8 +150,9 @@ func runCell(ctx context.Context, spec MatrixSpec, cell Cell, bundle *Bundle) (C
 // sequentially (the DES models intra-query parallelism; the clients
 // dimension shapes live cells only), latencies are virtual micros, and
 // every number derives from the cell seed — identical seeds reproduce
-// byte-identical results. The per-query deadline is ignored here: a wall
-// deadline against virtual time would couple results to host speed.
+// byte-identical results. The cell's context is checked between queries,
+// never handed to one: a wall-clock budget cut into virtual time would couple
+// results to host speed.
 func runSimCell(ctx context.Context, spec MatrixSpec, cell Cell, bundle *Bundle) (CellResult, error) {
 	alg, err := exec.ParseAlgorithm(cell.Strategy)
 	if err != nil {
@@ -194,9 +195,6 @@ func runSimCell(ctx context.Context, spec MatrixSpec, cell Cell, bundle *Bundle)
 	for i := 0; i < spec.Queries; i++ {
 		if err := ctx.Err(); err != nil {
 			return CellResult{}, err
-		}
-		if adaptive {
-			tracer.Reset()
 		}
 		// Each query gets a fresh fault plan: DropAfter budgets are
 		// per-query (mid-query crash), matching the sim package's semantics.

@@ -19,14 +19,12 @@ func concurrentEngine(t testing.TB, maxConcurrent int) (*Engine, *query.Bound, *
 	t.Helper()
 	fx := school.New()
 	reg := metrics.New()
-	tracer := &trace.Tracer{}
-	tracer.SetLimit(4096) // keep memory flat across benchmark iterations
 	e, err := New(Config{
 		Global:        fx.Global,
 		Coordinator:   "G",
 		Databases:     fx.Databases,
 		Tables:        fx.Mapping,
-		Tracer:        tracer,
+		Tracer:        &trace.Tracer{},
 		Metrics:       reg,
 		MaxConcurrent: maxConcurrent,
 	})

@@ -20,7 +20,7 @@ import (
 //	Hedy (no age, Kelly/database)    -> unknown or TRUE      -> certain
 //	Fanny (no age, Jeffery/network)  -> unknown or false     -> maybe
 func TestDisjunctiveSchool(t *testing.T) {
-	e, _ := schoolEngine(t, nil)
+	e, _ := schoolEngine(t)
 	fx := schoolFixture(t)
 	b := query.MustBind(query.MustParse(
 		`select name from Student where age < 25 or advisor.speciality = "database"`),
@@ -50,7 +50,7 @@ func TestDisjunctiveSchool(t *testing.T) {
 // assistant check certifies the whole entity even when the other disjunct
 // stays unknown.
 func TestDisjunctiveCertificationUpgrade(t *testing.T) {
-	e, _ := schoolEngine(t, nil)
+	e, _ := schoolEngine(t)
 	fx := schoolFixture(t)
 	// Hedy: address.city = "Nowhere" is FALSE at DB2; advisor.department
 	// is missing at DB2 but Kelly's DB3 record resolves it to CS -> the

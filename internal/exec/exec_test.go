@@ -10,6 +10,7 @@ import (
 	"github.com/hetfed/hetfed/internal/fabric"
 	"github.com/hetfed/hetfed/internal/federation"
 	"github.com/hetfed/hetfed/internal/object"
+	"github.com/hetfed/hetfed/internal/obs"
 	"github.com/hetfed/hetfed/internal/query"
 	"github.com/hetfed/hetfed/internal/school"
 	"github.com/hetfed/hetfed/internal/store"
@@ -27,7 +28,7 @@ func schoolBound(t *testing.T, fx *school.Fixture) *query.Bound {
 	return query.MustBind(query.MustParse(school.Q1), fx.Global)
 }
 
-func schoolEngine(t *testing.T, tracer *trace.Tracer) (*Engine, *query.Bound) {
+func schoolEngine(t *testing.T) (*Engine, *query.Bound) {
 	t.Helper()
 	fx := school.New()
 	e, err := New(Config{
@@ -35,7 +36,6 @@ func schoolEngine(t *testing.T, tracer *trace.Tracer) (*Engine, *query.Bound) {
 		Coordinator: "G",
 		Databases:   fx.Databases,
 		Tables:      fx.Mapping,
-		Tracer:      tracer,
 	})
 	if err != nil {
 		t.Fatalf("New: %v", err)
@@ -62,7 +62,7 @@ func answerSummary(a *federation.Answer) string {
 // (Hedy, Kelly) identified by gs4 and the maybe result (Tony, Haley)
 // identified by gs2.
 func TestQ1PaperAnswer(t *testing.T) {
-	e, b := schoolEngine(t, nil)
+	e, b := schoolEngine(t)
 	const want = "certain: gs4(Hedy, Kelly) maybe: gs2(Tony, Haley)"
 
 	for _, alg := range Algorithms() {
@@ -92,7 +92,7 @@ func TestQ1PaperAnswer(t *testing.T) {
 // performs exactly the same work (bytes, operations) whether executed for
 // real or inside the simulation.
 func TestWorkIdenticalAcrossRuntimes(t *testing.T) {
-	e, b := schoolEngine(t, nil)
+	e, b := schoolEngine(t)
 	for _, alg := range Algorithms() {
 		_, mReal, err := e.Run(fabric.NewReal(fabric.DefaultRates()), alg, b)
 		if err != nil {
@@ -116,7 +116,7 @@ func TestWorkIdenticalAcrossRuntimes(t *testing.T) {
 // TestSimDeterminism runs the same simulated execution twice and requires
 // identical metrics.
 func TestSimDeterminism(t *testing.T) {
-	e, b := schoolEngine(t, nil)
+	e, b := schoolEngine(t)
 	for _, alg := range Algorithms() {
 		_, m1, err := e.Run(fabric.NewSim(fabric.DefaultRates(), e.Sites()), alg, b)
 		if err != nil {
@@ -141,11 +141,19 @@ func TestSimDeterminism(t *testing.T) {
 // therefore asserted by the Figure 9/10/11 reproduction tests in package
 // sim, not here.
 
-// TestTraceRecordsFigure8Flows checks the executed step flows match the
-// paper's Figure 8 step inventory per algorithm.
+// TestTraceRecordsFigure8Flows checks the executed step flows, as each run's
+// recorded profile holds them, match the paper's Figure 8 step inventory per
+// algorithm, and that the tracer keeps none of them once the run is over.
 func TestTraceRecordsFigure8Flows(t *testing.T) {
+	fx := school.New()
 	var tr trace.Tracer
-	e, b := schoolEngine(t, &tr)
+	rec := obs.NewRecorder(obs.RecorderConfig{Site: "G"})
+	e, err := New(Config{Global: fx.Global, Coordinator: "G", Databases: fx.Databases,
+		Tables: fx.Mapping, Tracer: &tr, Recorder: rec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := schoolBound(t, fx)
 
 	wantSteps := map[Algorithm][]string{
 		CA: {"CA_G1", "CA_C1", "CA_G2", "CA_G3"},
@@ -153,13 +161,19 @@ func TestTraceRecordsFigure8Flows(t *testing.T) {
 		PL: {"PL_G1", "PL_C1", "PL_C2", "C3", "PL_G2"},
 	}
 	for alg, want := range wantSteps {
-		tr.Reset()
 		if _, _, err := e.Run(fabric.NewReal(fabric.DefaultRates()), alg, b); err != nil {
 			t.Fatalf("%v: %v", alg, err)
 		}
+		p := rec.Last()
+		if p == nil || p.Alg != alg.String() {
+			t.Fatalf("%v: recorded profile %+v", alg, p)
+		}
 		seen := map[string]bool{}
-		for _, s := range tr.Spans() {
+		for _, s := range p.Spans {
 			seen[s.Name] = true
+		}
+		if tr.Take(p.Spans[0].ID) != nil {
+			t.Errorf("%v: the tracer still holds the finished query's root", alg)
 		}
 		for _, step := range want {
 			if !seen[step] {
@@ -173,7 +187,7 @@ func TestTraceRecordsFigure8Flows(t *testing.T) {
 // overhead: checking before filtering means more assistant objects are
 // looked up and transferred than under BL.
 func TestPLChecksMoreThanBL(t *testing.T) {
-	e, b := schoolEngine(t, nil)
+	e, b := schoolEngine(t)
 	_, mBL, err := e.Run(fabric.NewReal(fabric.DefaultRates()), BL, b)
 	if err != nil {
 		t.Fatal(err)
@@ -190,7 +204,7 @@ func TestPLChecksMoreThanBL(t *testing.T) {
 // TestCATransfersMost: the centralized approach ships every object, so its
 // network volume dominates the localized approaches on this workload.
 func TestCATransfersMost(t *testing.T) {
-	e, b := schoolEngine(t, nil)
+	e, b := schoolEngine(t)
 	net := map[Algorithm]int64{}
 	for _, alg := range Algorithms() {
 		_, m, err := e.Run(fabric.NewReal(fabric.DefaultRates()), alg, b)
@@ -223,14 +237,14 @@ func TestEngineConfigErrors(t *testing.T) {
 }
 
 func TestRunUnknownAlgorithm(t *testing.T) {
-	e, b := schoolEngine(t, nil)
+	e, b := schoolEngine(t)
 	if _, _, err := e.Run(fabric.NewReal(fabric.DefaultRates()), Algorithm(42), b); err == nil {
 		t.Error("unknown algorithm accepted")
 	}
 }
 
 func TestEngineSitesSorted(t *testing.T) {
-	e, _ := schoolEngine(t, nil)
+	e, _ := schoolEngine(t)
 	sites := e.Sites()
 	want := []object.SiteID{"DB1", "DB2", "DB3", "G"}
 	if len(sites) != len(want) {
@@ -260,7 +274,7 @@ func TestAlgorithmString(t *testing.T) {
 // (Tony's address and his advisor's speciality are unknowable, the
 // department predicate is established).
 func TestMaybeExplanations(t *testing.T) {
-	e, b := schoolEngine(t, nil)
+	e, b := schoolEngine(t)
 	for _, alg := range Algorithms() {
 		ans, _, err := e.Run(fabric.NewReal(fabric.DefaultRates()), alg, b)
 		if err != nil {
@@ -327,7 +341,7 @@ func TestMaybeExplanationLattice(t *testing.T) {
 // global site works much harder under CA (it materializes and evaluates
 // everything) than under BL (it only certifies).
 func TestBusyAttribution(t *testing.T) {
-	e, b := schoolEngine(t, nil)
+	e, b := schoolEngine(t)
 
 	busyFor := func(alg Algorithm) map[string]float64 {
 		rt := fabric.NewSim(fabric.DefaultRates(), e.Sites())

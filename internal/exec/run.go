@@ -101,14 +101,14 @@ type Runner struct {
 
 // Run executes one query. The context gates admission (a query whose budget
 // expires while queued is shed with ErrShed / ErrCanceled and never takes a
-// slot) and, when the runtime supports it (fabric.ContextRuntime — both
-// Real and Sim do), is consulted at every site-bound step, so an interrupted
-// query unwinds mid-phase instead of running to completion. An admitted
+// slot) and is consulted at every site-bound step, so an interrupted query
+// unwinds mid-phase instead of running to completion. An admitted
 // query that is interrupted does NOT return an error: it returns its sound
 // partial answer — whatever certified before the cut stays certain, the rest
 // stays maybe — with Answer.Outcome set to OutcomeCanceled or
 // OutcomeDeadline. Every admitted query, failed ones included, is counted
-// and profiled.
+// and profiled: its span tree is taken from the tracer once, at the end, and
+// becomes its profile.
 func (r *Runner) Run(ctx context.Context, rt fabric.Runtime, qid string, alg Algorithm, b *query.Bound) (*federation.Answer, fabric.Metrics, error) {
 	self := r.Coord.ID()
 	if alg == Adaptive {
@@ -127,9 +127,12 @@ func (r *Runner) Run(ctx context.Context, rt fabric.Runtime, qid string, alg Alg
 	}
 	defer release()
 	q := &Query{ID: qid, Alg: alg, Bound: b, Tracer: r.Tracer}
-	var ans *federation.Answer
+	var (
+		ans  *federation.Answer
+		root trace.Handle
+	)
 	task := func(p fabric.Proc) {
-		root := q.begin(p, 0, self, alg.String(), "")
+		root = q.begin(p, 0, self, alg.String(), "")
 		switch alg {
 		case CA:
 			ans, err = r.runCA(p, q, root.ID())
@@ -153,17 +156,11 @@ func (r *Runner) Run(ctx context.Context, rt fabric.Runtime, qid string, alg Alg
 		}
 		end(root, p)
 	}
-	var m fabric.Metrics
-	var runErr error
-	if cr, ok := rt.(fabric.ContextRuntime); ok {
-		m, runErr = cr.RunContext(ctx, alg.String(), task)
-	} else {
-		m, runErr = rt.Run(alg.String(), task)
-	}
+	m, runErr := rt.RunContext(ctx, alg.String(), task)
 	if err = cmp.Or(err, runErr); err != nil {
 		ans = nil
 	}
-	spans := r.Tracer.QuerySpans(qid)
+	spans := r.Tracer.Take(root.ID())
 	r.record(q, ans, m, spans)
 	r.profile(q, ans, m, waitMicros, spans, cmp.Or(err, ctx.Err()))
 	return ans, m, err

@@ -93,7 +93,7 @@ func TestSignatureVariantsReduceNetwork(t *testing.T) {
 // TestSignatureAlgorithmsRequireIndex: SBL/SPL without a configured index
 // fail loudly rather than silently degrading to BL/PL.
 func TestSignatureAlgorithmsRequireIndex(t *testing.T) {
-	e, b := schoolEngine(t, nil)
+	e, b := schoolEngine(t)
 	for _, alg := range []Algorithm{SBL, SPL} {
 		if _, _, err := e.Run(fabric.NewReal(fabric.DefaultRates()), alg, b); err == nil {
 			t.Errorf("%v without signatures accepted", alg)

@@ -129,21 +129,12 @@ type Metrics struct {
 	NetPairs map[Pair]int64
 }
 
-// Runtime executes a root task and reports metrics.
+// Runtime executes a root task and reports metrics. Both runtimes, Real and
+// Sim, also offer Run: RunContext with context.Background().
 type Runtime interface {
-	// Run executes fn to completion, including all tasks it spawned.
-	Run(name string, fn func(Proc)) (Metrics, error)
-}
-
-// ContextRuntime is a Runtime that can run under a context its Procs consult
-// (both Real and Sim implement it). Callers that hold a context type-assert
-// against it; a runtime without context support simply runs to completion,
-// which stays correct — cancellation is an optimization of how fast a doomed
-// query unwinds, never of what it answers.
-type ContextRuntime interface {
-	Runtime
-	// RunContext is Run with ctx returned from every Proc's Context. The
-	// context belongs to the run, not the runtime: a shared runtime serves
-	// concurrent runs under different contexts.
+	// RunContext executes fn to completion, including all tasks it spawned,
+	// with ctx returned from every Proc's Context. The context belongs to the
+	// run, not the runtime: a shared runtime serves concurrent runs under
+	// different contexts.
 	RunContext(ctx context.Context, name string, fn func(Proc)) (Metrics, error)
 }

@@ -26,10 +26,7 @@ type Real struct {
 	faults *FaultPlan
 }
 
-var (
-	_ Runtime        = (*Real)(nil)
-	_ ContextRuntime = (*Real)(nil)
-)
+var _ Runtime = (*Real)(nil)
 
 // NewReal returns a real runtime with the given cost rates (used only to
 // convert counts into modeled work for Metrics).
@@ -62,12 +59,12 @@ type realRun struct {
 
 var _ Proc = (*realRun)(nil)
 
-// Run implements Runtime.
+// Run is RunContext with context.Background().
 func (r *Real) Run(name string, fn func(Proc)) (Metrics, error) {
 	return r.RunContext(context.Background(), name, fn)
 }
 
-// RunContext implements ContextRuntime: the tasks' Context returns ctx, and
+// RunContext implements Runtime: the tasks' Context returns ctx, and
 // Sleep honors it.
 func (r *Real) RunContext(ctx context.Context, name string, fn func(Proc)) (Metrics, error) {
 	run := &realRun{rt: r, ctx: ctx, start: time.Now()}

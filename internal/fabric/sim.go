@@ -36,10 +36,7 @@ type Sim struct {
 	used      bool
 }
 
-var (
-	_ Runtime        = (*Sim)(nil)
-	_ ContextRuntime = (*Sim)(nil)
-)
+var _ Runtime = (*Sim)(nil)
 
 // NewSim returns a simulated runtime for the given sites (component
 // databases plus the global processing site).
@@ -68,7 +65,7 @@ func (s *Sim) WithFaults(fp *FaultPlan) *Sim {
 	return s
 }
 
-// RunContext implements ContextRuntime. The simulator runs in virtual time,
+// RunContext implements Runtime. The simulator runs in virtual time,
 // so cancellation is checked (Sleep skips its delay and strategy code unwinds
 // at its next checkpoint) rather than interrupting a running event.
 func (s *Sim) RunContext(ctx context.Context, name string, fn func(Proc)) (Metrics, error) {
@@ -76,7 +73,7 @@ func (s *Sim) RunContext(ctx context.Context, name string, fn func(Proc)) (Metri
 	return s.Run(name, fn)
 }
 
-// Run implements Runtime.
+// Run is RunContext with context.Background().
 func (s *Sim) Run(name string, fn func(Proc)) (Metrics, error) {
 	if s.used {
 		return Metrics{}, fmt.Errorf("fabric: Sim is single-use; create a new one per Run")

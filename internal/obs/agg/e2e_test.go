@@ -45,7 +45,7 @@ const (
 // serveObs serves a site's registry as its obs surface on addr.
 func serveObs(t *testing.T, sid object.SiteID, reg *metrics.Registry, addr string) *obs.Server {
 	t.Helper()
-	o, err := obs.Serve(addr, string(sid), reg, nil, nil)
+	o, err := obs.Serve(addr, string(sid), reg, nil)
 	if err != nil {
 		t.Fatalf("obs.Serve(%s, %s): %v", sid, addr, err)
 	}
@@ -112,9 +112,8 @@ func TestClusterObservabilityE2E(t *testing.T) {
 	fx := school.New()
 	regs := make(map[object.SiteID]*metrics.Registry)
 	coordReg := metrics.New()
-	coordTracer := &trace.Tracer{}
 	rec := obs.NewRecorder(obs.RecorderConfig{Site: "G", Metrics: coordReg})
-	coord := &remote.Coordinator{Tracer: coordTracer, Metrics: coordReg, Recorder: rec}
+	coord := &remote.Coordinator{Tracer: &trace.Tracer{}, Metrics: coordReg, Recorder: rec}
 	cluster, err := remote.StartCluster(remote.ClusterConfig{
 		Federation: &fedfile.Federation{Global: fx.Global, Databases: fx.Databases, Tables: fx.Mapping},
 		Configure: func(site object.SiteID, cfg *remote.ServerConfig) {
@@ -161,7 +160,7 @@ func TestClusterObservabilityE2E(t *testing.T) {
 	}
 	scr.SetOnScrape(engine.Evaluate)
 
-	mux := obs.NewMux("G", coordReg, coordTracer, time.Now(), rec)
+	mux := obs.NewMux("G", coordReg, time.Now(), rec)
 	scr.Register(mux, engine.Handler())
 	coordObs, err := obs.ServeHandler("127.0.0.1:0", "G", mux)
 	if err != nil {

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"github.com/hetfed/hetfed/internal/metrics"
-	"github.com/hetfed/hetfed/internal/trace"
 )
 
 func TestHealthyStates(t *testing.T) {
@@ -55,7 +54,7 @@ func healthzBody(t *testing.T, health ...Health) struct {
 	Degraded []string          `json:"degraded_peers"`
 } {
 	t.Helper()
-	s, err := Serve("127.0.0.1:0", "G", metrics.New(), &trace.Tracer{}, nil, health...)
+	s, err := Serve("127.0.0.1:0", "G", metrics.New(), nil, health...)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,6 @@
 // Package obs is the live observability surface of a federation process: a
-// small HTTP server exposing the site's metrics registry and recent query
-// spans.
+// small HTTP server exposing the site's metrics registry and its flight
+// recorder's query profiles.
 //
 // Endpoints:
 //
@@ -18,7 +18,7 @@
 //	                        each scrape refreshes the go_* runtime gauges
 //	/debug/queries          flight-recorder listing, newest first (text by
 //	                        default, ?format=json)
-//	/debug/trace/last       span tree of the most recent query at this site
+//	/debug/trace/last       span tree of the newest recorded profile
 //	/debug/trace/{id}       span tree of a recorded query profile
 //	/debug/trace/{id}.json  the profile as Chrome trace-event JSON
 //	                        (chrome://tracing, ui.perfetto.dev)
@@ -40,7 +40,6 @@ import (
 	"time"
 
 	"github.com/hetfed/hetfed/internal/metrics"
-	"github.com/hetfed/hetfed/internal/trace"
 	"github.com/hetfed/hetfed/internal/version"
 )
 
@@ -122,8 +121,10 @@ func refreshRuntimeGauges(site string, reg *metrics.Registry) {
 
 // NewMux builds the observability handler for a site without binding a
 // listener (embed it into an existing HTTP server if you have one). rec may
-// be nil; the flight-recorder endpoints then answer 404.
-func NewMux(site string, reg *metrics.Registry, tr *trace.Tracer, start time.Time, rec *Recorder, health ...Health) *http.ServeMux {
+// be nil; the flight-recorder endpoints then answer empty or 404. Every trace
+// view reads the recorded profiles: a finished query's spans live there
+// alone.
+func NewMux(site string, reg *metrics.Registry, start time.Time, rec *Recorder, health ...Health) *http.ServeMux {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
 		body := struct {
@@ -176,19 +177,16 @@ func NewMux(site string, reg *metrics.Registry, tr *trace.Tracer, start time.Tim
 	})
 	mux.HandleFunc("/debug/trace/", func(w http.ResponseWriter, r *http.Request) {
 		id := strings.TrimPrefix(r.URL.Path, "/debug/trace/")
-		if id == "last" {
-			w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-			out := tr.RenderLastQuery()
-			if out == "" {
-				fmt.Fprintln(w, "(no spans recorded)")
-				return
-			}
-			fmt.Fprint(w, out)
-			return
-		}
 		asJSON := strings.HasSuffix(id, ".json")
 		id = strings.TrimSuffix(id, ".json")
-		p := rec.Get(id)
+		p := rec.Last()
+		if id != "last" {
+			p = rec.Get(id)
+		} else if p == nil && !asJSON {
+			w.Header().Set("Content-Type", "text/plain; charset=utf-8")
+			fmt.Fprintln(w, "(no spans recorded)")
+			return
+		}
 		if p == nil {
 			http.Error(w, "no such query profile (aged out of the flight recorder?)", http.StatusNotFound)
 			return
@@ -214,8 +212,8 @@ func NewMux(site string, reg *metrics.Registry, tr *trace.Tracer, start time.Tim
 // observability surface for the given site until Close. rec (the site's
 // flight recorder) may be nil. Optional Health sources feed the /healthz
 // breaker report.
-func Serve(addr, site string, reg *metrics.Registry, tr *trace.Tracer, rec *Recorder, health ...Health) (*Server, error) {
-	return ServeHandler(addr, site, NewMux(site, reg, tr, time.Now(), rec, health...))
+func Serve(addr, site string, reg *metrics.Registry, rec *Recorder, health ...Health) (*Server, error) {
+	return ServeHandler(addr, site, NewMux(site, reg, time.Now(), rec, health...))
 }
 
 // ServeHandler is Serve for a caller-composed handler: build the base

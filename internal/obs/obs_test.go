@@ -30,9 +30,12 @@ func TestServeEndpoints(t *testing.T) {
 	reg.Counter("requests_total", metrics.Labels{Site: "DB1", Alg: "BL"}).Add(3)
 	reg.Histogram("request_latency_us", metrics.Labels{Site: "DB1", Alg: "BL"}).Observe(120)
 	tr := &trace.Tracer{}
-	tr.StartSpan(0, "DB1", "serve:local").WithQuery("rq1", "BL").WithPhases("PO").End()
+	sp := tr.StartSpan(0, "DB1", "serve:local").WithQuery("rq1", "BL").WithPhases("PO")
+	sp.End()
+	rec := NewRecorder(RecorderConfig{Site: "DB1"})
+	rec.Record(trace.BuildProfile("rq1", "BL", tr.Take(sp.ID())))
 
-	s, err := Serve("127.0.0.1:0", "DB1", reg, tr, nil)
+	s, err := Serve("127.0.0.1:0", "DB1", reg, rec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +80,7 @@ func TestServeEndpoints(t *testing.T) {
 }
 
 func TestTraceLastEmpty(t *testing.T) {
-	s, err := Serve("127.0.0.1:0", "DB2", metrics.New(), &trace.Tracer{}, nil)
+	s, err := Serve("127.0.0.1:0", "DB2", metrics.New(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,8 +91,30 @@ func TestTraceLastEmpty(t *testing.T) {
 	}
 }
 
+// TestTraceLastServesNewestProfile: /debug/trace/last is the newest recorded
+// profile, in text and as Chrome trace JSON, like any /debug/trace/{id}.
+func TestTraceLastServesNewestProfile(t *testing.T) {
+	rec := NewRecorder(RecorderConfig{Site: "G"})
+	recordedQueryProfile(rec, "q1")
+	recordedQueryProfile(rec, "q2")
+	s, err := Serve("127.0.0.1:0", "G", metrics.New(), rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	code, body := get(t, s.Addr(), "/debug/trace/last")
+	if code != http.StatusOK || !strings.Contains(body, "query q2 alg=PL") ||
+		!strings.Contains(body, "PL_C1 [O] @DB1") || strings.Contains(body, "q1") {
+		t.Errorf("trace/last: %d %q, want q2's tree alone", code, body)
+	}
+	code, body = get(t, s.Addr(), "/debug/trace/last.json")
+	if code != http.StatusOK || !strings.Contains(body, `"query":"q2"`) {
+		t.Errorf("trace/last.json: %d %q", code, body)
+	}
+}
+
 func TestServeBadAddr(t *testing.T) {
-	if _, err := Serve("256.0.0.1:bad", "DBX", metrics.New(), nil, nil); err == nil {
+	if _, err := Serve("256.0.0.1:bad", "DBX", metrics.New(), nil); err == nil {
 		t.Error("bad address accepted")
 	}
 }
@@ -98,7 +123,7 @@ func TestServeBadAddr(t *testing.T) {
 // breaker flips the status to degraded (still 200 — the process is alive).
 func TestHealthzBreakers(t *testing.T) {
 	states := map[string]string{"DB2": "closed", "DB3": "closed"}
-	s, err := Serve("127.0.0.1:0", "DB1", metrics.New(), &trace.Tracer{}, nil,
+	s, err := Serve("127.0.0.1:0", "DB1", metrics.New(), nil,
 		func() map[string]string { return states })
 	if err != nil {
 		t.Fatal(err)

@@ -181,7 +181,7 @@ func recordedQueryProfile(rec *Recorder, qid string) *trace.Profile {
 	c := tr.StartSpan(root.ID(), "DB1", "PL_C1").WithQuery(qid, "PL").WithPhases("O")
 	c.End()
 	root.End()
-	p := trace.BuildProfile(qid, "PL", tr.QuerySpans(qid))
+	p := trace.BuildProfile(qid, "PL", tr.Take(root.ID()))
 	p.SetOutcome(2, 1, nil, nil)
 	rec.Record(p)
 	return p
@@ -191,9 +191,8 @@ func TestFlightRecorderEndpoints(t *testing.T) {
 	reg := metrics.New()
 	rec := NewRecorder(RecorderConfig{Site: "DB1", Metrics: reg})
 	recordedQueryProfile(rec, "q1")
-	tr := &trace.Tracer{}
 
-	s, err := Serve("127.0.0.1:0", "DB1", reg, tr, rec)
+	s, err := Serve("127.0.0.1:0", "DB1", reg, rec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -284,7 +283,7 @@ func TestFlightRecorderEndpoints(t *testing.T) {
 // TestQueriesEndpointNilRecorder: a process wired without a flight recorder
 // still answers its listing endpoints (empty), not a panic.
 func TestQueriesEndpointNilRecorder(t *testing.T) {
-	s, err := Serve("127.0.0.1:0", "DB9", metrics.New(), &trace.Tracer{}, nil)
+	s, err := Serve("127.0.0.1:0", "DB9", metrics.New(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,6 +9,7 @@ import (
 	"github.com/hetfed/hetfed/internal/isomer"
 	"github.com/hetfed/hetfed/internal/metrics"
 	"github.com/hetfed/hetfed/internal/object"
+	"github.com/hetfed/hetfed/internal/obs"
 	"github.com/hetfed/hetfed/internal/school"
 	"github.com/hetfed/hetfed/internal/trace"
 )
@@ -48,6 +49,14 @@ func observed(_ object.SiteID, cfg *ServerConfig) {
 // of its own.
 func observedCoordinator() *Coordinator {
 	return &Coordinator{Tracer: &trace.Tracer{}, Metrics: metrics.New()}
+}
+
+// recordedCoordinator is an observed coordinator with a flight recorder,
+// which holds each finished query's span tree.
+func recordedCoordinator() *Coordinator {
+	c := observedCoordinator()
+	c.Recorder = obs.NewRecorder(obs.RecorderConfig{Site: "G", Metrics: c.Metrics})
+	return c
 }
 
 // serversOf maps a cluster's running sites to their servers.

@@ -10,6 +10,7 @@ import (
 
 	"github.com/hetfed/hetfed/internal/exec"
 	"github.com/hetfed/hetfed/internal/metrics"
+	"github.com/hetfed/hetfed/internal/object"
 	"github.com/hetfed/hetfed/internal/obs"
 	"github.com/hetfed/hetfed/internal/school"
 	"github.com/hetfed/hetfed/internal/trace"
@@ -18,19 +19,24 @@ import (
 // TestSpanPropagationAcrossWire runs a BL query over TCP and checks the
 // span context survives the wire hop twice: coordinator → site (serve spans
 // parent on the coordinator's rpc spans) and site → peer (check spans
-// parent on the dispatching site's serve span).
+// parent on the dispatching site's serve span). The coordinator's recorded
+// profile holds the whole tree; no tracer holds any of it afterwards.
 func TestSpanPropagationAcrossWire(t *testing.T) {
-	coord, cluster := testCluster(t, nil, observedCoordinator(), observed)
+	coord, cluster := testCluster(t, nil, recordedCoordinator(), observed)
 	servers := serversOf(cluster)
 
 	if _, _, err := coord.Query(school.Q1, exec.BL); err != nil {
 		t.Fatal(err)
 	}
+	p := coord.Recorder.Last()
+	if p == nil {
+		t.Fatal("no profile recorded")
+	}
 
 	// The coordinator side: a root span plus rpc spans, all sharing one query ID.
 	var qid string
 	rpcIDs := map[trace.SpanID]bool{}
-	for _, sp := range coord.Tracer.Spans() {
+	for _, sp := range p.Spans {
 		if sp.Parent == 0 {
 			if sp.Algorithm != "BL" || sp.Query == "" {
 				t.Errorf("root span = %+v", sp)
@@ -50,21 +56,19 @@ func TestSpanPropagationAcrossWire(t *testing.T) {
 	// serve:local span ID.
 	localIDs := map[trace.SpanID]bool{}
 	var localSpans, checkSpans []trace.Span
-	for site, srv := range servers {
-		for _, sp := range srv.cfg.Tracer.Spans() {
-			if sp.Query != qid {
-				continue
-			}
-			if sp.Algorithm != "BL" {
-				t.Errorf("site %s: span alg = %q", site, sp.Algorithm)
-			}
-			switch sp.Name {
-			case "serve:local":
-				localIDs[sp.ID] = true
-				localSpans = append(localSpans, sp)
-			case "serve:check":
-				checkSpans = append(checkSpans, sp)
-			}
+	for _, sp := range p.Spans {
+		if sp.Query != qid {
+			t.Errorf("span %s @%s scoped to %q, want %q", sp.Name, sp.Site, sp.Query, qid)
+		}
+		if sp.Algorithm != "BL" {
+			t.Errorf("site %s: span alg = %q", sp.Site, sp.Algorithm)
+		}
+		switch sp.Name {
+		case "serve:local":
+			localIDs[sp.ID] = true
+			localSpans = append(localSpans, sp)
+		case "serve:check":
+			checkSpans = append(checkSpans, sp)
 		}
 	}
 	if len(localSpans) == 0 || len(checkSpans) == 0 {
@@ -88,6 +92,109 @@ func TestSpanPropagationAcrossWire(t *testing.T) {
 			t.Errorf("serve:check phases = %q, want O", sp.Phases)
 		}
 	}
+	tracers := []*trace.Tracer{coord.Tracer}
+	for _, srv := range servers {
+		tracers = append(tracers, srv.cfg.Tracer)
+	}
+	for _, sp := range p.Spans {
+		for _, tr := range tracers {
+			if tr.Take(sp.ID) != nil {
+				t.Errorf("a tracer still holds %s @%s after the query", sp.Name, sp.Site)
+			}
+		}
+	}
+}
+
+// TestTracedPLSpansReachProfileOnce: over TCP, every span of a traced PL
+// query — the coordinator's steps, each site's serve span and the serve spans
+// of the peer checks it dispatched — reaches the coordinator's profile
+// exactly once, closed, in one tree. A site answering a peer's check while
+// its own serve:local of the same query still runs ships the check's spans
+// alone.
+func TestTracedPLSpansReachProfileOnce(t *testing.T) {
+	coord, cluster := testCluster(t, nil, recordedCoordinator(), observed)
+	servers := serversOf(cluster)
+	if _, _, err := coord.Query(school.Q1, exec.PL); err != nil {
+		t.Fatal(err)
+	}
+	p := coord.Recorder.Last()
+	if p == nil {
+		t.Fatal("no profile recorded")
+	}
+	times := map[trace.SpanID]int{}
+	for _, sp := range p.Spans {
+		times[sp.ID]++
+	}
+	roots, serves := 0, 0
+	for _, sp := range p.Spans {
+		if times[sp.ID] != 1 {
+			t.Errorf("%s @%s reached the profile %d times", sp.Name, sp.Site, times[sp.ID])
+		}
+		if sp.End.IsZero() {
+			t.Errorf("%s @%s reached the profile open", sp.Name, sp.Site)
+		}
+		if times[sp.Parent] == 0 {
+			roots++
+		}
+		if strings.HasPrefix(sp.Name, "serve:") {
+			serves++
+		}
+	}
+	if roots != 1 {
+		t.Errorf("the profile holds %d trees, want 1:\n%s", roots, p.RenderTree())
+	}
+	// Every request the sites served for the query is one serve span.
+	served := func() (n int64) {
+		for site, srv := range servers {
+			n += srv.cfg.Metrics.Snapshot().CounterValue("requests_total", metrics.Labels{Site: string(site), Alg: "PL"})
+		}
+		return n
+	}
+	eventually(t, fmt.Sprintf("%d PL requests served, as the profile's serve spans", serves),
+		func() bool { return served() == int64(serves) })
+}
+
+// TestTracedQueryCostIsFlatInHistory: with every tracer capped at 4 096 spans
+// and every recorder on, as hetserve wires a cluster, a traced query
+// allocates what it did on fresh tracers however many traced queries ran
+// before it. Each request hands its spans off once, so no tracer grows with
+// history; a tracer that each request copied whole to find its own spans
+// made the query after 2 000 others allocate many times the tenth's.
+func TestTracedQueryCostIsFlatInHistory(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	capped := func() *trace.Tracer {
+		tr := &trace.Tracer{}
+		tr.SetLimit(4096)
+		return tr
+	}
+	coord, _ := testCluster(t, nil, &Coordinator{Tracer: capped(), Metrics: metrics.New()},
+		func(site object.SiteID, cfg *ServerConfig) {
+			cfg.Tracer, cfg.Metrics = capped(), metrics.New()
+			cfg.Recorder = obs.NewRecorder(obs.RecorderConfig{Site: string(site), Metrics: cfg.Metrics})
+		})
+	coord.Recorder = obs.NewRecorder(obs.RecorderConfig{Site: "G", Metrics: coord.Metrics})
+	rotation := []exec.Algorithm{exec.CA, exec.BL, exec.PL}
+	run := func(n int) {
+		for i := range n {
+			if _, _, err := coord.Query(school.Q1, rotation[i%len(rotation)]); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	perQuery := func() float64 {
+		return testing.AllocsPerRun(5, func() { run(len(rotation)) }) / float64(len(rotation))
+	}
+	run(10)
+	fresh := perQuery()
+	run(2000)
+	after := perQuery()
+	t.Logf("allocs per traced query: %.0f after 10 queries, %.0f after 2 000 more", fresh, after)
+	if after > 1.5*fresh {
+		t.Errorf("a traced query allocates %.0f after 2 000 queries, %.1f× the %.0f it did after 10; want ≤ 1.5×",
+			after, after/fresh, fresh)
+	}
 }
 
 // TestRemoteProfileCarriesSiteIO: the serving sites stamp disk_bytes/cpu_ops
@@ -95,14 +202,12 @@ func TestSpanPropagationAcrossWire(t *testing.T) {
 // attributes them to the site — so the coordinator's recorded profile carries
 // the per-site event counts the adaptive calibrator divides by.
 func TestRemoteProfileCarriesSiteIO(t *testing.T) {
-	coord, _ := testCluster(t, nil, observedCoordinator(), observed)
-	rec := obs.NewRecorder(obs.RecorderConfig{Site: "G"})
-	coord.Recorder = rec
+	coord, _ := testCluster(t, nil, recordedCoordinator(), observed)
 
 	if _, _, err := coord.Query(school.Q1, exec.BL); err != nil {
 		t.Fatal(err)
 	}
-	p := rec.Last()
+	p := coord.Recorder.Last()
 	if p == nil {
 		t.Fatal("no profile recorded")
 	}

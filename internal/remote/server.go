@@ -399,13 +399,17 @@ func (s *Server) handle(conn net.Conn) {
 		if resp.Err != "" {
 			sp.Detailf("error: %s", resp.Err)
 		}
-		// The serve span ends before the response is encoded so the copy
-		// shipped back to the caller is closed; traced responses carry this
-		// site's spans for the query (peer check spans it imported included),
-		// letting the caller's profile cover every participating site.
+		// The serve span ends, and the request's tree (peer check spans it
+		// imported included) leaves the tracer, before the response is
+		// encoded: a traced response ships that one closed slice back, letting
+		// the caller's profile cover every participating site, and the same
+		// slice is this site's profile of the request. A site answering a
+		// peer's check ships the check's tree alone, never its own open spans
+		// of the query.
 		sp.End()
-		if req.Trace.QueryID != "" && s.cfg.Tracer != nil {
-			resp.Spans = s.cfg.Tracer.QuerySpans(req.Trace.QueryID)
+		spans := s.cfg.Tracer.Take(sp.ID())
+		if req.Trace.QueryID != "" {
+			resp.Spans = spans
 		}
 		_ = conn.SetWriteDeadline(time.Now().Add(cmp.Or(s.cfg.writeDeadline, writeTimeout)))
 		out := newFrame()
@@ -413,13 +417,11 @@ func (s *Server) handle(conn net.Conn) {
 		n, err := out.send(conn)
 		out.release()
 		if err != nil {
-			sp.Detailf("send failed: %v", err)
 			return // connection is torn; the client will retry elsewhere
 		}
 		respBytes := int64(n)
-		sp.Add("resp_bytes", respBytes)
 		s.observe(req, resp, time.Since(start), respBytes)
-		s.profile(req, resp, time.Since(start))
+		s.profile(req, resp, spans, time.Since(start), respBytes)
 	}
 }
 
@@ -453,21 +455,22 @@ func (s *Server) observe(req Request, resp Response, d time.Duration, respBytes 
 }
 
 // profile records a site-side flight-recorder profile for the substantial
-// request kinds (retrieve and local). The profile covers this request's
-// spans at this site — including peer check spans imported while serving it
-// — so a site records one profile per request it served for a query.
-func (s *Server) profile(req Request, resp Response, d time.Duration) {
-	if s.cfg.Recorder == nil || s.cfg.Tracer == nil || req.Trace.QueryID == "" {
+// request kinds (retrieve and local). The profile covers the request's tree
+// at this site — including peer check spans imported while serving it — so
+// a site records one profile per request it served for a query.
+func (s *Server) profile(req Request, resp Response, spans []trace.Span, d time.Duration, respBytes int64) {
+	if s.cfg.Recorder == nil || req.Trace.QueryID == "" {
 		return
 	}
 	if req.Kind != kindRetrieve && req.Kind != kindLocal {
 		return
 	}
-	p := trace.BuildProfile(req.Trace.QueryID, reqAlg(req), s.cfg.Tracer.QuerySpans(req.Trace.QueryID))
+	p := trace.BuildProfile(req.Trace.QueryID, reqAlg(req), spans)
 	if p == nil {
 		return
 	}
 	p.WallMicros = float64(d.Microseconds())
+	p.AddCounter("resp_bytes", respBytes)
 	var unavailable []string
 	for _, f := range resp.Local.Unavailable {
 		unavailable = append(unavailable, string(f.Site))

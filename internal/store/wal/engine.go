@@ -16,7 +16,6 @@ import (
 	"github.com/hetfed/hetfed/internal/object"
 	"github.com/hetfed/hetfed/internal/schema"
 	"github.com/hetfed/hetfed/internal/store"
-	"github.com/hetfed/hetfed/internal/trace"
 )
 
 const (
@@ -42,13 +41,11 @@ type Options struct {
 	// Sync/snapshot/Close: a process crash loses at most the buffered
 	// tail, which recovery truncates cleanly.
 	Fsync bool
-	// Site labels metrics, spans, and log lines.
+	// Site labels metrics and log lines.
 	Site string
 	// Metrics receives wal_*/snapshot_*/recovery_* series; nil is a
 	// valid no-op.
 	Metrics *metrics.Registry
-	// Tracer records a recovery span on open; nil is a valid no-op.
-	Tracer *trace.Tracer
 	// Log receives recovery and snapshot INFO lines; nil discards.
 	Log *slog.Logger
 
@@ -155,8 +152,6 @@ func open(opts Options, db *store.Database, tables *gmap.Tables) (*Engine, error
 // tail, and leaves e.f positioned for appends.
 func (e *Engine) recover() error {
 	start := time.Now()
-	span := e.opts.Tracer.StartSpan(0, object.SiteID(e.opts.Site), "wal:recover")
-	defer span.End()
 
 	var replayed, skipped int64
 	apply := func(rec record) error {
@@ -258,7 +253,6 @@ func (e *Engine) recover() error {
 	e.opts.Metrics.Counter("recovery_replayed_total", e.labels).Add(replayed)
 	e.opts.Metrics.Counter("recovery_skipped_total", e.labels).Add(skipped)
 	e.opts.Metrics.Gauge("recovery_last_micros", e.labels).Set(micros)
-	span.Add("replayed", replayed).Add("skipped", skipped).Detailf("dir=%s baseSeq=%d seq=%d", e.opts.Dir, baseSeq, e.seq)
 	e.log.Info("wal: recovered", "site", e.opts.Site, "dir", e.opts.Dir,
 		"replayed", replayed, "skipped", skipped, "base_seq", baseSeq, "seq", e.seq, "micros", micros)
 	return nil

@@ -68,8 +68,9 @@ type Profile struct {
 	// from the runtime's per-site metrics in process, or from the disk_bytes/
 	// cpu_ops counters the serving sites stamp on their spans over the wire.
 	IO map[string]SiteIO `json:"io,omitempty"`
-	// Spans is the query's span tree (every process's spans the recorder
-	// saw, imported remote spans included).
+	// Spans is the query's span tree in record order (every process's spans
+	// the recorder saw, imported remote spans included) — the one record of
+	// a finished query's spans.
 	Spans []Span `json:"-"`
 }
 
@@ -97,8 +98,8 @@ func (p *Profile) AddIO(site string, io SiteIO) {
 	p.IO[site] = cur
 }
 
-// BuildProfile assembles a profile from one query's spans (as returned by
-// Tracer.QuerySpans). Status, answer counts and counter extras are the
+// BuildProfile assembles a profile from one query's spans (as handed off by
+// Tracer.Take). Status, answer counts and counter extras are the
 // caller's to fill in; the builder derives timing, sites, phase attribution
 // and span-counter aggregates. Returns nil when no spans are given.
 func BuildProfile(qid, alg string, spans []Span) *Profile {
@@ -200,8 +201,16 @@ func (p *Profile) Interesting() bool {
 	return p != nil && p.Status != StatusOK
 }
 
-// RenderTree renders the profile's span forest (the same shape as
-// Tracer.RenderTree, scoped to this query).
+// Render lays the profile's steps out per site: the paper's Figure 8 step
+// flow.
+func (p *Profile) Render() string {
+	if p == nil {
+		return ""
+	}
+	return renderFlow(p.Spans)
+}
+
+// RenderTree renders the profile's span tree.
 func (p *Profile) RenderTree() string {
 	if p == nil {
 		return ""

@@ -8,10 +8,11 @@ import (
 	"github.com/hetfed/hetfed/internal/object"
 )
 
-// buildQuerySpans records a small cross-site query tree on a fresh tracer:
-// a root at G with an O child at DB1, a PO child at DB2, and an unrelated
-// span from another query that must not leak into the profile.
-func buildQuerySpans(t *testing.T) (*Tracer, []Span) {
+// buildQueryTree records a small cross-site query tree on a fresh tracer —
+// a root at G with an O child at DB1 and a PO child at DB2, beside an
+// unrelated span from another query that must not leak into the profile —
+// and takes it.
+func buildQueryTree(t *testing.T) []Span {
 	t.Helper()
 	tr := &Tracer{}
 	root := tr.StartSpan(0, "G", "PL").WithQuery("q1", "PL")
@@ -26,14 +27,14 @@ func buildQuerySpans(t *testing.T) (*Tracer, []Span) {
 	root.End()
 	other := tr.StartSpan(0, "DB3", "CA_C1").WithQuery("q2", "CA")
 	other.End()
-	return tr, tr.QuerySpans("q1")
+	return tr.Take(root.ID())
 }
 
 func TestBuildProfile(t *testing.T) {
 	if p := BuildProfile("q1", "PL", nil); p != nil {
 		t.Fatalf("profile from no spans = %+v, want nil", p)
 	}
-	_, spans := buildQuerySpans(t)
+	spans := buildQueryTree(t)
 	p := BuildProfile("q1", "PL", spans)
 	if p == nil {
 		t.Fatal("nil profile")
@@ -123,7 +124,7 @@ func TestImportDedupes(t *testing.T) {
 	site := &Tracer{}
 	h := site.StartSpan(0, "DB1", "serve:retrieve").WithQuery("rq1-a", "CA")
 	h.End()
-	shipped := site.QuerySpans("rq1-a")
+	shipped := site.Take(h.ID())
 	if len(shipped) != 1 {
 		t.Fatalf("shipped %d spans", len(shipped))
 	}
@@ -133,12 +134,12 @@ func TestImportDedupes(t *testing.T) {
 	// The same span arriving again (retry, or a second reply path through a
 	// peer) must not duplicate.
 	coord.Import(shipped)
-	if got := coord.QuerySpans("rq1-a"); len(got) != 1 {
+	if got := held(coord); len(got) != 1 {
 		t.Errorf("after double import: %d spans, want 1", len(got))
 	}
 	// Zero-ID spans are skipped outright.
 	coord.Import([]Span{{ID: 0, Query: "rq1-a"}})
-	if got := coord.QuerySpans("rq1-a"); len(got) != 1 {
+	if got := held(coord); len(got) != 1 {
 		t.Errorf("zero-ID span imported: %d spans", len(got))
 	}
 	// Imported spans keep their identity but get local sequence numbers, and
@@ -147,7 +148,7 @@ func TestImportDedupes(t *testing.T) {
 	coord2 := &Tracer{}
 	coord2.Import(shipped)
 	shipped[0].Counters["rows"] = 99
-	got := coord2.QuerySpans("rq1-a")
+	got := held(coord2)
 	if got[0].ID != shipped[0].ID {
 		t.Error("import changed the span ID")
 	}
@@ -156,40 +157,8 @@ func TestImportDedupes(t *testing.T) {
 	}
 }
 
-// TestImportClosedReplacesOpen: a peer answering a check ships its
-// still-open serve:local span; the closed copy arriving with the peer's own
-// reply must replace it, in place, and a late open copy must not reopen it.
-func TestImportClosedReplacesOpen(t *testing.T) {
-	site := &Tracer{}
-	h := site.StartSpan(0, "DB2", "serve:local").WithQuery("rq1-a", "BL")
-	open := site.QuerySpans("rq1-a")
-	h.Add("rows", 3)
-	h.End()
-	closed := site.QuerySpans("rq1-a")
-
-	coord := &Tracer{}
-	coord.StartSpan(0, "G", "BL_G1").WithQuery("rq1-a", "BL").End()
-	coord.Import(open)
-	coord.Import(closed)
-	coord.Import(open)
-	got := coord.QuerySpans("rq1-a")
-	if len(got) != 2 {
-		t.Fatalf("%d spans after open+closed import, want 2", len(got))
-	}
-	s := got[1]
-	if s.ID != closed[0].ID || s.End.IsZero() {
-		t.Errorf("imported span %d still open (End=%v), want closed span %d", s.ID, s.End, closed[0].ID)
-	}
-	if s.Counters["rows"] != 3 {
-		t.Errorf("closed copy's counters lost: %v", s.Counters)
-	}
-	if s.Seq != 2 {
-		t.Errorf("replacement moved the span: seq %d, want 2", s.Seq)
-	}
-}
-
 func TestChromeTrace(t *testing.T) {
-	_, spans := buildQuerySpans(t)
+	spans := buildQueryTree(t)
 	p := BuildProfile("q1", "PL", spans)
 	data, err := json.Marshal(p.ChromeTrace())
 	if err != nil {

@@ -1,7 +1,8 @@
 // Package trace records what a query execution did and where: hierarchical,
 // query-scoped spans (which site ran which algorithm step of which phase,
-// for how long), rendered as a tree or as the flat per-site step flow of the
-// paper's Figure 8.
+// for how long), held by a Tracer while the work runs and handed off into
+// the query's Profile when it ends, which renders them as a tree or as the
+// flat per-site step flow of the paper's Figure 8.
 //
 // The span model maps onto the paper's three processing phases:
 //
@@ -115,9 +116,11 @@ func (s Span) PhaseMicros() (d float64, ok bool) {
 	return d, true
 }
 
-// Tracer collects spans. It is safe for concurrent use (sites execute in
-// parallel). The zero value is ready to use; a nil *Tracer is a valid
-// no-op recorder, so call sites need no nil checks.
+// Tracer collects the spans of work in flight. It is safe for concurrent use
+// (sites execute in parallel). A finished query or served request hands its
+// tree off with Take, into the profile that is its one record, so the tracer
+// stays as small as what is running. The zero value is ready to use; a nil
+// *Tracer is a valid no-op recorder, so call sites need no nil checks.
 type Tracer struct {
 	mu    sync.Mutex
 	seq   int
@@ -126,10 +129,10 @@ type Tracer struct {
 	limit int
 }
 
-// SetLimit bounds the number of retained spans (0 = unlimited, the
-// default). When the limit is exceeded the oldest half of the spans is
-// dropped, so a long-running server's tracer holds its most recent query
-// trees. Spans whose parent was dropped render as roots.
+// SetLimit bounds the number of held spans (0 = unlimited, the default).
+// When the limit is exceeded the oldest half of the spans is dropped — a
+// guard against trees nobody takes, since Take already keeps a tracer to the
+// work in flight.
 func (t *Tracer) SetLimit(n int) {
 	if t == nil {
 		return
@@ -185,40 +188,53 @@ func (t *Tracer) dropOldestLocked() {
 	}
 }
 
-// Spans returns a copy of the recorded spans in record order.
-func (t *Tracer) Spans() []Span {
+// Take removes the span root and every span below it and returns them in
+// record order: the one hand-off of a finished query's or request's tree, so
+// the tracer holds only work in flight. Descendants are found through parent
+// links, not record order — imported spans come off the wire in whatever
+// order the peer recorded them. Take on a nil tracer, or of a span the
+// tracer does not hold, returns nil.
+func (t *Tracer) Take(root SpanID) []Span {
 	if t == nil {
 		return nil
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	out := make([]Span, len(t.spans))
-	copy(out, t.spans)
-	for i := range out {
-		if out[i].Counters != nil {
-			c := make(map[string]int64, len(out[i].Counters))
-			for k, v := range out[i].Counters {
-				c[k] = v
-			}
-			out[i].Counters = c
-		}
-	}
-	return out
-}
-
-// QuerySpans returns a copy of the recorded spans scoped to one query ID,
-// in record order.
-func (t *Tracer) QuerySpans(qid string) []Span {
-	if t == nil || qid == "" {
+	at, ok := t.index[root]
+	if !ok {
 		return nil
 	}
-	spans := t.Spans()
-	out := spans[:0:0]
-	for _, s := range spans {
-		if s.Query == qid {
-			out = append(out, s)
+	children := make(map[SpanID][]int)
+	for i, s := range t.spans {
+		if s.Parent != 0 && s.Parent != s.ID {
+			children[s.Parent] = append(children[s.Parent], i)
 		}
 	}
+	taken := make([]bool, len(t.spans))
+	n := 0
+	for stack := []int{at}; len(stack) > 0; {
+		i := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		if taken[i] {
+			continue // a parent cycle, possible only with colliding wire IDs
+		}
+		taken[i] = true
+		n++
+		stack = append(stack, children[t.spans[i].ID]...)
+	}
+	out := make([]Span, 0, n)
+	kept := t.spans[:0]
+	for i, s := range t.spans {
+		if taken[i] {
+			out = append(out, s)
+			delete(t.index, s.ID)
+			continue
+		}
+		t.index[s.ID] = len(kept)
+		kept = append(kept, s)
+	}
+	clear(t.spans[len(kept):])
+	t.spans = kept
 	return out
 }
 
@@ -226,11 +242,8 @@ func (t *Tracer) QuerySpans(qid string) []Span {
 // site's spans shipped back in an RPC response — keeping their IDs, parents
 // and timings so they stitch into this tracer's trees (span IDs are
 // process-unique by construction, see spanIDs). A span whose ID is already
-// present is skipped: the same remote span can arrive through two paths
-// (a peer's check reply and the peer's own local reply) or twice on a
-// retried call. The exception is an ended copy of a span held open: a peer
-// answering a check ships its still-running serve:local span, and the
-// closed copy that follows must replace it or the span keeps duration 0.
+// present is skipped: spans are wire input, and a retried call can deliver
+// the same span twice.
 func (t *Tracer) Import(spans []Span) {
 	if t == nil || len(spans) == 0 {
 		return
@@ -241,8 +254,7 @@ func (t *Tracer) Import(spans []Span) {
 		if s.ID == 0 {
 			continue
 		}
-		at, dup := t.index[s.ID]
-		if dup && (s.End.IsZero() || !t.spans[at].End.IsZero()) {
+		if _, dup := t.index[s.ID]; dup {
 			continue
 		}
 		if s.Counters != nil {
@@ -251,11 +263,6 @@ func (t *Tracer) Import(spans []Span) {
 				c[k] = v
 			}
 			s.Counters = c
-		}
-		if dup {
-			s.Seq = t.spans[at].Seq
-			t.spans[at] = s
-			continue
 		}
 		if t.limit > 0 && len(t.spans) >= t.limit {
 			t.dropOldestLocked()
@@ -268,18 +275,6 @@ func (t *Tracer) Import(spans []Span) {
 		}
 		t.index[s.ID] = len(t.spans) - 1
 	}
-}
-
-// Reset clears the tracer.
-func (t *Tracer) Reset() {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.spans = nil
-	t.index = nil
-	t.seq = 0
 }
 
 // Handle finishes and annotates an open span. The zero Handle (from a nil
@@ -354,13 +349,11 @@ func (h Handle) EndV(v float64) {
 	h.mutate(func(s *Span) { s.End = time.Now(); s.VEnd = v })
 }
 
-// Render lays the recorded steps out per site, one column per site (the
+// renderFlow lays a query's steps out per site, one column per site (the
 // shape of the paper's Figure 8 executing flows). Steps are numbered per
-// site; the bracketed g-number is the global sequence, which is what orders
-// steps across sites (per-site numbering used to reuse the global sequence,
-// which left gappy, racy-looking numbers in each column).
-func (t *Tracer) Render() string {
-	spans := t.Spans()
+// site; the bracketed g-number is the step's position in the query's record
+// order, which is what orders steps across sites.
+func renderFlow(spans []Span) string {
 	siteSet := make(map[object.SiteID]bool)
 	for _, s := range spans {
 		siteSet[s.Site] = true
@@ -375,48 +368,21 @@ func (t *Tracer) Render() string {
 	for _, site := range sites {
 		fmt.Fprintf(&b, "%s:\n", site)
 		n := 0
-		for _, s := range spans {
+		for g, s := range spans {
 			if s.Site != site {
 				continue
 			}
 			n++
-			fmt.Fprintf(&b, "  %2d. %-10s %s  [g%d]\n", n, s.Name, s.Detail, s.Seq)
+			fmt.Fprintf(&b, "  %2d. %-10s %s  [g%d]\n", n, s.Name, s.Detail, g+1)
 		}
 	}
 	return b.String()
 }
 
-// RenderTree renders the span forest hierarchically: every root span (its
-// parent is 0 or was recorded elsewhere) with its descendants indented,
+// renderTree renders a span forest hierarchically: every root span (its
+// parent is 0 or is not among the spans) with its descendants indented,
 // annotated with site, phases, durations on both clocks, counters and
 // detail.
-func (t *Tracer) RenderTree() string {
-	return renderTree(t.Spans())
-}
-
-// RenderLastQuery renders the span tree of the most recently started query
-// (the last root span carrying a query ID), or the whole forest when no
-// span is query-scoped.
-func (t *Tracer) RenderLastQuery() string {
-	spans := t.Spans()
-	last := ""
-	for _, s := range spans {
-		if s.Query != "" {
-			last = s.Query
-		}
-	}
-	if last == "" {
-		return renderTree(spans)
-	}
-	scoped := spans[:0:0]
-	for _, s := range spans {
-		if s.Query == last {
-			scoped = append(scoped, s)
-		}
-	}
-	return renderTree(scoped)
-}
-
 func renderTree(spans []Span) string {
 	present := make(map[SpanID]bool, len(spans))
 	for _, s := range spans {

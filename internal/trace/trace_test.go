@@ -13,23 +13,63 @@ func step(tr *Tracer, site object.SiteID, name, detail string) {
 	tr.StartSpan(0, site, name).Detailf("%s", detail).End()
 }
 
-func TestSpansReturnsCopy(t *testing.T) {
+// held returns a copy of the spans the tracer holds, in record order.
+func held(tr *Tracer) []Span {
+	tr.mu.Lock()
+	defer tr.mu.Unlock()
+	return append([]Span(nil), tr.spans...)
+}
+
+// TestTakeRemovesSubtree: Take hands off a root and everything below it,
+// found through parent links even when a peer's spans arrived child first,
+// in record order; the rest stays, reachable through its handles.
+func TestTakeRemovesSubtree(t *testing.T) {
 	var tr Tracer
-	tr.StartSpan(0, "G", "X").Add("rows", 1).End()
-	spans := tr.Spans()
-	spans[0].Name = "MUTATED"
-	spans[0].Counters["rows"] = 9
-	if got := tr.Spans()[0]; got.Name != "X" || got.Counters["rows"] != 1 {
-		t.Errorf("Spans exposes internal state: %+v", got)
+	q1 := tr.StartSpan(0, "G", "BL").WithQuery("q1", "BL")
+	q2 := tr.StartSpan(0, "G", "CA").WithQuery("q2", "CA")
+	rpc := tr.StartSpan(q1.ID(), "G", "rpc:local")
+	serve, check := SpanID(spanIDs.Add(1)), SpanID(spanIDs.Add(1))
+	tr.Import([]Span{
+		{ID: check, Parent: serve, Site: "DB3", Name: "serve:check"},
+		{ID: serve, Parent: rpc.ID(), Site: "DB2", Name: "serve:local"},
+	})
+	retrieve := tr.StartSpan(q2.ID(), "DB1", "rpc:retrieve")
+	rpc.End()
+	q1.End()
+
+	var names []string
+	for _, s := range tr.Take(q1.ID()) {
+		names = append(names, s.Name)
+	}
+	if got, want := strings.Join(names, " "), "BL rpc:local serve:check serve:local"; got != want {
+		t.Errorf("took %q, want %q", got, want)
+	}
+	retrieve.Add("rows", 2).End()
+	left := held(&tr)
+	if len(left) != 2 || left[0].Name != "CA" || left[1].Name != "rpc:retrieve" || left[1].Counters["rows"] != 2 {
+		t.Errorf("after Take the tracer holds %+v, want q2's two spans with their handles intact", left)
+	}
+	if got := tr.Take(q1.ID()); got != nil {
+		t.Errorf("a second Take of the same tree returned %d spans", len(got))
+	}
+	if got := tr.Take(0); got != nil {
+		t.Errorf("Take(0) returned %d spans", len(got))
+	}
+	if got := tr.Take(q2.ID()); len(got) != 2 || len(held(&tr)) != 0 {
+		t.Errorf("taking q2 left %d spans (took %d)", len(held(&tr)), len(got))
 	}
 }
 
-func TestReset(t *testing.T) {
+// TestTakeHandsOffSpans: the taken spans are the caller's alone — a handle
+// still held by straggling work no longer reaches them.
+func TestTakeHandsOffSpans(t *testing.T) {
 	var tr Tracer
-	step(&tr, "G", "X", "")
-	tr.Reset()
-	if len(tr.Spans()) != 0 {
-		t.Error("Reset did not clear")
+	h := tr.StartSpan(0, "G", "X").Add("rows", 1)
+	h.End()
+	spans := tr.Take(h.ID())
+	h.Add("rows", 9).Detailf("late")
+	if len(spans) != 1 || spans[0].Counters["rows"] != 1 || spans[0].Detail != "" {
+		t.Errorf("a handle reached a taken span: %+v", spans)
 	}
 }
 
@@ -39,7 +79,7 @@ func TestRenderGroupsBySite(t *testing.T) {
 	step(&tr, "DB2", "BL_C1", "local")
 	step(&tr, "DB1", "BL_C1", "local")
 	step(&tr, "G", "BL_G2", "certify")
-	out := tr.Render()
+	out := renderFlow(held(&tr))
 
 	// Sites appear sorted, each with its own steps.
 	iDB1 := strings.Index(out, "DB1:")
@@ -64,12 +104,12 @@ func TestConcurrentSteps(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if len(tr.Spans()) != 50 {
-		t.Errorf("spans = %d", len(tr.Spans()))
+	if len(held(&tr)) != 50 {
+		t.Errorf("spans = %d", len(held(&tr)))
 	}
 	// Sequence numbers are unique and contiguous.
 	seen := map[int]bool{}
-	for _, e := range tr.Spans() {
+	for _, e := range held(&tr) {
 		if seen[e.Seq] {
 			t.Fatalf("duplicate seq %d", e.Seq)
 		}
@@ -86,7 +126,7 @@ func TestSpanTreeRecording(t *testing.T) {
 	child.EndV(250)
 	root.Add("certain", 1).End()
 
-	spans := tr.Spans()
+	spans := tr.Take(root.ID())
 	if len(spans) != 2 {
 		t.Fatalf("spans = %d", len(spans))
 	}
@@ -115,24 +155,14 @@ func TestNilTracerIsNoOp(t *testing.T) {
 	if h.ID() != 0 {
 		t.Errorf("nil tracer handle id = %d", h.ID())
 	}
-	if tr.Spans() != nil {
+	tr.SetLimit(1)
+	tr.Import([]Span{{ID: 7}})
+	if tr.Take(7) != nil {
 		t.Error("nil tracer returned data")
 	}
-	tr.Reset()
-	if tr.Render() != "" || tr.RenderTree() != "" || tr.RenderLastQuery() != "" {
-		t.Error("nil tracer rendered output")
-	}
-}
-
-func TestSpansReturnCopies(t *testing.T) {
-	var tr Tracer
-	tr.StartSpan(0, "G", "X").Add("n", 1).End()
-	spans := tr.Spans()
-	spans[0].Name = "MUTATED"
-	spans[0].Counters["n"] = 99
-	again := tr.Spans()
-	if again[0].Name != "X" || again[0].Counters["n"] != 1 {
-		t.Error("Spans exposes internal state")
+	var p *Profile
+	if p.Render() != "" || p.RenderTree() != "" {
+		t.Error("nil profile rendered output")
 	}
 }
 
@@ -142,7 +172,7 @@ func TestSetLimitDropsOldest(t *testing.T) {
 	for i := 0; i < 25; i++ {
 		tr.StartSpan(0, "G", "s").End()
 	}
-	spans := tr.Spans()
+	spans := held(&tr)
 	if len(spans) > 10 {
 		t.Errorf("limit not enforced: %d spans", len(spans))
 	}
@@ -166,7 +196,7 @@ func TestRenderPerSiteNumbering(t *testing.T) {
 	step(&tr, "DB2", "BL_C1+C2", "local")
 	step(&tr, "DB2", "C3", "check")
 	step(&tr, "G", "BL_G2", "certify")
-	out := tr.Render()
+	out := renderFlow(held(&tr))
 
 	// Numbering restarts per site; the global order survives as [gN].
 	for _, want := range []string{
@@ -191,7 +221,7 @@ func TestRenderTreeNesting(t *testing.T) {
 	tr.StartSpan(c1.ID(), "DB2", "C3").WithPhases("O").End()
 	c1.End()
 	root.End()
-	out := tr.RenderTree()
+	out := renderTree(tr.Take(root.ID()))
 
 	iRoot := strings.Index(out, "BL @G")
 	iC1 := strings.Index(out, "  BL_C1+C2 [PO] @DB1")
@@ -204,20 +234,11 @@ func TestRenderTreeNesting(t *testing.T) {
 	}
 }
 
-func TestRenderLastQuery(t *testing.T) {
-	var tr Tracer
-	tr.StartSpan(0, "G", "BL").WithQuery("q1", "BL").End()
-	tr.StartSpan(0, "G", "CA").WithQuery("q2", "CA").End()
-	out := tr.RenderLastQuery()
-	if !strings.Contains(out, "q2") || strings.Contains(out, "q1") {
-		t.Errorf("RenderLastQuery should show only the latest query:\n%s", out)
-	}
-}
-
 // TestRenderSurvivesForeignParentCollision: a span parented on a span ID
 // propagated from another process may collide with a local ID — in the worst
 // case its own. Rendering must not drop such spans (a self-parented span once
-// made RenderLastQuery return nothing while Spans() held the whole query).
+// rendered as nothing while the tracer held the whole query), and Take must
+// still hand such a span off.
 func TestRenderSurvivesForeignParentCollision(t *testing.T) {
 	var tr Tracer
 	ping := tr.StartSpan(0, "DB1", "serve:ping")
@@ -228,14 +249,17 @@ func TestRenderSurvivesForeignParentCollision(t *testing.T) {
 	tr.mu.Lock()
 	tr.spans[1].Parent = tr.spans[1].ID // self-parent (foreign ID == own ID)
 	tr.mu.Unlock()
-	if out := tr.RenderLastQuery(); !strings.Contains(out, "serve:local") {
-		t.Errorf("self-parented span dropped from RenderLastQuery:\n%q", out)
+	if out := renderTree(held(&tr)[1:]); !strings.Contains(out, "serve:local") {
+		t.Errorf("self-parented span dropped from the tree:\n%q", out)
 	}
 	tr.mu.Lock()
 	tr.spans[1].Parent = tr.spans[0].ID // foreign ID == unrelated local span
 	tr.mu.Unlock()
-	if out := tr.RenderTree(); !strings.Contains(out, "serve:local") {
-		t.Errorf("collided span dropped from RenderTree:\n%q", out)
+	if out := renderTree(held(&tr)); !strings.Contains(out, "serve:local") {
+		t.Errorf("collided span dropped from the tree:\n%q", out)
+	}
+	if got := tr.Take(local.ID()); len(got) != 1 || got[0].Name != "serve:local" {
+		t.Errorf("Take of a span parented on a colliding ID = %+v", got)
 	}
 }
 
@@ -271,7 +295,7 @@ func TestConcurrentSpans(t *testing.T) {
 	}
 	wg.Wait()
 	root.End()
-	spans := tr.Spans()
+	spans := tr.Take(root.ID())
 	if len(spans) != 51 {
 		t.Fatalf("spans = %d", len(spans))
 	}

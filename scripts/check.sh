@@ -3,8 +3,8 @@
 # one-orchestration, one-report-envelope, one-codec, one-check-path,
 # one-replica, one-repair-path, one-experiment-harness, work-runs-where-it-is,
 # one-identity-index, said-once, one-chooser, one-probe-per-fetch,
-# one-way-to-stand-up-a-site, one-value-in-use and one-metric-catalog
-# structural guards, build,
+# one-way-to-stand-up-a-site, one-value-in-use, one-home-for-spans and
+# one-metric-catalog structural guards, build,
 # unit tests, the full test suite under the race detector, the benchmark
 # module's vet and tests, a one-shot compile-and-run smoke of the overhead and
 # allocation benchmarks,
@@ -276,6 +276,25 @@ for decl in 'HistogramSnapshot:internal/metrics/metrics.go:Bounds' 'Config:inter
         guard_failed=1
     fi
 done
+# A finished query's spans have one home (EXPERIMENTS.md E33): a tracer holds
+# work in flight, and each query and each served request takes its tree out
+# once, into the profile every trace view reads. The per-request copies of the
+# whole span store, the renderer beside the profile and the second runtime
+# interface stay gone, in tests or otherwise; outside tests the hand-off has
+# one site in internal/exec and one in internal/remote; and only the benchmark
+# module caps a tracer.
+if grep -rnE 'QuerySpans|RenderLastQuery|ContextRuntime' --include='*.go' --exclude-dir=.bench_build .; then
+    echo "a second home for a finished query's spans is back (see EXPERIMENTS.md E33)" >&2
+    guard_failed=1
+fi
+for dir in internal/exec internal/remote; do
+    want_one ".Take( in $dir" "$(grep -n '\.Take(' "$dir"/*.go | grep -v '_test\.go:' || true)"
+done
+if grep -rn 'SetLimit(' --include='*.go' --exclude='*_test.go' --exclude-dir=benchmark \
+    --exclude-dir=.bench_build . | grep -v 'func (t \*Tracer) SetLimit('; then
+    echo "a tracer is capped outside benchmark/; Take keeps it to the work in flight" >&2
+    guard_failed=1
+fi
 [ "$guard_failed" -eq 0 ] || exit 1
 
 # The figure ROADMAP's LOC numbers use, so the next issue quotes it instead
