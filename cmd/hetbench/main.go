@@ -100,12 +100,10 @@ func matrixFlags(fs *flag.FlagSet) (get func() (bench.MatrixSpec, error)) {
 		clients    = fs.String("clients", "1", "comma-separated concurrency levels")
 		faults     = fs.String("faults", "none", "comma-separated fault plans: none, kill:SITE, drop:SITE:N, delay:SITE:MICROS")
 		queries    = fs.Int("queries", 20, "queries per cell")
-		rate       = fs.Float64("rate", 0, "open-loop arrival rate in qps per client (0 = closed loop); live runtime only")
 		zipf       = fs.Float64("zipf", 0.9, "Zipfian skew over query variants (0 = uniform)")
 		variants   = fs.Int("variants", 3, "number of query variants under the skew")
-		maxConc    = fs.Int("concurrency", 0, "coordinator admission bound (0 = unbounded)")
 		scale      = fs.Float64("scale", 0.02, "Table 2 extent scale for the table2 workloads (1 = paper scale)")
-		seed       = fs.Int64("seed", 42, "root seed: workload draws, arrivals, variant skew")
+		seed       = fs.Int64("seed", 42, "root seed: workload draws, variant skew")
 	)
 	return func() (bench.MatrixSpec, error) {
 		cl, err := parseInts(*clients)
@@ -113,18 +111,16 @@ func matrixFlags(fs *flag.FlagSet) (get func() (bench.MatrixSpec, error)) {
 			return bench.MatrixSpec{}, fmt.Errorf("bad -clients: %w", err)
 		}
 		return bench.MatrixSpec{
-			Runtimes:      splitList(*runtimes),
-			Strategies:    splitList(*strategies),
-			Workloads:     splitList(*workloads),
-			Clients:       cl,
-			Faults:        splitList(*faults),
-			Queries:       *queries,
-			RateQPS:       *rate,
-			Zipf:          *zipf,
-			Variants:      *variants,
-			MaxConcurrent: *maxConc,
-			Scale:         *scale,
-			Seed:          *seed,
+			Runtimes:   splitList(*runtimes),
+			Strategies: splitList(*strategies),
+			Workloads:  splitList(*workloads),
+			Clients:    cl,
+			Faults:     splitList(*faults),
+			Queries:    *queries,
+			Zipf:       *zipf,
+			Variants:   *variants,
+			Scale:      *scale,
+			Seed:       *seed,
 		}, nil
 	}
 }
@@ -281,7 +277,7 @@ func sloCmd(args []string) error {
 	var (
 		in          = fs.String("in", "", "evaluate an existing report instead of running the matrix")
 		ruleList    = fs.String("rules", "", "objectives every cell must meet, in hetserve -slo's grammar: 'throughput >= 2000; query_latency p99 < 50ms; maybe_rows <= 20%'")
-		allowErrors = fs.Bool("allow-errors", false, "tolerate client errors/sheds (default: any error fails)")
+		allowErrors = fs.Bool("allow-errors", false, "tolerate client errors (default: any error fails)")
 		quiet       = fs.Bool("q", false, "suppress per-cell progress lines")
 	)
 	if err := fs.Parse(args); err != nil {

@@ -207,7 +207,7 @@ func TestSLORules(t *testing.T) {
 		}
 	}
 	write("good.json", bench.ClientStats{QPS: 2500, P99Micros: 40000, Completed: 100}, bench.ServerStats{MaybeFrac: 0.15})
-	write("errors.json", bench.ClientStats{QPS: 2500, Errors: 2, Shed: 1}, bench.ServerStats{})
+	write("errors.json", bench.ClientStats{QPS: 2500, Errors: 3}, bench.ServerStats{})
 	const objective = "throughput >= 2000; query_latency p99 < 50ms; maybe_rows <= 20%"
 	const cell = "sim/BL/school/c4/none"
 	for _, tc := range []struct {

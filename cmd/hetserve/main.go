@@ -534,8 +534,8 @@ func runCoordinator(fed *fedfile.Federation, peers map[object.SiteID]string, c *
 		// and the affected results come back as maybe.
 		log.Warn("some sites unreachable, proceeding degraded", slog.Any("err", err))
 	}
-	// Ctrl-C cancels in-flight queries (in-flight exchanges cut, admission
-	// slots released, partial answers printed) instead of killing the process.
+	// Ctrl-C cancels in-flight queries (in-flight exchanges cut, partial
+	// answers printed) instead of killing the process.
 	ctx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stopSignals()
 	qctx := ctx

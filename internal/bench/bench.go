@@ -52,8 +52,7 @@ type MatrixSpec struct {
 	// running example) and/or "table2" (a seeded draw from the paper's
 	// Table 2 ranges; "table2eq" uses equality predicates).
 	Workloads []string `json:"workloads"`
-	// Clients are the concurrency levels: closed-loop worker counts, or —
-	// when RateQPS is set — multipliers on the open-loop arrival rate.
+	// Clients are the concurrency levels: closed-loop worker counts.
 	Clients []int `json:"clients"`
 	// Faults are fault-plan specs in fabric.ParseFaults' grammar: "none",
 	// "kill:SITE", "drop:SITE:N" (dark after N operations),
@@ -62,16 +61,10 @@ type MatrixSpec struct {
 
 	// Queries is the number of queries driven per cell.
 	Queries int `json:"queries"`
-	// RateQPS, when positive, switches the live driver to open loop:
-	// arrivals follow a seeded Poisson schedule at RateQPS × cell clients
-	// per second and do not wait for completions. 0 = closed loop.
-	RateQPS float64 `json:"rate_qps,omitempty"`
 	// Zipf is the query-variant popularity skew (0 = uniform).
 	Zipf float64 `json:"zipf"`
 	// Variants is the number of query variants Zipf picks between (≥ 1).
 	Variants int `json:"variants"`
-	// MaxConcurrent bounds coordinator admission (0 = unbounded).
-	MaxConcurrent int `json:"max_concurrent,omitempty"`
 	// Scale multiplies the Table 2 extent sizes for the table2 workloads
 	// (1.0 = paper scale; keep small for smoke runs). 0 = 1.0.
 	Scale float64 `json:"scale,omitempty"`
@@ -105,7 +98,6 @@ type ClientStats struct {
 	Queries     int     `json:"queries"`
 	Completed   int     `json:"completed"`
 	Errors      int     `json:"errors"`
-	Shed        int     `json:"shed"`
 	Degraded    int     `json:"degraded"`
 	Interrupted int     `json:"interrupted"`
 	WallMillis  float64 `json:"wall_ms"`
@@ -134,7 +126,6 @@ type ServerStats struct {
 	DiskBytes        int64   `json:"disk_bytes,omitempty"`
 	CPUOps           int64   `json:"cpu_ops,omitempty"`
 	ChecksDispatched int64   `json:"checks_dispatched,omitempty"`
-	Shed             int64   `json:"shed,omitempty"`
 	DeadlineExceeded int64   `json:"deadline_exceeded,omitempty"`
 	Canceled         int64   `json:"canceled,omitempty"`
 	SiteUnavailable  int64   `json:"site_unavailable,omitempty"`

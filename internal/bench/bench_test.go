@@ -291,10 +291,10 @@ func TestBundleStability(t *testing.T) {
 func TestSummarize(t *testing.T) {
 	results := []Result{
 		{Micros: 100}, {Micros: 300, Degraded: true}, {Micros: 200},
-		{Err: context.Canceled}, {Shed: true, Err: context.DeadlineExceeded},
+		{Err: context.Canceled}, {Err: context.DeadlineExceeded},
 	}
 	st := Summarize(results, 1e6) // 1s wall
-	if st.Queries != 5 || st.Completed != 3 || st.Errors != 1 || st.Shed != 1 || st.Degraded != 1 {
+	if st.Queries != 5 || st.Completed != 3 || st.Errors != 2 || st.Degraded != 1 {
 		t.Fatalf("counts wrong: %+v", st)
 	}
 	if st.QPS != 3 {

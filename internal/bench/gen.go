@@ -3,7 +3,6 @@ package bench
 import (
 	"context"
 	"sync"
-	"time"
 
 	"github.com/hetfed/hetfed/internal/workload"
 )
@@ -57,48 +56,6 @@ func RunClosed(ctx context.Context, clients int, variants []int, fn QueryFunc) [
 				results[i] = fn(ctx, variants[i])
 			}
 		}(c)
-	}
-	wg.Wait()
-	return results
-}
-
-// RunOpen drives one query per arrival offset (open loop: arrivals do not
-// wait for completions, so queueing shows up as latency instead of reduced
-// offered load). offsets[i] is query i's launch time relative to the run
-// start — produce it with workload.Arrivals for a Poisson process. A
-// cancelled ctx abandons unlaunched arrivals (their Results carry
-// ctx.Err()) and the call returns once every launched query unwinds — no
-// goroutine outlives RunOpen.
-func RunOpen(ctx context.Context, offsets []time.Duration, variants []int, fn QueryFunc) []Result {
-	n := len(offsets)
-	if len(variants) < n {
-		n = len(variants)
-	}
-	results := make([]Result, n)
-	start := time.Now()
-	timer := time.NewTimer(0)
-	defer timer.Stop()
-	var wg sync.WaitGroup
-launch:
-	for i := 0; i < n; i++ {
-		if wait := offsets[i] - time.Since(start); wait > 0 {
-			timer.Reset(wait)
-			select {
-			case <-timer.C:
-			case <-ctx.Done():
-			}
-		}
-		if err := ctx.Err(); err != nil {
-			for j := i; j < n; j++ {
-				results[j] = Result{Err: err}
-			}
-			break launch
-		}
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			results[i] = fn(ctx, variants[i])
-		}(i)
 	}
 	wg.Wait()
 	return results

@@ -2,7 +2,6 @@ package bench
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math/rand"
 	"time"
@@ -16,7 +15,6 @@ import (
 	"github.com/hetfed/hetfed/internal/planner"
 	"github.com/hetfed/hetfed/internal/remote"
 	"github.com/hetfed/hetfed/internal/trace"
-	"github.com/hetfed/hetfed/internal/workload"
 )
 
 // liveCluster is one cell's serving deployment: every component site as a
@@ -44,18 +42,14 @@ func (lc *liveCluster) close() {
 // site the spec names. Site metrics are served over HTTP (obs.Serve) and
 // later scraped — the measurement exercises the real observability surface,
 // not an in-process shortcut.
-func startLiveCluster(spec MatrixSpec, cell Cell, bundle *Bundle) (*liveCluster, error) {
+func startLiveCluster(cell Cell, bundle *Bundle) (*liveCluster, error) {
 	faults, err := fabric.ParseFaults(cell.Fault, "")
 	if err != nil {
 		return nil, err
 	}
 	plan := faults()
 	lc := &liveCluster{coordReg: metrics.New()}
-	lc.coord = &remote.Coordinator{
-		ID:            coordinatorID,
-		Metrics:       lc.coordReg,
-		MaxConcurrent: spec.MaxConcurrent,
-	}
+	lc.coord = &remote.Coordinator{ID: coordinatorID, Metrics: lc.coordReg}
 	// Adaptive cells wire the coordinator's feedback loop: a tracer supplies
 	// measured profiles and the calibrating selector consumes them. Its
 	// health source is the coordinator's breaker states, which stay empty
@@ -111,7 +105,7 @@ func runLiveCell(ctx context.Context, spec MatrixSpec, cell Cell, bundle *Bundle
 	if err != nil {
 		return CellResult{}, err
 	}
-	lc, err := startLiveCluster(spec, cell, bundle)
+	lc, err := startLiveCluster(cell, bundle)
 	if err != nil {
 		return CellResult{}, err
 	}
@@ -145,16 +139,16 @@ func runLiveCell(ctx context.Context, spec MatrixSpec, cell Cell, bundle *Bundle
 	}, nil
 }
 
-// drive runs the cell's seeded query stream against the cluster — closed
-// loop, or open loop when the spec sets a rate — and summarizes what the
-// load generator observed on its own clock.
+// drive runs the cell's seeded query stream against the cluster from the
+// cell's closed-loop clients and summarizes what the load generator observed
+// on its own clock.
 func (lc *liveCluster) drive(ctx context.Context, spec MatrixSpec, cell Cell, bundle *Bundle, alg exec.Algorithm) ClientStats {
 	rng := rand.New(rand.NewSource(cell.Seed))
 	variants := DrawVariants(zipfFor(rng, spec, bundle), spec.Queries)
 	fn := func(ctx context.Context, variant int) Result {
 		ans, elapsed, err := lc.coord.QueryContext(ctx, bundle.Queries[variant], alg)
 		if err != nil {
-			return Result{Err: err, Shed: errors.Is(err, exec.ErrShed)}
+			return Result{Err: err}
 		}
 		return Result{
 			Micros:      float64(elapsed.Nanoseconds()) / 1e3,
@@ -163,12 +157,6 @@ func (lc *liveCluster) drive(ctx context.Context, spec MatrixSpec, cell Cell, bu
 		}
 	}
 	start := time.Now()
-	var results []Result
-	if spec.RateQPS > 0 {
-		offsets := workload.Arrivals(rng, spec.Queries, spec.RateQPS*float64(cell.Clients))
-		results = RunOpen(ctx, offsets, variants, fn)
-	} else {
-		results = RunClosed(ctx, cell.Clients, variants, fn)
-	}
+	results := RunClosed(ctx, cell.Clients, variants, fn)
 	return Summarize(results, float64(time.Since(start).Nanoseconds())/1e3)
 }

@@ -152,7 +152,7 @@ func runObsCell(ctx context.Context, spec ObsSpec, matrix MatrixSpec, cell Cell,
 	bundle *Bundle, mode string) (ObsCell, error) {
 	out := ObsCell{Mode: mode}
 	watch := mode == "scraped"
-	lc, err := startLiveCluster(matrix, cell, bundle)
+	lc, err := startLiveCluster(cell, bundle)
 	if err != nil {
 		return out, err
 	}

@@ -164,13 +164,12 @@ func runSimCell(ctx context.Context, spec MatrixSpec, cell Cell, bundle *Bundle)
 	}
 	reg := metrics.New()
 	cfg := exec.Config{
-		Global:        bundle.Global,
-		Coordinator:   coordinatorID,
-		Databases:     bundle.Databases,
-		Tables:        bundle.Tables,
-		Metrics:       reg,
-		Signatures:    signature.Build(bundle.Databases),
-		MaxConcurrent: spec.MaxConcurrent,
+		Global:      bundle.Global,
+		Coordinator: coordinatorID,
+		Databases:   bundle.Databases,
+		Tables:      bundle.Tables,
+		Metrics:     reg,
+		Signatures:  signature.Build(bundle.Databases),
 	}
 	// Adaptive cells close the feedback loop: a tracer feeds each query's
 	// measured profile into the calibrating selector. Queries run
@@ -201,7 +200,7 @@ func runSimCell(ctx context.Context, spec MatrixSpec, cell Cell, bundle *Bundle)
 		rt := fabric.NewSim(fabric.DefaultRates(), engine.Sites()).WithFaults(faults())
 		ans, m, err := engine.Run(rt, alg, bundle.Bounds[variants[i]])
 		if err != nil {
-			results[i] = Result{Err: err, Shed: errors.Is(err, exec.ErrShed)}
+			results[i] = Result{Err: err}
 			continue
 		}
 		virtualMicros += m.ResponseMicros
@@ -254,7 +253,6 @@ func extractServerStats(coord metrics.Snapshot, sites []metrics.Snapshot) Server
 		DiskBytes:        sumAll("disk_bytes_total"),
 		CPUOps:           sumAll("cpu_ops_total"),
 		ChecksDispatched: sumAll("checks_dispatched_total"),
-		Shed:             coord.Sum("queries_shed_total"),
 		DeadlineExceeded: coord.Sum("deadline_exceeded_total"),
 		Canceled:         coord.Sum("queries_canceled_total"),
 		SiteUnavailable:  coord.Sum("site_unavailable_total"),

@@ -76,7 +76,7 @@ func Judge(res CellResult, rules []slo.Rule, allowErrors bool) (Verdict, error) 
 			OK: r.Holds(value), headroom: headroom})
 	}
 	if !allowErrors {
-		n := res.Client.Errors + res.Client.Shed
+		n := res.Client.Errors
 		c := Judged{Name: "errors", Value: fmt.Sprint(n), OK: n == 0}
 		if n > 0 {
 			c.headroom = -1

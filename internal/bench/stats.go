@@ -13,7 +13,6 @@ type Result struct {
 	Micros      float64
 	Degraded    bool
 	Interrupted bool
-	Shed        bool
 	Err         error
 }
 
@@ -31,8 +30,6 @@ func Summarize(results []Result, wallMicros float64) ClientStats {
 	var sum float64
 	for _, r := range results {
 		switch {
-		case r.Shed:
-			st.Shed++
 		case r.Err != nil:
 			st.Errors++
 		default:

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"errors"
 	"testing"
 )
@@ -58,10 +59,10 @@ func TestSummarizePercentiles(t *testing.T) {
 	// Two non-completions must not shift the completed-sample percentiles.
 	results = append(results,
 		Result{Err: errors.New("boom")},
-		Result{Shed: true})
+		Result{Err: context.DeadlineExceeded})
 
 	st := Summarize(results, 1e6)
-	if st.Completed != 100 || st.Errors != 1 || st.Shed != 1 {
+	if st.Completed != 100 || st.Errors != 2 {
 		t.Fatalf("counts = %+v", st)
 	}
 	if st.P50Micros != 50 {

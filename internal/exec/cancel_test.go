@@ -2,7 +2,6 @@ package exec
 
 import (
 	"context"
-	"errors"
 	"runtime"
 	"testing"
 	"time"
@@ -19,21 +18,20 @@ import (
 
 // cancelEngine builds a fully instrumented engine (metrics + recorder) for
 // the interruption tests.
-func cancelEngine(t testing.TB, maxConcurrent int) (*Engine, *query.Bound, *metrics.Registry, *obs.Recorder) {
+func cancelEngine(t testing.TB) (*Engine, *query.Bound, *metrics.Registry, *obs.Recorder) {
 	t.Helper()
 	fx := school.New()
 	reg := metrics.New()
 	rec := obs.NewRecorder(obs.RecorderConfig{Site: "G", Metrics: reg})
 	e, err := New(Config{
-		Global:        fx.Global,
-		Coordinator:   "G",
-		Databases:     fx.Databases,
-		Tables:        fx.Mapping,
-		Tracer:        &trace.Tracer{},
-		Metrics:       reg,
-		Signatures:    signature.Build(fx.Databases),
-		Recorder:      rec,
-		MaxConcurrent: maxConcurrent,
+		Global:      fx.Global,
+		Coordinator: "G",
+		Databases:   fx.Databases,
+		Tables:      fx.Mapping,
+		Tracer:      &trace.Tracer{},
+		Metrics:     reg,
+		Signatures:  signature.Build(fx.Databases),
+		Recorder:    rec,
 	})
 	if err != nil {
 		t.Fatalf("New: %v", err)
@@ -67,7 +65,7 @@ func assertNoGoroutineLeak(t *testing.T, baseline int) {
 // and must not leak the per-site worker goroutines.
 func TestDeadlineInterruptsDelayedSites(t *testing.T) {
 	baseline := runtime.NumGoroutine()
-	e, b, reg, rec := cancelEngine(t, 0)
+	e, b, reg, rec := cancelEngine(t)
 	for _, alg := range []Algorithm{CA, BL, PL} {
 		rt := fabric.NewReal(fabric.DefaultRates()).WithFaults(
 			fabric.NewFaultPlan().
@@ -110,7 +108,7 @@ func TestDeadlineInterruptsDelayedSites(t *testing.T) {
 // strategies must unwind at their next checkpoint with outcome canceled.
 func TestCancelMidQuery(t *testing.T) {
 	baseline := runtime.NumGoroutine()
-	e, b, reg, _ := cancelEngine(t, 0)
+	e, b, reg, _ := cancelEngine(t)
 	for _, alg := range []Algorithm{CA, BL, PL} {
 		rt := fabric.NewReal(fabric.DefaultRates()).WithFaults(
 			fabric.NewFaultPlan().
@@ -145,7 +143,7 @@ func TestCancelMidQuery(t *testing.T) {
 // context must still yield a sound partial answer (every site interrupted)
 // rather than an error, on the same code path the CLI's ctrl-C takes.
 func TestCancelSimRuntime(t *testing.T) {
-	e, b, _, _ := cancelEngine(t, 0)
+	e, b, _, _ := cancelEngine(t)
 	for _, alg := range []Algorithm{CA, BL, PL} {
 		ctx, cancel := context.WithCancel(context.Background())
 		cancel()
@@ -163,66 +161,13 @@ func TestCancelSimRuntime(t *testing.T) {
 	}
 }
 
-// TestShedAtAdmission wedges the single admission slot with a slow query
-// and then offers queries whose budget cannot survive the queue: they must
-// fail fast with the typed sentinels (ErrShed for an expired deadline,
-// ErrCanceled for a cancelled wait) and count queries_shed_total — and the
-// slot must come back once the slow query finishes.
-func TestShedAtAdmission(t *testing.T) {
-	e, b, reg, _ := cancelEngine(t, 1)
-
-	slowStarted := make(chan struct{})
-	slowDone := make(chan error, 1)
-	go func() {
-		rt := fabric.NewReal(fabric.DefaultRates()).WithFaults(
-			fabric.NewFaultPlan().Delay("DB1", 3e5).Delay("DB2", 3e5).Delay("DB3", 3e5))
-		close(slowStarted)
-		_, _, err := e.Run(rt, CA, b)
-		slowDone <- err
-	}()
-	<-slowStarted
-	time.Sleep(20 * time.Millisecond) // let the slow query take the slot
-
-	// Deadline dies while queued → ErrShed (wraps context.DeadlineExceeded).
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
-	_, _, err := e.RunContext(ctx, fabric.NewReal(fabric.DefaultRates()), BL, b)
-	cancel()
-	if !errors.Is(err, ErrShed) || !errors.Is(err, context.DeadlineExceeded) {
-		t.Errorf("queued-past-deadline error = %v, want ErrShed", err)
-	}
-
-	// Caller leaves while queued → ErrCanceled.
-	ctx2, cancel2 := context.WithCancel(context.Background())
-	go func() {
-		time.Sleep(10 * time.Millisecond)
-		cancel2()
-	}()
-	_, _, err = e.RunContext(ctx2, fabric.NewReal(fabric.DefaultRates()), BL, b)
-	if !errors.Is(err, ErrCanceled) || !errors.Is(err, context.Canceled) {
-		t.Errorf("cancelled-while-queued error = %v, want ErrCanceled", err)
-	}
-
-	if err := <-slowDone; err != nil {
-		t.Fatalf("slow query: %v", err)
-	}
-	// The released slot admits a fresh query immediately.
-	ans, _, err := e.Run(fabric.NewReal(fabric.DefaultRates()), BL, b)
-	if err != nil || ans.Interrupted() {
-		t.Fatalf("post-shed query: ans=%v err=%v", ans, err)
-	}
-	snap := reg.Snapshot()
-	if got := snap.CounterValue("queries_shed_total", metrics.Labels{Site: "G"}); got != 2 {
-		t.Errorf("queries_shed_total = %d, want 2", got)
-	}
-}
-
 // TestInterruptedSitesChargeNoUnavailableCounter: a query whose deadline has
 // already expired skips every site — they are all listed in
 // Answer.Unavailable, since what they would have contributed is unknown —
 // but a caller running out of budget says nothing about the sites' health,
 // so site_unavailable_total must stay 0 (DESIGN §10).
 func TestInterruptedSitesChargeNoUnavailableCounter(t *testing.T) {
-	e, b, reg, _ := cancelEngine(t, 0)
+	e, b, reg, _ := cancelEngine(t)
 	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
 	defer cancel()
 	for _, alg := range []Algorithm{CA, BL, PL} {

@@ -3,29 +3,6 @@ package exec
 import (
 	"context"
 	"errors"
-	"fmt"
-)
-
-// Typed execution errors. All wrap the corresponding context error, so
-// callers classify with errors.Is against either the exec sentinel or
-// context.Canceled / context.DeadlineExceeded — whichever layer they think
-// in. Note that an *admitted* query that runs out of budget mid-flight does
-// NOT return an error: it returns its sound partial Answer with
-// Answer.Outcome set. These errors surface only where no answer exists at
-// all — above all at the admission gate.
-var (
-	// ErrDeadlineExceeded marks a query whose deadline expired before any
-	// execution happened.
-	ErrDeadlineExceeded = fmt.Errorf("exec: query deadline exceeded: %w", context.DeadlineExceeded)
-	// ErrCanceled marks a query whose caller went away before any execution
-	// happened.
-	ErrCanceled = fmt.Errorf("exec: query canceled: %w", context.Canceled)
-	// ErrShed marks a query turned away by admission control: it queued for
-	// an execution slot and its deadline expired before one freed up.
-	// Shedding the doomed query at the gate is the overload valve — the slot
-	// goes to a query that can still meet its deadline. Wraps
-	// ErrDeadlineExceeded (and therefore context.DeadlineExceeded).
-	ErrShed = fmt.Errorf("exec: query shed at admission: %w", ErrDeadlineExceeded)
 )
 
 // ErrSiteUnavailable classifies a site-bound step that got no answer: the

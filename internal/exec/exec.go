@@ -156,10 +156,6 @@ type Config struct {
 	// per query and is fed every finished query's profile (requires Tracer,
 	// like Recorder — the feedback loop runs on measured spans).
 	Selector Selector
-	// MaxConcurrent bounds the number of queries executing at once; Run
-	// calls beyond the bound wait for a slot (admission control). Zero or
-	// negative means unbounded.
-	MaxConcurrent int
 }
 
 // New builds an engine from a federation configuration.
@@ -193,7 +189,6 @@ func New(cfg Config) (*Engine, error) {
 		Metrics:  cfg.Metrics,
 		Recorder: cfg.Recorder,
 		Selector: cfg.Selector,
-		Gate:     NewGate(cfg.MaxConcurrent, cfg.Metrics, string(cfg.Coordinator)),
 	}}, nil
 }
 
@@ -221,7 +216,7 @@ func (e *Engine) Run(rt fabric.Runtime, alg Algorithm, b *query.Bound) (*federat
 }
 
 // RunContext is Run under a caller context; see Runner.Run for how
-// cancellation, deadlines and admission behave.
+// cancellation and deadlines behave.
 func (e *Engine) RunContext(ctx context.Context, rt fabric.Runtime, alg Algorithm, b *query.Bound) (*federation.Answer, fabric.Metrics, error) {
 	return e.run.Run(ctx, rt, fmt.Sprintf("q%d", e.qseq.Add(1)), alg, b)
 }

@@ -16,7 +16,7 @@ import (
 	"github.com/hetfed/hetfed/internal/trace"
 )
 
-// Query scopes one admitted execution: what every step and seam operation
+// Query scopes one execution: what every step and seam operation
 // of it shares.
 type Query struct {
 	// ID scopes the query's spans, exemplars and wire trace contexts.
@@ -72,8 +72,8 @@ type SiteOps interface {
 }
 
 // Runner is the global processing site: the coordinator half of every
-// strategy and the one query lifecycle around it — adaptive resolve, default
-// deadline, admission, run, outcome, metrics, profile — for every transport.
+// strategy and the one query lifecycle around it — adaptive resolve, run,
+// outcome, metrics, profile — for every transport.
 // Engine keeps one; remote.Coordinator assembles one per query from its
 // fields.
 type Runner struct {
@@ -92,23 +92,20 @@ type Runner struct {
 	Metrics  *metrics.Registry
 	Recorder *obs.Recorder
 	Selector Selector
-	// Gate bounds concurrent queries; nil admits everything.
-	Gate *Gate
 	// Suspect, when set, reports which of the given classes this site's own
 	// mapping replica holds suspect.
 	Suspect func(classes []string) []string
 }
 
-// Run executes one query. The context gates admission (a query whose budget
-// expires while queued is shed with ErrShed / ErrCanceled and never takes a
-// slot) and is consulted at every site-bound step, so an interrupted query
-// unwinds mid-phase instead of running to completion. An admitted
-// query that is interrupted does NOT return an error: it returns its sound
-// partial answer — whatever certified before the cut stays certain, the rest
-// stays maybe — with Answer.Outcome set to OutcomeCanceled or
-// OutcomeDeadline. Every admitted query, failed ones included, is counted
-// and profiled: its span tree is taken from the tracer once, at the end, and
-// becomes its profile.
+// Run executes one query. The context is consulted at every site-bound
+// step, so an interrupted query unwinds mid-phase instead of running to
+// completion. An interrupted query does NOT return an error: it returns its
+// sound partial answer — whatever certified before the cut stays certain,
+// the rest stays maybe — with Answer.Outcome set to OutcomeCanceled or
+// OutcomeDeadline; a query whose context is already done skips every site
+// and lists them all as unavailable. Every query, failed ones included, is
+// counted and profiled: its span tree is taken from the tracer once, at the
+// end, and becomes its profile.
 func (r *Runner) Run(ctx context.Context, rt fabric.Runtime, qid string, alg Algorithm, b *query.Bound) (*federation.Answer, fabric.Metrics, error) {
 	self := r.Coord.ID()
 	if alg == Adaptive {
@@ -121,15 +118,11 @@ func (r *Runner) Run(ctx context.Context, rt fabric.Runtime, qid string, alg Alg
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	release, waitMicros, err := r.Gate.enter(ctx, alg.String())
-	if err != nil {
-		return nil, fabric.Metrics{}, err
-	}
-	defer release()
 	q := &Query{ID: qid, Alg: alg, Bound: b, Tracer: r.Tracer}
 	var (
 		ans  *federation.Answer
 		root trace.Handle
+		err  error
 	)
 	task := func(p fabric.Proc) {
 		root = q.begin(p, 0, self, alg.String(), "")
@@ -162,7 +155,7 @@ func (r *Runner) Run(ctx context.Context, rt fabric.Runtime, qid string, alg Alg
 	}
 	spans := r.Tracer.Take(root.ID())
 	r.record(q, ans, m, spans)
-	r.profile(q, ans, m, waitMicros, spans, cmp.Or(err, ctx.Err()))
+	r.profile(q, ans, m, spans, cmp.Or(err, ctx.Err()))
 	return ans, m, err
 }
 
@@ -233,7 +226,7 @@ func (r *Runner) record(q *Query, ans *federation.Answer, m fabric.Metrics, span
 // feeds the flight recorder and the adaptive selector. err is the query's
 // failure or its context's; either way the recorder always retains the
 // profile.
-func (r *Runner) profile(q *Query, ans *federation.Answer, m fabric.Metrics, waitMicros int64, spans []trace.Span, err error) {
+func (r *Runner) profile(q *Query, ans *federation.Answer, m fabric.Metrics, spans []trace.Span, err error) {
 	if r.Recorder == nil && r.Selector == nil {
 		return
 	}
@@ -253,7 +246,6 @@ func (r *Runner) profile(q *Query, ans *federation.Answer, m fabric.Metrics, wai
 		}
 	}
 	p.SetOutcome(certain, maybe, unavailable, err)
-	p.AddCounter("admission_wait_us", waitMicros)
 	for site, sc := range m.PerSite {
 		p.AddCounter("disk_bytes", sc.DiskBytes)
 		p.AddCounter("cpu_ops", sc.CPUOps)

@@ -48,10 +48,11 @@ type Target struct {
 }
 
 // The aggregator runs at the global processing site, whose name labels its
-// own scrape_*/cluster_* metrics; its rollups cover the trailing window.
+// own scrape_*/cluster_* metrics; its rollups cover the trailing window,
+// all the history it keeps.
 const (
 	site   = "G"
-	window = time.Minute
+	window = obs.Window
 )
 
 // Config parameterizes a Scraper.

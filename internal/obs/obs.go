@@ -43,6 +43,10 @@ import (
 	"github.com/hetfed/hetfed/internal/version"
 )
 
+// Window is how much history the cluster aggregator keeps of each site and
+// so the longest window its rollups and SLO rules can be judged over.
+const Window = time.Minute
+
 // Health contributes per-peer conditions to /healthz: entry name → state.
 // The canonical source is circuit-breaker states (peer site name →
 // "closed"/"half-open"/"open"); other sources report under a namespacing

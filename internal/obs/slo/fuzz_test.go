@@ -18,7 +18,7 @@ var seedRules = []string{
 	"query_latency p99 < 50ms over 1m",
 	"degraded_queries ratio < 1% over 1m",
 	"request_errors ratio < 0.5% over 30s",
-	"slow: query_latency mean < 5ms over 2m",
+	"slow: query_latency mean < 5ms over 45s",
 	"maybe_rows <= 20% over 1m",
 	"throughput >= 2000",
 	"availability >= 0.99",

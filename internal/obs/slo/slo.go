@@ -11,7 +11,7 @@
 //	query_latency p99 < 50ms over 1m
 //	degraded_queries ratio < 1% over 1m
 //	request_errors ratio < 0.5% over 30s
-//	slow: query_latency mean < 5ms over 2m
+//	slow: query_latency mean < 5ms over 45s
 //	maybe_rows <= 20% over 1m
 //	throughput >= 2000
 //	availability >= 0.99
@@ -19,7 +19,8 @@
 // Metrics are the names of the Measures table: a latency (agg pNN or mean,
 // default p99; value a duration), a share (value a percent or fraction), a
 // throughput (value a count per second) or availability (sites live over
-// sites tracked — instant, no window).
+// sites tracked — instant, no window). A window defaults to, and may not
+// exceed, obs.Window: the history the aggregator keeps of each site.
 //
 // Burn-rate evaluation: each windowed rule is measured twice per pass,
 // over its stated long window and over a short window of long/12 (floored
@@ -40,6 +41,7 @@ import (
 	"time"
 
 	"github.com/hetfed/hetfed/internal/metrics"
+	"github.com/hetfed/hetfed/internal/obs"
 )
 
 // Measure is one derived measure: how a number an operator judges is read
@@ -181,7 +183,7 @@ func ParseRules(s string) ([]Rule, error) {
 
 // ParseRule parses one rule; see the package comment for the grammar.
 func ParseRule(s string) (Rule, error) {
-	r := Rule{Raw: strings.TrimSpace(s), Window: time.Minute}
+	r := Rule{Raw: strings.TrimSpace(s), Window: obs.Window}
 	fields := strings.Fields(r.Raw)
 	fail := func(format string, args ...any) (Rule, error) {
 		return Rule{}, fmt.Errorf("slo: rule %q: %s", r.Raw, fmt.Sprintf(format, args...))
@@ -270,6 +272,9 @@ func ParseRule(s string) (Rule, error) {
 		w, err := time.ParseDuration(fields[1])
 		if err != nil || w <= 0 {
 			return fail("bad window %q", fields[1])
+		}
+		if w > obs.Window {
+			return fail("window %v is longer than the %v of history the aggregator keeps", w, obs.Window)
 		}
 		r.Window = w
 	default:

@@ -26,9 +26,9 @@ func TestParseRule(t *testing.T) {
 		{"query_latency p50 <= 2ms over 30s",
 			Rule{Metric: "query_latency", Agg: "p50", Q: 0.50, Op: "<=",
 				Threshold: 2_000, Unit: "us", Window: 30 * time.Second}},
-		{"slow: query_latency mean < 5ms over 2m",
+		{"slow: query_latency mean < 5ms over 45s",
 			Rule{Name: "slow", Metric: "query_latency", Agg: "mean", Op: "<",
-				Threshold: 5_000, Unit: "us", Window: 2 * time.Minute}},
+				Threshold: 5_000, Unit: "us", Window: 45 * time.Second}},
 		{"degraded_queries ratio < 1% over 1m",
 			Rule{Metric: "degraded_queries", Agg: "ratio", Op: "<",
 				Threshold: 0.01, Unit: "ratio", Window: time.Minute}},
@@ -91,6 +91,20 @@ func TestParseRuleErrors(t *testing.T) {
 		if r, err := ParseRule(in); err == nil {
 			t.Errorf("ParseRule(%q) accepted: %+v", in, r)
 		}
+	}
+}
+
+// TestParseRuleRefusesWindowBeyondHistory: the aggregator keeps one minute
+// of each site's history, so a longer window would silently be judged over
+// that minute. The parser refuses it and names the limit; a window of
+// exactly the history is the default and parses.
+func TestParseRuleRefusesWindowBeyondHistory(t *testing.T) {
+	_, err := ParseRule("query_latency p99 < 50ms over 2m")
+	if err == nil || !strings.Contains(err.Error(), "1m0s of history") {
+		t.Errorf("ParseRule over 2m: err = %v, want a refusal naming the 1m0s limit", err)
+	}
+	if r, err := ParseRule("query_latency p99 < 50ms over 1m"); err != nil || r.Window != time.Minute {
+		t.Errorf("ParseRule over 1m = %+v, %v; want a one-minute window", r, err)
 	}
 }
 

@@ -64,10 +64,6 @@ type Coordinator struct {
 	// pooling, circuit breakers. Zero timeouts and Attempts take
 	// DefaultCallConfig's values; a zero BreakerThreshold means no breaker.
 	Call CallConfig
-	// MaxConcurrent bounds the queries executing at once (admission
-	// control); calls beyond the bound wait for a slot. Zero or negative
-	// means unbounded. Read at the first Query; set before serving.
-	MaxConcurrent int
 	// DeltaLog, when set, makes the coordinator's replica durable: a binding
 	// Insert assigns or repair pulls is logged before it is applied, so a
 	// restart over the recovered tables holds everything that was broadcast.
@@ -90,11 +86,9 @@ type Coordinator struct {
 	clMu sync.Mutex
 	cl   *client
 
-	// runOnce guards the admission gate and the real fabric every query of
-	// this coordinator runs on.
-	runOnce sync.Once
-	gate    *exec.Gate
-	rt      *fabric.Real
+	// rtOnce guards the real fabric every query of this coordinator runs on.
+	rtOnce sync.Once
+	rt     *fabric.Real
 	// plans keeps the queries bound so far; Global is fixed from the first.
 	plans planTable
 
@@ -117,14 +111,10 @@ func (c *Coordinator) client() *client {
 	return c.cl
 }
 
-// runtime lazily builds the admission gate and the real fabric, once for the
-// coordinator's life: MaxConcurrent and Metrics are read at the first query.
-func (c *Coordinator) runtime() (*exec.Gate, *fabric.Real) {
-	c.runOnce.Do(func() {
-		c.gate = exec.NewGate(c.MaxConcurrent, c.Metrics, string(c.ID))
-		c.rt = fabric.NewReal(fabric.DefaultRates())
-	})
-	return c.gate, c.rt
+// runtime lazily builds the real fabric, once for the coordinator's life.
+func (c *Coordinator) runtime() *fabric.Real {
+	c.rtOnce.Do(func() { c.rt = fabric.NewReal(fabric.DefaultRates()) })
+	return c.rt
 }
 
 // Close releases the coordinator's pooled connections. It is idempotent
@@ -247,8 +237,7 @@ func (c *Coordinator) Query(text string, alg exec.Algorithm) (*federation.Answer
 
 // QueryContext is Query under a caller context. The strategies and the
 // query lifecycle are exec.Runner's, shared with the in-process engine — see
-// Runner.Run for admission, shedding and the sound partial answer an
-// interrupted query returns. The query's budget is ctx's: this method binds
+// Runner.Run for the sound partial answer an interrupted query returns. The query's budget is ctx's: this method binds
 // the text, hands the runner the TCP implementation of the site operations,
 // and logs. Over TCP ctx's deadline travels to every site as a
 // remaining-budget stamp on each request, and cancellation cuts in-flight
@@ -258,7 +247,6 @@ func (c *Coordinator) QueryContext(ctx context.Context, text string, alg exec.Al
 	if err != nil {
 		return nil, 0, err
 	}
-	gate, rt := c.runtime()
 	run := exec.Runner{
 		Coord: federation.NewCoordinator(c.ID, c.Global, c.Tables),
 		Ops:   siteCalls{c: c, cl: c.client(), text: text},
@@ -269,21 +257,18 @@ func (c *Coordinator) QueryContext(ctx context.Context, text string, alg exec.Al
 		Metrics:  c.Metrics,
 		Recorder: c.Recorder,
 		Selector: c.Selector,
-		Gate:     gate,
 		Suspect:  c.Replica().SuspectOf,
 	}
 	qid := fmt.Sprintf("rq%d-%06x", c.qseq.Add(1), qidTag)
-	ans, m, err := run.Run(ctx, rt, qid, alg, b)
+	ans, m, err := run.Run(ctx, c.runtime(), qid, alg, b)
 	d := time.Duration(m.ResponseMicros * float64(time.Microsecond))
 	c.logQuery(qid, alg, ans, d, err)
 	return ans, d, err
 }
 
-// logQuery writes the query's structured log entry. Queries turned away at
-// the admission gate are not logged: under overload that would be a line
-// per shed request.
+// logQuery writes the query's structured log entry.
 func (c *Coordinator) logQuery(qid string, alg exec.Algorithm, ans *federation.Answer, d time.Duration, err error) {
-	if c.Log == nil || errors.Is(err, exec.ErrShed) || errors.Is(err, exec.ErrCanceled) {
+	if c.Log == nil {
 		return
 	}
 	attrs := []slog.Attr{

@@ -50,12 +50,10 @@ func settleGoroutines(t *testing.T, baseline int) {
 // TestClusterDeadlineCutsDelayedSites is the acceptance scenario over real
 // TCP: every site wedged by a 5s fault, a 50ms coordinator deadline. Each
 // strategy must return a sound partial answer well within the fault's
-// stall (generous 2s bound for slow CI), release its admission slot for
-// the next query, and leave no goroutines behind.
+// stall (generous 2s bound for slow CI) and leave no goroutines behind.
 func TestClusterDeadlineCutsDelayedSites(t *testing.T) {
 	baseline := runtime.NumGoroutine()
 	coord, cluster := testCluster(t, nil, observedCoordinator(), delayAll(5*time.Second))
-	coord.MaxConcurrent = 1 // serial queries double as the slot-release check
 
 	for _, alg := range []exec.Algorithm{exec.CA, exec.BL, exec.PL} {
 		ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
@@ -88,9 +86,6 @@ func TestClusterDeadlineCutsDelayedSites(t *testing.T) {
 	if outcomes != 3 {
 		t.Errorf("deadline_exceeded_total across CA/BL/PL = %d, want 3", outcomes)
 	}
-	if got := snap.CounterValue("queries_shed_total", metrics.Labels{Site: "G"}); got != 0 {
-		t.Errorf("queries_shed_total = %d, want 0 (slots were released, nothing queued)", got)
-	}
 	// Tear the cluster down first: accept loops and handlers parked on
 	// pooled idle connections go away, so whatever remains above the
 	// baseline is a genuine per-query leak. Close is idempotent — the
@@ -99,16 +94,15 @@ func TestClusterDeadlineCutsDelayedSites(t *testing.T) {
 	settleGoroutines(t, baseline)
 }
 
-// TestClusterCancelReleasesSlot cancels a query mid-flight (the client
-// walked away) and verifies the admission slot comes back: a follow-up
-// query is admitted immediately instead of being shed from the queue.
-func TestClusterCancelReleasesSlot(t *testing.T) {
+// TestClusterCancelMidQuery cancels a query mid-flight (the client walked
+// away): it comes back as a canceled partial answer, the next query on the
+// same coordinator runs, and no goroutine outlives the cluster.
+func TestClusterCancelMidQuery(t *testing.T) {
 	baseline := runtime.NumGoroutine()
 	// A client disconnect is not forwarded to a site already serving a
 	// deadline-free request, so the injected stall bounds how long server
 	// handlers linger; keep it short so the leak check stays meaningful.
 	coord, cluster := testCluster(t, nil, observedCoordinator(), delayAll(500*time.Millisecond))
-	coord.MaxConcurrent = 1
 
 	ctx, cancel := context.WithCancel(context.Background())
 	go func() {
@@ -123,53 +117,81 @@ func TestClusterCancelReleasesSlot(t *testing.T) {
 		t.Errorf("outcome = %q, want %q", ans.Outcome, federation.OutcomeCanceled)
 	}
 
-	// If the cancelled query leaked its slot, this one would queue forever
-	// and be shed when its own deadline dies; admitted immediately, it runs
-	// and comes back as a deadline-bounded partial answer instead.
+	// The cancelled query left nothing behind that the next one waits on:
+	// it runs and comes back as a deadline-bounded partial answer.
 	ctx2, cancel2 := context.WithTimeout(context.Background(), 100*time.Millisecond)
 	defer cancel2()
-	_, _, err = coord.QueryContext(ctx2, school.Q1, exec.BL)
-	if errors.Is(err, exec.ErrShed) {
-		t.Fatalf("follow-up query was shed: the cancelled query did not release its slot")
-	}
-	if err != nil {
+	if _, _, err = coord.QueryContext(ctx2, school.Q1, exec.BL); err != nil {
 		t.Fatalf("follow-up query: %v", err)
-	}
-	if got := coord.Metrics.Snapshot().CounterValue("queries_shed_total", metrics.Labels{Site: "G"}); got != 0 {
-		t.Errorf("queries_shed_total = %d, want 0", got)
 	}
 	cluster.Close() // see TestClusterDeadlineCutsDelayedSites
 	settleGoroutines(t, baseline)
 }
 
-// TestClusterShedsUnderOverload wedges the single slot and fires doomed
-// queries at the queue: each must be shed with the typed error before any
-// network work, and the shed count must match.
-func TestClusterShedsUnderOverload(t *testing.T) {
-	coord, _ := testCluster(t, nil, observedCoordinator(), delayAll(500*time.Millisecond))
-	coord.MaxConcurrent = 1
-
-	slowCtx, slowCancel := context.WithCancel(context.Background())
-	slowDone := make(chan struct{})
-	go func() {
-		defer close(slowDone)
-		coord.QueryContext(slowCtx, school.Q1, exec.BL)
-	}()
-	time.Sleep(30 * time.Millisecond) // let the slow query take the slot
-
-	const doomed = 4
-	for i := 0; i < doomed; i++ {
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
-		_, _, err := coord.QueryContext(ctx, school.Q1, exec.BL)
-		cancel()
-		if !errors.Is(err, exec.ErrShed) || !errors.Is(err, context.DeadlineExceeded) {
-			t.Errorf("doomed query %d: err = %v, want ErrShed", i, err)
+// TestClusterDoneContextDialsNoSite: a query whose context is already done
+// when QueryContext is called returns its sound partial answer with no
+// error, its Outcome saying why, and every site it would have asked listed
+// as unavailable, without dialing any site.
+func TestClusterDoneContextDialsNoSite(t *testing.T) {
+	coord, _ := testCluster(t, nil, observedCoordinator(), observed)
+	// Point the coordinator at listeners that count connections instead.
+	var mu sync.Mutex
+	accepts := 0
+	for site := range coord.Sites {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { ln.Close() })
+		go func() {
+			for {
+				conn, err := ln.Accept()
+				if err != nil {
+					return
+				}
+				mu.Lock()
+				accepts++
+				mu.Unlock()
+				conn.Close()
+			}
+		}()
+		coord.Sites[site] = ln.Addr().String()
+	}
+	// CA retrieves from every site; BL and PL ask the sites holding Q1's
+	// root class, which would have dispatched the checks to DB3.
+	skipped := map[exec.Algorithm]string{exec.CA: "[DB1 DB2 DB3]", exec.BL: "[DB1 DB2]", exec.PL: "[DB1 DB2]"}
+	canceled, cancel := context.WithCancel(context.Background())
+	cancel()
+	expired, cancel2 := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
+	defer cancel2()
+	for _, tc := range []struct {
+		ctx     context.Context
+		outcome string
+	}{{canceled, federation.OutcomeCanceled}, {expired, federation.OutcomeDeadline}} {
+		for _, alg := range []exec.Algorithm{exec.CA, exec.BL, exec.PL} {
+			ans, _, err := coord.QueryContext(tc.ctx, school.Q1, alg)
+			if err != nil {
+				t.Fatalf("%v/%s: %v", alg, tc.outcome, err)
+			}
+			if ans.Outcome != tc.outcome {
+				t.Errorf("%v: outcome = %q, want %q", alg, ans.Outcome, tc.outcome)
+			}
+			if len(ans.Certain) != 0 {
+				t.Errorf("%v/%s: certain = %v, want none", alg, tc.outcome, ans.Certain)
+			}
+			var down []string
+			for _, f := range ans.Unavailable {
+				down = append(down, string(f.Site))
+			}
+			if want := skipped[alg]; fmt.Sprint(down) != want {
+				t.Errorf("%v/%s: unavailable = %v, want %s", alg, tc.outcome, down, want)
+			}
 		}
 	}
-	slowCancel()
-	<-slowDone
-	if got := coord.Metrics.Snapshot().CounterValue("queries_shed_total", metrics.Labels{Site: "G"}); got != doomed {
-		t.Errorf("queries_shed_total = %d, want %d", got, doomed)
+	mu.Lock()
+	defer mu.Unlock()
+	if accepts != 0 {
+		t.Errorf("%d connections dialed for queries whose context was already done, want 0", accepts)
 	}
 }
 

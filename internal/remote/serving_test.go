@@ -43,13 +43,11 @@ func TestStalePooledConnRedial(t *testing.T) {
 }
 
 // TestClusterConcurrentStrategies runs the full strategy suite concurrently
-// against one cluster: eight queries in flight share the servers' state, the
-// coordinator's gate and the pooled connections, and every answer must match
-// the paper exactly.
+// against one cluster: eight queries in flight share the servers' state and
+// the pooled connections, and every answer must match the paper exactly.
 func TestClusterConcurrentStrategies(t *testing.T) {
 	reg := metrics.New()
 	coord, _ := testCluster(t, nil, &Coordinator{Metrics: reg}, func(_ object.SiteID, cfg *ServerConfig) { cfg.Metrics = reg })
-	coord.MaxConcurrent = 8
 
 	var wg sync.WaitGroup
 	for i := 0; i < 8; i++ {

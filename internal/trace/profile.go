@@ -60,7 +60,7 @@ type Profile struct {
 	Phases *cost.Breakdown `json:"phases"`
 	// Counters aggregates the spans' named counters (rows, items,
 	// bytes_shipped, sent/recv_bytes, …) plus recorder-added per-query
-	// values (rpcs, admission_wait_us, fabric byte totals).
+	// values (rpcs, fabric byte totals).
 	Counters map[string]int64 `json:"counters,omitempty"`
 	// IO attributes the query's measured event counts to the site that
 	// performed them — the denominators the adaptive calibrator divides the

@@ -103,10 +103,10 @@ func TestProfileOutcome(t *testing.T) {
 	}
 
 	p2 := &Profile{}
-	p2.AddCounter("admission_wait_us", 40)
-	p2.AddCounter("admission_wait_us", 2)
+	p2.AddCounter("disk_bytes", 40)
+	p2.AddCounter("disk_bytes", 2)
 	p2.AddCounter("zero", 0) // zero values are not recorded
-	if p2.Counters["admission_wait_us"] != 42 {
+	if p2.Counters["disk_bytes"] != 42 {
 		t.Errorf("counters = %v", p2.Counters)
 	}
 	if _, ok := p2.Counters["zero"]; ok {

@@ -4,7 +4,6 @@ import (
 	"math"
 	"math/rand"
 	"sort"
-	"time"
 )
 
 // Zipf samples ranks 0..n-1 with probability proportional to
@@ -54,25 +53,4 @@ func (z *Zipf) Next() int {
 		i = len(z.cum) - 1
 	}
 	return i
-}
-
-// Arrivals returns n open-loop arrival offsets from time zero at a mean
-// rate of ratePerSec arrivals per second, with exponentially distributed
-// inter-arrival times (a Poisson process) — the open-loop load shape where
-// arrivals do not wait for completions, so queueing delay shows up in the
-// measured latency instead of silently throttling the offered load.
-//
-// The schedule is deterministic from rng. ratePerSec ≤ 0 degenerates to an
-// all-at-zero burst (every arrival due immediately).
-func Arrivals(rng *rand.Rand, n int, ratePerSec float64) []time.Duration {
-	offsets := make([]time.Duration, n)
-	if ratePerSec <= 0 {
-		return offsets
-	}
-	t := 0.0 // seconds
-	for i := range offsets {
-		t += rng.ExpFloat64() / ratePerSec
-		offsets[i] = time.Duration(t * float64(time.Second))
-	}
-	return offsets
 }

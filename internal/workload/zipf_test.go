@@ -3,7 +3,6 @@ package workload
 import (
 	"math/rand"
 	"testing"
-	"time"
 )
 
 // TestZipfDeterministic: the same seed yields the same sequence, a
@@ -96,36 +95,6 @@ func TestZipfEdgeCases(t *testing.T) {
 	}
 	if z.prob(-1) != 0 || z.prob(1) != 0 {
 		t.Error("out-of-range Prob should be 0")
-	}
-}
-
-// TestArrivals: deterministic from seed, monotone non-decreasing, and the
-// realized mean rate is close to the requested one.
-func TestArrivals(t *testing.T) {
-	const n, rate = 5000, 250.0
-	a := Arrivals(rand.New(rand.NewSource(3)), n, rate)
-	b := Arrivals(rand.New(rand.NewSource(3)), n, rate)
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("same seed diverged at arrival %d", i)
-		}
-	}
-	for i := 1; i < n; i++ {
-		if a[i] < a[i-1] {
-			t.Fatalf("offsets not monotone at %d: %v < %v", i, a[i], a[i-1])
-		}
-	}
-	span := a[n-1].Seconds()
-	realized := float64(n) / span
-	if realized < rate*0.9 || realized > rate*1.1 {
-		t.Errorf("realized rate %.1f/s, want within 10%% of %.1f/s", realized, rate)
-	}
-
-	burst := Arrivals(rand.New(rand.NewSource(3)), 4, 0)
-	for i, off := range burst {
-		if off != time.Duration(0) {
-			t.Errorf("rate 0: offset[%d] = %v, want 0", i, off)
-		}
 	}
 }
 

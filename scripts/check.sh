@@ -3,8 +3,8 @@
 # one-orchestration, one-report-envelope, one-codec, one-check-path,
 # one-replica, one-repair-path, one-experiment-harness, work-runs-where-it-is,
 # one-identity-index, said-once, one-chooser, one-probe-per-fetch,
-# one-way-to-stand-up-a-site, one-value-in-use, one-home-for-spans and
-# one-metric-catalog structural guards, build,
+# one-way-to-stand-up-a-site, one-value-in-use, one-home-for-spans,
+# no-unused-load-shape and one-metric-catalog structural guards, build,
 # unit tests, the full test suite under the race detector, the benchmark
 # module's vet and tests, a one-shot compile-and-run smoke of the overhead and
 # allocation benchmarks,
@@ -38,8 +38,8 @@ fi
 # internal/exec orchestrates for every transport (DESIGN.md §2 row 12), so
 # outside internal/federation (which defines the steps) and benchmark/ (which
 # replays them step by step) every federation orchestration method has one
-# non-test call site, and the admission gauge and the query-latency histogram
-# are emitted from one. A second call site is a second copy of a strategy.
+# non-test call site, and the query-latency histogram is emitted from one. A
+# second call site is a second copy of a strategy.
 echo "== one orchestration, one report envelope (structural guards)"
 sources() {
     grep -rnE "$1" --include='*.go' --exclude='*_test.go' \
@@ -56,7 +56,7 @@ want_one() { # $1 = the pattern, $2 = the lines matching it
 for pat in \
     '\.Materialize\(' '\.EvaluateView\(' '\.EvalLocalBasic\(' \
     '\.NavigateAll\(' '\.EvalNavigated\(' '\.CertifyDegraded\(' \
-    'Gauge\("queries_inflight"' 'Histogram\("query_latency_us"'; do
+    'Histogram\("query_latency_us"'; do
     want_one "$pat" "$(sources "$pat" || true)"
 done
 # A benchmark report exists exactly once: one envelope type owns the JSON
@@ -293,6 +293,15 @@ done
 if grep -rn 'SetLimit(' --include='*.go' --exclude='*_test.go' --exclude-dir=benchmark \
     --exclude-dir=.bench_build . | grep -v 'func (t \*Tracer) SetLimit('; then
     echo "a tracer is capped outside benchmark/; Take keeps it to the work in flight" >&2
+    guard_failed=1
+fi
+# No load shape nothing turns on (EXPERIMENTS.md E34): a coordinator admits
+# every query and the benchmark drives closed loops only, so the admission
+# gate, its shed errors, the open-loop driver and its arrival schedule stay
+# gone outside benchmark/, in tests or otherwise.
+if grep -rnE 'MaxConcurrent|NewGate|ErrShed|RateQPS|RunOpen|Arrivals\(' --include='*.go' \
+    --exclude-dir=benchmark --exclude-dir=.bench_build .; then
+    echo "an admission gate or an open-loop driver is back (see EXPERIMENTS.md E34)" >&2
     guard_failed=1
 fi
 [ "$guard_failed" -eq 0 ] || exit 1
