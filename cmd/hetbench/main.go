@@ -1,25 +1,26 @@
-// Command hetbench is the repository's one benchmark and experiment harness.
-// Its matrix sweeps execution strategy × workload × concurrency × fault
-// plan, drives each cell with a seeded load generator, and reports both the
-// client-observed latency distribution and the servers' own truth (scraped
-// /metrics deltas: bytes moved, degraded/maybe fractions). Reports are
+// Command hetbench is the repository's one experiment harness. Its matrix
+// sweeps execution strategy × workload × fault plan on the discrete-event
+// fabric, runs each cell's seeded query stream, and reports both the
+// client-observed latency distribution (virtual time) and the engine's own
+// truth (bytes moved, modeled work, degraded/maybe fractions). Reports are
 // stable, diffable BENCH_<topic>.json files in one envelope (schema, topic,
-// version, seed, spec, cells).
+// version, seed, spec, cells). Wall-clock speed over TCP is measured by the
+// benchmark/ module (bash benchmark/run.sh), not here.
 //
 // Run a registered topic — smoke, adaptive, strategies, durability, obs,
 // chaos or figures (the paper's Figures 9–11 study) — on its canonical spec
-// (internal/bench/topics.go) and gate it (exit 1 on failure): the sim topics
-// against the committed BENCH_<topic>.json at a 10 % tolerance, the others on
-// their own invariants (WAL write path ≤ 1.25× mem, scraped cluster ≤ 1.05×
-// bare, no certain row contradicting ground truth and convergence in ≤ 5
-// repair rounds, the shapes the paper claims for its figures):
+// (internal/bench/topics.go) and gate it (exit 1 on failure): the matrix
+// topics against the committed BENCH_<topic>.json at a 10 % tolerance, the
+// others on their own invariants (WAL write path ≤ 1.25× mem, scraped cluster
+// ≤ 1.05× bare, no certain row contradicting ground truth and convergence in
+// ≤ 5 repair rounds, the shapes the paper claims for its figures):
 //
 //	hetbench run -topic smoke
 //	hetbench run -topic chaos -out BENCH_chaos_ci.json
 //	hetbench run -topic figures      # prints each figure's two tables
 //
 // Nothing is written unless -out says where; regenerating a committed
-// report is -out BENCH_<topic>.json (a sim topic then skips its gate — it
+// report is -out BENCH_<topic>.json (a matrix topic then skips its gate — it
 // is replacing the baseline, not being judged by it):
 //
 //	hetbench run -topic adaptive -out BENCH_adaptive.json
@@ -28,9 +29,9 @@
 // against any earlier report of the same load shape:
 //
 //	hetbench run -topic mine -out BENCH_mine.json \
-//	    -runtimes live -strategies CA,BL,PL -workloads school,table2 \
-//	    -clients 1,4 -faults none,kill:DB3 -queries 40 -seed 42
-//	hetbench run -topic mine -runtimes live ... -check BENCH_mine.json
+//	    -strategies CA,BL,PL -workloads school,table2 \
+//	    -faults none,kill:DB3 -queries 40 -seed 42
+//	hetbench run -topic mine -strategies CA,BL,PL ... -check BENCH_mine.json
 //
 // Compare two existing matrix reports (a self-gating topic's is refused):
 //
@@ -40,13 +41,12 @@
 // on (internal/obs/slo; exit 1 when any cell misses it, naming the limiting
 // rule), by running a matrix or over a stored report:
 //
-//	hetbench slo -rules 'throughput >= 2000; query_latency p99 < 50ms; maybe_rows <= 20%' \
-//	    -runtimes live -strategies BL -workloads school -clients 8 -queries 200
+//	hetbench slo -rules 'query_latency p99 < 50ms; maybe_rows <= 20%' \
+//	    -strategies BL -workloads school -queries 200
 //	hetbench slo -rules 'degraded_queries <= 0%' -in BENCH_strategies.json
 //
-// Fault specs: none, kill:SITE, drop:SITE:N, delay:SITE:MICROS. On the sim
-// runtime identical seeds reproduce byte-identical cell results; the live
-// runtime spawns real TCP site servers per cell and tears them down after.
+// Fault specs: none, kill:SITE, drop:SITE:N, delay:SITE:MICROS. Identical
+// seeds reproduce byte-identical cell results.
 package main
 
 import (
@@ -56,7 +56,6 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
-	"strconv"
 	"strings"
 	"syscall"
 
@@ -92,12 +91,10 @@ func run(args []string) error {
 }
 
 // matrixFlags registers the sweep-dimension flags shared by run and slo.
-func matrixFlags(fs *flag.FlagSet) (get func() (bench.MatrixSpec, error)) {
+func matrixFlags(fs *flag.FlagSet) (get func() bench.MatrixSpec) {
 	var (
-		runtimes   = fs.String("runtimes", "sim", "comma-separated runtimes: sim (deterministic DES), live (real TCP servers)")
 		strategies = fs.String("strategies", "CA,BL,PL", "comma-separated strategies: CA, BL, PL, SBL, SPL")
 		workloads  = fs.String("workloads", "school", "comma-separated workloads: school, table2, table2eq")
-		clients    = fs.String("clients", "1", "comma-separated concurrency levels")
 		faults     = fs.String("faults", "none", "comma-separated fault plans: none, kill:SITE, drop:SITE:N, delay:SITE:MICROS")
 		queries    = fs.Int("queries", 20, "queries per cell")
 		zipf       = fs.Float64("zipf", 0.9, "Zipfian skew over query variants (0 = uniform)")
@@ -105,23 +102,17 @@ func matrixFlags(fs *flag.FlagSet) (get func() (bench.MatrixSpec, error)) {
 		scale      = fs.Float64("scale", 0.02, "Table 2 extent scale for the table2 workloads (1 = paper scale)")
 		seed       = fs.Int64("seed", 42, "root seed: workload draws, variant skew")
 	)
-	return func() (bench.MatrixSpec, error) {
-		cl, err := parseInts(*clients)
-		if err != nil {
-			return bench.MatrixSpec{}, fmt.Errorf("bad -clients: %w", err)
-		}
+	return func() bench.MatrixSpec {
 		return bench.MatrixSpec{
-			Runtimes:   splitList(*runtimes),
 			Strategies: splitList(*strategies),
 			Workloads:  splitList(*workloads),
-			Clients:    cl,
 			Faults:     splitList(*faults),
 			Queries:    *queries,
 			Zipf:       *zipf,
 			Variants:   *variants,
 			Scale:      *scale,
 			Seed:       *seed,
-		}, nil
+		}
 	}
 }
 
@@ -136,7 +127,7 @@ func runCmd(args []string) error {
 	var (
 		topic     = fs.String("topic", "bench", "registered topic to run on its canonical spec, or the name of an ad-hoc matrix")
 		out       = fs.String("out", "", "report path (\"-\" for stdout; default: write nothing)")
-		checkPath = fs.String("check", "", "baseline report to gate against (default for the sim topics: the committed BENCH_<topic>.json); regressions exit non-zero")
+		checkPath = fs.String("check", "", "baseline report to gate against (default for the matrix topics: the committed BENCH_<topic>.json); regressions exit non-zero")
 		quiet     = fs.Bool("q", false, "suppress per-cell progress lines")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -156,15 +147,11 @@ func runCmd(args []string) error {
 		return fmt.Errorf("topic %s runs its canonical spec; %s describe an ad-hoc matrix — give it a topic name of its own",
 			t.Name, strings.Join(adhoc, " "))
 	case err != nil:
-		spec, err := get()
-		if err != nil {
-			return err
-		}
-		t = bench.Topic{Name: *topic, Spec: spec}
+		t = bench.Topic{Name: *topic, Spec: get()}
 	}
 
 	// The baseline is loaded before anything is written, and never written
-	// over: -out naming a sim topic's committed report regenerates it,
+	// over: -out naming a matrix topic's committed report regenerates it,
 	// ungated; naming an explicit -check file is a contradiction.
 	baselinePath, committed := *checkPath, "BENCH_"+t.Name+".json"
 	if baselinePath == "" && t.Baseline && !sameFile(*out, committed) {
@@ -276,7 +263,7 @@ func sloCmd(args []string) error {
 	get := matrixFlags(fs)
 	var (
 		in          = fs.String("in", "", "evaluate an existing report instead of running the matrix")
-		ruleList    = fs.String("rules", "", "objectives every cell must meet, in hetserve -slo's grammar: 'throughput >= 2000; query_latency p99 < 50ms; maybe_rows <= 20%'")
+		ruleList    = fs.String("rules", "", "objectives every cell must meet, in hetserve -slo's grammar: 'query_latency p99 < 50ms; maybe_rows <= 20%'")
 		allowErrors = fs.Bool("allow-errors", false, "tolerate client errors (default: any error fails)")
 		quiet       = fs.Bool("q", false, "suppress per-cell progress lines")
 	)
@@ -297,11 +284,7 @@ func sloCmd(args []string) error {
 			return err
 		}
 	} else {
-		spec, err := get()
-		if err != nil {
-			return err
-		}
-		if report, err = runTopic(bench.Topic{Name: "slo", Spec: spec}, *quiet); err != nil {
+		if report, err = runTopic(bench.Topic{Name: "slo", Spec: get()}, *quiet); err != nil {
 			return err
 		}
 	}
@@ -349,16 +332,4 @@ func splitList(s string) []string {
 		}
 	}
 	return out
-}
-
-func parseInts(s string) ([]int, error) {
-	var out []int
-	for _, part := range splitList(s) {
-		n, err := strconv.Atoi(part)
-		if err != nil || n < 1 {
-			return nil, fmt.Errorf("bad count %q", part)
-		}
-		out = append(out, n)
-	}
-	return out, nil
 }

@@ -199,7 +199,7 @@ func TestSLORules(t *testing.T) {
 		t.Helper()
 		r := &bench.Report{Schema: bench.SchemaVersion, Topic: "mine", Spec: bench.MatrixSpec{},
 			Cells: []bench.CellResult{{
-				Cell:   bench.Cell{Runtime: "sim", Strategy: "BL", Workload: "school", Clients: 4, Fault: "none"},
+				Cell:   bench.Cell{Strategy: "BL", Workload: "school", Fault: "none"},
 				Client: client, Server: server,
 			}}}
 		if err := r.WriteFile(path); err != nil {
@@ -209,7 +209,7 @@ func TestSLORules(t *testing.T) {
 	write("good.json", bench.ClientStats{QPS: 2500, P99Micros: 40000, Completed: 100}, bench.ServerStats{MaybeFrac: 0.15})
 	write("errors.json", bench.ClientStats{QPS: 2500, Errors: 3}, bench.ServerStats{})
 	const objective = "throughput >= 2000; query_latency p99 < 50ms; maybe_rows <= 20%"
-	const cell = "sim/BL/school/c4/none"
+	const cell = "BL/school/none"
 	for _, tc := range []struct {
 		name    string
 		args    []string

@@ -65,10 +65,10 @@
 // condition ("ok(round=N, repaired=NB)", or "suspect(...)" when a replica
 // disagrees with the quorum or sits on the minority side of a partition).
 //
-// To drive load — concurrent clients, throughput and latency distributions —
-// use `hetbench run -runtimes live -clients N`, the one load generator. It
-// starts its own site servers and coordinator in process for every cell; it
-// does not drive a cluster started with hetserve.
+// To measure load — one and two closed-loop clients, throughput and latency
+// distributions over TCP — run `bash benchmark/run.sh`. It starts its own
+// site servers and coordinator in process; it does not drive a cluster
+// started with hetserve.
 package main
 
 import (

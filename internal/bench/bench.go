@@ -1,26 +1,24 @@
 // Package bench is the repository's scenario-matrix experiment runner: the
 // measurement half of the paper's contribution, industrialized. A matrix
 // sweeps strategy (CA/BL/PL/SBL/SPL) × workload shape (the school example
-// and Table 2 draws) × concurrency × fault plan, drives
-// each cell with a seeded load generator (closed-loop clients or an
-// open-loop Poisson schedule with Zipfian query-variant skew), and measures
+// and Table 2 draws) × fault plan, runs each cell's seeded query stream
+// (Zipfian query-variant skew) on the discrete-event fabric, and measures
 // each cell from two sides:
 //
-//   - client-observed: p50/p95/p99/max latency, throughput, error/shed
-//     counts — what a caller experiences;
-//   - server truth: /metrics snapshot deltas scraped from the serving
-//     processes — bytes moved and the answer-quality fractions (certain
-//     vs maybe vs degraded) that distinguish this system's SLOs from plain
-//     latency SLOs.
+//   - client-observed: p50/p95/p99/max latency in virtual time, throughput,
+//     error counts — what a caller experiences;
+//   - server truth: the engine's metric registry — bytes moved, modeled work
+//     and the answer-quality fractions (certain vs maybe vs degraded) that
+//     distinguish this system's SLOs from plain latency SLOs.
 //
-// Cells run on either runtime: "live" spawns real TCP site servers (plus
-// their observability endpoints, scraped over HTTP) and tears them down per
-// cell; "sim" executes on the discrete-event fabric, where identical seeds
-// reproduce byte-identical cell results — the regression-gate currency.
+// Identical seeds reproduce byte-identical cell results — the
+// regression-gate currency. Wall-clock speed over TCP is the benchmark/
+// module's to measure; here only the obs and chaos topics stand up a live
+// cluster, to gate the observability plane and replica repair.
 //
 // A run emits a schema-versioned, diffable BENCH_<topic>.json; Check
 // compares two reports under a tolerance for regression gating, and Judge
-// answers SLO questions stated as slo rules ("can 5 sites sustain 2k qps at
+// answers SLO questions stated as slo rules ("does every cell keep
 // p99 < 50ms with ≤ 20% maybe answers?") with a pass/fail and the limiting
 // rule.
 package bench
@@ -40,20 +38,14 @@ const SchemaVersion = 2
 
 // MatrixSpec defines a benchmark matrix: the sweep dimensions and the load
 // shape shared by every cell. The cell set is the cross product of
-// Runtimes × Strategies × Workloads × Clients × Faults.
+// Strategies × Workloads × Faults.
 type MatrixSpec struct {
-	// Runtimes are the execution substrates: "live" (real TCP servers,
-	// wall-clock latency, scraped /metrics) and/or "sim" (discrete-event
-	// fabric, virtual latency, deterministic from Seed).
-	Runtimes []string `json:"runtimes"`
 	// Strategies are execution strategy names: CA, BL, PL, SBL, SPL.
 	Strategies []string `json:"strategies"`
 	// Workloads name the federations queried: "school" (the paper's
 	// running example) and/or "table2" (a seeded draw from the paper's
 	// Table 2 ranges; "table2eq" uses equality predicates).
 	Workloads []string `json:"workloads"`
-	// Clients are the concurrency levels: closed-loop worker counts.
-	Clients []int `json:"clients"`
 	// Faults are fault-plan specs in fabric.ParseFaults' grammar: "none",
 	// "kill:SITE", "drop:SITE:N" (dark after N operations),
 	// "delay:SITE:MICROS".
@@ -68,18 +60,15 @@ type MatrixSpec struct {
 	// Scale multiplies the Table 2 extent sizes for the table2 workloads
 	// (1.0 = paper scale; keep small for smoke runs). 0 = 1.0.
 	Scale float64 `json:"scale,omitempty"`
-	// Seed roots every random choice: workload draws, arrival schedules,
-	// Zipf key sequences. Identical seeds on the sim runtime reproduce
-	// byte-identical cell results.
+	// Seed roots every random choice: workload draws and Zipf key
+	// sequences. Identical seeds reproduce byte-identical cell results.
 	Seed int64 `json:"seed"`
 }
 
 // Cell identifies one matrix cell.
 type Cell struct {
-	Runtime  string `json:"runtime"`
 	Strategy string `json:"strategy"`
 	Workload string `json:"workload"`
-	Clients  int    `json:"clients"`
 	Fault    string `json:"fault"`
 	// Seed is the cell's derived seed (stable under matrix reordering).
 	Seed int64 `json:"seed"`
@@ -87,13 +76,12 @@ type Cell struct {
 
 // Key renders the cell's identity — the join key for regression checks.
 func (c Cell) Key() string {
-	return fmt.Sprintf("%s/%s/%s/c%d/%s",
-		c.Runtime, c.Strategy, c.Workload, c.Clients, c.Fault)
+	return c.Strategy + "/" + c.Workload + "/" + c.Fault
 }
 
-// ClientStats is the client-observed side of a cell: what the load
-// generator measured. Latencies are microseconds — wall-clock on the live
-// runtime, virtual time on the sim runtime.
+// ClientStats is the client-observed side of a cell: what the query driver
+// measured. Latencies are microseconds: virtual time in a matrix cell,
+// wall-clock in the obs topic's live cells.
 type ClientStats struct {
 	Queries     int     `json:"queries"`
 	Completed   int     `json:"completed"`
@@ -109,9 +97,8 @@ type ClientStats struct {
 	MaxMicros   float64 `json:"max_us"`
 }
 
-// ServerStats is the server-truth side of a cell, extracted from /metrics
-// snapshot deltas (scraped over HTTP on the live runtime, read from the
-// engine's registry on the sim runtime). Fractions are the answer-quality
+// ServerStats is the server-truth side of a cell, read from the engine's
+// metric registry after the cell's queries. Fractions are the answer-quality
 // axis: of everything the strategy returned, how much was certain, how
 // much merely possible, and how many queries were degraded by failure.
 type ServerStats struct {
@@ -252,9 +239,11 @@ func decodePayload[S, C any](r *Report, spec, cells json.RawMessage) error {
 
 // cellSeed derives a cell's seed from the matrix seed and the cell's
 // identity, so a cell's randomness is stable when the matrix around it is
-// reordered or extended.
-func cellSeed(base int64, key string) int64 {
+// reordered or extended. The hashed string is the identity cells had when
+// the matrix also swept runtimes, client counts and serving configurations
+// ("sim/S/W/c1/F/plain"): every committed baseline reproduces to the digit.
+func cellSeed(base int64, c Cell) int64 {
 	h := fnv.New64a()
-	h.Write([]byte(key))
+	fmt.Fprintf(h, "sim/%s/%s/c1/%s/plain", c.Strategy, c.Workload, c.Fault)
 	return base ^ int64(h.Sum64())
 }

@@ -16,10 +16,8 @@ import (
 // smokeSpec is a tiny sim matrix exercising strategy and fault dimensions.
 func smokeSpec() MatrixSpec {
 	return MatrixSpec{
-		Runtimes:   []string{"sim"},
 		Strategies: []string{"CA", "BL"},
 		Workloads:  []string{"school"},
-		Clients:    []int{1},
 		Faults:     []string{"none", "kill:DB3"},
 		Queries:    6,
 		Zipf:       0.8,
@@ -28,8 +26,8 @@ func smokeSpec() MatrixSpec {
 	}
 }
 
-// TestSimDeterminism: identical seeds on the sim runtime reproduce
-// byte-identical reports — the property the regression gate banks on.
+// TestSimDeterminism: identical seeds reproduce byte-identical reports — the
+// property the regression gate banks on.
 func TestSimDeterminism(t *testing.T) {
 	run := func() []byte {
 		r, err := Run(context.Background(), smokeSpec(), "smoke", nil)
@@ -117,11 +115,49 @@ func TestSimCellContent(t *testing.T) {
 	}
 	// The dead-site cells must not report identical answer quality to the
 	// healthy ones for the same strategy: killing DB3 moves rows to maybe.
-	healthy, _ := r.Get("sim/BL/school/c1/none")
-	dead, _ := r.Get("sim/BL/school/c1/kill:DB3")
+	healthy, _ := r.Get("BL/school/none")
+	dead, _ := r.Get("BL/school/kill:DB3")
 	if dead.Server.MaybeFrac <= healthy.Server.MaybeFrac {
 		t.Errorf("maybe frac with dead site %v, healthy %v — fault had no quality effect",
 			dead.Server.MaybeFrac, healthy.Server.MaybeFrac)
+	}
+}
+
+// TestStrategiesKillDB3: over the strategies topic, a dead DB3 never makes
+// any strategy's answers more certain, always degrades some queries, and on
+// table2 takes work off BL and PL: DB3 scans nothing and answers no check,
+// and its missing evidence leaves rows maybe rather than costing more work
+// elsewhere (EXPERIMENTS.md E35).
+func TestStrategiesKillDB3(t *testing.T) {
+	topic, err := LookupTopic("strategies")
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := topic.Run(context.Background(), nil)
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	spec := topic.Spec.(MatrixSpec)
+	for _, strat := range spec.Strategies {
+		for _, wl := range spec.Workloads {
+			healthy, ok1 := r.Get(strat + "/" + wl + "/none")
+			dead, ok2 := r.Get(strat + "/" + wl + "/kill:DB3")
+			if !ok1 || !ok2 {
+				t.Fatalf("%s/%s: cells missing from %d", strat, wl, len(r.Results()))
+			}
+			if dead.Server.MaybeFrac < healthy.Server.MaybeFrac {
+				t.Errorf("%s/%s: maybe frac %v with DB3 dead, %v healthy", strat, wl,
+					dead.Server.MaybeFrac, healthy.Server.MaybeFrac)
+			}
+			if dead.Server.DegradedFrac <= 0 {
+				t.Errorf("%s/%s: degraded frac %v with DB3 dead, want > 0", strat, wl, dead.Server.DegradedFrac)
+			}
+			perQuery := func(c CellResult) float64 { return float64(c.Server.CPUOps) / float64(c.Server.Queries) }
+			if wl == "table2" && (strat == "BL" || strat == "PL") && perQuery(dead) >= perQuery(healthy) {
+				t.Errorf("%s/%s: %.0f cpu ops per query with DB3 dead, %.0f healthy; want fewer",
+					strat, wl, perQuery(dead), perQuery(healthy))
+			}
+		}
 	}
 }
 
@@ -130,8 +166,7 @@ func TestSimCellContent(t *testing.T) {
 // matrix — and the schema gate refuses foreign versions.
 func TestReportRoundTrip(t *testing.T) {
 	matrix, err := Run(context.Background(), MatrixSpec{
-		Runtimes: []string{"sim"}, Strategies: []string{"PL"},
-		Workloads: []string{"school"}, Queries: 2, Seed: 7,
+		Strategies: []string{"PL"}, Workloads: []string{"school"}, Queries: 2, Seed: 7,
 	}, "roundtrip", nil)
 	if err != nil {
 		t.Fatalf("Run: %v", err)
@@ -202,7 +237,7 @@ func TestCommittedReportsCanonical(t *testing.T) {
 			reg.Counter("degraded_queries_total", at).Add(c.Server.DegradedQueries)
 			reg.Counter("results_certain_total", at).Add(c.Server.CertainRows)
 			reg.Counter("results_maybe_total", at).Add(c.Server.MaybeRows)
-			got, have := extractServerStats(reg.Snapshot(), nil), c.Server
+			got, have := extractServerStats(reg.Snapshot()), c.Server
 			if got.MaybeFrac != have.MaybeFrac || got.CertainFrac != have.CertainFrac || got.DegradedFrac != have.DegradedFrac {
 				t.Errorf("%s cell %s: shares %g/%g/%g, its sums give %g/%g/%g", path, c.Cell.Key(),
 					have.MaybeFrac, have.CertainFrac, have.DegradedFrac, got.MaybeFrac, got.CertainFrac, got.DegradedFrac)
@@ -227,7 +262,6 @@ func TestValidate(t *testing.T) {
 		mutate func(*MatrixSpec)
 	}{
 		{"strategy", func(s *MatrixSpec) { s.Strategies = []string{"XX"} }},
-		{"runtime", func(s *MatrixSpec) { s.Runtimes = []string{"warp"} }},
 		{"fault", func(s *MatrixSpec) { s.Faults = []string{"explode:DB1"} }},
 		{"fault-arity", func(s *MatrixSpec) { s.Faults = []string{"drop:DB1"} }},
 		{"workload", func(s *MatrixSpec) { s.Workloads = []string{"nope"} }},

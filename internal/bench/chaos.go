@@ -17,7 +17,6 @@ import (
 	"github.com/hetfed/hetfed/internal/remote"
 	"github.com/hetfed/hetfed/internal/school"
 	"github.com/hetfed/hetfed/internal/store/wal"
-	"github.com/hetfed/hetfed/internal/trace"
 )
 
 // ChaosSpec shapes a chaos run: a WAL-durable school cluster over real TCP
@@ -134,7 +133,7 @@ func RunChaos(spec ChaosSpec, dir string, progress func(string)) (*Report, error
 		Federation: &fedfile.Federation{Global: fx.Global, Databases: fx.Databases, Tables: fx.Mapping},
 		DataDir:    dir,
 		Configure: func(_ object.SiteID, cfg *remote.ServerConfig) {
-			cfg.Tracer, cfg.Metrics = &trace.Tracer{}, metrics.New()
+			cfg.Metrics = metrics.New()
 			cfg.Faults, cfg.Call = plan, chaosCall(plan)
 		},
 		Coordinator: coord,

@@ -7,8 +7,7 @@ import "fmt"
 const tolerance = 0.10
 
 // latencySlackMicros absorbs sub-microsecond float wiggle when comparing
-// latencies; a live baseline compared on noisy hardware needs the relative
-// tolerance, not this.
+// virtual-time latencies, which are otherwise reproduced to the digit.
 const latencySlackMicros = 1.0
 
 // Violation is one regression Check found.

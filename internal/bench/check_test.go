@@ -16,7 +16,7 @@ func baselineReport(t *testing.T) *Report {
 }
 
 // TestCheckNoFalsePositives: a report checked against itself is clean, as
-// is a rerun with the same seed (byte-identical on the sim runtime).
+// is a rerun with the same seed (byte-identical).
 func TestCheckNoFalsePositives(t *testing.T) {
 	base := baselineReport(t)
 	if v := Check(base, base); len(v) != 0 {

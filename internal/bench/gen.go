@@ -30,7 +30,7 @@ func DrawVariants(z *workload.Zipf, n int) []int {
 
 // RunClosed drives len(variants) queries through fn from a fixed pool of
 // concurrent clients (closed loop: each client issues its next query only
-// after its previous one completes — the hetserve -clients/-repeat shape).
+// after its previous one completes).
 // Queries are dealt to clients round-robin by index so the variant sequence
 // partition is deterministic. A cancelled ctx stops every client at its
 // next issue point and the call returns once all in-flight queries unwind;

@@ -112,7 +112,7 @@ func TestDerivedMeasuresAgree(t *testing.T) {
 			}
 
 			// A report reads the coordinator family only.
-			st := extractServerStats(d, nil)
+			st := extractServerStats(d)
 			maybe, judged := table("maybe_rows", 0)
 			degraded, _ := table("degraded_queries", 0)
 			want := ServerStats{MaybeFrac: round4(maybe), DegradedFrac: round4(degraded)}

@@ -6,9 +6,13 @@ import (
 	"time"
 
 	"github.com/hetfed/hetfed/internal/exec"
+	"github.com/hetfed/hetfed/internal/fedfile"
 	"github.com/hetfed/hetfed/internal/metrics"
+	"github.com/hetfed/hetfed/internal/object"
+	"github.com/hetfed/hetfed/internal/obs"
 	"github.com/hetfed/hetfed/internal/obs/agg"
 	"github.com/hetfed/hetfed/internal/obs/slo"
+	"github.com/hetfed/hetfed/internal/remote"
 )
 
 // ObsSpec shapes an observability-overhead run: the same live school
@@ -82,9 +86,6 @@ func RunObs(ctx context.Context, spec ObsSpec, progress func(string)) (*Report, 
 	if err != nil {
 		return nil, err
 	}
-	matrix := MatrixSpec{Queries: spec.Queries, Variants: 1, Seed: spec.Seed}
-	cell := Cell{Runtime: "live", Strategy: "BL", Workload: "school",
-		Clients: spec.Clients, Fault: "none", Seed: spec.Seed}
 
 	best := make(map[string]ObsCell, len(obsModes))
 	bestRatio := 0.0
@@ -98,7 +99,7 @@ func RunObs(ctx context.Context, spec ObsSpec, progress func(string)) (*Report, 
 			if err := ctx.Err(); err != nil {
 				return nil, err
 			}
-			c, err := runObsCell(ctx, spec, matrix, cell, bundle, mode)
+			c, err := runObsCell(ctx, spec, bundle, mode)
 			if err != nil {
 				return nil, fmt.Errorf("bench: obs %s round %d: %w", mode, round, err)
 			}
@@ -148,11 +149,10 @@ func RunObs(ctx context.Context, spec ObsSpec, progress func(string)) (*Report, 
 // runObsCell runs one mode once: a fresh live cluster, optionally with the
 // observability plane polling it, driven by the closed-loop generator. The
 // returned cell carries everything but its Overhead.
-func runObsCell(ctx context.Context, spec ObsSpec, matrix MatrixSpec, cell Cell,
-	bundle *Bundle, mode string) (ObsCell, error) {
+func runObsCell(ctx context.Context, spec ObsSpec, bundle *Bundle, mode string) (ObsCell, error) {
 	out := ObsCell{Mode: mode}
 	watch := mode == "scraped"
-	lc, err := startLiveCluster(cell, bundle)
+	lc, err := startLiveCluster(bundle)
 	if err != nil {
 		return out, err
 	}
@@ -168,8 +168,7 @@ func runObsCell(ctx context.Context, spec ObsSpec, matrix MatrixSpec, cell Cell,
 		// deployment shape.
 		targets := []agg.Target{{Site: coordinatorID, Local: lc.coordReg.Snapshot}}
 		for i, site := range lc.cluster.Sites() {
-			base := lc.scrapes[i][:len(lc.scrapes[i])-len("/metrics")]
-			targets = append(targets, agg.Target{Site: string(site), URL: base})
+			targets = append(targets, agg.Target{Site: string(site), URL: lc.obsURLs[i]})
 		}
 		scraper, err = agg.New(agg.Config{Targets: targets, Interval: spec.ScrapeInterval, Metrics: aggReg})
 		if err != nil {
@@ -188,7 +187,7 @@ func runObsCell(ctx context.Context, spec ObsSpec, matrix MatrixSpec, cell Cell,
 		defer scraper.Stop()
 	}
 
-	out.Client = lc.drive(ctx, matrix, cell, bundle, exec.BL)
+	out.Client = lc.drive(ctx, spec.Clients, spec.Queries, bundle, exec.BL)
 
 	if watch {
 		// One final synchronous pass so short rounds still have complete
@@ -208,4 +207,74 @@ func runObsCell(ctx context.Context, spec ObsSpec, matrix MatrixSpec, cell Cell,
 		}
 	}
 	return out, nil
+}
+
+// liveCluster is one obs cell's serving deployment: every component site as
+// a real TCP server with its own metrics registry and observability
+// endpoint, plus an in-process coordinator. Built per cell and torn down
+// after it, so no state (pooled connections, counters) leaks between cells.
+type liveCluster struct {
+	coord    *remote.Coordinator
+	coordReg *metrics.Registry
+	cluster  *remote.Cluster
+	obsSrvs  []*obs.Server
+	obsURLs  []string // per-site observability base URLs, in site order
+}
+
+func (lc *liveCluster) close() {
+	for _, o := range lc.obsSrvs {
+		o.Close()
+	}
+	lc.cluster.Close()
+}
+
+// startLiveCluster deploys the bundle's federation. Site metrics are served
+// over HTTP (obs.Serve), so the scraped mode exercises the real
+// observability surface, not an in-process shortcut.
+func startLiveCluster(bundle *Bundle) (*liveCluster, error) {
+	lc := &liveCluster{coordReg: metrics.New()}
+	lc.coord = &remote.Coordinator{ID: coordinatorID, Metrics: lc.coordReg}
+	regs := make(map[object.SiteID]*metrics.Registry, len(bundle.Databases))
+	var err error
+	lc.cluster, err = remote.StartCluster(remote.ClusterConfig{
+		Federation: &fedfile.Federation{Global: bundle.Global, Databases: bundle.Databases, Tables: bundle.Tables},
+		Configure: func(site object.SiteID, cfg *remote.ServerConfig) {
+			regs[site] = metrics.New()
+			cfg.Metrics = regs[site]
+		},
+		Coordinator: lc.coord,
+	})
+	if err != nil {
+		return nil, err
+	}
+	for _, site := range lc.cluster.Sites() {
+		o, err := obs.Serve("127.0.0.1:0", string(site), regs[site], nil)
+		if err != nil {
+			lc.close()
+			return nil, fmt.Errorf("obs %s: %w", site, err)
+		}
+		lc.obsSrvs = append(lc.obsSrvs, o)
+		lc.obsURLs = append(lc.obsURLs, "http://"+o.Addr())
+	}
+	return lc, nil
+}
+
+// drive runs queries copies of the bundle's first query through the
+// cluster from closed-loop clients and summarizes what it observed on its
+// own clock.
+func (lc *liveCluster) drive(ctx context.Context, clients, queries int, bundle *Bundle, alg exec.Algorithm) ClientStats {
+	fn := func(ctx context.Context, variant int) Result {
+		ans, elapsed, err := lc.coord.QueryContext(ctx, bundle.Queries[variant], alg)
+		if err != nil {
+			return Result{Err: err}
+		}
+		return Result{
+			Micros:      float64(elapsed.Nanoseconds()) / 1e3,
+			Degraded:    ans.Degraded,
+			Interrupted: ans.Interrupted(),
+		}
+	}
+	start := time.Now()
+	results := RunClosed(ctx, clients, make([]int, queries), fn)
+	return Summarize(results, float64(time.Since(start).Nanoseconds())/1e3)
 }

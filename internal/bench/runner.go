@@ -45,7 +45,7 @@ func Run(ctx context.Context, spec MatrixSpec, topic string, progress func(strin
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		res, err := runCell(ctx, spec, cell, bundles[cell.Workload])
+		res, err := runSimCell(ctx, spec, cell, bundles[cell.Workload])
 		if err != nil {
 			return nil, fmt.Errorf("bench: cell %s: %w", cell.Key(), err)
 		}
@@ -65,14 +65,6 @@ func Run(ctx context.Context, spec MatrixSpec, topic string, progress func(strin
 // validate fills the spec's defaults and rejects nonsense before any cell
 // spends time.
 func validate(spec *MatrixSpec) error {
-	if len(spec.Runtimes) == 0 {
-		spec.Runtimes = []string{"sim"}
-	}
-	for _, rt := range spec.Runtimes {
-		if rt != "sim" && rt != "live" {
-			return fmt.Errorf("bench: unknown runtime %q (want sim or live)", rt)
-		}
-	}
 	if len(spec.Strategies) == 0 {
 		return errors.New("bench: no strategies")
 	}
@@ -83,9 +75,6 @@ func validate(spec *MatrixSpec) error {
 	}
 	if len(spec.Workloads) == 0 {
 		return errors.New("bench: no workloads")
-	}
-	if len(spec.Clients) == 0 {
-		spec.Clients = []int{1}
 	}
 	if len(spec.Faults) == 0 {
 		spec.Faults = []string{"none"}
@@ -107,52 +96,24 @@ func validate(spec *MatrixSpec) error {
 // expand produces the cell cross product in canonical (sorted-key) order.
 func expand(spec MatrixSpec) []Cell {
 	var cells []Cell
-	for _, rt := range spec.Runtimes {
-		for _, strat := range spec.Strategies {
-			for _, wl := range spec.Workloads {
-				for _, cl := range spec.Clients {
-					for _, fault := range spec.Faults {
-						c := Cell{
-							Runtime:  rt,
-							Strategy: strat,
-							Workload: wl,
-							Clients:  cl,
-							Fault:    fault,
-						}
-						c.Seed = cellSeed(spec.Seed, c.Key()+seedKeySuffix)
-						cells = append(cells, c)
-					}
-				}
+	for _, strat := range spec.Strategies {
+		for _, wl := range spec.Workloads {
+			for _, fault := range spec.Faults {
+				c := Cell{Strategy: strat, Workload: wl, Fault: fault}
+				c.Seed = cellSeed(spec.Seed, c)
+				cells = append(cells, c)
 			}
 		}
 	}
 	return cells
 }
 
-// seedKeySuffix is the sixth segment cell keys had while the matrix swept
-// serving configurations. Only "plain" is left and the key dropped it, but a
-// cell's seed is still derived from the six-segment string, so every
-// committed sim baseline reproduces to the digit.
-const seedKeySuffix = "/plain"
-
-func runCell(ctx context.Context, spec MatrixSpec, cell Cell, bundle *Bundle) (CellResult, error) {
-	switch cell.Runtime {
-	case "sim":
-		return runSimCell(ctx, spec, cell, bundle)
-	case "live":
-		return runLiveCell(ctx, spec, cell, bundle)
-	default:
-		return CellResult{}, fmt.Errorf("unknown runtime %q", cell.Runtime)
-	}
-}
-
 // runSimCell executes the cell on the discrete-event fabric: queries run
-// sequentially (the DES models intra-query parallelism; the clients
-// dimension shapes live cells only), latencies are virtual micros, and
-// every number derives from the cell seed — identical seeds reproduce
-// byte-identical results. The cell's context is checked between queries,
-// never handed to one: a wall-clock budget cut into virtual time would couple
-// results to host speed.
+// sequentially (the DES models intra-query parallelism), latencies are
+// virtual micros, and every number derives from the cell seed — identical
+// seeds reproduce byte-identical results. The cell's context is checked
+// between queries, never handed to one: a wall-clock budget cut into virtual
+// time would couple results to host speed.
 func runSimCell(ctx context.Context, spec MatrixSpec, cell Cell, bundle *Bundle) (CellResult, error) {
 	alg, err := exec.ParseAlgorithm(cell.Strategy)
 	if err != nil {
@@ -213,7 +174,7 @@ func runSimCell(ctx context.Context, spec MatrixSpec, cell Cell, bundle *Bundle)
 	return CellResult{
 		Cell:   cell,
 		Client: Summarize(results, virtualMicros),
-		Server: extractServerStats(reg.Snapshot(), nil),
+		Server: extractServerStats(reg.Snapshot()),
 	}, nil
 }
 
@@ -226,49 +187,28 @@ func zipfFor(rng *rand.Rand, spec MatrixSpec, bundle *Bundle) *workload.Zipf {
 	return workload.NewZipf(rng, len(bundle.Queries), spec.Zipf)
 }
 
-// extractServerStats reduces metric snapshot deltas to the report's server
-// truth. coord is the coordinator's delta; sites are the component sites'
-// (empty on the sim runtime, where one registry holds everything).
-//
-// Network bytes need care: the coordinator records coordinator↔site traffic
-// in both directions as it sees it, and each site additionally records its
-// own outbound bytes — including responses to the coordinator, which the
-// coordinator already counted. Site samples whose peer is the coordinator
-// are therefore excluded; what remains from the sites is site↔site check
-// traffic, which the coordinator never sees.
-func extractServerStats(coord metrics.Snapshot, sites []metrics.Snapshot) ServerStats {
-	all := append([]metrics.Snapshot{coord}, sites...)
-	sumAll := func(name string) int64 {
-		var t int64
-		for _, s := range all {
-			t += s.Sum(name)
-		}
-		return t
-	}
+// extractServerStats reduces the cell's metric snapshot to the report's
+// server truth: one registry holds the coordinator's and every site's counts.
+func extractServerStats(snap metrics.Snapshot) ServerStats {
 	st := ServerStats{
-		Queries:          coord.Sum("queries_total"),
-		CertainRows:      coord.Sum("results_certain_total"),
-		MaybeRows:        coord.Sum("results_maybe_total"),
-		DegradedQueries:  coord.Sum("degraded_queries_total"),
-		DiskBytes:        sumAll("disk_bytes_total"),
-		CPUOps:           sumAll("cpu_ops_total"),
-		ChecksDispatched: sumAll("checks_dispatched_total"),
-		DeadlineExceeded: coord.Sum("deadline_exceeded_total"),
-		Canceled:         coord.Sum("queries_canceled_total"),
-		SiteUnavailable:  coord.Sum("site_unavailable_total"),
+		Queries:          snap.Sum("queries_total"),
+		CertainRows:      snap.Sum("results_certain_total"),
+		MaybeRows:        snap.Sum("results_maybe_total"),
+		DegradedQueries:  snap.Sum("degraded_queries_total"),
+		NetBytes:         snap.Sum("net_bytes_total"),
+		DiskBytes:        snap.Sum("disk_bytes_total"),
+		CPUOps:           snap.Sum("cpu_ops_total"),
+		ChecksDispatched: snap.Sum("checks_dispatched_total"),
+		DeadlineExceeded: snap.Sum("deadline_exceeded_total"),
+		Canceled:         snap.Sum("queries_canceled_total"),
+		SiteUnavailable:  snap.Sum("site_unavailable_total"),
 	}
-	st.NetBytes = coord.Sum("net_bytes_total")
-	for _, s := range sites {
-		st.NetBytes += sumWhere(s, "net_bytes_total", func(l metrics.Labels) bool {
-			return l.Peer != coordinatorID
-		})
-	}
-	// The shares are slo.Measures' (the one definition of each), over the
-	// coordinator's delta; a cell's run is the window, so no span is needed.
-	if maybe, ok := slo.Measures["maybe_rows"].Value(coord, 0, 0); ok {
+	// The shares are slo.Measures' (the one definition of each); a cell's
+	// run is the window, so no span is needed.
+	if maybe, ok := slo.Measures["maybe_rows"].Value(snap, 0, 0); ok {
 		st.MaybeFrac, st.CertainFrac = round4(maybe), round4(1-maybe)
 	}
-	degraded, _ := slo.Measures["degraded_queries"].Value(coord, 0, 0)
+	degraded, _ := slo.Measures["degraded_queries"].Value(snap, 0, 0)
 	st.DegradedFrac = round4(degraded)
 	return st
 }
@@ -277,15 +217,4 @@ func extractServerStats(coord metrics.Snapshot, sites []metrics.Snapshot) Server
 // free of representation noise.
 func round4(share float64) float64 {
 	return float64(int64(share*1e4+0.5)) / 1e4
-}
-
-// sumWhere totals a counter across the label sets keep admits.
-func sumWhere(s metrics.Snapshot, name string, keep func(metrics.Labels) bool) int64 {
-	var t int64
-	for _, smp := range s.Samples {
-		if smp.Name == name && smp.Hist == nil && (keep == nil || keep(smp.Labels)) {
-			t += smp.Value
-		}
-	}
-	return t
 }

@@ -39,7 +39,7 @@ type Verdict struct {
 // Judge holds one cell of a report to objectives written in the slo rule
 // grammar (a rule's window is the cell's whole run). A report keeps what it
 // measured, not the series: a rule over anything else is an error that says
-// so. Unless allowErrors, client errors and sheds fail the cell too.
+// so. Unless allowErrors, client errors fail the cell too.
 func Judge(res CellResult, rules []slo.Rule, allowErrors bool) (Verdict, error) {
 	v := Verdict{Cell: res.Cell.Key(), Pass: true}
 	for _, r := range rules {

@@ -5,10 +5,10 @@ import (
 	"sort"
 )
 
-// Result is one driven query as the load generator saw it. Micros is the
-// client-observed latency (wall-clock on the live runtime, virtual time on
-// the sim runtime); a Result with Err set contributes to the error counts
-// and is excluded from the latency distribution.
+// Result is one driven query as its driver saw it. Micros is the
+// client-observed latency (virtual time in a matrix cell, wall-clock in the
+// obs topic's live cells); a Result with Err set contributes to the error
+// counts and is excluded from the latency distribution.
 type Result struct {
 	Micros      float64
 	Degraded    bool

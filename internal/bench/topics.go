@@ -17,22 +17,20 @@ type Topic struct {
 	// ObsSpec (RunObs), ChaosSpec (RunChaos) or FigureSpec (RunFigures).
 	Spec any
 	// Baseline marks a topic gated by Check against the committed
-	// BENCH_<Name>.json — the deterministic sim matrices, whose virtual-time
-	// cells are byte-stable across machines. The other topics' runners gate
+	// BENCH_<Name>.json — the matrices, whose virtual-time cells are
+	// byte-stable across machines. The other topics' runners gate
 	// on the run's own invariants instead: a bound in the spec where a wall
 	// clock is measured (MaxOverhead, MaxConvergenceRounds), the paper's
 	// shapes for figures.
 	Baseline bool
 }
 
-// simMatrix is the load shape the sim topics share: the Zipf-skewed school
-// workload, closed loop, one client.
+// simMatrix is the load shape smoke and adaptive share: the Zipf-skewed
+// school workload.
 func simMatrix(strategies, faults []string, queries int) MatrixSpec {
 	return MatrixSpec{
-		Runtimes:   []string{"sim"},
 		Strategies: strategies,
 		Workloads:  []string{"school"},
-		Clients:    []int{1},
 		Faults:     faults,
 		Queries:    queries,
 		Zipf:       0.8,
@@ -52,13 +50,11 @@ var topics = []Topic{
 	// (EXPERIMENTS.md E16).
 	{Name: "adaptive", Baseline: true,
 		Spec: simMatrix([]string{"CA", "BL", "PL", "adaptive"}, []string{"none", "kill:DB3"}, 40)},
-	// The live reference matrix: every strategy over real TCP. A record,
-	// not a gate — wall clocks on shared hardware are too noisy to diff.
-	{Name: "strategies", Spec: MatrixSpec{
-		Runtimes:   []string{"live"},
+	// Every strategy over both workloads, healthy and with one site killed
+	// (EXPERIMENTS.md E35).
+	{Name: "strategies", Baseline: true, Spec: MatrixSpec{
 		Strategies: []string{"CA", "BL", "PL", "SBL", "SPL"},
 		Workloads:  []string{"school", "table2"},
-		Clients:    []int{1, 4},
 		Faults:     []string{"none", "kill:DB3"},
 		Queries:    30,
 		Zipf:       0.9,

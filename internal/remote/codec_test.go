@@ -99,7 +99,7 @@ func sampleRequests() map[string]Request {
 	return map[string]Request{
 		"ping":         {Kind: kindPing, Trace: TraceContext{From: "G"}},
 		"retrieve":     {Kind: kindRetrieve, Trace: sampleTrace, DeadlineMicros: 250_001, Query: `select name from Student where address.city = "Taipei"`},
-		"local":        {Kind: kindLocal, Trace: sampleTrace, DeadlineMicros: 1, Query: "select name from Student", Mode: ModeSPL},
+		"local":        {Kind: kindLocal, Trace: sampleTrace, DeadlineMicros: 1, Query: "select name from Student", Mode: "SPL"},
 		"check":        {Kind: kindCheck, Trace: sampleTrace, Items: sampleItems},
 		"store":        {Kind: kindStore, Trace: TraceContext{From: "G"}, Store: sampleStudent},
 		"bind":         {Kind: kindBind, Bind: &antientropy.Delta{Class: "Student", GOid: "gs9", Site: "DB1", LOid: "s9"}},

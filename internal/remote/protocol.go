@@ -47,14 +47,6 @@ const (
 	kindBind   = antientropy.KindBind
 )
 
-// Local query modes.
-const (
-	ModeBL  = "BL"
-	ModePL  = "PL"
-	ModeSBL = "SBL"
-	ModeSPL = "SPL"
-)
-
 // errDeadline is the server's answer when a request's wire budget
 // (Request.DeadlineMicros) expired while serving it. The client maps it
 // back onto context.DeadlineExceeded, so callers see the same typed error
@@ -101,7 +93,8 @@ type Request struct {
 	// Query is the global query text for retrieve and local requests; the
 	// site binds it against its own copy of the global schema.
 	Query string
-	// Mode selects the localized flow for local requests.
+	// Mode names the localized strategy of a local request
+	// (exec.Algorithm.String: BL, PL, SBL or SPL).
 	Mode string
 	// Items are the assistant checks for check requests.
 	Items []federation.CheckItem

@@ -154,6 +154,35 @@ func TestTracedPLSpansReachProfileOnce(t *testing.T) {
 		func() bool { return served() == int64(serves) })
 }
 
+// TestUntracedCoordinatorReceivesNoSpans: a coordinator without a tracer
+// receives exactly the same bytes from traced sites as from untraced ones, for
+// every strategy. A site ships its spans only to a caller that has a span to
+// hang them on; it used to ship them whenever the request carried a query ID,
+// and the coordinator dropped them unread.
+func TestUntracedCoordinatorReceivesNoSpans(t *testing.T) {
+	received := func(alg exec.Algorithm, configure func(object.SiteID, *ServerConfig)) int64 {
+		coord, _ := testCluster(t, nil, &Coordinator{Metrics: metrics.New()}, configure)
+		if _, _, err := coord.Query(school.Q1, alg); err != nil {
+			t.Fatal(err)
+		}
+		var n int64
+		for _, smp := range coord.Metrics.Snapshot().Samples {
+			if smp.Name == "net_bytes_total" && smp.Labels.Peer == string(coord.ID) {
+				n += smp.Value
+			}
+		}
+		return n
+	}
+	for _, alg := range exec.Algorithms() {
+		bare := received(alg, func(_ object.SiteID, cfg *ServerConfig) { cfg.Metrics = metrics.New() })
+		traced := received(alg, observed)
+		if bare == 0 || traced != bare {
+			t.Errorf("%s: the untraced coordinator received %d bytes from traced sites, %d from untraced ones",
+				alg, traced, bare)
+		}
+	}
+}
+
 // TestTracedQueryCostIsFlatInHistory: with every tracer capped at 4 096 spans
 // and every recorder on, as hetserve wires a cluster, a traced query
 // allocates what it did on fresh tracers however many traced queries ran

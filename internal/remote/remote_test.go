@@ -152,7 +152,7 @@ func TestServerRejectsBadRequests(t *testing.T) {
 		!strings.Contains(err.Error(), "unknown local mode") {
 		t.Errorf("bad mode: %v", err)
 	}
-	if _, err := testCall(t, addr, Request{Kind: kindLocal, Query: "select", Mode: ModeBL}); err == nil {
+	if _, err := testCall(t, addr, Request{Kind: kindLocal, Query: "select", Mode: "BL"}); err == nil {
 		t.Error("bad query accepted")
 	}
 }

@@ -319,19 +319,17 @@ func reqAlg(req Request) string {
 
 // reqPhases maps a request kind onto the paper's phases the server performs
 // while handling it: retrieval and assistant checking are object location
-// (O); a local query evaluates predicates and locates assistants in the
-// mode's order (P→O basic, O→P parallel).
+// (O); a local query evaluates predicates and locates assistants in its
+// strategy's order (P→O basic, O→P parallel).
 func reqPhases(req Request) string {
 	switch req.Kind {
 	case kindRetrieve, kindCheck:
 		return "O"
 	case kindLocal:
-		switch req.Mode {
-		case ModePL, ModeSPL:
+		if alg, _ := exec.ParseAlgorithm(req.Mode); alg == exec.PL || alg == exec.SPL {
 			return "OP"
-		default:
-			return "PO"
 		}
+		return "PO"
 	}
 	return ""
 }
@@ -401,14 +399,15 @@ func (s *Server) handle(conn net.Conn) {
 		}
 		// The serve span ends, and the request's tree (peer check spans it
 		// imported included) leaves the tracer, before the response is
-		// encoded: a traced response ships that one closed slice back, letting
-		// the caller's profile cover every participating site, and the same
-		// slice is this site's profile of the request. A site answering a
-		// peer's check ships the check's tree alone, never its own open spans
-		// of the query.
+		// encoded: a response to a traced caller — one that sent a span to
+		// parent this tree on — ships that one closed slice back, letting the
+		// caller's profile cover every participating site, and the same slice
+		// is this site's profile of the request. A site answering a peer's
+		// check ships the check's tree alone, never its own open spans of the
+		// query; an untraced caller gets no spans.
 		sp.End()
 		spans := s.cfg.Tracer.Take(sp.ID())
-		if req.Trace.QueryID != "" {
+		if req.Trace.Span != 0 {
 			resp.Spans = spans
 		}
 		_ = conn.SetWriteDeadline(time.Now().Add(cmp.Or(s.cfg.writeDeadline, writeTimeout)))

@@ -4,8 +4,8 @@
 # one-replica, one-repair-path, one-experiment-harness, work-runs-where-it-is,
 # one-identity-index, said-once, one-chooser, one-probe-per-fetch,
 # one-way-to-stand-up-a-site, one-value-in-use, one-home-for-spans,
-# no-unused-load-shape and one-metric-catalog structural guards, build,
-# unit tests, the full test suite under the race detector, the benchmark
+# no-unused-load-shape, one-matrix-runtime and one-metric-catalog structural
+# guards, build, unit tests, the full test suite under the race detector, the benchmark
 # module's vet and tests, a one-shot compile-and-run smoke of the overhead and
 # allocation benchmarks,
 # and a short fuzz budget for every decoder that reads bytes off a socket or
@@ -302,6 +302,15 @@ fi
 if grep -rnE 'MaxConcurrent|NewGate|ErrShed|RateQPS|RunOpen|Arrivals\(' --include='*.go' \
     --exclude-dir=benchmark --exclude-dir=.bench_build .; then
     echo "an admission gate or an open-loop driver is back (see EXPERIMENTS.md E34)" >&2
+    guard_failed=1
+fi
+# One runtime for the matrix (EXPERIMENTS.md E35): every hetbench matrix cell
+# runs on the discrete-event fabric, and wall-clock speed over TCP is
+# benchmark/'s, so the live runtime, its runtimes dimension and the seed
+# suffix it kept stay gone outside benchmark/, in tests or otherwise.
+if grep -rnwE 'Runtimes|runLiveCell|seedKeySuffix|"runtimes"' --include='*.go' \
+    --exclude-dir=benchmark --exclude-dir=.bench_build .; then
+    echo "a live matrix runtime is back; hetbench's matrix runs on the DES alone (see EXPERIMENTS.md E35)" >&2
     guard_failed=1
 fi
 [ "$guard_failed" -eq 0 ] || exit 1
