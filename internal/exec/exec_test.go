@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -363,5 +364,51 @@ func TestBusyAttribution(t *testing.T) {
 	}
 	if bl["DB1"] <= 0 || bl["DB2"] <= 0 || bl["DB3"] <= 0 {
 		t.Errorf("BL left a site idle: %v", bl)
+	}
+}
+
+// TestCALeavesStoredObjectsAlone: an in-process CA query hands the stores'
+// own objects to the outerjoin, which must copy rather than adopt them: after
+// the query every stored object has its LOid, class, attributes and modeled
+// size as before, on the paper's federation and on generated ones.
+func TestCALeavesStoredObjectsAlone(t *testing.T) {
+	snapshot := func(dbs map[object.SiteID]*store.Database) string {
+		var b strings.Builder
+		sites := make([]object.SiteID, 0, len(dbs))
+		for site := range dbs {
+			sites = append(sites, site)
+		}
+		slices.Sort(sites)
+		for _, site := range sites {
+			db := dbs[site]
+			for _, class := range db.Schema().ClassNames() {
+				db.Extent(class).Scan(func(o *object.Object) bool {
+					fmt.Fprintf(&b, "%s %v %d\n", site, o, o.WireSize(nil))
+					return true
+				})
+			}
+		}
+		return b.String()
+	}
+	fx := school.New()
+	works := []*workload.Workload{{Global: fx.Global, Databases: fx.Databases, Tables: fx.Mapping,
+		Bound: schoolBound(t, fx)}}
+	for seed := int64(720); seed < 724; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		w, err := workload.Generate(smallRanges().Draw(rng), rng)
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		works = append(works, w)
+	}
+	for i, w := range works {
+		before := snapshot(w.Databases)
+		if len(before) == 0 {
+			t.Fatalf("federation %d stores nothing", i)
+		}
+		runWorkload(t, w, CA)
+		if after := snapshot(w.Databases); after != before {
+			t.Errorf("federation %d: a CA query changed stored objects:\nbefore\n%s\nafter\n%s", i, before, after)
+		}
 	}
 }

@@ -112,13 +112,16 @@ func (v *View) Len() int { return v.n }
 // non-null value wins), and LOid-valued complex attributes are transformed
 // to GOids.
 //
-// The replies are read, never written: their objects may be a store's own
-// (see ClassObjects). The join is the mapping table's numbering: per (class,
-// site) list the site's LOid indexes are resolved once, and one probe per
-// object gives the view's slot to merge into. The view is sized before it is
-// filled: a slot per entity the table knows, objects and entries from one slab
-// with room for as many entities as the replies can hold (an object no
-// binding names takes the slab's overflow).
+// A reply's objects may be a store's own, and those are read, never written
+// (see ClassObjects). An Owned list is the join's to consume: the first
+// constituent of each entity becomes that entity's view object in place. The
+// join is the mapping table's numbering: per (class, site) list the site's
+// LOid indexes are resolved once, and one probe per object gives the view's
+// slot to merge into. The view is sized before it is filled: a slot per
+// entity the table knows, and for the entities that start from a list that is
+// not owned, objects and entries from one slab with room for as many entities
+// as those lists can hold (an object no binding names takes the slab's
+// overflow).
 func (co *Coordinator) Materialize(p fabric.Proc, b *query.Bound, replies []RetrieveReply) *View {
 	var c cost.Counter
 
@@ -133,7 +136,9 @@ func (co *Coordinator) Materialize(p fabric.Proc, b *query.Bound, replies []Retr
 				at = len(v.classes)
 				v.classes = append(v.classes, viewClass{name: cls.GlobalClass, table: co.tables.Table(cls.GlobalClass)})
 			}
-			v.classes[at].constituents += len(cls.Objects)
+			if !cls.Owned {
+				v.classes[at].constituents += len(cls.Objects)
+			}
 			v.classes[at].width = len(cls.Attrs)
 		}
 	}
@@ -168,9 +173,14 @@ func (co *Coordinator) Materialize(p fabric.Proc, b *query.Bound, replies []Retr
 						e.GOid = vc.table.Unbound(reply.Site, o.LOid)
 						m = vc.unbound[e.GOid]
 					}
-					fresh := m == nil
-					if fresh {
-						m = slab.New(object.LOid(e.GOid), vc.name, len(cls.Attrs))
+					mode := fill
+					if m == nil {
+						if cls.Owned {
+							m, mode = o, adopt
+							m.LOid, m.Class = object.LOid(e.GOid), vc.name
+						} else {
+							m, mode = slab.New(object.LOid(e.GOid), vc.name, len(cls.Attrs)), start
+						}
 						if bound {
 							vc.byNumber[e.Number] = m
 						} else {
@@ -181,7 +191,7 @@ func (co *Coordinator) Materialize(p fabric.Proc, b *query.Bound, replies []Retr
 							v.roots = append(v.roots, m)
 						}
 					}
-					co.merge(m, fresh, o.Projected(cls.Attrs), gc, &ids, &c)
+					co.merge(m, mode, o.Projected(cls.Attrs), len(cls.Attrs), len(cls.Objects)*len(cls.Attrs), gc, &ids, slab, &c)
 				}
 			}
 		}
@@ -194,19 +204,40 @@ func (co *Coordinator) Materialize(p fabric.Proc, b *query.Bound, replies []Retr
 	return v
 }
 
-// merge merges one constituent object, read through its list's projection,
-// into a materialized object, translating local references to global ones
-// through its site's identities. The constituent that starts an entity (fresh)
-// hands its entries over in order; a later isomer fills what is still missing.
-func (co *Coordinator) merge(m *object.Object, fresh bool, o object.Projection,
-	gc *schema.GlobalClass, ids *identities, c *cost.Counter) {
+// mergeMode is how one constituent object enters its entity's view object.
+type mergeMode int
+
+const (
+	// start: the constituent begins its entity in a fresh slab object, and
+	// its entries are appended in order.
+	start mergeMode = iota
+	// adopt: the constituent, from an Owned list, is the view object itself,
+	// already renamed; its entries are rewritten in place.
+	adopt
+	// fill: a later isomer fills what the view object still misses.
+	fill
+)
+
+// merge merges one constituent object, read through its list's projection
+// (taken before an adopted object is cleared), into a materialized object,
+// translating local references to global ones through its site's identities.
+// An entry outside the mask, a reference attribute the global class lacks, or
+// a reference with no identity here is dropped, whatever the mode. A view
+// object that a fill finds without room — an adopted one holds only what its
+// record held — gets room for the mask's width from the slab, in a chunk of at
+// most room entries: what the list could fill.
+func (co *Coordinator) merge(m *object.Object, mode mergeMode, p object.Projection, width, room int,
+	gc *schema.GlobalClass, ids *identities, slab *object.Slab, c *cost.Counter) {
+	if mode == adopt {
+		m.Clear() // p still reads the old entries
+	}
 	for {
-		name, val, ok := o.Next()
+		name, val, ok := p.Next()
 		if !ok {
 			return
 		}
 		c.CPU(1) // merge step
-		if !fresh && !m.Attr(name).IsNull() {
+		if mode == fill && !m.Attr(name).IsNull() {
 			continue // first non-null value wins
 		}
 		switch val.Kind() {
@@ -235,10 +266,11 @@ func (co *Coordinator) merge(m *object.Object, fresh bool, o object.Projection,
 				val = object.List(elems...)
 			}
 		}
-		if fresh {
-			m.Append(name, val)
-		} else {
+		if mode == fill {
+			slab.Reserve(m, width, room)
 			m.Set(name, val)
+		} else {
+			m.Append(name, val)
 		}
 	}
 }
@@ -273,7 +305,7 @@ func (co *Coordinator) EvaluateView(p fabric.Proc, b *query.Bound, v *View) *Ans
 		}
 		row := ResultRow{GOid: object.GOid(root.LOid)}
 		if verdict == tvl.Unknown {
-			row.Unknown = unknownIdx(verdicts)
+			row.Unknown = slabs.unknown(verdicts)
 		}
 		row.Targets = slabs.targets.take(len(b.Targets), slabs.rows)
 		for i, tp := range b.Targets {
@@ -332,6 +364,11 @@ func (co *Coordinator) Certify(p fabric.Proc, b *query.Bound, results []LocalRes
 // Check verdicts that never arrived (a dead assistant site) need no special
 // handling — the unsolved predicates simply stay unknown and the dependent
 // results stay maybe.
+//
+// Rows are grouped by the range table's entity numbers, which hold still
+// under the read lock a query's global step runs in: a count per number, one
+// pass that gathers each entity's rows in site order, and a GOid map only for
+// the rows no binding in this replica names.
 func (co *Coordinator) CertifyDegraded(p fabric.Proc, b *query.Bound, results []LocalResult,
 	replies []CheckReply, dead map[object.SiteID]bool) *Answer {
 	var c cost.Counter
@@ -343,7 +380,14 @@ func (co *Coordinator) CertifyDegraded(p fabric.Proc, b *query.Bound, results []
 		suffixLen int
 	}
 	ans := &Answer{}
-	checkEvidence := make(map[vkey]tvl.Truth)
+	n := 0
+	for _, reply := range replies {
+		n += len(reply.Verdicts)
+	}
+	for _, res := range results {
+		n += len(res.SigVerdicts)
+	}
+	checkEvidence := make(map[vkey]tvl.Truth, n)
 	record := func(cv CheckVerdict) {
 		c.CPU(1)
 		ans.Stats.CheckVerdicts++
@@ -369,39 +413,65 @@ func (co *Coordinator) CertifyDegraded(p fabric.Proc, b *query.Bound, results []
 		}
 	}
 
-	// Group rows by entity and by site.
-	sorted := append([]LocalResult(nil), results...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Site < sorted[j].Site })
-	type entity struct {
-		rows  []LocalRow
-		sites []object.SiteID // the sites that returned a row: a handful, in site order
-	}
-	entities := make(map[object.GOid]*entity)
-	var order []object.GOid
+	// Number every row's entity. A GOid the range table does not name — an
+	// unbound object's identity, or an entity a site bound before this
+	// replica heard of it — is numbered past the table's own.
+	sorted := slices.Clone(results)
+	slices.SortFunc(sorted, func(a, b LocalResult) int { return strings.Compare(string(a.Site), string(b.Site)) })
+	rootTable := co.tables.Table(b.Query.Range)
 	for _, res := range sorted {
 		ans.Stats.LocalRows += len(res.Rows)
-		for _, row := range res.Rows {
+	}
+	keys := make([]int32, 0, ans.Stats.LocalRows) // each row's entity number, in site order
+	at := make([]int32, rootTable.Len()+1)        // per entity, and one past the last
+	var unnamed map[object.GOid]int
+	for _, res := range sorted {
+		for i := range res.Rows {
 			c.CPU(1)
-			e := entities[row.GOid]
-			if e == nil {
-				e = &entity{}
-				entities[row.GOid] = e
-				order = append(order, row.GOid)
+			g := res.Rows[i].GOid
+			k, ok := rootTable.Number(g)
+			if !ok {
+				if k, ok = unnamed[g]; !ok {
+					if unnamed == nil {
+						unnamed = make(map[object.GOid]int)
+					}
+					k = len(at) - 1
+					unnamed[g] = k
+					at = append(at, 0)
+				}
 			}
-			e.rows = append(e.rows, row)
-			e.sites = append(e.sites, res.Site)
+			at[k]++
+			keys = append(keys, int32(k))
 		}
 	}
-	sort.Slice(order, func(i, j int) bool { return order[i] < order[j] })
-
-	rootSites := make(map[object.SiteID]bool)
-	for _, s := range b.RootSites() {
-		rootSites[s] = true
+	// Gather: at[k] counts entity k's rows, then ends them, then — filled
+	// from the back — starts them, so that at[k]:at[k+1] are k's rows.
+	for k := 1; k < len(at); k++ {
+		at[k] += at[k-1]
 	}
-	rootTable := co.tables.Table(b.Query.Range)
+	rows := make([]siteRow, len(keys))
+	r := len(keys)
+	for i := len(sorted) - 1; i >= 0; i-- {
+		res := &sorted[i]
+		for j := len(res.Rows) - 1; j >= 0; j-- {
+			r--
+			k := keys[r]
+			at[k]--
+			rows[at[k]] = siteRow{&res.Rows[j], res.Site}
+		}
+	}
 
-	for _, goid := range order {
-		e := entities[goid]
+	rootSites := b.RootSites()
+	// No entity keeps its evidence, so one scratch slice serves every one;
+	// the rows' targets and unknown lists are cut from slabs.
+	evidence := make([]tvl.Truth, len(b.Preds))
+	slabs := rowSlabs{rows: len(at) - 1}
+	for k := 0; k+1 < len(at); k++ {
+		e := rows[at[k]:at[k+1]]
+		if len(e) == 0 {
+			continue
+		}
+		goid := e[0].GOid
 
 		// A queried isomeric root object that returned no row was
 		// eliminated by its site's local predicates: the entity violates
@@ -409,7 +479,8 @@ func (co *Coordinator) CertifyDegraded(p fabric.Proc, b *query.Bound, results []
 		eliminated := false
 		for _, loc := range rootTable.Locations(goid) {
 			c.CPU(1)
-			if rootSites[loc.Site] && !dead[loc.Site] && !slices.Contains(e.sites, loc.Site) {
+			if slices.Contains(rootSites, loc.Site) && !dead[loc.Site] &&
+				!slices.ContainsFunc(e, func(r siteRow) bool { return r.site == loc.Site }) {
 				eliminated = true
 				break
 			}
@@ -423,11 +494,10 @@ func (co *Coordinator) CertifyDegraded(p fabric.Proc, b *query.Bound, results []
 		// definitive verdict (true or false) beats unknown; with
 		// consistent isomeric data true and false never conflict, and a
 		// violation dominates defensively if they do.
-		evidence := make([]tvl.Truth, len(b.Preds))
 		for i := range evidence {
 			evidence[i] = tvl.Unknown
 		}
-		for _, row := range e.rows {
+		for _, row := range e {
 			for i, v := range row.Verdicts {
 				c.CPU(1)
 				switch v {
@@ -455,7 +525,7 @@ func (co *Coordinator) CertifyDegraded(p fabric.Proc, b *query.Bound, results []
 		// paper's: satisfied solves, violated eliminates.
 		// A row holds a handful of items: a predicate's are found by scanning
 		// on from its first.
-		for _, row := range e.rows {
+		for _, row := range e {
 			for i := range row.Unsolved {
 				idx := row.Unsolved[i].SourceIdx
 				if slices.ContainsFunc(row.Unsolved[:i], func(u UnsolvedItem) bool { return u.SourceIdx == idx }) {
@@ -502,20 +572,24 @@ func (co *Coordinator) CertifyDegraded(p fabric.Proc, b *query.Bound, results []
 				ans.Stats.Certified++
 			}
 			ans.Certain = append(ans.Certain, ResultRow{
-				GOid: goid, Targets: mergeTargets(e.rows, len(b.Targets), &c)})
+				GOid: goid, Targets: mergeTargets(slabs.targets.take(len(b.Targets), slabs.rows), e, &c)})
 		default:
 			ans.Maybe = append(ans.Maybe, ResultRow{
 				GOid:    goid,
-				Targets: mergeTargets(e.rows, len(b.Targets), &c),
-				Unknown: unknownIdx(evidence),
+				Targets: mergeTargets(slabs.targets.take(len(b.Targets), slabs.rows), e, &c),
+				Unknown: slabs.unknown(evidence),
 			})
 		}
 	}
 
 	// Entities silenced entirely by dead sites come back as all-unknown
-	// maybe rows rather than disappearing.
+	// maybe rows rather than disappearing. Only the table's own entities are
+	// asked about.
 	if len(dead) > 0 {
-		present := func(g object.GOid) bool { _, ok := entities[g]; return ok }
+		present := func(g object.GOid) bool {
+			k, ok := rootTable.Number(g)
+			return ok && at[k+1] > at[k]
+		}
 		rows := co.degradedRootRows(b, dead, present, &c)
 		ans.Maybe = append(ans.Maybe, rows...)
 	}
@@ -524,6 +598,12 @@ func (co *Coordinator) CertifyDegraded(p fabric.Proc, b *query.Bound, results []
 	sortRows(ans.Maybe)
 	co.charge(p, &c)
 	return ans
+}
+
+// siteRow is one local row and the site that returned it.
+type siteRow struct {
+	*LocalRow
+	site object.SiteID
 }
 
 // DegradedRootRows synthesizes all-unknown maybe rows for range entities
@@ -583,10 +663,19 @@ func (co *Coordinator) degradedRootRows(b *query.Bound, dead map[object.SiteID]b
 	return out
 }
 
-// unknownIdx lists the predicate indexes whose truth value is unknown (or
-// was never established).
-func unknownIdx(verdicts []tvl.Truth) []int {
-	var out []int
+// unknown lists the predicate indexes whose truth value is unknown (or was
+// never established), cut from the slabs; nil when there is none.
+func (rs *rowSlabs) unknown(verdicts []tvl.Truth) []int {
+	n := 0
+	for _, v := range verdicts {
+		if v == tvl.Unknown || v == 0 {
+			n++
+		}
+	}
+	if n == 0 {
+		return nil
+	}
+	out := rs.unknowns.take(n, rs.rows)[:0]
 	for i, v := range verdicts {
 		if v == tvl.Unknown || v == 0 {
 			out = append(out, i)
@@ -595,10 +684,9 @@ func unknownIdx(verdicts []tvl.Truth) []int {
 	return out
 }
 
-// mergeTargets combines target values across the isomeric rows: the first
-// non-null value in site order wins.
-func mergeTargets(rows []LocalRow, n int, c *cost.Counter) []object.Value {
-	out := make([]object.Value, n)
+// mergeTargets fills out with the target values combined across the
+// isomeric rows: the first non-null value in site order wins.
+func mergeTargets(out []object.Value, rows []siteRow, c *cost.Counter) []object.Value {
 	for i := range out {
 		out[i] = object.Null()
 		for _, row := range rows {

@@ -132,18 +132,21 @@ func wantView(t *testing.T, when string, v *View, want []*object.Object, roots [
 
 // TestMaterializeHandBuiltJoin: the outerjoin over entity numbers builds, on a
 // federation with unbound objects, dangling references and a multi-valued
-// reference, exactly the objects the hashed join built, whether the replies
-// are the stores' own objects or decoded records, and in whatever order the
-// replies are handed over.
+// reference, exactly the objects the hashed join built, in whatever order the
+// replies are handed over, and whether the replies are the stores' own
+// objects, decoded records, or Owned objects that still hold entries outside
+// the mask — the last two adopted as view objects in place. S2's list also
+// names a reference attribute the global class lacks, which is dropped.
 func TestMaterializeHandBuiltJoin(t *testing.T) {
 	fx := joinFixture(t)
 	co := NewCoordinator("G", fx.global, fx.tables)
 	str, ref := object.Str, object.Ref
 	expected := func() []*object.Object {
 		return []*object.Object{
-			// S1's e1 starts ge1: its peers keep the two bound ones, in the
-			// list's order. S2's e1' fills the skill; its dept and peers lose
-			// to the values already there.
+			// S1's e1 starts ge1 (replies merge in site order): its peers keep
+			// the two bound ones, in the list's order. S2's e1' fills the
+			// skill — into e1 itself when e1 was adopted; its dept and peers
+			// lose to the values already there.
 			object.New("ge1", "Emp", map[string]object.Value{"name": str("Ann"), "skill": str("rust"),
 				"dept": ref("gd1"), "peers": object.List(ref("ge2"), ref("ge1"))}),
 			// e2's dept points at an object no binding names: dropped.
@@ -151,7 +154,8 @@ func TestMaterializeHandBuiltJoin(t *testing.T) {
 			object.New("!Emp:S1:eU", "Emp", map[string]object.Value{"name": str("Uma")}),
 			// Every element of eV's peers is unbound: the list stays, empty.
 			object.New("!Emp:S1:eV", "Emp", map[string]object.Value{"name": str("Vic"), "peers": object.List()}),
-			// Dept is read through {city}: S1's Oslo wins over S2's Bergen.
+			// Dept is read through {city}: S1's Oslo wins over S2's Bergen,
+			// and the name outside the mask is never merged.
 			object.New("gd1", "Dept", map[string]object.Value{"city": str("Oslo")}),
 			object.New("!Dept:S1:dX", "Dept", map[string]object.Value{"city": str("Rome")}),
 		}
@@ -160,22 +164,51 @@ func TestMaterializeHandBuiltJoin(t *testing.T) {
 
 	// Charges, counted by hand from the replies: one per object (6 + 2), one
 	// per masked attribute held (S1: d1 1, dX 1, e1 3, e2 3, eU 1, eV 2;
-	// S2: d1' 1, e1' 4), one per reference met on an attribute still missing
-	// (e1.dept, e2.dept; e1'.dept loses before it is looked at), one per
-	// element of a list merged (e1.peers 3, eV.peers 1).
-	const wantCPU = 8 + (11 + 5) + 2 + 4
+	// S2: d1' 1, e1' 4 and its boss), one per reference met on an attribute
+	// still missing and of the global class (e1.dept, e2.dept; e1'.dept loses
+	// before it is looked at, e1'.boss names no attribute), one per element of
+	// a list merged (e1.peers 3, eV.peers 1).
+	const wantCPU = 8 + (11 + 6) + 2 + 4
 
+	// withBoss widens S2's Emp list by a reference attribute the global class
+	// lacks and gives e1' a value for it.
+	withBoss := func(replies []RetrieveReply) {
+		for i := range replies {
+			for j := range replies[i].Classes {
+				cls := &replies[i].Classes[j]
+				if replies[i].Site != "S2" || cls.GlobalClass != "Emp" {
+					continue
+				}
+				cls.Attrs = append([]string{"boss"}, cls.Attrs...)
+				for k, o := range cls.Objects {
+					cp := o.Clone()
+					cp.Set("boss", ref("e1'"))
+					cls.Objects[k] = cp
+				}
+			}
+		}
+	}
 	for _, order := range [][]object.SiteID{{"S1", "S2"}, {"S2", "S1"}} {
-		for _, overWire := range []bool{false, true} {
+		for _, how := range []string{"stored", "decoded", "owned"} {
 			replies := retrieveFrom(t, fx, order...)
-			if overWire {
-				for i := range replies {
+			withBoss(replies)
+			for i := range replies {
+				switch how {
+				case "decoded":
 					replies[i] = recordRoundTrip(t, replies[i])
+				case "owned":
+					for j := range replies[i].Classes {
+						cls := &replies[i].Classes[j]
+						cls.Objects, cls.Owned = slices.Clone(cls.Objects), true
+						for k, o := range cls.Objects {
+							cls.Objects[k] = o.Clone()
+						}
+					}
 				}
 			}
 			var view *View
 			m := onReal(t, func(p fabric.Proc) { view = co.Materialize(p, fx.bound, replies) })
-			when := fmt.Sprintf("replies %v, over the wire %v", order, overWire)
+			when := fmt.Sprintf("replies %v, %s", order, how)
 			// ge3 is an entity the replica knows and no reply holds.
 			wantView(t, when, view, expected(), roots, "ge3", "gd9", "!Emp:S1:e1", "")
 			if m.CPUOps != wantCPU || m.DiskBytes != 0 {

@@ -277,12 +277,13 @@ func (sl *slab[T]) take(n, rows int) []T {
 	return out
 }
 
-// rowSlabs are the slabs one local result's rows are cut from; rows bounds
-// how many rows that can be, as far as the caller knows.
+// rowSlabs are the slabs the rows of one local result or one answer are cut
+// from; rows bounds how many rows that can be, as far as the caller knows.
 type rowSlabs struct {
 	rows     int
 	verdicts slab[tvl.Truth]
 	targets  slab[object.Value]
+	unknowns slab[int]
 }
 
 // keep returns a private copy of the scratch verdicts.

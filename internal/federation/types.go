@@ -374,14 +374,19 @@ func (cr CheckReply) WireSize() int {
 // store never edits an object after inserting it; accordingly nothing
 // reachable from a reply may be Set. The slice of pointers is the reply's
 // own. A reply decoded off the wire holds objects cut from slabs, already
-// restricted to Attrs, so the mask passes all of them.
+// restricted to Attrs, so the mask passes all of them; nobody else holds
+// them, and the decoder marks the list Owned.
 type ClassObjects struct {
 	GlobalClass string
 	// Attrs is the projection: the attributes the objects are read through,
 	// sorted by name.
 	Attrs []string
-	// Objects are the constituent objects, read-only.
+	// Objects are the constituent objects, read-only unless Owned.
 	Objects []*object.Object
+	// Owned marks objects nobody else holds: the Materialize the list is
+	// passed to consumes it, turning its objects into view objects in place,
+	// and the list must not be read afterwards.
+	Owned bool
 }
 
 // RetrieveReply is a site's reply to the centralized approach's retrieve

@@ -469,6 +469,14 @@ func (o *Object) Append(name string, v Value) {
 	o.attrs = append(o.attrs, attr{name, v})
 }
 
+// Clear drops every attribute and keeps their storage for Appends. A
+// Projection started before Clear still reads the old entries, so the sole
+// holder of an object can rewrite it through its own projection: each
+// Append lands on an entry the cursor has already passed.
+func (o *Object) Clear() {
+	o.attrs, o.wire = o.attrs[:0], 0
+}
+
 // Clone returns a deep-enough copy: the attribute entries are copied (values
 // are immutable, so they are shared).
 func (o *Object) Clone() *Object {

@@ -42,6 +42,17 @@ func (s *Slab) New(id LOid, class string, n int) *Object {
 	return o
 }
 
+// Reserve gives o room for n attributes in all: if it has less, its entries
+// move into the slab, so that Sets of new names up to n allocate nothing.
+// room bounds a new chunk as for object: the caller passes how many entries
+// its batch could still reserve. Only the sole holder of o may call it, as
+// for Set.
+func (s *Slab) Reserve(o *Object, n, room int) {
+	if cap(o.attrs) < n {
+		o.attrs = append(s.entries(n, room), o.attrs...)
+	}
+}
+
 // object cuts one zero Object. A new chunk holds at most room objects: a
 // decoder passes what its remaining input could still hold, so that the
 // chunks it allocates are paid for in bytes received.

@@ -541,6 +541,7 @@ func (w *frameBuf) classObjects(co *federation.ClassObjects) {
 func (r *reader) classObjects(co *federation.ClassObjects) {
 	co.GlobalClass = r.name()
 	co.Attrs = r.nameList()
+	co.Owned = true // cut from this frame's slab, held by nobody else
 	if n := r.count(minObject); n > 0 {
 		co.Objects = make([]*object.Object, n)
 		for i := range co.Objects {

@@ -73,7 +73,17 @@ func sameRows(a, b []federation.ResultRow) bool {
 // encodes, the coordinator's decodes, outerjoin and evaluation — in time,
 // bytes and allocations. Every answer is compared with the in-process
 // engine's.
-func BenchmarkLiveCA(b *testing.B) {
+func BenchmarkLiveCA(b *testing.B) { benchLive(b, exec.CA) }
+
+// BenchmarkLiveBL is BenchmarkLiveCA for the basic localized approach: the
+// sites' local queries and checks, the coordinator's decodes and
+// certification.
+func BenchmarkLiveBL(b *testing.B) { benchLive(b, exec.BL) }
+
+// BenchmarkLivePL is BenchmarkLiveCA for the parallel localized approach.
+func BenchmarkLivePL(b *testing.B) { benchLive(b, exec.PL) }
+
+func benchLive(b *testing.B, alg exec.Algorithm) {
 	w := table2Workload(b)
 	reg := metrics.New()
 	coord, _ := testCluster(b, &fedfile.Federation{Global: w.Global, Databases: w.Databases, Tables: w.Tables},
@@ -83,7 +93,7 @@ func BenchmarkLiveCA(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	ref, _, err := eng.Run(fabric.NewReal(fabric.DefaultRates()), exec.CA, w.Bound)
+	ref, _, err := eng.Run(fabric.NewReal(fabric.DefaultRates()), alg, w.Bound)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -92,12 +102,12 @@ func BenchmarkLiveCA(b *testing.B) {
 		b.Fatal("the reference answer lacks certain or maybe rows: too little would be compared")
 	}
 	query := func() {
-		ans, _, err := coord.Query(text, exec.CA)
+		ans, _, err := coord.Query(text, alg)
 		if err != nil {
 			b.Fatal(err)
 		}
 		if !sameRows(ans.Certain, ref.Certain) || !sameRows(ans.Maybe, ref.Maybe) || ans.Degraded {
-			b.Fatalf("live CA answers\n%s\nthe in-process reference\n%s", summarize(ans), summarize(ref))
+			b.Fatalf("live %v answers\n%s\nthe in-process reference\n%s", alg, summarize(ans), summarize(ref))
 		}
 	}
 	query() // dial the pool, bind the text at every site

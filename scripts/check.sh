@@ -174,6 +174,21 @@ if grep -nE '\.GOidOf\(' internal/federation/*.go | grep -v '_test\.go:'; then
 fi
 want_one 'func (co *Coordinator) merge' \
     "$(grep -rn 'func (co \*Coordinator) merge' --include='*.go' --exclude-dir=.bench_build . || true)"
+# Phase I at the global site works by entity number (EXPERIMENTS.md E36):
+# certification groups rows by the range table's numbers, so no GOid-keyed
+# map of entities comes back to internal/federation; and only internal/remote's
+# decoder hands Materialize an Owned list, whose objects the view adopts.
+if grep -nE 'map\[object\.GOid\]\*entity' internal/federation/*.go; then
+    echo "a GOid-keyed entity map is back in internal/federation; certification groups by entity number" >&2
+    guard_failed=1
+fi
+owned=$(grep -rnE 'Owned[[:space:]]*(=|:)[[:space:]]*true' --include='*.go' --exclude='*_test.go' \
+    --exclude-dir=.bench_build . || true)
+want_one 'Owned set true outside tests' "$owned"
+case "$owned" in
+./internal/remote/codec.go:*) ;;
+*) echo "Owned is set true outside internal/remote's decoder: $owned" >&2; guard_failed=1 ;;
+esac
 # Said once (DESIGN.md section 6, EXPERIMENTS.md E27): the observability stack
 # has one definition per derived measure, objective, health rule, renderer,
 # fetcher and exposition. The healthy-state rule is spelled in obs.Healthy and
@@ -358,7 +373,7 @@ echo "== benchmark module (vet + test)"
 
 echo "== bench smoke (1 iteration)"
 go test -run - -bench 'BenchmarkTraceOverhead|BenchmarkProfileOverhead' -benchtime 1x .
-go test -run - -bench 'BenchmarkWireCodec|BenchmarkLiveCA' -benchtime 1x ./internal/remote/
+go test -run - -bench 'BenchmarkWireCodec|BenchmarkLive(CA|BL|PL)' -benchtime 1x ./internal/remote/
 go test -run - -bench 'BenchmarkObject' -benchtime 1x ./internal/object/
 go test -run - -bench 'BenchmarkSite|BenchmarkCoordinator' -benchtime 1x ./internal/federation/
 go test -run - -bench 'BenchmarkGmap' -benchtime 1x ./internal/gmap/
