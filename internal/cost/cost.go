@@ -57,6 +57,19 @@ func (c *Counter) Reset() {
 	c.cpuOps.Store(0)
 }
 
+// Flush charges the tallied events to sink — one disk read and one CPU
+// charge, so that a discrete-event runtime schedules one resource occupation
+// per processing step — and resets the counter.
+func (c *Counter) Flush(sink Sink) {
+	if b := c.DiskBytes(); b > 0 {
+		sink.DiskRead(int(b))
+	}
+	if o := c.CPUOps(); o > 0 {
+		sink.CPU(int(o))
+	}
+	c.Reset()
+}
+
 // Discard is a Sink that ignores all events.
 var Discard Sink = discard{}
 

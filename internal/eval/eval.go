@@ -9,6 +9,11 @@
 // the assistant objects of an unsolved point's item are checked against its
 // suffix predicate.
 //
+// The parallel localized strategy navigates before it evaluates (Navigate):
+// its phase O makes each final comparison, uncharged, and keeps only the
+// two-byte Outcome; its phase P reads the verdict and is charged the
+// comparison, as the model has phase P compare.
+//
 // A site navigates through Cached, the per-query buffer pool of the paper's
 // component DBMSs: an object's first touch is charged as a disk read, each
 // later touch as one CPU operation. Either is one probe of the store's LOid
@@ -146,23 +151,26 @@ type Unsolved struct {
 	Multi bool
 }
 
-// Outcome is the result of navigating a predicate path. For scalar paths
-// without missing data, Value holds the reached value awaiting the
-// comparison; when Done is set the verdict is already determined — either
-// the path hit missing data (Unknown, with the unsolved points handed to the
-// caller's collector) or it passed through a multi-valued attribute (the
-// elements were evaluated under ANY semantics).
+// Outcome is the result of navigating a predicate path: the verdict, and
+// whether it is charged. Done marks a verdict navigation has paid for — the
+// path hit missing data (Unknown, with the unsolved points handed to the
+// caller's collector) or passed through a multi-valued attribute (the
+// elements were compared under ANY semantics). Otherwise the path was plain
+// and scalar, and Verdict is its final comparison, made but not yet charged.
+// An Outcome holds no pointers, so a slab of them is nothing the collector
+// scans.
 type Outcome struct {
 	Done    bool
 	Verdict tvl.Truth
-	Value   object.Value
 }
 
 // Navigate walks a predicate's path from the range object, charging one CPU
-// operation per step and a disk read per dereferenced object, but — on
-// plain scalar paths — not the final comparison. The unsolved points found
-// are appended to *uns. The parallel localized strategy uses Navigate in its
-// phase O; EvalPredicate composes it with the comparison.
+// operation per step and a disk read per dereferenced object. On a plain
+// scalar path it makes the final comparison without charging it: the caller
+// charges it where the model has it made. The unsolved points found are
+// appended to *uns. The parallel localized strategy navigates in its phase O
+// and charges the comparisons in its phase P; EvalPredicate charges them as it
+// goes.
 func Navigate(src Source, bp *query.BoundPredicate, root *object.Object, sink cost.Sink, uns *[]Unsolved) Outcome {
 	return navigate(src, bp, root, 0, sink, false, uns)
 }
@@ -185,9 +193,8 @@ func unknownAt(bp *query.BoundPredicate, cur *object.Object, i int, uns *[]Unsol
 	return Outcome{Done: true, Verdict: tvl.Unknown}
 }
 
-// navigate walks the path from step start. compare forces full evaluation;
-// multi-valued attributes force it regardless (ANY semantics needs the
-// element verdicts). uns collects the unsolved points; nil drops them.
+// navigate walks the path from step start. compare charges the final
+// comparison. uns collects the unsolved points; nil drops them.
 func navigate(src Source, bp *query.BoundPredicate, cur *object.Object, start int, sink cost.Sink, compare bool, uns *[]Unsolved) Outcome {
 	for i := start; i < len(bp.Path); i++ {
 		v := cur.Attr(bp.Path[i])
@@ -200,11 +207,10 @@ func navigate(src Source, bp *query.BoundPredicate, cur *object.Object, start in
 			return evalList(src, bp, cur, v, i, sink, uns)
 		}
 		if last {
-			if !compare {
-				return Outcome{Value: v}
+			if compare {
+				sink.CPU(1)
 			}
-			sink.CPU(1)
-			return Outcome{Done: true, Verdict: Compare(bp.Op, v, bp.Literal)}
+			return Outcome{Done: compare, Verdict: Compare(bp.Op, v, bp.Literal)}
 		}
 		next, ok := src.Fetch(v.RefLOid(), sink)
 		if !ok {

@@ -3,6 +3,7 @@ package eval
 import (
 	"reflect"
 	"testing"
+	"unsafe"
 
 	"github.com/hetfed/hetfed/internal/cost"
 	"github.com/hetfed/hetfed/internal/object"
@@ -378,8 +379,17 @@ func TestNavigateDoneForListPaths(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out = Navigate(src, &bp, k1, cost.Discard, nil)
-	if out.Done || !out.Value.Equal(object.Str("kit")) {
-		t.Errorf("Navigate over scalar = %+v", out)
+	// A scalar path's comparison is made but left uncharged: not Done.
+	var c cost.Counter
+	out = Navigate(src, &bp, k1, &c, nil)
+	if out.Done || out.Verdict != tvl.True || c.CPUOps() != 1 {
+		t.Errorf("Navigate over scalar = %+v, %d CPU ops; want undone, true, 1 op", out, c.CPUOps())
+	}
+	if v := EvalPredicate(src, &bp, k1, &c, nil); v != out.Verdict || c.CPUOps() != 3 {
+		t.Errorf("EvalPredicate = %v, %d CPU ops in all; want %v and the comparison charged", v, c.CPUOps(), out.Verdict)
+	}
+	// A slab of outcomes is nothing the garbage collector scans.
+	if n := unsafe.Sizeof(Outcome{}); n != 2 {
+		t.Errorf("Outcome is %d bytes, want 2 and no pointers", n)
 	}
 }

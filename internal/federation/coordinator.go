@@ -33,17 +33,6 @@ func NewCoordinator(id object.SiteID, global *schema.Global, tables *gmap.Tables
 // ID returns the global processing site's identifier.
 func (co *Coordinator) ID() object.SiteID { return co.id }
 
-func (co *Coordinator) charge(p fabric.Proc, c *cost.Counter) {
-	sink := p.Sink(co.id)
-	if b := c.DiskBytes(); b > 0 {
-		sink.DiskRead(int(b))
-	}
-	if o := c.CPUOps(); o > 0 {
-		sink.CPU(int(o))
-	}
-	c.Reset()
-}
-
 // View is the materialized global view built by the centralized approach:
 // integrated objects named by their GOid (stored in the LOid slot, so the
 // shared path-navigation evaluator works unchanged), with complex attribute
@@ -200,7 +189,7 @@ func (co *Coordinator) Materialize(p fabric.Proc, b *query.Bound, replies []Retr
 	// The materialized range-class objects, sorted by GOid.
 	slices.SortFunc(v.roots, func(a, b *object.Object) int { return strings.Compare(string(a.LOid), string(b.LOid)) })
 
-	co.charge(p, &c)
+	c.Flush(p.Sink(co.id))
 	return v
 }
 
@@ -332,7 +321,7 @@ func (co *Coordinator) EvaluateView(p fabric.Proc, b *query.Bound, v *View) *Ans
 	}
 	sortRows(ans.Certain)
 	sortRows(ans.Maybe)
-	co.charge(p, &c)
+	c.Flush(p.Sink(co.id))
 	return ans
 }
 
@@ -596,7 +585,7 @@ func (co *Coordinator) CertifyDegraded(p fabric.Proc, b *query.Bound, results []
 
 	sortRows(ans.Certain)
 	sortRows(ans.Maybe)
-	co.charge(p, &c)
+	c.Flush(p.Sink(co.id))
 	return ans
 }
 
@@ -616,7 +605,7 @@ func (co *Coordinator) DegradedRootRows(p fabric.Proc, b *query.Bound,
 	dead map[object.SiteID]bool, present func(object.GOid) bool) []ResultRow {
 	var c cost.Counter
 	rows := co.degradedRootRows(b, dead, present, &c)
-	co.charge(p, &c)
+	c.Flush(p.Sink(co.id))
 	return rows
 }
 

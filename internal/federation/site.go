@@ -1,6 +1,8 @@
 package federation
 
 import (
+	"slices"
+
 	"github.com/hetfed/hetfed/internal/cost"
 	"github.com/hetfed/hetfed/internal/eval"
 	"github.com/hetfed/hetfed/internal/fabric"
@@ -32,20 +34,6 @@ func NewSite(db *store.Database, global *schema.Global, tables *gmap.Tables) *Si
 // ID returns the site identifier.
 func (s *Site) ID() object.SiteID { return s.db.Site() }
 
-// charge flushes accumulated cost events to the runtime, attributed to this
-// site, then resets the counter. Costs are batched per processing step so
-// the discrete-event runtime schedules one resource occupation per step.
-func (s *Site) charge(p fabric.Proc, c *cost.Counter) {
-	sink := p.Sink(s.ID())
-	if b := c.DiskBytes(); b > 0 {
-		sink.DiskRead(int(b))
-	}
-	if o := c.CPUOps(); o > 0 {
-		sink.CPU(int(o))
-	}
-	c.Reset()
-}
-
 // identities resolves the GOids of one site's objects for one processing step.
 // A step names a handful of classes over and over (a row's, an item's, a
 // reference's), so each class's table and the site's LOid index of it are
@@ -73,16 +61,17 @@ func (ids *identities) of(class string) *classIdentity {
 	return &ids.classes[len(ids.classes)-1]
 }
 
-// goidOf resolves a stored object's GOid from the mapping-table replica,
+// entityOf resolves a stored object's entity from the mapping-table replica,
 // charging one lookup. Objects missing from the tables get a synthetic
-// singleton GOid so they still carry a global identity.
-func (ids *identities) goidOf(class string, loid object.LOid, c *cost.Counter) object.GOid {
+// singleton GOid so they still carry a global identity, and the number -1:
+// the table does not number them.
+func (ids *identities) entityOf(class string, loid object.LOid, c *cost.Counter) gmap.Entity {
 	c.CPU(1)
 	ci := ids.of(class)
 	if e, ok := ci.index[loid]; ok {
-		return e.GOid
+		return e
 	}
-	return ci.table.Unbound(ids.site, loid)
+	return gmap.Entity{GOid: ci.table.Unbound(ids.site, loid), Number: -1}
 }
 
 // Retrieve implements step CA_C1: read all objects of the local root and
@@ -109,7 +98,7 @@ func (s *Site) Retrieve(p fabric.Proc, b *query.Bound) RetrieveReply {
 		})
 		reply.Classes = append(reply.Classes, ClassObjects{GlobalClass: in.Class, Attrs: in.Attrs, Objects: objects})
 	}
-	s.charge(p, &c)
+	c.Flush(p.Sink(s.ID()))
 	return reply
 }
 
@@ -117,31 +106,49 @@ func (s *Site) Retrieve(p fabric.Proc, b *query.Bound) RetrieveReply {
 // plus the check verdicts synthesized locally from signature probes.
 //
 // Checks are deduplicated where they arise, at the unsolved item: an item's
-// check items are a function of its GOid and point alone, and the isomeric
+// check items are a function of its entity and point alone, and the isomeric
 // objects of different entities are different objects, so a repeated item —
 // a branch object several root objects refer to — would queue exactly the
-// check items its first occurrence did.
+// check items its first occurrence did. Each item collected so far is
+// remembered, by its entity number, with the CPU operations its signature
+// probes were charged; a repeat is charged the same again, as the model has
+// every occurrence probe afresh. An item the table does not number goes by a
+// Table.Unbound GOid, which no table lists locations for: it queues nothing
+// and probes nothing, so there is nothing to remember.
 type collector struct {
 	bySite map[object.SiteID][]CheckItem
-	// items maps each unsolved item collected so far to the CPU operations
-	// its signature probes were charged; a repeat is charged the same again,
-	// as the model has every occurrence probe afresh.
-	items map[itemKey]int
-	synth []CheckVerdict
+	// points holds one record per point met, found by a scan: a query has a
+	// handful.
+	points []pointChecks
+	synth  []CheckVerdict
 }
 
-// itemKey identifies an unsolved item: the points of one bound query are
-// distinct by (predicate, depth), so the pointer stands for both.
-type itemKey struct {
-	item  object.GOid
-	point *query.Point
+// pointChecks is what a collector knows of one point: the items met, by the
+// item class table's entity number, each slot the probe charge to replay
+// plus one (0: not met); and the other sites that hold the suffix path.
+type pointChecks struct {
+	point   *query.Point
+	probes  []int32
+	targets []object.SiteID
 }
 
-func newCollector() *collector {
-	return &collector{
-		bySite: make(map[object.SiteID][]CheckItem),
-		items:  make(map[itemKey]int),
+// of returns the record of point pt, made when pt is first met: its item
+// table sized from t, the item class's table, and its targets found among
+// the sites the item class has a constituent at.
+func (col *collector) of(s *Site, pt *query.Point, t *gmap.Table) *pointChecks {
+	for i := range col.points {
+		if col.points[i].point == pt {
+			return &col.points[i]
+		}
 	}
+	pc := pointChecks{point: pt, probes: make([]int32, t.Len())}
+	for site := range s.global.Class(pt.ItemClass).Constituents {
+		if site != s.ID() && s.holdsSuffix(pt.ItemClass, pt.Suffix.Path, site) {
+			pc.targets = append(pc.targets, site)
+		}
+	}
+	col.points = append(col.points, pc)
+	return &col.points[len(col.points)-1]
 }
 
 // rootExtent returns the extent of the range class's constituent at this
@@ -164,7 +171,7 @@ func (s *Site) rootExtent(b *query.Bound) *store.Extent {
 func (s *Site) EvalLocalBasic(p fabric.Proc, b *query.Bound, sigs *signature.Index) (LocalResult, map[object.SiteID][]CheckItem) {
 	localIdx, removedIdx := eval.SplitPredIdx(b, s.ID())
 	res := LocalResult{Site: s.ID()}
-	checks := newCollector()
+	checks := &collector{bySite: make(map[object.SiteID][]CheckItem)}
 	ext := s.rootExtent(b)
 	src := eval.NewCached(eval.DiskSource{DB: s.db})
 	ids := &identities{site: s.ID(), tables: s.tables}
@@ -233,7 +240,7 @@ func (s *Site) EvalLocalBasic(p fabric.Proc, b *query.Bound, sigs *signature.Ind
 		}
 		return true
 	})
-	s.charge(p, &c)
+	c.Flush(p.Sink(s.ID()))
 
 	// BL_C2 (phase O): for the surviving results, locate the unsolved
 	// items of the removed predicates and look up their assistant objects.
@@ -251,13 +258,12 @@ func (s *Site) EvalLocalBasic(p fabric.Proc, b *query.Bound, sigs *signature.Ind
 			sv.verdicts[i] = eval.EvalPredicate(src, &b.Preds[i], sv.obj, &c, &unsolved)
 		}
 		lo := len(items)
-		items = ids.appendUnsolvedItems(items, sv.obj, unsolved, &c)
+		items = s.appendUnsolvedItems(items, sv.obj, unsolved, checks, ids, sigs, &c)
 		row := ids.buildRow(src, b, sv.obj, sv.verdicts, items[lo:len(items):len(items)], &slabs, &c)
-		s.collectChecks(row.Unsolved, checks, ids, sigs, &c)
 		res.Rows = append(res.Rows, row)
 	}
 	res.SigVerdicts = checks.synth
-	s.charge(p, &c)
+	c.Flush(p.Sink(s.ID()))
 	return res, checks.bySite
 }
 
@@ -335,15 +341,15 @@ func (s *Site) indexProbe(b *query.Bound, ext *store.Extent, localIdx []int) ([]
 // navigated is the phase-O state of one root object under the parallel
 // localized approach.
 type navigated struct {
-	obj      *object.Object
-	outcomes []eval.Outcome // navigation outcome per predicate, cut from one slab
-	lo, hi   int            // its unsolved items, Navigation.items[lo:hi]
+	obj    *object.Object
+	lo, hi int // its unsolved items, Navigation.items[lo:hi]
 }
 
 // Navigation is the opaque phase-O state NavigateAll hands to
 // EvalNavigated.
 type Navigation struct {
 	navs       []navigated
+	outcomes   []eval.Outcome // navs[k]'s outcome of predicate i at k*len(Preds)+i
 	items      []UnsolvedItem // every object's unsolved items, GOids resolved
 	localIdx   []int
 	removedIdx []int
@@ -359,68 +365,66 @@ type Navigation struct {
 // predicate evaluation of EvalNavigated.
 // sigs, when non-nil, enables the signature-assisted variant.
 //
-// The state is sized from the extent, not grown object by object: the
-// outcomes of all objects share one slab, and an object without missing data
-// allocates nothing.
+// The state keeps only what phase P reads, sized from the extent: a
+// two-byte outcome per object and predicate, in one pointer-free slab, and
+// the objects' unsolved items in one array.
 func (s *Site) NavigateAll(p fabric.Proc, b *query.Bound, sigs *signature.Index) (*Navigation, map[object.SiteID][]CheckItem) {
 	localIdx, removedIdx := eval.SplitPredIdx(b, s.ID())
 	ext := s.rootExtent(b)
 	n, np := ext.Len(), len(b.Preds)
 	nav := &Navigation{
 		navs:       make([]navigated, 0, n),
+		outcomes:   make([]eval.Outcome, 0, n*np),
+		items:      make([]UnsolvedItem, 0, n),
 		localIdx:   localIdx,
 		removedIdx: removedIdx,
 		src:        eval.NewCached(eval.DiskSource{DB: s.db}),
 	}
-	checks := newCollector()
+	checks := &collector{bySite: make(map[object.SiteID][]CheckItem)}
 	ids := &identities{site: s.ID(), tables: s.tables}
 	var c cost.Counter
 	var unsolved []eval.Unsolved
-	outcomeSlab := make([]eval.Outcome, n*np)
 
 	ext.ScanPos(func(o *object.Object, pos int) bool {
 		c.DiskRead(o.WireSize(nil))
 		nav.src.Warm(pos)
-		outcomes := outcomeSlab[:np:np]
-		outcomeSlab = outcomeSlab[np:]
 		unsolved = unsolved[:0]
-		for i := range outcomes {
-			outcomes[i] = eval.Navigate(nav.src, &b.Preds[i], o, &c, &unsolved)
+		for i := range b.Preds {
+			nav.outcomes = append(nav.outcomes, eval.Navigate(nav.src, &b.Preds[i], o, &c, &unsolved))
 		}
 		lo := len(nav.items)
-		nav.items = ids.appendUnsolvedItems(nav.items, o, unsolved, &c)
-		s.collectChecks(nav.items[lo:], checks, ids, sigs, &c)
-		nav.navs = append(nav.navs, navigated{obj: o, outcomes: outcomes, lo: lo, hi: len(nav.items)})
+		nav.items = s.appendUnsolvedItems(nav.items, o, unsolved, checks, ids, sigs, &c)
+		nav.navs = append(nav.navs, navigated{obj: o, lo: lo, hi: len(nav.items)})
 		return true
 	})
 	nav.synth = checks.synth
-	s.charge(p, &c)
+	c.Flush(p.Sink(s.ID()))
 	return nav, checks.bySite
 }
 
 // EvalNavigated runs step PL_C2 (phase P): evaluate the local predicates
-// over the values navigated by NavigateAll; unsolved predicates are
-// unknown. It returns the surviving local rows.
+// from the outcomes NavigateAll kept, charging each comparison navigation
+// made; unsolved predicates are unknown. It returns the surviving local rows.
 func (s *Site) EvalNavigated(p fabric.Proc, b *query.Bound, nav *Navigation) LocalResult {
 	res := LocalResult{Site: s.ID()}
 	ids := &identities{site: s.ID(), tables: s.tables}
 	var c cost.Counter
 	slabs := rowSlabs{rows: len(nav.navs)}
 	conjunctive := b.Conjunctive()
-	verdicts := make([]tvl.Truth, len(b.Preds))
-	for _, nv := range nav.navs {
+	np := len(b.Preds)
+	verdicts := make([]tvl.Truth, np)
+	for k, nv := range nav.navs {
+		outcomes := nav.outcomes[k*np : k*np+np]
 		clear(verdicts)
 		alive := true
 		for _, i := range nav.localIdx {
-			if out := &nv.outcomes[i]; out.Done {
-				// The navigation already determined the verdict (missing
-				// data, or a multi-valued attribute evaluated under ANY
-				// semantics).
-				verdicts[i] = out.Verdict
-			} else {
+			// A Done outcome was charged by navigation (missing data, or a
+			// multi-valued attribute evaluated under ANY semantics); the
+			// comparison of any other is charged here.
+			if !outcomes[i].Done {
 				c.CPU(1)
-				verdicts[i] = eval.Compare(b.Preds[i].Op, out.Value, b.Preds[i].Literal)
 			}
+			verdicts[i] = outcomes[i].Verdict
 			if conjunctive && verdicts[i] == tvl.False {
 				alive = false
 				break
@@ -443,7 +447,7 @@ func (s *Site) EvalNavigated(p fabric.Proc, b *query.Bound, nav *Navigation) Loc
 		res.Rows = append(res.Rows, ids.buildRow(nav.src, b, nv.obj, slabs.keep(verdicts), items, &slabs, &c))
 	}
 	res.SigVerdicts = nav.synth
-	s.charge(p, &c)
+	c.Flush(p.Sink(s.ID()))
 	return res
 }
 
@@ -453,7 +457,7 @@ func (ids *identities) buildRow(src eval.Source, b *query.Bound, o *object.Objec
 	unsolved []UnsolvedItem, slabs *rowSlabs, c *cost.Counter) LocalRow {
 	row := LocalRow{
 		LOid:     o.LOid,
-		GOid:     ids.goidOf(b.Query.Range, o.LOid, c),
+		GOid:     ids.entityOf(b.Query.Range, o.LOid, c).GOid,
 		Verdicts: verdicts,
 	}
 	if len(unsolved) > 0 {
@@ -464,12 +468,12 @@ func (ids *identities) buildRow(src eval.Source, b *query.Bound, o *object.Objec
 		v := eval.EvalTarget(src, tp, o, c)
 		switch v.Kind() {
 		case object.KindRef:
-			v = object.GRef(ids.goidOf(tp.Attr.Domain, v.RefLOid(), c))
+			v = object.GRef(ids.entityOf(tp.Attr.Domain, v.RefLOid(), c).GOid)
 		case object.KindList:
 			if tp.Attr.IsComplex() {
 				elems := make([]object.Value, 0, len(v.Elems()))
 				for _, e := range v.Elems() {
-					elems = append(elems, object.GRef(ids.goidOf(tp.Attr.Domain, e.RefLOid(), c)))
+					elems = append(elems, object.GRef(ids.entityOf(tp.Attr.Domain, e.RefLOid(), c).GOid))
 				}
 				v = object.List(elems...)
 			}
@@ -480,56 +484,56 @@ func (ids *identities) buildRow(src eval.Source, b *query.Bound, o *object.Objec
 }
 
 // appendUnsolvedItems attaches global identities to a root object's unsolved
-// points — one mapping-table look-up each — and appends them to items. The
-// items of many objects share one backing array; callers cut a row's items
-// out of it with a capped slice expression.
-func (ids *identities) appendUnsolvedItems(items []UnsolvedItem, root *object.Object,
-	unsolved []eval.Unsolved, c *cost.Counter) []UnsolvedItem {
+// points — one mapping-table look-up each — appends them to items, and queues
+// the checks of each that is not the root itself (the root's isomeric objects
+// are evaluated by their own sites' local queries). The items of many objects
+// share one backing array; callers cut a row's items out of it with a capped
+// slice expression.
+func (s *Site) appendUnsolvedItems(items []UnsolvedItem, root *object.Object, unsolved []eval.Unsolved,
+	checks *collector, ids *identities, sigs *signature.Index, c *cost.Counter) []UnsolvedItem {
 	for _, u := range unsolved {
+		e := ids.entityOf(u.ItemClass, u.ItemLOid, c)
 		items = append(items, UnsolvedItem{
-			ItemGOid: ids.goidOf(u.ItemClass, u.ItemLOid, c),
+			ItemGOid: e.GOid,
 			Point:    u.Point,
 			SelfItem: u.ItemLOid == root.LOid,
 			Multi:    u.Multi,
 		})
+		if it := &items[len(items)-1]; !it.SelfItem {
+			s.collectChecks(it, e.Number, checks, ids, sigs, c)
+		}
 	}
 	return items
 }
 
-// collectChecks looks up the assistant objects for each unsolved item and
-// queues check items toward the sites storing them. Items that are the root
-// object itself are skipped: the root's isomeric objects are evaluated by
-// their own sites' local queries. Assistants whose site cannot evaluate the
-// suffix predicate (a step is a missing attribute there too) are skipped,
-// as no data could be obtained from them.
-func (s *Site) collectChecks(items []UnsolvedItem, checks *collector, ids *identities, sigs *signature.Index, c *cost.Counter) {
-	for i := range items {
-		it := &items[i]
-		if it.SelfItem {
-			continue
-		}
-		c.CPU(1) // mapping-table lookup for the item's isomeric objects
-		k := itemKey{item: it.ItemGOid, point: it.Point}
-		if probes, seen := checks.items[k]; seen {
-			c.CPU(probes)
-			continue
-		}
-		beforeProbes := c.CPUOps()
-		for _, loc := range ids.of(it.ItemClass).table.Locations(it.ItemGOid) {
-			if loc.Site == s.ID() {
-				continue
-			}
-			if !s.holdsSuffix(it.ItemClass, it.Suffix.Path, loc.Site) {
-				continue
-			}
-			if sigs != nil && s.probeSignature(sigs, loc, it, checks, c) {
-				continue // verdict synthesized locally; no check dispatched
-			}
-			checks.bySite[loc.Site] = append(checks.bySite[loc.Site],
-				CheckItem{Assistant: loc.LOid, ItemGOid: it.ItemGOid, Point: it.Point})
-		}
-		checks.items[k] = int(c.CPUOps() - beforeProbes)
+// collectChecks looks up the assistant objects of an unsolved item, of
+// entity number num, and queues check items toward the sites storing them.
+// Assistants whose site cannot evaluate the suffix predicate (a step is a
+// missing attribute there too) are skipped, as no data could be obtained from
+// them.
+func (s *Site) collectChecks(it *UnsolvedItem, num int, checks *collector, ids *identities, sigs *signature.Index, c *cost.Counter) {
+	c.CPU(1) // mapping-table lookup for the item's isomeric objects
+	if num < 0 {
+		return // not in the table: no isomeric objects
 	}
+	table := ids.of(it.ItemClass).table
+	pc := checks.of(s, it.Point, table)
+	if seen := pc.probes[num]; seen != 0 {
+		c.CPU(int(seen - 1))
+		return
+	}
+	beforeProbes := c.CPUOps()
+	for _, loc := range table.Locations(it.ItemGOid) {
+		if !slices.Contains(pc.targets, loc.Site) {
+			continue
+		}
+		if sigs != nil && s.probeSignature(sigs, loc, it, checks, c) {
+			continue // verdict synthesized locally; no check dispatched
+		}
+		checks.bySite[loc.Site] = append(checks.bySite[loc.Site],
+			CheckItem{Assistant: loc.LOid, ItemGOid: it.ItemGOid, Point: it.Point})
+	}
+	pc.probes[num] = int32(c.CPUOps()-beforeProbes) + 1
 }
 
 // probeSignature consults the replicated signature of an assistant for a
@@ -612,7 +616,7 @@ func (s *Site) CheckAssistants(p fabric.Proc, items []CheckItem) CheckReply {
 			Verdict:   eval.EvalPredicate(src, &bs.pred, o, &c, nil),
 		})
 	}
-	s.charge(p, &c)
+	c.Flush(p.Sink(s.ID()))
 	return reply
 }
 

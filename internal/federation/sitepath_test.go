@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sort"
 	"strings"
 	"sync"
@@ -16,6 +17,7 @@ import (
 	"github.com/hetfed/hetfed/internal/query"
 	"github.com/hetfed/hetfed/internal/schema"
 	"github.com/hetfed/hetfed/internal/school"
+	"github.com/hetfed/hetfed/internal/signature"
 	"github.com/hetfed/hetfed/internal/store"
 	"github.com/hetfed/hetfed/internal/workload"
 )
@@ -123,40 +125,122 @@ var sitePathGolden = []string{
 	"draw4/DB3 BL rows=42 unsolved=100 wire=9904 disk=23456 cpu=922 checks=DB2:66, verdicts=66 checkdisk=9600 checkcpu=118; PL rows=42 unsolved=100 wire=9904 disk=31824 cpu=1613 checks=DB2:129, verdicts=129 checkdisk=18864 checkcpu=233; hash=20bdc24937ef",
 }
 
+// sitePathSignedGolden and sitePathUnboundGolden extend sitePathGolden to
+// the signature-assisted steps (SBL, SPL: a repeated item replays the probe
+// charge of its first occurrence) and to site replicas that lack a third of
+// the bindings (items named by Table.Unbound GOids), computed at PR 33's
+// commit.
+var sitePathSignedGolden = []string{
+	"school/DB1 SBL synthesized=1 rows=3 unsolved=7 wire=784 disk=672 cpu=50 checks=DB3:1, verdicts=1 checkdisk=144 checkcpu=3; SPL synthesized=1 rows=3 unsolved=7 wire=784 disk=672 cpu=57 checks=DB3:1, verdicts=1 checkdisk=144 checkcpu=3; hash=e91a9ee24b08",
+	"school/DB2 SBL synthesized=0 rows=1 unsolved=1 wire=232 disk=816 cpu=26 checks=DB3:1, verdicts=1 checkdisk=112 checkcpu=3; SPL synthesized=0 rows=1 unsolved=1 wire=232 disk=816 cpu=40 checks=DB1:1,DB3:1, verdicts=2 checkdisk=224 checkcpu=6; hash=e50ddb3faa5d",
+	"teams/S1 SBL synthesized=0 rows=2 unsolved=3 wire=352 disk=336 cpu=20 checks=S2:1, verdicts=1 checkdisk=80 checkcpu=2; SPL synthesized=0 rows=2 unsolved=3 wire=352 disk=336 cpu=23 checks=S2:1, verdicts=1 checkdisk=80 checkcpu=2; hash=a0c129aff3a8",
+	"draw1/DB1 SBL synthesized=0 rows=7 unsolved=26 wire=2376 disk=32032 cpu=889 checks=DB2:14, verdicts=14 checkdisk=2320 checkcpu=27; SPL synthesized=0 rows=7 unsolved=26 wire=2376 disk=47088 cpu=3647 checks=DB2:129, verdicts=129 checkdisk=19024 checkcpu=254; hash=89fefa861c6f",
+	"draw1/DB2 SBL synthesized=0 rows=21 unsolved=88 wire=7480 disk=36544 cpu=1475 checks=DB1:29, verdicts=29 checkdisk=4576 checkcpu=56; SPL synthesized=0 rows=21 unsolved=88 wire=7480 disk=44112 cpu=3723 checks=DB1:127, verdicts=127 checkdisk=19952 checkcpu=243; hash=e91bb1858c42",
+	"draw1/DB3 SBL synthesized=0 rows=40 unsolved=209 wire=16176 disk=29840 cpu=1968 checks=DB1:89,DB2:92, verdicts=181 checkdisk=23504 checkcpu=377; SPL synthesized=0 rows=40 unsolved=209 wire=16176 disk=42080 cpu=4005 checks=DB1:177,DB2:176, verdicts=353 checkdisk=46048 checkcpu=727; hash=d035b0c04bf5",
+	"draw2/DB1 SBL synthesized=82 rows=109 unsolved=436 wire=36912 disk=31440 cpu=3209 checks=DB2:37,DB3:74, verdicts=111 checkdisk=15248 checkcpu=179; SPL synthesized=82 rows=109 unsolved=436 wire=36912 disk=31440 cpu=3645 checks=DB2:37,DB3:74, verdicts=111 checkdisk=15248 checkcpu=179; hash=e0740ce058f2",
+	"draw2/DB2 SBL synthesized=13 rows=24 unsolved=58 wire=6232 disk=24736 cpu=908 checks=DB3:22, verdicts=22 checkdisk=3072 checkcpu=36; SPL synthesized=53 rows=24 unsolved=58 wire=7192 disk=32624 cpu=2194 checks=DB3:69, verdicts=69 checkdisk=9600 checkcpu=110; hash=7794dd7fa35c",
+	"draw2/DB3 SBL synthesized=6 rows=32 unsolved=74 wire=7856 disk=28224 cpu=1157 checks=DB2:14, verdicts=14 checkdisk=1920 checkcpu=25; SPL synthesized=21 rows=32 unsolved=74 wire=8216 disk=35312 cpu=2192 checks=DB2:36, verdicts=36 checkdisk=4928 checkcpu=64; hash=a9202e3e4f42",
+	"draw3/DB1 SBL synthesized=0 rows=68 unsolved=100 wire=13568 disk=34224 cpu=1570 checks=DB2:53, verdicts=53 checkdisk=7248 checkcpu=90; SPL synthesized=0 rows=68 unsolved=100 wire=13568 disk=35904 cpu=1827 checks=DB2:68, verdicts=68 checkdisk=9328 checkcpu=117; hash=f21c368f54fa",
+	"draw3/DB2 SBL synthesized=0 rows=93 unsolved=252 wire=24064 disk=38064 cpu=2076 checks=DB1:24, verdicts=24 checkdisk=3712 checkcpu=44; SPL synthesized=0 rows=93 unsolved=252 wire=24064 disk=38064 cpu=2416 checks=DB1:24, verdicts=24 checkdisk=3712 checkcpu=44; hash=3d23f6a97d30",
+	"draw3/DB3 SBL synthesized=0 rows=98 unsolved=392 wire=31424 disk=28512 cpu=2122 checks=DB1:59,DB2:118, verdicts=177 checkdisk=25968 checkcpu=308; SPL synthesized=0 rows=98 unsolved=392 wire=31424 disk=28512 cpu=2514 checks=DB1:59,DB2:118, verdicts=177 checkdisk=25968 checkcpu=308; hash=4319b0bfb7b6",
+	"draw4/DB1 SBL synthesized=0 rows=62 unsolved=151 wire=14752 disk=28848 cpu=1281 checks=DB2:98, verdicts=98 checkdisk=14240 checkcpu=175; SPL synthesized=0 rows=62 unsolved=151 wire=14752 disk=34096 cpu=1905 checks=DB2:134, verdicts=134 checkdisk=19712 checkcpu=245; hash=f50a22a616e9",
+	"draw4/DB2 SBL synthesized=0 rows=21 unsolved=21 wire=3592 disk=27840 cpu=695 checks= verdicts=0 checkdisk=0 checkcpu=0; SPL synthesized=0 rows=21 unsolved=21 wire=3592 disk=36352 cpu=1167 checks= verdicts=0 checkdisk=0 checkcpu=0; hash=22dbcbe27862",
+	"draw4/DB3 SBL synthesized=0 rows=42 unsolved=100 wire=9904 disk=23456 cpu=922 checks=DB2:66, verdicts=66 checkdisk=9600 checkcpu=118; SPL synthesized=0 rows=42 unsolved=100 wire=9904 disk=31824 cpu=1613 checks=DB2:129, verdicts=129 checkdisk=18864 checkcpu=233; hash=7db32985de4a",
+}
+
+var sitePathUnboundGolden = []string{
+	"school/DB1 BL rows=3 unsolved=7 wire=760 disk=672 cpu=49 checks=DB3:1, verdicts=1 checkdisk=144 checkcpu=3; PL rows=3 unsolved=7 wire=760 disk=672 cpu=56 checks=DB3:1, verdicts=1 checkdisk=144 checkcpu=3; hash=7793755c3c19",
+	"school/DB2 BL rows=1 unsolved=1 wire=232 disk=816 cpu=26 checks=DB3:1, verdicts=1 checkdisk=112 checkcpu=3; PL rows=1 unsolved=1 wire=232 disk=816 cpu=40 checks=DB3:1, verdicts=1 checkdisk=112 checkcpu=3; hash=d33953828001",
+	"teams/S1 BL rows=2 unsolved=3 wire=352 disk=336 cpu=18 checks=S2:1, verdicts=1 checkdisk=80 checkcpu=2; PL rows=2 unsolved=3 wire=352 disk=336 cpu=21 checks=S2:1, verdicts=1 checkdisk=80 checkcpu=2; hash=fa784122ea0f",
+	"draw1/DB1 BL rows=7 unsolved=26 wire=2376 disk=32032 cpu=889 checks=DB2:4, verdicts=4 checkdisk=672 checkcpu=8; PL rows=7 unsolved=26 wire=2376 disk=47088 cpu=3647 checks=DB2:41, verdicts=41 checkdisk=5984 checkcpu=85; hash=4aacbfb95ce7",
+	"draw1/DB2 BL rows=21 unsolved=88 wire=7480 disk=36544 cpu=1475 checks=DB1:8, verdicts=8 checkdisk=1280 checkcpu=16; PL rows=21 unsolved=88 wire=7480 disk=44112 cpu=3723 checks=DB1:36, verdicts=36 checkdisk=5632 checkcpu=68; hash=bbff2e573d0a",
+	"draw1/DB3 BL rows=40 unsolved=209 wire=16176 disk=29840 cpu=1968 checks=DB1:47,DB2:19, verdicts=66 checkdisk=9456 checkcpu=128; PL rows=40 unsolved=209 wire=16176 disk=42080 cpu=4005 checks=DB1:79,DB2:42, verdicts=121 checkdisk=16640 checkcpu=237; hash=01487213d0ae",
+	"draw2/DB1 BL rows=109 unsolved=436 wire=34944 disk=31440 cpu=2907 checks=DB2:15,DB3:56, verdicts=71 checkdisk=10224 checkcpu=127; PL rows=109 unsolved=436 wire=34944 disk=31440 cpu=3343 checks=DB2:15,DB3:56, verdicts=71 checkdisk=10224 checkcpu=127; hash=46141d4f686f",
+	"draw2/DB2 BL rows=24 unsolved=58 wire=5920 disk=24736 cpu=862 checks=DB3:12, verdicts=12 checkdisk=1792 checkcpu=23; PL rows=24 unsolved=58 wire=5920 disk=32624 cpu=2008 checks=DB3:40, verdicts=40 checkdisk=5920 checkcpu=74; hash=926ac02f6234",
+	"draw2/DB3 BL rows=32 unsolved=74 wire=7712 disk=28224 cpu=1127 checks=DB2:6, verdicts=6 checkdisk=800 checkcpu=10; PL rows=32 unsolved=74 wire=7712 disk=35312 cpu=2094 checks=DB2:21, verdicts=21 checkdisk=2896 checkcpu=38; hash=9d49c1b546b8",
+	"draw3/DB1 BL rows=68 unsolved=100 wire=13568 disk=34224 cpu=1570 checks=DB2:14, verdicts=14 checkdisk=1936 checkcpu=24; PL rows=68 unsolved=100 wire=13568 disk=35904 cpu=1827 checks=DB2:17, verdicts=17 checkdisk=2368 checkcpu=30; hash=12a4657e1412",
+	"draw3/DB2 BL rows=93 unsolved=252 wire=24064 disk=38064 cpu=2076 checks=DB1:7, verdicts=7 checkdisk=1056 checkcpu=12; PL rows=93 unsolved=252 wire=24064 disk=38064 cpu=2416 checks=DB1:7, verdicts=7 checkdisk=1056 checkcpu=12; hash=8cf5c640f336",
+	"draw3/DB3 BL rows=98 unsolved=392 wire=31424 disk=28512 cpu=2122 checks=DB1:22,DB2:42, verdicts=64 checkdisk=9440 checkcpu=112; PL rows=98 unsolved=392 wire=31424 disk=28512 cpu=2514 checks=DB1:22,DB2:42, verdicts=64 checkdisk=9440 checkcpu=112; hash=7d13f622b735",
+	"draw4/DB1 BL rows=62 unsolved=151 wire=14752 disk=28848 cpu=1281 checks=DB2:38, verdicts=38 checkdisk=5504 checkcpu=68; PL rows=62 unsolved=151 wire=14752 disk=34096 cpu=1905 checks=DB2:48, verdicts=48 checkdisk=7056 checkcpu=88; hash=fef201e44d35",
+	"draw4/DB2 BL rows=21 unsolved=21 wire=3592 disk=27840 cpu=695 checks= verdicts=0 checkdisk=0 checkcpu=0; PL rows=21 unsolved=21 wire=3592 disk=36352 cpu=1167 checks= verdicts=0 checkdisk=0 checkcpu=0; hash=7b2b8ec0de94",
+	"draw4/DB3 BL rows=42 unsolved=100 wire=9904 disk=23456 cpu=922 checks=DB2:27, verdicts=27 checkdisk=3936 checkcpu=47; PL rows=42 unsolved=100 wire=9904 disk=31824 cpu=1613 checks=DB2:49, verdicts=49 checkdisk=7168 checkcpu=86; hash=7af773e2268f",
+}
+
 // TestSitePathMatchesParent: one bound query, evaluated by all root sites at
 // once (the race detector watches the shared bound query, points and stored
 // objects), yields the rows, check items — the same multiset per target — and
-// cost-counter totals of the by-value implementation it replaced.
+// cost-counter totals of the by-value implementation it replaced; with
+// signatures, and over replicas missing bindings, those of PR 33's.
 func TestSitePathMatchesParent(t *testing.T) {
-	var got []string
-	for _, fx := range sitePathFixtures(t) {
-		sites := fx.sites()
-		roots := fx.bound.RootSites()
-		lines := make([]string, len(roots))
-		var wg sync.WaitGroup
-		for i, id := range roots {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				lines[i] = fx.name + "/" + string(id) + " " + sitePathSummary(t, fx.bound, sites, id)
-			}()
+	fxs := sitePathFixtures(t)
+	for _, c := range []struct {
+		name   string
+		golden []string
+		signed bool
+		fx     func(sitePathFixture) sitePathFixture
+	}{
+		{"plain", sitePathGolden, false, func(fx sitePathFixture) sitePathFixture { return fx }},
+		{"signed", sitePathSignedGolden, true, func(fx sitePathFixture) sitePathFixture { return fx }},
+		{"unbound", sitePathUnboundGolden, false, withoutEveryThirdBinding},
+	} {
+		var got []string
+		for _, fx := range fxs {
+			fx = c.fx(fx)
+			var sigs *signature.Index
+			if c.signed {
+				sigs = signature.Build(fx.dbs)
+			}
+			sites := fx.sites()
+			roots := fx.bound.RootSites()
+			lines := make([]string, len(roots))
+			var wg sync.WaitGroup
+			for i, id := range roots {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					lines[i] = fx.name + "/" + string(id) + " " + sitePathSummary(t, fx.bound, sites, id, sigs)
+				}()
+			}
+			wg.Wait()
+			got = append(got, lines...)
 		}
-		wg.Wait()
-		got = append(got, lines...)
-	}
-	if len(got) != len(sitePathGolden) {
-		t.Fatalf("%d (fixture, site) lines, want %d:\n%s", len(got), len(sitePathGolden), strings.Join(got, "\n"))
-	}
-	for i := range got {
-		if got[i] != sitePathGolden[i] {
-			t.Errorf("site path changed:\n got %s\nwant %s", got[i], sitePathGolden[i])
+		if len(got) != len(c.golden) {
+			t.Errorf("%s: %d (fixture, site) lines, want %d:\n%q", c.name, len(got), len(c.golden), got)
+			continue
+		}
+		for i := range got {
+			if got[i] != c.golden[i] {
+				t.Errorf("%s site path changed:\n got %s\nwant %s", c.name, got[i], c.golden[i])
+			}
 		}
 	}
 }
 
-// sitePathSummary runs BL's and PL's site steps at one root site, and the
-// checks they ask of the other sites, and renders the outcome as one line.
-func sitePathSummary(t *testing.T, b *query.Bound, sites map[object.SiteID]*Site, id object.SiteID) string {
+// withoutEveryThirdBinding returns the fixture with mapping tables that lack
+// every third binding of every class, so that some rows, items and
+// references resolve to Table.Unbound GOids and some entities lose an
+// assistant.
+func withoutEveryThirdBinding(fx sitePathFixture) sitePathFixture {
+	tables := gmap.NewTables()
+	n := 0
+	for _, class := range fx.tables.Classes() {
+		from, to := fx.tables.Table(class), tables.Table(class)
+		for _, g := range from.GOids() {
+			for _, loc := range from.Locations(g) {
+				if n++; n%3 != 0 {
+					to.MustBind(g, loc.Site, loc.LOid)
+				}
+			}
+		}
+	}
+	fx.tables = tables
+	return fx
+}
+
+// sitePathSummary runs BL's and PL's site steps at one root site — SBL's
+// and SPL's when sigs is set — and the checks they ask of the other sites,
+// and renders the outcome as one line.
+func sitePathSummary(t *testing.T, b *query.Bound, sites map[object.SiteID]*Site, id object.SiteID, sigs *signature.Index) string {
 	site := sites[id]
 	detail := sha256.New()
 	step := func(fn func(fabric.Proc)) fabric.Metrics {
@@ -174,13 +258,24 @@ func sitePathSummary(t *testing.T, b *query.Bound, sites map[object.SiteID]*Site
 		)
 		m := step(func(p fabric.Proc) {
 			if alg == "BL" {
-				res, checks = site.EvalLocalBasic(p, b, nil)
+				res, checks = site.EvalLocalBasic(p, b, sigs)
 			} else {
 				var nav *Navigation
-				nav, checks = site.NavigateAll(p, b, nil)
+				nav, checks = site.NavigateAll(p, b, sigs)
 				res = site.EvalNavigated(p, b, nav)
 			}
 		})
+		if sigs == nil {
+			fmt.Fprintf(&line, "%s ", alg)
+		} else {
+			rendered := make([]string, len(res.SigVerdicts))
+			for i, v := range res.SigVerdicts {
+				rendered[i] = fmt.Sprintf("%s idx=%d len=%d %v", v.ItemGOid, v.SourceIdx, v.SuffixLen, v.Verdict)
+			}
+			sort.Strings(rendered)
+			fmt.Fprintf(detail, "synthesized\n %s\n", strings.Join(rendered, "\n "))
+			fmt.Fprintf(&line, "S%s synthesized=%d ", alg, len(rendered))
+		}
 		unsolved := 0
 		for _, row := range res.Rows {
 			fmt.Fprintf(detail, "row %s %s %v %v\n", row.LOid, row.GOid, row.Targets, row.Verdicts)
@@ -195,7 +290,7 @@ func sitePathSummary(t *testing.T, b *query.Bound, sites map[object.SiteID]*Site
 			targets = append(targets, target)
 		}
 		sort.Slice(targets, func(i, j int) bool { return targets[i] < targets[j] })
-		fmt.Fprintf(&line, "%s rows=%d unsolved=%d wire=%d disk=%d cpu=%d checks=", alg,
+		fmt.Fprintf(&line, "rows=%d unsolved=%d wire=%d disk=%d cpu=%d checks=",
 			len(res.Rows), unsolved, res.WireSize(), m.DiskBytes, m.CPUOps)
 		var verdicts int
 		var checkDisk, checkCPU int64
@@ -297,15 +392,32 @@ func TestSitePathAllocationCeilings(t *testing.T) {
 
 	fx := table2Fixture(t, 550, false)
 	allocs, roots := navigate(fx)
-	// Measured: 71 allocations, 0.133 per root — the slabs, the buffer pool's
-	// bitset, the collector's maps and the check-item slices, growing. A
-	// buffer that allocates per object it holds goes over.
-	const ceiling = 0.14
+	// Measured: 54 allocations, 0.101 per root — the slabs, the buffer pool's
+	// bitset, the collector's item table per point and the check-item slices,
+	// growing. (PR 33's commit: 71, 0.133.) A buffer that allocates per object
+	// it holds goes over.
+	const ceiling = 0.12
 	if perRoot := allocs / float64(roots); perRoot > ceiling {
 		t.Errorf("NavigateAll with missing data: %.0f allocs for %d roots = %.3f per root, ceiling %.2f",
 			allocs, roots, perRoot, ceiling)
 	} else {
 		t.Logf("NavigateAll with missing data: %.2f allocs per root (%d roots)", perRoot, roots)
+	}
+	// Measured: 332 bytes per root — two-byte outcomes, the items, the check
+	// items. PR 33's commit kept a 48-byte outcome per predicate, a slice
+	// header per root and a GOid-keyed map of the items: 668.
+	const runs, bytesCeiling = 10, 400
+	db1 := fx.sites()["DB1"]
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		onReal(t, func(p fabric.Proc) { db1.NavigateAll(p, fx.bound, nil) })
+	}
+	runtime.ReadMemStats(&after)
+	if perRoot := float64(after.TotalAlloc-before.TotalAlloc) / runs / float64(roots); perRoot > bytesCeiling {
+		t.Errorf("NavigateAll with missing data: %.0f bytes per root, ceiling %d", perRoot, bytesCeiling)
+	} else {
+		t.Logf("NavigateAll with missing data: %.0f bytes per root", perRoot)
 	}
 
 	sites := fx.sites()

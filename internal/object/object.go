@@ -36,6 +36,7 @@
 package object
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"slices"
@@ -251,7 +252,7 @@ func (v Value) asFloat() float64 {
 // Compare orders two values. It returns a negative, zero, or positive integer
 // when v sorts before, equal to, or after w, and ok=false when the values are
 // not comparable (different non-numeric kinds, nulls, refs or lists).
-func (v Value) Compare(w Value) (cmp int, ok bool) {
+func (v Value) Compare(w Value) (int, bool) {
 	if v.kind == KindNull || w.kind == KindNull {
 		return 0, false
 	}
@@ -273,14 +274,7 @@ func (v Value) Compare(w Value) (cmp int, ok bool) {
 	case KindString:
 		return strings.Compare(v.s, w.s), true
 	case KindBool:
-		switch a, b := int64(v.n), int64(w.n); {
-		case a < b:
-			return -1, true
-		case a > b:
-			return 1, true
-		default:
-			return 0, true
-		}
+		return cmp.Compare(v.n, w.n), true
 	default:
 		return 0, false
 	}

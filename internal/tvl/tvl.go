@@ -6,7 +6,7 @@
 package tvl
 
 // Truth is a three-valued truth value.
-type Truth int
+type Truth uint8
 
 // The three truth values. The zero value is not a valid Truth so that
 // uninitialized verdicts are detectable.

@@ -331,9 +331,16 @@ fi
 [ "$guard_failed" -eq 0 ] || exit 1
 
 # The figure ROADMAP's LOC numbers use, so the next issue quotes it instead
-# of recounting.
-echo "== non-test Go lines: $(find . -name '*.go' -not -name '*_test.go' \
+# of recounting, and ROADMAP item 10's gate on it: a change that grows the
+# tree past the ceiling deletes as much as it adds first.
+loc_ceiling=23400
+loc="$(find . -name '*.go' -not -name '*_test.go' \
     -not -path './benchmark/*' -not -path './.bench_build/*' | xargs wc -l | tail -n 1 | awk '{print $1}')"
+echo "== non-test Go lines: $loc (ceiling $loc_ceiling)"
+if [ "$loc" -gt "$loc_ceiling" ]; then
+    echo "non-test Go lines $loc exceed the ceiling $loc_ceiling (ROADMAP item 10)" >&2
+    exit 1
+fi
 
 echo "== go build $pkgs"
 go build "$pkgs"
