@@ -328,10 +328,11 @@ func TestObservabilitySurface(t *testing.T) {
 		}
 	}
 
-	// (a) Every site's serve spans reached a recorded profile (a site
-	// records one per local request, the peer checks it dispatched
-	// included), parented on the coordinator's (or a dispatching peer's)
-	// remote span, and the O and P phases show up site-side; I is the
+	// (a) Every site's serve spans, and the Figure 8 steps it performed
+	// beneath them, reached a recorded profile (a site records one per local
+	// request, the peer checks it dispatched included), parented on the
+	// coordinator's (or a dispatching peer's) span, and the O and P phases
+	// show up site-side on the steps, never on a serve span; I is the
 	// coordinator's certify span, asserted on stdout above.
 	// A site records its profile after the response is on the wire: poll
 	// for the two root sites' local requests.
@@ -345,8 +346,8 @@ func TestObservabilitySurface(t *testing.T) {
 	for site, rt := range rts {
 		for _, p := range rt.Recorder.Profiles() {
 			for _, sp := range p.Spans {
-				if !strings.HasPrefix(sp.Name, "serve:") {
-					t.Errorf("site %s: unexpected span name %q", site, sp.Name)
+				if serve := strings.HasPrefix(sp.Name, "serve:"); serve == (sp.Phases != "") {
+					t.Errorf("site %s: span %q with phases %q is neither a serve span nor a step", site, sp.Name, sp.Phases)
 				}
 				if sp.Parent == 0 || sp.Query != p.ID {
 					t.Errorf("site %s: span %s not parented on the caller's span of query %s", site, sp.Name, p.ID)

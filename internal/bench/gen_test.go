@@ -15,7 +15,7 @@ func TestGeneratorsCancelCleanly(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	var issued atomic.Int32
-	fn := func(ctx context.Context, variant int) Result {
+	fn := func(ctx context.Context) Result {
 		if issued.Add(1) == 3 {
 			cancel() // trip mid-run
 		}
@@ -26,7 +26,7 @@ func TestGeneratorsCancelCleanly(t *testing.T) {
 			return Result{Micros: 1000}
 		}
 	}
-	results := RunClosed(ctx, 2, make([]int, 50), fn)
+	results := RunClosed(ctx, 2, 50, fn)
 	if len(results) != 50 {
 		t.Fatalf("got %d results", len(results))
 	}

@@ -263,8 +263,8 @@ func startLiveCluster(bundle *Bundle) (*liveCluster, error) {
 // cluster from closed-loop clients and summarizes what it observed on its
 // own clock.
 func (lc *liveCluster) drive(ctx context.Context, clients, queries int, bundle *Bundle, alg exec.Algorithm) ClientStats {
-	fn := func(ctx context.Context, variant int) Result {
-		ans, elapsed, err := lc.coord.QueryContext(ctx, bundle.Queries[variant], alg)
+	fn := func(ctx context.Context) Result {
+		ans, elapsed, err := lc.coord.QueryContext(ctx, bundle.Queries[0], alg)
 		if err != nil {
 			return Result{Err: err}
 		}
@@ -275,6 +275,6 @@ func (lc *liveCluster) drive(ctx context.Context, clients, queries int, bundle *
 		}
 	}
 	start := time.Now()
-	results := RunClosed(ctx, clients, make([]int, queries), fn)
+	results := RunClosed(ctx, clients, queries, fn)
 	return Summarize(results, float64(time.Since(start).Nanoseconds())/1e3)
 }

@@ -19,12 +19,12 @@
 //
 // Each strategy exists exactly once, as the paper's Figure 8 step flow:
 // Runner holds the global site's half (CA_G1…G3, BL/PL_G1·G2) and the query
-// lifecycle around it, SiteFlow the component site's half (BL/PL_C1·C2 and
-// the C3 checks they trigger). Both are written against package fabric —
-// so one implementation serves real executions and the discrete-event
-// timing simulation — and against the site-operations seam (SiteOps,
-// SiteLink), which hides how a step reaches another site: in this address
-// space over the fabric (inproc.go), or over TCP (package remote).
+// lifecycle around it, SiteFlow the component site's half (CA_C1,
+// BL/PL_C1·C2 and the C3 checks they trigger). Both are written against
+// package fabric — so one implementation serves real executions and the
+// discrete-event timing simulation — and against the site-operations seam
+// (SiteOps, SiteLink), which hides how a step reaches another site: in this
+// address space over the fabric (inproc.go), or over TCP (package remote).
 package exec
 
 import (

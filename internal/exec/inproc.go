@@ -12,8 +12,8 @@ import (
 // inproc is the in-process implementation of the site-operations seam:
 // every component site is a federation.Site in this address space and the
 // fabric is the network. The runtime's fault plan decides whether a message
-// gets through, p.Transfer charges every message, and each op opens the
-// Figure 8 step it performs as a span on the runtime's clock. Real versus
+// gets through and p.Transfer charges every message; the step each op
+// performs is SiteFlow's, as on every transport. Real versus
 // DES is the fabric's business, not this type's. The engine operates over
 // immutable fixtures, so the flows it runs need no state lock.
 type inproc struct {
@@ -51,59 +51,41 @@ func reach(p fabric.Proc, from, site object.SiteID) error {
 	return p.Context().Err()
 }
 
-// Retrieve implements SiteOps: step CA_C1 (phase O).
-func (t *inproc) Retrieve(p fabric.Proc, q *Query, parent trace.SpanID, site object.SiteID) (federation.RetrieveReply, []string, error) {
-	c1 := q.begin(p, parent, site, "CA_C1", "O")
-	if err := reach(p, t.coord, site); err != nil {
-		return federation.RetrieveReply{}, nil, failStep(c1, p, err)
-	}
-	p.Transfer(t.coord, site, federation.QueryWireSize(q.Bound))
-	reply := t.sites[site].Retrieve(p, q.Bound)
-	size := reply.WireSize()
-	c1.Detailf("retrieve %d classes", len(reply.Classes)).
-		Add("classes", int64(len(reply.Classes))).
-		Add("bytes_shipped", int64(size))
-	p.Transfer(site, t.coord, size)
-	end(c1, p)
-	return reply, nil, nil
-}
-
-// Local implements SiteOps: the site flow, framed by the two transfers the
-// fabric charges for it.
-func (t *inproc) Local(p fabric.Proc, q *Query, parent trace.SpanID, site object.SiteID) (LocalReply, []string, error) {
-	flow := SiteFlow{
+// flow is site's half of a step that from asks of it, charged on the
+// fabric: the request crosses from → site under the fault plan, the reply
+// site → global site.
+func (t *inproc) flow(site, from object.SiteID) *SiteFlow {
+	return &SiteFlow{
 		Site:    t.sites[site],
 		State:   noLock{},
 		Sigs:    t.sigs,
 		Metrics: t.reg,
 		Link:    t,
-		Arrive: func(p fabric.Proc) error {
-			if err := reach(p, t.coord, site); err != nil {
+		Arrive: func(p fabric.Proc, bytes int) error {
+			if err := reach(p, from, site); err != nil {
 				return err
 			}
-			p.Transfer(t.coord, site, federation.QueryWireSize(q.Bound))
+			p.Transfer(from, site, bytes)
 			return nil
 		},
-		Ship: func(p fabric.Proc, res federation.LocalResult) {
-			p.Transfer(site, t.coord, res.WireSize())
-		},
+		Ship: func(p fabric.Proc, bytes int) { p.Transfer(site, t.coord, bytes) },
 	}
-	reply, err := flow.Run(p, q, parent)
+}
+
+// Retrieve implements SiteOps: step CA_C1.
+func (t *inproc) Retrieve(p fabric.Proc, q *Query, parent trace.SpanID, site object.SiteID) (federation.RetrieveReply, []string, error) {
+	reply, err := t.flow(site, t.coord).Retrieve(p, q, parent)
 	return reply, nil, err
 }
 
-// Check implements SiteLink: step C3 (phase O). The verdicts' transfer is
+// Local implements SiteOps: the site flow.
+func (t *inproc) Local(p fabric.Proc, q *Query, parent trace.SpanID, site object.SiteID) (LocalReply, []string, error) {
+	reply, err := t.flow(site, t.coord).Run(p, q, parent)
+	return reply, nil, err
+}
+
+// Check implements SiteLink: step C3 at target. The verdicts' transfer is
 // charged straight to the global site, as the paper's model routes them.
 func (t *inproc) Check(p fabric.Proc, q *Query, parent trace.SpanID, from, target object.SiteID, items []federation.CheckItem) (federation.CheckReply, error) {
-	c3 := q.begin(p, parent, target, "C3", "O")
-	if err := reach(p, from, target); err != nil {
-		return federation.CheckReply{}, failStep(c3, p, err)
-	}
-	p.Transfer(from, target, federation.CheckRequest{From: from, Items: items}.WireSize())
-	reply := t.sites[target].CheckAssistants(p, items)
-	c3.Detailf("checked %d assistants from %s", len(items), from).
-		Add("items", int64(len(items)))
-	p.Transfer(target, t.coord, reply.WireSize())
-	end(c3, p)
-	return reply, nil
+	return t.flow(target, from).Check(p, q, parent, from, items)
 }

@@ -26,8 +26,7 @@ type Query struct {
 	// Bound is the query bound against the global schema.
 	Bound *query.Bound
 	// Tracer records the Figure 8 step spans. Nil makes every step span a
-	// no-op that never reads the clock — always so at a TCP-served site,
-	// whose serve span (opened by the transport) already is the step.
+	// no-op that never reads the clock.
 	Tracer *trace.Tracer
 }
 
@@ -56,12 +55,12 @@ func failStep(h trace.Handle, p fabric.Proc, err error) error {
 }
 
 // SiteOps is the global site's half of the site-operations seam: the two
-// site-bound steps a strategy asks of a component site. An implementation
-// opens the step's span under parent (in process the Figure 8 step itself,
-// stamped with virtual time; over TCP an rpc span whose ID travels to the
-// server), reads cancellation from p.Context, and reports a site that did
-// not answer as an error matching ErrSiteUnavailable. The second result
-// lists the classes whose mappings the answering replica holds suspect.
+// site-bound steps a strategy asks of a component site, whose SiteFlow opens
+// the Figure 8 step under parent (over TCP, under the rpc span whose ID
+// travels to the server and the serve span opened there). An implementation
+// reads cancellation from p.Context and reports a site that did not answer
+// as an error matching ErrSiteUnavailable. The second result lists the
+// classes whose mappings the answering replica holds suspect.
 type SiteOps interface {
 	// Retrieve is CA_C1: the site ships its projected root and branch class
 	// objects.

@@ -1,7 +1,6 @@
 package exec
 
 import (
-	"cmp"
 	"fmt"
 	"sort"
 	"sync"
@@ -37,17 +36,20 @@ type SiteLink interface {
 	Check(p fabric.Proc, q *Query, parent trace.SpanID, from, target object.SiteID, items []federation.CheckItem) (federation.CheckReply, error)
 }
 
-// SiteFlow is the component site's half of the localized strategies, for
-// every transport: P → O under the basic modes (local predicates first,
-// checks only for the surviving maybe rows), O → P under the parallel modes
-// (checks for every object holding missing data leave first and proceed at
-// the peers while the local predicates are evaluated).
+// SiteFlow is the component site's half of every strategy, for every
+// transport: it opens the Figure 8 site steps (CA_C1, BL_C1+C2, PL_C1·C2,
+// C3) and tags their phases. Run is the localized strategies' flow: P → O
+// under the basic modes (local predicates first, checks only for the
+// surviving maybe rows), O → P under the parallel modes (checks for every
+// object holding missing data leave first and proceed at the peers while the
+// local predicates are evaluated). Retrieve and Check are the single steps a
+// site performs for another.
 type SiteFlow struct {
 	// Site evaluates against the local database and mapping replica.
 	Site *federation.Site
 	// State is the read side of the lock guarding what Site reads. It is
-	// held only around local evaluation — one acquisition spanning O and P
-	// in the parallel modes, so both see one snapshot — and never across a
+	// held only around a step's local reads — one acquisition spanning O and
+	// P in the parallel modes, so both see one snapshot — and never across a
 	// wait on peer checks. Holding it there deadlocks a federation under
 	// inserts: site A's flow waits on a check at site B, B's check handler
 	// waits for B's read lock behind a queued writer, and B's own flow
@@ -61,20 +63,59 @@ type SiteFlow struct {
 	// Link reaches the check targets.
 	Link SiteLink
 	// Arrive and Ship are the in-process transport's charges for the two
-	// messages that frame the flow: the local query reaching the site (fault
-	// plan, transfer — inside the basic flow's one step, before the parallel
-	// flow's first, where Figure 8 draws them) and the local result leaving
-	// for the global site while checks are still in flight. Both are nil
-	// over TCP: the request has arrived, the result travels with the reply.
-	Arrive func(p fabric.Proc) error
-	Ship   func(p fabric.Proc, res federation.LocalResult)
+	// messages that frame a step, given their sizes in bytes: the request
+	// reaching the site (fault plan, transfer — inside the basic flow's one
+	// step, before the parallel flow's first, where Figure 8 draws them) and
+	// the reply leaving for the global site (the localized flows' local
+	// result while checks are still in flight). Both are nil over TCP: the
+	// request has arrived, the reply is the response.
+	Arrive func(p fabric.Proc, bytes int) error
+	Ship   func(p fabric.Proc, bytes int)
+}
+
+// Retrieve is step CA_C1 (phase O): the site ships its projected root and
+// branch class objects. parent is the span the step hangs under, as for Run.
+func (f *SiteFlow) Retrieve(p fabric.Proc, q *Query, parent trace.SpanID) (federation.RetrieveReply, error) {
+	c1 := q.begin(p, parent, f.Site.ID(), "CA_C1", "O")
+	if err := f.arrive(p, federation.QueryWireSize(q.Bound)); err != nil {
+		return federation.RetrieveReply{}, failStep(c1, p, err)
+	}
+	f.State.Lock()
+	reply := f.Site.Retrieve(p, q.Bound)
+	f.State.Unlock()
+	c1.Detailf("retrieve %d classes", len(reply.Classes)).Add("classes", int64(len(reply.Classes)))
+	if f.Ship != nil {
+		size := reply.WireSize()
+		c1.Add("bytes_shipped", int64(size))
+		f.Ship(p, size)
+	}
+	end(c1, p)
+	return reply, nil
+}
+
+// Check is step C3 (phase O) at a check target: the site checks the
+// assistant objects the items name on behalf of the site from. parent is
+// the dispatching site's step.
+func (f *SiteFlow) Check(p fabric.Proc, q *Query, parent trace.SpanID, from object.SiteID, items []federation.CheckItem) (federation.CheckReply, error) {
+	c3 := q.begin(p, parent, f.Site.ID(), "C3", "O")
+	if err := f.arrive(p, federation.CheckRequest{From: from, Items: items}.WireSize()); err != nil {
+		return federation.CheckReply{}, failStep(c3, p, err)
+	}
+	f.State.Lock()
+	reply := f.Site.CheckAssistants(p, items)
+	f.State.Unlock()
+	c3.Detailf("checked %d assistants from %s", len(items), from).
+		Add("items", int64(len(items)))
+	if f.Ship != nil {
+		f.Ship(p, reply.WireSize())
+	}
+	end(c3, p)
+	return reply, nil
 }
 
 // Run performs the site's steps of q's strategy and gathers the check
 // verdicts. parent is the span the steps hang under: the global site's G1
-// in process (the flow opens the Figure 8 step spans itself), the serve
-// span over TCP (q.Tracer is nil there and the checks parent on it
-// directly).
+// in process, the serve span over TCP.
 func (f *SiteFlow) Run(p fabric.Proc, q *Query, parent trace.SpanID) (LocalReply, error) {
 	var sigs *signature.Index
 	switch q.Alg {
@@ -92,7 +133,7 @@ func (f *SiteFlow) Run(p fabric.Proc, q *Query, parent trace.SpanID) (LocalReply
 		// BL_C1+C2: phase P (local predicates) then phase O (assistant
 		// lookup) — the paper's P → O ordering in one local step.
 		c12 := q.begin(p, parent, site, "BL_C1+C2", "PO")
-		if err := f.arrive(p); err != nil {
+		if err := f.arrive(p, federation.QueryWireSize(b)); err != nil {
 			return LocalReply{}, failStep(c12, p, err)
 		}
 		f.State.Lock()
@@ -109,16 +150,16 @@ func (f *SiteFlow) Run(p fabric.Proc, q *Query, parent trace.SpanID) (LocalReply
 		}
 		// The local result travels to the global site while the checks are
 		// processed at the other sites. The checks hang under the step that
-		// dispatched them where the flow records steps, else under parent.
-		legs, collect := f.checkLegs(q, cmp.Or(c12.ID(), parent), checks)
+		// dispatched them.
+		legs, collect := f.checkLegs(q, c12.ID(), checks)
 		if f.Ship != nil {
-			legs = append([]func(fabric.Proc){func(p fabric.Proc) { f.Ship(p, res) }}, legs...)
+			legs = append([]func(fabric.Proc){func(p fabric.Proc) { f.Ship(p, res.WireSize()) }}, legs...)
 		}
 		p.Fork(legs...)
 		return collect(res)
 	}
 
-	if err := f.arrive(p); err != nil {
+	if err := f.arrive(p, federation.QueryWireSize(b)); err != nil {
 		return LocalReply{}, err
 	}
 	// PL_C1 (phase O): locate the unsolved items of every object and
@@ -128,7 +169,7 @@ func (f *SiteFlow) Run(p fabric.Proc, q *Query, parent trace.SpanID) (LocalReply
 	nav, checks := f.Site.NavigateAll(p, b, sigs)
 	c1.Detailf("%d check targets", len(checks)).Add("check_targets", int64(len(checks)))
 	end(c1, p)
-	legs, collect := f.checkLegs(q, cmp.Or(c1.ID(), parent), checks)
+	legs, collect := f.checkLegs(q, c1.ID(), checks)
 	inflight := make([]fabric.Handle, len(legs))
 	for i, leg := range legs {
 		inflight[i] = p.Go("check", leg)
@@ -147,18 +188,18 @@ func (f *SiteFlow) Run(p fabric.Proc, q *Query, parent trace.SpanID) (LocalReply
 	f.State.Unlock()
 	c2.Detailf("%d local rows", len(res.Rows)).Add("rows", int64(len(res.Rows)))
 	if f.Ship != nil {
-		f.Ship(p, res)
+		f.Ship(p, res.WireSize())
 	}
 	end(c2, p)
 	p.Wait(inflight...)
 	return collect(res)
 }
 
-func (f *SiteFlow) arrive(p fabric.Proc) error {
+func (f *SiteFlow) arrive(p fabric.Proc, bytes int) error {
 	if f.Arrive == nil {
 		return nil
 	}
-	return f.Arrive(p)
+	return f.Arrive(p, bytes)
 }
 
 // checkLegs builds one C3 leg per check target, in site order; collect,

@@ -78,8 +78,8 @@ func (c *calibrator) observe(p *trace.Profile) {
 		// phase spans do not attribute it separably.
 		modeled := base.Work(io.DiskBytes, io.CPUOps, 0)
 		// Measured local time: the site's largest phase attribution. Max, not
-		// sum — a "PO" span contributes its full duration to both phases, so
-		// summing would double-count inseparable work.
+		// sum — BL's one site step, BL_C1+C2 ("PO"), contributes its full
+		// duration to both phases, so summing would double-count it.
 		measured := 0.0
 		for _, ph := range []string{"O", "I", "P"} {
 			measured = max(measured, p.Phases.Get(site, ph))

@@ -382,11 +382,11 @@ func (e *estimator) localized(alg exec.Algorithm) Estimate {
 
 		// Attribution mirrors the executor's span phases. Under BL a site
 		// runs one inseparable P+O step, so both phases carry its full local
-		// time (the same double attribution the measured side applies to a
-		// "PO" span); under PL navigation (O) and evaluation (P) are separate
-		// steps, split here by resource. Check processing happens at
-		// assistant sites the estimator cannot name, so it is filed under the
-		// dispatching site's O.
+		// time (the double attribution the measured side applies to
+		// BL_C1+C2, the one "PO" span); under PL navigation (O) and
+		// evaluation (P) are separate steps, split here by resource. Check
+		// processing happens at assistant sites the estimator cannot name,
+		// so it is filed under the dispatching site's O.
 		checkMicros := checkWork + checkNet*rates.NetPerByte
 		checkTotal += checkMicros
 		if alg == exec.BL {

@@ -404,9 +404,9 @@ var errPeerNotWired = errors.New("no address in peer wiring")
 // checkLink is the TCP implementation of exec.SiteLink: one check RPC per
 // target. The verdicts return here, to the requesting site, and travel to
 // the global site with its local reply: the one topology difference from the
-// paper's model, confined to this transport. The peer's check span is
-// parented on this server's serve span, so the whole chain (coordinator →
-// site → peer) renders as one query tree.
+// paper's model, confined to this transport. The peer's serve span is
+// parented on the step that dispatched the check, so the whole chain
+// (coordinator → site → peer) renders as one query tree.
 type checkLink struct{ s *Server }
 
 // Check implements exec.SiteLink.

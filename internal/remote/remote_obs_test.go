@@ -3,24 +3,31 @@ package remote
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"net"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
 	"github.com/hetfed/hetfed/internal/exec"
+	"github.com/hetfed/hetfed/internal/fabric"
 	"github.com/hetfed/hetfed/internal/metrics"
 	"github.com/hetfed/hetfed/internal/object"
 	"github.com/hetfed/hetfed/internal/obs"
+	"github.com/hetfed/hetfed/internal/query"
 	"github.com/hetfed/hetfed/internal/school"
+	"github.com/hetfed/hetfed/internal/signature"
 	"github.com/hetfed/hetfed/internal/trace"
 )
 
 // TestSpanPropagationAcrossWire runs a BL query over TCP and checks the
 // span context survives the wire hop twice: coordinator → site (serve spans
-// parent on the coordinator's rpc spans) and site → peer (check spans
-// parent on the dispatching site's serve span). The coordinator's recorded
-// profile holds the whole tree; no tracer holds any of it afterwards.
+// parent on the coordinator's rpc spans, and the site's BL_C1+C2 step on its
+// serve:local) and site → peer (a peer's serve:check parents on the step that
+// dispatched the check, and its C3 step on that serve:check). The
+// coordinator's recorded profile holds the whole tree; no tracer holds any of
+// it afterwards.
 func TestSpanPropagationAcrossWire(t *testing.T) {
 	coord, cluster := testCluster(t, nil, recordedCoordinator(), observed)
 	servers := serversOf(cluster)
@@ -33,9 +40,9 @@ func TestSpanPropagationAcrossWire(t *testing.T) {
 		t.Fatal("no profile recorded")
 	}
 
-	// The coordinator side: a root span plus rpc spans, all sharing one query ID.
 	var qid string
-	rpcIDs := map[trace.SpanID]bool{}
+	byName := map[string][]trace.Span{}
+	ids := map[trace.SpanID]trace.Span{}
 	for _, sp := range p.Spans {
 		if sp.Parent == 0 {
 			if sp.Algorithm != "BL" || sp.Query == "" {
@@ -43,19 +50,12 @@ func TestSpanPropagationAcrossWire(t *testing.T) {
 			}
 			qid = sp.Query
 		}
-		if strings.HasPrefix(sp.Name, "rpc:") {
-			rpcIDs[sp.ID] = true
-		}
+		byName[sp.Name] = append(byName[sp.Name], sp)
+		ids[sp.ID] = sp
 	}
-	if qid == "" || len(rpcIDs) == 0 {
-		t.Fatalf("coordinator recorded no query (qid=%q, %d rpc spans)", qid, len(rpcIDs))
+	if qid == "" {
+		t.Fatal("coordinator recorded no query")
 	}
-
-	// Server side: serve:local spans must adopt the propagated rpc span IDs
-	// as parents; serve:check spans must adopt the dispatching site's
-	// serve:local span ID.
-	localIDs := map[trace.SpanID]bool{}
-	var localSpans, checkSpans []trace.Span
 	for _, sp := range p.Spans {
 		if sp.Query != qid {
 			t.Errorf("span %s @%s scoped to %q, want %q", sp.Name, sp.Site, sp.Query, qid)
@@ -63,33 +63,29 @@ func TestSpanPropagationAcrossWire(t *testing.T) {
 		if sp.Algorithm != "BL" {
 			t.Errorf("site %s: span alg = %q", sp.Site, sp.Algorithm)
 		}
-		switch sp.Name {
-		case "serve:local":
-			localIDs[sp.ID] = true
-			localSpans = append(localSpans, sp)
-		case "serve:check":
-			checkSpans = append(checkSpans, sp)
-		}
 	}
-	if len(localSpans) == 0 || len(checkSpans) == 0 {
-		t.Fatalf("spans: %d local, %d check", len(localSpans), len(checkSpans))
-	}
-	for _, sp := range localSpans {
-		if !rpcIDs[sp.Parent] {
-			t.Errorf("serve:local @%s parent %d not among the coordinator's rpc spans %v",
-				sp.Site, sp.Parent, rpcIDs)
+	// Each span kind hangs under the one it must, at the site it must.
+	for _, link := range []struct{ child, parent string }{
+		{"rpc:local", "BL_G1"},
+		{"serve:local", "rpc:local"},
+		{"BL_C1+C2", "serve:local"},
+		{"serve:check", "BL_C1+C2"},
+		{"C3", "serve:check"},
+	} {
+		if len(byName[link.child]) == 0 {
+			t.Fatalf("no %s span in the profile:\n%s", link.child, p.RenderTree())
 		}
-		if sp.Phases != "PO" {
-			t.Errorf("serve:local phases = %q, want PO", sp.Phases)
-		}
-	}
-	for _, sp := range checkSpans {
-		if !localIDs[sp.Parent] {
-			t.Errorf("serve:check @%s parent %d not among the serve:local spans %v",
-				sp.Site, sp.Parent, localIDs)
-		}
-		if sp.Phases != "O" {
-			t.Errorf("serve:check phases = %q, want O", sp.Phases)
+		for _, sp := range byName[link.child] {
+			parent, ok := ids[sp.Parent]
+			if !ok || parent.Name != link.parent {
+				t.Errorf("%s @%s hangs under %q, want %s", sp.Name, sp.Site, parent.Name, link.parent)
+			}
+			if link.child == "BL_C1+C2" || link.child == "C3" {
+				if sp.Site != parent.Site {
+					t.Errorf("%s @%s under %s @%s: a step runs at the site that served it",
+						sp.Name, sp.Site, parent.Name, parent.Site)
+				}
+			}
 		}
 	}
 	tracers := []*trace.Tracer{coord.Tracer}
@@ -100,6 +96,78 @@ func TestSpanPropagationAcrossWire(t *testing.T) {
 		for _, tr := range tracers {
 			if tr.Take(sp.ID) != nil {
 				t.Errorf("a tracer still holds %s @%s after the query", sp.Name, sp.Site)
+			}
+		}
+	}
+}
+
+// TestSiteStepsMatchAcrossTransports: every strategy's phase-tagged spans
+// are the Figure 8 steps, the same ones per site whether the federation runs
+// in process or over TCP with traced sites — the server opens no steps of its
+// own and its serve spans, like the coordinator's rpc spans, carry no phases.
+func TestSiteStepsMatchAcrossTransports(t *testing.T) {
+	fx := school.New()
+	b, err := query.Bind(query.MustParse(school.Q1), fx.Global)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := obs.NewRecorder(obs.RecorderConfig{Site: "G"})
+	eng, err := exec.New(exec.Config{Global: fx.Global, Coordinator: "G", Databases: fx.Databases,
+		Tables: fx.Mapping, Signatures: signature.Build(fx.Databases), Tracer: &trace.Tracer{}, Recorder: rec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	coord, _ := testCluster(t, nil, recordedCoordinator(), observed)
+
+	// steps renders a profile's phase-tagged spans per site, sorted: the
+	// multiset of (step, phases) each site performed.
+	steps := func(p *trace.Profile) map[object.SiteID]string {
+		per := map[object.SiteID][]string{}
+		for _, sp := range p.Spans {
+			if sp.Phases == "" {
+				continue
+			}
+			if strings.HasPrefix(sp.Name, "rpc:") || strings.HasPrefix(sp.Name, "serve:") {
+				t.Errorf("%s: transport span %s @%s carries phases %q", p.Alg, sp.Name, sp.Site, sp.Phases)
+			}
+			per[sp.Site] = append(per[sp.Site], sp.Name+" "+sp.Phases)
+		}
+		out := map[object.SiteID]string{}
+		for site, s := range per {
+			slices.Sort(s)
+			out[site] = strings.Join(s, ", ")
+		}
+		return out
+	}
+	// The Figure 8 inventory, as exec's own trace test lists it.
+	inventory := map[exec.Algorithm][]string{
+		exec.CA: {"CA_G1", "CA_C1", "CA_G2", "CA_G3"},
+		exec.BL: {"BL_G1", "BL_C1+C2", "C3", "BL_G2"},
+		exec.PL: {"PL_G1", "PL_C1", "PL_C2", "C3", "PL_G2"},
+	}
+	for _, alg := range exec.AllAlgorithms() {
+		if _, _, err := eng.Run(fabric.NewReal(fabric.DefaultRates()), alg, b); err != nil {
+			t.Fatalf("%v in process: %v", alg, err)
+		}
+		inproc := rec.Last()
+		if _, _, err := coord.Query(school.Q1, alg); err != nil {
+			t.Fatalf("%v over TCP: %v", alg, err)
+		}
+		tcp := coord.Recorder.Last()
+		if inproc == nil || tcp == nil || inproc.Alg != alg.String() || tcp.Alg != alg.String() {
+			t.Fatalf("%v: profiles %v and %v", alg, inproc, tcp)
+		}
+		want, got := steps(inproc), steps(tcp)
+		if !maps.Equal(want, got) {
+			t.Errorf("%v: phase-tagged steps per site\nin process: %v\nover TCP:   %v", alg, want, got)
+		}
+		seen := map[string]bool{}
+		for _, sp := range tcp.Spans {
+			seen[sp.Name] = true
+		}
+		for _, step := range inventory[alg] {
+			if !seen[step] {
+				t.Errorf("%v over TCP: step %s missing from the profile:\n%s", alg, step, tcp.RenderTree())
 			}
 		}
 	}

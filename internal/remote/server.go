@@ -41,8 +41,9 @@ type ServerConfig struct {
 	// Signatures enables the signature-assisted modes when non-nil.
 	Signatures *signature.Index
 	// Tracer, when non-nil, records every served request as a span parented
-	// on the caller's span (Request.Trace), so site-side spans stitch into
-	// the coordinator's query tree.
+	// on the caller's span (Request.Trace), and beneath it the Figure 8 site
+	// steps exec.SiteFlow performs, so site-side spans stitch into the
+	// coordinator's query tree.
 	Tracer *trace.Tracer
 	// Metrics, when non-nil, receives per-request counters, latency
 	// histograms, and per-site-pair byte accounting.
@@ -101,7 +102,6 @@ const (
 // client closes it (or Close tears it down).
 type Server struct {
 	cfg    ServerConfig
-	site   *federation.Site
 	flow   exec.SiteFlow
 	rt     *fabric.Real // every served request is one run on it
 	client *client
@@ -148,11 +148,9 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 	if cfg.Call.Faults == nil {
 		cfg.Call.Faults = cfg.Faults
 	}
-	site := federation.NewSite(cfg.DB, cfg.Global, cfg.Tables)
 	ctx, cancel := context.WithCancel(context.Background())
 	s := &Server{
 		cfg:    cfg,
-		site:   site,
 		rt:     fabric.NewReal(fabric.DefaultRates()),
 		client: newClient(cfg.DB.Site(), cfg.Call, cfg.Metrics),
 		ctx:    ctx,
@@ -164,7 +162,7 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 	s.rep = antientropy.NewReplica(s.Site(), cfg.Tables, &s.stateMu, cfg.Engine,
 		replicaSend(s.Site(), func() *client { return s.client }, s.peerAddr), cfg.Metrics, s.log)
 	s.flow = exec.SiteFlow{
-		Site:    site,
+		Site:    federation.NewSite(cfg.DB, cfg.Global, cfg.Tables),
 		State:   s.stateMu.RLocker(),
 		Sigs:    cfg.Signatures,
 		Metrics: cfg.Metrics,
@@ -317,23 +315,6 @@ func reqAlg(req Request) string {
 	return req.Mode
 }
 
-// reqPhases maps a request kind onto the paper's phases the server performs
-// while handling it: retrieval and assistant checking are object location
-// (O); a local query evaluates predicates and locates assistants in its
-// strategy's order (P→O basic, O→P parallel).
-func reqPhases(req Request) string {
-	switch req.Kind {
-	case kindRetrieve, kindCheck:
-		return "O"
-	case kindLocal:
-		if alg, _ := exec.ParseAlgorithm(req.Mode); alg == exec.PL || alg == exec.SPL {
-			return "OP"
-		}
-		return "PO"
-	}
-	return ""
-}
-
 // handle serves one persistent connection: a sequence of request/response
 // frames. The loop ends when the client closes the connection between frames
 // (a clean EOF, not an error — pooled clients park idle connections), on an
@@ -389,7 +370,7 @@ func (s *Server) handle(conn net.Conn) {
 			ctx, cancel = context.WithTimeout(ctx, time.Duration(req.DeadlineMicros)*time.Microsecond)
 		}
 		sp := s.cfg.Tracer.StartSpan(trace.SpanID(req.Trace.Span), s.Site(), "serve:"+req.Kind).
-			WithQuery(req.Trace.QueryID, req.Trace.Alg).WithPhases(reqPhases(req))
+			WithQuery(req.Trace.QueryID, req.Trace.Alg)
 		resp := s.dispatch(ctx, req, sp)
 		if cancel != nil {
 			cancel()
@@ -513,22 +494,14 @@ func (s *Server) dispatch(ctx context.Context, req Request, sp trace.Handle) Res
 	if ctx.Err() != nil {
 		return Response{Err: errDeadline}
 	}
+	// The site flow takes the state lock itself around each step's reads,
+	// never across the check RPCs to peers (exec.SiteFlow.State says why).
 	switch req.Kind {
 	case kindRetrieve:
-		// The reply lists stored objects and is encoded after this lock is
-		// released. That is sound because the store never edits an object
-		// after Insert, and the list itself is the reply's own
-		// (federation.ClassObjects).
-		s.stateMu.RLock()
-		defer s.stateMu.RUnlock()
 		return s.handleRetrieve(ctx, req, sp)
 	case kindLocal:
-		// The site flow takes the state lock itself, never across the check
-		// RPCs to peers (exec.SiteFlow.State says why).
 		return s.handleLocal(ctx, req, sp)
 	case kindCheck:
-		s.stateMu.RLock()
-		defer s.stateMu.RUnlock()
 		return s.handleCheck(ctx, req, sp)
 	case kindStore:
 		// An Insert's first request at a site; its bind delta follows.
@@ -554,11 +527,11 @@ func (s *Server) dispatch(ctx context.Context, req Request, sp trace.Handle) Res
 	}
 }
 
-// runReal serves one request's federation work — an operation, or the whole
-// site flow — as one run on the server's real fabric, on the connection's
-// goroutine, under the request's context: injected delays are cut short when
-// the budget dies, and the flow's checkpoints see the context through
-// Proc.Context. The run's counted events (disk bytes, CPU ops) are stamped
+// runReal serves one request's federation work — one site step, or the
+// whole site flow — as one run on the server's real fabric, on the
+// connection's goroutine, under the request's context: injected delays are
+// cut short when the budget dies, and the flow's checkpoints see the context
+// through Proc.Context. The run's counted events (disk bytes, CPU ops) are stamped
 // on the serve span, which ships them back to the coordinator: the profile
 // builder aggregates them per site, giving the adaptive calibrator its
 // cost-model denominators for remotely served queries. It returns the error
@@ -582,26 +555,34 @@ func (s *Server) runReal(ctx context.Context, sp trace.Handle, name string, fn f
 	return ""
 }
 
+// handleRetrieve serves step CA_C1. The reply lists stored objects and is
+// encoded after the flow released the state lock. That is sound because the
+// store never edits an object after Insert, and the list itself is the
+// reply's own (federation.ClassObjects).
 func (s *Server) handleRetrieve(ctx context.Context, req Request, sp trace.Handle) Response {
 	b, err := s.plans.bind(req.Query, s.cfg.Global)
 	if err != nil {
 		return Response{Err: err.Error()}
 	}
+	q := &exec.Query{ID: req.Trace.QueryID, Alg: exec.CA, Bound: b, Tracer: s.cfg.Tracer}
 	var reply federation.RetrieveReply
-	if e := s.runReal(ctx, sp, "retrieve", func(p fabric.Proc) error {
-		reply = s.site.Retrieve(p, b)
-		return nil
+	if e := s.runReal(ctx, sp, "retrieve", func(p fabric.Proc) (err error) {
+		reply, err = s.flow.Retrieve(p, q, sp.ID())
+		return err
 	}); e != "" {
 		return Response{Err: e}
 	}
 	return Response{Retrieve: reply, Suspect: s.rep.SuspectOf(b.Classes())}
 }
 
+// handleCheck serves step C3; the dispatching site's strategy labels its span.
 func (s *Server) handleCheck(ctx context.Context, req Request, sp trace.Handle) Response {
+	alg, _ := exec.ParseAlgorithm(req.Trace.Alg)
+	q := &exec.Query{ID: req.Trace.QueryID, Alg: alg, Tracer: s.cfg.Tracer}
 	var reply federation.CheckReply
-	if e := s.runReal(ctx, sp, "check", func(p fabric.Proc) error {
-		reply = s.site.CheckAssistants(p, req.Items)
-		return nil
+	if e := s.runReal(ctx, sp, "check", func(p fabric.Proc) (err error) {
+		reply, err = s.flow.Check(p, q, sp.ID(), req.Trace.From, req.Items)
+		return err
 	}); e != "" {
 		return Response{Err: e}
 	}
@@ -609,8 +590,8 @@ func (s *Server) handleCheck(ctx context.Context, req Request, sp trace.Handle) 
 }
 
 // handleLocal runs the site's half of a localized strategy: exec.SiteFlow,
-// the same flow the in-process engine runs. The flow manages the state lock
-// itself (see SiteFlow.State) and reaches the peers through checkLink.
+// the same flow the in-process engine runs, opening the same step spans
+// under the serve span. The flow reaches the peers through checkLink.
 func (s *Server) handleLocal(ctx context.Context, req Request, sp trace.Handle) Response {
 	b, err := s.plans.bind(req.Query, s.cfg.Global)
 	if err != nil {
@@ -620,7 +601,7 @@ func (s *Server) handleLocal(ctx context.Context, req Request, sp trace.Handle) 
 	if err != nil {
 		return Response{Err: fmt.Sprintf("unknown local mode %q", req.Mode)}
 	}
-	q := &exec.Query{ID: req.Trace.QueryID, Alg: alg, Bound: b}
+	q := &exec.Query{ID: req.Trace.QueryID, Alg: alg, Bound: b, Tracer: s.cfg.Tracer}
 	var reply LocalReply
 	if e := s.runReal(ctx, sp, "local", func(p fabric.Proc) (err error) {
 		reply, err = s.flow.Run(p, q, sp.ID())

@@ -328,6 +328,19 @@ if grep -rnwE 'Runtimes|runLiveCell|seedKeySuffix|"runtimes"' --include='*.go' \
     echo "a live matrix runtime is back; hetbench's matrix runs on the DES alone (see EXPERIMENTS.md E35)" >&2
     guard_failed=1
 fi
+# A site's steps are exec's on every transport (EXPERIMENTS.md E38): a served
+# request's Figure 8 steps are the spans exec.SiteFlow opens under the serve
+# span, and the serve spans, like the coordinator's rpc spans, carry no phase
+# letters. The server's phase table stays gone, in tests or otherwise, and
+# outside tests internal/remote tags no span with phases.
+if grep -rnw 'reqPhases' --include='*.go' --exclude-dir=.bench_build .; then
+    echo "the server's phase table is back; a site's steps are exec.SiteFlow's (see EXPERIMENTS.md E38)" >&2
+    guard_failed=1
+fi
+if grep -n 'WithPhases(' internal/remote/*.go | grep -v '_test\.go:'; then
+    echo "internal/remote tags phases; only exec's steps carry them (see EXPERIMENTS.md E38)" >&2
+    guard_failed=1
+fi
 [ "$guard_failed" -eq 0 ] || exit 1
 
 # The figure ROADMAP's LOC numbers use, so the next issue quotes it instead
