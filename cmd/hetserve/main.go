@@ -36,8 +36,7 @@
 // /cluster/queries and /cluster/alerts then serve the federation rollup,
 // the merged slow-query log (deduped by trace ID), and the SLO alert
 // state for rules given with -slo ("query_latency p99 < 50ms over 1m;
-// availability >= 0.67"). cmd/hetops renders the same three endpoints as
-// a live terminal dashboard.
+// availability >= 0.67"), each as text or, with ?format=json, as JSON.
 //
 // Outbound calls (both modes) follow remote.DefaultCallConfig — three tries
 // with jittered backoff, four pooled connections per peer, a breaker that
@@ -370,7 +369,7 @@ func (rt *siteRuntime) serve(c *cmdline, log *slog.Logger) error {
 	if c.metricsAddr != "" {
 		// The divergence tracker reports on /healthz ("antientropy:state" →
 		// "ok(round=N, repaired=NB)" or "suspect(C1,C2) …") so the cluster
-		// rollup and hetops show each replica's repair state.
+		// rollup shows each replica's repair state.
 		health := []obs.Health{
 			breakerHealth(rt.Server.BreakerStates),
 			obs.PrefixHealth("antientropy", rt.Server.Replica().Health),

@@ -61,15 +61,15 @@ func onReal(t testing.TB, fn func(fabric.Proc)) fabric.Metrics {
 }
 
 // recordRoundTrip ships a reply the way the wire codec does — every object's
-// record written through its class's mask, read back into slabs shared by
-// the whole reply, every list Owned — without the frame around it.
+// masked record written through its class's mask, read back into slabs
+// shared by the whole reply, every list Owned — without the frame around it.
 func recordRoundTrip(t testing.TB, reply RetrieveReply) RetrieveReply {
 	t.Helper()
 	return encodeRecords(t, reply).decode(t)
 }
 
-// encodedReply is a reply's records: per class, every object written through
-// the class's mask, back to back.
+// encodedReply is a reply's records: per class, every object's masked record
+// through the class's mask, back to back.
 type encodedReply struct {
 	site    object.SiteID
 	classes []encodedClass
@@ -78,6 +78,7 @@ type encodedReply struct {
 type encodedClass struct {
 	name    string
 	attrs   []string
+	class   string // the objects' local class, which a list names once
 	records []byte
 	n       int
 }
@@ -86,14 +87,18 @@ func encodeRecords(t testing.TB, reply RetrieveReply) encodedReply {
 	t.Helper()
 	out := encodedReply{site: reply.Site}
 	for _, cls := range reply.Classes {
-		var buf []byte
+		var (
+			buf   []byte
+			class string
+		)
 		for _, o := range cls.Objects {
 			var err error
-			if buf, err = object.AppendProjected(buf, o, cls.Attrs); err != nil {
+			if buf, err = object.AppendMasked(buf, o, cls.Attrs); err != nil {
 				t.Fatal(err)
 			}
+			class = o.Class
 		}
-		out.classes = append(out.classes, encodedClass{cls.GlobalClass, cls.Attrs, buf, len(cls.Objects)})
+		out.classes = append(out.classes, encodedClass{cls.GlobalClass, cls.Attrs, class, buf, len(cls.Objects)})
 	}
 	return out
 }
@@ -103,16 +108,13 @@ func encodeRecords(t testing.TB, reply RetrieveReply) encodedReply {
 func (er encodedReply) decode(t testing.TB) RetrieveReply {
 	t.Helper()
 	out := RetrieveReply{Site: er.site, Classes: make([]ClassObjects, len(er.classes))}
-	var (
-		slab  object.Slab
-		names object.Interner
-	)
+	var slab object.Slab
 	for i, cls := range er.classes {
 		out.Classes[i] = ClassObjects{GlobalClass: cls.name, Attrs: cls.attrs, Objects: make([]*object.Object, cls.n), Owned: true}
 		buf := cls.records
 		for j := range out.Classes[i].Objects {
 			var err error
-			if out.Classes[i].Objects[j], buf, err = slab.Decode(buf, &names); err != nil {
+			if out.Classes[i].Objects[j], buf, err = slab.DecodeMasked(buf, cls.class, cls.attrs); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -258,10 +260,11 @@ func TestCAPathAllocationCeilings(t *testing.T) {
 		encoded = append(encoded, encodeRecords(t, reply))
 	}
 	decode := testing.AllocsPerRun(5, func() { decodeAll(t, encoded) })
-	// Measured: 0.63 — a reference string for the objects that hold one, and
-	// a chunk every 64 objects, 256 entries or 2 KiB of LOids.
-	if per := decode / float64(objects); per > 1.6 {
-		t.Errorf("decoding the replies: %.0f allocs for %d objects = %.2f per object, ceiling 1.6", decode, objects, per)
+	// Measured: 0.03 — a chunk every 64 objects, 256 entries or 2 KiB of
+	// LOid and reference text. (Named records, which allocated each reference
+	// string on its own: 0.63.)
+	if per := decode / float64(objects); per > 0.1 {
+		t.Errorf("decoding the replies: %.0f allocs for %d objects = %.2f per object, ceiling 0.1", decode, objects, per)
 	} else {
 		t.Logf("decoding the replies: %.2f allocs per object (%d objects)", per, objects)
 	}

@@ -366,16 +366,20 @@ func (cr CheckReply) WireSize() int {
 // Attrs. The projection is not carried out: Objects may hold more than Attrs
 // names, and every reader — the wire encoder, WireSize, Materialize — reads
 // an object through Attrs (object.Object.Projected), so what lies outside the
-// mask is never shipped, charged or merged.
+// mask is never shipped, charged or merged. The objects are one extent's, of
+// one local class: on the wire the list names GlobalClass, Attrs and that
+// class once, and each object travels as its LOid and the values it holds
+// among Attrs (object.AppendMasked).
 //
 // A reply built by Site.Retrieve points at the store's own objects, and is
 // read after the lock that guarded the scan is gone (a served reply is
 // encoded once the request has been dispatched). That is sound because a
 // store never edits an object after inserting it; accordingly nothing
 // reachable from a reply may be Set. The slice of pointers is the reply's
-// own. A reply decoded off the wire holds objects cut from slabs, already
-// restricted to Attrs, so the mask passes all of them; nobody else holds
-// them, and the decoder marks the list Owned.
+// own. A reply decoded off the wire holds objects cut from one slab, already
+// restricted to Attrs, their entries named by Attrs' own strings and their
+// Class the list's, so the mask passes all of them; nobody else holds them,
+// and the decoder marks the list Owned.
 type ClassObjects struct {
 	GlobalClass string
 	// Attrs is the projection: the attributes the objects are read through,

@@ -20,15 +20,16 @@
 //
 //   - There is no Project. A reader that wants an object restricted to some
 //     attributes reads it through a mask — Projected, WireSize(mask),
-//     AppendProjected — a two-pointer walk over the object's name-sorted
+//     AppendMasked — a two-pointer walk over the object's name-sorted
 //     entries and the sorted mask. A restricted copy was only ever built to be
-//     encoded or merged and then dropped.
+//     encoded or merged and then dropped. AppendMasked's record is
+//     positional: the mask, like the class, is its list's to name once.
 //   - A batch of objects that live and die together — a decoded reply, a
-//     materialized view — is cut from a Slab: Objects, attribute entries and
-//     LOid text come from shared chunks, a handful of allocations per
-//     thousand objects. One parser, Slab.Decode, reads every record;
-//     DecodeObject is that parser over the nil slab, which allocates each
-//     object on its own.
+//     materialized view — is cut from a Slab: Objects, attribute entries,
+//     LOid text and string and reference payloads come from shared chunks, a
+//     handful of allocations per thousand objects. One entry loop and one
+//     value parser read every record: masked into a slab
+//     (Slab.DecodeMasked), named with allocations of its own (DecodeObject).
 //   - A Value is 40 bytes, an attribute entry 56: the scalar payloads share
 //     one word and the rare list sits behind a pointer, so every slab, result
 //     row and navigation outcome is a third smaller than with a field per
@@ -350,7 +351,7 @@ func (v Value) String() string {
 //
 // The modeled size of the whole object — what every scan and fetch charges
 // as a disk read — is kept beside the entries by whatever builds or changes
-// them: New, Set, Append, Clone, Slab.Decode.
+// them: New, Set, Append, Clone and the decoders.
 type Object struct {
 	LOid  LOid
 	Class string
@@ -592,7 +593,7 @@ func (v Value) AppendBinary(dst []byte) ([]byte, error) {
 
 // UnmarshalBinary decodes an AppendBinary encoding that fills data exactly.
 func (v *Value) UnmarshalBinary(data []byte) error {
-	return v.unmarshal(data, 0)
+	return v.unmarshal(data, 0, nil, 0)
 }
 
 // maxListDepth bounds list nesting in a decoded value. The data model nests
@@ -600,7 +601,10 @@ func (v *Value) UnmarshalBinary(data []byte) error {
 // encoding from driving the decoder's recursion as deep as its input is long.
 const maxListDepth = 8
 
-func (v *Value) unmarshal(data []byte, depth int) error {
+// unmarshal is the one value parser. A string or reference payload is cut
+// from slab under Slab.str's rules, room being what the caller's remaining
+// input could still hold; a nil slab allocates it.
+func (v *Value) unmarshal(data []byte, depth int, slab *Slab, room int) error {
 	if len(data) == 0 {
 		return fmt.Errorf("object: empty value encoding")
 	}
@@ -624,7 +628,7 @@ func (v *Value) unmarshal(data []byte, depth int) error {
 		}
 		*v = Value{kind: kind, n: uint64(i)}
 	case KindString, KindRef, KindGRef:
-		*v = Value{kind: kind, s: string(payload)}
+		*v = Value{kind: kind, s: slab.str(payload, room)}
 	case KindList:
 		if depth >= maxListDepth {
 			return fmt.Errorf("object: list nested deeper than %d", maxListDepth)
@@ -639,7 +643,7 @@ func (v *Value) unmarshal(data []byte, depth int) error {
 				return fmt.Errorf("object: corrupt list encoding")
 			}
 			var e Value
-			if err := e.unmarshal(rest[:n], depth+1); err != nil {
+			if err := e.unmarshal(rest[:n], depth+1, slab, room); err != nil {
 				return err
 			}
 			elems = append(elems, e)

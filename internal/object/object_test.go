@@ -334,11 +334,15 @@ func TestWholeObjectWireSizeIsKept(t *testing.T) {
 		t.Fatal(err)
 	}
 	check("DecodeObject", decoded)
-	cut, _, err := slab.Decode(rec, nil)
+	masked, err := AppendMasked(nil, o, o.AttrNames())
 	if err != nil {
 		t.Fatal(err)
 	}
-	check("Slab.Decode", cut)
+	cut, _, err := slab.DecodeMasked(masked, o.Class, o.AttrNames())
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("Slab.DecodeMasked", cut)
 	if decoded.WireSize(nil) != o.WireSize(nil) {
 		t.Errorf("decoded WireSize = %d, encoded object's %d", decoded.WireSize(nil), o.WireSize(nil))
 	}

@@ -4,11 +4,12 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math/bits"
 )
 
-// This file holds the one binary encoding of an object, shared by every
-// place objects cross a byte boundary: WAL insert records and snapshots on
-// disk, store requests and retrieve replies on the wire.
+// This file holds the binary encodings of an object. The named record is
+// self-describing and serves WAL insert records and snapshots on disk and
+// store requests on the wire:
 //
 //	object = class:str loid:str nattrs:uvarint (name:str value)*nattrs
 //	value  = len:uvarint bytes[len]        bytes = Value.AppendBinary
@@ -18,10 +19,18 @@ import (
 // and the decoder rejects any other, so an object has exactly one encoding
 // and the decoder can fill the entry slice in place.
 //
-// A record need not be written from an object that holds exactly its
-// attributes: AppendProjected writes the record of a stored object restricted
-// to a mask, which is how a retrieve reply ships a projection nobody built.
-// One parser, Slab.Decode, reads every record back.
+// The masked record serves retrieve lists, which name the class and the
+// attributes once for all their objects: it is an object read through a
+// mask (sorted, free of repeats), positionally.
+//
+//	masked = loid:str present:u8[⌈len(mask)/8⌉] value*
+//
+// Bit j of present (byte j/8, bit j%8) means the object holds mask[j]; the
+// values of the set bits follow in mask order. No bit past len(mask) is set
+// and no present value is null, so a masked record has one encoding too.
+//
+// One entry loop (decodeEntries) and one value parser (Value.unmarshal) read
+// both back, into a Slab's chunks when one is given.
 
 var errCorrupt = errors.New("object: corrupt record")
 
@@ -84,41 +93,49 @@ func DecodeValue(b []byte) (Value, []byte, error) {
 	return v, rest, nil
 }
 
-// AppendObject appends the object's record encoding to dst.
+// AppendObject appends the object's named record to dst.
 func AppendObject(dst []byte, o *Object) ([]byte, error) {
 	dst = appendString(dst, o.Class)
 	dst = appendString(dst, string(o.LOid))
 	dst = binary.AppendUvarint(dst, uint64(len(o.attrs)))
 	for i := range o.attrs {
 		var err error
-		if dst, err = appendAttr(dst, o, &o.attrs[i]); err != nil {
+		if dst, err = appendEntry(appendString(dst, o.attrs[i].name), o, &o.attrs[i]); err != nil {
 			return nil, err
 		}
 	}
 	return dst, nil
 }
 
-// AppendProjected appends the record of o restricted to the attributes in
-// mask (sorted, free of repeats: see Object.Projected) — byte for byte the
-// record AppendObject writes for an object holding only those attributes,
-// without that object being built.
-func AppendProjected(dst []byte, o *Object, mask []string) ([]byte, error) {
-	// The count precedes the entries it counts. Like a value's length it
-	// nearly always fits the one byte reserved for it.
-	dst = appendString(dst, o.Class)
+// AppendMasked appends o's masked record through mask (sorted, free of
+// repeats: see Object.Projected): its LOid, the bitmap of the mask's names it
+// holds, and their values in mask order. What o holds outside the mask is
+// not written.
+func AppendMasked(dst []byte, o *Object, mask []string) ([]byte, error) {
 	dst = appendString(dst, string(o.LOid))
 	at := len(dst)
-	dst = append(dst, 0)
-	n := uint64(0)
-	p := o.Projected(mask)
-	for e := p.next(); e != nil; e = p.next() {
+	for range (len(mask) + 7) / 8 {
+		dst = append(dst, 0)
+	}
+	attrs := o.attrs
+	for j, name := range mask {
+		for len(attrs) > 0 && attrs[0].name < name {
+			attrs = attrs[1:]
+		}
+		if len(attrs) == 0 {
+			break
+		}
+		if attrs[0].name != name {
+			continue
+		}
+		dst[at+j/8] |= 1 << (j % 8)
 		var err error
-		if dst, err = appendAttr(dst, o, e); err != nil {
+		if dst, err = appendEntry(dst, o, &attrs[0]); err != nil {
 			return nil, err
 		}
-		n++
+		attrs = attrs[1:]
 	}
-	return setUvarint(dst, at, n), nil
+	return dst, nil
 }
 
 // setUvarint writes v as the uvarint whose first byte was reserved at
@@ -137,33 +154,29 @@ func setUvarint(dst []byte, at int, v uint64) []byte {
 	return dst
 }
 
-func appendAttr(dst []byte, o *Object, e *attr) ([]byte, error) {
-	dst, err := AppendValue(appendString(dst, e.name), e.val)
+// appendEntry appends e's value, naming the object and the attribute in a
+// failure.
+func appendEntry(dst []byte, o *Object, e *attr) ([]byte, error) {
+	dst, err := AppendValue(dst, e.val)
 	if err != nil {
 		return nil, fmt.Errorf("object: encode %s.%s: %w", o.LOid, e.name, err)
 	}
 	return dst, nil
 }
 
-// Least encoded sizes: of an attribute an empty name, a one-byte length and
-// a kind byte; of a record two empty strings and a zero count.
+// Least encoded sizes: of a value a one-byte length and a kind byte; of a
+// named attribute an empty name before that.
 const (
-	minAttrBytes   = 3
-	minRecordBytes = 3
+	minValueBytes = 2
+	minAttrBytes  = 3
 )
 
-// DecodeObject decodes one record from the front of b into an object with
-// an allocation of its own: Slab.Decode for a batch of one.
+// DecodeObject decodes one named record from the front of b and returns the
+// bytes after it. The object has allocations of its own; nothing it holds
+// shares memory with b. Class and attribute names go through in (which may be
+// nil). Null and zero-kind values are dropped as New drops them; names out of
+// order or repeated are corruption.
 func DecodeObject(b []byte, in *Interner) (*Object, []byte, error) {
-	return (*Slab)(nil).Decode(b, in)
-}
-
-// Decode decodes one record from the front of b and returns the bytes after
-// it. The Object and its entries are cut from the slab; nothing the object
-// holds shares memory with b. Class and attribute names go through in (which
-// may be nil). Null and zero-kind values are dropped as New drops them; names
-// out of order or repeated are corruption.
-func (s *Slab) Decode(b []byte, in *Interner) (*Object, []byte, error) {
 	class, b, err := readBytes(b)
 	if err != nil {
 		return nil, nil, err
@@ -178,15 +191,61 @@ func (s *Slab) Decode(b []byte, in *Interner) (*Object, []byte, error) {
 		// allocated: a count cannot claim more than the input can hold.
 		return nil, nil, fmt.Errorf("%w: attribute count", errCorrupt)
 	}
-	b = b[w:]
-	o := s.object(1 + len(b)/minRecordBytes)
-	o.Class, o.LOid = in.Intern(class), LOid(s.str(loid, len(loid)+len(b)))
-	o.attrs = s.entries(int(n), len(b)/minAttrBytes)
-	var prev []byte
-	for i := uint64(0); i < n; i++ {
+	o := &Object{Class: in.Intern(class), LOid: LOid(loid)}
+	return (*Slab)(nil).decodeEntries(o, b[w:], int(n), in, nil, nil)
+}
+
+// DecodeMasked decodes one masked record of class through mask (sorted, free
+// of repeats, as the list that carries the record checks once) from the
+// front of b and returns the bytes after it. The Object, its entries, its
+// LOid and its string and reference payloads are cut from the slab; nothing
+// the object holds shares memory with b, and its entries are named by mask's
+// own strings. A bit past the mask, or a present value that is null or of
+// zero kind, is corruption.
+func (s *Slab) DecodeMasked(b []byte, class string, mask []string) (*Object, []byte, error) {
+	loid, b, err := readBytes(b)
+	if err != nil {
+		return nil, nil, err
+	}
+	width := (len(mask) + 7) / 8
+	if len(b) < width {
+		return nil, nil, fmt.Errorf("%w: %s: presence bitmap", errCorrupt, loid)
+	}
+	present, b := b[:width], b[width:]
+	n := 0
+	for _, m := range present {
+		n += bits.OnesCount8(m)
+	}
+	if width > 0 && present[width-1]>>(len(mask)-8*(width-1)) != 0 {
+		return nil, nil, fmt.Errorf("%w: %s: presence bit past %d attributes", errCorrupt, loid, len(mask))
+	}
+	if n > len(b)/minValueBytes {
+		return nil, nil, fmt.Errorf("%w: %s: %d values marked present", errCorrupt, loid, n)
+	}
+	o := s.object(1 + len(b)/(1+width))
+	o.Class, o.LOid = class, LOid(s.str(loid, len(loid)+len(b)))
+	return s.decodeEntries(o, b, n, nil, mask, present)
+}
+
+// decodeEntries is the one entry loop: it decodes o's n attributes from the
+// front of b and returns the bytes after them. A named record (mask nil)
+// spells each name before its value; a masked record's i-th value is named by
+// the i-th name of mask that present marks. Each value is parsed in place, its
+// payload cut from the slab.
+func (s *Slab) decodeEntries(o *Object, b []byte, n int, in *Interner, mask []string, present []byte) (*Object, []byte, error) {
+	o.attrs = s.entries(n, len(b)/minValueBytes)
+	var prev string
+	j := -1 // the mask position of the last masked entry
+	for i := 0; i < n; i++ {
 		var name, raw []byte
-		if name, b, err = readBytes(b); err != nil {
-			return nil, nil, err
+		var err error
+		if mask == nil {
+			if name, b, err = readBytes(b); err != nil {
+				return nil, nil, err
+			}
+		} else {
+			for j++; present[j/8]&(1<<(j%8)) == 0; j++ {
+			}
 		}
 		if raw, b, err = readBytes(b); err != nil {
 			return nil, nil, err
@@ -195,19 +254,29 @@ func (s *Slab) Decode(b []byte, in *Interner) (*Object, []byte, error) {
 		// to hold missing data is given back.
 		o.attrs = o.attrs[:len(o.attrs)+1]
 		e := &o.attrs[len(o.attrs)-1]
-		if err := e.val.UnmarshalBinary(raw); err != nil {
-			return nil, nil, fmt.Errorf("object: decode %s.%s: %w", loid, name, err)
+		if mask == nil {
+			e.name = in.Intern(name)
+		} else {
+			e.name = mask[j]
 		}
-		if i > 0 && string(prev) >= string(name) {
-			return nil, nil, fmt.Errorf("%w: %s: attribute %q out of order", errCorrupt, loid, name)
+		if err := e.val.unmarshal(raw, 0, s, len(raw)+len(b)); err != nil {
+			return nil, nil, fmt.Errorf("object: decode %s.%s: %w", o.LOid, e.name, err)
 		}
-		prev = name
-		if missing(e.val) {
-			*e = attr{}
-			o.attrs = o.attrs[:len(o.attrs)-1]
-			continue
+		if mask != nil {
+			if missing(e.val) {
+				return nil, nil, fmt.Errorf("%w: %s: %s marked present, holds no value", errCorrupt, o.LOid, e.name)
+			}
+		} else {
+			if i > 0 && prev >= e.name {
+				return nil, nil, fmt.Errorf("%w: %s: attribute %q out of order", errCorrupt, o.LOid, e.name)
+			}
+			prev = e.name
+			if missing(e.val) {
+				*e = attr{}
+				o.attrs = o.attrs[:len(o.attrs)-1]
+				continue
+			}
 		}
-		e.name = in.Intern(name)
 		o.wire += wireOf(&e.val)
 	}
 	return o, b, nil

@@ -247,18 +247,26 @@ func restrictedCopy(o *Object, mask []string) *Object {
 	return New(o.LOid, o.Class, kept)
 }
 
-// checkProjection holds the projected encoder, the projected size and the
+// checkProjection holds the masked encoder, the projected size and the
 // projection cursor to their contract: what they say of o through mask is
-// what AppendObject, WireSize(nil) and At say of the restricted copy.
+// what the restricted copy says of itself — the masked record decodes to the
+// copy, and is the copy's own masked record byte for byte, so nothing outside
+// the mask reaches it.
 func checkProjection(t testing.TB, o *Object, mask []string) {
 	t.Helper()
 	cp := restrictedCopy(o, mask)
-	got, err := AppendProjected(nil, o, mask)
+	got, err := AppendMasked(nil, o, mask)
 	if err != nil {
-		t.Fatalf("AppendProjected(%v, %v): %v", o, mask, err)
+		t.Fatalf("AppendMasked(%v, %v): %v", o, mask, err)
 	}
-	if want := encode(t, cp); !bytes.Equal(got, want) {
-		t.Errorf("%v through %v:\n got %x\nwant %x", o, mask, got, want)
+	if want, err := AppendMasked(nil, cp, mask); err != nil || !bytes.Equal(got, want) {
+		t.Errorf("%v through %v:\n got %x\nwant %x (%v)", o, mask, got, want, err)
+	}
+	// Compared by their named records, which spell out every field an
+	// object has; DeepEqual would tell a nil entry slice from an empty one.
+	if back, rest, err := new(Slab).DecodeMasked(got, o.Class, mask); err != nil || len(rest) != 0 ||
+		!bytes.Equal(encode(t, back), encode(t, cp)) || back.WireSize(nil) != cp.WireSize(nil) {
+		t.Errorf("%v through %v: decodes to %v (%d bytes left, %v), want %v", o, mask, back, len(rest), err, cp)
 	}
 	if mask != nil && o.WireSize(mask) != cp.WireSize(nil) {
 		t.Errorf("%v through %v: modeled size %d, the copy's %d", o, mask, o.WireSize(mask), cp.WireSize(nil))
@@ -278,11 +286,11 @@ func checkProjection(t testing.TB, o *Object, mask []string) {
 	}
 }
 
-// TestProjectedRecordMatchesCopy: a record written through a mask is byte
-// for byte the record of the restricted copy nobody builds any more — for
-// every subset of a six-attribute object that holds every kind of value, for
-// masks that miss, overshoot or surround the object's names, for a record
-// whose count needs two bytes, and for seeded random objects and masks.
+// TestProjectedRecordMatchesCopy: a record written through a mask stands for
+// the restricted copy nobody builds — for every subset of a six-attribute
+// object that holds every kind of value, for masks that miss, overshoot or
+// surround the object's names, for a bitmap of many bytes, and for seeded
+// random objects and masks.
 func TestProjectedRecordMatchesCopy(t *testing.T) {
 	six := New("s1'", "Student", map[string]Value{
 		"active": Bool(true), "advisor": Ref("t1"), "age": Int(31),
@@ -308,7 +316,7 @@ func TestProjectedRecordMatchesCopy(t *testing.T) {
 		checkProjection(t, New("x", "C", nil), mask)
 	}
 
-	// More than 127 selected attributes: the count outgrows its reserved byte.
+	// 150 of 300 attributes through a mask of 150: a 19-byte bitmap.
 	wide := map[string]Value{}
 	var wideMask []string
 	for i := 0; i < 300; i++ {
@@ -353,36 +361,128 @@ func TestProjectedRecordMatchesCopy(t *testing.T) {
 	}
 }
 
-func corpusFile(name string) string {
-	return filepath.Join("testdata", "fuzz", "FuzzDecodeObject", "seed-"+name)
+// sampleMasked are the masked fuzz target's seeds: an empty mask, a mask
+// whose bitmap takes two bytes, a mask that names an attribute the object
+// lacks (a null), a list of references, and string values.
+func sampleMasked() map[string][]byte {
+	objs := sampleObjects()
+	wide := map[string]Value{}
+	var wideMask []string
+	for i := 0; i < 10; i++ {
+		name := fmt.Sprintf("a%d", i)
+		wide[name] = Int(int64(i))
+		wideMask = append(wideMask, name)
+	}
+	wideMask = append(wideMask, "b")
+	seeds := map[string]struct {
+		o    *Object
+		mask []string
+	}{
+		"empty-mask": {objs["student"], nil},
+		"two-byte":   {New("w", "Wide", wide), wideMask},
+		"null":       {objs["table2"], []string{"key", "next", "p2"}},
+		"refs":       {objs["student"], []string{"advisor", "courses"}},
+		"strings":    {objs["student"], []string{"bio", "name"}},
+	}
+	out := make(map[string][]byte, len(seeds))
+	for name, seed := range seeds {
+		rec, err := AppendMasked(nil, seed.o, seed.mask)
+		if err != nil {
+			panic(err)
+		}
+		out[name] = maskedInput(seed.mask, rec)
+	}
+	return out
+}
+
+// maskedInput is a masked fuzz target's input: the mask as a counted list of
+// names, then the record.
+func maskedInput(mask []string, record []byte) []byte {
+	b := binary.AppendUvarint(nil, uint64(len(mask)))
+	for _, name := range mask {
+		b = appendString(b, name)
+	}
+	return append(b, record...)
+}
+
+// splitMasked takes a masked fuzz input apart, refusing a mask that is not
+// strictly increasing as a retrieve list's decoder does.
+func splitMasked(data []byte) (mask []string, record []byte, ok bool) {
+	n, w := binary.Uvarint(data)
+	if w <= 0 || n > uint64(len(data)) {
+		return nil, nil, false
+	}
+	record = data[w:]
+	for i := uint64(0); i < n; i++ {
+		name, rest, err := readBytes(record)
+		if err != nil || i > 0 && mask[len(mask)-1] >= string(name) {
+			return nil, nil, false
+		}
+		mask, record = append(mask, string(name)), rest
+	}
+	return mask, record, true
+}
+
+func corpusFile(target, name string) string {
+	return filepath.Join("testdata", "fuzz", target, "seed-"+name)
 }
 
 func corpusEntry(b []byte) []byte {
 	return []byte(fmt.Sprintf("go test fuzz v1\n[]byte(%q)\n", b))
 }
 
-// TestFuzzCorpusIsCurrent pins the committed seed corpus to the encoder: a
+// TestFuzzCorpusIsCurrent pins the committed seed corpora to the encoders: a
 // format change fails here until the seeds are regenerated on purpose
 // (go test ./internal/object -run TestFuzzCorpusIsCurrent -update-corpus).
 func TestFuzzCorpusIsCurrent(t *testing.T) {
+	seeds := map[string][]byte{}
 	for name, o := range sampleObjects() {
-		want := corpusEntry(encode(t, o))
+		seeds[corpusFile("FuzzDecodeObject", name)] = encode(t, o)
+	}
+	for name, b := range sampleMasked() {
+		seeds[corpusFile("FuzzDecodeMasked", name)] = b
+	}
+	for file, b := range seeds {
+		want := corpusEntry(b)
 		if *updateCorpus {
-			if err := os.MkdirAll(filepath.Dir(corpusFile(name)), 0o755); err != nil {
+			if err := os.MkdirAll(filepath.Dir(file), 0o755); err != nil {
 				t.Fatal(err)
 			}
-			if err := os.WriteFile(corpusFile(name), want, 0o644); err != nil {
+			if err := os.WriteFile(file, want, 0o644); err != nil {
 				t.Fatal(err)
 			}
 			continue
 		}
-		got, err := os.ReadFile(corpusFile(name))
+		got, err := os.ReadFile(file)
 		if err != nil {
 			t.Fatalf("%v (run with -update-corpus)", err)
 		}
 		if !bytes.Equal(got, want) {
-			t.Errorf("%s: seed no longer matches the encoder's output", corpusFile(name))
+			t.Errorf("%s: seed no longer matches the encoder's output", file)
 		}
+	}
+}
+
+// boundedDecode runs decode, which reads n input bytes, and fails t if it
+// allocates more than perByte bytes for each of them, plus a few KiB. The
+// counter is the process's, and a fuzz worker's own goroutines allocate a few
+// KiB now and then: a reading over the limit is taken again, and decoding —
+// which repeats exactly — is charged the least.
+func boundedDecode(t *testing.T, n, perByte int, decode func()) {
+	t.Helper()
+	measure := func() uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		decode()
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	got, limit := measure(), uint64(perByte*n+4096)
+	for again := 0; got > limit && again < 3; again++ {
+		got = min(got, measure())
+	}
+	if got > limit {
+		t.Fatalf("decoding %d bytes allocated %d (limit %d)", n, got, limit)
 	}
 }
 
@@ -402,25 +502,9 @@ func FuzzDecodeObject(f *testing.F) {
 			o   *Object
 			err error
 		)
-		decode := func() uint64 {
-			var before, after runtime.MemStats
-			runtime.ReadMemStats(&before)
-			o, _, err = DecodeObject(data, &Interner{})
-			runtime.ReadMemStats(&after)
-			return after.TotalAlloc - before.TotalAlloc
-		}
 		// An attribute entry is 56 bytes from at least 3 of input; a list
-		// element 40 from 9. The counter is the process's, and a fuzz worker's
-		// own goroutines allocate a few KiB now and then: a reading over the
-		// limit is taken again, and decoding — which repeats exactly — is
-		// charged the least.
-		got, limit := decode(), uint64(32*len(data)+4096)
-		for again := 0; got > limit && again < 3; again++ {
-			got = min(got, decode())
-		}
-		if got > limit {
-			t.Fatalf("decoding %d bytes allocated %d (limit %d)", len(data), got, limit)
-		}
+		// element 40 from 9.
+		boundedDecode(t, len(data), 32, func() { o, _, err = DecodeObject(data, &Interner{}) })
 		if err != nil {
 			return
 		}
@@ -458,6 +542,45 @@ func FuzzDecodeObject(f *testing.F) {
 			}
 		}
 		checkProjection(t, o, mask)
+	})
+}
+
+// FuzzDecodeMasked: a masked record, read through its mask into a slab,
+// never panics, never allocates more than a constant multiple of its input,
+// and whatever decodes re-encodes to bytes that decode to the same object
+// (and re-encode to the same bytes).
+func FuzzDecodeMasked(f *testing.F) {
+	for _, b := range sampleMasked() {
+		f.Add(b)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		mask, record, ok := splitMasked(data)
+		if !ok {
+			return
+		}
+		var (
+			o   *Object
+			err error
+		)
+		// The slab's chunks are sized from the bytes that remain: 76 per
+		// Object (64 in a chunk the allocator rounds up by a sixth) from a
+		// record of at least one byte, an empty LOid through an empty mask;
+		// or 38 per Object from two and 28 per entry from its two-byte value.
+		boundedDecode(t, len(data), 80, func() { o, _, err = new(Slab).DecodeMasked(record, "C", mask) })
+		if err != nil {
+			return
+		}
+		again, err := AppendMasked(nil, o, mask)
+		if err != nil {
+			t.Fatalf("decoded object does not re-encode: %v", err)
+		}
+		o2, rest, err := (*Slab)(nil).DecodeMasked(again, "C", mask)
+		if err != nil || len(rest) != 0 || !reflect.DeepEqual(o, o2) {
+			t.Fatalf("re-encoded bytes decode to %v (%v, %d left), want %v", o2, err, len(rest), o)
+		}
+		if third, _ := AppendMasked(nil, o2, mask); !bytes.Equal(again, third) {
+			t.Fatalf("encoding is not a fixed point:\n%x\n%x", again, third)
+		}
 	})
 }
 
@@ -502,11 +625,11 @@ func BenchmarkObject(b *testing.B) {
 			sinkObject = m
 		}
 	})
-	b.Run("AppendProjected", func(b *testing.B) {
+	b.Run("AppendMasked", func(b *testing.B) {
 		var buf []byte
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			buf, _ = AppendProjected(buf[:0], o, proj)
+			buf, _ = AppendMasked(buf[:0], o, proj)
 		}
 	})
 	b.Run("New", func(b *testing.B) {
@@ -518,13 +641,13 @@ func BenchmarkObject(b *testing.B) {
 }
 
 // TestObjectAllocationCeilings: reading an object — an attribute, its sizes,
-// its projected record into a buffer that has the room — allocates nothing.
+// its masked record into a buffer that has the room — allocates nothing.
 func TestObjectAllocationCeilings(t *testing.T) {
 	o := sampleObjects()["table2"]
 	proj := []string{"next", "p0", "p1"}
 	buf := make([]byte, 0, 256)
-	if n := testing.AllocsPerRun(100, func() { buf, _ = AppendProjected(buf[:0], o, proj) }); n != 0 {
-		t.Errorf("AppendProjected: %v allocs, want 0", n)
+	if n := testing.AllocsPerRun(100, func() { buf, _ = AppendMasked(buf[:0], o, proj) }); n != 0 {
+		t.Errorf("AppendMasked: %v allocs, want 0", n)
 	}
 	if n := testing.AllocsPerRun(100, func() { sinkValue = o.Attr("p1") }); n != 0 {
 		t.Errorf("Attr: %v allocs, want 0", n)

@@ -4,9 +4,9 @@ import "strings"
 
 // Slab hands out the Objects of one batch — the records of a decoded reply,
 // the merged objects of a materialized view — their attribute entries and,
-// for decoded records, the text of their LOids from shared chunks, so that a
-// batch of thousands costs a handful of allocations instead of three per
-// object. The objects are ordinary: they outlive the Slab value, and a chunk
+// for decoded records, the text of their LOids and of their string and
+// reference values from shared chunks, so that a batch of thousands costs a
+// handful of allocations instead of three or four per object. The objects are ordinary: they outlive the Slab value, and a chunk
 // is freed when the last object cut from it is. That is also the price: one
 // retained object retains its chunks, so a slab suits objects that live and
 // die together.

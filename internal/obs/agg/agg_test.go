@@ -309,7 +309,7 @@ func TestClusterHandlers(t *testing.T) {
 	if roll.Fed.SitesTotal != 1 || roll.Sites[0].Site != "G" {
 		t.Errorf("rollup = %+v", roll)
 	}
-	// The text body is the document's own text form (cmd/hetops pins it).
+	// The text body is the document's own text form.
 	if code, body := get("/cluster"); code != 200 || body != roll.Text() {
 		t.Errorf("/cluster text: %d %q, want %q", code, body, roll.Text())
 	}

@@ -293,9 +293,8 @@ func TestClusterObservabilityE2E(t *testing.T) {
 		t.Errorf("post-restart window went negative: %+v", row.Window)
 	}
 
-	// The combined dashboard document round-trips: fetch the three
-	// endpoints the way hetops -once -json does, re-marshal, re-parse —
-	// identical structures.
+	// The three endpoints' JSON forms round-trip as one document: fetch
+	// them, re-marshal, re-parse — identical structures.
 	type snapshot struct {
 		Cluster agg.Rollup         `json:"cluster"`
 		Alerts  []slo.Alert        `json:"alerts"`

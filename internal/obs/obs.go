@@ -92,7 +92,7 @@ func PrefixHealth(prefix string, src Health) Health {
 
 // WriteJSON answers a request with v as one line of JSON — the form of every
 // JSON body on the surface, the cluster endpoints' included: they are read by
-// decoders (the scraper, hetops, chrome://tracing) and by grep on /healthz;
+// decoders (the scraper, chrome://tracing) and by grep on /healthz;
 // what an operator reads has a text form.
 func WriteJSON(w http.ResponseWriter, v any) {
 	data, err := json.Marshal(v)

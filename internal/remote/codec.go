@@ -16,7 +16,7 @@ import (
 	"github.com/hetfed/hetfed/internal/tvl"
 )
 
-// The wire codec, protocol version 3: a hand-rolled binary encoding of Request
+// The wire codec, protocol version 4: a hand-rolled binary encoding of Request
 // and Response and everything they carry. A frame's payload (frame.go) is
 // exactly one message.
 //
@@ -31,12 +31,18 @@ import (
 //	                  attribute, algorithm and span names repeat thousands
 //	                  of times in one reply and are allocated once
 //	value             len:uvarint bytes[len], bytes = object.Value.AppendBinary
-//	object            object.AppendObject — the record the WAL logs. In a
-//	                  retrieve reply the record is written through a mask
-//	                  (object.AppendProjected): the stored object restricted
-//	                  to the class's Attrs, the same bytes as the record of a
-//	                  restricted copy, which is never built. The decoder cuts
-//	                  a reply's objects and their entries from slabs.
+//	object            object.AppendObject — the named record the WAL logs:
+//	                  class, LOid, then each attribute's name and value
+//	masked            object.AppendMasked — a retrieve list's record:
+//	                  LOid:str present:u8[⌈len(Attrs)/8⌉] value*, bit j
+//	                  meaning Attrs[j] is present, values in Attrs order.
+//	                  The list names the class and the attributes once; the
+//	                  stored object is written through the mask, and the
+//	                  decoder cuts a reply's objects, entries, LOids and
+//	                  string and reference payloads from one slab. It refuses
+//	                  Attrs not strictly increasing, a bit past len(Attrs), a
+//	                  present null or zero-kind value, and an object count
+//	                  the bytes left cannot hold at 1 + ⌈len(Attrs)/8⌉ each.
 //	time              u8 0 for the zero time (an open span's End), else
 //	                  u8 1 then UnixNano:u64
 //	[]T               count:uvarint then count elements; the decoder checks
@@ -72,7 +78,7 @@ import (
 //	RepairReply    Bindings:[]Binding Applied:varint Conflicts:varint
 //	Binding        GOid:str Site:name LOid:str
 //	Retrieve       Site:name Classes:[]{GlobalClass:name Attrs:[]name
-//	               Objects:[]object}
+//	               Class:name Objects:[]masked}
 //	Local          Result:{Site:name Rows:[]LocalRow SigVerdicts:[]Verdict}
 //	               CheckReplies:[]CheckReply Unavailable:[]{Site:name Reason:str}
 //	LocalRow       LOid:str GOid:str Targets:[]value Verdicts:[]u8
@@ -284,13 +290,28 @@ func (r *reader) value() object.Value {
 	return v
 }
 
-// object reads one record; the Object and its entries are cut from slab (nil:
-// allocated on their own, for an object that will outlive the message).
-func (r *reader) object(slab *object.Slab) *object.Object {
+// object reads one named record into an object with allocations of its own,
+// for an object that will outlive the message.
+func (r *reader) object() *object.Object {
 	if r.err != nil {
 		return nil
 	}
-	o, rest, err := slab.Decode(r.b, &r.names)
+	o, rest, err := object.DecodeObject(r.b, &r.names)
+	if err != nil {
+		r.fail(err.Error())
+		return nil
+	}
+	r.b = rest
+	return o
+}
+
+// masked reads one masked record of class through mask, cut from the
+// frame's slab.
+func (r *reader) masked(class string, mask []string) *object.Object {
+	if r.err != nil {
+		return nil
+	}
+	o, rest, err := r.slab.DecodeMasked(r.b, class, mask)
 	if err != nil {
 		r.fail(err.Error())
 		return nil
@@ -356,7 +377,6 @@ const (
 	minCheckItem    = 3
 	minBinding      = 3
 	minDigest       = 1 + 1 + 8*antientropy.Buckets
-	minObject       = 3
 	minClassObjects = 3
 	minVerdict      = 4
 	minCheckReply   = 2
@@ -529,26 +549,49 @@ func (r *reader) checkReply(cr *federation.CheckReply) {
 	cr.Verdicts = listOf(r, minVerdict, (*reader).verdict)
 }
 
+// classObjects writes a retrieve list: the global class, the mask and the
+// constituent's local class once, then each object's masked record. A list
+// is one extent, so its objects are of one class; a list that is not is
+// refused.
 func (w *frameBuf) classObjects(co *federation.ClassObjects) {
 	w.str(co.GlobalClass)
 	w.strs(co.Attrs)
+	class := ""
+	if len(co.Objects) > 0 {
+		class = co.Objects[0].Class
+	}
+	w.str(class)
 	w.uvarint(uint64(len(co.Objects)))
 	for _, o := range co.Objects {
-		w.keep(object.AppendProjected(w.b, o, co.Attrs))
+		if o.Class != class {
+			w.keep(nil, fmt.Errorf("remote: encode %s's list: objects of classes %s and %s", co.GlobalClass, class, o.Class))
+			return
+		}
+		w.keep(object.AppendMasked(w.b, o, co.Attrs))
 	}
 }
 
 func (r *reader) classObjects(co *federation.ClassObjects) {
 	co.GlobalClass = r.name()
 	co.Attrs = r.nameList()
+	for i := 1; i < len(co.Attrs); i++ {
+		if co.Attrs[i-1] >= co.Attrs[i] {
+			r.fail("retrieve attributes out of order")
+		}
+	}
+	class := r.name()
 	co.Owned = true // cut from this frame's slab, held by nobody else
-	if n := r.count(minObject); n > 0 {
+	if n := r.count(minMasked(len(co.Attrs))); n > 0 {
 		co.Objects = make([]*object.Object, n)
 		for i := range co.Objects {
-			co.Objects[i] = r.object(&r.slab)
+			co.Objects[i] = r.masked(class, co.Attrs)
 		}
 	}
 }
+
+// minMasked is the least encoded size of a masked record through a mask of
+// width names: an empty LOid and the presence bitmap.
+func minMasked(width int) int { return 1 + (width+7)/8 }
 
 func (w *frameBuf) unsolved(u *federation.UnsolvedItem) {
 	w.str(string(u.ItemGOid))
@@ -689,7 +732,7 @@ func decodeRequest(b []byte) (Request, error) {
 	req.Mode = r.str()
 	r.checkItems(&req.Items)
 	if r.bool() {
-		req.Store = r.object(nil)
+		req.Store = r.object()
 	}
 	if r.bool() {
 		req.Bind = &antientropy.Delta{

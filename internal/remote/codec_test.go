@@ -319,6 +319,71 @@ func TestDecodeRejectsMalformed(t *testing.T) {
 	}
 }
 
+// TestDecodeRefusesMalformedRetrieveLists: a retrieve list has one
+// encoding, and everything else in its place is malformed — as is a list
+// whose objects are of more than one class, at the encoder.
+func TestDecodeRefusesMalformedRetrieveLists(t *testing.T) {
+	value := func(v object.Value) []byte {
+		b, err := object.AppendValue(nil, v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	raw := func(b ...byte) []byte { return append([]byte{byte(len(b))}, b...) }
+	record := func(present []byte, values ...[]byte) []byte {
+		b := append([]byte{1, 'x'}, present...)
+		for _, v := range values {
+			b = append(b, v...)
+		}
+		return b
+	}
+	one, str := value(object.Int(1)), value(object.Str("s"))
+	for _, c := range []struct {
+		name    string
+		attrs   []string
+		n       uint64
+		records []byte
+		ok      bool
+	}{
+		{"well formed", []string{"a", "b"}, 1, record([]byte{0b11}, one, str), true},
+		{"nothing present", []string{"a", "b"}, 2, append(record([]byte{0}), record([]byte{0b10}, str)...), true},
+		{"attributes out of order", []string{"b", "a"}, 0, nil, false},
+		{"attribute repeated", []string{"a", "a"}, 0, nil, false},
+		{"bit past the attributes", []string{"a"}, 1, record([]byte{0b11}, one, one), false},
+		{"bit past nine attributes", []string{"a", "b", "c", "d", "e", "f", "g", "h", "i"}, 1, record([]byte{0, 0b10}, one), false},
+		{"null marked present", []string{"a"}, 1, record([]byte{1}, value(object.Null())), false},
+		{"zero kind marked present", []string{"a"}, 1, record([]byte{1}, value(object.Value{})), false},
+		{"count over the bytes left", []string{"a"}, 1000, record([]byte{1}, one), false},
+		{"value missing", []string{"a", "b"}, 1, record([]byte{0b11}, one), false},
+		{"non-canonical bool", []string{"a"}, 1, record([]byte{1}, raw(byte(object.KindBool), 2, 0, 0, 0, 0, 0, 0, 0)), false},
+		{"invalid kind", []string{"a"}, 1, record([]byte{1}, raw(99)), false},
+	} {
+		var w frameBuf
+		w.str("")    // Err
+		w.str("DB1") // Retrieve.Site
+		w.uvarint(1) // one list
+		w.str("Student")
+		w.strs(c.attrs)
+		w.str("Student")
+		w.uvarint(c.n)
+		w.b = append(w.b, c.records...)
+		w.b = append(w.b, encodeResponse(t, Response{})[3:]...) // an empty response past its retrieve reply
+		_, err := decodeResponse(w.b)
+		if c.ok && err != nil || !c.ok && !errors.Is(err, errMalformed) {
+			t.Errorf("%s: err = %v, want ok = %v or %v", c.name, err, c.ok, errMalformed)
+		}
+	}
+
+	mixed := Response{Retrieve: federation.RetrieveReply{Site: "DB1", Classes: []federation.ClassObjects{
+		{GlobalClass: "Person", Attrs: []string{"name"}, Objects: []*object.Object{sampleStudent, object.New("t1", "Teacher", nil)}},
+	}}}
+	var w frameBuf
+	if w.response(&mixed); w.err == nil {
+		t.Error("a list of Students and Teachers encoded")
+	}
+}
+
 // checkRequestWithRefs hand-encodes a check request whose i-th item carries
 // point reference refs[i], followed by a point body wherever the reference
 // is the next definition.
@@ -351,13 +416,18 @@ func checkRequestWithRefs(refs []uint64) []byte {
 
 // TestVersionOneFrameRefusedAtHeader: protocol version 1 spelled every
 // check item's predicate out; a peer still speaking it is turned away from
-// the five header bytes, before any of its payload is read as version 3.
+// the five header bytes, before any of its payload is read as version 4.
 func TestVersionOneFrameRefusedAtHeader(t *testing.T) { refusedAtHeader(t, 1) }
 
 // TestVersionTwoFrameRefusedAtHeader: version 2 carried a batch list in every
-// request and a batch-reply list in every response; read as version 3 its
+// request and a batch-reply list in every response; read as version 4 its
 // fields would be off by one from there on.
 func TestVersionTwoFrameRefusedAtHeader(t *testing.T) { refusedAtHeader(t, 2) }
+
+// TestVersionThreeFrameRefusedAtHeader: version 3 shipped a retrieve list's
+// objects as named records; read as version 4 a record's class would be
+// taken for its LOid.
+func TestVersionThreeFrameRefusedAtHeader(t *testing.T) { refusedAtHeader(t, 3) }
 
 func refusedAtHeader(t *testing.T, version byte) {
 	out := newFrame()
@@ -369,8 +439,8 @@ func refusedAtHeader(t *testing.T, version byte) {
 		t.Fatal(err)
 	}
 	frame := sent.Bytes()
-	if frame[4] != 3 || protocolVersion != 3 {
-		t.Fatalf("frames carry version %d (constant %d), want 3", frame[4], protocolVersion)
+	if frame[4] != 4 || protocolVersion != 4 {
+		t.Fatalf("frames carry version %d (constant %d), want 4", frame[4], protocolVersion)
 	}
 	frame[4] = version
 	// Only the header is there to read: a reader that wanted payload bytes
@@ -394,10 +464,16 @@ func allocatedBy(fn func()) uint64 {
 	return after.TotalAlloc - before.TotalAlloc
 }
 
-// decodeAllocFactor bounds what decoding may allocate per input byte: the
-// widest element per encoded byte is a []string entry (16 bytes from a
-// one-byte empty string).
-const decodeAllocFactor = 32
+// Decoding may allocate at most a constant multiple of its input. A
+// request's widest element per encoded byte is a []string entry (16 bytes
+// from a one-byte empty string). A response's is a retrieve list's object,
+// from a one-byte masked record (an empty LOid through an empty mask): a
+// 64-byte Object in a slab chunk the allocator rounds up by a sixth, 76
+// bytes, and its 8-byte pointer.
+const (
+	requestAllocFactor  = 32
+	responseAllocFactor = 88
+)
 
 // TestDecodeDoesNotTrustCounts: a count prefix claiming a billion elements
 // in a dozen bytes is refused before anything is sized by it.
@@ -450,8 +526,23 @@ func TestDecodeDoesNotTrustCounts(t *testing.T) {
 		if _, err := decodeRequest(allDefine); err != nil {
 			t.Errorf("one point per item: %v", err)
 		}
-	}), uint64(decodeAllocFactor*len(allDefine)); got > limit {
+	}), uint64(requestAllocFactor*len(allDefine)); got > limit {
 		t.Errorf("decoding %d items with a point each allocated %d bytes (limit %d)", len(refs), got, limit)
+	}
+
+	// The densest legitimate retrieve list: empty records through no mask.
+	empty := make([]*object.Object, 20000)
+	for i := range empty {
+		empty[i] = object.New("", "C", nil)
+	}
+	var dense frameBuf
+	dense.response(&Response{Retrieve: federation.RetrieveReply{Classes: []federation.ClassObjects{{GlobalClass: "C", Objects: empty}}}})
+	if got, limit := allocatedBy(func() {
+		if _, err := decodeResponse(dense.b); err != nil {
+			t.Errorf("20 000 empty records: %v", err)
+		}
+	}), uint64(responseAllocFactor*len(dense.b)); got > limit {
+		t.Errorf("decoding 20 000 empty records allocated %d bytes (limit %d)", got, limit)
 	}
 
 	// A count the input could hold, over elements that are garbage: the
@@ -460,13 +551,14 @@ func TestDecodeDoesNotTrustCounts(t *testing.T) {
 	rw.uvarint(1) // one class
 	rw.str("C")   // GlobalClass
 	rw.uvarint(0) // no Attrs
+	rw.str("C")   // Class
 	rw.uvarint(n) // Objects
-	garbage := append(rw.b, bytes.Repeat([]byte{0xFF}, n*minObject)...)
+	garbage := append(rw.b, bytes.Repeat([]byte{0xFF}, n*minMasked(0))...)
 	if got, limit := allocatedBy(func() {
 		if _, err := decodeResponse(garbage); err == nil {
 			t.Error("garbage objects accepted")
 		}
-	}), uint64(decodeAllocFactor*len(garbage)); got > limit {
+	}), uint64(responseAllocFactor*len(garbage)); got > limit {
 		t.Errorf("failing on %d garbage objects allocated %d bytes (limit %d)", n, got, limit)
 	}
 }
@@ -510,16 +602,16 @@ func TestFuzzCorpusIsCurrent(t *testing.T) {
 }
 
 // fuzzDecode is the property both message fuzz targets check: decoding never
-// panics, never allocates more than a constant multiple of the input, and an
+// panics, never allocates more than perByte times the input, and an
 // input that decodes re-encodes to bytes that decode to the same message —
 // checked as a fixed point of the bytes, which holds for NaN literals too.
-func fuzzDecode[M any](t *testing.T, data []byte, decode func([]byte) (M, error), encode func(testing.TB, M) []byte) {
+func fuzzDecode[M any](t *testing.T, data []byte, perByte int, decode func([]byte) (M, error), encode func(testing.TB, M) []byte) {
 	var (
 		m   M
 		err error
 	)
 	got := allocatedBy(func() { m, err = decode(data) })
-	if limit := uint64(decodeAllocFactor*len(data) + 8192); got > limit {
+	if limit := uint64(perByte*len(data) + 8192); got > limit {
 		t.Fatalf("decoding %d bytes allocated %d (limit %d)", len(data), got, limit)
 	}
 	if err != nil {
@@ -539,14 +631,16 @@ func FuzzDecodeRequest(f *testing.F) {
 	for _, req := range sampleRequests() {
 		f.Add(encodeRequest(f, req))
 	}
-	f.Fuzz(func(t *testing.T, data []byte) { fuzzDecode(t, data, decodeRequest, encodeRequest) })
+	f.Fuzz(func(t *testing.T, data []byte) { fuzzDecode(t, data, requestAllocFactor, decodeRequest, encodeRequest) })
 }
 
 func FuzzDecodeResponse(f *testing.F) {
 	for _, resp := range sampleResponses() {
 		f.Add(encodeResponse(f, resp))
 	}
-	f.Fuzz(func(t *testing.T, data []byte) { fuzzDecode(t, data, decodeResponse, encodeResponse) })
+	f.Fuzz(func(t *testing.T, data []byte) {
+		fuzzDecode(t, data, responseAllocFactor, decodeResponse, encodeResponse)
+	})
 }
 
 // table2Site returns the DB1 site of the table2_scan federation with the
@@ -670,13 +764,14 @@ func sendResponse(tb testing.TB, resp *Response) {
 	}
 }
 
-// TestCodecAllocationCeilings gates the two properties the codec exists
-// for: encoding into a warm pooled buffer allocates nothing — the retrieve
-// reply included, whose records are written through a mask from stored
-// objects — and decoding the table2 retrieve reply, the message the
-// centralized approach lives on, costs at most 1.6 allocations per object:
-// its reference values, and a share of the slabs its Object, its entries and
-// its LOid are cut from (names are interned).
+// TestCodecAllocationCeilings gates the properties the codec exists for:
+// encoding into a warm pooled buffer allocates nothing — the retrieve reply
+// included, whose records are written through a mask from stored objects —
+// and the table2 retrieve reply, the message the centralized approach lives
+// on, names its class and attributes once per list: it encodes to at most
+// 62 000 bytes and decodes at no more than 0.1 allocations per object, a
+// share of the slabs its Objects, entries, LOids and reference and string
+// payloads are cut from.
 func TestCodecAllocationCeilings(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts mean nothing under the race detector")
@@ -695,14 +790,18 @@ func TestCodecAllocationCeilings(t *testing.T) {
 		}
 	}
 	payload := encodeResponse(t, resps["retrieve_table2"])
+	// Measured: 55 910 bytes (named records, protocol version 3: 78 726).
+	if len(payload) > 62_000 {
+		t.Errorf("encode retrieve_table2: %d bytes for %d objects, want <= 62000", len(payload), retrieved)
+	}
 	n := testing.AllocsPerRun(5, func() {
 		if _, err := decodeResponse(payload); err != nil {
 			t.Fatal(err)
 		}
 	})
-	// Measured: 0.63 (PR 15's commit: 3.6).
-	if perObject := n / float64(retrieved); perObject > 1.6 {
-		t.Errorf("decode retrieve_table2: %.0f allocs for %d objects = %.2f per object, want <= 1.6", n, retrieved, perObject)
+	// Measured: 0.04 (named records: 0.63).
+	if perObject := n / float64(retrieved); perObject > 0.1 {
+		t.Errorf("decode retrieve_table2: %.0f allocs for %d objects = %.2f per object, want <= 0.1", n, retrieved, perObject)
 	} else {
 		t.Logf("decode retrieve_table2: %.2f allocs per object (%d objects, %d bytes)", perObject, retrieved, len(payload))
 	}

@@ -140,8 +140,8 @@ func (c *Coordinator) BreakerStates() map[object.SiteID]string {
 // use over Tables, its digests seeded from what they hold and — with a
 // DeltaLog — every binding appended to the log before it is applied. It takes
 // c.mu.RLock on first use, so callers must NOT hold c.mu. Its Health(),
-// prefixed "antientropy", is the /healthz condition hetops reads the repair
-// column from.
+// prefixed "antientropy", is the /healthz condition the cluster rollup reads
+// the repair column from.
 func (c *Coordinator) Replica() *antientropy.Replica {
 	c.repMu.Lock()
 	defer c.repMu.Unlock()

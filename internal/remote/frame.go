@@ -24,7 +24,7 @@ const (
 	// protocolVersion is the version byte of every frame. A peer speaking
 	// another version is refused at the header, before its payload is
 	// interpreted as something it is not.
-	protocolVersion = 3
+	protocolVersion = 4
 
 	// frameHeaderSize is the fixed prefix of every frame.
 	frameHeaderSize = 5

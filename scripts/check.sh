@@ -205,8 +205,8 @@ if grep -rnE 'expvar|EvaluateSLO|bench\.SLO|trace\.Event\b|profileSummaries' \
 fi
 want_one 'io.LimitReader under internal/obs' \
     "$(grep -rl 'io\.LimitReader' --include='*.go' --exclude='*_test.go' internal/obs || true)"
-if grep -rn 'io\.LimitReader' --include='*.go' --exclude='*_test.go' internal/metrics cmd/hetops; then
-    echo "internal/metrics or cmd/hetops reads an HTTP body itself; fetch through obs.FetchJSON" >&2
+if grep -rn 'io\.LimitReader' --include='*.go' --exclude='*_test.go' internal/metrics; then
+    echo "internal/metrics reads an HTTP body itself; fetch through obs.FetchJSON" >&2
     guard_failed=1
 fi
 # One strategy chooser (DESIGN.md section 11, EXPERIMENTS.md E28): catalog →
@@ -341,6 +341,21 @@ if grep -n 'WithPhases(' internal/remote/*.go | grep -v '_test\.go:'; then
     echo "internal/remote tags phases; only exec's steps carry them (see EXPERIMENTS.md E38)" >&2
     guard_failed=1
 fi
+# A retrieve list names its class and attributes once (EXPERIMENTS.md E39):
+# its objects travel as masked records, written in internal/remote's codec
+# alone, and the named record written through a mask stays gone, in tests or
+# otherwise.
+if grep -rnw 'AppendProjected' --include='*.go' --exclude-dir=.bench_build .; then
+    echo "AppendProjected is back; a retrieve list ships masked records (see EXPERIMENTS.md E39)" >&2
+    guard_failed=1
+fi
+masked=$(grep -rn 'AppendMasked(' --include='*.go' --exclude='*_test.go' --exclude-dir=.bench_build . |
+    grep -v 'func AppendMasked(' || true)
+want_one 'AppendMasked( outside tests' "$masked"
+case "$masked" in
+./internal/remote/codec.go:*) ;;
+*) echo "AppendMasked is called outside internal/remote's codec: $masked" >&2; guard_failed=1 ;;
+esac
 [ "$guard_failed" -eq 0 ] || exit 1
 
 # The figure ROADMAP's LOC numbers use, so the next issue quotes it instead
@@ -411,7 +426,7 @@ go test -run - -bench 'BenchmarkGmap' -benchtime 1x ./internal/gmap/
 # accepted snapshot re-encodes to a fixed point.
 echo "== fuzz (10s per target)"
 for target in ./internal/remote:FuzzDecodeRequest ./internal/remote:FuzzDecodeResponse \
-    ./internal/object:FuzzDecodeObject ./internal/fabric:FuzzParseFaults \
+    ./internal/object:FuzzDecodeObject ./internal/object:FuzzDecodeMasked ./internal/fabric:FuzzParseFaults \
     ./internal/query:FuzzParseQuery ./internal/obs/slo:FuzzParseRule \
     ./internal/fedfile:FuzzParseFederation ./internal/store/wal:FuzzScanFrames \
     ./internal/metrics:FuzzDecodeSnapshot; do
