@@ -7,13 +7,13 @@
 // version, seed, spec, cells). Wall-clock speed over TCP is measured by the
 // benchmark/ module (bash benchmark/run.sh), not here.
 //
-// Run a registered topic — smoke, adaptive, strategies, durability, obs,
-// chaos or figures (the paper's Figures 9–11 study) — on its canonical spec
+// Run a registered topic — smoke, adaptive, strategies, durability, chaos or
+// figures (the paper's Figures 9–11 study) — on its canonical spec
 // (internal/bench/topics.go) and gate it (exit 1 on failure): the matrix
 // topics against the committed BENCH_<topic>.json at a 10 % tolerance, the
-// others on their own invariants (WAL write path ≤ 1.25× mem, scraped cluster
-// ≤ 1.05× bare, no certain row contradicting ground truth and convergence in
-// ≤ 5 repair rounds, the shapes the paper claims for its figures):
+// others on their own invariants (WAL write path ≤ 1.25× mem, no certain row
+// contradicting ground truth and convergence in ≤ 5 repair rounds, the
+// shapes the paper claims for its figures):
 //
 //	hetbench run -topic smoke
 //	hetbench run -topic chaos -out BENCH_chaos_ci.json
@@ -37,9 +37,9 @@
 //
 //	hetbench check -old BENCH_smoke.json -new /tmp/BENCH_new.json
 //
-// Answer an SLO question, stated in the rule grammar hetserve -slo alerts
-// on (internal/obs/slo; exit 1 when any cell misses it, naming the limiting
-// rule), by running a matrix or over a stored report:
+// Answer an SLO question, stated in the rule grammar of bench.Rule over the
+// four measures a report keeps (exit 1 when any cell misses it, naming the
+// limiting rule), by running a matrix or over a stored report:
 //
 //	hetbench slo -rules 'query_latency p99 < 50ms; maybe_rows <= 20%' \
 //	    -strategies BL -workloads school -queries 200
@@ -60,7 +60,6 @@ import (
 	"syscall"
 
 	"github.com/hetfed/hetfed/internal/bench"
-	"github.com/hetfed/hetfed/internal/obs/slo"
 	"github.com/hetfed/hetfed/internal/version"
 )
 
@@ -263,19 +262,15 @@ func sloCmd(args []string) error {
 	get := matrixFlags(fs)
 	var (
 		in          = fs.String("in", "", "evaluate an existing report instead of running the matrix")
-		ruleList    = fs.String("rules", "", "objectives every cell must meet, in hetserve -slo's grammar: 'query_latency p99 < 50ms; maybe_rows <= 20%'")
+		ruleList    = fs.String("rules", "", "objectives every cell must meet, '[name:] metric [agg] op value' joined by ';' over query_latency (p50|p95|p99|mean), maybe_rows, degraded_queries and throughput: 'query_latency p99 < 50ms; maybe_rows <= 20%'")
 		allowErrors = fs.Bool("allow-errors", false, "tolerate client errors (default: any error fails)")
 		quiet       = fs.Bool("q", false, "suppress per-cell progress lines")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	rules, err := slo.ParseRules(*ruleList)
+	rules, err := bench.ParseRules(*ruleList)
 	if err != nil {
-		return err
-	}
-	// A rule no report can judge is refused before any cell spends time.
-	if _, err := bench.Judge(bench.CellResult{}, rules, true); err != nil {
 		return err
 	}
 	var report *bench.Report
@@ -291,10 +286,7 @@ func sloCmd(args []string) error {
 	failed := 0
 	cells := report.Results()
 	for _, cell := range cells {
-		v, err := bench.Judge(cell, rules, *allowErrors)
-		if err != nil {
-			return err
-		}
+		v := bench.Judge(cell, rules, *allowErrors)
 		status := "PASS"
 		if !v.Pass {
 			status = "FAIL"

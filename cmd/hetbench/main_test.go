@@ -33,7 +33,7 @@ func inTempDir(t *testing.T) {
 func registered(t *testing.T) []bench.Topic {
 	t.Helper()
 	var topics []bench.Topic
-	for _, name := range []string{"smoke", "adaptive", "strategies", "durability", "obs", "chaos", "figures"} {
+	for _, name := range []string{"smoke", "adaptive", "strategies", "durability", "chaos", "figures"} {
 		topic, err := bench.LookupTopic(name)
 		if err != nil || topic.Name != name {
 			t.Fatalf("LookupTopic(%q) = %+v, %v", name, topic, err)
@@ -190,9 +190,9 @@ func TestCheckAndSLORefuseSelfGatingReports(t *testing.T) {
 }
 
 // TestSLORules: hetbench slo holds a stored report's cells to objectives in
-// hetserve -slo's grammar — pass and fail, the limiting rule named, client
+// bench.Rule's grammar — pass and fail, the limiting rule named, client
 // errors failing a cell unless allowed, and a rule a report cannot answer
-// refused by name before anything is judged.
+// refused by name when it is parsed, before anything is judged.
 func TestSLORules(t *testing.T) {
 	inTempDir(t)
 	write := func(path string, client bench.ClientStats, server bench.ServerStats) {

@@ -27,16 +27,8 @@
 // chrome://tracing or ui.perfetto.dev), and /debug/pprof. -slow-query
 // logs queries at/over the threshold and pins their profiles in the
 // recorder. -trace and -metrics print the coordinator's span tree and
-// metrics snapshot after the query.
-//
-// A coordinator started with -cluster-scrape SITE=HOST:PORT,... also runs
-// the federation aggregator: every listed observability surface (plus the
-// coordinator itself, in process) is polled each -scrape-interval and
-// folded into a rollup over the trailing minute; /cluster,
-// /cluster/queries and /cluster/alerts then serve the federation rollup,
-// the merged slow-query log (deduped by trace ID), and the SLO alert
-// state for rules given with -slo ("query_latency p99 < 50ms over 1m;
-// availability >= 0.67"), each as text or, with ?format=json, as JSON.
+// metrics snapshot after the query. Each process serves only its own
+// surface; nothing polls another's.
 //
 // Outbound calls (both modes) follow remote.DefaultCallConfig — three tries
 // with jittered backoff, four pooled connections per peer, a breaker that
@@ -76,7 +68,6 @@ import (
 	"flag"
 	"fmt"
 	"log/slog"
-	"net/http"
 	"os"
 	"os/signal"
 	"path/filepath"
@@ -90,8 +81,6 @@ import (
 	"github.com/hetfed/hetfed/internal/metrics"
 	"github.com/hetfed/hetfed/internal/object"
 	"github.com/hetfed/hetfed/internal/obs"
-	"github.com/hetfed/hetfed/internal/obs/agg"
-	"github.com/hetfed/hetfed/internal/obs/slo"
 	"github.com/hetfed/hetfed/internal/planner"
 	"github.com/hetfed/hetfed/internal/remote"
 	"github.com/hetfed/hetfed/internal/school"
@@ -110,9 +99,9 @@ func main() {
 
 // cmdline is the parsed command line. A flag that configures a library value
 // is bound (parse) straight into the field of that value — the server's or
-// coordinator's call policy, the WAL's, recorder's and scraper's
-// options — so an option is declared once, by its flag, and documented by the
-// field it sets. The plain fields are what hetserve itself acts on.
+// coordinator's call policy, the WAL's and the recorder's options — so an
+// option is declared once, by its flag, and documented by the field it sets.
+// The plain fields are what hetserve itself acts on.
 type cmdline struct {
 	site, listen            string
 	coordinator             bool
@@ -120,13 +109,11 @@ type cmdline struct {
 	query, alg              string
 	trace, metrics, version bool
 	fault                   string
-	clusterScrape, sloRules string
 	deadline, antiEntropy   time.Duration
 
 	call     remote.CallConfig // both modes' outbound policy
 	wal      wal.Options       // Dir holds the -data-dir root
 	recorder obs.RecorderConfig
-	scrape   agg.Config
 }
 
 func (c *cmdline) parse(args []string) error {
@@ -154,17 +141,13 @@ func (c *cmdline) parse(args []string) error {
 
 	fs.DurationVar(&c.recorder.SlowThreshold, "slow-query", 0, "log queries at/over this latency and always retain their profiles in the flight recorder (0 = percentile-based tail retention only)")
 
-	fs.StringVar(&c.clusterScrape, "cluster-scrape", "", "coordinator: poll these obs surfaces (SITE=HOST:PORT,...) into a federation rollup served at /cluster, /cluster/queries and /cluster/alerts on -metrics-addr; the coordinator observes itself in process as site G")
-	fs.DurationVar(&c.scrape.Interval, "scrape-interval", 2*time.Second, "polling interval for -cluster-scrape")
-	fs.StringVar(&c.sloRules, "slo", "", "semicolon-separated SLO rules evaluated against the cluster rollup after every scrape (e.g. 'query_latency p99 < 50ms over 1m; availability >= 0.67'); requires -cluster-scrape")
-
 	fs.StringVar(&c.wal.Dir, "data-dir", "", "durable storage root: state is recovered from <data-dir>/<site> on boot (WAL+snapshot) and every mutation is logged; empty = in-memory only")
 	fs.BoolVar(&c.wal.Fsync, "fsync", false, "with -data-dir, fsync the WAL after every append (each acked write survives power loss; off = buffered, a crash loses only the unsynced tail)")
 	return fs.Parse(args)
 }
 
 // validate refuses flag combinations that cannot mean what was asked. It runs
-// before any listener, WAL directory or scraper exists, so a refused command
+// before any listener or WAL directory exists, so a refused command
 // line leaves nothing behind.
 func (c *cmdline) validate() error {
 	switch {
@@ -172,10 +155,6 @@ func (c *cmdline) validate() error {
 		return fmt.Errorf("-site and -coordinator are two processes; pass one")
 	case !c.coordinator && c.site == "":
 		return fmt.Errorf("pass -site NAME or -coordinator")
-	case c.clusterScrape != "" && c.metricsAddr == "":
-		return fmt.Errorf("-cluster-scrape serves /cluster on the observability surface; pass -metrics-addr too")
-	case c.sloRules != "" && c.clusterScrape == "":
-		return fmt.Errorf("-slo judges the cluster rollup; pass -cluster-scrape too")
 	case c.wal.Dir == "" && c.wal.Fsync:
 		return fmt.Errorf("-fsync tunes the durable store; pass -data-dir too")
 	}
@@ -266,37 +245,6 @@ func breakerHealth(states func() map[object.SiteID]string) obs.Health {
 	}
 }
 
-// mergeHealth folds several health sources into one conditions map — the
-// aggregator's local self-target view of what /healthz would report.
-func mergeHealth(srcs []obs.Health) func() map[string]string {
-	return func() map[string]string {
-		out := make(map[string]string)
-		for _, src := range srcs {
-			for k, v := range src() {
-				out[k] = v
-			}
-		}
-		return out
-	}
-}
-
-// parseScrapeTargets parses the -cluster-scrape flag: SITE=HOST:PORT (or
-// SITE=http://...) pairs naming each site's observability surface.
-func parseScrapeTargets(s string) ([]agg.Target, error) {
-	var out []agg.Target
-	for _, pair := range strings.Split(s, ",") {
-		name, addr, ok := strings.Cut(strings.TrimSpace(pair), "=")
-		if !ok || name == "" || addr == "" {
-			return nil, fmt.Errorf("bad -cluster-scrape entry %q (want SITE=HOST:PORT)", pair)
-		}
-		if !strings.Contains(addr, "://") {
-			addr = "http://" + addr
-		}
-		out = append(out, agg.Target{Site: name, URL: strings.TrimSuffix(addr, "/")})
-	}
-	return out, nil
-}
-
 // instruments gives a process — a site, or the coordinator "G" — the
 // instruments the command line asks for: a metrics registry and the flight
 // recorder, and — with -data-dir, nil without — the WAL options for the
@@ -368,16 +316,14 @@ func (rt *siteRuntime) serve(c *cmdline, log *slog.Logger) error {
 	}
 	if c.metricsAddr != "" {
 		// The divergence tracker reports on /healthz ("antientropy:state" →
-		// "ok(round=N, repaired=NB)" or "suspect(C1,C2) …") so the cluster
-		// rollup shows each replica's repair state.
+		// "ok(round=N, repaired=NB)" or "suspect(C1,C2) …").
 		health := []obs.Health{
 			breakerHealth(rt.Server.BreakerStates),
 			obs.PrefixHealth("antientropy", rt.Server.Replica().Health),
 		}
 		if rt.Engine != nil {
 			// Durable sites surface their storage engine on /healthz
-			// ("wal:engine" → "ok(seq=N)") so the cluster rollup shows WAL
-			// state per site.
+			// ("wal:engine" → "ok(seq=N)").
 			health = append(health, obs.PrefixHealth("wal", rt.Engine.Health))
 		}
 		o, err := obs.Serve(c.metricsAddr, site, rt.Metrics, rt.Recorder, health...)
@@ -408,18 +354,6 @@ func runCoordinator(fed *fedfile.Federation, peers map[object.SiteID]string, c *
 	alg, err := exec.ParseAlgorithm(c.alg)
 	if err != nil {
 		return err
-	}
-	var targets []agg.Target
-	if c.clusterScrape != "" {
-		if targets, err = parseScrapeTargets(c.clusterScrape); err != nil {
-			return err
-		}
-	}
-	var rules []slo.Rule
-	if c.sloRules != "" {
-		if rules, err = slo.ParseRules(c.sloRules); err != nil {
-			return err
-		}
 	}
 	// A partition drill from the global site's side: the plan sits on the
 	// coordinator's outbound calls.
@@ -482,45 +416,7 @@ func runCoordinator(fed *fedfile.Federation, peers map[object.SiteID]string, c *
 	if deltaLog != nil {
 		healthSrcs = append(healthSrcs, obs.PrefixHealth("wal", deltaLog.Health))
 	}
-	switch {
-	case targets != nil:
-		// The coordinator observes itself in process: no HTTP round-trip,
-		// and its row carries the end-to-end query metrics.
-		scfg := c.scrape
-		scfg.Metrics, scfg.Log = reg, log
-		scfg.Targets = append([]agg.Target{{
-			Site:         "G",
-			Local:        reg.Snapshot,
-			LocalHealth:  mergeHealth(healthSrcs),
-			LocalQueries: rec.Profiles,
-		}}, targets...)
-		scraper, err := agg.New(scfg)
-		if err != nil {
-			return err
-		}
-		var alerts http.Handler
-		if rules != nil {
-			engine, err := slo.New(slo.Config{Source: scraper, Rules: rules, Metrics: reg, Log: log})
-			if err != nil {
-				return err
-			}
-			scraper.SetOnScrape(engine.Evaluate)
-			alerts = engine.Handler()
-		}
-		mux := obs.NewMux("G", reg, time.Now(), rec, healthSrcs...)
-		scraper.Register(mux, alerts)
-		o, err := obs.ServeHandler(c.metricsAddr, "G", mux)
-		if err != nil {
-			return err
-		}
-		defer o.Close()
-		scraper.Start()
-		defer scraper.Stop()
-		log.Info("observability serving",
-			slog.String("addr", o.Addr()),
-			slog.Int("scrape_targets", len(scfg.Targets)),
-			slog.Bool("slo", rules != nil))
-	case c.metricsAddr != "":
+	if c.metricsAddr != "" {
 		o, err := obs.Serve(c.metricsAddr, "G", reg, rec, healthSrcs...)
 		if err != nil {
 			return err
@@ -563,7 +459,7 @@ func runCoordinator(fed *fedfile.Federation, peers map[object.SiteID]string, c *
 	}
 	if c.metricsAddr != "" {
 		// The observability surface outlives the one query, as a site's
-		// does: /cluster, /healthz and the query's trace stay up to be read.
+		// does: /healthz, /metrics and the query's trace stay up to be read.
 		log.Info("answer printed; serving observability until interrupted")
 		<-ctx.Done()
 	}

@@ -47,17 +47,14 @@ func TestParsePeers(t *testing.T) {
 func TestRunFlagErrors(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "data")
 	for name, args := range map[string][]string{
-		"no mode":                       nil,
-		"unknown site":                  {"-site", "DB9"},
-		"unknown algorithm":             {"-coordinator", "-alg", "NOPE"},
-		"bad peers":                     {"-coordinator", "-peers", "garbage"},
-		"both modes":                    {"-site", "DB1", "-coordinator"},
-		"slo without cluster-scrape":    {"-coordinator", "-data-dir", dir, "-slo", "availability >= 0.5"},
-		"cluster-scrape without a page": {"-coordinator", "-data-dir", dir, "-cluster-scrape", "DB1=127.0.0.1:1"},
-		"bad slo rule":                  {"-coordinator", "-data-dir", dir, "-metrics-addr", "127.0.0.1:0", "-cluster-scrape", "DB1=127.0.0.1:1", "-slo", "nonsense"},
-		"fsync without data-dir":        {"-site", "DB1", "-fsync"},
-		"bad fault at a site":           {"-site", "DB1", "-data-dir", dir, "-fault", "zap:DB2"},
-		"bad fault at the coordinator":  {"-coordinator", "-data-dir", dir, "-fault", "delay:DB2"},
+		"no mode":                      nil,
+		"unknown site":                 {"-site", "DB9"},
+		"unknown algorithm":            {"-coordinator", "-alg", "NOPE"},
+		"bad peers":                    {"-coordinator", "-peers", "garbage"},
+		"both modes":                   {"-site", "DB1", "-coordinator"},
+		"fsync without data-dir":       {"-site", "DB1", "-fsync"},
+		"bad fault at a site":          {"-site", "DB1", "-data-dir", dir, "-fault", "zap:DB2"},
+		"bad fault at the coordinator": {"-coordinator", "-data-dir", dir, "-fault", "delay:DB2"},
 	} {
 		if err := run(args); err == nil {
 			t.Errorf("%s accepted: %v", name, args)
@@ -192,7 +189,8 @@ func TestCoordinatorAgainstCluster(t *testing.T) {
 
 // TestCoordinatorServesAfterAnswer: with -metrics-addr a coordinator prints
 // its answer and then keeps its observability surface up until it is
-// signalled, as a site does — /cluster can be read after the one query.
+// signalled, as a site does — /healthz and the query's trace can be read
+// after the one query.
 // (Without -metrics-addr it exits: TestCoordinatorAgainstCluster returns.)
 func TestCoordinatorServesAfterAnswer(t *testing.T) {
 	bundle, _ := loadFederation("")
@@ -228,8 +226,7 @@ func TestCoordinatorServesAfterAnswer(t *testing.T) {
 			}
 		}
 	}()
-	c := &cmdline{query: school.Q1, alg: "BL", metricsAddr: obsAddr, clusterScrape: "DB1=127.0.0.1:1"}
-	c.scrape.Interval = 20 * time.Millisecond
+	c := &cmdline{query: school.Q1, alg: "BL", metricsAddr: obsAddr}
 	done := make(chan error, 1)
 	go func() { done <- runCoordinator(bundle, addrs, c) }()
 
@@ -240,8 +237,11 @@ func TestCoordinatorServesAfterAnswer(t *testing.T) {
 	case <-time.After(10 * time.Second):
 		t.Fatal("no answer within 10s")
 	}
-	if code, body := httpGet(t, obsAddr, "/cluster"); code != http.StatusOK || !strings.Contains(body, "\nG ") {
-		t.Errorf("/cluster after the answer: status %d, body %q", code, body)
+	if code, body := httpGet(t, obsAddr, "/healthz"); code != http.StatusOK || !strings.Contains(body, `"site":"G"`) {
+		t.Errorf("/healthz after the answer: status %d, body %q", code, body)
+	}
+	if code, body := httpGet(t, obsAddr, "/debug/trace/last"); code != http.StatusOK || !strings.Contains(body, "alg=BL") {
+		t.Errorf("/debug/trace/last after the answer: status %d, body %q", code, body)
 	}
 	select {
 	case err := <-done:

@@ -13,14 +13,13 @@
 //
 // Identical seeds reproduce byte-identical cell results — the
 // regression-gate currency. Wall-clock speed over TCP is the benchmark/
-// module's to measure; here only the obs and chaos topics stand up a live
-// cluster, to gate the observability plane and replica repair.
+// module's to measure; here only the chaos topic stands up a live cluster,
+// to gate replica repair.
 //
 // A run emits a schema-versioned, diffable BENCH_<topic>.json; Check
 // compares two reports under a tolerance for regression gating, and Judge
-// answers SLO questions stated as slo rules ("does every cell keep
-// p99 < 50ms with ≤ 20% maybe answers?") with a pass/fail and the limiting
-// rule.
+// answers SLO questions stated as rules ("does every cell keep p99 < 50ms
+// with ≤ 20% maybe answers?") with a pass/fail and the limiting rule.
 package bench
 
 import (
@@ -80,8 +79,7 @@ func (c Cell) Key() string {
 }
 
 // ClientStats is the client-observed side of a cell: what the query driver
-// measured. Latencies are microseconds: virtual time in a matrix cell,
-// wall-clock in the obs topic's live cells.
+// measured. Latencies are microseconds of virtual time.
 type ClientStats struct {
 	Queries     int     `json:"queries"`
 	Completed   int     `json:"completed"`
@@ -128,7 +126,7 @@ type CellResult struct {
 // Report is the one envelope every benchmark topic writes: provenance in
 // the header, and the topic's typed payload in Spec and Cells — MatrixSpec
 // and []CellResult (ordered by cell key) for the matrix topics,
-// DurabilitySpec/[]DurabilityCell, ObsSpec/[]ObsCell, ChaosSpec/[]ChaosCell
+// DurabilitySpec/[]DurabilityCell, ChaosSpec/[]ChaosCell
 // and FigureSpec/[]FigureCell for the self-gating ones. The JSON form is
 // stable and diffable.
 type Report struct {
@@ -208,8 +206,6 @@ func ReadReport(path string) (*Report, error) {
 	switch topic.Spec.(type) {
 	case DurabilitySpec:
 		err = decodePayload[DurabilitySpec, DurabilityCell](r, raw.Spec, raw.Cells)
-	case ObsSpec:
-		err = decodePayload[ObsSpec, ObsCell](r, raw.Spec, raw.Cells)
 	case ChaosSpec:
 		err = decodePayload[ChaosSpec, ChaosCell](r, raw.Spec, raw.Cells)
 	case FigureSpec:

@@ -8,7 +8,6 @@ import (
 	"reflect"
 	"strings"
 	"testing"
-	"time"
 
 	"github.com/hetfed/hetfed/internal/metrics"
 )
@@ -173,8 +172,6 @@ func TestReportRoundTrip(t *testing.T) {
 	}
 	durability := newReport("durability", 7, DurabilitySpec{Objects: 5, Seed: 7, Rounds: 1})
 	durability.Cells = []DurabilityCell{{Engine: "wal", Objects: 5, WriteOverhead: 1.1, RecoveredObjects: 5}}
-	obs := newReport("obs", 7, ObsSpec{Queries: 4, Clients: 1, Seed: 7, ScrapeInterval: 20 * time.Millisecond})
-	obs.Cells = []ObsCell{{Mode: "baseline", Overhead: 1}, {Mode: "scraped", Overhead: 1.02, Scrapes: 3}}
 	chaos := newReport("chaos", 7, ChaosSpec{Steps: 40, Seed: 7, MaxConvergenceRounds: 5})
 	chaos.Cells = []ChaosCell{{Queries: 9, Inserts: 4, ConvergenceRounds: 1, WallMillis: 12.5}}
 	figures := newReport("figures", 7, FigureSpec{Samples: 2, Scale: 0.1, Seed: 7, Sweeps: []string{"planner"}})
@@ -183,7 +180,7 @@ func TestReportRoundTrip(t *testing.T) {
 			Draws: 2, Correct: 1, MaxRegret: 0.25, Chosen: map[string]int{"BL": 2}, Fastest: map[string]int{"BL": 1, "PL": 1}}}}
 
 	path := filepath.Join(t.TempDir(), "BENCH_roundtrip.json")
-	for _, r := range []*Report{matrix, durability, obs, chaos, figures} {
+	for _, r := range []*Report{matrix, durability, chaos, figures} {
 		if err := r.WriteFile(path); err != nil {
 			t.Fatalf("%s: WriteFile: %v", r.Topic, err)
 		}
@@ -230,7 +227,7 @@ func TestCommittedReportsCanonical(t *testing.T) {
 			t.Errorf("%s is not canonical (err %v): rewrite it with hetbench run -topic %s -out, or convert it key for key",
 				path, err, topic.Name)
 		}
-		// A matrix cell's shares are what slo.Measures makes of its sums.
+		// A matrix cell's shares are what extractServerStats makes of its sums.
 		for _, c := range r.Results() {
 			reg, at := metrics.New(), metrics.Labels{Site: coordinatorID}
 			reg.Counter("queries_total", at).Add(c.Server.Queries)

@@ -10,7 +10,6 @@ import (
 	"github.com/hetfed/hetfed/internal/exec"
 	"github.com/hetfed/hetfed/internal/fabric"
 	"github.com/hetfed/hetfed/internal/metrics"
-	"github.com/hetfed/hetfed/internal/obs/slo"
 	"github.com/hetfed/hetfed/internal/planner"
 	"github.com/hetfed/hetfed/internal/signature"
 	"github.com/hetfed/hetfed/internal/trace"
@@ -203,13 +202,15 @@ func extractServerStats(snap metrics.Snapshot) ServerStats {
 		Canceled:         snap.Sum("queries_canceled_total"),
 		SiteUnavailable:  snap.Sum("site_unavailable_total"),
 	}
-	// The shares are slo.Measures' (the one definition of each); a cell's
-	// run is the window, so no span is needed.
-	if maybe, ok := slo.Measures["maybe_rows"].Value(snap, 0, 0); ok {
+	// The maybe share of returned rows and the degraded share of queries; a
+	// share with nothing to judge stays zero, its certain complement too.
+	if rows := st.CertainRows + st.MaybeRows; rows > 0 {
+		maybe := float64(st.MaybeRows) / float64(rows)
 		st.MaybeFrac, st.CertainFrac = round4(maybe), round4(1-maybe)
 	}
-	degraded, _ := slo.Measures["degraded_queries"].Value(snap, 0, 0)
-	st.DegradedFrac = round4(degraded)
+	if st.Queries > 0 {
+		st.DegradedFrac = round4(float64(st.DegradedQueries) / float64(st.Queries))
+	}
 	return st
 }
 

@@ -6,9 +6,8 @@ import (
 )
 
 // Result is one driven query as its driver saw it. Micros is the
-// client-observed latency (virtual time in a matrix cell, wall-clock in the
-// obs topic's live cells); a Result with Err set contributes to the error
-// counts and is excluded from the latency distribution.
+// client-observed latency, in virtual time; a Result with Err set contributes
+// to the error counts and is excluded from the latency distribution.
 type Result struct {
 	Micros      float64
 	Degraded    bool
@@ -22,8 +21,8 @@ type Result struct {
 // (nearest-rank over the sorted completions): a report answers "what did
 // these samples measure", and the generator holds every one of them. The
 // bucketed metrics.HistogramSnapshot.Quantile answers the other question —
-// the quantile of a series merged across sites and windows, where only
-// bucket counts exist — so the two are not one implementation.
+// the quantile of a histogram series, where only bucket counts exist — so
+// the two are not one implementation.
 func Summarize(results []Result, wallMicros float64) ClientStats {
 	st := ClientStats{Queries: len(results), WallMillis: wallMicros / 1e3}
 	lat := make([]float64, 0, len(results))

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"os"
 	"strings"
-	"time"
 )
 
 // Topic is one named benchmark: the canonical spec behind a committed
@@ -14,7 +13,7 @@ type Topic struct {
 	Name string
 	// Spec is the canonical spec, and its type selects the runner and the
 	// report's payload: MatrixSpec (Run), DurabilitySpec (RunDurability),
-	// ObsSpec (RunObs), ChaosSpec (RunChaos) or FigureSpec (RunFigures).
+	// ChaosSpec (RunChaos) or FigureSpec (RunFigures).
 	Spec any
 	// Baseline marks a topic gated by Check against the committed
 	// BENCH_<Name>.json — the matrices, whose virtual-time cells are
@@ -65,10 +64,6 @@ var topics = []Topic{
 	// Buffered WAL write path within 1.25x the in-memory engine's, best of
 	// three interleaved rounds; recovery reproduces every insert.
 	{Name: "durability", Spec: DurabilitySpec{Objects: 20000, Seed: 42, Rounds: 3, MaxOverhead: 1.25}},
-	// Scraped cluster within 1.05x bare, best paired round of five, at a
-	// 100ms cadence — 20x the production default.
-	{Name: "obs", Spec: ObsSpec{Queries: 1200, Clients: 4, Rounds: 5, Seed: 42,
-		ScrapeInterval: 100 * time.Millisecond, MaxOverhead: 1.05}},
 	// No certain row contradicts ground truth under faults; convergence
 	// within 5 repair rounds of the final heal.
 	{Name: "chaos", Spec: ChaosSpec{Steps: 60, Seed: 42, MaxConvergenceRounds: 5}},
@@ -99,10 +94,6 @@ func (t Topic) Validate() error {
 	case DurabilitySpec:
 		if s.Objects < 1 || s.Rounds < 1 || s.MaxOverhead <= 0 {
 			return fmt.Errorf("bench: topic %s: want objects, rounds and max_overhead > 0: %+v", t.Name, s)
-		}
-	case ObsSpec:
-		if s.Queries < 1 || s.Clients < 1 || s.Rounds < 1 || s.ScrapeInterval <= 0 || s.MaxOverhead <= 0 {
-			return fmt.Errorf("bench: topic %s: want queries, clients, rounds, scrape_interval and max_overhead > 0: %+v", t.Name, s)
 		}
 	case ChaosSpec:
 		if s.Steps < 1 || s.MaxConvergenceRounds < 1 {
@@ -139,8 +130,6 @@ func (t Topic) Run(ctx context.Context, progress func(string)) (*Report, error) 
 	switch s := t.Spec.(type) {
 	case DurabilitySpec:
 		return RunDurability(s, dir, progress)
-	case ObsSpec:
-		return RunObs(ctx, s, progress)
 	case ChaosSpec:
 		return RunChaos(s, dir, progress)
 	case FigureSpec:

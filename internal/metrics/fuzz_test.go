@@ -41,10 +41,10 @@ func seedSnapshots(tb testing.TB) [][]byte {
 	}
 }
 
-// FuzzDecodeSnapshot: whatever a site's /metrics answers, decoding it the
-// way obs.Scrape does and then differencing, merging, estimating and
-// rendering it never panics, and a body the decoder accepts re-encodes to a
-// fixed point — what a scraper stores is what it would serve again. Seeds:
+// FuzzDecodeSnapshot: whatever a site's /metrics answers, decoding it with
+// encoding/json and then differencing, estimating and rendering it never
+// panics, and a body the decoder accepts re-encodes to a fixed point — what
+// a reader of the surface decodes is what it would serve again. Seeds:
 // testdata/fuzz, pinned to seedSnapshots by TestFuzzCorpusIsCurrent.
 func FuzzDecodeSnapshot(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -70,8 +70,7 @@ func FuzzDecodeSnapshot(f *testing.F) {
 
 		for _, prev := range []Snapshot{{}, s} {
 			s.Delta(prev)
-			d, _ := prev.DeltaWithResets(s)
-			d.Merge(s).Merge(prev)
+			prev.Delta(s)
 		}
 		for _, smp := range s.Samples {
 			for _, q := range []float64{-1, 0, 0.5, 0.99, 1, 2} {

@@ -1,8 +1,8 @@
 // Package metrics is the federation's lock-cheap metrics registry:
 // counters, gauges, and fixed-bucket latency histograms keyed by a small
 // label set (site, peer site, algorithm, phase), with point-in-time
-// snapshots that support delta (between two snapshots of one registry) and
-// merge (across registries of several sites), rendered as text or JSON.
+// snapshots that support delta (between two snapshots of one registry),
+// rendered as text or JSON.
 //
 // Instruments are cheap on the hot path: registration takes a mutex only on
 // first use of a (name, labels) pair; recording is a handful of atomic
@@ -11,7 +11,8 @@
 //
 // The series the system emits are catalogued in one place, DESIGN.md §6
 // (name, labels, kind, emitter, meaning); scripts/check.sh fails when
-// non-test code emits a name that table lacks.
+// non-test code emits a name that table lacks, and when the table lists a
+// series nothing emits.
 //
 // Histograms additionally carry per-bucket exemplars (last trace ID + value)
 // when fed through ObserveWithExemplar, so a latency bucket on /metrics
@@ -19,7 +20,6 @@
 package metrics
 
 import (
-	"cmp"
 	"fmt"
 	"math"
 	"sort"
@@ -380,7 +380,7 @@ func (s Snapshot) HistTotals(name string) (count int64, sum float64) {
 }
 
 // MergedHist sums a histogram metric's buckets across every label set into
-// one HistogramSnapshot (for quantile estimates over the whole cluster).
+// one HistogramSnapshot (a quantile estimate over every label set).
 // Returns nil when the metric was never observed.
 func (s Snapshot) MergedHist(name string) *HistogramSnapshot {
 	var out *HistogramSnapshot
@@ -389,16 +389,19 @@ func (s Snapshot) MergedHist(name string) *HistogramSnapshot {
 			continue
 		}
 		if out == nil {
-			out = &HistogramSnapshot{Counts: smp.Hist.Counts, Sum: smp.Hist.Sum, Count: smp.Hist.Count}
-			continue
+			out = &HistogramSnapshot{}
 		}
-		out = histSum(out, smp.Hist)
+		out.Sum += smp.Hist.Sum
+		out.Count += smp.Hist.Count
+		for i, c := range smp.Hist.Counts {
+			out.Counts[i] += c
+		}
 	}
 	return out
 }
 
 // Delta captures the registry's current values minus a previous snapshot
-// of it — the scrape-based measurement primitive: take a Snapshot before a
+// of it — the measurement primitive: take a Snapshot before a
 // run, Delta after it, and long-lived instruments (a server that has
 // already served other runs) never double-count. Nil-safe: a nil registry
 // yields an empty snapshot regardless of prev.
@@ -419,112 +422,45 @@ func (r *Registry) Delta(prev Snapshot) Snapshot {
 // registry starting over — the current value IS the delta (everything the
 // new process counted happened since the previous snapshot). Histograms
 // reset when their total count or any bucket shrank. Without this, a
-// durable site restarting between two scrapes would yield negative deltas
-// that silently corrupt windowed rates. Use DeltaWithResets to learn how
-// many series reset.
+// durable site restarting between two snapshots would yield negative deltas
+// that silently corrupt the rates read off them.
 func (s Snapshot) Delta(prev Snapshot) Snapshot {
-	d, _ := s.DeltaWithResets(prev)
-	return d
-}
-
-// DeltaWithResets is Delta plus the number of series whose counter (or
-// histogram) was observed to have reset — gone backwards — since prev.
-// Scrapers feed this into scrape_resets_total so operators can tell a
-// restarted site from a quiet one.
-func (s Snapshot) DeltaWithResets(prev Snapshot) (Snapshot, int) {
 	base := make(map[key]Sample, len(prev.Samples))
 	for _, smp := range prev.Samples {
 		base[key{smp.Name, smp.Labels}] = smp
 	}
-	resets := 0
 	out := make([]Sample, 0, len(s.Samples))
 	for _, smp := range s.Samples {
 		old, ok := base[key{smp.Name, smp.Labels}]
 		if ok && old.Kind == smp.Kind {
 			switch smp.Kind {
 			case "counter":
-				if smp.Value < old.Value {
-					resets++ // counter went backwards: process restarted
-				} else {
+				if smp.Value >= old.Value { // below it, the process restarted
 					smp.Value -= old.Value
 				}
 			case "histogram":
-				var reset bool
-				smp.Hist, reset = histDelta(smp.Hist, old.Hist)
-				if reset {
-					resets++
-				}
+				smp.Hist = histDelta(smp.Hist, old.Hist)
 			}
 		}
 		out = append(out, smp)
 	}
-	return Snapshot{Samples: out}, resets
+	return Snapshot{Samples: out}
 }
 
 // histDelta differences two histogram snapshots. When the current
 // histogram shrank — fewer total observations, or any bucket with fewer
 // entries than before — the source process restarted, so the current
-// snapshot is returned whole and reset reports true.
-func histDelta(cur, old *HistogramSnapshot) (_ *HistogramSnapshot, reset bool) {
-	if cur == nil || old == nil {
-		return cur, false
-	}
-	if cur.Count < old.Count {
-		return cur, true
+// snapshot is returned whole.
+func histDelta(cur, old *HistogramSnapshot) *HistogramSnapshot {
+	if cur == nil || old == nil || cur.Count < old.Count {
+		return cur
 	}
 	d := &HistogramSnapshot{Sum: cur.Sum - old.Sum, Count: cur.Count - old.Count, Exemplars: cur.Exemplars}
 	for i := range cur.Counts {
 		if cur.Counts[i] < old.Counts[i] {
-			return cur, true
+			return cur
 		}
 		d.Counts[i] = cur.Counts[i] - old.Counts[i]
-	}
-	return d, false
-}
-
-// Merge combines two snapshots (e.g. from different sites): counters and
-// histograms are summed, gauges take the other snapshot's value when both
-// carry the same instrument.
-func (s Snapshot) Merge(other Snapshot) Snapshot {
-	merged := make(map[key]Sample, len(s.Samples)+len(other.Samples))
-	for _, smp := range s.Samples {
-		merged[key{smp.Name, smp.Labels}] = smp
-	}
-	for _, smp := range other.Samples {
-		k := key{smp.Name, smp.Labels}
-		old, ok := merged[k]
-		if !ok || old.Kind != smp.Kind {
-			merged[k] = smp
-			continue
-		}
-		switch smp.Kind {
-		case "counter":
-			smp.Value += old.Value
-		case "histogram":
-			smp.Hist = histSum(smp.Hist, old.Hist)
-		}
-		merged[k] = smp
-	}
-	out := make([]Sample, 0, len(merged))
-	for _, smp := range merged {
-		out = append(out, smp)
-	}
-	sortSamples(out)
-	return Snapshot{Samples: out}
-}
-
-func histSum(a, b *HistogramSnapshot) *HistogramSnapshot {
-	if a == nil {
-		return b
-	}
-	if b == nil {
-		return a
-	}
-	d := &HistogramSnapshot{Sum: a.Sum + b.Sum, Count: a.Count + b.Count}
-	for i := range d.Counts {
-		d.Counts[i] = a.Counts[i] + b.Counts[i]
-		// Per-bucket exemplars: keep a's (the receiver's view), fall back to b's.
-		d.Exemplars[i] = cmp.Or(a.Exemplars[i], b.Exemplars[i])
 	}
 	return d
 }

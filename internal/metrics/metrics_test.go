@@ -135,8 +135,8 @@ func TestSnapshotOrderingAndDelta(t *testing.T) {
 }
 
 // A durable site that restarts starts a fresh registry: its counters come
-// back smaller than the previous scrape saw. The delta must treat the new
-// value as the whole delta (not go negative) and report the reset.
+// back smaller than the previous snapshot saw. The delta must treat the new
+// value as the whole delta, not go negative.
 func TestDeltaCounterReset(t *testing.T) {
 	before := New()
 	before.Counter("requests_total", Labels{Site: "DB1"}).Add(100)
@@ -152,10 +152,7 @@ func TestDeltaCounterReset(t *testing.T) {
 	after.Histogram("lat_us", Labels{Site: "DB1"}).Observe(250)
 	cur := after.Snapshot()
 
-	d, resets := cur.DeltaWithResets(prev)
-	if resets != 2 {
-		t.Errorf("resets = %d, want 2 (counter + histogram)", resets)
-	}
+	d := cur.Delta(prev)
 	if n := d.CounterValue("requests_total", Labels{Site: "DB1"}); n != 3 {
 		t.Errorf("reset counter delta = %d, want the new value 3", n)
 	}
@@ -171,16 +168,10 @@ func TestDeltaCounterReset(t *testing.T) {
 			s.Hist.Count, s.Hist.Sum)
 	}
 
-	// Delta (without reset reporting) must agree and never go negative.
-	plain := cur.Delta(prev)
-	if n := plain.CounterValue("requests_total", Labels{Site: "DB1"}); n != 3 {
-		t.Errorf("Delta reset counter = %d, want 3", n)
-	}
-
-	// No resets on a normal monotone pair.
+	// A normal monotone pair is differenced as usual.
 	after.Counter("requests_total", Labels{Site: "DB1"}).Add(500)
-	if _, r := after.Snapshot().DeltaWithResets(cur); r != 0 {
-		t.Errorf("monotone growth counted %d resets", r)
+	if n := after.Snapshot().Delta(cur).CounterValue("requests_total", Labels{Site: "DB1"}); n != 500 {
+		t.Errorf("monotone counter delta = %d, want 500", n)
 	}
 }
 
@@ -194,37 +185,9 @@ func TestDeltaHistogramBucketReset(t *testing.T) {
 
 	b := New()
 	b.Histogram("h", Labels{}).Observe(5_000_000) // one obs, but a different bucket
-	d, resets := b.Snapshot().DeltaWithResets(prev)
-	if resets != 1 {
-		t.Errorf("resets = %d, want 1 (bucket shrank at equal count)", resets)
-	}
+	d := b.Snapshot().Delta(prev)
 	if s, _ := d.Get("h", Labels{}); s.Hist.Count != 1 || s.Hist.Sum != 5_000_000 {
 		t.Errorf("delta = %+v, want the new snapshot whole", s.Hist)
-	}
-}
-
-func TestMerge(t *testing.T) {
-	a, b := New(), New()
-	a.Counter("n", Labels{Site: "DB1"}).Add(3)
-	b.Counter("n", Labels{Site: "DB1"}).Add(4)
-	b.Counter("n", Labels{Site: "DB2"}).Add(5)
-	a.Histogram("h", Labels{}).Observe(100)
-	b.Histogram("h", Labels{}).Observe(200)
-	a.Gauge("g", Labels{}).Set(1)
-	b.Gauge("g", Labels{}).Set(2)
-
-	m := a.Snapshot().Merge(b.Snapshot())
-	if n := m.CounterValue("n", Labels{Site: "DB1"}); n != 7 {
-		t.Errorf("merged counter = %d, want 7", n)
-	}
-	if n := m.CounterValue("n", Labels{Site: "DB2"}); n != 5 {
-		t.Errorf("one-sided counter = %d, want 5", n)
-	}
-	if s, _ := m.Get("h", Labels{}); s.Hist.Count != 2 || s.Hist.Sum != 300 {
-		t.Errorf("merged histogram = %+v", s.Hist)
-	}
-	if s, _ := m.Get("g", Labels{}); s.Value != 2 {
-		t.Errorf("merged gauge = %d, want other's value 2", s.Value)
 	}
 }
 

@@ -2,20 +2,15 @@
 // small HTTP server exposing the site's metrics registry and its flight
 // recorder's query profiles.
 //
-// Endpoints:
+// Endpoints, the same on a site and on the coordinator:
 //
 //	/healthz                liveness: 200 with a JSON status body; reports
 //	                        version, uptime and per-source conditions
 //	                        (breakers, anti-entropy, WAL), and flips
 //	                        status to "degraded" when any entry is not
 //	                        Healthy
-//
-// The coordinator additionally mounts the cluster rollup surface from the
-// obs/agg and obs/slo subpackages on the same mux (via ServeHandler):
-// /cluster, /cluster/alerts, /cluster/queries.
-//
 //	/metrics                registry snapshot, JSON by default, ?format=text;
-//	                        each scrape refreshes the go_* runtime gauges
+//	                        each request refreshes the go_* runtime gauges
 //	/debug/queries          flight-recorder listing, newest first (text by
 //	                        default, ?format=json)
 //	/debug/trace/last       span tree of the newest recorded profile
@@ -42,10 +37,6 @@ import (
 	"github.com/hetfed/hetfed/internal/metrics"
 	"github.com/hetfed/hetfed/internal/version"
 )
-
-// Window is how much history the cluster aggregator keeps of each site and
-// so the longest window its rollups and SLO rules can be judged over.
-const Window = time.Minute
 
 // Health contributes per-peer conditions to /healthz: entry name → state.
 // The canonical source is circuit-breaker states (peer site name →
@@ -91,9 +82,8 @@ func PrefixHealth(prefix string, src Health) Health {
 }
 
 // WriteJSON answers a request with v as one line of JSON — the form of every
-// JSON body on the surface, the cluster endpoints' included: they are read by
-// decoders (the scraper, chrome://tracing) and by grep on /healthz;
-// what an operator reads has a text form.
+// JSON body on the surface: they are read by decoders (chrome://tracing) and
+// by grep on /healthz; what an operator reads has a text form.
 func WriteJSON(w http.ResponseWriter, v any) {
 	data, err := json.Marshal(v)
 	if err != nil {
@@ -112,7 +102,7 @@ type Server struct {
 }
 
 // refreshRuntimeGauges samples the Go runtime into the registry. Called on
-// every /metrics scrape so the gauges are as fresh as the scrape itself.
+// every /metrics request so the gauges are as fresh as the answer itself.
 func refreshRuntimeGauges(site string, reg *metrics.Registry) {
 	labels := metrics.Labels{Site: site}
 	reg.Gauge("go_goroutines", labels).Set(int64(runtime.NumGoroutine()))
@@ -123,12 +113,11 @@ func refreshRuntimeGauges(site string, reg *metrics.Registry) {
 	reg.Gauge("go_gc_runs_total", labels).Set(int64(ms.NumGC))
 }
 
-// NewMux builds the observability handler for a site without binding a
-// listener (embed it into an existing HTTP server if you have one). rec may
-// be nil; the flight-recorder endpoints then answer empty or 404. Every trace
-// view reads the recorded profiles: a finished query's spans live there
-// alone.
-func NewMux(site string, reg *metrics.Registry, start time.Time, rec *Recorder, health ...Health) *http.ServeMux {
+// newMux builds the observability handler for a site. rec may be nil; the
+// flight-recorder endpoints then answer empty or 404. Every trace view reads
+// the recorded profiles: a finished query's spans live there alone.
+func newMux(site string, reg *metrics.Registry, rec *Recorder, health []Health) *http.ServeMux {
+	start := time.Now()
 	mux := http.NewServeMux()
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
 		body := struct {
@@ -172,12 +161,17 @@ func NewMux(site string, reg *metrics.Registry, start time.Time, rec *Recorder, 
 			WriteJSON(w, profiles)
 			return
 		}
-		rows := make([]QuerySummary, len(profiles))
-		for i, p := range profiles {
-			rows[i] = Summarize(p, site)
-		}
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		fmt.Fprint(w, QueriesText(rows, ""))
+		if len(profiles) == 0 {
+			fmt.Fprintln(w, "(no queries recorded)")
+			return
+		}
+		fmt.Fprintf(w, "%-14s %-8s %-9s %10s %8s %6s  %s\n",
+			"query", "alg", "status", "wall(ms)", "certain", "maybe", "trace")
+		for _, p := range profiles {
+			fmt.Fprintf(w, "%-14s %-8s %-9s %10.3f %8d %6d  /debug/trace/%s.json\n",
+				p.ID, p.Alg, p.Status, p.WallMicros/1e3, p.Certain, p.Maybe, p.ID)
+		}
 	})
 	mux.HandleFunc("/debug/trace/", func(w http.ResponseWriter, r *http.Request) {
 		id := strings.TrimPrefix(r.URL.Path, "/debug/trace/")
@@ -217,20 +211,11 @@ func NewMux(site string, reg *metrics.Registry, start time.Time, rec *Recorder, 
 // flight recorder) may be nil. Optional Health sources feed the /healthz
 // breaker report.
 func Serve(addr, site string, reg *metrics.Registry, rec *Recorder, health ...Health) (*Server, error) {
-	return ServeHandler(addr, site, NewMux(site, reg, time.Now(), rec, health...))
-}
-
-// ServeHandler is Serve for a caller-composed handler: build the base
-// surface with NewMux, register extra routes on it (the coordinator adds
-// /cluster, /cluster/alerts, /cluster/queries), then bind and serve. The
-// handler must be fully assembled before the call — http.ServeMux does not
-// allow registration after requests start.
-func ServeHandler(addr, site string, h http.Handler) (*Server, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("obs: listen %s: %w", addr, err)
 	}
-	s := &Server{site: site, ln: ln, http: &http.Server{Handler: h}}
+	s := &Server{site: site, ln: ln, http: &http.Server{Handler: newMux(site, reg, rec, health)}}
 	go s.http.Serve(ln) //nolint:errcheck // returns ErrServerClosed on Close
 	return s, nil
 }

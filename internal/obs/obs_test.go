@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -29,6 +30,8 @@ func TestServeEndpoints(t *testing.T) {
 	reg := metrics.New()
 	reg.Counter("requests_total", metrics.Labels{Site: "DB1", Alg: "BL"}).Add(3)
 	reg.Histogram("request_latency_us", metrics.Labels{Site: "DB1", Alg: "BL"}).Observe(120)
+	reg.Gauge("queries_inflight", metrics.Labels{Site: "DB1"}).Set(2)
+	reg.Histogram("query_latency_us", metrics.Labels{Site: "DB1", Alg: "BL"}).ObserveWithExemplar(1234, "rq1")
 	tr := &trace.Tracer{}
 	sp := tr.StartSpan(0, "DB1", "serve:local").WithQuery("rq1", "BL").WithPhases("PO")
 	sp.End()
@@ -58,9 +61,6 @@ func TestServeEndpoints(t *testing.T) {
 	if err := json.Unmarshal([]byte(body), &snap); err != nil {
 		t.Fatalf("metrics JSON: %v in %q", err, body)
 	}
-	if snap.CounterValue("requests_total", metrics.Labels{Site: "DB1", Alg: "BL"}) != 3 {
-		t.Errorf("metrics JSON lost the counter: %s", body)
-	}
 
 	code, body = get(t, s.Addr(), "/metrics?format=text")
 	if code != http.StatusOK || !strings.Contains(body, "requests_total") ||
@@ -76,6 +76,59 @@ func TestServeEndpoints(t *testing.T) {
 	// The registry has two expositions, both on /metrics; there is no third.
 	if code, _ = get(t, s.Addr(), "/debug/vars"); code != http.StatusNotFound {
 		t.Errorf("debug/vars: %d, want 404", code)
+	}
+}
+
+// TestScrapeRoundTrip: the JSON form a served /metrics answers decodes back
+// to the registry's snapshot, sample for sample (the go_* runtime gauges
+// aside: each request refreshes them), exemplars included; so a delta over
+// two decoded bodies does not double-count.
+func TestScrapeRoundTrip(t *testing.T) {
+	reg := metrics.New()
+	at := metrics.Labels{Site: "G", Alg: "BL"}
+	reg.Counter("queries_total", at).Add(9)
+	reg.Gauge("queries_inflight", metrics.Labels{Site: "G"}).Set(2)
+	reg.Histogram("query_latency_us", at).ObserveWithExemplar(1234, "rq1")
+	s, err := Serve("127.0.0.1:0", "G", reg, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+
+	code, body := get(t, s.Addr(), "/metrics")
+	if code != http.StatusOK {
+		t.Fatalf("metrics: status %d", code)
+	}
+	var snap metrics.Snapshot
+	if err := json.Unmarshal([]byte(body), &snap); err != nil {
+		t.Fatalf("metrics JSON: %v in %q", err, body)
+	}
+	for _, want := range reg.Snapshot().Samples {
+		if strings.HasPrefix(want.Name, "go_") {
+			continue
+		}
+		if got, ok := snap.Get(want.Name, want.Labels); !ok || !reflect.DeepEqual(got, want) {
+			t.Errorf("metrics JSON decodes %s%s as %+v, want %+v", want.Name, want.Labels, got, want)
+		}
+	}
+	if n := snap.CounterValue("queries_total", at); n != 9 {
+		t.Errorf("decoded counter = %d, want 9", n)
+	}
+	smp, ok := snap.Get("query_latency_us", at)
+	if !ok || smp.Hist == nil || smp.Hist.Count != 1 {
+		t.Fatalf("decoded histogram = %+v", smp)
+	}
+	traceID := ""
+	for _, ex := range smp.Hist.Exemplars {
+		if ex != nil {
+			traceID = ex.TraceID
+		}
+	}
+	if traceID != "rq1" {
+		t.Errorf("decoded exemplar = %q, want rq1", traceID)
+	}
+	if d := snap.Delta(reg.Snapshot()); d.Sum("queries_total") != 0 {
+		t.Errorf("decoded self-delta = %d, want 0", d.Sum("queries_total"))
 	}
 }
 

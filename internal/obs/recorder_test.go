@@ -198,7 +198,8 @@ func TestFlightRecorderEndpoints(t *testing.T) {
 	}
 	defer s.Close()
 
-	// /debug/queries: the text listing names the query and links its trace.
+	// /debug/queries: the text listing names the query and links its trace;
+	// every row is this site's, so it names no source column.
 	code, body := get(t, s.Addr(), "/debug/queries")
 	if code != http.StatusOK {
 		t.Fatalf("queries: status %d", code)
@@ -207,6 +208,9 @@ func TestFlightRecorderEndpoints(t *testing.T) {
 		if !strings.Contains(body, want) {
 			t.Errorf("queries listing missing %q:\n%s", want, body)
 		}
+	}
+	if strings.Contains(body, "sources") {
+		t.Errorf("queries listing has a sources column:\n%s", body)
 	}
 
 	// ?format=json round-trips the profiles.
