@@ -1,56 +1,47 @@
-// Command hetbench is the repository's one experiment harness. Its matrix
-// sweeps execution strategy × workload × fault plan on the discrete-event
-// fabric, runs each cell's seeded query stream, and reports both the
-// client-observed latency distribution (virtual time) and the engine's own
-// truth (bytes moved, modeled work, degraded/maybe fractions). Reports are
-// stable, diffable BENCH_<topic>.json files in one envelope (schema, topic,
-// version, seed, spec, cells). Wall-clock speed over TCP is measured by the
-// benchmark/ module (bash benchmark/run.sh), not here.
+// Command hetbench is the repository's one experiment harness, with one
+// verb: run. Its matrix sweeps execution strategy × workload × fault plan on
+// the discrete-event fabric, runs each workload's seeded query stream in
+// every cell, and reports both the client-observed latency distribution
+// (virtual time) and the engine's own truth (bytes moved, modeled work,
+// degraded/maybe fractions). Reports are stable, diffable BENCH_<topic>.json
+// files in one envelope (schema, topic, version, seed, spec, cells).
+// Wall-clock speed over TCP is measured by the benchmark/ module (bash
+// benchmark/run.sh), not here.
 //
-// Run a registered topic — smoke, adaptive, strategies, durability, chaos or
-// figures (the paper's Figures 9–11 study) — on its canonical spec
-// (internal/bench/topics.go) and gate it (exit 1 on failure): the matrix
-// topics against the committed BENCH_<topic>.json at a 10 % tolerance, the
+// Run a registered topic — strategies, durability, chaos or figures (the
+// paper's Figures 9–11 study) — on its canonical spec
+// (internal/bench/topics.go) and gate it (exit 1 on failure): strategies
+// against the committed BENCH_strategies.json at a 10 % tolerance, the
 // others on their own invariants (WAL write path ≤ 1.25× mem, no certain row
 // contradicting ground truth and convergence in ≤ 5 repair rounds, the
 // shapes the paper claims for its figures):
 //
-//	hetbench run -topic smoke
+//	hetbench run -topic strategies
 //	hetbench run -topic chaos -out BENCH_chaos_ci.json
 //	hetbench run -topic figures      # prints each figure's two tables
 //
 // Nothing is written unless -out says where; regenerating a committed
-// report is -out BENCH_<topic>.json (a matrix topic then skips its gate — it
-// is replacing the baseline, not being judged by it):
+// report is -out BENCH_<topic>.json (strategies then skips its gate — it is
+// replacing the baseline, not being judged by it):
 //
-//	hetbench run -topic adaptive -out BENCH_adaptive.json
+//	hetbench run -topic strategies -out BENCH_strategies.json
 //
 // Run an ad-hoc matrix under a topic name of your own, optionally gated
-// against any earlier report of the same load shape:
+// against any earlier matrix report of the same load shape (a self-gating
+// topic's report is refused):
 //
 //	hetbench run -topic mine -out BENCH_mine.json \
 //	    -strategies CA,BL,PL -workloads school,table2 \
 //	    -faults none,kill:DB3 -queries 40 -seed 42
 //	hetbench run -topic mine -strategies CA,BL,PL ... -check BENCH_mine.json
 //
-// Compare two existing matrix reports (a self-gating topic's is refused):
-//
-//	hetbench check -old BENCH_smoke.json -new /tmp/BENCH_new.json
-//
-// Answer an SLO question, stated in the rule grammar of bench.Rule over the
-// four measures a report keeps (exit 1 when any cell misses it, naming the
-// limiting rule), by running a matrix or over a stored report:
-//
-//	hetbench slo -rules 'query_latency p99 < 50ms; maybe_rows <= 20%' \
-//	    -strategies BL -workloads school -queries 200
-//	hetbench slo -rules 'degraded_queries <= 0%' -in BENCH_strategies.json
-//
-// Fault specs: none, kill:SITE, drop:SITE:N, delay:SITE:MICROS. Identical
+// Fault specs: none, kill:SITE, drop:SITE:N, delay:SITE:AMOUNT. Identical
 // seeds reproduce byte-identical cell results.
 package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -70,31 +61,29 @@ func main() {
 	}
 }
 
+const usage = "usage: hetbench run [flags] (-h for help)"
+
 func run(args []string) error {
 	if len(args) == 0 {
-		return fmt.Errorf("usage: hetbench run|check|slo [flags] (-h for help)")
+		return errors.New(usage)
 	}
 	switch args[0] {
 	case "run":
 		return runCmd(args[1:])
-	case "check":
-		return checkCmd(args[1:])
-	case "slo":
-		return sloCmd(args[1:])
 	case "-version", "--version", "version":
 		fmt.Println("hetbench", version.String())
 		return nil
 	default:
-		return fmt.Errorf("unknown subcommand %q (want run, check or slo)", args[0])
+		return fmt.Errorf("unknown subcommand %q; %s", args[0], usage)
 	}
 }
 
-// matrixFlags registers the sweep-dimension flags shared by run and slo.
+// matrixFlags registers the sweep-dimension flags of an ad-hoc matrix.
 func matrixFlags(fs *flag.FlagSet) (get func() bench.MatrixSpec) {
 	var (
-		strategies = fs.String("strategies", "CA,BL,PL", "comma-separated strategies: CA, BL, PL, SBL, SPL")
+		strategies = fs.String("strategies", "CA,BL,PL", "comma-separated strategies: CA, BL, PL, SBL, SPL, adaptive")
 		workloads  = fs.String("workloads", "school", "comma-separated workloads: school, table2, table2eq")
-		faults     = fs.String("faults", "none", "comma-separated fault plans: none, kill:SITE, drop:SITE:N, delay:SITE:MICROS")
+		faults     = fs.String("faults", "none", "comma-separated fault plans: none, kill:SITE, drop:SITE:N, delay:SITE:AMOUNT")
 		queries    = fs.Int("queries", 20, "queries per cell")
 		zipf       = fs.Float64("zipf", 0.9, "Zipfian skew over query variants (0 = uniform)")
 		variants   = fs.Int("variants", 3, "number of query variants under the skew")
@@ -126,7 +115,7 @@ func runCmd(args []string) error {
 	var (
 		topic     = fs.String("topic", "bench", "registered topic to run on its canonical spec, or the name of an ad-hoc matrix")
 		out       = fs.String("out", "", "report path (\"-\" for stdout; default: write nothing)")
-		checkPath = fs.String("check", "", "baseline report to gate against (default for the matrix topics: the committed BENCH_<topic>.json); regressions exit non-zero")
+		checkPath = fs.String("check", "", "baseline matrix report to gate against (default for strategies: the committed BENCH_strategies.json); regressions exit non-zero")
 		quiet     = fs.Bool("q", false, "suppress per-cell progress lines")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -214,8 +203,8 @@ func gate(baseline, report *bench.Report, baselinePath string) error {
 	return nil
 }
 
-// readMatrixReport loads a report check and slo can judge: a self-gating
-// topic's has no matrix cells, and would pass either over zero of them.
+// readMatrixReport loads a baseline the gate can judge: a self-gating
+// topic's has no matrix cells, and would pass over zero of them.
 func readMatrixReport(path string) (*bench.Report, error) {
 	r, err := bench.ReadReport(path)
 	if err != nil {
@@ -232,76 +221,6 @@ func sameFile(a, b string) bool {
 	absA, errA := filepath.Abs(a)
 	absB, errB := filepath.Abs(b)
 	return a != "" && b != "" && errA == nil && errB == nil && absA == absB
-}
-
-func checkCmd(args []string) error {
-	fs := flag.NewFlagSet("hetbench check", flag.ContinueOnError)
-	var (
-		oldPath = fs.String("old", "", "baseline report")
-		newPath = fs.String("new", "", "candidate report")
-	)
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	if *oldPath == "" || *newPath == "" {
-		return fmt.Errorf("check needs -old and -new")
-	}
-	baseline, err := readMatrixReport(*oldPath)
-	if err != nil {
-		return err
-	}
-	candidate, err := readMatrixReport(*newPath)
-	if err != nil {
-		return err
-	}
-	return gate(baseline, candidate, *oldPath)
-}
-
-func sloCmd(args []string) error {
-	fs := flag.NewFlagSet("hetbench slo", flag.ContinueOnError)
-	get := matrixFlags(fs)
-	var (
-		in          = fs.String("in", "", "evaluate an existing report instead of running the matrix")
-		ruleList    = fs.String("rules", "", "objectives every cell must meet, '[name:] metric [agg] op value' joined by ';' over query_latency (p50|p95|p99|mean), maybe_rows, degraded_queries and throughput: 'query_latency p99 < 50ms; maybe_rows <= 20%'")
-		allowErrors = fs.Bool("allow-errors", false, "tolerate client errors (default: any error fails)")
-		quiet       = fs.Bool("q", false, "suppress per-cell progress lines")
-	)
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	rules, err := bench.ParseRules(*ruleList)
-	if err != nil {
-		return err
-	}
-	var report *bench.Report
-	if *in != "" {
-		if report, err = readMatrixReport(*in); err != nil {
-			return err
-		}
-	} else {
-		if report, err = runTopic(bench.Topic{Name: "slo", Spec: get()}, *quiet); err != nil {
-			return err
-		}
-	}
-	failed := 0
-	cells := report.Results()
-	for _, cell := range cells {
-		v := bench.Judge(cell, rules, *allowErrors)
-		status := "PASS"
-		if !v.Pass {
-			status = "FAIL"
-			failed++
-		}
-		fmt.Printf("%s %s  (limiting: %s)\n", status, v.Cell, v.Limiting)
-		for _, c := range v.Checks {
-			fmt.Printf("    %s\n", c)
-		}
-	}
-	if failed > 0 {
-		return fmt.Errorf("SLO missed in %d of %d cells", failed, len(cells))
-	}
-	fmt.Printf("SLO met in all %d cells\n", len(cells))
-	return nil
 }
 
 // runTopic executes the topic under signal cancellation with progress on

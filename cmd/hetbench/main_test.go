@@ -33,7 +33,7 @@ func inTempDir(t *testing.T) {
 func registered(t *testing.T) []bench.Topic {
 	t.Helper()
 	var topics []bench.Topic
-	for _, name := range []string{"smoke", "adaptive", "strategies", "durability", "chaos", "figures"} {
+	for _, name := range []string{"strategies", "durability", "chaos", "figures"} {
 		topic, err := bench.LookupTopic(name)
 		if err != nil || topic.Name != name {
 			t.Fatalf("LookupTopic(%q) = %+v, %v", name, topic, err)
@@ -55,8 +55,9 @@ func TestTopicsResolve(t *testing.T) {
 }
 
 // TestTopicSelection: an unknown topic is an error naming the registered
-// ones unless matrix flags make it an ad-hoc matrix, and a registered topic
-// refuses matrix flags instead of silently ignoring them.
+// ones unless matrix flags make it an ad-hoc matrix, a registered topic
+// refuses matrix flags instead of silently ignoring them, and run is the one
+// verb.
 func TestTopicSelection(t *testing.T) {
 	inTempDir(t)
 	err := run([]string{"run", "-topic", "chaso"})
@@ -68,12 +69,17 @@ func TestTopicSelection(t *testing.T) {
 			t.Errorf("error %q does not name registered topic %s", err, topic.Name)
 		}
 	}
-	if err := run([]string{"run", "-topic", "smoke", "-queries", "3"}); err == nil || !strings.Contains(err.Error(), "-queries") {
+	for _, gone := range []string{"smoke", "adaptive"} {
+		if _, err := bench.LookupTopic(gone); err == nil {
+			t.Errorf("topic %s still registered", gone)
+		}
+	}
+	if err := run([]string{"run", "-topic", "strategies", "-queries", "3"}); err == nil || !strings.Contains(err.Error(), "-queries") {
 		t.Errorf("registered topic with a matrix flag: err = %v, want a refusal naming -queries", err)
 	}
-	for _, gone := range []string{"obs", "durability", "chaos"} {
-		if err := run([]string{gone}); err == nil || !strings.Contains(err.Error(), "unknown subcommand") {
-			t.Errorf("hetbench %s: err = %v, want unknown subcommand", gone, err)
+	for _, gone := range []string{"check", "slo", "obs", "durability", "chaos"} {
+		if err := run([]string{gone, "-in", "BENCH_strategies.json"}); err == nil || !strings.Contains(err.Error(), "unknown subcommand") || !strings.Contains(err.Error(), usage) {
+			t.Errorf("hetbench %s: err = %v, want unknown subcommand and the usage", gone, err)
 		}
 	}
 	if err := run([]string{"run", "-q", "-topic", "mine", "-strategies", "CA", "-queries", "2", "-out", "BENCH_mine.json"}); err != nil {
@@ -84,50 +90,50 @@ func TestTopicSelection(t *testing.T) {
 	}
 }
 
-// TestCheckCmd: check passes a report against itself and fails a regressed
-// copy.
-func TestCheckCmd(t *testing.T) {
+// TestRunCheck: run -check passes a matrix against its own earlier report
+// and fails it against a baseline whose p99 was halved.
+func TestRunCheck(t *testing.T) {
 	inTempDir(t)
-	const old = "BENCH_smoke.json" // the regeneration path: the one -out a sim topic writes ungated
-	if err := run([]string{"run", "-q", "-topic", "smoke", "-out", old}); err != nil {
+	mine := []string{"run", "-q", "-topic", "mine", "-strategies", "CA,BL", "-queries", "4"}
+	if err := run(append(mine, "-out", "old.json")); err != nil {
 		t.Fatal(err)
 	}
-	if err := run([]string{"check", "-old", old, "-new", old}); err != nil {
-		t.Errorf("equal reports: %v", err)
+	if err := run(append(mine, "-check", "old.json")); err != nil {
+		t.Errorf("same matrix: %v", err)
 	}
-	worse, err := bench.ReadReport(old)
+	better, err := bench.ReadReport("old.json")
 	if err != nil {
 		t.Fatal(err)
 	}
-	worse.Results()[0].Client.P99Micros *= 2
-	if err := worse.WriteFile("new.json"); err != nil {
+	better.Results()[0].Client.P99Micros /= 2
+	if err := better.WriteFile("better.json"); err != nil {
 		t.Fatal(err)
 	}
-	if err := run([]string{"check", "-old", old, "-new", "new.json"}); err == nil {
-		t.Error("a doubled p99 passed the check")
+	if err := run(append(mine, "-check", "better.json")); err == nil {
+		t.Error("a p99 twice the baseline's passed the gate")
 	}
 }
 
 // TestRunNeverWritesTheBaseline: the gated invocation reads the baseline it
-// is judged by and writes nothing — it used to overwrite BENCH_smoke.json
+// is judged by and writes nothing — it used to overwrite the committed report
 // first and then compare the fresh report with itself.
 func TestRunNeverWritesTheBaseline(t *testing.T) {
 	inTempDir(t)
-	if err := run([]string{"run", "-q", "-topic", "smoke", "-out", "BENCH_smoke.json"}); err != nil {
+	if err := run([]string{"run", "-q", "-topic", "strategies", "-out", "BENCH_strategies.json"}); err != nil {
 		t.Fatal(err)
 	}
-	baseline, err := os.ReadFile("BENCH_smoke.json")
+	baseline, err := os.ReadFile("BENCH_strategies.json")
 	if err != nil {
 		t.Fatal(err)
 	}
 	// A trailing blank line marks this copy: any rewrite would drop it.
 	marked := append(baseline, '\n')
-	if err := os.WriteFile("BENCH_smoke.json", marked, 0o644); err != nil {
+	if err := os.WriteFile("BENCH_strategies.json", marked, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	unchanged := func(after string) {
 		t.Helper()
-		got, err := os.ReadFile("BENCH_smoke.json")
+		got, err := os.ReadFile("BENCH_strategies.json")
 		if err != nil || string(got) != string(marked) {
 			t.Fatalf("%s: baseline rewritten (err %v)", after, err)
 		}
@@ -137,34 +143,36 @@ func TestRunNeverWritesTheBaseline(t *testing.T) {
 	}
 
 	for _, args := range [][]string{
-		{"run", "-q", "-topic", "smoke"},
-		{"run", "-q", "-topic", "smoke", "-check", "BENCH_smoke.json"},
+		{"run", "-q", "-topic", "strategies"},
+		{"run", "-q", "-topic", "strategies", "-check", "BENCH_strategies.json"},
 	} {
 		if err := run(args); err != nil {
 			t.Errorf("%v: %v", args, err)
 		}
 		unchanged(strings.Join(args, " "))
 	}
-	if err := run([]string{"run", "-q", "-topic", "smoke", "-check", "BENCH_smoke.json", "-out", "./BENCH_smoke.json"}); err == nil {
+	if err := run([]string{"run", "-q", "-topic", "strategies", "-check", "BENCH_strategies.json", "-out", "./BENCH_strategies.json"}); err == nil {
 		t.Error("-out onto the -check baseline was accepted")
 	}
 	unchanged("-out onto -check")
 
-	// A 3-query run is not comparable with the 6-query baseline: the gate
+	// A 3-query run is not comparable with the 30-query baseline: the gate
 	// says so instead of passing on the shape.
-	shrunk := []string{"run", "-q", "-topic", "mine", "-strategies", "CA,BL,adaptive",
-		"-zipf", "0.8", "-queries", "3", "-check", "BENCH_smoke.json"}
+	shrunk := []string{"run", "-q", "-topic", "mine", "-strategies", "CA,BL,PL,SBL,SPL,adaptive",
+		"-workloads", "school,table2", "-faults", "none,kill:DB3,delay:DB3:5ms", "-queries", "3",
+		"-check", "BENCH_strategies.json"}
 	if err := run(shrunk); err == nil {
-		t.Error("a 3-query run passed the 6-query baseline's gate")
+		t.Error("a 3-query run passed the 30-query baseline's gate")
 	}
 	unchanged("shrunk run")
 }
 
-// TestCheckAndSLORefuseSelfGatingReports: over every committed report, check
-// and slo -in judge a matrix topic's and refuse a self-gating topic's by
-// name — they used to find zero matrix cells in it and pass ("no
-// regressions in 0 cells", "SLO met in all 0 cells").
-func TestCheckAndSLORefuseSelfGatingReports(t *testing.T) {
+// TestRunCheckRefusesSelfGatingReports: over every committed report, run
+// -check gates against a matrix topic's — the committed strategies report
+// reruns with no regressions — and refuses a self-gating topic's by name,
+// before anything runs: it has no matrix cells, and a gate over zero of them
+// would pass.
+func TestRunCheckRefusesSelfGatingReports(t *testing.T) {
 	root, err := filepath.Abs(filepath.Join("..", ".."))
 	if err != nil {
 		t.Fatal(err)
@@ -172,87 +180,19 @@ func TestCheckAndSLORefuseSelfGatingReports(t *testing.T) {
 	for _, topic := range registered(t) {
 		path := filepath.Join(root, "BENCH_"+topic.Name+".json")
 		_, matrix := topic.Spec.(bench.MatrixSpec)
-		for _, args := range [][]string{
-			{"check", "-old", path, "-new", path},
-			{"slo", "-in", path, "-rules", "degraded_queries <= 100%", "-allow-errors"},
-		} {
-			_, err := captureStdout(t, func() error { return run(args) }) // slo prints every cell
-			switch {
-			case matrix && err != nil:
-				t.Errorf("%s %s: %v", args[0], topic.Name, err)
-			case !matrix && err == nil:
-				t.Errorf("%s passed %s's report, which has no matrix cells", args[0], topic.Name)
-			case !matrix && !(strings.Contains(err.Error(), "topic "+topic.Name) && strings.Contains(err.Error(), "own invariants")):
-				t.Errorf("%s %s: refusal %q does not name the topic and how it is gated", args[0], topic.Name, err)
-			}
+		args := []string{"run", "-q", "-topic", topic.Name, "-check", path}
+		if !matrix {
+			args = []string{"run", "-q", "-topic", "mine", "-strategies", "CA", "-check", path}
 		}
-	}
-}
-
-// TestSLORules: hetbench slo holds a stored report's cells to objectives in
-// bench.Rule's grammar — pass and fail, the limiting rule named, client
-// errors failing a cell unless allowed, and a rule a report cannot answer
-// refused by name when it is parsed, before anything is judged.
-func TestSLORules(t *testing.T) {
-	inTempDir(t)
-	write := func(path string, client bench.ClientStats, server bench.ServerStats) {
-		t.Helper()
-		r := &bench.Report{Schema: bench.SchemaVersion, Topic: "mine", Spec: bench.MatrixSpec{},
-			Cells: []bench.CellResult{{
-				Cell:   bench.Cell{Strategy: "BL", Workload: "school", Fault: "none"},
-				Client: client, Server: server,
-			}}}
-		if err := r.WriteFile(path); err != nil {
-			t.Fatal(err)
+		_, err := captureStdout(t, func() error { return run(args) })
+		switch {
+		case matrix && err != nil:
+			t.Errorf("%s: %v", topic.Name, err)
+		case !matrix && err == nil:
+			t.Errorf("-check passed %s's report, which has no matrix cells", topic.Name)
+		case !matrix && !(strings.Contains(err.Error(), "topic "+topic.Name) && strings.Contains(err.Error(), "own invariants")):
+			t.Errorf("%s: refusal %q does not name the topic and how it is gated", topic.Name, err)
 		}
-	}
-	write("good.json", bench.ClientStats{QPS: 2500, P99Micros: 40000, Completed: 100}, bench.ServerStats{MaybeFrac: 0.15})
-	write("errors.json", bench.ClientStats{QPS: 2500, Errors: 3}, bench.ServerStats{})
-	const objective = "throughput >= 2000; query_latency p99 < 50ms; maybe_rows <= 20%"
-	const cell = "BL/school/none"
-	for _, tc := range []struct {
-		name    string
-		args    []string
-		wantErr string // "" = every cell passes
-		wants   []string
-	}{
-		{"pass", []string{"-in", "good.json", "-rules", objective}, "",
-			// Four checks: the three rules and the error count, which has the
-			// least headroom of a passing cell (none).
-			[]string{"PASS " + cell + "  (limiting: errors)", "2500.00/s", "40.00ms", "15.00%", "SLO met in all 1 cells"}},
-		{"pass, tightest rule", []string{"-in", "good.json", "-rules", objective, "-allow-errors"}, "",
-			[]string{"PASS " + cell + "  (limiting: query_latency p99 < 50ms)"}},
-		{"fail", []string{"-in", "good.json", "-rules", "floor: throughput >= 3000; query_latency p99 < 50ms; maybe_rows <= 20%"},
-			"SLO missed in 1 of 1 cells",
-			[]string{"FAIL " + cell + "  (limiting: floor)", "VIOLATED"}},
-		// Two violations: the deeper one is limiting (the maybe share at 3 ×
-		// its cap is deeper than throughput a sixth below its floor).
-		{"fail, deepest violation", []string{"-in", "good.json", "-rules", "throughput >= 3000; maybe_rows <= 5%"},
-			"SLO missed", []string{"(limiting: maybe_rows <= 5%)"}},
-		{"errors fail a cell", []string{"-in", "errors.json", "-rules", "throughput >= 2000"},
-			"SLO missed", []string{"(limiting: errors)", "errors", "3  VIOLATED"}},
-		{"unless allowed", []string{"-in", "errors.json", "-rules", "throughput >= 2000", "-allow-errors"}, "",
-			[]string{"PASS " + cell}},
-		{"no objective", []string{"-in", "good.json"}, "no rules", nil},
-		{"a quantile the report does not keep", []string{"-in", "good.json", "-rules", "query_latency p75 < 1s"},
-			"query_latency p75", nil},
-		{"a series the report does not keep", []string{"-in", "good.json", "-rules", objective + "; request_errors < 1%"},
-			"request_errors", nil},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			out, err := captureStdout(t, func() error { return run(append([]string{"slo"}, tc.args...)) })
-			if (err == nil) != (tc.wantErr == "") || err != nil && !strings.Contains(err.Error(), tc.wantErr) {
-				t.Fatalf("err = %v, want %q\n%s", err, tc.wantErr, out)
-			}
-			for _, want := range tc.wants {
-				if !strings.Contains(out, want) {
-					t.Errorf("stdout missing %q:\n%s", want, out)
-				}
-			}
-			if tc.wants == nil && out != "" {
-				t.Errorf("a refused objective still judged cells:\n%s", out)
-			}
-		})
 	}
 }
 

@@ -1,9 +1,9 @@
 // Package bench is the repository's scenario-matrix experiment runner: the
 // measurement half of the paper's contribution, industrialized. A matrix
-// sweeps strategy (CA/BL/PL/SBL/SPL) × workload shape (the school example
-// and Table 2 draws) × fault plan, runs each cell's seeded query stream
-// (Zipfian query-variant skew) on the discrete-event fabric, and measures
-// each cell from two sides:
+// sweeps strategy (CA/BL/PL/SBL/SPL/adaptive) × workload shape (the school
+// example and Table 2 draws) × fault plan, runs the workload's seeded query
+// stream (Zipfian query-variant skew) in each cell on the discrete-event
+// fabric, and measures each cell from two sides:
 //
 //   - client-observed: p50/p95/p99/max latency in virtual time, throughput,
 //     error counts — what a caller experiences;
@@ -17,9 +17,7 @@
 // to gate replica repair.
 //
 // A run emits a schema-versioned, diffable BENCH_<topic>.json; Check
-// compares two reports under a tolerance for regression gating, and Judge
-// answers SLO questions stated as rules ("does every cell keep p99 < 50ms
-// with ≤ 20% maybe answers?") with a pass/fail and the limiting rule.
+// compares two reports under a tolerance for regression gating.
 package bench
 
 import (
@@ -39,7 +37,8 @@ const SchemaVersion = 2
 // shape shared by every cell. The cell set is the cross product of
 // Strategies × Workloads × Faults.
 type MatrixSpec struct {
-	// Strategies are execution strategy names: CA, BL, PL, SBL, SPL.
+	// Strategies are execution strategy names: CA, BL, PL, SBL, SPL and
+	// adaptive (the calibrating selector).
 	Strategies []string `json:"strategies"`
 	// Workloads name the federations queried: "school" (the paper's
 	// running example) and/or "table2" (a seeded draw from the paper's
@@ -47,7 +46,7 @@ type MatrixSpec struct {
 	Workloads []string `json:"workloads"`
 	// Faults are fault-plan specs in fabric.ParseFaults' grammar: "none",
 	// "kill:SITE", "drop:SITE:N" (dark after N operations),
-	// "delay:SITE:MICROS".
+	// "delay:SITE:AMOUNT".
 	Faults []string `json:"faults"`
 
 	// Queries is the number of queries driven per cell.
@@ -69,7 +68,8 @@ type Cell struct {
 	Strategy string `json:"strategy"`
 	Workload string `json:"workload"`
 	Fault    string `json:"fault"`
-	// Seed is the cell's derived seed (stable under matrix reordering).
+	// Seed is the seed of the cell's query stream, shared by every cell
+	// over the same workload.
 	Seed int64 `json:"seed"`
 }
 
@@ -164,8 +164,8 @@ func (r *Report) WriteFile(path string) error {
 	return nil
 }
 
-// Results returns a matrix report's cells — what Check and Judge
-// judge. The self-gating topics' cells have their own shapes and yield nil.
+// Results returns a matrix report's cells — what Check judges. The
+// self-gating topics' cells have their own shapes and yield nil.
 func (r *Report) Results() []CellResult {
 	cells, _ := r.Cells.([]CellResult)
 	return cells
@@ -233,13 +233,13 @@ func decodePayload[S, C any](r *Report, spec, cells json.RawMessage) error {
 	return nil
 }
 
-// cellSeed derives a cell's seed from the matrix seed and the cell's
-// identity, so a cell's randomness is stable when the matrix around it is
-// reordered or extended. The hashed string is the identity cells had when
-// the matrix also swept runtimes, client counts and serving configurations
-// ("sim/S/W/c1/F/plain"): every committed baseline reproduces to the digit.
-func cellSeed(base int64, c Cell) int64 {
+// cellSeed derives the seed of a cell's query stream from the matrix seed
+// and the cell's workload alone: every strategy and fault plan over one
+// workload draws the same variant sequence (common random numbers), so a
+// (workload, fault) column compares its strategies over identical queries,
+// and a cell's stream is stable when the matrix around it changes.
+func cellSeed(base int64, workload string) int64 {
 	h := fnv.New64a()
-	fmt.Fprintf(h, "sim/%s/%s/c1/%s/plain", c.Strategy, c.Workload, c.Fault)
+	h.Write([]byte(workload))
 	return base ^ int64(h.Sum64())
 }

@@ -122,12 +122,9 @@ func TestSimCellContent(t *testing.T) {
 	}
 }
 
-// TestStrategiesKillDB3: over the strategies topic, a dead DB3 never makes
-// any strategy's answers more certain, always degrades some queries, and on
-// table2 takes work off BL and PL: DB3 scans nothing and answers no check,
-// and its missing evidence leaves rows maybe rather than costing more work
-// elsewhere (EXPERIMENTS.md E35).
-func TestStrategiesKillDB3(t *testing.T) {
+// runStrategies runs the strategies topic on its canonical spec.
+func runStrategies(t *testing.T) (*Report, MatrixSpec) {
+	t.Helper()
 	topic, err := LookupTopic("strategies")
 	if err != nil {
 		t.Fatal(err)
@@ -136,25 +133,74 @@ func TestStrategiesKillDB3(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	spec := topic.Spec.(MatrixSpec)
-	for _, strat := range spec.Strategies {
-		for _, wl := range spec.Workloads {
-			healthy, ok1 := r.Get(strat + "/" + wl + "/none")
-			dead, ok2 := r.Get(strat + "/" + wl + "/kill:DB3")
-			if !ok1 || !ok2 {
-				t.Fatalf("%s/%s: cells missing from %d", strat, wl, len(r.Results()))
+	return r, topic.Spec.(MatrixSpec)
+}
+
+// TestStrategiesKillDB3: over the strategies topic, a sick DB3 is judged
+// against the healthy cell of the same strategy and workload.
+//   - Dead, it never makes any strategy's answers more certain, always
+//     degrades some queries, and on table2 takes work off BL and PL: DB3
+//     scans nothing and answers no check, and its missing evidence leaves
+//     rows maybe rather than costing more work elsewhere (EXPERIMENTS.md E35).
+//   - Stalled, it changes no answer and degrades no query, and no strategy
+//     reads faster on average than healthy (EXPERIMENTS.md E41).
+func TestStrategiesKillDB3(t *testing.T) {
+	r, spec := runStrategies(t)
+	perQuery := func(c CellResult) float64 { return float64(c.Server.CPUOps) / float64(c.Server.Queries) }
+	for _, fault := range []string{"kill:DB3", "delay:DB3:5ms"} {
+		t.Run(fault, func(t *testing.T) {
+			for _, strat := range spec.Strategies {
+				for _, wl := range spec.Workloads {
+					healthy, ok1 := r.Get(strat + "/" + wl + "/none")
+					sick, ok2 := r.Get(strat + "/" + wl + "/" + fault)
+					if !ok1 || !ok2 {
+						t.Fatalf("%s/%s: cells missing from %d", strat, wl, len(r.Results()))
+					}
+					key := sick.Cell.Key()
+					if fault == "delay:DB3:5ms" {
+						if sick.Server.CertainRows != healthy.Server.CertainRows || sick.Server.MaybeRows != healthy.Server.MaybeRows ||
+							sick.Server.DegradedQueries != 0 {
+							t.Errorf("%s: %d certain, %d maybe, %d degraded; healthy %d certain, %d maybe", key,
+								sick.Server.CertainRows, sick.Server.MaybeRows, sick.Server.DegradedQueries,
+								healthy.Server.CertainRows, healthy.Server.MaybeRows)
+						}
+						if sick.Client.MeanMicros < healthy.Client.MeanMicros {
+							t.Errorf("%s: mean %.0fµs, faster than healthy %.0fµs", key, sick.Client.MeanMicros, healthy.Client.MeanMicros)
+						}
+						continue
+					}
+					if sick.Server.MaybeFrac < healthy.Server.MaybeFrac {
+						t.Errorf("%s: maybe frac %v, %v healthy", key, sick.Server.MaybeFrac, healthy.Server.MaybeFrac)
+					}
+					if sick.Server.DegradedFrac <= 0 {
+						t.Errorf("%s: degraded frac %v, want > 0", key, sick.Server.DegradedFrac)
+					}
+					if wl == "table2" && (strat == "BL" || strat == "PL") && perQuery(sick) >= perQuery(healthy) {
+						t.Errorf("%s: %.0f cpu ops per query, %.0f healthy; want fewer", key, perQuery(sick), perQuery(healthy))
+					}
+				}
 			}
-			if dead.Server.MaybeFrac < healthy.Server.MaybeFrac {
-				t.Errorf("%s/%s: maybe frac %v with DB3 dead, %v healthy", strat, wl,
-					dead.Server.MaybeFrac, healthy.Server.MaybeFrac)
+		})
+	}
+}
+
+// TestStrategiesAgreePerColumn: every cell over one workload runs the same
+// query stream, so under one fault plan all strategies return the same
+// certain and maybe rows — DESIGN.md §4 invariant 1 at matrix scale.
+func TestStrategiesAgreePerColumn(t *testing.T) {
+	r, spec := runStrategies(t)
+	for _, wl := range spec.Workloads {
+		for _, fault := range spec.Faults {
+			first, ok := r.Get(spec.Strategies[0] + "/" + wl + "/" + fault)
+			if !ok {
+				t.Fatalf("%s/%s: cells missing from %d", wl, fault, len(r.Results()))
 			}
-			if dead.Server.DegradedFrac <= 0 {
-				t.Errorf("%s/%s: degraded frac %v with DB3 dead, want > 0", strat, wl, dead.Server.DegradedFrac)
-			}
-			perQuery := func(c CellResult) float64 { return float64(c.Server.CPUOps) / float64(c.Server.Queries) }
-			if wl == "table2" && (strat == "BL" || strat == "PL") && perQuery(dead) >= perQuery(healthy) {
-				t.Errorf("%s/%s: %.0f cpu ops per query with DB3 dead, %.0f healthy; want fewer",
-					strat, wl, perQuery(dead), perQuery(healthy))
+			for _, strat := range spec.Strategies[1:] {
+				c, _ := r.Get(strat + "/" + wl + "/" + fault)
+				if c.Server.CertainRows != first.Server.CertainRows || c.Server.MaybeRows != first.Server.MaybeRows {
+					t.Errorf("%s: %d certain, %d maybe rows; %s: %d certain, %d maybe", c.Cell.Key(),
+						c.Server.CertainRows, c.Server.MaybeRows, first.Cell.Key(), first.Server.CertainRows, first.Server.MaybeRows)
+				}
 			}
 		}
 	}
@@ -261,6 +307,7 @@ func TestValidate(t *testing.T) {
 		{"strategy", func(s *MatrixSpec) { s.Strategies = []string{"XX"} }},
 		{"fault", func(s *MatrixSpec) { s.Faults = []string{"explode:DB1"} }},
 		{"fault-arity", func(s *MatrixSpec) { s.Faults = []string{"drop:DB1"} }},
+		{"fault-infinite", func(s *MatrixSpec) { s.Faults = []string{"delay:DB3:Inf"} }},
 		{"workload", func(s *MatrixSpec) { s.Workloads = []string{"nope"} }},
 	} {
 		spec := smokeSpec()

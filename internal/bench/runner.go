@@ -30,8 +30,9 @@ func Run(ctx context.Context, spec MatrixSpec, topic string, progress func(strin
 	}
 	report := newReport(topic, spec.Seed, spec)
 	var cells []CellResult
-	// One bundle per workload name, shared by every cell that queries it:
-	// comparisons across strategies and faults are over identical data.
+	// One bundle per workload name, shared by every cell that queries it,
+	// and one query stream (cellSeed): comparisons across strategies and
+	// faults are over identical data and queries.
 	bundles := make(map[string]*Bundle, len(spec.Workloads))
 	for _, name := range spec.Workloads {
 		b, err := BuildBundle(name, spec.Variants, spec.Scale, spec.Seed)
@@ -98,9 +99,7 @@ func expand(spec MatrixSpec) []Cell {
 	for _, strat := range spec.Strategies {
 		for _, wl := range spec.Workloads {
 			for _, fault := range spec.Faults {
-				c := Cell{Strategy: strat, Workload: wl, Fault: fault}
-				c.Seed = cellSeed(spec.Seed, c)
-				cells = append(cells, c)
+				cells = append(cells, Cell{Strategy: strat, Workload: wl, Fault: fault, Seed: cellSeed(spec.Seed, wl)})
 			}
 		}
 	}

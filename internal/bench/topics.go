@@ -16,7 +16,7 @@ type Topic struct {
 	// ChaosSpec (RunChaos) or FigureSpec (RunFigures).
 	Spec any
 	// Baseline marks a topic gated by Check against the committed
-	// BENCH_<Name>.json — the matrices, whose virtual-time cells are
+	// BENCH_<Name>.json — the matrix, whose virtual-time cells are
 	// byte-stable across machines. The other topics' runners gate
 	// on the run's own invariants instead: a bound in the spec where a wall
 	// clock is measured (MaxOverhead, MaxConvergenceRounds), the paper's
@@ -24,37 +24,15 @@ type Topic struct {
 	Baseline bool
 }
 
-// simMatrix is the load shape smoke and adaptive share: the Zipf-skewed
-// school workload.
-func simMatrix(strategies, faults []string, queries int) MatrixSpec {
-	return MatrixSpec{
-		Strategies: strategies,
-		Workloads:  []string{"school"},
-		Faults:     faults,
-		Queries:    queries,
-		Zipf:       0.8,
-		Variants:   3,
-		Scale:      0.02,
-		Seed:       42,
-	}
-}
-
 // topics is the registry, in the order usage messages list it.
 var topics = []Topic{
-	// The regression smoke: static CA and BL beside the adaptive selector,
-	// so the calibration loop is gated with the fixed strategies.
-	{Name: "smoke", Baseline: true,
-		Spec: simMatrix([]string{"CA", "BL", "adaptive"}, []string{"none"}, 6)},
-	// Static vs adaptive A/B, healthy and with one site killed
-	// (EXPERIMENTS.md E16).
-	{Name: "adaptive", Baseline: true,
-		Spec: simMatrix([]string{"CA", "BL", "PL", "adaptive"}, []string{"none", "kill:DB3"}, 40)},
-	// Every strategy over both workloads, healthy and with one site killed
-	// (EXPERIMENTS.md E35).
+	// Every strategy, the calibrating selector among them, over both
+	// workloads: healthy, with one site killed and with it stalled
+	// (EXPERIMENTS.md E35, E41).
 	{Name: "strategies", Baseline: true, Spec: MatrixSpec{
-		Strategies: []string{"CA", "BL", "PL", "SBL", "SPL"},
+		Strategies: []string{"CA", "BL", "PL", "SBL", "SPL", "adaptive"},
 		Workloads:  []string{"school", "table2"},
-		Faults:     []string{"none", "kill:DB3"},
+		Faults:     []string{"none", "kill:DB3", "delay:DB3:5ms"},
 		Queries:    30,
 		Zipf:       0.9,
 		Variants:   3,

@@ -2,6 +2,7 @@ package fabric
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -167,8 +168,8 @@ func (f *FaultPlan) String() string {
 //	none                no faults
 //	kill:SITE           SITE is dead for the whole run
 //	drop:SITE:N         SITE serves N operations, then goes dark
-//	delay:SITE:AMOUNT   every operation at SITE stalls by AMOUNT, a duration
-//	                    (5ms) or a bare number of microseconds (1500)
+//	delay:SITE:AMOUNT   every operation at SITE stalls by AMOUNT, a finite
+//	                    duration (5ms) or number of microseconds (1500)
 //	cut:SITE            the links between self and SITE are cut, both ways
 //
 // self names the process the plan is installed in: kill and delay may then
@@ -225,7 +226,7 @@ func parseFaultTerm(term string, self object.SiteID) (func(*FaultPlan), error) {
 			d, err = time.ParseDuration(args[0])
 			us = float64(d) / float64(time.Microsecond)
 		}
-		if err == nil && us >= 0 {
+		if err == nil && us >= 0 && !math.IsInf(us, 1) {
 			return func(fp *FaultPlan) { fp.Delay(site, us) }, nil
 		}
 	}

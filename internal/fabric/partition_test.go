@@ -87,15 +87,15 @@ func TestFaultPlanStringWithLinks(t *testing.T) {
 }
 
 // TestParseFaults covers the one fault-spec grammar's edges: the terms, the
-// two amounts a delay takes, the forms that need a local site, and the
-// factory's fresh plans.
+// two amounts a delay takes (finite ones only), the forms that need a local
+// site, and the factory's fresh plans.
 func TestParseFaults(t *testing.T) {
 	for _, good := range []string{"none", "", "kill:DB2", "drop:DB1:5", "delay:DB3:1500", "delay:DB3:5ms", "kill:DB1,delay:DB2:1ms"} {
 		if _, err := ParseFaults(good, ""); err != nil {
 			t.Errorf("ParseFaults(%q): %v", good, err)
 		}
 	}
-	for _, bad := range []string{"kill", "kill:", "drop:DB1:x", "drop:DB1:-1", "delay:DB1", "delay:5ms", "delay:DB1:-5ms", "zap:DB1", "cut:DB2", "kill:DB1:3", "kill:DB1,zap"} {
+	for _, bad := range []string{"kill", "kill:", "drop:DB1:x", "drop:DB1:-1", "delay:DB1", "delay:5ms", "delay:DB1:-5ms", "delay:DB3:Inf", "delay:DB3:+Inf", "zap:DB1", "cut:DB2", "kill:DB1:3", "kill:DB1,zap"} {
 		if _, err := ParseFaults(bad, ""); err == nil {
 			t.Errorf("ParseFaults(%q) accepted without a local site", bad)
 		}

@@ -75,11 +75,4 @@ func TestSnapshotSumAndHistTotals(t *testing.T) {
 	if n, _ := s.HistTotals("absent"); n != 0 {
 		t.Errorf("HistTotals(absent) count = %d, want 0", n)
 	}
-	merged := s.MergedHist("lat_us")
-	if merged == nil || merged.Count != 3 {
-		t.Fatalf("MergedHist = %+v, want count 3", merged)
-	}
-	if s.MergedHist("absent") != nil {
-		t.Error("MergedHist(absent) should be nil")
-	}
 }

@@ -74,7 +74,6 @@ func FuzzDecodeSnapshot(f *testing.F) {
 		}
 		for _, smp := range s.Samples {
 			for _, q := range []float64{-1, 0, 0.5, 0.99, 1, 2} {
-				s.MergedHist(smp.Name).Quantile(q)
 				smp.Hist.Quantile(q)
 			}
 			smp.Hist.Mean()

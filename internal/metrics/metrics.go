@@ -379,27 +379,6 @@ func (s Snapshot) HistTotals(name string) (count int64, sum float64) {
 	return count, sum
 }
 
-// MergedHist sums a histogram metric's buckets across every label set into
-// one HistogramSnapshot (a quantile estimate over every label set).
-// Returns nil when the metric was never observed.
-func (s Snapshot) MergedHist(name string) *HistogramSnapshot {
-	var out *HistogramSnapshot
-	for _, smp := range s.Samples {
-		if smp.Name != name || smp.Kind != "histogram" || smp.Hist == nil {
-			continue
-		}
-		if out == nil {
-			out = &HistogramSnapshot{}
-		}
-		out.Sum += smp.Hist.Sum
-		out.Count += smp.Hist.Count
-		for i, c := range smp.Hist.Counts {
-			out.Counts[i] += c
-		}
-	}
-	return out
-}
-
 // Delta captures the registry's current values minus a previous snapshot
 // of it — the measurement primitive: take a Snapshot before a
 // run, Delta after it, and long-lived instruments (a server that has

@@ -209,7 +209,7 @@ fi
 # No cluster ops plane (EXPERIMENTS.md E40): a process serves its own surface
 # and nothing reads another's, so the scraper and rollup, the SLO alert
 # engine, hetserve's flag for them and the scrape hook stay gone, in tests or
-# otherwise; hetbench slo's rule grammar lives beside bench.Judge.
+# otherwise.
 for gone in internal/obs/agg internal/obs/slo; do
     if [ -e "$gone" ]; then
         echo "$gone is back; nothing reads another process's surface (see EXPERIMENTS.md E40)" >&2
@@ -220,6 +220,21 @@ if grep -rnE 'cluster-scrape|SetOnScrape' --include='*.go' --exclude-dir=.bench_
     echo "the cluster scraper is back (see EXPERIMENTS.md E40)" >&2
     guard_failed=1
 fi
+# hetbench is one verb over one matrix (EXPERIMENTS.md E41): run gates a
+# matrix against a baseline through bench.Check, so the SLO rule grammar and
+# its judge, the check and slo subcommands and the smoke and adaptive topics'
+# reports stay gone, in tests or otherwise.
+if grep -rnE 'ParseRules|bench\.Judge|sloCmd|checkCmd|BENCH_smoke|BENCH_adaptive' \
+    --include='*.go' --include='*.yml' --include='*.sh' --exclude-dir=.bench_build . | grep -v '^\./scripts/check\.sh:'; then
+    echo "a second way to judge a matrix report is back; hetbench run -check is the one (see EXPERIMENTS.md E41)" >&2
+    guard_failed=1
+fi
+for gone in BENCH_smoke.json BENCH_adaptive.json internal/bench/slo.go; do
+    if [ -e "$gone" ]; then
+        echo "$gone is back; strategies is the one DES matrix (see EXPERIMENTS.md E41)" >&2
+        guard_failed=1
+    fi
+done
 # One strategy chooser (DESIGN.md section 11, EXPERIMENTS.md E28): catalog →
 # estimate → calibrate → choose is internal/planner, and a selector is built
 # one way. The adaptive package, the rate-model seam, the static planner's
@@ -381,7 +396,7 @@ esac
 # The figure ROADMAP's LOC numbers use, so the next issue quotes it instead
 # of recounting, and ROADMAP item 10's gate on it: a change that grows the
 # tree past the ceiling deletes as much as it adds first.
-loc_ceiling=21975
+loc_ceiling=21585
 loc="$(find . -name '*.go' -not -name '*_test.go' \
     -not -path './benchmark/*' -not -path './.bench_build/*' | xargs wc -l | tail -n 1 | awk '{print $1}')"
 echo "== non-test Go lines: $loc (ceiling $loc_ceiling)"
@@ -433,9 +448,9 @@ go test -run - -bench 'BenchmarkGmap' -benchtime 1x ./internal/gmap/
 # Every decoder fed from a socket or a disk gets a short fuzz budget on top
 # of its committed seed corpus (testdata/fuzz/): no panic, no allocation
 # beyond a constant multiple of the input, re-encoding is a fixed point. So
-# do the three grammars fed from a command line: no panic, an accepted fault
-# spec builds a plan, an accepted query's or SLO rule's rendering parses back
-# to itself. So does the federation document hetserve -fed and hetql -fed
+# do the two grammars fed from a command line: no panic, an accepted fault
+# spec builds a plan with finite delays, an accepted query's rendering parses
+# back to itself. So does the federation document hetserve -fed and hetql -fed
 # load: an accepted document survives Export → Parse. And so does a WAL file:
 # a scan stops at the last whole valid frame and what it accepted re-encodes
 # to the bytes it read. And so does a site's /metrics body, decoded with
@@ -444,7 +459,7 @@ go test -run - -bench 'BenchmarkGmap' -benchtime 1x ./internal/gmap/
 echo "== fuzz (10s per target)"
 for target in ./internal/remote:FuzzDecodeRequest ./internal/remote:FuzzDecodeResponse \
     ./internal/object:FuzzDecodeObject ./internal/object:FuzzDecodeMasked ./internal/fabric:FuzzParseFaults \
-    ./internal/query:FuzzParseQuery ./internal/bench:FuzzParseRule \
+    ./internal/query:FuzzParseQuery \
     ./internal/fedfile:FuzzParseFederation ./internal/store/wal:FuzzScanFrames \
     ./internal/metrics:FuzzDecodeSnapshot; do
     go test -run '^$' -fuzz "^${target#*:}\$" -fuzztime 10s "${target%%:*}"
@@ -461,10 +476,10 @@ done
 echo "== recovery torture (kill -9, fresh run)"
 go test -count 1 -timeout 120s -run 'TestKillNineMidInsert' ./internal/store/wal/
 
-# BENCH_TOPICS="smoke chaos ..." additionally runs those hetbench topics on
-# their canonical specs (internal/bench/topics.go), each gated its own way:
-# the sim topics against the committed BENCH_<topic>.json, the others on
-# their own invariants.
+# BENCH_TOPICS="strategies chaos ..." additionally runs those hetbench topics
+# on their canonical specs (internal/bench/topics.go), each gated its own way:
+# strategies against the committed BENCH_strategies.json, the others on their
+# own invariants.
 for topic in ${BENCH_TOPICS:-}; do
     echo "== hetbench run -topic $topic"
     go run ./cmd/hetbench run -topic "$topic"
