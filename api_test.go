@@ -149,7 +149,7 @@ func TestPublicAPIWorkflow(t *testing.T) {
 
 	// The planner produces estimates for the paper's strategies and picks
 	// the cheapest.
-	sel := hetfed.NewSelector(hetfed.BuildCatalog(global, dbs, tables), "HQ", nil)
+	sel := hetfed.NewSelector(hetfed.BuildCatalog(global, dbs, tables), "HQ")
 	ests := sel.Estimate(b)
 	if len(ests) != 3 {
 		t.Errorf("estimates = %v", ests)

@@ -71,7 +71,6 @@ func run(args []string) error {
 		explain     = fs.Bool("explain", false, "EXPLAIN ANALYZE: print the planner's predicted per-site/per-phase cost against the measured profile (runs the planner's choice unless -alg names a strategy)")
 		deadline    = fs.Duration("deadline", 0, "end-to-end wall-clock budget per query; an over-budget query returns its sound partial answer (0 = none)")
 		dataDir     = fs.String("data-dir", "", "query the durable state under this root (WAL+snapshot directories as written by hetserve) instead of the in-memory fixture; missing directories are seeded from the fixture")
-		obsBase     = fs.String("obs", "", "coordinator observability base URL; with -trace the footer prints a full /debug/trace/{id}.json link (e.g. http://127.0.0.1:8100)")
 		showVersion = fs.Bool("version", false, "print the build version and exit")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -174,9 +173,9 @@ func run(args []string) error {
 	var table1, selector *planner.Selector
 	if *explain || adaptive {
 		cat := planner.BuildCatalog(global, databases, tables)
-		table1 = planner.NewSelector(cat, "G", nil)
+		table1 = planner.NewSelector(cat, "G")
 		if adaptive {
-			selector = planner.NewSelector(cat, "G", nil)
+			selector = planner.NewSelector(cat, "G")
 		}
 	}
 
@@ -266,13 +265,11 @@ func run(args []string) error {
 				printExplain(table1.Estimate(b), calibrated, executed, rec.Last())
 			}
 			if p := rec.Last(); *showTrace && p != nil {
-				// Both views read the run's recorded profile. The footer makes
-				// a slow query one click from its Perfetto trace: the profile's
-				// ID is the trace ID every obs surface serves under
-				// /debug/trace/{id}.json.
+				// Both views read the run's recorded profile; the footer names
+				// it by its ID.
 				fmt.Printf("\nstep flow:\n%s", p.Render())
 				fmt.Printf("\nspan tree:\n%s", p.RenderTree())
-				fmt.Printf("\ntrace: %s  →  %s\n", p.ID, traceURL(*obsBase, p.ID))
+				fmt.Printf("\ntrace: %s\n", p.ID)
 			}
 			if *showMetrics {
 				cur := reg.Snapshot()
@@ -283,20 +280,6 @@ func run(args []string) error {
 		}
 	}
 	return nil
-}
-
-// traceURL builds the link to a query's full trace on the coordinator's
-// observability surface. Without a base it stays a path, so the footer is
-// useful even when no coordinator is running.
-func traceURL(base, id string) string {
-	path := "/debug/trace/" + id + ".json"
-	if base == "" {
-		return path
-	}
-	if !strings.Contains(base, "://") {
-		base = "http://" + base
-	}
-	return strings.TrimSuffix(base, "/") + path
 }
 
 // estimateFor finds the planner estimate matching a strategy; the

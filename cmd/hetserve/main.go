@@ -124,7 +124,7 @@ func (c *cmdline) parse(args []string) error {
 	fs.BoolVar(&c.coordinator, "coordinator", false, "act as the global processing site")
 	fs.StringVar(&c.peers, "peers", "", "comma-separated SITE=ADDR pairs")
 	fs.StringVar(&c.query, "query", school.Q1, "query to run in -coordinator mode")
-	fs.StringVar(&c.alg, "alg", "BL", "strategy for -coordinator mode: CA, BL, PL, SBL, SPL, or adaptive (calibrating selector fed by measured profiles and breaker states)")
+	fs.StringVar(&c.alg, "alg", "BL", "strategy for -coordinator mode: CA, BL, PL, SBL, SPL, or adaptive (calibrating selector fed by measured profiles)")
 	fs.StringVar(&c.fed, "fed", "", "serve/query this JSON federation instead of the built-in example")
 	fs.BoolVar(&c.trace, "trace", false, "print the query's span tree in -coordinator mode")
 	fs.BoolVar(&c.metrics, "metrics", false, "print the coordinator's metrics snapshot in -coordinator mode")
@@ -396,13 +396,12 @@ func runCoordinator(fed *fedfile.Federation, peers map[object.SiteID]string, c *
 	// The repair loop stops before Close (LIFO defer order).
 	defer coord.StartAntiEntropy()()
 	// Adaptive mode: the selector plans over the bundle's catalog (the
-	// coordinator holds the same federation document the sites serve from),
-	// calibrated by each query's measured profile and steered by the live
-	// peer breaker states.
+	// coordinator holds the same federation document the sites serve from)
+	// and is calibrated by each query's measured profile.
 	var selector *planner.Selector
 	if alg == exec.Adaptive {
 		cat := planner.BuildCatalog(fed.Global, fed.Databases, tables)
-		selector = planner.NewSelector(cat, "G", coord.BreakerStates)
+		selector = planner.NewSelector(cat, "G")
 		coord.Selector = selector
 	}
 	// /healthz merges the peer breaker states with the replica's divergence

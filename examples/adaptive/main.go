@@ -64,7 +64,7 @@ func main() {
 
 		// A selector that has observed no query prices every site at the
 		// paper's Table 1 rates.
-		planner := hetfed.NewSelector(cat, "G", nil)
+		planner := hetfed.NewSelector(cat, "G")
 		chosen := planner.Select(b)
 		fmt.Printf("%s: %s\n", qc.name, qc.src)
 		fmt.Printf("  planner chose %v\n", chosen)

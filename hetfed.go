@@ -285,8 +285,8 @@ var (
 	// BuildCatalog scans the federation and gathers statistics.
 	BuildCatalog = planner.BuildCatalog
 	// NewSelector builds the strategy chooser over a catalog for queries
-	// the given site coordinates; the health hook (breaker states) may be
-	// nil. Its Estimate prices CA, BL and PL, its Select picks the cheapest.
+	// the given site coordinates. Its Estimate prices CA, BL and PL, its
+	// Select picks the one with the lowest predicted (response, total).
 	// One that has observed no query prices every site at Table 1's rates;
 	// wired into EngineConfig.Selector it also resolves the adaptive
 	// strategy and re-rates each site from the queries it sees.

@@ -289,7 +289,7 @@ func runPoint(spec FigureSpec, sw sweep, x float64) (point, error) {
 				// A selector that has observed nothing is the Table 1
 				// planner; no sweep with a planner row moves the rates.
 				cat := planner.BuildCatalog(w.Global, w.Databases, w.Tables)
-				chosen := planner.NewSelector(cat, coordinatorID, nil).Select(w.Bound).String()
+				chosen := planner.NewSelector(cat, coordinatorID).Select(w.Bound).String()
 				score.add(chosen, ran)
 				ran[label] = ran[chosen]
 			} else {

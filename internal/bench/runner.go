@@ -139,7 +139,7 @@ func runSimCell(ctx context.Context, spec MatrixSpec, cell Cell, bundle *Bundle)
 	if adaptive {
 		cat := planner.BuildCatalog(bundle.Global, bundle.Databases, bundle.Tables)
 		cfg.Tracer = &tracer
-		cfg.Selector = planner.NewSelector(cat, coordinatorID, nil)
+		cfg.Selector = planner.NewSelector(cat, coordinatorID)
 	}
 	engine, err := exec.New(cfg)
 	if err != nil {

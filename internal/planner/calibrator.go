@@ -16,10 +16,6 @@ const (
 	// profile (cold cache, GC pause) cannot blow up the model.
 	minScale = 0.05
 	maxScale = 100
-	// failThreshold is the failure score above which degraded reports a site
-	// as "open". Scores move by alpha per observation, so a site must miss a
-	// few queries in a row to cross it.
-	failThreshold = 0.5
 )
 
 // calibrator learns per-site effective rates from finished queries'
@@ -36,30 +32,20 @@ type calibrator struct {
 
 	mu     sync.Mutex
 	scales map[object.SiteID]float64 // EWMA of measured/modeled time ratio
-	fails  map[object.SiteID]float64 // EWMA of "was unavailable this query"
 }
 
 func newCalibrator(coord object.SiteID) *calibrator {
 	return &calibrator{
 		coord:  coord,
 		scales: make(map[object.SiteID]float64),
-		fails:  make(map[object.SiteID]float64),
 	}
-}
-
-// ewma folds one observation into a running score; the first observation
-// sets it.
-func ewma(scores map[object.SiteID]float64, site object.SiteID, v float64) {
-	if prev, ok := scores[site]; ok {
-		v = (1-alpha)*prev + alpha*v
-	}
-	scores[site] = v
 }
 
 // observe ingests one finished query's profile: for every component site
-// with measured event counts it updates the site's rate scale, and for
-// every site the query touched (or failed to reach) it updates the site's
-// failure score.
+// with measured event counts it folds the site's measured-over-modeled time
+// ratio into the site's rate scale (an EWMA; the first observation sets it).
+// A site the query could not reach has no measured counts and is left as it
+// was: unavailability is missing data, not a cost.
 func (c *calibrator) observe(p *trace.Profile) {
 	if p == nil {
 		return
@@ -87,33 +73,11 @@ func (c *calibrator) observe(p *trace.Profile) {
 		if modeled <= 0 || measured <= 0 {
 			continue
 		}
-		ewma(c.scales, sid, min(max(measured/modeled, minScale), maxScale))
-	}
-
-	// Failure tracking: a site listed unavailable moves toward 1, a site
-	// that served the query decays toward 0. This gives the selector a
-	// degradation signal even where no circuit breaker runs (the simulated
-	// runtime's kill faults).
-	down := make(map[object.SiteID]bool, len(p.Unavailable))
-	for _, s := range p.Unavailable {
-		down[object.SiteID(s)] = true
-	}
-	touched := make(map[object.SiteID]bool, len(p.Sites))
-	for _, s := range p.Sites {
-		touched[s] = true
-	}
-	for s := range down {
-		touched[s] = true
-	}
-	for sid := range touched {
-		if sid == c.coord {
-			continue
+		ratio := min(max(measured/modeled, minScale), maxScale)
+		if prev, ok := c.scales[sid]; ok {
+			ratio = (1-alpha)*prev + alpha*ratio
 		}
-		target := 0.0
-		if down[sid] {
-			target = 1
-		}
-		ewma(c.fails, sid, target)
+		c.scales[sid] = ratio
 	}
 }
 
@@ -126,19 +90,4 @@ func (c *calibrator) siteRates(site object.SiteID) fabric.Rates {
 		return fabric.DefaultRates().Scale(s)
 	}
 	return fabric.DefaultRates()
-}
-
-// degraded returns the sites whose failure score exceeds the threshold,
-// mapped to the breaker-state vocabulary ("open") so it merges with live
-// breaker health in the selector.
-func (c *calibrator) degraded() map[object.SiteID]string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make(map[object.SiteID]string)
-	for k, v := range c.fails {
-		if v > failThreshold {
-			out[k] = "open"
-		}
-	}
-	return out
 }

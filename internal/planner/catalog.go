@@ -15,9 +15,9 @@
 // finished queries' measured profiles: the profile records the microseconds
 // a site spent (Profile.Phases) and the events it performed (Profile.IO), and
 // their ratio over the time Table 1 would predict is the site's observed
-// slowdown. Heterogeneous federations drift from any fixed constants; the
-// selector also steers away from check-heavy plans while a peer site is
-// degraded (breaker open, or repeatedly unavailable in the profiles).
+// slowdown. Heterogeneous federations drift from any fixed constants. The
+// choice is by predicted time alone: a site the query could not reach makes
+// its data missing, which changes the maybe rows, not which plan is cheapest.
 package planner
 
 import (

@@ -17,12 +17,6 @@ type Estimate struct {
 	TotalMicros float64
 	// ResponseMicros predicts the response time (critical path).
 	ResponseMicros float64
-	// CheckMicros is the share of TotalMicros spent on assistant-object
-	// checking at other sites (check shipping, assistant reads, verdict
-	// evaluation). Zero for CA, which ships no checks; largest for PL, which
-	// checks every object. The degradation-aware selector penalizes this
-	// share when a check target's breaker is open.
-	CheckMicros float64
 	// Details attributes TotalMicros per site and phase (O object location,
 	// I integration, P predicate processing); coordinator-side work is filed
 	// under the coordinator's own ID. The attribution is the cost model's, so
@@ -289,7 +283,6 @@ func (e *estimator) localized(alg exec.Algorithm) Estimate {
 		maxCheckRTT float64
 		details     cost.Breakdown
 		resultBytes float64
-		checkTotal  float64
 	)
 	for _, site := range e.b.RootSites() {
 		rates := e.rates(site)
@@ -388,7 +381,6 @@ func (e *estimator) localized(alg exec.Algorithm) Estimate {
 		// processing happens at assistant sites the estimator cannot name,
 		// so it is filed under the dispatching site's O.
 		checkMicros := checkWork + checkNet*rates.NetPerByte
-		checkTotal += checkMicros
 		if alg == exec.BL {
 			details.AddEstimate(string(site), "P", siteTime)
 			details.AddEstimate(string(site), "O", siteTime+checkMicros)
@@ -418,7 +410,6 @@ func (e *estimator) localized(alg exec.Algorithm) Estimate {
 		Alg:            alg,
 		TotalMicros:    totalWork + netMicros + coordCPU*coord.CPUPerOp,
 		ResponseMicros: resp,
-		CheckMicros:    checkTotal,
 		Details:        &details,
 	}
 }

@@ -110,7 +110,7 @@ func TestItemClassOf(t *testing.T) {
 }
 
 func TestEstimatesOrderingOnSchool(t *testing.T) {
-	sel, b := schoolSelector(t, nil)
+	sel, b := schoolSelector(t)
 	ests := sel.Estimate(b)
 	if len(ests) != 3 || ests[0].Alg != exec.CA || ests[1].Alg != exec.BL || ests[2].Alg != exec.PL {
 		t.Fatalf("estimates = %+v", ests)
@@ -161,7 +161,7 @@ func TestChooseMatchesSimulation(t *testing.T) {
 		}
 
 		cat := BuildCatalog(w.Global, w.Databases, w.Tables)
-		chosen := NewSelector(cat, "G", nil).Select(w.Bound)
+		chosen := NewSelector(cat, "G").Select(w.Bound)
 		total++
 		if chosen == best {
 			wins++
@@ -193,7 +193,7 @@ func TestEstimatesDisjunctiveQuery(t *testing.T) {
 	fx, cat, _ := schoolCatalog(t)
 	b := query.MustBind(query.MustParse(
 		`select name from Student where age < 25 or advisor.speciality = "database"`), fx.Global)
-	for _, est := range NewSelector(cat, "G", nil).Estimate(b) {
+	for _, est := range NewSelector(cat, "G").Estimate(b) {
 		if est.TotalMicros <= 0 || est.ResponseMicros <= 0 {
 			t.Errorf("%v: estimate %+v", est.Alg, est)
 		}
@@ -208,10 +208,10 @@ func TestEstimatesDisjunctiveQuery(t *testing.T) {
 // one chooses each time.
 func TestChooseDeterministic(t *testing.T) {
 	_, cat, b := schoolCatalog(t)
-	sel := NewSelector(cat, "G", nil)
+	sel := NewSelector(cat, "G")
 	first := sel.Select(b)
 	for i := 0; i < 5; i++ {
-		if got, fresh := sel.Select(b), NewSelector(cat, "G", nil).Select(b); got != first || fresh != first {
+		if got, fresh := sel.Select(b), NewSelector(cat, "G").Select(b); got != first || fresh != first {
 			t.Fatalf("nondeterministic choice: %v, %v vs %v", got, fresh, first)
 		}
 	}
@@ -226,7 +226,7 @@ func TestChooseDeterministic(t *testing.T) {
 func TestFreshSelectorIsTable1Planner(t *testing.T) {
 	check := func(name string, cat *Catalog, b *query.Bound) {
 		t.Helper()
-		sel := NewSelector(cat, "G", nil)
+		sel := NewSelector(cat, "G")
 		for _, site := range append(b.InvolvedSites(), "G") {
 			if got := sel.cal.siteRates(site); got != fabric.DefaultRates() {
 				t.Errorf("%s: %s priced at %+v, want Table 1's", name, site, got)

@@ -11,10 +11,10 @@ import (
 	"github.com/hetfed/hetfed/internal/trace"
 )
 
-func schoolSelector(t *testing.T, health Health) (*Selector, *query.Bound) {
+func schoolSelector(t *testing.T) (*Selector, *query.Bound) {
 	t.Helper()
 	_, cat, b := schoolCatalog(t)
-	return NewSelector(cat, "G", health), b
+	return NewSelector(cat, "G"), b
 }
 
 // siteProfile synthesizes a finished query's profile in which the given
@@ -75,45 +75,35 @@ func TestCalibratorEWMA(t *testing.T) {
 	}
 }
 
-// TestRankPenalty pins the fallback ladder on synthetic estimates: healthy
-// picks the fastest plan (PL), a half-open peer demotes PL below BL (BL
-// ships fewer checks), an open peer pushes past both to check-free CA.
-func TestRankPenalty(t *testing.T) {
-	ests := []Estimate{
-		{Alg: exec.CA, ResponseMicros: 170, TotalMicros: 300, CheckMicros: 0},
-		{Alg: exec.BL, ResponseMicros: 120, TotalMicros: 250, CheckMicros: 30},
-		{Alg: exec.PL, ResponseMicros: 100, TotalMicros: 280, CheckMicros: 60},
-	}
-	sites := []object.SiteID{"DB1", "DB2"}
-
+// TestRank pins the choice on synthetic estimates: the lowest predicted
+// response wins, a tie goes to the lower total, a full tie to the earlier
+// estimate. Nothing but the two predictions enters the ranking.
+func TestRank(t *testing.T) {
 	cases := []struct {
-		name   string
-		health map[object.SiteID]string
-		want   exec.Algorithm
+		name string
+		ests []Estimate
+		want exec.Algorithm
 	}{
-		{"healthy", nil, exec.PL},
-		{"half-open", map[object.SiteID]string{"DB2": "half-open"}, exec.BL},
-		{"open", map[object.SiteID]string{"DB2": "open"}, exec.CA},
-		// A replica with suspect mapping classes (anti-entropy divergence)
-		// weighs like a half-open breaker: reachable but unconfirmed.
-		{"suspect", map[object.SiteID]string{"DB2": "suspect(course) round=3 repaired=0B"}, exec.BL},
-		// A degraded site outside the query's fan-out is irrelevant.
-		{"unrelated-open", map[object.SiteID]string{"DB9": "open"}, exec.PL},
+		{"response", []Estimate{
+			{Alg: exec.CA, ResponseMicros: 170, TotalMicros: 300},
+			{Alg: exec.BL, ResponseMicros: 120, TotalMicros: 250},
+			{Alg: exec.PL, ResponseMicros: 100, TotalMicros: 280},
+		}, exec.PL},
+		{"total breaks a response tie", []Estimate{
+			{Alg: exec.CA, ResponseMicros: 170, TotalMicros: 300},
+			{Alg: exec.BL, ResponseMicros: 100, TotalMicros: 250},
+			{Alg: exec.PL, ResponseMicros: 100, TotalMicros: 280},
+		}, exec.BL},
+		{"earlier breaks a full tie", []Estimate{
+			{Alg: exec.CA, ResponseMicros: 100, TotalMicros: 250},
+			{Alg: exec.BL, ResponseMicros: 100, TotalMicros: 250},
+			{Alg: exec.PL, ResponseMicros: 100, TotalMicros: 250},
+		}, exec.CA},
 	}
 	for _, tc := range cases {
-		best, penalized := Rank(ests, sites, tc.health)
-		if best.Alg != tc.want {
-			t.Errorf("%s: chose %v, want %v (penalized %v)", tc.name, best.Alg, tc.want, penalized)
+		if got := rank(tc.ests); got.Alg != tc.want {
+			t.Errorf("%s: chose %v, want %v", tc.name, got.Alg, tc.want)
 		}
-		if len(penalized) != 3 {
-			t.Errorf("%s: penalized map %v", tc.name, penalized)
-		}
-	}
-
-	// Penalized scores under half-open: resp + 1·check.
-	_, pen := Rank(ests, sites, map[object.SiteID]string{"DB1": "half-open"})
-	if pen[exec.BL] != 150 || pen[exec.PL] != 160 || pen[exec.CA] != 170 {
-		t.Errorf("half-open scores = %v", pen)
 	}
 }
 
@@ -132,7 +122,7 @@ func TestConvergenceFlipsStrategy(t *testing.T) {
 		{"DB2", exec.BL},
 	}
 	for _, tc := range cases {
-		sel, b := schoolSelector(t, nil)
+		sel, b := schoolSelector(t)
 
 		if got := sel.Select(b); got != exec.PL {
 			t.Fatalf("static choice = %v, want PL", got)
@@ -164,80 +154,32 @@ func TestConvergenceFlipsStrategy(t *testing.T) {
 	}
 }
 
-// TestUnavailableSiteBiasesSelection: profiles reporting a site unavailable
-// (the simulated runtime's kill faults — no breaker runs there) must bias
-// selection away from check-heavy plans. For school Q1 the check target DB3
-// going dark makes check-free CA win over PL/BL.
-func TestUnavailableSiteBiasesSelection(t *testing.T) {
-	sel, b := schoolSelector(t, nil)
+// TestUnavailableSiteLeavesChoiceAlone: a profile reporting a site
+// unavailable (a kill fault) carries no measured work for it, so the
+// calibrated estimates stay the fresh selector's and the choice stays the
+// Table 1 planner's. An unreachable site is missing data — every strategy
+// returns the same certain and maybe rows — not a cost.
+func TestUnavailableSiteLeavesChoiceAlone(t *testing.T) {
+	sel, b := schoolSelector(t)
+	fresh, _ := schoolSelector(t)
 
+	for i := 0; i < 5; i++ {
+		sel.Observe(&trace.Profile{
+			ID: "degraded", Alg: "PL", Status: trace.StatusDegraded,
+			Sites:       []object.SiteID{"DB1", "DB2", "DB3"},
+			Unavailable: []string{"DB3"},
+			Phases:      &cost.Breakdown{},
+		})
+	}
 	if got := sel.Select(b); got != exec.PL {
-		t.Fatalf("static choice = %v, want PL", got)
+		t.Errorf("after unavailability: chose %v, want PL (decision %+v)", got, sel.LastDecision())
 	}
-	p := &trace.Profile{
-		ID: "degraded", Alg: "PL", Status: trace.StatusDegraded,
-		Sites:       []object.SiteID{"DB1", "DB2", "DB3"},
-		Unavailable: []string{"DB3"},
-		Phases:      &cost.Breakdown{},
-	}
-	sel.Observe(p)
-	if got := sel.Select(b); got != exec.CA {
-		t.Errorf("after unavailability: chose %v, want CA (decision %+v)", got, sel.LastDecision())
-	}
-	d := sel.LastDecision()
-	if d.Health["DB3"] != "open" {
-		t.Errorf("health = %v, want DB3 open", d.Health)
-	}
-
-	// Recovery: the failure score decays as DB3 serves queries again.
-	for i := 0; i < 20; i++ {
-		ok := &trace.Profile{
-			ID: "ok", Alg: "PL", Status: trace.StatusOK,
-			Sites:  []object.SiteID{"DB1", "DB2", "DB3"},
-			Phases: &cost.Breakdown{},
+	got, want := sel.Estimate(b), fresh.Estimate(b)
+	for i := range want {
+		if got[i].ResponseMicros != want[i].ResponseMicros || got[i].TotalMicros != want[i].TotalMicros {
+			t.Errorf("%v: estimate (%g, %g) moved from the fresh selector's (%g, %g)", want[i].Alg,
+				got[i].ResponseMicros, got[i].TotalMicros, want[i].ResponseMicros, want[i].TotalMicros)
 		}
-		sel.Observe(ok)
-	}
-	if got := sel.Select(b); got != exec.PL {
-		t.Errorf("after recovery: chose %v, want PL (health %v)", got, sel.LastDecision().Health)
-	}
-}
-
-// TestBreakerHealthBias: live breaker states reported by the health hook
-// penalize exactly like calibrator-derived degradation.
-func TestBreakerHealthBias(t *testing.T) {
-	state := map[object.SiteID]string{}
-	sel, b := schoolSelector(t, func() map[object.SiteID]string {
-		return state
-	})
-
-	if got := sel.Select(b); got != exec.PL {
-		t.Fatalf("static choice = %v, want PL", got)
-	}
-	state["DB3"] = "open"
-	open := sel.Select(b)
-	if open != exec.CA {
-		t.Errorf("open breaker: chose %v, want CA", open)
-	}
-	// Under any degradation the chosen plan must not carry more check work
-	// than the healthy winner.
-	d := sel.LastDecision()
-	var healthyPL, chosen Estimate
-	for _, e := range d.Estimates {
-		if e.Alg == exec.PL {
-			healthyPL = e
-		}
-		if e.Alg == open {
-			chosen = e
-		}
-	}
-	if chosen.CheckMicros >= healthyPL.CheckMicros {
-		t.Errorf("open-breaker choice %v has CheckMicros %.0f ≥ PL's %.0f",
-			open, chosen.CheckMicros, healthyPL.CheckMicros)
-	}
-	state["DB3"] = "closed"
-	if got := sel.Select(b); got != exec.PL {
-		t.Errorf("closed breaker: chose %v, want PL", got)
 	}
 }
 

@@ -2,6 +2,7 @@ package remote
 
 import (
 	"context"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -110,6 +111,42 @@ func TestAntiEntropyLoopConvergesInBackground(t *testing.T) {
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
+}
+
+// TestCoordinatorAntiEntropyLoop: a coordinator with an anti-entropy
+// cadence pulls a binding only one site holds without anyone calling a round,
+// and its stop function returns with no repair goroutine left behind.
+func TestCoordinatorAntiEntropyLoop(t *testing.T) {
+	baseline := runtime.NumGoroutine()
+	coord, cluster := testCluster(t, nil, &Coordinator{AntiEntropy: 20 * time.Millisecond}, nil)
+	bindAt(t, serversOf(cluster)["DB2"], &antientropy.Delta{Class: "Teacher", GOid: "gt903", Site: "DB9", LOid: "t903'"})
+
+	stop := coord.StartAntiEntropy()
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		coord.mu.RLock()
+		loid, ok := coord.Tables.Table("Teacher").LOidAt("gt903", "DB9")
+		coord.mu.RUnlock()
+		if ok && loid == "t903'" {
+			break
+		}
+		if time.Now().After(deadline) {
+			stop()
+			t.Fatalf("coordinator did not pull gt903@DB9 within 5s of background anti-entropy: (%q, %v)", loid, ok)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	stop()
+	// The loop is gone once stop returns (no site here runs one of its own);
+	// the pooled connections it used go with Close, and the sites with the
+	// cluster.
+	buf := make([]byte, 1<<20)
+	if stacks := string(buf[:runtime.Stack(buf, true)]); strings.Contains(stacks, "remote.repairLoop") {
+		t.Errorf("a repair loop outlived its stop function:\n%s", stacks)
+	}
+	coord.Close()
+	_ = cluster.Close()
+	settleGoroutines(t, baseline)
 }
 
 // TestConflictMarksSuspectAndDegradesQueries: contradictory bindings (the

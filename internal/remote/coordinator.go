@@ -55,8 +55,8 @@ type Coordinator struct {
 	// Selector, when non-nil, resolves exec.Adaptive to a concrete strategy
 	// per query and is fed every finished query's profile — the calibration
 	// loop, closed over the wire: the servers stamp their measured work onto
-	// the spans they ship back, and the selector's health source is typically
-	// this coordinator's BreakerStates.
+	// the spans they ship back, and the selector re-rates each site from
+	// them.
 	Selector exec.Selector
 	// Log, when non-nil, receives structured query logs.
 	Log *slog.Logger
@@ -140,8 +140,8 @@ func (c *Coordinator) BreakerStates() map[object.SiteID]string {
 // use over Tables, its digests seeded from what they hold and — with a
 // DeltaLog — every binding appended to the log before it is applied. It takes
 // c.mu.RLock on first use, so callers must NOT hold c.mu. Its Health(),
-// prefixed "antientropy", is the /healthz condition the cluster rollup reads
-// the repair column from.
+// prefixed "antientropy", is the coordinator's /healthz row for the replica's
+// divergence and repair state.
 func (c *Coordinator) Replica() *antientropy.Replica {
 	c.repMu.Lock()
 	defer c.repMu.Unlock()

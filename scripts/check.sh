@@ -4,7 +4,8 @@
 # one-replica, one-repair-path, one-experiment-harness, work-runs-where-it-is,
 # one-identity-index, said-once, one-chooser, one-probe-per-fetch,
 # one-way-to-stand-up-a-site, one-value-in-use, one-home-for-spans,
-# no-unused-load-shape, one-matrix-runtime, no-cluster-ops-plane and
+# no-unused-load-shape, one-matrix-runtime, no-cluster-ops-plane,
+# one-input-to-the-choice and
 # one-metric-catalog structural guards, build, unit tests, the full test suite under the race detector, the benchmark
 # module's vet and tests, a one-shot compile-and-run smoke of the overhead and
 # allocation benchmarks,
@@ -250,6 +251,15 @@ if grep -rnE 'RateModel|Uniform\(|EstimatesWith|ChooseFrom|planner\.Choose\b|Coo
     echo "a deleted second entry point to the strategy choice is back (see EXPERIMENTS.md E28)" >&2
     guard_failed=1
 fi
+# One input to the strategy choice (DESIGN.md section 11, EXPERIMENTS.md
+# E42): the selector ranks plans by predicted (response, total) alone, so the
+# degradation penalty, the calibrator's failure score and the breaker-health
+# hook stay gone, in tests or otherwise.
+if grep -rnwE 'penaltyOpen|penaltyHalfOpen|failThreshold|planner\.Health|CheckMicros' \
+    --include='*.go' --exclude-dir=.bench_build . || grep -nw 'Health' internal/planner/*.go; then
+    echo "a second input to the strategy choice is back; the selector ranks by predicted time alone (see EXPERIMENTS.md E42)" >&2
+    guard_failed=1
+fi
 want_one 'newCalibrator(' "$(grep -rn 'newCalibrator(' --include='*.go' --exclude='*_test.go' internal |
     grep -v 'func newCalibrator(' || true)"
 want_one 'requestOverhead = under internal/' \
@@ -354,6 +364,14 @@ if grep -rnE 'MaxConcurrent|NewGate|ErrShed|RateQPS|RunOpen|Arrivals\(' --includ
     echo "an admission gate or an open-loop driver is back (see EXPERIMENTS.md E34)" >&2
     guard_failed=1
 fi
+# The closed-loop driver nothing calls and hetql's link to a surface that
+# never serves its profiles stay gone, in tests or otherwise (EXPERIMENTS.md
+# E42).
+if grep -rnwE 'RunClosed|traceURL' --include='*.go' --exclude-dir=benchmark \
+    --exclude-dir=.bench_build .; then
+    echo "bench.RunClosed or hetql's traceURL is back (see EXPERIMENTS.md E42)" >&2
+    guard_failed=1
+fi
 # One runtime for the matrix (EXPERIMENTS.md E35): every hetbench matrix cell
 # runs on the discrete-event fabric, and wall-clock speed over TCP is
 # benchmark/'s, so the live runtime, its runtimes dimension and the seed
@@ -396,7 +414,7 @@ esac
 # The figure ROADMAP's LOC numbers use, so the next issue quotes it instead
 # of recounting, and ROADMAP item 10's gate on it: a change that grows the
 # tree past the ceiling deletes as much as it adds first.
-loc_ceiling=21585
+loc_ceiling=21405
 loc="$(find . -name '*.go' -not -name '*_test.go' \
     -not -path './benchmark/*' -not -path './.bench_build/*' | xargs wc -l | tail -n 1 | awk '{print $1}')"
 echo "== non-test Go lines: $loc (ceiling $loc_ceiling)"
