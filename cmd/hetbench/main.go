@@ -5,19 +5,18 @@
 // (virtual time) and the engine's own truth (bytes moved, modeled work,
 // degraded/maybe fractions). Reports are stable, diffable BENCH_<topic>.json
 // files in one envelope (schema, topic, version, seed, spec, cells).
-// Wall-clock speed over TCP is measured by the benchmark/ module (bash
-// benchmark/run.sh), not here.
+// Everything it runs is on the simulator: wall-clock speed over TCP and the
+// WAL's write and recovery cost are measured by the benchmark/ module (bash
+// benchmark/run.sh), and the live chaos suite is a test (go test
+// ./internal/antientropy/).
 //
-// Run a registered topic — strategies, durability, chaos or figures (the
-// paper's Figures 9–11 study) — on its canonical spec
-// (internal/bench/topics.go) and gate it (exit 1 on failure): strategies
-// against the committed BENCH_strategies.json at a 10 % tolerance, the
-// others on their own invariants (WAL write path ≤ 1.25× mem, no certain row
-// contradicting ground truth and convergence in ≤ 5 repair rounds, the
-// shapes the paper claims for its figures):
+// Run a registered topic — strategies or figures (the paper's Figures 9–11
+// study) — on its canonical spec (internal/bench/topics.go) and gate it
+// (exit 1 on failure): strategies against the committed
+// BENCH_strategies.json at a 10 % tolerance, figures on the shapes the paper
+// claims:
 //
 //	hetbench run -topic strategies
-//	hetbench run -topic chaos -out BENCH_chaos_ci.json
 //	hetbench run -topic figures      # prints each figure's two tables
 //
 // Nothing is written unless -out says where; regenerating a committed
@@ -27,8 +26,8 @@
 //	hetbench run -topic strategies -out BENCH_strategies.json
 //
 // Run an ad-hoc matrix under a topic name of your own, optionally gated
-// against any earlier matrix report of the same load shape (a self-gating
-// topic's report is refused):
+// against any earlier matrix report of the same load shape (a figures
+// report is refused):
 //
 //	hetbench run -topic mine -out BENCH_mine.json \
 //	    -strategies CA,BL,PL -workloads school,table2 \

@@ -12,9 +12,10 @@
 //     distinguish this system's SLOs from plain latency SLOs.
 //
 // Identical seeds reproduce byte-identical cell results — the
-// regression-gate currency. Wall-clock speed over TCP is the benchmark/
-// module's to measure; here only the chaos topic stands up a live cluster,
-// to gate replica repair.
+// regression-gate currency. Everything here runs on the simulator: wall-clock
+// speed over TCP and the WAL's write and recovery cost are the benchmark/
+// module's to measure, and the live chaos suite is a test
+// (internal/antientropy).
 //
 // A run emits a schema-versioned, diffable BENCH_<topic>.json; Check
 // compares two reports under a tolerance for regression gating.
@@ -125,10 +126,9 @@ type CellResult struct {
 
 // Report is the one envelope every benchmark topic writes: provenance in
 // the header, and the topic's typed payload in Spec and Cells — MatrixSpec
-// and []CellResult (ordered by cell key) for the matrix topics,
-// DurabilitySpec/[]DurabilityCell, ChaosSpec/[]ChaosCell
-// and FigureSpec/[]FigureCell for the self-gating ones. The JSON form is
-// stable and diffable.
+// and []CellResult (ordered by cell key) for the matrix topics, FigureSpec
+// and []FigureCell for the self-gating figures. The JSON form is stable and
+// diffable.
 type Report struct {
 	Schema  int    `json:"schema"`
 	Topic   string `json:"topic"`
@@ -165,7 +165,7 @@ func (r *Report) WriteFile(path string) error {
 }
 
 // Results returns a matrix report's cells — what Check judges. The
-// self-gating topics' cells have their own shapes and yield nil.
+// figures topic's cells have their own shape and yield nil.
 func (r *Report) Results() []CellResult {
 	cells, _ := r.Cells.([]CellResult)
 	return cells
@@ -203,14 +203,9 @@ func ReadReport(path string) (*Report, error) {
 			path, r.Schema, SchemaVersion)
 	}
 	topic, _ := LookupTopic(r.Topic)
-	switch topic.Spec.(type) {
-	case DurabilitySpec:
-		err = decodePayload[DurabilitySpec, DurabilityCell](r, raw.Spec, raw.Cells)
-	case ChaosSpec:
-		err = decodePayload[ChaosSpec, ChaosCell](r, raw.Spec, raw.Cells)
-	case FigureSpec:
+	if _, figures := topic.Spec.(FigureSpec); figures {
 		err = decodePayload[FigureSpec, FigureCell](r, raw.Spec, raw.Cells)
-	default:
+	} else {
 		err = decodePayload[MatrixSpec, CellResult](r, raw.Spec, raw.Cells)
 	}
 	if err != nil {

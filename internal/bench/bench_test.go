@@ -216,17 +216,13 @@ func TestReportRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	durability := newReport("durability", 7, DurabilitySpec{Objects: 5, Seed: 7, Rounds: 1})
-	durability.Cells = []DurabilityCell{{Engine: "wal", Objects: 5, WriteOverhead: 1.1, RecoveredObjects: 5}}
-	chaos := newReport("chaos", 7, ChaosSpec{Steps: 40, Seed: 7, MaxConvergenceRounds: 5})
-	chaos.Cells = []ChaosCell{{Queries: 9, Inserts: 4, ConvergenceRounds: 1, WallMillis: 12.5}}
 	figures := newReport("figures", 7, FigureSpec{Samples: 2, Scale: 0.1, Seed: 7, Sweeps: []string{"planner"}})
 	figures.Cells = []FigureCell{{Figure: "planner", X: 3, Strategy: "BL", TotalMillis: 9.25, DegradedShare: 0.5},
 		{Figure: "planner", X: 3, Strategy: "planner", ResponseMillis: 4.5, Planner: &PlannerScore{
 			Draws: 2, Correct: 1, MaxRegret: 0.25, Chosen: map[string]int{"BL": 2}, Fastest: map[string]int{"BL": 1, "PL": 1}}}}
 
 	path := filepath.Join(t.TempDir(), "BENCH_roundtrip.json")
-	for _, r := range []*Report{matrix, durability, chaos, figures} {
+	for _, r := range []*Report{matrix, figures} {
 		if err := r.WriteFile(path); err != nil {
 			t.Fatalf("%s: WriteFile: %v", r.Topic, err)
 		}

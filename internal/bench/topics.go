@@ -3,7 +3,6 @@ package bench
 import (
 	"context"
 	"fmt"
-	"os"
 	"strings"
 )
 
@@ -12,15 +11,12 @@ import (
 type Topic struct {
 	Name string
 	// Spec is the canonical spec, and its type selects the runner and the
-	// report's payload: MatrixSpec (Run), DurabilitySpec (RunDurability),
-	// ChaosSpec (RunChaos) or FigureSpec (RunFigures).
+	// report's payload: MatrixSpec (Run) or FigureSpec (RunFigures).
 	Spec any
 	// Baseline marks a topic gated by Check against the committed
 	// BENCH_<Name>.json — the matrix, whose virtual-time cells are
-	// byte-stable across machines. The other topics' runners gate
-	// on the run's own invariants instead: a bound in the spec where a wall
-	// clock is measured (MaxOverhead, MaxConvergenceRounds), the paper's
-	// shapes for figures.
+	// byte-stable across machines. The figures topic gates on the paper's
+	// shapes instead.
 	Baseline bool
 }
 
@@ -39,12 +35,6 @@ var topics = []Topic{
 		Scale:      0.02,
 		Seed:       42,
 	}},
-	// Buffered WAL write path within 1.25x the in-memory engine's, best of
-	// three interleaved rounds; recovery reproduces every insert.
-	{Name: "durability", Spec: DurabilitySpec{Objects: 20000, Seed: 42, Rounds: 3, MaxOverhead: 1.25}},
-	// No certain row contradicts ground truth under faults; convergence
-	// within 5 repair rounds of the final heal.
-	{Name: "chaos", Spec: ChaosSpec{Steps: 60, Seed: 42, MaxConvergenceRounds: 5}},
 	// The paper's Section 4 study and the sweeps around it as EXPERIMENTS.md
 	// records them (E4–E10, E12, E24; two minutes), gated on the paper's shapes.
 	{Name: "figures", Spec: FigureSpec{Samples: 20, Scale: 0.3, Seed: 1, Sweeps: []string{
@@ -69,14 +59,6 @@ func (t Topic) Validate() error {
 	switch s := t.Spec.(type) {
 	case MatrixSpec:
 		return validate(&s)
-	case DurabilitySpec:
-		if s.Objects < 1 || s.Rounds < 1 || s.MaxOverhead <= 0 {
-			return fmt.Errorf("bench: topic %s: want objects, rounds and max_overhead > 0: %+v", t.Name, s)
-		}
-	case ChaosSpec:
-		if s.Steps < 1 || s.MaxConvergenceRounds < 1 {
-			return fmt.Errorf("bench: topic %s: want steps and max_convergence_rounds > 0: %+v", t.Name, s)
-		}
 	case FigureSpec:
 		if s.Samples < 1 || s.Scale <= 0 || len(s.Sweeps) == 0 {
 			return fmt.Errorf("bench: topic %s: want samples ≥ 1, scale > 0 and a sweep: %+v", t.Name, s)
@@ -92,27 +74,15 @@ func (t Topic) Validate() error {
 	return nil
 }
 
-// Run executes the topic's spec on the runner its type selects, in a
-// scratch directory (for the durable topics' WALs) that is removed
-// afterwards. A self-gating runner that fails its gate returns the measured
-// report alongside the error, so the caller can still write it.
+// Run executes the topic's spec on the runner its type selects. A figures
+// run that fails its shape gate returns the measured report alongside the
+// error, so the caller can still write it.
 func (t Topic) Run(ctx context.Context, progress func(string)) (*Report, error) {
 	if err := t.Validate(); err != nil {
 		return nil, err
 	}
-	dir, err := os.MkdirTemp("", "hetbench-"+t.Name+"-")
-	if err != nil {
-		return nil, err
-	}
-	defer os.RemoveAll(dir)
-	switch s := t.Spec.(type) {
-	case DurabilitySpec:
-		return RunDurability(s, dir, progress)
-	case ChaosSpec:
-		return RunChaos(s, dir, progress)
-	case FigureSpec:
+	if s, ok := t.Spec.(FigureSpec); ok {
 		return RunFigures(ctx, s, progress)
-	default: // Validate admitted it, so a matrix
-		return Run(ctx, s.(MatrixSpec), t.Name, progress)
 	}
+	return Run(ctx, t.Spec.(MatrixSpec), t.Name, progress) // Validate admitted it
 }

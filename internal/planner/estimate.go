@@ -56,12 +56,12 @@ func (e *estimator) selectivity(bp query.BoundPredicate, site object.SiteID) flo
 	switch bp.Op {
 	case query.OpEq:
 		if s.Distinct > 0 {
-			return clamp01(1 / float64(s.Distinct))
+			return 1 / float64(s.Distinct)
 		}
 		return fallback
 	case query.OpNe:
 		if s.Distinct > 0 {
-			return clamp01(1 - 1/float64(s.Distinct))
+			return 1 - 1/float64(s.Distinct)
 		}
 		// Complement of the = fallback: with no statistics, != keeps what =
 		// would drop.
@@ -79,7 +79,7 @@ func (e *estimator) selectivity(bp query.BoundPredicate, site object.SiteID) flo
 		default:
 			return fallback
 		}
-		frac := clamp01((lit - s.Min) / (s.Max - s.Min))
+		frac := min(max((lit-s.Min)/(s.Max-s.Min), 0), 1)
 		if bp.Op == query.OpGt || bp.Op == query.OpGe {
 			return 1 - frac
 		}
@@ -101,14 +101,14 @@ func (e *estimator) unknownProb(bp query.BoundPredicate, site object.SiteID) flo
 		}
 		known *= 1 - e.extent(bp.Classes[i], site).NullFraction(step)
 	}
-	return clamp01(1 - known)
+	return min(max(1-known, 0), 1)
 }
 
 // surviveProb estimates P(object survives the predicate locally): unknown
 // or true.
 func (e *estimator) surviveProb(bp query.BoundPredicate, site object.SiteID) float64 {
 	u := e.unknownProb(bp, site)
-	return clamp01(u + (1-u)*e.selectivity(bp, site))
+	return min(max(u+(1-u)*e.selectivity(bp, site), 0), 1)
 }
 
 // branchDiskBytes estimates the disk bytes of dereferencing branch objects
@@ -130,7 +130,7 @@ func (e *estimator) branchDiskBytes(preds []query.BoundPredicate, site object.Si
 	var bytes float64
 	for class := range touchedClasses {
 		branch := e.extent(class, site)
-		touched := minf(float64(rootObjects), float64(branch.Objects))
+		touched := min(float64(rootObjects), float64(branch.Objects))
 		bytes += touched * branch.AvgObjectBytes()
 	}
 	return bytes
@@ -236,7 +236,7 @@ func (e *estimator) ca() Estimate {
 		}
 		siteTime := disk*rates.DiskPerByte + cpu*rates.CPUPerOp
 		totalWork += siteTime
-		maxSiteTime = maxf(maxSiteTime, siteTime)
+		maxSiteTime = max(maxSiteTime, siteTime)
 		// Shipping is charged under the shipping site's network rate — a
 		// site behind a slow link is slow to ship regardless of the peer.
 		netMicros += net * rates.NetPerByte
@@ -392,11 +392,11 @@ func (e *estimator) localized(alg exec.Algorithm) Estimate {
 		switch alg {
 		case exec.BL:
 			// Checks happen after local evaluation.
-			maxSiteTime = maxf(maxSiteTime, siteTime+checkWork)
+			maxSiteTime = max(maxSiteTime, siteTime+checkWork)
 		default:
 			// PL overlaps checking with local evaluation.
-			maxSiteTime = maxf(maxSiteTime, siteTime)
-			maxCheckRTT = maxf(maxCheckRTT, checkWork)
+			maxSiteTime = max(maxSiteTime, siteTime)
+			maxCheckRTT = max(maxCheckRTT, checkWork)
 		}
 
 		coordCPU += survivors * float64(len(e.b.Preds)+1)
@@ -405,7 +405,7 @@ func (e *estimator) localized(alg exec.Algorithm) Estimate {
 
 	coord := e.rates(e.cal.coord)
 	details.AddEstimate(string(e.cal.coord), "I", coordCPU*coord.CPUPerOp+resultBytes*coord.NetPerByte)
-	resp := maxf(maxSiteTime, maxCheckRTT) + netMicros + coordCPU*coord.CPUPerOp
+	resp := max(maxSiteTime, maxCheckRTT) + netMicros + coordCPU*coord.CPUPerOp
 	return Estimate{
 		Alg:            alg,
 		TotalMicros:    totalWork + netMicros + coordCPU*coord.CPUPerOp,
@@ -439,28 +439,4 @@ func (e *estimator) peerRates(site object.SiteID) fabric.Rates {
 		NetPerByte:  sum.NetPerByte / float64(n),
 		CPUPerOp:    sum.CPUPerOp / float64(n),
 	}
-}
-
-func clamp01(v float64) float64 {
-	if v < 0 {
-		return 0
-	}
-	if v > 1 {
-		return 1
-	}
-	return v
-}
-
-func minf(a, b float64) float64 {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func maxf(a, b float64) float64 {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -181,9 +181,6 @@ func TestExtentStatsHelpers(t *testing.T) {
 	if empty.AvgObjectBytes() != 0 || empty.NullFraction("x") != 0 {
 		t.Error("empty extent helpers wrong")
 	}
-	if clamp01(-1) != 0 || clamp01(2) != 1 || clamp01(0.5) != 0.5 {
-		t.Error("clamp01 wrong")
-	}
 }
 
 // TestEstimatesDisjunctiveQuery: the estimator treats disjunctive queries

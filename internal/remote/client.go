@@ -115,7 +115,7 @@ func backoff(attempt int) time.Duration {
 // timeouts, torn connections, and open circuit breakers. Callers treat it
 // as "site unavailable" — under the partial-answer semantics the query
 // degrades instead of failing. Errors the site itself answered (bad query,
-// unknown mode) are NOT SiteErrors; they are deterministic and propagate.
+// unknown strategy) are NOT SiteErrors; they are deterministic and propagate.
 type SiteError struct {
 	Site object.SiteID
 	Err  error

@@ -16,7 +16,7 @@ import (
 	"github.com/hetfed/hetfed/internal/tvl"
 )
 
-// The wire codec, protocol version 4: a hand-rolled binary encoding of Request
+// The wire codec, protocol version 5: a hand-rolled binary encoding of Request
 // and Response and everything they carry. A frame's payload (frame.go) is
 // exactly one message.
 //
@@ -63,7 +63,7 @@ import (
 //
 // Messages, fields in wire order:
 //
-//	Request        Kind:str Trace DeadlineMicros:varint Query:str Mode:str
+//	Request        Kind:str Trace DeadlineMicros:varint Query:str
 //	               Items:[]CheckItem Store:opt object Bind:opt Delta
 //	               Digests Repair:opt Repair
 //	Response       Err:str Retrieve Local Check:CheckReply Spans:[]Span
@@ -78,7 +78,7 @@ import (
 //	RepairReply    Bindings:[]Binding Applied:varint Conflicts:varint
 //	Binding        GOid:str Site:name LOid:str
 //	Retrieve       Site:name Classes:[]{GlobalClass:name Attrs:[]name
-//	               Class:name Objects:[]masked}
+//	               Objects:[]masked}
 //	Local          Result:{Site:name Rows:[]LocalRow SigVerdicts:[]Verdict}
 //	               CheckReplies:[]CheckReply Unavailable:[]{Site:name Reason:str}
 //	LocalRow       LOid:str GOid:str Targets:[]value Verdicts:[]u8
@@ -549,24 +549,14 @@ func (r *reader) checkReply(cr *federation.CheckReply) {
 	cr.Verdicts = listOf(r, minVerdict, (*reader).verdict)
 }
 
-// classObjects writes a retrieve list: the global class, the mask and the
-// constituent's local class once, then each object's masked record. A list
-// is one extent, so its objects are of one class; a list that is not is
-// refused.
+// classObjects writes a retrieve list: the global class and the mask once,
+// then each object's masked record. The decoded objects are of the global
+// class, the one Materialize files them under.
 func (w *frameBuf) classObjects(co *federation.ClassObjects) {
 	w.str(co.GlobalClass)
 	w.strs(co.Attrs)
-	class := ""
-	if len(co.Objects) > 0 {
-		class = co.Objects[0].Class
-	}
-	w.str(class)
 	w.uvarint(uint64(len(co.Objects)))
 	for _, o := range co.Objects {
-		if o.Class != class {
-			w.keep(nil, fmt.Errorf("remote: encode %s's list: objects of classes %s and %s", co.GlobalClass, class, o.Class))
-			return
-		}
 		w.keep(object.AppendMasked(w.b, o, co.Attrs))
 	}
 }
@@ -579,12 +569,11 @@ func (r *reader) classObjects(co *federation.ClassObjects) {
 			r.fail("retrieve attributes out of order")
 		}
 	}
-	class := r.name()
 	co.Owned = true // cut from this frame's slab, held by nobody else
 	if n := r.count(minMasked(len(co.Attrs))); n > 0 {
 		co.Objects = make([]*object.Object, n)
 		for i := range co.Objects {
-			co.Objects[i] = r.masked(class, co.Attrs)
+			co.Objects[i] = r.masked(co.GlobalClass, co.Attrs)
 		}
 	}
 }
@@ -698,7 +687,6 @@ func (w *frameBuf) request(req *Request) {
 	w.trace(&req.Trace)
 	w.i64(req.DeadlineMicros)
 	w.str(req.Query)
-	w.str(req.Mode)
 	w.checkItems(&req.Items)
 	if w.opt(req.Store != nil) {
 		w.object(req.Store)
@@ -729,7 +717,6 @@ func decodeRequest(b []byte) (Request, error) {
 	r.trace(&req.Trace)
 	req.DeadlineMicros = r.i64()
 	req.Query = r.str()
-	req.Mode = r.str()
 	r.checkItems(&req.Items)
 	if r.bool() {
 		req.Store = r.object()

@@ -99,7 +99,7 @@ func sampleRequests() map[string]Request {
 	return map[string]Request{
 		"ping":         {Kind: kindPing, Trace: TraceContext{From: "G"}},
 		"retrieve":     {Kind: kindRetrieve, Trace: sampleTrace, DeadlineMicros: 250_001, Query: `select name from Student where address.city = "Taipei"`},
-		"local":        {Kind: kindLocal, Trace: sampleTrace, DeadlineMicros: 1, Query: "select name from Student", Mode: "SPL"},
+		"local":        {Kind: kindLocal, Trace: sampleTrace, DeadlineMicros: 1, Query: "select name from Student"},
 		"check":        {Kind: kindCheck, Trace: sampleTrace, Items: sampleItems},
 		"store":        {Kind: kindStore, Trace: TraceContext{From: "G"}, Store: sampleStudent},
 		"bind":         {Kind: kindBind, Bind: &antientropy.Delta{Class: "Student", GOid: "gs9", Site: "DB1", LOid: "s9"}},
@@ -365,7 +365,6 @@ func TestDecodeRefusesMalformedRetrieveLists(t *testing.T) {
 		w.uvarint(1) // one list
 		w.str("Student")
 		w.strs(c.attrs)
-		w.str("Student")
 		w.uvarint(c.n)
 		w.b = append(w.b, c.records...)
 		w.b = append(w.b, encodeResponse(t, Response{})[3:]...) // an empty response past its retrieve reply
@@ -373,14 +372,6 @@ func TestDecodeRefusesMalformedRetrieveLists(t *testing.T) {
 		if c.ok && err != nil || !c.ok && !errors.Is(err, errMalformed) {
 			t.Errorf("%s: err = %v, want ok = %v or %v", c.name, err, c.ok, errMalformed)
 		}
-	}
-
-	mixed := Response{Retrieve: federation.RetrieveReply{Site: "DB1", Classes: []federation.ClassObjects{
-		{GlobalClass: "Person", Attrs: []string{"name"}, Objects: []*object.Object{sampleStudent, object.New("t1", "Teacher", nil)}},
-	}}}
-	var w frameBuf
-	if w.response(&mixed); w.err == nil {
-		t.Error("a list of Students and Teachers encoded")
 	}
 }
 
@@ -392,7 +383,6 @@ func checkRequestWithRefs(refs []uint64) []byte {
 	w.str(kindCheck)
 	w.trace(&TraceContext{})
 	w.i64(0)
-	w.str("")
 	w.str("")
 	w.uvarint(uint64(len(refs)))
 	defined := uint64(0)
@@ -416,18 +406,25 @@ func checkRequestWithRefs(refs []uint64) []byte {
 
 // TestVersionOneFrameRefusedAtHeader: protocol version 1 spelled every
 // check item's predicate out; a peer still speaking it is turned away from
-// the five header bytes, before any of its payload is read as version 4.
+// the five header bytes, before any of its payload is read as the current
+// version.
 func TestVersionOneFrameRefusedAtHeader(t *testing.T) { refusedAtHeader(t, 1) }
 
 // TestVersionTwoFrameRefusedAtHeader: version 2 carried a batch list in every
-// request and a batch-reply list in every response; read as version 4 its
-// fields would be off by one from there on.
+// request and a batch-reply list in every response; read as the current
+// version its fields would be off by one from there on.
 func TestVersionTwoFrameRefusedAtHeader(t *testing.T) { refusedAtHeader(t, 2) }
 
 // TestVersionThreeFrameRefusedAtHeader: version 3 shipped a retrieve list's
-// objects as named records; read as version 4 a record's class would be
-// taken for its LOid.
+// objects as named records; read as the current version a record's class
+// would be taken for its LOid.
 func TestVersionThreeFrameRefusedAtHeader(t *testing.T) { refusedAtHeader(t, 3) }
+
+// TestVersionFourFrameRefusedAtHeader: version 4 named a retrieve list's
+// local class after its mask and a request's local mode after its query;
+// read as version 5 a list's class would be taken for its object count, and
+// a request's mode for its check items.
+func TestVersionFourFrameRefusedAtHeader(t *testing.T) { refusedAtHeader(t, 4) }
 
 func refusedAtHeader(t *testing.T, version byte) {
 	out := newFrame()
@@ -439,8 +436,8 @@ func refusedAtHeader(t *testing.T, version byte) {
 		t.Fatal(err)
 	}
 	frame := sent.Bytes()
-	if frame[4] != 4 || protocolVersion != 4 {
-		t.Fatalf("frames carry version %d (constant %d), want 4", frame[4], protocolVersion)
+	if frame[4] != 5 || protocolVersion != 5 {
+		t.Fatalf("frames carry version %d (constant %d), want 5", frame[4], protocolVersion)
 	}
 	frame[4] = version
 	// Only the header is there to read: a reader that wanted payload bytes
@@ -483,7 +480,6 @@ func TestDecodeDoesNotTrustCounts(t *testing.T) {
 	w.str(kindCheck)
 	w.trace(&TraceContext{})
 	w.i64(0)
-	w.str("")
 	w.str("")
 	hostileReq := append(w.b, huge...) // Items count
 	if got := allocatedBy(func() {
@@ -551,7 +547,6 @@ func TestDecodeDoesNotTrustCounts(t *testing.T) {
 	rw.uvarint(1) // one class
 	rw.str("C")   // GlobalClass
 	rw.uvarint(0) // no Attrs
-	rw.str("C")   // Class
 	rw.uvarint(n) // Objects
 	garbage := append(rw.b, bytes.Repeat([]byte{0xFF}, n*minMasked(0))...)
 	if got, limit := allocatedBy(func() {

@@ -402,7 +402,7 @@ func (s siteCalls) Retrieve(p fabric.Proc, q *exec.Query, parent trace.SpanID, s
 // checked against the query before it leaves the transport: certification
 // indexes per-predicate evidence with the numbers in it.
 func (s siteCalls) Local(p fabric.Proc, q *exec.Query, parent trace.SpanID, site object.SiteID) (LocalReply, []string, error) {
-	resp, err := s.call(p, q, parent, site, Request{Kind: kindLocal, Mode: q.Alg.String()})
+	resp, err := s.call(p, q, parent, site, Request{Kind: kindLocal})
 	if err == nil {
 		if err = checkLocalReply(q.Bound, &resp.Local); err != nil {
 			return LocalReply{}, nil, fmt.Errorf("remote: site %s sent a malformed local reply: %w", site, err)

@@ -68,7 +68,8 @@ const errUnavailable = "site unavailable (injected fault)"
 type TraceContext struct {
 	// QueryID scopes the request to one coordinator query execution.
 	QueryID string
-	// Alg is the executing strategy's name.
+	// Alg is the executing strategy's name (exec.Algorithm.String); a
+	// local request runs the localized strategy it names.
 	Alg string
 	// Span is the caller's span ID, the parent of the server-side span.
 	Span uint64
@@ -81,7 +82,8 @@ type TraceContext struct {
 type Request struct {
 	Kind string
 	// Trace carries the caller's span context; the zero value means an
-	// untraced request.
+	// untraced request (which a local request cannot be: its strategy is
+	// Trace.Alg).
 	Trace TraceContext
 	// DeadlineMicros is the query budget remaining at the caller when the
 	// request was sent, in microseconds; 0 means no deadline. The budget is
@@ -93,9 +95,6 @@ type Request struct {
 	// Query is the global query text for retrieve and local requests; the
 	// site binds it against its own copy of the global schema.
 	Query string
-	// Mode names the localized strategy of a local request
-	// (exec.Algorithm.String: BL, PL, SBL or SPL).
-	Mode string
 	// Items are the assistant checks for check requests.
 	Items []federation.CheckItem
 	// Store is the object to insert for store requests.

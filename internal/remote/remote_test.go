@@ -148,11 +148,11 @@ func TestServerRejectsBadRequests(t *testing.T) {
 		!strings.Contains(err.Error(), "unknown request kind") {
 		t.Errorf("bad kind: %v", err)
 	}
-	if _, err := testCall(t, addr, Request{Kind: kindLocal, Query: school.Q1, Mode: "XX"}); err == nil ||
-		!strings.Contains(err.Error(), "unknown local mode") {
+	if _, err := testCall(t, addr, Request{Kind: kindLocal, Query: school.Q1, Trace: TraceContext{Alg: "XX"}}); err == nil ||
+		!strings.Contains(err.Error(), "unknown local strategy") {
 		t.Errorf("bad mode: %v", err)
 	}
-	if _, err := testCall(t, addr, Request{Kind: kindLocal, Query: "select", Mode: "BL"}); err == nil {
+	if _, err := testCall(t, addr, Request{Kind: kindLocal, Query: "select", Trace: TraceContext{Alg: "BL"}}); err == nil {
 		t.Error("bad query accepted")
 	}
 }

@@ -306,15 +306,6 @@ func (s *Server) acceptLoop() {
 	}
 }
 
-// reqAlg names the strategy a request executes under: the propagated trace
-// context's algorithm, falling back to the local mode for untraced callers.
-func reqAlg(req Request) string {
-	if req.Trace.Alg != "" {
-		return req.Trace.Alg
-	}
-	return req.Mode
-}
-
 // handle serves one persistent connection: a sequence of request/response
 // frames. The loop ends when the client closes the connection between frames
 // (a clean EOF, not an error — pooled clients park idle connections), on an
@@ -408,7 +399,7 @@ func (s *Server) handle(conn net.Conn) {
 // observe feeds the request's metrics and structured log entry.
 func (s *Server) observe(req Request, resp Response, d time.Duration, respBytes int64) {
 	self := string(s.Site())
-	alg := reqAlg(req)
+	alg := req.Trace.Alg
 	us := float64(d.Nanoseconds()) / 1e3
 	s.cfg.Metrics.Counter("requests_total", metrics.Labels{Site: self, Alg: alg}).Inc()
 	s.cfg.Metrics.Histogram("request_latency_us", metrics.Labels{Site: self, Alg: alg}).Observe(us)
@@ -445,7 +436,7 @@ func (s *Server) profile(req Request, resp Response, spans []trace.Span, d time.
 	if req.Kind != kindRetrieve && req.Kind != kindLocal {
 		return
 	}
-	p := trace.BuildProfile(req.Trace.QueryID, reqAlg(req), spans)
+	p := trace.BuildProfile(req.Trace.QueryID, req.Trace.Alg, spans)
 	if p == nil {
 		return
 	}
@@ -597,9 +588,9 @@ func (s *Server) handleLocal(ctx context.Context, req Request, sp trace.Handle) 
 	if err != nil {
 		return Response{Err: err.Error()}
 	}
-	alg, err := exec.ParseAlgorithm(req.Mode)
+	alg, err := exec.ParseAlgorithm(req.Trace.Alg)
 	if err != nil {
-		return Response{Err: fmt.Sprintf("unknown local mode %q", req.Mode)}
+		return Response{Err: fmt.Sprintf("unknown local strategy %q", req.Trace.Alg)}
 	}
 	q := &exec.Query{ID: req.Trace.QueryID, Alg: alg, Bound: b, Tracer: s.cfg.Tracer}
 	var reply LocalReply

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"github.com/hetfed/hetfed/internal/gmap"
+	"github.com/hetfed/hetfed/internal/metrics"
 	"github.com/hetfed/hetfed/internal/object"
 	"github.com/hetfed/hetfed/internal/obs"
 	"github.com/hetfed/hetfed/internal/school"
@@ -274,6 +275,48 @@ func TestTornTailSweep(t *testing.T) {
 	eng3.Close()
 	if want := refDump(int64(len(logBytes))); got != want {
 		t.Fatalf("garbage tail: recovered state mismatch")
+	}
+}
+
+// TestRecoveryAtProductionCadence: every other test here shortens the
+// snapshot cadence; this one runs the default and its geometric deferral over
+// 20 000 inserts and an index — snapshots after 4 096, ~8 200 and ~16 400
+// appends, each waiting until the log holds as many appends as the last
+// snapshot holds records — and a reopen recovers every insert.
+func TestRecoveryAtProductionCadence(t *testing.T) {
+	dir := t.TempDir()
+	reg := metrics.New()
+	eng, db, tables := reopen(t, dir, Options{Metrics: reg})
+	if _, err := db.CreateIndex("Student", "age"); err != nil {
+		t.Fatalf("CreateIndex: %v", err)
+	}
+	for i := 0; i < 20000; i++ {
+		attrs := map[string]object.Value{
+			"s-no": object.Int(int64(100000 + i)),
+			"name": object.Str(fmt.Sprintf("student-%d", i)),
+		}
+		if i%4 != 0 { // some nulls, like the paper's extents
+			attrs["age"] = object.Int(int64(20 + i%40))
+		}
+		if err := db.Insert(object.New(object.LOid(fmt.Sprintf("s%06d", i)), "Student", attrs)); err != nil {
+			t.Fatalf("Insert %d: %v", i, err)
+		}
+	}
+	want := dump(db, tables)
+	if err := eng.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	if got := reg.Snapshot().CounterValue("snapshots_total", metrics.Labels{Site: "DB1"}); got != 3 {
+		t.Errorf("snapshots_total = %d over 20 001 appends, want 3", got)
+	}
+
+	eng2, db2, tables2 := reopen(t, dir, Options{})
+	defer eng2.Close()
+	if n := db2.Extent("Student").Len(); n != 20000 {
+		t.Fatalf("recovered %d students, inserted 20000", n)
+	}
+	if got := dump(db2, tables2); got != want {
+		t.Fatalf("recovered state differs from the state at close (%d bytes of dump, want %d)", len(got), len(want))
 	}
 }
 
