@@ -30,9 +30,9 @@
 // metrics snapshot after the query. Each process serves only its own
 // surface; nothing polls another's.
 //
-// Outbound calls (both modes) follow remote.DefaultCallConfig — three tries
-// with jittered backoff, four pooled connections per peer, a breaker that
-// opens after five consecutive failures and probes again after 5s — with
+// Outbound calls (both modes) follow remote.DefaultCallConfig — one exchange
+// per call, four pooled connections per peer, a breaker that opens after
+// five consecutive failures and probes again after 5s — with
 // -call-timeout and -dial-timeout adjustable. A coordinator queried against
 // a partially-down cluster returns a degraded partial answer instead of
 // failing: results that depended on the dead site are reported as maybe.

@@ -177,7 +177,7 @@ func TestCoordinatorAgainstCluster(t *testing.T) {
 	bad := map[object.SiteID]string{"DB1": "127.0.0.1:1", "DB2": "127.0.0.1:1", "DB3": "127.0.0.1:1"}
 	out, err = captureStdout(t, func() error {
 		return runCoordinator(bundle, bad,
-			&cmdline{query: school.Q1, alg: "BL", call: remote.CallConfig{Attempts: 1}})
+			&cmdline{query: school.Q1, alg: "BL", call: remote.CallConfig{}})
 	})
 	if err != nil {
 		t.Fatalf("unreachable cluster failed instead of degrading: %v", err)

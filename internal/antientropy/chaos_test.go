@@ -21,11 +21,10 @@ import (
 	"github.com/hetfed/hetfed/internal/store/wal"
 )
 
-// chaosCall is the rig's call policy: one attempt and tight timeouts, so a
-// partitioned or dead peer degrades the operation promptly.
+// chaosCall is the rig's call policy: tight timeouts, so a partitioned or
+// dead peer degrades the operation promptly.
 func chaosCall(plan *fabric.FaultPlan) remote.CallConfig {
 	return remote.CallConfig{
-		Attempts:         1,
 		DialTimeout:      time.Second,
 		CallTimeout:      5 * time.Second,
 		BreakerThreshold: 0,

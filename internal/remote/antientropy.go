@@ -50,13 +50,13 @@ func replicaSend(self object.SiteID, cl func() *client, addr func(object.SiteID)
 		if !ok {
 			return antientropy.Reply{}, 0, &SiteError{Site: peer, Err: errPeerNotWired}
 		}
-		c := cl()
-		timeout := repairTimeout
-		if m.Kind == kindBind {
-			timeout = c.cfg.CallTimeout
+		if m.Kind != kindBind {
+			var cancel context.CancelFunc
+			ctx, cancel = context.WithTimeout(ctx, repairTimeout)
+			defer cancel()
 		}
 		req := Request{Kind: m.Kind, Digests: m.Digests, Repair: m.Repair, Bind: m.Bind, Trace: TraceContext{From: self}}
-		resp, w, err := c.callTimeout(ctx, peer, a, req, timeout)
+		resp, w, err := cl().call(ctx, peer, a, req)
 		return antientropy.Reply{Digests: resp.Digests, Repair: resp.Repair}, w.Sent + w.Received, err
 	}
 }

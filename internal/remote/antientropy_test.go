@@ -26,7 +26,7 @@ func bindAt(t *testing.T, srv *Server, d *antientropy.Delta) {
 	t.Helper()
 	cl := newClient("TEST", CallConfig{}, nil)
 	defer cl.close()
-	if _, _, err := cl.call(srv.Site(), srv.Addr(), Request{Kind: kindBind, Bind: d}); err != nil {
+	if _, _, err := cl.call(context.Background(), srv.Site(), srv.Addr(), Request{Kind: kindBind, Bind: d}); err != nil {
 		t.Fatalf("bind at %s: %v", srv.Site(), err)
 	}
 }

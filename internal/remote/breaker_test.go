@@ -113,7 +113,7 @@ func TestClientPoolsConnections(t *testing.T) {
 	cl := newClient("TEST", CallConfig{}, nil)
 	defer cl.close()
 	for i := 0; i < 5; i++ {
-		if _, _, err := cl.call("DB1", srv.Addr(), Request{Kind: kindPing}); err != nil {
+		if _, _, err := cl.call(context.Background(), "DB1", srv.Addr(), Request{Kind: kindPing}); err != nil {
 			t.Fatalf("call %d: %v", i, err)
 		}
 	}
@@ -127,7 +127,6 @@ func TestClientPoolsConnections(t *testing.T) {
 // fail immediately with ErrCircuitOpen instead of re-dialing.
 func TestClientBreakerFastFail(t *testing.T) {
 	cl := newClient("TEST", CallConfig{
-		Attempts:         1,
 		DialTimeout:      200 * time.Millisecond,
 		BreakerThreshold: 2,
 		breakerCooldown:  time.Hour,
@@ -136,12 +135,12 @@ func TestClientBreakerFastFail(t *testing.T) {
 
 	// 127.0.0.1:1 refuses connections; two failures open the breaker.
 	for i := 0; i < 2; i++ {
-		if _, _, err := cl.call("dead", "127.0.0.1:1", Request{Kind: kindPing}); !errors.Is(err, exec.ErrSiteUnavailable) {
+		if _, _, err := cl.call(context.Background(), "dead", "127.0.0.1:1", Request{Kind: kindPing}); !errors.Is(err, exec.ErrSiteUnavailable) {
 			t.Fatalf("call %d: %v", i, err)
 		}
 	}
 	start := time.Now()
-	_, _, err := cl.call("dead", "127.0.0.1:1", Request{Kind: kindPing})
+	_, _, err := cl.call(context.Background(), "dead", "127.0.0.1:1", Request{Kind: kindPing})
 	if !errors.Is(err, exec.ErrSiteUnavailable) {
 		t.Fatalf("fast-fail error: %v", err)
 	}
@@ -162,14 +161,13 @@ func TestClientBreakerFastFail(t *testing.T) {
 // one.
 func TestZeroCallConfigHasNoBreaker(t *testing.T) {
 	got, want := CallConfig{}.withDefaults(), DefaultCallConfig()
-	if got.DialTimeout != want.DialTimeout || got.CallTimeout != want.CallTimeout ||
-		got.Attempts != want.Attempts || got.BreakerThreshold != 0 {
+	if got.DialTimeout != want.DialTimeout || got.CallTimeout != want.CallTimeout || got.BreakerThreshold != 0 {
 		t.Errorf("zero CallConfig = %+v, want DefaultCallConfig %+v with BreakerThreshold 0", got, want)
 	}
 	cl := newClient("TEST", CallConfig{}, nil)
 	defer cl.close()
 	for i := 0; i <= want.BreakerThreshold; i++ {
-		_, _, err := cl.call("dead", "127.0.0.1:1", Request{Kind: kindPing})
+		_, _, err := cl.call(context.Background(), "dead", "127.0.0.1:1", Request{Kind: kindPing})
 		if !errors.Is(err, exec.ErrSiteUnavailable) || errors.Is(err, ErrCircuitOpen) {
 			t.Fatalf("call %d: %v, want a failed dial with no breaker", i, err)
 		}
@@ -258,7 +256,6 @@ func TestClientAbandonedProbeDoesNotWedgeBreaker(t *testing.T) {
 	addr := servers["DB1"].Addr()
 
 	cl := newClient("TEST", CallConfig{
-		Attempts:         1,
 		DialTimeout:      200 * time.Millisecond,
 		BreakerThreshold: 1,
 		breakerCooldown:  10 * time.Millisecond,
@@ -266,7 +263,7 @@ func TestClientAbandonedProbeDoesNotWedgeBreaker(t *testing.T) {
 	defer cl.close()
 
 	// Open the breaker with a failure against a dead port.
-	if _, _, err := cl.call("DB1", "127.0.0.1:1", Request{Kind: kindPing}); !errors.Is(err, exec.ErrSiteUnavailable) {
+	if _, _, err := cl.call(context.Background(), "DB1", "127.0.0.1:1", Request{Kind: kindPing}); !errors.Is(err, exec.ErrSiteUnavailable) {
 		t.Fatalf("seed failure: %v", err)
 	}
 	time.Sleep(20 * time.Millisecond) // cooldown elapses: half-open
@@ -274,13 +271,13 @@ func TestClientAbandonedProbeDoesNotWedgeBreaker(t *testing.T) {
 	// The admitted probe is abandoned by its context before doing anything.
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, _, err := cl.callCtx(ctx, "DB1", addr, Request{Kind: kindPing}); !exec.IsInterrupted(err) {
+	if _, _, err := cl.call(ctx, "DB1", addr, Request{Kind: kindPing}); !exec.IsInterrupted(err) {
 		t.Fatalf("dead-context probe error = %v, want interrupted", err)
 	}
 
 	// The peer is actually fine at addr; the next caller must get the probe
 	// slot and close the circuit.
-	if _, _, err := cl.call("DB1", addr, Request{Kind: kindPing}); err != nil {
+	if _, _, err := cl.call(context.Background(), "DB1", addr, Request{Kind: kindPing}); err != nil {
 		t.Fatalf("post-abandon probe failed: %v", err)
 	}
 	if st := cl.BreakerStates()["DB1"]; st != BreakerClosed {

@@ -5,7 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math/rand/v2"
+	"os"
 	"sync"
 	"time"
 
@@ -18,22 +18,17 @@ import (
 )
 
 // CallConfig is the client-side networking policy of a federation process:
-// how calls time out, retry, back off, pool connections, and trip circuit
-// breakers. Zero timeouts and a zero Attempts take DefaultCallConfig's
-// values, but a zero BreakerThreshold turns the breaker off: the zero value
-// is DefaultCallConfig without a breaker. Timeouts are plain fields (not
-// package globals) so concurrent coordinators and tests can run different
-// policies without racing.
+// how calls time out, pool connections, and trip circuit breakers. Zero
+// timeouts take DefaultCallConfig's values, but a zero BreakerThreshold turns
+// the breaker off: the zero value is DefaultCallConfig without a breaker.
+// Timeouts are plain fields (not package globals) so concurrent coordinators
+// and tests can run different policies without racing.
 type CallConfig struct {
 	// DialTimeout bounds connection establishment to a peer.
 	DialTimeout time.Duration
 	// CallTimeout bounds one full request/response exchange: a dead or
 	// wedged peer fails the call instead of hanging it forever.
 	CallTimeout time.Duration
-	// Attempts is the total number of tries per call (1 = no retries).
-	// Only transport failures are retried, after a backoff; an error
-	// answered by the site itself is deterministic and returned immediately.
-	Attempts int
 	// BreakerThreshold is the run of consecutive call failures that opens
 	// a site's circuit breaker; 0 disables the breaker.
 	BreakerThreshold int
@@ -58,27 +53,18 @@ const (
 	breakerCooldown = 5 * time.Second
 )
 
-// The sleep before the first retry is backoffBase; each further retry
-// doubles it up to backoffMax. Every backoff is jittered ±50% so retries
-// from concurrent calls spread out instead of stampeding a recovering site.
-const (
-	backoffBase = 25 * time.Millisecond
-	backoffMax  = 2 * time.Second
-)
-
-// DefaultCallConfig returns the production policy: modest retries with
-// jittered exponential backoff, a small warm-connection pool, and a breaker
-// that fails fast after a run of failures.
+// DefaultCallConfig returns the production policy: one exchange per call, a
+// small warm-connection pool, and a breaker that fails fast after a run of
+// failures.
 func DefaultCallConfig() CallConfig {
 	return CallConfig{
 		DialTimeout:      5 * time.Second,
 		CallTimeout:      60 * time.Second,
-		Attempts:         3,
 		BreakerThreshold: 5,
 	}
 }
 
-// withDefaults fills zero fields from DefaultCallConfig.
+// withDefaults fills unset timeouts from DefaultCallConfig.
 func (c CallConfig) withDefaults() CallConfig {
 	d := DefaultCallConfig()
 	if c.DialTimeout <= 0 {
@@ -87,28 +73,9 @@ func (c CallConfig) withDefaults() CallConfig {
 	if c.CallTimeout <= 0 {
 		c.CallTimeout = d.CallTimeout
 	}
-	if c.Attempts <= 0 {
-		c.Attempts = d.Attempts
-	}
 	c.poolSize = cmp.Or(c.poolSize, poolSize)
 	c.breakerCooldown = cmp.Or(c.breakerCooldown, breakerCooldown)
-	// BreakerThreshold 0 is meaningful (breaker disabled); negative means
-	// "use the default".
-	if c.BreakerThreshold < 0 {
-		c.BreakerThreshold = d.BreakerThreshold
-	}
 	return c
-}
-
-// backoff returns the jittered sleep before retry attempt (1-based).
-func backoff(attempt int) time.Duration {
-	d := backoffBase << (attempt - 1)
-	if d > backoffMax || d <= 0 {
-		d = backoffMax
-	}
-	// ±50% jitter decorrelates concurrent retriers.
-	f := 0.5 + rand.Float64()
-	return time.Duration(float64(d) * f)
 }
 
 // SiteError marks a transport-level failure reaching a site: dials,
@@ -135,9 +102,9 @@ func (e *SiteError) Is(target error) bool { return target == exec.ErrSiteUnavail
 
 // client issues site calls for one federation process (a coordinator, or a
 // server dispatching assistant checks) under one CallConfig: pooled
-// connections, retries with jittered exponential backoff, and a per-site
-// circuit breaker. Metrics (when a registry is wired) record retries,
-// failures, breaker transitions, and a per-site breaker-state gauge.
+// connections and a per-site circuit breaker. Metrics (when a registry is
+// wired) record failures, stale pooled connections, breaker transitions, and
+// a per-site breaker-state gauge.
 type client struct {
 	cfg  CallConfig
 	self object.SiteID
@@ -225,32 +192,24 @@ func (cl *client) close() {
 }
 
 // call performs one request/response exchange with the site server at addr,
-// with retries and breaker accounting, under the config's call timeout.
-func (cl *client) call(site object.SiteID, addr string, req Request) (Response, wireStats, error) {
-	return cl.callCtx(context.Background(), site, addr, req)
-}
-
-// callCtx is call under a caller context. The context does three jobs:
+// with breaker accounting. The context does three jobs:
 //
 //   - Budget on the wire: the remaining time until ctx's deadline is stamped
 //     onto the request (Request.DeadlineMicros) as a relative duration, so
 //     the server re-arms the budget on arrival regardless of clock skew.
-//   - Per-attempt timeouts: each exchange runs under the smaller of the
+//   - Exchange timeout: the exchange runs under the smaller of the
 //     configured call timeout and the remaining budget — a 50ms budget never
 //     waits out a 60s timeout.
-//   - Cancellation: a dying context aborts backoff sleeps and slams the
-//     in-flight connection's deadline (see pconn.exchange). A call ended by
-//     its context returns the ctx error (errors.Is-able against
-//     context.Canceled / DeadlineExceeded), is NOT retried, and does NOT
-//     charge the circuit breaker — the caller going away says nothing about
-//     the peer's health.
-func (cl *client) callCtx(ctx context.Context, site object.SiteID, addr string, req Request) (Response, wireStats, error) {
-	return cl.callTimeout(ctx, site, addr, req, cl.cfg.CallTimeout)
-}
-
-// callTimeout is callCtx with an explicit per-exchange timeout (health
-// probes use a tighter bound than queries).
-func (cl *client) callTimeout(ctx context.Context, site object.SiteID, addr string, req Request, timeout time.Duration) (Response, wireStats, error) {
+//   - Cancellation: a dying context slams the in-flight connection's
+//     deadline (see pconn.exchange). A call ended by its context returns the
+//     ctx error (errors.Is-able against context.Canceled /
+//     DeadlineExceeded) and does NOT charge the circuit breaker — the caller
+//     going away says nothing about the peer's health.
+//
+// The exchange runs in this one frame, with req passed down by pointer: a
+// fan-out goroutine decodes its reply below it, and a deeper chain grew that
+// goroutine's stack once more per call (EXPERIMENTS.md E44).
+func (cl *client) call(ctx context.Context, site object.SiteID, addr string, req Request) (Response, wireStats, error) {
 	// Injected network faults come first: a cut link makes the peer
 	// unreachable for this caller regardless of breaker state, and the
 	// failure must not dial (nothing crosses a partition).
@@ -271,128 +230,99 @@ func (cl *client) callTimeout(ctx context.Context, site object.SiteID, addr stri
 			return Response{}, wireStats{}, &SiteError{Site: site, Err: fmt.Errorf("%w (%s)", ErrCircuitOpen, addr)}
 		}
 	}
-	// abandon releases a held half-open probe slot on the neutral exits
-	// (context death says nothing about the peer, so neither Success nor
+	// ended releases a held half-open probe slot when the context ends the
+	// call (its death says nothing about the peer, so neither Success nor
 	// Failure applies) — without it the slot would leak and the breaker
 	// could never probe this peer again.
-	abandon := func() {
+	ended := func(err error) error {
 		if probe {
 			br.ProbeDone()
 		}
+		return fmt.Errorf("remote: call %s: %w", addr, err)
 	}
-
-	var (
-		lastErr error
-		stats   wireStats
-	)
+	if err := ctx.Err(); err != nil {
+		return Response{}, wireStats{}, ended(err)
+	}
+	// The exchange's timeout and wire budget come from the remaining
+	// context budget (the tighter bound wins).
+	t, budget := cl.cfg.CallTimeout, false
+	if dl, ok := ctx.Deadline(); ok {
+		rem := time.Until(dl)
+		if rem <= 0 {
+			return Response{}, wireStats{}, ended(context.DeadlineExceeded)
+		}
+		t, budget = min(t, rem), rem < t
+		req.DeadlineMicros = rem.Microseconds() + 1
+	}
+	var stats wireStats
+	// fail ends the call on a transport error. A failed call is not sent
+	// again: an unreachable site is missing data, and the query's partial
+	// answer says so.
+	fail := func(err error) (Response, wireStats, error) {
+		if budget && errors.Is(err, os.ErrDeadlineExceeded) {
+			// The exchange ran out the context's own budget, and the
+			// context's timer, due no later, may not have fired yet: wait
+			// for it, so the call and its query both end as the context's.
+			<-ctx.Done()
+		}
+		if ctxErr := ctx.Err(); ctxErr != nil {
+			// The context tore it, not the peer: typed return, no breaker
+			// charge.
+			return Response{}, stats, ended(ctxErr)
+		}
+		if br != nil {
+			br.Failure()
+		}
+		cl.reg.Counter("call_failures_total",
+			metrics.Labels{Site: string(cl.self), Peer: string(site)}).Inc()
+		return Response{}, stats, &SiteError{Site: site, Err: err}
+	}
 	p := cl.pool(addr)
-	for attempt := 1; attempt <= cl.cfg.Attempts; attempt++ {
-		if err := ctx.Err(); err != nil {
-			abandon()
-			return Response{}, stats, fmt.Errorf("remote: call %s: %w", addr, err)
+	pc, pooled, err := p.get()
+	if err != nil {
+		return fail(err)
+	}
+	resp, stats, err := pc.exchange(ctx, &req, t)
+	if err != nil && pooled && ctx.Err() == nil && !errors.Is(err, os.ErrDeadlineExceeded) {
+		// A connection that idled in the pool across a peer restart is dead
+		// on first use, which says nothing about the peer's current health:
+		// discard it and redial once, for free. Not after a timeout or the
+		// context's end, though: the peer may hold the request already, and
+		// a second copy is a second store.
+		pc.close()
+		cl.reg.Counter("pool_stale_total",
+			metrics.Labels{Site: string(cl.self), Peer: string(site)}).Inc()
+		if pc, err = p.dial(); err != nil {
+			return fail(err)
 		}
-		if attempt > 1 {
-			cl.reg.Counter("call_retries_total",
-				metrics.Labels{Site: string(cl.self), Peer: string(site)}).Inc()
-			if !sleepCtx(ctx, backoff(attempt-1)) {
-				abandon()
-				return Response{}, stats, fmt.Errorf("remote: call %s: %w", addr, ctx.Err())
-			}
-		}
-		// Derive this attempt's timeout and wire budget from the remaining
-		// context budget (the tighter bound wins).
-		t := timeout
-		r := req
-		if dl, ok := ctx.Deadline(); ok {
-			rem := time.Until(dl)
-			if rem <= 0 {
-				abandon()
-				return Response{}, stats, fmt.Errorf("remote: call %s: %w", addr, context.DeadlineExceeded)
-			}
-			if rem < t {
-				t = rem
-			}
-			r.DeadlineMicros = rem.Microseconds() + 1
-		}
-		pc, pooled, err := p.get()
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		resp, w, err := pc.exchange(ctx, r, t)
+		var w wireStats
+		resp, w, err = pc.exchange(ctx, &req, t)
 		stats.Sent += w.Sent
 		stats.Received += w.Received
-		if err != nil && pooled && ctx.Err() == nil {
-			// A connection that idled in the pool across a peer restart is
-			// dead on first use; that says nothing about the peer's current
-			// health. Discard it and redial once for free — this probe does
-			// not consume a retry attempt, back off, or (on success) charge
-			// the breaker.
-			pc.close()
-			cl.reg.Counter("pool_stale_total",
-				metrics.Labels{Site: string(cl.self), Peer: string(site)}).Inc()
-			if pc, err = p.dial(); err != nil {
-				lastErr = err
-				continue
-			}
-			resp, w, err = pc.exchange(ctx, r, t)
-			stats.Sent += w.Sent
-			stats.Received += w.Received
-		}
-		if err != nil {
-			// The connection is torn; never reuse it.
-			pc.close()
-			if ctxErr := ctx.Err(); ctxErr != nil {
-				// The context tore it, not the peer: typed return, no retry,
-				// no breaker charge.
-				abandon()
-				return Response{}, stats, fmt.Errorf("remote: call %s: %w", addr, ctxErr)
-			}
-			lastErr = fmt.Errorf("%s: %w", addr, err)
-			continue
-		}
-		p.put(pc)
-		if br != nil {
-			br.Success()
-		}
-		if resp.Err == errDeadline {
-			// The budget died on the server's side of the wire; same typed
-			// error as if it had died here.
-			return Response{}, stats, fmt.Errorf("remote: %s: %w", addr, context.DeadlineExceeded)
-		}
-		if resp.Err == errUnavailable {
-			// Injected fault: the site is "down" by decree; degrade like a
-			// real outage.
-			return Response{}, stats, &SiteError{Site: site, Err: errors.New(resp.Err)}
-		}
-		if resp.Err != "" {
-			// The site answered: it is alive, the request itself is bad.
-			return Response{}, stats, fmt.Errorf("remote: %s: %s", addr, resp.Err)
-		}
-		return resp, stats, nil
 	}
+	if err != nil {
+		// The connection is torn; never reuse it.
+		pc.close()
+		return fail(fmt.Errorf("%s: %w", addr, err))
+	}
+	p.put(pc)
 	if br != nil {
-		br.Failure()
+		br.Success()
 	}
-	cl.reg.Counter("call_failures_total",
-		metrics.Labels{Site: string(cl.self), Peer: string(site)}).Inc()
-	return Response{}, stats, &SiteError{Site: site, Err: lastErr}
-}
-
-// sleepCtx sleeps for d unless ctx dies first; it reports whether the full
-// sleep elapsed.
-func sleepCtx(ctx context.Context, d time.Duration) bool {
-	if ctx.Done() == nil {
-		time.Sleep(d)
-		return true
-	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C:
-		return true
-	case <-ctx.Done():
-		return false
+	switch resp.Err {
+	case "":
+		return resp, stats, nil
+	case errDeadline:
+		// The budget died on the server's side of the wire; same typed
+		// error as if it had died here.
+		return Response{}, stats, fmt.Errorf("remote: %s: %w", addr, context.DeadlineExceeded)
+	case errUnavailable:
+		// Injected fault: the site is "down" by decree; degrade like a
+		// real outage.
+		return Response{}, stats, &SiteError{Site: site, Err: errors.New(resp.Err)}
+	default:
+		// The site answered: it is alive, the request itself is bad.
+		return Response{}, stats, fmt.Errorf("remote: %s: %s", addr, resp.Err)
 	}
 }
 
@@ -417,7 +347,7 @@ func (l checkLink) Check(p fabric.Proc, q *exec.Query, parent trace.SpanID, from
 	if !ok {
 		return federation.CheckReply{}, &SiteError{Site: target, Err: errPeerNotWired}
 	}
-	resp, w, err := s.client.callCtx(ctx, target, addr, Request{Kind: kindCheck, Items: items, Trace: tc})
+	resp, w, err := s.client.call(ctx, target, addr, Request{Kind: kindCheck, Items: items, Trace: tc})
 	s.cfg.Metrics.Counter("net_bytes_total",
 		metrics.Labels{Site: string(from), Peer: string(target), Alg: alg}).Add(w.Sent)
 	if err != nil {

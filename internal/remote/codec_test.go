@@ -7,6 +7,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -448,17 +449,24 @@ func refusedAtHeader(t *testing.T, version byte) {
 	}
 }
 
-// allocatedBy runs fn and reports the bytes it allocated — or 0 under the
-// race detector, whose instrumentation allocates on its own account.
+// allocatedBy runs fn five times and reports the fewest bytes one run
+// allocated — or 0 under the race detector, whose instrumentation allocates
+// on its own account. TotalAlloc is process-wide, so a goroutine an earlier
+// test left running may allocate inside a window; decoding is deterministic,
+// so fn's own bytes land in every run and that noise does not.
 func allocatedBy(fn func()) uint64 {
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	fn()
-	runtime.ReadMemStats(&after)
+	least := uint64(math.MaxUint64)
+	for range 5 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		fn()
+		runtime.ReadMemStats(&after)
+		least = min(least, after.TotalAlloc-before.TotalAlloc)
+	}
 	if raceEnabled {
 		return 0
 	}
-	return after.TotalAlloc - before.TotalAlloc
+	return least
 }
 
 // Decoding may allocate at most a constant multiple of its input. A

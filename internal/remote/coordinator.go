@@ -60,9 +60,9 @@ type Coordinator struct {
 	Selector exec.Selector
 	// Log, when non-nil, receives structured query logs.
 	Log *slog.Logger
-	// Call is the networking policy for site calls: timeouts, retries,
-	// pooling, circuit breakers. Zero timeouts and Attempts take
-	// DefaultCallConfig's values; a zero BreakerThreshold means no breaker.
+	// Call is the networking policy for site calls: timeouts, pooling,
+	// circuit breakers. Zero timeouts take DefaultCallConfig's values; a
+	// zero BreakerThreshold means no breaker.
 	Call CallConfig
 	// DeltaLog, when set, makes the coordinator's replica durable: a binding
 	// Insert assigns or repair pulls is logged before it is applied, so a
@@ -202,8 +202,10 @@ const pingTimeout = 2 * time.Second
 func (c *Coordinator) Ping() error {
 	cl, rep := c.client(), c.Replica()
 	return c.eachSite(func(site object.SiteID, addr string) error {
+		ctx, cancel := context.WithTimeout(context.Background(), pingTimeout)
+		defer cancel()
 		req := Request{Kind: kindPing, Trace: TraceContext{From: c.ID}}
-		if _, _, err := cl.callTimeout(context.Background(), site, addr, req, pingTimeout); err != nil {
+		if _, _, err := cl.call(ctx, site, addr, req); err != nil {
 			return fmt.Errorf("remote: site %s unreachable: %w", site, err)
 		}
 		rep.Sync(context.Background(), site)
@@ -324,7 +326,7 @@ func (c *Coordinator) Insert(site object.SiteID, o *object.Object) (object.GOid,
 	// 1. Store at the owning site.
 	cl := c.client()
 	rep := c.Replica() // before c.mu: the lazy seed takes c.mu.RLock
-	if _, _, err := cl.call(site, addr, Request{Kind: kindStore, Store: o, Trace: TraceContext{From: c.ID}}); err != nil {
+	if _, _, err := cl.call(context.Background(), site, addr, Request{Kind: kindStore, Store: o, Trace: TraceContext{From: c.ID}}); err != nil {
 		return "", err
 	}
 	// 2. Assign the GOid (entity match by key) and apply the binding to the
@@ -377,7 +379,7 @@ func (s siteCalls) call(p fabric.Proc, q *exec.Query, parent trace.SpanID, site 
 	sp := c.Tracer.StartSpan(parent, c.ID, "rpc:"+req.Kind).WithQuery(q.ID, alg)
 	req.Query = s.text
 	req.Trace = TraceContext{QueryID: q.ID, Alg: alg, Span: uint64(sp.ID()), From: c.ID}
-	resp, w, err := s.cl.callCtx(p.Context(), site, addr, req)
+	resp, w, err := s.cl.call(p.Context(), site, addr, req)
 	sp.Add("sent_bytes", w.Sent).Add("recv_bytes", w.Received).Detailf("site %s", site)
 	if err != nil {
 		sp.Detailf("failed: %v", err)

@@ -13,10 +13,9 @@ import (
 	"github.com/hetfed/hetfed/internal/school"
 )
 
-// fastFail is a call policy for tests that kill sites: one attempt, tight
-// timeouts, no breaker hysteresis to keep assertions deterministic.
+// fastFail is a call policy for tests that kill sites: tight timeouts, no
+// breaker hysteresis to keep assertions deterministic.
 var fastFail = CallConfig{
-	Attempts:         1,
 	DialTimeout:      time.Second,
 	CallTimeout:      5 * time.Second,
 	BreakerThreshold: 0,

@@ -30,7 +30,7 @@ func (pc *pconn) close() { _ = pc.conn.Close() }
 // checking ctx.Err first. An exchange that completes while the hook fires
 // fails with the context's error all the same: the hook's goroutine may set
 // its deadline after this return, on whoever took the connection next.
-func (pc *pconn) exchange(ctx context.Context, req Request, timeout time.Duration) (resp Response, stats wireStats, err error) {
+func (pc *pconn) exchange(ctx context.Context, req *Request, timeout time.Duration) (resp Response, stats wireStats, err error) {
 	_ = pc.conn.SetDeadline(time.Now().Add(timeout))
 	if ctx != nil && ctx.Done() != nil {
 		stop := context.AfterFunc(ctx, func() {
@@ -43,7 +43,7 @@ func (pc *pconn) exchange(ctx context.Context, req Request, timeout time.Duratio
 		}()
 	}
 	out := newFrame()
-	out.request(&req)
+	out.request(req)
 	n, err := out.send(pc.conn)
 	out.release()
 	stats.Sent = int64(n)

@@ -6,6 +6,8 @@ import (
 	"errors"
 	"math/rand/v2"
 	"net"
+	"os"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -52,7 +54,7 @@ func TestExchangeWhoseHookFiredIsNotReusable(t *testing.T) {
 			}
 		})
 		pc := &pconn{conn: deaf{near}, br: bufio.NewReader(near)}
-		_, w, err := pc.exchange(ctx, Request{Kind: kindPing}, time.Minute)
+		_, w, err := pc.exchange(ctx, &Request{Kind: kindPing}, time.Minute)
 		if w.Received == 0 {
 			t.Errorf("hook fired %v: the reply was not read", fire)
 		}
@@ -91,17 +93,83 @@ func TestCallClosesConnectionWhoseHookFired(t *testing.T) {
 	cl := newClient("G", CallConfig{}, reg)
 	defer cl.close()
 	addr := ln.Addr().String()
-	if _, _, err := cl.callCtx(ctx, "DB1", addr, Request{Kind: kindPing}); !errors.Is(err, context.Canceled) {
+	if _, _, err := cl.call(ctx, "DB1", addr, Request{Kind: kindPing}); !errors.Is(err, context.Canceled) {
 		t.Errorf("call under a context cancelled mid-exchange: %v", err)
 	}
 	if n := cl.pool(addr).size(); n != 0 {
 		t.Errorf("%d connection pooled after its cancel hook fired", n)
 	}
-	if _, _, err := cl.call("DB1", addr, Request{Kind: kindPing}); err != nil {
+	if _, _, err := cl.call(context.Background(), "DB1", addr, Request{Kind: kindPing}); err != nil {
 		t.Errorf("the next call: %v", err)
 	}
 	if got := reg.Snapshot().CounterValue("pool_stale_total", metrics.Labels{Site: "G", Peer: "DB1"}); got != 0 {
 		t.Errorf("pool_stale_total = %d", got)
+	}
+}
+
+// TestTimedOutCallIsSentOnce: a site whose reply outlives the call timeout
+// may hold the request already — a store it applied — so the call that timed
+// out on a pooled connection fails within that one timeout, without sending
+// the request again: no retry, and no stale-connection redial either.
+func TestTimedOutCallIsSentOnce(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	// The fake site answers the first frame it reads (the ping that pools a
+	// connection) and swallows every later one.
+	var frames atomic.Int32
+	go func() {
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			go func() {
+				defer conn.Close()
+				br := bufio.NewReader(conn)
+				for {
+					in, err := readFrame(br, 0)
+					if err != nil {
+						return
+					}
+					in.release()
+					if frames.Add(1) > 1 {
+						continue
+					}
+					out := newFrame()
+					out.response(&Response{})
+					_, _ = out.send(conn)
+					out.release()
+				}
+			}()
+		}
+	}()
+	const timeout = 100 * time.Millisecond
+	reg := metrics.New()
+	cl := newClient("G", CallConfig{CallTimeout: timeout}, reg)
+	defer cl.close()
+	addr := ln.Addr().String()
+	if _, _, err := cl.call(context.Background(), "DB1", addr, Request{Kind: kindPing}); err != nil {
+		t.Fatal(err)
+	}
+
+	start := time.Now()
+	_, _, err = cl.call(context.Background(), "DB1", addr, Request{Kind: kindStore, Store: sampleStudent})
+	elapsed := time.Since(start)
+	if !errors.Is(err, os.ErrDeadlineExceeded) {
+		t.Errorf("store to a site that outlives the timeout: %v, want a timeout", err)
+	}
+	if elapsed > timeout*3/2 {
+		t.Errorf("the call took %v, want under %v", elapsed, timeout*3/2)
+	}
+	eventually(t, "the site to read the store", func() bool { return frames.Load() > 1 })
+	if n := frames.Load() - 1; n != 1 {
+		t.Errorf("the site received the store %d times, want once", n)
+	}
+	if got := reg.Snapshot().CounterValue("pool_stale_total", metrics.Labels{Site: "G", Peer: "DB1"}); got != 0 {
+		t.Errorf("pool_stale_total = %d after a timeout, want 0", got)
 	}
 }
 
@@ -128,7 +196,7 @@ func TestCancelAroundReplyNeverPoisonsThePool(t *testing.T) {
 	start := time.Now()
 	const warm = 50
 	for i := 0; i < warm; i++ {
-		if _, _, err := cl.call("DB1", srv.Addr(), req); err != nil {
+		if _, _, err := cl.call(context.Background(), "DB1", srv.Addr(), req); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -139,7 +207,7 @@ func TestCancelAroundReplyNeverPoisonsThePool(t *testing.T) {
 	for i := 0; i < 3000; i++ {
 		ctx, cancel := context.WithCancel(context.Background())
 		timer := time.AfterFunc(time.Duration(rng.Int64N(int64(window))), cancel)
-		if _, _, err := cl.callCtx(ctx, "DB1", srv.Addr(), req); err != nil {
+		if _, _, err := cl.call(ctx, "DB1", srv.Addr(), req); err != nil {
 			if !errors.Is(err, context.Canceled) {
 				t.Fatalf("call %d under a cancelled context: %v", i, err)
 			}
@@ -147,13 +215,13 @@ func TestCancelAroundReplyNeverPoisonsThePool(t *testing.T) {
 		}
 		timer.Stop()
 		cancel()
-		if _, _, err := cl.call("DB1", srv.Addr(), req); err != nil {
+		if _, _, err := cl.call(context.Background(), "DB1", srv.Addr(), req); err != nil {
 			t.Fatalf("call %d, which nobody cancelled: %v", i, err)
 		}
 	}
 	t.Logf("window %v: %d of 3000 calls ended by their context", window, cancelled)
 	snap := reg.Snapshot()
-	for _, name := range []string{"pool_stale_total", "call_retries_total", "call_failures_total"} {
+	for _, name := range []string{"pool_stale_total", "call_failures_total"} {
 		if got := snap.CounterValue(name, metrics.Labels{Site: "G", Peer: "DB1"}); got != 0 {
 			t.Errorf("%s = %d, want 0", name, got)
 		}

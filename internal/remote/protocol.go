@@ -8,7 +8,7 @@
 // its link. Messages travel as length-prefixed binary frames (frame.go) in a
 // hand-rolled encoding (codec.go, which tabulates the wire format) over
 // persistent pooled connections (a connection serves any number of requests
-// in sequence); calls retry with jittered backoff and per-site circuit
+// in sequence); a call is one exchange, never resent, and per-site circuit
 // breakers fail fast when a site stays down — see CallConfig.
 //
 // Site failure degrades answers instead of failing queries: a transport

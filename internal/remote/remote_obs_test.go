@@ -1,6 +1,7 @@
 package remote
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"maps"
@@ -383,11 +384,11 @@ func TestCallTimeoutOnDeadPeer(t *testing.T) {
 
 	// Timeouts are per-client config now (no mutable package globals), so
 	// a tight deadline here cannot race other tests.
-	cl := newClient("TEST", CallConfig{CallTimeout: 200 * time.Millisecond, Attempts: 1}, nil)
+	cl := newClient("TEST", CallConfig{CallTimeout: 200 * time.Millisecond}, nil)
 	defer cl.close()
 
 	start := time.Now()
-	_, _, err = cl.call("silent", ln.Addr().String(), Request{Kind: kindPing})
+	_, _, err = cl.call(context.Background(), "silent", ln.Addr().String(), Request{Kind: kindPing})
 	elapsed := time.Since(start)
 	if err == nil {
 		t.Fatal("call to a silent peer succeeded")

@@ -1,6 +1,7 @@
 package remote
 
 import (
+	"context"
 	"fmt"
 	"slices"
 	"strings"
@@ -80,8 +81,6 @@ func TestClusterErrors(t *testing.T) {
 	}
 }
 
-// testCall performs one client exchange against addr (no retries), for
-// tests poking a server directly.
 // eventually polls cond for a bounded time. A server books a request's
 // metrics and its flight-recorder profile AFTER the response is on the wire
 // (keeping bookkeeping off the response path), so a client holding the
@@ -96,11 +95,13 @@ func eventually(t *testing.T, desc string, cond func() bool) {
 	t.Fatalf("timed out waiting for %s", desc)
 }
 
+// testCall performs one client exchange against addr, for tests poking a
+// server directly.
 func testCall(t *testing.T, addr string, req Request) (Response, error) {
 	t.Helper()
-	cl := newClient("TEST", CallConfig{Attempts: 1}, nil)
+	cl := newClient("TEST", CallConfig{}, nil)
 	defer cl.close()
-	resp, _, err := cl.call("peer", addr, req)
+	resp, _, err := cl.call(context.Background(), "peer", addr, req)
 	return resp, err
 }
 

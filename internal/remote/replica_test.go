@@ -148,7 +148,7 @@ var replicaEntryPoints = map[string]func(t *testing.T, durable bool) *replicaSub
 		t.Cleanup(cl.close)
 		sub.deliver = func(entity int, loid object.LOid) int {
 			d := &antientropy.Delta{Class: replicaClass, GOid: entityGOid(entity), Site: replicaSite, LOid: loid}
-			_, _, err := cl.call(srv.Site(), srv.Addr(), Request{Kind: kindBind, Bind: d})
+			_, _, err := cl.call(context.Background(), srv.Site(), srv.Addr(), Request{Kind: kindBind, Bind: d})
 			if err != nil && strings.Contains(err.Error(), antientropy.ErrConflict.Error()) {
 				return 1
 			}
@@ -162,7 +162,7 @@ var replicaEntryPoints = map[string]func(t *testing.T, durable bool) *replicaSub
 		cl := newClient("TEST", CallConfig{}, nil)
 		t.Cleanup(cl.close)
 		sub.deliver = func(entity int, loid object.LOid) int {
-			resp, _, err := cl.call(srv.Site(), srv.Addr(), Request{Kind: kindRepair, Trace: TraceContext{From: "TEST"},
+			resp, _, err := cl.call(context.Background(), srv.Site(), srv.Addr(), Request{Kind: kindRepair, Trace: TraceContext{From: "TEST"},
 				Repair: &antientropy.Repair{Class: replicaClass, Bindings: []antientropy.Binding{{GOid: entityGOid(entity), Site: replicaSite, LOid: loid}}}})
 			if err != nil || resp.Repair == nil {
 				t.Fatalf("repair exchange: %v (reply %v)", err, resp.Repair)

@@ -56,9 +56,9 @@ type ServerConfig struct {
 	// discarding logger.
 	Log *slog.Logger
 	// Call is the networking policy for this server's outbound peer calls
-	// (assistant-check dispatch): timeouts, retries, pooling, breakers.
-	// Zero timeouts and Attempts take DefaultCallConfig's values; a zero
-	// BreakerThreshold means no breaker.
+	// (assistant-check dispatch): timeouts, pooling, breakers. Zero
+	// timeouts take DefaultCallConfig's values; a zero BreakerThreshold
+	// means no breaker.
 	Call CallConfig
 	// Faults, when non-nil, injects failures at this server, mirroring the
 	// engine's fault plan semantics over the wire: Delay stalls every
@@ -81,8 +81,8 @@ type ServerConfig struct {
 	AntiEntropy time.Duration
 
 	// Tests override the connection limits (0: the constants).
-	maxFrame            int
-	idle, writeDeadline time.Duration
+	maxFrame int
+	idle     time.Duration
 }
 
 // Connection limits of a server.
@@ -382,13 +382,13 @@ func (s *Server) handle(conn net.Conn) {
 		if req.Trace.Span != 0 {
 			resp.Spans = spans
 		}
-		_ = conn.SetWriteDeadline(time.Now().Add(cmp.Or(s.cfg.writeDeadline, writeTimeout)))
+		_ = conn.SetWriteDeadline(time.Now().Add(writeTimeout))
 		out := newFrame()
 		out.response(&resp)
 		n, err := out.send(conn)
 		out.release()
 		if err != nil {
-			return // connection is torn; the client will retry elsewhere
+			return // connection is torn; the client fails the call
 		}
 		respBytes := int64(n)
 		s.observe(req, resp, time.Since(start), respBytes)
@@ -601,4 +601,14 @@ func (s *Server) handleLocal(ctx context.Context, req Request, sp trace.Handle) 
 		return Response{Err: e}
 	}
 	return Response{Local: reply, Suspect: s.rep.SuspectOf(b.Classes())}
+}
+
+// sleepCtx sleeps for d unless ctx dies first.
+func sleepCtx(ctx context.Context, d time.Duration) {
+	t := time.NewTimer(d)
+	defer t.Stop()
+	select {
+	case <-t.C:
+	case <-ctx.Done():
+	}
 }

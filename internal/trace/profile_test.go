@@ -131,8 +131,8 @@ func TestImportDedupes(t *testing.T) {
 
 	coord := &Tracer{}
 	coord.Import(shipped)
-	// The same span arriving again (retry, or a second reply path through a
-	// peer) must not duplicate.
+	// The same span arriving again (a second reply path through a peer) must
+	// not duplicate.
 	coord.Import(shipped)
 	if got := held(coord); len(got) != 1 {
 		t.Errorf("after double import: %d spans, want 1", len(got))

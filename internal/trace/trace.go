@@ -242,8 +242,8 @@ func (t *Tracer) Take(root SpanID) []Span {
 // site's spans shipped back in an RPC response — keeping their IDs, parents
 // and timings so they stitch into this tracer's trees (span IDs are
 // process-unique by construction, see spanIDs). A span whose ID is already
-// present is skipped: spans are wire input, and a retried call can deliver
-// the same span twice.
+// present is skipped: spans are wire input, and a second reply path through
+// a peer could deliver the same span twice.
 func (t *Tracer) Import(spans []Span) {
 	if t == nil || len(spans) == 0 {
 		return

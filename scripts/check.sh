@@ -5,7 +5,7 @@
 # one-identity-index, said-once, one-chooser, one-probe-per-fetch,
 # one-way-to-stand-up-a-site, one-value-in-use, one-home-for-spans,
 # no-unused-load-shape, one-matrix-runtime, no-cluster-ops-plane,
-# one-input-to-the-choice and
+# one-input-to-the-choice, one-exchange-per-call and
 # one-metric-catalog structural guards, build, unit tests, the full test suite under the race detector, the benchmark
 # module's vet and tests, a one-shot compile-and-run smoke of the overhead and
 # allocation benchmarks,
@@ -252,6 +252,20 @@ for gone in BENCH_durability.json BENCH_chaos.json internal/bench/durability.go 
         guard_failed=1
     fi
 done
+# A site call is one exchange (DESIGN.md section 7, EXPERIMENTS.md E44): a
+# failed call is not sent again, so the client's retry loop, its backoff
+# constants, its retry counter, CallConfig's Attempts field and the entry
+# points beside client.call stay gone outside benchmark/, in tests or
+# otherwise.
+if grep -rnE 'call_retries_total|backoffBase|backoffMax|\.callCtx\(|\.callTimeout\(' --include='*.go' \
+    --exclude-dir=benchmark --exclude-dir=.bench_build .; then
+    echo "a call retry or a second call entry point is back; a site call is one exchange (see EXPERIMENTS.md E44)" >&2
+    guard_failed=1
+fi
+if sed -n '/^type CallConfig struct/,/^}/p' internal/remote/client.go | grep -nE '^[[:space:]]+Attempts[[:space:]]'; then
+    echo "CallConfig has an Attempts field again; a site call is one exchange (see EXPERIMENTS.md E44)" >&2
+    guard_failed=1
+fi
 # One strategy chooser (DESIGN.md section 11, EXPERIMENTS.md E28): catalog →
 # estimate → calibrate → choose is internal/planner, and a selector is built
 # one way. The adaptive package, the rate-model seam, the static planner's
@@ -430,7 +444,7 @@ esac
 # The figure ROADMAP's LOC numbers use, so the next issue quotes it instead
 # of recounting, and ROADMAP item 10's gate on it: a change that grows the
 # tree past the ceiling deletes as much as it adds first.
-loc_ceiling=20765
+loc_ceiling=20707
 loc="$(find . -name '*.go' -not -name '*_test.go' \
     -not -path './benchmark/*' -not -path './.bench_build/*' | xargs wc -l | tail -n 1 | awk '{print $1}')"
 echo "== non-test Go lines: $loc (ceiling $loc_ceiling)"
