@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"github.com/hetfed/hetfed/internal/cost"
@@ -14,8 +15,10 @@ import (
 // and the response time is wall-clock. Use it for functional execution
 // (examples, correctness tests, the TCP deployment); use Sim for the paper's
 // timing experiments. Work runs on the goroutine that already holds it: the
-// root task on Run's caller, a Fork's last leg on the forking task; only Go
-// and a Fork's other legs start goroutines.
+// root task on Run's caller, a Fork's last leg on the forking task. Go tasks
+// and a Fork's other legs run on parked workers, goroutines the process keeps
+// with the stacks earlier tasks grew; a worker starts only when none is
+// parked, and it outlives the run that started it.
 //
 // A Real holds nothing of a run — one serves a whole process. All per-run
 // state (cost sinks, network counters, the start time, the context) lives in
@@ -48,7 +51,7 @@ type realRun struct {
 	rt    *Real
 	ctx   context.Context
 	start time.Time
-	tasks sync.WaitGroup // the Go tasks: Run joins those nobody waited for
+	tasks sync.WaitGroup // the Go tasks: Run joins those nobody waited for, not their workers
 
 	mu    sync.Mutex
 	sinks map[object.SiteID]*cost.Counter
@@ -117,6 +120,55 @@ func (run *realRun) exec(name string, fn func(Proc)) {
 	fn(run)
 }
 
+// Workers. A fresh goroutine starts on a 2 KiB stack, and a leg's call
+// chain (client call, exchange, reply decode) grows it again every time,
+// because a goroutine's grown stack is freed when it exits (EXPERIMENTS.md
+// E45). A worker that has run a task parks for the next one until idleFor
+// passes without one, so nothing stays behind a quiet process or a dropped
+// Real, and never beside maxIdle others.
+const (
+	maxIdle = 64
+	idleFor = time.Second
+)
+
+var (
+	handoff = make(chan func()) // unbuffered: a send succeeds only into a parked worker
+	idle    atomic.Int32        // the workers parked on handoff
+)
+
+// spawn runs task on a parked worker, or on a new one if none is parked.
+func spawn(task func()) {
+	select {
+	case handoff <- task:
+	default:
+		go work(task)
+	}
+}
+
+// work runs task, then every task handed to it while it is parked.
+func work(task func()) {
+	var timer *time.Timer
+	for {
+		task()
+		if idle.Add(1) > maxIdle {
+			idle.Add(-1)
+			return
+		}
+		if timer == nil {
+			timer = time.NewTimer(idleFor)
+		} else {
+			timer.Reset(idleFor)
+		}
+		select {
+		case task = <-handoff:
+			idle.Add(-1)
+		case <-timer.C:
+			idle.Add(-1)
+			return
+		}
+	}
+}
+
 type realHandle struct{ done chan struct{} }
 
 func (*realHandle) isHandle() {}
@@ -125,11 +177,11 @@ func (*realHandle) isHandle() {}
 func (run *realRun) Go(name string, fn func(Proc)) Handle {
 	h := &realHandle{done: make(chan struct{})}
 	run.tasks.Add(1)
-	go func() {
-		defer run.tasks.Done()
-		defer close(h.done)
-		run.exec(name, fn)
-	}()
+	spawn(func() {
+		run.exec(name, fn) // recovers, so the worker survives a panic
+		close(h.done)
+		run.tasks.Done()
+	})
 	return h
 }
 
@@ -144,21 +196,21 @@ func (run *realRun) Wait(hs ...Handle) {
 	}
 }
 
-// Fork implements Proc: every leg but the last gets a goroutine, the last
+// Fork implements Proc: every leg but the last goes to a worker, the last
 // runs here — the forking task would only sleep until the legs are done. A
-// Fork of one starts nothing.
+// Fork of one hands nothing off.
 func (run *realRun) Fork(fns ...func(Proc)) {
 	if len(fns) == 0 {
 		return
 	}
 	last := len(fns) - 1
 	var legs sync.WaitGroup
+	legs.Add(last)
 	for _, fn := range fns[:last] {
-		legs.Add(1)
-		go func() {
-			defer legs.Done()
+		spawn(func() {
 			run.exec("fork", fn)
-		}()
+			legs.Done()
+		})
 	}
 	run.exec("fork", fns[last])
 	legs.Wait()

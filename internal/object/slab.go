@@ -20,10 +20,14 @@ type Slab struct {
 	text  strings.Builder // grown once per chunk, so the strings cut from it stay put
 }
 
-// Chunk sizes: 4 KiB of Objects, 14 KiB of entries, 2 KiB of text.
+// Chunk sizes: 4 KiB of Objects, 14 KiB of entries, 2 KiB of text. The first
+// two are one short of a round count because a pointerful chunk carries the
+// allocator's 8-byte header: 63 Objects and their header fill the 4 096-byte
+// size class and 255 entries the 14 336-byte one, where 64 and 256 would
+// spill into the 4 864- and 16 384-byte classes.
 const (
-	slabObjects = 64
-	slabEntries = 256
+	slabObjects = 63
+	slabEntries = 255
 	slabText    = 2048
 )
 

@@ -207,8 +207,9 @@ func (cl *client) close() {
 //     going away says nothing about the peer's health.
 //
 // The exchange runs in this one frame, with req passed down by pointer: a
-// fan-out goroutine decodes its reply below it, and a deeper chain grew that
-// goroutine's stack once more per call (EXPERIMENTS.md E44).
+// fan-out leg decodes its reply below it, and a deeper chain grew the leg's
+// fresh goroutine's stack once more per call (EXPERIMENTS.md E44). Legs now
+// run on workers that keep their stacks (E45), so depth costs that once.
 func (cl *client) call(ctx context.Context, site object.SiteID, addr string, req Request) (Response, wireStats, error) {
 	// Injected network faults come first: a cut link makes the peer
 	// unreachable for this caller regardless of breaker state, and the

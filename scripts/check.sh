@@ -158,6 +158,11 @@ if grep -nE 'go root\.exec|forkImpl\(' internal/fabric/real.go; then
     echo "the real runtime spawns its root task or goes through forkImpl again" >&2
     guard_failed=1
 fi
+# A Go task or a Fork's other legs run on parked workers (EXPERIMENTS.md E45):
+# the worker start is the real runtime's one go statement, so a goroutine per
+# leg, whose stack grows again under every site call, cannot come back.
+want_one 'a go statement in internal/fabric/real.go' \
+    "$(grep -nE '^[[:space:]]*go [^ ]' internal/fabric/real.go || true)"
 # One identity index (DESIGN.md section 2 rows 5 and 11, EXPERIMENTS.md E26): a
 # mapping table keeps one LOid index per site and numbers its entities, and
 # everything that resolves identities per object takes the site's index once
