@@ -147,17 +147,6 @@ func TestPublicAPIWorkflow(t *testing.T) {
 		}
 	}
 
-	// The planner produces estimates for the paper's strategies and picks
-	// the cheapest.
-	sel := hetfed.NewSelector(hetfed.BuildCatalog(global, dbs, tables), "HQ")
-	ests := sel.Estimate(b)
-	if len(ests) != 3 {
-		t.Errorf("estimates = %v", ests)
-	}
-	if got := sel.Select(b); got == 0 {
-		t.Error("planner chose nothing")
-	}
-
 	// JSON round trip preserves answers.
 	schemas := map[hetfed.SiteID]*hetfed.Schema{
 		"East": dbs["East"].Schema(), "West": dbs["West"].Schema(),

@@ -80,7 +80,7 @@ func run(args []string) error {
 // matrixFlags registers the sweep-dimension flags of an ad-hoc matrix.
 func matrixFlags(fs *flag.FlagSet) (get func() bench.MatrixSpec) {
 	var (
-		strategies = fs.String("strategies", "CA,BL,PL", "comma-separated strategies: CA, BL, PL, SBL, SPL, adaptive")
+		strategies = fs.String("strategies", "CA,BL,PL", "comma-separated strategies: CA, BL, PL, SBL, SPL")
 		workloads  = fs.String("workloads", "school", "comma-separated workloads: school, table2, table2eq")
 		faults     = fs.String("faults", "none", "comma-separated fault plans: none, kill:SITE, drop:SITE:N, delay:SITE:AMOUNT")
 		queries    = fs.Int("queries", 20, "queries per cell")

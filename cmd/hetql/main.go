@@ -10,11 +10,11 @@
 //	hetql -query 'select name from Student where age > 25'
 //	hetql -show                        # print the federation's contents
 //	hetql -export > my.json            # dump the federation as JSON
-//	hetql -fed my.json -explain        # query a JSON-defined federation with the planner's choice
+//	hetql -fed my.json -alg BL         # query a JSON-defined federation
 //	hetql -fault kill:DB3              # degrade: kill DB3, partial answer
 //	hetql -fault delay:DB2:5ms         # wedge DB2 by 5ms per operation
-//	hetql -explain                     # EXPLAIN ANALYZE: predicted vs measured
-//	hetql -alg adaptive -repeat 5      # calibrating selector, fed by each run's profile
+//	hetql -explain                     # EXPLAIN ANALYZE: measured site × phase time per strategy
+//	hetql -alg PL -repeat 5            # run one strategy five times
 //	hetql -deadline 50ms               # budgeted: over-deadline → partial answer
 //	hetql -version                     # print the build version
 package main
@@ -29,7 +29,6 @@ import (
 	"sort"
 	"strings"
 
-	"github.com/hetfed/hetfed/internal/cost"
 	"github.com/hetfed/hetfed/internal/exec"
 	"github.com/hetfed/hetfed/internal/fabric"
 	"github.com/hetfed/hetfed/internal/fedfile"
@@ -37,7 +36,6 @@ import (
 	"github.com/hetfed/hetfed/internal/metrics"
 	"github.com/hetfed/hetfed/internal/object"
 	"github.com/hetfed/hetfed/internal/obs"
-	"github.com/hetfed/hetfed/internal/planner"
 	"github.com/hetfed/hetfed/internal/query"
 	"github.com/hetfed/hetfed/internal/schema"
 	"github.com/hetfed/hetfed/internal/school"
@@ -59,16 +57,15 @@ func run(args []string) error {
 	fs := flag.NewFlagSet("hetql", flag.ContinueOnError)
 	var (
 		queryText   = fs.String("query", school.Q1, "global query (SQL/X-like)")
-		algName     = fs.String("alg", "all", "strategy: CA, BL, PL, SBL, SPL, adaptive (calibrating selector; its first choice is the Table 1 planner's), or all")
-		repeat      = fs.Int("repeat", 1, "run the query this many times per strategy (lets -alg adaptive calibrate)")
+		algName     = fs.String("alg", "all", "strategy: CA, BL, PL, SBL, SPL, or all (CA, BL and PL)")
+		repeat      = fs.Int("repeat", 1, "run the query this many times per strategy")
 		showTrace   = fs.Bool("trace", false, "print the executed step flow (Figure 8) and the span tree")
 		showMetrics = fs.Bool("metrics", false, "print each strategy's metrics (snapshot delta)")
 		show        = fs.Bool("show", false, "print the federation's schemas and objects, then exit")
 		export      = fs.Bool("export", false, "dump the federation as a JSON document, then exit")
-		stats       = fs.Bool("stats", false, "print the planner's catalog statistics, then exit")
 		fedPath     = fs.String("fed", "", "load the federation from this JSON document instead of the built-in example")
 		faultSpec   = fs.String("fault", "", "fault injection, comma-separated: kill:SITE, drop:SITE:N (dark after N operations), delay:SITE:DURATION, cut:SITE (the global site's links to SITE); the query degrades")
-		explain     = fs.Bool("explain", false, "EXPLAIN ANALYZE: print the planner's predicted per-site/per-phase cost against the measured profile (runs the planner's choice unless -alg names a strategy)")
+		explain     = fs.Bool("explain", false, "EXPLAIN ANALYZE: print each run's measured per-site/per-phase time and its counters")
 		deadline    = fs.Duration("deadline", 0, "end-to-end wall-clock budget per query; an over-budget query returns its sound partial answer (0 = none)")
 		dataDir     = fs.String("data-dir", "", "query the durable state under this root (WAL+snapshot directories as written by hetserve) instead of the in-memory fixture; missing directories are seeded from the fixture")
 		showVersion = fs.Bool("version", false, "print the build version and exit")
@@ -109,7 +106,7 @@ func run(args []string) error {
 	// fixture. Each site's database is recovered from <data-dir>/<site> and
 	// the global mapping from <data-dir>/G; fixture entries the recovered
 	// state doesn't hold yet are merged in, so the flag also works against a
-	// fresh or partially-populated root. -show/-stats/-export then report
+	// fresh or partially-populated root. -show/-export then report
 	// the recovered federation.
 	if *dataDir != "" {
 		for site, db := range databases {
@@ -149,10 +146,6 @@ func run(args []string) error {
 		printFederation(global, databases)
 		return nil
 	}
-	if *stats {
-		printCatalog(global, databases, tables)
-		return nil
-	}
 
 	q, err := query.Parse(*queryText)
 	if err != nil {
@@ -163,25 +156,14 @@ func run(args []string) error {
 		return err
 	}
 
-	// -explain without an explicit single strategy runs the planner's choice.
-	planned := *explain && strings.EqualFold(*algName, "all")
-	adaptive := strings.EqualFold(*algName, exec.Adaptive.String())
-
-	// One catalog build serves the EXPLAIN baseline and the adaptive selector
-	// alike. The baseline is a selector that never observes a query, so it
-	// prices every site at Table 1's rates.
-	var table1, selector *planner.Selector
-	if *explain || adaptive {
-		cat := planner.BuildCatalog(global, databases, tables)
-		table1 = planner.NewSelector(cat, "G")
-		if adaptive {
-			selector = planner.NewSelector(cat, "G")
-		}
+	algs, err := pickAlgorithms(*algName)
+	if err != nil {
+		return err
 	}
 
 	reg := metrics.New()
 	rec := obs.NewRecorder(obs.RecorderConfig{Site: "G", Metrics: reg})
-	cfg := exec.Config{
+	engine, err := exec.New(exec.Config{
 		Global:      global,
 		Coordinator: "G",
 		Databases:   databases,
@@ -190,11 +172,7 @@ func run(args []string) error {
 		Metrics:     reg,
 		Signatures:  signature.Build(databases),
 		Recorder:    rec,
-	}
-	if selector != nil {
-		cfg.Selector = selector
-	}
-	engine, err := exec.New(cfg)
+	})
 	if err != nil {
 		return err
 	}
@@ -204,25 +182,6 @@ func run(args []string) error {
 	// with its outcome. A second interrupt kills the process as usual.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
-
-	var algs []exec.Algorithm
-	switch {
-	case planned:
-		chosen := table1.Select(b)
-		fmt.Printf("planner chose %v:\n", chosen)
-		for _, est := range table1.LastDecision().Estimates {
-			fmt.Printf("  %-3v predicted response %8.2f ms, total %8.2f ms\n",
-				est.Alg, est.ResponseMicros/1e3, est.TotalMicros/1e3)
-		}
-		algs = []exec.Algorithm{chosen}
-	case adaptive:
-		algs = []exec.Algorithm{exec.Adaptive}
-	default:
-		algs, err = pickAlgorithms(*algName)
-		if err != nil {
-			return err
-		}
-	}
 
 	fmt.Printf("query: %s\n", q)
 	prev := reg.Snapshot()
@@ -240,14 +199,7 @@ func run(args []string) error {
 			if err != nil {
 				return fmt.Errorf("%v: %w", alg, err)
 			}
-			executed := alg
 			header := alg.String()
-			if alg == exec.Adaptive {
-				if d := selector.LastDecision(); d != nil {
-					executed = d.Alg
-					header = fmt.Sprintf("adaptive → %v", d.Alg)
-				}
-			}
 			if *repeat > 1 {
 				header = fmt.Sprintf("%s (run %d/%d)", header, run+1, *repeat)
 			}
@@ -256,13 +208,7 @@ func run(args []string) error {
 				"(disk %d B, cpu %d ops, net %d B)\n",
 				m.ResponseMicros/1e3, m.TotalBusyMicros/1e3, m.DiskBytes, m.CPUOps, m.NetBytes)
 			if *explain {
-				var calibrated []planner.Estimate
-				if alg == exec.Adaptive {
-					if d := selector.LastDecision(); d != nil {
-						calibrated = d.Estimates
-					}
-				}
-				printExplain(table1.Estimate(b), calibrated, executed, rec.Last())
+				printExplain(alg, rec.Last())
 			}
 			if p := rec.Last(); *showTrace && p != nil {
 				// Both views read the run's recorded profile; the footer names
@@ -282,61 +228,14 @@ func run(args []string) error {
 	return nil
 }
 
-// estimateFor finds the planner estimate matching a strategy; the
-// signature-assisted variants read their base strategy's estimate (the
-// planner models CA, BL and PL).
-func estimateFor(ests []planner.Estimate, alg exec.Algorithm) *planner.Estimate {
-	want := alg
-	switch alg {
-	case exec.SBL:
-		want = exec.BL
-	case exec.SPL:
-		want = exec.PL
-	}
-	for i := range ests {
-		if ests[i].Alg == want {
-			return &ests[i]
-		}
-	}
-	return nil
-}
-
-// printExplain lays the planner's predicted per-site/per-phase cost against
-// the measured profile of the run that just finished — EXPLAIN ANALYZE.
-// With a calibrated estimate set (the adaptive selector's decision) the
-// table grows a third column: Table 1 prediction, calibrated prediction,
-// measured.
-func printExplain(table1, calibrated []planner.Estimate, alg exec.Algorithm, p *trace.Profile) {
+// printExplain prints the measured per-site/per-phase time and the counters
+// of the run that just finished — EXPLAIN ANALYZE.
+func printExplain(alg exec.Algorithm, p *trace.Profile) {
 	fmt.Printf("\nEXPLAIN ANALYZE (%v):\n", alg)
-	var (
-		labels []string
-		bds    []*cost.Breakdown
-	)
-	predictedLabel := "predicted"
-	if calibrated != nil {
-		predictedLabel = "table1"
-	}
-	var predicted *cost.Breakdown
-	if est := estimateFor(table1, alg); est != nil {
-		fmt.Printf("%s: response %.3f ms, total %.3f ms\n",
-			predictedLabel, est.ResponseMicros/1e3, est.TotalMicros/1e3)
-		predicted = est.Details
-	}
-	labels, bds = append(labels, predictedLabel), append(bds, predicted)
-	if est := estimateFor(calibrated, alg); est != nil {
-		fmt.Printf("calibrated: response %.3f ms, total %.3f ms\n",
-			est.ResponseMicros/1e3, est.TotalMicros/1e3)
-		labels, bds = append(labels, "calibrated"), append(bds, est.Details)
-	}
-	var measured *cost.Breakdown
-	if p != nil {
-		fmt.Printf("measured:  response %.3f ms, status %s, %d certain, %d maybe\n",
-			p.WallMicros/1e3, p.Status, p.Certain, p.Maybe)
-		measured = p.Phases
-	}
-	labels, bds = append(labels, "measured"), append(bds, measured)
-	fmt.Print(cost.RenderColumns(labels, bds))
-	if p != nil && len(p.Counters) > 0 {
+	fmt.Printf("measured:  response %.3f ms, status %s, %d certain, %d maybe\n",
+		p.WallMicros/1e3, p.Status, p.Certain, p.Maybe)
+	fmt.Print(p.Phases.Render())
+	if len(p.Counters) > 0 {
 		names := make([]string, 0, len(p.Counters))
 		for name := range p.Counters {
 			names = append(names, name)
@@ -358,33 +257,6 @@ func pickAlgorithms(name string) ([]exec.Algorithm, error) {
 		return nil, err
 	}
 	return []exec.Algorithm{alg}, nil
-}
-
-func printCatalog(global *schema.Global, databases map[object.SiteID]*store.Database, tables *gmap.Tables) {
-	cat := planner.BuildCatalog(global, databases, tables)
-	for _, class := range global.ClassNames() {
-		gc := global.Class(class)
-		cs := cat.Classes[class]
-		fmt.Printf("%s: %d entities, %.2f avg copies, %.0f%% isomeric\n",
-			class, cs.Entities, cs.AvgCopies, 100*cs.IsomericRatio)
-		for _, site := range gc.Sites() {
-			ext := cat.Extents[schema.Constituent{Site: site, Class: class}]
-			fmt.Printf("  %s: %d objects, %d bytes\n", site, ext.Objects, ext.Bytes)
-			for _, attr := range gc.AttrNames() {
-				if !gc.Holds(site, attr) {
-					continue
-				}
-				s := ext.Attrs[attr]
-				if s.Numeric {
-					fmt.Printf("    %-12s non-null %d/%d, distinct %d, range [%g, %g]\n",
-						attr, s.NonNull, ext.Objects, s.Distinct, s.Min, s.Max)
-				} else {
-					fmt.Printf("    %-12s non-null %d/%d, distinct %d\n",
-						attr, s.NonNull, ext.Objects, s.Distinct)
-				}
-			}
-		}
-	}
 }
 
 func printFederation(global *schema.Global, databases map[object.SiteID]*store.Database) {

@@ -81,7 +81,6 @@ import (
 	"github.com/hetfed/hetfed/internal/metrics"
 	"github.com/hetfed/hetfed/internal/object"
 	"github.com/hetfed/hetfed/internal/obs"
-	"github.com/hetfed/hetfed/internal/planner"
 	"github.com/hetfed/hetfed/internal/remote"
 	"github.com/hetfed/hetfed/internal/school"
 	"github.com/hetfed/hetfed/internal/signature"
@@ -124,7 +123,7 @@ func (c *cmdline) parse(args []string) error {
 	fs.BoolVar(&c.coordinator, "coordinator", false, "act as the global processing site")
 	fs.StringVar(&c.peers, "peers", "", "comma-separated SITE=ADDR pairs")
 	fs.StringVar(&c.query, "query", school.Q1, "query to run in -coordinator mode")
-	fs.StringVar(&c.alg, "alg", "BL", "strategy for -coordinator mode: CA, BL, PL, SBL, SPL, or adaptive (calibrating selector fed by measured profiles)")
+	fs.StringVar(&c.alg, "alg", "BL", "strategy for -coordinator mode: CA, BL, PL, SBL or SPL")
 	fs.StringVar(&c.fed, "fed", "", "serve/query this JSON federation instead of the built-in example")
 	fs.BoolVar(&c.trace, "trace", false, "print the query's span tree in -coordinator mode")
 	fs.BoolVar(&c.metrics, "metrics", false, "print the coordinator's metrics snapshot in -coordinator mode")
@@ -395,15 +394,6 @@ func runCoordinator(fed *fedfile.Federation, peers map[object.SiteID]string, c *
 	defer coord.Close()
 	// The repair loop stops before Close (LIFO defer order).
 	defer coord.StartAntiEntropy()()
-	// Adaptive mode: the selector plans over the bundle's catalog (the
-	// coordinator holds the same federation document the sites serve from)
-	// and is calibrated by each query's measured profile.
-	var selector *planner.Selector
-	if alg == exec.Adaptive {
-		cat := planner.BuildCatalog(fed.Global, fed.Databases, tables)
-		selector = planner.NewSelector(cat, "G")
-		coord.Selector = selector
-	}
 	// /healthz merges the peer breaker states with the replica's divergence
 	// state ("antientropy:state" → "suspect(Teacher) …") and, in durable
 	// mode, the WAL engine's state, so a coordinator whose replica diverged
@@ -442,13 +432,7 @@ func runCoordinator(fed *fedfile.Federation, peers map[object.SiteID]string, c *
 	if err != nil {
 		return err
 	}
-	algLabel := alg.String()
-	if selector != nil {
-		if d := selector.LastDecision(); d != nil {
-			algLabel = fmt.Sprintf("adaptive → %v", d.Alg)
-		}
-	}
-	fmt.Printf("query: %s\nstrategy: %s  (%.2f ms over TCP)\n%s", c.query, algLabel,
+	fmt.Printf("query: %s\nstrategy: %s  (%.2f ms over TCP)\n%s", c.query, alg,
 		float64(elapsed.Microseconds())/1e3, ans.Text(nil))
 	if c.trace {
 		fmt.Printf("\nspan tree (coordinator view):\n%s", rec.Last().RenderTree())

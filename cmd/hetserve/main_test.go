@@ -63,6 +63,11 @@ func TestRunFlagErrors(t *testing.T) {
 	if _, err := os.Stat(dir); !os.IsNotExist(err) {
 		t.Errorf("refused command lines left %s behind (stat: %v)", dir, err)
 	}
+	// The strategy is one the caller names; there is no selector to pick one.
+	if err := run([]string{"-coordinator", "-alg", "adaptive"}); err == nil ||
+		!strings.Contains(err.Error(), "want CA, BL, PL, SBL or SPL") {
+		t.Errorf("-alg adaptive: err %v, want the strategy list", err)
+	}
 }
 
 // TestRestartedSiteLogsServedExtent: a durable site that took an insert and

@@ -5,8 +5,7 @@
 // centralized (CA), basic localized (BL) and parallel localized (PL)
 // strategies — plus its Section 5 extensions (object signatures,
 // disjunctive predicates, multi-valued attributes) and the systems around
-// them (cost-based planning, secondary indexes, TCP deployment, JSON
-// federation documents).
+// them (secondary indexes, TCP deployment, JSON federation documents).
 //
 // This file is the public API: a documented facade over the packages under
 // internal/, organized by the workflow a downstream user follows — model a
@@ -25,7 +24,6 @@ import (
 	"github.com/hetfed/hetfed/internal/isomer"
 	"github.com/hetfed/hetfed/internal/metrics"
 	"github.com/hetfed/hetfed/internal/object"
-	"github.com/hetfed/hetfed/internal/planner"
 	"github.com/hetfed/hetfed/internal/query"
 	"github.com/hetfed/hetfed/internal/remote"
 	"github.com/hetfed/hetfed/internal/schema"
@@ -268,30 +266,6 @@ type (
 
 // BuildSignatures computes the signature index over a federation.
 var BuildSignatures = signature.Build
-
-//
-// Planning — cost-based strategy selection from catalog statistics.
-//
-
-type (
-	// Catalog summarizes the federation for the planner.
-	Catalog = planner.Catalog
-	// Estimate is one strategy's predicted cost.
-	Estimate = planner.Estimate
-)
-
-// Planner helpers.
-var (
-	// BuildCatalog scans the federation and gathers statistics.
-	BuildCatalog = planner.BuildCatalog
-	// NewSelector builds the strategy chooser over a catalog for queries
-	// the given site coordinates. Its Estimate prices CA, BL and PL, its
-	// Select picks the one with the lowest predicted (response, total).
-	// One that has observed no query prices every site at Table 1's rates;
-	// wired into EngineConfig.Selector it also resolves the adaptive
-	// strategy and re-rates each site from the queries it sees.
-	NewSelector = planner.NewSelector
-)
 
 //
 // Federation documents — JSON load/save.

@@ -1,6 +1,6 @@
 // Package bench is the repository's scenario-matrix experiment runner: the
 // measurement half of the paper's contribution, industrialized. A matrix
-// sweeps strategy (CA/BL/PL/SBL/SPL/adaptive) × workload shape (the school
+// sweeps strategy (CA/BL/PL/SBL/SPL) × workload shape (the school
 // example and Table 2 draws) × fault plan, runs the workload's seeded query
 // stream (Zipfian query-variant skew) in each cell on the discrete-event
 // fabric, and measures each cell from two sides:
@@ -38,8 +38,7 @@ const SchemaVersion = 2
 // shape shared by every cell. The cell set is the cross product of
 // Strategies × Workloads × Faults.
 type MatrixSpec struct {
-	// Strategies are execution strategy names: CA, BL, PL, SBL, SPL and
-	// adaptive (the calibrating selector).
+	// Strategies are execution strategy names: CA, BL, PL, SBL and SPL.
 	Strategies []string `json:"strategies"`
 	// Workloads name the federations queried: "school" (the paper's
 	// running example) and/or "table2" (a seeded draw from the paper's

@@ -216,10 +216,9 @@ func TestReportRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	figures := newReport("figures", 7, FigureSpec{Samples: 2, Scale: 0.1, Seed: 7, Sweeps: []string{"planner"}})
-	figures.Cells = []FigureCell{{Figure: "planner", X: 3, Strategy: "BL", TotalMillis: 9.25, DegradedShare: 0.5},
-		{Figure: "planner", X: 3, Strategy: "planner", ResponseMillis: 4.5, Planner: &PlannerScore{
-			Draws: 2, Correct: 1, MaxRegret: 0.25, Chosen: map[string]int{"BL": 2}, Fastest: map[string]int{"BL": 1, "PL": 1}}}}
+	figures := newReport("figures", 7, FigureSpec{Samples: 2, Scale: 0.1, Seed: 7, Sweeps: []string{"faults"}})
+	figures.Cells = []FigureCell{{Figure: "faults", X: 1, Strategy: "BL", TotalMillis: 9.25, TotalStd: 1.5,
+		ResponseMillis: 4.5, ResponseStd: 0.25, NetKB: 3.125, MaybeRows: 1.5, DegradedShare: 0.5}}
 
 	path := filepath.Join(t.TempDir(), "BENCH_roundtrip.json")
 	for _, r := range []*Report{matrix, figures} {
@@ -320,12 +319,13 @@ func TestValidate(t *testing.T) {
 		"scale":          {Samples: 3, Scale: 0, Seed: 1, Sweeps: []string{"figure9"}},
 		"negative-scale": {Samples: 3, Scale: -1, Seed: 1, Sweeps: []string{"figure9"}},
 		"sweep":          {Samples: 3, Scale: 0.3, Seed: 1, Sweeps: []string{"figure9", "figure12"}},
+		"planner":        {Samples: 3, Scale: 0.3, Seed: 1, Sweeps: []string{"planner"}},
 		"no-sweep":       {Samples: 3, Scale: 0.3, Seed: 1},
 	} {
 		report, err := Topic{Name: "figures", Spec: spec}.Run(context.Background(), nil)
 		if err == nil || report != nil {
 			t.Errorf("figures %s: bad spec ran anyway (report %v, err %v)", name, report, err)
-		} else if name == "sweep" && !strings.Contains(err.Error(), "figure9, figure10, figure11, signatures, network, indexes, faults, planner") {
+		} else if name == "sweep" && !strings.Contains(err.Error(), "figure9, figure10, figure11, signatures, network, indexes, faults)") {
 			t.Errorf("figures %s: refusal %q does not list the registered sweeps", name, err)
 		}
 	}

@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"cmp"
 	"context"
 	"fmt"
 	"math"
@@ -11,7 +10,6 @@ import (
 
 	"github.com/hetfed/hetfed/internal/exec"
 	"github.com/hetfed/hetfed/internal/fabric"
-	"github.com/hetfed/hetfed/internal/planner"
 	"github.com/hetfed/hetfed/internal/signature"
 	"github.com/hetfed/hetfed/internal/workload"
 )
@@ -46,23 +44,6 @@ type FigureCell struct {
 	NetKB          float64 `json:"net_kb"`
 	MaybeRows      float64 `json:"maybe_rows"`
 	DegradedShare  float64 `json:"degraded_share"`
-	// Planner scores the "planner" row, whose averages are those of the
-	// strategy the cost-based planner chose for each draw.
-	Planner *PlannerScore `json:"planner,omitempty"`
-}
-
-// PlannerScore is how well a never-fed planner.Selector, from catalog
-// statistics alone, picked the strategy the simulator then measured fastest:
-// of Draws choices the Correct ones, the chosen strategy's response time
-// over the fastest's minus one (0 = always optimal), and how often each was
-// picked and won.
-type PlannerScore struct {
-	Draws     int            `json:"draws"`
-	Correct   int            `json:"correct"`
-	AvgRegret float64        `json:"avg_regret"`
-	MaxRegret float64        `json:"max_regret"`
-	Chosen    map[string]int `json:"chosen"`
-	Fastest   map[string]int `json:"fastest"`
 }
 
 // point is one swept point's cells by strategy label.
@@ -83,8 +64,7 @@ type sweep struct {
 	xs                  []float64
 	// strategies run in order on each draw. Besides the engine's names,
 	// "BL+idx" is BL once the draw's root-class predicate attributes are
-	// indexed (so it runs last), and "planner" is whichever of the ones
-	// before it a never-fed planner.Selector picks.
+	// indexed (so it runs last).
 	strategies []string
 	// extentX marks x-values that are extent sizes: they scale with the
 	// extents, and the report carries the scaled value.
@@ -151,14 +131,10 @@ var sweeps = []sweep{
 		apply: func(x float64, _ *workload.Ranges, _ *fabric.Rates) string {
 			return [...]string{"none", "kill:DB1", "kill:DB1,kill:DB2"}[int(x)]
 		}},
-	// E9 at the default Table 2 setting (N_db = 3).
-	{name: "planner", title: "Cost-based strategy selection (default Table 2)",
-		xLabel: "component databases", xs: []float64{3},
-		strategies: []string{"CA", "BL", "PL", "planner"}, apply: databases},
 }
 
 // shapes is the gate: what the paper (Figures 9–11) and EXPERIMENTS.md
-// (E9–E12) claim of a sweep — each claim, and whether it holds at the swept
+// (E10, E12) claim of a sweep — each claim, and whether it holds at the swept
 // point pt given the first point lo.
 func shapes(name string, lo, pt point) map[string]bool {
 	claims := map[string]bool{}
@@ -185,10 +161,6 @@ func shapes(name string, lo, pt point) map[string]bool {
 			claims["E12: every "+s+" run degrades with a database dead"] = pt[s].DegradedShare == 1
 			claims["E12: "+s+"'s lost certainty surfaces as maybe rows"] = pt[s].MaybeRows > lo[s].MaybeRows
 		}
-	case "planner":
-		score := pt["planner"].Planner
-		claims["E9: the planner picks the fastest strategy at least half the time"] = 2*score.Correct >= score.Draws
-		claims["E9: worst regret ≤ 1.5"] = score.MaxRegret <= 1.5
 	}
 	return claims
 }
@@ -267,7 +239,6 @@ func runPoint(spec FigureSpec, sw sweep, x float64) (point, error) {
 	}
 	// runs[i] holds strategy i's draws, a cell each (degraded share 0 or 1).
 	runs := make([][]FigureCell, len(sw.strategies))
-	score := &PlannerScore{Draws: spec.Samples, Chosen: map[string]int{}, Fastest: map[string]int{}}
 	for s := 0; s < spec.Samples; s++ {
 		// Common random numbers: draw s has one sub-seed at every x of every
 		// sweep, so curves differ only through the swept parameter.
@@ -283,67 +254,37 @@ func runPoint(spec FigureSpec, sw sweep, x float64) (point, error) {
 		if err != nil {
 			return nil, fmt.Errorf("draw %d: %w", s, err)
 		}
-		ran := make(point, len(sw.strategies))
 		for i, label := range sw.strategies {
-			if label == "planner" {
-				// A selector that has observed nothing is the Table 1
-				// planner; no sweep with a planner row moves the rates.
-				cat := planner.BuildCatalog(w.Global, w.Databases, w.Tables)
-				chosen := planner.NewSelector(cat, coordinatorID).Select(w.Bound).String()
-				score.add(chosen, ran)
-				ran[label] = ran[chosen]
-			} else {
-				name, indexed := strings.CutSuffix(label, "+idx")
-				if indexed {
-					if err := indexPredicateAttrs(w); err != nil {
-						return nil, err
-					}
-				}
-				alg, err := exec.ParseAlgorithm(name)
-				if err != nil {
+			name, indexed := strings.CutSuffix(label, "+idx")
+			if indexed {
+				if err := indexPredicateAttrs(w); err != nil {
 					return nil, err
 				}
-				rt := fabric.NewSim(rates, engine.Sites()).WithFaults(faults())
-				ans, m, err := engine.Run(rt, alg, w.Bound)
-				if err != nil {
-					return nil, fmt.Errorf("draw %d %s: %w", s, label, err)
-				}
-				c := FigureCell{TotalMillis: m.TotalBusyMicros / 1e3, ResponseMillis: m.ResponseMicros / 1e3,
-					NetKB: float64(m.NetBytes) / 1e3, MaybeRows: float64(len(ans.Maybe))}
-				if ans.Degraded {
-					c.DegradedShare = 1
-				}
-				ran[label] = c
 			}
-			runs[i] = append(runs[i], ran[label])
+			alg, err := exec.ParseAlgorithm(name)
+			if err != nil {
+				return nil, err
+			}
+			rt := fabric.NewSim(rates, engine.Sites()).WithFaults(faults())
+			ans, m, err := engine.Run(rt, alg, w.Bound)
+			if err != nil {
+				return nil, fmt.Errorf("draw %d %s: %w", s, label, err)
+			}
+			c := FigureCell{TotalMillis: m.TotalBusyMicros / 1e3, ResponseMillis: m.ResponseMicros / 1e3,
+				NetKB: float64(m.NetBytes) / 1e3, MaybeRows: float64(len(ans.Maybe))}
+			if ans.Degraded {
+				c.DegradedShare = 1
+			}
+			runs[i] = append(runs[i], c)
 		}
 	}
 	pt := make(point, len(sw.strategies))
 	for i, label := range sw.strategies {
 		c := average(runs[i])
 		c.Figure, c.X, c.Strategy = sw.name, x, label
-		if label == "planner" {
-			c.Planner = score
-		}
 		pt[label] = c
 	}
 	return pt, nil
-}
-
-// add scores one draw's choice against the strategies measured before it:
-// the fastest is the first, in the paper's order, with the lowest response.
-func (p *PlannerScore) add(chosen string, ran point) {
-	best := slices.MinFunc(paperStrategies, func(a, b string) int {
-		return cmp.Compare(ran[a].ResponseMillis, ran[b].ResponseMillis)
-	})
-	p.Chosen[chosen]++
-	p.Fastest[best]++
-	if chosen == best {
-		p.Correct++
-	}
-	regret := ran[chosen].ResponseMillis/ran[best].ResponseMillis - 1
-	p.AvgRegret += regret / float64(p.Draws)
-	p.MaxRegret = max(p.MaxRegret, regret)
 }
 
 // indexPredicateAttrs indexes every single-valued primitive predicate
@@ -378,7 +319,7 @@ func average(draws []FigureCell) (c FigureCell) {
 
 // FigureTables renders a figures report's cells as text: per sweep, (a)
 // total execution time and (b) response time with a column per strategy —
-// the paper's figure pairs — and the planner's score where there is one.
+// the paper's figure pairs.
 func FigureTables(cells []FigureCell) string {
 	var b strings.Builder
 	for len(cells) > 0 {
@@ -406,11 +347,6 @@ func FigureTables(cells []FigureCell) string {
 		}
 		table("(a) total execution time", func(c FigureCell) float64 { return c.TotalMillis })
 		table("(b) response time", func(c FigureCell) float64 { return c.ResponseMillis })
-		if p := cells[n-1].Planner; p != nil {
-			fmt.Fprintf(&b, "\npicked the fastest strategy: %d/%d (%.0f%%)\nresponse-time regret: avg %.1f%%, worst %.1f%%\n",
-				p.Correct, p.Draws, 100*float64(p.Correct)/float64(p.Draws), 100*p.AvgRegret, 100*p.MaxRegret)
-			fmt.Fprintf(&b, "chosen %v, fastest %v\n", p.Chosen, p.Fastest)
-		}
 		cells = cells[n:]
 	}
 	return b.String()

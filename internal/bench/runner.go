@@ -10,9 +10,7 @@ import (
 	"github.com/hetfed/hetfed/internal/exec"
 	"github.com/hetfed/hetfed/internal/fabric"
 	"github.com/hetfed/hetfed/internal/metrics"
-	"github.com/hetfed/hetfed/internal/planner"
 	"github.com/hetfed/hetfed/internal/signature"
-	"github.com/hetfed/hetfed/internal/trace"
 	"github.com/hetfed/hetfed/internal/workload"
 )
 
@@ -122,26 +120,14 @@ func runSimCell(ctx context.Context, spec MatrixSpec, cell Cell, bundle *Bundle)
 		return CellResult{}, err
 	}
 	reg := metrics.New()
-	cfg := exec.Config{
+	engine, err := exec.New(exec.Config{
 		Global:      bundle.Global,
 		Coordinator: coordinatorID,
 		Databases:   bundle.Databases,
 		Tables:      bundle.Tables,
 		Metrics:     reg,
 		Signatures:  signature.Build(bundle.Databases),
-	}
-	// Adaptive cells close the feedback loop: a tracer feeds each query's
-	// measured profile into the calibrating selector. Queries run
-	// sequentially here, so the selection sequence is as deterministic as
-	// the DES itself.
-	var tracer trace.Tracer
-	adaptive := alg == exec.Adaptive
-	if adaptive {
-		cat := planner.BuildCatalog(bundle.Global, bundle.Databases, bundle.Tables)
-		cfg.Tracer = &tracer
-		cfg.Selector = planner.NewSelector(cat, coordinatorID)
-	}
-	engine, err := exec.New(cfg)
+	})
 	if err != nil {
 		return CellResult{}, err
 	}

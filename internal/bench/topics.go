@@ -22,11 +22,10 @@ type Topic struct {
 
 // topics is the registry, in the order usage messages list it.
 var topics = []Topic{
-	// Every strategy, the calibrating selector among them, over both
-	// workloads: healthy, with one site killed and with it stalled
+	// Every strategy over both workloads: healthy, with one site killed and with it stalled
 	// (EXPERIMENTS.md E35, E41).
 	{Name: "strategies", Baseline: true, Spec: MatrixSpec{
-		Strategies: []string{"CA", "BL", "PL", "SBL", "SPL", "adaptive"},
+		Strategies: []string{"CA", "BL", "PL", "SBL", "SPL"},
 		Workloads:  []string{"school", "table2"},
 		Faults:     []string{"none", "kill:DB3", "delay:DB3:5ms"},
 		Queries:    30,
@@ -38,7 +37,7 @@ var topics = []Topic{
 	// The paper's Section 4 study and the sweeps around it as EXPERIMENTS.md
 	// records them (E4–E10, E12, E24; two minutes), gated on the paper's shapes.
 	{Name: "figures", Spec: FigureSpec{Samples: 20, Scale: 0.3, Seed: 1, Sweeps: []string{
-		"figure9", "figure10", "figure11", "signatures", "network", "indexes", "faults", "planner"}}},
+		"figure9", "figure10", "figure11", "signatures", "network", "indexes", "faults"}}},
 }
 
 // LookupTopic resolves a registered topic; the error names the registry.

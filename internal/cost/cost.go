@@ -8,10 +8,8 @@
 // block the calling process for the corresponding virtual time (the
 // discrete-event fabric).
 //
-// The package also defines Breakdown, the shared site × phase cost
-// attribution shape: the planner emits a predicted Breakdown per strategy
-// and a query profile carries the measured one, so EXPLAIN ANALYZE can lay
-// the two side by side row for row.
+// The package also defines Breakdown, the site × phase cost attribution a
+// query profile carries and EXPLAIN ANALYZE prints.
 package cost
 
 import (
@@ -89,24 +87,14 @@ type PhaseCost struct {
 }
 
 // Breakdown accumulates cost per (site, phase). The zero value is ready to
-// use. It is not safe for concurrent use; callers aggregate single-threaded
-// (the planner at plan time, the profile builder at query end).
+// use. It is not safe for concurrent use; the profile builder aggregates
+// single-threaded at query end.
 type Breakdown struct {
 	rows map[[2]string]*PhaseCost
 }
 
 // Add accumulates micros (and one span) into the site's phase row.
 func (b *Breakdown) Add(site, phase string, micros float64) {
-	b.add(site, phase, micros, 1)
-}
-
-// AddEstimate accumulates micros into the site's phase row without counting
-// a span — predicted rows have no spans behind them.
-func (b *Breakdown) AddEstimate(site, phase string, micros float64) {
-	b.add(site, phase, micros, 0)
-}
-
-func (b *Breakdown) add(site, phase string, micros float64, spans int) {
 	if b.rows == nil {
 		b.rows = make(map[[2]string]*PhaseCost)
 	}
@@ -117,7 +105,7 @@ func (b *Breakdown) add(site, phase string, micros float64, spans int) {
 		b.rows[k] = r
 	}
 	r.Micros += micros
-	r.Spans += spans
+	r.Spans++
 }
 
 // Get returns the accumulated micros for a (site, phase) row, 0 when the
@@ -176,55 +164,14 @@ func phaseOrder(p string) int {
 	}
 }
 
-// RenderColumns lays any number of Breakdowns side by side under the given
-// column labels ("(ms)" is appended), one row per (site, phase) appearing
-// in any of them. The adaptive EXPLAIN uses three columns: the Table 1
-// prediction, the calibrated prediction, and the measured profile.
-func RenderColumns(labels []string, bds []*Breakdown) string {
-	seen := make(map[[2]string]bool)
-	var keys [][2]string
-	for _, bd := range bds {
-		for _, r := range bd.Rows() {
-			k := [2]string{r.Site, r.Phase}
-			if !seen[k] {
-				seen[k] = true
-				keys = append(keys, k)
-			}
-		}
+// Render lays the breakdown out as EXPLAIN ANALYZE's table: one row per
+// (site, phase) in Rows order, then the total, in milliseconds.
+func (b *Breakdown) Render() string {
+	var out strings.Builder
+	fmt.Fprintf(&out, "%-8s %-5s %14s\n", "site", "phase", "measured(ms)")
+	for _, r := range b.Rows() {
+		fmt.Fprintf(&out, "%-8s %-5s %14.3f\n", r.Site, r.Phase, r.Micros/1e3)
 	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i][0] != keys[j][0] {
-			return keys[i][0] < keys[j][0]
-		}
-		return phaseOrder(keys[i][1]) < phaseOrder(keys[j][1])
-	})
-
-	var b strings.Builder
-	fmt.Fprintf(&b, "%-8s %-5s", "site", "phase")
-	for _, label := range labels {
-		fmt.Fprintf(&b, " %14s", label+"(ms)")
-	}
-	b.WriteByte('\n')
-	cell := func(bd *Breakdown, k [2]string) string {
-		if bd == nil {
-			return "-"
-		}
-		if _, ok := bd.rows[k]; !ok {
-			return "-"
-		}
-		return fmt.Sprintf("%.3f", bd.Get(k[0], k[1])/1e3)
-	}
-	for _, k := range keys {
-		fmt.Fprintf(&b, "%-8s %-5s", k[0], k[1])
-		for _, bd := range bds {
-			fmt.Fprintf(&b, " %14s", cell(bd, k))
-		}
-		b.WriteByte('\n')
-	}
-	fmt.Fprintf(&b, "%-8s %-5s", "total", "")
-	for _, bd := range bds {
-		fmt.Fprintf(&b, " %14.3f", bd.Total()/1e3)
-	}
-	b.WriteByte('\n')
-	return b.String()
+	fmt.Fprintf(&out, "%-8s %-5s %14.3f\n", "total", "", b.Total()/1e3)
+	return out.String()
 }

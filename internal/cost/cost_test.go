@@ -1,7 +1,6 @@
 package cost
 
 import (
-	"strings"
 	"sync"
 	"testing"
 )
@@ -42,36 +41,28 @@ func TestDiscard(t *testing.T) {
 	Discard.CPU(1 << 30) // must not panic or accumulate anything
 }
 
-func TestRenderColumns(t *testing.T) {
-	var a, b, c Breakdown
-	a.AddEstimate("DB1", "O", 1000)
-	a.AddEstimate("coord", "I", 500)
-	b.AddEstimate("DB1", "O", 2000)
-	c.Add("DB1", "O", 1500)
-	c.Add("DB2", "P", 250)
+func TestRender(t *testing.T) {
+	var b Breakdown
+	b.Add("DB2", "P", 250)
+	b.Add("DB1", "O", 1000)
+	b.Add("DB1", "O", 500)
+	b.Add("DB1", "I", 125)
 
-	out := RenderColumns([]string{"table1", "calibrated", "measured"}, []*Breakdown{&a, &b, &c})
-	lines := strings.Split(strings.TrimRight(out, "\n"), "\n")
-	// Header + rows for (DB1,O), (DB2,P), (coord,I) + total.
-	if len(lines) != 5 {
-		t.Fatalf("lines = %d:\n%s", len(lines), out)
+	want := "" +
+		"site     phase   measured(ms)\n" +
+		"DB1      O              1.500\n" +
+		"DB1      I              0.125\n" +
+		"DB2      P              0.250\n" +
+		"total                   1.875\n"
+	if got := b.Render(); got != want {
+		t.Errorf("Render =\n%s\nwant\n%s", got, want)
 	}
-	if !strings.Contains(lines[0], "table1(ms)") || !strings.Contains(lines[0], "calibrated(ms)") ||
-		!strings.Contains(lines[0], "measured(ms)") {
-		t.Errorf("header = %q", lines[0])
+	if rows := b.Rows(); rows[0].Spans != 2 {
+		t.Errorf("DB1/O spans = %d, want 2", rows[0].Spans)
 	}
-	// DB1/O appears in every column; DB2/P only in the measured one.
-	if !strings.Contains(lines[1], "1.000") || !strings.Contains(lines[1], "2.000") ||
-		!strings.Contains(lines[1], "1.500") {
-		t.Errorf("DB1 row = %q", lines[1])
-	}
-	db2 := lines[2]
-	if !strings.Contains(db2, "DB2") || strings.Count(db2, "-") != 2 || !strings.Contains(db2, "0.250") {
-		t.Errorf("DB2 row = %q", db2)
-	}
-	// A nil breakdown renders dashes and a zero total.
-	two := RenderColumns([]string{"predicted", "measured"}, []*Breakdown{&a, nil})
-	if !strings.Contains(two, "predicted(ms)") || !strings.Contains(two, "measured(ms)") {
-		t.Errorf("compare header missing:\n%s", two)
+	// A nil breakdown renders the header and a zero total.
+	var none *Breakdown
+	if got := none.Render(); got != "site     phase   measured(ms)\ntotal                   0.000\n" {
+		t.Errorf("nil Render = %q", got)
 	}
 }

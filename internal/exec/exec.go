@@ -59,11 +59,6 @@ const (
 	PL                       // parallel localized approach
 	SBL                      // signature-assisted basic localized
 	SPL                      // signature-assisted parallel localized
-	// Adaptive is not a strategy of its own: it asks Config.Selector to pick
-	// one of the paper's strategies per query from the calibrated cost model,
-	// so the executed algorithm (spans, metrics, profiles) is always one of
-	// CA/BL/PL.
-	Adaptive
 )
 
 // String returns the paper's abbreviation for the algorithm.
@@ -79,8 +74,6 @@ func (a Algorithm) String() string {
 		return "SBL"
 	case SPL:
 		return "SPL"
-	case Adaptive:
-		return "adaptive"
 	default:
 		return fmt.Sprintf("Algorithm(%d)", int(a))
 	}
@@ -89,34 +82,18 @@ func (a Algorithm) String() string {
 // Algorithms lists the paper's strategies in paper order.
 func Algorithms() []Algorithm { return []Algorithm{CA, BL, PL} }
 
-// AllAlgorithms additionally includes the signature-assisted variants (but
-// not Adaptive, which is a selection policy over these, not a strategy).
+// AllAlgorithms additionally includes the signature-assisted variants.
 func AllAlgorithms() []Algorithm { return []Algorithm{CA, BL, PL, SBL, SPL} }
 
-// ParseAlgorithm resolves a strategy name (case-insensitive), including the
-// "adaptive" selection policy — the one parser every CLI and the benchmark
-// runner share.
+// ParseAlgorithm resolves a strategy name (case-insensitive) — the one parser
+// every CLI and the benchmark runner share.
 func ParseAlgorithm(name string) (Algorithm, error) {
 	for _, a := range AllAlgorithms() {
 		if strings.EqualFold(a.String(), name) {
 			return a, nil
 		}
 	}
-	if strings.EqualFold(name, Adaptive.String()) {
-		return Adaptive, nil
-	}
-	return 0, fmt.Errorf("exec: unknown algorithm %q (want CA, BL, PL, SBL, SPL or adaptive)", name)
-}
-
-// Selector picks a concrete strategy per query and learns from finished
-// ones. planner.Selector is the implementation; the interface lives here so
-// the engine need not import it.
-type Selector interface {
-	// Select picks the strategy to execute a bound query with.
-	Select(b *query.Bound) Algorithm
-	// Observe feeds one finished query's measured profile back into the
-	// selector's cost model. Implementations must be safe for concurrent use.
-	Observe(p *trace.Profile)
+	return 0, fmt.Errorf("exec: unknown algorithm %q (want CA, BL, PL, SBL or SPL)", name)
 }
 
 // Engine executes global queries against a federation held in this address
@@ -152,10 +129,6 @@ type Config struct {
 	// of every Run — the flight recorder behind /debug/queries. Requires
 	// Tracer (profiles are assembled from the query's spans).
 	Recorder *obs.Recorder
-	// Selector, when non-nil, resolves Alg == Adaptive to a concrete strategy
-	// per query and is fed every finished query's profile (requires Tracer,
-	// like Recorder — the feedback loop runs on measured spans).
-	Selector Selector
 }
 
 // New builds an engine from a federation configuration.
@@ -188,7 +161,6 @@ func New(cfg Config) (*Engine, error) {
 		Tracer:   cfg.Tracer,
 		Metrics:  cfg.Metrics,
 		Recorder: cfg.Recorder,
-		Selector: cfg.Selector,
 	}}, nil
 }
 

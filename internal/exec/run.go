@@ -21,7 +21,7 @@ import (
 type Query struct {
 	// ID scopes the query's spans, exemplars and wire trace contexts.
 	ID string
-	// Alg is the executing strategy, never Adaptive.
+	// Alg is the executing strategy.
 	Alg Algorithm
 	// Bound is the query bound against the global schema.
 	Bound *query.Bound
@@ -71,8 +71,8 @@ type SiteOps interface {
 }
 
 // Runner is the global processing site: the coordinator half of every
-// strategy and the one query lifecycle around it — adaptive resolve, run,
-// outcome, metrics, profile — for every transport.
+// strategy and the one query lifecycle around it — run, outcome, metrics,
+// profile — for every transport.
 // Engine keeps one; remote.Coordinator assembles one per query from its
 // fields.
 type Runner struct {
@@ -84,13 +84,11 @@ type Runner struct {
 	// reads; it is held only around Materialize/EvaluateView/Certify, never
 	// across a site-bound step.
 	State sync.Locker
-	// Tracer, Metrics, Recorder and Selector are optional instrumentation;
-	// Recorder and Selector are fed from the query's spans, so they need
-	// Tracer.
+	// Tracer, Metrics and Recorder are optional instrumentation; Recorder is
+	// fed from the query's spans, so it needs Tracer.
 	Tracer   *trace.Tracer
 	Metrics  *metrics.Registry
 	Recorder *obs.Recorder
-	Selector Selector
 	// Suspect, when set, reports which of the given classes this site's own
 	// mapping replica holds suspect.
 	Suspect func(classes []string) []string
@@ -107,13 +105,6 @@ type Runner struct {
 // end, and becomes its profile.
 func (r *Runner) Run(ctx context.Context, rt fabric.Runtime, qid string, alg Algorithm, b *query.Bound) (*federation.Answer, fabric.Metrics, error) {
 	self := r.Coord.ID()
-	if alg == Adaptive {
-		if r.Selector == nil {
-			return nil, fabric.Metrics{}, fmt.Errorf("exec: Adaptive requires a selector")
-		}
-		alg = r.Selector.Select(b)
-		r.Metrics.Counter("adaptive_choice_total", metrics.Labels{Site: string(self), Alg: alg.String()}).Inc()
-	}
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -222,11 +213,10 @@ func (r *Runner) record(q *Query, ans *federation.Answer, m fabric.Metrics, span
 
 // profile assembles the query's trace.Profile from its spans — the global
 // site's plus, over TCP, every span the answering sites shipped back — and
-// feeds the flight recorder and the adaptive selector. err is the query's
-// failure or its context's; either way the recorder always retains the
-// profile.
+// feeds the flight recorder. err is the query's failure or its context's;
+// either way the recorder always retains the profile.
 func (r *Runner) profile(q *Query, ans *federation.Answer, m fabric.Metrics, spans []trace.Span, err error) {
-	if r.Recorder == nil && r.Selector == nil {
+	if r.Recorder == nil {
 		return
 	}
 	p := trace.BuildProfile(q.ID, q.Alg.String(), spans)
@@ -248,8 +238,8 @@ func (r *Runner) profile(q *Query, ans *federation.Answer, m fabric.Metrics, spa
 	for site, sc := range m.PerSite {
 		p.AddCounter("disk_bytes", sc.DiskBytes)
 		p.AddCounter("cpu_ops", sc.CPUOps)
-		// IO is the calibrator's per-component-site denominator; the global
-		// site reads no extents and is not calibrated.
+		// IO is per component site, the counts a rate fit divides a site's
+		// step time by; the global site reads no extents.
 		if site != r.Coord.ID() {
 			p.AddIO(string(site), trace.SiteIO{DiskBytes: sc.DiskBytes, CPUOps: sc.CPUOps})
 		}
@@ -260,9 +250,6 @@ func (r *Runner) profile(q *Query, ans *federation.Answer, m fabric.Metrics, spa
 		p.AddIO(string(pair.From), trace.SiteIO{NetBytes: bytes})
 	}
 	r.Recorder.Record(p)
-	if r.Selector != nil {
-		r.Selector.Observe(p)
-	}
 }
 
 // settle is the one classifier of fan-out legs, global site → site and

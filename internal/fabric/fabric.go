@@ -37,20 +37,6 @@ func DefaultRates() Rates {
 	return Rates{DiskPerByte: 15, NetPerByte: 8, CPUPerOp: 0.5}
 }
 
-// Scale multiplies every rate by f — the shape of a calibrated observation:
-// "this site behaves like Table 1, f× slower". f below zero is treated as
-// zero.
-func (r Rates) Scale(f float64) Rates {
-	if f < 0 {
-		f = 0
-	}
-	return Rates{
-		DiskPerByte: r.DiskPerByte * f,
-		NetPerByte:  r.NetPerByte * f,
-		CPUPerOp:    r.CPUPerOp * f,
-	}
-}
-
 // Work converts event counts into modeled execution time (µs).
 func (r Rates) Work(diskBytes, cpuOps, netBytes int64) float64 {
 	return float64(diskBytes)*r.DiskPerByte +

@@ -20,8 +20,8 @@ import (
 	"github.com/hetfed/hetfed/internal/tvl"
 )
 
-// The message-size model, in bytes: every WireSize below and the planner's
-// estimator price messages with these.
+// The message-size model, in bytes: every WireSize below prices messages
+// with these.
 const (
 	// RequestOverhead is a message's fixed envelope: a small control message
 	// (a local query, a retrieve request) and every reply start with it.

@@ -52,12 +52,6 @@ type Coordinator struct {
 	// spans cover every site that answered (servers ship their spans back
 	// with traced responses).
 	Recorder *obs.Recorder
-	// Selector, when non-nil, resolves exec.Adaptive to a concrete strategy
-	// per query and is fed every finished query's profile — the calibration
-	// loop, closed over the wire: the servers stamp their measured work onto
-	// the spans they ship back, and the selector re-rates each site from
-	// them.
-	Selector exec.Selector
 	// Log, when non-nil, receives structured query logs.
 	Log *slog.Logger
 	// Call is the networking policy for site calls: timeouts, pooling,
@@ -258,7 +252,6 @@ func (c *Coordinator) QueryContext(ctx context.Context, text string, alg exec.Al
 		Tracer:   c.Tracer,
 		Metrics:  c.Metrics,
 		Recorder: c.Recorder,
-		Selector: c.Selector,
 		Suspect:  c.Replica().SuspectOf,
 	}
 	qid := fmt.Sprintf("rq%d-%06x", c.qseq.Add(1), qidTag)

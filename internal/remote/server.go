@@ -524,8 +524,8 @@ func (s *Server) dispatch(ctx context.Context, req Request, sp trace.Handle) Res
 // cut short when the budget dies, and the flow's checkpoints see the context
 // through Proc.Context. The run's counted events (disk bytes, CPU ops) are stamped
 // on the serve span, which ships them back to the coordinator: the profile
-// builder aggregates them per site, giving the adaptive calibrator its
-// cost-model denominators for remotely served queries. It returns the error
+// builder aggregates them per site into Profile.IO for remotely served
+// queries. It returns the error
 // text to answer, "" on success; a budget that died on the way answers the
 // errDeadline marker — the reply would arrive too late to integrate, and the
 // marker beats shipping dead bytes.

@@ -33,7 +33,6 @@ type Extent struct {
 	db      *Database // its LOid index answers Get
 	order   []located // insertion order; appended to, never edited
 	indexes map[string]*Index
-	bytes   int // incrementally maintained sum of WireSize(nil) over objects
 }
 
 // located is a stored object and its database-wide position.
@@ -84,12 +83,6 @@ func (e *Extent) All() []*object.Object {
 	}
 	return out
 }
-
-// Bytes returns the total stored size of the extent under the paper's cost
-// model (every object, all attributes). The count is maintained
-// incrementally on Insert, so this is O(1) — it sits on the planner's
-// catalog path and is called once per involved extent per query.
-func (e *Extent) Bytes() int { return e.bytes }
 
 // Database is one component database: a schema plus one extent per class and
 // a database-wide LOid index used to dereference complex attribute values.
@@ -177,7 +170,6 @@ func (db *Database) Insert(o *object.Object) error {
 	}
 	l := located{obj: o, pos: len(db.byLOid)}
 	e.order = append(e.order, l)
-	e.bytes += o.WireSize(nil)
 	db.byLOid[o.LOid] = l
 	for attr, ix := range e.indexes {
 		ix.insert(o.Attr(attr), o.LOid)

@@ -177,46 +177,6 @@ func TestPositionsAreDenseAndStable(t *testing.T) {
 	}
 }
 
-func TestExtentBytes(t *testing.T) {
-	db := MustNewDatabase(testSchema())
-	db.MustInsert(object.New("d1", "Department", map[string]object.Value{"name": object.Str("CS")}))
-	want := object.LOidWireSize + object.AttrWireSize
-	if got := db.Extent("Department").Bytes(); got != want {
-		t.Errorf("Bytes = %d, want %d", got, want)
-	}
-}
-
-// TestExtentBytesIncremental pins the incremental byte count: Bytes is
-// maintained on Insert (O(1) to read), and must equal the recomputed
-// per-object wire-size sum at every step, including after failed inserts.
-func TestExtentBytesIncremental(t *testing.T) {
-	db := MustNewDatabase(testSchema())
-	ext := db.Extent("Teacher")
-	recompute := func() int {
-		var sum int
-		ext.Scan(func(o *object.Object) bool { sum += o.WireSize(nil); return true })
-		return sum
-	}
-	for i := 0; i < 10; i++ {
-		attrs := map[string]object.Value{"name": object.Str(fmt.Sprintf("teacher-%d", i))}
-		if i%2 == 0 { // vary the payload so sizes differ per object
-			attrs["courses"] = object.List(object.Str("db"), object.Str(strings.Repeat("x", i)))
-		}
-		db.MustInsert(object.New(object.LOid(fmt.Sprintf("t%d", i)), "Teacher", attrs))
-		if got, want := ext.Bytes(), recompute(); got != want {
-			t.Fatalf("after %d inserts: Bytes = %d, recomputed %d", i+1, got, want)
-		}
-	}
-	// A rejected insert must not disturb the count.
-	before := ext.Bytes()
-	if err := db.Insert(object.New("t0", "Teacher", nil)); err == nil {
-		t.Fatal("duplicate LOid accepted")
-	}
-	if got := ext.Bytes(); got != before {
-		t.Errorf("Bytes after failed insert = %d, want %d", got, before)
-	}
-}
-
 func TestCheckRefs(t *testing.T) {
 	db := MustNewDatabase(testSchema())
 	db.MustInsert(object.New("d1", "Department", map[string]object.Value{"name": object.Str("CS")}))

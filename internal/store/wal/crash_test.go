@@ -119,11 +119,9 @@ func TestKillNineMidInsert(t *testing.T) {
 			t.Fatalf("round %d: recovered %d students, %d were acked", round, ext.Len(), lastAcked+1)
 		}
 		// Internal consistency: insertion order covers exactly the extent,
-		// each object resolves through the LOid index, the age index and
-		// byte count match an from-scratch recomputation, and every
-		// recovered object keeps its GOid binding.
+		// each object resolves through the LOid index, the age index matches
+		// the extent, and every recovered object keeps its GOid binding.
 		seen := make(map[object.LOid]bool, ext.Len())
-		bytes := 0
 		n := 0
 		ext.Scan(func(o *object.Object) bool {
 			if seen[o.LOid] {
@@ -133,7 +131,6 @@ func TestKillNineMidInsert(t *testing.T) {
 			if got, ok := db.Deref(o.LOid); !ok || got != o {
 				t.Fatalf("round %d: LOid index misses %s", round, o.LOid)
 			}
-			bytes += o.WireSize(nil)
 			want := object.LOid(fmt.Sprintf("s%05d", n))
 			if o.LOid != want {
 				t.Fatalf("round %d: scan position %d holds %s, want %s", round, n, o.LOid, want)
@@ -141,9 +138,6 @@ func TestKillNineMidInsert(t *testing.T) {
 			n++
 			return true
 		})
-		if got := ext.Bytes(); got != bytes {
-			t.Fatalf("round %d: incremental Bytes()=%d, recomputed %d", round, got, bytes)
-		}
 		ix := ext.Index("age")
 		if ix == nil {
 			t.Fatalf("round %d: age index lost", round)

@@ -24,7 +24,7 @@ func dump(db *store.Database, tables *gmap.Tables) string {
 	if db != nil {
 		for _, class := range db.Schema().ClassNames() {
 			ext := db.Extent(class)
-			fmt.Fprintf(&b, "extent %s (%d objects, %d bytes)\n", class, ext.Len(), ext.Bytes())
+			fmt.Fprintf(&b, "extent %s (%d objects)\n", class, ext.Len())
 			for _, attr := range ext.IndexAttrs() {
 				ix := ext.Index(attr)
 				fmt.Fprintf(&b, "  index %s: %d entries, %d nulls\n", attr, ix.Len(), len(ix.Nulls()))

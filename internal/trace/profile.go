@@ -2,8 +2,8 @@
 // tree. Where a Span answers "what did this step do", a Profile answers the
 // paper's question for one whole query — how much time each site spent in
 // each of the O/I/P phases, what travelled where, and whether the answer
-// degraded — in a form a flight recorder can retain and an EXPLAIN ANALYZE
-// table can lay against the planner's prediction.
+// degraded — in a form a flight recorder can retain and EXPLAIN ANALYZE
+// can print.
 package trace
 
 import (
@@ -63,10 +63,10 @@ type Profile struct {
 	// values (rpcs, fabric byte totals).
 	Counters map[string]int64 `json:"counters,omitempty"`
 	// IO attributes the query's measured event counts to the site that
-	// performed them — the denominators the adaptive calibrator divides the
-	// measured phase times by to observe each site's effective rates. Filled
-	// from the runtime's per-site metrics in process, or from the disk_bytes/
-	// cpu_ops counters the serving sites stamp on their spans over the wire.
+	// performed them — the denominators a fit of each site's effective rates
+	// divides the measured phase times by. Filled from the runtime's per-site
+	// metrics in process, or from the disk_bytes/cpu_ops counters the serving
+	// sites stamp on their spans over the wire.
 	IO map[string]SiteIO `json:"io,omitempty"`
 	// Spans is the query's span tree in record order (every process's spans
 	// the recorder saw, imported remote spans included) — the one record of
@@ -75,8 +75,7 @@ type Profile struct {
 }
 
 // SiteIO is one site's measured event counts within a query: the cost-model
-// denominators (disk bytes read, CPU comparisons, net bytes shipped) whose
-// measured-time-over-modeled-time ratio calibrates the site's rates.
+// denominators (disk bytes read, CPU comparisons, net bytes shipped).
 type SiteIO struct {
 	DiskBytes int64 `json:"disk_bytes,omitempty"`
 	CPUOps    int64 `json:"cpu_ops,omitempty"`
