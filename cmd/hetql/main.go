@@ -14,7 +14,6 @@
 //	hetql -fault kill:DB3              # degrade: kill DB3, partial answer
 //	hetql -fault delay:DB2:5ms         # wedge DB2 by 5ms per operation
 //	hetql -explain                     # EXPLAIN ANALYZE: measured site × phase time per strategy
-//	hetql -alg PL -repeat 5            # run one strategy five times
 //	hetql -deadline 50ms               # budgeted: over-deadline → partial answer
 //	hetql -version                     # print the build version
 package main
@@ -58,7 +57,6 @@ func run(args []string) error {
 	var (
 		queryText   = fs.String("query", school.Q1, "global query (SQL/X-like)")
 		algName     = fs.String("alg", "all", "strategy: CA, BL, PL, SBL, SPL, or all (CA, BL and PL)")
-		repeat      = fs.Int("repeat", 1, "run the query this many times per strategy")
 		showTrace   = fs.Bool("trace", false, "print the executed step flow (Figure 8) and the span tree")
 		showMetrics = fs.Bool("metrics", false, "print each strategy's metrics (snapshot delta)")
 		show        = fs.Bool("show", false, "print the federation's schemas and objects, then exit")
@@ -186,43 +184,37 @@ func run(args []string) error {
 	fmt.Printf("query: %s\n", q)
 	prev := reg.Snapshot()
 	for _, alg := range algs {
-		for run := 0; run < *repeat; run++ {
-			// A fresh plan per run: drop-after budgets are stateful.
-			rt := fabric.NewSim(fabric.DefaultRates(), engine.Sites()).WithFaults(faults())
-			// -deadline budgets each run on its own.
-			rctx, cancel := ctx, context.CancelFunc(func() {})
-			if *deadline > 0 {
-				rctx, cancel = context.WithTimeout(ctx, *deadline)
-			}
-			ans, m, err := engine.RunContext(rctx, rt, alg, b)
-			cancel()
-			if err != nil {
-				return fmt.Errorf("%v: %w", alg, err)
-			}
-			header := alg.String()
-			if *repeat > 1 {
-				header = fmt.Sprintf("%s (run %d/%d)", header, run+1, *repeat)
-			}
-			fmt.Printf("\n=== %s ===\n%s", header, ans.Text(b))
-			fmt.Printf("simulated: response %.2f ms, total execution %.2f ms "+
-				"(disk %d B, cpu %d ops, net %d B)\n",
-				m.ResponseMicros/1e3, m.TotalBusyMicros/1e3, m.DiskBytes, m.CPUOps, m.NetBytes)
-			if *explain {
-				printExplain(alg, rec.Last())
-			}
-			if p := rec.Last(); *showTrace && p != nil {
-				// Both views read the run's recorded profile; the footer names
-				// it by its ID.
-				fmt.Printf("\nstep flow:\n%s", p.Render())
-				fmt.Printf("\nspan tree:\n%s", p.RenderTree())
-				fmt.Printf("\ntrace: %s\n", p.ID)
-			}
-			if *showMetrics {
-				cur := reg.Snapshot()
-				fmt.Println("\nmetrics:")
-				fmt.Print(cur.Delta(prev).Text())
-				prev = cur
-			}
+		// A fresh plan per strategy: drop-after budgets are stateful.
+		rt := fabric.NewSim(fabric.DefaultRates(), engine.Sites()).WithFaults(faults())
+		// -deadline budgets each strategy's run on its own.
+		rctx, cancel := ctx, context.CancelFunc(func() {})
+		if *deadline > 0 {
+			rctx, cancel = context.WithTimeout(ctx, *deadline)
+		}
+		ans, m, err := engine.RunContext(rctx, rt, alg, b)
+		cancel()
+		if err != nil {
+			return fmt.Errorf("%v: %w", alg, err)
+		}
+		fmt.Printf("\n=== %s ===\n%s", alg, ans.Text(b))
+		fmt.Printf("simulated: response %.2f ms, total execution %.2f ms "+
+			"(disk %d B, cpu %d ops, net %d B)\n",
+			m.ResponseMicros/1e3, m.TotalBusyMicros/1e3, m.DiskBytes, m.CPUOps, m.NetBytes)
+		if *explain {
+			printExplain(alg, rec.Last())
+		}
+		if p := rec.Last(); *showTrace && p != nil {
+			// Both views read the run's recorded profile; the footer names
+			// it by its ID.
+			fmt.Printf("\nstep flow:\n%s", p.Render())
+			fmt.Printf("\nspan tree:\n%s", p.RenderTree())
+			fmt.Printf("\ntrace: %s\n", p.ID)
+		}
+		if *showMetrics {
+			cur := reg.Snapshot()
+			fmt.Println("\nmetrics:")
+			fmt.Print(cur.Delta(prev).Text())
+			prev = cur
 		}
 	}
 	return nil

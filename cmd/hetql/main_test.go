@@ -108,6 +108,15 @@ func TestRunExplainPrintsMeasuredTables(t *testing.T) {
 	}
 }
 
+// TestRunRepeatFlagIsGone: each run builds a fresh simulator and fault plan,
+// so a second run of a strategy printed the same bytes as the first.
+func TestRunRepeatFlagIsGone(t *testing.T) {
+	_, err := capture(t, func() error { return run([]string{"-repeat", "2"}) })
+	if err == nil || !strings.Contains(err.Error(), "-repeat") {
+		t.Errorf("-repeat accepted (err %v)", err)
+	}
+}
+
 // TestRunStatsFlagIsGone: the catalog statistics fed the cost-based
 // strategy chooser, which is gone; hetql runs the strategy it is given.
 func TestRunStatsFlagIsGone(t *testing.T) {

@@ -28,45 +28,65 @@ type Sink interface {
 	CPU(ops int)
 }
 
-// Counter is a Sink that tallies events. It is safe for concurrent use.
-// The zero value is ready to use.
+// Counter is a Sink that tallies events: a processing step's charges, flushed
+// to the runtime's sink when the step ends. One goroutine owns it; it is not
+// safe for concurrent use (SharedCounter is). The zero value is ready to use.
 type Counter struct {
-	diskBytes atomic.Int64
-	cpuOps    atomic.Int64
+	diskBytes int64
+	cpuOps    int64
 }
 
 var _ Sink = (*Counter)(nil)
 
 // DiskRead implements Sink.
-func (c *Counter) DiskRead(bytes int) { c.diskBytes.Add(int64(bytes)) }
+func (c *Counter) DiskRead(bytes int) { c.diskBytes += int64(bytes) }
 
 // CPU implements Sink.
-func (c *Counter) CPU(ops int) { c.cpuOps.Add(int64(ops)) }
+func (c *Counter) CPU(ops int) { c.cpuOps += int64(ops) }
 
 // DiskBytes returns the accumulated disk bytes.
-func (c *Counter) DiskBytes() int64 { return c.diskBytes.Load() }
+func (c *Counter) DiskBytes() int64 { return c.diskBytes }
 
 // CPUOps returns the accumulated CPU operations.
-func (c *Counter) CPUOps() int64 { return c.cpuOps.Load() }
+func (c *Counter) CPUOps() int64 { return c.cpuOps }
 
 // Reset zeroes the counter.
-func (c *Counter) Reset() {
-	c.diskBytes.Store(0)
-	c.cpuOps.Store(0)
-}
+func (c *Counter) Reset() { *c = Counter{} }
 
 // Flush charges the tallied events to sink — one disk read and one CPU
 // charge, so that a discrete-event runtime schedules one resource occupation
 // per processing step — and resets the counter.
 func (c *Counter) Flush(sink Sink) {
-	if b := c.DiskBytes(); b > 0 {
-		sink.DiskRead(int(b))
+	if c.diskBytes > 0 {
+		sink.DiskRead(int(c.diskBytes))
 	}
-	if o := c.CPUOps(); o > 0 {
-		sink.CPU(int(o))
+	if c.cpuOps > 0 {
+		sink.CPU(int(c.cpuOps))
 	}
 	c.Reset()
 }
+
+// SharedCounter is a Sink that tallies events from any number of goroutines:
+// the real runtime's per-site sink, which the concurrent legs of a run flush
+// their steps into. The zero value is ready to use.
+type SharedCounter struct {
+	diskBytes atomic.Int64
+	cpuOps    atomic.Int64
+}
+
+var _ Sink = (*SharedCounter)(nil)
+
+// DiskRead implements Sink.
+func (c *SharedCounter) DiskRead(bytes int) { c.diskBytes.Add(int64(bytes)) }
+
+// CPU implements Sink.
+func (c *SharedCounter) CPU(ops int) { c.cpuOps.Add(int64(ops)) }
+
+// DiskBytes returns the accumulated disk bytes.
+func (c *SharedCounter) DiskBytes() int64 { return c.diskBytes.Load() }
+
+// CPUOps returns the accumulated CPU operations.
+func (c *SharedCounter) CPUOps() int64 { return c.cpuOps.Load() }
 
 // Discard is a Sink that ignores all events.
 var Discard Sink = discard{}

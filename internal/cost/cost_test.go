@@ -19,8 +19,10 @@ func TestCounter(t *testing.T) {
 	}
 }
 
+// TestCounterConcurrent: the shared counter, the one charged from concurrent
+// legs, loses no event.
 func TestCounterConcurrent(t *testing.T) {
-	var c Counter
+	var c SharedCounter
 	var wg sync.WaitGroup
 	for i := 0; i < 100; i++ {
 		wg.Add(1)

@@ -28,6 +28,36 @@ type Query struct {
 	// Tracer records the Figure 8 step spans. Nil makes every step span a
 	// no-op that never reads the clock.
 	Tracer *trace.Tracer
+
+	mu   sync.Mutex
+	held []*federation.Workspace
+}
+
+// workspace returns a workspace of site's for one of the query's steps,
+// held until Release: the step's result outlives the step.
+func (q *Query) workspace(site *federation.Site) *federation.Workspace {
+	ws := site.Workspace()
+	q.mu.Lock()
+	q.held = append(q.held, ws)
+	q.mu.Unlock()
+	return ws
+}
+
+// Release releases the workspaces the query's site steps built their results
+// in, once the last reader of those results is done: the global site once it
+// has built the answer, a TCP site once its reply frame is sent. A nil Query
+// holds nothing.
+func (q *Query) Release() {
+	if q == nil {
+		return
+	}
+	q.mu.Lock()
+	held := q.held
+	q.held = nil
+	q.mu.Unlock()
+	for _, ws := range held {
+		ws.Release()
+	}
 }
 
 // begin opens a step span at a site, stamped with the runtime's clock.
@@ -140,6 +170,8 @@ func (r *Runner) Run(ctx context.Context, rt fabric.Runtime, qid string, alg Alg
 		end(root, p)
 	}
 	m, runErr := rt.RunContext(ctx, alg.String(), task)
+	// In process the sites' steps ran in this run, and the answer is built.
+	q.Release()
 	if err = cmp.Or(err, runErr); err != nil {
 		ans = nil
 	}

@@ -102,7 +102,7 @@ func (f *SiteFlow) Check(p fabric.Proc, q *Query, parent trace.SpanID, from obje
 		return federation.CheckReply{}, failStep(c3, p, err)
 	}
 	f.State.Lock()
-	reply := f.Site.CheckAssistants(p, items)
+	reply := q.workspace(f.Site).CheckAssistants(p, items)
 	f.State.Unlock()
 	c3.Detailf("checked %d assistants from %s", len(items), from).
 		Add("items", int64(len(items)))
@@ -137,7 +137,7 @@ func (f *SiteFlow) Run(p fabric.Proc, q *Query, parent trace.SpanID) (LocalReply
 			return LocalReply{}, failStep(c12, p, err)
 		}
 		f.State.Lock()
-		res, checks := f.Site.EvalLocalBasic(p, b, sigs)
+		res, checks := q.workspace(f.Site).EvalLocalBasic(p, b, sigs)
 		f.State.Unlock()
 		c12.Detailf("%d local rows, %d check targets", len(res.Rows), len(checks)).
 			Add("rows", int64(len(res.Rows))).
@@ -166,7 +166,7 @@ func (f *SiteFlow) Run(p fabric.Proc, q *Query, parent trace.SpanID) (LocalReply
 	// dispatch the checks immediately.
 	f.State.Lock()
 	c1 := q.begin(p, parent, site, "PL_C1", "O")
-	nav, checks := f.Site.NavigateAll(p, b, sigs)
+	nav, checks := q.workspace(f.Site).NavigateAll(p, b, sigs)
 	c1.Detailf("%d check targets", len(checks)).Add("check_targets", int64(len(checks)))
 	end(c1, p)
 	legs, collect := f.checkLegs(q, c1.ID(), checks)

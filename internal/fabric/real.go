@@ -54,7 +54,7 @@ type realRun struct {
 	tasks sync.WaitGroup // the Go tasks: Run joins those nobody waited for, not their workers
 
 	mu    sync.Mutex
-	sinks map[object.SiteID]*cost.Counter
+	sinks map[object.SiteID]*cost.SharedCounter
 	net   int64
 	pairs map[Pair]int64
 	err   error
@@ -97,9 +97,9 @@ func (run *realRun) Sink(site object.SiteID) cost.Sink {
 	c := run.sinks[site]
 	if c == nil {
 		if run.sinks == nil {
-			run.sinks = make(map[object.SiteID]*cost.Counter)
+			run.sinks = make(map[object.SiteID]*cost.SharedCounter)
 		}
-		c = &cost.Counter{}
+		c = &cost.SharedCounter{}
 		run.sinks[site] = c
 	}
 	return c

@@ -357,38 +357,30 @@ func (co *Coordinator) Certify(p fabric.Proc, b *query.Bound, results []LocalRes
 // Rows are grouped by the range table's entity numbers, which hold still
 // under the read lock a query's global step runs in: a count per number, one
 // pass that gathers each entity's rows in site order, and a GOid map only for
-// the rows no binding in this replica names.
+// the rows no binding in this replica names. The check verdicts are indexed
+// the same way, per point by the item class table's numbers (verdictIndex).
+// Certification keeps no state past the call: the rows and verdicts it reads
+// are the caller's — in process cut from the sites' workspaces, which the
+// caller releases once the answer is built — and the answer's rows are its
+// own.
 func (co *Coordinator) CertifyDegraded(p fabric.Proc, b *query.Bound, results []LocalResult,
 	replies []CheckReply, dead map[object.SiteID]bool) *Answer {
 	var c cost.Counter
 
 	// Index check verdicts: any violation dominates, then satisfaction.
-	type vkey struct {
-		item      object.GOid
-		idx       int
-		suffixLen int
-	}
 	ans := &Answer{}
-	n := 0
-	for _, reply := range replies {
-		n += len(reply.Verdicts)
-	}
-	for _, res := range results {
-		n += len(res.SigVerdicts)
-	}
-	checkEvidence := make(map[vkey]tvl.Truth, n)
+	checked := co.checkEvidence(b)
 	record := func(cv CheckVerdict) {
 		c.CPU(1)
 		ans.Stats.CheckVerdicts++
-		k := vkey{item: cv.ItemGOid, idx: cv.SourceIdx, suffixLen: cv.SuffixLen}
-		prev, seen := checkEvidence[k]
-		switch {
+		slot := checked.slot(cv.ItemGOid, cv.SourceIdx, cv.SuffixLen, true)
+		switch prev := *slot; {
 		case cv.Verdict == tvl.False || prev == tvl.False:
-			checkEvidence[k] = tvl.False
-		case cv.Verdict == tvl.True || (seen && prev == tvl.True):
-			checkEvidence[k] = tvl.True
+			*slot = tvl.False
+		case cv.Verdict == tvl.True || prev == tvl.True:
+			*slot = tvl.True
 		default:
-			checkEvidence[k] = tvl.Unknown
+			*slot = tvl.Unknown
 		}
 	}
 	for _, reply := range replies {
@@ -527,16 +519,10 @@ func (co *Coordinator) CertifyDegraded(p fabric.Proc, b *query.Bound, results []
 						continue
 					}
 					c.CPU(1)
-					cv, ok := checkEvidence[vkey{item: u.ItemGOid, idx: u.SourceIdx, suffixLen: len(u.Suffix.Path)}]
-					if !ok {
-						allFalse = false
-						continue
-					}
-					switch cv {
+					switch checked.of(u.ItemGOid, u.SourceIdx, len(u.Suffix.Path)) {
 					case tvl.True:
-						anyTrue = true
-						allFalse = false
-					case tvl.Unknown:
+						anyTrue, allFalse = true, false
+					case 0, tvl.Unknown: // 0: no verdict
 						allFalse = false
 					}
 				}
@@ -587,6 +573,80 @@ func (co *Coordinator) CertifyDegraded(p fabric.Proc, b *query.Bound, results []
 	sortRows(ans.Maybe)
 	c.Flush(p.Sink(co.id))
 	return ans
+}
+
+// verdictIndex holds what the check verdicts say of each unsolved item: per
+// point of the query, a slot by the item's number in its class's mapping
+// table — the numbering the rows are grouped by — and a map for an item no
+// table here numbers (an unbound identity, a binding this replica has not
+// heard of yet) or a verdict naming no point of the query. A slot reads 0
+// until a verdict names it.
+type verdictIndex struct {
+	b      *query.Bound
+	tables *gmap.Tables
+	first  []int // first[i]: predicate i's point at depth 0, in points
+	points []pointVerdicts
+	other  map[verdictKey]*tvl.Truth
+}
+
+// pointVerdicts are one point's verdicts, by the item class table's entity
+// number; both are set by the first verdict that names the point.
+type pointVerdicts struct {
+	table    *gmap.Table
+	byNumber []tvl.Truth
+}
+
+type verdictKey struct {
+	item      object.GOid
+	idx       int
+	suffixLen int
+}
+
+// checkEvidence returns an empty verdict index for b's points.
+func (co *Coordinator) checkEvidence(b *query.Bound) *verdictIndex {
+	vi := &verdictIndex{b: b, tables: co.tables, first: make([]int, len(b.Preds)+1)}
+	for i := range b.Preds {
+		vi.first[i+1] = vi.first[i] + len(b.Preds[i].Path)
+	}
+	vi.points = make([]pointVerdicts, vi.first[len(b.Preds)])
+	return vi
+}
+
+// slot returns the verdict slot of the item at predicate idx's point with
+// suffixLen steps left; nil if the map would hold it and does not, unless
+// add makes it.
+func (vi *verdictIndex) slot(item object.GOid, idx, suffixLen int, add bool) *tvl.Truth {
+	if idx >= 0 && idx < len(vi.b.Preds) {
+		bp := &vi.b.Preds[idx]
+		if depth := len(bp.Path) - suffixLen; suffixLen > 0 && depth >= 0 {
+			pv := &vi.points[vi.first[idx]+depth]
+			if pv.table == nil {
+				pv.table = vi.tables.Table(bp.Classes[depth])
+				pv.byNumber = make([]tvl.Truth, pv.table.Len())
+			}
+			if n, ok := pv.table.Number(item); ok {
+				return &pv.byNumber[n]
+			}
+		}
+	}
+	k := verdictKey{item: item, idx: idx, suffixLen: suffixLen}
+	t := vi.other[k]
+	if t == nil && add {
+		if vi.other == nil {
+			vi.other = make(map[verdictKey]*tvl.Truth)
+		}
+		t = new(tvl.Truth)
+		vi.other[k] = t
+	}
+	return t
+}
+
+// of returns the item's verdict, 0 if none arrived.
+func (vi *verdictIndex) of(item object.GOid, idx, suffixLen int) tvl.Truth {
+	if t := vi.slot(item, idx, suffixLen, false); t != nil {
+		return *t
+	}
+	return 0
 }
 
 // siteRow is one local row and the site that returned it.

@@ -3,6 +3,7 @@ package remote
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"slices"
 	"strings"
 	"sync"
@@ -116,6 +117,82 @@ func benchLive(b *testing.B, alg exec.Algorithm) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		query()
+	}
+}
+
+// TestConcurrentLocalizedQueriesMatchInProcess: two query loops, one BL and
+// one PL, share a live cluster, so every site serves local queries and checks
+// of both at once, each in a workspace of its own that is recycled once its
+// reply frame is sent. Every answer must be the in-process engine's: a
+// workspace released before its reply is encoded, or handed to two requests,
+// shows up as a wrong row — and, under -race, as a poisoned one.
+func TestConcurrentLocalizedQueriesMatchInProcess(t *testing.T) {
+	const queries = 15
+	w := table2WorkloadOf(t, 200)
+	eng, err := exec.New(exec.Config{Global: w.Global, Coordinator: "G", Databases: w.Databases, Tables: w.Tables})
+	if err != nil {
+		t.Fatal(err)
+	}
+	coord, _ := testCluster(t, &fedfile.Federation{Global: w.Global, Databases: w.Databases, Tables: w.Tables},
+		nil, func(_ object.SiteID, cfg *ServerConfig) { cfg.Signatures = nil })
+	var wg sync.WaitGroup
+	for _, alg := range []exec.Algorithm{exec.BL, exec.PL} {
+		ref, _, err := eng.Run(fabric.NewReal(fabric.DefaultRates()), alg, w.Bound)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(ref.Certain) == 0 || len(ref.Maybe) == 0 {
+			t.Fatalf("%v: the reference answer lacks certain or maybe rows: too little would be compared", alg)
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < queries; i++ {
+				ans, _, err := coord.Query(w.Query.String(), alg)
+				if err != nil {
+					t.Errorf("%v: %v", alg, err)
+					return
+				}
+				if !sameRows(ans.Certain, ref.Certain) || !sameRows(ans.Maybe, ref.Maybe) || ans.Degraded {
+					t.Errorf("%v query %d answers\n%s\nthe in-process reference\n%s", alg, i, summarize(ans), summarize(ref))
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// TestLivePLBytesPerQuery pins what one PL query over TCP allocates in the
+// whole process — three sites' steps, encodes and decodes, the coordinator's
+// certification — on BenchmarkLivePL's federation. Measured: about 460 kB.
+// Before the sites and the global site kept their per-query state in
+// workspaces it was 1.27 MB; the ceiling is 0.55 × that.
+func TestLivePLBytesPerQuery(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts mean nothing under the race detector")
+	}
+	const runs, ceiling = 20, 0.55 * 1.27e6
+	w := table2Workload(t)
+	coord, _ := testCluster(t, &fedfile.Federation{Global: w.Global, Databases: w.Databases, Tables: w.Tables},
+		&Coordinator{Metrics: metrics.New()}, func(_ object.SiteID, cfg *ServerConfig) { cfg.Signatures = nil })
+	text := w.Query.String()
+	query := func() {
+		if _, _, err := coord.Query(text, exec.PL); err != nil {
+			t.Fatal(err)
+		}
+	}
+	query() // dial the pool, bind the text at every site, grow the workspaces
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		query()
+	}
+	runtime.ReadMemStats(&after)
+	if perQuery := float64(after.TotalAlloc-before.TotalAlloc) / runs; perQuery > ceiling {
+		t.Errorf("a live PL query allocates %.0f bytes, ceiling %.0f", perQuery, ceiling)
+	} else {
+		t.Logf("a live PL query allocates %.0f bytes", perQuery)
 	}
 }
 

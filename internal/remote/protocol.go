@@ -136,6 +136,11 @@ type Response struct {
 	// coordinator folds them into the answer's degradation report — the
 	// same maybe semantics as a dead site, scoped to classes.
 	Suspect []string
+
+	// served is the query a local or check request ran as: its site
+	// workspaces hold the reply's rows, check items and verdicts until the
+	// frame is sent. Never on the wire.
+	served *exec.Query
 }
 
 // wireStats counts one exchange's bytes on the wire as seen by the caller:

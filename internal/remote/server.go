@@ -387,6 +387,8 @@ func (s *Server) handle(conn net.Conn) {
 		out.response(&resp)
 		n, err := out.send(conn)
 		out.release()
+		// The reply is on the wire: what it was encoded from may be recycled.
+		resp.served.Release()
 		if err != nil {
 			return // connection is torn; the client fails the call
 		}
@@ -575,9 +577,9 @@ func (s *Server) handleCheck(ctx context.Context, req Request, sp trace.Handle) 
 		reply, err = s.flow.Check(p, q, sp.ID(), req.Trace.From, req.Items)
 		return err
 	}); e != "" {
-		return Response{Err: e}
+		return Response{Err: e, served: q}
 	}
-	return Response{Check: reply}
+	return Response{Check: reply, served: q}
 }
 
 // handleLocal runs the site's half of a localized strategy: exec.SiteFlow,
@@ -598,9 +600,9 @@ func (s *Server) handleLocal(ctx context.Context, req Request, sp trace.Handle) 
 		reply, err = s.flow.Run(p, q, sp.ID())
 		return err
 	}); e != "" {
-		return Response{Err: e}
+		return Response{Err: e, served: q}
 	}
-	return Response{Local: reply, Suspect: s.rep.SuspectOf(b.Classes())}
+	return Response{Local: reply, Suspect: s.rep.SuspectOf(b.Classes()), served: q}
 }
 
 // sleepCtx sleeps for d unless ctx dies first.

@@ -460,12 +460,13 @@ go test -timeout 120s "$pkgs"
 echo "== go test -race $pkgs"
 go test -race -timeout 120s "$pkgs"
 
-# Invariant 1 across the three transports, and the two tests that read
-# server-side bookkeeping written after the response: repeated under the
-# race detector, fresh every time.
-echo "== cross-transport invariant + post-response bookkeeping (race, x10)"
+# Invariant 1 across the three transports, the two tests that read
+# server-side bookkeeping written after the response, and BL beside PL on one
+# cluster, whose sites recycle a reply's workspace once the frame is sent:
+# repeated under the race detector, fresh every time.
+echo "== cross-transport invariant + post-response bookkeeping + workspace reuse (race, x10)"
 go test -race -count 10 -timeout 300s \
-    -run 'TestAlgorithmsAgreeAcrossTransports|TestUnknownKindCountsError|TestClusterSiteRecorders' \
+    -run 'TestAlgorithmsAgreeAcrossTransports|TestUnknownKindCountsError|TestClusterSiteRecorders|TestConcurrentLocalizedQueriesMatchInProcess' \
     ./internal/remote/
 
 # The replica protocol (antientropy.Replica) on a deterministic network: 10 000
