@@ -10,9 +10,9 @@
 // benchmark/run.sh), and the live chaos suite is a test (go test
 // ./internal/antientropy/).
 //
-// Run a registered topic — strategies or figures (the paper's Figures 9–11
-// study) — on its canonical spec (internal/bench/topics.go) and gate it
-// (exit 1 on failure): strategies against the committed
+// It runs a registered topic — strategies or figures (the paper's Figures
+// 9–11 study) — on its canonical spec (internal/bench/topics.go) and gates
+// it (exit 1 on failure): strategies against the committed
 // BENCH_strategies.json at a 10 % tolerance, figures on the shapes the paper
 // claims:
 //
@@ -25,17 +25,8 @@
 //
 //	hetbench run -topic strategies -out BENCH_strategies.json
 //
-// Run an ad-hoc matrix under a topic name of your own, optionally gated
-// against any earlier matrix report of the same load shape (a figures
-// report is refused):
-//
-//	hetbench run -topic mine -out BENCH_mine.json \
-//	    -strategies CA,BL,PL -workloads school,table2 \
-//	    -faults none,kill:DB3 -queries 40 -seed 42
-//	hetbench run -topic mine -strategies CA,BL,PL ... -check BENCH_mine.json
-//
-// Fault specs: none, kill:SITE, drop:SITE:N, delay:SITE:AMOUNT. Identical
-// seeds reproduce byte-identical cell results.
+// A new matrix is a new registered topic. Identical seeds reproduce
+// byte-identical cell results.
 package main
 
 import (
@@ -46,7 +37,6 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
-	"strings"
 	"syscall"
 
 	"github.com/hetfed/hetfed/internal/bench"
@@ -60,7 +50,7 @@ func main() {
 	}
 }
 
-const usage = "usage: hetbench run [flags] (-h for help)"
+const usage = "usage: hetbench run -topic T [-out F] [-q] (-h for help)"
 
 func run(args []string) error {
 	if len(args) == 0 {
@@ -77,77 +67,28 @@ func run(args []string) error {
 	}
 }
 
-// matrixFlags registers the sweep-dimension flags of an ad-hoc matrix.
-func matrixFlags(fs *flag.FlagSet) (get func() bench.MatrixSpec) {
-	var (
-		strategies = fs.String("strategies", "CA,BL,PL", "comma-separated strategies: CA, BL, PL, SBL, SPL")
-		workloads  = fs.String("workloads", "school", "comma-separated workloads: school, table2, table2eq")
-		faults     = fs.String("faults", "none", "comma-separated fault plans: none, kill:SITE, drop:SITE:N, delay:SITE:AMOUNT")
-		queries    = fs.Int("queries", 20, "queries per cell")
-		zipf       = fs.Float64("zipf", 0.9, "Zipfian skew over query variants (0 = uniform)")
-		variants   = fs.Int("variants", 3, "number of query variants under the skew")
-		scale      = fs.Float64("scale", 0.02, "Table 2 extent scale for the table2 workloads (1 = paper scale)")
-		seed       = fs.Int64("seed", 42, "root seed: workload draws, variant skew")
-	)
-	return func() bench.MatrixSpec {
-		return bench.MatrixSpec{
-			Strategies: splitList(*strategies),
-			Workloads:  splitList(*workloads),
-			Faults:     splitList(*faults),
-			Queries:    *queries,
-			Zipf:       *zipf,
-			Variants:   *variants,
-			Scale:      *scale,
-			Seed:       *seed,
-		}
-	}
-}
-
-// runCmd runs one topic: a registered one on its canonical spec, or — when
-// matrix flags are given — an ad-hoc matrix under the given name. One path
-// loads the baseline, runs, writes where -out says and applies the gate.
+// runCmd runs one registered topic on its canonical spec. One path loads
+// the baseline, runs, writes where -out says and applies the gate.
 func runCmd(args []string) error {
 	fs := flag.NewFlagSet("hetbench run", flag.ContinueOnError)
-	get := matrixFlags(fs)
-	matrixFlagNames := make(map[string]bool)
-	fs.VisitAll(func(f *flag.Flag) { matrixFlagNames[f.Name] = true })
 	var (
-		topic     = fs.String("topic", "bench", "registered topic to run on its canonical spec, or the name of an ad-hoc matrix")
-		out       = fs.String("out", "", "report path (\"-\" for stdout; default: write nothing)")
-		checkPath = fs.String("check", "", "baseline matrix report to gate against (default for strategies: the committed BENCH_strategies.json); regressions exit non-zero")
-		quiet     = fs.Bool("q", false, "suppress per-cell progress lines")
+		topic = fs.String("topic", "", "registered topic to run on its canonical spec: strategies or figures")
+		out   = fs.String("out", "", "report path (\"-\" for stdout; default: write nothing)")
+		quiet = fs.Bool("q", false, "suppress per-cell progress lines")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	var adhoc []string
-	fs.Visit(func(f *flag.Flag) {
-		if matrixFlagNames[f.Name] {
-			adhoc = append(adhoc, "-"+f.Name)
-		}
-	})
 	t, err := bench.LookupTopic(*topic)
-	switch {
-	case err != nil && len(adhoc) == 0:
-		return fmt.Errorf("%w; an ad-hoc matrix needs at least one matrix flag", err)
-	case err == nil && len(adhoc) > 0:
-		return fmt.Errorf("topic %s runs its canonical spec; %s describe an ad-hoc matrix — give it a topic name of its own",
-			t.Name, strings.Join(adhoc, " "))
-	case err != nil:
-		t = bench.Topic{Name: *topic, Spec: get()}
+	if err != nil {
+		return err
 	}
 
-	// The baseline is loaded before anything is written, and never written
-	// over: -out naming a matrix topic's committed report regenerates it,
-	// ungated; naming an explicit -check file is a contradiction.
-	baselinePath, committed := *checkPath, "BENCH_"+t.Name+".json"
-	if baselinePath == "" && t.Baseline && !sameFile(*out, committed) {
-		baselinePath = committed
-	} else if baselinePath != "" && sameFile(*out, baselinePath) {
-		return fmt.Errorf("-out %s would overwrite the -check baseline", *out)
-	}
+	// The committed report is the baseline. It is loaded before anything is
+	// written, and -out naming it regenerates it, ungated.
+	baselinePath := "BENCH_" + t.Name + ".json"
 	var baseline *bench.Report
-	if baselinePath != "" {
+	if t.Baseline && !sameFile(*out, baselinePath) {
 		if baseline, err = readMatrixReport(baselinePath); err != nil {
 			return err
 		}
@@ -232,14 +173,4 @@ func runTopic(t bench.Topic, quiet bool) (*bench.Report, error) {
 		progress = nil
 	}
 	return t.Run(ctx, progress)
-}
-
-func splitList(s string) []string {
-	var out []string
-	for _, part := range strings.Split(s, ",") {
-		if part = strings.TrimSpace(part); part != "" {
-			out = append(out, part)
-		}
-	}
-	return out
 }

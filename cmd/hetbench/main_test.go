@@ -1,9 +1,12 @@
 package main
 
 import (
+	"errors"
+	"flag"
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -55,9 +58,7 @@ func TestTopicsResolve(t *testing.T) {
 }
 
 // TestTopicSelection: an unknown topic is an error naming the registered
-// ones unless matrix flags make it an ad-hoc matrix, a registered topic
-// refuses matrix flags instead of silently ignoring them, and run is the one
-// verb.
+// ones, there is no ad-hoc matrix to fall back on, and run is the one verb.
 func TestTopicSelection(t *testing.T) {
 	inTempDir(t)
 	err := run([]string{"run", "-topic", "chaso"})
@@ -69,53 +70,98 @@ func TestTopicSelection(t *testing.T) {
 			t.Errorf("error %q does not name registered topic %s", err, topic.Name)
 		}
 	}
-	for _, gone := range []string{"smoke", "adaptive", "durability", "chaos"} {
+	for _, gone := range []string{"", "mine", "smoke", "adaptive", "durability", "chaos"} {
 		if err := run([]string{"run", "-topic", gone}); err == nil || !strings.Contains(err.Error(), "registered: strategies, figures") {
-			t.Errorf("hetbench run -topic %s: err = %v, want a refusal naming the registry", gone, err)
+			t.Errorf("hetbench run -topic %q: err = %v, want a refusal naming the registry", gone, err)
 		}
-	}
-	if err := run([]string{"run", "-topic", "strategies", "-queries", "3"}); err == nil || !strings.Contains(err.Error(), "-queries") {
-		t.Errorf("registered topic with a matrix flag: err = %v, want a refusal naming -queries", err)
-	}
-	// The strategy is one the caller names; there is no selector to pick one.
-	if err := run([]string{"run", "-q", "-topic", "mine", "-strategies", "CA,BL,adaptive"}); err == nil ||
-		!strings.Contains(err.Error(), "want CA, BL, PL, SBL or SPL") {
-		t.Errorf("-strategies CA,BL,adaptive: err = %v, want the strategy list", err)
 	}
 	for _, gone := range []string{"check", "slo", "obs", "durability", "chaos"} {
 		if err := run([]string{gone, "-in", "BENCH_strategies.json"}); err == nil || !strings.Contains(err.Error(), "unknown subcommand") || !strings.Contains(err.Error(), usage) {
 			t.Errorf("hetbench %s: err = %v, want unknown subcommand and the usage", gone, err)
 		}
 	}
-	if err := run([]string{"run", "-q", "-topic", "mine", "-strategies", "CA", "-queries", "2", "-out", "BENCH_mine.json"}); err != nil {
-		t.Fatalf("ad-hoc matrix: %v", err)
-	}
-	if r, err := bench.ReadReport("BENCH_mine.json"); err != nil || r.Topic != "mine" || len(r.Results()) != 1 {
-		t.Errorf("ad-hoc report = %+v, %v; want topic mine with one cell", r, err)
+	if entries, _ := os.ReadDir("."); len(entries) != 0 {
+		t.Errorf("refused runs left %d files behind", len(entries))
 	}
 }
 
-// TestRunCheck: run -check passes a matrix against its own earlier report
-// and fails it against a baseline whose p99 was halved.
-func TestRunCheck(t *testing.T) {
-	inTempDir(t)
-	mine := []string{"run", "-q", "-topic", "mine", "-strategies", "CA,BL", "-queries", "4"}
-	if err := run(append(mine, "-out", "old.json")); err != nil {
-		t.Fatal(err)
+// TestRunFlags: run takes a registered topic and where to write its report,
+// and nothing that reshapes the topic's spec.
+func TestRunFlags(t *testing.T) {
+	var listed []string
+	help, err := capture(t, &os.Stderr, func() error { return run([]string{"run", "-h"}) })
+	if !errors.Is(err, flag.ErrHelp) {
+		t.Fatalf("run -h: err = %v, want flag.ErrHelp", err)
 	}
-	if err := run(append(mine, "-check", "old.json")); err != nil {
-		t.Errorf("same matrix: %v", err)
+	for _, line := range strings.Split(help, "\n") {
+		if f := strings.Fields(line); len(f) > 0 && strings.HasPrefix(line, "  -") {
+			listed = append(listed, f[0])
+		}
 	}
-	better, err := bench.ReadReport("old.json")
+	if want := []string{"-out", "-q", "-topic"}; !slices.Equal(listed, want) {
+		t.Errorf("run -h lists %v, want %v:\n%s", listed, want, help)
+	}
+	for _, gone := range []string{"-strategies", "-workloads", "-faults", "-queries", "-zipf", "-variants", "-scale", "-seed", "-check"} {
+		if err := run([]string{"run", "-topic", "strategies", gone, "1"}); err == nil || !strings.Contains(err.Error(), gone) {
+			t.Errorf("run %s: err = %v, want a refusal naming it", gone, err)
+		}
+	}
+}
+
+// committedCopy copies the committed report of topic into the working
+// directory as BENCH_<as>.json, changed by edit when edit is non-nil.
+func committedCopy(t *testing.T, root, topic, as string, edit func(*bench.Report)) {
+	t.Helper()
+	src := filepath.Join(root, "BENCH_"+topic+".json")
+	dst := "BENCH_" + as + ".json"
+	if edit == nil {
+		data, err := os.ReadFile(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(dst, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	r, err := bench.ReadReport(src)
 	if err != nil {
 		t.Fatal(err)
 	}
-	better.Results()[0].Client.P99Micros /= 2
-	if err := better.WriteFile("better.json"); err != nil {
+	edit(r)
+	if err := r.WriteFile(dst); err != nil {
 		t.Fatal(err)
 	}
-	if err := run(append(mine, "-check", "better.json")); err == nil {
-		t.Error("a p99 twice the baseline's passed the gate")
+}
+
+// repoRoot is where the committed reports are.
+func repoRoot(t *testing.T) string {
+	t.Helper()
+	root, err := filepath.Abs(filepath.Join("..", ".."))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return root
+}
+
+// TestRunCheck: run -topic strategies fails against a baseline whose p99 was
+// halved, and against one whose spec drove a different number of queries —
+// a 3-query run is not comparable with the 30-query canonical one.
+func TestRunCheck(t *testing.T) {
+	root := repoRoot(t)
+	inTempDir(t)
+	for name, edit := range map[string]func(*bench.Report){
+		"halved p99": func(r *bench.Report) { r.Results()[0].Client.P99Micros /= 2 },
+		"queries": func(r *bench.Report) {
+			spec := r.Spec.(bench.MatrixSpec)
+			spec.Queries = 3
+			r.Spec = spec
+		},
+	} {
+		committedCopy(t, root, "strategies", "strategies", edit)
+		if _, err := captureStdout(t, func() error { return run([]string{"run", "-q", "-topic", "strategies"}) }); err == nil {
+			t.Errorf("%s: the gate passed", name)
+		}
 	}
 }
 
@@ -136,80 +182,51 @@ func TestRunNeverWritesTheBaseline(t *testing.T) {
 	if err := os.WriteFile("BENCH_strategies.json", marked, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	unchanged := func(after string) {
-		t.Helper()
-		got, err := os.ReadFile("BENCH_strategies.json")
-		if err != nil || string(got) != string(marked) {
-			t.Fatalf("%s: baseline rewritten (err %v)", after, err)
-		}
-		if entries, _ := os.ReadDir("."); len(entries) != 1 {
-			t.Fatalf("%s: left %d files behind, want the baseline alone", after, len(entries))
-		}
+	if err := run([]string{"run", "-q", "-topic", "strategies"}); err != nil {
+		t.Errorf("gated run: %v", err)
 	}
-
-	for _, args := range [][]string{
-		{"run", "-q", "-topic", "strategies"},
-		{"run", "-q", "-topic", "strategies", "-check", "BENCH_strategies.json"},
-	} {
-		if err := run(args); err != nil {
-			t.Errorf("%v: %v", args, err)
-		}
-		unchanged(strings.Join(args, " "))
+	got, err := os.ReadFile("BENCH_strategies.json")
+	if err != nil || string(got) != string(marked) {
+		t.Fatalf("baseline rewritten (err %v)", err)
 	}
-	if err := run([]string{"run", "-q", "-topic", "strategies", "-check", "BENCH_strategies.json", "-out", "./BENCH_strategies.json"}); err == nil {
-		t.Error("-out onto the -check baseline was accepted")
+	if entries, _ := os.ReadDir("."); len(entries) != 1 {
+		t.Fatalf("left %d files behind, want the baseline alone", len(entries))
 	}
-	unchanged("-out onto -check")
-
-	// A 3-query run is not comparable with the 30-query baseline: the gate
-	// says so instead of passing on the shape.
-	shrunk := []string{"run", "-q", "-topic", "mine", "-strategies", "CA,BL,PL,SBL,SPL",
-		"-workloads", "school,table2", "-faults", "none,kill:DB3,delay:DB3:5ms", "-queries", "3",
-		"-check", "BENCH_strategies.json"}
-	if err := run(shrunk); err == nil {
-		t.Error("a 3-query run passed the 30-query baseline's gate")
-	}
-	unchanged("shrunk run")
 }
 
-// TestRunCheckRefusesSelfGatingReports: over every committed report, run
-// -check gates against a matrix topic's — the committed strategies report
-// reruns with no regressions — and refuses a self-gating topic's by name,
-// before anything runs: it has no matrix cells, and a gate over zero of them
-// would pass.
+// TestRunCheckRefusesSelfGatingReports: the committed strategies report
+// reruns with no regressions, and a self-gating topic's report in its place
+// is refused by name before anything runs: it has no matrix cells, and a
+// gate over zero of them would pass.
 func TestRunCheckRefusesSelfGatingReports(t *testing.T) {
-	root, err := filepath.Abs(filepath.Join("..", ".."))
-	if err != nil {
-		t.Fatal(err)
+	root := repoRoot(t)
+	inTempDir(t)
+	committedCopy(t, root, "strategies", "strategies", nil)
+	if _, err := captureStdout(t, func() error { return run([]string{"run", "-q", "-topic", "strategies"}) }); err != nil {
+		t.Errorf("the committed report: %v", err)
 	}
-	for _, topic := range registered(t) {
-		path := filepath.Join(root, "BENCH_"+topic.Name+".json")
-		_, matrix := topic.Spec.(bench.MatrixSpec)
-		args := []string{"run", "-q", "-topic", topic.Name, "-check", path}
-		if !matrix {
-			args = []string{"run", "-q", "-topic", "mine", "-strategies", "CA", "-check", path}
-		}
-		_, err := captureStdout(t, func() error { return run(args) })
-		switch {
-		case matrix && err != nil:
-			t.Errorf("%s: %v", topic.Name, err)
-		case !matrix && err == nil:
-			t.Errorf("-check passed %s's report, which has no matrix cells", topic.Name)
-		case !matrix && !(strings.Contains(err.Error(), "topic "+topic.Name) && strings.Contains(err.Error(), "own invariants")):
-			t.Errorf("%s: refusal %q does not name the topic and how it is gated", topic.Name, err)
-		}
+	committedCopy(t, root, "figures", "strategies", nil)
+	err := run([]string{"run", "-q", "-topic", "strategies"})
+	if err == nil || !strings.Contains(err.Error(), "topic figures") || !strings.Contains(err.Error(), "own invariants") {
+		t.Errorf("the figures report as the baseline: err = %v, want a refusal naming the topic and how it is gated", err)
 	}
 }
 
 // captureStdout returns what fn printed.
 func captureStdout(t *testing.T, fn func() error) (string, error) {
 	t.Helper()
-	old := os.Stdout
+	return capture(t, &os.Stdout, fn)
+}
+
+// capture returns what fn wrote to *f, one of the standard streams.
+func capture(t *testing.T, f **os.File, fn func() error) (string, error) {
+	t.Helper()
+	old := *f
 	r, w, err := os.Pipe()
 	if err != nil {
 		t.Fatal(err)
 	}
-	os.Stdout = w
+	*f = w
 	done := make(chan string, 1)
 	go func() {
 		data, _ := io.ReadAll(r)
@@ -217,7 +234,7 @@ func captureStdout(t *testing.T, fn func() error) (string, error) {
 	}()
 	runErr := fn()
 	w.Close()
-	os.Stdout = old
+	*f = old
 	return <-done, runErr
 }
 
@@ -275,8 +292,5 @@ func TestFiguresTopic(t *testing.T) {
 				t.Errorf("refusal %q does not list the registered sweeps", err)
 			}
 		})
-	}
-	if err := run([]string{"run", "-topic", "figures", "-scale", "0.1"}); err == nil || !strings.Contains(err.Error(), "-scale") {
-		t.Errorf("figures with a matrix flag: err = %v, want a refusal naming -scale", err)
 	}
 }

@@ -21,6 +21,17 @@ import (
 	"github.com/hetfed/hetfed/internal/store/wal"
 )
 
+// partition applies link to every link between the split's two sides, both
+// ways: DropLink cuts the partition, HealLink heals it.
+func partition(plan *fabric.FaultPlan, split [2][]object.SiteID, link func(*fabric.FaultPlan, object.SiteID, object.SiteID) *fabric.FaultPlan) {
+	for _, a := range split[0] {
+		for _, b := range split[1] {
+			link(plan, a, b)
+			link(plan, b, a)
+		}
+	}
+}
+
 // chaosCall is the rig's call policy: tight timeouts, so a partitioned or
 // dead peer degrades the operation promptly.
 func chaosCall(plan *fabric.FaultPlan) remote.CallConfig {
@@ -163,8 +174,8 @@ func runChaos(t *testing.T, seed int64, steps int) {
 		{{"G", "DB3"}, {"DB1", "DB2"}},
 	}
 	var (
-		partitioned bool
-		dead        []object.SiteID
+		split [2][]object.SiteID // the partition in place, if any
+		dead  []object.SiteID
 		// The schedule's composition.
 		queries, inserts, partitions, heals, kills, restarts, repairs int
 	)
@@ -193,14 +204,13 @@ func runChaos(t *testing.T, seed int64, steps int) {
 				map[string]object.Value{"name": object.Str(fmt.Sprintf("Chaos%03d", inserts))})
 			_, _ = coord.Insert(site, o) // partial failure is repair's job
 		case op < 7:
-			if partitioned {
-				plan.HealPartitions()
-				partitioned = false
+			if split[0] != nil {
+				partition(plan, split, (*fabric.FaultPlan).HealLink)
+				split = [2][]object.SiteID{}
 				heals++
 			} else {
-				split := splits[rng.Intn(len(splits))]
-				plan.Partition(fabric.Partition{A: split[0], B: split[1]})
-				partitioned = true
+				split = splits[rng.Intn(len(splits))]
+				partition(plan, split, (*fabric.FaultPlan).DropLink)
 				partitions++
 			}
 		case op < 8:
@@ -226,7 +236,7 @@ func runChaos(t *testing.T, seed int64, steps int) {
 	}
 
 	// Heal, restart, converge.
-	plan.HealPartitions()
+	partition(plan, split, (*fabric.FaultPlan).HealLink)
 	for _, site := range dead {
 		if err := cluster.Restart(site); err != nil {
 			t.Fatal(err)

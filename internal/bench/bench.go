@@ -42,7 +42,7 @@ type MatrixSpec struct {
 	Strategies []string `json:"strategies"`
 	// Workloads name the federations queried: "school" (the paper's
 	// running example) and/or "table2" (a seeded draw from the paper's
-	// Table 2 ranges; "table2eq" uses equality predicates).
+	// Table 2 ranges).
 	Workloads []string `json:"workloads"`
 	// Faults are fault-plan specs in fabric.ParseFaults' grammar: "none",
 	// "kill:SITE", "drop:SITE:N" (dark after N operations),
@@ -182,7 +182,7 @@ func (r *Report) Get(key string) (CellResult, bool) {
 
 // ReadReport loads a report written by WriteFile, validates its schema
 // version, and types its payload by topic: a registered topic's spec kind
-// decides, anything else is an ad-hoc matrix.
+// decides, and anything else is read as a matrix.
 func ReadReport(path string) (*Report, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {

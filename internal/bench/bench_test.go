@@ -207,7 +207,7 @@ func TestStrategiesAgreePerColumn(t *testing.T) {
 }
 
 // TestReportRoundTrip: WriteFile → ReadReport is lossless for every payload
-// the one envelope carries — each registered topic's kind and an ad-hoc
+// the one envelope carries — each registered topic's kind and an unregistered
 // matrix — and the schema gate refuses foreign versions.
 func TestReportRoundTrip(t *testing.T) {
 	matrix, err := Run(context.Background(), MatrixSpec{
@@ -300,6 +300,8 @@ func TestValidate(t *testing.T) {
 		mutate func(*MatrixSpec)
 	}{
 		{"strategy", func(s *MatrixSpec) { s.Strategies = []string{"XX"} }},
+		// The strategy is one the caller names; there is no selector to pick one.
+		{"adaptive", func(s *MatrixSpec) { s.Strategies = []string{"CA", "BL", "adaptive"} }},
 		{"fault", func(s *MatrixSpec) { s.Faults = []string{"explode:DB1"} }},
 		{"fault-arity", func(s *MatrixSpec) { s.Faults = []string{"drop:DB1"} }},
 		{"fault-infinite", func(s *MatrixSpec) { s.Faults = []string{"delay:DB3:Inf"} }},
@@ -342,22 +344,23 @@ func TestBundleStability(t *testing.T) {
 	if err != nil {
 		t.Fatalf("BuildBundle: %v", err)
 	}
-	if len(a.Queries) != 3 || len(a.Bounds) != 3 {
-		t.Fatalf("got %d queries, %d bounds", len(a.Queries), len(a.Bounds))
+	if len(a.Bounds) != 3 || len(b.Bounds) != 3 {
+		t.Fatalf("got %d and %d bounds, want 3", len(a.Bounds), len(b.Bounds))
 	}
-	for i := range a.Queries {
-		if a.Queries[i] != b.Queries[i] {
-			t.Errorf("variant %d diverged:\n%s\n%s", i, a.Queries[i], b.Queries[i])
+	for i := range a.Bounds {
+		if qa, qb := a.Bounds[i].Query.String(), b.Bounds[i].Query.String(); qa != qb {
+			t.Errorf("variant %d diverged:\n%s\n%s", i, qa, qb)
 		}
 	}
 	// Variants differ from each other when the base query has a predicate.
-	if len(a.Queries) > 1 && a.Queries[0] == a.Queries[1] {
-		t.Logf("note: variants identical (base query may have no predicates): %s", a.Queries[0])
+	if q0, q1 := a.Bounds[0].Query.String(), a.Bounds[1].Query.String(); q0 == q1 {
+		t.Logf("note: variants identical (base query may have no predicates): %s", q0)
 	}
-	for _, name := range []string{"school", "table2eq"} {
-		if _, err := BuildBundle(name, 4, 0.01, 5); err != nil {
-			t.Errorf("BuildBundle(%s): %v", name, err)
-		}
+	if _, err := BuildBundle("school", 4, 0.01, 5); err != nil {
+		t.Errorf("BuildBundle(school): %v", err)
+	}
+	if _, err := BuildBundle("table2eq", 4, 0.01, 5); err == nil {
+		t.Error("BuildBundle(table2eq): the equality-predicate workload is gone, yet it built")
 	}
 }
 

@@ -165,10 +165,10 @@ func runSimCell(ctx context.Context, spec MatrixSpec, cell Cell, bundle *Bundle)
 // zipfFor builds the cell's variant sampler; nil when there is only one
 // variant to choose from.
 func zipfFor(rng *rand.Rand, spec MatrixSpec, bundle *Bundle) *workload.Zipf {
-	if len(bundle.Queries) <= 1 {
+	if len(bundle.Bounds) <= 1 {
 		return nil
 	}
-	return workload.NewZipf(rng, len(bundle.Queries), spec.Zipf)
+	return workload.NewZipf(rng, len(bundle.Bounds), spec.Zipf)
 }
 
 // extractServerStats reduces the cell's metric snapshot to the report's

@@ -14,18 +14,14 @@ import (
 	"github.com/hetfed/hetfed/internal/workload"
 )
 
-// Bundle is one benchmark workload: a federation plus its query variants.
-// Variant 0 is the hot query under Zipfian skew; every variant is carried
-// both as parseable text (what the live coordinator's parser consumes) and
-// in bound form (what the in-process engine consumes), guaranteed
-// equivalent because the bound form is compiled from the same AST that
-// rendered the text.
+// Bundle is one benchmark workload: a federation plus its query variants,
+// bound against its global schema. Variant 0 is the hot query under Zipfian
+// skew.
 type Bundle struct {
 	Name      string
 	Global    *schema.Global
 	Databases map[object.SiteID]*store.Database
 	Tables    *gmap.Tables
-	Queries   []string
 	Bounds    []*query.Bound
 }
 
@@ -47,8 +43,6 @@ var schoolVariantTexts = []string{
 //   - "table2": a federation drawn from the paper's Table 2 ranges with
 //     range predicates; variants sweep the root predicate's literal, so
 //     variants differ in selectivity.
-//   - "table2eq": Table 2 with equality predicates (the shape the
-//     signature-assisted strategies accelerate).
 //
 // scale multiplies the Table 2 extent sizes (0 or 1 = paper scale; use
 // ~0.01 for smoke runs). The same name/variants/scale/seed always builds an
@@ -61,11 +55,9 @@ func BuildBundle(name string, variants int, scale float64, seed int64) (*Bundle,
 	case "school":
 		return schoolBundle(variants)
 	case "table2":
-		return table2Bundle(name, variants, scale, seed, false)
-	case "table2eq":
-		return table2Bundle(name, variants, scale, seed, true)
+		return table2Bundle(variants, scale, seed)
 	default:
-		return nil, fmt.Errorf("bench: unknown workload %q (want school, table2 or table2eq)", name)
+		return nil, fmt.Errorf("bench: unknown workload %q (want school or table2)", name)
 	}
 }
 
@@ -87,35 +79,30 @@ func schoolBundle(variants int) (*Bundle, error) {
 		if err != nil {
 			return nil, fmt.Errorf("bench: school variant %d: %w", v, err)
 		}
-		b.Queries = append(b.Queries, text)
 		b.Bounds = append(b.Bounds, bound)
 	}
 	return b, nil
 }
 
-func table2Bundle(name string, variants int, scale float64, seed int64, equality bool) (*Bundle, error) {
+func table2Bundle(variants int, scale float64, seed int64) (*Bundle, error) {
 	if scale <= 0 {
 		scale = 1
 	}
-	ranges := workload.DefaultRanges()
-	ranges.EqualityPreds = equality
-	w, err := drawTable2(ranges, scale, rand.New(rand.NewSource(seed)))
+	w, err := drawTable2(workload.DefaultRanges(), scale, rand.New(rand.NewSource(seed)))
 	if err != nil {
-		return nil, fmt.Errorf("bench: generate %s: %w", name, err)
+		return nil, fmt.Errorf("bench: generate table2: %w", err)
 	}
 	b := &Bundle{
-		Name:      name,
+		Name:      "table2",
 		Global:    w.Global,
 		Databases: w.Databases,
 		Tables:    w.Tables,
 	}
 	for v := 0; v < variants; v++ {
-		q := variantQuery(w.Query, v, variants, equality)
-		bound, err := query.Bind(q, w.Global)
+		bound, err := query.Bind(variantQuery(w.Query, v, variants), w.Global)
 		if err != nil {
-			return nil, fmt.Errorf("bench: %s variant %d: %w", name, v, err)
+			return nil, fmt.Errorf("bench: table2 variant %d: %w", v, err)
 		}
-		b.Queries = append(b.Queries, q.String())
 		b.Bounds = append(b.Bounds, bound)
 	}
 	return b, nil
@@ -141,10 +128,9 @@ func scaled(n int, scale float64) int {
 }
 
 // variantQuery derives variant v of a generated query by perturbing its
-// first predicate's literal: range predicates sweep the literal (and with
-// it the selectivity) across variants, equality predicates probe different
-// domain values. Variant 0 is the generated query itself.
-func variantQuery(base *query.Query, v, variants int, equality bool) *query.Query {
+// first predicate's literal, which sweeps the literal (and with it the
+// selectivity) across variants. Variant 0 is the generated query itself.
+func variantQuery(base *query.Query, v, variants int) *query.Query {
 	q := &query.Query{
 		Range:   base.Range,
 		Targets: base.Targets,
@@ -156,15 +142,7 @@ func variantQuery(base *query.Query, v, variants int, equality bool) *query.Quer
 	}
 	p := q.Preds[0]
 	if p.Literal.Kind() == object.KindInt {
-		if equality {
-			p.Literal = object.Int(int64(v))
-		} else {
-			scaledLit := p.Literal.Int64() * int64(variants-v) / int64(variants)
-			if scaledLit < 1 {
-				scaledLit = 1
-			}
-			p.Literal = object.Int(scaledLit)
-		}
+		p.Literal = object.Int(max(p.Literal.Int64()*int64(variants-v)/int64(variants), 1))
 		q.Preds[0] = p
 	}
 	return q

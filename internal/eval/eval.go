@@ -319,20 +319,11 @@ func EvalObject(src Source, b *query.Bound, predIdx []int, root *object.Object, 
 // This is the runtime counterpart of query.Localize.
 func SplitPredIdx(b *query.Bound, site object.SiteID) (local, removed []int) {
 	for i := range b.Preds {
-		if missingAt(b, &b.Preds[i].BoundPath, site) {
+		if _, missing := b.MissingStep(b.Preds[i].BoundPath, site); missing {
 			removed = append(removed, i)
 		} else {
 			local = append(local, i)
 		}
 	}
 	return local, removed
-}
-
-func missingAt(b *query.Bound, bp *query.BoundPath, site object.SiteID) bool {
-	for i, step := range bp.Path {
-		if !b.Global.Class(bp.Classes[i]).Holds(site, step) {
-			return true
-		}
-	}
-	return false
 }

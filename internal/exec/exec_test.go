@@ -184,6 +184,37 @@ func TestTraceRecordsFigure8Flows(t *testing.T) {
 	}
 }
 
+// TestDESSpansAreVirtual: under the DES every span of a query is on virtual
+// time — the root starts at 0 and ends at the run's response time exactly,
+// and every step lies inside it — never on the wall clock the simulation
+// took.
+func TestDESSpansAreVirtual(t *testing.T) {
+	fx := school.New()
+	rec := obs.NewRecorder(obs.RecorderConfig{Site: "G"})
+	e, err := New(Config{Global: fx.Global, Coordinator: "G", Databases: fx.Databases,
+		Tables: fx.Mapping, Tracer: &trace.Tracer{}, Recorder: rec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := schoolBound(t, fx)
+	for _, alg := range []Algorithm{CA, BL, PL} {
+		_, m, err := e.Run(fabric.NewSim(fabric.DefaultRates(), e.Sites()), alg, b)
+		if err != nil {
+			t.Fatalf("%v: %v", alg, err)
+		}
+		p := rec.Last()
+		root := p.Spans[0]
+		if root.Parent != 0 || root.Start != 0 || root.DurationMicros() != m.ResponseMicros || p.WallMicros != m.ResponseMicros {
+			t.Errorf("%v: root %s %g..%g, profile %g µs; want 0..%g", alg, root.Name, root.Start, root.End, p.WallMicros, m.ResponseMicros)
+		}
+		for _, s := range p.Spans {
+			if s.Open() || s.Start < 0 || s.End > m.ResponseMicros {
+				t.Errorf("%v: %s @%s at %g..%g, outside the run's 0..%g", alg, s.Name, s.Site, s.Start, s.End, m.ResponseMicros)
+			}
+		}
+	}
+}
+
 // TestPLChecksMoreThanBL verifies the paper's explanation for PL's
 // overhead: checking before filtering means more assistant objects are
 // looked up and transferred than under BL.

@@ -66,14 +66,14 @@ func (q *Query) begin(p fabric.Proc, parent trace.SpanID, site object.SiteID, na
 		return trace.Handle{}
 	}
 	return q.Tracer.StartSpan(parent, site, name).
-		WithQuery(q.ID, q.Alg.String()).WithPhases(phases).WithVStart(p.Now())
+		WithQuery(q.ID, q.Alg.String()).WithPhases(phases).WithStart(p.Now())
 }
 
 // end closes a step span on the runtime's clock; a no-op handle costs no
 // clock read.
 func end(h trace.Handle, p fabric.Proc) {
 	if h.ID() != 0 {
-		h.EndV(p.Now())
+		h.EndAt(p.Now())
 	}
 }
 

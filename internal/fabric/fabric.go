@@ -64,9 +64,10 @@ type Proc interface {
 	// On the simulated runtime the task blocks while the shared medium is
 	// occupied.
 	Transfer(from, to object.SiteID, bytes int)
-	// Now is the runtime's clock in microseconds: virtual time on the
-	// simulated runtime, time since Run started on the real runtime. Span
-	// timestamps taken from Now are comparable within one Run.
+	// Now is the runtime's clock in microseconds, the one a step span is
+	// stamped on: virtual time on the simulated runtime, the span clock
+	// (trace.Now, wall time) on the real runtime, so a step's span lines up
+	// with the transport spans around it, in any process.
 	Now() float64
 	// Sleep pauses the task for the given number of microseconds: virtual
 	// delay on the simulated runtime, wall-clock sleep on the real one.

@@ -30,10 +30,7 @@ type FaultPlan struct {
 	served  map[object.SiteID]int
 	delayUS map[object.SiteID]float64
 
-	// Link-level faults (partition.go). Partitions block traffic between
-	// two site sets symmetrically; links are individual directed edges for
-	// asymmetric loss.
-	parts []*partitionState
+	// Link-level faults (partition.go): the directed edges cut.
 	links map[Pair]bool
 }
 
@@ -144,13 +141,8 @@ func (f *FaultPlan) String() string {
 	for site, d := range f.delayUS {
 		parts = append(parts, fmt.Sprintf("delay(%s,%gµs)", site, d))
 	}
-	for _, p := range f.parts {
-		parts = append(parts, fmt.Sprintf("partition(%s|%s)", joinSites(p.a), joinSites(p.b)))
-	}
-	for pair, down := range f.links {
-		if down {
-			parts = append(parts, fmt.Sprintf("droplink(%s→%s)", pair.From, pair.To))
-		}
+	for pair := range f.links {
+		parts = append(parts, fmt.Sprintf("droplink(%s→%s)", pair.From, pair.To))
 	}
 	if len(parts) == 0 {
 		return "none"

@@ -7,23 +7,27 @@ import (
 	"github.com/hetfed/hetfed/internal/object"
 )
 
-func sites(ids ...string) []object.SiteID {
-	out := make([]object.SiteID, len(ids))
-	for i, id := range ids {
-		out[i] = object.SiteID(id)
+// cut drops every link between the a side and the b side, both ways: a
+// partition.
+func cut(fp *FaultPlan, a, b []object.SiteID) *FaultPlan {
+	for _, x := range a {
+		for _, y := range b {
+			fp.DropLink(x, y).DropLink(y, x)
+		}
 	}
-	return out
+	return fp
 }
 
 func TestPartitionCutsBothDirections(t *testing.T) {
-	fp := NewFaultPlan().Partition(Partition{A: sites("G", "DB1"), B: sites("DB2", "DB3")})
+	side := [2][]object.SiteID{{"G", "DB1"}, {"DB2", "DB3"}}
+	fp := cut(NewFaultPlan(), side[0], side[1])
 	for _, pair := range [][2]object.SiteID{
 		{"G", "DB2"}, {"DB2", "G"}, {"DB1", "DB3"}, {"DB3", "DB1"},
 	} {
 		if fp.BeginLinkOp(pair[0], pair[1]) {
 			t.Fatalf("BeginLinkOp let %s→%s through a partition", pair[0], pair[1])
 		}
-		if r := fp.LinkReason(pair[0], pair[1]); !strings.Contains(r, "partition") {
+		if r := fp.LinkReason(pair[0], pair[1]); !strings.Contains(r, "dropped") {
 			t.Fatalf("LinkReason(%s→%s) = %q", pair[0], pair[1], r)
 		}
 	}
@@ -39,9 +43,13 @@ func TestPartitionCutsBothDirections(t *testing.T) {
 	if fp.Reason("DB2") != "" || !fp.BeginOp("DB2") {
 		t.Fatalf("partition killed a process")
 	}
-	fp.HealPartitions()
-	if !fp.BeginLinkOp("G", "DB2") {
-		t.Fatalf("HealPartitions left the link down")
+	for _, x := range side[0] {
+		for _, y := range side[1] {
+			fp.HealLink(x, y).HealLink(y, x)
+		}
+	}
+	if !fp.BeginLinkOp("G", "DB2") || !fp.BeginLinkOp("DB3", "DB1") || fp.String() != "none" {
+		t.Fatalf("healing every cut link left the plan %s", fp)
 	}
 }
 
@@ -67,22 +75,17 @@ func TestNilPlanLinkOps(t *testing.T) {
 	if !fp.BeginLinkOp("G", "DB1") || fp.LinkReason("G", "DB1") != "" {
 		t.Fatalf("nil plan injected link faults")
 	}
-	// Callers without link identity are never partitioned.
-	fp = NewFaultPlan().Partition(Partition{A: sites("G"), B: sites("DB1")})
+	// Callers without link identity are never cut off.
+	fp = cut(NewFaultPlan(), []object.SiteID{"G"}, []object.SiteID{"DB1"})
 	if !fp.BeginLinkOp("", "DB1") || fp.LinkReason("", "DB1") != "" {
 		t.Fatalf("anonymous caller was partitioned")
 	}
 }
 
 func TestFaultPlanStringWithLinks(t *testing.T) {
-	fp := NewFaultPlan().
-		Partition(Partition{A: sites("G"), B: sites("DB1", "DB2")}).
-		DropLink("DB1", "DB2")
-	s := fp.String()
-	for _, want := range []string{"partition(G|DB1,DB2)", "droplink(DB1→DB2)"} {
-		if !strings.Contains(s, want) {
-			t.Fatalf("String() = %q, missing %q", s, want)
-		}
+	fp := NewFaultPlan().Kill("DB3").DropLink("DB1", "DB2").DropLink("G", "DB1")
+	if s, want := fp.String(), "droplink(DB1→DB2) droplink(G→DB1) kill(DB3)"; s != want {
+		t.Fatalf("String() = %q, want %q", s, want)
 	}
 }
 

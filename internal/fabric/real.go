@@ -9,6 +9,7 @@ import (
 
 	"github.com/hetfed/hetfed/internal/cost"
 	"github.com/hetfed/hetfed/internal/object"
+	"github.com/hetfed/hetfed/internal/trace"
 )
 
 // Real is the goroutine-backed runtime: cost events are counted atomically
@@ -227,10 +228,8 @@ func (run *realRun) Transfer(from, to object.SiteID, bytes int) {
 	run.pairs[Pair{From: from, To: to}] += int64(bytes)
 }
 
-// Now implements Proc: wall-clock microseconds since Run started.
-func (run *realRun) Now() float64 {
-	return float64(time.Since(run.start).Nanoseconds()) / 1e3
-}
+// Now implements Proc: the span clock, trace.Now.
+func (run *realRun) Now() float64 { return trace.Now() }
 
 // Sleep implements Proc: a wall-clock sleep, cut short when the run's
 // context is done — a wedged (Delay-faulted) site step must not outlive the

@@ -85,7 +85,7 @@ func (b *Bound) Localize(site object.SiteID) (*LocalQuery, error) {
 		Targets:    b.Query.Targets,
 	}
 	for _, bp := range b.Preds {
-		if j, missing := b.missingStep(bp.BoundPath, site); missing {
+		if j, missing := b.MissingStep(bp.BoundPath, site); missing {
 			lq.Unsolved = append(lq.Unsolved, UnsolvedSpec{
 				Prefix:    bp.Path[:j],
 				ItemClass: bp.Classes[j],
@@ -99,9 +99,10 @@ func (b *Bound) Localize(site object.SiteID) (*LocalQuery, error) {
 	return lq, nil
 }
 
-// missingStep returns the first step of the path whose attribute is a
-// missing attribute of the constituent class at the site.
-func (b *Bound) missingStep(bp BoundPath, site object.SiteID) (int, bool) {
+// MissingStep returns the first step of the path whose attribute is a
+// missing attribute of the constituent class at the site: the one rule for
+// whether a site holds a path.
+func (b *Bound) MissingStep(bp BoundPath, site object.SiteID) (int, bool) {
 	for i, step := range bp.Path {
 		if !b.Global.Class(bp.Classes[i]).Holds(site, step) {
 			return i, true

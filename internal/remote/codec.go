@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"time"
 
 	"github.com/hetfed/hetfed/internal/antientropy"
 	"github.com/hetfed/hetfed/internal/federation"
@@ -16,7 +15,7 @@ import (
 	"github.com/hetfed/hetfed/internal/tvl"
 )
 
-// The wire codec, protocol version 5: a hand-rolled binary encoding of Request
+// The wire codec, protocol version 6: a hand-rolled binary encoding of Request
 // and Response and everything they carry. A frame's payload (frame.go) is
 // exactly one message.
 //
@@ -43,8 +42,7 @@ import (
 //	                  Attrs not strictly increasing, a bit past len(Attrs), a
 //	                  present null or zero-kind value, and an object count
 //	                  the bytes left cannot hold at 1 + ⌈len(Attrs)/8⌉ each.
-//	time              u8 0 for the zero time (an open span's End), else
-//	                  u8 1 then UnixNano:u64
+//	f64               u64 of the float's IEEE 754 bits
 //	[]T               count:uvarint then count elements; the decoder checks
 //	                  count against the bytes that remain before allocating,
 //	                  and an empty list decodes to nil (gob did the same, so
@@ -87,8 +85,8 @@ import (
 //	CheckReply     Site:name Verdicts:[]Verdict
 //	Verdict        ItemGOid:str SourceIdx:varint SuffixLen:varint Verdict:u8
 //	Span           ID:uvarint Parent:uvarint Query:name Algorithm:name
-//	               Site:name Name:name Phases:name Detail:str Seq:varint
-//	               Start:time End:time VStart:u64 VEnd:u64 (float bits)
+//	               Site:name Name:name Phases:name Detail:str
+//	               Start:f64 End:f64 (span clock µs; End -1 while open)
 //	               Counters:[]{name varint}, sorted by name
 //
 // Every field is always present, so a ping is ~20 bytes and a message has
@@ -146,15 +144,6 @@ func (w *frameBuf) keep(b []byte, err error) {
 
 func (w *frameBuf) value(v object.Value)    { w.keep(object.AppendValue(w.b, v)) }
 func (w *frameBuf) object(o *object.Object) { w.keep(object.AppendObject(w.b, o)) }
-
-func (w *frameBuf) time(t time.Time) {
-	if t.IsZero() {
-		w.u8(0)
-		return
-	}
-	w.u8(1)
-	w.u64(uint64(t.UnixNano()))
-}
 
 func (w *frameBuf) strs(ss []string) {
 	w.uvarint(uint64(len(ss)))
@@ -320,18 +309,6 @@ func (r *reader) masked(class string, mask []string) *object.Object {
 	return o
 }
 
-func (r *reader) time() time.Time {
-	switch r.u8() {
-	case 0:
-		return time.Time{}
-	case 1:
-		return time.Unix(0, int64(r.u64()))
-	default:
-		r.fail("time flag out of range")
-		return time.Time{}
-	}
-}
-
 func (r *reader) nameList() []string {
 	n := r.count(1)
 	if n == 0 {
@@ -383,7 +360,7 @@ const (
 	minUnsolved     = 4
 	minLocalRow     = 5
 	minSiteFailure  = 2
-	minSpan         = 9 + 2 + 16 + 1
+	minSpan         = 8 + 16 + 1
 	minCounter      = 2
 )
 
@@ -647,11 +624,8 @@ func (w *frameBuf) span(s *trace.Span) {
 	w.str(s.Name)
 	w.str(s.Phases)
 	w.str(s.Detail)
-	w.int(s.Seq)
-	w.time(s.Start)
-	w.time(s.End)
-	w.u64(math.Float64bits(s.VStart))
-	w.u64(math.Float64bits(s.VEnd))
+	w.u64(math.Float64bits(s.Start))
+	w.u64(math.Float64bits(s.End))
 	w.uvarint(uint64(len(s.Counters)))
 	for _, name := range sortedKeys(s.Counters) {
 		w.str(name)
@@ -668,11 +642,8 @@ func (r *reader) span(s *trace.Span) {
 	s.Name = r.name()
 	s.Phases = r.name()
 	s.Detail = r.str()
-	s.Seq = r.int()
-	s.Start = r.time()
-	s.End = r.time()
-	s.VStart = math.Float64frombits(r.u64())
-	s.VEnd = math.Float64frombits(r.u64())
+	s.Start = math.Float64frombits(r.u64())
+	s.End = math.Float64frombits(r.u64())
 	if n := r.count(minCounter); n > 0 {
 		s.Counters = make(map[string]int64, n)
 		for i := 0; i < n; i++ {

@@ -15,7 +15,6 @@ import (
 	"sort"
 	"strings"
 	"testing"
-	"time"
 
 	"github.com/hetfed/hetfed/internal/antientropy"
 	"github.com/hetfed/hetfed/internal/fabric"
@@ -72,16 +71,16 @@ var (
 		{ItemGOid: "gt1", SourceIdx: 1, SuffixLen: 1, Verdict: tvl.False},
 		{ItemGOid: "gt2", SourceIdx: 2, SuffixLen: 3, Verdict: tvl.Unknown},
 	}
-	// Wall times as the tracer stamps them, less the monotonic reading no
-	// encoding carries.
-	sampleStart = time.Unix(1_790_000_000, 123_456_789)
+	// Span-clock times as the tracer stamps them: microseconds since its
+	// epoch, with a fraction the float64 carries exactly.
+	sampleStart = 55_123_456_789.125
 	sampleSpans = []trace.Span{
 		{ID: 11, Parent: 3, Query: "rq7-1f", Algorithm: "BL", Site: "DB1", Name: "serve:local", Phases: "PO",
-			Detail: "3 local rows", Seq: 4, Start: sampleStart, End: sampleStart.Add(1500 * time.Microsecond),
-			VStart: 12.5, VEnd: 1512.5, Counters: map[string]int64{"rows": 3, "disk_bytes": 4096, "cpu_ops": -1}},
-		// An open span: End is the zero time and must come back as one.
+			Detail: "3 local rows", Start: sampleStart, End: sampleStart + 1500,
+			Counters: map[string]int64{"rows": 3, "disk_bytes": 4096, "cpu_ops": -1}},
+		// An open span: End is -1 and must come back as -1.
 		{ID: 12, Parent: 11, Query: "rq7-1f", Algorithm: "BL", Site: "DB2", Name: "serve:check", Phases: "O",
-			Seq: 5, Start: sampleStart.Add(time.Millisecond), VStart: -1, VEnd: -1},
+			Start: sampleStart + 1000, End: -1},
 	}
 )
 
@@ -235,10 +234,10 @@ func TestCodecKeepsWhatCallersDependOn(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if open := resp.Spans[1]; !open.End.IsZero() || open.DurationMicros() != 0 {
+	if open := resp.Spans[1]; !open.Open() || open.DurationMicros() != 0 {
 		t.Errorf("open span came back closed: End = %v", open.End)
 	}
-	if closed := resp.Spans[0]; closed.DurationMicros() != 1500 || !closed.Start.Equal(sampleStart) {
+	if closed := resp.Spans[0]; closed.DurationMicros() != 1500 || closed.Start != sampleStart {
 		t.Errorf("closed span: start %v, %v us", closed.Start, closed.DurationMicros())
 	}
 
@@ -427,6 +426,11 @@ func TestVersionThreeFrameRefusedAtHeader(t *testing.T) { refusedAtHeader(t, 3) 
 // a request's mode for its check items.
 func TestVersionFourFrameRefusedAtHeader(t *testing.T) { refusedAtHeader(t, 4) }
 
+// TestVersionFiveFrameRefusedAtHeader: version 5 stamped a span on two
+// clocks and numbered it; read as version 6 a span's sequence number and
+// wall-time flag would be taken for its start.
+func TestVersionFiveFrameRefusedAtHeader(t *testing.T) { refusedAtHeader(t, 5) }
+
 func refusedAtHeader(t *testing.T, version byte) {
 	out := newFrame()
 	defer out.release()
@@ -437,8 +441,8 @@ func refusedAtHeader(t *testing.T, version byte) {
 		t.Fatal(err)
 	}
 	frame := sent.Bytes()
-	if frame[4] != 5 || protocolVersion != 5 {
-		t.Fatalf("frames carry version %d (constant %d), want 5", frame[4], protocolVersion)
+	if frame[4] != 6 || protocolVersion != 6 {
+		t.Fatalf("frames carry version %d (constant %d), want 6", frame[4], protocolVersion)
 	}
 	frame[4] = version
 	// Only the header is there to read: a reader that wanted payload bytes

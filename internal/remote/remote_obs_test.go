@@ -174,6 +174,48 @@ func TestSiteStepsMatchAcrossTransports(t *testing.T) {
 	}
 }
 
+// TestStepSpansLieInsideTheirTransportSpans: over TCP a site's Figure 8
+// steps are stamped on its runtime's clock and the rpc and serve spans around
+// them by the tracer; on the one span clock every step of a traced BL and PL
+// query lies inside each of its rpc: and serve: ancestors.
+func TestStepSpansLieInsideTheirTransportSpans(t *testing.T) {
+	coord, _ := testCluster(t, nil, recordedCoordinator(), observed)
+	transport := func(sp trace.Span) bool {
+		return strings.HasPrefix(sp.Name, "rpc:") || strings.HasPrefix(sp.Name, "serve:")
+	}
+	for _, alg := range []exec.Algorithm{exec.BL, exec.PL} {
+		if _, _, err := coord.Query(school.Q1, alg); err != nil {
+			t.Fatal(err)
+		}
+		p := coord.Recorder.Last()
+		byID := map[trace.SpanID]trace.Span{}
+		for _, sp := range p.Spans {
+			byID[sp.ID] = sp
+		}
+		served := 0
+		for _, sp := range p.Spans {
+			if transport(sp) {
+				continue
+			}
+			for anc, ok := byID[sp.Parent]; ok; anc, ok = byID[anc.Parent] {
+				if !transport(anc) {
+					continue
+				}
+				if sp.Start < anc.Start || sp.End > anc.End || sp.Open() {
+					t.Errorf("%v: %s @%s (%.3f..%.3f) escapes %s @%s (%.3f..%.3f)", alg,
+						sp.Name, sp.Site, sp.Start, sp.End, anc.Name, anc.Site, anc.Start, anc.End)
+				}
+				if strings.HasPrefix(anc.Name, "serve:") {
+					served++
+				}
+			}
+		}
+		if served == 0 {
+			t.Errorf("%v: no step under a serve span:\n%s", alg, p.RenderTree())
+		}
+	}
+}
+
 // TestTracedPLSpansReachProfileOnce: over TCP, every span of a traced PL
 // query — the coordinator's steps, each site's serve span and the serve spans
 // of the peer checks it dispatched — reaches the coordinator's profile
@@ -199,7 +241,7 @@ func TestTracedPLSpansReachProfileOnce(t *testing.T) {
 		if times[sp.ID] != 1 {
 			t.Errorf("%s @%s reached the profile %d times", sp.Name, sp.Site, times[sp.ID])
 		}
-		if sp.End.IsZero() {
+		if sp.Open() {
 			t.Errorf("%s @%s reached the profile open", sp.Name, sp.Site)
 		}
 		if times[sp.Parent] == 0 {

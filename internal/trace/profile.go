@@ -10,7 +10,6 @@ import (
 	"context"
 	"errors"
 	"sort"
-	"time"
 
 	"github.com/hetfed/hetfed/internal/cost"
 	"github.com/hetfed/hetfed/internal/object"
@@ -36,14 +35,11 @@ type Profile struct {
 	ID string `json:"id"`
 	// Alg is the executing strategy's name.
 	Alg string `json:"alg"`
-	// Start is the wall-clock start (the root span's).
-	Start time.Time `json:"start"`
+	// Start is the root span's start on the span clock (microseconds).
+	Start float64 `json:"start"`
 	// WallMicros is the end-to-end latency observed by the recording
-	// process.
+	// process: wall-clock, or virtual under the DES.
 	WallMicros float64 `json:"wall_us"`
-	// VMicros is the latency on the fabric runtime's clock (virtual time
-	// under the DES), -1 when no runtime clock was attached.
-	VMicros float64 `json:"v_us"`
 	// Status is ok, degraded, or error.
 	Status string `json:"status"`
 	// Error holds the failure when Status is error.
@@ -106,12 +102,11 @@ func BuildProfile(qid, alg string, spans []Span) *Profile {
 		return nil
 	}
 	p := &Profile{
-		ID:      qid,
-		Alg:     alg,
-		Status:  StatusOK,
-		VMicros: -1,
-		Phases:  &cost.Breakdown{},
-		Spans:   spans,
+		ID:     qid,
+		Alg:    alg,
+		Status: StatusOK,
+		Phases: &cost.Breakdown{},
+		Spans:  spans,
 	}
 	present := make(map[SpanID]bool, len(spans))
 	siteSet := make(map[object.SiteID]bool)
@@ -119,6 +114,7 @@ func BuildProfile(qid, alg string, spans []Span) *Profile {
 		present[s.ID] = true
 		siteSet[s.Site] = true
 	}
+	root := false
 	for _, s := range spans {
 		for k, v := range s.Counters {
 			if p.Counters == nil {
@@ -140,10 +136,10 @@ func BuildProfile(qid, alg string, spans []Span) *Profile {
 		// The root span (its parent was recorded elsewhere or is 0) carries
 		// the query's end-to-end timing.
 		if s.Parent == 0 || !present[s.Parent] {
-			if p.Start.IsZero() || s.Start.Before(p.Start) {
+			if !root || s.Start < p.Start {
+				root = true
 				p.Start = s.Start
 				p.WallMicros = s.DurationMicros()
-				p.VMicros = s.VDurationMicros()
 			}
 		}
 	}
@@ -247,8 +243,9 @@ func (p *Profile) ChromeTrace() ChromeDoc {
 	}
 
 	// Timestamps are microseconds relative to the profile start. Spans from
-	// other processes share the wall clock (close enough for a debug
-	// surface); an unfinished span gets a minimal visible duration.
+	// other processes share the span clock as far as their machines' wall
+	// clocks agree (close enough for a debug surface); an unfinished span
+	// gets a minimal visible duration.
 	base := p.Start
 	events := make([]chromeEvent, 0, len(p.Spans)+len(p.Sites))
 	for site, pid := range pids {
@@ -263,9 +260,9 @@ func (p *Profile) ChromeTrace() ChromeDoc {
 	type lane struct{ end float64 }
 	lanes := make(map[object.SiteID][]lane)
 	spans := append([]Span(nil), p.Spans...)
-	sort.Slice(spans, func(i, j int) bool { return spans[i].Start.Before(spans[j].Start) })
+	sort.Slice(spans, func(i, j int) bool { return spans[i].Start < spans[j].Start })
 	for _, s := range spans {
-		ts := float64(s.Start.Sub(base).Nanoseconds()) / 1e3
+		ts := s.Start - base
 		dur := s.DurationMicros()
 		if dur <= 0 {
 			dur = 1

@@ -55,8 +55,8 @@ func TestBuildProfile(t *testing.T) {
 	if p.WallMicros < 2000 {
 		t.Errorf("wall = %.0fµs, want ≥ the 2ms the children slept", p.WallMicros)
 	}
-	if p.Start.IsZero() {
-		t.Error("start not set from root span")
+	if p.Start != spans[0].Start || p.Start <= 0 {
+		t.Errorf("start = %g, want the root span's %g", p.Start, spans[0].Start)
 	}
 	// Span counters aggregate across the tree.
 	if p.Counters["rows"] != 15 || p.Counters["bytes_shipped"] != 400 {
@@ -142,18 +142,17 @@ func TestImportDedupes(t *testing.T) {
 	if got := held(coord); len(got) != 1 {
 		t.Errorf("zero-ID span imported: %d spans", len(got))
 	}
-	// Imported spans keep their identity but get local sequence numbers, and
-	// their counters are deep-copied.
+	// Imported spans keep their identity, times and counters: the tracer
+	// takes over the maps their decoder made.
 	shipped[0].Counters = map[string]int64{"rows": 1}
 	coord2 := &Tracer{}
 	coord2.Import(shipped)
-	shipped[0].Counters["rows"] = 99
 	got := held(coord2)
-	if got[0].ID != shipped[0].ID {
-		t.Error("import changed the span ID")
+	if got[0].ID != shipped[0].ID || got[0].Start != shipped[0].Start || got[0].End != shipped[0].End {
+		t.Errorf("import changed the span: %+v, shipped %+v", got[0], shipped[0])
 	}
 	if got[0].Counters["rows"] != 1 {
-		t.Error("imported counters share memory with the caller's slice")
+		t.Errorf("imported counters = %v", got[0].Counters)
 	}
 }
 

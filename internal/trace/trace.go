@@ -12,9 +12,9 @@
 //     maybe results under BL/PL.
 //   - P — predicate processing: evaluating the (local) predicates.
 //
-// A span carries both wall-clock timestamps (real runtime) and the fabric
-// runtime's own clock (virtual microseconds on the simulated runtime, run-
-// relative microseconds on the real runtime), so the same renderers serve
+// A span's times are on one clock, in microseconds: virtual time for a step
+// run under the DES, Now (the wall clock since a fixed epoch, so every
+// process stamps on one scale) everywhere else. The same renderers so serve
 // live clusters and simulation studies.
 package trace
 
@@ -47,9 +47,21 @@ func init() {
 	spanIDs.Store(rand.Uint64() >> 2) // headroom so the counter never wraps to 0
 }
 
+// epoch is the span clock's zero on the wall: a fixed recent instant, so a
+// microsecond count since it keeps a float64 resolution near 0.01 µs (since
+// 1970 it would round to 0.25 µs).
+var epoch = time.Date(2025, time.January, 1, 0, 0, 0, 0, time.UTC)
+
+// Now reads the span clock outside the DES: wall-clock microseconds since
+// epoch. It carries no monotonic reading, so spans stamped by different
+// processes line up as far as their machines' clocks agree.
+func Now() float64 { return since(time.Now()) }
+
+func since(t time.Time) float64 { return float64(t.Sub(epoch).Nanoseconds()) / 1e3 }
+
 // Span is one recorded unit of work: an algorithm step executed at a site
 // on behalf of a query, with its position in the span tree, its phase tags,
-// its timing on both clocks, and any attached counters.
+// its timing, and any attached counters.
 type Span struct {
 	ID     SpanID
 	Parent SpanID
@@ -66,54 +78,35 @@ type Span struct {
 	// Empty for control steps.
 	Phases string
 	Detail string
-	// Seq is the global record order across all sites — the cross-site
-	// ordering of the execution.
-	Seq int
-	// Start and End are wall-clock timestamps; End is zero while the span
-	// is open.
-	Start time.Time
-	End   time.Time
-	// VStart and VEnd are the fabric runtime's clock in microseconds:
-	// virtual time on the simulated runtime, time since the run started on
-	// the real runtime, -1 when no runtime clock was attached.
-	VStart float64
-	VEnd   float64
+	// Start and End are the span's times on the span clock (see the package
+	// comment); End is -1 while the span is open.
+	Start float64
+	End   float64
 	// Counters are named values attached to the span (rows, items, bytes).
 	Counters map[string]int64
 }
 
-// DurationMicros is the span's wall-clock duration in microseconds, 0 while
-// the span is open.
+// Open reports whether the span has not ended.
+func (s Span) Open() bool { return s.End < 0 }
+
+// DurationMicros is the span's duration, 0 while the span is open.
 func (s Span) DurationMicros() float64 {
-	if s.End.IsZero() {
+	if s.Open() {
 		return 0
 	}
-	return float64(s.End.Sub(s.Start).Nanoseconds()) / 1e3
-}
-
-// VDurationMicros is the span's duration on the fabric runtime's clock, -1
-// when no runtime clock was attached.
-func (s Span) VDurationMicros() float64 {
-	if s.VStart < 0 || s.VEnd < 0 {
-		return -1
-	}
-	return s.VEnd - s.VStart
+	return s.End - s.Start
 }
 
 // PhaseMicros is what a closed, phase-tagged span contributes to each phase
-// it performs: its duration on the runtime's clock when one was attached
-// (under the DES the wall time is meaningless), on the wall clock otherwise.
+// it performs: its duration, virtual under the DES and wall-clock elsewhere.
 // A multi-phase span ("PO") contributes it in full to each letter — the
 // phases are not separable at the site. ok is false for control steps and
 // open spans.
 func (s Span) PhaseMicros() (d float64, ok bool) {
-	if s.Phases == "" || s.End.IsZero() {
+	if s.Phases == "" || s.Open() {
 		return 0, false
 	}
-	if d = s.VDurationMicros(); d < 0 {
-		d = s.DurationMicros()
-	}
-	return d, true
+	return s.DurationMicros(), true
 }
 
 // Tracer collects the spans of work in flight. It is safe for concurrent use
@@ -123,7 +116,6 @@ func (s Span) PhaseMicros() (d float64, ok bool) {
 // *Tracer is a valid no-op recorder, so call sites need no nil checks.
 type Tracer struct {
 	mu    sync.Mutex
-	seq   int
 	spans []Span
 	index map[SpanID]int
 	limit int
@@ -142,8 +134,8 @@ func (t *Tracer) SetLimit(n int) {
 	t.limit = n
 }
 
-// StartSpan opens a span under the given parent (0 for a root span) and
-// returns a handle to finish it. The handle is safe to use from the
+// StartSpan opens a span under the given parent (0 for a root span), starting
+// Now, and returns a handle to finish it. The handle is safe to use from the
 // spawning goroutine or the task that performs the work.
 func (t *Tracer) StartSpan(parent SpanID, site object.SiteID, name string) Handle {
 	if t == nil {
@@ -154,17 +146,14 @@ func (t *Tracer) StartSpan(parent SpanID, site object.SiteID, name string) Handl
 	if t.limit > 0 && len(t.spans) >= t.limit {
 		t.dropOldestLocked()
 	}
-	t.seq++
 	id := SpanID(spanIDs.Add(1))
 	t.spans = append(t.spans, Span{
 		ID:     id,
 		Parent: parent,
 		Site:   site,
 		Name:   name,
-		Seq:    t.seq,
-		Start:  time.Now(),
-		VStart: -1,
-		VEnd:   -1,
+		Start:  Now(),
+		End:    -1,
 	})
 	if t.index == nil {
 		t.index = make(map[SpanID]int)
@@ -243,7 +232,8 @@ func (t *Tracer) Take(root SpanID) []Span {
 // and timings so they stitch into this tracer's trees (span IDs are
 // process-unique by construction, see spanIDs). A span whose ID is already
 // present is skipped: spans are wire input, and a second reply path through
-// a peer could deliver the same span twice.
+// a peer could deliver the same span twice. The tracer keeps the spans'
+// counter maps, which their decoder made for them.
 func (t *Tracer) Import(spans []Span) {
 	if t == nil || len(spans) == 0 {
 		return
@@ -257,18 +247,9 @@ func (t *Tracer) Import(spans []Span) {
 		if _, dup := t.index[s.ID]; dup {
 			continue
 		}
-		if s.Counters != nil {
-			c := make(map[string]int64, len(s.Counters))
-			for k, v := range s.Counters {
-				c[k] = v
-			}
-			s.Counters = c
-		}
 		if t.limit > 0 && len(t.spans) >= t.limit {
 			t.dropOldestLocked()
 		}
-		t.seq++
-		s.Seq = t.seq
 		t.spans = append(t.spans, s)
 		if t.index == nil {
 			t.index = make(map[SpanID]int)
@@ -312,9 +293,10 @@ func (h Handle) WithPhases(phases string) Handle {
 	return h
 }
 
-// WithVStart records the fabric runtime's clock at the span's start.
-func (h Handle) WithVStart(v float64) Handle {
-	h.mutate(func(s *Span) { s.VStart = v })
+// WithStart restarts the span at the given time: a step's time on its
+// runtime's clock (fabric.Proc.Now).
+func (h Handle) WithStart(at float64) Handle {
+	h.mutate(func(s *Span) { s.Start = at })
 	return h
 }
 
@@ -339,14 +321,13 @@ func (h Handle) Add(name string, n int64) Handle {
 	return h
 }
 
-// End closes the span at the current wall-clock time.
-func (h Handle) End() {
-	h.mutate(func(s *Span) { s.End = time.Now() })
-}
+// End closes the span Now.
+func (h Handle) End() { h.EndAt(Now()) }
 
-// EndV closes the span and records the fabric runtime's clock at the end.
-func (h Handle) EndV(v float64) {
-	h.mutate(func(s *Span) { s.End = time.Now(); s.VEnd = v })
+// EndAt closes the span at the given time: a step's time on its runtime's
+// clock (fabric.Proc.Now).
+func (h Handle) EndAt(at float64) {
+	h.mutate(func(s *Span) { s.End = at })
 }
 
 // renderFlow lays a query's steps out per site, one column per site (the
@@ -381,8 +362,7 @@ func renderFlow(spans []Span) string {
 
 // renderTree renders a span forest hierarchically: every root span (its
 // parent is 0 or is not among the spans) with its descendants indented,
-// annotated with site, phases, durations on both clocks, counters and
-// detail.
+// annotated with site, phases, duration, counters and detail.
 func renderTree(spans []Span) string {
 	present := make(map[SpanID]bool, len(spans))
 	for _, s := range spans {
@@ -435,13 +415,10 @@ func writeSpan(b *strings.Builder, s Span, depth int) {
 			fmt.Fprintf(b, " alg=%s", s.Algorithm)
 		}
 	}
-	if s.End.IsZero() {
+	if s.Open() {
 		b.WriteString(" (open)")
 	} else {
-		fmt.Fprintf(b, " %.0fµs", s.DurationMicros())
-		if v := s.VDurationMicros(); v >= 0 {
-			fmt.Fprintf(b, " v=%.1fµs", v)
-		}
+		fmt.Fprintf(b, " %.1fµs", s.DurationMicros())
 	}
 	if len(s.Counters) > 0 {
 		names := make([]string, 0, len(s.Counters))

@@ -1,9 +1,12 @@
 package trace
 
 import (
+	"fmt"
+	"math"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"github.com/hetfed/hetfed/internal/object"
 )
@@ -107,13 +110,11 @@ func TestConcurrentSteps(t *testing.T) {
 	if len(held(&tr)) != 50 {
 		t.Errorf("spans = %d", len(held(&tr)))
 	}
-	// Sequence numbers are unique and contiguous.
-	seen := map[int]bool{}
+	// Every step closed, on the span clock.
 	for _, e := range held(&tr) {
-		if seen[e.Seq] {
-			t.Fatalf("duplicate seq %d", e.Seq)
+		if e.Open() || e.End < e.Start {
+			t.Fatalf("step %d: %g..%g", e.ID, e.Start, e.End)
 		}
-		seen[e.Seq] = true
 	}
 }
 
@@ -121,9 +122,9 @@ func TestSpanTreeRecording(t *testing.T) {
 	var tr Tracer
 	root := tr.StartSpan(0, "G", "BL").WithQuery("q1", "BL")
 	child := tr.StartSpan(root.ID(), "DB1", "BL_C1+C2").
-		WithQuery("q1", "BL").WithPhases("PO").WithVStart(100)
+		WithQuery("q1", "BL").WithPhases("PO").WithStart(100)
 	child.Add("rows", 3).Detailf("%d local rows", 3)
-	child.EndV(250)
+	child.EndAt(250)
 	root.Add("certain", 1).End()
 
 	spans := tr.Take(root.ID())
@@ -137,11 +138,15 @@ func TestSpanTreeRecording(t *testing.T) {
 	if c.Parent != r.ID || c.Phases != "PO" || c.Counters["rows"] != 3 {
 		t.Errorf("child = %+v", c)
 	}
-	if got := c.VDurationMicros(); got != 150 {
-		t.Errorf("virtual duration = %g, want 150", got)
+	// A step stamped on its runtime's clock keeps that clock's times.
+	if c.Start != 100 || c.End != 250 || c.DurationMicros() != 150 {
+		t.Errorf("child times = %g..%g (%g µs), want 100..250 (150 µs)", c.Start, c.End, c.DurationMicros())
 	}
-	if c.End.IsZero() || c.DurationMicros() < 0 {
-		t.Errorf("child wall times = %v..%v", c.Start, c.End)
+	if d, ok := c.PhaseMicros(); !ok || d != 150 {
+		t.Errorf("PhaseMicros = %g, %v; want 150", d, ok)
+	}
+	if r.Open() || r.Start <= 0 || r.End < r.Start {
+		t.Errorf("root times = %g..%g, want a closed span on the wall clock", r.Start, r.End)
 	}
 	if c.Detail != "3 local rows" {
 		t.Errorf("child detail = %q", c.Detail)
@@ -170,16 +175,15 @@ func TestSetLimitDropsOldest(t *testing.T) {
 	var tr Tracer
 	tr.SetLimit(10)
 	for i := 0; i < 25; i++ {
-		tr.StartSpan(0, "G", "s").End()
+		tr.StartSpan(0, "G", fmt.Sprintf("s%d", i)).End()
 	}
 	spans := held(&tr)
 	if len(spans) > 10 {
 		t.Errorf("limit not enforced: %d spans", len(spans))
 	}
 	// The survivors are the most recent spans.
-	last := spans[len(spans)-1]
-	if last.Seq != 25 {
-		t.Errorf("last surviving seq = %d, want 25", last.Seq)
+	if last := spans[len(spans)-1]; last.Name != "s24" {
+		t.Errorf("last survivor = %s, want s24", last.Name)
 	}
 	// Handles for dropped spans are inert, not panics.
 	h := tr.StartSpan(0, "G", "late")
@@ -305,5 +309,19 @@ func TestConcurrentSpans(t *testing.T) {
 			t.Fatalf("duplicate span id %d", s.ID)
 		}
 		ids[s.ID] = true
+	}
+}
+
+// TestSpanClockResolution: a span timed on the wall clock measures its wall
+// duration to within 0.1 µs, today and a decade on — a float64 count of
+// microseconds since 1970 would round to about 0.25 µs.
+func TestSpanClockResolution(t *testing.T) {
+	for _, at := range []time.Time{time.Now(), epoch.AddDate(10, 0, 0)} {
+		for _, d := range []time.Duration{1, 1234, 98_765_432} {
+			got, want := since(at.Add(d))-since(at), float64(d.Nanoseconds())/1e3
+			if math.Abs(got-want) > 0.1 {
+				t.Errorf("at %v: %v measures %g µs, want %g", at, d, got, want)
+			}
+		}
 	}
 }

@@ -4,7 +4,7 @@
 # one-replica, one-repair-path, one-experiment-harness, work-runs-where-it-is,
 # one-identity-index, said-once, no-strategy-chooser, one-probe-per-fetch,
 # one-way-to-stand-up-a-site, one-value-in-use, one-home-for-spans,
-# no-unused-load-shape, one-matrix-runtime, no-cluster-ops-plane,
+# no-unused-load-shape, one-matrix-runtime, no-cluster-ops-plane, one-span-clock,
 # one-exchange-per-call and
 # one-metric-catalog structural guards, build, unit tests, the full test suite under the race detector, the benchmark
 # module's vet and tests, a one-shot compile-and-run smoke of the overhead and
@@ -226,13 +226,13 @@ if grep -rnE 'cluster-scrape|SetOnScrape' --include='*.go' --exclude-dir=.bench_
     echo "the cluster scraper is back (see EXPERIMENTS.md E40)" >&2
     guard_failed=1
 fi
-# hetbench is one verb over one matrix (EXPERIMENTS.md E41): run gates a
-# matrix against a baseline through bench.Check, so the SLO rule grammar and
+# hetbench is one verb over one matrix (EXPERIMENTS.md E41): run gates the
+# strategies matrix against its baseline through bench.Check, so the SLO rule grammar and
 # its judge, the check and slo subcommands and the smoke and adaptive topics'
 # reports stay gone, in tests or otherwise.
 if grep -rnE 'ParseRules|bench\.Judge|sloCmd|checkCmd|BENCH_smoke|BENCH_adaptive' \
     --include='*.go' --include='*.yml' --include='*.sh' --exclude-dir=.bench_build . | grep -v '^\./scripts/check\.sh:'; then
-    echo "a second way to judge a matrix report is back; hetbench run -check is the one (see EXPERIMENTS.md E41)" >&2
+    echo "a second way to judge a matrix report is back; hetbench run -topic strategies is the one (see EXPERIMENTS.md E41)" >&2
     guard_failed=1
 fi
 for gone in BENCH_smoke.json BENCH_adaptive.json internal/bench/slo.go; do
@@ -257,6 +257,19 @@ for gone in BENCH_durability.json BENCH_chaos.json internal/bench/durability.go 
         guard_failed=1
     fi
 done
+# A span keeps one clock and hetbench run three flags (DESIGN.md section 6,
+# EXPERIMENTS.md E48): a span's Start and End are virtual under the DES and
+# trace.Now elsewhere, so the second clock's fields, duration and profile
+# latency stay gone; and run takes a registered topic, so the ad-hoc matrix
+# flags and -check stay gone, in tests or otherwise.
+if grep -rnwE 'VStart|VEnd|VDurationMicros|VMicros' --include='*.go' --exclude-dir=.bench_build .; then
+    echo "a second span clock is back; a span keeps one Start/End pair (see EXPERIMENTS.md E48)" >&2
+    guard_failed=1
+fi
+if grep -rnE '[A-Z][A-Za-z0-9]*\(([^,()"]+,[[:space:]]*)?"(strategies|workloads|faults|queries|zipf|variants|scale|seed|check)"' cmd/hetbench; then
+    echo "a hetbench matrix flag is back; run takes -topic, -out and -q (see EXPERIMENTS.md E48)" >&2
+    guard_failed=1
+fi
 # A site call is one exchange (DESIGN.md section 7, EXPERIMENTS.md E44): a
 # failed call is not sent again, so the client's retry loop, its backoff
 # constants, its retry counter, CallConfig's Attempts field and the entry
