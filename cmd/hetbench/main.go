@@ -44,7 +44,8 @@ import (
 )
 
 func main() {
-	if err := run(os.Args[1:]); err != nil {
+	// -h prints the usage and asks for nothing else: not a failure.
+	if err := run(os.Args[1:]); err != nil && !errors.Is(err, flag.ErrHelp) {
 		fmt.Fprintln(os.Stderr, "hetbench:", err)
 		os.Exit(1)
 	}

@@ -5,6 +5,7 @@ import (
 	"flag"
 	"io"
 	"os"
+	osexec "os/exec"
 	"path/filepath"
 	"slices"
 	"strings"
@@ -292,5 +293,26 @@ func TestFiguresTopic(t *testing.T) {
 				t.Errorf("refusal %q does not list the registered sweeps", err)
 			}
 		})
+	}
+}
+
+// TestHelpIsNotAFailure: `hetbench run -h` prints the usage and exits 0, with no
+// error line after it. main exits, so it runs in a child process.
+func TestHelpIsNotAFailure(t *testing.T) {
+	if args := os.Getenv("HETBENCH_MAIN_ARGS"); args != "" {
+		os.Args = append([]string{"hetbench"}, strings.Fields(args)...)
+		main()
+		return
+	}
+	child := osexec.Command(os.Args[0], "-test.run=^TestHelpIsNotAFailure$")
+	child.Env = append(os.Environ(), "HETBENCH_MAIN_ARGS=run -h")
+	var stderr strings.Builder
+	child.Stderr = &stderr
+	if err := child.Run(); err != nil {
+		t.Fatalf("hetbench run -h: %v\n%s", err, stderr.String())
+	}
+	help := stderr.String()
+	if !strings.HasPrefix(help, "Usage of hetbench run:") || strings.Contains(help, "\nhetbench: ") {
+		t.Errorf("hetbench run -h printed, want the usage alone:\n%s", help)
 	}
 }

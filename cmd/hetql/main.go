@@ -20,6 +20,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -46,7 +47,8 @@ import (
 )
 
 func main() {
-	if err := run(os.Args[1:]); err != nil {
+	// -h prints the usage and asks for nothing else: not a failure.
+	if err := run(os.Args[1:]); err != nil && !errors.Is(err, flag.ErrHelp) {
 		fmt.Fprintln(os.Stderr, "hetql:", err)
 		os.Exit(1)
 	}

@@ -3,6 +3,7 @@ package main
 import (
 	"io"
 	"os"
+	osexec "os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -167,5 +168,26 @@ func TestRunErrors(t *testing.T) {
 	}
 	if _, err := capture(t, func() error { return run([]string{"-fed", "/nonexistent.json"}) }); err == nil {
 		t.Error("missing federation file accepted")
+	}
+}
+
+// TestHelpIsNotAFailure: `hetql -h` prints the usage and exits 0, with no
+// error line after it. main exits, so it runs in a child process.
+func TestHelpIsNotAFailure(t *testing.T) {
+	if args := os.Getenv("HETQL_MAIN_ARGS"); args != "" {
+		os.Args = append([]string{"hetql"}, strings.Fields(args)...)
+		main()
+		return
+	}
+	child := osexec.Command(os.Args[0], "-test.run=^TestHelpIsNotAFailure$")
+	child.Env = append(os.Environ(), "HETQL_MAIN_ARGS=-h")
+	var stderr strings.Builder
+	child.Stderr = &stderr
+	if err := child.Run(); err != nil {
+		t.Fatalf("hetql -h: %v\n%s", err, stderr.String())
+	}
+	help := stderr.String()
+	if !strings.HasPrefix(help, "Usage of hetql:") || strings.Contains(help, "\nhetql: ") {
+		t.Errorf("hetql -h printed, want the usage alone:\n%s", help)
 	}
 }

@@ -21,7 +21,8 @@
 // With -metrics-addr a process (site or coordinator) also serves the
 // observability surface — a coordinator prints its answer and then keeps
 // serving until SIGINT/SIGTERM, as a site does: /metrics, /healthz (version,
-// uptime, peer circuit-breaker states — "degraded" when any breaker is open),
+// uptime, the replica's and the WAL's conditions — "degraded" when one is
+// not ok),
 // /debug/queries (the flight recorder's profile listing), /debug/trace/{id}
 // and /debug/trace/{id}.json (per-query Chrome trace-event export for
 // chrome://tracing or ui.perfetto.dev), and /debug/pprof. -slow-query
@@ -31,11 +32,11 @@
 // surface; nothing polls another's.
 //
 // Outbound calls (both modes) follow remote.DefaultCallConfig — one exchange
-// per call, four pooled connections per peer, a breaker that opens after
-// five consecutive failures and probes again after 5s — with
+// per call, never resent, four pooled connections per peer — with
 // -call-timeout and -dial-timeout adjustable. A coordinator queried against
 // a partially-down cluster returns a degraded partial answer instead of
-// failing: results that depended on the dead site are reported as maybe.
+// failing: results that depended on the dead site are reported as maybe,
+// and the answer names each unavailable site with its reason.
 //
 // Deadlines and overload: -deadline budgets each coordinator query end to
 // end — the remaining budget travels with every request, sites abort
@@ -90,7 +91,8 @@ import (
 )
 
 func main() {
-	if err := run(os.Args[1:]); err != nil {
+	// -h prints the usage and asks for nothing else: not a failure.
+	if err := run(os.Args[1:]); err != nil && !errors.Is(err, flag.ErrHelp) {
 		fmt.Fprintln(os.Stderr, "hetserve:", err)
 		os.Exit(1)
 	}
@@ -231,19 +233,6 @@ func (rt *siteRuntime) Close() error {
 	return errors.Join(err, rt.Site.Close())
 }
 
-// breakerHealth adapts a breaker-state snapshot (peer site → state) to the
-// obs health surface.
-func breakerHealth(states func() map[object.SiteID]string) obs.Health {
-	return func() map[string]string {
-		m := states()
-		out := make(map[string]string, len(m))
-		for site, st := range m {
-			out[string(site)] = st
-		}
-		return out
-	}
-}
-
 // instruments gives a process — a site, or the coordinator "G" — the
 // instruments the command line asks for: a metrics registry and the flight
 // recorder, and — with -data-dir, nil without — the WAL options for the
@@ -316,10 +305,7 @@ func (rt *siteRuntime) serve(c *cmdline, log *slog.Logger) error {
 	if c.metricsAddr != "" {
 		// The divergence tracker reports on /healthz ("antientropy:state" →
 		// "ok(round=N, repaired=NB)" or "suspect(C1,C2) …").
-		health := []obs.Health{
-			breakerHealth(rt.Server.BreakerStates),
-			obs.PrefixHealth("antientropy", rt.Server.Replica().Health),
-		}
+		health := []obs.Health{obs.PrefixHealth("antientropy", rt.Server.Replica().Health)}
 		if rt.Engine != nil {
 			// Durable sites surface their storage engine on /healthz
 			// ("wal:engine" → "ok(seq=N)").
@@ -394,14 +380,11 @@ func runCoordinator(fed *fedfile.Federation, peers map[object.SiteID]string, c *
 	defer coord.Close()
 	// The repair loop stops before Close (LIFO defer order).
 	defer coord.StartAntiEntropy()()
-	// /healthz merges the peer breaker states with the replica's divergence
-	// state ("antientropy:state" → "suspect(Teacher) …") and, in durable
-	// mode, the WAL engine's state, so a coordinator whose replica diverged
-	// from a quorum or whose log stopped reports degraded.
-	healthSrcs := []obs.Health{
-		breakerHealth(coord.BreakerStates),
-		obs.PrefixHealth("antientropy", coord.Replica().Health),
-	}
+	// /healthz reports the replica's divergence state ("antientropy:state"
+	// → "suspect(Teacher) …") and, in durable mode, the WAL engine's state,
+	// so a coordinator whose replica diverged from a quorum or whose log
+	// stopped reports degraded.
+	healthSrcs := []obs.Health{obs.PrefixHealth("antientropy", coord.Replica().Health)}
 	if deltaLog != nil {
 		healthSrcs = append(healthSrcs, obs.PrefixHealth("wal", deltaLog.Health))
 	}

@@ -8,6 +8,7 @@ import (
 	"net"
 	"net/http"
 	"os"
+	osexec "os/exec"
 	"path/filepath"
 	"strconv"
 	"strings"
@@ -427,5 +428,30 @@ func TestObservabilitySurface(t *testing.T) {
 	code, body := httpGet(t, rts["DB1"].Obs.Addr(), "/debug/trace/last")
 	if code != http.StatusOK || !strings.Contains(body, "serve:") {
 		t.Errorf("debug/trace/last: status %d body %q", code, body)
+	}
+}
+
+// TestHelpIsNotAFailure: `hetserve -h` prints the usage and exits 0, with no
+// error line after it. main exits, so it runs in a child process.
+func TestHelpIsNotAFailure(t *testing.T) {
+	if args := os.Getenv("HETSERVE_MAIN_ARGS"); args != "" {
+		os.Args = append([]string{"hetserve"}, strings.Fields(args)...)
+		main()
+		return
+	}
+	child := osexec.Command(os.Args[0], "-test.run=^TestHelpIsNotAFailure$")
+	child.Env = append(os.Environ(), "HETSERVE_MAIN_ARGS=-h")
+	var stderr strings.Builder
+	child.Stderr = &stderr
+	if err := child.Run(); err != nil {
+		t.Fatalf("hetserve -h: %v\n%s", err, stderr.String())
+	}
+	help := stderr.String()
+	if !strings.HasPrefix(help, "Usage of hetserve:") || strings.Contains(help, "\nhetserve: ") {
+		t.Errorf("hetserve -h printed, want the usage alone:\n%s", help)
+	}
+	// The call policy adds only -call-timeout and -dial-timeout: 19 flags in all.
+	if n := strings.Count(help, "\n  -"); n != 19 {
+		t.Errorf("hetserve -h lists %d flags, want 19:\n%s", n, help)
 	}
 }

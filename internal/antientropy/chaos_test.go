@@ -36,10 +36,9 @@ func partition(plan *fabric.FaultPlan, split [2][]object.SiteID, link func(*fabr
 // dead peer degrades the operation promptly.
 func chaosCall(plan *fabric.FaultPlan) remote.CallConfig {
 	return remote.CallConfig{
-		DialTimeout:      time.Second,
-		CallTimeout:      5 * time.Second,
-		BreakerThreshold: 0,
-		Faults:           plan,
+		DialTimeout: time.Second,
+		CallTimeout: 5 * time.Second,
+		Faults:      plan,
 	}
 }
 

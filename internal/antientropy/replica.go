@@ -511,8 +511,8 @@ func (r *Replica) Stats() Stats {
 // obs.PrefixHealth("antientropy", ...)): one "state" entry,
 // "ok(round=N, repaired=B)" while no class is suspect and
 // "suspect(C1,C2) round=N repaired=B" otherwise — unhealthy by obs.Healthy,
-// so a diverged replica degrades its process's health the way an open
-// breaker does. B is the cumulative repair wire bytes.
+// so a diverged replica degrades its process's health. B is the cumulative
+// repair wire bytes.
 func (r *Replica) Health() map[string]string {
 	s := r.Stats()
 	if len(s.Suspects) == 0 {

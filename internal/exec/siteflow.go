@@ -149,9 +149,9 @@ func (f *SiteFlow) Run(p fabric.Proc, q *Query, parent trace.SpanID) (LocalReply
 			return LocalReply{}, err
 		}
 		// The local result travels to the global site while the checks are
-		// processed at the other sites. The checks hang under the step that
-		// dispatched them.
-		legs, collect := f.checkLegs(q, c12.ID(), checks)
+		// processed at the other sites. The checks hang under parent, which
+		// encloses them: the step that dispatched them has ended.
+		legs, collect := f.checkLegs(q, parent, checks)
 		if f.Ship != nil {
 			legs = append([]func(fabric.Proc){func(p fabric.Proc) { f.Ship(p, res.WireSize()) }}, legs...)
 		}
@@ -169,7 +169,8 @@ func (f *SiteFlow) Run(p fabric.Proc, q *Query, parent trace.SpanID) (LocalReply
 	nav, checks := q.workspace(f.Site).NavigateAll(p, b, sigs)
 	c1.Detailf("%d check targets", len(checks)).Add("check_targets", int64(len(checks)))
 	end(c1, p)
-	legs, collect := f.checkLegs(q, c1.ID(), checks)
+	// The checks outlive PL_C1, so they hang under parent, as BL's do.
+	legs, collect := f.checkLegs(q, parent, checks)
 	inflight := make([]fabric.Handle, len(legs))
 	for i, leg := range legs {
 		inflight[i] = p.Go("check", leg)

@@ -6,9 +6,8 @@
 //
 //	/healthz                liveness: 200 with a JSON status body; reports
 //	                        version, uptime and per-source conditions
-//	                        (breakers, anti-entropy, WAL), and flips
-//	                        status to "degraded" when any entry is not
-//	                        Healthy
+//	                        (anti-entropy, WAL), and flips status to
+//	                        "degraded" when any entry is not Healthy
 //	/metrics                registry snapshot, JSON by default, ?format=text;
 //	                        each request refreshes the go_* runtime gauges
 //	/debug/queries          flight-recorder listing, newest first (text by
@@ -38,31 +37,31 @@ import (
 	"github.com/hetfed/hetfed/internal/version"
 )
 
-// Health contributes per-peer conditions to /healthz: entry name → state.
-// The canonical source is circuit-breaker states (peer site name →
-// "closed"/"half-open"/"open"); other sources report under a namespacing
-// prefix (see PrefixHealth), e.g. a replica's divergence state as
-// "antientropy:state" → "suspect(Teacher) round=7 repaired=412B", or a
-// durable site's storage engine as "wal:engine" → "ok(seq=412)". Any entry whose state is not Healthy turns
-// the reported status from "ok" to "degraded"; the endpoint still answers
-// 200, because the process itself is alive — it is the federation around
-// it that is partially down.
+// Health contributes conditions to /healthz: entry name → state. Sources
+// report under a namespacing prefix (see PrefixHealth), e.g. a replica's
+// divergence state as "antientropy:state" → "suspect(Teacher) round=7
+// repaired=412B", or a durable site's storage engine as "wal:engine" →
+// "ok(seq=412)". Any entry whose state is not Healthy turns the reported
+// status from "ok" to "degraded"; the endpoint still answers 200, because
+// the process itself is alive — it is the federation around it that is
+// partially down. An unreachable peer is not a condition here: it shows in
+// the degraded answers that name it and in call_failures_total.
 type Health func() map[string]string
 
 // Healthy reports whether a health-entry state counts as healthy when
-// /healthz folds its sources into one status. Healthy states are "closed"
-// (a circuit breaker at rest), "ok", and "ok(...)" (a source annotating a
-// healthy state with detail, like the WAL's "ok(seq=412)"). Everything
-// else — "open", "half-open", "suspect(Teacher) …", "stopped" — degrades.
+// /healthz folds its sources into one status. Healthy states are "ok" and
+// "ok(...)" (a source annotating a healthy state with detail, like the WAL's
+// "ok(seq=412)"). Everything else — "suspect(Teacher) …", "stopped" —
+// degrades.
 // Precedence is strict: one unhealthy entry from any source outweighs any
 // number of healthy ones.
 func Healthy(state string) bool {
-	return state == "closed" || state == "ok" || strings.HasPrefix(state, "ok(")
+	return state == "ok" || strings.HasPrefix(state, "ok(")
 }
 
 // PrefixHealth namespaces a health source: each key is reported as
-// "<prefix>:<key>", so one /healthz can combine breaker states with other
-// per-peer conditions without the entries colliding. A nil source yields
+// "<prefix>:<key>", so one /healthz can combine the conditions of several
+// sources without the entries colliding. A nil source yields
 // no entries.
 func PrefixHealth(prefix string, src Health) Health {
 	return func() map[string]string {
@@ -121,21 +120,21 @@ func newMux(site string, reg *metrics.Registry, rec *Recorder, health []Health) 
 	mux := http.NewServeMux()
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
 		body := struct {
-			Status   string            `json:"status"`
-			Site     string            `json:"site"`
-			Version  string            `json:"version"`
-			UptimeS  float64           `json:"uptime_seconds"`
-			Breakers map[string]string `json:"breakers,omitempty"`
-			Degraded []string          `json:"degraded_peers,omitempty"`
+			Status     string            `json:"status"`
+			Site       string            `json:"site"`
+			Version    string            `json:"version"`
+			UptimeS    float64           `json:"uptime_seconds"`
+			Conditions map[string]string `json:"conditions,omitempty"`
+			Degraded   []string          `json:"degraded_peers,omitempty"`
 		}{Status: "ok", Site: site, Version: version.String(), UptimeS: time.Since(start).Seconds()}
 		for _, h := range health {
-			for peer, state := range h() {
-				if body.Breakers == nil {
-					body.Breakers = make(map[string]string)
+			for name, state := range h() {
+				if body.Conditions == nil {
+					body.Conditions = make(map[string]string)
 				}
-				body.Breakers[peer] = state
+				body.Conditions[name] = state
 				if !Healthy(state) {
-					body.Degraded = append(body.Degraded, peer)
+					body.Degraded = append(body.Degraded, name)
 				}
 			}
 		}
@@ -209,7 +208,7 @@ func newMux(site string, reg *metrics.Registry, rec *Recorder, health []Health) 
 // Serve binds addr (use "127.0.0.1:0" for an ephemeral port) and serves the
 // observability surface for the given site until Close. rec (the site's
 // flight recorder) may be nil. Optional Health sources feed the /healthz
-// breaker report.
+// conditions.
 func Serve(addr, site string, reg *metrics.Registry, rec *Recorder, health ...Health) (*Server, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {

@@ -172,10 +172,11 @@ func TestServeBadAddr(t *testing.T) {
 	}
 }
 
-// TestHealthzBreakers: health sources feed the /healthz body; a non-closed
-// breaker flips the status to degraded (still 200 — the process is alive).
-func TestHealthzBreakers(t *testing.T) {
-	states := map[string]string{"DB2": "closed", "DB3": "closed"}
+// TestHealthzConditions: health sources feed the /healthz body under
+// "conditions"; an entry that is not ok flips the status to degraded (still
+// 200 — the process is alive).
+func TestHealthzConditions(t *testing.T) {
+	states := map[string]string{"antientropy:state": "ok(round=1, repaired=0B)", "wal:engine": "ok(seq=4)"}
 	s, err := Serve("127.0.0.1:0", "DB1", metrics.New(), nil,
 		func() map[string]string { return states })
 	if err != nil {
@@ -187,25 +188,25 @@ func TestHealthzBreakers(t *testing.T) {
 	if code != http.StatusOK || !strings.Contains(body, `"status":"ok"`) {
 		t.Errorf("healthy healthz: %d %q", code, body)
 	}
-	if !strings.Contains(body, `"DB3":"closed"`) {
-		t.Errorf("healthz lacks breaker states: %q", body)
+	if !strings.Contains(body, `"conditions":{`) || !strings.Contains(body, `"wal:engine":"ok(seq=4)"`) {
+		t.Errorf("healthz lacks its conditions: %q", body)
 	}
 
-	states["DB3"] = "open"
+	states["wal:engine"] = "stopped"
 	code, body = get(t, s.Addr(), "/healthz")
 	if code != http.StatusOK {
 		t.Errorf("degraded healthz status code = %d, want 200", code)
 	}
 	var got struct {
-		Status   string            `json:"status"`
-		Breakers map[string]string `json:"breakers"`
-		Degraded []string          `json:"degraded_peers"`
+		Status     string            `json:"status"`
+		Conditions map[string]string `json:"conditions"`
+		Degraded   []string          `json:"degraded_peers"`
 	}
 	if err := json.Unmarshal([]byte(body), &got); err != nil {
 		t.Fatalf("healthz JSON: %v in %q", err, body)
 	}
-	if got.Status != "degraded" || got.Breakers["DB3"] != "open" ||
-		len(got.Degraded) != 1 || got.Degraded[0] != "DB3" {
+	if got.Status != "degraded" || got.Conditions["wal:engine"] != "stopped" ||
+		len(got.Degraded) != 1 || got.Degraded[0] != "wal:engine" {
 		t.Errorf("degraded healthz = %+v", got)
 	}
 }

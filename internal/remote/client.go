@@ -18,9 +18,8 @@ import (
 )
 
 // CallConfig is the client-side networking policy of a federation process:
-// how calls time out, pool connections, and trip circuit breakers. Zero
-// timeouts take DefaultCallConfig's values, but a zero BreakerThreshold turns
-// the breaker off: the zero value is DefaultCallConfig without a breaker.
+// how calls time out and pool connections. Zero timeouts take
+// DefaultCallConfig's values, so the zero value is DefaultCallConfig.
 // Timeouts are plain fields (not package globals) so concurrent coordinators
 // and tests can run different policies without racing.
 type CallConfig struct {
@@ -29,9 +28,6 @@ type CallConfig struct {
 	// CallTimeout bounds one full request/response exchange: a dead or
 	// wedged peer fails the call instead of hanging it forever.
 	CallTimeout time.Duration
-	// BreakerThreshold is the run of consecutive call failures that opens
-	// a site's circuit breaker; 0 disables the breaker.
-	BreakerThreshold int
 	// Faults, when set, injects network faults into real-TCP calls: a
 	// partitioned or dropped link fails the call before dialing (the
 	// partitioned peer is unreachable even though its process is alive).
@@ -39,28 +35,20 @@ type CallConfig struct {
 	// so both directions of an asymmetric cut are enforced.
 	Faults *fabric.FaultPlan
 
-	// Tests override the pool size and the breaker cooldown (0: the
-	// constants).
-	poolSize        int
-	breakerCooldown time.Duration
+	// Tests override the pool size (0: the constant).
+	poolSize int
 }
 
-const (
-	// poolSize is the maximum number of idle pooled connections per site.
-	poolSize = 4
-	// breakerCooldown is how long an open breaker waits before admitting a
-	// half-open probe.
-	breakerCooldown = 5 * time.Second
-)
+// poolSize is the maximum number of idle pooled connections per site.
+const poolSize = 4
 
-// DefaultCallConfig returns the production policy: one exchange per call, a
-// small warm-connection pool, and a breaker that fails fast after a run of
-// failures.
+// DefaultCallConfig returns the production policy: one exchange per call
+// and a small warm-connection pool. A failed call is not sent again, and the
+// next call to the same site dials it afresh.
 func DefaultCallConfig() CallConfig {
 	return CallConfig{
-		DialTimeout:      5 * time.Second,
-		CallTimeout:      60 * time.Second,
-		BreakerThreshold: 5,
+		DialTimeout: 5 * time.Second,
+		CallTimeout: 60 * time.Second,
 	}
 }
 
@@ -74,12 +62,11 @@ func (c CallConfig) withDefaults() CallConfig {
 		c.CallTimeout = d.CallTimeout
 	}
 	c.poolSize = cmp.Or(c.poolSize, poolSize)
-	c.breakerCooldown = cmp.Or(c.breakerCooldown, breakerCooldown)
 	return c
 }
 
 // SiteError marks a transport-level failure reaching a site: dials,
-// timeouts, torn connections, and open circuit breakers. Callers treat it
+// timeouts, torn connections, and cut links. Callers treat it
 // as "site unavailable" — under the partial-answer semantics the query
 // degrades instead of failing. Errors the site itself answered (bad query,
 // unknown strategy) are NOT SiteErrors; they are deterministic and propagate.
@@ -101,27 +88,24 @@ func (e *SiteError) Unwrap() error { return e.Err }
 func (e *SiteError) Is(target error) bool { return target == exec.ErrSiteUnavailable }
 
 // client issues site calls for one federation process (a coordinator, or a
-// server dispatching assistant checks) under one CallConfig: pooled
-// connections and a per-site circuit breaker. Metrics (when a registry is
-// wired) record failures, stale pooled connections, breaker transitions, and
-// a per-site breaker-state gauge.
+// server dispatching assistant checks) under one CallConfig, over pooled
+// connections. Metrics (when a registry is wired) record failures and stale
+// pooled connections.
 type client struct {
 	cfg  CallConfig
 	self object.SiteID
 	reg  *metrics.Registry
 
-	mu       sync.Mutex
-	pools    map[string]*pool
-	breakers map[object.SiteID]*breaker
+	mu    sync.Mutex
+	pools map[string]*pool
 }
 
 func newClient(self object.SiteID, cfg CallConfig, reg *metrics.Registry) *client {
 	return &client{
-		cfg:      cfg.withDefaults(),
-		self:     self,
-		reg:      reg,
-		pools:    make(map[string]*pool),
-		breakers: make(map[object.SiteID]*breaker),
+		cfg:   cfg.withDefaults(),
+		self:  self,
+		reg:   reg,
+		pools: make(map[string]*pool),
 	}
 }
 
@@ -136,50 +120,6 @@ func (cl *client) pool(addr string) *pool {
 	return p
 }
 
-func (cl *client) breaker(site object.SiteID) *breaker {
-	if cl.cfg.BreakerThreshold <= 0 {
-		return nil
-	}
-	cl.mu.Lock()
-	defer cl.mu.Unlock()
-	b := cl.breakers[site]
-	if b == nil {
-		b = newBreaker(cl.cfg.BreakerThreshold, cl.cfg.breakerCooldown, func(from, to string) {
-			cl.reg.Counter("breaker_transitions_total",
-				metrics.Labels{Site: string(cl.self), Peer: string(site), Phase: to}).Inc()
-			cl.reg.Gauge("breaker_state",
-				metrics.Labels{Site: string(cl.self), Peer: string(site)}).Set(breakerStateValue(to))
-		})
-		cl.breakers[site] = b
-	}
-	return b
-}
-
-// breakerStateValue encodes a breaker state for the breaker_state gauge.
-func breakerStateValue(state string) int64 {
-	switch state {
-	case BreakerOpen:
-		return 2
-	case BreakerHalfOpen:
-		return 1
-	default:
-		return 0
-	}
-}
-
-// BreakerStates reports each peer's breaker state, keyed by site — the
-// /healthz degradation surface. Sites that were never called are absent
-// (implicitly closed).
-func (cl *client) BreakerStates() map[object.SiteID]string {
-	cl.mu.Lock()
-	defer cl.mu.Unlock()
-	out := make(map[object.SiteID]string, len(cl.breakers))
-	for site, b := range cl.breakers {
-		out[site] = b.State()
-	}
-	return out
-}
-
 // close releases every pooled connection.
 func (cl *client) close() {
 	cl.mu.Lock()
@@ -191,8 +131,8 @@ func (cl *client) close() {
 	}
 }
 
-// call performs one request/response exchange with the site server at addr,
-// with breaker accounting. The context does three jobs:
+// call performs one request/response exchange with the site server at addr.
+// The context does three jobs:
 //
 //   - Budget on the wire: the remaining time until ctx's deadline is stamped
 //     onto the request (Request.DeadlineMicros) as a relative duration, so
@@ -203,7 +143,7 @@ func (cl *client) close() {
 //   - Cancellation: a dying context slams the in-flight connection's
 //     deadline (see pconn.exchange). A call ended by its context returns the
 //     ctx error (errors.Is-able against context.Canceled /
-//     DeadlineExceeded) and does NOT charge the circuit breaker — the caller
+//     DeadlineExceeded) and is not counted as a call failure — the caller
 //     going away says nothing about the peer's health.
 //
 // The exchange runs in this one frame, with req passed down by pointer: a
@@ -212,33 +152,16 @@ func (cl *client) close() {
 // run on workers that keep their stacks (E45), so depth costs that once.
 func (cl *client) call(ctx context.Context, site object.SiteID, addr string, req Request) (Response, wireStats, error) {
 	// Injected network faults come first: a cut link makes the peer
-	// unreachable for this caller regardless of breaker state, and the
-	// failure must not dial (nothing crosses a partition).
+	// unreachable for this caller, and the failure must not dial (nothing
+	// crosses a partition).
 	if fp := cl.cfg.Faults; !fp.BeginLinkOp(cl.self, site) {
 		cl.reg.Counter("partition_blocked_total",
 			metrics.Labels{Site: string(cl.self), Peer: string(site)}).Inc()
 		return Response{}, wireStats{}, &SiteError{Site: site, Err: fmt.Errorf("%s: %s", addr, fp.LinkReason(cl.self, site))}
 	}
 
-	br := cl.breaker(site)
-	probe := false
-	if br != nil {
-		var ok bool
-		ok, probe = br.Allow()
-		if !ok {
-			cl.reg.Counter("breaker_fastfail_total",
-				metrics.Labels{Site: string(cl.self), Peer: string(site)}).Inc()
-			return Response{}, wireStats{}, &SiteError{Site: site, Err: fmt.Errorf("%w (%s)", ErrCircuitOpen, addr)}
-		}
-	}
-	// ended releases a held half-open probe slot when the context ends the
-	// call (its death says nothing about the peer, so neither Success nor
-	// Failure applies) — without it the slot would leak and the breaker
-	// could never probe this peer again.
+	// ended wraps the error of a call its context ended.
 	ended := func(err error) error {
-		if probe {
-			br.ProbeDone()
-		}
 		return fmt.Errorf("remote: call %s: %w", addr, err)
 	}
 	if err := ctx.Err(); err != nil {
@@ -267,12 +190,9 @@ func (cl *client) call(ctx context.Context, site object.SiteID, addr string, req
 			<-ctx.Done()
 		}
 		if ctxErr := ctx.Err(); ctxErr != nil {
-			// The context tore it, not the peer: typed return, no breaker
-			// charge.
+			// The context tore it, not the peer: typed return, no failure
+			// counted.
 			return Response{}, stats, ended(ctxErr)
-		}
-		if br != nil {
-			br.Failure()
 		}
 		cl.reg.Counter("call_failures_total",
 			metrics.Labels{Site: string(cl.self), Peer: string(site)}).Inc()
@@ -307,9 +227,6 @@ func (cl *client) call(ctx context.Context, site object.SiteID, addr string, req
 		return fail(fmt.Errorf("%s: %w", addr, err))
 	}
 	p.put(pc)
-	if br != nil {
-		br.Success()
-	}
 	switch resp.Err {
 	case "":
 		return resp, stats, nil
@@ -336,8 +253,9 @@ var errPeerNotWired = errors.New("no address in peer wiring")
 // target. The verdicts return here, to the requesting site, and travel to
 // the global site with its local reply: the one topology difference from the
 // paper's model, confined to this transport. The peer's serve span is
-// parented on the step that dispatched the check, so the whole chain
-// (coordinator → site → peer) renders as one query tree.
+// parented on the serve span of the site that dispatched the check, which
+// encloses it, so the whole chain (coordinator → site → peer) renders as one
+// query tree.
 type checkLink struct{ s *Server }
 
 // Check implements exec.SiteLink.

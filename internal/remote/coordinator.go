@@ -54,9 +54,8 @@ type Coordinator struct {
 	Recorder *obs.Recorder
 	// Log, when non-nil, receives structured query logs.
 	Log *slog.Logger
-	// Call is the networking policy for site calls: timeouts, pooling,
-	// circuit breakers. Zero timeouts take DefaultCallConfig's values; a
-	// zero BreakerThreshold means no breaker.
+	// Call is the networking policy for site calls: timeouts and pooling.
+	// Zero timeouts take DefaultCallConfig's values.
 	Call CallConfig
 	// DeltaLog, when set, makes the coordinator's replica durable: a binding
 	// Insert assigns or repair pulls is logged before it is applied, so a
@@ -122,12 +121,6 @@ func (c *Coordinator) Close() {
 	if cl != nil {
 		cl.close()
 	}
-}
-
-// BreakerStates reports each site's circuit-breaker state as seen from the
-// coordinator, for the health surface.
-func (c *Coordinator) BreakerStates() map[object.SiteID]string {
-	return c.client().BreakerStates()
 }
 
 // Replica returns the coordinator's mapping-table replica, built on first
@@ -349,7 +342,7 @@ func (c *Coordinator) Insert(site object.SiteID, o *object.Object) (object.GOid,
 // site-bound step is one pooled client RPC carrying the query text. A site
 // absent from the address map entirely (killed and unwired) is unavailable
 // exactly like one that stopped answering; transport failures (dead sites,
-// open breakers) are SiteErrors, which degrade; an error a site answered
+// cut links) are SiteErrors, which degrade; an error a site answered
 // (bad query) is deterministic and propagates.
 type siteCalls struct {
 	c    *Coordinator

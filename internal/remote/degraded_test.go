@@ -16,9 +16,8 @@ import (
 // fastFail is a call policy for tests that kill sites: tight timeouts, no
 // breaker hysteresis to keep assertions deterministic.
 var fastFail = CallConfig{
-	DialTimeout:      time.Second,
-	CallTimeout:      5 * time.Second,
-	BreakerThreshold: 0,
+	DialTimeout: time.Second,
+	CallTimeout: 5 * time.Second,
 }
 
 func goids(rows []federation.ResultRow) []object.GOid {

@@ -8,8 +8,8 @@
 // its link. Messages travel as length-prefixed binary frames (frame.go) in a
 // hand-rolled encoding (codec.go, which tabulates the wire format) over
 // persistent pooled connections (a connection serves any number of requests
-// in sequence); a call is one exchange, never resent, and per-site circuit
-// breakers fail fast when a site stays down — see CallConfig.
+// in sequence); a call is one exchange, never resent, and the next call to a
+// site that failed dials it again — see CallConfig.
 //
 // Site failure degrades answers instead of failing queries: a transport
 // failure is a SiteError, which the strategies' fan-out classifier treats as
@@ -51,8 +51,8 @@ const (
 // (Request.DeadlineMicros) expired while serving it. The client maps it
 // back onto context.DeadlineExceeded, so callers see the same typed error
 // whether the budget died on their side of the wire or the server's — and
-// the circuit breaker is never charged: an over-budget request says nothing
-// about the site's health.
+// no call failure is counted: an over-budget request says nothing about the
+// site's health.
 const errDeadline = "deadline exceeded at site"
 
 // errUnavailable is the server's answer when its injected fault plan

@@ -25,8 +25,8 @@ import (
 // TestSpanPropagationAcrossWire runs a BL query over TCP and checks the
 // span context survives the wire hop twice: coordinator → site (serve spans
 // parent on the coordinator's rpc spans, and the site's BL_C1+C2 step on its
-// serve:local) and site → peer (a peer's serve:check parents on the step that
-// dispatched the check, and its C3 step on that serve:check). The
+// serve:local) and site → peer (a peer's serve:check parents on the
+// dispatching site's serve:local, and its C3 step on that serve:check). The
 // coordinator's recorded profile holds the whole tree; no tracer holds any of
 // it afterwards.
 func TestSpanPropagationAcrossWire(t *testing.T) {
@@ -70,7 +70,7 @@ func TestSpanPropagationAcrossWire(t *testing.T) {
 		{"rpc:local", "BL_G1"},
 		{"serve:local", "rpc:local"},
 		{"BL_C1+C2", "serve:local"},
-		{"serve:check", "BL_C1+C2"},
+		{"serve:check", "serve:local"},
 		{"C3", "serve:check"},
 	} {
 		if len(byName[link.child]) == 0 {
@@ -102,11 +102,10 @@ func TestSpanPropagationAcrossWire(t *testing.T) {
 	}
 }
 
-// TestSiteStepsMatchAcrossTransports: every strategy's phase-tagged spans
-// are the Figure 8 steps, the same ones per site whether the federation runs
-// in process or over TCP with traced sites — the server opens no steps of its
-// own and its serve spans, like the coordinator's rpc spans, carry no phases.
-func TestSiteStepsMatchAcrossTransports(t *testing.T) {
+// tracedEngine builds the school federation in process with a tracer and a
+// flight recorder, and binds Q1 for it.
+func tracedEngine(t *testing.T) (*exec.Engine, *obs.Recorder, *query.Bound) {
+	t.Helper()
 	fx := school.New()
 	b, err := query.Bind(query.MustParse(school.Q1), fx.Global)
 	if err != nil {
@@ -118,6 +117,15 @@ func TestSiteStepsMatchAcrossTransports(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return eng, rec, b
+}
+
+// TestSiteStepsMatchAcrossTransports: every strategy's phase-tagged spans
+// are the Figure 8 steps, the same ones per site whether the federation runs
+// in process or over TCP with traced sites — the server opens no steps of its
+// own and its serve spans, like the coordinator's rpc spans, carry no phases.
+func TestSiteStepsMatchAcrossTransports(t *testing.T) {
+	eng, rec, b := tracedEngine(t)
 	coord, _ := testCluster(t, nil, recordedCoordinator(), observed)
 
 	// steps renders a profile's phase-tagged spans per site, sorted: the
@@ -176,42 +184,45 @@ func TestSiteStepsMatchAcrossTransports(t *testing.T) {
 
 // TestStepSpansLieInsideTheirTransportSpans: over TCP a site's Figure 8
 // steps are stamped on its runtime's clock and the rpc and serve spans around
-// them by the tracer; on the one span clock every step of a traced BL and PL
-// query lies inside each of its rpc: and serve: ancestors.
+// them by the tracer. On the one span clock every span of a traced BL and PL
+// query lies inside its direct parent, in process and over TCP, and so inside
+// each of its rpc: and serve: ancestors. A check leg outlives the step that
+// dispatched it, so it hangs under the span that encloses both.
 func TestStepSpansLieInsideTheirTransportSpans(t *testing.T) {
+	eng, rec, b := tracedEngine(t)
 	coord, _ := testCluster(t, nil, recordedCoordinator(), observed)
-	transport := func(sp trace.Span) bool {
-		return strings.HasPrefix(sp.Name, "rpc:") || strings.HasPrefix(sp.Name, "serve:")
-	}
 	for _, alg := range []exec.Algorithm{exec.BL, exec.PL} {
+		if _, _, err := eng.Run(fabric.NewReal(fabric.DefaultRates()), alg, b); err != nil {
+			t.Fatalf("%v in process: %v", alg, err)
+		}
+		inproc := rec.Last()
 		if _, _, err := coord.Query(school.Q1, alg); err != nil {
-			t.Fatal(err)
+			t.Fatalf("%v over TCP: %v", alg, err)
 		}
-		p := coord.Recorder.Last()
-		byID := map[trace.SpanID]trace.Span{}
-		for _, sp := range p.Spans {
-			byID[sp.ID] = sp
-		}
-		served := 0
-		for _, sp := range p.Spans {
-			if transport(sp) {
-				continue
+		for transport, p := range map[string]*trace.Profile{"in process": inproc, "over TCP": coord.Recorder.Last()} {
+			byID := map[trace.SpanID]trace.Span{}
+			for _, sp := range p.Spans {
+				byID[sp.ID] = sp
 			}
-			for anc, ok := byID[sp.Parent]; ok; anc, ok = byID[anc.Parent] {
-				if !transport(anc) {
+			nested, served := 0, 0
+			for _, sp := range p.Spans {
+				parent, ok := byID[sp.Parent]
+				if !ok {
 					continue
 				}
-				if sp.Start < anc.Start || sp.End > anc.End || sp.Open() {
-					t.Errorf("%v: %s @%s (%.3f..%.3f) escapes %s @%s (%.3f..%.3f)", alg,
-						sp.Name, sp.Site, sp.Start, sp.End, anc.Name, anc.Site, anc.Start, anc.End)
+				nested++
+				if sp.Start < parent.Start || sp.End > parent.End || sp.Open() {
+					t.Errorf("%v %s: %s @%s (%.3f..%.3f) escapes its parent %s @%s (%.3f..%.3f)", alg, transport,
+						sp.Name, sp.Site, sp.Start, sp.End, parent.Name, parent.Site, parent.Start, parent.End)
 				}
-				if strings.HasPrefix(anc.Name, "serve:") {
+				if strings.HasPrefix(parent.Name, "serve:") && sp.Phases != "" {
 					served++
 				}
 			}
-		}
-		if served == 0 {
-			t.Errorf("%v: no step under a serve span:\n%s", alg, p.RenderTree())
+			if nested == 0 || (transport == "over TCP" && served == 0) {
+				t.Errorf("%v %s: %d nested spans, %d steps under a serve span:\n%s",
+					alg, transport, nested, served, p.RenderTree())
+			}
 		}
 	}
 }

@@ -56,9 +56,8 @@ type ServerConfig struct {
 	// discarding logger.
 	Log *slog.Logger
 	// Call is the networking policy for this server's outbound peer calls
-	// (assistant-check dispatch): timeouts, pooling, breakers. Zero
-	// timeouts take DefaultCallConfig's values; a zero BreakerThreshold
-	// means no breaker.
+	// (assistant-check dispatch): timeouts and pooling. Zero timeouts take
+	// DefaultCallConfig's values.
 	Call CallConfig
 	// Faults, when non-nil, injects failures at this server, mirroring the
 	// engine's fault plan semantics over the wire: Delay stalls every
@@ -246,12 +245,6 @@ func (s *Server) Close() error {
 	s.client.close()
 	s.wg.Wait()
 	return err
-}
-
-// BreakerStates reports the state of this server's outbound circuit breakers
-// (one per peer it dispatched checks to), for the health surface.
-func (s *Server) BreakerStates() map[object.SiteID]string {
-	return s.client.BreakerStates()
 }
 
 // track registers a live connection; it reports false when the server is

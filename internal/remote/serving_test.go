@@ -12,7 +12,7 @@ import (
 
 // TestStalePooledConnRedial: a connection that idled in the pool across a
 // server restart is dead on first use. The client must detect this, redial
-// once for free — without failing the call or charging the breaker — and
+// once for free — without failing the call or counting a call failure — and
 // complete the call against the restarted server.
 func TestStalePooledConnRedial(t *testing.T) {
 	reg := metrics.New()

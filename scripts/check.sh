@@ -5,7 +5,7 @@
 # one-identity-index, said-once, no-strategy-chooser, one-probe-per-fetch,
 # one-way-to-stand-up-a-site, one-value-in-use, one-home-for-spans,
 # no-unused-load-shape, one-matrix-runtime, no-cluster-ops-plane, one-span-clock,
-# one-exchange-per-call and
+# one-exchange-per-call, one-failure-path-per-call and
 # one-metric-catalog structural guards, build, unit tests, the full test suite under the race detector, the benchmark
 # module's vet and tests, a one-shot compile-and-run smoke of the overhead and
 # allocation benchmarks,
@@ -91,10 +91,10 @@ fi
 # Replica.Apply is the one place a binding is logged, bound and folded into
 # the digest, so outside the package that defines the log each has one
 # non-test site; the digest hook, the closure struct, the tracker and the
-# per-owner copies of the rule and the protocol it replaced stay gone, as do
-# the index option and the breaker accessor's second name. internal/remote
-# carries the replica's messages and holds no replica logic of its own.
-if grep -rnE 'HookEngine|aeReplica|applyBindLocked|UseIndexes|EnableIndexes|PeerBreakers|Tracker\b' \
+# per-owner copies of the rule and the protocol it replaced stay gone, as does
+# the index option. internal/remote carries the replica's messages and holds
+# no replica logic of its own.
+if grep -rnE 'HookEngine|aeReplica|applyBindLocked|UseIndexes|EnableIndexes|Tracker\b' \
     --include='*.go' --exclude-dir=.bench_build .; then
     echo "a deleted copy of the replica rule (or the index option) is back" >&2
     guard_failed=1
@@ -448,12 +448,21 @@ case "$masked" in
 ./internal/remote/codec.go:*) ;;
 *) echo "AppendMasked is called outside internal/remote's codec: $masked" >&2; guard_failed=1 ;;
 esac
+# A site call has one failure path (EXPERIMENTS.md E49): a failed call is not
+# sent again, and the next call to that site dials it afresh. The circuit
+# breaker, its setting and cooldown, both of its state accessors and its three
+# series stay gone, in tests or otherwise.
+if grep -rnE 'ErrCircuitOpen|BreakerThreshold|BreakerStates|PeerBreakers|breakerCooldown|breaker_[a-z]+' \
+    --include='*.go' --exclude-dir=.bench_build .; then
+    echo "the circuit breaker is back; a failed site call fails alone (see EXPERIMENTS.md E49)" >&2
+    guard_failed=1
+fi
 [ "$guard_failed" -eq 0 ] || exit 1
 
 # The figure ROADMAP's LOC numbers use, so the next issue quotes it instead
 # of recounting, and ROADMAP item 11's gate on it: a change that grows the
 # tree past the ceiling deletes as much as it adds first.
-loc_ceiling=19441
+loc_ceiling=19246
 loc="$(find . -name '*.go' -not -name '*_test.go' \
     -not -path './benchmark/*' -not -path './.bench_build/*' | xargs wc -l | tail -n 1 | awk '{print $1}')"
 echo "== non-test Go lines: $loc (ceiling $loc_ceiling)"
