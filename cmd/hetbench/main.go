@@ -60,6 +60,9 @@ func run(args []string) error {
 	switch args[0] {
 	case "run":
 		return runCmd(args[1:])
+	case "-h", "-help", "--help":
+		fmt.Fprintln(os.Stderr, usage)
+		return nil
 	case "-version", "--version", "version":
 		fmt.Println("hetbench", version.String())
 		return nil

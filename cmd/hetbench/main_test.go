@@ -296,23 +296,26 @@ func TestFiguresTopic(t *testing.T) {
 	}
 }
 
-// TestHelpIsNotAFailure: `hetbench run -h` prints the usage and exits 0, with no
-// error line after it. main exits, so it runs in a child process.
+// TestHelpIsNotAFailure: `hetbench -h` and `hetbench run -h` print the usage
+// and exit 0, with no error line after it. main exits, so each runs in a
+// child process.
 func TestHelpIsNotAFailure(t *testing.T) {
 	if args := os.Getenv("HETBENCH_MAIN_ARGS"); args != "" {
 		os.Args = append([]string{"hetbench"}, strings.Fields(args)...)
 		main()
 		return
 	}
-	child := osexec.Command(os.Args[0], "-test.run=^TestHelpIsNotAFailure$")
-	child.Env = append(os.Environ(), "HETBENCH_MAIN_ARGS=run -h")
-	var stderr strings.Builder
-	child.Stderr = &stderr
-	if err := child.Run(); err != nil {
-		t.Fatalf("hetbench run -h: %v\n%s", err, stderr.String())
-	}
-	help := stderr.String()
-	if !strings.HasPrefix(help, "Usage of hetbench run:") || strings.Contains(help, "\nhetbench: ") {
-		t.Errorf("hetbench run -h printed, want the usage alone:\n%s", help)
+	for args, prefix := range map[string]string{"-h": usage, "run -h": "Usage of hetbench run:"} {
+		child := osexec.Command(os.Args[0], "-test.run=^TestHelpIsNotAFailure$")
+		child.Env = append(os.Environ(), "HETBENCH_MAIN_ARGS="+args)
+		var stderr strings.Builder
+		child.Stderr = &stderr
+		if err := child.Run(); err != nil {
+			t.Fatalf("hetbench %s: %v\n%s", args, err, stderr.String())
+		}
+		help := stderr.String()
+		if !strings.HasPrefix(help, prefix) || strings.Contains(help, "\nhetbench: ") {
+			t.Errorf("hetbench %s printed, want the usage alone:\n%s", args, help)
+		}
 	}
 }

@@ -30,13 +30,13 @@ func TestCachedWarm(t *testing.T) {
 	t1, pos, _ := db1.Locate("t1")
 	src.Warm(pos)
 	var c cost.Counter
-	if o, ok := src.Fetch("t1", &c); !ok || o != t1 {
+	if o, ok := src.Fetch(object.Ref("t1"), &c); !ok || o != t1 {
 		t.Fatal("Fetch failed")
 	}
 	if c.DiskBytes() != 0 || c.CPUOps() != 1 {
 		t.Errorf("warmed object charged %d bytes, %d ops; want a buffer hit: 0 and 1", c.DiskBytes(), c.CPUOps())
 	}
-	if _, ok := src.Fetch("ghost", &c); ok {
+	if _, ok := src.Fetch(object.Ref("ghost"), &c); ok {
 		t.Error("Fetch of missing object succeeded")
 	}
 }
@@ -58,7 +58,7 @@ func TestCachedChargesPerTouch(t *testing.T) {
 	}
 
 	var first, repeat, failed cost.Counter
-	if o, ok := src.Fetch("d1", &first); !ok || o != d1 {
+	if o, ok := src.Fetch(object.Ref("d1"), &first); !ok || o != d1 {
 		t.Fatal("first Fetch failed")
 	}
 	if first.DiskBytes() != int64(d1.WireSize(nil)) || first.CPUOps() != 0 {
@@ -66,7 +66,7 @@ func TestCachedChargesPerTouch(t *testing.T) {
 			first.DiskBytes(), first.CPUOps(), d1.WireSize(nil))
 	}
 	wantProbes("first fetch", 1)
-	if o, ok := src.Fetch("d1", &repeat); !ok || o != d1 {
+	if o, ok := src.Fetch(object.Ref("d1"), &repeat); !ok || o != d1 {
 		t.Fatal("repeated Fetch failed")
 	}
 	if repeat.DiskBytes() != 0 || repeat.CPUOps() != 1 {
@@ -74,7 +74,7 @@ func TestCachedChargesPerTouch(t *testing.T) {
 	}
 	wantProbes("repeated fetch", 2)
 	for i := 1; i <= 2; i++ {
-		if _, ok := src.Fetch("ghost", &failed); ok {
+		if _, ok := src.Fetch(object.Ref("ghost"), &failed); ok {
 			t.Fatal("Fetch of missing object succeeded")
 		}
 		wantProbes(fmt.Sprintf("failed fetch %d", i), 2+i)
@@ -92,7 +92,7 @@ func TestCachedChargesPerTouch(t *testing.T) {
 	wantProbes("warming a scanned extent", 4)
 	var hits cost.Counter
 	for _, id := range scanned {
-		src.Fetch(id, &hits)
+		src.Fetch(object.Ref(id), &hits)
 	}
 	if hits.DiskBytes() != 0 || hits.CPUOps() != int64(len(scanned)) {
 		t.Errorf("%d warmed objects charged %d bytes, %d ops; want buffer hits", len(scanned), hits.DiskBytes(), hits.CPUOps())
@@ -110,12 +110,13 @@ type mapPool struct {
 
 func (m *mapPool) Warm(o *object.Object) { m.seen[o.LOid] = o }
 
-func (m *mapPool) Fetch(id object.LOid, sink cost.Sink) (*object.Object, bool) {
+func (m *mapPool) Fetch(ref object.Value, sink cost.Sink) (*object.Object, bool) {
+	id := ref.RefLOid()
 	if o, ok := m.seen[id]; ok {
 		sink.CPU(1)
 		return o, true
 	}
-	o, ok := m.src.Fetch(id, sink)
+	o, ok := m.src.Fetch(ref, sink)
 	if ok {
 		m.seen[id] = o
 	}
@@ -204,8 +205,8 @@ func TestCachedMatchesMapPool(t *testing.T) {
 						id = objects[rng.Intn(len(objects))].obj.LOid
 					}
 					var want, got cost.Counter
-					wo, wok := ref.Fetch(id, &want)
-					o, ok := pool.Fetch(id, &got)
+					wo, wok := ref.Fetch(object.Ref(id), &want)
+					o, ok := pool.Fetch(object.Ref(id), &got)
 					if o != wo || ok != wok || got != want {
 						t.Fatalf("%s seed %d pair %d step %d: Fetch(%s) = %v, %v, %d bytes, %d ops; the map pool's %v, %v, %d bytes, %d ops",
 							name, seed, pair, step, id, o, ok, got.DiskBytes(), got.CPUOps(), wo, wok, want.DiskBytes(), want.CPUOps())
@@ -241,7 +242,7 @@ func TestCachedAllocatesOncePerQuery(t *testing.T) {
 			allocs := testing.AllocsPerRun(20, func() {
 				pool := NewCached(DiskSource{DB: db})
 				for i := 0; i < touches; i++ {
-					pool.Fetch(ids[i%len(ids)], cost.Discard)
+					pool.Fetch(object.Ref(ids[i%len(ids)]), cost.Discard)
 				}
 			})
 			if allocs != 1 {

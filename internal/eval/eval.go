@@ -29,12 +29,12 @@ import (
 )
 
 // Source resolves object references during path navigation and charges the
-// cost of each access. A component database charges a disk read per fetch;
-// Cached is its per-query buffer pool, which charges disk only on first
-// touch; the coordinator's materialized view charges a CPU operation (it
-// lives in memory).
+// cost of each access. A component database reads the reference's LOid and
+// charges a disk read per fetch; Cached is its per-query buffer pool, which
+// charges disk only on first touch; the coordinator's materialized view reads
+// its slot (object.RefAt) and charges a CPU operation (it lives in memory).
 type Source interface {
-	Fetch(id object.LOid, sink cost.Sink) (*object.Object, bool)
+	Fetch(ref object.Value, sink cost.Sink) (*object.Object, bool)
 }
 
 // Store is the component database a DiskSource reads (store.Database).
@@ -50,8 +50,8 @@ type Store interface {
 type DiskSource struct{ DB Store }
 
 // Fetch implements Source.
-func (d DiskSource) Fetch(id object.LOid, sink cost.Sink) (*object.Object, bool) {
-	o, _, ok := d.DB.Locate(id)
+func (d DiskSource) Fetch(ref object.Value, sink cost.Sink) (*object.Object, bool) {
+	o, _, ok := d.DB.Locate(ref.RefLOid())
 	if !ok {
 		return nil, false
 	}
@@ -78,8 +78,8 @@ func NewCached(src DiskSource) *Cached { return &Cached{db: src.DB} }
 func (c *Cached) Warm(pos int) { c.mark(pos) }
 
 // Fetch implements Source.
-func (c *Cached) Fetch(id object.LOid, sink cost.Sink) (*object.Object, bool) {
-	o, pos, ok := c.db.Locate(id)
+func (c *Cached) Fetch(ref object.Value, sink cost.Sink) (*object.Object, bool) {
+	o, pos, ok := c.db.Locate(ref.RefLOid())
 	if !ok {
 		return nil, false
 	}
@@ -212,7 +212,7 @@ func navigate(src Source, bp *query.BoundPredicate, cur *object.Object, start in
 			}
 			return Outcome{Done: compare, Verdict: Compare(bp.Op, v, bp.Literal)}
 		}
-		next, ok := src.Fetch(v.RefLOid(), sink)
+		next, ok := src.Fetch(v, sink)
 		if !ok {
 			// Dangling reference: treat as missing data rather than
 			// failing the whole query.
@@ -243,7 +243,7 @@ func evalList(src Source, bp *query.BoundPredicate, cur *object.Object, v object
 		if last {
 			sink.CPU(1)
 			ev = Compare(bp.Op, elem, bp.Literal)
-		} else if next, ok := src.Fetch(elem.RefLOid(), sink); ok {
+		} else if next, ok := src.Fetch(elem, sink); ok {
 			ev = navigate(src, bp, next, i+1, sink, true, uns).Verdict
 		} else {
 			ev = unknownAt(bp, cur, i, uns).Verdict
@@ -278,7 +278,7 @@ func EvalTarget(src Source, tp query.BoundPath, root *object.Object, sink cost.S
 		if v.IsNull() || i == len(tp.Path)-1 {
 			return v
 		}
-		next, ok := src.Fetch(v.RefLOid(), sink)
+		next, ok := src.Fetch(v, sink)
 		if !ok {
 			return object.Null()
 		}

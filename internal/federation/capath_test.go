@@ -317,8 +317,10 @@ func TestCAPathAllocationCeilings(t *testing.T) {
 // BenchmarkCoordinator times the global site's steps on the benchmark's
 // pinned Table 2 sample: the centralized approach's two, over replies as the
 // sites build them and over replies decoded afresh (outside the timer) for
-// every run, since the join adopts what it decoded; and certification over
-// BL's and PL's local results and check replies, built once.
+// every run, since the join adopts what it decoded; evaluation over a view
+// of either kind, the decoded one being what CA over TCP evaluates; and
+// certification over BL's and PL's local results and check replies, built
+// once.
 func BenchmarkCoordinator(b *testing.B) {
 	fx := table2Fixture(b, 550, false)
 	sites := fx.sites()
@@ -333,8 +335,9 @@ func BenchmarkCoordinator(b *testing.B) {
 	blResults, blReplies := localizedInputs(b, fx, "BL", "")
 	plResults, plReplies := localizedInputs(b, fx, "PL", "")
 	co := NewCoordinator("G", fx.global, fx.tables)
-	var view *View
+	var view, decodedView *View
 	onReal(b, func(p fabric.Proc) { view = co.Materialize(p, fx.bound, replies) })
+	onReal(b, func(p fabric.Proc) { decodedView = co.Materialize(p, fx.bound, decodeAll(b, encoded)) })
 	var decoded []RetrieveReply
 	for _, bench := range []struct {
 		name  string
@@ -345,6 +348,7 @@ func BenchmarkCoordinator(b *testing.B) {
 		{"MaterializeDecoded", func() { decoded = decodeAll(b, encoded) },
 			func(p fabric.Proc) { co.Materialize(p, fx.bound, decoded) }},
 		{"EvaluateView", nil, func(p fabric.Proc) { co.EvaluateView(p, fx.bound, view) }},
+		{"EvaluateViewDecoded", nil, func(p fabric.Proc) { co.EvaluateView(p, fx.bound, decodedView) }},
 		{"CertifyBL", nil, func(p fabric.Proc) { co.Certify(p, fx.bound, blResults, blReplies) }},
 		{"CertifyPL", nil, func(p fabric.Proc) { co.Certify(p, fx.bound, plResults, plReplies) }},
 	} {

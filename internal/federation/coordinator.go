@@ -36,12 +36,13 @@ func (co *Coordinator) ID() object.SiteID { return co.id }
 // View is the materialized global view built by the centralized approach:
 // integrated objects named by their GOid (stored in the LOid slot, so the
 // shared path-navigation evaluator works unchanged), with complex attribute
-// values rewritten to global references. It holds them per involved class in
-// a slice indexed by the entity's number in the class's mapping table, so the
-// outerjoin that fills it hashes no GOid; those numbers are this replica's, and
+// values rewritten to global references stamped with their target's slot:
+// each involved class's slots, cut from one slice, are indexed by the
+// entity's number in its mapping table. Those numbers are this replica's, and
 // a view is built and read under the read lock of the tables it came from.
 type View struct {
 	classes []viewClass
+	slots   []*object.Object // every class's byNumber, back to back
 	roots   []*object.Object
 	n       int
 }
@@ -50,6 +51,7 @@ type View struct {
 type viewClass struct {
 	name     string
 	table    *gmap.Table
+	base     int              // the class's first slot in View.slots
 	byNumber []*object.Object // by entity number; nil where no reply held the entity
 	// unbound holds the objects no binding names, by gmap.Table.Unbound.
 	unbound map[object.GOid]*object.Object
@@ -60,39 +62,53 @@ type viewClass struct {
 var _ eval.Source = (*View)(nil)
 
 // Fetch implements eval.Source over the materialized objects: the view is
-// in memory at the global site, so an access costs one CPU operation. A
-// reference does not say which class it points into, so the involved classes'
-// tables are asked in turn for the entity's number.
-func (v *View) Fetch(id object.LOid, sink cost.Sink) (*object.Object, bool) {
-	g := object.GOid(id)
-	for i := range v.classes {
-		vc := &v.classes[i]
-		var o *object.Object
-		if n, ok := vc.table.Number(g); !ok {
-			o = vc.unbound[g]
-		} else if n < len(vc.byNumber) {
-			o = vc.byNumber[n]
-		}
-		if o != nil {
-			sink.CPU(1)
-			return o, true
-		}
+// in memory at the global site, so an access costs one CPU operation.
+func (v *View) Fetch(ref object.Value, sink cost.Sink) (*object.Object, bool) {
+	o := v.lookup(ref)
+	if o == nil {
+		return nil, false
 	}
-	return nil, false
+	sink.CPU(1)
+	return o, true
 }
 
-// Deref resolves a materialized object without charging (diagnostics).
-func (v *View) Deref(id object.LOid) (*object.Object, bool) { return v.Fetch(id, cost.Discard) }
+// lookup finds a reference's view object: a stamped one at its slot, any
+// other by GOid, asking the involved classes' tables in turn, since a GOid
+// does not say which class it belongs to.
+func (v *View) lookup(ref object.Value) *object.Object {
+	if s, ok := ref.RefSlot(); ok && s < len(v.slots) {
+		return v.slots[s]
+	}
+	g := object.GOid(ref.RefLOid())
+	for i := range v.classes {
+		vc := &v.classes[i]
+		if n, ok := vc.table.Number(g); !ok {
+			if o := vc.unbound[g]; o != nil {
+				return o
+			}
+		} else if n < len(vc.byNumber) && vc.byNumber[n] != nil {
+			return vc.byNumber[n]
+		}
+	}
+	return nil
+}
 
 // Has reports whether the entity was materialized into the view (used as
 // the presence test when synthesizing degraded rows under site failure).
-func (v *View) Has(g object.GOid) bool {
-	_, ok := v.Deref(object.LOid(g))
-	return ok
-}
+func (v *View) Has(g object.GOid) bool { return v.lookup(object.Ref(object.LOid(g))) != nil }
 
 // Len returns the number of materialized objects.
 func (v *View) Len() int { return v.n }
+
+// class returns the view's part for the named class, nil if no reply lists it.
+func (v *View) class(name string) *viewClass {
+	for i := range v.classes {
+		if v.classes[i].name == name {
+			return &v.classes[i]
+		}
+	}
+	return nil
+}
 
 // Materialize implements step CA_G2: integrate the constituent objects of
 // each involved global class by outerjoin over their GOids. Missing
@@ -103,14 +119,14 @@ func (v *View) Len() int { return v.n }
 //
 // A reply's objects may be a store's own, and those are read, never written
 // (see ClassObjects). An Owned list is the join's to consume: the first
-// constituent of each entity becomes that entity's view object in place. The
-// join is the mapping table's numbering: per (class, site) list the site's
-// LOid indexes are resolved once, and one probe per object gives the view's
-// slot to merge into. The view is sized before it is filled: a slot per
-// entity the table knows, and for the entities that start from a list that is
-// not owned, objects and entries from one slab with room for as many entities
-// as those lists can hold (an object no binding names takes the slab's
-// overflow).
+// constituent of each entity becomes that entity's view object, only its
+// references rewritten in place. The join is the mapping table's numbering:
+// per (class, site) list the site's LOid indexes and the mask's attributes are
+// resolved once (listPlan), and one probe per object gives the view's slot to
+// merge into. The view is sized before it is filled: a slot per entity the
+// tables know, and for the entities that start from a list that is not owned,
+// objects and entries from one slab with room for as many entities as those
+// lists can hold (an object no binding names takes the slab's overflow).
 func (co *Coordinator) Materialize(p fabric.Proc, b *query.Bound, replies []RetrieveReply) *View {
 	var c cost.Counter
 
@@ -120,38 +136,44 @@ func (co *Coordinator) Materialize(p fabric.Proc, b *query.Bound, replies []Retr
 	v := &View{}
 	for _, reply := range sorted {
 		for _, cls := range reply.Classes {
-			at := slices.IndexFunc(v.classes, func(vc viewClass) bool { return vc.name == cls.GlobalClass })
-			if at < 0 {
-				at = len(v.classes)
+			vc := v.class(cls.GlobalClass)
+			if vc == nil {
 				v.classes = append(v.classes, viewClass{name: cls.GlobalClass, table: co.tables.Table(cls.GlobalClass)})
+				vc = &v.classes[len(v.classes)-1]
 			}
 			if !cls.Owned {
-				v.classes[at].constituents += len(cls.Objects)
+				vc.constituents += len(cls.Objects)
 			}
-			v.classes[at].width = len(cls.Attrs)
+			vc.width = len(cls.Attrs)
 		}
 	}
-	objects, entries := 0, 0
+	objects, entries, slots := 0, 0, 0
 	for i := range v.classes {
 		vc := &v.classes[i]
-		vc.byNumber = make([]*object.Object, vc.table.Len())
+		vc.base, slots = slots, slots+vc.table.Len()
 		vc.unbound = make(map[object.GOid]*object.Object)
-		n := min(vc.constituents, len(vc.byNumber))
+		n := min(vc.constituents, vc.table.Len())
 		objects, entries = objects+n, entries+n*vc.width
 	}
+	v.slots = make([]*object.Object, slots)
 	slab := object.NewSlab(objects, entries)
 
-	ids := identities{tables: co.tables}
+	var lp listPlan
 	for i := range v.classes {
 		vc := &v.classes[i]
+		vc.byNumber = v.slots[vc.base : vc.base+vc.table.Len()]
 		gc := co.global.Class(vc.name)
+		if gc == nil { // a class this schema lacks: none of its attributes is known
+			gc = &schema.GlobalClass{}
+		}
 		for _, reply := range sorted {
 			for _, cls := range reply.Classes {
 				if cls.GlobalClass != vc.name {
 					continue
 				}
-				ids.site, ids.classes = reply.Site, ids.classes[:0]
-				index := ids.of(vc.name).index
+				lp.reset(v, co.tables, reply.Site, gc, cls.Attrs)
+				index := vc.table.At(reply.Site)
+				room := len(cls.Objects) * len(cls.Attrs)
 				for _, o := range cls.Objects {
 					c.CPU(1) // GOid lookup: the outerjoin's join-attribute probe
 					e, bound := index[o.LOid]
@@ -162,106 +184,155 @@ func (co *Coordinator) Materialize(p fabric.Proc, b *query.Bound, replies []Retr
 						e.GOid = vc.table.Unbound(reply.Site, o.LOid)
 						m = vc.unbound[e.GOid]
 					}
-					mode := fill
-					if m == nil {
-						if cls.Owned {
-							m, mode = o, adopt
-							m.LOid, m.Class = object.LOid(e.GOid), vc.name
-						} else {
-							m, mode = slab.New(object.LOid(e.GOid), vc.name, len(cls.Attrs)), start
-						}
-						if bound {
-							vc.byNumber[e.Number] = m
-						} else {
-							vc.unbound[e.GOid] = m
-						}
-						v.n++
-						if vc.name == b.Query.Range {
-							v.roots = append(v.roots, m)
-						}
+					if m != nil {
+						co.merge(lp, m, o, cls.Attrs, slab, room, &c)
+						continue
 					}
-					co.merge(m, mode, o.Projected(cls.Attrs), len(cls.Attrs), len(cls.Objects)*len(cls.Attrs), gc, &ids, slab, &c)
+					if cls.Owned {
+						m = o
+						m.LOid, m.Class = object.LOid(e.GOid), vc.name
+						m.Rewrite(cls.Attrs, func(j int, val *object.Value) bool {
+							c.CPU(1) // merge step
+							return lp.translate(j, val, &c)
+						})
+					} else {
+						m = slab.New(object.LOid(e.GOid), vc.name, len(cls.Attrs))
+						co.merge(lp, m, o, cls.Attrs, nil, 0, &c)
+					}
+					if bound {
+						vc.byNumber[e.Number] = m
+					} else {
+						vc.unbound[e.GOid] = m
+					}
+					v.n++
 				}
 			}
 		}
 	}
-
-	// The materialized range-class objects, sorted by GOid.
-	slices.SortFunc(v.roots, func(a, b *object.Object) int { return strings.Compare(string(a.LOid), string(b.LOid)) })
+	if vc := v.class(b.Query.Range); vc != nil {
+		v.roots = vc.inOrder()
+	}
 
 	c.Flush(p.Sink(co.id))
 	return v
 }
 
-// mergeMode is how one constituent object enters its entity's view object.
-type mergeMode int
-
-const (
-	// start: the constituent begins its entity in a fresh slab object, and
-	// its entries are appended in order.
-	start mergeMode = iota
-	// adopt: the constituent, from an Owned list, is the view object itself,
-	// already renamed; its entries are rewritten in place.
-	adopt
-	// fill: a later isomer fills what the view object still misses.
-	fill
-)
-
-// merge merges one constituent object, read through its list's projection
-// (taken before an adopted object is cleared), into a materialized object,
-// translating local references to global ones through its site's identities.
-// An entry outside the mask, a reference attribute the global class lacks, or
-// a reference with no identity here is dropped, whatever the mode. A view
-// object that a fill finds without room — an adopted one holds only what its
-// record held — gets room for the mask's width from the slab, in a chunk of at
-// most room entries: what the list could fill.
-func (co *Coordinator) merge(m *object.Object, mode mergeMode, p object.Projection, width, room int,
-	gc *schema.GlobalClass, ids *identities, slab *object.Slab, c *cost.Counter) {
-	if mode == adopt {
-		m.Clear() // p still reads the old entries
+// inOrder lists the class's view objects by GOid: the bound ones in the
+// mapping table's order, the few no binding names merged in.
+func (vc *viewClass) inOrder() []*object.Object {
+	extra := make([]*object.Object, 0, len(vc.unbound))
+	for _, o := range vc.unbound {
+		extra = append(extra, o)
 	}
-	for {
-		name, val, ok := p.Next()
+	slices.SortFunc(extra, func(a, b *object.Object) int { return strings.Compare(string(a.LOid), string(b.LOid)) })
+	ordered := vc.table.Ordered()
+	out := make([]*object.Object, 0, len(ordered)+len(extra))
+	for _, e := range ordered {
+		if o := vc.byNumber[e.Number]; o != nil {
+			for len(extra) > 0 && extra[0].LOid < o.LOid {
+				out, extra = append(out, extra[0]), extra[1:]
+			}
+			out = append(out, o)
+		}
+	}
+	return append(out, extra...)
+}
+
+// listPlan is how a (class, site) list's mask enters the view: per
+// attribute, whether the global class has it and whether it is complex, and
+// the site's LOid index of its domain and the domain's first slot (or -1).
+type listPlan []attrPlan
+
+type attrPlan struct {
+	in, complex bool
+	index       gmap.Index
+	base        int
+}
+
+func (lp *listPlan) reset(v *View, tables *gmap.Tables, site object.SiteID, gc *schema.GlobalClass, mask []string) {
+	*lp = (*lp)[:0]
+	for _, name := range mask {
+		a, in := gc.Attr(name)
+		ap := attrPlan{in: in, complex: in && a.IsComplex(), base: -1}
+		if vc := v.class(a.Domain); ap.complex && vc != nil {
+			ap.index, ap.base = vc.table.At(site), vc.base
+		} else if ap.complex && tables.Has(a.Domain) {
+			ap.index = tables.Table(a.Domain).At(site)
+		}
+		*lp = append(*lp, ap)
+	}
+}
+
+// merge merges one constituent object, read through its list's mask and
+// plan, into a materialized object. With a nil slab, m is the entity's fresh view object
+// and the entries are appended in order; otherwise a later isomer fills what
+// m still misses, and a view object without room for them — an adopted one
+// holds only what its record held — gets room for the mask's width from the
+// slab, in a chunk of at most room entries: what the list could fill.
+func (co *Coordinator) merge(lp listPlan, m, o *object.Object, mask []string, slab *object.Slab, room int, c *cost.Counter) {
+	for p := o.Projected(mask); ; {
+		j, val, ok := p.Next()
 		if !ok {
 			return
 		}
 		c.CPU(1) // merge step
-		if mode == fill && !m.Attr(name).IsNull() {
+		if slab != nil && !m.Attr(mask[j]).IsNull() {
 			continue // first non-null value wins
 		}
-		switch val.Kind() {
-		case object.KindRef:
-			a, ok := gc.Attr(name)
-			if !ok {
-				continue
-			}
-			c.CPU(1) // reference translation lookup
-			e, ok := ids.of(a.Domain).index[val.RefLOid()]
-			if !ok {
-				continue
-			}
-			val = object.Ref(object.LOid(e.GOid))
-		case object.KindList:
-			// Multi-valued complex attributes: translate every element.
-			if a, ok := gc.Attr(name); ok && a.IsComplex() {
-				domain := ids.of(a.Domain).index
-				elems := make([]object.Value, 0, len(val.Elems()))
-				for _, el := range val.Elems() {
-					c.CPU(1)
-					if e, ok := domain[el.RefLOid()]; ok {
-						elems = append(elems, object.Ref(object.LOid(e.GOid)))
-					}
-				}
-				val = object.List(elems...)
-			}
+		if !lp.translate(j, &val, c) {
+			continue
 		}
-		if mode == fill {
-			slab.Reserve(m, width, room)
-			m.Set(name, val)
+		if slab != nil {
+			slab.Reserve(m, len(mask), room)
+			m.Set(mask[j], val)
 		} else {
-			m.Append(name, val)
+			m.Append(mask[j], val)
 		}
 	}
+}
+
+// translate rewrites the value of mask attribute j as the view holds it:
+// local references become global ones stamped with their target's slot. It
+// reports false for a value the view drops: a reference in an attribute the
+// global class lacks, or one with no identity here. A multi-valued reference
+// drops such elements instead.
+func (lp listPlan) translate(j int, val *object.Value, c *cost.Counter) bool {
+	ap := &lp[j]
+	switch val.Kind() {
+	case object.KindRef:
+		if !ap.in {
+			return false
+		}
+		c.CPU(1) // reference translation lookup
+		var ok bool
+		*val, ok = ap.global(*val)
+		return ok
+	case object.KindList:
+		if !ap.complex {
+			return true
+		}
+		elems := make([]object.Value, 0, len(val.Elems()))
+		for _, el := range val.Elems() {
+			c.CPU(1)
+			if g, ok := ap.global(el); ok {
+				elems = append(elems, g)
+			}
+		}
+		*val = object.List(elems...)
+	}
+	return true
+}
+
+// global returns the global reference for a local one of the domain.
+func (ap *attrPlan) global(ref object.Value) (object.Value, bool) {
+	e, ok := ap.index[ref.RefLOid()]
+	switch {
+	case !ok:
+		return ref, false
+	case ap.base < 0:
+		return object.Ref(object.LOid(e.GOid)), true
+	}
+	return object.RefAt(object.LOid(e.GOid), ap.base+e.Number), true
 }
 
 // EvaluateView implements step CA_G3: evaluate the query predicates on the
@@ -272,29 +343,33 @@ func (co *Coordinator) EvaluateView(p fabric.Proc, b *query.Bound, v *View) *Ans
 	ans := &Answer{}
 
 	conjunctive := b.Conjunctive()
-	// No row keeps its verdicts, so one scratch slice serves every root; the
-	// rows' targets are cut from a slab.
-	verdicts := make([]tvl.Truth, len(b.Preds))
-	slabs := rowSlabs{rows: len(v.roots)}
-	for _, root := range v.roots {
-		clear(verdicts)
+	// Every root's verdicts are kept — verdicts[r*k:(r+1)*k] are root r's and
+	// folds[r] their fold — so that the answer's rows are counted before
+	// they are cut; the rows' targets are cut from a slab.
+	k := len(b.Preds)
+	verdicts := make([]tvl.Truth, len(v.roots)*k)
+	folds := make([]tvl.Truth, len(v.roots))
+	for r, root := range v.roots {
+		vs := verdicts[r*k : (r+1)*k]
 		for i := range b.Preds {
-			pv := eval.EvalPredicate(v, &b.Preds[i], root, &c, nil)
-			verdicts[i] = pv
+			vs[i] = eval.EvalPredicate(v, &b.Preds[i], root, &c, nil)
 			// Conjunctive queries short-circuit on the first false
 			// predicate; disjunctive ones need every verdict.
-			if conjunctive && pv == tvl.False {
+			if conjunctive && vs[i] == tvl.False {
 				break
 			}
 		}
-		verdict := b.Fold(verdicts)
+		folds[r] = b.Fold(vs)
+	}
+	slabs := rowSlabs{rows: ans.cut(folds)}
+	for r, root := range v.roots {
+		verdict := folds[r]
 		if verdict == tvl.False {
-			ans.Stats.Eliminated++
 			continue
 		}
 		row := ResultRow{GOid: object.GOid(root.LOid)}
 		if verdict == tvl.Unknown {
-			row.Unknown = slabs.unknown(verdicts)
+			row.Unknown = slabs.unknown(verdicts[r*k : (r+1)*k])
 		}
 		row.Targets = slabs.targets.take(len(b.Targets), slabs.rows)
 		for i, tp := range b.Targets {
@@ -313,16 +388,32 @@ func (co *Coordinator) EvaluateView(p fabric.Proc, b *query.Bound, v *View) *Ans
 			}
 			row.Targets[i] = tv
 		}
-		if verdict == tvl.True {
-			ans.Certain = append(ans.Certain, row)
-		} else {
-			ans.Maybe = append(ans.Maybe, row)
-		}
+		ans.add(verdict, row) // the roots, and so the rows, come in GOid order
 	}
-	sortRows(ans.Certain)
-	sortRows(ans.Maybe)
 	c.Flush(p.Sink(co.id))
 	return ans
+}
+
+// cut counts the classifications in folds (0 for none): it adds the
+// eliminated ones to the answer's statistics, gives Certain and Maybe room
+// for exactly their rows and returns how many rows that is.
+func (a *Answer) cut(folds []tvl.Truth) int {
+	var n [tvl.True + 1]int
+	for _, f := range folds {
+		n[f]++
+	}
+	a.Stats.Eliminated += n[tvl.False]
+	a.Certain, a.Maybe = slices.Grow(a.Certain, n[tvl.True]), slices.Grow(a.Maybe, n[tvl.Unknown])
+	return n[tvl.True] + n[tvl.Unknown]
+}
+
+// add appends a row to the list its classification names.
+func (a *Answer) add(verdict tvl.Truth, row ResultRow) {
+	if verdict == tvl.True {
+		a.Certain = append(a.Certain, row)
+	} else {
+		a.Maybe = append(a.Maybe, row)
+	}
 }
 
 // Certify implements step BL_G2 / PL_G2 (phase I): group the local rows of
@@ -443,16 +534,20 @@ func (co *Coordinator) CertifyDegraded(p fabric.Proc, b *query.Bound, results []
 	}
 
 	rootSites := b.RootSites()
-	// No entity keeps its evidence, so one scratch slice serves every one;
-	// the rows' targets and unknown lists are cut from slabs.
-	evidence := make([]tvl.Truth, len(b.Preds))
-	slabs := rowSlabs{rows: len(at) - 1}
-	for k := 0; k+1 < len(at); k++ {
+	// Every entity's evidence is kept — all[k*np:(k+1)*np] is entity k's and
+	// folds[k] its classification, 0 for a number no row names — so that the
+	// answer's rows are counted before they are cut; the rows' targets and
+	// unknown lists are cut from slabs.
+	np := len(b.Preds)
+	all := make([]tvl.Truth, (len(at)-1)*np)
+	folds := make([]tvl.Truth, len(at)-1)
+	for k := range folds {
 		e := rows[at[k]:at[k+1]]
 		if len(e) == 0 {
 			continue
 		}
 		goid := e[0].GOid
+		evidence := all[k*np : (k+1)*np]
 
 		// A queried isomeric root object that returned no row was
 		// eliminated by its site's local predicates: the entity violates
@@ -467,7 +562,7 @@ func (co *Coordinator) CertifyDegraded(p fabric.Proc, b *query.Bound, results []
 			}
 		}
 		if eliminated {
-			ans.Stats.Eliminated++
+			folds[k] = tvl.False
 			continue
 		}
 
@@ -538,23 +633,22 @@ func (co *Coordinator) CertifyDegraded(p fabric.Proc, b *query.Bound, results []
 		}
 
 		// Classify under the query's (possibly disjunctive) form.
-		switch b.Fold(evidence) {
-		case tvl.False:
-			ans.Stats.Eliminated++
-			continue
-		case tvl.True:
-			if localFold != tvl.True {
-				ans.Stats.Certified++
-			}
-			ans.Certain = append(ans.Certain, ResultRow{
-				GOid: goid, Targets: mergeTargets(slabs.targets.take(len(b.Targets), slabs.rows), e, &c)})
-		default:
-			ans.Maybe = append(ans.Maybe, ResultRow{
-				GOid:    goid,
-				Targets: mergeTargets(slabs.targets.take(len(b.Targets), slabs.rows), e, &c),
-				Unknown: slabs.unknown(evidence),
-			})
+		folds[k] = b.Fold(evidence)
+		if folds[k] == tvl.True && localFold != tvl.True {
+			ans.Stats.Certified++
 		}
+	}
+	slabs := rowSlabs{rows: ans.cut(folds)}
+	for k, verdict := range folds {
+		if verdict == 0 || verdict == tvl.False {
+			continue
+		}
+		e := rows[at[k]:at[k+1]]
+		row := ResultRow{GOid: e[0].GOid, Targets: mergeTargets(slabs.targets.take(len(b.Targets), slabs.rows), e, &c)}
+		if verdict == tvl.Unknown {
+			row.Unknown = slabs.unknown(all[k*np : (k+1)*np])
+		}
+		ans.add(verdict, row)
 	}
 
 	// Entities silenced entirely by dead sites come back as all-unknown
@@ -680,7 +774,8 @@ func (co *Coordinator) degradedRootRows(b *query.Bound, dead map[object.SiteID]b
 	}
 	rootTable := co.tables.Table(b.Query.Range)
 	var out []ResultRow
-	for _, goid := range rootTable.GOids() {
+	for _, ent := range rootTable.Ordered() {
+		goid := ent.GOid
 		c.CPU(1)
 		if present(goid) {
 			continue

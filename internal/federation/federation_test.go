@@ -5,6 +5,7 @@ import (
 	"sort"
 	"testing"
 
+	"github.com/hetfed/hetfed/internal/cost"
 	"github.com/hetfed/hetfed/internal/fabric"
 	"github.com/hetfed/hetfed/internal/object"
 	"github.com/hetfed/hetfed/internal/query"
@@ -183,29 +184,29 @@ func TestMaterializeFigure6(t *testing.T) {
 		view = coord.Materialize(p, b, replies)
 	})
 
-	gs1, ok := view.Deref("gs1")
+	gs1, ok := view.Fetch(object.Ref("gs1"), cost.Discard)
 	if !ok {
 		t.Fatal("gs1 not materialized")
 	}
 	if !gs1.Attr("name").Equal(object.Str("John")) {
 		t.Errorf("gs1 name = %v", gs1.Attr("name"))
 	}
-	if gs1.Attr("advisor").RefLOid() != "gt1" {
+	if !gs1.Attr("advisor").Equal(object.Ref("gt1")) {
 		t.Errorf("gs1 advisor = %v", gs1.Attr("advisor"))
 	}
-	if gs1.Attr("address").RefLOid() != "ga2" {
+	if !gs1.Attr("address").Equal(object.Ref("ga2")) {
 		t.Errorf("gs1 address = %v", gs1.Attr("address"))
 	}
 
 	// gt4 (Kelly) merges DB2's speciality with DB3's department.
-	gt4, ok := view.Deref("gt4")
+	gt4, ok := view.Fetch(object.Ref("gt4"), cost.Discard)
 	if !ok {
 		t.Fatal("gt4 not materialized")
 	}
 	if !gt4.Attr("speciality").Equal(object.Str("database")) {
 		t.Errorf("gt4 speciality = %v", gt4.Attr("speciality"))
 	}
-	if gt4.Attr("department").RefLOid() != "gd1" {
+	if !gt4.Attr("department").Equal(object.Ref("gd1")) {
 		t.Errorf("gt4 department = %v", gt4.Attr("department"))
 	}
 

@@ -1,6 +1,7 @@
 package federation
 
 import (
+	"bytes"
 	"fmt"
 	"slices"
 	"strings"
@@ -105,16 +106,16 @@ func wantView(t *testing.T, when string, v *View, want []*object.Object, roots [
 	var c cost.Counter
 	for _, w := range want {
 		g := object.GOid(w.LOid)
-		o, ok := v.Fetch(w.LOid, &c)
-		if d, dok := v.Deref(w.LOid); !ok || !dok || o != d || !v.Has(g) || o.LOid != w.LOid {
-			t.Errorf("%s: Fetch, Deref and Has disagree on %s: %v %v, %v %v, %v", when, g, o, ok, d, dok, v.Has(g))
+		o, ok := v.Fetch(object.Ref(w.LOid), &c)
+		if d := v.lookup(object.Ref(w.LOid)); !ok || o != d || !v.Has(g) || o.LOid != w.LOid {
+			t.Errorf("%s: Fetch, lookup and Has disagree on %s: %v %v, %v, %v", when, g, o, ok, d, v.Has(g))
 		}
 	}
 	if c.CPUOps() != int64(len(want)) || c.DiskBytes() != 0 {
 		t.Errorf("%s: %d fetches charged %d CPU operations, %d disk bytes", when, len(want), c.CPUOps(), c.DiskBytes())
 	}
 	for _, g := range absent {
-		if _, ok := v.Fetch(object.LOid(g), &c); ok || v.Has(g) {
+		if _, ok := v.Fetch(object.Ref(object.LOid(g)), &c); ok || v.Has(g) {
 			t.Errorf("%s: the view holds %s, which no reply did", when, g)
 		}
 	}
@@ -295,5 +296,130 @@ func TestDegradedRowsFollowViewHas(t *testing.T) {
 	})
 	if len(rows) != 1 || rows[0].GOid != "ge2" {
 		t.Errorf("with S1 dead the synthesized rows are %+v, want ge2 alone", rows)
+	}
+}
+
+// TestMaterializeSurvivesUnknownClass: a decoded reply may name a global
+// class this coordinator's schema lacks — it is a peer's word, off the wire.
+// Its references translate through no attribute, so they are dropped, and the
+// rest of the view is built as without it.
+func TestMaterializeSurvivesUnknownClass(t *testing.T) {
+	fx := joinFixture(t)
+	co := NewCoordinator("G", fx.global, fx.tables)
+	replies := retrieveFrom(t, fx, "S1", "S2", "S3")
+	stray := object.New("x1", "Stray", map[string]object.Value{"boss": object.Ref("e1"), "n": object.Int(1)})
+	replies[0].Classes = append(replies[0].Classes, ClassObjects{
+		GlobalClass: "Stray", Attrs: []string{"boss", "n"}, Objects: []*object.Object{stray}, Owned: true})
+	var with, without *View
+	onReal(t, func(p fabric.Proc) {
+		with = co.Materialize(p, fx.bound, replies)
+		without = co.Materialize(p, fx.bound, retrieveFrom(t, fx, "S1", "S2", "S3"))
+	})
+	if with.Len() != without.Len()+1 || stray.Attr("boss").Kind() != object.KindNull || !stray.Attr("n").Equal(object.Int(1)) {
+		t.Errorf("with a stray class the view holds %d objects (%d without) and the stray object is %v", with.Len(), without.Len(), stray)
+	}
+}
+
+// TestViewSlotsStayInTheView: the slot a view stamps on a reference it
+// translated names that reference's target, and the stamp stays in the
+// view. A stamped reference is Equal to its unstamped twin, resolves to the
+// same object, and encodes, prints and is priced the same; no answer target
+// carries a stamp; and the stored objects an in-process join reads carry
+// none afterwards, so no retrieve frame can. Over replies as the sites build
+// them and as the record encoding delivers them (Owned, adopted in place).
+func TestViewSlotsStayInTheView(t *testing.T) {
+	unstamped := func(v object.Value) object.Value {
+		if v.Kind() != object.KindList {
+			return object.Ref(v.RefLOid())
+		}
+		elems := make([]object.Value, len(v.Elems()))
+		for i, e := range v.Elems() {
+			elems[i] = object.Ref(e.RefLOid())
+		}
+		return object.List(elems...)
+	}
+	noStamp := func(where string, v object.Value) {
+		for _, e := range append([]object.Value{v}, v.Elems()...) {
+			if _, ok := e.RefSlot(); ok {
+				t.Errorf("%s carries a view slot: %v", where, v)
+			}
+		}
+	}
+	for _, fx := range sitePathFixtures(t) {
+		for _, overWire := range []bool{false, true} {
+			when := fmt.Sprintf("%s (over the wire: %v)", fx.name, overWire)
+			sites := fx.sites()
+			var replies []RetrieveReply
+			for _, id := range fx.bound.InvolvedSites() {
+				onReal(t, func(p fabric.Proc) { replies = append(replies, sites[id].Retrieve(p, fx.bound)) })
+				if overWire {
+					replies[len(replies)-1] = recordRoundTrip(t, replies[len(replies)-1])
+				}
+			}
+			co := NewCoordinator("G", fx.global, fx.tables)
+			var (
+				view *View
+				ans  *Answer
+			)
+			onReal(t, func(p fabric.Proc) { view = co.Materialize(p, fx.bound, replies) })
+			onReal(t, func(p fabric.Proc) { ans = co.EvaluateView(p, fx.bound, view) })
+
+			stamped := 0
+			for _, o := range viewObjects(view) {
+				twin := object.New(o.LOid, o.Class, nil)
+				for i := 0; i < o.Len(); i++ {
+					name, v := o.At(i)
+					if k := v.Kind(); k != object.KindRef && k != object.KindList {
+						twin.Set(name, v)
+						continue
+					}
+					u := unstamped(v)
+					twin.Set(name, u)
+					if !v.Equal(u) || v.String() != u.String() || v.WireSize() != u.WireSize() {
+						t.Errorf("%s: %s.%s = %v is not its unstamped twin %v", when, o.LOid, name, v, u)
+					}
+					for j, e := range append([]object.Value{v}, v.Elems()...) {
+						if _, ok := e.RefSlot(); !ok {
+							continue
+						}
+						stamped++
+						ue := append([]object.Value{u}, u.Elems()...)[j]
+						got, ok := view.Fetch(e, cost.Discard)
+						want, wok := view.Fetch(ue, cost.Discard)
+						if !ok || !wok || got != want || got.LOid != e.RefLOid() {
+							t.Errorf("%s: %s.%s's slot resolves %v to %v, its GOid to %v", when, o.LOid, name, e, got, want)
+						}
+					}
+				}
+				a, err := object.AppendMasked(nil, o, o.AttrNames())
+				b, werr := object.AppendMasked(nil, twin, twin.AttrNames())
+				if err != nil || werr != nil || !bytes.Equal(a, b) || o.String() != twin.String() || o.WireSize(nil) != twin.WireSize(nil) {
+					t.Errorf("%s: %v encodes, prints or is priced apart from its unstamped twin %v", when, o, twin)
+				}
+			}
+			if fx.name == "school" && stamped == 0 {
+				t.Errorf("%s: the view stamped no reference", when)
+			}
+			for _, rows := range [][]ResultRow{ans.Certain, ans.Maybe} {
+				for _, row := range rows {
+					for _, v := range row.Targets {
+						noStamp(fmt.Sprintf("%s: answer row %s", when, row.GOid), v)
+					}
+				}
+			}
+			for _, reply := range replies {
+				for _, cls := range reply.Classes {
+					if cls.Owned {
+						continue // the view's own objects now
+					}
+					for _, o := range cls.Objects {
+						for i := 0; i < o.Len(); i++ {
+							name, v := o.At(i)
+							noStamp(fmt.Sprintf("%s: stored %s.%s", when, o.LOid, name), v)
+						}
+					}
+				}
+			}
+		}
 	}
 }

@@ -629,7 +629,7 @@ func (ws *Workspace) CheckAssistants(p fabric.Proc, items []CheckItem) CheckRepl
 			continue // no site of this program sends one; there is nothing to evaluate
 		}
 		bs := suffixes.of(s, it.Point)
-		o, ok := src.Fetch(it.Assistant, &c)
+		o, ok := src.Fetch(object.Ref(it.Assistant), &c)
 		if !ok || !bs.ok {
 			continue
 		}

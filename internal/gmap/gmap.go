@@ -60,6 +60,9 @@ type Table struct {
 	byGOid   map[object.GOid]entity
 	sites    map[object.SiteID]Index
 	bindings int
+
+	mu      sync.Mutex // guards ordered: concurrent readers build it (Ordered)
+	ordered []Entity
 }
 
 // NewTable returns an empty mapping table for the named global class.
@@ -94,6 +97,9 @@ func (t *Table) Bind(goid object.GOid, site object.SiteID, loid object.LOid) err
 	}
 	if !known {
 		e.number = len(t.byGOid)
+		t.mu.Lock()
+		t.ordered = nil
+		t.mu.Unlock()
 	}
 	grown := make([]Location, len(e.locs)+1)
 	copy(grown, e.locs[:at])
@@ -167,12 +173,28 @@ func (t *Table) Locations(goid object.GOid) []Location { return t.byGOid[goid].l
 
 // GOids returns every mapped global identifier, sorted.
 func (t *Table) GOids() []object.GOid {
-	out := make([]object.GOid, 0, len(t.byGOid))
-	for g := range t.byGOid {
-		out = append(out, g)
+	ordered := t.Ordered()
+	out := make([]object.GOid, len(ordered))
+	for i, e := range ordered {
+		out[i] = e.GOid
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
+}
+
+// Ordered returns the table's entities sorted by GOid, an index of the table
+// like its numbering. The slice is the table's own and read-only; the first
+// reader after a Bind numbers a new entity builds it afresh.
+func (t *Table) Ordered() []Entity {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if t.ordered == nil && len(t.byGOid) > 0 {
+		t.ordered = make([]Entity, 0, len(t.byGOid))
+		for g, e := range t.byGOid {
+			t.ordered = append(t.ordered, Entity{GOid: g, Number: e.number})
+		}
+		slices.SortFunc(t.ordered, func(a, b Entity) int { return strings.Compare(string(a.GOid), string(b.GOid)) })
+	}
+	return t.ordered
 }
 
 // Len returns the number of entities in the table.
@@ -185,7 +207,7 @@ func (t *Table) Bindings() int { return t.bindings }
 // Clone returns an independent copy, used to replicate the table to a site.
 // The locations slices are shared, which their immutability allows: a Bind
 // on either table replaces that table's slice and leaves the other's alone.
-// The clone keeps every entity's number.
+// The clone keeps every entity's number and orders its entities on its own.
 func (t *Table) Clone() *Table {
 	cp := &Table{class: t.class, byGOid: maps.Clone(t.byGOid), bindings: t.bindings,
 		sites: make(map[object.SiteID]Index, len(t.sites))}

@@ -3,6 +3,7 @@ package gmap
 import (
 	"fmt"
 	"reflect"
+	"sync"
 	"testing"
 
 	"github.com/hetfed/hetfed/internal/object"
@@ -212,4 +213,57 @@ func BenchmarkGmap(b *testing.B) {
 		}
 	})
 	_, _ = sinkLocs, sinkGOid
+}
+
+// TestTableOrderFollowsBinds: a table's GOid order is an index of the table.
+// An entity bound after the order was read appears in its GOid position with
+// its own number, a Clone orders apart from its origin, and concurrent
+// readers share the one order the first of them builds.
+func TestTableOrderFollowsBinds(t *testing.T) {
+	wantOrder := func(when string, tab *Table, want ...object.GOid) {
+		t.Helper()
+		got := tab.Ordered()
+		if len(got) != len(want) {
+			t.Fatalf("%s: %d entities in order, want %d", when, len(got), len(want))
+		}
+		for i, e := range got {
+			if n, ok := tab.Number(e.GOid); e.GOid != want[i] || !ok || n != e.Number {
+				t.Errorf("%s: entry %d is %s #%d, want %s #%d", when, i, e.GOid, e.Number, want[i], n)
+			}
+		}
+		if goids := tab.GOids(); !reflect.DeepEqual(goids, want) {
+			t.Errorf("%s: GOids = %v, want %v", when, goids, want)
+		}
+	}
+	tab := figure5Student()
+	wantOrder("loaded", tab, "gs1", "gs2", "gs3", "gs4", "gs5")
+	tab.MustBind("gs25", "DB1", "s25")
+	wantOrder("after a new entity", tab, "gs1", "gs2", "gs25", "gs3", "gs4", "gs5")
+	tab.MustBind("gs25", "DB2", "s25'")
+	wantOrder("after a second location", tab, "gs1", "gs2", "gs25", "gs3", "gs4", "gs5")
+
+	cp := tab.Clone()
+	cp.MustBind("gs0", "DB1", "s0")
+	tab.MustBind("gs9", "DB1", "s9")
+	wantOrder("the origin after both bound", tab, "gs1", "gs2", "gs25", "gs3", "gs4", "gs5", "gs9")
+	wantOrder("the clone after both bound", cp, "gs0", "gs1", "gs2", "gs25", "gs3", "gs4", "gs5")
+
+	tab.MustBind("gs6", "DB2", "s6'")
+	const readers = 8
+	firsts := make([]*Entity, readers)
+	var wg sync.WaitGroup
+	for i := range firsts {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			firsts[i] = &tab.Ordered()[0]
+		}()
+	}
+	wg.Wait()
+	for i, f := range firsts {
+		if f != firsts[0] {
+			t.Errorf("reader %d read an order of its own: the order was built more than once", i)
+		}
+	}
+	wantOrder("read concurrently", tab, "gs1", "gs2", "gs25", "gs3", "gs4", "gs5", "gs6", "gs9")
 }

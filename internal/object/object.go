@@ -120,7 +120,7 @@ func (k Kind) String() string {
 // a slice header they never use.
 type Value struct {
 	kind Kind
-	n    uint64   // KindInt: the integer; KindBool: 0 or 1; KindFloat: math.Float64bits
+	n    uint64   // KindInt: the integer; KindBool: 0 or 1; KindFloat: math.Float64bits; KindRef: slot+1 or 0
 	s    string   // KindString, KindRef, KindGRef
 	list *[]Value // KindList with elements; nil for the empty list
 }
@@ -149,6 +149,18 @@ func Bool(v bool) Value {
 // Ref returns a reference to a local object, i.e. the value of a complex
 // attribute in a component database.
 func Ref(id LOid) Value { return Value{kind: KindRef, s: string(id)} }
+
+// RefAt returns Ref(id) stamped with slot, its target's position in the view
+// that holds it. Only RefSlot reads the stamp: Equal, Compare, WireSize,
+// String and AppendBinary read it as Ref(id), so it reaches no answer or wire.
+func RefAt(id LOid, slot int) Value { return Value{kind: KindRef, s: string(id), n: uint64(slot) + 1} }
+
+// RefSlot returns the slot RefAt stamped on a reference; ok is false for an
+// unstamped reference and for every other kind. It and RefLOid take a
+// pointer: at 40 bytes a Value is not kept in registers, and a value
+// receiver copies a reference just passed in (eval.Source.Fetch) whole,
+// through a store-forwarding stall.
+func (v *Value) RefSlot() (slot int, ok bool) { return int(v.n) - 1, v.kind == KindRef && v.n != 0 }
 
 // GRef returns a reference to a global object, i.e. the value of a complex
 // attribute after LOids have been transformed to GOids during integration.
@@ -189,7 +201,7 @@ func (v Value) Text() string { return v.s }
 func (v Value) BoolVal() bool { return v.n != 0 }
 
 // RefLOid returns the referenced LOid. It is valid only for KindRef.
-func (v Value) RefLOid() LOid { return LOid(v.s) }
+func (v *Value) RefLOid() LOid { return LOid(v.s) }
 
 // Elems returns the elements of a list value. The returned slice must not be
 // modified. It is valid only for KindList.
@@ -351,7 +363,7 @@ func (v Value) String() string {
 //
 // The modeled size of the whole object — what every scan and fetch charges
 // as a disk read — is kept beside the entries by whatever builds or changes
-// them: New, Set, Append, Clone and the decoders.
+// them: New, Set, Append, Rewrite, Clone and the decoders.
 type Object struct {
 	LOid  LOid
 	Class string
@@ -464,12 +476,27 @@ func (o *Object) Append(name string, v Value) {
 	o.attrs = append(o.attrs, attr{name, v})
 }
 
-// Clear drops every attribute and keeps their storage for Appends. A
-// Projection started before Clear still reads the old entries, so the sole
-// holder of an object can rewrite it through its own projection: each
-// Append lands on an entry the cursor has already passed.
-func (o *Object) Clear() {
-	o.attrs, o.wire = o.attrs[:0], 0
+// Rewrite is for the sole holder of o: fn is handed each entry mask selects
+// (as for Projected) by its position in mask, and may replace its value in
+// place. An entry fn rejects, and one outside mask, is dropped.
+func (o *Object) Rewrite(mask []string, fn func(j int, v *Value) bool) {
+	kept, j := 0, 0
+	o.wire = 0
+	for i := range o.attrs {
+		e := &o.attrs[i]
+		for j < len(mask) && mask[j] < e.name {
+			j++
+		}
+		if j == len(mask) || mask[j] != e.name || !fn(j, &e.val) {
+			continue
+		}
+		if kept != i {
+			o.attrs[kept] = *e
+		}
+		kept++
+		o.wire += wireOf(&e.val)
+	}
+	o.attrs = o.attrs[:kept]
 }
 
 // Clone returns a deep-enough copy: the attribute entries are copied (values
@@ -484,6 +511,7 @@ func (o *Object) Clone() *Object {
 type Projection struct {
 	attrs []attr
 	mask  []string
+	width int // the whole mask's length
 }
 
 // Projected returns a cursor over the object's attributes whose names are in
@@ -492,7 +520,7 @@ type Projection struct {
 // the two sorted lists together, so it costs their lengths, not their
 // product. A nil or empty mask selects nothing.
 func (o *Object) Projected(mask []string) Projection {
-	return Projection{attrs: o.attrs, mask: mask}
+	return Projection{attrs: o.attrs, mask: mask, width: len(mask)}
 }
 
 // next returns the next selected entry, or nil when the walk is over.
@@ -513,12 +541,13 @@ func (p *Projection) next() *attr {
 	return nil
 }
 
-// Next returns the next selected attribute; ok is false when none is left.
-func (p *Projection) Next() (name string, v Value, ok bool) {
+// Next returns the next selected attribute by its position j in the mask
+// (its name is mask[j]); ok is false when none is left.
+func (p *Projection) Next() (j int, v Value, ok bool) {
 	if e := p.next(); e != nil {
-		return e.name, e.val, true
+		return p.width - len(p.mask) - 1, e.val, true
 	}
-	return "", Value{}, false
+	return 0, Value{}, false
 }
 
 // WireSize returns the bytes needed to ship the object projected on the

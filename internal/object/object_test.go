@@ -251,11 +251,13 @@ func TestObjectProject(t *testing.T) {
 	})
 	// The projection is read in place, in name order, through a sorted mask.
 	var got []string
-	for p := o.Projected([]string{"advisor", "name", "nonexistent"}); ; {
-		name, v, ok := p.Next()
+	mask := []string{"advisor", "name", "nonexistent"}
+	for p := o.Projected(mask); ; {
+		j, v, ok := p.Next()
 		if !ok {
 			break
 		}
+		name := mask[j]
 		if !v.Equal(o.Attr(name)) {
 			t.Errorf("Projected yields %s = %v, the object holds %v", name, v, o.Attr(name))
 		}
@@ -266,8 +268,8 @@ func TestObjectProject(t *testing.T) {
 	}
 	for _, none := range [][]string{nil, {}, {"a", "b"}, {"zzz"}} {
 		p := o.Projected(none)
-		if name, _, ok := p.Next(); ok {
-			t.Errorf("Projected(%v) yields %s", none, name)
+		if j, _, ok := p.Next(); ok {
+			t.Errorf("Projected(%v) yields %s", none, none[j])
 		}
 	}
 }

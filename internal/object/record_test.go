@@ -273,15 +273,15 @@ func checkProjection(t testing.TB, o *Object, mask []string) {
 	}
 	p := o.Projected(mask)
 	for i := 0; ; i++ {
-		name, v, ok := p.Next()
+		j, v, ok := p.Next()
 		if !ok {
 			if i != cp.Len() {
 				t.Errorf("%v through %v: %d attributes, the copy has %d", o, mask, i, cp.Len())
 			}
 			break
 		}
-		if wn, wv := cp.At(i); name != wn || !reflect.DeepEqual(v, wv) {
-			t.Errorf("%v through %v: attribute %d is %s=%v, the copy's %s=%v", o, mask, i, name, v, wn, wv)
+		if wn, wv := cp.At(i); mask[j] != wn || !reflect.DeepEqual(v, wv) {
+			t.Errorf("%v through %v: attribute %d is %s=%v, the copy's %s=%v", o, mask, i, mask[j], v, wn, wv)
 		}
 	}
 }

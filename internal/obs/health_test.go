@@ -50,7 +50,7 @@ func TestPrefixHealth(t *testing.T) {
 func healthzBody(t *testing.T, health ...Health) struct {
 	Status     string            `json:"status"`
 	Conditions map[string]string `json:"conditions"`
-	Degraded   []string          `json:"degraded_peers"`
+	Degraded   []string          `json:"degraded"`
 } {
 	t.Helper()
 	s, err := Serve("127.0.0.1:0", "G", metrics.New(), nil, health...)
@@ -65,7 +65,7 @@ func healthzBody(t *testing.T, health ...Health) struct {
 	var got struct {
 		Status     string            `json:"status"`
 		Conditions map[string]string `json:"conditions"`
-		Degraded   []string          `json:"degraded_peers"`
+		Degraded   []string          `json:"degraded"`
 	}
 	if err := json.Unmarshal([]byte(body), &got); err != nil {
 		t.Fatalf("healthz JSON: %v in %q", err, body)
@@ -89,7 +89,7 @@ func TestHealthzMultiSourceAllHealthy(t *testing.T) {
 		t.Errorf("status = %q, want ok; body %+v", got.Status, got)
 	}
 	if len(got.Degraded) != 0 {
-		t.Errorf("degraded_peers = %v, want none", got.Degraded)
+		t.Errorf("degraded = %v, want none", got.Degraded)
 	}
 	want := map[string]string{"antientropy:state": "ok(round=3, repaired=0B)", "wal:engine": "ok(seq=412)"}
 	if !reflect.DeepEqual(got.Conditions, want) {
@@ -100,7 +100,7 @@ func TestHealthzMultiSourceAllHealthy(t *testing.T) {
 // Degraded-status precedence: a single unhealthy entry from any source —
 // here the resync backlog beside a suspect replica, while the WAL is fine —
 // flips the merged status, and the offending entries are listed sorted under
-// degraded_peers.
+// degraded.
 func TestHealthzMultiSourcePrecedence(t *testing.T) {
 	replica := Health(func() map[string]string {
 		return map[string]string{"state": "suspect(Teacher) round=7 repaired=0B"}
@@ -118,7 +118,7 @@ func TestHealthzMultiSourcePrecedence(t *testing.T) {
 	}
 	wantDegraded := []string{"antientropy:state", "resync:DB3"}
 	if !reflect.DeepEqual(got.Degraded, wantDegraded) {
-		t.Errorf("degraded_peers = %v, want %v (sorted, healthy entries excluded)",
+		t.Errorf("degraded = %v, want %v (sorted, healthy entries excluded)",
 			got.Degraded, wantDegraded)
 	}
 	if got.Conditions["wal:engine"] != "ok(seq=9)" {

@@ -125,7 +125,7 @@ func newMux(site string, reg *metrics.Registry, rec *Recorder, health []Health) 
 			Version    string            `json:"version"`
 			UptimeS    float64           `json:"uptime_seconds"`
 			Conditions map[string]string `json:"conditions,omitempty"`
-			Degraded   []string          `json:"degraded_peers,omitempty"`
+			Degraded   []string          `json:"degraded,omitempty"`
 		}{Status: "ok", Site: site, Version: version.String(), UptimeS: time.Since(start).Seconds()}
 		for _, h := range health {
 			for name, state := range h() {

@@ -200,7 +200,7 @@ func TestHealthzConditions(t *testing.T) {
 	var got struct {
 		Status     string            `json:"status"`
 		Conditions map[string]string `json:"conditions"`
-		Degraded   []string          `json:"degraded_peers"`
+		Degraded   []string          `json:"degraded"`
 	}
 	if err := json.Unmarshal([]byte(body), &got); err != nil {
 		t.Fatalf("healthz JSON: %v in %q", err, body)

@@ -3,6 +3,7 @@ package remote
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -309,6 +310,53 @@ func TestChecksDispatchedCountedOnce(t *testing.T) {
 			if got := row.count(t, alg); got != want {
 				t.Errorf("%v %s: checks_dispatched_total = %d, want %d", alg, row.name, got, want)
 			}
+		}
+	}
+}
+
+// TestViewSlotsStayInTheView: the view slot the centralized approach stamps
+// on a translated reference (object.RefAt) reaches no answer, in process or
+// over TCP, and no stored object — the source of every retrieve frame — so no
+// frame carries one. The query's targets end at references, so the answers'
+// rows hold what the view's objects held, translated to global references.
+func TestViewSlotsStayInTheView(t *testing.T) {
+	fx := school.New()
+	c := fedCase{"school", fx.Global, fx.Databases, fx.Mapping,
+		`select name, advisor, advisor.department from Student where advisor.speciality = "database"`}
+	refs := 0
+	everywhere := runEverywhere(t, c, "")
+	for transport, answers := range everywhere {
+		ans := answers[exec.CA]
+		if got, want := summarize(ans), summarize(everywhere["real"][exec.CA]); got != want {
+			t.Errorf("%s: CA answers %s, in process %s", transport, got, want)
+		}
+		for _, row := range append(slices.Clone(ans.Certain), ans.Maybe...) {
+			for _, v := range row.Targets {
+				if v.Kind() == object.KindGRef {
+					refs++
+				}
+				if _, ok := v.RefSlot(); ok {
+					t.Errorf("%s: row %s carries a view slot in %v", transport, row.GOid, v)
+				}
+			}
+		}
+	}
+	if refs == 0 {
+		t.Error("no answer held a reference: the query checks nothing")
+	}
+	for site, db := range c.dbs {
+		for _, class := range db.Schema().ClassNames() {
+			db.Extent(class).Scan(func(o *object.Object) bool {
+				for i := 0; i < o.Len(); i++ {
+					name, v := o.At(i)
+					for _, e := range append([]object.Value{v}, v.Elems()...) {
+						if _, ok := e.RefSlot(); ok {
+							t.Errorf("%s: stored %s.%s carries a view slot", site, o.LOid, name)
+						}
+					}
+				}
+				return true
+			})
 		}
 	}
 }
