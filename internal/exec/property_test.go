@@ -50,11 +50,15 @@ func goidSet(rows []federation.ResultRow) map[object.GOid]bool {
 //
 //  1. BL and PL return exactly the same answer (PL differs only in cost and
 //     parallel structure, never in information).
-//  2. The localized strategies are sound with respect to the fully
-//     integrated view (CA): every certain result they report is certain
-//     under CA, and they never eliminate an entity CA keeps. They may
-//     report as maybe an entity CA can decide, because certification uses
-//     one level of assistance while CA merges transitively.
+//  2. The localized strategies decide no more than the fully integrated
+//     view (CA): every certain result they report is certain under CA, and
+//     they never eliminate an entity CA keeps. They may report as maybe an
+//     entity CA certifies, because certification uses one level of
+//     assistance while CA merges transitively. (2c) also holds them to
+//     keeping nothing CA eliminates, which is true of the Table 2
+//     generator's shapes but not of a chained path, where they keep as
+//     maybe what CA eliminates (TestOneLevelOfAssistance, DESIGN.md §4
+//     invariant 1).
 func TestAlgorithmAgreementProperty(t *testing.T) {
 	for seed := int64(0); seed < 30; seed++ {
 		rng := rand.New(rand.NewSource(seed))

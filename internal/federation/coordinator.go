@@ -138,7 +138,11 @@ func (co *Coordinator) Materialize(p fabric.Proc, b *query.Bound, replies []Retr
 		for _, cls := range reply.Classes {
 			vc := v.class(cls.GlobalClass)
 			if vc == nil {
-				v.classes = append(v.classes, viewClass{name: cls.GlobalClass, table: co.tables.Table(cls.GlobalClass)})
+				table := co.tables.Lookup(cls.GlobalClass)
+				if table == nil { // a class the replica does not map: the view's own, empty table
+					table = gmap.NewTable(cls.GlobalClass)
+				}
+				v.classes = append(v.classes, viewClass{name: cls.GlobalClass, table: table})
 				vc = &v.classes[len(v.classes)-1]
 			}
 			if !cls.Owned {
@@ -256,8 +260,8 @@ func (lp *listPlan) reset(v *View, tables *gmap.Tables, site object.SiteID, gc *
 		ap := attrPlan{in: in, complex: in && a.IsComplex(), base: -1}
 		if vc := v.class(a.Domain); ap.complex && vc != nil {
 			ap.index, ap.base = vc.table.At(site), vc.base
-		} else if ap.complex && tables.Has(a.Domain) {
-			ap.index = tables.Table(a.Domain).At(site)
+		} else if t := tables.Lookup(a.Domain); ap.complex && t != nil {
+			ap.index = t.At(site)
 		}
 		*lp = append(*lp, ap)
 	}

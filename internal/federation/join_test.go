@@ -3,10 +3,12 @@ package federation
 import (
 	"bytes"
 	"fmt"
+	"maps"
 	"slices"
 	"strings"
 	"testing"
 
+	"github.com/hetfed/hetfed/internal/antientropy"
 	"github.com/hetfed/hetfed/internal/cost"
 	"github.com/hetfed/hetfed/internal/fabric"
 	"github.com/hetfed/hetfed/internal/gmap"
@@ -302,10 +304,13 @@ func TestDegradedRowsFollowViewHas(t *testing.T) {
 // TestMaterializeSurvivesUnknownClass: a decoded reply may name a global
 // class this coordinator's schema lacks — it is a peer's word, off the wire.
 // Its references translate through no attribute, so they are dropped, and the
-// rest of the view is built as without it.
+// rest of the view is built as without it. The join reads the mapping-table
+// replica under the query's read lock and adds no table to it: the class set
+// and the anti-entropy digests stay as they were.
 func TestMaterializeSurvivesUnknownClass(t *testing.T) {
 	fx := joinFixture(t)
 	co := NewCoordinator("G", fx.global, fx.tables)
+	classes, digests := fx.tables.Classes(), antientropy.Digests(fx.tables)
 	replies := retrieveFrom(t, fx, "S1", "S2", "S3")
 	stray := object.New("x1", "Stray", map[string]object.Value{"boss": object.Ref("e1"), "n": object.Int(1)})
 	replies[0].Classes = append(replies[0].Classes, ClassObjects{
@@ -317,6 +322,12 @@ func TestMaterializeSurvivesUnknownClass(t *testing.T) {
 	})
 	if with.Len() != without.Len()+1 || stray.Attr("boss").Kind() != object.KindNull || !stray.Attr("n").Equal(object.Int(1)) {
 		t.Errorf("with a stray class the view holds %d objects (%d without) and the stray object is %v", with.Len(), without.Len(), stray)
+	}
+	if got := fx.tables.Classes(); !slices.Equal(got, classes) {
+		t.Errorf("the join changed the replica's classes from %v to %v", classes, got)
+	}
+	if got := antientropy.Digests(fx.tables); !maps.Equal(got, digests) {
+		t.Errorf("the join changed the replica's digests from %v to %v", digests, got)
 	}
 }
 

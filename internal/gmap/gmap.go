@@ -237,27 +237,25 @@ func NewTables() *Tables {
 // Table returns the table of the named global class, creating it on first
 // use. Safe for concurrent callers.
 func (ts *Tables) Table(class string) *Table {
-	ts.mu.RLock()
-	t := ts.byClass[class]
-	ts.mu.RUnlock()
-	if t != nil {
+	if t := ts.Lookup(class); t != nil {
 		return t
 	}
 	ts.mu.Lock()
 	defer ts.mu.Unlock()
-	if t = ts.byClass[class]; t == nil {
+	t := ts.byClass[class]
+	if t == nil {
 		t = NewTable(class)
 		ts.byClass[class] = t
 	}
 	return t
 }
 
-// Has reports whether a table exists for the named global class.
-func (ts *Tables) Has(class string) bool {
+// Lookup returns the table of the named global class, or nil if there is
+// none: unlike Table, it never adds one.
+func (ts *Tables) Lookup(class string) *Table {
 	ts.mu.RLock()
 	defer ts.mu.RUnlock()
-	_, ok := ts.byClass[class]
-	return ok
+	return ts.byClass[class]
 }
 
 // Classes returns the mapped global class names, sorted.

@@ -108,13 +108,13 @@ func TestCloneIsDeep(t *testing.T) {
 
 func TestTablesGroup(t *testing.T) {
 	ts := NewTables()
-	if ts.Has("Student") {
-		t.Error("Has on empty group")
+	if ts.Lookup("Student") != nil || len(ts.Classes()) != 0 {
+		t.Error("Lookup on an empty group found a table, or added one")
 	}
 	st := ts.Table("Student")
 	st.MustBind("gs1", "DB1", "s1")
-	if !ts.Has("Student") {
-		t.Error("Has after Table")
+	if ts.Lookup("Student") != st {
+		t.Error("Lookup after Table")
 	}
 	if ts.Table("Student") != st {
 		t.Error("Table not idempotent")

@@ -30,10 +30,13 @@
 //     handful of allocations per thousand objects. One entry loop and one
 //     value parser read every record: masked into a slab
 //     (Slab.DecodeMasked), named with allocations of its own (DecodeObject).
-//   - A Value is 40 bytes, an attribute entry 56: the scalar payloads share
-//     one word and the rare list sits behind a pointer, so every slab, result
-//     row and navigation outcome is a third smaller than with a field per
-//     kind.
+//   - A Value is three words, 24 bytes, and an attribute entry 40: a data
+//     pointer (a string's or reference's text, a list's elements), a payload
+//     word (the text's or list's length, or the scalar itself) and a kind
+//     byte, so a Value fits the registers a call passes it in, and every
+//     slab, result row and navigation outcome is smaller than with a field
+//     per kind. This file is the one place that builds and reads the data
+//     pointer (unsafe.String, unsafe.StringData, unsafe.Slice).
 package object
 
 import (
@@ -43,6 +46,7 @@ import (
 	"slices"
 	"strconv"
 	"strings"
+	"unsafe"
 )
 
 // LOid is a local object identifier, unique within one component database.
@@ -114,28 +118,38 @@ func (k Kind) String() string {
 // Value is an immutable attribute value. The zero Value is invalid; use the
 // constructors (Null, Int, Float, Str, Bool, Ref, GRef, List).
 //
-// It is 40 bytes: an integer, a boolean and a float's bits share the word n,
-// and a list — the rare kind — sits behind a pointer, so the scalar values
-// that fill every entry slab, result row and navigation outcome do not carry
-// a slice header they never use.
+// It is three machine words, small enough for the compiler to keep in
+// registers, so a value-receiver call or a Value argument costs no copy
+// through memory: the data pointer p, the payload word n and the tag, whose
+// low byte is the kind and whose spare bytes hold RefAt's view-slot stamp.
 type Value struct {
-	kind Kind
-	n    uint64   // KindInt: the integer; KindBool: 0 or 1; KindFloat: math.Float64bits; KindRef: slot+1 or 0
-	s    string   // KindString, KindRef, KindGRef
-	list *[]Value // KindList with elements; nil for the empty list
+	p   unsafe.Pointer // KindString, KindRef, KindGRef: the text; KindList: the elements (nil for none)
+	n   uint64         // KindInt: the integer; KindBool: 0 or 1; KindFloat: math.Float64bits; text or list: its length
+	tag uint64         // the Kind, and for KindRef RefAt's slot+1 shifted past it (0: unstamped)
 }
 
+// textKinds is the set of kinds whose payload is text, one bit per kind.
+const textKinds = 1<<KindString | 1<<KindRef | 1<<KindGRef
+
+// textValue returns a value of a text kind holding s.
+func textValue(k Kind, s string) Value {
+	return Value{tag: uint64(k), p: unsafe.Pointer(unsafe.StringData(s)), n: uint64(len(s))}
+}
+
+// str is the text of a value of a text kind.
+func (v Value) str() string { return unsafe.String((*byte)(v.p), v.n) }
+
 // Null returns the null value, representing missing data.
-func Null() Value { return Value{kind: KindNull} }
+func Null() Value { return Value{tag: uint64(KindNull)} }
 
 // Int returns an integer value.
-func Int(v int64) Value { return Value{kind: KindInt, n: uint64(v)} }
+func Int(v int64) Value { return Value{tag: uint64(KindInt), n: uint64(v)} }
 
 // Float returns a floating-point value.
-func Float(v float64) Value { return Value{kind: KindFloat, n: math.Float64bits(v)} }
+func Float(v float64) Value { return Value{tag: uint64(KindFloat), n: math.Float64bits(v)} }
 
 // Str returns a string value.
-func Str(v string) Value { return Value{kind: KindString, s: v} }
+func Str(v string) Value { return textValue(KindString, v) }
 
 // Bool returns a boolean value.
 func Bool(v bool) Value {
@@ -143,28 +157,31 @@ func Bool(v bool) Value {
 	if v {
 		n = 1
 	}
-	return Value{kind: KindBool, n: n}
+	return Value{tag: uint64(KindBool), n: n}
 }
 
 // Ref returns a reference to a local object, i.e. the value of a complex
 // attribute in a component database.
-func Ref(id LOid) Value { return Value{kind: KindRef, s: string(id)} }
+func Ref(id LOid) Value { return textValue(KindRef, string(id)) }
 
 // RefAt returns Ref(id) stamped with slot, its target's position in the view
 // that holds it. Only RefSlot reads the stamp: Equal, Compare, WireSize,
 // String and AppendBinary read it as Ref(id), so it reaches no answer or wire.
-func RefAt(id LOid, slot int) Value { return Value{kind: KindRef, s: string(id), n: uint64(slot) + 1} }
+func RefAt(id LOid, slot int) Value {
+	v := Ref(id)
+	v.tag |= uint64(slot+1) << 8
+	return v
+}
 
 // RefSlot returns the slot RefAt stamped on a reference; ok is false for an
-// unstamped reference and for every other kind. It and RefLOid take a
-// pointer: at 40 bytes a Value is not kept in registers, and a value
-// receiver copies a reference just passed in (eval.Source.Fetch) whole,
-// through a store-forwarding stall.
-func (v *Value) RefSlot() (slot int, ok bool) { return int(v.n) - 1, v.kind == KindRef && v.n != 0 }
+// unstamped reference and for every other kind.
+func (v Value) RefSlot() (slot int, ok bool) {
+	return int(v.tag>>8) - 1, v.Kind() == KindRef && v.tag>>8 != 0
+}
 
 // GRef returns a reference to a global object, i.e. the value of a complex
 // attribute after LOids have been transformed to GOids during integration.
-func GRef(id GOid) Value { return Value{kind: KindGRef, s: string(id)} }
+func GRef(id GOid) Value { return textValue(KindGRef, string(id)) }
 
 // List returns a multi-valued attribute value. The elements are copied.
 func List(elems ...Value) Value {
@@ -174,19 +191,19 @@ func List(elems ...Value) Value {
 // listOf wraps elems, which the caller gives up, as a list value.
 func listOf(elems []Value) Value {
 	if len(elems) == 0 {
-		return Value{kind: KindList}
+		return Value{tag: uint64(KindList)}
 	}
-	return Value{kind: KindList, list: &elems}
+	return Value{tag: uint64(KindList), p: unsafe.Pointer(unsafe.SliceData(elems)), n: uint64(len(elems))}
 }
 
 // Kind reports the kind of the value. The zero Value reports 0.
-func (v Value) Kind() Kind { return v.kind }
+func (v Value) Kind() Kind { return Kind(uint8(v.tag)) }
 
 // IsNull reports whether the value is the null value.
-func (v Value) IsNull() bool { return v.kind == KindNull }
+func (v Value) IsNull() bool { return v.Kind() == KindNull }
 
 // IsRef reports whether the value is a local or global object reference.
-func (v Value) IsRef() bool { return v.kind == KindRef || v.kind == KindGRef }
+func (v Value) IsRef() bool { return v.Kind() == KindRef || v.Kind() == KindGRef }
 
 // Int64 returns the integer payload. It is valid only for KindInt.
 func (v Value) Int64() int64 { return int64(v.n) }
@@ -194,36 +211,42 @@ func (v Value) Int64() int64 { return int64(v.n) }
 // Float64 returns the float payload. It is valid only for KindFloat.
 func (v Value) Float64() float64 { return math.Float64frombits(v.n) }
 
-// Text returns the string payload. It is valid only for KindString.
-func (v Value) Text() string { return v.s }
+// Text returns the string payload. It is valid for KindString (and reads a
+// reference's identifier); it is "" for every other kind.
+func (v Value) Text() string {
+	if 1<<v.Kind()&textKinds == 0 {
+		return ""
+	}
+	return v.str()
+}
 
 // BoolVal returns the boolean payload. It is valid only for KindBool.
 func (v Value) BoolVal() bool { return v.n != 0 }
 
 // RefLOid returns the referenced LOid. It is valid only for KindRef.
-func (v *Value) RefLOid() LOid { return LOid(v.s) }
+func (v Value) RefLOid() LOid { return LOid(v.Text()) }
 
 // Elems returns the elements of a list value. The returned slice must not be
-// modified. It is valid only for KindList.
+// modified. It is nil for every other kind.
 func (v Value) Elems() []Value {
-	if v.list == nil {
+	if v.Kind() != KindList {
 		return nil
 	}
-	return *v.list
+	return unsafe.Slice((*Value)(v.p), v.n)
 }
 
 // Equal reports whether two values are identical (same kind and payload).
 // Null equals null under this relation; three-valued comparison semantics
 // belong to package eval, not here.
 func (v Value) Equal(w Value) bool {
-	if v.kind != w.kind {
+	if v.Kind() != w.Kind() {
 		// Numeric cross-kind equality: 3 == 3.0.
 		if bothNumeric(v, w) {
 			return v.asFloat() == w.asFloat()
 		}
 		return false
 	}
-	switch v.kind {
+	switch v.Kind() {
 	case KindNull:
 		return true
 	case KindInt, KindBool:
@@ -233,7 +256,7 @@ func (v Value) Equal(w Value) bool {
 		// equals nothing, itself included.
 		return v.Float64() == w.Float64()
 	case KindString, KindRef, KindGRef:
-		return v.s == w.s
+		return v.str() == w.str()
 	case KindList:
 		a, b := v.Elems(), w.Elems()
 		if len(a) != len(b) {
@@ -251,12 +274,12 @@ func (v Value) Equal(w Value) bool {
 }
 
 func bothNumeric(v, w Value) bool {
-	return (v.kind == KindInt || v.kind == KindFloat) &&
-		(w.kind == KindInt || w.kind == KindFloat)
+	return (v.Kind() == KindInt || v.Kind() == KindFloat) &&
+		(w.Kind() == KindInt || w.Kind() == KindFloat)
 }
 
 func (v Value) asFloat() float64 {
-	if v.kind == KindInt {
+	if v.Kind() == KindInt {
 		return float64(int64(v.n))
 	}
 	return v.Float64()
@@ -266,7 +289,7 @@ func (v Value) asFloat() float64 {
 // when v sorts before, equal to, or after w, and ok=false when the values are
 // not comparable (different non-numeric kinds, nulls, refs or lists).
 func (v Value) Compare(w Value) (int, bool) {
-	if v.kind == KindNull || w.kind == KindNull {
+	if v.Kind() == KindNull || w.Kind() == KindNull {
 		return 0, false
 	}
 	if bothNumeric(v, w) {
@@ -280,12 +303,12 @@ func (v Value) Compare(w Value) (int, bool) {
 			return 0, true
 		}
 	}
-	if v.kind != w.kind {
+	if v.Kind() != w.Kind() {
 		return 0, false
 	}
-	switch v.kind {
+	switch v.Kind() {
 	case KindString:
-		return strings.Compare(v.s, w.s), true
+		return strings.Compare(v.str(), w.str()), true
 	case KindBool:
 		return cmp.Compare(v.n, w.n), true
 	default:
@@ -297,7 +320,7 @@ func (v Value) Compare(w Value) (int, bool) {
 // or disk page under the paper's cost model: references cost an OID,
 // everything else costs one average attribute.
 func (v Value) WireSize() int {
-	switch v.kind {
+	switch v.Kind() {
 	case KindRef:
 		return LOidWireSize
 	case KindGRef:
@@ -317,7 +340,7 @@ func (v Value) WireSize() int {
 
 // String renders the value for diagnostics and example output.
 func (v Value) String() string {
-	switch v.kind {
+	switch v.Kind() {
 	case KindNull:
 		return "-"
 	case KindInt:
@@ -325,13 +348,13 @@ func (v Value) String() string {
 	case KindFloat:
 		return strconv.FormatFloat(v.Float64(), 'g', -1, 64)
 	case KindString:
-		return v.s
+		return v.str()
 	case KindBool:
 		return strconv.FormatBool(v.n != 0)
 	case KindRef:
-		return "@" + v.s
+		return "@" + v.str()
 	case KindGRef:
-		return "@@" + v.s
+		return "@@" + v.str()
 	case KindList:
 		parts := make([]string, len(v.Elems()))
 		for i, e := range v.Elems() {
@@ -379,17 +402,18 @@ type attr struct {
 
 // wireOf is v.WireSize() for keeping an object's size up to date: a plain
 // primitive, which most attributes are, is answered inline, without the call
-// and the copy of the value that three constructions of every object shipped
-// (projected, decoded, merged into the view) would otherwise each pay.
+// (WireSize's list loop keeps it from inlining) that three constructions of
+// every object shipped (projected, decoded, merged into the view) would
+// otherwise each pay.
 func wireOf(v *Value) int {
-	if v.kind >= KindInt && v.kind <= KindBool {
+	if v.Kind() >= KindInt && v.Kind() <= KindBool {
 		return AttrWireSize
 	}
 	return v.WireSize()
 }
 
 // missing reports whether v represents missing data: null or the zero Value.
-func missing(v Value) bool { return v.kind == 0 || v.kind == KindNull }
+func missing(v Value) bool { return v.Kind() == 0 || v.Kind() == KindNull }
 
 // New returns an object holding a copy of the supplied attributes. Null
 // values are normalized away: a null attribute and an absent attribute are
@@ -594,13 +618,13 @@ func (o *Object) String() string {
 // extended slice. The encoding is not self-delimiting (a string runs to the
 // end of the input); AppendValue frames it for use inside a larger message.
 func (v Value) AppendBinary(dst []byte) ([]byte, error) {
-	dst = append(dst, byte(v.kind))
-	switch v.kind {
+	dst = append(dst, byte(v.Kind()))
+	switch v.Kind() {
 	case 0, KindNull:
 	case KindInt, KindBool, KindFloat:
 		dst = appendInt64(dst, int64(v.n))
 	case KindString, KindRef, KindGRef:
-		dst = append(dst, v.s...)
+		dst = append(dst, v.str()...)
 	case KindList:
 		for _, e := range v.Elems() {
 			// The element length prefix is fixed-width, so it can be
@@ -615,7 +639,7 @@ func (v Value) AppendBinary(dst []byte) ([]byte, error) {
 			putInt64(dst[at:], int64(len(dst)-at-8))
 		}
 	default:
-		return nil, fmt.Errorf("object: marshal of invalid kind %d", v.kind)
+		return nil, fmt.Errorf("object: marshal of invalid kind %d", v.Kind())
 	}
 	return dst, nil
 }
@@ -646,7 +670,7 @@ func (v *Value) unmarshal(data []byte, depth int, slab *Slab, room int) error {
 		if len(payload) != 0 {
 			return fmt.Errorf("object: %s value with a %d-byte payload", kind, len(payload))
 		}
-		*v = Value{kind: kind}
+		*v = Value{tag: uint64(kind)}
 	case KindInt, KindBool, KindFloat:
 		i, rest, err := readInt64(payload)
 		if err != nil {
@@ -655,9 +679,9 @@ func (v *Value) unmarshal(data []byte, depth int, slab *Slab, room int) error {
 		if len(rest) != 0 || kind == KindBool && uint64(i) > 1 {
 			return fmt.Errorf("object: non-canonical %s encoding", kind)
 		}
-		*v = Value{kind: kind, n: uint64(i)}
+		*v = Value{tag: uint64(kind), n: uint64(i)}
 	case KindString, KindRef, KindGRef:
-		*v = Value{kind: kind, s: slab.str(payload, room)}
+		*v = textValue(kind, slab.str(payload, room))
 	case KindList:
 		if depth >= maxListDepth {
 			return fmt.Errorf("object: list nested deeper than %d", maxListDepth)

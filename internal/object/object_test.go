@@ -1,9 +1,12 @@
 package object
 
 import (
+	"bytes"
 	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
+	"strings"
 	"testing"
 	"testing/quick"
 	"unsafe"
@@ -501,13 +504,93 @@ func TestFloatBitsSurviveEncoding(t *testing.T) {
 }
 
 // TestValueSize pins the layout the slabs are sized by: every attribute
-// entry, result-row target and navigation outcome carries one Value.
+// entry, result-row target and navigation outcome carries one Value, three
+// words that a call passes in registers.
 func TestValueSize(t *testing.T) {
-	if n := unsafe.Sizeof(Value{}); n > 40 {
-		t.Errorf("Value is %d bytes, want <= 40", n)
+	if n := unsafe.Sizeof(Value{}); n > 24 {
+		t.Errorf("Value is %d bytes, want <= 24", n)
 	}
-	if n := unsafe.Sizeof(attr{}); n > 56 {
-		t.Errorf("an attribute entry is %d bytes, want <= 56", n)
+	if n := unsafe.Sizeof(attr{}); n > 40 {
+		t.Errorf("an attribute entry is %d bytes, want <= 40", n)
+	}
+}
+
+// specimens builds one value of every shape the data pointer takes — text of
+// each kind, stamped and unstamped references, the empty string, the empty
+// list, nested lists — with every string made by text.
+func specimens(text func(string) string) []Value {
+	return []Value{
+		Str(text("alpha")), Ref(LOid(text("t1"))), RefAt(LOid(text("t2")), 7), GRef(GOid(text("gt1"))),
+		Str(text("")), List(), Int(-3), Float(2.5), Bool(true), Null(),
+		List(Str(text("x")), RefAt(LOid(text("y")), 0), List(GRef(GOid(text("z"))), Str(text("")))),
+	}
+}
+
+var churn []any
+
+// TestValuePointerWordSurvivesGC: a Value's data pointer is the only
+// reference the collector sees to what it points at — a string built on the
+// heap, text cut from a slab's chunk, a list's
+// elements — so each must outlive collections that free everything around
+// it and read back identical. The slab is dropped and the bytes its text was
+// copied from are cleared. Literal text, outside the heap, must not upset the
+// collector either. Under -race, checkptr vets every conversion of the
+// pointer word too.
+func TestValuePointerWordSurvivesGC(t *testing.T) {
+	want := specimens(func(s string) string { return s })
+	literal := specimens(func(s string) string { return s })
+	heap := specimens(func(s string) string { return strings.Clone(s) })
+	slab := new(Slab)
+	slabbed := specimens(func(s string) string {
+		b := []byte(s)
+		defer clear(b)
+		return slab.str(b, 1<<10)
+	})
+	slab = nil
+	for range 2 {
+		runtime.GC()
+		// Refill what the collection freed, text and element arrays alike,
+		// so that anything freed too early reads back changed.
+		for size := 1; size <= 128; size++ {
+			for range 32 {
+				elems := make([]Value, 1+size/24)
+				for i := range elems {
+					elems[i] = Int(-1)
+				}
+				churn = append(churn, bytes.Repeat([]byte{0xFF}, size), elems)
+			}
+		}
+	}
+	churn = nil
+	for name, got := range map[string][]Value{"literal": literal, "heap": heap, "slab": slabbed} {
+		for i := range want {
+			if !Identical(got[i], want[i]) {
+				t.Errorf("%s value %d reads %v after collection, want %v", name, i, got[i], want[i])
+			}
+		}
+	}
+}
+
+// TestIdenticalReadsValuesByContent: Identical compares a Value's text and
+// elements, not their addresses, and is stricter than Equal.
+func TestIdenticalReadsValuesByContent(t *testing.T) {
+	type row struct {
+		Vals []Value
+		obj  *Object
+	}
+	mk := func(s string) row {
+		return row{Vals: []Value{Str(s), List(Ref(LOid(s)))}, obj: New("o", "C", map[string]Value{"a": Str(s)})}
+	}
+	if a, b := mk("word"), mk(strings.Clone("word")); !Identical(a, b) || reflect.DeepEqual(a, b) {
+		t.Error("copies of one text must be identical, and DeepEqual reads their addresses")
+	}
+	for _, c := range [][2]Value{{Int(3), Float(3)}, {Ref("t"), RefAt("t", 0)}, {Str("a"), Ref("a")}, {List(Int(1)), List(Int(2))}} {
+		if Identical(c[0], c[1]) {
+			t.Errorf("%v and %v are identical", c[0], c[1])
+		}
+	}
+	if Identical(mk("a"), mk("b")) || Identical(row{}, row{Vals: []Value{}}) {
+		t.Error("different rows are identical")
 	}
 }
 

@@ -55,7 +55,7 @@ func TestObjectRecordRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: decode: %v", name, err)
 		}
-		if !reflect.DeepEqual(got, o) {
+		if !Identical(got, o) {
 			t.Errorf("%s: round trip\n got %v\nwant %v", name, got, o)
 		}
 		if !bytes.Equal(rest, []byte{0xAA, 0xBB}) {
@@ -76,7 +76,7 @@ func TestDecodeObjectOwnsItsMemory(t *testing.T) {
 	for i := range b {
 		b[i] = 0xFF
 	}
-	if !reflect.DeepEqual(got, want) {
+	if !Identical(got, want) {
 		t.Errorf("object changed with its input buffer: %v", got)
 	}
 }
@@ -141,7 +141,7 @@ func TestAppendValueRoundTrip(t *testing.T) {
 		if got, b, err = DecodeValue(b); err != nil {
 			t.Fatalf("decode %v: %v", want, err)
 		}
-		if !reflect.DeepEqual(got, want) && !(want.Kind() == KindList && got.Equal(want)) {
+		if !Identical(got, want) {
 			t.Errorf("round trip %v -> %v", want, got)
 		}
 	}
@@ -502,8 +502,8 @@ func FuzzDecodeObject(f *testing.F) {
 			o   *Object
 			err error
 		)
-		// An attribute entry is 56 bytes from at least 3 of input; a list
-		// element 40 from 9.
+		// An attribute entry is 40 bytes from at least 3 of input; a list
+		// element 24 from 9.
 		boundedDecode(t, len(data), 32, func() { o, _, err = DecodeObject(data, &Interner{}) })
 		if err != nil {
 			return
@@ -565,7 +565,7 @@ func FuzzDecodeMasked(f *testing.F) {
 		// The slab's chunks are sized from the bytes that remain: 76 per
 		// Object (64 in a chunk the allocator rounds up by a sixth) from a
 		// record of at least one byte, an empty LOid through an empty mask;
-		// or 38 per Object from two and 28 per entry from its two-byte value.
+		// or 38 per Object from two and 20 per entry from its two-byte value.
 		boundedDecode(t, len(data), 80, func() { o, _, err = new(Slab).DecodeMasked(record, "C", mask) })
 		if err != nil {
 			return
@@ -575,7 +575,7 @@ func FuzzDecodeMasked(f *testing.F) {
 			t.Fatalf("decoded object does not re-encode: %v", err)
 		}
 		o2, rest, err := (*Slab)(nil).DecodeMasked(again, "C", mask)
-		if err != nil || len(rest) != 0 || !reflect.DeepEqual(o, o2) {
+		if err != nil || len(rest) != 0 || !Identical(o, o2) {
 			t.Fatalf("re-encoded bytes decode to %v (%v, %d left), want %v", o2, err, len(rest), o)
 		}
 		if third, _ := AppendMasked(nil, o2, mask); !bytes.Equal(again, third) {

@@ -21,13 +21,13 @@ type Slab struct {
 }
 
 // Chunk sizes: 4 KiB of Objects, 14 KiB of entries, 2 KiB of text. The first
-// two are one short of a round count because a pointerful chunk carries the
-// allocator's 8-byte header: 63 Objects and their header fill the 4 096-byte
-// size class and 255 entries the 14 336-byte one, where 64 and 256 would
-// spill into the 4 864- and 16 384-byte classes.
+// two stop short of the size class because a pointerful chunk carries the
+// allocator's 8-byte header: 63 64-byte Objects and their header fill the
+// 4 096-byte size class and 358 40-byte entries the 14 336-byte one, where 64
+// and 359 would spill into the 4 864- and 16 384-byte classes.
 const (
 	slabObjects = 63
-	slabEntries = 255
+	slabEntries = 358
 	slabText    = 2048
 )
 

@@ -150,7 +150,7 @@ func TestQueryString(t *testing.T) {
 	}
 	// String output must reparse to the same query.
 	q2 := MustParse(q.String())
-	if !reflect.DeepEqual(q, q2) {
+	if !object.Identical(q, q2) {
 		t.Error("String round-trip failed")
 	}
 }

@@ -10,7 +10,6 @@ import (
 	"math"
 	"os"
 	"path/filepath"
-	"reflect"
 	"runtime"
 	"sort"
 	"strings"
@@ -210,7 +209,7 @@ func TestCodecRoundTrip(t *testing.T) {
 		got, err := decodeRequest(encodeRequest(t, want))
 		if err != nil {
 			t.Errorf("request %s: %v", name, err)
-		} else if !reflect.DeepEqual(got, want) {
+		} else if !object.Identical(got, want) {
 			t.Errorf("request %s:\n got %+v\nwant %+v", name, got, want)
 		}
 	}
@@ -221,7 +220,7 @@ func TestCodecRoundTrip(t *testing.T) {
 		got, err := decodeResponse(encodeResponse(t, want))
 		if err != nil {
 			t.Errorf("response %s: %v", name, err)
-		} else if !reflect.DeepEqual(got, want) {
+		} else if !object.Identical(got, want) {
 			t.Errorf("response %s:\n got %+v\nwant %+v", name, got, want)
 		}
 	}
@@ -279,7 +278,7 @@ func TestDecodedStoreObjectOwnsItsMemory(t *testing.T) {
 	for i := range b {
 		b[i] = 0xFF
 	}
-	if !reflect.DeepEqual(req.Store, sampleStudent) || req.Kind != kindStore || req.Trace.From != "G" {
+	if !object.Identical(req.Store, sampleStudent) || req.Kind != kindStore || req.Trace.From != "G" {
 		t.Errorf("request changed with its payload buffer: %+v", req)
 	}
 }

@@ -214,8 +214,9 @@ func TestUnboundObjectHasOneIdentity(t *testing.T) {
 // assertLocalizedWithinCA checks the localized answer against CA's: no false
 // certification (BL-certain ⊆ CA-certain) and the same surviving entities
 // (neither eliminates what the other keeps). BL may hold as maybe an entity
-// CA decides, because certification uses one level of assistance while CA
-// merges transitively.
+// CA certifies, because certification uses one level of assistance while CA
+// merges transitively; on the workloads here nothing CA eliminates survives,
+// which a chained path would break (TestOneLevelOfAssistance).
 func assertLocalizedWithinCA(t *testing.T, name string, bl, ca *federation.Answer) {
 	t.Helper()
 	set := func(lists ...[]object.GOid) map[object.GOid]bool {

@@ -457,6 +457,15 @@ if grep -rnE 'ErrCircuitOpen|BreakerThreshold|BreakerStates|PeerBreakers|breaker
     echo "the circuit breaker is back; a failed site call fails alone (see EXPERIMENTS.md E49)" >&2
     guard_failed=1
 fi
+# A Value is three words (EXPERIMENTS.md E51): its data pointer is built and
+# read in one file of internal/object, and no other non-test file imports
+# "unsafe".
+unsafe_files=$(grep -rl '"unsafe"' --include='*.go' --exclude='*_test.go' --exclude-dir=.bench_build . || true)
+want_one '"unsafe" outside tests' "$unsafe_files"
+case "$unsafe_files" in
+./internal/object/object.go) ;;
+*) echo "a non-test file other than internal/object/object.go imports unsafe: $unsafe_files" >&2; guard_failed=1 ;;
+esac
 [ "$guard_failed" -eq 0 ] || exit 1
 
 # The figure ROADMAP's LOC numbers use, so the next issue quotes it instead
@@ -486,10 +495,13 @@ go test -race -timeout 120s "$pkgs"
 # server-side bookkeeping written after the response, and BL beside PL on one
 # cluster, whose sites recycle a reply's workspace once the frame is sent:
 # repeated under the race detector, fresh every time.
-echo "== cross-transport invariant + post-response bookkeeping + workspace reuse (race, x10)"
+echo "== cross-transport invariant + post-response bookkeeping + workspace reuse + Value pointer word (race, x10)"
 go test -race -count 10 -timeout 300s \
     -run 'TestAlgorithmsAgreeAcrossTransports|TestUnknownKindCountsError|TestClusterSiteRecorders|TestConcurrentLocalizedQueriesMatchInProcess' \
     ./internal/remote/
+# A Value's data pointer is the collector's only way to what it points at:
+# every shape of it survives forced collections, under checkptr.
+go test -race -count 10 -timeout 120s -run 'TestValuePointerWordSurvivesGC' ./internal/object/
 
 # The replica protocol (antientropy.Replica) on a deterministic network: 10 000
 # seeded schedules of inserts, drops, duplicates, partitions, heals, kills and
@@ -522,14 +534,16 @@ go test -run - -bench 'BenchmarkGmap' -benchtime 1x ./internal/gmap/
 # a scan stops at the last whole valid frame and what it accepted re-encodes
 # to the bytes it read. And so does a site's /metrics body, decoded with
 # encoding/json and differenced: no panic, and an accepted snapshot
-# re-encodes to a fixed point.
+# re-encodes to a fixed point. A new input is minimized for at most 1 s
+# (the default is 60 s), so the 10 s are spent fuzzing: at the default,
+# FuzzParseFederation made 24 executions in 11 s (EXPERIMENTS.md E51).
 echo "== fuzz (10s per target)"
 for target in ./internal/remote:FuzzDecodeRequest ./internal/remote:FuzzDecodeResponse \
     ./internal/object:FuzzDecodeObject ./internal/object:FuzzDecodeMasked ./internal/fabric:FuzzParseFaults \
     ./internal/query:FuzzParseQuery \
     ./internal/fedfile:FuzzParseFederation ./internal/store/wal:FuzzScanFrames \
     ./internal/metrics:FuzzDecodeSnapshot; do
-    go test -run '^$' -fuzz "^${target#*:}\$" -fuzztime 10s "${target%%:*}"
+    go test -run '^$' -fuzz "^${target#*:}\$" -fuzztime 10s -fuzzminimizetime 1s "${target%%:*}"
 done
 
 # Every example is a program a reader runs first; each must still run.
