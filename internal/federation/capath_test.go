@@ -91,9 +91,10 @@ func encodeRecords(t testing.TB, reply RetrieveReply) encodedReply {
 			buf   []byte
 			class string
 		)
+		mask := object.NewMask(cls.Attrs)
 		for _, o := range cls.Objects {
 			var err error
-			if buf, err = object.AppendMasked(buf, o, cls.Attrs); err != nil {
+			if buf, err = object.AppendMasked(buf, o, mask); err != nil {
 				t.Fatal(err)
 			}
 			class = o.Class
@@ -111,10 +112,10 @@ func (er encodedReply) decode(t testing.TB) RetrieveReply {
 	var slab object.Slab
 	for i, cls := range er.classes {
 		out.Classes[i] = ClassObjects{GlobalClass: cls.name, Attrs: cls.attrs, Objects: make([]*object.Object, cls.n), Owned: true}
-		buf := cls.records
+		buf, layout := cls.records, object.NewLayout(cls.attrs)
 		for j := range out.Classes[i].Objects {
 			var err error
-			if out.Classes[i].Objects[j], buf, err = slab.DecodeMasked(buf, cls.class, cls.attrs); err != nil {
+			if out.Classes[i].Objects[j], buf, err = slab.DecodeMasked(buf, cls.class, layout); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -51,12 +51,13 @@ type View struct {
 type viewClass struct {
 	name     string
 	table    *gmap.Table
+	layout   *object.Layout   // the class's involved attributes: every view object of the class is laid out by them
 	base     int              // the class's first slot in View.slots
 	byNumber []*object.Object // by entity number; nil where no reply held the entity
 	// unbound holds the objects no binding names, by gmap.Table.Unbound.
 	unbound map[object.GOid]*object.Object
-	// The objects the replies list and their mask's width: they size the slab.
-	constituents, width int
+	// The objects of the lists that are not owned: they size the slab.
+	constituents int
 }
 
 var _ eval.Source = (*View)(nil)
@@ -117,16 +118,18 @@ func (v *View) class(name string) *viewClass {
 // non-null value wins), and LOid-valued complex attributes are transformed
 // to GOids.
 //
-// A reply's objects may be a store's own, and those are read, never written
-// (see ClassObjects). An Owned list is the join's to consume: the first
-// constituent of each entity becomes that entity's view object, only its
-// references rewritten in place. The join is the mapping table's numbering:
-// per (class, site) list the site's LOid indexes and the mask's attributes are
-// resolved once (listPlan), and one probe per object gives the view's slot to
-// merge into. The view is sized before it is filled: a slot per entity the
-// tables know, and for the entities that start from a list that is not owned,
-// objects and entries from one slab with room for as many entities as those
-// lists can hold (an object no binding names takes the slab's overflow).
+// The join is the mapping table's numbering, by slot: a class's view objects
+// are laid out by its involved attributes (an uninvolved class's, by its
+// first list's mask); per (class, site) list the LOid indexes and each mask
+// attribute's view slot are resolved once (listPlan), and one probe per
+// object gives the view's slot to merge into. A reply's objects may be a
+// store's own, read and never written (see ClassObjects). An Owned list is
+// the join's to consume: the first constituent of each entity, laid out as
+// the view is, becomes its view object by a rename, its references
+// translated in place. The view is sized before it is filled: a slot per
+// entity the tables know, and a slab for the entities that start from lists
+// not owned (its overflow takes the objects no binding names, or an Owned
+// one laid out otherwise).
 func (co *Coordinator) Materialize(p fabric.Proc, b *query.Bound, replies []RetrieveReply) *View {
 	var c cost.Counter
 
@@ -134,6 +137,7 @@ func (co *Coordinator) Materialize(p fabric.Proc, b *query.Bound, replies []Retr
 	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Site < sorted[j].Site })
 
 	v := &View{}
+	involved := b.Involved()
 	for _, reply := range sorted {
 		for _, cls := range reply.Classes {
 			vc := v.class(cls.GlobalClass)
@@ -142,25 +146,28 @@ func (co *Coordinator) Materialize(p fabric.Proc, b *query.Bound, replies []Retr
 				if table == nil { // a class the replica does not map: the view's own, empty table
 					table = gmap.NewTable(cls.GlobalClass)
 				}
-				v.classes = append(v.classes, viewClass{name: cls.GlobalClass, table: table})
+				attrs := cls.Attrs
+				if at := slices.IndexFunc(involved, func(in query.ClassAttrs) bool { return in.Class == cls.GlobalClass }); at >= 0 {
+					attrs = involved[at].Attrs
+				}
+				v.classes = append(v.classes, viewClass{name: cls.GlobalClass, table: table, layout: object.NewLayout(attrs)})
 				vc = &v.classes[len(v.classes)-1]
 			}
 			if !cls.Owned {
 				vc.constituents += len(cls.Objects)
 			}
-			vc.width = len(cls.Attrs)
 		}
 	}
-	objects, entries, slots := 0, 0, 0
+	objects, values, slots := 0, 0, 0
 	for i := range v.classes {
 		vc := &v.classes[i]
 		vc.base, slots = slots, slots+vc.table.Len()
 		vc.unbound = make(map[object.GOid]*object.Object)
 		n := min(vc.constituents, vc.table.Len())
-		objects, entries = objects+n, entries+n*vc.width
+		objects, values = objects+n, values+n*len(vc.layout.Names())
 	}
 	v.slots = make([]*object.Object, slots)
-	slab := object.NewSlab(objects, entries)
+	slab := object.NewSlab(objects, values)
 
 	var lp listPlan
 	for i := range v.classes {
@@ -175,9 +182,8 @@ func (co *Coordinator) Materialize(p fabric.Proc, b *query.Bound, replies []Retr
 				if cls.GlobalClass != vc.name {
 					continue
 				}
-				lp.reset(v, co.tables, reply.Site, gc, cls.Attrs)
+				lp.reset(v, vc, co.tables, reply.Site, gc, cls.Attrs)
 				index := vc.table.At(reply.Site)
-				room := len(cls.Objects) * len(cls.Attrs)
 				for _, o := range cls.Objects {
 					c.CPU(1) // GOid lookup: the outerjoin's join-attribute probe
 					e, bound := index[o.LOid]
@@ -189,20 +195,17 @@ func (co *Coordinator) Materialize(p fabric.Proc, b *query.Bound, replies []Retr
 						m = vc.unbound[e.GOid]
 					}
 					if m != nil {
-						co.merge(lp, m, o, cls.Attrs, slab, room, &c)
+						lp.merge(m, o, &c)
 						continue
 					}
-					if cls.Owned {
-						m = o
-						m.LOid, m.Class = object.LOid(e.GOid), vc.name
-						m.Rewrite(cls.Attrs, func(j int, val *object.Value) bool {
-							c.CPU(1) // merge step
-							return lp.translate(j, val, &c)
-						})
-					} else {
-						m = slab.New(object.LOid(e.GOid), vc.name, len(cls.Attrs))
-						co.merge(lp, m, o, cls.Attrs, nil, 0, &c)
+					if l := o.Layout(); l != lp.layout { // is it laid out as the view is? once per layout
+						lp.layout, lp.inPlace = l, lp.maskIsView && slices.Equal(l.Names(), vc.layout.Names())
 					}
+					if m = o; !cls.Owned || !lp.inPlace {
+						m = slab.New(vc.layout)
+					}
+					lp.merge(m, o, &c) // an adopted object merges into itself
+					m.Rename(object.LOid(e.GOid), vc.name, vc.layout)
 					if bound {
 						vc.byNumber[e.Number] = m
 					} else {
@@ -242,55 +245,65 @@ func (vc *viewClass) inOrder() []*object.Object {
 	return append(out, extra...)
 }
 
-// listPlan is how a (class, site) list's mask enters the view: per
-// attribute, whether the global class has it and whether it is complex, and
-// the site's LOid index of its domain and the domain's first slot (or -1).
-type listPlan []attrPlan
+// listPlan is how a (class, site) list's mask enters the view: a plan per
+// mask attribute, the mask's slots in its objects' layout, and whether the
+// mask, and the layout last seen, name the view class's attributes.
+type listPlan struct {
+	attrs               []attrPlan
+	src                 object.Mask
+	layout              *object.Layout
+	maskIsView, inPlace bool
+}
 
+// attrPlan is one mask attribute's slot in the view class's layout (-1 for
+// none), whether the global class has it and whether it is complex, and the
+// site's LOid index of its domain and the domain's first slot (or -1).
 type attrPlan struct {
+	slot        int
 	in, complex bool
 	index       gmap.Index
 	base        int
 }
 
-func (lp *listPlan) reset(v *View, tables *gmap.Tables, site object.SiteID, gc *schema.GlobalClass, mask []string) {
-	*lp = (*lp)[:0]
+func (lp *listPlan) reset(v *View, vc *viewClass, tables *gmap.Tables, site object.SiteID, gc *schema.GlobalClass, mask []string) {
+	lp.attrs = lp.attrs[:0]
+	lp.src.Reset(mask)
+	view := vc.layout.Names()
+	lp.layout, lp.maskIsView, lp.inPlace = nil, slices.Equal(mask, view), false
 	for _, name := range mask {
 		a, in := gc.Attr(name)
-		ap := attrPlan{in: in, complex: in && a.IsComplex(), base: -1}
-		if vc := v.class(a.Domain); ap.complex && vc != nil {
-			ap.index, ap.base = vc.table.At(site), vc.base
+		ap := attrPlan{slot: -1, in: in, complex: in && a.IsComplex(), base: -1}
+		if k, ok := slices.BinarySearch(view, name); ok {
+			ap.slot = k
+		}
+		if dc := v.class(a.Domain); ap.complex && dc != nil {
+			ap.index, ap.base = dc.table.At(site), dc.base
 		} else if t := tables.Lookup(a.Domain); ap.complex && t != nil {
 			ap.index = t.At(site)
 		}
-		*lp = append(*lp, ap)
+		lp.attrs = append(lp.attrs, ap)
 	}
 }
 
-// merge merges one constituent object, read through its list's mask and
-// plan, into a materialized object. With a nil slab, m is the entity's fresh view object
-// and the entries are appended in order; otherwise a later isomer fills what
-// m still misses, and a view object without room for them — an adopted one
-// holds only what its record held — gets room for the mask's width from the
-// slab, in a chunk of at most room entries: what the list could fill.
-func (co *Coordinator) merge(lp listPlan, m, o *object.Object, mask []string, slab *object.Slab, room int, c *cost.Counter) {
-	for p := o.Projected(mask); ; {
-		j, val, ok := p.Next()
-		if !ok {
-			return
-		}
-		c.CPU(1) // merge step
-		if slab != nil && !m.Attr(mask[j]).IsNull() {
-			continue // first non-null value wins
-		}
-		if !lp.translate(j, &val, c) {
+// merge merges one constituent object o, read through its list's mask, into
+// the view object m by slot: a value fills what m still misses (the first
+// non-null value wins), and one the view class has no slot for is dropped. An
+// adopted object merges into itself: its values are translated in place.
+func (lp *listPlan) merge(m, o *object.Object, c *cost.Counter) {
+	for j, k := range lp.src.Slots(o.Layout()) {
+		if k < 0 || o.Slot(int(k)).Kind() == 0 {
 			continue
 		}
-		if slab != nil {
-			slab.Reserve(m, len(mask), room)
-			m.Set(mask[j], val)
-		} else {
-			m.Append(mask[j], val)
+		val, ap := o.Slot(int(k)), &lp.attrs[j]
+		c.CPU(1) // merge step
+		if m != o && ap.slot >= 0 && m.Slot(ap.slot).Kind() != 0 {
+			continue // first non-null value wins
+		}
+		switch ok := lp.translate(j, &val, c) && ap.slot >= 0; {
+		case ok && (m != o || val.Kind() == object.KindRef || val.Kind() == object.KindList):
+			m.SetSlot(ap.slot, val)
+		case !ok && m == o:
+			m.SetSlot(int(k), object.Value{})
 		}
 	}
 }
@@ -300,8 +313,8 @@ func (co *Coordinator) merge(lp listPlan, m, o *object.Object, mask []string, sl
 // reports false for a value the view drops: a reference in an attribute the
 // global class lacks, or one with no identity here. A multi-valued reference
 // drops such elements instead.
-func (lp listPlan) translate(j int, val *object.Value, c *cost.Counter) bool {
-	ap := &lp[j]
+func (lp *listPlan) translate(j int, val *object.Value, c *cost.Counter) bool {
+	ap := &lp.attrs[j]
 	switch val.Kind() {
 	case object.KindRef:
 		if !ap.in {

@@ -402,8 +402,8 @@ func TestViewSlotsStayInTheView(t *testing.T) {
 						}
 					}
 				}
-				a, err := object.AppendMasked(nil, o, o.AttrNames())
-				b, werr := object.AppendMasked(nil, twin, twin.AttrNames())
+				a, err := object.AppendMasked(nil, o, object.NewMask(o.AttrNames()))
+				b, werr := object.AppendMasked(nil, twin, object.NewMask(twin.AttrNames()))
 				if err != nil || werr != nil || !bytes.Equal(a, b) || o.String() != twin.String() || o.WireSize(nil) != twin.WireSize(nil) {
 					t.Errorf("%s: %v encodes, prints or is priced apart from its unstamped twin %v", when, o, twin)
 				}

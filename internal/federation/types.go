@@ -365,9 +365,10 @@ func (cr CheckReply) WireSize() int {
 // to the global processing site (the centralized approach), projected on
 // Attrs. The projection is not carried out: Objects may hold more than Attrs
 // names, and every reader — the wire encoder, WireSize, Materialize — reads
-// an object through Attrs (object.Object.Projected), so what lies outside the
-// mask is never shipped, charged or merged. The objects are one extent's, of
-// one local class: on the wire the list names GlobalClass, Attrs and that
+// an object through Attrs, resolved to the slots of the objects' layout once
+// per layout (object.Mask), so what lies outside the mask is never shipped,
+// charged or merged. The objects are one extent's, of one local class, and
+// share its layout: on the wire the list names GlobalClass, Attrs and that
 // class once, and each object travels as its LOid and the values it holds
 // among Attrs (object.AppendMasked).
 //
@@ -376,8 +377,8 @@ func (cr CheckReply) WireSize() int {
 // encoded once the request has been dispatched). That is sound because a
 // store never edits an object after inserting it; accordingly nothing
 // reachable from a reply may be Set. The slice of pointers is the reply's
-// own. A reply decoded off the wire holds objects cut from one slab, already
-// restricted to Attrs, their entries named by Attrs' own strings and their
+// own. A reply decoded off the wire holds objects cut from one slab, laid
+// out by Attrs itself (a slot per attribute, absent ones zero) and their
 // Class the list's, so the mask passes all of them; nobody else holds them,
 // and the decoder marks the list Owned.
 type ClassObjects struct {
@@ -404,9 +405,11 @@ type RetrieveReply struct {
 // its projected attributes.
 func (rr RetrieveReply) WireSize() int {
 	n := RequestOverhead
+	var mask object.Mask
 	for _, c := range rr.Classes {
+		mask.Reset(c.Attrs)
 		for _, o := range c.Objects {
-			n += o.WireSize(c.Attrs)
+			n += o.WireSize(&mask)
 		}
 	}
 	return n

@@ -7,10 +7,15 @@ import "reflect"
 // payload bits, text, elements and RefAt's stamp. DeepEqual reads a Value's
 // data pointer as an address, so two copies of one string would differ; Equal
 // is looser (3 equals 3.0, a stamp is ignored). It is the comparison for
-// tests of what survives an encoding or a copy.
+// tests of what survives an encoding or a copy. Objects are compared by
+// their named records (every name, kind and payload bit, not a stamp) and
+// modeled sizes, not by the layouts a store, a decoder or New gives them.
 func Identical(a, b any) bool { return identical(reflect.ValueOf(a), reflect.ValueOf(b)) }
 
-var valueType = reflect.TypeFor[Value]()
+var (
+	valueType  = reflect.TypeFor[Value]()
+	objectType = reflect.TypeFor[Object]()
+)
 
 func identical(a, b reflect.Value) bool {
 	if !a.IsValid() || !b.IsValid() {
@@ -48,6 +53,12 @@ func identical(a, b reflect.Value) bool {
 	case reflect.Struct:
 		if a.Type() == valueType {
 			return identicalValues(valueOf(a), valueOf(b))
+		}
+		if a.Type() == objectType && a.CanAddr() && b.CanAddr() {
+			x, y := (*Object)(a.Addr().UnsafePointer()), (*Object)(b.Addr().UnsafePointer())
+			rx, errx := AppendObject(nil, x)
+			ry, erry := AppendObject(nil, y)
+			return errx == nil && erry == nil && string(rx) == string(ry) && x.wire == y.wire
 		}
 		for i := range a.NumField() {
 			if !identical(a.Field(i), b.Field(i)) {

@@ -18,25 +18,23 @@
 // object of a federation through this package three times per query, from
 // paying for each object three times over:
 //
-//   - There is no Project. A reader that wants an object restricted to some
-//     attributes reads it through a mask — Projected, WireSize(mask),
-//     AppendMasked — a two-pointer walk over the object's name-sorted
-//     entries and the sorted mask. A restricted copy was only ever built to be
-//     encoded or merged and then dropped. AppendMasked's record is
-//     positional: the mask, like the class, is its list's to name once.
+//   - Objects share their class's layout: an Object is a run of Values, one
+//     per slot of a shared Layout (its sorted names). A reader resolves its
+//     names to slots once per layout, not per object: a Mask maps a list's
+//     mask onto the layout of the objects read through it (WireSize,
+//     AppendMasked, the global site's join). There is no Project: a
+//     restricted copy was only ever built to be encoded or merged.
 //   - A batch of objects that live and die together — a decoded reply, a
-//     materialized view — is cut from a Slab: Objects, attribute entries,
-//     LOid text and string and reference payloads come from shared chunks, a
-//     handful of allocations per thousand objects. One entry loop and one
-//     value parser read every record: masked into a slab
-//     (Slab.DecodeMasked), named with allocations of its own (DecodeObject).
-//   - A Value is three words, 24 bytes, and an attribute entry 40: a data
-//     pointer (a string's or reference's text, a list's elements), a payload
-//     word (the text's or list's length, or the scalar itself) and a kind
-//     byte, so a Value fits the registers a call passes it in, and every
-//     slab, result row and navigation outcome is smaller than with a field
-//     per kind. This file is the one place that builds and reads the data
-//     pointer (unsafe.String, unsafe.StringData, unsafe.Slice).
+//     materialized view — is cut from a Slab: Objects, their values, LOid
+//     text and string and reference payloads come from shared chunks. One
+//     entry loop and one value parser read every record: masked into a
+//     slab (Slab.DecodeMasked), named with allocations of its own
+//     (DecodeObject).
+//   - A Value is three words, 24 bytes: a data pointer (a string's or
+//     reference's text, a list's elements), a payload word (the text's or
+//     list's length, or the scalar itself) and a kind byte, so it fits the
+//     registers a call passes it in. This file is the one place that builds
+//     and reads the data pointer and an object's run of values (unsafe).
 package object
 
 import (
@@ -366,45 +364,47 @@ func (v Value) String() string {
 	}
 }
 
-// Object is a stored object: an identifier plus named attribute values.
-// Attributes that are missing for the object's class, or null in the source
-// database, are simply absent (Attr returns Null for them).
-//
-// The attributes are a slice of (name, value) entries sorted by name, not a
-// hash map: objects hold a handful of attributes, a federation moves
-// thousands of them per query, and a map's fixed cost per object (hundreds
-// of bytes, a hash per access) dominated the centralized approach. Every
-// traversal — At, AttrNames, String, the record encoding — is therefore in
-// name order for free.
-//
-// An Object is not safe for concurrent mutation. Stored objects are shared
-// by pointer between a store, its concurrent readers and the retrieve replies
-// that ship them, none of which copies: a store never edits an object after
-// inserting it, and readers restrict what they see with Projected instead of
-// building a restricted copy. Set is for the builder of an object nobody else
-// holds yet; on a shared one it races with the readers as a map write would.
-//
-// The modeled size of the whole object — what every scan and fetch charges
-// as a disk read — is kept beside the entries by whatever builds or changes
-// them: New, Set, Append, Rewrite, Clone and the decoders.
-type Object struct {
-	LOid  LOid
-	Class string
-	attrs []attr // sorted by name, names unique, no null values
-	wire  int    // the entries' Value.WireSize, summed
+// Layout is the attribute names, sorted and free of repeats, that a batch of
+// objects is laid out by: slot k of each holds the value of names[k], or a
+// zero Value. It is immutable and shared: a store extent's objects share
+// their class's, a decoded retrieve list's objects its mask, a view class's
+// objects its involved attributes.
+type Layout struct{ names []string }
+
+// NewLayout returns the layout of names, which is kept, not copied.
+func NewLayout(names []string) *Layout { return &Layout{names} }
+
+// Names returns the layout's names in slot order, nil for a nil layout.
+func (l *Layout) Names() []string {
+	if l == nil {
+		return nil
+	}
+	return l.names
 }
 
-// attr is one attribute entry of an Object.
-type attr struct {
-	name string
-	val  Value
+// Object is a stored object: an identifier plus named attribute values.
+// Attributes that are missing for the object's class, or null in the source
+// database, are simply absent (Attr returns Null for them). The names are its
+// Layout's, in name order, and it holds a bare Value per slot.
+//
+// An Object is not safe for concurrent mutation. Stored objects are shared
+// by pointer between a store, its readers and the retrieve replies that ship
+// them: a store never edits an object after inserting it, and readers
+// restrict what they see with a Mask instead of a restricted copy. Set,
+// SetSlot, Rename and Relayout are for the sole holder of an object. The
+// modeled size of the whole object, which every scan and fetch charges, is
+// kept beside the values by whatever changes them.
+type Object struct {
+	LOid   LOid
+	Class  string
+	layout *Layout
+	vals   *Value // the first of the run, a value per slot of layout
+	wire   int    // the present values' Value.WireSize, summed
 }
 
 // wireOf is v.WireSize() for keeping an object's size up to date: a plain
 // primitive, which most attributes are, is answered inline, without the call
-// (WireSize's list loop keeps it from inlining) that three constructions of
-// every object shipped (projected, decoded, merged into the view) would
-// otherwise each pay.
+// that WireSize's list loop keeps from inlining.
 func wireOf(v *Value) int {
 	if v.Kind() >= KindInt && v.Kind() <= KindBool {
 		return AttrWireSize
@@ -415,187 +415,154 @@ func wireOf(v *Value) int {
 // missing reports whether v represents missing data: null or the zero Value.
 func missing(v Value) bool { return v.Kind() == 0 || v.Kind() == KindNull }
 
-// New returns an object holding a copy of the supplied attributes. Null
-// values are normalized away: a null attribute and an absent attribute are
-// indistinguishable, both representing missing data.
+// New returns an object holding a copy of the supplied attributes, laid out
+// by the names it holds. Null values are normalized away: a null attribute
+// and an absent attribute both represent missing data.
 func New(id LOid, class string, attrs map[string]Value) *Object {
 	o := &Object{LOid: id, Class: class}
-	if len(attrs) == 0 {
-		return o
-	}
-	o.attrs = make([]attr, 0, len(attrs))
+	names := make([]string, 0, len(attrs))
 	for k, v := range attrs {
 		if !missing(v) {
-			o.attrs = append(o.attrs, attr{k, v})
-			o.wire += wireOf(&v)
+			names = append(names, k)
 		}
 	}
-	slices.SortFunc(o.attrs, func(a, b attr) int { return strings.Compare(a.name, b.name) })
+	slices.Sort(names)
+	o.setValues(NewLayout(names), make([]Value, len(names)))
+	for k, name := range names {
+		o.SetSlot(k, attrs[name])
+	}
 	return o
 }
 
-// find returns the position of the named attribute, or the position it
-// would be inserted at and false.
-func (o *Object) find(name string) (int, bool) {
-	lo, hi := 0, len(o.attrs)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if o.attrs[mid].name < name {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo, lo < len(o.attrs) && o.attrs[lo].name == name
-}
+// setValues lays o out by l over vals, a value per slot.
+func (o *Object) setValues(l *Layout, vals []Value) { o.layout, o.vals = l, unsafe.SliceData(vals) }
 
-// Attr returns the value of the named attribute, or Null when the attribute
-// is missing (missing attribute of the class, or a null value).
-//
-// It scans rather than bisects: at the handful of attributes an object holds,
-// equality tests (length first) beat both a hash and ordered comparisons (9
-// ns against 13 for the map this replaced and 19 for find, at six
-// attributes), and the loop is small enough to inline into the evaluator.
+// values is o's run of values, a value per slot of its layout.
+func (o *Object) values() []Value { return unsafe.Slice(o.vals, len(o.layout.Names())) }
+
+// Layout returns the layout o is laid out by; nil for the zero Object.
+func (o *Object) Layout() *Layout { return o.layout }
+
+// Attr returns the value of the named attribute, or Null when it is missing.
+// It scans the layout's handful of names, small enough to inline.
 func (o *Object) Attr(name string) Value {
-	for i := range o.attrs {
-		if o.attrs[i].name == name {
-			return o.attrs[i].val
+	if o.layout != nil {
+		for k, n := range o.layout.names {
+			if n == name {
+				if v := *(*Value)(unsafe.Add(unsafe.Pointer(o.vals), uintptr(k)*unsafe.Sizeof(Value{}))); v.tag != 0 {
+					return v
+				}
+				break
+			}
 		}
 	}
 	return Null()
 }
 
+// Slot returns the value in slot k: the zero Value where it is absent.
+func (o *Object) Slot(k int) Value { return o.values()[k] }
+
+// SetSlot stores v in slot k, or clears the slot when v is missing data.
+func (o *Object) SetSlot(k int, v Value) {
+	e := &o.values()[k]
+	if e.tag != 0 {
+		o.wire -= wireOf(e)
+	}
+	if *e = v; missing(v) {
+		*e = Value{}
+	} else {
+		o.wire += wireOf(e)
+	}
+}
+
+// Rename gives o a new identity and the layout l, which must name what o's
+// does (checked once per layout by the caller, not here): the values stay.
+func (o *Object) Rename(id LOid, class string, l *Layout) {
+	_ = o.values()[:len(l.Names())] // a wider layout panics
+	o.LOid, o.Class, o.layout = id, class, l
+}
+
+// Relayout lays o out by l, which must name every attribute o holds,
+// moving its values unless its layout names what l does.
+func (o *Object) Relayout(l *Layout) {
+	if o.layout != l && !slices.Equal(o.layout.Names(), l.Names()) {
+		vals := make([]Value, len(l.names))
+		for i, v := range o.values() {
+			if k, ok := slices.BinarySearch(l.names, o.layout.names[i]); ok {
+				vals[k] = v
+			}
+		}
+		o.vals = unsafe.SliceData(vals)
+	}
+	o.layout = l
+}
+
 // Len returns the number of (non-null) attributes the object holds.
-func (o *Object) Len() int { return len(o.attrs) }
-
-// At returns the i-th attribute in name order, 0 <= i < Len().
-func (o *Object) At(i int) (name string, v Value) {
-	return o.attrs[i].name, o.attrs[i].val
-}
-
-// Set stores an attribute value, or deletes the attribute when v is null.
-func (o *Object) Set(name string, v Value) {
-	i, ok := o.find(name)
-	switch {
-	case missing(v):
-		if ok {
-			o.wire -= wireOf(&o.attrs[i].val)
-			o.attrs = append(o.attrs[:i], o.attrs[i+1:]...)
+func (o *Object) Len() int {
+	n := 0
+	for _, v := range o.values() {
+		if v.tag != 0 {
+			n++
 		}
-	case ok:
-		o.wire += wireOf(&v) - wireOf(&o.attrs[i].val)
-		o.attrs[i].val = v
-	default:
-		o.wire += wireOf(&v)
-		o.attrs = append(o.attrs, attr{})
-		copy(o.attrs[i+1:], o.attrs[i:])
-		o.attrs[i] = attr{name, v}
-	}
-}
-
-// Append is Set for a builder that meets its attributes in name order: v is
-// not null and name sorts after every name the object holds.
-func (o *Object) Append(name string, v Value) {
-	o.wire += wireOf(&v)
-	o.attrs = append(o.attrs, attr{name, v})
-}
-
-// Rewrite is for the sole holder of o: fn is handed each entry mask selects
-// (as for Projected) by its position in mask, and may replace its value in
-// place. An entry fn rejects, and one outside mask, is dropped.
-func (o *Object) Rewrite(mask []string, fn func(j int, v *Value) bool) {
-	kept, j := 0, 0
-	o.wire = 0
-	for i := range o.attrs {
-		e := &o.attrs[i]
-		for j < len(mask) && mask[j] < e.name {
-			j++
-		}
-		if j == len(mask) || mask[j] != e.name || !fn(j, &e.val) {
-			continue
-		}
-		if kept != i {
-			o.attrs[kept] = *e
-		}
-		kept++
-		o.wire += wireOf(&e.val)
-	}
-	o.attrs = o.attrs[:kept]
-}
-
-// Clone returns a deep-enough copy: the attribute entries are copied (values
-// are immutable, so they are shared).
-func (o *Object) Clone() *Object {
-	return &Object{LOid: o.LOid, Class: o.Class, attrs: append([]attr(nil), o.attrs...), wire: o.wire}
-}
-
-// Projection is a cursor over the attributes of an object that a mask names:
-// the projection of the object on the mask, read in place instead of copied
-// out. Object.Projected starts one.
-type Projection struct {
-	attrs []attr
-	mask  []string
-	width int // the whole mask's length
-}
-
-// Projected returns a cursor over the object's attributes whose names are in
-// mask, in name order. The mask must be sorted and free of repeats, as
-// query.Bound.Involved lists a class's attributes; the walk advances through
-// the two sorted lists together, so it costs their lengths, not their
-// product. A nil or empty mask selects nothing.
-func (o *Object) Projected(mask []string) Projection {
-	return Projection{attrs: o.attrs, mask: mask, width: len(mask)}
-}
-
-// next returns the next selected entry, or nil when the walk is over.
-func (p *Projection) next() *attr {
-	for len(p.attrs) > 0 && len(p.mask) > 0 {
-		e := &p.attrs[0]
-		c := strings.Compare(e.name, p.mask[0])
-		if c <= 0 {
-			p.attrs = p.attrs[1:]
-		}
-		if c >= 0 {
-			p.mask = p.mask[1:]
-		}
-		if c == 0 {
-			return e
-		}
-	}
-	return nil
-}
-
-// Next returns the next selected attribute by its position j in the mask
-// (its name is mask[j]); ok is false when none is left.
-func (p *Projection) Next() (j int, v Value, ok bool) {
-	if e := p.next(); e != nil {
-		return p.width - len(p.mask) - 1, e.val, true
-	}
-	return 0, Value{}, false
-}
-
-// WireSize returns the bytes needed to ship the object projected on the
-// given attributes (sorted and free of repeats, as for Projected; pass nil
-// for all attributes), including its LOid. This is the paper's Table 1 cost
-// model, not the size of any encoding. The whole object's size is kept, not
-// summed.
-func (o *Object) WireSize(attrs []string) int {
-	if attrs == nil {
-		return LOidWireSize + o.wire
-	}
-	n := LOidWireSize
-	p := o.Projected(attrs)
-	for e := p.next(); e != nil; e = p.next() {
-		n += wireOf(&e.val)
 	}
 	return n
 }
 
-// AttrNames returns the object's attribute names in sorted order.
+// At returns the i-th attribute the object holds in name order,
+// 0 <= i < Len().
+func (o *Object) At(i int) (name string, v Value) {
+	for k, v := range o.values() {
+		if v.tag != 0 && i == 0 {
+			return o.layout.names[k], v
+		} else if v.tag != 0 {
+			i--
+		}
+	}
+	panic(fmt.Sprintf("object: %s holds too few attributes", o.LOid))
+}
+
+// Set stores an attribute value, or deletes it when v is null. A name o's
+// layout lacks gives o a layout of its own: Set builds objects by hand.
+func (o *Object) Set(name string, v Value) {
+	k, ok := slices.BinarySearch(o.layout.Names(), name)
+	if !ok && !missing(v) {
+		o.Relayout(NewLayout(slices.Insert(slices.Clone(o.layout.Names()), k, name)))
+	}
+	if ok || !missing(v) {
+		o.SetSlot(k, v)
+	}
+}
+
+// Clone returns a copy with values of its own, sharing o's layout.
+func (o *Object) Clone() *Object {
+	cp := *o
+	cp.setValues(o.layout, slices.Clone(o.values()))
+	return &cp
+}
+
+// WireSize returns the bytes needed to ship the object through mask (nil
+// for all attributes), its LOid included: the paper's Table 1 cost model,
+// not the size of any encoding.
+func (o *Object) WireSize(mask *Mask) int {
+	if mask == nil {
+		return LOidWireSize + o.wire
+	}
+	n, vals := LOidWireSize, o.values()
+	for _, k := range mask.Slots(o.layout) {
+		if k >= 0 && vals[k].tag != 0 {
+			n += wireOf(&vals[k])
+		}
+	}
+	return n
+}
+
+// AttrNames returns the names of the attributes the object holds, sorted.
 func (o *Object) AttrNames() []string {
-	names := make([]string, len(o.attrs))
-	for i, e := range o.attrs {
-		names[i] = e.name
+	var names []string
+	for k, v := range o.values() {
+		if v.tag != 0 {
+			names = append(names, o.layout.names[k])
+		}
 	}
 	return names
 }
@@ -604,14 +571,45 @@ func (o *Object) AttrNames() []string {
 func (o *Object) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%s[%s]{", o.Class, o.LOid)
-	for i, e := range o.attrs {
+	for i, name := range o.AttrNames() {
 		if i > 0 {
 			b.WriteString(", ")
 		}
-		fmt.Fprintf(&b, "%s: %s", e.name, e.val)
+		fmt.Fprintf(&b, "%s: %s", name, o.Attr(name))
 	}
 	b.WriteByte('}')
 	return b.String()
+}
+
+// Mask is a list's mask, sorted names, resolved to the slots of the layout
+// of the objects read through it (-1 where it has none) once per layout: a
+// list whose objects share a layout resolves it once. Not for concurrent use.
+type Mask struct {
+	names  []string
+	layout *Layout
+	slots  []int32
+}
+
+// NewMask returns the mask of names, which is kept, not copied.
+func NewMask(names []string) *Mask { return &Mask{names: names} }
+
+// Reset makes m the mask of names, keeping its room for slots.
+func (m *Mask) Reset(names []string) { *m = Mask{names: names, slots: m.slots[:0:cap(m.slots)]} }
+
+// Slots returns the mask's slots in l, valid until the next call.
+func (m *Mask) Slots(l *Layout) []int32 {
+	if len(m.slots) == len(m.names) && l == m.layout {
+		return m.slots
+	}
+	m.layout, m.slots = l, m.slots[:0]
+	for _, name := range m.names {
+		k, ok := slices.BinarySearch(l.Names(), name)
+		m.slots = append(m.slots, int32(k))
+		if !ok {
+			m.slots[len(m.slots)-1] = -1
+		}
+	}
+	return m.slots
 }
 
 // AppendBinary appends the value's binary encoding to dst and returns the

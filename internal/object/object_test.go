@@ -252,28 +252,49 @@ func TestObjectProject(t *testing.T) {
 	o := New("s1", "Student", map[string]Value{
 		"name": Str("John"), "age": Int(31), "advisor": Ref("t1"),
 	})
-	// The projection is read in place, in name order, through a sorted mask.
+	// The projection is read in place, by the slots a sorted mask resolves
+	// in the object's layout, in name order.
 	var got []string
-	mask := []string{"advisor", "name", "nonexistent"}
-	for p := o.Projected(mask); ; {
-		j, v, ok := p.Next()
-		if !ok {
-			break
+	names := []string{"advisor", "name", "nonexistent"}
+	for j, k := range NewMask(names).Slots(o.Layout()) {
+		name := names[j]
+		if k < 0 {
+			if !o.Attr(name).IsNull() {
+				t.Errorf("the mask finds no slot for %s, the object holds %v", name, o.Attr(name))
+			}
+			continue
 		}
-		name := mask[j]
-		if !v.Equal(o.Attr(name)) {
-			t.Errorf("Projected yields %s = %v, the object holds %v", name, v, o.Attr(name))
+		if v := o.Slot(int(k)); !v.Equal(o.Attr(name)) {
+			t.Errorf("slot %d yields %s = %v, the object holds %v", k, name, v, o.Attr(name))
 		}
 		got = append(got, name)
 	}
 	if want := []string{"advisor", "name"}; !reflect.DeepEqual(got, want) {
-		t.Errorf("Projected yields %v, want %v", got, want)
+		t.Errorf("the mask reads %v, want %v", got, want)
 	}
 	for _, none := range [][]string{nil, {}, {"a", "b"}, {"zzz"}} {
-		p := o.Projected(none)
-		if j, _, ok := p.Next(); ok {
-			t.Errorf("Projected(%v) yields %s", none, none[j])
+		for j, k := range NewMask(none).Slots(o.Layout()) {
+			if k >= 0 {
+				t.Errorf("mask %v reads %s", none, none[j])
+			}
 		}
+	}
+	// A mask resolves once per layout: objects that share one share slots,
+	// and an object of another layout is resolved afresh.
+	l := NewLayout([]string{"advisor", "age", "name"})
+	var slab Slab
+	a, b := slab.New(l), slab.New(l)
+	a.SetSlot(2, Str("Ann"))
+	b.SetSlot(0, Ref("t2"))
+	m := NewMask([]string{"advisor", "name"})
+	if s := m.Slots(a.Layout()); !reflect.DeepEqual(s, []int32{0, 2}) || &m.Slots(b.Layout())[0] != &s[0] {
+		t.Errorf("slots in a shared layout: %v", s)
+	}
+	if s := m.Slots(o.Layout()); !reflect.DeepEqual(s, []int32{0, 2}) {
+		t.Errorf("slots in o's layout %v: %v", o.Layout().Names(), s)
+	}
+	if s := m.Slots(New("c", "C", map[string]Value{"name": Int(1)}).Layout()); !reflect.DeepEqual(s, []int32{-1, 0}) {
+		t.Errorf("slots in a one-name layout: %v", s)
 	}
 }
 
@@ -286,7 +307,7 @@ func TestObjectWireSize(t *testing.T) {
 		t.Errorf("WireSize(nil) = %d, want %d", got, wantAll)
 	}
 	want := LOidWireSize + AttrWireSize
-	if got := o.WireSize([]string{"name", "nope"}); got != want {
+	if got := o.WireSize(NewMask([]string{"name", "nope"})); got != want {
 		t.Errorf("WireSize(name) = %d, want %d", got, want)
 	}
 }
@@ -325,11 +346,18 @@ func TestWholeObjectWireSizeIsKept(t *testing.T) {
 	check("Set delete absent", o)
 	check("Clone", o.Clone())
 	var slab Slab
-	built := slab.New("s2", "Student", 2)
-	built.Set("name", Str("Jo"))
-	built.Set("advisor", Ref("t2"))
-	built.Set("courses", List(Ref("c1"))) // past the reserved room
-	check("Slab.New + Set", built)
+	built := slab.New(NewLayout([]string{"advisor", "name"}))
+	built.SetSlot(1, Str("Jo"))
+	built.SetSlot(0, Ref("t2"))
+	check("Slab.New + SetSlot", built)
+	built.SetSlot(0, Str("none")) // replace a reference by an attribute-sized value
+	check("SetSlot replace", built)
+	built.Set("courses", List(Ref("c1"))) // a name the layout lacks
+	check("Set past the layout", built)
+	built.SetSlot(0, Null()) // clear
+	check("SetSlot clear", built)
+	built.Relayout(NewLayout([]string{"advisor", "age", "courses", "name"}))
+	check("Relayout", built)
 	rec, err := AppendObject(nil, o)
 	if err != nil {
 		t.Fatal(err)
@@ -339,11 +367,11 @@ func TestWholeObjectWireSizeIsKept(t *testing.T) {
 		t.Fatal(err)
 	}
 	check("DecodeObject", decoded)
-	masked, err := AppendMasked(nil, o, o.AttrNames())
+	masked, err := AppendMasked(nil, o, NewMask(o.AttrNames()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	cut, _, err := slab.DecodeMasked(masked, o.Class, o.AttrNames())
+	cut, _, err := slab.DecodeMasked(masked, o.Class, NewLayout(o.AttrNames()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -503,15 +531,24 @@ func TestFloatBitsSurviveEncoding(t *testing.T) {
 	}
 }
 
-// TestValueSize pins the layout the slabs are sized by: every attribute
-// entry, result-row target and navigation outcome carries one Value, three
-// words that a call passes in registers.
+// TestValueSize pins the sizes the slabs are sized by: every object slot,
+// result-row target and navigation outcome carries one Value, three words
+// that a call passes in registers, and an Object is its identity, its
+// layout and its values' pointer and size. A chunk of either, with the
+// allocator's 8-byte header, fills its size class exactly.
 func TestValueSize(t *testing.T) {
-	if n := unsafe.Sizeof(Value{}); n > 24 {
-		t.Errorf("Value is %d bytes, want <= 24", n)
+	if n := unsafe.Sizeof(Value{}); n != 24 {
+		t.Errorf("Value is %d bytes, want 24", n)
 	}
-	if n := unsafe.Sizeof(attr{}); n > 40 {
-		t.Errorf("an attribute entry is %d bytes, want <= 40", n)
+	if n := unsafe.Sizeof(Object{}); n != 56 {
+		t.Errorf("an Object is %d bytes, want 56", n)
+	}
+	const header = 8
+	if n := slabEntries*unsafe.Sizeof(Value{}) + header; n != 14336 {
+		t.Errorf("a chunk of %d values is %d bytes with its header, want the 14 336-byte size class", slabEntries, n)
+	}
+	if n := slabObjects*unsafe.Sizeof(Object{}) + header; n != 4096 {
+		t.Errorf("a chunk of %d objects is %d bytes with its header, want the 4 096-byte size class", slabObjects, n)
 	}
 }
 

@@ -15,9 +15,9 @@ import (
 //	value  = len:uvarint bytes[len]        bytes = Value.AppendBinary
 //	str    = len:uvarint bytes[len]
 //
-// Attributes are written in name order — the order an Object keeps them in —
+// Attributes are written in name order — the order of an Object's layout —
 // and the decoder rejects any other, so an object has exactly one encoding
-// and the decoder can fill the entry slice in place.
+// and the decoder can fill its values in place.
 //
 // The masked record serves retrieve lists, which name the class and the
 // attributes once for all their objects: it is an object read through a
@@ -27,7 +27,8 @@ import (
 //
 // Bit j of present (byte j/8, bit j%8) means the object holds mask[j]; the
 // values of the set bits follow in mask order. No bit past len(mask) is set
-// and no present value is null, so a masked record has one encoding too.
+// and no present value is null, so a masked record has one encoding too. A
+// decoded masked record is laid out by its mask: value j goes to slot j.
 //
 // One entry loop (decodeEntries) and one value parser (Value.unmarshal) read
 // both back, into a Slab's chunks when one is given.
@@ -97,43 +98,39 @@ func DecodeValue(b []byte) (Value, []byte, error) {
 func AppendObject(dst []byte, o *Object) ([]byte, error) {
 	dst = appendString(dst, o.Class)
 	dst = appendString(dst, string(o.LOid))
-	dst = binary.AppendUvarint(dst, uint64(len(o.attrs)))
-	for i := range o.attrs {
+	dst = binary.AppendUvarint(dst, uint64(o.Len()))
+	for k, v := range o.values() {
+		if v.tag == 0 {
+			continue
+		}
 		var err error
-		if dst, err = appendEntry(appendString(dst, o.attrs[i].name), o, &o.attrs[i]); err != nil {
+		if dst, err = appendSlot(appendString(dst, o.layout.names[k]), o, k); err != nil {
 			return nil, err
 		}
 	}
 	return dst, nil
 }
 
-// AppendMasked appends o's masked record through mask (sorted, free of
-// repeats: see Object.Projected): its LOid, the bitmap of the mask's names it
-// holds, and their values in mask order. What o holds outside the mask is
-// not written.
-func AppendMasked(dst []byte, o *Object, mask []string) ([]byte, error) {
+// AppendMasked appends o's masked record through mask: its LOid, the bitmap
+// of the mask's names it holds, and their values in mask order, read by the
+// slots the mask resolves in o's layout. What o holds outside the mask is not
+// written.
+func AppendMasked(dst []byte, o *Object, mask *Mask) ([]byte, error) {
 	dst = appendString(dst, string(o.LOid))
 	at := len(dst)
-	for range (len(mask) + 7) / 8 {
+	for range (len(mask.names) + 7) / 8 {
 		dst = append(dst, 0)
 	}
-	attrs := o.attrs
-	for j, name := range mask {
-		for len(attrs) > 0 && attrs[0].name < name {
-			attrs = attrs[1:]
-		}
-		if len(attrs) == 0 {
-			break
-		}
-		if attrs[0].name != name {
+	vals := o.values()
+	for j, k := range mask.Slots(o.layout) {
+		if k < 0 || vals[k].tag == 0 {
 			continue
 		}
 		dst[at+j/8] |= 1 << (j % 8)
 		var err error
-		if dst, err = appendEntry(dst, o, &attrs[0]); err != nil {
+		if dst, err = appendSlot(dst, o, int(k)); err != nil {
 			return nil, err
 		}
-		attrs = attrs[1:]
 	}
 	return dst, nil
 }
@@ -154,12 +151,12 @@ func setUvarint(dst []byte, at int, v uint64) []byte {
 	return dst
 }
 
-// appendEntry appends e's value, naming the object and the attribute in a
-// failure.
-func appendEntry(dst []byte, o *Object, e *attr) ([]byte, error) {
-	dst, err := AppendValue(dst, e.val)
+// appendSlot appends the value in o's slot k, naming the object and the
+// attribute in a failure.
+func appendSlot(dst []byte, o *Object, k int) ([]byte, error) {
+	dst, err := AppendValue(dst, o.values()[k])
 	if err != nil {
-		return nil, fmt.Errorf("object: encode %s.%s: %w", o.LOid, e.name, err)
+		return nil, fmt.Errorf("object: encode %s.%s: %w", o.LOid, o.layout.names[k], err)
 	}
 	return dst, nil
 }
@@ -172,10 +169,11 @@ const (
 )
 
 // DecodeObject decodes one named record from the front of b and returns the
-// bytes after it. The object has allocations of its own; nothing it holds
-// shares memory with b. Class and attribute names go through in (which may be
-// nil). Null and zero-kind values are dropped as New drops them; names out of
-// order or repeated are corruption.
+// bytes after it. The object has allocations of its own, a layout of the
+// names it holds among them; nothing it holds shares memory with b. Class and
+// attribute names go through in (which may be nil). Null and zero-kind values
+// are dropped as New drops them; names out of order or repeated are
+// corruption.
 func DecodeObject(b []byte, in *Interner) (*Object, []byte, error) {
 	class, b, err := readBytes(b)
 	if err != nil {
@@ -187,22 +185,23 @@ func DecodeObject(b []byte, in *Interner) (*Object, []byte, error) {
 	}
 	n, w := binary.Uvarint(b)
 	if w <= 0 || n > uint64(len(b)-w)/minAttrBytes {
-		// Checked against the bytes that remain before the entries are
+		// Checked against the bytes that remain before the values are
 		// allocated: a count cannot claim more than the input can hold.
 		return nil, nil, fmt.Errorf("%w: attribute count", errCorrupt)
 	}
 	o := &Object{Class: in.Intern(class), LOid: LOid(loid)}
-	return (*Slab)(nil).decodeEntries(o, b[w:], int(n), in, nil, nil)
+	return (*Slab)(nil).decodeEntries(o, b[w:], int(n), in, make([]string, 0, n), make([]Value, n), nil)
 }
 
-// DecodeMasked decodes one masked record of class through mask (sorted, free
-// of repeats, as the list that carries the record checks once) from the
-// front of b and returns the bytes after it. The Object, its entries, its
-// LOid and its string and reference payloads are cut from the slab; nothing
-// the object holds shares memory with b, and its entries are named by mask's
-// own strings. A bit past the mask, or a present value that is null or of
-// zero kind, is corruption.
-func (s *Slab) DecodeMasked(b []byte, class string, mask []string) (*Object, []byte, error) {
+// DecodeMasked decodes one masked record of class through the mask l names
+// (sorted, free of repeats, as the list that carries the record checks once)
+// from the front of b and returns the bytes after it. The Object, its values,
+// its LOid and its string and reference payloads are cut from the slab, and
+// it is laid out by l. Nothing the object holds shares memory with b. A bit
+// past the mask, or a present value that is null or of zero kind, is
+// corruption.
+func (s *Slab) DecodeMasked(b []byte, class string, l *Layout) (*Object, []byte, error) {
+	mask := l.Names()
 	loid, b, err := readBytes(b)
 	if err != nil {
 		return nil, nil, err
@@ -222,62 +221,66 @@ func (s *Slab) DecodeMasked(b []byte, class string, mask []string) (*Object, []b
 	if n > len(b)/minValueBytes {
 		return nil, nil, fmt.Errorf("%w: %s: %d values marked present", errCorrupt, loid, n)
 	}
-	o := s.object(1 + len(b)/(1+width))
+	records := 1 + len(b)/(1+width) // what the rest of the input could still hold
+	o := s.object(records)
 	o.Class, o.LOid = class, LOid(s.str(loid, len(loid)+len(b)))
-	return s.decodeEntries(o, b, n, nil, mask, present)
+	o.layout, o.vals = l, s.values(len(mask), records*len(mask))
+	return s.decodeEntries(o, b, n, nil, nil, o.values(), present)
 }
 
 // decodeEntries is the one entry loop: it decodes o's n attributes from the
-// front of b and returns the bytes after them. A named record (mask nil)
-// spells each name before its value; a masked record's i-th value is named by
-// the i-th name of mask that present marks. Each value is parsed in place, its
-// payload cut from the slab.
-func (s *Slab) decodeEntries(o *Object, b []byte, n int, in *Interner, mask []string, present []byte) (*Object, []byte, error) {
-	o.attrs = s.entries(n, len(b)/minValueBytes)
+// front of b into vals and returns the bytes after them. A masked record's
+// i-th value goes to the slot of the i-th name present marks, vals being o's
+// own; a named record (present nil) spells each name before its value,
+// appended to names in the slot its value takes, and o is laid out by them
+// over vals at the end. Each value is parsed in place, its payload cut from
+// the slab.
+func (s *Slab) decodeEntries(o *Object, b []byte, n int, in *Interner, names []string, vals []Value, present []byte) (*Object, []byte, error) {
 	var prev string
-	j := -1 // the mask position of the last masked entry
+	j := -1 // the slot of the last value
 	for i := 0; i < n; i++ {
-		var name, raw []byte
+		var name string
+		var raw []byte
 		var err error
-		if mask == nil {
-			if name, b, err = readBytes(b); err != nil {
+		if present == nil {
+			if raw, b, err = readBytes(b); err != nil {
 				return nil, nil, err
 			}
+			j, name = len(names), in.Intern(raw)
+			names = append(names, name)
 		} else {
 			for j++; present[j/8]&(1<<(j%8)) == 0; j++ {
 			}
+			name = o.layout.names[j]
 		}
 		if raw, b, err = readBytes(b); err != nil {
 			return nil, nil, err
 		}
-		// The value is decoded where it will stay; an entry that turns out
-		// to hold missing data is given back.
-		o.attrs = o.attrs[:len(o.attrs)+1]
-		e := &o.attrs[len(o.attrs)-1]
-		if mask == nil {
-			e.name = in.Intern(name)
-		} else {
-			e.name = mask[j]
+		// The value is decoded where it will stay; a named entry that turns
+		// out to hold missing data is given back.
+		e := &vals[j]
+		if err := e.unmarshal(raw, 0, s, len(raw)+len(b)); err != nil {
+			return nil, nil, fmt.Errorf("object: decode %s.%s: %w", o.LOid, name, err)
 		}
-		if err := e.val.unmarshal(raw, 0, s, len(raw)+len(b)); err != nil {
-			return nil, nil, fmt.Errorf("object: decode %s.%s: %w", o.LOid, e.name, err)
-		}
-		if mask != nil {
-			if missing(e.val) {
-				return nil, nil, fmt.Errorf("%w: %s: %s marked present, holds no value", errCorrupt, o.LOid, e.name)
+		if present != nil {
+			if missing(*e) {
+				return nil, nil, fmt.Errorf("%w: %s: %s marked present, holds no value", errCorrupt, o.LOid, name)
 			}
 		} else {
-			if i > 0 && prev >= e.name {
-				return nil, nil, fmt.Errorf("%w: %s: attribute %q out of order", errCorrupt, o.LOid, e.name)
+			if i > 0 && prev >= name {
+				return nil, nil, fmt.Errorf("%w: %s: attribute %q out of order", errCorrupt, o.LOid, name)
 			}
-			prev = e.name
-			if missing(e.val) {
-				*e = attr{}
-				o.attrs = o.attrs[:len(o.attrs)-1]
+			prev = name
+			if missing(*e) {
+				*e = Value{}
+				names = names[:j]
 				continue
 			}
 		}
-		o.wire += wireOf(&e.val)
+		o.wire += wireOf(e)
+	}
+	if present == nil {
+		o.setValues(NewLayout(names), vals)
 	}
 	return o, b, nil
 }

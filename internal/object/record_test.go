@@ -209,29 +209,30 @@ func TestObjectSetKeepsOrder(t *testing.T) {
 	}
 }
 
-// TestSlabObjectsAreIndependent: objects cut from one slab share chunks, not
-// entries — filling one to its reserved room allocates nothing, and filling
-// it past that room moves it out of the chunk instead of into its neighbour.
+// TestSlabObjectsAreIndependent: objects cut from one slab share chunks and
+// a layout, not values — filling one's slots allocates nothing, and a name
+// past the layout moves it out of the chunk instead of into its neighbour.
 func TestSlabObjectsAreIndependent(t *testing.T) {
 	slab := NewSlab(2, 4)
-	a, b := slab.New("a", "C", 2), slab.New("b", "C", 2)
-	if n := testing.AllocsPerRun(1, func() { a.Set("x", Int(1)); a.Set("y", Int(2)) }); n != 0 {
-		t.Errorf("Set within the reserved room allocates %v times", n)
+	l := NewLayout([]string{"x", "y"})
+	a, b := slab.New(l), slab.New(l)
+	if n := testing.AllocsPerRun(1, func() { a.SetSlot(0, Int(1)); a.Set("y", Int(2)) }); n != 0 {
+		t.Errorf("filling the layout's slots allocates %v times", n)
 	}
-	b.Set("x", Str("b's"))
-	a.Set("z", Int(3)) // one more than a's room
+	b.SetSlot(0, Str("b's"))
+	a.Set("z", Int(3)) // past the layout
 	if got, want := a.AttrNames(), []string{"x", "y", "z"}; !reflect.DeepEqual(got, want) {
 		t.Errorf("a = %v, want %v", got, want)
 	}
-	if !b.Attr("x").Equal(Str("b's")) || b.Len() != 1 {
+	if !b.Attr("x").Equal(Str("b's")) || b.Len() != 1 || b.Layout() != l || a.Layout() == l {
 		t.Errorf("b was written through a: %v", b)
 	}
 	// An exhausted slab, the zero slab and the nil slab all keep working.
 	var zero Slab
 	for _, s := range []*Slab{slab, &zero, nil} {
-		o := s.New("o", "C", 1)
-		o.Set("k", Int(7))
-		if o.LOid != "o" || !o.Attr("k").Equal(Int(7)) {
+		o := s.New(NewLayout([]string{"k"}))
+		o.SetSlot(0, Int(7))
+		if o.Len() != 1 || !o.Attr("k").Equal(Int(7)) {
 			t.Errorf("New on %p: %v", s, o)
 		}
 	}
@@ -255,34 +256,35 @@ func restrictedCopy(o *Object, mask []string) *Object {
 func checkProjection(t testing.TB, o *Object, mask []string) {
 	t.Helper()
 	cp := restrictedCopy(o, mask)
-	got, err := AppendMasked(nil, o, mask)
+	m := NewMask(mask)
+	got, err := AppendMasked(nil, o, m)
 	if err != nil {
 		t.Fatalf("AppendMasked(%v, %v): %v", o, mask, err)
 	}
-	if want, err := AppendMasked(nil, cp, mask); err != nil || !bytes.Equal(got, want) {
+	if want, err := AppendMasked(nil, cp, m); err != nil || !bytes.Equal(got, want) {
 		t.Errorf("%v through %v:\n got %x\nwant %x (%v)", o, mask, got, want, err)
 	}
 	// Compared by their named records, which spell out every field an
 	// object has; DeepEqual would tell a nil entry slice from an empty one.
-	if back, rest, err := new(Slab).DecodeMasked(got, o.Class, mask); err != nil || len(rest) != 0 ||
+	if back, rest, err := new(Slab).DecodeMasked(got, o.Class, NewLayout(mask)); err != nil || len(rest) != 0 ||
 		!bytes.Equal(encode(t, back), encode(t, cp)) || back.WireSize(nil) != cp.WireSize(nil) {
 		t.Errorf("%v through %v: decodes to %v (%d bytes left, %v), want %v", o, mask, back, len(rest), err, cp)
 	}
-	if mask != nil && o.WireSize(mask) != cp.WireSize(nil) {
-		t.Errorf("%v through %v: modeled size %d, the copy's %d", o, mask, o.WireSize(mask), cp.WireSize(nil))
+	if o.WireSize(m) != cp.WireSize(nil) {
+		t.Errorf("%v through %v: modeled size %d, the copy's %d", o, mask, o.WireSize(m), cp.WireSize(nil))
 	}
-	p := o.Projected(mask)
-	for i := 0; ; i++ {
-		j, v, ok := p.Next()
-		if !ok {
-			if i != cp.Len() {
-				t.Errorf("%v through %v: %d attributes, the copy has %d", o, mask, i, cp.Len())
-			}
-			break
+	i := 0
+	for j, k := range m.Slots(o.Layout()) {
+		if k < 0 || o.Slot(int(k)).Kind() == 0 {
+			continue
 		}
-		if wn, wv := cp.At(i); mask[j] != wn || !reflect.DeepEqual(v, wv) {
-			t.Errorf("%v through %v: attribute %d is %s=%v, the copy's %s=%v", o, mask, i, mask[j], v, wn, wv)
+		if wn, wv := cp.At(i); mask[j] != wn || !Identical(o.Slot(int(k)), wv) {
+			t.Errorf("%v through %v: attribute %d is %s=%v, the copy's %s=%v", o, mask, i, mask[j], o.Slot(int(k)), wn, wv)
 		}
+		i++
+	}
+	if i != cp.Len() {
+		t.Errorf("%v through %v: %d attributes, the copy has %d", o, mask, i, cp.Len())
 	}
 }
 
@@ -386,7 +388,7 @@ func sampleMasked() map[string][]byte {
 	}
 	out := make(map[string][]byte, len(seeds))
 	for name, seed := range seeds {
-		rec, err := AppendMasked(nil, seed.o, seed.mask)
+		rec, err := AppendMasked(nil, seed.o, NewMask(seed.mask))
 		if err != nil {
 			panic(err)
 		}
@@ -502,8 +504,8 @@ func FuzzDecodeObject(f *testing.F) {
 			o   *Object
 			err error
 		)
-		// An attribute entry is 40 bytes from at least 3 of input; a list
-		// element 24 from 9.
+		// An attribute is a 24-byte value and a 16-byte name from at least 3
+		// bytes of input; a list element 24 from 9.
 		boundedDecode(t, len(data), 32, func() { o, _, err = DecodeObject(data, &Interner{}) })
 		if err != nil {
 			return
@@ -562,23 +564,24 @@ func FuzzDecodeMasked(f *testing.F) {
 			o   *Object
 			err error
 		)
-		// The slab's chunks are sized from the bytes that remain: 76 per
-		// Object (64 in a chunk the allocator rounds up by a sixth) from a
+		// The slab's chunks are sized from the bytes that remain: 66 per
+		// Object (56 in a chunk the allocator rounds up by a sixth) from a
 		// record of at least one byte, an empty LOid through an empty mask;
-		// or 38 per Object from two and 20 per entry from its two-byte value.
-		boundedDecode(t, len(data), 80, func() { o, _, err = new(Slab).DecodeMasked(record, "C", mask) })
+		// and the object is laid out by the mask, 24 bytes per slot for a
+		// name that takes at least one byte of the input.
+		boundedDecode(t, len(data), 80, func() { o, _, err = new(Slab).DecodeMasked(record, "C", NewLayout(mask)) })
 		if err != nil {
 			return
 		}
-		again, err := AppendMasked(nil, o, mask)
+		again, err := AppendMasked(nil, o, NewMask(mask))
 		if err != nil {
 			t.Fatalf("decoded object does not re-encode: %v", err)
 		}
-		o2, rest, err := (*Slab)(nil).DecodeMasked(again, "C", mask)
+		o2, rest, err := (*Slab)(nil).DecodeMasked(again, "C", NewLayout(mask))
 		if err != nil || len(rest) != 0 || !Identical(o, o2) {
 			t.Fatalf("re-encoded bytes decode to %v (%v, %d left), want %v", o2, err, len(rest), o)
 		}
-		if third, _ := AppendMasked(nil, o2, mask); !bytes.Equal(again, third) {
+		if third, _ := AppendMasked(nil, o2, NewMask(mask)); !bytes.Equal(again, third) {
 			t.Fatalf("encoding is not a fixed point:\n%x\n%x", again, third)
 		}
 	})
@@ -613,23 +616,26 @@ func BenchmarkObject(b *testing.B) {
 			sinkValue = o.Attr("p1")
 		}
 	})
-	b.Run("Set", func(b *testing.B) {
-		// Materialize's pattern: a fresh object filled in name order.
+	b.Run("SetSlot", func(b *testing.B) {
+		// Materialize's pattern: a fresh object of its view class's layout
+		// filled by slot.
 		var slab Slab
+		l := NewLayout(proj)
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			m := slab.New("g17", "C1", 3)
-			m.Set("next", Ref("g933"))
-			m.Set("p0", Int(412))
-			m.Set("p1", Int(88))
+			m := slab.New(l)
+			m.SetSlot(0, Ref("g933"))
+			m.SetSlot(1, Int(412))
+			m.SetSlot(2, Int(88))
 			sinkObject = m
 		}
 	})
 	b.Run("AppendMasked", func(b *testing.B) {
 		var buf []byte
+		mask := NewMask(proj)
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			buf, _ = AppendMasked(buf[:0], o, proj)
+			buf, _ = AppendMasked(buf[:0], o, mask)
 		}
 	})
 	b.Run("New", func(b *testing.B) {
@@ -646,13 +652,14 @@ func TestObjectAllocationCeilings(t *testing.T) {
 	o := sampleObjects()["table2"]
 	proj := []string{"next", "p0", "p1"}
 	buf := make([]byte, 0, 256)
-	if n := testing.AllocsPerRun(100, func() { buf, _ = AppendMasked(buf[:0], o, proj) }); n != 0 {
+	mask := NewMask(proj)
+	if n := testing.AllocsPerRun(100, func() { buf, _ = AppendMasked(buf[:0], o, mask) }); n != 0 {
 		t.Errorf("AppendMasked: %v allocs, want 0", n)
 	}
 	if n := testing.AllocsPerRun(100, func() { sinkValue = o.Attr("p1") }); n != 0 {
 		t.Errorf("Attr: %v allocs, want 0", n)
 	}
-	if n := testing.AllocsPerRun(100, func() { _ = o.WireSize(nil) + o.WireSize(proj) }); n != 0 {
+	if n := testing.AllocsPerRun(100, func() { _ = o.WireSize(nil) + o.WireSize(mask) }); n != 0 {
 		t.Errorf("WireSize: %v allocs, want 0", n)
 	}
 }

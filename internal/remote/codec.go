@@ -37,7 +37,8 @@ import (
 //	                  meaning Attrs[j] is present, values in Attrs order.
 //	                  The list names the class and the attributes once; the
 //	                  stored object is written through the mask, and the
-//	                  decoder cuts a reply's objects, entries, LOids and
+//	                  decoder cuts a reply's objects, their values (a slot
+//	                  per name of Attrs, which lays them out), LOids and
 //	                  string and reference payloads from one slab. It refuses
 //	                  Attrs not strictly increasing, a bit past len(Attrs), a
 //	                  present null or zero-kind value, and an object count
@@ -103,6 +104,7 @@ type frameBuf struct {
 	// points is the outgoing frame's point table: the points written so
 	// far, in order of first use.
 	points []*query.Point
+	mask   object.Mask // the retrieve list's being written
 }
 
 func (w *frameBuf) u8(v byte)        { w.b = append(w.b, v) }
@@ -294,13 +296,13 @@ func (r *reader) object() *object.Object {
 	return o
 }
 
-// masked reads one masked record of class through mask, cut from the
-// frame's slab.
-func (r *reader) masked(class string, mask []string) *object.Object {
+// masked reads one masked record of class through the mask l names, cut
+// from the frame's slab.
+func (r *reader) masked(class string, l *object.Layout) *object.Object {
 	if r.err != nil {
 		return nil
 	}
-	o, rest, err := r.slab.DecodeMasked(r.b, class, mask)
+	o, rest, err := r.slab.DecodeMasked(r.b, class, l)
 	if err != nil {
 		r.fail(err.Error())
 		return nil
@@ -533,8 +535,9 @@ func (w *frameBuf) classObjects(co *federation.ClassObjects) {
 	w.str(co.GlobalClass)
 	w.strs(co.Attrs)
 	w.uvarint(uint64(len(co.Objects)))
+	w.mask.Reset(co.Attrs)
 	for _, o := range co.Objects {
-		w.keep(object.AppendMasked(w.b, o, co.Attrs))
+		w.keep(object.AppendMasked(w.b, o, &w.mask))
 	}
 }
 
@@ -549,8 +552,9 @@ func (r *reader) classObjects(co *federation.ClassObjects) {
 	co.Owned = true // cut from this frame's slab, held by nobody else
 	if n := r.count(minMasked(len(co.Attrs))); n > 0 {
 		co.Objects = make([]*object.Object, n)
+		layout := object.NewLayout(co.Attrs) // the list's objects share it
 		for i := range co.Objects {
-			co.Objects[i] = r.masked(co.GlobalClass, co.Attrs)
+			co.Objects[i] = r.masked(co.GlobalClass, layout)
 		}
 	}
 }

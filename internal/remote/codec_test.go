@@ -7,19 +7,24 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"maps"
 	"math"
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
 
 	"github.com/hetfed/hetfed/internal/antientropy"
+	"github.com/hetfed/hetfed/internal/cost"
 	"github.com/hetfed/hetfed/internal/fabric"
 	"github.com/hetfed/hetfed/internal/federation"
+	"github.com/hetfed/hetfed/internal/gmap"
 	"github.com/hetfed/hetfed/internal/object"
 	"github.com/hetfed/hetfed/internal/query"
+	"github.com/hetfed/hetfed/internal/school"
 	"github.com/hetfed/hetfed/internal/trace"
 	"github.com/hetfed/hetfed/internal/tvl"
 )
@@ -474,13 +479,17 @@ func allocatedBy(fn func()) uint64 {
 
 // Decoding may allocate at most a constant multiple of its input. A
 // request's widest element per encoded byte is a []string entry (16 bytes
-// from a one-byte empty string). A response's is a retrieve list's object,
-// from a one-byte masked record (an empty LOid through an empty mask): a
-// 64-byte Object in a slab chunk the allocator rounds up by a sixth, 76
-// bytes, and its 8-byte pointer.
+// from a one-byte empty string). A response's is a retrieve list's object
+// through a wide mask that holds nothing: its record is an empty LOid and
+// the presence bitmap, and the object is laid out by the mask, a 24-byte
+// slot per name and so 192 bytes per bitmap byte, which the allocator
+// rounds up by at most a quarter for a run too long for a slab chunk (240),
+// beside a 56-byte Object and its 8-byte pointer paid for by at least two
+// bytes. Through an empty mask the record is one byte: the Object in a slab
+// chunk the allocator rounds up by a sixth, and its pointer, 73 bytes.
 const (
 	requestAllocFactor  = 32
-	responseAllocFactor = 88
+	responseAllocFactor = 244
 )
 
 // TestDecodeDoesNotTrustCounts: a count prefix claiming a billion elements
@@ -550,6 +559,22 @@ func TestDecodeDoesNotTrustCounts(t *testing.T) {
 		}
 	}), uint64(responseAllocFactor*len(dense.b)); got > limit {
 		t.Errorf("decoding 20 000 empty records allocated %d bytes (limit %d)", got, limit)
+	}
+
+	// The widest legitimate retrieve list per byte: empty records through a
+	// mask of 600 names, each object a slot per name.
+	var wide []string
+	for i := range 600 {
+		wide = append(wide, fmt.Sprintf("a%03d", i))
+	}
+	var sparse frameBuf
+	sparse.response(&Response{Retrieve: federation.RetrieveReply{Classes: []federation.ClassObjects{{GlobalClass: "C", Attrs: wide, Objects: empty[:2000]}}}})
+	if got, limit := allocatedBy(func() {
+		if _, err := decodeResponse(sparse.b); err != nil {
+			t.Errorf("2 000 empty records through 600 names: %v", err)
+		}
+	}), uint64(responseAllocFactor*len(sparse.b)); got > limit {
+		t.Errorf("decoding 2 000 empty records through 600 names allocated %d bytes (limit %d)", got, limit)
 	}
 
 	// A count the input could hold, over elements that are garbage: the
@@ -646,6 +671,93 @@ func FuzzDecodeResponse(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		fuzzDecode(t, data, responseAllocFactor, decodeResponse, encodeResponse)
+	})
+}
+
+// joinSeeds are FuzzMaterializeResponse's seeds, every site's retrieve reply
+// to the school query as the sites build it, and two replies no site builds:
+// two lists of one class under different masks (one naming an attribute the
+// global class lacks), and a list of a class the replica does not map.
+func joinSeeds(tb testing.TB, fx *school.Fixture, b *query.Bound) []Response {
+	var out []Response
+	for _, id := range b.InvolvedSites() {
+		site := federation.NewSite(fx.Databases[id], fx.Global, fx.Mapping)
+		var reply federation.RetrieveReply
+		onFabric(tb, func(p fabric.Proc) { reply = site.Retrieve(p, b) })
+		out = append(out, Response{Retrieve: reply})
+	}
+	students := fx.Databases["DB1"].Extent("Student").All()
+	out = append(out, Response{Retrieve: federation.RetrieveReply{Site: "DB1", Classes: []federation.ClassObjects{
+		{GlobalClass: "Student", Attrs: []string{"address", "advisor", "name"}, Objects: students},
+		{GlobalClass: "Student", Attrs: []string{"advisor", "boss", "name"}, Objects: append([]*object.Object{
+			object.New("s1", "Student", map[string]object.Value{"boss": object.Ref("t1"), "name": object.Str("Ann")})}, students...)},
+	}}})
+	stray := object.New("x1", "Stray", map[string]object.Value{"boss": object.Ref("s1"), "n": object.Int(1)})
+	out = append(out, Response{Retrieve: federation.RetrieveReply{Site: "DB1", Classes: []federation.ClassObjects{
+		{GlobalClass: "Stray", Attrs: []string{"boss", "n"}, Objects: []*object.Object{stray}},
+	}}})
+	return out
+}
+
+// FuzzMaterializeResponse: a retrieve reply the codec accepts is a peer's
+// word, and the global site joins it. Materialize and EvaluateView over it,
+// on a school-federation coordinator, never panic; they leave the
+// mapping-table replica's classes and anti-entropy digests as they were; and
+// every view object is laid out at its class's involved width (a class the
+// query does not involve, at its first list's mask).
+func FuzzMaterializeResponse(f *testing.F) {
+	fx := school.New()
+	b := query.MustBind(query.MustParse(school.Q1), fx.Global)
+	co := federation.NewCoordinator("G", fx.Global, fx.Mapping)
+	classes, digests := fx.Mapping.Classes(), antientropy.Digests(fx.Mapping)
+	for _, resp := range joinSeeds(f, fx, b) {
+		f.Add(encodeResponse(f, resp))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		resp, err := decodeResponse(data)
+		if err != nil {
+			return
+		}
+		// Every object of the reply is its entity's view object or merged
+		// into it: the entity's GOid, found as Materialize finds it, fetches
+		// it from the view.
+		width, entities := map[string]int{}, map[object.GOid]string{}
+		for _, cls := range resp.Retrieve.Classes {
+			if _, ok := width[cls.GlobalClass]; !ok {
+				width[cls.GlobalClass] = len(cls.Attrs)
+			}
+			table := fx.Mapping.Lookup(cls.GlobalClass)
+			if table == nil {
+				table = gmap.NewTable(cls.GlobalClass)
+			}
+			for _, o := range cls.Objects {
+				e, ok := table.At(resp.Retrieve.Site)[o.LOid]
+				if !ok {
+					e.GOid = table.Unbound(resp.Retrieve.Site, o.LOid)
+				}
+				entities[e.GOid] = cls.GlobalClass
+			}
+		}
+		for _, in := range b.Involved() {
+			width[in.Class] = len(in.Attrs)
+		}
+		var view *federation.View
+		onFabric(t, func(p fabric.Proc) {
+			view = co.Materialize(p, b, []federation.RetrieveReply{resp.Retrieve})
+			co.EvaluateView(p, b, view)
+		})
+		for g, class := range entities {
+			o, ok := view.Fetch(object.Ref(object.LOid(g)), cost.Discard)
+			if !ok || len(o.Layout().Names()) != width[o.Class] {
+				t.Errorf("entity %s of %s: view object %v (%v) is not laid out at its class's width %d", g, class, o, ok, width[class])
+			}
+		}
+		if got := fx.Mapping.Classes(); !slices.Equal(got, classes) {
+			t.Fatalf("the join changed the replica's classes from %v to %v", classes, got)
+		}
+		if got := antientropy.Digests(fx.Mapping); !maps.Equal(got, digests) {
+			t.Fatalf("the join changed the replica's digests from %v to %v", digests, got)
+		}
 	})
 }
 

@@ -65,11 +65,13 @@ func newFrame() *frameBuf {
 	return w
 }
 
-// release returns the buffer to the pool. The point table goes back empty:
-// a pooled buffer must not keep a finished query's bound predicates alive.
+// release returns the buffer to the pool. The point table and the mask go
+// back empty: a pooled buffer must not keep a finished query's bound
+// predicates or attribute names alive.
 func (w *frameBuf) release() {
 	clear(w.points)
 	w.points = w.points[:0]
+	w.mask.Reset(nil)
 	frameBufs.Put(w)
 }
 

@@ -22,14 +22,17 @@ package store
 
 import (
 	"fmt"
+	"slices"
 
 	"github.com/hetfed/hetfed/internal/object"
 	"github.com/hetfed/hetfed/internal/schema"
 )
 
-// Extent holds the objects of one class in one component database.
+// Extent holds the objects of one class in one component database, every
+// one laid out by the class's layout: its attribute names, sorted.
 type Extent struct {
 	class   *schema.Class
+	layout  *object.Layout
 	db      *Database // its LOid index answers Get
 	order   []located // insertion order; appended to, never edited
 	indexes map[string]*Index
@@ -107,7 +110,10 @@ func NewDatabase(s *schema.Schema) (*Database, error) {
 		byLOid:  make(map[object.LOid]located),
 	}
 	for _, name := range s.ClassNames() {
-		db.extents[name] = &Extent{class: s.Class(name), db: db}
+		c := s.Class(name)
+		names := c.AttrNames()
+		slices.Sort(names)
+		db.extents[name] = &Extent{class: c, layout: object.NewLayout(names), db: db}
 	}
 	return db, nil
 }
@@ -141,7 +147,8 @@ func (db *Database) Extent(class string) *Extent { return db.extents[class] }
 
 // Insert validates and stores an object. The object's class must exist, its
 // LOid must be unique database-wide, and every attribute must be defined by
-// the class with a matching kind. Missing attributes are simply absent.
+// the class with a matching kind. Missing attributes are simply absent. Once
+// it validates, the object is laid out by its class's layout, in place.
 func (db *Database) Insert(o *object.Object) error {
 	e := db.extents[o.Class]
 	if e == nil {
@@ -168,6 +175,7 @@ func (db *Database) Insert(o *object.Object) error {
 			return fmt.Errorf("insert %s into %s@%s: %w", o.LOid, o.Class, db.site, err)
 		}
 	}
+	o.Relayout(e.layout) // every attribute it holds is the class's
 	l := located{obj: o, pos: len(db.byLOid)}
 	e.order = append(e.order, l)
 	db.byLOid[o.LOid] = l

@@ -168,7 +168,8 @@ want_one 'a go statement in internal/fabric/real.go' \
 # everything that resolves identities per object takes the site's index once
 # before its loop. The struct-keyed map and a per-object GOidOf in the
 # federation's paths stay gone (Replica.Apply's conflict check is the
-# remaining non-test caller), and the outerjoin's merge is defined once.
+# remaining non-test caller), and the outerjoin's merge is defined once (a
+# list plan's, by slot, since EXPERIMENTS.md E52).
 if grep -rnE 'byLocal|map\[(gmap\.)?Location\]' --include='*.go' --exclude='*_test.go' \
     --exclude-dir=benchmark --exclude-dir=.bench_build .; then
     echo "a (site, LOid)-keyed map is back; identity is gmap.Table.At(site)" >&2
@@ -178,8 +179,8 @@ if grep -nE '\.GOidOf\(' internal/federation/*.go | grep -v '_test\.go:'; then
     echo "internal/federation resolves an identity per object again; take Table.At(site) before the loop" >&2
     guard_failed=1
 fi
-want_one 'func (co *Coordinator) merge' \
-    "$(grep -rn 'func (co \*Coordinator) merge' --include='*.go' --exclude-dir=.bench_build . || true)"
+want_one 'func (lp *listPlan) merge' \
+    "$(grep -rn 'func (lp \*listPlan) merge' --include='*.go' --exclude-dir=.bench_build . || true)"
 # Phase I at the global site works by entity number (EXPERIMENTS.md E36):
 # certification groups rows by the range table's numbers, so no GOid-keyed
 # map of entities comes back to internal/federation; and only internal/remote's
@@ -457,6 +458,15 @@ if grep -rnE 'ErrCircuitOpen|BreakerThreshold|BreakerStates|PeerBreakers|breaker
     echo "the circuit breaker is back; a failed site call fails alone (see EXPERIMENTS.md E49)" >&2
     guard_failed=1
 fi
+# Objects share their class's layout (EXPERIMENTS.md E52): an object is a run
+# of bare values read by slot, so the name walks over per-object entries —
+# the Projection cursor, Slab.Reserve's room for named entries, Object.Rewrite
+# — stay gone, in tests or otherwise.
+if grep -rnE '\bProjection\b|\.Projected\(|\.Reserve\(|func \(s \*Slab\) Reserve|\.Rewrite\(|func \(o \*Object\) Rewrite' \
+    --include='*.go' --exclude-dir=.bench_build .; then
+    echo "a name walk over per-object entries is back; objects are read by slot (see EXPERIMENTS.md E52)" >&2
+    guard_failed=1
+fi
 # A Value is three words (EXPERIMENTS.md E51): its data pointer is built and
 # read in one file of internal/object, and no other non-test file imports
 # "unsafe".
@@ -534,11 +544,14 @@ go test -run - -bench 'BenchmarkGmap' -benchtime 1x ./internal/gmap/
 # a scan stops at the last whole valid frame and what it accepted re-encodes
 # to the bytes it read. And so does a site's /metrics body, decoded with
 # encoding/json and differenced: no panic, and an accepted snapshot
-# re-encodes to a fixed point. A new input is minimized for at most 1 s
+# re-encodes to a fixed point. And so does the global site's join of a
+# decoded retrieve reply: no panic, the mapping-table replica unchanged,
+# every view object at its class's width. A new input is minimized for at most 1 s
 # (the default is 60 s), so the 10 s are spent fuzzing: at the default,
 # FuzzParseFederation made 24 executions in 11 s (EXPERIMENTS.md E51).
 echo "== fuzz (10s per target)"
 for target in ./internal/remote:FuzzDecodeRequest ./internal/remote:FuzzDecodeResponse \
+    ./internal/remote:FuzzMaterializeResponse \
     ./internal/object:FuzzDecodeObject ./internal/object:FuzzDecodeMasked ./internal/fabric:FuzzParseFaults \
     ./internal/query:FuzzParseQuery \
     ./internal/fedfile:FuzzParseFederation ./internal/store/wal:FuzzScanFrames \
