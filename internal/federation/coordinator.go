@@ -182,7 +182,7 @@ func (co *Coordinator) Materialize(p fabric.Proc, b *query.Bound, replies []Retr
 				if cls.GlobalClass != vc.name {
 					continue
 				}
-				lp.reset(v, vc, co.tables, reply.Site, gc, cls.Attrs)
+				lp.reset(v, vc, co.tables, reply.Site, gc, cls)
 				index := vc.table.At(reply.Site)
 				for _, o := range cls.Objects {
 					c.CPU(1) // GOid lookup: the outerjoin's join-attribute probe
@@ -199,9 +199,9 @@ func (co *Coordinator) Materialize(p fabric.Proc, b *query.Bound, replies []Retr
 						continue
 					}
 					if l := o.Layout(); l != lp.layout { // is it laid out as the view is? once per layout
-						lp.layout, lp.inPlace = l, lp.maskIsView && slices.Equal(l.Names(), vc.layout.Names())
+						lp.layout, lp.inPlace = l, lp.adopt && slices.Equal(l.Names(), vc.layout.Names())
 					}
-					if m = o; !cls.Owned || !lp.inPlace {
+					if m = o; !lp.inPlace {
 						m = slab.New(vc.layout)
 					}
 					lp.merge(m, o, &c) // an adopted object merges into itself
@@ -247,12 +247,12 @@ func (vc *viewClass) inOrder() []*object.Object {
 
 // listPlan is how a (class, site) list's mask enters the view: a plan per
 // mask attribute, the mask's slots in its objects' layout, and whether the
-// mask, and the layout last seen, name the view class's attributes.
+// list is owned and named as the view is, as is the layout last seen.
 type listPlan struct {
-	attrs               []attrPlan
-	src                 object.Mask
-	layout              *object.Layout
-	maskIsView, inPlace bool
+	attrs          []attrPlan
+	src            object.Mask
+	layout         *object.Layout
+	adopt, inPlace bool
 }
 
 // attrPlan is one mask attribute's slot in the view class's layout (-1 for
@@ -265,12 +265,12 @@ type attrPlan struct {
 	base        int
 }
 
-func (lp *listPlan) reset(v *View, vc *viewClass, tables *gmap.Tables, site object.SiteID, gc *schema.GlobalClass, mask []string) {
-	lp.attrs = lp.attrs[:0]
-	lp.src.Reset(mask)
+func (lp *listPlan) reset(v *View, vc *viewClass, tables *gmap.Tables, site object.SiteID, gc *schema.GlobalClass, cls ClassObjects) {
 	view := vc.layout.Names()
-	lp.layout, lp.maskIsView, lp.inPlace = nil, slices.Equal(mask, view), false
-	for _, name := range mask {
+	lp.attrs, lp.layout = lp.attrs[:0], nil
+	lp.adopt = cls.Owned && slices.Equal(cls.Attrs, view)
+	lp.src.Reset(cls.Attrs)
+	for _, name := range cls.Attrs {
 		a, in := gc.Attr(name)
 		ap := attrPlan{slot: -1, in: in, complex: in && a.IsComplex(), base: -1}
 		if k, ok := slices.BinarySearch(view, name); ok {

@@ -378,9 +378,9 @@ func (cr CheckReply) WireSize() int {
 // store never edits an object after inserting it; accordingly nothing
 // reachable from a reply may be Set. The slice of pointers is the reply's
 // own. A reply decoded off the wire holds objects cut from one slab, laid
-// out by Attrs itself (a slot per attribute, absent ones zero) and their
-// Class the list's, so the mask passes all of them; nobody else holds them,
-// and the decoder marks the list Owned.
+// out as object.Slab.DecodeMasked says, and their Class the list's, so the
+// mask passes all of them; nobody else holds them, and the decoder marks the
+// list Owned.
 type ClassObjects struct {
 	GlobalClass string
 	// Attrs is the projection: the attributes the objects are read through,

@@ -311,14 +311,15 @@ func Export(schemas map[object.SiteID]*schema.Schema, global *schema.Global,
 			dbs[site].Extent(cn).Scan(func(o *object.Object) bool {
 				od := ObjectDoc{ID: string(o.LOid), Class: o.Class,
 					Attrs: make(map[string]json.RawMessage, o.Len())}
-				for i := 0; i < o.Len(); i++ {
-					name, v := o.At(i)
-					raw, err := encodeValue(v)
-					if err != nil {
-						exportErr = err
-						return false
+				for k, name := range o.Layout().Names() {
+					if v := o.Slot(k); v.Kind() != 0 {
+						raw, err := encodeValue(v)
+						if err != nil {
+							exportErr = err
+							return false
+						}
+						od.Attrs[name] = raw
 					}
-					od.Attrs[name] = raw
 				}
 				sd.Objects = append(sd.Objects, od)
 				return true

@@ -12,10 +12,7 @@ import "reflect"
 // modeled sizes, not by the layouts a store, a decoder or New gives them.
 func Identical(a, b any) bool { return identical(reflect.ValueOf(a), reflect.ValueOf(b)) }
 
-var (
-	valueType  = reflect.TypeFor[Value]()
-	objectType = reflect.TypeFor[Object]()
-)
+var valueType, objectType = reflect.TypeFor[Value](), reflect.TypeFor[Object]()
 
 func identical(a, b reflect.Value) bool {
 	if !a.IsValid() || !b.IsValid() {

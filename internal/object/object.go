@@ -137,6 +137,9 @@ func textValue(k Kind, s string) Value {
 // str is the text of a value of a text kind.
 func (v Value) str() string { return unsafe.String((*byte)(v.p), v.n) }
 
+// stringOf returns b as a string without a copy; b must never change again.
+func stringOf(b []byte) string { return unsafe.String(unsafe.SliceData(b), len(b)) }
+
 // Null returns the null value, representing missing data.
 func Null() Value { return Value{tag: uint64(KindNull)} }
 
@@ -367,12 +370,19 @@ func (v Value) String() string {
 // Layout is the attribute names, sorted and free of repeats, that a batch of
 // objects is laid out by: slot k of each holds the value of names[k], or a
 // zero Value. It is immutable and shared: a store extent's objects share
-// their class's, a decoded retrieve list's objects its mask, a view class's
-// objects its involved attributes.
-type Layout struct{ names []string }
+// their class's, a decoded retrieve list's objects its mask (bar sparse
+// ones: DecodeMasked), a view class's objects its involved attributes.
+type Layout struct {
+	names []string
+	held  bool // a store's: an object laid out by it is one a store holds
+}
 
 // NewLayout returns the layout of names, which is kept, not copied.
-func NewLayout(names []string) *Layout { return &Layout{names} }
+func NewLayout(names []string) *Layout { return &Layout{names: names} }
+
+// HeldLayout is NewLayout for a store's extent, whose objects LaidOut copies
+// instead of editing.
+func HeldLayout(names []string) *Layout { return &Layout{names: names, held: true} }
 
 // Names returns the layout's names in slot order, nil for a nil layout.
 func (l *Layout) Names() []string {
@@ -389,11 +399,11 @@ func (l *Layout) Names() []string {
 //
 // An Object is not safe for concurrent mutation. Stored objects are shared
 // by pointer between a store, its readers and the retrieve replies that ship
-// them: a store never edits an object after inserting it, and readers
-// restrict what they see with a Mask instead of a restricted copy. Set,
-// SetSlot, Rename and Relayout are for the sole holder of an object. The
-// modeled size of the whole object, which every scan and fetch charges, is
-// kept beside the values by whatever changes them.
+// them: a store never edits an object after inserting it (another store
+// inserting it lays out a copy), and readers restrict what they see with a
+// Mask instead of a restricted copy. Set, SetSlot and Rename are for the sole
+// holder of an object. The modeled size of the whole object, which every
+// scan and fetch charges, is kept beside the values by whatever changes them.
 type Object struct {
 	LOid   LOid
 	Class  string
@@ -482,19 +492,30 @@ func (o *Object) Rename(id LOid, class string, l *Layout) {
 	o.LOid, o.Class, o.layout = id, class, l
 }
 
-// Relayout lays o out by l, which must name every attribute o holds,
-// moving its values unless its layout names what l does.
-func (o *Object) Relayout(l *Layout) {
-	if o.layout != l && !slices.Equal(o.layout.Names(), l.Names()) {
+// LaidOut returns o laid out by l, which must name every attribute o holds:
+// o itself, relaid in place, or, if a store holds o (its layout is a
+// HeldLayout), a copy, so that a stored object is never edited. The values
+// move to l's slots unless o's layout names what l does.
+func (o *Object) LaidOut(l *Layout) *Object {
+	if o.layout == l {
+		return o
+	}
+	cp := o
+	if o.layout != nil && o.layout.held {
+		cp = new(Object)
+		*cp = *o
+	}
+	if !slices.Equal(o.layout.Names(), l.Names()) {
 		vals := make([]Value, len(l.names))
 		for i, v := range o.values() {
 			if k, ok := slices.BinarySearch(l.names, o.layout.names[i]); ok {
 				vals[k] = v
 			}
 		}
-		o.vals = unsafe.SliceData(vals)
+		cp.vals = unsafe.SliceData(vals)
 	}
-	o.layout = l
+	cp.layout = l
+	return cp
 }
 
 // Len returns the number of (non-null) attributes the object holds.
@@ -509,16 +530,11 @@ func (o *Object) Len() int {
 }
 
 // At returns the i-th attribute the object holds in name order,
-// 0 <= i < Len().
+// 0 <= i < Len(). It walks the layout; a loop over every attribute reads
+// the layout's names and Slot instead.
 func (o *Object) At(i int) (name string, v Value) {
-	for k, v := range o.values() {
-		if v.tag != 0 && i == 0 {
-			return o.layout.names[k], v
-		} else if v.tag != 0 {
-			i--
-		}
-	}
-	panic(fmt.Sprintf("object: %s holds too few attributes", o.LOid))
+	name = o.AttrNames()[i]
+	return name, o.Attr(name)
 }
 
 // Set stores an attribute value, or deletes it when v is null. A name o's
@@ -526,7 +542,7 @@ func (o *Object) At(i int) (name string, v Value) {
 func (o *Object) Set(name string, v Value) {
 	k, ok := slices.BinarySearch(o.layout.Names(), name)
 	if !ok && !missing(v) {
-		o.Relayout(NewLayout(slices.Insert(slices.Clone(o.layout.Names()), k, name)))
+		*o = *o.LaidOut(NewLayout(slices.Insert(slices.Clone(o.layout.Names()), k, name)))
 	}
 	if ok || !missing(v) {
 		o.SetSlot(k, v)

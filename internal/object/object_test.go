@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -356,8 +357,13 @@ func TestWholeObjectWireSizeIsKept(t *testing.T) {
 	check("Set past the layout", built)
 	built.SetSlot(0, Null()) // clear
 	check("SetSlot clear", built)
-	built.Relayout(NewLayout([]string{"advisor", "age", "courses", "name"}))
-	check("Relayout", built)
+	before := built.String()
+	wider := built.LaidOut(NewLayout([]string{"advisor", "age", "courses", "name"}))
+	check("LaidOut wider", wider)
+	check("LaidOut alike", built.LaidOut(NewLayout(slices.Clone(built.Layout().Names()))))
+	if built.LaidOut(built.Layout()) != built || built.String() != before || wider.String() != before {
+		t.Errorf("LaidOut edited %v or read apart from it: %v", built, wider)
+	}
 	rec, err := AppendObject(nil, o)
 	if err != nil {
 		t.Fatal(err)

@@ -28,7 +28,9 @@ import (
 // Bit j of present (byte j/8, bit j%8) means the object holds mask[j]; the
 // values of the set bits follow in mask order. No bit past len(mask) is set
 // and no present value is null, so a masked record has one encoding too. A
-// decoded masked record is laid out by its mask: value j goes to slot j.
+// decoded masked record is laid out by its mask, value j in slot j, unless it
+// holds under a quarter of the mask: then by the names it holds, so that the
+// slots of a wide mask are paid for by the values that fill them.
 //
 // One entry loop (decodeEntries) and one value parser (Value.unmarshal) read
 // both back, into a Slab's chunks when one is given.
@@ -197,7 +199,8 @@ func DecodeObject(b []byte, in *Interner) (*Object, []byte, error) {
 // (sorted, free of repeats, as the list that carries the record checks once)
 // from the front of b and returns the bytes after it. The Object, its values,
 // its LOid and its string and reference payloads are cut from the slab, and
-// it is laid out by l. Nothing the object holds shares memory with b. A bit
+// it is laid out by l, or by the names it holds when they are under a
+// quarter of l's. Nothing the object holds shares memory with b. A bit
 // past the mask, or a present value that is null or of zero kind, is
 // corruption.
 func (s *Slab) DecodeMasked(b []byte, class string, l *Layout) (*Object, []byte, error) {
@@ -221,44 +224,58 @@ func (s *Slab) DecodeMasked(b []byte, class string, l *Layout) (*Object, []byte,
 	if n > len(b)/minValueBytes {
 		return nil, nil, fmt.Errorf("%w: %s: %d values marked present", errCorrupt, loid, n)
 	}
-	records := 1 + len(b)/(1+width) // what the rest of the input could still hold
-	o := s.object(records)
+	if 4*n < len(mask) { // a slot per name would cost more than the record pays for
+		names := make([]string, 0, n)
+		for j, name := range mask {
+			if present[j/8]&(1<<(j%8)) != 0 {
+				names = append(names, name)
+			}
+		}
+		l = NewLayout(names)
+	}
+	// Room for the records the rest of the input could still hold, and for
+	// two slots a byte: a record laid out by its mask holds a quarter of it,
+	// each value two bytes at least.
+	o := s.cut(l, 1+len(b)/(1+width), 2*len(b))
 	o.Class, o.LOid = class, LOid(s.str(loid, len(loid)+len(b)))
-	o.layout, o.vals = l, s.values(len(mask), records*len(mask))
 	return s.decodeEntries(o, b, n, nil, nil, o.values(), present)
 }
 
 // decodeEntries is the one entry loop: it decodes o's n attributes from the
 // front of b into vals and returns the bytes after them. A masked record's
-// i-th value goes to the slot of the i-th name present marks, vals being o's
-// own; a named record (present nil) spells each name before its value,
-// appended to names in the slot its value takes, and o is laid out by them
-// over vals at the end. Each value is parsed in place, its payload cut from
-// the slab.
+// i-th value goes to the slot of the i-th name present marks (slot i if o is
+// laid out by the names it holds), vals being o's own; a named record
+// (present nil) spells each name before its value, appended to names in the
+// slot its value takes, and o is laid out by them over vals at the end. Each
+// value is parsed in place, its payload cut from the slab.
 func (s *Slab) decodeEntries(o *Object, b []byte, n int, in *Interner, names []string, vals []Value, present []byte) (*Object, []byte, error) {
 	var prev string
-	j := -1 // the slot of the last value
+	j := -1 // the last value's slot in a named record, its mask position in a masked one
 	for i := 0; i < n; i++ {
 		var name string
 		var raw []byte
 		var err error
+		k := i // the value's slot
 		if present == nil {
 			if raw, b, err = readBytes(b); err != nil {
 				return nil, nil, err
 			}
 			j, name = len(names), in.Intern(raw)
-			names = append(names, name)
+			k, names = j, append(names, name)
 		} else {
 			for j++; present[j/8]&(1<<(j%8)) == 0; j++ {
 			}
-			name = o.layout.names[j]
+			if len(vals) > n { // laid out by its mask, not by the names it holds
+				k = j
+			}
+			name = o.layout.names[k]
 		}
 		if raw, b, err = readBytes(b); err != nil {
 			return nil, nil, err
 		}
 		// The value is decoded where it will stay; a named entry that turns
 		// out to hold missing data is given back.
-		e := &vals[j]
+		e := &vals[k]
 		if err := e.unmarshal(raw, 0, s, len(raw)+len(b)); err != nil {
 			return nil, nil, fmt.Errorf("object: decode %s.%s: %w", o.LOid, name, err)
 		}

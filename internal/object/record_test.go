@@ -10,6 +10,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -269,6 +270,9 @@ func checkProjection(t testing.TB, o *Object, mask []string) {
 	if back, rest, err := new(Slab).DecodeMasked(got, o.Class, NewLayout(mask)); err != nil || len(rest) != 0 ||
 		!bytes.Equal(encode(t, back), encode(t, cp)) || back.WireSize(nil) != cp.WireSize(nil) {
 		t.Errorf("%v through %v: decodes to %v (%d bytes left, %v), want %v", o, mask, back, len(rest), err, cp)
+	} else if want := cp.AttrNames(); 4*len(want) >= len(mask) && !slices.Equal(back.Layout().Names(), mask) ||
+		4*len(want) < len(mask) && !slices.Equal(back.Layout().Names(), want) {
+		t.Errorf("%v through %v: decodes laid out by %v (holding %v)", o, mask, back.Layout().Names(), want)
 	}
 	if o.WireSize(m) != cp.WireSize(nil) {
 		t.Errorf("%v through %v: modeled size %d, the copy's %d", o, mask, o.WireSize(m), cp.WireSize(nil))
@@ -567,8 +571,9 @@ func FuzzDecodeMasked(f *testing.F) {
 		// The slab's chunks are sized from the bytes that remain: 66 per
 		// Object (56 in a chunk the allocator rounds up by a sixth) from a
 		// record of at least one byte, an empty LOid through an empty mask;
-		// and the object is laid out by the mask, 24 bytes per slot for a
-		// name that takes at least one byte of the input.
+		// and 24 per slot, of which there are at most two a byte: a record
+		// laid out by its mask holds a quarter of it, two bytes a value, and
+		// a sparser one is laid out by the names it holds.
 		boundedDecode(t, len(data), 80, func() { o, _, err = new(Slab).DecodeMasked(record, "C", NewLayout(mask)) })
 		if err != nil {
 			return

@@ -1,7 +1,5 @@
 package object
 
-import "strings"
-
 // Slab hands out the Objects of one batch — the records of a decoded reply,
 // the merged objects of a materialized view — their runs of values and, for
 // decoded records, the text of their LOids and of their string and reference
@@ -17,7 +15,7 @@ import "strings"
 type Slab struct {
 	objs []Object
 	vals []Value
-	text strings.Builder // grown once per chunk, so the strings cut from it stay put
+	text []byte // cut into strings, each range written once
 }
 
 // Chunk sizes: 4 KiB of Objects, 14 KiB of values, 2 KiB of text. The first
@@ -38,63 +36,45 @@ func NewSlab(objects, values int) *Slab {
 }
 
 // New returns an empty object laid out by l, its values cut from the slab.
-func (s *Slab) New(l *Layout) *Object {
-	o := s.object(slabObjects)
-	o.layout, o.vals = l, s.values(len(l.Names()), slabEntries)
-	return o
-}
+func (s *Slab) New(l *Layout) *Object { return s.cut(l, slabObjects, slabEntries) }
 
-// object cuts one zero Object. A new chunk holds at most room objects: a
-// decoder passes what its remaining input could still hold, so that the
-// chunks it allocates are paid for in bytes received.
-func (s *Slab) object(room int) *Object {
+// cut cuts one zero Object laid out by l and its run of zero values. A new
+// chunk holds at most objects Objects or values Values: a decoder passes
+// what its remaining input could still hold, so that the chunks it allocates
+// are paid for in bytes received.
+func (s *Slab) cut(l *Layout, objects, values int) *Object {
 	if s == nil {
-		return new(Object)
+		o := new(Object)
+		o.setValues(l, make([]Value, len(l.Names())))
+		return o
 	}
-	if len(s.objs) == 0 {
-		s.objs = make([]Object, max(1, min(slabObjects, room)))
-	}
-	o := &s.objs[0]
-	s.objs = s.objs[1:]
+	o := &run(&s.objs, 1, slabObjects, objects)[0]
+	o.setValues(l, run(&s.vals, len(l.Names()), slabEntries, values))
 	return o
 }
 
-// values cuts a run of n zero values and returns its first (nil for none).
-// room bounds a new chunk as for object. A run the current chunk cannot
-// serve starts a new chunk only if it is small beside one; a large one is
-// allocated on its own and the chunk kept, so at most a quarter of any chunk
-// is ever abandoned.
-func (s *Slab) values(n, room int) *Value {
+// run cuts n zero elements off *chunk. If the chunk cannot serve them, they
+// start a new chunk of up to size elements (room bounding it) only if they
+// are few beside one; more are allocated on their own and the chunk kept, so
+// at most a quarter of any chunk is ever abandoned.
+func run[T any](chunk *[]T, n, size, room int) []T {
 	switch {
-	case n == 0:
-		return nil
-	case s == nil || (n > len(s.vals) && n > slabEntries/4):
-		return &make([]Value, n)[0]
-	case n > len(s.vals):
-		s.vals = make([]Value, max(n, min(slabEntries, room)))
+	case n > len(*chunk) && n > size/4:
+		return make([]T, n)
+	case n > len(*chunk):
+		*chunk = make([]T, max(n, min(size, room)))
 	}
-	out := &s.vals[0]
-	s.vals = s.vals[n:]
+	out := (*chunk)[:n:n]
+	*chunk = (*chunk)[n:]
 	return out
 }
 
-// str returns b as a string cut from the slab's text chunk, under the rules
-// values follows.
+// str returns b as a string cut from the slab's text chunk, as run cuts.
 func (s *Slab) str(b []byte, room int) string {
-	free := 0
-	if s != nil {
-		free = s.text.Cap() - s.text.Len()
-	}
-	switch {
-	case len(b) == 0:
-		return ""
-	case s == nil || (len(b) > free && len(b) > slabText/4):
+	if s == nil || len(b) == 0 {
 		return string(b)
-	case len(b) > free:
-		s.text = strings.Builder{}
-		s.text.Grow(max(len(b), min(slabText, room)))
 	}
-	at := s.text.Len()
-	s.text.Write(b)
-	return s.text.String()[at:]
+	t := run(&s.text, len(b), slabText, room)
+	copy(t, b)
+	return stringOf(t)
 }

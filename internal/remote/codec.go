@@ -37,8 +37,7 @@ import (
 //	                  meaning Attrs[j] is present, values in Attrs order.
 //	                  The list names the class and the attributes once; the
 //	                  stored object is written through the mask, and the
-//	                  decoder cuts a reply's objects, their values (a slot
-//	                  per name of Attrs, which lays them out), LOids and
+//	                  decoder cuts a reply's objects, values, LOids and
 //	                  string and reference payloads from one slab. It refuses
 //	                  Attrs not strictly increasing, a bit past len(Attrs), a
 //	                  present null or zero-kind value, and an object count

@@ -479,17 +479,15 @@ func allocatedBy(fn func()) uint64 {
 
 // Decoding may allocate at most a constant multiple of its input. A
 // request's widest element per encoded byte is a []string entry (16 bytes
-// from a one-byte empty string). A response's is a retrieve list's object
-// through a wide mask that holds nothing: its record is an empty LOid and
-// the presence bitmap, and the object is laid out by the mask, a 24-byte
-// slot per name and so 192 bytes per bitmap byte, which the allocator
-// rounds up by at most a quarter for a run too long for a slab chunk (240),
-// beside a 56-byte Object and its 8-byte pointer paid for by at least two
-// bytes. Through an empty mask the record is one byte: the Object in a slab
-// chunk the allocator rounds up by a sixth, and its pointer, 73 bytes.
+// from a one-byte empty string). A response's is a retrieve list's object,
+// from a one-byte masked record (an empty LOid through an empty mask): a
+// 56-byte Object in a slab chunk the allocator rounds up by a sixth, and its
+// 8-byte pointer. A wide mask costs no more: a record laid out by its mask
+// holds a quarter of it, two bytes a value, so each 24-byte slot comes with
+// half a byte at least, and a sparser record is laid out by what it holds.
 const (
 	requestAllocFactor  = 32
-	responseAllocFactor = 244
+	responseAllocFactor = 88
 )
 
 // TestDecodeDoesNotTrustCounts: a count prefix claiming a billion elements
@@ -561,20 +559,31 @@ func TestDecodeDoesNotTrustCounts(t *testing.T) {
 		t.Errorf("decoding 20 000 empty records allocated %d bytes (limit %d)", got, limit)
 	}
 
-	// The widest legitimate retrieve list per byte: empty records through a
-	// mask of 600 names, each object a slot per name.
+	// Through a wide mask: empty records, which are laid out by the nothing
+	// they hold, and records holding a quarter of the mask, the sparsest a
+	// slot per name is given to, in one-byte strings.
 	var wide []string
 	for i := range 600 {
 		wide = append(wide, fmt.Sprintf("a%03d", i))
 	}
-	var sparse frameBuf
-	sparse.response(&Response{Retrieve: federation.RetrieveReply{Classes: []federation.ClassObjects{{GlobalClass: "C", Attrs: wide, Objects: empty[:2000]}}}})
-	if got, limit := allocatedBy(func() {
-		if _, err := decodeResponse(sparse.b); err != nil {
-			t.Errorf("2 000 empty records through 600 names: %v", err)
+	quarter := make([]*object.Object, 200)
+	for i := range quarter {
+		attrs := map[string]object.Value{}
+		for _, name := range wide[:150] {
+			attrs[name] = object.Str("")
 		}
-	}), uint64(responseAllocFactor*len(sparse.b)); got > limit {
-		t.Errorf("decoding 2 000 empty records through 600 names allocated %d bytes (limit %d)", got, limit)
+		quarter[i] = object.New("", "C", attrs)
+	}
+	for what, objects := range map[string][]*object.Object{"2 000 empty records": empty[:2000], "200 quarter-full records": quarter} {
+		var f frameBuf
+		f.response(&Response{Retrieve: federation.RetrieveReply{Classes: []federation.ClassObjects{{GlobalClass: "C", Attrs: wide, Objects: objects}}}})
+		if got, limit := allocatedBy(func() {
+			if _, err := decodeResponse(f.b); err != nil {
+				t.Errorf("%s through 600 names: %v", what, err)
+			}
+		}), uint64(responseAllocFactor*len(f.b)); got > limit {
+			t.Errorf("decoding %s through 600 names allocated %d bytes (limit %d)", what, got, limit)
+		}
 	}
 
 	// A count the input could hold, over elements that are garbage: the
@@ -677,7 +686,8 @@ func FuzzDecodeResponse(f *testing.F) {
 // joinSeeds are FuzzMaterializeResponse's seeds, every site's retrieve reply
 // to the school query as the sites build it, and two replies no site builds:
 // two lists of one class under different masks (one naming an attribute the
-// global class lacks), and a list of a class the replica does not map.
+// global class lacks, one holding a record too sparse to be laid out by its
+// mask), and a list of a class the replica does not map.
 func joinSeeds(tb testing.TB, fx *school.Fixture, b *query.Bound) []Response {
 	var out []Response
 	for _, id := range b.InvolvedSites() {
@@ -688,7 +698,7 @@ func joinSeeds(tb testing.TB, fx *school.Fixture, b *query.Bound) []Response {
 	}
 	students := fx.Databases["DB1"].Extent("Student").All()
 	out = append(out, Response{Retrieve: federation.RetrieveReply{Site: "DB1", Classes: []federation.ClassObjects{
-		{GlobalClass: "Student", Attrs: []string{"address", "advisor", "name"}, Objects: students},
+		{GlobalClass: "Student", Attrs: []string{"address", "advisor", "name"}, Objects: append(students, object.New("s9", "Student", nil))},
 		{GlobalClass: "Student", Attrs: []string{"advisor", "boss", "name"}, Objects: append([]*object.Object{
 			object.New("s1", "Student", map[string]object.Value{"boss": object.Ref("t1"), "name": object.Str("Ann")})}, students...)},
 	}}})

@@ -8,6 +8,7 @@ import (
 
 	"github.com/hetfed/hetfed/internal/isomer"
 	"github.com/hetfed/hetfed/internal/object"
+	"github.com/hetfed/hetfed/internal/schema"
 	"github.com/hetfed/hetfed/internal/school"
 	"github.com/hetfed/hetfed/internal/store"
 )
@@ -45,7 +46,7 @@ func TestStoreAdoptsClassLayout(t *testing.T) {
 	}
 
 	// An object built by New holds a layout of its own until the store
-	// takes it over, in place.
+	// takes it over, in place: no store holds it yet.
 	db := store.MustNewDatabase(fx.Schemas["DB2"])
 	built := object.New("t7'", "Teacher", map[string]object.Value{"name": object.Str("Ada")})
 	own := built.Layout()
@@ -129,4 +130,52 @@ func sharesClassLayout(t *testing.T, how string, db *store.Database) {
 			return true
 		})
 	}
+}
+
+// TestInsertLeavesAStoredObjectAlone: the objects of one database inserted
+// into a second while the first, which holds them, is scanned. The second
+// store lays out copies, so the readers of the first see them unchanged
+// (run with -race to catch an edit).
+func TestInsertLeavesAStoredObjectAlone(t *testing.T) {
+	fx := school.New()
+	first := fx.Databases["DB1"]
+	want := map[object.LOid]string{}
+	for _, class := range first.Schema().ClassNames() {
+		first.Extent(class).Scan(func(o *object.Object) bool {
+			want[o.LOid] = o.String()
+			return true
+		})
+	}
+	// A schema whose classes name one attribute more lays every object out
+	// anew, so a store that relaid the object itself would move its values.
+	wider := schema.NewSchema(first.Site())
+	for _, name := range first.Schema().ClassNames() {
+		c := first.Schema().Class(name)
+		wider.MustAddClass(schema.MustClass(name, append(slices.Clone(c.Attrs), schema.Prim("zz", object.KindInt)), c.Key...))
+	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for range 50 {
+			for _, class := range first.Schema().ClassNames() {
+				first.Extent(class).Scan(func(o *object.Object) bool {
+					if got := o.String(); got != want[o.LOid] {
+						t.Errorf("a reader of the first store saw %s, want %s", got, want[o.LOid])
+					}
+					return true
+				})
+			}
+		}
+	}()
+	for _, s := range []*schema.Schema{first.Schema(), wider} {
+		second := store.MustNewDatabase(s)
+		for _, class := range first.Schema().ClassNames() {
+			for _, o := range first.Extent(class).All() {
+				second.MustInsert(o)
+			}
+		}
+		sharesClassLayout(t, "a second store", second)
+	}
+	<-done
+	sharesClassLayout(t, "the first store", first)
 }

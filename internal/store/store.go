@@ -113,7 +113,7 @@ func NewDatabase(s *schema.Schema) (*Database, error) {
 		c := s.Class(name)
 		names := c.AttrNames()
 		slices.Sort(names)
-		db.extents[name] = &Extent{class: c, layout: object.NewLayout(names), db: db}
+		db.extents[name] = &Extent{class: c, layout: object.HeldLayout(names), db: db}
 	}
 	return db, nil
 }
@@ -148,7 +148,8 @@ func (db *Database) Extent(class string) *Extent { return db.extents[class] }
 // Insert validates and stores an object. The object's class must exist, its
 // LOid must be unique database-wide, and every attribute must be defined by
 // the class with a matching kind. Missing attributes are simply absent. Once
-// it validates, the object is laid out by its class's layout, in place.
+// it validates, it is laid out by its class's layout, in place unless another
+// store holds it: then the store holds a copy (Object.LaidOut).
 func (db *Database) Insert(o *object.Object) error {
 	e := db.extents[o.Class]
 	if e == nil {
@@ -160,14 +161,13 @@ func (db *Database) Insert(o *object.Object) error {
 	if _, dup := db.byLOid[o.LOid]; dup {
 		return fmt.Errorf("insert %s into %s@%s: duplicate LOid", o.LOid, o.Class, db.site)
 	}
-	for i := 0; i < o.Len(); i++ {
-		name, v := o.At(i)
-		a, ok := e.class.Attr(name)
-		if !ok {
-			return fmt.Errorf("insert %s: class %s@%s has no attribute %q", o.LOid, o.Class, db.site, name)
-		}
-		if err := checkKind(a, v); err != nil {
-			return fmt.Errorf("insert %s attribute %s: %w", o.LOid, name, err)
+	for k, name := range o.Layout().Names() {
+		if v := o.Slot(k); v.Kind() != 0 {
+			if a, ok := e.class.Attr(name); !ok {
+				return fmt.Errorf("insert %s: class %s@%s has no attribute %q", o.LOid, o.Class, db.site, name)
+			} else if err := checkKind(a, v); err != nil {
+				return fmt.Errorf("insert %s attribute %s: %w", o.LOid, name, err)
+			}
 		}
 	}
 	if db.engine != nil {
@@ -175,7 +175,7 @@ func (db *Database) Insert(o *object.Object) error {
 			return fmt.Errorf("insert %s into %s@%s: %w", o.LOid, o.Class, db.site, err)
 		}
 	}
-	o.Relayout(e.layout) // every attribute it holds is the class's
+	o = o.LaidOut(e.layout) // every attribute it holds is the class's
 	l := located{obj: o, pos: len(db.byLOid)}
 	e.order = append(e.order, l)
 	db.byLOid[o.LOid] = l
@@ -244,12 +244,12 @@ func (db *Database) CheckRefs() error {
 		e := db.extents[name]
 		var err error
 		e.Scan(func(o *object.Object) bool {
-			for i := 0; i < o.Len(); i++ {
-				attr, v := o.At(i)
-				a, _ := e.class.Attr(attr)
-				err = checkRefValue(db, o, a, attr, v)
-				if err != nil {
-					return false
+			for k, attr := range o.Layout().Names() {
+				if v := o.Slot(k); v.Kind() != 0 {
+					a, _ := e.class.Attr(attr)
+					if err = checkRefValue(db, o, a, attr, v); err != nil {
+						return false
+					}
 				}
 			}
 			return true
