@@ -13,12 +13,12 @@ import (
 	"testing"
 	"time"
 
-	"github.com/hetfed/hetfed/internal/des"
 	"github.com/hetfed/hetfed/internal/exec"
 	"github.com/hetfed/hetfed/internal/fabric"
 	"github.com/hetfed/hetfed/internal/federation"
 	"github.com/hetfed/hetfed/internal/isomer"
 	"github.com/hetfed/hetfed/internal/metrics"
+	"github.com/hetfed/hetfed/internal/object"
 	"github.com/hetfed/hetfed/internal/obs"
 	"github.com/hetfed/hetfed/internal/query"
 	"github.com/hetfed/hetfed/internal/school"
@@ -280,23 +280,21 @@ func BenchmarkIsomerIdentify(b *testing.B) {
 }
 
 // BenchmarkDESKernel measures the discrete-event kernel: fan-out of 1000
-// processes contending on shared resources.
+// tasks contending for a site's CPU and the network.
 func BenchmarkDESKernel(b *testing.B) {
+	rates := fabric.Rates{CPUPerOp: 1, NetPerByte: 0.5}
 	for i := 0; i < b.N; i++ {
-		sim := des.New()
-		cpu := sim.NewResource("cpu")
-		net := sim.NewResource("net")
-		sim.Spawn("root", func(p *des.Proc) {
-			children := make([]*des.Proc, 0, 1000)
-			for j := 0; j < 1000; j++ {
-				children = append(children, p.Spawn("w", func(c *des.Proc) {
-					c.Use(cpu, 1)
-					c.Use(net, 0.5)
-				}))
+		_, err := fabric.NewSim(rates, []object.SiteID{"S", "G"}).Run("root", func(p fabric.Proc) {
+			hs := make([]fabric.Handle, 1000)
+			for j := range hs {
+				hs[j] = p.Go("w", func(p fabric.Proc) {
+					p.Sink("S").CPU(1)
+					p.Transfer("S", "G", 1)
+				})
 			}
-			p.Join(children...)
+			p.Wait(hs...)
 		})
-		if err := sim.Run(); err != nil {
+		if err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -3,6 +3,7 @@ package bench
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -134,6 +135,36 @@ func runStrategies(t *testing.T) (*Report, MatrixSpec) {
 		t.Fatalf("Run: %v", err)
 	}
 	return r, topic.Spec.(MatrixSpec)
+}
+
+// TestStrategiesReproduceCommittedReport: the strategies topic runs in
+// virtual time, so a run reproduces every cell of the committed
+// BENCH_strategies.json to the bit. A cell that differs means the cost model,
+// the simulator's scheduling or a strategy's work moved; a change that means
+// to move one regenerates the file with hetbench run -topic strategies -out
+// and says why.
+func TestStrategiesReproduceCommittedReport(t *testing.T) {
+	r, _ := runStrategies(t)
+	committed, err := ReadReport(filepath.Join("..", "..", "BENCH_strategies.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := len(r.Results()), len(committed.Results()); got != want {
+		t.Errorf("%d cells measured, %d committed", got, want)
+	}
+	for _, want := range committed.Results() {
+		key := want.Cell.Key()
+		got, ok := r.Get(key)
+		if !ok {
+			t.Errorf("cell %s: committed, not measured", key)
+			continue
+		}
+		g, errG := json.Marshal(got)
+		w, errW := json.Marshal(want)
+		if errG != nil || errW != nil || !bytes.Equal(g, w) {
+			t.Errorf("cell %s:\nmeasured  %s\ncommitted %s", key, g, w)
+		}
+	}
 }
 
 // TestStrategiesKillDB3: over the strategies topic, a sick DB3 is judged

@@ -368,19 +368,24 @@ func TestMaybeExplanationLattice(t *testing.T) {
 	}
 }
 
-// TestBusyAttribution inspects the simulated per-site busy times: every
-// involved site and the network do work under both strategies, and the
-// global site works much harder under CA (it materializes and evaluates
-// everything) than under BL (it only certifies).
+// TestBusyAttribution inspects the simulated per-site busy times, each site's
+// charges at the Table 1 rates: every involved site and the network do work
+// under both strategies, and the global site works much harder under CA (it
+// materializes and evaluates everything) than under BL (it only certifies).
 func TestBusyAttribution(t *testing.T) {
 	e, b := schoolEngine(t)
 
 	busyFor := func(alg Algorithm) map[string]float64 {
-		rt := fabric.NewSim(fabric.DefaultRates(), e.Sites())
-		if _, _, err := e.Run(rt, alg, b); err != nil {
+		rates := fabric.DefaultRates()
+		_, m, err := e.Run(fabric.NewSim(rates, e.Sites()), alg, b)
+		if err != nil {
 			t.Fatalf("%v: %v", alg, err)
 		}
-		return rt.BusyBySite()
+		busy := map[string]float64{"net": rates.Work(0, 0, m.NetBytes)}
+		for site, c := range m.PerSite {
+			busy[string(site)] = rates.Work(c.DiskBytes, c.CPUOps, 0)
+		}
+		return busy
 	}
 
 	ca := busyFor(CA)

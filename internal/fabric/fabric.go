@@ -4,8 +4,8 @@
 // transfers — and executes on two runtimes:
 //
 //   - Real: goroutines and wall-clock time; cost events are counted.
-//   - Sim: the discrete-event simulator of package des; cost events
-//     additionally block the calling process for the virtual time they take
+//   - Sim: a discrete-event simulator; cost events additionally block the
+//     calling task for the virtual time they take
 //     under the paper's Table 1 rates, with per-site CPU and disk resources
 //     and a shared network medium.
 //

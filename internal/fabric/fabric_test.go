@@ -165,24 +165,6 @@ func TestSimSingleUse(t *testing.T) {
 	}
 }
 
-func TestSimBusyBySite(t *testing.T) {
-	s := NewSim(DefaultRates(), testSites)
-	if _, err := s.Run("b", func(p Proc) {
-		p.Sink("A").CPU(2)      // 1 µs
-		p.Sink("A").DiskRead(1) // 15 µs
-		p.Transfer("A", "G", 1) // 8 µs
-	}); err != nil {
-		t.Fatal(err)
-	}
-	by := s.BusyBySite()
-	if by["A"] != 16 {
-		t.Errorf("A busy = %g", by["A"])
-	}
-	if by["net"] != 8 {
-		t.Errorf("net busy = %g", by["net"])
-	}
-}
-
 func TestRealRuntimeIsReusable(t *testing.T) {
 	rt := NewReal(DefaultRates())
 	for i := 0; i < 2; i++ {

@@ -56,7 +56,6 @@ type realRun struct {
 
 	mu    sync.Mutex
 	sinks map[object.SiteID]*cost.SharedCounter
-	net   int64
 	pairs map[Pair]int64
 	err   error
 }
@@ -76,8 +75,10 @@ func (r *Real) RunContext(ctx context.Context, name string, fn func(Proc)) (Metr
 	run.tasks.Wait()
 	m := Metrics{
 		ResponseMicros: float64(time.Since(run.start).Nanoseconds()) / 1e3,
-		NetBytes:       run.net,
 		NetPairs:       run.pairs, // every writer has been joined
+	}
+	for _, n := range run.pairs {
+		m.NetBytes += n
 	}
 	if len(run.sinks) > 0 {
 		m.PerSite = make(map[object.SiteID]SiteCost, len(run.sinks))
@@ -224,7 +225,6 @@ func (run *realRun) Transfer(from, to object.SiteID, bytes int) {
 	if run.pairs == nil {
 		run.pairs = make(map[Pair]int64)
 	}
-	run.net += int64(bytes)
 	run.pairs[Pair{From: from, To: to}] += int64(bytes)
 }
 

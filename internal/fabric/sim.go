@@ -1,39 +1,44 @@
 package fabric
 
 import (
+	"container/heap"
 	"context"
 	"fmt"
 
 	"github.com/hetfed/hetfed/internal/cost"
-	"github.com/hetfed/hetfed/internal/des"
 	"github.com/hetfed/hetfed/internal/object"
 )
 
-// Sim is the simulated runtime: tasks are discrete-event processes, every
-// site has a CPU and a disk resource, and all sites share one network
-// medium (the paper's observation that "the transfer time gets longer when
-// more component databases transfer data simultaneously" follows from the
-// shared medium). Virtual time advances per the Table 1 rates.
+// Sim is the simulated runtime, a process-based discrete-event simulator in
+// the style of SimPy: tasks are goroutines that Run resumes one at a time
+// through channel handshakes, so the same inputs always give the same
+// virtual-time trajectory. Every site has a CPU and a disk, and all sites
+// share one network medium, each a capacity-one FIFO resource (the paper's
+// observation that "the transfer time gets longer when more component
+// databases transfer data simultaneously" follows from the shared medium).
+// Virtual time advances per the Table 1 rates.
 //
 // A Sim value is single-use: create one per execution.
 type Sim struct {
 	rates  Rates
 	faults *FaultPlan
 	ctx    context.Context
-	sim    *des.Simulator
-	cpu    map[object.SiteID]*des.Resource
-	disk   map[object.SiteID]*des.Resource
-	net    *des.Resource
+	res    []resource            // each site's CPU and disk, then the network
+	site   map[object.SiteID]int // a site's CPU is res[i], its disk res[i+1]
 
-	// Event counters. Plain (unlocked) fields are safe here: DES processes
-	// run one at a time under the simulator's channel handshakes, which
-	// establish happens-before edges the race detector accepts.
-	diskBytes int64
-	cpuOps    int64
-	netBytes  int64
-	perSite   map[object.SiteID]SiteCost
-	pairs     map[Pair]int64
-	used      bool
+	// The kernel and the event counters. Plain (unlocked) fields are safe
+	// here: tasks run one at a time under the channel handshakes with Run,
+	// which establish happens-before edges the race detector accepts.
+	now      float64
+	seq      int // orders events at the same time by when they were scheduled
+	events   eventHeap
+	alive    int // tasks started and not yet finished
+	failure  error
+	yield    chan struct{} // a task hands control back to Run
+	shutdown chan struct{} // closed when Run gives up: parked tasks unwind
+	perSite  map[object.SiteID]SiteCost
+	pairs    map[Pair]int64
+	used     bool
 }
 
 var _ Runtime = (*Sim)(nil)
@@ -42,19 +47,17 @@ var _ Runtime = (*Sim)(nil)
 // databases plus the global processing site).
 func NewSim(rates Rates, sites []object.SiteID) *Sim {
 	s := &Sim{
-		rates: rates,
-		sim:   des.New(),
-		cpu:   make(map[object.SiteID]*des.Resource, len(sites)),
-		disk:  make(map[object.SiteID]*des.Resource, len(sites)),
-
-		perSite: make(map[object.SiteID]SiteCost),
-		pairs:   make(map[Pair]int64),
+		rates:    rates,
+		res:      make([]resource, 2*len(sites)+1),
+		site:     make(map[object.SiteID]int, len(sites)),
+		yield:    make(chan struct{}),
+		shutdown: make(chan struct{}),
+		perSite:  make(map[object.SiteID]SiteCost),
+		pairs:    make(map[Pair]int64),
 	}
-	for _, site := range sites {
-		s.cpu[site] = s.sim.NewResource(string(site) + ".cpu")
-		s.disk[site] = s.sim.NewResource(string(site) + ".disk")
+	for i, site := range sites {
+		s.site[site] = 2 * i
 	}
-	s.net = s.sim.NewResource("net")
 	return s
 }
 
@@ -65,157 +68,269 @@ func (s *Sim) WithFaults(fp *FaultPlan) *Sim {
 	return s
 }
 
-// RunContext implements Runtime. The simulator runs in virtual time,
-// so cancellation is checked (Sleep skips its delay and strategy code unwinds
-// at its next checkpoint) rather than interrupting a running event.
-func (s *Sim) RunContext(ctx context.Context, name string, fn func(Proc)) (Metrics, error) {
-	s.ctx = ctx
-	return s.Run(name, fn)
-}
-
 // Run is RunContext with context.Background().
 func (s *Sim) Run(name string, fn func(Proc)) (Metrics, error) {
+	return s.RunContext(context.Background(), name, fn)
+}
+
+// RunContext implements Runtime: it resumes the task with the earliest event
+// until none is left. The simulator runs in virtual time, so cancellation is
+// checked (Sleep skips its delay and strategy code unwinds at its next
+// checkpoint) rather than interrupting a running event. A panicking task
+// fails the run, and so do tasks left blocked with no event pending (a
+// deadlock); either way every parked task's goroutine unwinds.
+func (s *Sim) RunContext(ctx context.Context, name string, fn func(Proc)) (Metrics, error) {
 	if s.used {
 		return Metrics{}, fmt.Errorf("fabric: Sim is single-use; create a new one per Run")
 	}
-	s.used = true
-	s.sim.Spawn(name, func(p *des.Proc) {
-		fn(&simProc{rt: s, p: p})
-	})
-	if err := s.sim.Run(); err != nil {
-		return Metrics{}, err
+	s.used, s.ctx = true, ctx
+	s.spawn(name, fn)
+	for s.events.Len() > 0 {
+		ev := heap.Pop(&s.events).(event)
+		s.now = ev.t
+		ev.p.resume <- struct{}{}
+		<-s.yield
+		if s.failure != nil {
+			close(s.shutdown)
+			return Metrics{}, s.failure
+		}
 	}
-	return Metrics{
-		ResponseMicros:  s.sim.Now(),
-		TotalBusyMicros: s.sim.TotalBusy(),
-		DiskBytes:       s.diskBytes,
-		CPUOps:          s.cpuOps,
-		NetBytes:        s.netBytes,
-		PerSite:         s.perSite,
-		NetPairs:        s.pairs,
-	}, nil
+	if s.alive > 0 {
+		close(s.shutdown)
+		return Metrics{}, fmt.Errorf("fabric: deadlock: %d task(s) blocked with no pending events", s.alive)
+	}
+	m := Metrics{ResponseMicros: s.now, PerSite: s.perSite, NetPairs: s.pairs}
+	// Each resource's busy time is its own sum, and they are added in
+	// creation order: one running sum over all charges rounds differently.
+	for _, r := range s.res {
+		m.TotalBusyMicros += r.busy
+	}
+	for _, c := range s.perSite {
+		m.DiskBytes += c.DiskBytes
+		m.CPUOps += c.CPUOps
+	}
+	for _, n := range s.pairs {
+		m.NetBytes += n
+	}
+	return m, nil
 }
 
-// BusyBySite returns per-resource busy time grouped by site, available
-// after Run.
-func (s *Sim) BusyBySite() map[string]float64 {
-	return des.BusyByPrefix(s.sim.Resources())
+func (s *Sim) spawn(name string, fn func(Proc)) *simProc {
+	p := &simProc{sim: s, resume: make(chan struct{})}
+	s.alive++
+	go p.run(name, fn)
+	s.schedule(s.now, p)
+	return p
 }
 
+func (s *Sim) schedule(t float64, p *simProc) {
+	s.seq++
+	heap.Push(&s.events, event{t: t, seq: s.seq, p: p})
+}
+
+// An event resumes task p at time t; events at the same time run in the
+// order they were scheduled.
+type event struct {
+	t   float64
+	seq int
+	p   *simProc
+}
+
+type eventHeap []event
+
+func (h eventHeap) Len() int { return len(h) }
+func (h eventHeap) Less(i, j int) bool {
+	if h[i].t != h[j].t {
+		return h[i].t < h[j].t
+	}
+	return h[i].seq < h[j].seq
+}
+func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
+func (h *eventHeap) Push(x any)   { *h = append(*h, x.(event)) }
+func (h *eventHeap) Pop() any {
+	old := *h
+	ev := old[len(old)-1]
+	*h = old[:len(old)-1]
+	return ev
+}
+
+// resource is a capacity-one FIFO resource: a site's CPU or disk, or the
+// shared network medium.
+type resource struct {
+	held  bool
+	queue []*simProc
+	busy  float64
+}
+
+// errShutdown unwinds a parked task's goroutine when Run gives up.
+type errShutdown struct{}
+
+// simProc is one task, and its own Handle. Its methods may only be called
+// from within the task's own function.
 type simProc struct {
-	rt *Sim
-	p  *des.Proc
+	sim      *Sim
+	resume   chan struct{} // Run resumes the task at its next event
+	finished bool
+	waiters  []*simProc // the tasks in Wait on this one
 }
 
 var _ Proc = (*simProc)(nil)
 
-type simHandle struct{ p *des.Proc }
+func (*simProc) isHandle() {}
 
-func (*simHandle) isHandle() {}
-
-// Go implements Proc.
-func (sp *simProc) Go(name string, fn func(Proc)) Handle {
-	child := sp.p.Spawn(name, func(p *des.Proc) {
-		fn(&simProc{rt: sp.rt, p: p})
-	})
-	return &simHandle{p: child}
+// run is the task's goroutine: it waits for its first event, runs fn, then
+// wakes its waiters at the current time and hands control back to Run.
+func (p *simProc) run(name string, fn func(Proc)) {
+	s := p.sim
+	defer func() {
+		if r := recover(); r != nil {
+			if _, ok := r.(errShutdown); ok {
+				return // Run gave up and receives nothing more
+			}
+			s.failure = fmt.Errorf("fabric: task %s panicked: %v", name, r)
+		}
+		p.finished = true
+		s.alive--
+		for _, w := range p.waiters {
+			s.schedule(s.now, w)
+		}
+		s.yield <- struct{}{}
+	}()
+	p.block()
+	fn(p)
 }
 
+// park hands control back to Run and blocks until the task's next event.
+func (p *simProc) park() {
+	p.sim.yield <- struct{}{}
+	p.block()
+}
+
+func (p *simProc) block() {
+	select {
+	case <-p.resume:
+	case <-p.sim.shutdown:
+		panic(errShutdown{})
+	}
+}
+
+func (p *simProc) delay(d float64) {
+	p.sim.schedule(p.sim.now+d, p)
+	p.park()
+}
+
+// use holds r for d µs and adds d to r's busy time. A task that finds r held
+// queues behind the holders; a releaser hands r to the first in the queue,
+// which resumes with r still held.
+func (p *simProc) use(r *resource, d float64) {
+	if d < 0 {
+		panic(fmt.Sprintf("fabric: negative charge %g", d))
+	}
+	if r.held {
+		r.queue = append(r.queue, p)
+		p.park()
+	}
+	r.held = true
+	r.busy += d
+	if d > 0 {
+		p.delay(d)
+	}
+	if len(r.queue) == 0 {
+		r.held = false
+		return
+	}
+	next := r.queue[0]
+	r.queue = r.queue[1:]
+	p.sim.schedule(p.sim.now, next)
+}
+
+// Go implements Proc.
+func (p *simProc) Go(name string, fn func(Proc)) Handle { return p.sim.spawn(name, fn) }
+
 // Wait implements Proc.
-func (sp *simProc) Wait(hs ...Handle) {
-	procs := make([]*des.Proc, len(hs))
-	for i, h := range hs {
-		sh, ok := h.(*simHandle)
+func (p *simProc) Wait(hs ...Handle) {
+	for _, h := range hs {
+		c, ok := h.(*simProc)
 		if !ok {
 			panic("fabric: foreign handle passed to sim runtime")
 		}
-		procs[i] = sh.p
+		for !c.finished {
+			c.waiters = append(c.waiters, p)
+			p.park()
+		}
 	}
-	sp.p.Join(procs...)
 }
 
-// Fork implements Proc. The legs are named: the event log lists them.
-func (sp *simProc) Fork(fns ...func(Proc)) {
+// Fork implements Proc.
+func (p *simProc) Fork(fns ...func(Proc)) {
 	hs := make([]Handle, len(fns))
 	for i, fn := range fns {
-		hs[i] = sp.Go(fmt.Sprintf("fork-%d", i), fn)
+		hs[i] = p.Go("fork", fn)
 	}
-	sp.Wait(hs...)
+	p.Wait(hs...)
 }
 
 // Sink implements Proc.
-func (sp *simProc) Sink(site object.SiteID) cost.Sink {
-	cpu, okC := sp.rt.cpu[site]
-	disk, okD := sp.rt.disk[site]
-	if !okC || !okD {
+func (p *simProc) Sink(site object.SiteID) cost.Sink {
+	i, ok := p.sim.site[site]
+	if !ok {
 		panic(fmt.Sprintf("fabric: unregistered site %s", site))
 	}
-	return &simSink{rt: sp.rt, p: sp.p, site: site, cpu: cpu, disk: disk}
+	return &simSink{p: p, site: site, cpu: &p.sim.res[i], disk: &p.sim.res[i+1]}
 }
 
 // Transfer implements Proc.
-func (sp *simProc) Transfer(from, to object.SiteID, bytes int) {
+func (p *simProc) Transfer(from, to object.SiteID, bytes int) {
 	if bytes < 0 {
 		panic(fmt.Sprintf("fabric: negative transfer %d", bytes))
 	}
-	sp.rt.netBytes += int64(bytes)
-	sp.rt.pairs[Pair{From: from, To: to}] += int64(bytes)
-	sp.p.Use(sp.rt.net, float64(bytes)*sp.rt.rates.NetPerByte)
+	s := p.sim
+	s.pairs[Pair{From: from, To: to}] += int64(bytes)
+	p.use(&s.res[len(s.res)-1], float64(bytes)*s.rates.NetPerByte)
 }
 
 // Now implements Proc: the current virtual time.
-func (sp *simProc) Now() float64 { return sp.p.Now() }
+func (p *simProc) Now() float64 { return p.sim.now }
 
 // Sleep implements Proc: a virtual-time delay, skipped once the runtime's
 // context is done (a cancelled query stops accumulating injected Delay
 // faults in virtual time).
-func (sp *simProc) Sleep(micros float64) {
-	if micros <= 0 {
-		return
+func (p *simProc) Sleep(micros float64) {
+	if micros > 0 && p.sim.ctx.Err() == nil {
+		p.delay(micros)
 	}
-	if ctx := sp.rt.ctx; ctx != nil && ctx.Err() != nil {
-		return
-	}
-	sp.p.Delay(micros)
 }
 
 // Faults implements Proc.
-func (sp *simProc) Faults() *FaultPlan { return sp.rt.faults }
+func (p *simProc) Faults() *FaultPlan { return p.sim.faults }
 
 // Context implements Proc.
-func (sp *simProc) Context() context.Context {
-	if sp.rt.ctx != nil {
-		return sp.rt.ctx
-	}
-	return context.Background()
-}
+func (p *simProc) Context() context.Context { return p.sim.ctx }
 
 // simSink charges CPU and disk events as virtual time on the site's
-// resources. It is bound to one process and must not be shared.
+// resources. It is bound to one task and must not be shared.
 type simSink struct {
-	rt   *Sim
-	p    *des.Proc
-	site object.SiteID
-	cpu  *des.Resource
-	disk *des.Resource
+	p         *simProc
+	site      object.SiteID
+	cpu, disk *resource
 }
 
 var _ cost.Sink = (*simSink)(nil)
 
 // DiskRead implements cost.Sink.
-func (s *simSink) DiskRead(bytes int) {
-	s.rt.diskBytes += int64(bytes)
-	sc := s.rt.perSite[s.site]
+func (k *simSink) DiskRead(bytes int) {
+	s := k.p.sim
+	sc := s.perSite[k.site]
 	sc.DiskBytes += int64(bytes)
-	s.rt.perSite[s.site] = sc
-	s.p.Use(s.disk, float64(bytes)*s.rt.rates.DiskPerByte)
+	s.perSite[k.site] = sc
+	k.p.use(k.disk, float64(bytes)*s.rates.DiskPerByte)
 }
 
 // CPU implements cost.Sink.
-func (s *simSink) CPU(ops int) {
-	s.rt.cpuOps += int64(ops)
-	sc := s.rt.perSite[s.site]
+func (k *simSink) CPU(ops int) {
+	s := k.p.sim
+	sc := s.perSite[k.site]
 	sc.CPUOps += int64(ops)
-	s.rt.perSite[s.site] = sc
-	s.p.Use(s.cpu, float64(ops)*s.rt.rates.CPUPerOp)
+	s.perSite[k.site] = sc
+	k.p.use(k.cpu, float64(ops)*s.rates.CPUPerOp)
 }

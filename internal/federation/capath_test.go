@@ -274,11 +274,12 @@ func TestCAPathAllocationCeilings(t *testing.T) {
 	var view *View
 	join := func(p fabric.Proc) { view = co.Materialize(p, fx.bound, replies) }
 	materialize := allocsOnFabric(t, join)
-	// Measured: 35 allocations and 939 KiB for 6 870 objects joined into 4 122
+	// Measured: 30 allocations and 550 KiB for 6 870 objects joined into 4 122
 	// entities — the fabric's run, the sorted replies, a slot slice per class,
-	// the slab's two chunks sized by entities, the roots as they grow. (PR 17's
-	// hashed join: 44 allocations and 1 612 KiB, its map and a slab sized by
-	// constituents.)
+	// the slab's two chunks sized by entities, the roots as they grow. (Before
+	// objects shared their class's layout, EXPERIMENTS.md E52: 35 and 939 KiB.
+	// The earlier hashed join: 44 allocations and 1 612 KiB, its map and a
+	// slab sized by constituents.)
 	const runs = 10
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
@@ -287,18 +288,19 @@ func TestCAPathAllocationCeilings(t *testing.T) {
 	}
 	runtime.ReadMemStats(&after)
 	kib := float64(after.TotalAlloc-before.TotalAlloc) / runs / 1024
-	if materialize > 45 || kib > 1000 {
-		t.Errorf("Materialize: %.0f allocs and %.0f KiB for %d objects, ceilings 45 and 1000", materialize, kib, objects)
+	if materialize > 40 || kib > 600 {
+		t.Errorf("Materialize: %.0f allocs and %.0f KiB for %d objects, ceilings 40 and 600", materialize, kib, objects)
 	} else {
 		t.Logf("Materialize: %.0f allocs, %.0f KiB (%d objects, %d in the view)", materialize, kib, objects, view.Len())
 	}
 
 	// Over decoded replies, each run over a fresh decode, since the join
-	// consumes what it adopts. Measured: 44 allocations and 211 KiB — the slot
+	// consumes what it adopts. Measured: 28 allocations and 54 KiB — the slot
 	// slices, the roots, and the slab chunks that give a filled adopted object
 	// room for its mask; the first constituent of every entity is its view
-	// object in place. (The copying join before adoption put every entity
-	// into the slab, as for store replies: 37 allocations and 939 KiB.)
+	// object in place. (Before E52: 44 allocations and 211 KiB. The copying
+	// join before adoption put every entity into the slab, as for store
+	// replies: 37 allocations and 939 KiB.)
 	var allocs, bytes uint64
 	for i := 0; i < runs; i++ {
 		decoded := decodeAll(t, encoded)
@@ -308,8 +310,8 @@ func TestCAPathAllocationCeilings(t *testing.T) {
 		allocs, bytes = allocs+after.Mallocs-before.Mallocs, bytes+after.TotalAlloc-before.TotalAlloc
 	}
 	perRun, kib := float64(allocs)/runs, float64(bytes)/runs/1024
-	if perRun > 60 || kib > 300 {
-		t.Errorf("Materialize over decoded replies: %.0f allocs and %.0f KiB for %d objects, ceilings 60 and 300", perRun, kib, objects)
+	if perRun > 40 || kib > 64 {
+		t.Errorf("Materialize over decoded replies: %.0f allocs and %.0f KiB for %d objects, ceilings 40 and 64", perRun, kib, objects)
 	} else {
 		t.Logf("Materialize over decoded replies: %.0f allocs, %.0f KiB (%d objects, %d in the view)", perRun, kib, objects, view.Len())
 	}

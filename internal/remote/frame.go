@@ -29,12 +29,15 @@ const (
 	// frameHeaderSize is the fixed prefix of every frame.
 	frameHeaderSize = 5
 
-	// maxFrameBytes caps one request frame — header and payload — on an
-	// accepted connection; 8 MiB comfortably covers the largest legitimate
-	// request in the workloads while stopping runaway frames. The cap is
-	// exact: a frame of maxFrameBytes is served, one byte more is rejected
-	// from its header alone and the connection closed (frames_rejected_total
-	// counts it).
+	// maxFrameBytes caps one frame — header and payload — in either
+	// direction: a request on an accepted connection, a reply on a pooled
+	// one. 8 MiB comfortably covers the largest legitimate frame in the
+	// workloads while stopping runaway ones, which matters most for a reply:
+	// its decoder allocates up to 88 bytes per byte it reads (the fuzz
+	// target's responseAllocFactor). The cap is exact: a frame of
+	// maxFrameBytes is read, one byte more is rejected from its header alone
+	// and the connection closed (a server counts it in
+	// frames_rejected_total; a caller's call fails as its site unavailable).
 	maxFrameBytes = 8 << 20
 
 	// readChunk is the least a payload buffer grows by. A buffer grows as

@@ -50,9 +50,9 @@ func (pc *pconn) exchange(ctx context.Context, req *Request, timeout time.Durati
 	if err != nil {
 		return Response{}, stats, fmt.Errorf("send: %w", err)
 	}
-	// No limit on the way back: the caller trusts the sites it queries, and
-	// the buffer grows only as bytes actually arrive.
-	in, err := readFrame(pc.br, 0)
+	// The cap on a request caps its reply: decoding one allocates many times
+	// its size, so one runaway reply must not reach the decoder.
+	in, err := readFrame(pc.br, maxFrameBytes)
 	if err != nil {
 		return Response{}, stats, fmt.Errorf("receive: %w", err)
 	}

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -287,6 +288,76 @@ func TestServerFrameLimitIsExact(t *testing.T) {
 	}
 	if _, err := testCall(t, addr, Request{Kind: kindPing}); err != nil {
 		t.Errorf("ping after rejected frames: %v", err)
+	}
+}
+
+// TestReplyFrameLimitIsExact: the request cap caps a reply too. A fake site
+// answers the first call with the header of a frame one byte over
+// maxFrameBytes and never sends the payload, so a caller that waited for it
+// would time out instead: the call fails from the header alone, as the site's
+// unavailability (which a query degrades on), and the connection is closed.
+// The next call's reply is exactly maxFrameBytes, and it decodes.
+func TestReplyFrameLimitIsExact(t *testing.T) {
+	replyOf := func(pad int) []byte {
+		out := newFrame()
+		defer out.release()
+		out.response(&Response{Suspect: []string{strings.Repeat("x", pad)}})
+		return bytes.Clone(out.b)
+	}
+	pad := maxFrameBytes - 100
+	pad += maxFrameBytes - len(replyOf(pad))
+	exact := replyOf(pad)
+	if len(exact) != maxFrameBytes {
+		t.Fatalf("padded reply is %d bytes, want %d", len(exact), maxFrameBytes)
+	}
+	binary.LittleEndian.PutUint32(exact, uint32(maxFrameBytes-frameHeaderSize))
+	over := []byte{0, 0, 0, 0, protocolVersion}
+	binary.LittleEndian.PutUint32(over, uint32(maxFrameBytes+1-frameHeaderSize))
+
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	hungUp := make(chan error, 2)
+	go func() {
+		for _, reply := range [][]byte{over, exact} {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			br := bufio.NewReader(conn)
+			if in, err := readFrame(br, 0); err == nil {
+				in.release()
+				_, _ = conn.Write(reply)
+			}
+			_, err = br.ReadByte() // the caller's next request, or its hang-up
+			hungUp <- err
+			conn.Close()
+		}
+	}()
+
+	cl := newClient("G", CallConfig{CallTimeout: 10 * time.Second}, nil)
+	defer cl.close()
+	addr := ln.Addr().String()
+	start := time.Now()
+	_, _, err = cl.call(context.Background(), "DB1", addr, Request{Kind: kindPing})
+	if !errors.Is(err, ErrFrameTooLarge) || !errors.Is(err, exec.ErrSiteUnavailable) {
+		t.Fatalf("reply one byte over the cap: %v, want the site unavailable with ErrFrameTooLarge", err)
+	}
+	if d := time.Since(start); d > 5*time.Second {
+		t.Errorf("the refused reply took %v", d)
+	}
+	if err := <-hungUp; !errors.Is(err, io.EOF) {
+		t.Errorf("the site read %v after its oversized reply, want the connection closed", err)
+	}
+	if n := cl.pool(addr).size(); n != 0 {
+		t.Errorf("%d connections pooled after the oversized reply", n)
+	}
+
+	resp, _, err := cl.call(context.Background(), "DB1", addr, Request{Kind: kindPing})
+	if err != nil || len(resp.Suspect) != 1 || len(resp.Suspect[0]) != pad {
+		t.Fatalf("reply of exactly the cap: err %v", err)
 	}
 }
 

@@ -1,8 +1,9 @@
 #!/bin/sh
 # check.sh — the repository's verification gate: formatting, vet, the
 # one-orchestration, one-report-envelope, one-codec, one-check-path,
-# one-replica, one-repair-path, one-experiment-harness, work-runs-where-it-is,
-# one-identity-index, said-once, no-strategy-chooser, one-probe-per-fetch,
+# one-replica, one-repair-path, one-experiment-harness, one-simulator,
+# work-runs-where-it-is, one-identity-index, said-once, no-strategy-chooser,
+# one-probe-per-fetch,
 # one-way-to-stand-up-a-site, one-value-in-use, one-home-for-spans,
 # no-unused-load-shape, one-matrix-runtime, no-cluster-ops-plane, one-span-clock,
 # one-exchange-per-call, one-failure-path-per-call and
@@ -136,14 +137,20 @@ if grep -rnE 'sim\.(Figure|Experiment|PlannerAccuracy)' --include='*.go' --exclu
     echo "a caller of the deleted sim package is back" >&2
     guard_failed=1
 fi
+# One simulator: fabric.Sim is the discrete-event kernel itself (EXPERIMENTS.md
+# E53). The separate kernel package, and any import of it, stay gone.
+if [ -e internal/des ] || grep -rn '"github.com/hetfed/hetfed/internal/des"' --include='*.go' --exclude-dir=.bench_build .; then
+    echo "internal/des is back; the simulator is fabric.Sim (DESIGN.md section 2, row 9)" >&2
+    guard_failed=1
+fi
 want_one 'workload\.Generate\(' "$(grep -rn 'workload\.Generate(' --include='*.go' --exclude='*_test.go' \
     --exclude-dir=benchmark --exclude-dir=examples --exclude-dir=.bench_build . || true)"
 # Work runs where it is (DESIGN.md sections 8 and 9, EXPERIMENTS.md E25): a
 # server and a coordinator each build one fabric.Real for their life, never
 # inside the per-request or per-query function; internal/remote parses a query
 # text in one place, the bound-plan table both of them use; and the real
-# runtime starts no goroutine for a root task and names no fork legs (the task
-# names are Sim's: its event log lists them).
+# runtime starts no goroutine for a root task and hands a Fork no leg through
+# forkImpl.
 for f in internal/remote/server.go internal/remote/coordinator.go; do
     want_one "fabric.NewReal( in $f" "$(grep -n 'fabric\.NewReal(' "$f" || true)"
 done
