@@ -12,21 +12,20 @@
 //
 // It runs a registered topic — strategies or figures (the paper's Figures
 // 9–11 study) — on its canonical spec (internal/bench/topics.go) and gates
-// it (exit 1 on failure): strategies against the committed
-// BENCH_strategies.json at a 10 % tolerance, figures on the shapes the paper
-// claims:
+// it (exit 1 on failure): the run must reproduce the committed
+// BENCH_<topic>.json in every key but "version", and figures must also show
+// the shapes the paper claims:
 //
 //	hetbench run -topic strategies
 //	hetbench run -topic figures      # prints each figure's two tables
 //
 // Nothing is written unless -out says where; regenerating a committed
-// report is -out BENCH_<topic>.json (strategies then skips its gate — it is
-// replacing the baseline, not being judged by it):
+// report is -out BENCH_<topic>.json (the run then skips its gate — it is
+// replacing the report, not being judged by it):
 //
 //	hetbench run -topic strategies -out BENCH_strategies.json
 //
-// A new matrix is a new registered topic. Identical seeds reproduce
-// byte-identical cell results.
+// A new matrix is a new registered topic.
 package main
 
 import (
@@ -71,8 +70,8 @@ func run(args []string) error {
 	}
 }
 
-// runCmd runs one registered topic on its canonical spec. One path loads
-// the baseline, runs, writes where -out says and applies the gate.
+// runCmd runs one registered topic on its canonical spec. One path reads
+// the committed report, runs, writes where -out says and checks the run.
 func runCmd(args []string) error {
 	fs := flag.NewFlagSet("hetbench run", flag.ContinueOnError)
 	var (
@@ -88,27 +87,30 @@ func runCmd(args []string) error {
 		return err
 	}
 
-	// The committed report is the baseline. It is loaded before anything is
-	// written, and -out naming it regenerates it, ungated.
-	baselinePath := "BENCH_" + t.Name + ".json"
-	var baseline *bench.Report
-	if t.Baseline && !sameFile(*out, baselinePath) {
-		if baseline, err = readMatrixReport(baselinePath); err != nil {
-			return err
-		}
+	// The committed report is read before anything runs or is written, and
+	// -out naming it regenerates it, ungated.
+	committedPath := "BENCH_" + t.Name + ".json"
+	committed, err := os.ReadFile(committedPath)
+	gated := !sameFile(*out, committedPath)
+	if gated && err != nil {
+		return err
 	}
 
 	report, runErr := runTopic(t, *quiet)
 	if report != nil {
-		// A self-gating run that failed its gate still wrote what it measured.
+		// A figures run that failed its shape gate still wrote what it measured.
 		if err := emit(report, *out); err != nil {
 			return err
 		}
 	}
-	if runErr != nil || baseline == nil {
+	if runErr != nil || !gated {
 		return runErr
 	}
-	return gate(baseline, report, baselinePath)
+	if err := report.Reproduces(committed); err != nil {
+		return fmt.Errorf("the run does not reproduce %s: %w", committedPath, err)
+	}
+	fmt.Printf("reproduced %s\n", committedPath)
+	return nil
 }
 
 // emit writes the report where -out says: nowhere, stdout, or a file. A
@@ -133,31 +135,6 @@ func emit(report *bench.Report, out string) error {
 	}
 	fmt.Printf("wrote %s\n", out)
 	return nil
-}
-
-// gate applies the baseline diff and reports its verdict.
-func gate(baseline, report *bench.Report, baselinePath string) error {
-	if violations := bench.Check(baseline, report); len(violations) > 0 {
-		for _, v := range violations {
-			fmt.Fprintln(os.Stderr, "regression:", v)
-		}
-		return fmt.Errorf("%d regression(s) vs %s at tolerance 10%%", len(violations), baselinePath)
-	}
-	fmt.Printf("no regressions in %d cells vs %s (tolerance 10%%)\n", len(baseline.Results()), baselinePath)
-	return nil
-}
-
-// readMatrixReport loads a baseline the gate can judge: a self-gating
-// topic's has no matrix cells, and would pass over zero of them.
-func readMatrixReport(path string) (*bench.Report, error) {
-	r, err := bench.ReadReport(path)
-	if err != nil {
-		return nil, err
-	}
-	if _, ok := r.Cells.([]bench.CellResult); !ok {
-		return nil, fmt.Errorf("%s: topic %s has no matrix cells; it gates on its own invariants (hetbench run -topic %[2]s)", path, r.Topic)
-	}
-	return r, nil
 }
 
 // sameFile reports whether two paths name one file, existing or not.

@@ -1,6 +1,8 @@
 package main
 
 import (
+	"bytes"
+	"encoding/json"
 	"errors"
 	"flag"
 	"io"
@@ -109,32 +111,6 @@ func TestRunFlags(t *testing.T) {
 	}
 }
 
-// committedCopy copies the committed report of topic into the working
-// directory as BENCH_<as>.json, changed by edit when edit is non-nil.
-func committedCopy(t *testing.T, root, topic, as string, edit func(*bench.Report)) {
-	t.Helper()
-	src := filepath.Join(root, "BENCH_"+topic+".json")
-	dst := "BENCH_" + as + ".json"
-	if edit == nil {
-		data, err := os.ReadFile(src)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(dst, data, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return
-	}
-	r, err := bench.ReadReport(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	edit(r)
-	if err := r.WriteFile(dst); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // repoRoot is where the committed reports are.
 func repoRoot(t *testing.T) string {
 	t.Helper()
@@ -145,23 +121,129 @@ func repoRoot(t *testing.T) string {
 	return root
 }
 
-// TestRunCheck: run -topic strategies fails against a baseline whose p99 was
-// halved, and against one whose spec drove a different number of queries —
-// a 3-query run is not comparable with the 30-query canonical one.
+// committedCopy copies the committed report of topic from root into the
+// working directory as BENCH_<as>.json, its bytes changed by edit when edit
+// is non-nil.
+func committedCopy(t *testing.T, root, topic, as string, edit func([]byte) []byte) {
+	t.Helper()
+	data, err := os.ReadFile(filepath.Join(root, "BENCH_"+topic+".json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if edit != nil {
+		data = edit(data)
+	}
+	if err := os.WriteFile("BENCH_"+as+".json", data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// drift scales one strategies cell's p50, p99 and net bytes by 0.95 and
+// gives it one more maybe row: a drift inside any tolerance, and in net
+// bytes, which a tolerance over latency and answer shares never read.
+func drift(t *testing.T, data []byte) []byte {
+	t.Helper()
+	var doc map[string]any
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.UseNumber() // a cell's 64-bit seed survives the round trip
+	if err := dec.Decode(&doc); err != nil {
+		t.Fatal(err)
+	}
+	scale := func(m map[string]any, key string, by, plus float64) {
+		f, err := m[key].(json.Number).Float64()
+		if err != nil {
+			t.Fatal(err)
+		}
+		m[key] = f*by + plus
+	}
+	for _, c := range doc["cells"].([]any) {
+		cell := c.(map[string]any)
+		if id := cell["cell"].(map[string]any); id["strategy"] != "BL" || id["workload"] != "school" || id["fault"] != "delay:DB3:5ms" {
+			continue
+		}
+		client, server := cell["client"].(map[string]any), cell["server"].(map[string]any)
+		scale(client, "p50_us", 0.95, 0)
+		scale(client, "p99_us", 0.95, 0)
+		scale(server, "maybe_rows", 1, 1)
+		scale(server, "net_bytes", 0.95, 0)
+		out, err := json.MarshalIndent(doc, "", "  ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	t.Fatal("no cell BL/school/delay:DB3:5ms")
+	return nil
+}
+
+// runStrategies runs the gated `run -q -topic strategies` against the
+// BENCH_strategies.json in the working directory.
+func runStrategies(t *testing.T) (string, error) {
+	t.Helper()
+	return captureStdout(t, func() error { return run([]string{"run", "-q", "-topic", "strategies"}) })
+}
+
+// TestRunCheck: run -topic strategies passes against the committed report
+// whatever its "version" and trailing whitespace, and fails, naming what
+// differs, against a copy with a drifted cell or a changed spec.
 func TestRunCheck(t *testing.T) {
 	root := repoRoot(t)
 	inTempDir(t)
-	for name, edit := range map[string]func(*bench.Report){
-		"halved p99": func(r *bench.Report) { r.Results()[0].Client.P99Micros /= 2 },
-		"queries": func(r *bench.Report) {
-			spec := r.Spec.(bench.MatrixSpec)
-			spec.Queries = 3
-			r.Spec = spec
-		},
+	restamp := func(data []byte) []byte {
+		stamped := bytes.Replace(data, []byte(`"version": "dev"`), []byte(`"version": "dev+0123456789ab"`), 1)
+		if bytes.Equal(stamped, data) {
+			t.Fatal(`the committed report is not stamped "version": "dev"`)
+		}
+		return append(stamped, '\n')
+	}
+	committedCopy(t, root, "strategies", "strategies", restamp)
+	if out, err := runStrategies(t); err != nil || !strings.Contains(out, "reproduced BENCH_strategies.json") {
+		t.Errorf("the committed report: err %v, stdout %q", err, out)
+	}
+	for name, tc := range map[string]struct {
+		edit func([]byte) []byte
+		want string
+	}{
+		"drifted": {func(data []byte) []byte { return drift(t, data) }, "cell BL/school/delay:DB3:5ms"},
+		"queries": {func(data []byte) []byte {
+			edited := bytes.Replace(data, []byte(`"queries": 30,`), []byte(`"queries": 3,`), 1)
+			if bytes.Equal(edited, data) {
+				t.Fatal(`the committed spec does not read "queries": 30`)
+			}
+			return edited
+		}, "spec:"},
 	} {
-		committedCopy(t, root, "strategies", "strategies", edit)
-		if _, err := captureStdout(t, func() error { return run([]string{"run", "-q", "-topic", "strategies"}) }); err == nil {
-			t.Errorf("%s: the gate passed", name)
+		committedCopy(t, root, "strategies", "strategies", tc.edit)
+		if _, err := runStrategies(t); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: err = %v, want a refusal naming %q", name, err, tc.want)
+		}
+	}
+}
+
+// TestRunCheckRefusesSelfGatingReports: the committed report reruns clean,
+// and the figures report in its place is refused by topic.
+func TestRunCheckRefusesSelfGatingReports(t *testing.T) {
+	root := repoRoot(t)
+	inTempDir(t)
+	committedCopy(t, root, "strategies", "strategies", nil)
+	if _, err := runStrategies(t); err != nil {
+		t.Errorf("the committed report: %v", err)
+	}
+	committedCopy(t, root, "figures", "strategies", nil)
+	want := "topic:\n  run       \"strategies\"\n  committed \"figures\""
+	if _, err := runStrategies(t); err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("the figures report as the committed one: err = %v, want a refusal naming %q", err, want)
+	}
+}
+
+// TestRunNeedsTheCommittedReport: without the committed report in the
+// working directory, a run fails at once, before any cell or sweep runs.
+func TestRunNeedsTheCommittedReport(t *testing.T) {
+	inTempDir(t)
+	for _, topic := range registered(t) {
+		progress, err := capture(t, &os.Stderr, func() error { return run([]string{"run", "-topic", topic.Name}) })
+		if err == nil || !strings.Contains(err.Error(), "BENCH_"+topic.Name+".json") || progress != "" {
+			t.Errorf("%s: err = %v, progress %q; want a refusal naming the file before anything runs", topic.Name, err, progress)
 		}
 	}
 }
@@ -192,24 +274,6 @@ func TestRunNeverWritesTheBaseline(t *testing.T) {
 	}
 	if entries, _ := os.ReadDir("."); len(entries) != 1 {
 		t.Fatalf("left %d files behind, want the baseline alone", len(entries))
-	}
-}
-
-// TestRunCheckRefusesSelfGatingReports: the committed strategies report
-// reruns with no regressions, and a self-gating topic's report in its place
-// is refused by name before anything runs: it has no matrix cells, and a
-// gate over zero of them would pass.
-func TestRunCheckRefusesSelfGatingReports(t *testing.T) {
-	root := repoRoot(t)
-	inTempDir(t)
-	committedCopy(t, root, "strategies", "strategies", nil)
-	if _, err := captureStdout(t, func() error { return run([]string{"run", "-q", "-topic", "strategies"}) }); err != nil {
-		t.Errorf("the committed report: %v", err)
-	}
-	committedCopy(t, root, "figures", "strategies", nil)
-	err := run([]string{"run", "-q", "-topic", "strategies"})
-	if err == nil || !strings.Contains(err.Error(), "topic figures") || !strings.Contains(err.Error(), "own invariants") {
-		t.Errorf("the figures report as the baseline: err = %v, want a refusal naming the topic and how it is gated", err)
 	}
 }
 
@@ -269,11 +333,18 @@ func TestFiguresTopic(t *testing.T) {
 					t.Errorf("stdout missing %q:\n%s", want, out)
 				}
 			}
-			r, err := bench.ReadReport("BENCH_figures.json")
+			data, err := os.ReadFile("BENCH_figures.json")
 			if err != nil {
 				t.Fatal(err)
 			}
-			if cells, _ := r.Cells.([]bench.FigureCell); r.Topic != "figures" || len(cells) == 0 || cells[0].Figure != sweep {
+			var r struct {
+				Topic string
+				Cells []bench.FigureCell
+			}
+			if err := json.Unmarshal(data, &r); err != nil {
+				t.Fatal(err)
+			}
+			if r.Topic != "figures" || len(r.Cells) == 0 || r.Cells[0].Figure != sweep {
 				t.Errorf("report = topic %s, cells %+v; want %s's cells", r.Topic, r.Cells, sweep)
 			}
 			if err := os.Remove("BENCH_figures.json"); err != nil {

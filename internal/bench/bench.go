@@ -11,27 +11,31 @@
 //     and the answer-quality fractions (certain vs maybe vs degraded) that
 //     distinguish this system's SLOs from plain latency SLOs.
 //
-// Identical seeds reproduce byte-identical cell results — the
-// regression-gate currency. Everything here runs on the simulator: wall-clock
-// speed over TCP and the WAL's write and recovery cost are the benchmark/
-// module's to measure, and the live chaos suite is a test
+// Identical seeds reproduce byte-identical cell results, so a run's gate is
+// that it reproduces the committed report. Everything here runs on the
+// simulator: wall-clock speed over TCP and the WAL's write and recovery cost
+// are the benchmark/ module's to measure, and the live chaos suite is a test
 // (internal/antientropy).
 //
-// A run emits a schema-versioned, diffable BENCH_<topic>.json; Check
-// compares two reports under a tolerance for regression gating.
+// A run emits a schema-versioned, diffable BENCH_<topic>.json, and
+// Reproduces holds it to the committed one: every key but "version", exactly.
 package bench
 
 import (
+	"bytes"
+	"cmp"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"hash/fnv"
 	"os"
+	"reflect"
 
 	"github.com/hetfed/hetfed/internal/version"
 )
 
 // SchemaVersion identifies the BENCH_*.json layout. Bump on breaking
-// changes; Check refuses to compare across schema versions.
+// changes; a run reproduces no report of another schema.
 const SchemaVersion = 2
 
 // MatrixSpec defines a benchmark matrix: the sweep dimensions and the load
@@ -73,7 +77,7 @@ type Cell struct {
 	Seed int64 `json:"seed"`
 }
 
-// Key renders the cell's identity — the join key for regression checks.
+// Key renders the cell's identity, as progress lines and errors name it.
 func (c Cell) Key() string {
 	return c.Strategy + "/" + c.Workload + "/" + c.Fault
 }
@@ -126,8 +130,7 @@ type CellResult struct {
 // Report is the one envelope every benchmark topic writes: provenance in
 // the header, and the topic's typed payload in Spec and Cells — MatrixSpec
 // and []CellResult (ordered by cell key) for the matrix topics, FigureSpec
-// and []FigureCell for the self-gating figures. The JSON form is stable and
-// diffable.
+// and []FigureCell for the figures. The JSON form is stable and diffable.
 type Report struct {
 	Schema  int    `json:"schema"`
 	Topic   string `json:"topic"`
@@ -163,68 +166,79 @@ func (r *Report) WriteFile(path string) error {
 	return nil
 }
 
-// Results returns a matrix report's cells — what Check judges. The
-// figures topic's cells have their own shape and yield nil.
-func (r *Report) Results() []CellResult {
-	cells, _ := r.Cells.([]CellResult)
-	return cells
-}
-
-// Get returns the result for a cell key.
-func (r *Report) Get(key string) (CellResult, bool) {
-	for _, c := range r.Results() {
-		if c.Cell.Key() == key {
-			return c, true
+// Reproduces reports whether committed, a committed BENCH_<topic>.json,
+// records exactly what this run measured: every envelope key but "version"
+// (a checkout stamps its revision there), compared untyped as JSON values
+// with numbers as written, so whitespace and key order do not count. The
+// error names the first key that differs, for "cells" the first cell.
+func (r *Report) Reproduces(committed []byte) error {
+	want, err := untyped(committed)
+	if err != nil {
+		return fmt.Errorf("not a report: %w", err)
+	}
+	data, err := r.JSON()
+	if err != nil {
+		return err
+	}
+	got, err := untyped(data)
+	if err != nil {
+		return err
+	}
+	delete(got, "version")
+	delete(want, "version")
+	for _, key := range []string{"schema", "topic", "seed", "spec", "cells"} { // as JSON writes them
+		g, w := got[key], want[key]
+		if key == "cells" {
+			g, w, key = firstCell(g, w)
 		}
+		if !reflect.DeepEqual(g, w) {
+			return fmt.Errorf("%s:\n  run       %s\n  committed %s", key, render(g), render(w))
+		}
+		delete(got, key)
+		delete(want, key)
 	}
-	return CellResult{}, false
-}
-
-// ReadReport loads a report written by WriteFile, validates its schema
-// version, and types its payload by topic: a registered topic's spec kind
-// decides, and anything else is read as a matrix.
-func ReadReport(path string) (*Report, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, fmt.Errorf("bench: read %s: %w", path, err)
+	if len(got)+len(want) > 0 {
+		return fmt.Errorf("other keys:\n  run       %s\n  committed %s", render(got), render(want))
 	}
-	var raw struct {
-		Report
-		Spec  json.RawMessage `json:"spec"`
-		Cells json.RawMessage `json:"cells"`
-	}
-	if err := json.Unmarshal(data, &raw); err != nil {
-		return nil, fmt.Errorf("bench: parse %s: %w", path, err)
-	}
-	r := &raw.Report
-	if r.Schema != SchemaVersion {
-		return nil, fmt.Errorf("bench: %s has schema %d, this build reads %d",
-			path, r.Schema, SchemaVersion)
-	}
-	topic, _ := LookupTopic(r.Topic)
-	if _, figures := topic.Spec.(FigureSpec); figures {
-		err = decodePayload[FigureSpec, FigureCell](r, raw.Spec, raw.Cells)
-	} else {
-		err = decodePayload[MatrixSpec, CellResult](r, raw.Spec, raw.Cells)
-	}
-	if err != nil {
-		return nil, fmt.Errorf("bench: parse %s: %w", path, err)
-	}
-	return r, nil
-}
-
-// decodePayload decodes the envelope's spec and cells into the topic's types.
-func decodePayload[S, C any](r *Report, spec, cells json.RawMessage) error {
-	var s S
-	var c []C
-	if err := json.Unmarshal(spec, &s); err != nil {
-		return fmt.Errorf("spec: %w", err)
-	}
-	if err := json.Unmarshal(cells, &c); err != nil {
-		return fmt.Errorf("cells: %w", err)
-	}
-	r.Spec, r.Cells = s, c
 	return nil
+}
+
+// untyped decodes a JSON object, keeping each number as written.
+func untyped(data []byte) (m map[string]any, err error) {
+	if !json.Valid(data) {
+		return nil, errors.New("invalid JSON")
+	}
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.UseNumber()
+	err = dec.Decode(&m)
+	return m, err
+}
+
+// firstCell returns the first cell two cell lists differ at, named by its
+// key for a matrix and by figure/x/strategy for figures, or, where no cell
+// does (one side is not a list), both values, named "cells".
+func firstCell(got, want any) (g, w any, name string) {
+	gs, _ := got.([]any)
+	ws, _ := want.([]any)
+	n := max(len(gs), len(ws))
+	gs, ws = append(gs, make([]any, n-len(gs))...), append(ws, make([]any, n-len(ws))...) // a missing cell is nil
+	for i := range n {
+		if g, w = gs[i], ws[i]; reflect.DeepEqual(g, w) {
+			continue
+		}
+		c, _ := cmp.Or(w, g).(map[string]any) // the committed cell, or the run's past the committed list
+		if id, ok := c["cell"].(map[string]any); ok {
+			return g, w, fmt.Sprintf("cell %v/%v/%v", id["strategy"], id["workload"], id["fault"])
+		}
+		return g, w, fmt.Sprintf("cell %v/%v/%v", c["figure"], c["x"], c["strategy"])
+	}
+	return got, want, "cells"
+}
+
+// render is a JSON value on one line, for an error message.
+func render(v any) string {
+	data, _ := json.Marshal(v)
+	return string(data)
 }
 
 // cellSeed derives the seed of a cell's query stream from the matrix seed

@@ -13,6 +13,22 @@ import (
 	"github.com/hetfed/hetfed/internal/metrics"
 )
 
+// Results returns a matrix report's cells; a figures report's yield nil.
+func (r *Report) Results() []CellResult {
+	cells, _ := r.Cells.([]CellResult)
+	return cells
+}
+
+// Get returns the result for a cell key.
+func (r *Report) Get(key string) (CellResult, bool) {
+	for _, c := range r.Results() {
+		if c.Cell.Key() == key {
+			return c, true
+		}
+	}
+	return CellResult{}, false
+}
+
 // smokeSpec is a tiny sim matrix exercising strategy and fault dimensions.
 func smokeSpec() MatrixSpec {
 	return MatrixSpec{
@@ -27,7 +43,7 @@ func smokeSpec() MatrixSpec {
 }
 
 // TestSimDeterminism: identical seeds reproduce byte-identical reports — the
-// property the regression gate banks on.
+// property the reproduction gate banks on.
 func TestSimDeterminism(t *testing.T) {
 	run := func() []byte {
 		r, err := Run(context.Background(), smokeSpec(), "smoke", nil)
@@ -138,32 +154,19 @@ func runStrategies(t *testing.T) (*Report, MatrixSpec) {
 }
 
 // TestStrategiesReproduceCommittedReport: the strategies topic runs in
-// virtual time, so a run reproduces every cell of the committed
-// BENCH_strategies.json to the bit. A cell that differs means the cost model,
-// the simulator's scheduling or a strategy's work moved; a change that means
-// to move one regenerates the file with hetbench run -topic strategies -out
-// and says why.
+// virtual time, so a run reproduces the committed BENCH_strategies.json in
+// every key but "version" — schema, topic, seed, spec and every cell to the
+// bit. A cell that differs means the cost model, the simulator's scheduling
+// or a strategy's work moved; a change that means to move one regenerates
+// the file with hetbench run -topic strategies -out and says why.
 func TestStrategiesReproduceCommittedReport(t *testing.T) {
 	r, _ := runStrategies(t)
-	committed, err := ReadReport(filepath.Join("..", "..", "BENCH_strategies.json"))
+	committed, err := os.ReadFile(filepath.Join("..", "..", "BENCH_strategies.json"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := len(r.Results()), len(committed.Results()); got != want {
-		t.Errorf("%d cells measured, %d committed", got, want)
-	}
-	for _, want := range committed.Results() {
-		key := want.Cell.Key()
-		got, ok := r.Get(key)
-		if !ok {
-			t.Errorf("cell %s: committed, not measured", key)
-			continue
-		}
-		g, errG := json.Marshal(got)
-		w, errW := json.Marshal(want)
-		if errG != nil || errW != nil || !bytes.Equal(g, w) {
-			t.Errorf("cell %s:\nmeasured  %s\ncommitted %s", key, g, w)
-		}
+	if err := r.Reproduces(committed); err != nil {
+		t.Error(err)
 	}
 }
 
@@ -237,60 +240,91 @@ func TestStrategiesAgreePerColumn(t *testing.T) {
 	}
 }
 
-// TestReportRoundTrip: WriteFile → ReadReport is lossless for every payload
-// the one envelope carries — each registered topic's kind and an unregistered
-// matrix — and the schema gate refuses foreign versions.
-func TestReportRoundTrip(t *testing.T) {
-	matrix, err := Run(context.Background(), MatrixSpec{
-		Strategies: []string{"PL"}, Workloads: []string{"school"}, Queries: 2, Seed: 7,
-	}, "roundtrip", nil)
+// TestReproduces: a report reproduces its own rendering with any
+// whitespace, key order or "version", and nothing else: a differing value,
+// an extra key, or a cell more or less is named by key, and a cell by its
+// identity — figure/x/strategy for a figures report.
+func TestReproduces(t *testing.T) {
+	r := newReport("figures", 7, FigureSpec{Samples: 2, Scale: 0.1, Seed: 7, Sweeps: []string{"faults"}})
+	r.Cells = []FigureCell{
+		{Figure: "faults", X: 0, Strategy: "BL", TotalMillis: 9.25, ResponseMillis: 4.5, NetKB: 3.125},
+		{Figure: "faults", X: 1, Strategy: "BL", TotalMillis: 9.5, ResponseMillis: 4.75, NetKB: 3.5, MaybeRows: 1.5, DegradedShare: 0.5},
+	}
+	data, err := r.JSON()
 	if err != nil {
-		t.Fatalf("Run: %v", err)
+		t.Fatal(err)
 	}
-	figures := newReport("figures", 7, FigureSpec{Samples: 2, Scale: 0.1, Seed: 7, Sweeps: []string{"faults"}})
-	figures.Cells = []FigureCell{{Figure: "faults", X: 1, Strategy: "BL", TotalMillis: 9.25, TotalStd: 1.5,
-		ResponseMillis: 4.5, ResponseStd: 0.25, NetKB: 3.125, MaybeRows: 1.5, DegradedShare: 0.5}}
-
-	path := filepath.Join(t.TempDir(), "BENCH_roundtrip.json")
-	for _, r := range []*Report{matrix, figures} {
-		if err := r.WriteFile(path); err != nil {
-			t.Fatalf("%s: WriteFile: %v", r.Topic, err)
+	var doc map[string]any
+	if err := json.Unmarshal(data, &doc); err != nil {
+		t.Fatal(err)
+	}
+	doc["version"] = "v9.9.9"
+	compact, _ := json.Marshal(doc) // keys sorted, no whitespace
+	if err := r.Reproduces(append(compact, "\n\n"...)); err != nil {
+		t.Errorf("a compact copy with another version: %v", err)
+	}
+	for _, tc := range []struct {
+		name, want string
+		edit       func(map[string]any)
+	}{
+		{"schema", "schema:\n", func(d map[string]any) { d["schema"] = SchemaVersion + 1 }},
+		{"seed", "seed:\n  run       7\n  committed 8", func(d map[string]any) { d["seed"] = 8.0 }},
+		{"spec", "spec:\n", func(d map[string]any) { d["spec"].(map[string]any)["samples"] = 3.0 }},
+		{"extra key", "other keys:\n", func(d map[string]any) { d["note"] = "x" }},
+		{"cell", "cell faults/1/BL:\n", func(d map[string]any) { d["cells"].([]any)[1].(map[string]any)["net_kb"] = 3.4 }},
+		{"missing cell", "cell faults/1/BL:\n", func(d map[string]any) { d["cells"] = d["cells"].([]any)[:1] }},
+		{"extra cell", "cell faults/2/CA:\n", func(d map[string]any) {
+			d["cells"] = append(d["cells"].([]any), map[string]any{"figure": "faults", "x": 2.0, "strategy": "CA"})
+		}},
+	} {
+		var edited map[string]any
+		if err := json.Unmarshal(data, &edited); err != nil {
+			t.Fatal(err)
 		}
-		back, err := ReadReport(path)
-		if err != nil {
-			t.Fatalf("%s: ReadReport: %v", r.Topic, err)
-		}
-		if !reflect.DeepEqual(back, r) {
-			t.Errorf("%s: round trip mangled the report:\n got %+v\nwant %+v", r.Topic, back, r)
+		tc.edit(edited)
+		committed, _ := json.Marshal(edited)
+		if err := r.Reproduces(committed); err == nil || !strings.HasPrefix(err.Error(), tc.want) {
+			t.Errorf("%s: err = %v, want one starting %q", tc.name, err, tc.want)
 		}
 	}
-
-	bad := *matrix
-	bad.Schema = SchemaVersion + 1
-	if err := bad.WriteFile(path); err != nil {
-		t.Fatalf("WriteFile: %v", err)
-	}
-	if _, err := ReadReport(path); err == nil {
-		t.Error("foreign schema version should refuse to load")
+	if err := r.Reproduces([]byte("not json")); err == nil {
+		t.Error("a file that is not JSON was reproduced")
 	}
 }
 
+// readCommitted decodes the committed report of topic, its spec and cells
+// typed as the topic's runner writes them, and returns the file's bytes.
+func readCommitted(t *testing.T, topic Topic) (*Report, []byte) {
+	t.Helper()
+	data, err := os.ReadFile(filepath.Join("..", "..", "BENCH_"+topic.Name+".json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := &Report{}
+	switch topic.Spec.(type) {
+	case MatrixSpec:
+		r.Spec, r.Cells = &MatrixSpec{}, &[]CellResult{}
+	case FigureSpec:
+		r.Spec, r.Cells = &FigureSpec{}, &[]FigureCell{}
+	}
+	if err := json.Unmarshal(data, r); err != nil {
+		t.Fatalf("BENCH_%s.json: %v", topic.Name, err)
+	}
+	r.Spec, r.Cells = reflect.ValueOf(r.Spec).Elem().Interface(), reflect.ValueOf(r.Cells).Elem().Interface()
+	return r, data
+}
+
 // TestCommittedReportsCanonical: every committed BENCH_<topic>.json is in
-// this build's envelope byte for byte — ReadReport types it and JSON renders
-// it back unchanged — and was measured under the topic table's spec, so
+// this build's envelope byte for byte — typed by its topic, JSON renders it
+// back unchanged — and was measured under the topic table's spec, so
 // `hetbench run -topic T -out BENCH_T.json` reruns what the file records and
 // diffs only in what was measured.
 func TestCommittedReportsCanonical(t *testing.T) {
 	for _, topic := range topics {
-		path := filepath.Join("..", "..", "BENCH_"+topic.Name+".json")
-		want, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		r, err := ReadReport(path)
-		if err != nil {
-			t.Errorf("%v", err)
-			continue
+		r, want := readCommitted(t, topic)
+		path := "BENCH_" + topic.Name + ".json"
+		if r.Schema != SchemaVersion || r.Topic != topic.Name {
+			t.Errorf("%s: schema %d, topic %q; want %d, %q", path, r.Schema, r.Topic, SchemaVersion, topic.Name)
 		}
 		if !reflect.DeepEqual(r.Spec, topic.Spec) {
 			t.Errorf("%s ran %+v, the topic table says %+v", path, r.Spec, topic.Spec)

@@ -7,24 +7,19 @@ import (
 )
 
 // Topic is one named benchmark: the canonical spec behind a committed
-// BENCH_<Name>.json, the runner that spec selects, and how a run is gated.
+// BENCH_<Name>.json, which every run must reproduce, and its runner.
 type Topic struct {
 	Name string
 	// Spec is the canonical spec, and its type selects the runner and the
 	// report's payload: MatrixSpec (Run) or FigureSpec (RunFigures).
 	Spec any
-	// Baseline marks a topic gated by Check against the committed
-	// BENCH_<Name>.json — the matrix, whose virtual-time cells are
-	// byte-stable across machines. The figures topic gates on the paper's
-	// shapes instead.
-	Baseline bool
 }
 
 // topics is the registry, in the order usage messages list it.
 var topics = []Topic{
 	// Every strategy over both workloads: healthy, with one site killed and with it stalled
 	// (EXPERIMENTS.md E35, E41).
-	{Name: "strategies", Baseline: true, Spec: MatrixSpec{
+	{Name: "strategies", Spec: MatrixSpec{
 		Strategies: []string{"CA", "BL", "PL", "SBL", "SPL"},
 		Workloads:  []string{"school", "table2"},
 		Faults:     []string{"none", "kill:DB3", "delay:DB3:5ms"},

@@ -378,8 +378,8 @@ func TestViewSlotsStayInTheView(t *testing.T) {
 			stamped := 0
 			for _, o := range viewObjects(view) {
 				twin := object.New(o.LOid, o.Class, nil)
-				for i := 0; i < o.Len(); i++ {
-					name, v := o.At(i)
+				for _, name := range o.AttrNames() {
+					v := o.Attr(name)
 					if k := v.Kind(); k != object.KindRef && k != object.KindList {
 						twin.Set(name, v)
 						continue
@@ -424,9 +424,8 @@ func TestViewSlotsStayInTheView(t *testing.T) {
 						continue // the view's own objects now
 					}
 					for _, o := range cls.Objects {
-						for i := 0; i < o.Len(); i++ {
-							name, v := o.At(i)
-							noStamp(fmt.Sprintf("%s: stored %s.%s", when, o.LOid, name), v)
+						for _, name := range o.AttrNames() {
+							noStamp(fmt.Sprintf("%s: stored %s.%s", when, o.LOid, name), o.Attr(name))
 						}
 					}
 				}

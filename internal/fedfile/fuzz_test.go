@@ -106,9 +106,8 @@ func describe(t *testing.T, fed *Federation) string {
 			var objs []string
 			db.Extent(cn).Scan(func(o *object.Object) bool {
 				attrs := make([]string, 0, o.Len())
-				for i := 0; i < o.Len(); i++ {
-					name, v := o.At(i)
-					attrs = append(attrs, name+"="+describeValue(t, v))
+				for _, name := range o.AttrNames() {
+					attrs = append(attrs, name+"="+describeValue(t, o.Attr(name)))
 				}
 				sort.Strings(attrs)
 				objs = append(objs, fmt.Sprintf("  %q %s\n", o.LOid, strings.Join(attrs, " ")))

@@ -529,14 +529,6 @@ func (o *Object) Len() int {
 	return n
 }
 
-// At returns the i-th attribute the object holds in name order,
-// 0 <= i < Len(). It walks the layout; a loop over every attribute reads
-// the layout's names and Slot instead.
-func (o *Object) At(i int) (name string, v Value) {
-	name = o.AttrNames()[i]
-	return name, o.Attr(name)
-}
-
 // Set stores an attribute value, or deletes it when v is null. A name o's
 // layout lacks gives o a layout of its own: Set builds objects by hand.
 func (o *Object) Set(name string, v Value) {

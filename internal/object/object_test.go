@@ -319,9 +319,8 @@ func TestObjectWireSize(t *testing.T) {
 func TestWholeObjectWireSizeIsKept(t *testing.T) {
 	summed := func(o *Object) int {
 		n := LOidWireSize
-		for i := 0; i < o.Len(); i++ {
-			_, v := o.At(i)
-			n += v.WireSize()
+		for _, name := range o.AttrNames() {
+			n += o.Attr(name).WireSize()
 		}
 		return n
 	}

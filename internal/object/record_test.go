@@ -203,9 +203,9 @@ func TestObjectSetKeepsOrder(t *testing.T) {
 	if got, want := o.AttrNames(), []string{"a", "m", "z"}; !reflect.DeepEqual(got, want) {
 		t.Errorf("AttrNames = %v, want %v", got, want)
 	}
-	for i := 0; i < o.Len(); i++ {
-		if name, v := o.At(i); !v.Equal(Str(name)) {
-			t.Errorf("At(%d) = %s: %v", i, name, v)
+	for _, name := range o.AttrNames() {
+		if v := o.Attr(name); !v.Equal(Str(name)) {
+			t.Errorf("Attr(%s) = %v", name, v)
 		}
 	}
 }
@@ -277,12 +277,12 @@ func checkProjection(t testing.TB, o *Object, mask []string) {
 	if o.WireSize(m) != cp.WireSize(nil) {
 		t.Errorf("%v through %v: modeled size %d, the copy's %d", o, mask, o.WireSize(m), cp.WireSize(nil))
 	}
-	i := 0
+	i, names := 0, cp.AttrNames()
 	for j, k := range m.Slots(o.Layout()) {
 		if k < 0 || o.Slot(int(k)).Kind() == 0 {
 			continue
 		}
-		if wn, wv := cp.At(i); mask[j] != wn || !Identical(o.Slot(int(k)), wv) {
+		if wn, wv := names[i], cp.Attr(names[i]); mask[j] != wn || !Identical(o.Slot(int(k)), wv) {
 			t.Errorf("%v through %v: attribute %d is %s=%v, the copy's %s=%v", o, mask, i, mask[j], o.Slot(int(k)), wn, wv)
 		}
 		i++

@@ -13,8 +13,8 @@ import (
 	"github.com/hetfed/hetfed/internal/school"
 )
 
-// fastFail is a call policy for tests that kill sites: tight timeouts, no
-// breaker hysteresis to keep assertions deterministic.
+// fastFail is a call policy for tests that kill sites: timeouts tighter than
+// DefaultCallConfig's, so a call to a dead or wedged site fails fast.
 var fastFail = CallConfig{
 	DialTimeout: time.Second,
 	CallTimeout: 5 * time.Second,

@@ -118,8 +118,8 @@ func TestRetrieveShipsOnlyInvolvedAttrs(t *testing.T) {
 	students := 0
 	for _, cls := range resp.Retrieve.Classes {
 		for _, o := range cls.Objects {
-			for i := 0; i < o.Len(); i++ {
-				if name, _ := o.At(i); !slices.Contains(cls.Attrs, name) {
+			for _, name := range o.AttrNames() {
+				if !slices.Contains(cls.Attrs, name) {
 					t.Errorf("%v arrived with %s, outside its class's projection %v", o, name, cls.Attrs)
 				}
 			}

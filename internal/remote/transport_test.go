@@ -348,8 +348,8 @@ func TestViewSlotsStayInTheView(t *testing.T) {
 	for site, db := range c.dbs {
 		for _, class := range db.Schema().ClassNames() {
 			db.Extent(class).Scan(func(o *object.Object) bool {
-				for i := 0; i < o.Len(); i++ {
-					name, v := o.At(i)
+				for _, name := range o.AttrNames() {
+					v := o.Attr(name)
 					for _, e := range append([]object.Value{v}, v.Elems()...) {
 						if _, ok := e.RefSlot(); ok {
 							t.Errorf("%s: stored %s.%s carries a view slot", site, o.LOid, name)

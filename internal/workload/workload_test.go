@@ -120,8 +120,8 @@ func TestGenerateIsomericConsistentValues(t *testing.T) {
 			base, _ := w.Databases[locs[0].Site].Deref(locs[0].LOid)
 			for _, loc := range locs[1:] {
 				o, _ := w.Databases[loc.Site].Deref(loc.LOid)
-				for i := 0; i < o.Len(); i++ {
-					name, v := o.At(i)
+				for _, name := range o.AttrNames() {
+					v := o.Attr(name)
 					bv := base.Attr(name)
 					if bv.IsNull() {
 						continue

@@ -234,8 +234,8 @@ if grep -rnE 'cluster-scrape|SetOnScrape' --include='*.go' --exclude-dir=.bench_
     echo "the cluster scraper is back (see EXPERIMENTS.md E40)" >&2
     guard_failed=1
 fi
-# hetbench is one verb over one matrix (EXPERIMENTS.md E41): run gates the
-# strategies matrix against its baseline through bench.Check, so the SLO rule grammar and
+# hetbench is one verb over one matrix (EXPERIMENTS.md E41): run gates each
+# topic by reproducing its committed report (Report.Reproduces), so the SLO rule grammar and
 # its judge, the check and slo subcommands and the smoke and adaptive topics'
 # reports stay gone, in tests or otherwise.
 if grep -rnE 'ParseRules|bench\.Judge|sloCmd|checkCmd|BENCH_smoke|BENCH_adaptive' \
@@ -249,6 +249,19 @@ for gone in BENCH_smoke.json BENCH_adaptive.json internal/bench/slo.go; do
         guard_failed=1
     fi
 done
+# A committed report has one gate (EXPERIMENTS.md E54): a run reproduces it
+# in every key but "version", so the tolerance diff beside it (bench.Check,
+# its spec comparison and latency slack) and the per-topic Baseline flag
+# stay gone, in tests or otherwise.
+if grep -rnE 'bench\.Check\b|^func Check\(|\bspecViolations\b|\blatencySlackMicros\b' \
+    --include='*.go' --include='*.yml' --include='*.sh' --exclude-dir=.bench_build . | grep -v '^\./scripts/check\.sh:'; then
+    echo "a tolerance gate on a committed report is back; a run reproduces it (see EXPERIMENTS.md E54)" >&2
+    guard_failed=1
+fi
+if grep -nE '^[[:space:]]+Baseline[[:space:]]|Baseline:' internal/bench/topics.go; then
+    echo "Topic has a Baseline flag again; every topic is gated by reproducing its report (see EXPERIMENTS.md E54)" >&2
+    guard_failed=1
+fi
 # hetbench keeps only its simulator runs (EXPERIMENTS.md E43): the WAL's
 # write and recovery cost is benchmark/'s wal.* and store.insert_us, and the
 # live chaos rig is internal/antientropy's TestChaosPartitionKillRestart, so
@@ -578,9 +591,9 @@ echo "== recovery torture (kill -9, fresh run)"
 go test -count 1 -timeout 120s -run 'TestKillNineMidInsert' ./internal/store/wal/
 
 # BENCH_TOPICS="strategies figures" additionally runs those hetbench topics
-# on their canonical specs (internal/bench/topics.go), each gated its own way:
-# strategies against the committed BENCH_strategies.json, figures on the
-# paper's shapes.
+# on their canonical specs (internal/bench/topics.go), each gated by
+# reproducing its committed BENCH_<topic>.json in every key but "version",
+# and figures also on the paper's shapes.
 for topic in ${BENCH_TOPICS:-}; do
     echo "== hetbench run -topic $topic"
     go run ./cmd/hetbench run -topic "$topic"
